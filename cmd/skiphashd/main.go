@@ -261,7 +261,6 @@ func main() {
 		}
 	}
 	srv := server.NewWithRegistry(be, reg, srvCfg)
-	srv.SetDefaultDurable(*dir != "")
 
 	// The metrics handlers ride the pprof DefaultServeMux and, with
 	// -metrics, a dedicated loopback listener of their own.

@@ -23,10 +23,12 @@
 // (skiphash/client), verifying the client-observed histories — wire
 // codec, pipelined request coalescing and all — against the sequential
 // model, then audits the served map's invariants. Adding -namespaces n
-// makes the same server host n byte-string namespaces, each driven
-// concurrently by its own seeded workload through the v2 ops (int64
-// keys crossing the wire as 8-byte big-endian strings) and checked
-// against its own sequential model.
+// makes the same server host n byte-string namespaces beside the
+// default map, all driven concurrently over the same connections, each
+// by its own seeded workload — the default map through the v1 ops, the
+// namespaces through the v2 ops (int64 keys crossing the wire as 8-byte
+// big-endian strings) — and each checked against its own sequential
+// model.
 //
 // With -resize it runs the online-resharding stress: the -check
 // workload on a sharded map while a background resizer walks a seeded
@@ -163,7 +165,7 @@ func main() {
 		churn     = flag.Bool("churn", false, "handle-lifecycle churn with periodic garbage audits")
 		crash     = flag.Bool("crash", false, "durability kill/recover cycles audited against a shadow model")
 		netCheck  = flag.Bool("net", false, "serve over loopback TCP and check client-side linearizability")
-		nsCount   = flag.Int("namespaces", 0, "with -net: drive this many byte-string namespaces concurrently through the checker")
+		nsCount   = flag.Int("namespaces", 0, "with -net: also drive this many byte-string namespaces concurrently through the checker")
 		replica   = flag.Bool("replica", false, "replicated serving stress: barriered replica reads, then kill the primary and promote")
 		resizeChk = flag.Bool("resize", false, "live shard-count resizes under the -check workload and linearizability checker")
 		cycles    = flag.Int("cycles", 60, "kill/recover cycles for -crash")
@@ -197,11 +199,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *netCheck {
-		if *nsCount > 0 {
-			runNetNamespaces(*threads, *duration, *seed, *shards, *isolated, *nsCount, lookupPct, reproducer)
-		} else {
-			runNet(*threads, *duration, *seed, *shards, *isolated, lookupPct, reproducer)
-		}
+		runNet(*threads, *duration, *seed, *shards, *isolated, *nsCount, lookupPct, reproducer)
 		return
 	}
 	if *replica {
@@ -238,7 +236,7 @@ func main() {
 		sm := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg)
 		m = sm
 		newHandle = func() stressHandle { return sm.NewHandle() }
-		checkable = shardedCheckAdapter{sm}
+		checkable = shardedCheck(sm)
 		variant = fmt.Sprintf("%d shards", sm.NumShards())
 		if *isolated {
 			variant += " (isolated)"
@@ -247,7 +245,7 @@ func main() {
 		um := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg)
 		m = um
 		newHandle = func() stressHandle { return um.NewHandle() }
-		checkable = checkAdapter{um}
+		checkable = checkAdapter[*skiphash.Txn[int64, int64]]{um}
 	}
 
 	if *metrics {
@@ -484,45 +482,77 @@ func runChurn(m stressMap, newHandle func() stressHandle, threads, handleWeight 
 	fmt.Println("skipstress: PASS")
 }
 
+// checkUniverse is the key universe of every checker workload: small, so
+// clients collide constantly.
+const checkUniverse = 64
+
+// checked is one map under the linearizability checker: a seeded
+// workload is recorded against it round after round, each history
+// verified from the state the previous round left behind.
+type checked struct {
+	name     string // names the map in a counterexample
+	m        maptest.OrderedMap
+	opts     maptest.WorkloadOptions // per-round workload; round sets Seed
+	snapshot []linearize.KV          // the state the next round starts from
+	ops      int
+	unknowns int
+}
+
+// checkOptions is the standard checker workload. Isolated shards merge
+// per-shard range snapshots taken at distinct instants — deliberately
+// not linearizable — so ranges are only checked on shared-runtime maps.
+func checkOptions(clients int, isolated bool, lookupPct int) maptest.WorkloadOptions {
+	return maptest.WorkloadOptions{
+		Clients:      clients,
+		OpsPerClient: 192,
+		Universe:     checkUniverse,
+		Ranges:       !isolated,
+		Batches:      true,
+		LookupPct:    lookupPct,
+	}
+}
+
+// round records round n's history under seed and verifies it from the
+// current snapshot; a counterexample goes to stderr and reports false.
+// The workload's clients have joined by the time it returns, so the
+// caller may re-read the quiescent map into snapshot.
+func (c *checked) round(n int, seed uint64) bool {
+	opts := c.opts
+	opts.Seed = seed
+	h := maptest.RecordHistory(c.m, opts)
+	res := linearize.CheckOpts(h, linearize.Options{Initial: c.snapshot})
+	c.ops += len(h)
+	if res.Unknown {
+		c.unknowns++
+	} else if !res.Ok {
+		fmt.Fprintf(os.Stderr, "FAIL: non-linearizable history of %s in round %d (round seed %d), partition keys %v:\n%s",
+			c.name, n, seed, res.PartitionKeys, linearize.FormatOps(res.Ops))
+		return false
+	}
+	return true
+}
+
+// readAll re-reads the quiescent map's full state through its own Range.
+func (c *checked) readAll() { c.snapshot = c.m.Range(0, checkUniverse, c.snapshot[:0]) }
+
 // runCheck records seeded workload rounds and verifies each round's
 // history online. The map stays hot across rounds: each round's check
 // starts from a quiescent snapshot of the previous round's final state.
 func runCheck(cm maptest.OrderedMap, m stressMap, threads int, duration time.Duration,
 	seed uint64, isolated bool, lookupPct int, variant, reproducer string) {
-	const checkUniverse = 64
 	fmt.Printf("skipstress: -check, %d threads, %v, universe %d, seed %d, lookup%%=%d, %s\n",
 		threads, duration, checkUniverse, seed, lookupPct, variant)
 
+	c := checked{name: "the map", m: cm, opts: checkOptions(threads, isolated, lookupPct)}
+	c.opts.PointQueries = !isolated
 	deadline := time.Now().Add(duration)
-	rounds, totalOps, unknowns := 0, 0, 0
-	var snapshot []linearize.KV
-	for time.Now().Before(deadline) {
-		roundSeed := seed + uint64(rounds)*1_000_003
-		opts := maptest.WorkloadOptions{
-			Clients:      threads,
-			OpsPerClient: 192,
-			Universe:     checkUniverse,
-			Seed:         roundSeed,
-			Ranges:       !isolated,
-			PointQueries: !isolated,
-			Batches:      true,
-			LookupPct:    lookupPct,
-		}
-		h := maptest.RecordHistory(cm, opts)
-		res := linearize.CheckOpts(h, linearize.Options{Initial: snapshot})
-		totalOps += len(h)
-		if res.Unknown {
-			unknowns++
-		} else if !res.Ok {
-			fmt.Fprintf(os.Stderr, "FAIL: non-linearizable history in round %d (round seed %d), partition keys %v:\n%s",
-				rounds, roundSeed, res.PartitionKeys, linearize.FormatOps(res.Ops))
+	rounds := 0
+	for ; time.Now().Before(deadline); rounds++ {
+		if !c.round(rounds, seed+uint64(rounds)*1_000_003) {
 			fmt.Fprintf(os.Stderr, "reproduce with: %s\n", reproducer)
 			os.Exit(1)
 		}
-		// Workers joined inside RecordHistory, so the map is quiescent:
-		// snapshot the state the next round starts from.
-		snapshot = cm.Range(0, checkUniverse, nil)
-		rounds++
+		c.readAll()
 	}
 	m.Quiesce()
 	if err := m.CheckInvariants(skiphash.CheckOptions{}); err != nil {
@@ -530,65 +560,52 @@ func runCheck(cm maptest.OrderedMap, m stressMap, threads int, duration time.Dur
 		fmt.Fprintf(os.Stderr, "reproduce with: %s\n", reproducer)
 		os.Exit(1)
 	}
-	fmt.Printf("rounds=%d ops=%d unknown=%d\n", rounds, totalOps, unknowns)
+	fmt.Printf("rounds=%d ops=%d unknown=%d\n", rounds, c.ops, c.unknowns)
 	fmt.Println("skipstress: PASS")
 }
 
-// checkAdapter exposes the unsharded map through the conformance
-// interface for -check.
-type checkAdapter struct {
-	m *skiphash.Map[int64, int64]
+// checkTxn is the transactional view a batch's steps apply through; both
+// skiphash.Txn and skiphash.ShardedTxn satisfy it.
+type checkTxn interface {
+	Lookup(k int64) (int64, bool)
+	Insert(k, v int64) bool
+	Remove(k int64) bool
 }
 
-func (a checkAdapter) Lookup(k int64) (int64, bool) { return a.m.Lookup(k) }
-func (a checkAdapter) Insert(k, v int64) bool       { return a.m.Insert(k, v) }
-func (a checkAdapter) Remove(k int64) bool          { return a.m.Remove(k) }
+// checkMap is the method set the unsharded and sharded maps share that
+// the checker's workload needs; T is the map's transactional view.
+type checkMap[T checkTxn] interface {
+	checkTxn
+	Range(l, r int64, out []skiphash.Pair[int64, int64]) []skiphash.Pair[int64, int64]
+	Ceil(k int64) (int64, int64, bool)
+	Floor(k int64) (int64, int64, bool)
+	Succ(k int64) (int64, int64, bool)
+	Pred(k int64) (int64, int64, bool)
+	Atomic(fn func(op T) error) error
+}
 
-func (a checkAdapter) Range(l, r int64, buf []maptest.KV) []maptest.KV {
-	for _, p := range a.m.Range(l, r, nil) {
+// checkAdapter exposes either map through the conformance interface:
+// the point ops and queries pass straight through, Range and Batch
+// translate to the checker's vocabulary.
+type checkAdapter[T checkTxn] struct{ checkMap[T] }
+
+func (a checkAdapter[T]) Range(l, r int64, buf []maptest.KV) []maptest.KV {
+	for _, p := range a.checkMap.Range(l, r, nil) {
 		buf = append(buf, maptest.KV{Key: p.Key, Val: p.Val})
 	}
 	return buf
 }
 
-func (a checkAdapter) Ceil(k int64) (int64, int64, bool)  { return a.m.Ceil(k) }
-func (a checkAdapter) Floor(k int64) (int64, int64, bool) { return a.m.Floor(k) }
-func (a checkAdapter) Succ(k int64) (int64, int64, bool)  { return a.m.Succ(k) }
-func (a checkAdapter) Pred(k int64) (int64, int64, bool)  { return a.m.Pred(k) }
-
-func (a checkAdapter) Batch(steps []linearize.Step) bool {
-	return a.m.Atomic(func(op *skiphash.Txn[int64, int64]) error {
+func (a checkAdapter[T]) Batch(steps []linearize.Step) bool {
+	return a.Atomic(func(op T) error {
 		linearize.ApplySteps(steps, op.Insert, op.Remove, op.Lookup)
 		return nil
 	}) == nil
 }
 
-// shardedCheckAdapter is checkAdapter's sharded twin.
-type shardedCheckAdapter struct {
-	s *skiphash.Sharded[int64, int64]
-}
-
-func (a shardedCheckAdapter) Lookup(k int64) (int64, bool) { return a.s.Lookup(k) }
-func (a shardedCheckAdapter) Insert(k, v int64) bool       { return a.s.Insert(k, v) }
-func (a shardedCheckAdapter) Remove(k int64) bool          { return a.s.Remove(k) }
-
-func (a shardedCheckAdapter) Range(l, r int64, buf []maptest.KV) []maptest.KV {
-	for _, p := range a.s.Range(l, r, nil) {
-		buf = append(buf, maptest.KV{Key: p.Key, Val: p.Val})
-	}
-	return buf
-}
-
-func (a shardedCheckAdapter) Ceil(k int64) (int64, int64, bool)  { return a.s.Ceil(k) }
-func (a shardedCheckAdapter) Floor(k int64) (int64, int64, bool) { return a.s.Floor(k) }
-func (a shardedCheckAdapter) Succ(k int64) (int64, int64, bool)  { return a.s.Succ(k) }
-func (a shardedCheckAdapter) Pred(k int64) (int64, int64, bool)  { return a.s.Pred(k) }
-
-func (a shardedCheckAdapter) Batch(steps []linearize.Step) bool {
-	return a.s.Atomic(func(op *skiphash.ShardedTxn[int64, int64]) error {
-		linearize.ApplySteps(steps, op.Insert, op.Remove, op.Lookup)
-		return nil
-	}) == nil
+// shardedCheck wraps a sharded map for the checker.
+func shardedCheck(s *skiphash.Sharded[int64, int64]) checkAdapter[*skiphash.ShardedTxn[int64, int64]] {
+	return checkAdapter[*skiphash.ShardedTxn[int64, int64]]{s}
 }
 
 // dumpMetrics renders the map's counters as a Prometheus text

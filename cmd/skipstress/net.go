@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/linearize"
@@ -19,120 +20,28 @@ import (
 )
 
 // runNet is the serving-layer stress: it starts an in-process server
-// around a sharded skip hash, drives the seeded -check workload through
-// real protocol clients over loopback TCP, and verifies the client-side
-// invoke/return histories against the sequential ordered-map model with
-// internal/linearize — so the wire codec, the per-connection batcher's
-// coalesced transactions, and response demultiplexing are all inside
-// the checked box. After the rounds, the served map itself must pass a
-// quiescent invariant audit.
+// around a sharded skip hash plus nsCount byte-string namespaces, drives
+// every one of them concurrently with its own seeded -check workload
+// through real protocol clients over one loopback TCP connection pool,
+// and verifies each tenant's client-side invoke/return history against
+// the sequential ordered-map model with internal/linearize — so the
+// wire codec, the per-connection executor's coalesced transactions, and
+// response demultiplexing are all inside the checked box. Namespace
+// workloads carry their int64 keys and values as 8-byte big-endian
+// strings — order-preserving for non-negative keys — so they check
+// against the same model. The tenants share the server's executor,
+// connections, and drain cycles, v1 and v2 runs interleaved, so the
+// checker also audits that runs never bleed across namespace
+// boundaries. After the rounds, dropping one namespace must leave the
+// others untouched, and the default map must pass a quiescent invariant
+// audit.
 func runNet(threads int, duration time.Duration, seed uint64,
-	shards int, isolated bool, lookupPct int, reproducer string) {
-	const checkUniverse = 64
-	cfg := skiphash.Config{Maintenance: true, IsolatedShards: isolated}
-	if shards > 0 {
-		cfg.Shards = shards
-	}
-	m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg)
-	srv := server.New(server.NewShardedBackend(m), server.Config{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "skipstress: listen: %v\n", err)
-		os.Exit(1)
-	}
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ln) }()
-
-	cl, err := client.Dial(ln.Addr().String(), client.Options{Conns: threads})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "skipstress: dial: %v\n", err)
-		os.Exit(1)
-	}
-	variant := fmt.Sprintf("%d shards over tcp", m.NumShards())
-	if isolated {
-		variant += " (isolated)"
-	}
-	fmt.Printf("skipstress: -net, %d client conns, %v, universe %d, seed %d, lookup%%=%d, %s\n",
-		threads, duration, checkUniverse, seed, lookupPct, variant)
-
-	adapter := netAdapter{c: cl}
-	deadline := time.Now().Add(duration)
-	rounds, totalOps, unknowns := 0, 0, 0
-	var snapshot []linearize.KV
-	for time.Now().Before(deadline) {
-		roundSeed := seed + uint64(rounds)*1_000_003
-		opts := maptest.WorkloadOptions{
-			Clients:      threads,
-			OpsPerClient: 192,
-			Universe:     checkUniverse,
-			Seed:         roundSeed,
-			// Isolated shards merge per-shard range snapshots taken at
-			// distinct instants — deliberately not linearizable — so
-			// ranges are only checked on the shared-runtime map.
-			Ranges:    !isolated,
-			Batches:   true,
-			LookupPct: lookupPct,
-		}
-		h := maptest.RecordHistory(adapter, opts)
-		res := linearize.CheckOpts(h, linearize.Options{Initial: snapshot})
-		totalOps += len(h)
-		if res.Unknown {
-			unknowns++
-		} else if !res.Ok {
-			fmt.Fprintf(os.Stderr, "FAIL: non-linearizable served history in round %d (round seed %d), partition keys %v:\n%s",
-				rounds, roundSeed, res.PartitionKeys, linearize.FormatOps(res.Ops))
-			fmt.Fprintf(os.Stderr, "reproduce with: %s\n", reproducer)
-			os.Exit(1)
-		}
-		// Clients joined inside RecordHistory, so the served map is
-		// quiescent: snapshot the state the next round starts from,
-		// through the wire like everything else.
-		pairs, err := cl.Range(0, checkUniverse, 0)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "FAIL: snapshot range: %v\n", err)
-			os.Exit(1)
-		}
-		snapshot = snapshot[:0]
-		for _, p := range pairs {
-			snapshot = append(snapshot, linearize.KV{Key: p.Key, Val: p.Val})
-		}
-		rounds++
-	}
-
-	cl.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL: server drain: %v\n", err)
-		os.Exit(1)
-	}
-	if err := <-served; err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL: serve: %v\n", err)
-		os.Exit(1)
-	}
-	m.Quiesce()
-	if err := m.CheckInvariants(skiphash.CheckOptions{}); err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL: served map invariants after %d rounds: %v\n", rounds, err)
+	shards int, isolated bool, nsCount, lookupPct int, reproducer string) {
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "FAIL: "+format+"\n", args...)
 		fmt.Fprintf(os.Stderr, "reproduce with: %s\n", reproducer)
 		os.Exit(1)
 	}
-	m.Close()
-	fmt.Printf("rounds=%d ops=%d unknown=%d\n", rounds, totalOps, unknowns)
-	fmt.Println("skipstress: PASS")
-}
-
-// runNetNamespaces is the multi-tenant serving stress: one server hosts
-// nsCount byte-string namespaces (plus the default int64 map), and each
-// namespace is driven concurrently with its own seeded -check workload
-// through the wire's v2 ops. Workload keys and values are int64s
-// encoded as 8-byte big-endian strings — order-preserving for
-// non-negative keys, so each namespace's client-observed history checks
-// against the same sequential ordered-map model. The namespaces share
-// the server's executor, connections, and coalescing, so the checker
-// also audits that runs never bleed across namespace boundaries.
-func runNetNamespaces(threads int, duration time.Duration, seed uint64,
-	shards int, isolated bool, nsCount, lookupPct int, reproducer string) {
-	const checkUniverse = 64
 	mapCfg := skiphash.Config{Maintenance: true, IsolatedShards: isolated}
 	if shards > 0 {
 		mapCfg.Shards = shards
@@ -157,92 +66,74 @@ func runNetNamespaces(threads int, duration time.Duration, seed uint64,
 		fmt.Fprintf(os.Stderr, "skipstress: dial: %v\n", err)
 		os.Exit(1)
 	}
-	adapters := make([]nsAdapter, nsCount)
-	for i := range adapters {
+	// Worker budget: the threads are split across the tenants, but every
+	// tenant keeps at least two concurrent clients (when there are two
+	// to give) so its own history has real contention.
+	opts := checkOptions(max(threads/(1+nsCount), min(threads, 2)), isolated, lookupPct)
+	tenants := []*checked{{name: "the default map", m: netAdapter{c: cl}, opts: opts}}
+	for i := 0; i < nsCount; i++ {
 		ns, err := cl.CreateNamespace(fmt.Sprintf("stress-%d", i), client.NamespaceOptions{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "skipstress: create namespace %d: %v\n", i, err)
 			os.Exit(1)
 		}
-		adapters[i] = nsAdapter{ns: ns}
+		tenants = append(tenants, &checked{name: "namespace " + ns.Name(), m: nsAdapter{ns: ns}, opts: opts})
 	}
-	variant := fmt.Sprintf("%d namespaces, %d shards each, over tcp", nsCount, m.NumShards())
+	mode, variant := "-net", fmt.Sprintf("%d shards over tcp", m.NumShards())
+	if nsCount > 0 {
+		mode = "-net -namespaces"
+		variant = fmt.Sprintf("default map + %d namespaces, %d shards each, over tcp", nsCount, m.NumShards())
+	}
 	if isolated {
 		variant += " (isolated)"
 	}
-	fmt.Printf("skipstress: -net -namespaces, %d client conns, %v, universe %d, seed %d, lookup%%=%d, %s\n",
-		threads, duration, checkUniverse, seed, lookupPct, variant)
+	fmt.Printf("skipstress: %s, %d client conns, %v, universe %d, seed %d, lookup%%=%d, %s\n",
+		mode, threads, duration, checkUniverse, seed, lookupPct, variant)
 
-	// Per-namespace worker budget: every namespace gets at least two
-	// concurrent clients so its own history has real contention.
-	perNS := threads / nsCount
-	if perNS < 2 {
-		perNS = 2
-	}
 	deadline := time.Now().Add(duration)
-	rounds, totalOps, unknowns := 0, 0, 0
-	snapshots := make([][]linearize.KV, nsCount)
-	for time.Now().Before(deadline) {
+	rounds := 0
+	for ; time.Now().Before(deadline); rounds++ {
 		var wg sync.WaitGroup
-		var mu sync.Mutex
-		failed := false
-		for i := range adapters {
+		var failed atomic.Bool
+		for i, t := range tenants {
 			wg.Add(1)
-			go func(i int) {
+			go func() {
 				defer wg.Done()
-				roundSeed := seed + uint64(rounds)*1_000_003 + uint64(i)*7_654_321
-				opts := maptest.WorkloadOptions{
-					Clients:      perNS,
-					OpsPerClient: 192,
-					Universe:     checkUniverse,
-					Seed:         roundSeed,
-					// Same caveat as runNet: isolated shards merge per-shard
-					// range snapshots taken at distinct instants.
-					Ranges:    !isolated,
-					Batches:   true,
-					LookupPct: lookupPct,
+				if !t.round(rounds, seed+uint64(rounds)*1_000_003+uint64(i)*7_654_321) {
+					failed.Store(true)
 				}
-				h := maptest.RecordHistory(adapters[i], opts)
-				res := linearize.CheckOpts(h, linearize.Options{Initial: snapshots[i]})
-				mu.Lock()
-				defer mu.Unlock()
-				totalOps += len(h)
-				if res.Unknown {
-					unknowns++
-				} else if !res.Ok {
-					fmt.Fprintf(os.Stderr, "FAIL: non-linearizable history in namespace %s round %d (round seed %d), partition keys %v:\n%s",
-						adapters[i].ns.Name(), rounds, roundSeed, res.PartitionKeys, linearize.FormatOps(res.Ops))
-					failed = true
-				}
-				snapshots[i] = adapters[i].snapshot(checkUniverse)
-			}(i)
+				// This tenant's clients have joined, so its map is quiescent
+				// whatever the other tenants are doing: read the state its
+				// next round starts from, through the wire like everything
+				// else.
+				t.readAll()
+			}()
 		}
 		wg.Wait()
-		if failed {
+		if failed.Load() {
 			fmt.Fprintf(os.Stderr, "reproduce with: %s\n", reproducer)
 			os.Exit(1)
 		}
-		rounds++
 	}
 
-	// Tenant isolation spot check: each namespace's final state must be
-	// exactly its own snapshot, and dropping one namespace must not
-	// disturb the others.
-	if err := cl.DropNamespace(adapters[0].ns.Name()); err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL: drop: %v\n", err)
-		os.Exit(1)
-	}
-	if _, _, err := adapters[0].ns.Get(be64(1)); !errors.Is(err, client.ErrNamespaceNotFound) {
-		fmt.Fprintf(os.Stderr, "FAIL: dropped namespace still answering (err %v)\n", err)
-		os.Exit(1)
-	}
-	for i := 1; i < nsCount; i++ {
-		after := adapters[i].snapshot(checkUniverse)
-		if len(after) != len(snapshots[i]) {
-			fmt.Fprintf(os.Stderr, "FAIL: namespace %s changed across a sibling drop: %d pairs, want %d\n",
-				adapters[i].ns.Name(), len(after), len(snapshots[i]))
-			fmt.Fprintf(os.Stderr, "reproduce with: %s\n", reproducer)
-			os.Exit(1)
+	// Tenant isolation spot check: dropping one namespace must stop it
+	// answering and must not disturb the others, the default map included.
+	if nsCount > 0 {
+		dropped := tenants[1].m.(nsAdapter).ns
+		if err := cl.DropNamespace(dropped.Name()); err != nil {
+			fail("drop: %v", err)
+		}
+		if _, _, err := dropped.Get(be64(1)); !errors.Is(err, client.ErrNamespaceNotFound) {
+			fail("dropped namespace still answering (err %v)", err)
+		}
+		for i, t := range tenants {
+			if i == 1 {
+				continue // the dropped one
+			}
+			before := len(t.snapshot)
+			if t.readAll(); len(t.snapshot) != before {
+				fail("%s changed across a sibling drop: %d pairs, want %d", t.name, len(t.snapshot), before)
+			}
 		}
 	}
 
@@ -250,14 +141,21 @@ func runNetNamespaces(threads int, duration time.Duration, seed uint64,
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL: server drain: %v\n", err)
-		os.Exit(1)
+		fail("server drain: %v", err)
 	}
 	if err := <-served; err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL: serve: %v\n", err)
-		os.Exit(1)
+		fail("serve: %v", err)
+	}
+	m.Quiesce()
+	if err := m.CheckInvariants(skiphash.CheckOptions{}); err != nil {
+		fail("served map invariants after %d rounds: %v", rounds, err)
 	}
 	m.Close()
+	totalOps, unknowns := 0, 0
+	for _, t := range tenants {
+		totalOps += t.ops
+		unknowns += t.unknowns
+	}
 	fmt.Printf("rounds=%d ops=%d unknown=%d\n", rounds, totalOps, unknowns)
 	fmt.Println("skipstress: PASS")
 }
@@ -357,19 +255,6 @@ func (a nsAdapter) Batch(steps []linearize.Step) bool {
 		}
 	}
 	return true
-}
-
-// snapshot reads the namespace's full state through the wire.
-func (a nsAdapter) snapshot(universe int64) []linearize.KV {
-	pairs, err := a.ns.Range(be64(0), be64(universe), 0)
-	if err != nil {
-		a.fatal("snapshot Range2", err)
-	}
-	out := make([]linearize.KV, 0, len(pairs))
-	for _, p := range pairs {
-		out = append(out, linearize.KV{Key: unbe64(p.Key), Val: unbe64(p.Val)})
-	}
-	return out
 }
 
 // netAdapter exposes a protocol client through the conformance

@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/linearize"
-	"repro/internal/maptest"
 	"repro/internal/repl"
 	"repro/internal/server"
 	"repro/internal/wire"
@@ -35,7 +33,6 @@ import (
 // after the failover, must linearize; the promoted map must pass the
 // final structural audit.
 func runReplica(threads int, duration time.Duration, seed uint64, lookupPct int, reproducer string) {
-	const checkUniverse = 64
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "FAIL: "+format+"\n", args...)
 		fmt.Fprintf(os.Stderr, "reproduce with: %s\n", reproducer)
@@ -117,49 +114,27 @@ func runReplica(threads int, duration time.Duration, seed uint64, lookupPct int,
 	fmt.Printf("skipstress: -replica, %d client conns, %v, universe %d, seed %d, lookup%%=%d, primary + 2 replicas over tcp\n",
 		threads, duration, checkUniverse, seed, lookupPct)
 
-	runRounds := func(adapter maptest.OrderedMap, until time.Time, snapshot []linearize.KV,
-		roundBase int) ([]linearize.KV, int, int, int) {
-		rounds, totalOps, unknowns := 0, 0, 0
-		for rounds == 0 || time.Now().Before(until) {
-			roundSeed := seed + uint64(roundBase+rounds)*1_000_003
-			opts := maptest.WorkloadOptions{
-				Clients:      threads,
-				OpsPerClient: 192,
-				Universe:     checkUniverse,
-				Seed:         roundSeed,
-				Ranges:       true,
-				Batches:      true,
-				LookupPct:    lookupPct,
-			}
-			h := maptest.RecordHistory(adapter, opts)
-			res := linearize.CheckOpts(h, linearize.Options{Initial: snapshot})
-			totalOps += len(h)
-			if res.Unknown {
-				unknowns++
-			} else if !res.Ok {
-				fmt.Fprintf(os.Stderr, "FAIL: non-linearizable replicated history in round %d (round seed %d), partition keys %v:\n%s",
-					roundBase+rounds, roundSeed, res.PartitionKeys, linearize.FormatOps(res.Ops))
+	// One history runs through both phases: phase 2 continues from the
+	// snapshot the dead primary last produced.
+	c := checked{name: "the replicated map", opts: checkOptions(threads, false, lookupPct)}
+	rounds := 0
+	runRounds := func(until time.Time) {
+		c.m = &replAdapter{netAdapter: netAdapter{c: cl}} // cl is this phase's client
+		for first := true; first || time.Now().Before(until); first = false {
+			if !c.round(rounds, seed+uint64(rounds)*1_000_003) {
 				fmt.Fprintf(os.Stderr, "reproduce with: %s\n", reproducer)
 				os.Exit(1)
 			}
-			pairs, err := cl.Range(0, checkUniverse, 0)
-			if err != nil {
-				fail("snapshot range: %v", err)
-			}
-			snapshot = snapshot[:0]
-			for _, p := range pairs {
-				snapshot = append(snapshot, linearize.KV{Key: p.Key, Val: p.Val})
-			}
+			c.readAll()
 			rounds++
 		}
-		return snapshot, rounds, totalOps, unknowns
 	}
 
 	// Phase 1: primary serving, barriered reads fanning out over both
 	// replicas.
 	start := time.Now()
-	snapshot, rounds1, ops1, unk1 := runRounds(&replAdapter{netAdapter: netAdapter{c: cl}},
-		start.Add(duration/2), nil, 0)
+	runRounds(start.Add(duration / 2))
+	rounds1 := rounds
 
 	// Quiescent failover. The workload is joined, so a primary
 	// watermark taken now covers every commit; both replicas must pass
@@ -208,11 +183,8 @@ func runReplica(threads int, duration time.Duration, seed uint64, lookupPct int,
 	}
 	fmt.Printf("skipstress: failed over after %d rounds: promoted replica at watermark %d\n", rounds1, rA.Watermark())
 
-	// Phase 2: the promoted node serves reads and writes; the history
-	// continues from the snapshot the dead primary last produced.
-	snapshot, rounds2, ops2, unk2 := runRounds(&replAdapter{netAdapter: netAdapter{c: cl}},
-		start.Add(duration), snapshot, rounds1)
-	_ = snapshot
+	// Phase 2: the promoted node serves reads and writes.
+	runRounds(start.Add(duration))
 
 	cl.Close()
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Second)
@@ -232,7 +204,7 @@ func runReplica(threads int, duration time.Duration, seed uint64, lookupPct int,
 	}
 	rA.Close()
 	fmt.Printf("rounds=%d ops=%d unknown=%d (pre-failover %d, post %d)\n",
-		rounds1+rounds2, ops1+ops2, unk1+unk2, rounds1, rounds2)
+		rounds, c.ops, c.unknowns, rounds1, rounds-rounds1)
 	fmt.Println("skipstress: PASS")
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/linearize"
-	"repro/internal/maptest"
 	"repro/skiphash"
 )
 
@@ -21,13 +20,12 @@ import (
 // error, or failed end-of-run audit exits 1 with a reproducer line.
 func runResize(threads int, duration time.Duration, seed uint64, shards int,
 	isolated bool, lookupPct int, reproducer string) {
-	const checkUniverse = 64
 	if shards <= 0 {
 		shards = 2
 	}
 	cfg := skiphash.Config{Shards: shards, IsolatedShards: isolated}
 	sm := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg)
-	cm := shardedCheckAdapter{sm}
+	cm := shardedCheck(sm)
 	variant := fmt.Sprintf("%d shards", sm.NumShards())
 	if isolated {
 		variant += " (isolated)"
@@ -69,41 +67,23 @@ func runResize(threads int, duration time.Duration, seed uint64, shards int,
 	}()
 
 	deadline := time.Now().Add(duration)
-	rounds, totalOps, unknowns := 0, 0, 0
-	var snapshot []linearize.KV
-	for time.Now().Before(deadline) {
-		roundSeed := seed + uint64(rounds)*1_000_003
-		opts := maptest.WorkloadOptions{
-			Clients:      threads,
-			OpsPerClient: 192,
-			Universe:     checkUniverse,
-			Seed:         roundSeed,
-			Ranges:       !isolated,
-			PointQueries: !isolated,
-			Batches:      true,
-			LookupPct:    lookupPct,
-		}
-		h := maptest.RecordHistory(cm, opts)
-		res := linearize.CheckOpts(h, linearize.Options{Initial: snapshot})
-		totalOps += len(h)
-		if res.Unknown {
-			unknowns++
-		} else if !res.Ok {
-			fmt.Fprintf(os.Stderr, "FAIL: non-linearizable history in round %d (round seed %d), partition keys %v:\n%s",
-				rounds, roundSeed, res.PartitionKeys, linearize.FormatOps(res.Ops))
+	c := checked{name: "the resizing map", m: cm, opts: checkOptions(threads, isolated, lookupPct)}
+	c.opts.PointQueries = !isolated
+	rounds := 0
+	for ; time.Now().Before(deadline); rounds++ {
+		if !c.round(rounds, seed+uint64(rounds)*1_000_003) {
 			fmt.Fprintf(os.Stderr, "reproduce with: %s\n", reproducer)
 			os.Exit(1)
 		}
 		// The workload is quiescent between rounds (only the resizer is
 		// live, and resizes never change content), so per-key lookups
 		// rebuild the exact state the next round starts from.
-		snapshot = snapshot[:0]
+		c.snapshot = c.snapshot[:0]
 		for k := int64(0); k < checkUniverse; k++ {
 			if v, ok := cm.Lookup(k); ok {
-				snapshot = append(snapshot, linearize.KV{Key: k, Val: v})
+				c.snapshot = append(c.snapshot, linearize.KV{Key: k, Val: v})
 			}
 		}
-		rounds++
 	}
 	close(stop)
 	resizerWG.Wait()
@@ -124,7 +104,7 @@ func runResize(threads int, duration time.Duration, seed uint64, shards int,
 		failed = true
 	}
 	fmt.Printf("rounds=%d ops=%d unknown=%d resizes=%d shards=%d keys-copied=%d delta-applied=%d cutovers=%d\n",
-		rounds, totalOps, unknowns, resizes.Load(), sm.Shards(),
+		rounds, c.ops, c.unknowns, resizes.Load(), sm.Shards(),
 		st.KeysCopied, st.DeltaApplied, st.Cutovers)
 	if failed {
 		fmt.Fprintf(os.Stderr, "skipstress: FAILED\nreproduce with: %s\n", reproducer)

@@ -39,7 +39,7 @@ func startPrimary(t *testing.T, dir, addr string, cfg PrimaryConfig) *primaryHar
 		Durability: &skiphash.Durability{Dir: dir, Fsync: skiphash.FsyncNone},
 	}, skiphash.Int64Codec(), skiphash.Int64Codec())
 	if err != nil {
-		t.Fatalf("OpenInt64Sharded: %v", err)
+		t.Fatalf("OpenSharded: %v", err)
 	}
 	cfg.Snapshot = func(chunkSize int, emit func(stamp uint64, pairs []wire.KV) error) error {
 		kvs := make([]wire.KV, 0, chunkSize)
@@ -249,7 +249,9 @@ func TestPromoteLiftsClockAndOpensWrites(t *testing.T) {
 	waitConverge(t, h.m, r)
 
 	be := r.Backend()
-	if err := be.Atomic(func(op server.Batch) error { op.Insert(999, 1); return nil }); err != server.ErrReadOnly {
+	write := []wire.Request{{Op: wire.OpInsert, Key: 999, Val: 1}}
+	resps := make([]wire.Response, len(write))
+	if err := be.Atomic(write, resps); err != server.ErrReadOnly {
 		t.Fatalf("write before promotion = %v, want ErrReadOnly", err)
 	}
 	if err := be.Sync(); err != server.ErrReadOnly {
@@ -266,8 +268,8 @@ func TestPromoteLiftsClockAndOpensWrites(t *testing.T) {
 	if next := r.lift.Next(); next <= w {
 		t.Fatalf("post-promotion stamp %d not above watermark %d", next, w)
 	}
-	if err := be.Atomic(func(op server.Batch) error { op.Insert(999, 1); return nil }); err != nil {
-		t.Fatalf("write after promotion: %v", err)
+	if err := be.Atomic(write, resps); err != nil || !resps[0].Ok {
+		t.Fatalf("write after promotion: ok=%v, %v", resps[0].Ok, err)
 	}
 	if v, ok := r.Map().Lookup(999); !ok || v != 1 {
 		t.Fatalf("promoted write not visible: %d %v", v, ok)

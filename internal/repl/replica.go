@@ -412,11 +412,11 @@ type replicaBackend struct {
 	r *Replica
 }
 
-func (b *replicaBackend) Atomic(fn func(op server.Batch) error) error {
+func (b *replicaBackend) Atomic(group []wire.Request, resps []wire.Response) error {
 	if !b.r.promoted.Load() {
 		return server.ErrReadOnly
 	}
-	return b.Backend.Atomic(fn)
+	return b.Backend.Atomic(group, resps)
 }
 
 func (b *replicaBackend) Sync() error {

@@ -1,0 +1,314 @@
+package server
+
+import (
+	"errors"
+
+	"repro/internal/wire"
+	"repro/skiphash"
+)
+
+// ErrReadOnly is returned by a backend refusing writes — a replica that
+// has not been promoted. The server answers with StatusReadOnly.
+var ErrReadOnly = errors.New("server: backend is read-only (unpromoted replica)")
+
+// Backend is the map one namespace executes against, at the level of
+// wire requests: the executor decides which requests form a run and in
+// what order responses go out; the backend knows where a request keeps
+// its key and how a result goes into a response. Every method that takes
+// a response expects it prepared by answer and fills in only the result.
+type Backend interface {
+	// Atomic executes group as one transaction, leaving group[i]'s result
+	// in resps[i]; everything commits or rolls back together. Like the
+	// map's own Atomic the body may re-execute on conflict, so resps are
+	// final only once Atomic returns nil.
+	Atomic(group []wire.Request, resps []wire.Response) error
+	// Get answers one point read directly — through the map's optimistic
+	// non-transactional fast path when enabled, with a per-read
+	// transactional fallback. The executor routes pure-read runs here so
+	// they skip the atomic-txn machinery entirely.
+	Get(req *wire.Request, resp *wire.Response)
+	// Range answers one range request, truncated to the client's Max and
+	// to what fits a single response frame. scratch is the calling
+	// connection's, for the backend to keep a buffer in between calls.
+	Range(req *wire.Request, resp *wire.Response, scratch *any)
+	// Prefetch warms the cache lines req's first max keys will touch and
+	// reports how many it issued; a pure cache side effect the drain loop
+	// spends on the next run's keys while the current run executes.
+	Prefetch(req *wire.Request, max int) int
+	// ShardOf reports which coalescing domain req belongs to on a
+	// non-Spanning backend. solo marks a client batch whose own keys span
+	// shards: it must execute alone (and fails with ErrCrossShard).
+	ShardOf(req *wire.Request) (shard int, solo bool)
+	// Spanning reports whether one Atomic may touch every key (shared
+	// runtime); false splits coalesced runs at shard boundaries.
+	Spanning() bool
+	// Durable reports whether the map has a durability engine attached.
+	Durable() bool
+	// Sync, Snapshot expose the durability surface (skiphash.ErrNotDurable
+	// without one).
+	Sync() error
+	Snapshot() error
+	// Quiesce flushes removal buffers; Shutdown calls it after draining.
+	Quiesce()
+	// Close releases the map (a durable one flushes and fsyncs its WAL).
+	// The registry closes the namespaces it created; namespace 0's map
+	// belongs to whoever built the server.
+	Close()
+}
+
+// Watermarker is an optional Backend extension: a backend that can
+// report its commit-stamp watermark (the stamp below which every commit
+// is visible to reads). Replica backends report their applied stamp;
+// primary backends a fresh clock read. Without it, OpWatermark answers
+// StatusErr.
+type Watermarker interface {
+	Watermark() uint64
+}
+
+// Promoter is an optional Backend extension: a replica backend that can
+// be made writable. Without it, OpPromote answers StatusErr.
+type Promoter interface {
+	Promote() error
+}
+
+// Resizer is an optional Backend extension: a backend that can
+// live-migrate to a new shard count while serving
+// (skiphash.Sharded.Resize). Without it, OpResize/OpResize2 answer
+// StatusErr. Resize reports the resulting live count.
+type Resizer interface {
+	Resize(n int) (int, error)
+}
+
+// answer prepares resp as req's StatusOK response, keeping the capacity
+// of its result slices for reuse.
+func answer(resp *wire.Response, req *wire.Request) {
+	resp.ID, resp.Op, resp.Status, resp.Msg = req.ID, req.Op, wire.StatusOK, ""
+	resp.Ok, resp.Val = false, 0
+	resp.Steps, resp.BSteps = resp.Steps[:0], resp.BSteps[:0]
+	resp.Pairs, resp.BPairs = resp.Pairs[:0], resp.BPairs[:0]
+}
+
+// codec is the only place the two frame families differ: where a request
+// carries its keys and values, and where a response carries results.
+// int64Codec reads the v1 fixed-width fields, bytesCodec the v2
+// length-prefixed byte strings.
+type codec[K comparable, V any] interface {
+	// key is a point op's key and a range's lower bound; val a point
+	// write's value; hi a bounded range's upper bound.
+	key(req *wire.Request) K
+	val(req *wire.Request) V
+	hi(req *wire.Request) K
+	// putVal stores a Get's result.
+	putVal(resp *wire.Response, v V)
+	// numSteps, step, stepVal read a client batch; addStep appends one
+	// step's result (v is the zero value except for a lookup hit).
+	numSteps(req *wire.Request) int
+	step(req *wire.Request, i int) (kind uint8, k K)
+	stepVal(req *wire.Request, i int) V
+	addStep(resp *wire.Response, ok bool, v V)
+	// pairCost, addPair build a range result: what one more pair costs
+	// in encoded bytes, and appending it.
+	pairCost(k K, v V) int
+	addPair(resp *wire.Response, k K, v V)
+}
+
+// int64Codec is the v1 family: 8-byte keys and values in Key/Val.
+type int64Codec struct{}
+
+func (int64Codec) key(req *wire.Request) int64            { return req.Key }
+func (int64Codec) val(req *wire.Request) int64            { return req.Val }
+func (int64Codec) hi(req *wire.Request) int64             { return req.Val }
+func (int64Codec) putVal(resp *wire.Response, v int64)    { resp.Val = v }
+func (int64Codec) numSteps(req *wire.Request) int         { return len(req.Steps) }
+func (int64Codec) stepVal(req *wire.Request, i int) int64 { return req.Steps[i].Val }
+func (int64Codec) pairCost(int64, int64) int              { return 16 }
+
+func (int64Codec) step(req *wire.Request, i int) (uint8, int64) {
+	return req.Steps[i].Kind, req.Steps[i].Key
+}
+
+func (int64Codec) addStep(resp *wire.Response, ok bool, v int64) {
+	resp.Steps = append(resp.Steps, wire.StepResult{Ok: ok, Out: v})
+}
+
+func (int64Codec) addPair(resp *wire.Response, k, v int64) {
+	resp.Pairs = append(resp.Pairs, wire.KV{Key: k, Val: v})
+}
+
+// bytesCodec is the v2 family: byte strings in BKey/BVal. They cross the
+// wire as []byte but are stored as immutable strings (the map's
+// comparable key type); this codec is the conversion boundary.
+type bytesCodec struct{}
+
+func (bytesCodec) key(req *wire.Request) string            { return string(req.BKey) }
+func (bytesCodec) val(req *wire.Request) string            { return string(req.BVal) }
+func (bytesCodec) hi(req *wire.Request) string             { return string(req.BVal) }
+func (bytesCodec) numSteps(req *wire.Request) int          { return len(req.BSteps) }
+func (bytesCodec) stepVal(req *wire.Request, i int) string { return string(req.BSteps[i].Val) }
+func (bytesCodec) pairCost(k, v string) int                { return 8 + len(k) + len(v) }
+
+// putVal reuses the response's value buffer: the encode copies it into
+// the write buffer before the next read overwrites it.
+func (bytesCodec) putVal(resp *wire.Response, v string) {
+	resp.BVal = append(resp.BVal[:0], v...)
+}
+
+func (bytesCodec) step(req *wire.Request, i int) (uint8, string) {
+	return req.BSteps[i].Kind, string(req.BSteps[i].Key)
+}
+
+func (bytesCodec) addStep(resp *wire.Response, ok bool, v string) {
+	resp.BSteps = append(resp.BSteps, wire.BStepResult{Ok: ok, Val: []byte(v)})
+}
+
+func (bytesCodec) addPair(resp *wire.Response, k, v string) {
+	resp.BPairs = append(resp.BPairs, wire.BKV{Key: []byte(k), Val: []byte(v)})
+}
+
+// ShardedBackend serves a sharded skip hash: the one Backend
+// implementation, generic over the map's types and parameterised by the
+// codec of the frame family that addresses it. The map is embedded, so
+// the methods that need no translation — Sync, Snapshot, Quiesce, Close,
+// and Resize (Resizer) — are the map's own; the request-level methods
+// below shadow the map's same-named ones.
+type ShardedBackend[K comparable, V any] struct {
+	*skiphash.Sharded[K, V]
+	cd codec[K, V]
+	// rangeBudget bounds a range response's encoded pairs so it always
+	// fits one frame; clients paginate past it.
+	rangeBudget int
+}
+
+func newBackend[K comparable, V any](s *skiphash.Sharded[K, V], cd codec[K, V]) *ShardedBackend[K, V] {
+	return &ShardedBackend[K, V]{Sharded: s, cd: cd, rangeBudget: wire.MaxRangeBytes2}
+}
+
+// NewShardedBackend wraps an int64 map for the v1 ops — namespace 0.
+func NewShardedBackend(s *skiphash.Sharded[int64, int64]) *ShardedBackend[int64, int64] {
+	return newBackend[int64, int64](s, int64Codec{})
+}
+
+// Atomic implements Backend.
+func (b *ShardedBackend[K, V]) Atomic(group []wire.Request, resps []wire.Response) error {
+	cd := b.cd
+	return b.Sharded.Atomic(func(op *skiphash.ShardedTxn[K, V]) error {
+		var zero V
+		for idx := range group {
+			req, resp := &group[idx], &resps[idx]
+			answer(resp, req)
+			// A slot's value buffer is not kept across runs: a maximal
+			// value would otherwise stay pinned in every response slot.
+			resp.BVal = nil
+			switch req.Op.Kind() {
+			case wire.KindGet:
+				v, ok := op.Lookup(cd.key(req))
+				resp.Ok = ok
+				cd.putVal(resp, v)
+			case wire.KindInsert:
+				resp.Ok = op.Insert(cd.key(req), cd.val(req))
+			case wire.KindPut:
+				resp.Ok = op.Put(cd.key(req), cd.val(req))
+			case wire.KindDel:
+				resp.Ok = op.Remove(cd.key(req))
+			case wire.KindBatch:
+				for si, n := 0, cd.numSteps(req); si < n; si++ {
+					kind, k := cd.step(req, si)
+					ok, out := false, zero
+					switch kind {
+					case wire.StepInsert:
+						ok = op.Insert(k, cd.stepVal(req, si))
+					case wire.StepRemove:
+						ok = op.Remove(k)
+					case wire.StepLookup:
+						out, ok = op.Lookup(k)
+					}
+					cd.addStep(resp, ok, out)
+				}
+			}
+		}
+		return nil
+	})
+}
+
+// Get implements Backend.
+func (b *ShardedBackend[K, V]) Get(req *wire.Request, resp *wire.Response) {
+	v, ok := b.Lookup(b.cd.key(req))
+	resp.Ok = ok
+	b.cd.putVal(resp, v)
+}
+
+// Range implements Backend: [lo, hi] — or everything from lo when the
+// request has no upper bound — in key order.
+func (b *ShardedBackend[K, V]) Range(req *wire.Request, resp *wire.Response, scratch *any) {
+	cd := b.cd
+	budget, room := b.rangeBudget, int(req.Max)
+	if room == 0 {
+		room = -1 // no client bound
+	}
+	take := func(k K, v V) bool {
+		cost := cd.pairCost(k, v)
+		if budget < cost || room == 0 {
+			return false
+		}
+		budget -= cost
+		room--
+		cd.addPair(resp, k, v)
+		return true
+	}
+	if req.NoHi {
+		b.AscendFrom(cd.key(req), take)
+		return
+	}
+	// A bounded range is one consistent snapshot, so it is collected
+	// whole before truncation.
+	buf, _ := (*scratch).(*[]skiphash.Pair[K, V])
+	if buf == nil {
+		buf = new([]skiphash.Pair[K, V])
+		*scratch = buf
+	}
+	*buf = b.Sharded.Range(cd.key(req), cd.hi(req), (*buf)[:0])
+	for _, p := range *buf {
+		if !take(p.Key, p.Val) {
+			break
+		}
+	}
+}
+
+// Prefetch implements Backend.
+func (b *ShardedBackend[K, V]) Prefetch(req *wire.Request, max int) int {
+	if req.Op.Kind() != wire.KindBatch {
+		b.Sharded.Prefetch(b.cd.key(req))
+		return 1
+	}
+	n := min(b.cd.numSteps(req), max)
+	for si := 0; si < n; si++ {
+		_, k := b.cd.step(req, si)
+		b.Sharded.Prefetch(k)
+	}
+	return n
+}
+
+// ShardOf implements Backend.
+func (b *ShardedBackend[K, V]) ShardOf(req *wire.Request) (shard int, solo bool) {
+	if req.Op.Kind() != wire.KindBatch {
+		return b.Sharded.ShardOf(b.cd.key(req)), false
+	}
+	n := b.cd.numSteps(req)
+	if n == 0 {
+		return 0, false // empty batch: executes anywhere, touches nothing
+	}
+	_, k := b.cd.step(req, 0)
+	shard = b.Sharded.ShardOf(k)
+	for si := 1; si < n; si++ {
+		if _, k := b.cd.step(req, si); b.Sharded.ShardOf(k) != shard {
+			return 0, true
+		}
+	}
+	return shard, false
+}
+
+// Spanning implements Backend.
+func (b *ShardedBackend[K, V]) Spanning() bool { return !b.Isolated() }
+
+// Durable implements Backend.
+func (b *ShardedBackend[K, V]) Durable() bool { return b.Persister() != nil }

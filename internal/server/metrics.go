@@ -14,8 +14,8 @@ import (
 // and Config.Tracer unset the per-request cost is a nil check.
 
 // Execution-path markers for per-request annotations (conn.paths). The
-// zero value is standalone so unannotated requests (admin ops, runs
-// that failed namespace resolution) report truthfully.
+// zero value is standalone so unannotated requests (the server's own
+// ops, runs that failed namespace resolution) report truthfully.
 const (
 	pathStandalone uint8 = iota
 	pathReads
@@ -33,9 +33,8 @@ func pathName(p uint8) string {
 	return "standalone"
 }
 
-// reqLatencyName is the per-namespace request latency family; the
-// default (v1) namespace registers under ns="default" here and named
-// namespaces under their own ns label (see Registry.create).
+// reqLatencyName is the per-namespace request latency family, one
+// series per namespace under its name (see newNamespace).
 const (
 	reqLatencyName = "skiphash_server_request_seconds"
 	reqLatencyHelp = "Request latency from frame arrival to response flush, by namespace."
@@ -48,11 +47,10 @@ const (
 // metrics holds the server's registered instruments; nil when
 // Config.Obs is unset.
 type metrics struct {
-	requests   *obs.Counter
-	runSize    *obs.Histogram
-	reqDefault *obs.Histogram
-	busyConns  *obs.Counter
-	busyNS     *obs.Counter
+	requests  *obs.Counter
+	runSize   *obs.Histogram
+	busyConns *obs.Counter
+	busyNS    *obs.Counter
 }
 
 // newMetrics registers the server's instruments on r. Registration is
@@ -63,8 +61,6 @@ func newMetrics(s *Server, r *obs.Registry) *metrics {
 			"Requests executed, all ops and namespaces."),
 		runSize: r.Histogram("skiphash_server_run_size",
 			"Requests absorbed by one coalesced executor run.", obs.SizeBounds, 1),
-		reqDefault: r.Histogram(reqLatencyName, reqLatencyHelp,
-			obs.LatencyBounds, 1e-9, obs.Label{Key: "ns", Value: "default"}),
 		busyConns: r.Counter(busyName, busyHelp,
 			obs.Label{Key: "reason", Value: "conn_limit"}),
 		busyNS: r.Counter(busyName, busyHelp,
@@ -87,8 +83,8 @@ func newMetrics(s *Server, r *obs.Registry) *metrics {
 	return m
 }
 
-// markRun annotates one coalesced run's requests with their execution
-// path and namespace, and banks the run size. Conn-local; no shared
+// markRun annotates one run's requests with their execution path and
+// namespace, and banks a coalesced run's size. Conn-local; no shared
 // writes beyond the striped histogram.
 func (c *conn) markRun(i, j int, path uint8, ns *namespace) {
 	if !c.track {
@@ -98,7 +94,7 @@ func (c *conn) markRun(i, j int, path uint8, ns *namespace) {
 		c.paths[k] = path
 		c.nsAt[k] = ns
 	}
-	if m := c.srv.met; m != nil {
+	if m := c.srv.met; m != nil && path != pathStandalone {
 		m.runSize.Observe(uint64(j - i))
 	}
 }
@@ -121,25 +117,15 @@ func (c *conn) observe(batch []wire.Request) {
 	for i := range batch {
 		d := now.Sub(c.arrivals[i])
 		ns := c.nsAt[i]
-		var h *obs.Histogram
-		if ns != nil && ns.reqLatency != nil {
-			h = ns.reqLatency
-		} else if m != nil {
-			h = m.reqDefault
-		}
-		if h != nil {
-			h.ObserveNanos(int64(d))
+		if ns.reqLatency != nil {
+			ns.reqLatency.ObserveNanos(int64(d))
 		}
 		if traceActive && tr.Slow(d) {
 			req := &batch[i]
-			nsName := "default"
-			if ns != nil {
-				nsName = ns.name
-			}
 			tr.Record(obs.TraceEntry{
 				UnixNanos: now.UnixNano(),
 				Op:        req.Op.String(),
-				Namespace: nsName,
+				Namespace: ns.name,
 				Path:      pathName(c.paths[i]),
 				KeyHash:   reqKeyHash(req),
 				Duration:  d,
@@ -152,19 +138,18 @@ func (c *conn) observe(batch []wire.Request) {
 // reqKeyHash fingerprints the request's (first) key without retaining
 // it; 0 for keyless ops.
 func reqKeyHash(req *wire.Request) uint64 {
-	switch req.Op {
-	case wire.OpGet, wire.OpInsert, wire.OpPut, wire.OpDel, wire.OpRange:
-		return mixKey(req.Key)
-	case wire.OpBatch:
-		if len(req.Steps) > 0 {
-			return mixKey(req.Steps[0].Key)
-		}
-	case wire.OpGet2, wire.OpInsert2, wire.OpPut2, wire.OpDel2, wire.OpRange2:
+	k, v2 := req.Op.Kind(), req.Op.IsV2Data()
+	switch {
+	case k == wire.KindNone || k > wire.KindRange:
+		return 0
+	case k != wire.KindBatch && v2:
 		return obs.HashBytes(req.BKey)
-	case wire.OpBatch2:
-		if len(req.BSteps) > 0 {
-			return obs.HashBytes(req.BSteps[0].Key)
-		}
+	case k != wire.KindBatch:
+		return mixKey(req.Key)
+	case len(req.BSteps) > 0:
+		return obs.HashBytes(req.BSteps[0].Key)
+	case len(req.Steps) > 0:
+		return mixKey(req.Steps[0].Key)
 	}
 	return 0
 }

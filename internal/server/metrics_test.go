@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,8 +9,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/wire"
-	"repro/skiphash"
 	"repro/skiphash/client"
 )
 
@@ -150,52 +147,35 @@ func TestSlowOpTracer(t *testing.T) {
 	}
 }
 
-// TestPureGetZeroAllocWithMetrics pins the acceptance requirement that
-// enabling metrics (and an armed-but-unmatched tracer) keeps the
-// pure-Get drain cycle allocation-free, observation included.
-func TestPureGetZeroAllocWithMetrics(t *testing.T) {
+// TestDrainCycleAllocBudget pins the hot loop's allocations for both
+// frame families: the v1 pure-Get cycle allocates nothing, with or
+// without metrics (and an armed-but-unmatched tracer), observation
+// included; the other rows are the pre-unification executor's counts
+// for the same 64-request cycles, which the one executor is held to.
+func TestDrainCycleAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; count is meaningless")
 	}
-	m, err := skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 1}, skiphash.Int64Codec(), skiphash.Int64Codec())
-	if err != nil {
-		t.Fatal(err)
+	budget := map[string]float64{
+		"v1/gets": 0, "v1/gets+metrics": 0, "v1/mixed": 60,
+		"v2/gets": 64, "v2/gets+metrics": 64, "v2/mixed": 188,
 	}
-	defer m.Close()
-	reg := obs.NewRegistry()
-	tr := obs.NewTracer(16)
-	tr.SetThreshold(time.Hour) // armed, never matched
-	srv := New(NewShardedBackend(m), Config{Obs: reg, Tracer: tr})
-	c := &conn{
-		srv:   srv,
-		bw:    bufio.NewWriterSize(io.Discard, 64<<10),
-		resps: make([]wire.Response, srv.cfg.MaxBatch),
-		track: true,
-	}
-	c.arrivals = make([]time.Time, 0, srv.cfg.MaxBatch)
-	c.paths = make([]uint8, srv.cfg.MaxBatch)
-	c.nsAt = make([]*namespace, srv.cfg.MaxBatch)
-	for k := int64(0); k < 128; k++ {
-		m.Insert(k, k)
-	}
-	batch := make([]wire.Request, 64)
-	for i := range batch {
-		batch[i] = wire.Request{ID: uint64(i), Op: wire.OpGet, Key: int64(i) % 128}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		c.arrivals = c.arrivals[:0]
-		now := time.Now()
-		for range batch {
-			c.arrivals = append(c.arrivals, now)
+	for _, f := range cycleFamilies {
+		for _, row := range []struct {
+			name           string
+			mixed, metrics bool
+		}{{"gets", false, false}, {"gets+metrics", false, true}, {"mixed", true, false}} {
+			name := f.name + "/" + row.name
+			t.Run(name, func(t *testing.T) {
+				c, batch := cycleConn(t, f.v2, row.mixed, row.metrics)
+				allocs := testing.AllocsPerRun(100, func() { cycle(c, batch) })
+				if allocs > budget[name] {
+					t.Fatalf("cycle allocates %.1f/op, budget %.0f", allocs, budget[name])
+				}
+				if row.metrics && c.nsAt[0].reqLatency.Count() == 0 {
+					t.Fatal("latency histogram saw no observations")
+				}
+			})
 		}
-		c.execute(batch)
-		c.observe(batch)
-	})
-	if allocs != 0 {
-		t.Fatalf("pure-Get cycle with metrics enabled allocates %.1f/op, want 0", allocs)
-	}
-	if got := reg.Histogram(reqLatencyName, reqLatencyHelp, obs.LatencyBounds, 1e-9,
-		obs.Label{Key: "ns", Value: "default"}).Count(); got == 0 {
-		t.Fatal("latency histogram saw no observations")
 	}
 }

@@ -15,98 +15,12 @@ import (
 	"repro/skiphash"
 )
 
-// BPair is a byte-namespace key/value pair. Byte-string keys and values
-// cross the wire as []byte but are stored as immutable strings (the
-// map's comparable key type); the conversion boundary is the executor.
-type BPair = skiphash.Pair[string, string]
-
 // Namespace-admin errors, surfaced over the wire as StatusNsNotFound /
 // StatusNsExists and matched by the client's typed sentinels.
 var (
 	ErrNsNotFound = errors.New("server: namespace not found")
 	ErrNsExists   = errors.New("server: namespace already exists")
 )
-
-// BBatch is the transactional view a BytesBackend hands the executor
-// inside Atomic, mirroring Batch for byte-string namespaces.
-type BBatch interface {
-	Lookup(k string) (string, bool)
-	Insert(k, v string) bool
-	Remove(k string) bool
-	Put(k, v string) bool
-}
-
-// BytesBackend is the byte-string counterpart of Backend: the map a
-// named namespace executes against. Close releases the backend (a
-// durable one flushes and fsyncs its WAL).
-type BytesBackend interface {
-	Atomic(fn func(op BBatch) error) error
-	Get(k string) (string, bool)
-	Prefetch(k string)
-	// Range collects [l, r] in lexicographic order, appending to out.
-	Range(l, r string, out []BPair) []BPair
-	// AscendFrom visits pairs with key >= from in ascending order until
-	// fn returns false — the upper-unbounded Range2 path.
-	AscendFrom(from string, fn func(k, v string) bool)
-	ShardOf(k string) int
-	Spanning() bool
-	Sync() error
-	Snapshot() error
-	Quiesce()
-	Close()
-}
-
-// StringBackend serves a sharded string-keyed skip hash as a namespace
-// backend.
-type StringBackend struct {
-	s *skiphash.Sharded[string, string]
-}
-
-// NewStringBackend wraps s.
-func NewStringBackend(s *skiphash.Sharded[string, string]) *StringBackend {
-	return &StringBackend{s: s}
-}
-
-// Atomic implements BytesBackend.
-func (b *StringBackend) Atomic(fn func(op BBatch) error) error {
-	return b.s.Atomic(func(op *skiphash.ShardedTxn[string, string]) error { return fn(op) })
-}
-
-// Get implements BytesBackend.
-func (b *StringBackend) Get(k string) (string, bool) { return b.s.Lookup(k) }
-
-// Prefetch implements BytesBackend.
-func (b *StringBackend) Prefetch(k string) { b.s.Prefetch(k) }
-
-// Range implements BytesBackend.
-func (b *StringBackend) Range(l, r string, out []BPair) []BPair { return b.s.Range(l, r, out) }
-
-// AscendFrom implements BytesBackend.
-func (b *StringBackend) AscendFrom(from string, fn func(k, v string) bool) {
-	b.s.AscendFrom(from, fn)
-}
-
-// ShardOf implements BytesBackend.
-func (b *StringBackend) ShardOf(k string) int { return b.s.ShardOf(k) }
-
-// Spanning implements BytesBackend.
-func (b *StringBackend) Spanning() bool { return !b.s.Isolated() }
-
-// Resize implements Resizer: it live-migrates the namespace's map to n
-// shards.
-func (b *StringBackend) Resize(n int) (int, error) { return b.s.Resize(n) }
-
-// Sync implements BytesBackend.
-func (b *StringBackend) Sync() error { return b.s.Sync() }
-
-// Snapshot implements BytesBackend.
-func (b *StringBackend) Snapshot() error { return b.s.Snapshot() }
-
-// Quiesce implements BytesBackend.
-func (b *StringBackend) Quiesce() { b.s.Quiesce() }
-
-// Close implements BytesBackend.
-func (b *StringBackend) Close() { b.s.Close() }
 
 // RegistryConfig tunes a namespace registry.
 type RegistryConfig struct {
@@ -140,9 +54,9 @@ type RegistryConfig struct {
 }
 
 // Registry owns a server's named namespaces: creation, lookup by the
-// wire's namespace ids, dropping, and shutdown. The default namespace
-// (id 0, the server's v1 int64 Backend) is not registered here — it is
-// the Server's own backend and cannot be dropped.
+// wire's namespace ids, dropping, and shutdown. Namespace 0 is not
+// registered here — it is the map the Server was built around, which is
+// why it cannot be dropped.
 type Registry struct {
 	cfg RegistryConfig
 
@@ -152,27 +66,72 @@ type Registry struct {
 	nextID uint32
 }
 
-// namespace is one named map being served. Executor runs hold mu.RLock
-// for their whole run; Drop takes mu.Lock, so it waits out in-flight
-// runs before the backend is closed and the directory deleted.
+// namespace is one map being served. Executor runs hold mu.RLock for
+// their whole run; Drop takes mu.Lock, so it waits out in-flight runs
+// before the backend is closed and the directory deleted.
 type namespace struct {
 	id       uint32
 	name     string
 	durable  bool
-	dir      string // "" for in-memory namespaces
-	be       BytesBackend
+	dir      string // "" unless the registry owns a directory for it
 	maxConns int
 	maxBatch int
 
-	mu      sync.RWMutex
-	dropped bool
+	// be is nil once the namespace has been dropped, so whatever still
+	// points at the namespace no longer keeps its map alive.
+	mu sync.RWMutex
+	be Backend
 
 	connMu sync.Mutex
 	conns  map[*conn]struct{}
 
 	// reqLatency is this namespace's request-latency histogram; nil
-	// without RegistryConfig.Obs.
+	// without an obs registry.
 	reqLatency *obs.Histogram
+}
+
+// newNamespace builds the serving state for one map, registering its
+// request-latency series (skiphash_server_request_seconds{ns=name}) on
+// r when set.
+func newNamespace(id uint32, name, dir string, be Backend, r *obs.Registry) *namespace {
+	ns := &namespace{
+		id:      id,
+		name:    name,
+		durable: be.Durable(),
+		dir:     dir,
+		be:      be,
+		conns:   make(map[*conn]struct{}),
+	}
+	if r != nil {
+		ns.reqLatency = r.Histogram(reqLatencyName, reqLatencyHelp,
+			obs.LatencyBounds, 1e-9, obs.Label{Key: "ns", Value: name})
+	}
+	return ns
+}
+
+func (ns *namespace) info() wire.NsInfo {
+	return wire.NsInfo{ID: ns.id, Name: ns.name, Durable: ns.durable}
+}
+
+// backend returns the live backend, nil after a drop.
+func (ns *namespace) backend() Backend {
+	ns.mu.RLock()
+	defer ns.mu.RUnlock()
+	return ns.be
+}
+
+// close marks the namespace dropped — waiting out in-flight runs — then
+// releases its metric series and its map.
+func (ns *namespace) close(r *obs.Registry) {
+	ns.mu.Lock()
+	be := ns.be
+	ns.be = nil
+	ns.mu.Unlock()
+	if r != nil {
+		r.Unregister(reqLatencyName, obs.Label{Key: "ns", Value: ns.name})
+		r.Unregister(nsShardsName, obs.Label{Key: "ns", Value: ns.name})
+	}
+	be.Close()
 }
 
 // attach admits c to the namespace's connection quota; false answers
@@ -354,19 +313,9 @@ func (r *Registry) create(name, dir string, fsync uint8) (*namespace, error) {
 		// Best effort: the selector is advisory metadata for reopen.
 		os.WriteFile(filepath.Join(dir, fsyncMetaFile), []byte(strconv.Itoa(int(fsync))+"\n"), 0o644)
 	}
-	ns := &namespace{
-		id:       r.nextID,
-		name:     name,
-		durable:  dir != "",
-		dir:      dir,
-		be:       NewStringBackend(s),
-		maxConns: r.cfg.MaxConns,
-		maxBatch: r.cfg.MaxBatch,
-		conns:    make(map[*conn]struct{}),
-	}
+	ns := newNamespace(r.nextID, name, dir, newBackend[string, string](s, bytesCodec{}), r.cfg.Obs)
+	ns.maxConns, ns.maxBatch = r.cfg.MaxConns, r.cfg.MaxBatch
 	if r.cfg.Obs != nil {
-		ns.reqLatency = r.cfg.Obs.Histogram(reqLatencyName, reqLatencyHelp,
-			obs.LatencyBounds, 1e-9, obs.Label{Key: "ns", Value: name})
 		r.cfg.Obs.GaugeFunc(nsShardsName, nsShardsHelp,
 			func() float64 { return float64(s.Shards()) },
 			obs.Label{Key: "ns", Value: name})
@@ -390,14 +339,7 @@ func (r *Registry) Drop(name string) error {
 	delete(r.byName, name)
 	delete(r.byID, ns.id)
 	r.mu.Unlock()
-	ns.mu.Lock()
-	ns.dropped = true
-	ns.mu.Unlock()
-	if r.cfg.Obs != nil {
-		r.cfg.Obs.Unregister(reqLatencyName, obs.Label{Key: "ns", Value: ns.name})
-		r.cfg.Obs.Unregister(nsShardsName, obs.Label{Key: "ns", Value: ns.name})
-	}
-	ns.be.Close()
+	ns.close(r.cfg.Obs)
 	if ns.dir != "" {
 		return os.RemoveAll(ns.dir)
 	}
@@ -424,13 +366,13 @@ func (r *Registry) LookupName(name string) (uint32, bool) {
 	return ns.id, true
 }
 
-// List reports the named namespaces in id order (the default namespace
-// 0 is the Server's and is prepended by the NsList handler).
+// List reports the named namespaces in id order (namespace 0 is the
+// Server's and is prepended by the NsList handler).
 func (r *Registry) List() []wire.NsInfo {
 	r.mu.RLock()
 	out := make([]wire.NsInfo, 0, len(r.byID))
 	for _, ns := range r.byID {
-		out = append(out, wire.NsInfo{ID: ns.id, Name: ns.name, Durable: ns.durable})
+		out = append(out, ns.info())
 	}
 	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -450,13 +392,6 @@ func (r *Registry) CloseAll() {
 	r.byName = make(map[string]*namespace)
 	r.mu.Unlock()
 	for _, ns := range nss {
-		ns.mu.Lock()
-		ns.dropped = true
-		ns.mu.Unlock()
-		if r.cfg.Obs != nil {
-			r.cfg.Obs.Unregister(reqLatencyName, obs.Label{Key: "ns", Value: ns.name})
-			r.cfg.Obs.Unregister(nsShardsName, obs.Label{Key: "ns", Value: ns.name})
-		}
-		ns.be.Close()
+		ns.close(r.cfg.Obs)
 	}
 }

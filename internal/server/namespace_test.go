@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/wire"
 	"repro/skiphash"
 	"repro/skiphash/client"
@@ -309,7 +310,8 @@ func TestNamespaceDropWhileServing(t *testing.T) {
 }
 
 func TestNamespacePipelinedMixedFamilies(t *testing.T) {
-	_, addr := startNsServer(t, RegistryConfig{}, Config{})
+	or := obs.NewRegistry()
+	srv, addr := startNsServer(t, RegistryConfig{Obs: or}, Config{Obs: or})
 	c := dialT(t, addr, client.Options{})
 	ns, err := c.CreateNamespace("mixed", client.NamespaceOptions{})
 	if err != nil {
@@ -341,6 +343,11 @@ func TestNamespacePipelinedMixedFamilies(t *testing.T) {
 		if err != nil || !resp.Ok {
 			t.Fatalf("call %d: ok=%v err=%v", i, resp.Ok, err)
 		}
+	}
+	// No coalesced run spans two namespaces: however the burst fell into
+	// drain cycles, alternating families leave every run at size 1.
+	if runs, reqs := srv.met.runSize.Count(), srv.met.runSize.Sum(); runs != 40 || reqs != 40 {
+		t.Fatalf("burst of 40 alternating requests executed as %d runs absorbing %d requests, want 40 runs of 1", runs, reqs)
 	}
 	if v, ok, err := c.Get(38); err != nil || !ok || v != 380 {
 		t.Fatalf("v1 Get(38) = %d, %v, %v", v, ok, err)

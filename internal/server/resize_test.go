@@ -77,11 +77,12 @@ func TestServeResize(t *testing.T) {
 	}
 }
 
-// TestServeResizeUnresizable: an unsharded backend is not a Resizer and
-// must answer RESIZE with an error, not a torn connection.
+// TestServeResizeUnresizable: a backend that is not a Resizer (a
+// decorated one, like the replica's) must answer RESIZE with an error,
+// not a torn connection.
 func TestServeResizeUnresizable(t *testing.T) {
-	m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
-	srv := New(NewMapBackend(m), Config{})
+	m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 1})
+	srv := New(readOnlyBackend{NewShardedBackend(m)}, Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -99,7 +100,7 @@ func TestServeResizeUnresizable(t *testing.T) {
 	})
 	c := dialT(t, ln.Addr().String(), client.Options{})
 	if _, err := c.Resize(4); err == nil {
-		t.Fatal("Resize on an unsharded backend succeeded")
+		t.Fatal("Resize on a backend that is no Resizer succeeded")
 	}
 	// The connection must survive the refused op.
 	if err := c.Ping(); err != nil {

@@ -1,6 +1,21 @@
 // Package server is the skip hash's network front end: it speaks the
 // internal/wire protocol over TCP or unix sockets and executes requests
-// against an embedded map (unsharded or sharded, durable or not).
+// against embedded maps (sharded, durable or not).
+//
+// # Namespaces, one executor
+//
+// A server hosts numbered namespaces, each a map behind a Backend.
+// Namespace 0, "default", is the int64 map the server was built around:
+// always present, never dropped, addressed by the wire's v1 fixed-width
+// ops. A Registry adds named byte-string namespaces, created and dropped
+// at run time and addressed by id through the v2 ops. The two op
+// families differ only in which request fields carry the key, so there
+// is one executor (exec.go) working on op kinds — get, insert, batch,
+// range — and one Backend implementation, ShardedBackend, generic over
+// the map's key and value types; a small codec per family reads keys out
+// of requests and writes results into responses. Everything else —
+// resolving the namespace, its run lock and quotas, coalescing, metrics
+// and trace annotations — treats namespace 0 like any other.
 //
 // # Pipelining and batching
 //
@@ -16,11 +31,13 @@
 // behavior; batching is purely opportunistic and adds no latency when
 // the queue is empty.
 //
-// Coalescing is shard-aware: on isolated-shard maps an Atomic
-// transaction must stay within one shard, so runs are additionally
-// split at shard boundaries, and a client batch whose own keys span
-// shards executes alone and fails with StatusCrossShard, exactly as
-// the embedded map's Atomic would.
+// A run never leaves its namespace: it ends where the next request
+// addresses another one, and a namespace's coalescing quota can clamp it
+// further. Coalescing is also shard-aware: on isolated-shard maps an
+// Atomic transaction must stay within one shard, so runs are
+// additionally split at shard boundaries, and a client batch whose own
+// keys span shards executes alone and fails with StatusCrossShard,
+// exactly as the embedded map's Atomic would.
 //
 // Reads are segregated from writes: a coalesced run consisting purely
 // of Gets skips the atomic-txn machinery and is answered through the
@@ -40,10 +57,10 @@
 //
 // Shutdown drains gracefully: listeners close, connection readers
 // stop accepting new frames, executors finish every request already
-// queued and flush the responses, and the map's removal buffers are
-// quiesced — wiring the network front end into the map's existing
-// Close/Quiesce lifecycle. Connections still open when the context
-// expires are force-closed.
+// queued and flush the responses, namespace 0's removal buffers are
+// quiesced and the registry's namespaces closed — wiring the network
+// front end into the map's existing Close/Quiesce lifecycle.
+// Connections still open when the context expires are force-closed.
 package server
 
 import (
@@ -61,77 +78,6 @@ import (
 	"repro/internal/wire"
 	"repro/skiphash"
 )
-
-// Pair is the map's key/value pair type.
-type Pair = skiphash.Pair[int64, int64]
-
-// ErrReadOnly is returned by a backend refusing writes — a replica that
-// has not been promoted. The server answers with StatusReadOnly.
-var ErrReadOnly = errors.New("server: backend is read-only (unpromoted replica)")
-
-// Watermarker is an optional Backend extension: a backend that can
-// report its commit-stamp watermark (the stamp below which every commit
-// is visible to reads). Replica backends report their applied stamp;
-// primary backends a fresh clock read. Without it, OpWatermark answers
-// StatusErr.
-type Watermarker interface {
-	Watermark() uint64
-}
-
-// Promoter is an optional Backend extension: a replica backend that can
-// be made writable. Without it, OpPromote answers StatusErr.
-type Promoter interface {
-	Promote() error
-}
-
-// Resizer is an optional extension of Backend and BytesBackend: a
-// sharded backend that can live-migrate to a new shard count while
-// serving (skiphash.Sharded.Resize). Without it, OpResize/OpResize2
-// answer StatusErr. Resize reports the resulting live count.
-type Resizer interface {
-	Resize(n int) (int, error)
-}
-
-// Batch is the transactional view a Backend hands the executor inside
-// Atomic; both skiphash.Txn and skiphash.ShardedTxn satisfy it.
-type Batch interface {
-	Lookup(k int64) (int64, bool)
-	Insert(k, v int64) bool
-	Remove(k int64) bool
-	Put(k, v int64) bool
-}
-
-// Backend is the embedded map the server executes against. The two
-// implementations wrap skiphash.Map and skiphash.Sharded.
-type Backend interface {
-	// Atomic runs fn as one transaction; everything fn does through op
-	// commits or rolls back together. Like the map's own Atomic, fn may
-	// re-execute on conflict.
-	Atomic(fn func(op Batch) error) error
-	// Get answers one point read directly — through the map's optimistic
-	// non-transactional fast path when enabled, with a per-read
-	// transactional fallback. The executor routes pure-read runs here so
-	// they skip the atomic-txn machinery entirely.
-	Get(k int64) (int64, bool)
-	// Prefetch warms the cache lines a read or write of k will touch; a
-	// pure cache side effect the drain loop issues for the next run's
-	// keys while the current run executes.
-	Prefetch(k int64)
-	// Range collects [l, r] in key order, appending to out.
-	Range(l, r int64, out []Pair) []Pair
-	// ShardOf reports which coalescing domain k belongs to; always 0
-	// when Spanning.
-	ShardOf(k int64) int
-	// Spanning reports whether one Atomic may touch every key (shared
-	// runtime); false splits coalesced runs at shard boundaries.
-	Spanning() bool
-	// Sync, Snapshot expose the durability surface (skiphash.ErrNotDurable
-	// without one).
-	Sync() error
-	Snapshot() error
-	// Quiesce flushes removal buffers; Shutdown calls it after draining.
-	Quiesce()
-}
 
 // Config tunes the server. The zero value serves with the defaults.
 type Config struct {
@@ -187,16 +133,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server serves one Backend over any number of listeners. With a
-// Registry attached it additionally serves named byte-string namespaces
-// through the wire v2 ops; the Backend stays namespace 0, the default
-// map, reachable only through the v1 ops.
+// Server serves namespaces over any number of listeners: namespace 0,
+// the map it was built around, and — with a Registry attached — the
+// named namespaces the registry owns.
 type Server struct {
-	be         Backend
-	reg        *Registry
-	defDurable bool
-	cfg        Config
-	met        *metrics // nil without Config.Obs
+	def *namespace // namespace 0, "default"; never dropped
+	reg *Registry
+	cfg Config
+	met *metrics // nil without Config.Obs
 
 	mu       sync.Mutex
 	lns      map[net.Listener]struct{}
@@ -205,25 +149,26 @@ type Server struct {
 	connWG   sync.WaitGroup
 }
 
-// New creates a server around be. Without a registry the server speaks
-// only the v1 ops (v2 data ops answer StatusNsNotFound, NsCreate
-// StatusErr).
+// New creates a server whose namespace 0 is be. Without a registry that
+// is the only namespace (requests naming another answer
+// StatusNsNotFound, NsCreate StatusErr). The caller keeps ownership of
+// be's map: Shutdown quiesces it but does not close it.
 func New(be Backend, cfg Config) *Server {
 	s := &Server{
-		be:    be,
 		cfg:   cfg.withDefaults(),
 		lns:   make(map[net.Listener]struct{}),
 		conns: make(map[*conn]struct{}),
 	}
+	s.def = newNamespace(0, "default", "", be, s.cfg.Obs)
 	if s.cfg.Obs != nil {
 		s.met = newMetrics(s, s.cfg.Obs)
 	}
 	return s
 }
 
-// NewWithRegistry creates a multi-namespace server: be is namespace 0
-// (the v1 int64 map), reg owns the named namespaces. The server takes
-// ownership of the registry's backends — Shutdown closes them.
+// NewWithRegistry creates a multi-namespace server: be is namespace 0,
+// reg owns the named namespaces. The server takes ownership of the
+// registry's backends — Shutdown closes them.
 func NewWithRegistry(be Backend, reg *Registry, cfg Config) *Server {
 	s := New(be, cfg)
 	s.reg = reg
@@ -232,10 +177,6 @@ func NewWithRegistry(be Backend, reg *Registry, cfg Config) *Server {
 
 // Registry exposes the attached namespace registry (nil without one).
 func (s *Server) Registry() *Registry { return s.reg }
-
-// SetDefaultDurable records whether the default namespace is durable,
-// for NsList reporting. Call before Serve.
-func (s *Server) SetDefaultDurable(d bool) { s.defDurable = d }
 
 // errServerClosed distinguishes a drain-initiated accept failure.
 var errServerClosed = errors.New("server: shut down")
@@ -296,6 +237,16 @@ func (s *Server) startConn(nc net.Conn) {
 		s.refuse(nc, wire.StatusBusy, fmt.Sprintf("connection limit %d reached", s.cfg.MaxConns))
 		return
 	}
+	c := s.newConn(nc)
+	s.conns[c] = struct{}{}
+	s.connWG.Add(2)
+	s.mu.Unlock()
+	go c.readLoop()
+	go c.serveLoop()
+}
+
+// newConn builds the serving state for one connection.
+func (s *Server) newConn(nc net.Conn) *conn {
 	c := &conn{
 		srv:   s,
 		nc:    nc,
@@ -309,11 +260,7 @@ func (s *Server) startConn(nc net.Conn) {
 		c.paths = make([]uint8, s.cfg.MaxBatch)
 		c.nsAt = make([]*namespace, s.cfg.MaxBatch)
 	}
-	s.conns[c] = struct{}{}
-	s.connWG.Add(2)
-	s.mu.Unlock()
-	go c.readLoop()
-	go c.serveLoop()
+	return c
 }
 
 // refuse writes one terminal status frame (best effort, under a short
@@ -370,7 +317,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		<-done
 	}
-	s.be.Quiesce()
+	s.def.be.Quiesce()
 	if s.reg != nil {
 		s.reg.CloseAll()
 	}
@@ -394,15 +341,15 @@ type conn struct {
 	// the reader closes it when the connection's read side is done.
 	reqs chan queuedReq
 
-	// Executor scratch, reused across drain cycles.
-	resps  []wire.Response
-	enc    []byte
-	pairs  []Pair
-	kvs    []wire.KV
-	batch  []wire.Request
-	bpairs []BPair
-	bkvs   []wire.BKV
-	bval   []byte
+	// Executor scratch, reused across drain cycles: one response slot per
+	// request of an atomic run (results are encoded only after the
+	// commit), one for everything answered as it executes, and whatever
+	// the backend last kept for collecting ranges.
+	resps   []wire.Response
+	one     wire.Response
+	scratch any
+	enc     []byte
+	batch   []wire.Request
 
 	// Observability scratch (see metrics.go), allocated once when track
 	// is set: per-request arrival stamps, execution-path markers, and
@@ -413,9 +360,9 @@ type conn struct {
 	nsAt         []*namespace
 	abortsBefore uint64
 
-	// attached caches which namespaces this connection has been
-	// admitted to (the per-namespace connection quota), so the quota
-	// check is a conn-local map hit after the first request.
+	// attached caches which connection-limited namespaces this
+	// connection has been admitted to, so the quota check is a
+	// conn-local map hit after the first request.
 	attached map[*namespace]struct{}
 
 	drained atomic.Bool
@@ -538,14 +485,16 @@ func (c *conn) dequeue() (batch []wire.Request, open bool) {
 }
 
 // push appends one queued request to the cycle's batch, keeping the
-// timing annotations aligned by position.
+// timing annotations aligned by position. A request is accounted to
+// namespace 0 until a run claims it for the namespace it resolves to,
+// which leaves the server's own ops (Ping, Stats, admin) there.
 func (c *conn) push(q queuedReq) {
 	c.batch = append(c.batch, q.req)
 	if c.track {
 		c.arrivals = append(c.arrivals, q.at)
 		i := len(c.batch) - 1
 		c.paths[i] = pathStandalone
-		c.nsAt[i] = nil
+		c.nsAt[i] = c.srv.def
 	}
 }
 
@@ -562,276 +511,6 @@ func (c *conn) teardown() {
 	s.mu.Lock()
 	delete(s.conns, c)
 	s.mu.Unlock()
-}
-
-// execute runs one drain cycle's requests in order, coalescing maximal
-// runs of transactional ops into single Atomic transactions and
-// encoding every response into the write buffer. The two op families
-// never share a run: a v1 run executes against the default backend, a
-// v2 run against one namespace's backend, and each family boundary ends
-// the run.
-func (c *conn) execute(batch []wire.Request) {
-	i := 0
-	for i < len(batch) {
-		req := &batch[i]
-		switch {
-		case transactional(req.Op):
-			i = c.execRunV1(batch, i)
-		case transactional2(req.Op):
-			i = c.execRunV2(batch, i)
-		default:
-			c.execStandalone(req)
-			i++
-		}
-	}
-}
-
-// execRunV1 coalesces and executes one v1 run starting at i, returning
-// the index past it.
-func (c *conn) execRunV1(batch []wire.Request, i int) int {
-	spanning := c.srv.be.Spanning()
-	req := &batch[i]
-	j := i + 1
-	if spanning {
-		for j < len(batch) && transactional(batch[j].Op) {
-			j++
-		}
-	} else {
-		shard, solo := c.shardOfReq(req)
-		if !solo {
-			for j < len(batch) && transactional(batch[j].Op) {
-				s2, solo2 := c.shardOfReq(&batch[j])
-				if solo2 || s2 != shard {
-					break
-				}
-				j++
-			}
-		}
-	}
-	if allGets(batch[i:j]) {
-		// Reads never join a transaction, so a pure-read run may also
-		// absorb the Gets a shard boundary would otherwise have split
-		// off into the next run.
-		for j < len(batch) && batch[j].Op == wire.OpGet {
-			j++
-		}
-		c.markRun(i, j, pathReads, nil)
-		c.prefetchNext(batch, j)
-		c.execReads(batch[i:j])
-	} else {
-		c.markRun(i, j, pathAtomic, nil)
-		c.prefetchNext(batch, j)
-		c.execAtomic(batch[i:j])
-	}
-	return j
-}
-
-// allGets reports whether every request in the run is a point read.
-func allGets(group []wire.Request) bool {
-	for i := range group {
-		if group[i].Op != wire.OpGet {
-			return false
-		}
-	}
-	return true
-}
-
-// prefetchAhead bounds how many of the next run's keys are prefetched
-// per cycle; enough to cover a typical coalesced run without flooding
-// the cache ahead of execution.
-const prefetchAhead = 16
-
-// prefetchNext issues index prefetches for the keys of the requests that
-// follow the run about to execute, overlapping the next run's descent
-// with the current run's work. The pipelined queue presents the next run
-// already decoded, so this is a bounded scan and a handful of atomic
-// loads per cycle.
-func (c *conn) prefetchNext(batch []wire.Request, from int) {
-	be := c.srv.be
-	n := 0
-	for idx := from; idx < len(batch) && n < prefetchAhead; idx++ {
-		req := &batch[idx]
-		switch req.Op {
-		case wire.OpGet, wire.OpInsert, wire.OpPut, wire.OpDel:
-			be.Prefetch(req.Key)
-			n++
-		case wire.OpBatch:
-			for si := range req.Steps {
-				if n >= prefetchAhead {
-					break
-				}
-				be.Prefetch(req.Steps[si].Key)
-				n++
-			}
-		}
-	}
-}
-
-// execReads answers a pure-read run without the atomic-txn machinery:
-// each Get goes through the backend's direct read path (the map's
-// optimistic fast path, with a per-read transactional fallback). Each
-// read linearizes on its own between its invocation — the request was
-// already queued — and its response, so skipping the shared commit point
-// preserves every request's contract.
-func (c *conn) execReads(group []wire.Request) {
-	be := c.srv.be
-	var resp wire.Response
-	for idx := range group {
-		req := &group[idx]
-		resp = wire.Response{ID: req.ID, Op: req.Op, Status: wire.StatusOK}
-		resp.Val, resp.Ok = be.Get(req.Key)
-		c.encodeResponse(&resp)
-	}
-}
-
-// transactional reports whether op joins coalesced Atomic transactions.
-func transactional(op wire.Op) bool {
-	switch op {
-	case wire.OpGet, wire.OpInsert, wire.OpPut, wire.OpDel, wire.OpBatch:
-		return true
-	}
-	return false
-}
-
-// shardOfReq maps a request to its coalescing shard on non-spanning
-// backends. solo marks a client batch whose own keys span shards: it
-// must execute alone (and will fail with the map's ErrCrossShard).
-func (c *conn) shardOfReq(req *wire.Request) (shard int, solo bool) {
-	be := c.srv.be
-	if req.Op != wire.OpBatch {
-		return be.ShardOf(req.Key), false
-	}
-	if len(req.Steps) == 0 {
-		return 0, false // empty batch: executes anywhere, touches nothing
-	}
-	shard = be.ShardOf(req.Steps[0].Key)
-	for _, s := range req.Steps[1:] {
-		if be.ShardOf(s.Key) != shard {
-			return 0, true
-		}
-	}
-	return shard, false
-}
-
-// execAtomic executes a coalesced run as one transaction and encodes
-// the responses. Results are buffered per attempt and only encoded
-// after the commit, so an aborted attempt leaks nothing.
-func (c *conn) execAtomic(group []wire.Request) {
-	resps := c.resps[:len(group)]
-	err := c.srv.be.Atomic(func(op Batch) error {
-		for idx := range group {
-			req := &group[idx]
-			resp := &resps[idx]
-			resp.ID, resp.Op, resp.Status, resp.Msg = req.ID, req.Op, wire.StatusOK, ""
-			switch req.Op {
-			case wire.OpGet:
-				resp.Val, resp.Ok = op.Lookup(req.Key)
-			case wire.OpInsert:
-				resp.Ok = op.Insert(req.Key, req.Val)
-			case wire.OpPut:
-				resp.Ok = op.Put(req.Key, req.Val)
-			case wire.OpDel:
-				resp.Ok = op.Remove(req.Key)
-			case wire.OpBatch:
-				resp.Steps = resp.Steps[:0]
-				for _, s := range req.Steps {
-					var sr wire.StepResult
-					switch s.Kind {
-					case wire.StepInsert:
-						sr.Ok = op.Insert(s.Key, s.Val)
-					case wire.StepRemove:
-						sr.Ok = op.Remove(s.Key)
-					case wire.StepLookup:
-						sr.Out, sr.Ok = op.Lookup(s.Key)
-					}
-					resp.Steps = append(resp.Steps, sr)
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		status, msg := statusFor(err)
-		for idx := range group {
-			req := &group[idx]
-			c.encodeResponse(&wire.Response{ID: req.ID, Op: req.Op, Status: status, Msg: msg})
-		}
-		return
-	}
-	for idx := range resps {
-		c.encodeResponse(&resps[idx])
-	}
-}
-
-// execStandalone executes a non-coalescable request (Range, Sync,
-// Snapshot, Ping, Watermark, Promote, Stats, Resize) and encodes its
-// response.
-func (c *conn) execStandalone(req *wire.Request) {
-	resp := wire.Response{ID: req.ID, Op: req.Op, Status: wire.StatusOK}
-	switch req.Op {
-	case wire.OpRange:
-		c.pairs = c.srv.be.Range(req.Key, req.Val, c.pairs[:0])
-		pairs := c.pairs
-		if req.Max > 0 && len(pairs) > int(req.Max) {
-			pairs = pairs[:req.Max]
-		}
-		if len(pairs) > wire.MaxRangePairs {
-			// The response must fit one frame; clients paginate past
-			// this (documented on wire.MaxRangePairs).
-			pairs = pairs[:wire.MaxRangePairs]
-		}
-		c.kvs = c.kvs[:0]
-		for _, p := range pairs {
-			c.kvs = append(c.kvs, wire.KV{Key: p.Key, Val: p.Val})
-		}
-		resp.Pairs = c.kvs
-	case wire.OpSync:
-		if err := c.srv.be.Sync(); err != nil {
-			resp.Status, resp.Msg = statusFor(err)
-		}
-	case wire.OpSnapshot:
-		if err := c.srv.be.Snapshot(); err != nil {
-			resp.Status, resp.Msg = statusFor(err)
-		}
-	case wire.OpWatermark:
-		if w, ok := c.srv.be.(Watermarker); ok {
-			resp.Val = int64(w.Watermark())
-		} else {
-			resp.Status, resp.Msg = wire.StatusErr, "backend has no watermark"
-		}
-	case wire.OpPromote:
-		if p, ok := c.srv.be.(Promoter); ok {
-			if err := p.Promote(); err != nil {
-				resp.Status, resp.Msg = statusFor(err)
-			}
-		} else {
-			resp.Status, resp.Msg = wire.StatusErr, "backend is not promotable"
-		}
-	case wire.OpStats:
-		if r := c.srv.cfg.Obs; r != nil {
-			resp.BVal = r.Render()
-		} else {
-			resp.Status, resp.Msg = wire.StatusErr, "server has no metrics registry"
-		}
-	case wire.OpResize:
-		if rz, ok := c.srv.be.(Resizer); ok {
-			n, err := rz.Resize(int(req.Key))
-			if err != nil {
-				resp.Status, resp.Msg = statusFor(err)
-			} else {
-				resp.Val = int64(n)
-			}
-		} else {
-			resp.Status, resp.Msg = wire.StatusErr, "backend is not resizable"
-		}
-	case wire.OpRange2, wire.OpSync2, wire.OpSnapshot2, wire.OpResize2:
-		c.execStandalone2(req, &resp)
-	case wire.OpNsCreate, wire.OpNsDrop, wire.OpNsList:
-		c.execAdmin(req, &resp)
-	case wire.OpPing:
-		// empty response
-	}
-	c.encodeResponse(&resp)
 }
 
 // encodeResponse appends one response frame to the buffered writer.
@@ -869,82 +548,3 @@ func statusFor(err error) (wire.Status, string) {
 		return wire.StatusErr, err.Error()
 	}
 }
-
-// --- Backends -----------------------------------------------------------
-
-// MapBackend serves an unsharded skip hash.
-type MapBackend struct{ m *skiphash.Map[int64, int64] }
-
-// NewMapBackend wraps m.
-func NewMapBackend(m *skiphash.Map[int64, int64]) *MapBackend { return &MapBackend{m: m} }
-
-// Atomic implements Backend.
-func (b *MapBackend) Atomic(fn func(op Batch) error) error {
-	return b.m.Atomic(func(op *skiphash.Txn[int64, int64]) error { return fn(op) })
-}
-
-// Get implements Backend.
-func (b *MapBackend) Get(k int64) (int64, bool) { return b.m.Lookup(k) }
-
-// Prefetch implements Backend.
-func (b *MapBackend) Prefetch(k int64) { b.m.Prefetch(k) }
-
-// Range implements Backend.
-func (b *MapBackend) Range(l, r int64, out []Pair) []Pair { return b.m.Range(l, r, out) }
-
-// ShardOf implements Backend.
-func (b *MapBackend) ShardOf(int64) int { return 0 }
-
-// Spanning implements Backend.
-func (b *MapBackend) Spanning() bool { return true }
-
-// Sync implements Backend.
-func (b *MapBackend) Sync() error { return b.m.Sync() }
-
-// Snapshot implements Backend.
-func (b *MapBackend) Snapshot() error { return b.m.Snapshot() }
-
-// Quiesce implements Backend.
-func (b *MapBackend) Quiesce() { b.m.Quiesce() }
-
-// ShardedBackend serves a sharded skip hash.
-type ShardedBackend struct {
-	s *skiphash.Sharded[int64, int64]
-}
-
-// NewShardedBackend wraps s.
-func NewShardedBackend(s *skiphash.Sharded[int64, int64]) *ShardedBackend {
-	return &ShardedBackend{s: s}
-}
-
-// Atomic implements Backend.
-func (b *ShardedBackend) Atomic(fn func(op Batch) error) error {
-	return b.s.Atomic(func(op *skiphash.ShardedTxn[int64, int64]) error { return fn(op) })
-}
-
-// Get implements Backend.
-func (b *ShardedBackend) Get(k int64) (int64, bool) { return b.s.Lookup(k) }
-
-// Prefetch implements Backend.
-func (b *ShardedBackend) Prefetch(k int64) { b.s.Prefetch(k) }
-
-// Range implements Backend.
-func (b *ShardedBackend) Range(l, r int64, out []Pair) []Pair { return b.s.Range(l, r, out) }
-
-// ShardOf implements Backend.
-func (b *ShardedBackend) ShardOf(k int64) int { return b.s.ShardOf(k) }
-
-// Spanning implements Backend.
-func (b *ShardedBackend) Spanning() bool { return !b.s.Isolated() }
-
-// Resize implements Resizer: it live-migrates the map to n shards.
-func (b *ShardedBackend) Resize(n int) (int, error) { return b.s.Resize(n) }
-
-// Sync implements Backend.
-func (b *ShardedBackend) Sync() error { return b.s.Sync() }
-
-// Snapshot implements Backend.
-func (b *ShardedBackend) Snapshot() error { return b.s.Snapshot() }
-
-// Quiesce implements Backend.
-func (b *ShardedBackend) Quiesce() { b.s.Quiesce() }

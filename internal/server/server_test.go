@@ -442,6 +442,12 @@ func TestGracefulDrainCompletesInflightRequests(t *testing.T) {
 			t.Fatalf("dial: %v", err)
 		}
 		cn := c.Conn(0)
+		// A round trip first: Dial returns once the kernel has the
+		// connection, which may be before the server admits it, and a
+		// connection admitted after Shutdown began is refused, not drained.
+		if err := c.Ping(); err != nil {
+			t.Fatalf("ping: %v", err)
+		}
 		// Pipeline a burst, then race Shutdown against it.
 		const n = 400
 		calls := make([]*client.Call, 0, n)
@@ -539,10 +545,12 @@ func TestIdleTimeout(t *testing.T) {
 	}
 }
 
-func TestServeUnshardedBackend(t *testing.T) {
-	m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
+// TestServeOneShardBackend serves the smallest map there is — a
+// one-shard Sharded, what an unsharded Map is served as.
+func TestServeOneShardBackend(t *testing.T) {
+	m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 1})
 	defer m.Close()
-	srv := New(NewMapBackend(m), Config{})
+	srv := New(NewShardedBackend(m), Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)

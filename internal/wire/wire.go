@@ -129,79 +129,90 @@ const (
 )
 
 // IsV2Data reports whether op is a namespace-addressed v2 data op (its
-// body begins with a namespace id). Admin ops address namespaces by
-// name and are not data ops.
+// body begins with a namespace id). Admin ops address namespaces by name
+// and are not data ops.
 func (o Op) IsV2Data() bool {
-	switch o {
-	case OpGet2, OpInsert2, OpPut2, OpDel2, OpRange2, OpBatch2, OpSync2, OpSnapshot2:
-		return true
+	return o >= OpGet2 && o <= OpSnapshot2 || o == OpResize2
+}
+
+// Kind is what an op asks of the map it addresses, with the frame
+// family factored out: OpGet and OpGet2 are both KindGet and differ only
+// in which Request fields carry the key. The server's executor runs on
+// kinds; the family matters only to the codec that reads the fields.
+type Kind uint8
+
+// The op kinds. KindGet through KindBatch are the point operations the
+// server coalesces into transactions; the rest execute one at a time.
+const (
+	// KindNone marks ops that address no map: Ping, Stats, the namespace
+	// admin ops and the replication channel.
+	KindNone Kind = iota
+	KindGet
+	KindInsert
+	KindPut
+	KindDel
+	KindBatch
+	KindRange
+	KindSync
+	KindSnapshot
+	KindResize
+	KindWatermark
+	KindPromote
+)
+
+// Coalesces reports whether ops of this kind join coalesced runs.
+func (k Kind) Coalesces() bool { return k >= KindGet && k <= KindBatch }
+
+// ops is the one table of what the protocol knows about each op code:
+// its name and its kind.
+var ops = [...]struct {
+	name string
+	kind Kind
+}{
+	OpGet:       {"Get", KindGet},
+	OpInsert:    {"Insert", KindInsert},
+	OpPut:       {"Put", KindPut},
+	OpDel:       {"Del", KindDel},
+	OpRange:     {"Range", KindRange},
+	OpBatch:     {"Batch", KindBatch},
+	OpSync:      {"Sync", KindSync},
+	OpSnapshot:  {"Snapshot", KindSnapshot},
+	OpPing:      {"Ping", KindNone},
+	OpFollow:    {"Follow", KindNone},
+	OpSnapChunk: {"SnapChunk", KindNone},
+	OpWalRecord: {"WalRecord", KindNone},
+	OpCaughtUp:  {"CaughtUp", KindNone},
+	OpHeartbeat: {"Heartbeat", KindNone},
+	OpWatermark: {"Watermark", KindWatermark},
+	OpPromote:   {"Promote", KindPromote},
+	OpGet2:      {"Get2", KindGet},
+	OpInsert2:   {"Insert2", KindInsert},
+	OpPut2:      {"Put2", KindPut},
+	OpDel2:      {"Del2", KindDel},
+	OpRange2:    {"Range2", KindRange},
+	OpBatch2:    {"Batch2", KindBatch},
+	OpSync2:     {"Sync2", KindSync},
+	OpSnapshot2: {"Snapshot2", KindSnapshot},
+	OpNsCreate:  {"NsCreate", KindNone},
+	OpNsDrop:    {"NsDrop", KindNone},
+	OpNsList:    {"NsList", KindNone},
+	OpStats:     {"Stats", KindNone},
+	OpResize:    {"Resize", KindResize},
+	OpResize2:   {"Resize2", KindResize},
+}
+
+// Kind reports op's kind; KindNone for codes the protocol does not know.
+func (o Op) Kind() Kind {
+	if int(o) < len(ops) {
+		return ops[o].kind
 	}
-	return false
+	return KindNone
 }
 
 // String names the op for diagnostics.
 func (o Op) String() string {
-	switch o {
-	case OpGet:
-		return "Get"
-	case OpInsert:
-		return "Insert"
-	case OpPut:
-		return "Put"
-	case OpDel:
-		return "Del"
-	case OpRange:
-		return "Range"
-	case OpBatch:
-		return "Batch"
-	case OpSync:
-		return "Sync"
-	case OpSnapshot:
-		return "Snapshot"
-	case OpPing:
-		return "Ping"
-	case OpFollow:
-		return "Follow"
-	case OpSnapChunk:
-		return "SnapChunk"
-	case OpWalRecord:
-		return "WalRecord"
-	case OpCaughtUp:
-		return "CaughtUp"
-	case OpHeartbeat:
-		return "Heartbeat"
-	case OpWatermark:
-		return "Watermark"
-	case OpPromote:
-		return "Promote"
-	case OpGet2:
-		return "Get2"
-	case OpInsert2:
-		return "Insert2"
-	case OpPut2:
-		return "Put2"
-	case OpDel2:
-		return "Del2"
-	case OpRange2:
-		return "Range2"
-	case OpBatch2:
-		return "Batch2"
-	case OpSync2:
-		return "Sync2"
-	case OpSnapshot2:
-		return "Snapshot2"
-	case OpNsCreate:
-		return "NsCreate"
-	case OpNsDrop:
-		return "NsDrop"
-	case OpNsList:
-		return "NsList"
-	case OpStats:
-		return "Stats"
-	case OpResize:
-		return "Resize"
-	case OpResize2:
-		return "Resize2"
+	if int(o) < len(ops) && ops[o].name != "" {
+		return ops[o].name
 	}
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
@@ -246,29 +257,17 @@ const (
 	StatusNsExists
 )
 
+var statusNames = [...]string{
+	StatusOK: "OK", StatusCrossShard: "CrossShard", StatusNotDurable: "NotDurable",
+	StatusCorrupt: "Corrupt", StatusBusy: "Busy", StatusShuttingDown: "ShuttingDown",
+	StatusErr: "Err", StatusReadOnly: "ReadOnly", StatusNsNotFound: "NsNotFound",
+	StatusNsExists: "NsExists",
+}
+
 // String names the status for diagnostics.
 func (s Status) String() string {
-	switch s {
-	case StatusOK:
-		return "OK"
-	case StatusCrossShard:
-		return "CrossShard"
-	case StatusNotDurable:
-		return "NotDurable"
-	case StatusCorrupt:
-		return "Corrupt"
-	case StatusBusy:
-		return "Busy"
-	case StatusShuttingDown:
-		return "ShuttingDown"
-	case StatusErr:
-		return "Err"
-	case StatusReadOnly:
-		return "ReadOnly"
-	case StatusNsNotFound:
-		return "NsNotFound"
-	case StatusNsExists:
-		return "NsExists"
+	if int(s) < len(statusNames) {
+		return statusNames[s]
 	}
 	return fmt.Sprintf("Status(%d)", uint8(s))
 }

@@ -38,10 +38,14 @@ package wire
 //	                                 deleted with it)
 //	NsList                        -> entries of (id, name, durable)
 //
-// Namespace 0 is the always-present default map. It speaks the v1
-// fixed-width ops (8-byte int64 keys and values, no namespace id, no
-// length prefixes) — the fast encoding the int64 benchmarks ride — and
-// refuses v2 data ops, so neither family ever pays the other's bytes.
+// Namespace 0, "default", is the always-present int64 map: listed by
+// NsList like any namespace, but never dropped, and reached through the
+// v1 fixed-width ops (8-byte int64 keys and values, no namespace id, no
+// length prefixes) — the fast encoding the int64 benchmarks ride. A v2
+// data op naming namespace 0 is answered StatusErr, so neither family
+// ever pays the other's bytes. The families are two encodings of one
+// operation set, not two protocols: Op.Kind maps OpGet and OpGet2 to the
+// same KindGet, and a server executes both through one path.
 //
 // # Batch admission
 //

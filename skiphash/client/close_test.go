@@ -146,18 +146,18 @@ func serveBackend(t *testing.T, be server.Backend) string {
 }
 
 func TestGetAtFansOutOverReplicas(t *testing.T) {
-	primary := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
+	primary := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 1})
 	primary.Put(1, 100)
-	pAddr := serveBackend(t, server.NewMapBackend(primary))
+	pAddr := serveBackend(t, server.NewShardedBackend(primary))
 
 	// Replica A is stale in both senses: watermark below any barrier
 	// and a wrong (old) value. Replica B is caught up.
-	stale := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
+	stale := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 1})
 	stale.Put(1, -1)
-	staleAddr := serveBackend(t, &stampedBackend{Backend: server.NewMapBackend(stale), watermark: 5})
-	fresh := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
+	staleAddr := serveBackend(t, &stampedBackend{Backend: server.NewShardedBackend(stale), watermark: 5})
+	fresh := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 1})
 	fresh.Put(1, 100)
-	freshAddr := serveBackend(t, &stampedBackend{Backend: server.NewMapBackend(fresh), watermark: 50})
+	freshAddr := serveBackend(t, &stampedBackend{Backend: server.NewShardedBackend(fresh), watermark: 50})
 
 	cl, err := Dial(pAddr, Options{Replicas: []string{staleAddr, freshAddr}})
 	if err != nil {

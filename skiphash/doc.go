@@ -22,10 +22,7 @@
 // less supplies the ordering, hash the distribution over shards (top
 // bits) and buckets (low bits); Int64Less/Hash64 and
 // StringLess/HashString are the stock pairs for the two key types the
-// repository exercises end to end. The remaining typed constructors
-// (NewInt64, NewString, OpenInt64Sharded, ...) predate this surface;
-// they survive as deprecated one-line wrappers so no caller breaks, and
-// new code should not use them.
+// repository exercises end to end.
 //
 // Config.Shards is the initial partition count, not a lifetime
 // commitment — see the Resharding section below.

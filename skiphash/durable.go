@@ -85,13 +85,6 @@ func Open[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg 
 	return m, nil
 }
 
-// OpenInt64 is Open for int64 keys (the paper's evaluation type).
-//
-// Deprecated: use Open[int64, V](Int64Less, Hash64, cfg, Int64Codec(), vals).
-func OpenInt64[V any](cfg Config, vals Codec[V]) (*Map[int64, V], error) {
-	return Open[int64, V](Int64Less, Hash64, cfg, Int64Codec(), vals)
-}
-
 // OpenSharded creates — or recovers — a durable sharded skip hash.
 //
 // In shared mode (the default) all shards live in one commit-stamp
@@ -124,28 +117,6 @@ func OpenSharded[K comparable, V any](less func(a, b K) bool, hash func(K) uint6
 		return s, nil
 	}
 	return openIsolatedSharded[K, V](less, hash, cfg, keys, vals)
-}
-
-// OpenInt64Sharded is OpenSharded for int64 keys.
-//
-// Deprecated: use OpenSharded[int64, V](Int64Less, Hash64, cfg, Int64Codec(), vals).
-func OpenInt64Sharded[V any](cfg Config, vals Codec[V]) (*Sharded[int64, V], error) {
-	return OpenSharded[int64, V](Int64Less, Hash64, cfg, Int64Codec(), vals)
-}
-
-// OpenString is Open for string keys in lexicographic order.
-//
-// Deprecated: use Open[string, V](StringLess, HashString, cfg, StringCodec(), vals).
-func OpenString[V any](cfg Config, vals Codec[V]) (*Map[string, V], error) {
-	return Open[string, V](StringLess, HashString, cfg, StringCodec(), vals)
-}
-
-// OpenStringSharded is OpenSharded for string keys — the constructor
-// behind the serving layer's byte-string namespaces.
-//
-// Deprecated: use OpenSharded[string, V](StringLess, HashString, cfg, StringCodec(), vals).
-func OpenStringSharded[V any](cfg Config, vals Codec[V]) (*Sharded[string, V], error) {
-	return OpenSharded[string, V](StringLess, HashString, cfg, StringCodec(), vals)
 }
 
 // shardDirName returns the directory holding shard i's engine in

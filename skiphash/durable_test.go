@@ -17,7 +17,7 @@ func openDurable(t *testing.T, cfg skiphash.Config) *skiphash.Map[int64, int64] 
 	t.Helper()
 	m, err := skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
 	if err != nil {
-		t.Fatalf("OpenInt64: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	return m
 }

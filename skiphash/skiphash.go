@@ -60,13 +60,6 @@ func Int64Less(a, b int64) bool { return a < b }
 // stock less function for New/Open with string keys.
 func StringLess(a, b string) bool { return a < b }
 
-// NewInt64 creates a skip hash with int64 keys.
-//
-// Deprecated: use New[int64, V](Int64Less, Hash64, cfg).
-func NewInt64[V any](cfg Config) *Map[int64, V] {
-	return New[int64, V](Int64Less, Hash64, cfg)
-}
-
 // Hash64 is a strong mixer for integer keys, exported for callers
 // building custom key types on top of int64 identities.
 func Hash64(k int64) uint64 { return thashmap.Hash64(k) }
@@ -91,20 +84,6 @@ func HashString(s string) uint64 {
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
 	return h
-}
-
-// NewString creates a skip hash with string keys.
-//
-// Deprecated: use New[string, V](StringLess, HashString, cfg).
-func NewString[V any](cfg Config) *Map[string, V] {
-	return New[string, V](StringLess, HashString, cfg)
-}
-
-// NewStringSharded creates a sharded skip hash with string keys.
-//
-// Deprecated: use NewSharded[string, V](StringLess, HashString, cfg).
-func NewStringSharded[V any](cfg Config) *Sharded[string, V] {
-	return NewSharded[string, V](StringLess, HashString, cfg)
 }
 
 // Sharded is a concurrent ordered map hash-partitioned across
@@ -132,11 +111,4 @@ var ErrCrossShard = shard.ErrCrossShard
 // (Sharded.Resize changes it live).
 func NewSharded[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg Config) *Sharded[K, V] {
 	return shard.New[K, V](less, hash, cfg)
-}
-
-// NewInt64Sharded creates a sharded skip hash with int64 keys.
-//
-// Deprecated: use NewSharded[int64, V](Int64Less, Hash64, cfg).
-func NewInt64Sharded[V any](cfg Config) *Sharded[int64, V] {
-	return NewSharded[int64, V](Int64Less, Hash64, cfg)
 }

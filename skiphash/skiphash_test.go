@@ -114,7 +114,7 @@ func TestStringKeys(t *testing.T) {
 	}
 }
 
-func ExampleNewInt64() {
+func ExampleNew() {
 	m := skiphash.New[int64, string](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Buckets: 101})
 	m.Insert(3, "three")
 	m.Insert(1, "one")
@@ -201,7 +201,7 @@ func TestConformanceSharded(t *testing.T) {
 	})
 }
 
-func ExampleNewInt64Sharded() {
+func ExampleNewSharded() {
 	m := skiphash.NewSharded[int64, string](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 4, Buckets: 1024})
 	m.Insert(3, "three")
 	m.Insert(1, "one")
