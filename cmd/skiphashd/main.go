@@ -12,9 +12,11 @@
 // WAL under the chosen -fsync policy, and a clean shutdown syncs
 // before closing.
 //
-// Shutdown is signal-driven: SIGINT/SIGTERM stops accepting, drains
-// in-flight pipelined requests (bounded by -drain-timeout), quiesces
-// the map's removal buffers, syncs the WAL, and closes the map.
+// Shutdown is signal-driven: SIGINT/SIGTERM stops accepting, answers
+// the requests already read (bounded by -drain-timeout), quiesces the
+// map's removal buffers, and syncs and closes the default map and every
+// namespace. The exit status is 1 if any of their durability engines
+// reports acknowledged writes that may not be on disk.
 //
 // Observability: every subsystem reports into one metrics registry
 // (internal/obs) rendered in Prometheus text exposition — STM commits,
@@ -67,6 +69,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -175,16 +178,7 @@ func main() {
 		if *replAddr != "" {
 			clockRead := m.Runtime().Clock().Read
 			pcfg := repl.PrimaryConfig{
-				Snapshot: func(chunkSize int, emit func(stamp uint64, pairs []wire.KV) error) error {
-					kvs := make([]wire.KV, 0, chunkSize)
-					return m.SnapshotChunks(chunkSize, func(stamp uint64, pairs []skiphash.Pair[int64, int64]) error {
-						kvs = kvs[:0]
-						for _, p := range pairs {
-							kvs = append(kvs, wire.KV{Key: p.Key, Val: p.Val})
-						}
-						return emit(stamp, kvs)
-					})
-				},
+				Snapshot:  repl.MapSnapshot(m),
 				ClockRead: clockRead,
 			}
 			if !*quiet {
@@ -358,8 +352,14 @@ func main() {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
+	exit := 0
 	if err := srv.Shutdown(ctx); err != nil {
 		log.Printf("skiphashd: drain incomplete: %v", err)
+		// Connections force-closed at the deadline lose only unacknowledged
+		// work; anything else is a namespace that failed its final flush.
+		if !errors.Is(err, ctx.Err()) {
+			exit = 1
+		}
 	}
 	wg.Wait()
 	if *unixPath != "" {
@@ -368,27 +368,13 @@ func main() {
 	if prim != nil {
 		prim.Shutdown()
 	}
-	exit := 0
 	if rep != nil {
 		// The replica map is repl-owned: Close stops the stream and the
 		// map together, and there is no durability engine to settle.
 		rep.Close()
-	} else {
-		if *dir != "" {
-			if err := m.Sync(); err != nil {
-				log.Printf("skiphashd: final sync: %v", err)
-				exit = 1
-			}
-		}
-		m.Close()
-		if *dir != "" {
-			if p := m.Persister(); p != nil {
-				if err := p.Err(); err != nil {
-					log.Printf("skiphashd: durability engine: %v", err)
-					exit = 1
-				}
-			}
-		}
+	} else if err := be.Close(); err != nil {
+		log.Printf("skiphashd: durability engine: %v", err)
+		exit = 1
 	}
 	// The final stats line runs after teardown so it includes drain-time
 	// work (final sync, close-path reclamation, any ErrSyncRaced races

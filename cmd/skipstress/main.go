@@ -199,7 +199,10 @@ func main() {
 		os.Exit(2)
 	}
 	if *netCheck {
-		runNet(*threads, *duration, *seed, *shards, *isolated, *nsCount, lookupPct, reproducer)
+		if err := runNet(*threads, *duration, *seed, *shards, *isolated, *nsCount, lookupPct); err != nil {
+			fmt.Fprintf(os.Stderr, "FAIL: %v\nreproduce with: %s\n", err, reproducer)
+			os.Exit(1)
+		}
 		return
 	}
 	if *replica {

@@ -34,14 +34,10 @@ import (
 // checker also audits that runs never bleed across namespace
 // boundaries. After the rounds, dropping one namespace must leave the
 // others untouched, and the default map must pass a quiescent invariant
-// audit.
+// audit. Any failure is returned (a counterexample history has by then
+// gone to stderr).
 func runNet(threads int, duration time.Duration, seed uint64,
-	shards int, isolated bool, nsCount, lookupPct int, reproducer string) {
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "FAIL: "+format+"\n", args...)
-		fmt.Fprintf(os.Stderr, "reproduce with: %s\n", reproducer)
-		os.Exit(1)
-	}
+	shards int, isolated bool, nsCount, lookupPct int) error {
 	mapCfg := skiphash.Config{Maintenance: true, IsolatedShards: isolated}
 	if shards > 0 {
 		mapCfg.Shards = shards
@@ -49,22 +45,19 @@ func runNet(threads int, duration time.Duration, seed uint64,
 	m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, mapCfg)
 	reg, err := server.NewRegistry(server.RegistryConfig{Map: mapCfg})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "skipstress: registry: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("registry: %w", err)
 	}
 	srv := server.NewWithRegistry(server.NewShardedBackend(m), reg, server.Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "skipstress: listen: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("listen: %w", err)
 	}
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ln) }()
 
 	cl, err := client.Dial(ln.Addr().String(), client.Options{Conns: threads})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "skipstress: dial: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("dial: %w", err)
 	}
 	// Worker budget: the threads are split across the tenants, but every
 	// tenant keeps at least two concurrent clients (when there are two
@@ -74,8 +67,7 @@ func runNet(threads int, duration time.Duration, seed uint64,
 	for i := 0; i < nsCount; i++ {
 		ns, err := cl.CreateNamespace(fmt.Sprintf("stress-%d", i), client.NamespaceOptions{})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipstress: create namespace %d: %v\n", i, err)
-			os.Exit(1)
+			return fmt.Errorf("create namespace %d: %w", i, err)
 		}
 		tenants = append(tenants, &checked{name: "namespace " + ns.Name(), m: nsAdapter{ns: ns}, opts: opts})
 	}
@@ -111,8 +103,7 @@ func runNet(threads int, duration time.Duration, seed uint64,
 		}
 		wg.Wait()
 		if failed.Load() {
-			fmt.Fprintf(os.Stderr, "reproduce with: %s\n", reproducer)
-			os.Exit(1)
+			return fmt.Errorf("round %d: non-linearizable history", rounds)
 		}
 	}
 
@@ -121,10 +112,10 @@ func runNet(threads int, duration time.Duration, seed uint64,
 	if nsCount > 0 {
 		dropped := tenants[1].m.(nsAdapter).ns
 		if err := cl.DropNamespace(dropped.Name()); err != nil {
-			fail("drop: %v", err)
+			return fmt.Errorf("drop: %w", err)
 		}
 		if _, _, err := dropped.Get(be64(1)); !errors.Is(err, client.ErrNamespaceNotFound) {
-			fail("dropped namespace still answering (err %v)", err)
+			return fmt.Errorf("dropped namespace still answering (err %v)", err)
 		}
 		for i, t := range tenants {
 			if i == 1 {
@@ -132,7 +123,7 @@ func runNet(threads int, duration time.Duration, seed uint64,
 			}
 			before := len(t.snapshot)
 			if t.readAll(); len(t.snapshot) != before {
-				fail("%s changed across a sibling drop: %d pairs, want %d", t.name, len(t.snapshot), before)
+				return fmt.Errorf("%s changed across a sibling drop: %d pairs, want %d", t.name, len(t.snapshot), before)
 			}
 		}
 	}
@@ -141,14 +132,14 @@ func runNet(threads int, duration time.Duration, seed uint64,
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
-		fail("server drain: %v", err)
+		return fmt.Errorf("server drain: %w", err)
 	}
 	if err := <-served; err != nil {
-		fail("serve: %v", err)
+		return fmt.Errorf("serve: %w", err)
 	}
 	m.Quiesce()
 	if err := m.CheckInvariants(skiphash.CheckOptions{}); err != nil {
-		fail("served map invariants after %d rounds: %v", rounds, err)
+		return fmt.Errorf("served map invariants after %d rounds: %w", rounds, err)
 	}
 	m.Close()
 	totalOps, unknowns := 0, 0
@@ -158,6 +149,7 @@ func runNet(threads int, duration time.Duration, seed uint64,
 	}
 	fmt.Printf("rounds=%d ops=%d unknown=%d\n", rounds, totalOps, unknowns)
 	fmt.Println("skipstress: PASS")
+	return nil
 }
 
 // be64 encodes a non-negative int64 as its order-preserving 8-byte

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/repl"
 	"repro/internal/server"
-	"repro/internal/wire"
 	"repro/skiphash"
 	"repro/skiphash/client"
 )
@@ -54,16 +53,7 @@ func runReplica(threads int, duration time.Duration, seed uint64, lookupPct int,
 	}
 	clockRead := pm.Runtime().Clock().Read
 	prim := repl.NewPrimary(repl.PrimaryConfig{
-		Snapshot: func(chunkSize int, emit func(stamp uint64, pairs []wire.KV) error) error {
-			kvs := make([]wire.KV, 0, chunkSize)
-			return pm.SnapshotChunks(chunkSize, func(stamp uint64, pairs []skiphash.Pair[int64, int64]) error {
-				kvs = kvs[:0]
-				for _, p := range pairs {
-					kvs = append(kvs, wire.KV{Key: p.Key, Val: p.Val})
-				}
-				return emit(stamp, kvs)
-			})
-		},
+		Snapshot:  repl.MapSnapshot(pm),
 		ClockRead: clockRead,
 	})
 	tp, ok := pm.Persister().(interface {

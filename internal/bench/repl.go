@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/repl"
 	"repro/internal/server"
-	"repro/internal/wire"
 	"repro/skiphash"
 	"repro/skiphash/client"
 )
@@ -62,16 +61,7 @@ func Repl(w io.Writer, opts Options) error {
 	defer m.Close()
 	clockRead := m.Runtime().Clock().Read
 	prim := repl.NewPrimary(repl.PrimaryConfig{
-		Snapshot: func(chunkSize int, emit func(stamp uint64, pairs []wire.KV) error) error {
-			kvs := make([]wire.KV, 0, chunkSize)
-			return m.SnapshotChunks(chunkSize, func(stamp uint64, pairs []skiphash.Pair[int64, int64]) error {
-				kvs = kvs[:0]
-				for _, p := range pairs {
-					kvs = append(kvs, wire.KV{Key: p.Key, Val: p.Val})
-				}
-				return emit(stamp, kvs)
-			})
-		},
+		Snapshot:  repl.MapSnapshot(m),
 		ClockRead: clockRead,
 	})
 	tp, ok := m.Persister().(interface {

@@ -258,6 +258,10 @@ func (s *Store[K, V]) snapshotter() {
 	}
 }
 
+// snapshotChunk is how many pairs each snapshot chunk transaction reads
+// (each chunk is consistent at its own clock stamp).
+const snapshotChunk = 512
+
 // Snapshot writes a full snapshot now: the map is iterated in chunked
 // consistent reads while writers proceed, the file is fsynced and
 // atomically renamed, and WAL segments fully covered by it are
@@ -285,7 +289,7 @@ func (s *Store[K, V]) Snapshot() error {
 	if err != nil {
 		return err
 	}
-	if err := s.source(s.opts.SnapshotChunk, sw.writeChunk); err != nil {
+	if err := s.source(snapshotChunk, sw.writeChunk); err != nil {
 		sw.abort()
 		os.Remove(tmp)
 		return err

@@ -67,10 +67,6 @@ type Options struct {
 	SnapshotBytes int64
 	// SnapshotEvery additionally snapshots on a timer when positive.
 	SnapshotEvery time.Duration
-	// SnapshotChunk is how many pairs each snapshot chunk transaction
-	// reads (each chunk is consistent at its own clock stamp). Default
-	// 512.
-	SnapshotChunk int
 }
 
 func (o Options) withDefaults() Options {
@@ -82,9 +78,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SnapshotBytes == 0 {
 		o.SnapshotBytes = 32 << 20
-	}
-	if o.SnapshotChunk <= 0 {
-		o.SnapshotChunk = 512
 	}
 	return o
 }

@@ -9,14 +9,15 @@ import (
 	"time"
 
 	"repro/internal/wire"
+	"repro/skiphash"
 )
 
 // PrimaryConfig configures the primary-side WAL streamer. Snapshot and
 // ClockRead are required; the rest defaults sensibly.
 type PrimaryConfig struct {
 	// Snapshot iterates the primary map in chunked consistent reads
-	// (skiphash's SnapshotChunks adapted to wire pairs); it feeds a
-	// follower's full sync.
+	// (MapSnapshot of the map being replicated); it feeds a follower's
+	// full sync.
 	Snapshot func(chunkSize int, emit func(stamp uint64, pairs []wire.KV) error) error
 	// ClockRead returns a fresh commit-clock read. CaughtUp and
 	// Heartbeat stamps come from it; see the ordering rule in sender().
@@ -25,26 +26,39 @@ type PrimaryConfig struct {
 	// for followers. A follower that falls behind the ring is cut off
 	// and resyncs from a snapshot. Default 32 MiB.
 	RingBytes int
-	// SnapshotChunk is the pair count per snapshot chunk. Default 512.
-	SnapshotChunk int
-	// HeartbeatEvery is the idle watermark cadence. Default 250ms.
-	HeartbeatEvery time.Duration
 	// Logf, when set, receives per-follower diagnostics.
 	Logf func(format string, args ...any)
+}
+
+// MapSnapshot adapts m's SnapshotChunks to PrimaryConfig.Snapshot: each
+// chunk's pairs are re-packed as wire pairs through one buffer reused
+// across chunks (emit must not retain them).
+func MapSnapshot(m *skiphash.Sharded[int64, int64]) func(chunkSize int, emit func(stamp uint64, pairs []wire.KV) error) error {
+	return func(chunkSize int, emit func(stamp uint64, pairs []wire.KV) error) error {
+		kvs := make([]wire.KV, 0, chunkSize)
+		return m.SnapshotChunks(chunkSize, func(stamp uint64, pairs []skiphash.Pair[int64, int64]) error {
+			kvs = kvs[:0]
+			for _, p := range pairs {
+				kvs = append(kvs, wire.KV{Key: p.Key, Val: p.Val})
+			}
+			return emit(stamp, kvs)
+		})
+	}
 }
 
 func (c PrimaryConfig) withDefaults() PrimaryConfig {
 	if c.RingBytes == 0 {
 		c.RingBytes = 32 << 20
 	}
-	if c.SnapshotChunk == 0 {
-		c.SnapshotChunk = 512
-	}
-	if c.HeartbeatEvery == 0 {
-		c.HeartbeatEvery = 250 * time.Millisecond
-	}
 	return c
 }
+
+const (
+	// snapshotChunk is the pair count per snapshot chunk of a full sync.
+	snapshotChunk = 512
+	// heartbeatEvery is the idle watermark cadence.
+	heartbeatEvery = 250 * time.Millisecond
+)
 
 // record is one tapped WAL record in the ring.
 type record struct {
@@ -272,7 +286,7 @@ func (p *Primary) sender(nc net.Conn) error {
 		return err
 	}
 	if full {
-		err := p.cfg.Snapshot(p.cfg.SnapshotChunk, func(stamp uint64, pairs []wire.KV) error {
+		err := p.cfg.Snapshot(snapshotChunk, func(stamp uint64, pairs []wire.KV) error {
 			return send(&wire.ReplMsg{Op: wire.OpSnapChunk, Stamp: stamp, Pairs: pairs})
 		})
 		if err != nil {
@@ -313,7 +327,7 @@ func (p *Primary) sender(nc net.Conn) error {
 	// Live tail. Heartbeats follow the same rule: the stamp is read
 	// before the drained check, so a heartbeat never advertises a
 	// watermark covering a record it did not stream first.
-	hb := time.NewTimer(p.cfg.HeartbeatEvery)
+	hb := time.NewTimer(heartbeatEvery)
 	defer hb.Stop()
 	for {
 		beat := p.cfg.ClockRead()
@@ -337,7 +351,7 @@ func (p *Primary) sender(nc net.Conn) error {
 			default:
 			}
 		}
-		hb.Reset(p.cfg.HeartbeatEvery)
+		hb.Reset(heartbeatEvery)
 		select {
 		case <-sub.kick:
 		case <-hb.C:

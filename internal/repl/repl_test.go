@@ -41,16 +41,7 @@ func startPrimary(t *testing.T, dir, addr string, cfg PrimaryConfig) *primaryHar
 	if err != nil {
 		t.Fatalf("OpenSharded: %v", err)
 	}
-	cfg.Snapshot = func(chunkSize int, emit func(stamp uint64, pairs []wire.KV) error) error {
-		kvs := make([]wire.KV, 0, chunkSize)
-		return m.SnapshotChunks(chunkSize, func(stamp uint64, pairs []skiphash.Pair[int64, int64]) error {
-			kvs = kvs[:0]
-			for _, p := range pairs {
-				kvs = append(kvs, wire.KV{Key: p.Key, Val: p.Val})
-			}
-			return emit(stamp, kvs)
-		})
-	}
+	cfg.Snapshot = MapSnapshot(m)
 	clock := m.Runtime().Clock()
 	cfg.ClockRead = clock.Read
 	cfg.Logf = t.Logf

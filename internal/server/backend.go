@@ -50,10 +50,11 @@ type Backend interface {
 	Snapshot() error
 	// Quiesce flushes removal buffers; Shutdown calls it after draining.
 	Quiesce()
-	// Close releases the map (a durable one flushes and fsyncs its WAL).
-	// The registry closes the namespaces it created; namespace 0's map
-	// belongs to whoever built the server.
-	Close()
+	// Close releases the map. A durable one flushes and fsyncs its WAL,
+	// and the error reports whatever stopped acknowledged writes from
+	// reaching the disk. The registry closes the namespaces it created;
+	// namespace 0's map belongs to whoever built the server.
+	Close() error
 }
 
 // Watermarker is an optional Backend extension: a backend that can
@@ -168,9 +169,9 @@ func (bytesCodec) addPair(resp *wire.Response, k, v string) {
 // ShardedBackend serves a sharded skip hash: the one Backend
 // implementation, generic over the map's types and parameterised by the
 // codec of the frame family that addresses it. The map is embedded, so
-// the methods that need no translation — Sync, Snapshot, Quiesce, Close,
-// and Resize (Resizer) — are the map's own; the request-level methods
-// below shadow the map's same-named ones.
+// the methods that need no translation — Sync, Snapshot, Quiesce, and
+// Resize (Resizer) — are the map's own; the request-level methods and
+// Close below shadow the map's same-named ones.
 type ShardedBackend[K comparable, V any] struct {
 	*skiphash.Sharded[K, V]
 	cd codec[K, V]
@@ -312,3 +313,25 @@ func (b *ShardedBackend[K, V]) Spanning() bool { return !b.Isolated() }
 
 // Durable implements Backend.
 func (b *ShardedBackend[K, V]) Durable() bool { return b.Persister() != nil }
+
+// Close implements Backend: the checked shutdown the map's own Close
+// (no error result) cannot be. The log is forced durable, the map
+// closed, and every durability engine — the front one, or each shard's
+// on an isolated map — asked for its sticky error, which covers the
+// close's own final flush and fsync and any commit the log never took.
+func (b *ShardedBackend[K, V]) Close() error {
+	err := b.Sync()
+	if errors.Is(err, skiphash.ErrNotDurable) {
+		err = nil
+	}
+	b.Sharded.Close()
+	if p := b.Persister(); p != nil {
+		err = errors.Join(err, p.Err())
+	}
+	for i := 0; i < b.Shards(); i++ {
+		if p := b.Shard(i).Persister(); p != nil {
+			err = errors.Join(err, p.Err())
+		}
+	}
+	return err
+}

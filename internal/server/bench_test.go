@@ -48,7 +48,7 @@ func cycleConn(tb testing.TB, v2, mixed, withMetrics bool) (*conn, []wire.Reques
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(reg.CloseAll)
+	tb.Cleanup(func() { reg.CloseAll() })
 	ns, err := reg.Create("bench", false, wire.NsFsyncDefault)
 	if err != nil {
 		tb.Fatal(err)
@@ -86,18 +86,14 @@ func cycleConn(tb testing.TB, v2, mixed, withMetrics bool) (*conn, []wire.Reques
 	return c, batch
 }
 
-// cycle runs one drain cycle the way serveLoop does: arrival stamps (when
+// cycle runs one drain cycle the way serve does: the arrival stamp (when
 // the connection tracks timings), execute, observe.
 func cycle(c *conn, batch []wire.Request) {
 	if !c.track {
 		c.execute(batch)
 		return
 	}
-	c.arrivals = c.arrivals[:0]
-	now := time.Now()
-	for range batch {
-		c.arrivals = append(c.arrivals, now)
-	}
+	c.arrival = time.Now()
 	c.execute(batch)
 	c.observe(batch)
 }

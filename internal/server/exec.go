@@ -142,9 +142,9 @@ func (c *conn) execRun(batch []wire.Request, i int) int {
 
 	// Warm the index for the requests that follow the run about to
 	// execute, overlapping the next run's descent with this run's work.
-	// The pipelined queue presents them already decoded, so this is a
-	// bounded scan and a handful of atomic loads per cycle. Other
-	// namespaces' keys live in other maps and are skipped.
+	// The cycle's requests were all decoded before it began executing,
+	// so this is a bounded scan and a handful of atomic loads per cycle.
+	// Other namespaces' keys live in other maps and are skipped.
 	for idx, n := j, 0; idx < len(batch) && n < prefetchAhead; idx++ {
 		if joins(&batch[idx]) {
 			n += be.Prefetch(&batch[idx], prefetchAhead-n)
@@ -154,8 +154,8 @@ func (c *conn) execRun(batch []wire.Request, i int) int {
 	group := batch[i:j]
 	if path == pathReads {
 		// Each Get goes through the backend's direct read path and
-		// linearizes on its own between its invocation — the request was
-		// already queued — and its response, so skipping the shared
+		// linearizes on its own between its invocation — the request had
+		// already been read — and its response, so skipping the shared
 		// commit point preserves every request's contract.
 		for idx := range group {
 			answer(&c.one, &group[idx])

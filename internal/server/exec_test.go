@@ -119,7 +119,7 @@ func newHarness(t *testing.T, mapCfg skiphash.Config) *harness {
 	if err != nil {
 		t.Fatalf("NewRegistry: %v", err)
 	}
-	t.Cleanup(reg.CloseAll)
+	t.Cleanup(func() { reg.CloseAll() })
 	named, err := reg.Create("named", false, wire.NsFsyncDefault)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
@@ -136,10 +136,10 @@ func newHarness(t *testing.T, mapCfg skiphash.Config) *harness {
 func (h *harness) run(reqs ...wire.Request) []wire.Response {
 	h.t.Helper()
 	c := h.c
-	c.batch, c.arrivals = c.batch[:0], c.arrivals[:0]
+	c.batch, c.arrival = c.batch[:0], time.Now()
 	for i := range reqs {
 		reqs[i].ID = uint64(i + 1)
-		c.push(queuedReq{req: reqs[i], at: time.Now()})
+		c.push(reqs[i])
 	}
 	c.execute(c.batch)
 	if err := c.bw.Flush(); err != nil {

@@ -37,7 +37,7 @@ func pathName(p uint8) string {
 // series per namespace under its name (see newNamespace).
 const (
 	reqLatencyName = "skiphash_server_request_seconds"
-	reqLatencyHelp = "Request latency from frame arrival to response flush, by namespace."
+	reqLatencyHelp = "Request latency from the read that delivered its frame to the response flush, by namespace."
 	busyName       = "skiphash_server_busy_refusals_total"
 	busyHelp       = "Requests or connections refused with StatusBusy, by reason."
 	nsShardsName   = "skiphash_ns_shards"
@@ -69,17 +69,6 @@ func newMetrics(s *Server, r *obs.Registry) *metrics {
 	r.GaugeFunc("skiphash_server_connections",
 		"Connections currently served.",
 		func() float64 { return float64(s.NumConns()) })
-	r.GaugeFunc("skiphash_server_queue_depth",
-		"Requests decoded but not yet executing, summed over connections.",
-		func() float64 {
-			s.mu.Lock()
-			n := 0
-			for c := range s.conns {
-				n += len(c.reqs)
-			}
-			s.mu.Unlock()
-			return float64(n)
-		})
 	return m
 }
 
@@ -99,13 +88,15 @@ func (c *conn) markRun(i, j int, path uint8, ns *namespace) {
 	}
 }
 
-// observe banks the cycle's per-request latencies and feeds the slow-op
-// tracer. Called once per drain cycle after the flush, only when the
-// connection tracks timings (metrics or tracer attached).
+// observe banks the cycle's latency once per request — every request of
+// a cycle arrived with the same read and is answered by the same flush —
+// and feeds the slow-op tracer. Called once per cycle after the flush,
+// only when the connection tracks timings (metrics or tracer attached).
 func (c *conn) observe(batch []wire.Request) {
 	m := c.srv.met
 	tr := c.srv.cfg.Tracer
 	now := time.Now()
+	d := now.Sub(c.arrival)
 	traceActive := tr != nil && tr.Enabled()
 	var abortDelta uint64
 	if traceActive && c.srv.cfg.AbortsFn != nil {
@@ -115,7 +106,6 @@ func (c *conn) observe(batch []wire.Request) {
 		m.requests.Add(uint64(len(batch)))
 	}
 	for i := range batch {
-		d := now.Sub(c.arrivals[i])
 		ns := c.nsAt[i]
 		if ns.reqLatency != nil {
 			ns.reqLatency.ObserveNanos(int64(d))

@@ -121,8 +121,9 @@ func (ns *namespace) backend() Backend {
 }
 
 // close marks the namespace dropped — waiting out in-flight runs — then
-// releases its metric series and its map.
-func (ns *namespace) close(r *obs.Registry) {
+// releases its metric series and its map, returning the map's close
+// error.
+func (ns *namespace) close(r *obs.Registry) error {
 	ns.mu.Lock()
 	be := ns.be
 	ns.be = nil
@@ -131,7 +132,7 @@ func (ns *namespace) close(r *obs.Registry) {
 		r.Unregister(reqLatencyName, obs.Label{Key: "ns", Value: ns.name})
 		r.Unregister(nsShardsName, obs.Label{Key: "ns", Value: ns.name})
 	}
-	be.Close()
+	return be.Close()
 }
 
 // attach admits c to the namespace's connection quota; false answers
@@ -339,7 +340,8 @@ func (r *Registry) Drop(name string) error {
 	delete(r.byName, name)
 	delete(r.byID, ns.id)
 	r.mu.Unlock()
-	ns.close(r.cfg.Obs)
+	// A failed final flush loses nothing a drop was not about to delete.
+	_ = ns.close(r.cfg.Obs)
 	if ns.dir != "" {
 		return os.RemoveAll(ns.dir)
 	}
@@ -380,9 +382,10 @@ func (r *Registry) List() []wire.NsInfo {
 }
 
 // CloseAll closes every namespace backend (durable ones flush and
-// fsync), leaving directories intact. Server.Shutdown calls it after
-// draining.
-func (r *Registry) CloseAll() {
+// fsync), leaving directories intact, and returns the first failure —
+// a namespace whose acknowledged writes may not all be on disk.
+// Server.Shutdown calls it after draining.
+func (r *Registry) CloseAll() error {
 	r.mu.Lock()
 	nss := make([]*namespace, 0, len(r.byID))
 	for _, ns := range r.byID {
@@ -391,7 +394,11 @@ func (r *Registry) CloseAll() {
 	r.byID = make(map[uint32]*namespace)
 	r.byName = make(map[string]*namespace)
 	r.mu.Unlock()
+	var first error
 	for _, ns := range nss {
-		ns.close(r.cfg.Obs)
+		if err := ns.close(r.cfg.Obs); err != nil && first == nil {
+			first = fmt.Errorf("server: close namespace %q: %w", ns.name, err)
+		}
 	}
+	return first
 }

@@ -19,17 +19,20 @@
 //
 // # Pipelining and batching
 //
-// Each connection runs two goroutines. A reader decodes frames and
-// feeds a bounded queue; an executor drains the queue, coalesces runs
-// of point operations (and client batches) into single Atomic
-// transactions, and writes the responses back in request order with
-// one flush per drain cycle. A client that pipelines N requests
-// therefore pays ~one syscall and ~one STM transaction per batch
-// instead of per operation — the access-boundary batching that
+// Each connection is one goroutine running one loop. It blocks reading
+// a request frame, takes every further frame that read left whole in
+// its buffer (up to MaxBatch) without touching the socket again,
+// coalesces runs of point operations (and client batches) into single
+// Atomic transactions, writes the responses back in request order,
+// flushes once, and goes back to reading. A client that pipelines N
+// requests therefore pays ~one syscall and ~one STM transaction per
+// batch instead of per operation — the access-boundary batching that
 // serving-scale throughput lives or dies on. Clients that send one
 // request at a time (closed loop) see ordinary request/response
 // behavior; batching is purely opportunistic and adds no latency when
-// the queue is empty.
+// nothing else has arrived. There is no user-space request queue:
+// requests the loop has not read yet wait in the kernel's socket
+// buffer, and a client that outruns the server stalls on its writes.
 //
 // A run never leaves its namespace: it ends where the next request
 // addresses another one, and a namespace's coalescing quota can clamp it
@@ -49,18 +52,25 @@
 // Coalescing preserves each request's semantics. Every operation in a
 // coalesced transaction takes effect at the transaction's single
 // commit point, which lies after all of the operations' invocations
-// (they were queued) and before any of their responses — a valid
-// linearization point for each of them, verified end to end by
+// (their frames had been read) and before any of their responses — a
+// valid linearization point for each of them, verified end to end by
 // skipstress -net.
 //
 // # Lifecycle
 //
-// Shutdown drains gracefully: listeners close, connection readers
-// stop accepting new frames, executors finish every request already
-// queued and flush the responses, namespace 0's removal buffers are
-// quiesced and the registry's namespaces closed — wiring the network
-// front end into the map's existing Close/Quiesce lifecycle.
+// Shutdown drains gracefully: listeners close, every connection's next
+// blocking read is made to fail, and each loop first answers the frames
+// it has already read — the cycle in flight, and whatever whole frames
+// sit in its read buffer — and flushes them; frames still in the
+// kernel's socket buffer are not answered. Then namespace 0's removal
+// buffers are quiesced and the registry's namespaces closed (a durable
+// one's flush or engine failure is Shutdown's error) — wiring the
+// network front end into the map's existing Close/Quiesce lifecycle.
 // Connections still open when the context expires are force-closed.
+//
+// The idle timeout runs only while a loop waits for input: it is armed
+// in front of the blocking read and nowhere else, so a request that
+// executes for longer than the timeout does not cost its connection.
 package server
 
 import (
@@ -87,22 +97,18 @@ type Config struct {
 	// MaxBatch bounds how many pipelined requests one Atomic
 	// transaction may coalesce. Default 64.
 	MaxBatch int
-	// QueueDepth is the per-connection request queue; a full queue
-	// exerts backpressure on the reader (the client's writes stall).
-	// Default 1024.
-	QueueDepth int
 	// WriteTimeout is the slow-client deadline: a drain cycle's
 	// response writes must complete within it or the connection is torn
 	// down. Default 10s; negative disables.
 	WriteTimeout time.Duration
-	// IdleTimeout closes connections with no request activity for this
-	// long. 0 disables.
+	// IdleTimeout closes connections that send nothing for this long
+	// while the server waits for their next request. 0 disables.
 	IdleTimeout time.Duration
 	// Logf, when set, receives per-connection diagnostics (protocol
 	// violations, write failures). Default: silent.
 	Logf func(format string, args ...any)
 	// Obs, when set, registers the server's metrics (request latency,
-	// coalesced-run size, queue depth, busy refusals) and serves the
+	// coalesced-run size, busy refusals) and serves the
 	// registry's rendered exposition through wire.OpStats. Metrics are
 	// additive: nothing is registered on the data path's shared-write
 	// side, and with Obs unset the per-request cost is a nil check.
@@ -123,9 +129,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 64
-	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 1024
 	}
 	if c.WriteTimeout == 0 {
 		c.WriteTimeout = 10 * time.Second
@@ -239,10 +242,9 @@ func (s *Server) startConn(nc net.Conn) {
 	}
 	c := s.newConn(nc)
 	s.conns[c] = struct{}{}
-	s.connWG.Add(2)
+	s.connWG.Add(1)
 	s.mu.Unlock()
-	go c.readLoop()
-	go c.serveLoop()
+	go c.serve()
 }
 
 // newConn builds the serving state for one connection.
@@ -251,12 +253,10 @@ func (s *Server) newConn(nc net.Conn) *conn {
 		srv:   s,
 		nc:    nc,
 		bw:    bufio.NewWriterSize(nc, 64<<10),
-		reqs:  make(chan queuedReq, s.cfg.QueueDepth),
 		resps: make([]wire.Response, s.cfg.MaxBatch),
 		track: s.met != nil || s.cfg.Tracer != nil,
 	}
 	if c.track {
-		c.arrivals = make([]time.Time, 0, s.cfg.MaxBatch)
 		c.paths = make([]uint8, s.cfg.MaxBatch)
 		c.nsAt = make([]*namespace, s.cfg.MaxBatch)
 	}
@@ -280,12 +280,13 @@ func (s *Server) NumConns() int {
 }
 
 // Shutdown drains the server: listeners stop accepting, every
-// connection's reader stops taking new frames, queued requests finish
-// executing and their responses are flushed, and the backend's removal
-// buffers are quiesced. Connections still open when ctx expires are
+// connection answers the frames it has already read and flushes them,
+// the backend's removal buffers are quiesced, and the registry's
+// namespaces are closed. Connections still open when ctx expires are
 // force-closed (their unflushed responses are lost, as a crash would
-// lose them); the context's error is returned in that case. Shutdown
-// is idempotent.
+// lose them). Shutdown returns the first failure closing a namespace —
+// acknowledged writes that may not be on disk — else the context's
+// error if connections had to be force-closed; it is idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.mu.Lock()
@@ -319,16 +320,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.def.be.Quiesce()
 	if s.reg != nil {
-		s.reg.CloseAll()
+		if cerr := s.reg.CloseAll(); cerr != nil {
+			err = cerr
+		}
 	}
 	return err
-}
-
-// queuedReq is a decoded request plus its arrival stamp (zero unless
-// the connection tracks timings).
-type queuedReq struct {
-	req wire.Request
-	at  time.Time
 }
 
 // conn is one served connection.
@@ -337,25 +333,22 @@ type conn struct {
 	nc  net.Conn
 	bw  *bufio.Writer
 
-	// reqs carries decoded requests from the reader to the executor;
-	// the reader closes it when the connection's read side is done.
-	reqs chan queuedReq
-
-	// Executor scratch, reused across drain cycles: one response slot per
-	// request of an atomic run (results are encoded only after the
-	// commit), one for everything answered as it executes, and whatever
-	// the backend last kept for collecting ranges.
+	// Cycle scratch, reused across cycles: the requests read for this
+	// cycle, one response slot per request of an atomic run (results are
+	// encoded only after the commit), one for everything answered as it
+	// executes, and whatever the backend last kept for collecting ranges.
+	batch   []wire.Request
 	resps   []wire.Response
 	one     wire.Response
 	scratch any
 	enc     []byte
-	batch   []wire.Request
 
 	// Observability scratch (see metrics.go), allocated once when track
-	// is set: per-request arrival stamps, execution-path markers, and
-	// namespace annotations, all indexed by batch position.
+	// is set: when the cycle's blocking read returned — the arrival of
+	// every request in it — and per-request execution-path markers and
+	// namespace annotations, indexed by batch position.
 	track        bool
-	arrivals     []time.Time
+	arrival      time.Time
 	paths        []uint8
 	nsAt         []*namespace
 	abortsBefore uint64
@@ -374,22 +367,22 @@ func (c *conn) logf(format string, args ...any) {
 	}
 }
 
-// startDrain stops the reader by failing its next blocking read; frames
-// already buffered or queued still execute.
+// startDrain fails the loop's next blocking read; frames it has already
+// read, executing or whole in its buffer, are still answered.
 func (c *conn) startDrain() {
 	c.drained.Store(true)
 	c.nc.SetReadDeadline(time.Unix(1, 0))
 }
 
-// readLoop decodes frames into the request queue. Any read or decode
-// failure ends the stream: after a framing violation there is no next
-// frame boundary, so the connection winds down (the executor still
-// completes everything already queued).
-func (c *conn) readLoop() {
+// serve is the connection's one loop: read a cycle's requests, execute
+// them, write the responses in request order, flush once. Any read or
+// decode failure ends the stream — after a framing violation there is
+// no next frame boundary — but the requests read before it are still
+// answered.
+func (c *conn) serve() {
 	defer c.srv.connWG.Done()
-	defer close(c.reqs)
-	br := bufio.NewReaderSize(c.nc, 64<<10)
-	fr := wire.NewFrameReader(br, wire.MaxRequestPayload)
+	defer c.teardown()
+	fr := wire.NewFrameReader(bufio.NewReaderSize(c.nc, 64<<10), wire.MaxRequestPayload)
 	for {
 		if t := c.srv.cfg.IdleTimeout; t > 0 && !c.drained.Load() {
 			c.nc.SetReadDeadline(time.Now().Add(t))
@@ -401,109 +394,79 @@ func (c *conn) readLoop() {
 				c.nc.SetReadDeadline(time.Unix(1, 0))
 			}
 		}
-		payload, err := fr.Next()
-		if err != nil {
-			if err != io.EOF && !c.drained.Load() {
-				c.logf("server: %s: read: %v", c.nc.RemoteAddr(), err)
-			}
-			return
-		}
-		req, err := wire.ParseRequest(payload)
-		if err != nil {
-			c.logf("server: %s: %v", c.nc.RemoteAddr(), err)
-			return
-		}
-		q := queuedReq{req: req}
-		if c.track {
-			q.at = time.Now()
-		}
-		c.reqs <- q
-	}
-}
-
-// serveLoop is the executor: it drains the queue in cycles, coalesces,
-// executes, and writes responses in request order, flushing once per
-// cycle.
-func (c *conn) serveLoop() {
-	defer c.srv.connWG.Done()
-	defer c.teardown()
-	for {
-		batch, open := c.dequeue()
-		if len(batch) > 0 {
+		rerr := c.readCycle(fr)
+		if len(c.batch) > 0 {
 			// Arm the slow-client deadline for the whole cycle up front:
 			// a response larger than the bufio buffer spills to the
 			// socket during encoding, and that write must not run under
 			// a stale deadline from a previous cycle (spurious timeout)
-			// or no deadline at all (a slow reader could park the
-			// executor indefinitely).
+			// or no deadline at all (a slow reader could park the loop
+			// indefinitely).
 			if t := c.srv.cfg.WriteTimeout; t > 0 {
 				c.nc.SetWriteDeadline(time.Now().Add(t))
 			}
 			if tr := c.srv.cfg.Tracer; tr != nil && tr.Enabled() && c.srv.cfg.AbortsFn != nil {
 				c.abortsBefore = c.srv.cfg.AbortsFn()
 			}
-			c.execute(batch)
+			c.execute(c.batch)
 			if err := c.flush(); err != nil {
 				c.logf("server: %s: write: %v", c.nc.RemoteAddr(), err)
 				return
 			}
 			if c.track {
-				c.observe(batch)
+				c.observe(c.batch)
 			}
 		}
-		if !open {
+		if rerr != nil {
+			if rerr != io.EOF && !c.drained.Load() {
+				c.logf("server: %s: read: %v", c.nc.RemoteAddr(), rerr)
+			}
 			return
 		}
 	}
 }
 
-// dequeue blocks for the first pending request, then drains whatever
-// else is already queued, up to MaxBatch. open reports whether the
-// queue can still produce more.
-func (c *conn) dequeue() (batch []wire.Request, open bool) {
+// readCycle fills c.batch: it blocks for one request frame, then takes
+// the frames that read left whole in the buffer, up to MaxBatch, without
+// reading the socket again — the kernel's socket buffer is the queue. An
+// error comes with the requests read before it.
+func (c *conn) readCycle(fr *wire.FrameReader) error {
 	c.batch = c.batch[:0]
-	if c.track {
-		c.arrivals = c.arrivals[:0]
-	}
-	q, ok := <-c.reqs
-	if !ok {
-		return nil, false
-	}
-	c.push(q)
-	for len(c.batch) < c.srv.cfg.MaxBatch {
-		select {
-		case q, ok := <-c.reqs:
-			if !ok {
-				return c.batch, false
-			}
-			c.push(q)
-		default:
-			return c.batch, true
+	for {
+		payload, err := fr.Next()
+		if err != nil {
+			return err
+		}
+		if c.track && len(c.batch) == 0 {
+			c.arrival = time.Now()
+		}
+		req, err := wire.ParseRequest(payload)
+		if err != nil {
+			return err
+		}
+		c.push(req)
+		if len(c.batch) == c.srv.cfg.MaxBatch || !fr.Ready() {
+			return nil
 		}
 	}
-	return c.batch, true
 }
 
-// push appends one queued request to the cycle's batch, keeping the
-// timing annotations aligned by position. A request is accounted to
-// namespace 0 until a run claims it for the namespace it resolves to,
-// which leaves the server's own ops (Ping, Stats, admin) there.
-func (c *conn) push(q queuedReq) {
-	c.batch = append(c.batch, q.req)
+// push appends one request to the cycle's batch, keeping the
+// annotations aligned by position. A request is accounted to namespace 0
+// until a run claims it for the namespace it resolves to, which leaves
+// the server's own ops (Ping, Stats, admin) there.
+func (c *conn) push(req wire.Request) {
+	c.batch = append(c.batch, req)
 	if c.track {
-		c.arrivals = append(c.arrivals, q.at)
 		i := len(c.batch) - 1
 		c.paths[i] = pathStandalone
 		c.nsAt[i] = c.srv.def
 	}
 }
 
-// teardown closes the connection and unblocks the reader if it is
-// parked on a full queue, discarding what it had left.
+// teardown closes the connection and releases its quota slots.
 func (c *conn) teardown() {
 	c.nc.Close()
-	for range c.reqs {
-	}
 	for ns := range c.attached {
 		ns.detach(c)
 	}

@@ -68,6 +68,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -716,6 +717,7 @@ func ParseResponse(payload []byte) (Response, error) {
 // valid only until the next call.
 type FrameReader struct {
 	r   io.Reader
+	br  *bufio.Reader // r when it is one; Ready peeks through it
 	max uint32
 	hdr [frameHeaderLen]byte
 	buf []byte
@@ -725,7 +727,22 @@ type FrameReader struct {
 // payload limit (MaxRequestPayload on servers, MaxResponsePayload on
 // clients).
 func NewFrameReader(r io.Reader, maxPayload uint32) *FrameReader {
-	return &FrameReader{r: r, max: maxPayload}
+	br, _ := r.(*bufio.Reader)
+	return &FrameReader{r: r, br: br, max: maxPayload}
+}
+
+// Ready reports, without reading from the underlying stream, whether
+// Next would return without blocking: a whole frame is already buffered,
+// or a header announcing an over-limit length is (Next then reports the
+// protocol error). It is false for a partial frame, and always for a
+// reader that is not a *bufio.Reader.
+func (fr *FrameReader) Ready() bool {
+	if fr.br == nil || fr.br.Buffered() < frameHeaderLen {
+		return false
+	}
+	hdr, _ := fr.br.Peek(frameHeaderLen) // buffered: cannot block or fail
+	ln := binary.LittleEndian.Uint32(hdr[:4])
+	return ln > fr.max || fr.br.Buffered()-frameHeaderLen >= int(ln)
 }
 
 // Next reads one frame and returns its verified payload. io.EOF is
