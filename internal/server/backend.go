@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"unsafe"
 
 	"repro/internal/wire"
 	"repro/skiphash"
@@ -99,12 +100,21 @@ type codec[K comparable, V any] interface {
 	key(req *wire.Request) K
 	val(req *wire.Request) V
 	hi(req *wire.Request) K
+	// keyView is key for call sites that only look the key up — hash it,
+	// compare it — and retain nothing: it may borrow the request's bytes
+	// instead of copying them. The view is good for as long as the
+	// request is: a connection's loop executes and answers a cycle's
+	// requests before its next read replaces them (PR 17), so the bytes
+	// outlive any lookup. Inserts, puts and removes take key: the map and
+	// the WAL may keep what they are given. stepView is step likewise.
+	keyView(req *wire.Request) K
 	// putVal stores a Get's result.
 	putVal(resp *wire.Response, v V)
 	// numSteps, step, stepVal read a client batch; addStep appends one
 	// step's result (v is the zero value except for a lookup hit).
 	numSteps(req *wire.Request) int
 	step(req *wire.Request, i int) (kind uint8, k K)
+	stepView(req *wire.Request, i int) (kind uint8, k K)
 	stepVal(req *wire.Request, i int) V
 	addStep(resp *wire.Response, ok bool, v V)
 	// pairCost, addPair build a range result: what one more pair costs
@@ -117,6 +127,7 @@ type codec[K comparable, V any] interface {
 type int64Codec struct{}
 
 func (int64Codec) key(req *wire.Request) int64            { return req.Key }
+func (int64Codec) keyView(req *wire.Request) int64        { return req.Key }
 func (int64Codec) val(req *wire.Request) int64            { return req.Val }
 func (int64Codec) hi(req *wire.Request) int64             { return req.Val }
 func (int64Codec) putVal(resp *wire.Response, v int64)    { resp.Val = v }
@@ -127,6 +138,8 @@ func (int64Codec) pairCost(int64, int64) int              { return 16 }
 func (int64Codec) step(req *wire.Request, i int) (uint8, int64) {
 	return req.Steps[i].Kind, req.Steps[i].Key
 }
+
+func (cd int64Codec) stepView(req *wire.Request, i int) (uint8, int64) { return cd.step(req, i) }
 
 func (int64Codec) addStep(resp *wire.Response, ok bool, v int64) {
 	resp.Steps = append(resp.Steps, wire.StepResult{Ok: ok, Out: v})
@@ -142,6 +155,7 @@ func (int64Codec) addPair(resp *wire.Response, k, v int64) {
 type bytesCodec struct{}
 
 func (bytesCodec) key(req *wire.Request) string            { return string(req.BKey) }
+func (bytesCodec) keyView(req *wire.Request) string        { return borrow(req.BKey) }
 func (bytesCodec) val(req *wire.Request) string            { return string(req.BVal) }
 func (bytesCodec) hi(req *wire.Request) string             { return string(req.BVal) }
 func (bytesCodec) numSteps(req *wire.Request) int          { return len(req.BSteps) }
@@ -157,6 +171,15 @@ func (bytesCodec) putVal(resp *wire.Response, v string) {
 func (bytesCodec) step(req *wire.Request, i int) (uint8, string) {
 	return req.BSteps[i].Kind, string(req.BSteps[i].Key)
 }
+
+func (bytesCodec) stepView(req *wire.Request, i int) (uint8, string) {
+	return req.BSteps[i].Kind, borrow(req.BSteps[i].Key)
+}
+
+// borrow views b as a string without copying it. Nothing writes a parsed
+// request's bytes, so the string is as immutable as any other for as long
+// as it is used — which the keyView contract bounds by the request.
+func borrow(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 func (bytesCodec) addStep(resp *wire.Response, ok bool, v string) {
 	resp.BSteps = append(resp.BSteps, wire.BStepResult{Ok: ok, Val: []byte(v)})
@@ -202,7 +225,7 @@ func (b *ShardedBackend[K, V]) Atomic(group []wire.Request, resps []wire.Respons
 			resp.BVal = nil
 			switch req.Op.Kind() {
 			case wire.KindGet:
-				v, ok := op.Lookup(cd.key(req))
+				v, ok := op.Lookup(cd.keyView(req))
 				resp.Ok = ok
 				cd.putVal(resp, v)
 			case wire.KindInsert:
@@ -213,7 +236,10 @@ func (b *ShardedBackend[K, V]) Atomic(group []wire.Request, resps []wire.Respons
 				resp.Ok = op.Remove(cd.key(req))
 			case wire.KindBatch:
 				for si, n := 0, cd.numSteps(req); si < n; si++ {
-					kind, k := cd.step(req, si)
+					kind, k := cd.stepView(req, si)
+					if kind != wire.StepLookup {
+						_, k = cd.step(req, si) // a written key may be kept
+					}
 					ok, out := false, zero
 					switch kind {
 					case wire.StepInsert:
@@ -233,7 +259,7 @@ func (b *ShardedBackend[K, V]) Atomic(group []wire.Request, resps []wire.Respons
 
 // Get implements Backend.
 func (b *ShardedBackend[K, V]) Get(req *wire.Request, resp *wire.Response) {
-	v, ok := b.Lookup(b.cd.key(req))
+	v, ok := b.Lookup(b.cd.keyView(req))
 	resp.Ok = ok
 	b.cd.putVal(resp, v)
 }
@@ -278,12 +304,12 @@ func (b *ShardedBackend[K, V]) Range(req *wire.Request, resp *wire.Response, scr
 // Prefetch implements Backend.
 func (b *ShardedBackend[K, V]) Prefetch(req *wire.Request, max int) int {
 	if req.Op.Kind() != wire.KindBatch {
-		b.Sharded.Prefetch(b.cd.key(req))
+		b.Sharded.Prefetch(b.cd.keyView(req))
 		return 1
 	}
 	n := min(b.cd.numSteps(req), max)
 	for si := 0; si < n; si++ {
-		_, k := b.cd.step(req, si)
+		_, k := b.cd.stepView(req, si)
 		b.Sharded.Prefetch(k)
 	}
 	return n
@@ -292,16 +318,16 @@ func (b *ShardedBackend[K, V]) Prefetch(req *wire.Request, max int) int {
 // ShardOf implements Backend.
 func (b *ShardedBackend[K, V]) ShardOf(req *wire.Request) (shard int, solo bool) {
 	if req.Op.Kind() != wire.KindBatch {
-		return b.Sharded.ShardOf(b.cd.key(req)), false
+		return b.Sharded.ShardOf(b.cd.keyView(req)), false
 	}
 	n := b.cd.numSteps(req)
 	if n == 0 {
 		return 0, false // empty batch: executes anywhere, touches nothing
 	}
-	_, k := b.cd.step(req, 0)
+	_, k := b.cd.stepView(req, 0)
 	shard = b.Sharded.ShardOf(k)
 	for si := 1; si < n; si++ {
-		if _, k := b.cd.step(req, si); b.Sharded.ShardOf(k) != shard {
+		if _, k := b.cd.stepView(req, si); b.Sharded.ShardOf(k) != shard {
 			return 0, true
 		}
 	}

@@ -148,17 +148,19 @@ func TestSlowOpTracer(t *testing.T) {
 }
 
 // TestDrainCycleAllocBudget pins the hot loop's allocations for both
-// frame families: the v1 pure-Get cycle allocates nothing, with or
-// without metrics (and an armed-but-unmatched tracer), observation
-// included; the other rows are the pre-unification executor's counts
-// for the same 64-request cycles, which the one executor is held to.
+// frame families: the pure-Get cycle allocates nothing in either, with
+// or without metrics (and an armed-but-unmatched tracer), observation
+// included — a v2 lookup reads its key through a view of the request's
+// bytes. The mixed rows are the 64-request cycle's 16 Puts: the map's
+// own cost in v1, plus in v2 the copied key and value of each Put and
+// the value buffer of each of the 48 Gets sharing their transaction.
 func TestDrainCycleAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; count is meaningless")
 	}
 	budget := map[string]float64{
 		"v1/gets": 0, "v1/gets+metrics": 0, "v1/mixed": 60,
-		"v2/gets": 64, "v2/gets+metrics": 64, "v2/mixed": 188,
+		"v2/gets": 0, "v2/gets+metrics": 0, "v2/mixed": 140,
 	}
 	for _, f := range cycleFamilies {
 		for _, row := range []struct {

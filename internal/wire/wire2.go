@@ -237,11 +237,21 @@ func appendResponse2(dst []byte, resp *Response) []byte {
 
 // --- Decoding -----------------------------------------------------------
 
+// blen reads a byte string's length prefix. Its label is built only on
+// failure: this runs once per key and value on the request path, and the
+// concatenation would be a heap allocation each time.
+func (d *decoder) blen(what string) uint32 {
+	if d.err == nil && d.off+4 > len(d.buf) {
+		d.fail(what + " length")
+	}
+	return d.u32(what)
+}
+
 // bstr reads a length-prefixed byte string, enforcing maxLen and
 // copying the bytes out of the frame buffer (which is reused by the
 // next frame).
 func (d *decoder) bstr(maxLen int, what string) []byte {
-	n := d.u32(what + " length")
+	n := d.blen(what)
 	if d.err != nil {
 		return nil
 	}
@@ -259,7 +269,7 @@ func (d *decoder) bstr(maxLen int, what string) []byte {
 }
 
 func (d *decoder) str(maxLen int, what string) string {
-	n := d.u32(what + " length")
+	n := d.blen(what)
 	if d.err != nil {
 		return ""
 	}

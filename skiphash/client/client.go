@@ -10,6 +10,16 @@
 // transactions and answers with one write, so a window of W in-flight
 // requests costs ~1/W of the per-op round trips of the closed loop.
 //
+// # Call lifetime
+//
+// A Call is valid from the Start that returns it until its Wait returns.
+// Wait hands the response out by value — the Response and the slices in
+// it belong to the caller — and gives the Call back to its connection,
+// which reuses it for a later Start, so Wait is called at most once per
+// Call and the Call is not touched afterwards. A Call that is never
+// waited on is simply not reused; abandoning one is safe. In steady
+// state the request path (Start, Flush, Wait, Do) allocates nothing.
+//
 // Errors mirror the embedded map's typed errors: a batch spanning
 // isolated shards fails with skiphash.ErrCrossShard, Sync/Snapshot on
 // a non-durable server with skiphash.ErrNotDurable, durability-layer
@@ -265,34 +275,69 @@ func (c *Client) ServerStats() ([]byte, error) { return c.pick().ServerStats() }
 type Conn struct {
 	nc net.Conn
 
-	mu      sync.Mutex // guards writer, id, pending registration, closing
-	bw      *bufio.Writer
-	enc     []byte // request-encode scratch, reused under mu
-	id      uint64
-	pending map[uint64]*Call
-	err     error // sticky transport error
-	wt      time.Duration
+	mu  sync.Mutex // guards everything below but wt
+	bw  *bufio.Writer
+	enc []byte // request-encode scratch, reused under mu
+	id  uint64 // last id assigned; ids are sequential
+	// ring holds the in-flight calls, the call with id i at ring[i&mask]
+	// (len(ring) is a power of two). It doubles only when a new id lands
+	// on a slot whose call is still in flight, so it settles at the span
+	// of ids in flight — their number, with a server answering in order.
+	ring []*Call
+	free *Call // completed-and-waited calls, linked through Call.next
+	err  error // sticky transport error
+	wt   time.Duration
 
 	closeOnce  sync.Once // guards nc.Close: exactly one teardown
 	readerDone chan struct{}
 }
 
-// Call is one in-flight request.
+// initialRing is a new connection's slot count: the closed loop needs
+// one slot, a pipelining caller grows the ring to its window once.
+const initialRing = 16
+
+// Call is one in-flight request; see the package doc for its lifetime.
 type Call struct {
+	cn *Conn
+	// done carries one token per completion — put there by whoever takes
+	// the call out of the ring (the reader or fail), taken by Wait — so
+	// the channel is made once and serves every reuse of the call.
 	done chan struct{}
+	id   uint64 // the request id this call answers; 0 once waited
 	resp wire.Response
 	err  error
+	next *Call // free-list link
 }
 
 // Wait blocks for the response and decodes its status into the typed
-// errors.
+// errors. It may be called at most once per Call: it returns the Call to
+// the connection for reuse, and a second Wait caught before that reuse
+// panics.
 func (call *Call) Wait() (wire.Response, error) {
-	<-call.done
-	if call.err != nil {
-		return call.resp, call.err
+	if call.id == 0 {
+		panic("client: Wait called twice on one Call")
 	}
-	return call.resp, statusError(&call.resp)
+	<-call.done
+	resp, err := call.resp, call.err
+	if err == nil {
+		err = statusError(&resp)
+	}
+	call.resp, call.err = wire.Response{}, nil // drop the result's slices
+	cn := call.cn
+	cn.mu.Lock()
+	cn.release(call)
+	cn.mu.Unlock()
+	return resp, err
 }
+
+// release puts a call nobody holds any more on the free list.
+func (cn *Conn) release(call *Call) {
+	call.id = 0
+	call.next, cn.free = cn.free, call
+}
+
+// slot is where the ring keeps the call with the given id.
+func (cn *Conn) slot(id uint64) **Call { return &cn.ring[id&uint64(len(cn.ring)-1)] }
 
 func dialConn(network, addr string, opts Options) (*Conn, error) {
 	nc, err := net.DialTimeout(network, addr, opts.DialTimeout)
@@ -302,51 +347,106 @@ func dialConn(network, addr string, opts Options) (*Conn, error) {
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true) // pipelining batches writes itself; Nagle only adds latency
 	}
+	return newConn(nc, opts.WriteTimeout), nil
+}
+
+// newConn starts the protocol on an established transport.
+func newConn(nc net.Conn, writeTimeout time.Duration) *Conn {
 	cn := &Conn{
 		nc:         nc,
 		bw:         bufio.NewWriterSize(nc, 64<<10),
-		pending:    make(map[uint64]*Call),
-		wt:         opts.WriteTimeout,
+		ring:       make([]*Call, initialRing),
+		wt:         writeTimeout,
 		readerDone: make(chan struct{}),
 	}
 	go cn.readLoop()
-	return cn, nil
+	return cn
 }
 
-// readLoop demultiplexes responses to their pending calls.
+// maxDemux bounds how many buffered responses the reader retires per
+// lock acquisition (and so the scratch it keeps for them).
+const maxDemux = 256
+
+// readLoop demultiplexes responses to their in-flight calls: like the
+// server's loop it takes what one read brought in as a batch, and
+// retires the batch under one lock acquisition.
 func (cn *Conn) readLoop() {
 	defer close(cn.readerDone)
 	br := bufio.NewReaderSize(cn.nc, 64<<10)
 	fr := wire.NewFrameReader(br, wire.MaxResponsePayload)
+	var (
+		batch []wire.Response
+		calls []*Call
+	)
 	for {
-		payload, err := fr.Next()
+		var rerr, err error
+		batch, rerr = readBatch(fr, batch[:0])
+		calls, err = cn.retire(batch, calls[:0])
+		for i, call := range calls {
+			call.resp = batch[i]
+			call.done <- struct{}{} // capacity 1, one token per registration: never blocks
+		}
+		clear(batch) // do not pin delivered results until the next batch
+		clear(calls)
+		if err == nil {
+			err = rerr
+		}
 		if err != nil {
-			cn.fail(fmt.Errorf("%w: %w", ErrConnClosed, err))
+			cn.fail(err)
 			return
-		}
-		resp, err := wire.ParseResponse(payload)
-		if err != nil {
-			cn.fail(fmt.Errorf("%w: %w", ErrConnClosed, err))
-			return
-		}
-		if resp.ID == 0 {
-			// Unsolicited terminal frame: the server refusing the
-			// connection (busy / shutting down).
-			cn.fail(refusalError(&resp))
-			return
-		}
-		cn.mu.Lock()
-		call := cn.pending[resp.ID]
-		delete(cn.pending, resp.ID)
-		cn.mu.Unlock()
-		if call != nil {
-			call.resp = resp
-			close(call.done)
 		}
 	}
 }
 
-// fail marks the connection dead and fails every pending call,
+// readBatch blocks for one response, then takes the ones that read left
+// whole in the buffer, up to maxDemux, without reading the socket again.
+// An error comes with the responses read before it.
+func readBatch(fr *wire.FrameReader, batch []wire.Response) ([]wire.Response, error) {
+	for {
+		payload, err := fr.Next()
+		if err != nil {
+			return batch, fmt.Errorf("%w: %w", ErrConnClosed, err)
+		}
+		resp, err := wire.ParseResponse(payload)
+		if err != nil {
+			return batch, fmt.Errorf("%w: %w", ErrConnClosed, err)
+		}
+		if resp.ID == 0 {
+			// Unsolicited terminal frame: the server refusing the
+			// connection (busy / shutting down).
+			return batch, refusalError(&resp)
+		}
+		batch = append(batch, resp)
+		if len(batch) == maxDemux || !fr.Ready() {
+			return batch, nil
+		}
+	}
+}
+
+// retire takes batch's calls out of the ring, appending them to calls in
+// batch order; from then on each belongs to the reader alone, which
+// fills in its response and completes it outside the lock. It stops at a
+// response whose id no call in flight carries — never sent, or answered
+// already. No legitimate server sends one, and it must not be delivered
+// anywhere (the slot's owner id is checked, so it cannot complete a Call
+// since reused for another request): the connection fails.
+func (cn *Conn) retire(batch []wire.Response, calls []*Call) ([]*Call, error) {
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	for i := range batch {
+		id := batch[i].ID
+		slot := cn.slot(id)
+		call := *slot
+		if call == nil || call.id != id {
+			return calls, fmt.Errorf("%w: response for id %d, which matches no call in flight", ErrConnClosed, id)
+		}
+		*slot = nil
+		calls = append(calls, call)
+	}
+	return calls, nil
+}
+
+// fail marks the connection dead and fails every in-flight call,
 // returning the sticky error (the first failure wins). Teardown is
 // idempotent: however many times the reader, a writer and Close race
 // into here, the socket closes once and the first cause survives.
@@ -356,50 +456,83 @@ func (cn *Conn) fail(err error) error {
 		cn.err = err
 	}
 	sticky := cn.err
-	calls := cn.pending
-	cn.pending = make(map[uint64]*Call)
+	for i, call := range cn.ring {
+		if call != nil {
+			cn.ring[i] = nil
+			call.err = sticky
+			call.done <- struct{}{} // never blocks, as in readLoop
+		}
+	}
 	cn.mu.Unlock()
 	cn.closeOnce.Do(func() { cn.nc.Close() })
-	for _, call := range calls {
-		call.err = sticky
-		close(call.done)
-	}
 	return sticky
 }
 
 // Start encodes req into the connection's write buffer and registers a
-// pending Call; the request reaches the wire on the next Flush (or
-// when the buffer fills). The req.ID field is assigned by the
-// connection.
-func (cn *Conn) Start(req *wire.Request) (*Call, error) {
-	call := &Call{done: make(chan struct{})}
+// Call for it; the request reaches the wire on the next Flush (or when
+// the buffer fills). The req.ID field is assigned by the connection.
+func (cn *Conn) Start(req *wire.Request) (*Call, error) { return cn.start(req, false) }
+
+// start is Start, with the flush Do needs folded into the same critical
+// section when flush is set.
+func (cn *Conn) start(req *wire.Request, flush bool) (*Call, error) {
 	cn.mu.Lock()
 	if cn.err != nil {
 		err := cn.err
 		cn.mu.Unlock()
 		return nil, err
 	}
+	call := cn.free
+	if call != nil {
+		cn.free, call.next = call.next, nil
+	} else {
+		call = &Call{cn: cn, done: make(chan struct{}, 1)}
+	}
 	cn.id++
-	req.ID = cn.id
-	cn.pending[req.ID] = call
+	req.ID, call.id = cn.id, cn.id
+	for *cn.slot(call.id) != nil {
+		cn.growRing()
+	}
+	*cn.slot(call.id) = call
 	// Encoding under mu keeps pipelined frames contiguous and lets the
 	// scratch buffer be reused across requests; bufio copies the bytes
 	// out, so contention is memcpy-bounded and allocation-free.
 	cn.enc = wire.AppendRequest(cn.enc[:0], req)
-	buf := cn.enc
-	if cn.wt > 0 && cn.bw.Available() < len(buf) {
-		// This write will spill to the socket (bufio flushes the full
-		// buffer). Arm a fresh deadline: an absolute deadline left over
-		// from an earlier Flush may already lie in the past and would
+	if cn.wt > 0 && (flush || cn.bw.Available() < len(cn.enc)) {
+		// This write reaches the socket (a flush, or bufio spilling its
+		// full buffer). Arm a fresh deadline: an absolute deadline left
+		// over from an earlier flush may already lie in the past and would
 		// fail a perfectly healthy connection.
 		cn.nc.SetWriteDeadline(time.Now().Add(cn.wt))
 	}
-	_, werr := cn.bw.Write(buf)
+	_, werr := cn.bw.Write(cn.enc)
+	if werr == nil && flush {
+		werr = cn.bw.Flush()
+	}
+	if werr != nil {
+		// The caller never sees this call: take it back before fail
+		// completes what is in flight.
+		*cn.slot(call.id) = nil
+		cn.release(call)
+	}
 	cn.mu.Unlock()
 	if werr != nil {
 		return nil, cn.fail(fmt.Errorf("%w: %w", ErrConnClosed, werr))
 	}
 	return call, nil
+}
+
+// growRing doubles the ring. Ids distinct modulo the old size stay
+// distinct modulo the new one, so rehoming cannot collide.
+func (cn *Conn) growRing() {
+	ring := make([]*Call, 2*len(cn.ring))
+	mask := uint64(len(ring) - 1)
+	for _, call := range cn.ring {
+		if call != nil {
+			ring[call.id&mask] = call
+		}
+	}
+	cn.ring = ring
 }
 
 // Flush pushes every buffered request to the wire.
@@ -421,13 +554,11 @@ func (cn *Conn) Flush() error {
 	return nil
 }
 
-// Do issues req synchronously: Start, Flush, Wait.
+// Do issues req synchronously: Start and Flush in one critical section,
+// then Wait.
 func (cn *Conn) Do(req *wire.Request) (wire.Response, error) {
-	call, err := cn.Start(req)
+	call, err := cn.start(req, true)
 	if err != nil {
-		return wire.Response{}, err
-	}
-	if err := cn.Flush(); err != nil {
 		return wire.Response{}, err
 	}
 	return call.Wait()
@@ -547,11 +678,11 @@ func (cn *Conn) getAt(k int64, minStamp uint64) (int64, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	gcall, err := cn.Start(&wire.Request{Op: wire.OpGet, Key: k})
+	gcall, err := cn.start(&wire.Request{Op: wire.OpGet, Key: k}, true)
 	if err != nil {
-		return 0, false, err
-	}
-	if err := cn.Flush(); err != nil {
+		// Start fails only on a dead connection, and fail has completed
+		// (or is completing) everything in flight on it.
+		wcall.Wait()
 		return 0, false, err
 	}
 	wresp, werr := wcall.Wait()

@@ -95,32 +95,114 @@ func TestCloseSurfacesPriorReaderFailure(t *testing.T) {
 	}
 }
 
+// freeCalls counts the connection's free list.
+func freeCalls(cn *Conn) int {
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	n := 0
+	for call := cn.free; call != nil; call = call.next {
+		n++
+	}
+	return n
+}
+
+// Close arrives with a window half delivered: the answered half has its
+// responses, the rest — one of them already blocked in Wait — fails with
+// ErrConnClosed, and no call is completed twice.
 func TestCloseFailsInFlightCalls(t *testing.T) {
-	ln := holdListener(t)
-	cl, err := Dial(ln.Addr().String(), Options{})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
+	const window = 8
+	cn := scriptServer(t, window, func(reqs []wire.Request, out []byte) []byte {
+		for i := range reqs[:window/2] {
+			out = appendReply(out, &reqs[i])
+		}
+		return out
+	})
+	calls := startGets(t, cn, seq(window))
+	errs := make([]error, window)
+	delivered, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i, call := range calls {
+			if i == window/2 {
+				close(delivered)
+			}
+			var resp wire.Response
+			if resp, errs[i] = call.Wait(); errs[i] == nil && resp.Val != 7*int64(i) {
+				t.Errorf("call %d = %d, want %d", i, resp.Val, 7*i)
+			}
+		}
+	}()
+	select {
+	case <-delivered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the answered half of the window never completed")
 	}
-	cn := cl.Conn(0)
-	call, err := cn.Start(&wire.Request{Op: wire.OpGet, Key: 1})
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	if err := cn.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() { _, werr := call.Wait(); done <- werr }()
 	if err := cn.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	select {
-	case werr := <-done:
-		if !errors.Is(werr, ErrConnClosed) {
-			t.Fatalf("in-flight call failed with %v, want ErrConnClosed", werr)
-		}
+	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("in-flight call never failed after Close")
+		t.Fatal("in-flight calls never failed after Close")
+	}
+	for i, err := range errs {
+		if i < window/2 && err != nil {
+			t.Fatalf("answered call %d failed with %v", i, err)
+		}
+		if i >= window/2 && !errors.Is(err, ErrConnClosed) {
+			t.Fatalf("in-flight call %d failed with %v, want ErrConnClosed", i, err)
+		}
+		if n := len(calls[i].done); n != 0 {
+			t.Fatalf("call %d holds %d completions after its Wait", i, n)
+		}
+	}
+	// Every call came back; a Start on the dead connection reports the
+	// sticky error before it takes one.
+	if n := freeCalls(cn); n != window {
+		t.Fatalf("free list holds %d calls, want %d", n, window)
+	}
+	if _, err := cn.Start(&wire.Request{Op: wire.OpGet, Key: 1}); !errors.Is(err, ErrConnClosed) {
+		t.Fatalf("Start after Close = %v, want ErrConnClosed", err)
+	}
+	if n := freeCalls(cn); n != window {
+		t.Fatalf("free list holds %d calls after a refused Start, want %d", n, window)
+	}
+}
+
+// brokenWrites is a transport whose peer never speaks and whose every
+// write fails.
+type brokenWrites struct{ net.Conn }
+
+func (brokenWrites) Write([]byte) (int, error) { return 0, errors.New("broken pipe") }
+
+// A request whose write fails is taken back, and getAt waits for the
+// call it had already started: nothing stays registered or unwaited.
+func TestWriteFailureLeavesNoCallBehind(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		issue func(cn *Conn) error
+		calls int
+	}{
+		{"Do", func(cn *Conn) error { return cn.Ping() }, 1},
+		{"getAt", func(cn *Conn) error { _, _, err := cn.getAt(1, 0); return err }, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			nc, peer := net.Pipe()
+			defer peer.Close()
+			cn := newConn(brokenWrites{nc}, 0)
+			defer cn.Close()
+			if err := c.issue(cn); !errors.Is(err, ErrConnClosed) {
+				t.Fatalf("err = %v, want ErrConnClosed", err)
+			}
+			if n := freeCalls(cn); n != c.calls {
+				t.Fatalf("free list holds %d calls, want %d", n, c.calls)
+			}
+			for i, call := range cn.ring {
+				if call != nil {
+					t.Fatalf("slot %d still holds call %d", i, call.id)
+				}
+			}
+		})
 	}
 }
 
