@@ -22,7 +22,8 @@ type CheckOptions struct {
 //     member appears at level 0;
 //   - the hash index and the set of logically present skip list nodes
 //     are identical (the paper's central invariant: "the hash map always
-//     reflects the current logical state");
+//     reflects the current logical state"), and every indexed node hangs
+//     from the bucket its key hashes to, on exactly one chain;
 //   - insertion times never exceed removal times on deleted nodes.
 func (m *Map[K, V]) CheckInvariants(opts CheckOptions) error {
 	// Collect the level-0 chain.
@@ -95,21 +96,30 @@ func (m *Map[K, V]) CheckInvariants(opts CheckOptions) error {
 			prev = cur
 		}
 	}
-	// The hash index must match the live set exactly.
+	// The hash index must match the live set exactly, and its chains,
+	// being threaded through the nodes, must be well formed: every node
+	// hangs from the bucket its key hashes to, from that chain only, and
+	// is logically present.
 	indexed := 0
 	var indexErr error
-	m.index.ForEachSlow(func(k K, n *node[K, V]) bool {
+	chained := make(map[*node[K, V]]bool, len(live))
+	m.index.forEachSlow(func(bucket int, n *node[K, V]) bool {
 		indexed++
-		ln, ok := live[k]
-		if !ok {
+		k := n.key
+		switch ln, ok := live[k]; {
+		case chained[n]:
+			indexErr = fmt.Errorf("index: node %v sits on more than one chain position", k)
+		case m.index.bucketFor(k) != &m.index.buckets[bucket]:
+			indexErr = fmt.Errorf("index: node %v hangs from bucket %d, not the one its key hashes to", k, bucket)
+		case n.rTime.Raw() != rTimeNone:
+			indexErr = fmt.Errorf("index: node %v is logically deleted but still indexed", k)
+		case !ok:
 			indexErr = fmt.Errorf("index maps %v to a node that is not live in the list", k)
-			return false
-		}
-		if ln != n {
+		case ln != n:
 			indexErr = fmt.Errorf("index maps %v to a stale node", k)
-			return false
 		}
-		return true
+		chained[n] = true
+		return indexErr == nil
 	})
 	if indexErr != nil {
 		return indexErr

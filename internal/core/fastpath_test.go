@@ -2,8 +2,6 @@ package core
 
 import (
 	"testing"
-
-	"repro/internal/thashmap"
 )
 
 // TestFastPathHitsAcquireNothing is the PR's core acceptance property:
@@ -62,8 +60,8 @@ func TestFastPathFallbackMidWalk(t *testing.T) {
 		}
 		flips++
 	}
-	thashmap.SetFastWalkHook(hook)
-	defer thashmap.SetFastWalkHook(nil)
+	setFastWalkHook(hook)
+	defer setFastWalkHook(nil)
 
 	before := m.Runtime().Stats()
 	if v, ok := m.Lookup(1); !ok || v != 10 {
@@ -86,7 +84,7 @@ func TestFastPathFallbackMidWalk(t *testing.T) {
 		t.Errorf("ReadOnlyCommits = %d, want 2 (one per fallback)", d.ReadOnlyCommits)
 	}
 
-	thashmap.SetFastWalkHook(nil)
+	setFastWalkHook(nil)
 	after := m.Runtime().Stats()
 	if v, ok := m.Lookup(1); !ok || v != 10 {
 		t.Fatalf("Lookup(1) after hook removal = %d,%v", v, ok)

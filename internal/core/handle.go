@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/stm"
 )
@@ -369,14 +370,23 @@ func TwoPathRange[K comparable, V any](cfg Config, stats *HandleStats, adaptSkip
 
 // afterRemove routes a logically deleted node to the RQC, through the
 // handle's removal buffer when buffering is enabled. The buffer push is
-// an on-commit hook: if the enclosing transaction aborts, the node was
-// never actually removed and must not be unstitched.
+// an on-commit hook — the handle is the target, the node the payload —
+// because if the enclosing transaction aborts, the node was never
+// actually removed and must not be unstitched.
 func (m *Map[K, V]) afterRemove(tx *stm.Tx, h *Handle[K, V], n *node[K, V]) {
 	if h == nil || m.cfg.RemovalBufferSize == 0 {
 		m.rqc.afterRemove(tx, m, n)
 		return
 	}
-	tx.OnCommit(func() { h.pushRemoval(n) })
+	tx.OnCommit((*removalHook[K, V])(h), unsafe.Pointer(n))
+}
+
+// removalHook is the Handle as a commit-hook target; the separate name
+// keeps the hook method out of Handle's exported method set.
+type removalHook[K comparable, V any] Handle[K, V]
+
+func (h *removalHook[K, V]) Committed(arg unsafe.Pointer) {
+	(*Handle[K, V])(h).pushRemoval((*node[K, V])(arg))
 }
 
 // pushRemoval appends one committed removal to the buffer, flushing when

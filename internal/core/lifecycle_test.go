@@ -3,10 +3,12 @@ package core
 import (
 	"math/rand/v2"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/alloctest"
 	"repro/internal/thashmap"
 )
 
@@ -346,4 +348,60 @@ func TestCloseIdempotentConcurrentWithQuiesce(t *testing.T) {
 			t.Fatalf("late Close re-closed the persister: %d", probe.closes)
 		}
 	}
+}
+
+// TestRemovedNodeCollectable is the regression test for pooled
+// transaction descriptors pinning dead nodes: once a removed node has
+// been unstitched and the removal buffer drained, nothing may keep it
+// reachable — in particular not the commit-hook registration (handle,
+// node) the removing transaction made, which used to sit in the idle
+// descriptor's hook list until some later transaction registered a hook
+// of its own. The descriptor stays parked in the runtime's pool for the
+// whole check.
+func TestRemovedNodeCollectable(t *testing.T) {
+	if alloctest.RaceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector, so which descriptor a transaction runs on is not arranged")
+	}
+	// One P and no background collection: every transaction below then
+	// runs on the same pooled descriptor, so the hook-free batch after
+	// the removal — larger than any single removal or unstitch — buries
+	// its read, undo and acquire logs (which mention the node too, as
+	// any log entry does until it is reused) and only the hook list is
+	// left to tell the two behaviours apart.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	gcPercent := debug.SetGCPercent(-1)
+	defer debug.SetGCPercent(gcPercent)
+
+	m := newLifecycleMap(Config{})
+	h := m.NewHandle()
+	defer h.Close()
+	for k := int64(0); k < 8; k++ {
+		h.Insert(k, k)
+	}
+	collected := make(chan struct{})
+	runtime.SetFinalizer(m.index.prefetch(4), func(*node[int64, int64]) { close(collected) })
+	if !h.Remove(4) {
+		t.Fatal("Remove(4) found the key absent")
+	}
+	h.FlushRemovals() // unstitches the node and zeroes the buffer slot
+	_ = h.Atomic(func(op *Txn[int64, int64]) error {
+		for k := int64(100); k < 164; k++ {
+			op.Insert(k, k)
+		}
+		return nil
+	})
+	if err := m.CheckInvariants(CheckOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	// The finalizer runs on its own goroutine some time after the
+	// collection that finds the node unreachable.
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a removed, unstitched node is still reachable with its transaction's descriptor idle")
 }

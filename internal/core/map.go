@@ -7,10 +7,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/persist"
 	"repro/internal/stm"
-	"repro/internal/thashmap"
 )
 
 // RemovalBufferDisabled is the explicit "no removal buffering" sentinel
@@ -138,7 +138,7 @@ type Map[K comparable, V any] struct {
 	rt    *stm.Runtime
 	less  func(a, b K) bool
 	cfg   Config
-	index *thashmap.PtrMap[K, node[K, V]]
+	index index[K, V]
 	head  *node[K, V]
 	tail  *node[K, V]
 	rqc   rqc[K, V]
@@ -185,6 +185,30 @@ type Map[K comparable, V any] struct {
 	// migration's delta log while this map is a resize source. Nil —
 	// one atomic load on the write path — outside migrations.
 	tap atomic.Pointer[func(del bool, k K, v V, stamp uint64)]
+}
+
+// putTap and delTap are the Map as the publish-hook targets an update
+// registers while a write tap is installed (the separate names keep the
+// hook methods out of Map's exported method set). The payload is the
+// inserted or removed node, which carries the key and value, so
+// registering the hook allocates nothing.
+type (
+	putTap[K comparable, V any] Map[K, V]
+	delTap[K comparable, V any] Map[K, V]
+)
+
+func (t *putTap[K, V]) Published(stamp uint64, arg unsafe.Pointer) {
+	if tap := t.tap.Load(); tap != nil {
+		n := (*node[K, V])(arg)
+		(*tap)(false, n.key, n.val, stamp)
+	}
+}
+
+func (t *delTap[K, V]) Published(stamp uint64, arg unsafe.Pointer) {
+	if tap := t.tap.Load(); tap != nil {
+		var zero V
+		(*tap)(true, (*node[K, V])(arg).key, zero, stamp)
+	}
 }
 
 // OpLogger observes the logical effect of committed transactions: every
@@ -254,7 +278,7 @@ func NewIn[K comparable, V any](rt *stm.Runtime, less func(a, b K) bool, hash fu
 		cfg:       cfg,
 		closeDone: make(chan struct{}),
 	}
-	m.index = thashmap.NewPtr[K, node[K, V]](rt, hash, cfg.Buckets)
+	m.index = newIndex[K, V](hash, cfg.Buckets)
 	m.head = newNode[K, V](cfg.MaxLevel)
 	m.head.sentinel = -1
 	m.tail = newNode[K, V](cfg.MaxLevel)
@@ -428,7 +452,7 @@ func (m *Map[K, V]) findPreds(tx *stm.Tx, k K, preds []*node[K, V], before func(
 // lookupTx is Figure 1's lookup: the hash map routes straight to the
 // node, so presence costs O(1).
 func (m *Map[K, V]) lookupTx(tx *stm.Tx, k K) (V, bool) {
-	n := m.index.GetPtrTx(tx, k)
+	n := m.index.getTx(tx, k)
 	if n == nil {
 		var zero V
 		return zero, false
@@ -438,7 +462,7 @@ func (m *Map[K, V]) lookupTx(tx *stm.Tx, k K) (V, bool) {
 
 // containsTx reports presence without touching the node at all.
 func (m *Map[K, V]) containsTx(tx *stm.Tx, k K) bool {
-	return m.index.GetPtrTx(tx, k) != nil
+	return m.index.getTx(tx, k) != nil
 }
 
 // lookupFast is lookupTx without the transaction: one optimistic index
@@ -456,7 +480,7 @@ func (m *Map[K, V]) containsTx(tx *stm.Tx, k K) bool {
 // acquire/write/rollback exposure as the transactional read protocol
 // (see the stm package doc).
 func (m *Map[K, V]) lookupFast(k K) (v V, present, answered bool) {
-	n, ok := m.index.GetPtrFast(k)
+	n, ok := m.index.getFast(k)
 	if !ok {
 		return v, false, false
 	}
@@ -468,7 +492,7 @@ func (m *Map[K, V]) lookupFast(k K) (v V, present, answered bool) {
 
 // containsFast is containsTx on the optimistic fast path; see lookupFast.
 func (m *Map[K, V]) containsFast(k K) (present, answered bool) {
-	n, ok := m.index.GetPtrFast(k)
+	n, ok := m.index.getFast(k)
 	if !ok {
 		return false, false
 	}
@@ -481,7 +505,7 @@ func (m *Map[K, V]) containsFast(k K) (present, answered bool) {
 // nothing; the server's drain loop uses it to overlap the next run's
 // index probes with the current run's execution.
 func (m *Map[K, V]) Prefetch(k K) {
-	if n := m.index.PrefetchPtr(k); n != nil {
+	if n := m.index.prefetch(k); n != nil {
 		_ = n.rTime.Raw()
 	}
 }
@@ -489,7 +513,7 @@ func (m *Map[K, V]) Prefetch(k K) {
 // insertTx is Figure 2's insert. h supplies the scratch predecessor
 // array; the caller owns the enclosing transaction.
 func (m *Map[K, V]) insertTx(tx *stm.Tx, h *Handle[K, V], k K, v V) bool {
-	if m.index.GetPtrTx(tx, k) != nil {
+	if m.index.getTx(tx, k) != nil {
 		return false // O(1): key already present
 	}
 	// The key may still exist in the skip list as logically deleted
@@ -507,12 +531,12 @@ func (m *Map[K, V]) insertTx(tx *stm.Tx, h *Handle[K, V], k K, v V) bool {
 		p.nextAt(l).Store(tx, &p.orec, n)
 		s.prevAt(l).Store(tx, &s.orec, n)
 	}
-	m.index.InsertPtrTx(tx, k, n)
+	m.index.insertTx(tx, n)
 	if m.logger != nil {
 		m.logger.LogPut(tx, k, v)
 	}
-	if tap := m.tap.Load(); tap != nil {
-		tx.OnPublish(func(stamp uint64) { (*tap)(false, k, v, stamp) })
+	if m.tap.Load() != nil {
+		tx.OnPublish((*putTap[K, V])(m), unsafe.Pointer(n))
 	}
 	return true
 }
@@ -521,18 +545,16 @@ func (m *Map[K, V]) insertTx(tx *stm.Tx, h *Handle[K, V], k K, v V) bool {
 // deletion by stamping rTime, and delegation of the physical unstitch to
 // the RQC (possibly via the handle's removal buffer).
 func (m *Map[K, V]) removeTx(tx *stm.Tx, h *Handle[K, V], k K) bool {
-	n := m.index.GetPtrTx(tx, k)
+	n := m.index.removeTx(tx, k)
 	if n == nil {
 		return false // O(1): key absent
 	}
-	m.index.RemoveTx(tx, k)
 	n.rTime.Store(tx, &n.orec, m.rqc.onUpdate(tx))
 	if m.logger != nil {
 		m.logger.LogDel(tx, k)
 	}
-	if tap := m.tap.Load(); tap != nil {
-		var zero V
-		tx.OnPublish(func(stamp uint64) { (*tap)(true, k, zero, stamp) })
+	if m.tap.Load() != nil {
+		tx.OnPublish((*delTap[K, V])(m), unsafe.Pointer(n))
 	}
 	m.afterRemove(tx, h, n)
 	return true
@@ -555,7 +577,7 @@ func (m *Map[K, V]) unstitchTx(tx *stm.Tx, n *node[K, V]) {
 // (m.tail if none), plus scratch-free O(1) handling when the key is
 // present in the map.
 func (m *Map[K, V]) ceilNodeTx(tx *stm.Tx, h *Handle[K, V], k K) *node[K, V] {
-	if n := m.index.GetPtrTx(tx, k); n != nil {
+	if n := m.index.getTx(tx, k); n != nil {
 		return n // O(1) when the key is present (Fig. 1 ceil)
 	}
 	c := m.findPreds(tx, k, h.preds, m.nodeBefore)
@@ -574,7 +596,7 @@ func (m *Map[K, V]) ceilTx(tx *stm.Tx, h *Handle[K, V], k K) (K, V, bool) {
 // to its node and the successor is one link away (Fig. 1 succ).
 func (m *Map[K, V]) succTx(tx *stm.Tx, h *Handle[K, V], k K) (K, V, bool) {
 	var c *node[K, V]
-	if n := m.index.GetPtrTx(tx, k); n != nil {
+	if n := m.index.getTx(tx, k); n != nil {
 		c = n.next0.Load(tx, &n.orec)
 	} else {
 		c = m.findPreds(tx, k, h.preds, m.nodeBeforeOrAt)
@@ -587,7 +609,7 @@ func (m *Map[K, V]) succTx(tx *stm.Tx, h *Handle[K, V], k K) (K, V, bool) {
 
 // floorTx returns the largest key <= k.
 func (m *Map[K, V]) floorTx(tx *stm.Tx, h *Handle[K, V], k K) (K, V, bool) {
-	if n := m.index.GetPtrTx(tx, k); n != nil {
+	if n := m.index.getTx(tx, k); n != nil {
 		return n.key, n.val, true
 	}
 	c := m.findPreds(tx, k, h.preds, m.nodeBefore)
@@ -601,7 +623,7 @@ func (m *Map[K, V]) floorTx(tx *stm.Tx, h *Handle[K, V], k K) (K, V, bool) {
 // predTx returns the largest key < k.
 func (m *Map[K, V]) predTx(tx *stm.Tx, h *Handle[K, V], k K) (K, V, bool) {
 	var c *node[K, V]
-	if n := m.index.GetPtrTx(tx, k); n != nil {
+	if n := m.index.getTx(tx, k); n != nil {
 		c = n.prev0.Load(tx, &n.orec)
 	} else {
 		first := m.findPreds(tx, k, h.preds, m.nodeBefore)

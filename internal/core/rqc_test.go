@@ -155,13 +155,7 @@ func TestSafeNodePredicate(t *testing.T) {
 		if !m.isSafe(tx, n10, ver) {
 			t.Error("logically deleted node with rTime >= ver must be safe")
 		}
-		var n20 *node[int64, int64]
-		m.index.ForEachSlow(func(k int64, n *node[int64, int64]) bool {
-			if k == 20 {
-				n20 = n
-			}
-			return true
-		})
+		n20 := m.index.getTx(tx, 20)
 		if n20 == nil {
 			t.Fatal("node 20 missing from index")
 		}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/stm"
@@ -162,7 +163,9 @@ type txBuf struct {
 }
 
 // bufFor finds or installs this store's op buffer on the transaction,
-// registering the publish/commit hooks on first use in the attempt.
+// registering the publish/commit hooks on first use in the attempt: the
+// store is the target of both and the buffer their payload, so logging a
+// transaction allocates nothing once the pool is warm.
 func (s *Store[K, V]) bufFor(tx *stm.Tx) *txBuf {
 	head, _ := tx.Local().(*txBuf)
 	for b := head; b != nil; b = b.next {
@@ -178,26 +181,36 @@ func (s *Store[K, V]) bufFor(tx *stm.Tx) *txBuf {
 	b.lsn = 0
 	b.err = nil
 	tx.SetLocal(b)
-	tx.OnPublish(func(stamp uint64) {
-		// Orecs still held: append order equals commit order for every
-		// conflicting transaction, making the WAL's file order a valid
-		// tiebreak for equal stamps.
-		b.lsn, b.err = s.w.appendRecord(stamp, b.count, b.ops)
-	})
-	tx.OnCommit(func() {
-		if s.opts.Fsync == FsyncAlways && b.err == nil {
-			// The wait's error is not returned to the operation: the
-			// transaction has already committed in memory and cannot be
-			// un-acknowledged. Every failure path is sticky engine state
-			// that Err/Sync/Close report — I/O errors via w.err, and an
-			// append rejected by a racing Close via the unlogged counter.
-			s.w.waitDurable(b.lsn)
-		}
-		b.owner = nil
-		b.next = nil
-		s.bufPool.Put(b)
-	})
+	tx.OnPublish(s, unsafe.Pointer(b))
+	tx.OnCommit(s, unsafe.Pointer(b))
 	return b
+}
+
+// Published appends the committing transaction's record to the WAL
+// (implements stm.PublishHook; arg is the attempt's *txBuf). Orecs are
+// still held: append order equals commit order for every conflicting
+// transaction, making the WAL's file order a valid tiebreak for equal
+// stamps.
+func (s *Store[K, V]) Published(stamp uint64, arg unsafe.Pointer) {
+	b := (*txBuf)(arg)
+	b.lsn, b.err = s.w.appendRecord(stamp, b.count, b.ops)
+}
+
+// Committed waits out the group commit under FsyncAlways and recycles
+// the buffer (implements stm.CommitHook; arg is the attempt's *txBuf).
+func (s *Store[K, V]) Committed(arg unsafe.Pointer) {
+	b := (*txBuf)(arg)
+	if s.opts.Fsync == FsyncAlways && b.err == nil {
+		// The wait's error is not returned to the operation: the
+		// transaction has already committed in memory and cannot be
+		// un-acknowledged. Every failure path is sticky engine state
+		// that Err/Sync/Close report — I/O errors via w.err, and an
+		// append rejected by a racing Close via the unlogged counter.
+		s.w.waitDurable(b.lsn)
+	}
+	b.owner = nil
+	b.next = nil
+	s.bufPool.Put(b)
 }
 
 // LogPut records that the transaction set k to v (implements the core

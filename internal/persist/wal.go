@@ -112,9 +112,14 @@ type wal struct {
 
 	// mu guards the append buffer, LSN bookkeeping, segment metadata
 	// and lifecycle flags. Hold it briefly; never do file I/O under it.
-	mu          sync.Mutex
-	durable     *sync.Cond // signals syncedLSN/err/lifecycle changes
-	buf         []byte
+	mu      sync.Mutex
+	durable *sync.Cond // signals syncedLSN/err/lifecycle changes
+	buf     []byte
+	// spare is the emptied array of the last chunk written out; flush
+	// swaps it in as the next append buffer, so appends between flushes
+	// land in an array already sized by earlier traffic instead of
+	// re-growing one from nil after every flush.
+	spare       []byte
 	bufMaxStamp uint64
 	appendLSN   int64 // bytes ever appended (logical)
 	flushedLSN  int64 // bytes written to the OS
@@ -330,7 +335,7 @@ func (w *wal) flush(sync bool) {
 	maxStamp := w.bufMaxStamp
 	batchRecords := w.bufRecords
 	hFsync, hBatch := w.instrFsync, w.instrBatch
-	w.buf = nil
+	w.buf, w.spare = w.spare, nil
 	w.bufMaxStamp = 0
 	w.bufRecords = 0
 	alreadySynced := w.syncedLSN
@@ -372,9 +377,9 @@ func (w *wal) flush(sync bool) {
 	if len(chunk) > 0 {
 		w.flushedLSN = target
 		w.stats.flushes++
-		if len(w.buf) == 0 && !w.closing {
-			w.buf = chunk[:0] // recycle the backing array
-		}
+	}
+	if !w.closing {
+		w.spare = chunk[:0] // written out (or empty): the next flush's swap-in
 	}
 	if sync {
 		w.syncedLSN = w.flushedLSN

@@ -53,6 +53,28 @@
 // from the closure rolls the transaction back and is returned to the
 // caller without retrying.
 //
+// # Commit and publish hooks
+//
+// Side effects that must follow a transaction's fate are registered on
+// its descriptor with Tx.OnPublish and Tx.OnCommit. A registration is a
+// {target, payload} pair, not a closure: the target is a long-lived
+// object implementing PublishHook or CommitHook (the skip hash's handle,
+// a durability store), the payload an unsafe.Pointer the target knows how
+// to read (the removed node, the transaction's op buffer). The pair is
+// appended to the descriptor's list as a plain struct — the same
+// treatment the undo log gets — so registering a hook allocates nothing.
+//
+// Publish hooks run inside a successful writing commit, after validation
+// and with the commit stamp, while every acquired orec is still held:
+// hooks of conflicting transactions therefore run in commit order, which
+// is what the write-ahead log and the write tap order themselves by.
+// Commit hooks run after the orecs are released. Both are discarded when
+// the attempt aborts or the body returns an error, and neither carries
+// across attempts — a retried body registers again. Read-only commits
+// draw no stamp and run no publish hooks. Once the hooks have run (or
+// the attempt has rolled back) the descriptor zeroes the entries, so a
+// descriptor idling in the pool keeps no target or payload reachable.
+//
 // # Optimistic non-transactional reads
 //
 // A point read guarded by a single orec can bypass transactions and the

@@ -24,12 +24,12 @@ func TestOnPublishSemantics(t *testing.T) {
 		tx.SetLocal("x")
 		locals = append(locals, tx.Local())
 		f.Store(tx, &o, 1)
-		tx.OnPublish(func(stamp uint64) { stamps = append(stamps, stamp) })
-		tx.OnCommit(func() {
+		tx.OnPublish(publishFunc(func(stamp uint64) { stamps = append(stamps, stamp) }), nil)
+		tx.OnCommit(commitFunc(func() {
 			if got := tx.CommitStamp(); got != stamps[len(stamps)-1] {
 				t.Errorf("CommitStamp %d != published stamp %d", got, stamps[len(stamps)-1])
 			}
-		})
+		}), nil)
 		return nil
 	})
 	if err != nil {
@@ -47,7 +47,7 @@ func TestOnPublishSemantics(t *testing.T) {
 	sentinel := errors.New("boom")
 	if err := rt.Atomic(func(tx *Tx) error {
 		f.Store(tx, &o, 2)
-		tx.OnPublish(func(uint64) { published = true })
+		tx.OnPublish(publishFunc(func(uint64) { published = true }), nil)
 		return sentinel
 	}); !errors.Is(err, sentinel) {
 		t.Fatalf("user error lost: %v", err)
@@ -59,7 +59,7 @@ func TestOnPublishSemantics(t *testing.T) {
 	// A read-only commit draws no stamp and publishes nothing.
 	_ = rt.Atomic(func(tx *Tx) error {
 		_ = f.Load(tx, &o)
-		tx.OnPublish(func(uint64) { published = true })
+		tx.OnPublish(publishFunc(func(uint64) { published = true }), nil)
 		return nil
 	})
 	if published {
@@ -79,11 +79,11 @@ func TestOnPublishSemantics(t *testing.T) {
 			for j := 0; j < 200; j++ {
 				_ = rt.Atomic(func(tx *Tx) error {
 					f.Store(tx, &o, f.Load(tx, &o)+1)
-					tx.OnPublish(func(stamp uint64) {
+					tx.OnPublish(publishFunc(func(stamp uint64) {
 						mu.Lock()
 						order = append(order, stamp)
 						mu.Unlock()
-					})
+					}), nil)
 					return nil
 				})
 			}

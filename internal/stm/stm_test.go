@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 type cell struct {
@@ -134,6 +135,17 @@ func TestTryOnceAbortsOnConflict(t *testing.T) {
 	}
 }
 
+// commitFunc and publishFunc let tests register a closure as a hook
+// target (the payload is unused); product code registers long-lived
+// objects so that a registration allocates nothing.
+type commitFunc func()
+
+func (f commitFunc) Committed(unsafe.Pointer) { f() }
+
+type publishFunc func(stamp uint64)
+
+func (f publishFunc) Published(stamp uint64, _ unsafe.Pointer) { f(stamp) }
+
 func TestOnCommitHooks(t *testing.T) {
 	rt := New()
 	var c cell
@@ -142,7 +154,7 @@ func TestOnCommitHooks(t *testing.T) {
 		fired := 0
 		if err := rt.Atomic(func(tx *Tx) error {
 			c.v.Store(tx, &c.orec, 1)
-			tx.OnCommit(func() { fired++ })
+			tx.OnCommit(commitFunc(func() { fired++ }), nil)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -155,7 +167,7 @@ func TestOnCommitHooks(t *testing.T) {
 	t.Run("dropped on user error", func(t *testing.T) {
 		fired := 0
 		_ = rt.Atomic(func(tx *Tx) error {
-			tx.OnCommit(func() { fired++ })
+			tx.OnCommit(commitFunc(func() { fired++ }), nil)
 			return errors.New("no")
 		})
 		if fired != 0 {
@@ -169,10 +181,10 @@ func TestOnCommitHooks(t *testing.T) {
 		if err := rt.Atomic(func(tx *Tx) error {
 			tries++
 			if tries == 1 {
-				tx.OnCommit(func() { fired++ })
+				tx.OnCommit(commitFunc(func() { fired++ }), nil)
 				tx.conflict(reasonAcquire) // force a retry after registering
 			}
-			tx.OnCommit(func() { fired++ })
+			tx.OnCommit(commitFunc(func() { fired++ }), nil)
 			return nil
 		}); err != nil {
 			t.Fatal(err)

@@ -24,8 +24,8 @@ type Tx struct {
 	reads    []readEntry
 	undo     []undoEntry
 	acquired []acqEntry
-	hooks    []func()
-	publish  []func(stamp uint64)
+	hooks    []commitEntry
+	publish  []publishEntry
 
 	// end is the commit timestamp of the most recent successful writing
 	// commit (zero for read-only commits, which never draw one).
@@ -79,6 +79,33 @@ type undoEntry struct {
 	b    *atomic.Bool    // Bool fields
 	oldP unsafe.Pointer
 	oldU uint64 // word image; Bool stores 0/1 here
+}
+
+// CommitHook is the target of an OnCommit registration: a long-lived
+// object (a map handle, a durability store) whose Committed method does
+// the post-commit work for the pointer-shaped payload registered with it.
+type CommitHook interface {
+	Committed(arg unsafe.Pointer)
+}
+
+// PublishHook is the target of an OnPublish registration; Published
+// receives the commit stamp and the payload registered with it.
+type PublishHook interface {
+	Published(stamp uint64, arg unsafe.Pointer)
+}
+
+// commitEntry and publishEntry are one hook registration each: a target
+// and its payload, appended as a plain struct like undoEntry, so
+// registering a hook allocates nothing where a captured closure cost one
+// heap object per registration.
+type commitEntry struct {
+	target CommitHook
+	arg    unsafe.Pointer
+}
+
+type publishEntry struct {
+	target PublishHook
+	arg    unsafe.Pointer
 }
 
 // txStats counts events for one descriptor. Counters are atomics so the
@@ -266,29 +293,34 @@ func (tx *Tx) logUndoBool(slot *atomic.Bool, old bool) {
 	tx.undo = append(tx.undo, undoEntry{b: slot, oldU: u})
 }
 
-// OnCommit registers fn to run after this transaction commits. Hooks are
+// OnCommit registers h.Committed(arg) to run after this transaction
+// commits, once every acquired orec has been released. Hooks are
 // discarded if the transaction aborts or returns an error, making them
 // the right place for side effects that must happen at most once, such as
-// the skip hash's per-handle removal-buffer pushes.
-func (tx *Tx) OnCommit(fn func()) {
-	tx.hooks = append(tx.hooks, fn)
+// the skip hash's per-handle removal-buffer pushes. arg is an opaque
+// pointer payload handed back to h (nil when h needs none); the
+// descriptor drops its reference as soon as the hook has run or the
+// attempt has rolled back.
+func (tx *Tx) OnCommit(h CommitHook, arg unsafe.Pointer) {
+	tx.hooks = append(tx.hooks, commitEntry{target: h, arg: arg})
 }
 
-// OnPublish registers fn to run inside a successful commit of a writing
-// transaction: after read-set validation has succeeded and the commit
-// timestamp has been drawn, but before any acquired orec is released.
-// This is the serialization observation point durability needs — while
-// fn runs, every conflicting transaction is still excluded, so the order
-// in which OnPublish hooks of conflicting transactions execute is
-// exactly their commit order, and fn receives the commit stamp that
-// orders them. fn must be fast (it extends every conflicting writer's
-// wait) and must not panic or start new transactions on this runtime.
+// OnPublish registers h.Published(stamp, arg) to run inside a successful
+// commit of a writing transaction: after read-set validation has
+// succeeded and the commit timestamp has been drawn, but before any
+// acquired orec is released. This is the serialization observation point
+// durability needs — while the hook runs, every conflicting transaction
+// is still excluded, so the order in which OnPublish hooks of conflicting
+// transactions execute is exactly their commit order, and the hook
+// receives the commit stamp that orders them. The hook must be fast (it
+// extends every conflicting writer's wait) and must not panic or start
+// new transactions on this runtime.
 //
 // Hooks are discarded on abort or user error, and read-only commits
 // never run them (no stamp is drawn). Registrations do not carry across
 // attempts: a retried closure re-registers.
-func (tx *Tx) OnPublish(fn func(stamp uint64)) {
-	tx.publish = append(tx.publish, fn)
+func (tx *Tx) OnPublish(h PublishHook, arg unsafe.Pointer) {
+	tx.publish = append(tx.publish, publishEntry{target: h, arg: arg})
 }
 
 // CommitStamp returns the commit timestamp of the transaction's
@@ -374,8 +406,8 @@ func (tx *Tx) commit() bool {
 	// Commit is now decided: run the publish observers while the
 	// acquired orecs are still held, so observers of conflicting
 	// transactions fire in commit order (see OnPublish).
-	for _, f := range tx.publish {
-		f(end)
+	for i := range tx.publish {
+		tx.publish[i].target.Published(end, tx.publish[i].arg)
 	}
 	// Publish: release every acquired orec at the commit timestamp.
 	release := versionWord(end)
@@ -406,6 +438,7 @@ func (tx *Tx) rollback() {
 	}
 	tx.undo = tx.undo[:0]
 	tx.acquired = tx.acquired[:0]
+	tx.dropHooks()
 	tx.active = false
 	tx.stats.aborts.Add(1)
 	switch tx.abortReason {
@@ -422,10 +455,22 @@ func (tx *Tx) rollback() {
 // runHooks fires the on-commit hooks registered during a successful
 // transaction.
 func (tx *Tx) runHooks() {
-	for _, h := range tx.hooks {
-		h()
+	for i := range tx.hooks {
+		tx.hooks[i].target.Committed(tx.hooks[i].arg)
 	}
+	tx.dropHooks()
+}
+
+// dropHooks empties both registration lists and zeroes the entries they
+// held: the descriptor goes back to the pool (and stays on the runtime's
+// registry) after the transaction, and a merely truncated list would keep
+// the last targets and payloads — removed nodes, durability buffers —
+// reachable until some later transaction happened to overwrite the slots.
+func (tx *Tx) dropHooks() {
+	clear(tx.hooks)
 	tx.hooks = tx.hooks[:0]
+	clear(tx.publish)
+	tx.publish = tx.publish[:0]
 }
 
 // backoff applies randomized bounded exponential backoff between

@@ -1,7 +1,8 @@
-// Package thashmap implements the transactional closed-addressing hash
-// map the skip hash composes with its skip list (Figure 1's hashmap
-// component). It also serves, standalone, as the paper's "Hash Map (STM)"
-// baseline for workloads without range queries.
+// Package thashmap implements a transactional closed-addressing hash
+// map: the paper's "Hash Map (STM)" baseline for workloads without range
+// queries, and the benchmark ladder's hash rung. The skip hash's own
+// index (Figure 1's hashmap component) has the same shape but threads its
+// chains through the skip list nodes; it lives in internal/core.
 //
 // The table is a fixed array of buckets, each a singly linked chain of
 // immutable-key entries guarded by one ownership record per bucket. All

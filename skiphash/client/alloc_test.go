@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/server"
 	"repro/internal/wire"
 	"repro/skiphash"
@@ -65,7 +66,7 @@ func bkey(k int64) []byte { return binary.BigEndian.AppendUint64(nil, uint64(k))
 // alone. What a write costs the server is the server's budget
 // (TestDrainCycleAllocBudget).
 func TestDoAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if alloctest.RaceEnabled {
 		t.Skip("race-detector instrumentation allocates; count is meaningless")
 	}
 	served, _ := serveUnix(t)
@@ -98,7 +99,7 @@ func TestDoAllocBudget(t *testing.T) {
 }
 
 func TestBurstAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if alloctest.RaceEnabled {
 		t.Skip("race-detector instrumentation allocates; count is meaningless")
 	}
 	const window = 32
