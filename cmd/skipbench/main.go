@@ -1,16 +1,15 @@
-// Command skipbench regenerates the paper's evaluation: each subcommand
-// reproduces one figure or table of §5 on the host machine, printing a
-// text table (and optionally CSV) whose series match the paper's legends.
+// Command skipbench regenerates the paper's evaluation and the
+// experiments the benchmark of record (go run ./benchmark) does not yet
+// measure: each subcommand prints a text table (and optionally CSV)
+// whose series match the paper's legends.
 //
 // Usage:
 //
 //	skipbench fig5 -mix a..f   # Figure 5: throughput vs thread count
 //	skipbench fig6             # Figure 6: split roles vs range length
 //	skipbench table1           # Table 1: fast-path aborts per query
-//	skipbench shards           # shard-count sweep of the sharded variant
 //	skipbench churn            # handle-churn windows: range throughput over time
 //	skipbench persist          # durability overhead: WAL off vs fsync policies
-//	skipbench net              # serving layer: closed-loop vs pipelined clients
 //	skipbench read             # read fast path: optimistic Get vs transactional Get
 //	skipbench repl             # replication: primary reads vs barriered replica fan-out
 //	skipbench reshard          # online resharding: throughput while the shard count migrates live
@@ -23,10 +22,6 @@
 //	-universe n   key universe size (default 1000000)
 //	-threads list comma-separated thread counts (default: host-scaled sweep)
 //	-csv file     append machine-readable rows to file
-//	-json file    write per-workload throughput/abort-rate rows as JSON
-//	-metrics-out file
-//	              dump the run's obs metrics registry as JSON, rewritten
-//	              after each experiment series completes
 //	-quick        smoke-test mode (200ms trials, 2^16 universe)
 //	-windows n    measurement windows for the churn experiment (default 6)
 //	-dir path     base directory for the persist experiment's WAL dirs
@@ -37,21 +32,46 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/obs"
 )
+
+// params are the per-experiment flags that are not bench.Options.
+type params struct {
+	mix     string
+	windows int
+	dir     string
+}
+
+type experiment struct {
+	name string
+	run  func(w io.Writer, p params, opts bench.Options) error
+}
+
+// experiments is every subcommand, in the order usage lists them and
+// "all" runs them.
+var experiments = []experiment{
+	{"fig5", func(w io.Writer, p params, opts bench.Options) error { return bench.Fig5(w, p.mix, opts) }},
+	{"fig6", func(w io.Writer, _ params, opts bench.Options) error { return bench.Fig6(w, opts) }},
+	{"table1", func(w io.Writer, _ params, opts bench.Options) error { return bench.Table1(w, opts) }},
+	{"churn", func(w io.Writer, p params, opts bench.Options) error { return bench.Churn(w, p.windows, opts) }},
+	{"persist", func(w io.Writer, p params, opts bench.Options) error { return bench.Persist(w, p.dir, opts) }},
+	{"read", func(w io.Writer, _ params, opts bench.Options) error { return bench.ReadBench(w, opts) }},
+	{"repl", func(w io.Writer, _ params, opts bench.Options) error { return bench.Repl(w, opts) }},
+	{"reshard", func(w io.Writer, _ params, opts bench.Options) error { return bench.Reshard(w, opts) }},
+}
 
 func main() {
 	if len(os.Args) < 2 {
-		usage()
+		fmt.Fprintln(os.Stderr, usage())
 		os.Exit(2)
 	}
 	cmd := os.Args[1]
@@ -63,11 +83,9 @@ func main() {
 		universe = fs.Int64("universe", 1_000_000, "key universe size")
 		threads  = fs.String("threads", "", "comma-separated thread counts")
 		csvPath  = fs.String("csv", "", "append CSV rows to this file")
-		jsonPath = fs.String("json", "", "write JSON rows to this file")
 		quick    = fs.Bool("quick", false, "smoke-test mode")
 		seed     = fs.Uint64("seed", 0, "base seed for prefill and worker RNG streams")
 		windows  = fs.Int("windows", 6, "measurement windows for the churn experiment")
-		metOut   = fs.String("metrics-out", "", "dump the run's metrics registry as JSON to this file (rewritten after each series)")
 		dir      = fs.String("dir", "", "base directory for the persist experiment's WAL dirs")
 	)
 	if err := fs.Parse(os.Args[2:]); err != nil {
@@ -104,112 +122,23 @@ func main() {
 		defer f.Close()
 		opts.CSV = f
 	}
-	if *jsonPath != "" {
-		opts.Report = &bench.Report{}
-	}
-	// flushMetrics rewrites the metrics dump; called after every series
-	// so a long "all" run leaves usable output behind even when a later
-	// experiment fails.
-	flushMetrics := func() {}
-	if *metOut != "" {
-		opts.Metrics = obs.NewRegistry()
-		flushMetrics = func() {
-			if werr := writeMetrics(opts.Metrics, *metOut); werr != nil {
-				fmt.Fprintln(os.Stderr, "skipbench: metrics dump:", werr)
-			}
-		}
-	}
+	p := params{mix: *mix, windows: *windows, dir: *dir}
 
 	var err error
 	switch cmd {
-	case "fig5":
-		err = bench.Fig5(os.Stdout, *mix, opts)
-	case "fig6":
-		err = bench.Fig6(os.Stdout, opts)
-	case "table1":
-		err = bench.Table1(os.Stdout, opts)
-	case "shards":
-		err = bench.Shards(os.Stdout, opts)
-	case "churn":
-		err = bench.Churn(os.Stdout, *windows, opts)
-	case "persist":
-		err = bench.Persist(os.Stdout, *dir, opts)
-	case "net":
-		err = bench.Net(os.Stdout, opts)
-	case "read":
-		err = bench.ReadBench(os.Stdout, opts)
-	case "repl":
-		err = bench.Repl(os.Stdout, opts)
-	case "reshard":
-		err = bench.Reshard(os.Stdout, opts)
 	case "all":
-		for _, letter := range []string{"a", "b", "c", "d", "e", "f"} {
-			if err = bench.Fig5(os.Stdout, letter, opts); err != nil {
-				break
-			}
-			flushMetrics()
-			fmt.Println()
-		}
-		if err == nil {
-			err = bench.Fig6(os.Stdout, opts)
-			flushMetrics()
-			fmt.Println()
-		}
-		if err == nil {
-			err = bench.Table1(os.Stdout, opts)
-			flushMetrics()
-			fmt.Println()
-		}
-		if err == nil {
-			err = bench.Shards(os.Stdout, opts)
-			flushMetrics()
-			fmt.Println()
-		}
-		if err == nil {
-			err = bench.Churn(os.Stdout, *windows, opts)
-			flushMetrics()
-			fmt.Println()
-		}
-		if err == nil {
-			err = bench.Persist(os.Stdout, *dir, opts)
-			flushMetrics()
-			fmt.Println()
-		}
-		if err == nil {
-			err = bench.Net(os.Stdout, opts)
-			flushMetrics()
-			fmt.Println()
-		}
-		if err == nil {
-			err = bench.ReadBench(os.Stdout, opts)
-			flushMetrics()
-			fmt.Println()
-		}
-		if err == nil {
-			err = bench.Repl(os.Stdout, opts)
-			flushMetrics()
-			fmt.Println()
-		}
-		if err == nil {
-			err = bench.Reshard(os.Stdout, opts)
-			flushMetrics()
-		}
+		err = runAll(os.Stdout, p, opts)
 	case "-h", "--help", "help":
-		usage()
+		fmt.Fprintln(os.Stderr, usage())
 		return
 	default:
-		fmt.Fprintf(os.Stderr, "skipbench: unknown command %q\n", cmd)
-		usage()
-		os.Exit(2)
-	}
-	flushMetrics()
-	if opts.Report != nil {
-		// Best-effort even when an experiment failed: rows collected
-		// before the failure are still worth keeping (the CSV path
-		// likewise streams everything up to the error).
-		if werr := writeReport(opts.Report, *jsonPath); werr != nil && err == nil {
-			err = werr
+		i := slices.IndexFunc(experiments, func(e experiment) bool { return e.name == cmd })
+		if i < 0 {
+			fmt.Fprintf(os.Stderr, "skipbench: unknown command %q\n", cmd)
+			fmt.Fprintln(os.Stderr, usage())
+			os.Exit(2)
 		}
+		err = experiments[i].run(os.Stdout, p, opts)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "skipbench:", err)
@@ -217,33 +146,23 @@ func main() {
 	}
 }
 
-// writeMetrics dumps the registry's flattened samples as indented JSON.
-func writeMetrics(reg *obs.Registry, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// runAll runs every experiment in order, Figure 5 once per workload
+// letter, stopping at the first error.
+func runAll(w io.Writer, p params, opts bench.Options) error {
+	for _, e := range experiments {
+		mixes := []string{p.mix}
+		if e.name == "fig5" {
+			mixes = []string{"a", "b", "c", "d", "e", "f"}
+		}
+		for _, mix := range mixes {
+			p.mix = mix
+			if err := e.run(w, p, opts); err != nil {
+				return err
+			}
+			fmt.Fprintln(w)
+		}
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	err = enc.Encode(struct {
-		Samples []obs.Sample `json:"samples"`
-	}{Samples: reg.Samples()})
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-func writeReport(r *bench.Report, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = r.WriteJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return nil
 }
 
 func parseThreads(s string) ([]int, error) {
@@ -259,9 +178,14 @@ func parseThreads(s string) ([]int, error) {
 	return out, nil
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: skipbench <fig5|fig6|table1|shards|churn|persist|net|read|repl|reshard|all> [flags]
+func usage() string {
+	names := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	names = append(names, "all")
+	return "usage: skipbench <" + strings.Join(names, "|") + `> [flags]
 
 Reproduces the evaluation of "Skip Hash: A Fast Ordered Map Via Software
-Transactional Memory". Run "skipbench <cmd> -h" for flags.`)
+Transactional Memory". Run "skipbench <cmd> -h" for flags.`
 }

@@ -5,7 +5,17 @@
 // links carry bundles — timestamped histories of the link's past values.
 // A range query draws a snapshot timestamp and dereferences each bundle
 // at that timestamp, so it traverses the list exactly as it was when the
-// query linearized, without blocking or restarting against updaters.
+// query linearized, without restarting against updaters.
+//
+// An update changes what point operations see (the mark, the level-0
+// pointer) and what snapshots see (the bundle entry) in separate stores,
+// so it brackets them the way the paper's prepare/finalize steps do: the
+// entry goes in pending, then the stamp is drawn, then the structure
+// changes, then the entry receives the stamp. A range query that meets a
+// pending entry waits for the stamp. Point operations that observed the
+// update therefore precede only snapshots that include it, and a
+// snapshot that includes it is only ever handed out once point
+// operations observe it too.
 //
 // As with the vCAS baseline, the timestamp source selects between the
 // original shared-counter clock and the rdtscp-style variant.
@@ -25,13 +35,35 @@ import (
 // DefaultMaxLevel matches the evaluation configuration (§5.1).
 const DefaultMaxLevel = 20
 
+// pendingTs is the stamp of a bundle entry whose update is still between
+// its prepare and finalize steps.
+const pendingTs = ^uint64(0)
+
 // bundleEntry is one element of a node's level-0 link history, newest
-// first. ts and ptr are immutable; next is atomic so lock-free readers
-// can race with pruning.
+// first. ptr is immutable and ts is written once, from pendingTs to the
+// update's stamp; next is atomic so lock-free readers can race with
+// pruning.
 type bundleEntry struct {
-	ts   uint64
+	ts   atomic.Uint64
 	ptr  *node
 	next atomic.Pointer[bundleEntry]
+}
+
+func newEntry(ts uint64, ptr *node) *bundleEntry {
+	e := &bundleEntry{ptr: ptr}
+	e.ts.Store(ts)
+	return e
+}
+
+// stamp returns e's timestamp, waiting out a pending update: it holds
+// its locks only for a handful of stores.
+func (e *bundleEntry) stamp() uint64 {
+	for {
+		if ts := e.ts.Load(); ts != pendingTs {
+			return ts
+		}
+		runtime.Gosched()
+	}
 }
 
 type node struct {
@@ -95,8 +127,7 @@ func New(cfg Config) *Map {
 	for l := 0; l < cfg.MaxLevel; l++ {
 		m.head.next[l].Store(m.tail)
 	}
-	e := &bundleEntry{ts: 1, ptr: m.tail}
-	m.head.bundle.Store(e)
+	m.head.bundle.Store(newEntry(1, m.tail))
 	return m
 }
 
@@ -135,17 +166,25 @@ func (m *Map) find(k int64, preds, succs []*node) int {
 	return lFound
 }
 
-// prependBundle records that n's level-0 link changed to ptr at stamp
-// ts. Caller holds n's lock; readers are lock-free. Pruning keeps the
-// newest entry at or below the oldest active snapshot as the boundary.
-func (m *Map) prependBundle(n *node, ts uint64, ptr *node) {
-	e := &bundleEntry{ts: ts, ptr: ptr}
+// prepareBundle records, as a pending entry, that n's level-0 link is
+// changing to ptr. Caller holds n's lock until it has finalized the
+// entry; readers are lock-free.
+func (m *Map) prepareBundle(n *node, ptr *node) *bundleEntry {
+	e := newEntry(pendingTs, ptr)
 	e.next.Store(m.bundle(n))
 	n.bundle.Store(e)
+	return e
+}
+
+// finalizeBundle stamps a prepared entry, releasing the snapshots
+// waiting on it. Pruning keeps the newest entry at or below the oldest
+// active snapshot as the boundary.
+func (m *Map) finalizeBundle(e *bundleEntry, ts uint64) {
+	e.ts.Store(ts)
 	if m.gcOn && rand.Uint64()&m.gcMask == 0 {
 		min := m.tracker.Min()
 		for cur := e; cur != nil; cur = cur.next.Load() {
-			if cur.ts <= min {
+			if cur.ts.Load() <= min {
 				cur.next.Store(nil)
 				break
 			}
@@ -158,7 +197,7 @@ func (m *Map) bundle(n *node) *bundleEntry { return n.bundle.Load() }
 // bundleAt returns n's level-0 successor as of snapshot ts.
 func (m *Map) bundleAt(n *node, ts uint64) *node {
 	for e := m.bundle(n); e != nil; e = e.next.Load() {
-		if e.ts <= ts {
+		if e.stamp() <= ts {
 			return e.ptr
 		}
 	}
@@ -198,21 +237,22 @@ func (m *Map) Insert(k, v int64) bool {
 			unlockPreds(preds, highestLocked)
 			continue
 		}
-		ts := m.src.Stamp()
-		n := &node{key: k, val: v, topLevel: topLevel, iTs: ts,
+		n := &node{key: k, val: v, topLevel: topLevel,
 			next: make([]atomic.Pointer[node], topLevel)}
 		for l := 0; l < topLevel; l++ {
 			n.next[l].Store(succs[l])
 		}
-		ne := &bundleEntry{ts: ts, ptr: succs[0]}
-		n.bundle.Store(ne)
-		// Publish to snapshots first (bundle), then to the current
-		// structure (pointers), all under the pred locks.
-		m.prependBundle(preds[0], ts, n)
+		// Prepare, stamp, publish to the current structure (pointers),
+		// finalize — all under the pred locks.
+		e := m.prepareBundle(preds[0], n)
+		ts := m.src.Stamp()
+		n.iTs = ts
+		n.bundle.Store(newEntry(ts, succs[0]))
 		for l := 0; l < topLevel; l++ {
 			preds[l].next[l].Store(n)
 		}
 		n.fullyLinked.Store(true)
+		m.finalizeBundle(e, ts)
 		unlockPreds(preds, highestLocked)
 		return true
 	}
@@ -222,29 +262,20 @@ func (m *Map) Insert(k, v int64) bool {
 func (m *Map) Remove(k int64) bool {
 	preds := make([]*node, m.maxLevel)
 	succs := make([]*node, m.maxLevel)
-	var victim *node
-	isMarked := false
-	topLevel := -1
 	for {
 		lFound := m.find(k, preds, succs)
-		if lFound != -1 {
-			victim = succs[lFound]
+		if lFound == -1 {
+			return false
 		}
-		if !isMarked {
-			if lFound == -1 {
-				return false
-			}
-			if !victim.fullyLinked.Load() || victim.topLevel != lFound+1 || victim.marked.Load() {
-				return false
-			}
-			topLevel = victim.topLevel
-			victim.mu.Lock()
-			if victim.marked.Load() {
-				victim.mu.Unlock()
-				return false
-			}
-			victim.marked.Store(true)
-			isMarked = true
+		victim := succs[lFound]
+		if !victim.fullyLinked.Load() || victim.topLevel != lFound+1 || victim.marked.Load() {
+			return false
+		}
+		topLevel := victim.topLevel
+		victim.mu.Lock()
+		if victim.marked.Load() {
+			victim.mu.Unlock()
+			return false
 		}
 		highestLocked := -1
 		valid := true
@@ -260,13 +291,19 @@ func (m *Map) Remove(k int64) bool {
 		}
 		if !valid {
 			unlockPreds(preds, highestLocked)
+			victim.mu.Unlock()
 			continue
 		}
+		// The mark falls between prepare and finalize: set any earlier,
+		// point operations would report the key gone while a snapshot
+		// drawn after them could still hold it.
+		e := m.prepareBundle(preds[0], victim.next[0].Load())
 		ts := m.src.Stamp()
-		m.prependBundle(preds[0], ts, victim.next[0].Load())
+		victim.marked.Store(true)
 		for l := topLevel - 1; l >= 0; l-- {
 			preds[l].next[l].Store(victim.next[l].Load())
 		}
+		m.finalizeBundle(e, ts)
 		victim.mu.Unlock()
 		unlockPreds(preds, highestLocked)
 		return true

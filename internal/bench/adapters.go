@@ -43,14 +43,8 @@ type Worker interface {
 	Range(l, r int64) int
 }
 
-// RangePathStats is implemented by subjects that can report fast/slow
-// path counters (the skip hash variants); Table 1 needs it.
-type RangePathStats interface {
-	RangeStats() skiphash.RangeStats
-}
-
 // STMStatsSource is implemented by subjects that can report STM
-// commit/abort counters; the JSON report derives abort rates from it.
+// counters; the read experiment derives its fast-path hit rate from it.
 type STMStatsSource interface {
 	STMStats() stm.Stats
 }
@@ -100,7 +94,7 @@ func (s *SkipHash) Name() string { return s.name }
 // SupportsRange implements Map.
 func (s *SkipHash) SupportsRange() bool { return true }
 
-// RangeStats implements RangePathStats.
+// RangeStats reports the fast/slow range-path counters; Table 1 needs it.
 func (s *SkipHash) RangeStats() skiphash.RangeStats { return s.m.RangeStats() }
 
 // STMStats implements STMStatsSource.
@@ -137,34 +131,20 @@ type ShardedSkipHash struct {
 	name string
 }
 
-// NewShardedSkipHash builds the sharded series. shards of 0 derives the
-// partition count from GOMAXPROCS; buckets of 0 selects the paper's
-// total table size, split across shards. isolated selects per-shard STM
-// runtimes instead of the default shared one.
-func NewShardedSkipHash(shards, buckets int, isolated bool) *ShardedSkipHash {
-	if buckets == 0 {
-		buckets = thashmap.DefaultBuckets
-	}
-	cfg := skiphash.Config{Buckets: buckets, Shards: shards, IsolatedShards: isolated}
+// NewShardedSkipHash builds the sharded series: the partition count is
+// derived from GOMAXPROCS, the paper's total table size is split across
+// the shards, and the shards share one STM runtime.
+func NewShardedSkipHash() *ShardedSkipHash {
+	cfg := skiphash.Config{Buckets: thashmap.DefaultBuckets}
 	m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg)
-	name := fmt.Sprintf("skiphash-sharded-%d", m.NumShards())
-	if isolated {
-		name += "-iso"
-	}
-	return &ShardedSkipHash{m: m, name: name}
+	return &ShardedSkipHash{m: m, name: fmt.Sprintf("skiphash-sharded-%d", m.NumShards())}
 }
 
 // Name implements Map.
 func (s *ShardedSkipHash) Name() string { return s.name }
 
-// NumShards reports the resolved partition count, for report rows.
-func (s *ShardedSkipHash) NumShards() int { return s.m.NumShards() }
-
 // SupportsRange implements Map.
 func (s *ShardedSkipHash) SupportsRange() bool { return true }
-
-// RangeStats implements RangePathStats.
-func (s *ShardedSkipHash) RangeStats() skiphash.RangeStats { return s.m.RangeStats() }
 
 // STMStats implements STMStatsSource.
 func (s *ShardedSkipHash) STMStats() stm.Stats { return s.m.STMStats() }

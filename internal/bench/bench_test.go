@@ -2,11 +2,10 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/obs"
 )
 
 func tinyOptions() Options {
@@ -133,44 +132,34 @@ func TestWorkloadDefaults(t *testing.T) {
 	}
 }
 
-// TestMetricsRegistryMatchesRows cross-checks the two reporting paths:
-// the obs registry a run banks into must agree exactly with the sums
-// over the JSON rows, since both are filled from the same deltas.
-func TestMetricsRegistryMatchesRows(t *testing.T) {
-	var out bytes.Buffer
-	opts := tinyOptions()
-	opts.Report = &Report{}
-	opts.Metrics = obs.NewRegistry()
-	if err := Fig5(&out, "d", opts); err != nil {
-		t.Fatal(err)
+// TestDriversSmoke runs every experiment skipbench still offers at a
+// few milliseconds per data point: a driver that errors or prints no
+// rows fails here, not in a CI step's go run.
+func TestDriversSmoke(t *testing.T) {
+	drivers := []struct {
+		name string
+		run  func(w io.Writer, opts Options) error
+	}{
+		{"fig5", func(w io.Writer, opts Options) error { return Fig5(w, "d", opts) }},
+		{"fig6", Fig6},
+		{"table1", Table1},
+		{"churn", func(w io.Writer, opts Options) error { return Churn(w, 2, opts) }},
+		{"persist", func(w io.Writer, opts Options) error { return Persist(w, t.TempDir(), opts) }},
+		{"read", ReadBench},
+		{"repl", Repl},
+		{"reshard", Reshard},
 	}
-	rows := opts.Report.Rows()
-	if len(rows) == 0 {
-		t.Fatal("no rows reported")
-	}
-	var commits, aborts, fastHits uint64
-	for _, r := range rows {
-		commits += r.Commits
-		aborts += r.Aborts
-		fastHits += r.FastReadHits
-	}
-	got := map[string]float64{}
-	for _, s := range opts.Metrics.Samples() {
-		got[s.Name] = s.Value
-	}
-	if got["skipbench_rows_total"] != float64(len(rows)) {
-		t.Errorf("registry rows = %v, report has %d", got["skipbench_rows_total"], len(rows))
-	}
-	if got["skipbench_commits_total"] != float64(commits) {
-		t.Errorf("registry commits = %v, rows sum to %d", got["skipbench_commits_total"], commits)
-	}
-	if got["skipbench_aborts_total"] != float64(aborts) {
-		t.Errorf("registry aborts = %v, rows sum to %d", got["skipbench_aborts_total"], aborts)
-	}
-	if got["skipbench_fastread_hits_total"] != float64(fastHits) {
-		t.Errorf("registry fast-read hits = %v, rows sum to %d", got["skipbench_fastread_hits_total"], fastHits)
-	}
-	if commits == 0 {
-		t.Error("measured window recorded zero commits")
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			var out bytes.Buffer
+			if err := d.run(&out, tinyOptions()); err != nil {
+				t.Fatalf("%v\n%s", err, out.String())
+			}
+			// A table is its "# ..." title, a column header and data rows.
+			lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+			if !strings.HasPrefix(lines[0], "# ") || len(lines) < 3 {
+				t.Errorf("no table printed:\n%s", out.String())
+			}
+		})
 	}
 }

@@ -252,14 +252,6 @@ func churnOne(w io.Writer, sub *churnSubject, half, windows int, universe, range
 			fmt.Fprintf(opts.CSV, "churn,%s,%d,%.4f,%.4f,%d,%d\n",
 				sub.name, win, updMops, rngMpairs, backlog, handles)
 		}
-		if opts.Report != nil {
-			win, backlog, handles, drained := win, backlog, handles, sub.drained()
-			opts.Report.Add(Row{
-				Experiment: "churn", Map: sub.name, Threads: 2 * half, Window: &win,
-				Universe: universe, UpdateMops: updMops, RangeMpairs: rngMpairs,
-				Backlog: &backlog, Handles: &handles, Drained: &drained,
-			})
-		}
 	}
 	close(stop)
 	wg.Wait()

@@ -3,10 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // Options control the experiment drivers.
@@ -21,19 +18,11 @@ type Options struct {
 	Threads []int
 	// CSV, when non-nil, additionally receives machine-readable rows.
 	CSV io.Writer
-	// Report, when non-nil, collects structured rows (throughput,
-	// abort rates, range-path counters) for JSON output.
-	Report *Report
 	// Seed offsets every experiment's base seed, flowing into the
 	// worker RNG streams and the prefill permutation, so two runs with
 	// one seed measure identical key sequences (and different seeds
 	// vary them deliberately). Zero keeps the historical streams.
 	Seed uint64
-	// Metrics, when non-nil, accumulates every reported row's counter
-	// deltas into obs counters (skipbench_commits_total and friends),
-	// so a bench run can be cross-checked against — and dumped in the
-	// same exposition format as — the daemon's registry.
-	Metrics *obs.Registry
 }
 
 func (o Options) withDefaults() Options {
@@ -77,7 +66,7 @@ func Fig5Maps(elementalOnly bool) []MapFactory {
 		{Name: "skiphash-fast-only", New: func() Map { return NewSkipHash("fast", 0) }},
 		{Name: "skiphash-slow-only", New: func() Map { return NewSkipHash("slow", 0) }},
 		{Name: "skiphash-two-path", New: func() Map { return NewSkipHash("two-path", 0) }},
-		{Name: "skiphash-sharded", New: func() Map { return NewShardedSkipHash(0, 0, false) }},
+		{Name: "skiphash-sharded", New: func() Map { return NewShardedSkipHash() }},
 		{Name: "bst-vcas-hwclock", New: func() Map { return NewVcasBST("hwclock") }},
 		{Name: "skiplist-vcas-hwclock", New: func() Map { return NewVcasSkip("hwclock") }},
 		{Name: "skiplist-bundled-hwclock", New: func() Map { return NewBundleSkip("hwclock") }},
@@ -121,17 +110,10 @@ func Fig5(w io.Writer, letter string, opts Options) error {
 			}
 			rc := RunConfig{Threads: threads, Duration: opts.Duration, Trials: opts.Trials, Seed: opts.Seed + 7}
 			Prefill(m, wl.Universe, rc.Seed+1)
-			stmBefore, rqBefore := subjectSnapshots(m) // post-prefill: counters cover the measured window only
 			res := RunTrials(m, wl, rc)
 			fmt.Fprintf(w, " %24.2f", res.Mops())
 			if opts.CSV != nil {
 				fmt.Fprintf(opts.CSV, "fig5%s,%s,%d,%.4f\n", letter, mf.Name, threads, res.Mops())
-			}
-			if opts.Report != nil {
-				row := Row{Experiment: "fig5" + letter, Workload: wl.Name, Map: mf.Name, Threads: threads,
-					Universe: wl.Universe, Mops: res.Mops()}
-				fillSubjectStats(&row, m, stmBefore, rqBefore, opts.Metrics)
-				opts.Report.Add(row)
 			}
 		}
 		fmt.Fprintln(w)
@@ -176,18 +158,11 @@ func Fig6(w io.Writer, opts Options) error {
 			m := mf.New()
 			rc := RunConfig{Duration: opts.Duration, Trials: opts.Trials, Seed: opts.Seed + 13}
 			Prefill(m, opts.Universe, rc.Seed+1)
-			stmBefore, rqBefore := subjectSnapshots(m)
 			res := RunSplitTrials(m, half, half, ln, opts.Universe, rc)
 			table[mf.Name][ln] = cell{upd: res.UpdateMops(), rng: res.RangePairsPerSec() / 1e6}
 			if opts.CSV != nil {
 				fmt.Fprintf(opts.CSV, "fig6,%s,%d,%.4f,%.4f\n",
 					mf.Name, ln, res.UpdateMops(), res.RangePairsPerSec()/1e6)
-			}
-			if opts.Report != nil {
-				row := Row{Experiment: "fig6", Map: mf.Name, Threads: 2 * half, RangeLen: ln,
-					Universe: opts.Universe, UpdateMops: res.UpdateMops(), RangeMpairs: res.RangePairsPerSec() / 1e6}
-				fillSubjectStats(&row, m, stmBefore, rqBefore, opts.Metrics)
-				opts.Report.Add(row)
 			}
 		}
 	}
@@ -246,78 +221,6 @@ func Table1(w io.Writer, opts Options) error {
 		fmt.Fprintf(w, "%-10d %16s %16d %16d\n", ln, rate, s.FastCommits, s.FastAborts)
 		if opts.CSV != nil {
 			fmt.Fprintf(opts.CSV, "table1,%d,%s,%d,%d\n", ln, rate, s.FastCommits, s.FastAborts)
-		}
-		if opts.Report != nil {
-			opts.Report.Add(Row{Experiment: "table1", Map: m.Name(), RangeLen: ln,
-				Universe: opts.Universe, FastCommits: s.FastCommits, FastAborts: s.FastAborts})
-		}
-	}
-	return nil
-}
-
-// ShardWorkloads are the two mixes the sharding evaluation sweeps: pure
-// lookups (the hash-routed O(1) path) and a 30% update mix (commit
-// pressure on every shard's orecs).
-var ShardWorkloads = []Workload{
-	{Name: "100% lookup", LookupPct: 100},
-	{Name: "30% update, 70% lookup", LookupPct: 70, UpdatePct: 30},
-}
-
-// ShardCounts returns the shard sweep axis: powers of two from 1 to the
-// smallest power covering GOMAXPROCS (at least 8, so small hosts still
-// show the trend).
-func ShardCounts() []int {
-	limit := 1
-	for limit < runtime.GOMAXPROCS(0) {
-		limit <<= 1
-	}
-	if limit < 8 {
-		limit = 8
-	}
-	var out []int
-	for n := 1; n <= limit; n <<= 1 {
-		out = append(out, n)
-	}
-	return out
-}
-
-// Shards sweeps the shard count of the sharded skip hash at a fixed
-// thread count (the last — highest — entry of opts.Threads, defaulting
-// to max(8, GOMAXPROCS)), for each of ShardWorkloads. A shard count of 1
-// is the degenerate sharded map; the unsharded two-path skip hash is
-// run alongside as the baseline row.
-func Shards(w io.Writer, opts Options) error {
-	userThreads := opts.Threads
-	opts = opts.withDefaults()
-	threads := max(8, runtime.GOMAXPROCS(0))
-	if len(userThreads) > 0 {
-		threads = userThreads[len(userThreads)-1]
-	}
-	fmt.Fprintf(w, "# Shard sweep: %d threads, universe %d, %v x %d trials\n",
-		threads, opts.Universe, opts.Duration, opts.Trials)
-	fmt.Fprintf(w, "%-26s %-10s %12s %12s\n", "workload", "shards", "Mops/s", "abort-rate")
-	for _, wl := range ShardWorkloads {
-		wl.Universe = opts.Universe
-		run := func(label string, shards int, m Map) {
-			rc := RunConfig{Threads: threads, Duration: opts.Duration, Trials: opts.Trials, Seed: opts.Seed + 41}
-			Prefill(m, wl.Universe, rc.Seed+1)
-			stmBefore, rqBefore := subjectSnapshots(m)
-			res := RunTrials(m, wl, rc)
-			row := Row{Experiment: "shards", Workload: wl.Name, Map: m.Name(), Threads: threads,
-				Shards: shards, Universe: wl.Universe, Mops: res.Mops()}
-			fillSubjectStats(&row, m, stmBefore, rqBefore, opts.Metrics)
-			fmt.Fprintf(w, "%-26s %-10s %12.2f %12.4f\n", wl.Name, label, res.Mops(), row.AbortRate)
-			if opts.CSV != nil {
-				// The workload name contains a comma; quote the field.
-				fmt.Fprintf(opts.CSV, "shards,%q,%s,%d,%d,%.4f\n", wl.Name, m.Name(), threads, shards, res.Mops())
-			}
-			if opts.Report != nil {
-				opts.Report.Add(row)
-			}
-		}
-		run("unsharded", 0, NewSkipHash("two-path", 0))
-		for _, shards := range ShardCounts() {
-			run(fmt.Sprintf("%d", shards), shards, NewShardedSkipHash(shards, 0, false))
 		}
 	}
 	return nil

@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"repro/internal/persist"
-	"repro/internal/stm"
 	"repro/internal/thashmap"
 	"repro/skiphash"
 )
@@ -29,17 +28,15 @@ type persistSubject struct {
 }
 
 // durableSkipHash wraps a durable skip hash for the harness, exposing
-// the store's stats for the report.
+// the store's stats for the WAL-volume and sync columns.
 type durableSkipHash struct {
 	m  *skiphash.Map[int64, int64]
 	st *persist.Store[int64, int64]
 }
 
-func (s *durableSkipHash) Name() string                    { return "skiphash-durable" }
-func (s *durableSkipHash) SupportsRange() bool             { return true }
-func (s *durableSkipHash) RangeStats() skiphash.RangeStats { return s.m.RangeStats() }
-func (s *durableSkipHash) STMStats() stm.Stats             { return s.m.Runtime().Stats() }
-func (s *durableSkipHash) NewWorker() Worker               { return &skipHashWorker{h: s.m.NewHandle()} }
+func (s *durableSkipHash) Name() string        { return "skiphash-durable" }
+func (s *durableSkipHash) SupportsRange() bool { return true }
+func (s *durableSkipHash) NewWorker() Worker   { return &skipHashWorker{h: s.m.NewHandle()} }
 
 // PersistWorkload is the write-heavy mix the overhead target is defined
 // on: 98% updates, 1% lookups, 1% ranges (Figure 5's mix f), which
@@ -122,7 +119,6 @@ func Persist(w io.Writer, baseDir string, opts Options) error {
 		}
 		rc := RunConfig{Threads: threads, Duration: opts.Duration, Trials: opts.Trials, Seed: opts.Seed + 53}
 		Prefill(m, wl.Universe, rc.Seed+1)
-		stmBefore, rqBefore := subjectSnapshots(m)
 		var statsBefore persist.StoreStats
 		ds, durable := m.(*durableSkipHash)
 		if durable && ds.st != nil {
@@ -146,12 +142,6 @@ func Persist(w io.Writer, baseDir string, opts Options) error {
 		fmt.Fprintf(w, "%-10s %12.2f %11.1f%% %12.1f %14d\n", sub.label, mops, overhead, walMB, syncs)
 		if opts.CSV != nil {
 			fmt.Fprintf(opts.CSV, "persist,%s,%d,%.4f,%.2f,%.2f\n", sub.label, threads, mops, overhead, walMB)
-		}
-		if opts.Report != nil {
-			row := Row{Experiment: "persist", Workload: wl.Name, Map: m.Name(), Threads: threads,
-				Universe: wl.Universe, Mops: mops, Fsync: sub.label, WalMB: walMB, OverheadPct: overhead}
-			fillSubjectStats(&row, m, stmBefore, rqBefore, opts.Metrics)
-			opts.Report.Add(row)
 		}
 		cleanup()
 		if dir != "" {

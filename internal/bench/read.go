@@ -23,14 +23,13 @@ func ReadMaps() []MapFactory {
 	return []MapFactory{
 		{Name: "skiphash-two-path", New: func() Map { return NewSkipHash("two-path", 0) }},
 		{Name: "skiphash-txread", New: func() Map { return NewSkipHash("txread", 0) }},
-		{Name: "skiphash-sharded", New: func() Map { return NewShardedSkipHash(0, 0, false) }},
+		{Name: "skiphash-sharded", New: func() Map { return NewShardedSkipHash() }},
 	}
 }
 
 // ReadBench sweeps thread counts for each of ReadWorkloads over
-// ReadMaps and prints a throughput table; with opts.Report set it
-// records "read" rows carrying the fast-read hit/fallback counters, the
-// series benchdiff gates via BENCH_read.json.
+// ReadMaps and prints a throughput table with the fast-read hit rate;
+// the CSV rows carry every series' exact hit/fallback counters.
 func ReadBench(w io.Writer, opts Options) error {
 	opts = opts.withDefaults()
 	maps := ReadMaps()
@@ -50,26 +49,23 @@ func ReadBench(w io.Writer, opts Options) error {
 				m := mf.New()
 				rc := RunConfig{Threads: threads, Duration: opts.Duration, Trials: opts.Trials, Seed: opts.Seed + 53}
 				Prefill(m, wl.Universe, rc.Seed+1)
-				stmBefore, rqBefore := subjectSnapshots(m)
+				// Every ReadMaps subject is an STMStatsSource; the snapshot
+				// is post-prefill so the delta covers the measured window only.
+				src := m.(STMStatsSource)
+				before := src.STMStats()
 				res := RunTrials(m, wl, rc)
-				row := Row{Experiment: "read", Workload: wl.Name, Map: mf.Name, Threads: threads,
-					Universe: wl.Universe, Mops: res.Mops()}
-				fillSubjectStats(&row, m, stmBefore, rqBefore, opts.Metrics)
+				d := src.STMStats().Sub(before)
 				fmt.Fprintf(w, " %24.2f", res.Mops())
-				if total := row.FastReadHits + row.FastReadFallbacks; total > 0 {
-					hitRate = float64(row.FastReadHits) / float64(total)
+				if total := d.FastReadHits + d.FastReadFallbacks; total > 0 {
+					hitRate = float64(d.FastReadHits) / float64(total)
 				}
 				if opts.CSV != nil {
 					fmt.Fprintf(opts.CSV, "read,%q,%s,%d,%.4f,%d,%d\n",
-						wl.Name, mf.Name, threads, res.Mops(), row.FastReadHits, row.FastReadFallbacks)
-				}
-				if opts.Report != nil {
-					opts.Report.Add(row)
+						wl.Name, mf.Name, threads, res.Mops(), d.FastReadHits, d.FastReadFallbacks)
 				}
 			}
 			// hitRate is the last fast-path-enabled series' rate in this
-			// row (the sharded subject); the JSON rows carry every series'
-			// exact counters.
+			// row (the sharded subject).
 			fmt.Fprintf(w, " %10.4f\n", hitRate)
 		}
 	}

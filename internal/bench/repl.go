@@ -153,25 +153,8 @@ func Repl(w io.Writer, opts Options) error {
 				sum.Elapsed += r.Elapsed
 			}
 			mops[fi] = sum.Mops()
-			series := "primary-only"
-			if fanout > 0 {
-				series = fmt.Sprintf("fanout-%d", fanout)
-			}
 			if opts.CSV != nil {
 				fmt.Fprintf(opts.CSV, "repl,tcp,%d,%d,%.4f\n", conns, fanout, sum.Mops())
-			}
-			if opts.Report != nil {
-				opts.Report.Add(Row{
-					Experiment: "repl",
-					Workload:   wl.Name,
-					Map:        series,
-					Threads:    conns,
-					Shards:     m.NumShards(),
-					Universe:   wl.Universe,
-					Transport:  "tcp",
-					Pipeline:   1,
-					Mops:       sum.Mops(),
-				})
 			}
 		}
 		fmt.Fprintf(w, "%-8d %18.3f %15.3f %15.3f\n", conns, mops[0], mops[1], mops[2])

@@ -19,8 +19,7 @@ import (
 // flight ("migrate") and windows at the new steady state ("steady").
 // The demonstration is twofold: the map keeps serving while keys move
 // (migrate-window throughput stays within a modest factor of steady),
-// and having resized leaves steady-state throughput unchanged — the
-// benchdiff regression gate rides on the steady series.
+// and having resized leaves steady-state throughput unchanged.
 
 // reshardSchedule is the walk of target shard counts from the initial
 // count: doubling, collapsing, fanning wide, and returning home. Fixed
@@ -116,7 +115,6 @@ func reshardOne(w io.Writer, isolated bool, threads int, opts Options) error {
 	// whole-migration average.
 	window := func(phase string, target int) error {
 		o0 := ops.Load()
-		st0 := sm.STMStats()
 		copied0 := sm.ResizeStats().KeysCopied
 		began := time.Now()
 		var rerr error
@@ -142,20 +140,6 @@ func reshardOne(w io.Writer, isolated bool, threads int, opts Options) error {
 		if opts.CSV != nil {
 			fmt.Fprintf(opts.CSV, "reshard,%s,%s,%d,%d,%.4f,%d\n",
 				name, phase, winIdx, shards, mops, copied)
-		}
-		win := winIdx
-		row := Row{
-			Experiment: "reshard", Workload: phase, Map: name, Threads: threads,
-			Shards: shards, Universe: universe, Window: &win, Mops: mops,
-		}
-		d := sm.STMStats().Sub(st0)
-		row.Commits, row.Aborts = d.Commits, d.Aborts
-		if total := d.Commits + d.Aborts; total > 0 {
-			row.AbortRate = float64(d.Aborts) / float64(total)
-		}
-		opts.Report.Add(row)
-		if opts.Metrics != nil {
-			bankRow(opts.Metrics, &row)
 		}
 		winIdx++
 		return nil

@@ -325,7 +325,7 @@ func (h *Handle[K, V]) pointQuery(k K, fn func(*stm.Tx, *Handle[K, V], K) (K, V,
 
 // Range appends every pair with l <= key <= r, in key order, to out and
 // returns the extended slice. It implements Figure 3's two-path scheme:
-// FastPathTries single-transaction attempts, then the RQC-coordinated
+// fastPathTries single-transaction attempts, then the RQC-coordinated
 // slow path (subject to the FastOnly/SlowOnly configuration).
 func (h *Handle[K, V]) Range(l, r K, out []Pair[K, V]) []Pair[K, V] {
 	m := h.m
@@ -335,7 +335,7 @@ func (h *Handle[K, V]) Range(l, r K, out []Pair[K, V]) []Pair[K, V] {
 }
 
 // TwoPathRange drives Figure 3's two-path policy for one range query:
-// up to FastPathTries fast attempts (forever under FastOnly, none under
+// up to fastPathTries fast attempts (forever under FastOnly, none under
 // SlowOnly or inside an Adaptive skip window), then the slow fallback,
 // with the path counters and the adaptive window updated on the way.
 // It is shared with the sharded frontend so the policy — and any future
@@ -349,7 +349,7 @@ func TwoPathRange[K comparable, V any](cfg Config, stats *HandleStats, adaptSkip
 		tryFast = false
 	}
 	if tryFast {
-		for i := 0; cfg.FastOnly || i < cfg.FastPathTries; i++ {
+		for i := 0; cfg.FastOnly || i < fastPathTries; i++ {
 			stats.RangeFastAttempts.Add(1)
 			res, err := fast()
 			if err == nil {

@@ -29,12 +29,11 @@ type Config struct {
 	// expected population of 5*10^5). Default 131071, a prime better
 	// suited to general use; benchmarks set the paper's value.
 	Buckets int
-	// FastPathTries is the number of single-transaction range attempts
-	// before falling back to the slow path. The paper uses 3.
-	// FastOnly/SlowOnly configure the two ablation variants of §5.
-	FastPathTries int
-	// FastOnly makes range queries retry the fast path forever (the
-	// "Skip-hash (Fast Only)" series).
+	// FastOnly and SlowOnly configure the two ablation variants of §5;
+	// with neither, a range query makes fastPathTries single-transaction
+	// attempts before falling back to the slow path. FastOnly makes range
+	// queries retry the fast path forever (the "Skip-hash (Fast Only)"
+	// series).
 	FastOnly bool
 	// SlowOnly makes range queries go straight to the slow path (the
 	// "Skip-hash (Slow Only)" series).
@@ -52,8 +51,8 @@ type Config struct {
 	// read fast path for Lookup/Contains and the cache warm-up descent
 	// it gives range queries, forcing every point read through a full
 	// STM transaction. The zero value keeps the fast path on; the switch
-	// exists for the benchmark ablation (the "txread" series) and for
-	// debugging.
+	// exists for the benchmark ablation (skipbench read's "txread"
+	// series) and for debugging.
 	DisableReadFastPath bool
 	// RemovalBufferSize is the per-handle buffer of logically deleted
 	// nodes whose unstitching is batched (§4.5, size 32 in the paper).
@@ -106,15 +105,16 @@ type Config struct {
 	Durability *persist.Options
 }
 
+// fastPathTries is the number of single-transaction range attempts
+// before the slow path takes over; the paper uses 3.
+const fastPathTries = 3
+
 func (c Config) withDefaults() Config {
 	if c.MaxLevel == 0 {
 		c.MaxLevel = 20
 	}
 	if c.Buckets == 0 {
 		c.Buckets = 131071
-	}
-	if c.FastPathTries == 0 {
-		c.FastPathTries = 3
 	}
 	if c.RemovalBufferSize == 0 {
 		c.RemovalBufferSize = 32 // the zero Config buffers at the paper's size

@@ -433,6 +433,20 @@ func (s *Store[K, V]) SimulateTornCrash(dropTail int64) error {
 	return s.w.simulateCrash(dropTail)
 }
 
+// AppendBufferCaps reports the capacities of the WAL's two append
+// arrays — the one appends are filling and the one the last flush wrote
+// out and left for the next swap — smaller first, since the two trade
+// places at every flush. It exists for the allocation pins (a flusher
+// that dropped an array would show here as a zero or a smaller capacity)
+// and waits out a flush in flight, which holds one of the two.
+func (s *Store[K, V]) AppendBufferCaps() (lo, hi int) {
+	s.w.ioMu.Lock()
+	defer s.w.ioMu.Unlock()
+	s.w.mu.Lock()
+	defer s.w.mu.Unlock()
+	return min(cap(s.w.buf), cap(s.w.spare)), max(cap(s.w.buf), cap(s.w.spare))
+}
+
 // StoreStats is an observability snapshot of the durability engine.
 type StoreStats struct {
 	// Records and AppendedBytes cover WAL appends since open;

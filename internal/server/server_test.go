@@ -503,7 +503,7 @@ func TestGracefulDrainCompletesInflightRequests(t *testing.T) {
 
 // cnErr peeks at the connection's sticky error through a probe call.
 func cnErr(cn *client.Conn) error {
-	_, _, err := cn.Get(0)
+	_, err := cn.Do(&wire.Request{Op: wire.OpGet})
 	return err
 }
 

@@ -197,7 +197,10 @@ func (c *Client) Close() error {
 }
 
 // Get returns the value stored under k.
-func (c *Client) Get(k int64) (v int64, ok bool, err error) { return c.pick().Get(k) }
+func (c *Client) Get(k int64) (v int64, ok bool, err error) {
+	resp, err := c.pick().Do(&wire.Request{Op: wire.OpGet, Key: k})
+	return resp.Val, resp.Ok, err
+}
 
 // GetAt reads k with a commit-stamp barrier: the read is served by a
 // replica only if that replica's watermark strictly exceeds minStamp —
@@ -217,58 +220,102 @@ func (c *Client) GetAt(k int64, minStamp uint64) (v int64, ok bool, err error) {
 			}
 		}
 	}
-	return c.pick().Get(k)
+	return c.Get(k)
 }
 
 // Watermark reports the primary's commit-stamp watermark — an upper
 // bound covering every write this client has seen complete — for use
 // as a GetAt barrier.
-func (c *Client) Watermark() (uint64, error) { return c.pick().Watermark() }
+func (c *Client) Watermark() (uint64, error) {
+	resp, err := c.pick().Do(&wire.Request{Op: wire.OpWatermark})
+	return uint64(resp.Val), err
+}
 
 // Promote asks the server to make its replica map writable. Against a
 // primary (or a non-promotable backend) it fails.
-func (c *Client) Promote() error { return c.pick().Promote() }
+func (c *Client) Promote() error {
+	_, err := c.pick().Do(&wire.Request{Op: wire.OpPromote})
+	return err
+}
 
 // Insert adds (k, v) if k is absent and reports whether it did.
-func (c *Client) Insert(k, v int64) (bool, error) { return c.pick().Insert(k, v) }
+func (c *Client) Insert(k, v int64) (bool, error) {
+	resp, err := c.pick().Do(&wire.Request{Op: wire.OpInsert, Key: k, Val: v})
+	return resp.Ok, err
+}
 
 // Put sets k to v unconditionally, reporting whether a previous value
 // was replaced.
-func (c *Client) Put(k, v int64) (bool, error) { return c.pick().Put(k, v) }
+func (c *Client) Put(k, v int64) (bool, error) {
+	resp, err := c.pick().Do(&wire.Request{Op: wire.OpPut, Key: k, Val: v})
+	return resp.Ok, err
+}
 
 // Remove deletes k and reports whether it was present.
-func (c *Client) Remove(k int64) (bool, error) { return c.pick().Remove(k) }
+func (c *Client) Remove(k int64) (bool, error) {
+	resp, err := c.pick().Do(&wire.Request{Op: wire.OpDel, Key: k})
+	return resp.Ok, err
+}
 
 // Range returns every pair with l <= key <= r in key order; max > 0
 // truncates the result server-side. Results are additionally capped at
 // wire.MaxRangePairs per response (so one range fits one frame);
 // callers wanting more paginate, resuming from their last key + 1.
-func (c *Client) Range(l, r int64, max int) ([]KV, error) { return c.pick().Range(l, r, max) }
+func (c *Client) Range(l, r int64, max int) ([]KV, error) {
+	resp, err := c.pick().Do(&wire.Request{Op: wire.OpRange, Key: l, Val: r, Max: uint32(max)})
+	return resp.Pairs, err
+}
 
 // Atomic applies steps as one transaction on the server, filling each
 // step's results. All steps take effect at a single commit point, or
 // none do (ErrCrossShard on isolated-shard servers when keys span
 // shards).
-func (c *Client) Atomic(steps []Step) ([]StepResult, error) { return c.pick().Atomic(steps) }
+func (c *Client) Atomic(steps []Step) ([]StepResult, error) {
+	if len(steps) > wire.MaxBatchSteps {
+		// Reject before writing: the server would refuse the frame and
+		// the whole connection (with every pipelined call on it) would
+		// die for one oversized request.
+		return nil, fmt.Errorf("client: batch of %d steps exceeds wire.MaxBatchSteps (%d)",
+			len(steps), wire.MaxBatchSteps)
+	}
+	resp, err := c.pick().Do(&wire.Request{Op: wire.OpBatch, Steps: steps})
+	return resp.Steps, err
+}
 
 // Sync forces the server's WAL to durable storage.
-func (c *Client) Sync() error { return c.pick().Sync() }
+func (c *Client) Sync() error {
+	_, err := c.pick().Do(&wire.Request{Op: wire.OpSync})
+	return err
+}
 
 // Snapshot makes the server write a durable snapshot now.
-func (c *Client) Snapshot() error { return c.pick().Snapshot() }
+func (c *Client) Snapshot() error {
+	_, err := c.pick().Do(&wire.Request{Op: wire.OpSnapshot})
+	return err
+}
 
 // Resize asks the server to live-migrate its default map to n shards
 // (rounded up to a power of two; 0 = the map's automatic default) and
 // returns the resulting count. The migration serves reads and writes
 // throughout; see skiphash.Sharded.Resize for the consistency contract.
-func (c *Client) Resize(n int) (int, error) { return c.pick().Resize(n) }
+func (c *Client) Resize(n int) (int, error) {
+	resp, err := c.pick().Do(&wire.Request{Op: wire.OpResize, Key: int64(n)})
+	return int(resp.Val), err
+}
 
 // Ping round-trips an empty request.
-func (c *Client) Ping() error { return c.pick().Ping() }
+func (c *Client) Ping() error {
+	_, err := c.pick().Do(&wire.Request{Op: wire.OpPing})
+	return err
+}
 
-// ServerStats fetches the server's metrics exposition; see
-// Conn.ServerStats.
-func (c *Client) ServerStats() ([]byte, error) { return c.pick().ServerStats() }
+// ServerStats fetches the server's metrics registry rendered in the
+// Prometheus text exposition format. Servers without a registry answer
+// with an error.
+func (c *Client) ServerStats() ([]byte, error) {
+	resp, err := c.pick().Do(&wire.Request{Op: wire.OpStats})
+	return resp.BVal, err
+}
 
 // Conn is one protocol connection. It is safe for concurrent use;
 // pipelining callers typically dedicate it to one goroutine.
@@ -577,94 +624,6 @@ func (cn *Conn) Close() error {
 		return nil
 	}
 	return err
-}
-
-// Get returns the value stored under k.
-func (cn *Conn) Get(k int64) (v int64, ok bool, err error) {
-	resp, err := cn.Do(&wire.Request{Op: wire.OpGet, Key: k})
-	return resp.Val, resp.Ok, err
-}
-
-// Insert adds (k, v) if absent; see Client.Insert.
-func (cn *Conn) Insert(k, v int64) (bool, error) {
-	resp, err := cn.Do(&wire.Request{Op: wire.OpInsert, Key: k, Val: v})
-	return resp.Ok, err
-}
-
-// Put sets k to v unconditionally; see Client.Put.
-func (cn *Conn) Put(k, v int64) (bool, error) {
-	resp, err := cn.Do(&wire.Request{Op: wire.OpPut, Key: k, Val: v})
-	return resp.Ok, err
-}
-
-// Remove deletes k; see Client.Remove.
-func (cn *Conn) Remove(k int64) (bool, error) {
-	resp, err := cn.Do(&wire.Request{Op: wire.OpDel, Key: k})
-	return resp.Ok, err
-}
-
-// Range collects [l, r]; see Client.Range.
-func (cn *Conn) Range(l, r int64, max int) ([]KV, error) {
-	resp, err := cn.Do(&wire.Request{Op: wire.OpRange, Key: l, Val: r, Max: uint32(max)})
-	return resp.Pairs, err
-}
-
-// Atomic applies steps transactionally; see Client.Atomic.
-func (cn *Conn) Atomic(steps []Step) ([]StepResult, error) {
-	if len(steps) > wire.MaxBatchSteps {
-		// Reject before writing: the server would refuse the frame and
-		// the whole connection (with every pipelined call on it) would
-		// die for one oversized request.
-		return nil, fmt.Errorf("client: batch of %d steps exceeds wire.MaxBatchSteps (%d)",
-			len(steps), wire.MaxBatchSteps)
-	}
-	resp, err := cn.Do(&wire.Request{Op: wire.OpBatch, Steps: steps})
-	return resp.Steps, err
-}
-
-// Sync forces the server's WAL to durable storage.
-func (cn *Conn) Sync() error {
-	_, err := cn.Do(&wire.Request{Op: wire.OpSync})
-	return err
-}
-
-// Snapshot makes the server write a durable snapshot now.
-func (cn *Conn) Snapshot() error {
-	_, err := cn.Do(&wire.Request{Op: wire.OpSnapshot})
-	return err
-}
-
-// Ping round-trips an empty request.
-func (cn *Conn) Ping() error {
-	_, err := cn.Do(&wire.Request{Op: wire.OpPing})
-	return err
-}
-
-// Resize live-migrates the server's default map to n shards; see
-// Client.Resize.
-func (cn *Conn) Resize(n int) (int, error) {
-	resp, err := cn.Do(&wire.Request{Op: wire.OpResize, Key: int64(n)})
-	return int(resp.Val), err
-}
-
-// Watermark reports the server's commit-stamp watermark.
-func (cn *Conn) Watermark() (uint64, error) {
-	resp, err := cn.Do(&wire.Request{Op: wire.OpWatermark})
-	return uint64(resp.Val), err
-}
-
-// Promote asks the server to make its replica map writable.
-func (cn *Conn) Promote() error {
-	_, err := cn.Do(&wire.Request{Op: wire.OpPromote})
-	return err
-}
-
-// ServerStats fetches the server's metrics registry rendered in the
-// Prometheus text exposition format. Servers without a registry answer
-// with an error.
-func (cn *Conn) ServerStats() ([]byte, error) {
-	resp, err := cn.Do(&wire.Request{Op: wire.OpStats})
-	return resp.BVal, err
 }
 
 // getAt pipelines Watermark+Get in one flush on this (replica)

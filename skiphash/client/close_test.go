@@ -183,7 +183,7 @@ func TestWriteFailureLeavesNoCallBehind(t *testing.T) {
 		issue func(cn *Conn) error
 		calls int
 	}{
-		{"Do", func(cn *Conn) error { return cn.Ping() }, 1},
+		{"Do", func(cn *Conn) error { _, err := cn.Do(&wire.Request{Op: wire.OpPing}); return err }, 1},
 		{"getAt", func(cn *Conn) error { _, _, err := cn.getAt(1, 0); return err }, 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {

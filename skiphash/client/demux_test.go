@@ -160,8 +160,8 @@ func TestUnknownResponseIDFailsConn(t *testing.T) {
 			return appendReply(out, &reqs[0])
 		})
 		for k := int64(1); k < reuse; k++ {
-			if v, ok, err := cn.Get(k); err != nil || !ok || v != 7*k {
-				t.Fatalf("Get(%d) = %d %v %v", k, v, ok, err)
+			if resp, err := cn.Do(&wire.Request{Op: wire.OpGet, Key: k}); err != nil || !resp.Ok || resp.Val != 7*k {
+				t.Fatalf("Get(%d) = %d %v %v", k, resp.Val, resp.Ok, err)
 			}
 		}
 		if len(cn.ring) != initialRing {
