@@ -321,7 +321,7 @@ func main() {
 			log.Fatalf("skiphashd: listen %s %s: %v", network, laddr, err)
 		}
 		log.Printf("skiphashd: serving %d shards on %s://%s (durability: %s, role: %s)",
-			m.NumShards(), network, ln.Addr(), durabilityDesc(*dir, *fsync), role)
+			m.Shards(), network, ln.Addr(), durabilityDesc(*dir, *fsync), role)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -97,13 +97,13 @@ func buildRegistry(m *skiphash.Sharded[int64, int64], rep *repl.Replica, prim *r
 	syncShardGauges := func() {
 		shardGaugeMu.Lock()
 		defer shardGaugeMu.Unlock()
-		n := m.NumShards()
+		n := m.Shards()
 		for i := shardGauges; i < n; i++ {
 			i := i
 			reg.GaugeFunc("skiphash_shard_orphan_backlog",
 				"Orphaned nodes awaiting adoption on this shard.",
 				func() float64 {
-					if i >= m.NumShards() {
+					if i >= m.Shards() {
 						return 0
 					}
 					return float64(m.Shard(i).OrphanBacklog())

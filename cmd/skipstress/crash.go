@@ -99,7 +99,7 @@ func runCrash(cycles, threads int, universe int64, seed uint64, dir, reproducer 
 		})
 
 		if torn {
-			totalOps += crashCycleTorn(m, shadow, universe, rng, cycle, fail)
+			totalOps += crashCycleTorn(m, dir, shadow, universe, rng, cycle, fail)
 		} else {
 			clean := cycle%6 == 4 // this cycle ends in Close, not a kill
 			totalOps += crashCycleAlways(m, shadow, universe, threads, rng, cycle, clean, fail)
@@ -194,7 +194,7 @@ func crashCycleAlways(m *skiphash.Map[int64, int64], shadow []shadowCell, univer
 // immediately by reopening read-only would double Open paths, so the
 // audit runs now against a fresh recovery, and the shadow is rolled
 // back to the surviving prefix for the cycles that follow.
-func crashCycleTorn(m *skiphash.Map[int64, int64], shadow []shadowCell, universe int64,
+func crashCycleTorn(m *skiphash.Map[int64, int64], dir string, shadow []shadowCell, universe int64,
 	rng *rand.Rand, cycle int, fail func(string, ...any)) int {
 	ops := 200 + int(rng.Uint64()%600)
 	syncAt := rng.IntN(ops)
@@ -232,7 +232,7 @@ func crashCycleTorn(m *skiphash.Map[int64, int64], shadow []shadowCell, universe
 	}
 
 	// Recover immediately and find which prefix survived.
-	cfg := skiphash.Config{Durability: &skiphash.Durability{Dir: m.Config().Durability.Dir}}
+	cfg := skiphash.Config{Durability: &skiphash.Durability{Dir: dir}}
 	r, err := skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
 	if err != nil {
 		fail("cycle %d: recovery after torn crash: %v", cycle, err)

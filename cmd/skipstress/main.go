@@ -88,7 +88,6 @@ import (
 	"repro/internal/linearize"
 	"repro/internal/maptest"
 	"repro/internal/obs"
-	"repro/internal/stm"
 	"repro/skiphash"
 )
 
@@ -121,32 +120,6 @@ func reproducerLine() string {
 	return b.String()
 }
 
-// stressMap is the common face of the unsharded and sharded skip hash
-// that the stress loop needs.
-type stressMap interface {
-	Lookup(k int64) (int64, bool)
-	Insert(k, v int64) bool
-	Remove(k int64) bool
-	Quiesce()
-	CheckInvariants(skiphash.CheckOptions) error
-	RangeStats() skiphash.RangeStats
-	HandleCount() int
-	StitchedSlow() int
-	SizeSlow() int
-	MaintenanceStats() skiphash.MaintenanceStats
-	Close()
-}
-
-// stressHandle is the per-worker face; both skiphash.Handle and
-// skiphash.ShardedHandle satisfy it.
-type stressHandle interface {
-	Insert(k, v int64) bool
-	Remove(k int64) bool
-	Lookup(k int64) (int64, bool)
-	Range(l, r int64, out []skiphash.Pair[int64, int64]) []skiphash.Pair[int64, int64]
-	Close()
-}
-
 // maxFailurePrints caps per-failure output so a systemic bug cannot
 // drown the summary (and the reproducer line) in millions of lines.
 const maxFailurePrints = 20
@@ -158,7 +131,7 @@ func main() {
 		universe  = flag.Int64("universe", 1<<16, "key universe")
 		mode      = flag.String("mode", "two-path", "range path: two-path, fast, or slow")
 		rangeLen  = flag.Int64("rangelen", 128, "range query length")
-		shards    = flag.Int("shards", 0, "shard count (0 = unsharded; -1 = GOMAXPROCS-derived)")
+		shards    = flag.Int("shards", 0, "shard count (0 = one shard, as skiphash.New builds; -1 = GOMAXPROCS-derived)")
 		isolated  = flag.Bool("isolated", false, "per-shard STM runtimes (with -shards)")
 		seed      = flag.Uint64("seed", 1, "seed for all workload randomness")
 		check     = flag.Bool("check", false, "record histories and verify linearizability online")
@@ -227,43 +200,29 @@ func main() {
 		fmt.Fprintf(os.Stderr, "skipstress: unknown mode %q\n", *mode)
 		os.Exit(2)
 	}
-	var m stressMap
-	var newHandle func() stressHandle
-	var checkable maptest.OrderedMap
-	variant := "unsharded"
-	if *shards != 0 {
-		if *shards > 0 {
-			cfg.Shards = *shards
-		}
-		cfg.IsolatedShards = *isolated
-		sm := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg)
-		m = sm
-		newHandle = func() stressHandle { return sm.NewHandle() }
-		checkable = shardedCheck(sm)
-		variant = fmt.Sprintf("%d shards", sm.NumShards())
-		if *isolated {
-			variant += " (isolated)"
-		}
+	// -shards 0 is the paper's single skip hash, built the way a library
+	// user builds it; every other value spells the count out.
+	var m *skiphash.Map[int64, int64]
+	if *shards == 0 {
+		m = skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg)
 	} else {
-		um := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg)
-		m = um
-		newHandle = func() stressHandle { return um.NewHandle() }
-		checkable = checkAdapter[*skiphash.Txn[int64, int64]]{um}
+		cfg.Shards, cfg.IsolatedShards = max(*shards, 0), *isolated
+		m = skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg)
 	}
+	variant := shardsVariant(m)
 
 	if *metrics {
 		defer dumpMetrics(m)
 	}
 	if *check {
-		runCheck(checkable, m, *threads, *duration, *seed, *isolated, lookupPct, variant, reproducer)
+		if err := runCheck(m, *threads, *duration, *seed, lookupPct); err != nil {
+			fmt.Fprintf(os.Stderr, "FAIL: %v\nreproduce with: %s\n", err, reproducer)
+			os.Exit(1)
+		}
 		return
 	}
 	if *churn {
-		handleWeight := 1
-		if sm, ok := m.(*skiphash.Sharded[int64, int64]); ok {
-			handleWeight = sm.NumShards() + 1
-		}
-		runChurn(m, newHandle, *threads, handleWeight, *duration, *universe, *seed, variant, reproducer)
+		runChurn(m, *threads, *duration, *universe, *seed, variant, reproducer)
 		return
 	}
 
@@ -278,7 +237,7 @@ func main() {
 		wg.Add(1)
 		go func(worker uint64) {
 			defer wg.Done()
-			h := newHandle()
+			h := m.NewHandle()
 			rng := rand.New(rand.NewPCG(*seed, worker^0x5eed))
 			var buf []skiphash.Pair[int64, int64]
 			for {
@@ -368,7 +327,7 @@ func main() {
 // handle registry is bounded by the live workers, and (b) a full
 // level-0 walk holds no logically-deleted stitched node. Any audit
 // failure exits 1 with a reproducer line.
-func runChurn(m stressMap, newHandle func() stressHandle, threads, handleWeight int,
+func runChurn(m *skiphash.Map[int64, int64], threads int,
 	duration time.Duration, universe int64, seed uint64, variant, reproducer string) {
 	fmt.Printf("skipstress: -churn, %d threads, %v, universe %d, seed %d, %s\n",
 		threads, duration, universe, seed, variant)
@@ -383,7 +342,7 @@ func runChurn(m stressMap, newHandle func() stressHandle, threads, handleWeight 
 		go func(worker uint64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewPCG(seed, worker^0xc40e))
-			var h stressHandle
+			var h *skiphash.Handle[int64, int64]
 			hOps := 0
 			for {
 				select {
@@ -414,7 +373,7 @@ func runChurn(m stressMap, newHandle func() stressHandle, threads, handleWeight 
 					ops.Add(1)
 				}
 				if h == nil && rng.Uint64()%4 == 0 {
-					h = newHandle()
+					h = m.NewHandle()
 					hOps = 0
 				} else if h != nil && hOps >= handleTurnoverOps {
 					h.Close()
@@ -431,7 +390,8 @@ func runChurn(m stressMap, newHandle func() stressHandle, threads, handleWeight 
 		defer world.Unlock()
 		m.Quiesce()
 		ok := true
-		if got, bound := m.HandleCount(), threads*handleWeight; got > bound {
+		// A registered handle counts once at the front and once per shard.
+		if got, bound := m.HandleCount(), threads*(m.Shards()+1); got > bound {
 			fmt.Fprintf(os.Stderr, "FAIL (%s): handle registry %d exceeds bound %d\n", label, got, bound)
 			ok = false
 		}
@@ -541,74 +501,58 @@ func (c *checked) readAll() { c.snapshot = c.m.Range(0, checkUniverse, c.snapsho
 // runCheck records seeded workload rounds and verifies each round's
 // history online. The map stays hot across rounds: each round's check
 // starts from a quiescent snapshot of the previous round's final state.
-func runCheck(cm maptest.OrderedMap, m stressMap, threads int, duration time.Duration,
-	seed uint64, isolated bool, lookupPct int, variant, reproducer string) {
+// Any failure is returned (a counterexample history has by then gone to
+// stderr).
+func runCheck(m *skiphash.Map[int64, int64], threads int, duration time.Duration,
+	seed uint64, lookupPct int) error {
 	fmt.Printf("skipstress: -check, %d threads, %v, universe %d, seed %d, lookup%%=%d, %s\n",
-		threads, duration, checkUniverse, seed, lookupPct, variant)
+		threads, duration, checkUniverse, seed, lookupPct, shardsVariant(m))
 
-	c := checked{name: "the map", m: cm, opts: checkOptions(threads, isolated, lookupPct)}
-	c.opts.PointQueries = !isolated
+	c := checked{name: "the map", m: checkedMap{m}, opts: checkOptions(threads, m.Isolated(), lookupPct)}
+	c.opts.PointQueries = !m.Isolated()
 	deadline := time.Now().Add(duration)
 	rounds := 0
 	for ; time.Now().Before(deadline); rounds++ {
 		if !c.round(rounds, seed+uint64(rounds)*1_000_003) {
-			fmt.Fprintf(os.Stderr, "reproduce with: %s\n", reproducer)
-			os.Exit(1)
+			return fmt.Errorf("round %d: non-linearizable history", rounds)
 		}
 		c.readAll()
 	}
 	m.Quiesce()
 	if err := m.CheckInvariants(skiphash.CheckOptions{}); err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL: invariants after %d rounds: %v\n", rounds, err)
-		fmt.Fprintf(os.Stderr, "reproduce with: %s\n", reproducer)
-		os.Exit(1)
+		return fmt.Errorf("invariants after %d rounds: %w", rounds, err)
 	}
 	fmt.Printf("rounds=%d ops=%d unknown=%d\n", rounds, c.ops, c.unknowns)
 	fmt.Println("skipstress: PASS")
+	return nil
 }
 
-// checkTxn is the transactional view a batch's steps apply through; both
-// skiphash.Txn and skiphash.ShardedTxn satisfy it.
-type checkTxn interface {
-	Lookup(k int64) (int64, bool)
-	Insert(k, v int64) bool
-	Remove(k int64) bool
+// shardsVariant names a map's geometry in a mode's banner line.
+func shardsVariant(m *skiphash.Map[int64, int64]) string {
+	variant := fmt.Sprintf("%d shards", m.Shards())
+	if m.Isolated() {
+		variant += " (isolated)"
+	}
+	return variant
 }
 
-// checkMap is the method set the unsharded and sharded maps share that
-// the checker's workload needs; T is the map's transactional view.
-type checkMap[T checkTxn] interface {
-	checkTxn
-	Range(l, r int64, out []skiphash.Pair[int64, int64]) []skiphash.Pair[int64, int64]
-	Ceil(k int64) (int64, int64, bool)
-	Floor(k int64) (int64, int64, bool)
-	Succ(k int64) (int64, int64, bool)
-	Pred(k int64) (int64, int64, bool)
-	Atomic(fn func(op T) error) error
-}
+// checkedMap exposes the map through the conformance interface: the
+// point ops and queries pass straight through, Range and Batch translate
+// to the checker's vocabulary.
+type checkedMap struct{ *skiphash.Map[int64, int64] }
 
-// checkAdapter exposes either map through the conformance interface:
-// the point ops and queries pass straight through, Range and Batch
-// translate to the checker's vocabulary.
-type checkAdapter[T checkTxn] struct{ checkMap[T] }
-
-func (a checkAdapter[T]) Range(l, r int64, buf []maptest.KV) []maptest.KV {
-	for _, p := range a.checkMap.Range(l, r, nil) {
+func (a checkedMap) Range(l, r int64, buf []maptest.KV) []maptest.KV {
+	for _, p := range a.Map.Range(l, r, nil) {
 		buf = append(buf, maptest.KV{Key: p.Key, Val: p.Val})
 	}
 	return buf
 }
 
-func (a checkAdapter[T]) Batch(steps []linearize.Step) bool {
-	return a.Atomic(func(op T) error {
+func (a checkedMap) Batch(steps []linearize.Step) bool {
+	return a.Atomic(func(op *skiphash.Txn[int64, int64]) error {
 		linearize.ApplySteps(steps, op.Insert, op.Remove, op.Lookup)
 		return nil
 	}) == nil
-}
-
-// shardedCheck wraps a sharded map for the checker.
-func shardedCheck(s *skiphash.Sharded[int64, int64]) checkAdapter[*skiphash.ShardedTxn[int64, int64]] {
-	return checkAdapter[*skiphash.ShardedTxn[int64, int64]]{s}
 }
 
 // dumpMetrics renders the map's counters as a Prometheus text
@@ -617,15 +561,9 @@ func shardedCheck(s *skiphash.Sharded[int64, int64]) checkAdapter[*skiphash.Shar
 // run passed). It builds the registry at dump time from the same
 // Stats() accessors the daemon exposes, so a stress run and a served
 // run read identically.
-func dumpMetrics(m stressMap) {
+func dumpMetrics(m *skiphash.Map[int64, int64]) {
 	reg := obs.NewRegistry()
-	var st stm.Stats
-	switch v := m.(type) {
-	case interface{ STMStats() stm.Stats }: // sharded (aggregates isolated runtimes)
-		st = v.STMStats()
-	case interface{ Runtime() *stm.Runtime }: // unsharded
-		st = v.Runtime().Stats()
-	}
+	st := m.STMStats()
 	{
 		reg.CounterFunc("skiphash_stm_commits_total", "Committed transactions.",
 			func() uint64 { return st.Commits })

@@ -71,10 +71,10 @@ func runNet(threads int, duration time.Duration, seed uint64,
 		}
 		tenants = append(tenants, &checked{name: "namespace " + ns.Name(), m: nsAdapter{ns: ns}, opts: opts})
 	}
-	mode, variant := "-net", fmt.Sprintf("%d shards over tcp", m.NumShards())
+	mode, variant := "-net", fmt.Sprintf("%d shards over tcp", m.Shards())
 	if nsCount > 0 {
 		mode = "-net -namespaces"
-		variant = fmt.Sprintf("default map + %d namespaces, %d shards each, over tcp", nsCount, m.NumShards())
+		variant = fmt.Sprintf("default map + %d namespaces, %d shards each, over tcp", nsCount, m.Shards())
 	}
 	if isolated {
 		variant += " (isolated)"

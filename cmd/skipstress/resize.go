@@ -25,13 +25,9 @@ func runResize(threads int, duration time.Duration, seed uint64, shards int,
 	}
 	cfg := skiphash.Config{Shards: shards, IsolatedShards: isolated}
 	sm := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg)
-	cm := shardedCheck(sm)
-	variant := fmt.Sprintf("%d shards", sm.NumShards())
-	if isolated {
-		variant += " (isolated)"
-	}
+	cm := checkedMap{sm}
 	fmt.Printf("skipstress: -resize, %d threads, %v, universe %d, seed %d, lookup%%=%d, %s\n",
-		threads, duration, checkUniverse, seed, lookupPct, variant)
+		threads, duration, checkUniverse, seed, lookupPct, shardsVariant(sm))
 
 	// The resizer runs for the whole stress, including the inter-round
 	// gaps: counts come from the seed so a failure replays, and each

@@ -1,8 +1,9 @@
 // Package repro is a from-scratch Go reproduction of "Skip Hash: A Fast
 // Ordered Map Via Software Transactional Memory" (Rodriguez, Aksenov,
-// Spear). The public API lives in repro/skiphash — including the
-// sharded variant that partitions the map across independent skip-hash
-// shards, the handle-lifecycle subsystem (Handle.Close, orphan
+// Spear). The public API lives in repro/skiphash: one map type that is
+// the paper's structure at one shard (New) and partitions itself across
+// independent skip-hash shards on request (NewSharded, Resize), the
+// handle-lifecycle subsystem (Handle.Close, orphan
 // queues, the Config.Maintenance background maintainer) that keeps the
 // paper's deferred removal buffers from stranding stitched nodes on
 // long-running servers, and the durability subsystem (Config.Durability

@@ -52,7 +52,7 @@ func main() {
 
 	// --- Start: recover-or-create the map, serve it over TCP. --------
 	m, srv, addr := serve(dir)
-	fmt.Printf("serving %d shards on tcp://%s (dir %s)\n", m.NumShards(), addr, dir)
+	fmt.Printf("serving %d shards on tcp://%s (dir %s)\n", m.Shards(), addr, dir)
 
 	// --- Write: a protocol client, pipelining a burst. ----------------
 	cl, err := client.Dial(addr, client.Options{Conns: 2})

@@ -58,15 +58,16 @@ type SkipHash struct {
 }
 
 // NewSkipHash builds the skip hash series: mode is "two-path", "fast",
-// "slow" (the paper's three variants), "adaptive" (this repo's
-// extension), or "txread" (the read-fast-path ablation: every point
-// read runs the full STM transaction). buckets of 0 selects the paper's
-// table size.
+// "slow" (the paper's three variants, each one shard), "adaptive" (this
+// repo's extension), "txread" (the read-fast-path ablation: every point
+// read runs the full STM transaction), or "sharded" (the partition count
+// derived from GOMAXPROCS, the table size split across the shards).
+// buckets of 0 selects the paper's table size.
 func NewSkipHash(mode string, buckets int) *SkipHash {
 	if buckets == 0 {
 		buckets = thashmap.DefaultBuckets
 	}
-	cfg := skiphash.Config{Buckets: buckets}
+	cfg := skiphash.Config{Buckets: buckets, Shards: 1}
 	name := "skiphash-two-path"
 	switch mode {
 	case "fast":
@@ -81,11 +82,17 @@ func NewSkipHash(mode string, buckets int) *SkipHash {
 	case "txread":
 		cfg.DisableReadFastPath = true
 		name = "skiphash-txread"
+	case "sharded":
+		cfg.Shards = 0
 	case "", "two-path":
 	default:
 		panic(fmt.Sprintf("bench: unknown skip hash mode %q", mode))
 	}
-	return &SkipHash{m: skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg), name: name}
+	m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg)
+	if mode == "sharded" {
+		name = fmt.Sprintf("skiphash-sharded-%d", m.Shards())
+	}
+	return &SkipHash{m: m, name: name}
 }
 
 // Name implements Map.
@@ -98,7 +105,7 @@ func (s *SkipHash) SupportsRange() bool { return true }
 func (s *SkipHash) RangeStats() skiphash.RangeStats { return s.m.RangeStats() }
 
 // STMStats implements STMStatsSource.
-func (s *SkipHash) STMStats() stm.Stats { return s.m.Runtime().Stats() }
+func (s *SkipHash) STMStats() stm.Stats { return s.m.STMStats() }
 
 // NewWorker implements Map.
 func (s *SkipHash) NewWorker() Worker {
@@ -117,55 +124,6 @@ func (w *skipHashWorker) Lookup(k int64) bool {
 func (w *skipHashWorker) Insert(k, v int64) bool { return w.h.Insert(k, v) }
 func (w *skipHashWorker) Remove(k int64) bool    { return w.h.Remove(k) }
 func (w *skipHashWorker) Range(l, r int64) int {
-	w.buf = w.h.Range(l, r, w.buf[:0])
-	return len(w.buf)
-}
-
-// --- Sharded skip hash ---------------------------------------------------
-
-// ShardedSkipHash wraps the hash-partitioned skip hash (the series this
-// repository adds beyond the paper): S independent shards behind the
-// same ordered-map interface.
-type ShardedSkipHash struct {
-	m    *skiphash.Sharded[int64, int64]
-	name string
-}
-
-// NewShardedSkipHash builds the sharded series: the partition count is
-// derived from GOMAXPROCS, the paper's total table size is split across
-// the shards, and the shards share one STM runtime.
-func NewShardedSkipHash() *ShardedSkipHash {
-	cfg := skiphash.Config{Buckets: thashmap.DefaultBuckets}
-	m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg)
-	return &ShardedSkipHash{m: m, name: fmt.Sprintf("skiphash-sharded-%d", m.NumShards())}
-}
-
-// Name implements Map.
-func (s *ShardedSkipHash) Name() string { return s.name }
-
-// SupportsRange implements Map.
-func (s *ShardedSkipHash) SupportsRange() bool { return true }
-
-// STMStats implements STMStatsSource.
-func (s *ShardedSkipHash) STMStats() stm.Stats { return s.m.STMStats() }
-
-// NewWorker implements Map.
-func (s *ShardedSkipHash) NewWorker() Worker {
-	return &shardedWorker{h: s.m.NewHandle()}
-}
-
-type shardedWorker struct {
-	h   *skiphash.ShardedHandle[int64, int64]
-	buf []skiphash.Pair[int64, int64]
-}
-
-func (w *shardedWorker) Lookup(k int64) bool {
-	_, ok := w.h.Lookup(k)
-	return ok
-}
-func (w *shardedWorker) Insert(k, v int64) bool { return w.h.Insert(k, v) }
-func (w *shardedWorker) Remove(k int64) bool    { return w.h.Remove(k) }
-func (w *shardedWorker) Range(l, r int64) int {
 	w.buf = w.h.Range(l, r, w.buf[:0])
 	return len(w.buf)
 }

@@ -24,83 +24,32 @@ import (
 // optionally the background maintainer) the backlog stays bounded and
 // the series stays flat.
 
-// churnHandle is the explicit-handle face the turnover loop needs; both
-// skiphash.Handle and skiphash.ShardedHandle satisfy it.
-type churnHandle interface {
-	Insert(k, v int64) bool
-	Remove(k int64) bool
-	Close()
-}
-
-// churnSubject adapts one map variant for the churn driver.
+// churnSubject is one map variant under the churn driver.
 type churnSubject struct {
-	name      string
-	insert    func(k int64) bool
-	remove    func(k int64) bool
-	rangeLen  func(l, r int64) int
-	newHandle func() churnHandle
-	backlog   func() int
-	handles   func() int
-	drained   func() uint64
-	quiesce   func()
-	close     func()
+	name string
+	m    *skiphash.Map[int64, int64]
 }
 
-func churnUnsharded(name string, cfg skiphash.Config) *churnSubject {
-	m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg)
-	return &churnSubject{
-		name:   name,
-		insert: func(k int64) bool { return m.Insert(k, k) },
-		remove: func(k int64) bool { return m.Remove(k) },
-		rangeLen: func(l, r int64) int {
-			return len(m.Range(l, r, nil))
-		},
-		newHandle: func() churnHandle { return m.NewHandle() },
-		backlog:   func() int { return liveBacklog(m.StitchedSlow(), m.SizeSlow()) },
-		handles:   func() int { return m.HandleCount() },
-		drained:   func() uint64 { return m.MaintenanceStats().DrainedNodes },
-		quiesce:   func() { m.Quiesce() },
-		close:     func() { m.Close() },
-	}
-}
-
-func churnSharded(name string, cfg skiphash.Config) *churnSubject {
-	m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg)
-	return &churnSubject{
-		name:   fmt.Sprintf("%s-%d", name, m.NumShards()),
-		insert: func(k int64) bool { return m.Insert(k, k) },
-		remove: func(k int64) bool { return m.Remove(k) },
-		rangeLen: func(l, r int64) int {
-			return len(m.Range(l, r, nil))
-		},
-		newHandle: func() churnHandle { return m.NewHandle() },
-		backlog:   func() int { return liveBacklog(m.StitchedSlow(), m.SizeSlow()) },
-		handles:   func() int { return m.HandleCount() },
-		drained:   func() uint64 { return m.MaintenanceStats().DrainedNodes },
-		quiesce:   func() { m.Quiesce() },
-		close:     func() { m.Close() },
-	}
-}
+func (s *churnSubject) backlog() int { return liveBacklog(s.m.StitchedSlow(), s.m.SizeSlow()) }
 
 // churnSubjects returns constructors for the churn series: the
-// unsharded map with the background maintainer, the same map on inline
-// threshold reclamation only, and the sharded map with per-shard
-// maintainers. Construction is deferred to measurement time so one
-// subject's maintainer goroutines never tick during another's windows,
-// and an early error cannot leak maps that were never measured.
+// one-shard map with the background maintainer, the same map on inline
+// threshold reclamation only, and a four-shard map with per-shard
+// maintainers (pinned, so the series is comparable across hosts).
+// Construction is deferred to measurement time so one subject's
+// maintainer goroutines never tick during another's windows, and an
+// early error cannot leak maps that were never measured.
 func churnSubjects() []func() *churnSubject {
 	buckets := thashmap.DefaultBuckets
+	subject := func(name string, cfg skiphash.Config) func() *churnSubject {
+		return func() *churnSubject {
+			return &churnSubject{name: name, m: skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg)}
+		}
+	}
 	return []func() *churnSubject{
-		func() *churnSubject {
-			return churnUnsharded("skiphash-maint", skiphash.Config{Buckets: buckets, Maintenance: true})
-		},
-		func() *churnSubject {
-			return churnUnsharded("skiphash-inline", skiphash.Config{Buckets: buckets})
-		},
-		func() *churnSubject {
-			// Pinned to 4 shards so the series is comparable across hosts.
-			return churnSharded("skiphash-sharded-maint", skiphash.Config{Buckets: buckets, Shards: 4, Maintenance: true})
-		},
+		subject("skiphash-maint", skiphash.Config{Buckets: buckets, Shards: 1, Maintenance: true}),
+		subject("skiphash-inline", skiphash.Config{Buckets: buckets, Shards: 1}),
+		subject("skiphash-sharded-maint-4", skiphash.Config{Buckets: buckets, Shards: 4, Maintenance: true}),
 	}
 }
 
@@ -155,11 +104,11 @@ func Churn(w io.Writer, windows int, opts Options) error {
 }
 
 func churnOne(w io.Writer, sub *churnSubject, half, windows int, universe, rangeSpan int64, opts Options) error {
-	defer sub.close() // idempotent; guarantees maintainer teardown on every path
+	defer sub.m.Close() // idempotent; guarantees maintainer teardown on every path
 	seed := opts.Seed + 97
 	perm := rand.New(rand.NewPCG(seed, 0x5eed)).Perm(int(universe))
 	for i := 0; i < int(universe)/2; i++ {
-		sub.insert(int64(perm[i]))
+		sub.m.Insert(int64(perm[i]), int64(perm[i]))
 	}
 
 	var updates, rangePairs atomic.Uint64
@@ -170,7 +119,7 @@ func churnOne(w io.Writer, sub *churnSubject, half, windows int, universe, range
 		go func(id uint64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewPCG(seed+id, 0xabc1))
-			var h churnHandle
+			var h *skiphash.Handle[int64, int64]
 			hOps := 0
 			for {
 				select {
@@ -186,9 +135,9 @@ func churnOne(w io.Writer, sub *churnSubject, half, windows int, universe, range
 					if h == nil {
 						// Convenience path: pooled transient handles.
 						if rng.Uint64()&1 == 0 {
-							sub.remove(k)
+							sub.m.Remove(k)
 						} else {
-							sub.insert(k)
+							sub.m.Insert(k, k)
 						}
 					} else {
 						if rng.Uint64()&1 == 0 {
@@ -203,7 +152,7 @@ func churnOne(w io.Writer, sub *churnSubject, half, windows int, universe, range
 				// Handle turnover: alternate between pooled convenience
 				// traffic and short-lived explicit handles.
 				if h == nil && rng.Uint64()%8 == 0 {
-					h = sub.newHandle()
+					h = sub.m.NewHandle()
 					hOps = 0
 				} else if h != nil && hOps >= handleTurnoverOps {
 					h.Close()
@@ -224,8 +173,7 @@ func churnOne(w io.Writer, sub *churnSubject, half, windows int, universe, range
 				default:
 				}
 				l := int64(rng.Uint64() % uint64(universe))
-				n := sub.rangeLen(l, l+rangeSpan)
-				rangePairs.Add(uint64(n))
+				rangePairs.Add(uint64(len(sub.m.Range(l, l+rangeSpan, nil))))
 			}
 		}(uint64(t) + 101)
 	}
@@ -241,7 +189,7 @@ func churnOne(w io.Writer, sub *churnSubject, half, windows int, universe, range
 		updMops := float64(du) / 1e6 / elapsed
 		rngMpairs := float64(dp) / 1e6 / elapsed
 		backlog := sub.backlog()
-		handles := sub.handles()
+		handles := sub.m.HandleCount()
 		if win == 0 {
 			firstRange = rngMpairs
 		}
@@ -255,10 +203,10 @@ func churnOne(w io.Writer, sub *churnSubject, half, windows int, universe, range
 	}
 	close(stop)
 	wg.Wait()
-	sub.quiesce()
+	sub.m.Quiesce()
 	finalBacklog := sub.backlog()
 	fmt.Fprintf(w, "%-26s quiesced: backlog %d, handles %d, drained %d, range first->last %.2f -> %.2f Mpairs/s\n",
-		sub.name, finalBacklog, sub.handles(), sub.drained(), firstRange, lastRange)
+		sub.name, finalBacklog, sub.m.HandleCount(), sub.m.MaintenanceStats().DrainedNodes, firstRange, lastRange)
 	if finalBacklog != 0 {
 		return fmt.Errorf("bench: %s left %d stitched logically-deleted nodes after quiesce", sub.name, finalBacklog)
 	}

@@ -23,7 +23,7 @@ func ReadMaps() []MapFactory {
 	return []MapFactory{
 		{Name: "skiphash-two-path", New: func() Map { return NewSkipHash("two-path", 0) }},
 		{Name: "skiphash-txread", New: func() Map { return NewSkipHash("txread", 0) }},
-		{Name: "skiphash-sharded", New: func() Map { return NewShardedSkipHash() }},
+		{Name: "skiphash-sharded", New: func() Map { return NewSkipHash("sharded", 0) }},
 	}
 }
 

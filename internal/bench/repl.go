@@ -102,7 +102,7 @@ func Repl(w io.Writer, opts Options) error {
 		if hi > wl.Universe {
 			hi = wl.Universe
 		}
-		if err := m.Atomic(func(tx *skiphash.ShardedTxn[int64, int64]) error {
+		if err := m.Atomic(func(tx *skiphash.Txn[int64, int64]) error {
 			for k := lo; k < hi; k++ {
 				tx.Put(k, k)
 			}

@@ -23,25 +23,26 @@ func newTestMap(t *testing.T, cfg Config) *Map[int64, int64] {
 
 func TestBasicOperations(t *testing.T) {
 	m := newTestMap(t, Config{})
-	if _, ok := m.Lookup(7); ok {
+	h := m.NewHandle()
+	if _, ok := h.Lookup(7); ok {
 		t.Error("Lookup on empty map reported present")
 	}
-	if !m.Insert(7, 70) {
+	if !h.Insert(7, 70) {
 		t.Error("Insert of absent key failed")
 	}
-	if m.Insert(7, 71) {
+	if h.Insert(7, 71) {
 		t.Error("Insert of present key succeeded")
 	}
-	if v, ok := m.Lookup(7); !ok || v != 70 {
+	if v, ok := h.Lookup(7); !ok || v != 70 {
 		t.Errorf("Lookup(7) = %d,%v want 70,true", v, ok)
 	}
-	if !m.Contains(7) {
+	if !h.Contains(7) {
 		t.Error("Contains(7) = false")
 	}
-	if !m.Remove(7) {
+	if !h.Remove(7) {
 		t.Error("Remove of present key failed")
 	}
-	if m.Remove(7) {
+	if h.Remove(7) {
 		t.Error("Remove of absent key succeeded")
 	}
 	m.Quiesce()
@@ -52,13 +53,14 @@ func TestBasicOperations(t *testing.T) {
 
 func TestPutReplaces(t *testing.T) {
 	m := newTestMap(t, Config{})
-	if m.Put(1, 10) {
+	h := m.NewHandle()
+	if h.Put(1, 10) {
 		t.Error("first Put reported replacement")
 	}
-	if !m.Put(1, 20) {
+	if !h.Put(1, 20) {
 		t.Error("second Put did not report replacement")
 	}
-	if v, _ := m.Lookup(1); v != 20 {
+	if v, _ := h.Lookup(1); v != 20 {
 		t.Errorf("value after Put = %d, want 20", v)
 	}
 	m.Quiesce()
@@ -69,8 +71,9 @@ func TestPutReplaces(t *testing.T) {
 
 func TestPointQueries(t *testing.T) {
 	m := newTestMap(t, Config{})
+	h := m.NewHandle()
 	for _, k := range []int64{10, 20, 30} {
-		m.Insert(k, k*2)
+		h.Insert(k, k*2)
 	}
 	tests := []struct {
 		name string
@@ -79,19 +82,19 @@ func TestPointQueries(t *testing.T) {
 		want int64
 		ok   bool
 	}{
-		{"ceil present O(1)", m.Ceil, 20, 20, true},
-		{"ceil between", m.Ceil, 11, 20, true},
-		{"ceil below all", m.Ceil, 1, 10, true},
-		{"ceil above all", m.Ceil, 31, 0, false},
-		{"succ present O(1)", m.Succ, 20, 30, true},
-		{"succ between", m.Succ, 11, 20, true},
-		{"succ of last", m.Succ, 30, 0, false},
-		{"floor present O(1)", m.Floor, 20, 20, true},
-		{"floor between", m.Floor, 29, 20, true},
-		{"floor below all", m.Floor, 1, 0, false},
-		{"pred present O(1)", m.Pred, 20, 10, true},
-		{"pred between", m.Pred, 29, 20, true},
-		{"pred of first", m.Pred, 10, 0, false},
+		{"ceil present O(1)", h.Ceil, 20, 20, true},
+		{"ceil between", h.Ceil, 11, 20, true},
+		{"ceil below all", h.Ceil, 1, 10, true},
+		{"ceil above all", h.Ceil, 31, 0, false},
+		{"succ present O(1)", h.Succ, 20, 30, true},
+		{"succ between", h.Succ, 11, 20, true},
+		{"succ of last", h.Succ, 30, 0, false},
+		{"floor present O(1)", h.Floor, 20, 20, true},
+		{"floor between", h.Floor, 29, 20, true},
+		{"floor below all", h.Floor, 1, 0, false},
+		{"pred present O(1)", h.Pred, 20, 10, true},
+		{"pred between", h.Pred, 29, 20, true},
+		{"pred of first", h.Pred, 10, 0, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -110,37 +113,36 @@ func TestPointQueriesSkipDeleted(t *testing.T) {
 	// Logically deleted nodes may linger in the list while a slow-path
 	// range query is active; point queries must never return them.
 	m := newTestMap(t, Config{SlowOnly: true, RemovalBufferSize: -1})
+	h := m.NewHandle()
 	for _, k := range []int64{10, 20, 30} {
-		m.Insert(k, k)
+		h.Insert(k, k)
 	}
 	// Start a slow-path range query "by hand" so removals are deferred.
-	h := m.NewHandle()
 	var op *rangeOp[int64, int64]
 	_ = m.rt.Atomic(func(tx *stm.Tx) error {
 		op = m.rqc.onRange(tx)
 		return nil
 	})
-	m.Remove(20)
+	h.Remove(20)
 	if m.StitchedSlow() != 3 {
 		t.Fatalf("expected deferred node to stay stitched, have %d nodes", m.StitchedSlow())
 	}
-	if k, _, ok := m.Ceil(15); !ok || k != 30 {
+	if k, _, ok := h.Ceil(15); !ok || k != 30 {
 		t.Errorf("Ceil(15) = %d,%v want 30,true (deleted 20 skipped)", k, ok)
 	}
-	if k, _, ok := m.Succ(10); !ok || k != 30 {
+	if k, _, ok := h.Succ(10); !ok || k != 30 {
 		t.Errorf("Succ(10) = %d,%v want 30,true", k, ok)
 	}
-	if k, _, ok := m.Floor(25); !ok || k != 10 {
+	if k, _, ok := h.Floor(25); !ok || k != 10 {
 		t.Errorf("Floor(25) = %d,%v want 10,true", k, ok)
 	}
-	if k, _, ok := m.Pred(30); !ok || k != 10 {
+	if k, _, ok := h.Pred(30); !ok || k != 10 {
 		t.Errorf("Pred(30) = %d,%v want 10,true", k, ok)
 	}
-	if _, ok := m.Lookup(20); ok {
+	if _, ok := h.Lookup(20); ok {
 		t.Error("Lookup(20) found logically deleted node")
 	}
 	m.rqc.afterRange(m, op)
-	_ = h
 	if got := m.StitchedSlow(); got != 2 {
 		t.Errorf("after afterRange: %d stitched nodes, want 2", got)
 	}
@@ -154,17 +156,18 @@ func TestInsertAfterLogicalDelete(t *testing.T) {
 	// re-inserting it must produce a fresh live node placed after the
 	// deleted one, and lookups must see the new value.
 	m := newTestMap(t, Config{SlowOnly: true, RemovalBufferSize: -1})
-	m.Insert(5, 50)
+	h := m.NewHandle()
+	h.Insert(5, 50)
 	var op *rangeOp[int64, int64]
 	_ = m.rt.Atomic(func(tx *stm.Tx) error {
 		op = m.rqc.onRange(tx)
 		return nil
 	})
-	m.Remove(5)
-	if !m.Insert(5, 51) {
+	h.Remove(5)
+	if !h.Insert(5, 51) {
 		t.Fatal("re-insert after logical delete failed")
 	}
-	if v, ok := m.Lookup(5); !ok || v != 51 {
+	if v, ok := h.Lookup(5); !ok || v != 51 {
 		t.Errorf("Lookup(5) = %d,%v want 51,true", v, ok)
 	}
 	if got := m.StitchedSlow(); got != 2 {
@@ -189,10 +192,11 @@ func TestRangeBasic(t *testing.T) {
 		{SlowOnly: true}, // slow only
 	} {
 		m := newTestMap(t, cfg)
+		h := m.NewHandle()
 		for k := int64(0); k < 100; k += 2 {
-			m.Insert(k, k*10)
+			h.Insert(k, k*10)
 		}
-		got := m.Range(10, 20, nil)
+		got := h.Range(10, 20, nil)
 		want := []int64{10, 12, 14, 16, 18, 20}
 		if len(got) != len(want) {
 			t.Fatalf("cfg %+v: Range(10,20) returned %d pairs, want %d", cfg, len(got), len(want))
@@ -202,10 +206,10 @@ func TestRangeBasic(t *testing.T) {
 				t.Errorf("pair %d = %+v, want {%d %d}", i, p, want[i], want[i]*10)
 			}
 		}
-		if got := m.Range(1, 1, nil); len(got) != 0 {
+		if got := h.Range(1, 1, nil); len(got) != 0 {
 			t.Errorf("empty Range returned %v", got)
 		}
-		if got := m.Range(200, 300, nil); len(got) != 0 {
+		if got := h.Range(200, 300, nil); len(got) != 0 {
 			t.Errorf("out-of-universe Range returned %v", got)
 		}
 	}
@@ -213,13 +217,14 @@ func TestRangeBasic(t *testing.T) {
 
 func TestQuickVersusModel(t *testing.T) {
 	m := newTestMap(t, Config{Buckets: 31, MaxLevel: 4})
+	h := m.NewHandle()
 	model := make(map[int64]int64)
 	f := func(ops []uint16) bool {
 		for _, op := range ops {
 			k := int64(op % 48)
 			switch (op / 48) % 5 {
 			case 0:
-				got := m.Insert(k, k*7)
+				got := h.Insert(k, k*7)
 				_, present := model[k]
 				if got == present {
 					return false
@@ -228,33 +233,33 @@ func TestQuickVersusModel(t *testing.T) {
 					model[k] = k * 7
 				}
 			case 1:
-				got := m.Remove(k)
+				got := h.Remove(k)
 				_, present := model[k]
 				if got != present {
 					return false
 				}
 				delete(model, k)
 			case 2:
-				v, ok := m.Lookup(k)
+				v, ok := h.Lookup(k)
 				mv, present := model[k]
 				if ok != present || (ok && v != mv) {
 					return false
 				}
 			case 3:
-				gk, _, ok := m.Ceil(k)
+				gk, _, ok := h.Ceil(k)
 				wk, wok := modelCeil(model, k)
 				if ok != wok || (ok && gk != wk) {
 					return false
 				}
 			case 4:
-				gk, _, ok := m.Pred(k)
+				gk, _, ok := h.Pred(k)
 				wk, wok := modelPred(model, k)
 				if ok != wok || (ok && gk != wk) {
 					return false
 				}
 			}
 		}
-		got := m.Range(0, 47, nil)
+		got := h.Range(0, 47, nil)
 		keys := sortedKeys(model)
 		if len(got) != len(keys) {
 			return false
@@ -303,6 +308,7 @@ func sortedKeys(model map[int64]int64) []int64 {
 
 func TestAtomicBatch(t *testing.T) {
 	m := newTestMap(t, Config{})
+	h := m.NewHandle()
 	err := m.Atomic(func(op *Txn[int64, int64]) error {
 		op.Insert(1, 1)
 		op.Insert(2, 2)
@@ -314,7 +320,7 @@ func TestAtomicBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Contains(1) || !m.Contains(2) {
+	if !h.Contains(1) || !h.Contains(2) {
 		t.Error("batch insert lost keys")
 	}
 	// Rollback on error must undo everything.
@@ -327,10 +333,10 @@ func TestAtomicBatch(t *testing.T) {
 	if err != rollbackErr {
 		t.Fatalf("error = %v, want sentinel", err)
 	}
-	if !m.Contains(1) {
+	if !h.Contains(1) {
 		t.Error("rollback lost key 1")
 	}
-	if m.Contains(3) {
+	if h.Contains(3) {
 		t.Error("rollback leaked key 3")
 	}
 	m.Quiesce()
@@ -542,8 +548,9 @@ func TestPerKeyLinearization(t *testing.T) {
 		}(uint64(g) + 3)
 	}
 	wg.Wait()
+	h := m.NewHandle()
 	for k := int64(0); k < keys; k++ {
-		_, present := m.Lookup(k)
+		_, present := h.Lookup(k)
 		balance := inserts[k] - removes[k]
 		want := int64(0)
 		if present {

@@ -10,22 +10,23 @@ import (
 // acquires an orec on their behalf.
 func TestFastPathHitsAcquireNothing(t *testing.T) {
 	m := newTestMap(t, Config{})
+	h := m.NewHandle()
 	for k := int64(0); k < 128; k++ {
-		m.Insert(k, k*10)
+		h.Insert(k, k*10)
 	}
 	before := m.Runtime().Stats()
 
 	const reads = 512
 	for i := 0; i < reads; i++ {
 		k := int64(i) % 256 // half the probes miss
-		v, ok := m.Lookup(k)
+		v, ok := h.Lookup(k)
 		if k < 128 && (!ok || v != k*10) {
 			t.Fatalf("Lookup(%d) = %d,%v want %d,true", k, v, ok, k*10)
 		}
 		if k >= 128 && ok {
 			t.Fatalf("Lookup(%d) reported a phantom key", k)
 		}
-		if m.Contains(k) != (k < 128) {
+		if h.Contains(k) != (k < 128) {
 			t.Fatalf("Contains(%d) = %v", k, k >= 128)
 		}
 	}
@@ -48,15 +49,16 @@ func TestFastPathHitsAcquireNothing(t *testing.T) {
 // detect the change, fall back, and answer through a transaction.
 func TestFastPathFallbackMidWalk(t *testing.T) {
 	m := newTestMap(t, Config{Buckets: 1}) // one bucket: any write invalidates any probe
-	m.Insert(1, 10)
+	h := m.NewHandle()
+	h.Insert(1, 10)
 
 	flips := int64(100)
 	hook := func() {
 		// Toggle key 2 so every fast walk observes a bucket commit.
 		if flips%2 == 0 {
-			m.Insert(2, 20)
+			h.Insert(2, 20)
 		} else {
-			m.Remove(2)
+			h.Remove(2)
 		}
 		flips++
 	}
@@ -64,10 +66,10 @@ func TestFastPathFallbackMidWalk(t *testing.T) {
 	defer setFastWalkHook(nil)
 
 	before := m.Runtime().Stats()
-	if v, ok := m.Lookup(1); !ok || v != 10 {
+	if v, ok := h.Lookup(1); !ok || v != 10 {
 		t.Fatalf("Lookup(1) under forced invalidation = %d,%v want 10,true", v, ok)
 	}
-	if m.Contains(3) {
+	if h.Contains(3) {
 		t.Fatal("Contains(3) reported a phantom key under forced invalidation")
 	}
 	d := m.Runtime().Stats().Sub(before)
@@ -86,7 +88,7 @@ func TestFastPathFallbackMidWalk(t *testing.T) {
 
 	setFastWalkHook(nil)
 	after := m.Runtime().Stats()
-	if v, ok := m.Lookup(1); !ok || v != 10 {
+	if v, ok := h.Lookup(1); !ok || v != 10 {
 		t.Fatalf("Lookup(1) after hook removal = %d,%v", v, ok)
 	}
 	if d2 := m.Runtime().Stats().Sub(after); d2.FastReadHits != 1 || d2.FastReadFallbacks != 0 {
@@ -98,12 +100,13 @@ func TestFastPathFallbackMidWalk(t *testing.T) {
 // off, point reads are transactional and the fast counters stay zero.
 func TestDisableReadFastPath(t *testing.T) {
 	m := newTestMap(t, Config{DisableReadFastPath: true})
-	m.Insert(1, 10)
+	h := m.NewHandle()
+	h.Insert(1, 10)
 	before := m.Runtime().Stats()
-	if v, ok := m.Lookup(1); !ok || v != 10 {
+	if v, ok := h.Lookup(1); !ok || v != 10 {
 		t.Fatalf("Lookup(1) = %d,%v want 10,true", v, ok)
 	}
-	if _, ok := m.Lookup(2); ok {
+	if _, ok := h.Lookup(2); ok {
 		t.Fatal("Lookup(2) reported a phantom key")
 	}
 	d := m.Runtime().Stats().Sub(before)

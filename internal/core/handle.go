@@ -479,17 +479,18 @@ func (m *Map[K, V]) RangeStats() RangeStats {
 	return s
 }
 
-// Convenience methods on Map borrow a pooled transient handle. They are
-// the ergonomic entry points; benchmark workers hold explicit handles.
-// Every release recycles the handle — counters banked, buffered removals
-// handed to the orphan queue — so a handle the pool later drops under GC
-// pressure cannot strand removals or grow the registry.
+// Map.Atomic, the iterators and SnapshotChunks borrow a pooled transient
+// handle (the per-operation convenience methods live one layer up, on
+// shard.Sharded, over that layer's own pool). Every dirty release
+// recycles the handle — counters banked, buffered removals handed to the
+// orphan queue — so a handle the pool later drops under GC pressure
+// cannot strand removals or grow the registry.
 
 func (m *Map[K, V]) borrow() *Handle[K, V] { return m.handlePool.Get().(*Handle[K, V]) }
 
 // release recycles a borrowed handle before returning it to the pool;
-// for paths that may have dirtied it (Remove/Put buffer removals,
-// Range/Atomic touch the counters).
+// for Atomic, whose body may have dirtied it (removals buffer, ranges
+// touch the counters).
 func (m *Map[K, V]) release(h *Handle[K, V]) {
 	h.Recycle()
 	m.handlePool.Put(h)
@@ -497,81 +498,10 @@ func (m *Map[K, V]) release(h *Handle[K, V]) {
 
 // releaseClean returns a borrowed handle without the recycle pass; only
 // for operations that can neither buffer a removal nor touch a
-// range-path counter (lookups, inserts, point queries, iteration), so
-// the O(1) read path pays nothing beyond the pool round-trip. Dirty
-// paths always release through release(), so a pooled handle's buffer
-// is empty by invariant.
+// range-path counter (iteration, snapshot chunks). Dirty paths always
+// release through release(), so a pooled handle's buffer is empty by
+// invariant.
 func (m *Map[K, V]) releaseClean(h *Handle[K, V]) { m.handlePool.Put(h) }
-
-// Lookup returns the value associated with k.
-func (m *Map[K, V]) Lookup(k K) (V, bool) {
-	h := m.borrow()
-	defer m.releaseClean(h)
-	return h.Lookup(k)
-}
-
-// Contains reports whether k is present.
-func (m *Map[K, V]) Contains(k K) bool {
-	h := m.borrow()
-	defer m.releaseClean(h)
-	return h.Contains(k)
-}
-
-// Insert adds (k, v) if k is absent and reports whether it did.
-func (m *Map[K, V]) Insert(k K, v V) bool {
-	h := m.borrow()
-	defer m.releaseClean(h)
-	return h.Insert(k, v)
-}
-
-// Remove deletes k and reports whether it was present.
-func (m *Map[K, V]) Remove(k K) bool {
-	h := m.borrow()
-	defer m.release(h)
-	return h.Remove(k)
-}
-
-// Put sets k to v unconditionally; see Handle.Put.
-func (m *Map[K, V]) Put(k K, v V) bool {
-	h := m.borrow()
-	defer m.release(h)
-	return h.Put(k, v)
-}
-
-// Ceil returns the smallest key >= k and its value.
-func (m *Map[K, V]) Ceil(k K) (K, V, bool) {
-	h := m.borrow()
-	defer m.releaseClean(h)
-	return h.Ceil(k)
-}
-
-// Succ returns the smallest key > k and its value.
-func (m *Map[K, V]) Succ(k K) (K, V, bool) {
-	h := m.borrow()
-	defer m.releaseClean(h)
-	return h.Succ(k)
-}
-
-// Floor returns the largest key <= k and its value.
-func (m *Map[K, V]) Floor(k K) (K, V, bool) {
-	h := m.borrow()
-	defer m.releaseClean(h)
-	return h.Floor(k)
-}
-
-// Pred returns the largest key < k and its value.
-func (m *Map[K, V]) Pred(k K) (K, V, bool) {
-	h := m.borrow()
-	defer m.releaseClean(h)
-	return h.Pred(k)
-}
-
-// Range collects [l, r] into out; see Handle.Range.
-func (m *Map[K, V]) Range(l, r K, out []Pair[K, V]) []Pair[K, V] {
-	h := m.borrow()
-	defer m.release(h)
-	return h.Range(l, r, out)
-}
 
 // Quiesce flushes every registered handle's removal buffer and drains
 // the orphan queue. It is safe concurrent with in-flight operations

@@ -8,9 +8,10 @@ import (
 
 func TestAscendVisitsAllInOrder(t *testing.T) {
 	m := newTestMap(t, Config{})
+	h := m.NewHandle()
 	const n = 200 // spans several chunks
 	for k := int64(0); k < n; k++ {
-		m.Insert(k, k*2)
+		h.Insert(k, k*2)
 	}
 	var got []int64
 	m.AscendFrom(0, func(k, v int64) bool {
@@ -32,8 +33,9 @@ func TestAscendVisitsAllInOrder(t *testing.T) {
 
 func TestAscendFromMidAndEarlyStop(t *testing.T) {
 	m := newTestMap(t, Config{})
+	h := m.NewHandle()
 	for k := int64(0); k < 100; k += 2 {
-		m.Insert(k, k)
+		h.Insert(k, k)
 	}
 	var got []int64
 	m.AscendFrom(31, func(k, v int64) bool {
@@ -53,8 +55,9 @@ func TestAscendFromMidAndEarlyStop(t *testing.T) {
 
 func TestAllRangeOverFunc(t *testing.T) {
 	m := newTestMap(t, Config{})
+	h := m.NewHandle()
 	for k := int64(5); k > 0; k-- {
-		m.Insert(k, k)
+		h.Insert(k, k)
 	}
 	var sum int64
 	for k, v := range m.All() {
@@ -83,11 +86,12 @@ func TestAscendEmptyMap(t *testing.T) {
 func TestAscendSkipsDeletedChunkBoundaries(t *testing.T) {
 	// Delete a stretch wider than a chunk; iteration must jump it.
 	m := newTestMap(t, Config{})
+	h := m.NewHandle()
 	for k := int64(0); k < 300; k++ {
-		m.Insert(k, k)
+		h.Insert(k, k)
 	}
 	for k := int64(60); k < 200; k++ {
-		m.Remove(k)
+		h.Remove(k)
 	}
 	count := 0
 	last := int64(-1)
@@ -111,9 +115,10 @@ func TestAscendUnderConcurrentUpdates(t *testing.T) {
 	// Weak consistency contract: iteration must stay sorted and
 	// duplicate-free even while the map churns.
 	m := newTestMap(t, Config{})
+	h := m.NewHandle()
 	const universe = 2048
 	for k := int64(0); k < universe; k += 2 {
-		m.Insert(k, k)
+		h.Insert(k, k)
 	}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -138,7 +143,6 @@ func TestAscendUnderConcurrentUpdates(t *testing.T) {
 			}
 		}(uint64(g) + 1)
 	}
-	h := m.NewHandle()
 	for i := 0; i < 50; i++ {
 		last := int64(-1)
 		h.Ascend(func(k, v int64) bool {
@@ -160,9 +164,10 @@ func TestAscendUnderConcurrentUpdates(t *testing.T) {
 
 func TestDescendVisitsAllInReverse(t *testing.T) {
 	m := newTestMap(t, Config{})
+	h := m.NewHandle()
 	const n = 200
 	for k := int64(0); k < n; k++ {
-		m.Insert(k, k*2)
+		h.Insert(k, k*2)
 	}
 	var got []int64
 	m.DescendFrom(n, func(k, v int64) bool {
@@ -184,8 +189,9 @@ func TestDescendVisitsAllInReverse(t *testing.T) {
 
 func TestDescendFromMidInclusive(t *testing.T) {
 	m := newTestMap(t, Config{})
+	h := m.NewHandle()
 	for k := int64(0); k < 100; k += 2 {
-		m.Insert(k, k)
+		h.Insert(k, k)
 	}
 	var got []int64
 	m.DescendFrom(30, func(k, v int64) bool {
@@ -214,8 +220,9 @@ func TestDescendFromMidInclusive(t *testing.T) {
 
 func TestBackwardRangeOverFunc(t *testing.T) {
 	m := newTestMap(t, Config{})
+	h := m.NewHandle()
 	for k := int64(1); k <= 5; k++ {
-		m.Insert(k, k)
+		h.Insert(k, k)
 	}
 	var got []int64
 	for k := range m.Backward() {
@@ -231,16 +238,17 @@ func TestBackwardRangeOverFunc(t *testing.T) {
 
 func TestDescendSkipsDeletedAndEmpty(t *testing.T) {
 	m := newTestMap(t, Config{})
+	h := m.NewHandle()
 	calls := 0
 	m.DescendFrom(100, func(k, v int64) bool { calls++; return true })
 	if calls != 0 {
 		t.Errorf("callback ran %d times on empty map", calls)
 	}
 	for k := int64(0); k < 300; k++ {
-		m.Insert(k, k)
+		h.Insert(k, k)
 	}
 	for k := int64(100); k < 250; k++ {
-		m.Remove(k)
+		h.Remove(k)
 	}
 	last := int64(300)
 	count := 0

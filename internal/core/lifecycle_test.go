@@ -17,6 +17,18 @@ func newLifecycleMap(cfg Config) *Map[int64, int64] {
 	return New[int64, int64](func(a, b int64) bool { return a < b }, thashmap.Hash64, cfg)
 }
 
+// pooledInsert and pooledRemove run one update on a pooled transient
+// handle. Map.Atomic is the pool's entry point beside the iterators (the
+// per-operation convenience methods live on the shard front), so it is
+// how these tests keep driving borrow, Recycle and the orphan queue.
+func pooledInsert(m *Map[int64, int64], k int64) {
+	_ = m.Atomic(func(op *Txn[int64, int64]) error { op.Insert(k, k); return nil })
+}
+
+func pooledRemove(m *Map[int64, int64], k int64) {
+	_ = m.Atomic(func(op *Txn[int64, int64]) error { op.Remove(k); return nil })
+}
+
 // TestHandleCloseDeregisters is the regression test for the unbounded
 // handle registry: handles must leave Map.handles on Close, and their
 // counters must survive in RangeStats via the retired accumulator.
@@ -30,7 +42,7 @@ func TestHandleCloseDeregisters(t *testing.T) {
 	if got := m.HandleCount(); got != n {
 		t.Fatalf("HandleCount = %d, want %d", got, n)
 	}
-	m.Insert(1, 1)
+	handles[0].Insert(1, 1)
 	handles[0].Range(0, 10, nil)
 	before := m.RangeStats()
 	if before.FastCommits == 0 && before.SlowCommits == 0 {
@@ -103,9 +115,9 @@ func TestPooledConvenienceChurn(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				k := int64(rng.Uint64() % universe)
 				if rng.Uint64()&1 == 0 {
-					m.Insert(k, k)
+					pooledInsert(m, k)
 				} else {
-					m.Remove(k)
+					pooledRemove(m, k)
 				}
 				if i%4096 == 0 {
 					runtime.GC()
@@ -134,10 +146,10 @@ func TestMaintenanceDrainsWithoutQuiesce(t *testing.T) {
 	defer m.Close()
 	const keys = 400
 	for k := int64(0); k < keys; k++ {
-		m.Insert(k, k)
+		pooledInsert(m, k)
 	}
 	for k := int64(0); k < keys; k++ {
-		m.Remove(k)
+		pooledRemove(m, k)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -169,8 +181,8 @@ func TestMaintenanceDrainsWithoutQuiesce(t *testing.T) {
 // maintainer goroutine's time.NewTicker.
 func TestMaintenanceNegativeInterval(t *testing.T) {
 	m := newLifecycleMap(Config{Maintenance: true, MaintenanceInterval: -time.Second})
-	m.Insert(1, 1)
-	m.Remove(1)
+	pooledInsert(m, 1)
+	pooledRemove(m, 1)
 	m.Close()
 	if stitched, live := m.StitchedSlow(), m.SizeSlow(); stitched != live {
 		t.Errorf("stitched %d != live %d after Close", stitched, live)
@@ -302,7 +314,7 @@ func TestCloseIdempotentConcurrentWithQuiesce(t *testing.T) {
 		probe := &closeRaceProbe{}
 		m.AttachPersistence(nil, probe)
 		for k := int64(0); k < 256; k++ {
-			m.Insert(k, k)
+			pooledInsert(m, k)
 		}
 		var wg sync.WaitGroup
 		start := make(chan struct{})
@@ -334,7 +346,7 @@ func TestCloseIdempotentConcurrentWithQuiesce(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for k := base; k < base+64; k++ {
-					m.Remove(k % 256)
+					pooledRemove(m, k%256)
 				}
 			}(int64(i) * 64)
 		}

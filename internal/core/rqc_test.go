@@ -52,9 +52,10 @@ func TestRQCUpdatesReuseLatestVersion(t *testing.T) {
 
 func TestRQCImmediateUnstitchWithoutQueries(t *testing.T) {
 	m := newRQCMap(t)
-	m.Insert(1, 1)
-	m.Insert(2, 2)
-	m.Remove(1)
+	h := m.NewHandle()
+	h.Insert(1, 1)
+	h.Insert(2, 2)
+	h.Remove(1)
 	// No slow-path query in flight: the node must be unstitched inside
 	// the remove transaction itself (Figure 4 line 23).
 	if got := m.StitchedSlow(); got != 1 {
@@ -67,9 +68,10 @@ func TestRQCImmediateUnstitchForNewNodes(t *testing.T) {
 	// safe for anyone and is unstitched immediately even while the
 	// query runs (Figure 4's i_time >= tail.ver case).
 	m := newRQCMap(t)
+	h := m.NewHandle()
 	op := startRange(m)
-	m.Insert(5, 5) // iTime == op.ver
-	m.Remove(5)
+	h.Insert(5, 5) // iTime == op.ver
+	h.Remove(5)
 	if got := m.StitchedSlow(); got != 0 {
 		t.Errorf("stitched = %d, want 0 (new node not deferrable)", got)
 	}
@@ -80,13 +82,14 @@ func TestRQCBackwardPassing(t *testing.T) {
 	// Three queries; a node removed under the newest must survive until
 	// the oldest finishes, traveling backward through deferred lists.
 	m := newRQCMap(t)
-	m.Insert(1, 1)
-	m.Insert(2, 2)
-	m.Insert(3, 3)
+	h := m.NewHandle()
+	h.Insert(1, 1)
+	h.Insert(2, 2)
+	h.Insert(3, 3)
 	op1 := startRange(m)
 	op2 := startRange(m)
 	op3 := startRange(m)
-	m.Remove(2) // deferred onto op3 (the newest)
+	h.Remove(2) // deferred onto op3 (the newest)
 	if got := m.StitchedSlow(); got != 3 {
 		t.Fatalf("stitched = %d, want 3", got)
 	}
@@ -114,13 +117,14 @@ func TestRQCOutOfOrderCompletion(t *testing.T) {
 	// Finishing the oldest query first must unstitch its deferred nodes
 	// immediately while younger queries keep theirs.
 	m := newRQCMap(t)
+	h := m.NewHandle()
 	for k := int64(1); k <= 4; k++ {
-		m.Insert(k, k)
+		h.Insert(k, k)
 	}
 	op1 := startRange(m)
-	m.Remove(1) // deferred onto op1
+	h.Remove(1) // deferred onto op1
 	op2 := startRange(m)
-	m.Remove(2) // deferred onto op2
+	h.Remove(2) // deferred onto op2
 	if got := m.StitchedSlow(); got != 4 {
 		t.Fatalf("stitched = %d, want 4", got)
 	}
@@ -136,11 +140,12 @@ func TestRQCOutOfOrderCompletion(t *testing.T) {
 
 func TestSafeNodePredicate(t *testing.T) {
 	m := newRQCMap(t)
-	m.Insert(10, 10)
+	h := m.NewHandle()
+	h.Insert(10, 10)
 	op := startRange(m)
 	ver := op.ver
-	m.Insert(20, 20) // iTime == ver: NOT safe
-	m.Remove(10)     // rTime == ver: safe (removed at/after ver)
+	h.Insert(20, 20) // iTime == ver: NOT safe
+	h.Remove(10)     // rTime == ver: safe (removed at/after ver)
 	_ = m.rt.Atomic(func(tx *stm.Tx) error {
 		if !m.isSafe(tx, m.head, ver) || !m.isSafe(tx, m.tail, ver) {
 			t.Error("sentinels must always be safe")
@@ -171,10 +176,10 @@ func TestSlowRangeSeesSnapshotAtVersion(t *testing.T) {
 	// A slow-path range must include keys removed after it registered
 	// and exclude keys inserted after it registered.
 	m := newRQCMap(t)
-	for k := int64(0); k < 10; k++ {
-		m.Insert(k, k)
-	}
 	h := m.NewHandle()
+	for k := int64(0); k < 10; k++ {
+		h.Insert(k, k)
+	}
 	var op *rangeOp[int64, int64]
 	var start *node[int64, int64]
 	_ = m.rt.Atomic(func(tx *stm.Tx) error {
@@ -182,8 +187,8 @@ func TestSlowRangeSeesSnapshotAtVersion(t *testing.T) {
 		op = m.rqc.onRange(tx)
 		return nil
 	})
-	m.Remove(5)     // removed after linearization: must appear
-	m.Insert(50, 1) // inserted after linearization: must not appear
+	h.Remove(5)     // removed after linearization: must appear
+	h.Insert(50, 1) // inserted after linearization: must not appear
 	set := make([]Pair[int64, int64], 0, 16)
 	n := start
 	_ = m.rt.Atomic(func(tx *stm.Tx) error {

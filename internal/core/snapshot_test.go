@@ -25,9 +25,10 @@ func collectSnapshot(t *testing.T, m *Map[int64, int64], chunkSize int) map[int6
 
 func TestSnapshotChunksBasic(t *testing.T) {
 	m := newTestMap(t, Config{})
+	h := m.NewHandle()
 	want := make(map[int64]int64)
 	for k := int64(0); k < 100; k++ {
-		m.Insert(k, k*10)
+		h.Insert(k, k*10)
 		want[k] = k * 10
 	}
 	for _, chunkSize := range []int{1, 3, 7, 512} {

@@ -324,7 +324,7 @@ func (r *Replica) clear() error {
 		if len(batch) > applyBatch {
 			batch = pairs[:applyBatch]
 		}
-		err := r.m.Atomic(func(op *skiphash.ShardedTxn[int64, int64]) error {
+		err := r.m.Atomic(func(op *skiphash.Txn[int64, int64]) error {
 			for _, p := range batch {
 				op.Remove(p.Key)
 			}
@@ -349,7 +349,7 @@ func (r *Replica) applyChunk(m *wire.ReplMsg) error {
 		if len(batch) > applyBatch {
 			batch = pairs[:applyBatch]
 		}
-		err := r.m.Atomic(func(op *skiphash.ShardedTxn[int64, int64]) error {
+		err := r.m.Atomic(func(op *skiphash.Txn[int64, int64]) error {
 			for _, p := range batch {
 				op.Put(p.Key, p.Val)
 			}
@@ -373,7 +373,7 @@ func (r *Replica) applyChunk(m *wire.ReplMsg) error {
 // for any two records that could disagree about a key.
 func (r *Replica) applyRecord(m *wire.ReplMsg) error {
 	ic := persist.Int64Codec()
-	return r.m.Atomic(func(op *skiphash.ShardedTxn[int64, int64]) error {
+	return r.m.Atomic(func(op *skiphash.Txn[int64, int64]) error {
 		skip := func(k int64) bool {
 			if r.catchup == nil {
 				return false

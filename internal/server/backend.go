@@ -215,7 +215,7 @@ func NewShardedBackend(s *skiphash.Sharded[int64, int64]) *ShardedBackend[int64,
 // Atomic implements Backend.
 func (b *ShardedBackend[K, V]) Atomic(group []wire.Request, resps []wire.Response) error {
 	cd := b.cd
-	return b.Sharded.Atomic(func(op *skiphash.ShardedTxn[K, V]) error {
+	return b.Sharded.Atomic(func(op *skiphash.Txn[K, V]) error {
 		var zero V
 		for idx := range group {
 			req, resp := &group[idx], &resps[idx]

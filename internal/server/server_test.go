@@ -357,7 +357,7 @@ func TestPipelinedBatchAtomicityUnderConcurrentWriters(t *testing.T) {
 		go func() {
 			defer rg.Done()
 			for !stop.Load() {
-				_ = m.Atomic(func(op *skiphash.ShardedTxn[int64, int64]) error {
+				_ = m.Atomic(func(op *skiphash.Txn[int64, int64]) error {
 					for k := int64(0); k < keys; k++ {
 						v1, ok1 := op.Lookup(k)
 						v2, ok2 := op.Lookup(k + 1000)
@@ -546,7 +546,7 @@ func TestIdleTimeout(t *testing.T) {
 }
 
 // TestServeOneShardBackend serves the smallest map there is — a
-// one-shard Sharded, what an unsharded Map is served as.
+// one-shard map, what skiphash.New builds.
 func TestServeOneShardBackend(t *testing.T) {
 	m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 1})
 	defer m.Close()

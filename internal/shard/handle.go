@@ -24,6 +24,11 @@ type Handle[K comparable, V any] struct {
 	hs    []*core.Handle[K, V]
 	segs  [][]Pair[K, V]
 	heads []int
+	// txn is the view Atomic hands its closure and bound that view's
+	// lazily made per-shard bindings (cleared per attempt), kept here so
+	// a batch allocates neither; a Handle runs one Atomic at a time.
+	txn   Txn[K, V]
+	bound []*core.Txn[K, V]
 	// auth is the scratch the multi-shard paths collect the
 	// authoritative shard indices into during a migration.
 	auth []int
@@ -108,6 +113,7 @@ func (h *Handle[K, V]) rebind(t *route[K, V]) {
 	if len(h.heads) < len(t.maps) {
 		h.heads = make([]int, len(t.maps))
 	}
+	h.bound = make([]*core.Txn[K, V], len(t.maps))
 	h.tab = t
 }
 
@@ -386,7 +392,10 @@ func (h *Handle[K, V]) Range(l, r K, out []Pair[K, V]) []Pair[K, V] {
 	s := h.s
 	t, auth := h.authEnter()
 	defer h.authExit(t)
-	if s.isolated || len(auth) == 1 {
+	if len(auth) == 1 {
+		return h.hs[auth[0]].Range(l, r, out) // nothing to merge
+	}
+	if s.isolated {
 		for _, i := range auth {
 			h.segs[i] = h.hs[i].Range(l, r, h.segs[i][:0])
 		}

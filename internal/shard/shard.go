@@ -24,7 +24,7 @@
 //     segment, and its slow path by registering a range op with every
 //     shard's RQC in one transaction — either way the union of segments
 //     is a snapshot at a single commit instant, exactly as linearizable
-//     as the unsharded map's ranges.
+//     as one shard's ranges.
 //   - Ceil/Floor/Succ/Pred probe all shards inside one read-only
 //     transaction and reduce.
 //   - Atomic bodies may span shards freely; the whole batch commits or
@@ -139,8 +139,9 @@ func normalizeShards(n int) int {
 
 // perShardConfig derives each shard's core configuration: the bucket
 // budget (cfg.Buckets, or the core default) is split evenly so total
-// memory matches the unsharded map, and the shard-frontend fields are
-// cleared so each core.Map is an ordinary single map.
+// memory does not grow with the shard count (one shard gets core's own
+// bucket count), and the shard-frontend fields are cleared so each
+// core.Map is an ordinary single map.
 func perShardConfig(cfg core.Config, shards int) core.Config {
 	total := cfg.Buckets
 	if total == 0 {
@@ -335,7 +336,7 @@ func (s *Sharded[K, V]) Closed() bool { return s.closed.Load() }
 
 // HandleCount returns the number of handles registered across the map:
 // the sharded map's own registry plus every shard's (an explicit
-// sharded handle contributes 1 + NumShards entries). Pooled convenience
+// sharded handle contributes 1 + Shards() entries). Pooled convenience
 // handles are transient and never counted; the count is the
 // leak-detection probe for handle-lifecycle tests.
 func (s *Sharded[K, V]) HandleCount() int {
@@ -411,9 +412,6 @@ func (s *Sharded[K, V]) Shards() int {
 	}
 	return len(t.maps)
 }
-
-// NumShards returns the partition count; see Shards.
-func (s *Sharded[K, V]) NumShards() int { return s.Shards() }
 
 // ShardOf reports the routing identity of the shard k is routed to.
 // Callers batching operations ahead of Atomic (the network server's
@@ -544,9 +542,9 @@ func (s *Sharded[K, V]) SizeSlow() int {
 	return n
 }
 
-// Convenience methods on Sharded borrow a pooled transient handle,
-// mirroring core.Map's ergonomic entry points. Every release recycles
-// the handle — counters banked, buffered removals handed to the shards'
+// Convenience methods on Sharded borrow a pooled transient handle; they
+// are the ergonomic entry points, workers hold explicit handles. Every
+// dirty release recycles the handle — counters banked, buffered removals handed to the shards'
 // orphan queues — so pool churn cannot strand state.
 
 func (s *Sharded[K, V]) borrow() *Handle[K, V] { return s.handlePool.Get().(*Handle[K, V]) }

@@ -66,7 +66,7 @@ func (a adapter) InstallSTMHooks(h stm.Hooks) {
 		rt.SetHooks(h)
 		return
 	}
-	for i := 0; i < a.s.NumShards(); i++ {
+	for i := 0; i < a.s.Shards(); i++ {
 		a.s.Shard(i).Runtime().SetHooks(h)
 	}
 }
@@ -247,8 +247,9 @@ func shardOf(s *shard.Sharded[int64, int64], k int64) int {
 	if s.Insert(k, k) {
 		defer s.Remove(k)
 	}
-	for i := 0; i < s.NumShards(); i++ {
-		if _, ok := s.Shard(i).Lookup(k); ok {
+	for i := 0; i < s.Shards(); i++ {
+		h := s.Shard(i).NewTransientHandle()
+		if h.Contains(k) {
 			return i
 		}
 	}
@@ -369,15 +370,15 @@ func TestIsolatedClockFactory(t *testing.T) {
 		Shards: 4, IsolatedShards: true, Buckets: 1024,
 		ClockFactory: func() stm.Clock { made++; return stm.NewGV1() },
 	})
-	if made != s.NumShards() {
-		t.Fatalf("factory minted %d clocks for %d shards", made, s.NumShards())
+	if made != s.Shards() {
+		t.Fatalf("factory minted %d clocks for %d shards", made, s.Shards())
 	}
 	seen := make(map[stm.Clock]bool)
-	for i := 0; i < s.NumShards(); i++ {
+	for i := 0; i < s.Shards(); i++ {
 		seen[s.Shard(i).Runtime().Clock()] = true
 	}
-	if len(seen) != s.NumShards() {
-		t.Fatalf("shards share clock instances: %d distinct of %d", len(seen), s.NumShards())
+	if len(seen) != s.Shards() {
+		t.Fatalf("shards share clock instances: %d distinct of %d", len(seen), s.Shards())
 	}
 	for k := int64(0); k < 256; k++ {
 		if !s.Insert(k, k) {
@@ -391,14 +392,14 @@ func TestIsolatedClockFactory(t *testing.T) {
 
 // TestShardCountDefaults pins the shard-count normalization rules.
 func TestShardCountDefaults(t *testing.T) {
-	if got := newInt64(core.Config{Shards: 3, Buckets: 1024}).NumShards(); got != 4 {
+	if got := newInt64(core.Config{Shards: 3, Buckets: 1024}).Shards(); got != 4 {
 		t.Errorf("Shards:3 normalized to %d, want 4", got)
 	}
-	if got := newInt64(core.Config{Shards: 8, Buckets: 1024}).NumShards(); got != 8 {
+	if got := newInt64(core.Config{Shards: 8, Buckets: 1024}).Shards(); got != 8 {
 		t.Errorf("Shards:8 normalized to %d, want 8", got)
 	}
 	s := newInt64(core.Config{Buckets: 1024})
-	if n := s.NumShards(); n < 1 || n&(n-1) != 0 {
+	if n := s.Shards(); n < 1 || n&(n-1) != 0 {
 		t.Errorf("default shard count %d is not a positive power of two", n)
 	}
 }
@@ -415,7 +416,7 @@ func TestShardPlacement(t *testing.T) {
 	if err := s.CheckInvariants(core.CheckOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < s.NumShards(); i++ {
+	for i := 0; i < s.Shards(); i++ {
 		if n := s.Shard(i).SizeSlow(); n < 4096/8/4 {
 			t.Errorf("shard %d holds %d of 4096 keys: poor spread", i, n)
 		}
@@ -501,7 +502,7 @@ func TestShardedCloseConcurrent(t *testing.T) {
 			if !s.Closed() {
 				t.Error("Close returned with Closed() == false")
 			}
-			for i := 0; i < s.NumShards(); i++ {
+			for i := 0; i < s.Shards(); i++ {
 				if !s.Shard(i).Closed() {
 					t.Errorf("Close returned with shard %d still open", i)
 				}

@@ -21,7 +21,8 @@ var ErrCrossShard = errors.New("shard: transaction spans multiple isolated shard
 // pinned to the shard of the first key it touches; an operation on any
 // other shard aborts the batch with ErrCrossShard.
 //
-// A Txn is only valid inside the closure it was handed to.
+// A Txn is only valid inside the closure it was handed to: it lives in
+// its Handle and the next Atomic (or retry) on that handle overwrites it.
 type Txn[K comparable, V any] struct {
 	h *Handle[K, V]
 	// tab is the route table the batch was admitted under; it is pinned
@@ -29,12 +30,11 @@ type Txn[K comparable, V any] struct {
 	// so routing decisions inside the batch are stable.
 	tab *route[K, V]
 
-	// Shared mode: the enclosing transaction plus lazily bound
-	// per-shard views, and the authoritative index set the multi-shard
-	// operations walk.
-	tx    *stm.Tx
-	bound []*core.Txn[K, V]
-	auth  []int
+	// Shared mode: the enclosing transaction (per-shard views are bound
+	// lazily into h.bound) and the authoritative index set the
+	// multi-shard operations walk.
+	tx   *stm.Tx
+	auth []int
 
 	// Isolated mode: the pinned shard's view ...
 	pinned int
@@ -72,10 +72,11 @@ func (t *Txn[K, V]) route(k K) *core.Txn[K, V] {
 
 // at lazily binds and returns the shared-mode view for maps index i.
 func (t *Txn[K, V]) at(i int) *core.Txn[K, V] {
-	if t.bound[i] == nil {
-		t.bound[i] = t.h.hs[i].Bind(t.tx)
+	h := t.h
+	if h.bound[i] == nil {
+		h.bound[i] = h.hs[i].Bind(t.tx)
 	}
-	return t.bound[i]
+	return h.bound[i]
 }
 
 // single returns the lone view of a single-shard steady-state map in
@@ -166,7 +167,7 @@ func (t *Txn[K, V]) Range(l, r K, out []Pair[K, V]) []Pair[K, V] {
 //
 // In shared mode (the default) the batch is a single STM transaction
 // that may span every shard: all operations commit or roll back
-// together, exactly as on the unsharded map. During a resize the batch
+// together, exactly as on a single core.Map. During a resize the batch
 // routes against the authoritative shard set, held stable by the
 // migration gates for the batch's duration.
 //
@@ -186,10 +187,10 @@ func (h *Handle[K, V]) Atomic(fn func(op *Txn[K, V]) error) error {
 	if !s.isolated {
 		t, auth := h.authEnter()
 		defer h.authExit(t)
-		bound := make([]*core.Txn[K, V], len(t.maps))
 		return s.rt.Atomic(func(tx *stm.Tx) error {
-			clear(bound)
-			return fn(&Txn[K, V]{h: h, tab: t, tx: tx, bound: bound, auth: auth})
+			clear(h.bound)
+			h.txn = Txn[K, V]{h: h, tab: t, tx: tx, auth: auth}
+			return fn(&h.txn)
 		})
 	}
 	t := s.enter(h.stripe)
@@ -227,7 +228,8 @@ func (h *Handle[K, V]) probeShard(t *route[K, V], fn func(op *Txn[K, V]) error) 
 			}
 		}
 	}()
-	return 0, fn(&Txn[K, V]{h: h, tab: t, probe: true}), false
+	h.txn = Txn[K, V]{h: h, tab: t, probe: true}
+	return 0, fn(&h.txn), false
 }
 
 // runPinned executes fn as a transaction on the pinned shard,
@@ -244,6 +246,7 @@ func (h *Handle[K, V]) runPinned(t *route[K, V], pin int, fn func(op *Txn[K, V])
 		}
 	}()
 	return h.hs[pin].Atomic(func(op *core.Txn[K, V]) error {
-		return fn(&Txn[K, V]{h: h, tab: t, pinned: pin, core: op})
+		h.txn = Txn[K, V]{h: h, tab: t, pinned: pin, core: op}
+		return fn(&h.txn)
 	})
 }

@@ -5,19 +5,24 @@
 //
 // # Construction
 //
-// The surface is two generic entry points per shape — New for
-// in-memory maps, Open for durable ones (Open with a nil
-// Config.Durability is exactly New):
+// There is one map type, Map (with its Handle and Txn), and two generic
+// entry points per shape — NewSharded for in-memory maps, OpenSharded
+// for durable ones (OpenSharded with a nil Config.Durability is exactly
+// NewSharded):
+//
+//	s := skiphash.NewSharded[string, string](skiphash.StringLess, skiphash.HashString,
+//	    skiphash.Config{Shards: 16})
+//
+// New and Open are the same constructors at one shard — the paper's
+// structure exactly — whatever Config.Shards says:
 //
 //	m := skiphash.New[int64, string](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
 //	d, err := skiphash.Open[int64, string](skiphash.Int64Less, skiphash.Hash64,
 //	    skiphash.Config{Durability: &skiphash.Durability{Dir: dir}},
 //	    skiphash.Int64Codec(), skiphash.StringCodec())
 //
-// and their hash-partitioned counterparts NewSharded / OpenSharded:
-//
-//	s := skiphash.NewSharded[string, string](skiphash.StringLess, skiphash.HashString,
-//	    skiphash.Config{Shards: 16})
+// Sharded names the same type as Map. Any map can Resize, and a
+// directory written through Open reopens through OpenSharded and back.
 //
 // less supplies the ordering, hash the distribution over shards (top
 // bits) and buckets (low bits); Int64Less/Hash64 and
@@ -101,7 +106,7 @@
 //
 // # Resharding
 //
-// Config.Shards is only the initial partition count: Sharded.Resize
+// Config.Shards is only the initial partition count: Map.Resize
 // live-migrates the map to a new power-of-two count while reads and
 // writes keep serving. The migration copies each hash-space group
 // through bounded stamp-consistent snapshot chunks, replays the
@@ -111,8 +116,8 @@
 // key has exactly one authoritative shard at every instant. In shared
 // mode the whole migration is invisible to linearizability; in isolated
 // mode groups cut over one at a time under the usual per-shard
-// contract. Sharded.Shards reports the live count,
-// Sharded.ResizeStats the migration counters, and the serving stack
+// contract. Map.Shards reports the live count,
+// Map.ResizeStats the migration counters, and the serving stack
 // exposes both (RESIZE wire op, client.Resize, skiphashd -shards as the
 // initial count). See the README's Resharding section for the protocol
 // and operational guidance.
@@ -140,7 +145,7 @@
 // Close; Map.Sync forces durability on demand and Map.Snapshot writes a
 // snapshot now. Atomic batches are single log records: recovery sees a
 // batch entirely or not at all, including batches spanning shards on
-// the shared-runtime sharded map.
+// the shared runtime.
 //
 // Operations report their in-memory result; they cannot individually
 // report a durability failure (by the time the log is involved, the
@@ -157,7 +162,7 @@
 // (FsyncAlways callers: Err after critical writes) rather than rely on
 // per-operation acknowledgments.
 //
-// Durable sharded maps in isolated mode keep one engine per shard in
+// Durable maps in isolated mode keep one engine per shard in
 // generation-suffixed subdirectories, with a meta record tracking the
 // live shard count; reopen recovers at the recorded count, so resizes
 // survive restarts. A crash strictly inside a resize recovers the
@@ -204,7 +209,7 @@
 // # Observability
 //
 // Every layer surfaces counters through cheap Stats() accessors
-// (Sharded.STMStats, Map.MaintenanceStats, persist.Store.Stats,
+// (Map.STMStats, Map.MaintenanceStats, persist.Store.Stats,
 // repl.Replica.Stats), and the daemon assembles them — plus latency
 // histograms for commits, fsyncs and per-namespace requests, and a
 // slow-op ring tracer — into one internal/obs registry rendered as
@@ -226,6 +231,6 @@
 // — by a background maintainer goroutine when Config.Maintenance is
 // set (recommended for long-running servers; observe it through
 // Map.MaintenanceStats), or inline once the queue crosses a threshold
-// otherwise. Map.Close / Sharded.Close stops the maintainer and flushes
-// everything; maps with Maintenance set must be closed.
+// otherwise. Map.Close stops the maintainers and flushes everything;
+// maps with Maintenance set must be closed.
 package skiphash

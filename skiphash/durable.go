@@ -56,41 +56,33 @@ var ErrCorrupt = persist.ErrCorrupt
 // constructed without Config.Durability.
 var ErrNotDurable = core.ErrNotDurable
 
-// Open creates — or recovers — a durable skip hash. With
-// cfg.Durability nil it is exactly New. Otherwise the directory's
-// newest valid snapshot is loaded, strictly-newer write-ahead-log
-// records are replayed in commit-stamp order (tolerating a torn record
-// at the tail of the newest segment, the expected artifact of a crash
-// mid-append; rejecting checksum corruption with an error matching
-// ErrCorrupt), the map's commit clock is floored above every recovered
-// stamp, and from then on every committed insert, remove and atomic
-// batch is logged with its commit stamp. Call Close to flush; see
-// Map.Snapshot, Map.Sync and Map.SimulateCrash for the rest of the
-// durability surface.
+// Open creates — or recovers — a durable skip hash at one shard: it is
+// OpenSharded with cfg.Shards and cfg.IsolatedShards ignored, over the
+// same directory format, so a directory written through either opens
+// through the other.
 func Open[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg Config, keys Codec[K], vals Codec[V]) (*Map[K, V], error) {
-	if cfg.Durability == nil {
-		return New[K, V](less, hash, cfg), nil
-	}
-	st, err := persist.Open[K, V](*cfg.Durability, keys, vals)
-	if err != nil {
-		return nil, err
-	}
-	cfg2 := cfg
-	cfg2.Clock = flooredClock(cfg, st.Recovered().MaxStamp)
-	cfg2.ClockFactory = nil
-	m := core.New[K, V](less, hash, cfg2)
-	loadRecovered(st.TakeRecovered(), func(fn func(op *Txn[K, V]) error) { _ = m.Atomic(fn) })
-	m.AttachPersistence(st, st)
-	st.Start(snapshotSource(st, m.SnapshotChunks))
-	return m, nil
+	cfg.Shards, cfg.IsolatedShards = 1, false
+	return OpenSharded[K, V](less, hash, cfg, keys, vals)
 }
 
-// OpenSharded creates — or recovers — a durable sharded skip hash.
+// OpenSharded creates — or recovers — a durable skip hash. With
+// cfg.Durability nil it is exactly NewSharded. Otherwise the
+// directory's newest valid snapshot is loaded, strictly-newer
+// write-ahead-log records are replayed in commit-stamp order (tolerating
+// a torn record at the tail of the newest segment, the expected artifact
+// of a crash mid-append; rejecting checksum corruption with an error
+// matching ErrCorrupt), the map's commit clock is floored above every
+// recovered stamp, and from then on every committed insert, remove and
+// atomic batch is logged with its commit stamp. Call Close to flush; see
+// Map.Snapshot, Map.Sync and Map.SimulateCrash for the rest of the
+// durability surface.
 //
 // In shared mode (the default) all shards live in one commit-stamp
 // domain, so one write-ahead log under cfg.Durability.Dir orders every
 // shard's operations globally and a cross-shard atomic batch is a
-// single log record — recovered all-or-nothing even after a crash.
+// single log record — recovered all-or-nothing even after a crash. The
+// log does not record the shard count: a shared-mode directory reopens
+// at whatever count cfg.Shards asks for.
 //
 // With cfg.IsolatedShards every shard runs its own engine in a
 // per-shard subdirectory (shard-000, shard-001, ...): per-shard WAL
@@ -98,25 +90,24 @@ func Open[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg 
 // per-shard atomicity contract. cfg.Shards only seeds the first open; a
 // meta record tracks the live count across Resize calls, and reopening
 // recovers at the recorded count regardless of cfg.Shards.
-func OpenSharded[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg Config, keys Codec[K], vals Codec[V]) (*Sharded[K, V], error) {
+func OpenSharded[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg Config, keys Codec[K], vals Codec[V]) (*Map[K, V], error) {
 	if cfg.Durability == nil {
 		return NewSharded[K, V](less, hash, cfg), nil
 	}
-	if !cfg.IsolatedShards {
-		st, err := persist.Open[K, V](*cfg.Durability, keys, vals)
-		if err != nil {
-			return nil, err
-		}
-		cfg2 := cfg
-		cfg2.Clock = flooredClock(cfg, st.Recovered().MaxStamp)
-		cfg2.ClockFactory = nil
-		s := shard.New[K, V](less, hash, cfg2)
-		loadRecovered(st.TakeRecovered(), func(fn func(op *ShardedTxn[K, V]) error) { _ = s.Atomic(fn) })
-		s.AttachPersistence(st, st)
-		st.Start(snapshotSource(st, s.SnapshotChunks))
-		return s, nil
+	if cfg.IsolatedShards {
+		return openIsolatedSharded[K, V](less, hash, cfg, keys, vals)
 	}
-	return openIsolatedSharded[K, V](less, hash, cfg, keys, vals)
+	st, err := persist.Open[K, V](*cfg.Durability, keys, vals)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Clock = flooredClock(cfg, st.Recovered().MaxStamp)
+	cfg.ClockFactory = nil
+	s := shard.New[K, V](less, hash, cfg)
+	loadRecovered(st.TakeRecovered(), func(fn func(op *Txn[K, V]) error) { _ = s.Atomic(fn) })
+	s.AttachPersistence(st, st)
+	st.Start(snapshotSource(st, s.SnapshotChunks))
+	return s, nil
 }
 
 // shardDirName returns the directory holding shard i's engine in
@@ -161,7 +152,7 @@ func parseShardMeta(raw []byte) (count int, gen uint64, err error) {
 // successful open, so a crashed or failed first open (which may leave a
 // partial set of empty shard directories — no data can have been
 // written before Open returned) is retryable.
-func openIsolatedSharded[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg Config, keys Codec[K], vals Codec[V]) (*Sharded[K, V], error) {
+func openIsolatedSharded[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg Config, keys Codec[K], vals Codec[V]) (*Map[K, V], error) {
 	dir := cfg.Durability.Dir
 	n := shard.ResolveShards(cfg.Shards)
 	gen := uint64(0)
@@ -251,7 +242,7 @@ func openIsolatedSharded[K comparable, V any](less func(a, b K) bool, hash func(
 	}
 	s := shard.New[K, V](less, hash, cfg2)
 	for i, st := range stores {
-		loadRecovered(st.TakeRecovered(), func(fn func(op *Txn[K, V]) error) { _ = s.Shard(i).Atomic(fn) })
+		loadRecovered(st.TakeRecovered(), func(fn func(op *core.Txn[K, V]) error) { _ = s.Shard(i).Atomic(fn) })
 		s.Shard(i).AttachPersistence(st, st)
 		st.Start(snapshotSource(st, s.Shard(i).SnapshotChunks))
 	}
@@ -259,7 +250,7 @@ func openIsolatedSharded[K comparable, V any](less func(a, b K) bool, hash func(
 	return s, nil
 }
 
-// installIsolatedResizeHooks wires Sharded.Resize into the per-shard
+// installIsolatedResizeHooks wires Map.Resize into the per-shard
 // durability layout: each resize provisions engines for the destination
 // shards in a fresh generation of directories and commits by atomically
 // rewriting the meta record once every group has cut over and the old
@@ -274,7 +265,7 @@ func openIsolatedSharded[K comparable, V any](less func(a, b K) bool, hash func(
 // sources keep every key — so writes accepted during the migration
 // itself may be lost, exactly one generation deep. Shared mode has no
 // such window: its single WAL orders every geometry's operations.
-func installIsolatedResizeHooks[K comparable, V any](s *Sharded[K, V], dir, metaPath string, gen uint64, cfg Config, keys Codec[K], vals Codec[V]) {
+func installIsolatedResizeHooks[K comparable, V any](s *Map[K, V], dir, metaPath string, gen uint64, cfg Config, keys Codec[K], vals Codec[V]) {
 	cur := gen
 	var pending []*persist.Store[K, V]
 	s.SetResizeHooks(shard.ResizeHooks[K, V]{

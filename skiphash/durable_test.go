@@ -156,7 +156,7 @@ func TestDurableBatchAtomicity(t *testing.T) {
 	const half = int64(1 << 20)
 	for i := int64(0); i < 300; i++ {
 		i := i
-		_ = s.Atomic(func(op *skiphash.ShardedTxn[int64, int64]) error {
+		_ = s.Atomic(func(op *skiphash.Txn[int64, int64]) error {
 			op.Insert(i, i)
 			op.Insert(i+half, i)
 			return nil

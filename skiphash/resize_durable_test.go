@@ -116,3 +116,60 @@ func TestSharedDurableResizeReopen(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenDirReopensSharded: Open and OpenSharded share one directory
+// format, in both directions. A directory written through Open — WAL,
+// a snapshot, more WAL — reopens at four shards with every key; resized
+// and written further there, it reopens through Open at one shard.
+func TestOpenDirReopensSharded(t *testing.T) {
+	const universe = 512
+	cfg := skiphash.Config{Durability: &skiphash.Durability{Dir: t.TempDir(), SnapshotBytes: -1}}
+	rng := rand.New(rand.NewPCG(24, 7))
+	model := make(map[int64]int64)
+	mutate := func(m *skiphash.Map[int64, int64], n int) {
+		for i := 0; i < n; i++ {
+			k := int64(rng.IntN(universe))
+			if rng.IntN(4) == 0 {
+				m.Remove(k)
+				delete(model, k)
+			} else {
+				v := rng.Int64()
+				m.Put(k, v)
+				model[k] = v
+			}
+		}
+	}
+
+	m := openDurable(t, cfg)
+	mutate(m, 600)
+	if err := m.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	mutate(m, 300)
+	m.Close()
+
+	cfg.Shards = 4
+	m, err := skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
+	if err != nil {
+		t.Fatalf("OpenSharded over a directory Open wrote: %v", err)
+	}
+	if got := m.Shards(); got != 4 {
+		t.Fatalf("reopened at %d shards, want 4", got)
+	}
+	assertMatchesModel(t, m, model, universe)
+	if got, err := m.Resize(2); err != nil || got != 2 {
+		t.Fatalf("Resize(2) = %d, %v", got, err)
+	}
+	mutate(m, 300)
+	m.Close()
+
+	m = openDurable(t, cfg) // Open ignores cfg.Shards
+	defer m.Close()
+	if got := m.Shards(); got != 1 {
+		t.Fatalf("Open built %d shards, want 1", got)
+	}
+	assertMatchesModel(t, m, model, universe)
+	if err := m.CheckInvariants(skiphash.CheckOptions{}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -6,19 +6,25 @@ import (
 	"repro/internal/thashmap"
 )
 
-// Map is a concurrent ordered map. All methods are safe for concurrent
-// use; per-goroutine Handles avoid the small cost of borrowing pooled
-// state. See the package documentation for the design.
-type Map[K comparable, V any] = core.Map[K, V]
+// Map is a concurrent ordered map, hash-partitioned across one or more
+// skip hash shards. All methods are safe for concurrent use;
+// per-goroutine Handles avoid the small cost of borrowing pooled state.
+// New and Open build it at one shard — the paper's structure exactly —
+// and Resize repartitions any map live. See the package documentation
+// for the design and the sharding and consistency model.
+type Map[K comparable, V any] = shard.Sharded[K, V]
 
 // Handle is a per-goroutine context over a Map. Handles are not safe for
-// concurrent use; create one per worker with Map.NewHandle.
-type Handle[K comparable, V any] = core.Handle[K, V]
+// concurrent use; create one per worker with Map.NewHandle and Close it
+// when the worker is done.
+type Handle[K comparable, V any] = shard.Handle[K, V]
 
 // Txn is the transactional view of a Map inside Map.Atomic or
 // Handle.Atomic: every operation performed through it commits or rolls
-// back atomically with the rest.
-type Txn[K comparable, V any] = core.Txn[K, V]
+// back atomically with the rest. With the default shared runtime a batch
+// may span shards; with IsolatedShards it is pinned to the shard of its
+// first key and fails with ErrCrossShard if it strays.
+type Txn[K comparable, V any] = shard.Txn[K, V]
 
 // Pair is a key/value pair produced by Range.
 type Pair[K comparable, V any] = core.Pair[K, V]
@@ -36,7 +42,7 @@ type RangeStats = core.RangeStats
 
 // MaintenanceStats counts the reclamation subsystem's work: orphaned and
 // adopted buffer nodes, drained nodes and batches, and maintainer
-// wakeups. See Map.MaintenanceStats / Sharded.MaintenanceStats.
+// wakeups. See Map.MaintenanceStats.
 type MaintenanceStats = core.MaintenanceStats
 
 // RemovalBufferDisabled is the explicit "no removal buffering" sentinel
@@ -45,11 +51,13 @@ type MaintenanceStats = core.MaintenanceStats
 const RemovalBufferDisabled = core.RemovalBufferDisabled
 
 // New creates a skip hash for any key type: less supplies the ordering,
-// hash the distribution over buckets. New and Open (plus their Sharded
-// counterparts) are the package's construction surface; see the package
-// documentation's Construction section.
+// hash the distribution over buckets. It is NewSharded at one shard
+// (cfg.Shards and cfg.IsolatedShards are ignored). New and Open, plus
+// their spelled-out Sharded forms, are the package's construction
+// surface; see the package documentation's Construction section.
 func New[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg Config) *Map[K, V] {
-	return core.New[K, V](less, hash, cfg)
+	cfg.Shards, cfg.IsolatedShards = 1, false
+	return NewSharded[K, V](less, hash, cfg)
 }
 
 // Int64Less is the natural int64 ordering, the stock less function for
@@ -86,29 +94,18 @@ func HashString(s string) uint64 {
 	return h
 }
 
-// Sharded is a concurrent ordered map hash-partitioned across
-// Config.Shards independent skip hashes. See the package documentation
-// for the sharding and consistency model.
+// Sharded is Map under the name that spells out its general form; the
+// two are one type.
 type Sharded[K comparable, V any] = shard.Sharded[K, V]
 
-// ShardedHandle is a per-goroutine context over a Sharded map; create
-// one per worker with Sharded.NewHandle.
-type ShardedHandle[K comparable, V any] = shard.Handle[K, V]
-
-// ShardedTxn is the transactional view of a Sharded map inside its
-// Atomic. With the default shared runtime a batch may span shards; with
-// IsolatedShards it is pinned to the shard of its first key and fails
-// with ErrCrossShard if it strays.
-type ShardedTxn[K comparable, V any] = shard.Txn[K, V]
-
-// ErrCrossShard is returned by Sharded.Atomic on a map with
-// IsolatedShards when a batch's operations span more than one shard.
+// ErrCrossShard is returned by Atomic on a map with IsolatedShards when
+// a batch's operations span more than one shard.
 var ErrCrossShard = shard.ErrCrossShard
 
-// NewSharded creates a sharded skip hash for any key type: less
-// supplies the ordering, hash the distribution over shards (top bits)
-// and buckets (low bits), cfg.Shards the initial partition count
-// (Sharded.Resize changes it live).
-func NewSharded[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg Config) *Sharded[K, V] {
+// NewSharded creates a skip hash for any key type: less supplies the
+// ordering, hash the distribution over shards (top bits) and buckets
+// (low bits), cfg.Shards the initial partition count (zero derives it
+// from GOMAXPROCS; Map.Resize changes it live).
+func NewSharded[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg Config) *Map[K, V] {
 	return shard.New[K, V](less, hash, cfg)
 }

@@ -11,7 +11,8 @@ import (
 	"repro/skiphash"
 )
 
-// adapter exposes a skip hash through the shared conformance interface.
+// adapter exposes a skip hash — one shard or several, on the shared
+// runtime — through the shared conformance interface.
 type adapter struct {
 	m *skiphash.Map[int64, int64]
 }
@@ -42,7 +43,8 @@ func (a adapter) CheckQuiescent() error {
 func (a adapter) HandleCount() int { return a.m.HandleCount() }
 func (a adapter) Close()           { a.m.Close() }
 
-// Batch applies steps as one Atomic transaction; the body tolerates
+// Batch applies steps as one Atomic transaction, across shards when
+// there are several; the body tolerates
 // re-execution because each attempt overwrites the step outputs.
 func (a adapter) Batch(steps []linearize.Step) bool {
 	return a.m.Atomic(func(op *skiphash.Txn[int64, int64]) error {
@@ -144,60 +146,9 @@ func TestAdaptiveRangeConfig(t *testing.T) {
 	maptest.RunAll(t, factory(skiphash.Config{Adaptive: true, AdaptiveSkip: 4}))
 }
 
-// shardedAdapter exposes a sharded skip hash through the conformance
-// interface.
-type shardedAdapter struct {
-	s *skiphash.Sharded[int64, int64]
-}
-
-func (a shardedAdapter) Lookup(k int64) (int64, bool) { return a.s.Lookup(k) }
-func (a shardedAdapter) Insert(k, v int64) bool       { return a.s.Insert(k, v) }
-func (a shardedAdapter) Remove(k int64) bool          { return a.s.Remove(k) }
-
-func (a shardedAdapter) Range(l, r int64, buf []maptest.KV) []maptest.KV {
-	for _, p := range a.s.Range(l, r, nil) {
-		buf = append(buf, maptest.KV{Key: p.Key, Val: p.Val})
-	}
-	return buf
-}
-
-func (a shardedAdapter) Ceil(k int64) (int64, int64, bool)  { return a.s.Ceil(k) }
-func (a shardedAdapter) Floor(k int64) (int64, int64, bool) { return a.s.Floor(k) }
-func (a shardedAdapter) Succ(k int64) (int64, int64, bool)  { return a.s.Succ(k) }
-func (a shardedAdapter) Pred(k int64) (int64, int64, bool)  { return a.s.Pred(k) }
-
-func (a shardedAdapter) CheckQuiescent() error {
-	a.s.Quiesce()
-	return a.s.CheckInvariants(skiphash.CheckOptions{})
-}
-
-// HandleCount/Close expose the handle lifecycle to the churn component.
-func (a shardedAdapter) HandleCount() int { return a.s.HandleCount() }
-func (a shardedAdapter) Close()           { a.s.Close() }
-
-// Batch applies steps as one cross-shard Atomic transaction.
-func (a shardedAdapter) Batch(steps []linearize.Step) bool {
-	return a.s.Atomic(func(op *skiphash.ShardedTxn[int64, int64]) error {
-		linearize.ApplySteps(steps, op.Insert, op.Remove, op.Lookup)
-		return nil
-	}) == nil
-}
-
-// InstallSTMHooks installs hooks on every runtime backing the map (one
-// shared, or one per shard when isolated).
-func (a shardedAdapter) InstallSTMHooks(h stm.Hooks) {
-	if rt := a.s.Runtime(); rt != nil {
-		rt.SetHooks(h)
-		return
-	}
-	for i := 0; i < a.s.NumShards(); i++ {
-		a.s.Shard(i).Runtime().SetHooks(h)
-	}
-}
-
 func TestConformanceSharded(t *testing.T) {
 	maptest.RunAll(t, func() maptest.OrderedMap {
-		return shardedAdapter{s: skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 4, Buckets: 4096})}
+		return adapter{m: skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 4, Buckets: 4096})}
 	})
 }
 
@@ -211,7 +162,7 @@ func ExampleNewSharded() {
 		fmt.Println(p.Key, p.Val)
 	}
 	// Batches span shards atomically on the default shared runtime.
-	_ = m.Atomic(func(op *skiphash.ShardedTxn[int64, string]) error {
+	_ = m.Atomic(func(op *skiphash.Txn[int64, string]) error {
 		op.Remove(1)
 		op.Insert(4, "four")
 		return nil
