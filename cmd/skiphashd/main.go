@@ -1,13 +1,12 @@
 // Command skiphashd serves a skip hash over the wire protocol
 // (internal/wire) on TCP and/or a unix socket.
 //
-// The served map is the sharded skip hash; -shards 1 degenerates to a
-// single shard and -isolated switches to per-shard STM runtimes (then
-// atomic batches must stay within one shard). -shards only sets the
-// initial count: the RESIZE wire op live-migrates the map to a new
-// count under traffic, and on a durable isolated-shard map the count
-// recorded in the shard meta file wins over the flag on restart. With
-// -dir the map is durable: it is recovered from the directory on
+// The served map is the sharded skip hash, every shard in one
+// commit-stamp domain, so an atomic batch may span shards; -shards 1
+// degenerates to a single shard. -shards only sets the initial count:
+// the RESIZE wire op live-migrates the map to a new count under
+// traffic, and a durable map restarts at whatever count the flag asks
+// for. With -dir the map is durable: it is recovered from the directory on
 // start, every committed update is written to the commit-stamp-ordered
 // WAL under the chosen -fsync policy, and a clean shutdown syncs
 // before closing.
@@ -43,8 +42,7 @@
 // StatusBusy, and coalesced namespace transactions are clamped.
 // Namespaces are not replicated; -follow excludes them.
 //
-// Replication: with -replicate-addr a durable (-dir, non-isolated)
-// server additionally streams its WAL to followers on that address.
+// Replication: with -replicate-addr a durable (-dir) server additionally streams its WAL to followers on that address.
 // With -follow the daemon runs as a live replica instead: it syncs
 // from the named primary's replication address, serves read-only
 // traffic on -addr/-unix at its commit-stamp watermark (writes answer
@@ -57,7 +55,7 @@
 // Usage:
 //
 //	skiphashd [-addr host:port] [-unix path]
-//	          [-shards n] [-isolated] [-maintenance]
+//	          [-shards n] [-maintenance]
 //	          [-dir path] [-fsync none|interval|always] [-fsync-every d]
 //	          [-ns name[=dir[:fsync]]]... [-ns-root path]
 //	          [-ns-max-conns n] [-ns-max-batch n]
@@ -100,7 +98,6 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:7466", "TCP listen address (empty disables)")
 		unixPath     = flag.String("unix", "", "unix socket path (empty disables)")
 		shards       = flag.Int("shards", 0, "initial shard count (0 derives from GOMAXPROCS); RESIZE changes it live")
-		isolated     = flag.Bool("isolated", false, "per-shard STM runtimes (batches must stay within one shard)")
 		maintenance  = flag.Bool("maintenance", true, "background reclamation maintainer")
 		dir          = flag.String("dir", "", "durability directory (empty = in-memory only)")
 		fsync        = flag.String("fsync", "interval", "WAL fsync policy: none, interval, always")
@@ -108,7 +105,7 @@ func main() {
 		nsRoot       = flag.String("ns-root", "", "directory for runtime-created durable namespaces; ns-* subdirectories are reopened on start")
 		nsMaxConns   = flag.Int("ns-max-conns", 0, "per-namespace connection quota (0 = unlimited)")
 		nsMaxBatch   = flag.Int("ns-max-batch", 0, "per-namespace coalescing clamp (0 = -max-batch)")
-		replAddr     = flag.String("replicate-addr", "", "stream the WAL to followers on this TCP address (requires -dir, excludes -isolated)")
+		replAddr     = flag.String("replicate-addr", "", "stream the WAL to followers on this TCP address (requires -dir)")
 		follow       = flag.String("follow", "", "run as a live replica of this primary replication address (excludes -dir and -replicate-addr)")
 		maxConns     = flag.Int("max-conns", 256, "connection limit")
 		maxBatch     = flag.Int("max-batch", 64, "max pipelined requests coalesced into one transaction")
@@ -136,17 +133,10 @@ func main() {
 	if *replAddr != "" && *dir == "" {
 		log.Fatal("skiphashd: -replicate-addr requires -dir (the stream is the WAL tap)")
 	}
-	if *replAddr != "" && *isolated {
-		log.Fatal("skiphashd: -replicate-addr excludes -isolated (replication needs one commit-stamp domain)")
-	}
-	if *follow != "" && *isolated {
-		log.Fatal("skiphashd: -follow excludes -isolated (applied stamps span one clock)")
-	}
 
 	cfg := skiphash.Config{
-		Shards:         *shards,
-		IsolatedShards: *isolated,
-		Maintenance:    *maintenance,
+		Shards:      *shards,
+		Maintenance: *maintenance,
 	}
 	if *dir != "" {
 		cfg.Durability = &skiphash.Durability{Dir: *dir, Fsync: cfgFsyncPolicy(*fsync), FsyncEvery: *fsyncEvery}
@@ -230,7 +220,7 @@ func main() {
 		var err error
 		reg, err = server.NewRegistry(server.RegistryConfig{
 			Root:       *nsRoot,
-			Map:        skiphash.Config{Shards: *shards, IsolatedShards: *isolated, Maintenance: *maintenance},
+			Map:        skiphash.Config{Shards: *shards, Maintenance: *maintenance},
 			Durability: skiphash.Durability{Fsync: cfgFsyncPolicy(*fsync), FsyncEvery: *fsyncEvery},
 			MaxConns:   *nsMaxConns,
 			MaxBatch:   *nsMaxBatch,

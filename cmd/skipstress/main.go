@@ -33,8 +33,7 @@
 // With -resize it runs the online-resharding stress: the -check
 // workload on a sharded map while a background resizer walks a seeded
 // schedule of shard counts, so every verified history spans live grow
-// and shrink migrations (-isolated covers the per-shard-runtime
-// cutover path; -shards sets the initial count).
+// and shrink migrations (-shards sets the initial count).
 //
 // With -crash it runs the durability stress: -cycles kill/recover
 // rounds against one durability directory, alternating (a) concurrent
@@ -65,7 +64,7 @@
 // Usage:
 //
 //	skipstress [-threads n] [-duration d] [-universe n] [-mode two-path|fast|slow]
-//	           [-shards n] [-isolated] [-seed n] [-check] [-churn] [-crash] [-cycles n]
+//	           [-shards n] [-seed n] [-check] [-churn] [-crash] [-cycles n]
 //	           [-net] [-namespaces n] [-replica] [-resize] [-readheavy] [-metrics-dump]
 //
 // -readheavy skews the -check/-net workload to 80% point lookups, the
@@ -132,7 +131,6 @@ func main() {
 		mode      = flag.String("mode", "two-path", "range path: two-path, fast, or slow")
 		rangeLen  = flag.Int64("rangelen", 128, "range query length")
 		shards    = flag.Int("shards", 0, "shard count (0 = one shard, as skiphash.New builds; -1 = GOMAXPROCS-derived)")
-		isolated  = flag.Bool("isolated", false, "per-shard STM runtimes (with -shards)")
 		seed      = flag.Uint64("seed", 1, "seed for all workload randomness")
 		check     = flag.Bool("check", false, "record histories and verify linearizability online")
 		churn     = flag.Bool("churn", false, "handle-lifecycle churn with periodic garbage audits")
@@ -172,7 +170,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *netCheck {
-		if err := runNet(*threads, *duration, *seed, *shards, *isolated, *nsCount, lookupPct); err != nil {
+		if err := runNet(*threads, *duration, *seed, *shards, *nsCount, lookupPct); err != nil {
 			fmt.Fprintf(os.Stderr, "FAIL: %v\nreproduce with: %s\n", err, reproducer)
 			os.Exit(1)
 		}
@@ -183,7 +181,7 @@ func main() {
 		return
 	}
 	if *resizeChk {
-		runResize(*threads, *duration, *seed, *shards, *isolated, lookupPct, reproducer)
+		runResize(*threads, *duration, *seed, *shards, lookupPct, reproducer)
 		return
 	}
 	cfg := skiphash.Config{}
@@ -206,7 +204,7 @@ func main() {
 	if *shards == 0 {
 		m = skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg)
 	} else {
-		cfg.Shards, cfg.IsolatedShards = max(*shards, 0), *isolated
+		cfg.Shards = max(*shards, 0)
 		m = skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg)
 	}
 	variant := shardsVariant(m)
@@ -461,15 +459,15 @@ type checked struct {
 	unknowns int
 }
 
-// checkOptions is the standard checker workload. Isolated shards merge
-// per-shard range snapshots taken at distinct instants — deliberately
-// not linearizable — so ranges are only checked on shared-runtime maps.
-func checkOptions(clients int, isolated bool, lookupPct int) maptest.WorkloadOptions {
+// checkOptions is the standard checker workload. Point queries run
+// only against maps that implement them (the in-process ones).
+func checkOptions(clients int, lookupPct int) maptest.WorkloadOptions {
 	return maptest.WorkloadOptions{
 		Clients:      clients,
 		OpsPerClient: 192,
 		Universe:     checkUniverse,
-		Ranges:       !isolated,
+		PointQueries: true,
+		Ranges:       true,
 		Batches:      true,
 		LookupPct:    lookupPct,
 	}
@@ -508,8 +506,7 @@ func runCheck(m *skiphash.Map[int64, int64], threads int, duration time.Duration
 	fmt.Printf("skipstress: -check, %d threads, %v, universe %d, seed %d, lookup%%=%d, %s\n",
 		threads, duration, checkUniverse, seed, lookupPct, shardsVariant(m))
 
-	c := checked{name: "the map", m: checkedMap{m}, opts: checkOptions(threads, m.Isolated(), lookupPct)}
-	c.opts.PointQueries = !m.Isolated()
+	c := checked{name: "the map", m: checkedMap{m}, opts: checkOptions(threads, lookupPct)}
 	deadline := time.Now().Add(duration)
 	rounds := 0
 	for ; time.Now().Before(deadline); rounds++ {
@@ -528,13 +525,7 @@ func runCheck(m *skiphash.Map[int64, int64], threads int, duration time.Duration
 }
 
 // shardsVariant names a map's geometry in a mode's banner line.
-func shardsVariant(m *skiphash.Map[int64, int64]) string {
-	variant := fmt.Sprintf("%d shards", m.Shards())
-	if m.Isolated() {
-		variant += " (isolated)"
-	}
-	return variant
-}
+func shardsVariant(m *skiphash.Map[int64, int64]) string { return fmt.Sprintf("%d shards", m.Shards()) }
 
 // checkedMap exposes the map through the conformance interface: the
 // point ops and queries pass straight through, Range and Batch translate
@@ -548,11 +539,11 @@ func (a checkedMap) Range(l, r int64, buf []maptest.KV) []maptest.KV {
 	return buf
 }
 
-func (a checkedMap) Batch(steps []linearize.Step) bool {
-	return a.Atomic(func(op *skiphash.Txn[int64, int64]) error {
+func (a checkedMap) Batch(steps []linearize.Step) {
+	_ = a.Atomic(func(op *skiphash.Txn[int64, int64]) error {
 		linearize.ApplySteps(steps, op.Insert, op.Remove, op.Lookup)
 		return nil
-	}) == nil
+	})
 }
 
 // dumpMetrics renders the map's counters as a Prometheus text

@@ -37,8 +37,8 @@ import (
 // audit. Any failure is returned (a counterexample history has by then
 // gone to stderr).
 func runNet(threads int, duration time.Duration, seed uint64,
-	shards int, isolated bool, nsCount, lookupPct int) error {
-	mapCfg := skiphash.Config{Maintenance: true, IsolatedShards: isolated}
+	shards int, nsCount, lookupPct int) error {
+	mapCfg := skiphash.Config{Maintenance: true}
 	if shards > 0 {
 		mapCfg.Shards = shards
 	}
@@ -62,7 +62,7 @@ func runNet(threads int, duration time.Duration, seed uint64,
 	// Worker budget: the threads are split across the tenants, but every
 	// tenant keeps at least two concurrent clients (when there are two
 	// to give) so its own history has real contention.
-	opts := checkOptions(max(threads/(1+nsCount), min(threads, 2)), isolated, lookupPct)
+	opts := checkOptions(max(threads/(1+nsCount), min(threads, 2)), lookupPct)
 	tenants := []*checked{{name: "the default map", m: netAdapter{c: cl}, opts: opts}}
 	for i := 0; i < nsCount; i++ {
 		ns, err := cl.CreateNamespace(fmt.Sprintf("stress-%d", i), client.NamespaceOptions{})
@@ -75,9 +75,6 @@ func runNet(threads int, duration time.Duration, seed uint64,
 	if nsCount > 0 {
 		mode = "-net -namespaces"
 		variant = fmt.Sprintf("default map + %d namespaces, %d shards each, over tcp", nsCount, m.Shards())
-	}
-	if isolated {
-		variant += " (isolated)"
 	}
 	fmt.Printf("skipstress: %s, %d client conns, %v, universe %d, seed %d, lookup%%=%d, %s\n",
 		mode, threads, duration, checkUniverse, seed, lookupPct, variant)
@@ -218,7 +215,7 @@ func (a nsAdapter) Range(l, r int64, buf []maptest.KV) []maptest.KV {
 }
 
 // Batch implements maptest.Batcher over the wire's v2 atomic batch.
-func (a nsAdapter) Batch(steps []linearize.Step) bool {
+func (a nsAdapter) Batch(steps []linearize.Step) {
 	ws := make([]client.BStep, len(steps))
 	for i, s := range steps {
 		switch s.Kind {
@@ -231,9 +228,6 @@ func (a nsAdapter) Batch(steps []linearize.Step) bool {
 		}
 	}
 	results, err := a.ns.Atomic(ws)
-	if errors.Is(err, client.ErrCrossShard) {
-		return false // rejected wholesale, no trace to linearize
-	}
 	if err != nil {
 		a.fatal("Batch2", err)
 	}
@@ -246,7 +240,6 @@ func (a nsAdapter) Batch(steps []linearize.Step) bool {
 			steps[i].Out = unbe64(results[i].Val)
 		}
 	}
-	return true
 }
 
 // netAdapter exposes a protocol client through the conformance
@@ -298,7 +291,7 @@ func (a netAdapter) Range(l, r int64, buf []maptest.KV) []maptest.KV {
 }
 
 // Batch implements maptest.Batcher over the wire's atomic batch op.
-func (a netAdapter) Batch(steps []linearize.Step) bool {
+func (a netAdapter) Batch(steps []linearize.Step) {
 	ws := make([]wire.Step, len(steps))
 	for i, s := range steps {
 		switch s.Kind {
@@ -311,9 +304,6 @@ func (a netAdapter) Batch(steps []linearize.Step) bool {
 		}
 	}
 	results, err := a.c.Atomic(ws)
-	if errors.Is(err, client.ErrCrossShard) {
-		return false // rejected wholesale, no trace to linearize
-	}
 	if err != nil {
 		a.fatal("Atomic", err)
 	}
@@ -324,5 +314,4 @@ func (a netAdapter) Batch(steps []linearize.Step) bool {
 		steps[i].Ok = results[i].Ok
 		steps[i].Out = results[i].Out
 	}
-	return true
 }

@@ -10,7 +10,7 @@ import (
 // v1 and v2 frames interleaved on four shared connections, then the
 // drop-isolation check, a graceful drain and the invariant audit.
 func TestNetNamespacesSmoke(t *testing.T) {
-	if err := runNet(4, 500*time.Millisecond, 1, 0, false, 2, 0); err != nil {
+	if err := runNet(4, 500*time.Millisecond, 1, 0, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 }

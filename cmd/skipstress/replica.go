@@ -106,7 +106,7 @@ func runReplica(threads int, duration time.Duration, seed uint64, lookupPct int,
 
 	// One history runs through both phases: phase 2 continues from the
 	// snapshot the dead primary last produced.
-	c := checked{name: "the replicated map", opts: checkOptions(threads, false, lookupPct)}
+	c := checked{name: "the replicated map", opts: checkOptions(threads, lookupPct)}
 	rounds := 0
 	runRounds := func(until time.Time) {
 		c.m = &replAdapter{netAdapter: netAdapter{c: cl}} // cl is this phase's client

@@ -19,11 +19,11 @@ import (
 // grow and shrink migrations. Any non-linearizable round, resize
 // error, or failed end-of-run audit exits 1 with a reproducer line.
 func runResize(threads int, duration time.Duration, seed uint64, shards int,
-	isolated bool, lookupPct int, reproducer string) {
+	lookupPct int, reproducer string) {
 	if shards <= 0 {
 		shards = 2
 	}
-	cfg := skiphash.Config{Shards: shards, IsolatedShards: isolated}
+	cfg := skiphash.Config{Shards: shards}
 	sm := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg)
 	cm := checkedMap{sm}
 	fmt.Printf("skipstress: -resize, %d threads, %v, universe %d, seed %d, lookup%%=%d, %s\n",
@@ -63,8 +63,7 @@ func runResize(threads int, duration time.Duration, seed uint64, shards int,
 	}()
 
 	deadline := time.Now().Add(duration)
-	c := checked{name: "the resizing map", m: cm, opts: checkOptions(threads, isolated, lookupPct)}
-	c.opts.PointQueries = !isolated
+	c := checked{name: "the resizing map", m: cm, opts: checkOptions(threads, lookupPct)}
 	rounds := 0
 	for ; time.Now().Before(deadline); rounds++ {
 		if !c.round(rounds, seed+uint64(rounds)*1_000_003) {

@@ -30,8 +30,7 @@ var reshardSchedule = []int{8, 2, 16, 4}
 // is comparable across hosts.
 const reshardInitialShards = 4
 
-// Reshard runs the online-resharding experiment for the shared-runtime
-// and isolated-shard variants.
+// Reshard runs the online-resharding experiment.
 func Reshard(w io.Writer, opts Options) error {
 	opts = opts.withDefaults()
 	threads := opts.Threads[len(opts.Threads)-1]
@@ -39,26 +38,10 @@ func Reshard(w io.Writer, opts Options) error {
 		threads, opts.Universe, opts.Duration, reshardSchedule, reshardInitialShards)
 	fmt.Fprintf(w, "%-22s %-8s %-9s %7s %10s %13s\n",
 		"map", "window", "phase", "shards", "Mops/s", "keys-copied")
-	for _, isolated := range []bool{false, true} {
-		if err := reshardOne(w, isolated, threads, opts); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func reshardOne(w io.Writer, isolated bool, threads int, opts Options) error {
-	cfg := skiphash.Config{
-		Buckets:        thashmap.DefaultBuckets,
-		Shards:         reshardInitialShards,
-		IsolatedShards: isolated,
-	}
+	cfg := skiphash.Config{Buckets: thashmap.DefaultBuckets, Shards: reshardInitialShards}
 	sm := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg)
 	defer sm.Close()
-	name := "skiphash-reshard"
-	if isolated {
-		name += "-iso"
-	}
+	const name = "skiphash-reshard"
 	universe := opts.Universe
 	seed := opts.Seed + 131
 	perm := rand.New(rand.NewPCG(seed, 0x5eed)).Perm(int(universe))

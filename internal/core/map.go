@@ -77,25 +77,14 @@ type Config struct {
 	// Clock overrides the STM commit clock (default: monotonic
 	// "hardware" clock, the configuration the paper reports).
 	Clock stm.Clock
-	// ClockFactory, when set and Clock is nil, mints the commit clock.
-	// Its purpose is isolated sharding: the sharded frontend calls it
-	// once per shard, so counter-based clocks (gv1/gv5) can be private
-	// per shard instead of one shared instance ticking one cacheline.
-	ClockFactory func() stm.Clock
 	// Shards selects the initial partition count of the sharded
 	// frontend (internal/shard, surfaced as skiphash.NewSharded). Zero
 	// derives a power of two from GOMAXPROCS. The count is only
 	// initial: Sharded.Resize migrates to a new count under live
-	// traffic, and a durable isolated-shard map reopens at the count
-	// its meta file records, not this field. A single map ignores it;
-	// Buckets is interpreted as the total across shards.
+	// traffic, and a durable map reopens at whatever count this field
+	// asks for. A single map ignores it; Buckets is interpreted as the
+	// total across shards.
 	Shards int
-	// IsolatedShards gives every shard of the sharded frontend its own
-	// STM runtime and clock instead of one shared runtime. Point
-	// operations are unaffected; cross-shard operations (ranges,
-	// iterators, point queries, Atomic) weaken as documented on
-	// shard.Sharded. A single map ignores it.
-	IsolatedShards bool
 	// Durability, when non-nil, makes the map durable: committed
 	// insert/remove/batch operations are written to a commit-stamp-
 	// ordered write-ahead log in Durability.Dir, background snapshots
@@ -170,15 +159,12 @@ type Map[K comparable, V any] struct {
 	maintObs atomic.Pointer[func(nodes int, d time.Duration)]
 	closed   atomic.Bool
 	// closeDone lets concurrent Close calls (and anyone who must know
-	// teardown finished) wait for the one closing goroutine; with
-	// durability attached, "Close returned" must mean "flushed".
+	// teardown finished) wait for the one closing goroutine.
 	closeDone chan struct{}
 
-	// logger and persist are the durability hooks (AttachPersistence):
-	// logger captures committed logical operations into the WAL, persist
-	// drives snapshots, syncs and shutdown. Both nil on non-durable maps.
-	logger  OpLogger[K, V]
-	persist Persister
+	// logger is the durability hook (AttachPersistence): it captures
+	// committed logical operations into the WAL. Nil on non-durable maps.
+	logger OpLogger[K, V]
 
 	// tap, when set, observes every committed write in commit-stamp
 	// order (SetWriteTap); the sharded frontend points it at a
@@ -221,8 +207,9 @@ type OpLogger[K comparable, V any] interface {
 	LogDel(tx *stm.Tx, k K)
 }
 
-// Persister is the non-generic face of the durability engine a map
-// delegates lifecycle operations to; persist.Store implements it.
+// Persister is the non-generic face of the durability engine the
+// sharded frontend delegates lifecycle operations to; persist.Store
+// implements it.
 type Persister interface {
 	// Snapshot writes a full snapshot now and truncates covered WAL
 	// segments.
@@ -256,11 +243,7 @@ type retiredStats struct {
 // larger transactional system (for example the sharded frontend in
 // internal/shard) inject an existing runtime with NewIn instead.
 func New[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg Config) *Map[K, V] {
-	clock := cfg.Clock
-	if clock == nil && cfg.ClockFactory != nil {
-		clock = cfg.ClockFactory()
-	}
-	return NewIn[K, V](stm.New(stm.WithClock(clock)), less, hash, cfg)
+	return NewIn[K, V](stm.New(stm.WithClock(cfg.Clock)), less, hash, cfg)
 }
 
 // NewIn creates a skip hash whose transactions run on the existing
@@ -296,17 +279,13 @@ func NewIn[K comparable, V any](rt *stm.Runtime, less func(a, b K) bool, hash fu
 
 // Close shuts the map down: it stops the background maintainer (when
 // Config.Maintenance enabled one), flushes every registered handle's
-// removal buffer, drains the orphan queue — so a quiescent map holds no
-// stitched logically-deleted nodes afterwards — and, on durable maps,
-// flushes and fsyncs the write-ahead log before closing its files.
-// Close is idempotent and safe to call concurrently with operations,
-// with Quiesce, and with other Close calls: every call returns only
-// after teardown (including the durability flush) has completed, no
-// matter which call performed it. Operations issued after Close fall
-// back to inline reclamation and are no longer logged — on durable maps
-// the engine counts them and reports the divergence through its Err.
-// Maps without maintenance or durability may skip Close; nothing leaks
-// beyond the map itself.
+// removal buffer and drains the orphan queue, so a quiescent map holds
+// no stitched logically-deleted nodes afterwards. Close is idempotent
+// and safe to call concurrently with operations, with Quiesce, and with
+// other Close calls: every call returns only after teardown has
+// completed, no matter which call performed it. Operations issued after
+// Close fall back to inline reclamation. Maps without maintenance may
+// skip Close; nothing leaks beyond the map itself.
 func (m *Map[K, V]) Close() {
 	if m.closed.Swap(true) {
 		<-m.closeDone
@@ -317,9 +296,6 @@ func (m *Map[K, V]) Close() {
 		m.maint.stop()
 	}
 	m.Quiesce()
-	if m.persist != nil {
-		m.persist.Close()
-	}
 }
 
 // Closed reports whether Close has been called.
@@ -342,19 +318,14 @@ func (m *Map[K, V]) Runtime() *stm.Runtime { return m.rt }
 // applied).
 func (m *Map[K, V]) Config() Config { return m.cfg }
 
-// AttachPersistence wires the durability hooks: l observes every
-// committed logical operation from this point on, and p (which may be
-// nil when a frontend — the sharded map — owns the engine) receives
-// Snapshot/Sync/Close. It must be called before the map is shared —
-// recovery loads happen before attachment precisely so they are not
-// re-logged.
-func (m *Map[K, V]) AttachPersistence(l OpLogger[K, V], p Persister) {
+// AttachPersistence wires the durability hook: l observes every
+// committed logical operation from this point on. The engine's
+// snapshots, syncs and shutdown belong to the sharded frontend that
+// owns it. It must be called before the map is shared — recovery loads
+// happen before attachment precisely so they are not re-logged.
+func (m *Map[K, V]) AttachPersistence(l OpLogger[K, V]) {
 	m.logger = l
-	m.persist = p
 }
-
-// Persister returns the attached durability engine, or nil.
-func (m *Map[K, V]) Persister() Persister { return m.persist }
 
 // SetWriteTap installs fn to observe every committed state-changing
 // write (puts and deletes) from this point on. Hooks run inside the
@@ -372,35 +343,6 @@ func (m *Map[K, V]) SetWriteTap(fn func(del bool, k K, v V, stamp uint64)) {
 // clear have already reported; the caller serializes against in-flight
 // writers the same way as for SetWriteTap.
 func (m *Map[K, V]) ClearWriteTap() { m.tap.Store(nil) }
-
-// Snapshot writes a durable snapshot of the map now (and truncates the
-// WAL segments it covers). ErrNotDurable without persistence.
-func (m *Map[K, V]) Snapshot() error {
-	if m.persist == nil {
-		return ErrNotDurable
-	}
-	return m.persist.Snapshot()
-}
-
-// Sync forces every logged operation to durable storage, regardless of
-// the configured fsync policy. ErrNotDurable without persistence.
-func (m *Map[K, V]) Sync() error {
-	if m.persist == nil {
-		return ErrNotDurable
-	}
-	return m.persist.Sync()
-}
-
-// SimulateCrash abandons the durability engine the way a process crash
-// would — buffered records are lost, nothing more is logged — while the
-// in-memory map keeps working. Reopen the directory to observe what
-// survived. ErrNotDurable without persistence.
-func (m *Map[K, V]) SimulateCrash() error {
-	if m.persist == nil {
-		return ErrNotDurable
-	}
-	return m.persist.SimulateCrash()
-}
 
 // randomHeight draws from the geometric distribution with p = 1/2 in
 // [1, MaxLevel] (§3).

@@ -68,11 +68,10 @@ func rangeOf(m map[int64]int64, lo, hi int64, buf []maptest.KV) []maptest.KV {
 	return buf
 }
 
-func (l *lockedMap) Batch(steps []linearize.Step) bool {
+func (l *lockedMap) Batch(steps []linearize.Step) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	applyStepsTo(l.m, steps)
-	return true
 }
 
 // applyStepsTo applies batch steps to m in place, filling outputs.
@@ -186,7 +185,7 @@ func (s staleRangeMap) Range(lo, hi int64, buf []maptest.KV) []maptest.KV {
 // only its first step — lost atomicity.
 type partialBatchMap struct{ lockedMap }
 
-func (p *partialBatchMap) Batch(steps []linearize.Step) bool {
+func (p *partialBatchMap) Batch(steps []linearize.Step) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	// Claimed outputs: as if the whole batch ran.
@@ -200,7 +199,6 @@ func (p *partialBatchMap) Batch(steps []linearize.Step) bool {
 		first := []linearize.Step{steps[0]}
 		applyStepsTo(p.m, first)
 	}
-	return true
 }
 
 // record drives the standard harness workload over m. A single client

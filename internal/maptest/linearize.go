@@ -12,11 +12,9 @@ import (
 
 // Batcher is implemented by maps supporting multi-key atomic batches
 // (the skip hash's Atomic). Batch applies steps in order as one atomic
-// unit, filling in each step's outputs, and reports whether the batch
-// was applied; false means the map rejected it wholesale (for example
-// ErrCrossShard on isolated shards) and left no trace.
+// unit, filling in each step's outputs.
 type Batcher interface {
-	Batch(steps []linearize.Step) bool
+	Batch(steps []linearize.Step)
 }
 
 // HookInstaller is implemented by adapters whose map can accept STM
@@ -148,14 +146,8 @@ func RecordHistory(m OrderedMap, o WorkloadOptions) []linearize.Op {
 					}
 					op.Steps = steps
 					op.Call = cl.Now()
-					applied := b.Batch(steps)
+					b.Batch(steps)
 					op.Return = cl.Now()
-					if !applied {
-						// Rejected wholesale (e.g. cross-shard on an
-						// isolated map): a rollback leaves no trace, so
-						// there is nothing to linearize.
-						continue
-					}
 				default:
 					op.Kind = linearize.Lookup
 					op.Call = cl.Now()
@@ -244,43 +236,6 @@ func RunLinearizability(t *testing.T, newMap Factory) {
 			})
 		}
 	})
-	runHookedPhases(t, newMap, hasHooks)
-}
-
-// RunLinearizabilityPerKey is the subset of RunLinearizability whose
-// guarantees survive isolated shards: single-key operations and batches
-// stay linearizable (cross-shard batches are rejected wholesale), while
-// multi-shard ranges and point queries — which merge per-shard
-// snapshots taken at distinct instants — are excluded by design.
-func RunLinearizabilityPerKey(t *testing.T, newMap Factory) {
-	probe := newMap()
-	_, hasB := probe.(Batcher)
-	_, hasHooks := probe.(HookInstaller)
-
-	t.Run("PerKey", func(t *testing.T) {
-		for _, seed := range linSeeds {
-			checkWorkload(t, newMap, WorkloadOptions{
-				Clients: 4, OpsPerClient: 150, Universe: 8, Seed: seed,
-			})
-		}
-	})
-	t.Run("Batch", func(t *testing.T) {
-		if !hasB {
-			t.Skip("map does not implement atomic batches")
-		}
-		for _, seed := range linSeeds {
-			checkWorkload(t, newMap, WorkloadOptions{
-				Clients: 3, OpsPerClient: 60, Universe: 6, Seed: seed,
-				Batches: true,
-			})
-		}
-	})
-	runHookedPhases(t, newMap, hasHooks)
-}
-
-// runHookedPhases runs the fault-injection and deterministic-schedule
-// phases for maps that expose their STM runtime.
-func runHookedPhases(t *testing.T, newMap Factory, hasHooks bool) {
 	t.Run("Faults", func(t *testing.T) {
 		if !hasHooks {
 			t.Skip("map does not expose STM hooks")

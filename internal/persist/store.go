@@ -13,8 +13,8 @@ import (
 	"repro/internal/stm"
 )
 
-// Store is the durability engine of one map (or one shard group sharing
-// a commit-stamp domain): it captures the logical effect of committed
+// Store is the durability engine of one map (every shard of it shares
+// one commit-stamp domain): it captures the logical effect of committed
 // transactions into the WAL, writes background snapshots, and exposes
 // the recovered state it was opened from.
 //

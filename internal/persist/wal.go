@@ -659,36 +659,3 @@ func syncDir(dir string) error {
 	}
 	return err
 }
-
-// WriteFileAtomic writes content to path via a temp file, fsync,
-// rename, and a parent-directory fsync, so even across a power loss
-// readers observe either no file or a complete one. Exported for the
-// durable Open path's small metadata files (the shard-count pin); the
-// crash-safety sequence lives here, next to the rest of the engine's
-// fsync discipline.
-func WriteFileAtomic(path string, content []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(content); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(filepath.Dir(path))
-}

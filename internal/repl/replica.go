@@ -21,8 +21,8 @@ import (
 type ReplicaConfig struct {
 	// Addr is the primary's replication address (host:port).
 	Addr string
-	// Map tunes the replica's in-memory map; Clock, ClockFactory and
-	// Durability are overridden (the replica's clock is the lifted
+	// Map tunes the replica's in-memory map; Clock and Durability are
+	// overridden (the replica's clock is the lifted
 	// monotonic clock, and its state is the stream, not a local log).
 	Map skiphash.Config
 	// RedialEvery paces reconnect attempts. Default 100ms.
@@ -81,8 +81,6 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 	lift := newLiftClock(stm.NewMonotonicClock())
 	mc := cfg.Map
 	mc.Clock = lift
-	mc.ClockFactory = nil
-	mc.IsolatedShards = false // the stream is one commit-stamp domain
 	mc.Durability = nil
 	mc.Maintenance = true
 	r := &Replica{

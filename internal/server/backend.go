@@ -36,13 +36,6 @@ type Backend interface {
 	// reports how many it issued; a pure cache side effect the drain loop
 	// spends on the next run's keys while the current run executes.
 	Prefetch(req *wire.Request, max int) int
-	// ShardOf reports which coalescing domain req belongs to on a
-	// non-Spanning backend. solo marks a client batch whose own keys span
-	// shards: it must execute alone (and fails with ErrCrossShard).
-	ShardOf(req *wire.Request) (shard int, solo bool)
-	// Spanning reports whether one Atomic may touch every key (shared
-	// runtime); false splits coalesced runs at shard boundaries.
-	Spanning() bool
 	// Durable reports whether the map has a durability engine attached.
 	Durable() bool
 	// Sync, Snapshot expose the durability surface (skiphash.ErrNotDurable
@@ -315,36 +308,14 @@ func (b *ShardedBackend[K, V]) Prefetch(req *wire.Request, max int) int {
 	return n
 }
 
-// ShardOf implements Backend.
-func (b *ShardedBackend[K, V]) ShardOf(req *wire.Request) (shard int, solo bool) {
-	if req.Op.Kind() != wire.KindBatch {
-		return b.Sharded.ShardOf(b.cd.keyView(req)), false
-	}
-	n := b.cd.numSteps(req)
-	if n == 0 {
-		return 0, false // empty batch: executes anywhere, touches nothing
-	}
-	_, k := b.cd.stepView(req, 0)
-	shard = b.Sharded.ShardOf(k)
-	for si := 1; si < n; si++ {
-		if _, k := b.cd.stepView(req, si); b.Sharded.ShardOf(k) != shard {
-			return 0, true
-		}
-	}
-	return shard, false
-}
-
-// Spanning implements Backend.
-func (b *ShardedBackend[K, V]) Spanning() bool { return !b.Isolated() }
-
 // Durable implements Backend.
 func (b *ShardedBackend[K, V]) Durable() bool { return b.Persister() != nil }
 
 // Close implements Backend: the checked shutdown the map's own Close
 // (no error result) cannot be. The log is forced durable, the map
-// closed, and every durability engine — the front one, or each shard's
-// on an isolated map — asked for its sticky error, which covers the
-// close's own final flush and fsync and any commit the log never took.
+// closed, and the durability engine asked for its sticky error, which
+// covers the close's own final flush and fsync and any commit the log
+// never took.
 func (b *ShardedBackend[K, V]) Close() error {
 	err := b.Sync()
 	if errors.Is(err, skiphash.ErrNotDurable) {
@@ -353,11 +324,6 @@ func (b *ShardedBackend[K, V]) Close() error {
 	b.Sharded.Close()
 	if p := b.Persister(); p != nil {
 		err = errors.Join(err, p.Err())
-	}
-	for i := 0; i < b.Shards(); i++ {
-		if p := b.Shard(i).Persister(); p != nil {
-			err = errors.Join(err, p.Err())
-		}
 	}
 	return err
 }

@@ -79,9 +79,8 @@ func (c *conn) failRun(group []wire.Request, status wire.Status, msg string) {
 
 // execRun executes the run starting at batch[i] and returns the index
 // past it. A coalescable request opens a run that extends to the end of
-// the batch, the namespace boundary, the namespace's coalescing quota,
-// and — on isolated-shard backends — the shard boundary; any other
-// request is a run of one.
+// the batch, the namespace boundary or the namespace's coalescing
+// quota, whichever comes first; any other request is a run of one.
 func (c *conn) execRun(batch []wire.Request, i int) int {
 	req := &batch[i]
 	ns, status, msg := c.resolveNS(req)
@@ -114,28 +113,12 @@ func (c *conn) execRun(batch []wire.Request, i int) int {
 	joins := func(r *wire.Request) bool {
 		return r.NS == req.NS && r.Op.IsV2Data() == v2 && r.Op.Kind().Coalesces()
 	}
-	spanning := be.Spanning()
-	shard, solo := 0, false
-	if !spanning {
-		shard, solo = be.ShardOf(req)
-	}
 	j := i + 1
-	for !solo && j < len(batch) && j-i < maxRun && joins(&batch[j]) {
-		if !spanning {
-			if s2, solo2 := be.ShardOf(&batch[j]); solo2 || s2 != shard {
-				break
-			}
-		}
+	for j < len(batch) && j-i < maxRun && joins(&batch[j]) {
 		j++
 	}
 	path := pathAtomic
 	if allGets(batch[i:j]) {
-		// Reads never join a transaction, so a pure-read run may also
-		// absorb the Gets a shard boundary would otherwise have split
-		// off into the next run.
-		for j < len(batch) && j-i < maxRun && joins(&batch[j]) && batch[j].Op.Kind() == wire.KindGet {
-			j++
-		}
 		path = pathReads
 	}
 	c.markRun(i, j, path, ns)

@@ -211,13 +211,19 @@ func setRangeBudget(be Backend, n int) {
 	}
 }
 
-// otherShard returns the first key above from whose request lands on a
-// different (same == false) or the same coalescing shard as key's.
+// otherShard returns the first key at or above from that f's map routes
+// to a different (same == false) or the same shard as key's. Routing
+// depends only on a key's hash and the shard count, so a scratch map of
+// the same shape shows it.
 func otherShard(f family, key, from int64, same bool) int64 {
-	home := func(k int64) int {
-		req := f.get(k)
-		s, _ := f.ns.be.ShardOf(&req)
-		return s
+	n := f.ns.be.(interface{ Shards() int }).Shards()
+	var home func(int64) int
+	if f.v2 {
+		m := skiphash.NewSharded[string, string](skiphash.StringLess, skiphash.HashString, skiphash.Config{Shards: n, Buckets: 1024})
+		home = func(k int64) int { return homeShard(m, string(bnum(k))) }
+	} else {
+		m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: n, Buckets: 1024})
+		home = func(k int64) int { return homeShard(m, k) }
 	}
 	for k := from; ; k++ {
 		if k != key && (home(k) == home(key)) == same {
@@ -226,7 +232,29 @@ func otherShard(f family, key, from int64, same bool) int64 {
 	}
 }
 
-var isolated = skiphash.Config{Shards: 4, IsolatedShards: true}
+// homeShard puts k into m and reports which shard holds it.
+func homeShard[K comparable, V any](m *skiphash.Sharded[K, V], k K) int {
+	var zero V
+	m.Put(k, zero)
+	for i := 0; i < m.Shards(); i++ {
+		if m.Shard(i).NewTransientHandle().Contains(k) {
+			return i
+		}
+	}
+	return -1
+}
+
+// stepOks lists a batch response's per-step outcomes, either family.
+func stepOks(resp *wire.Response) []bool {
+	var oks []bool
+	for _, s := range resp.Steps {
+		oks = append(oks, s.Ok)
+	}
+	for _, s := range resp.BSteps {
+		oks = append(oks, s.Ok)
+	}
+	return oks
+}
 
 var executorScenarios = []struct {
 	name   string
@@ -259,52 +287,54 @@ var executorScenarios = []struct {
 		wantStatus(t, h.run(reqs...), wire.StatusOK)
 		h.wantRuns(1, 20)
 	}},
-	{"RunsSplitAtIsolatedShardBoundary", isolated, func(t *testing.T, h *harness, f family) {
+	{"RunSpansShards", skiphash.Config{Shards: 4}, func(t *testing.T, h *harness, f family) {
 		a := int64(1)
 		b := otherShard(f, a, 2, false)
 		a2 := otherShard(f, a, b+1, true)
-		wantStatus(t, h.run(f.insert(a, 1), f.insert(a2, 2), f.insert(b, 3), f.insert(a, 4)), wire.StatusOK)
-		h.wantRuns(3, 4) // {a, a2} {b} {a}
+		resps := h.run(f.insert(a, 1), f.insert(a2, 2), f.insert(b, 3), f.insert(a, 4))
+		wantStatus(t, resps, wire.StatusOK)
+		h.wantRuns(1, 4) // every shard is in one commit domain: no boundary
+		if !resps[0].Ok || !resps[1].Ok || !resps[2].Ok || resps[3].Ok {
+			t.Fatalf("responses = %+v", resps)
+		}
 	}},
-	{"PureGetRunAbsorbsGetsAcrossShardBoundary", isolated, func(t *testing.T, h *harness, f family) {
+	{"PureGetRunSpansShards", skiphash.Config{Shards: 4}, func(t *testing.T, h *harness, f family) {
 		a := int64(1)
 		b := otherShard(f, a, 2, false)
 		wantStatus(t, h.run(f.insert(a, 10)), wire.StatusOK)
 		wantStatus(t, h.run(f.insert(b, 20)), wire.StatusOK)
 		h.runsSince()
-		resps := h.run(f.get(a), f.get(b), f.get(a), f.insert(b, 21), f.get(b))
+		resps := h.run(f.get(a), f.get(b), f.get(a))
 		wantStatus(t, resps, wire.StatusOK)
-		// The three Gets are one read run despite the boundary; the write
-		// ends it, and from there the boundary splits again.
-		h.wantRuns(2, 5)
+		h.wantRuns(1, 3)
+		if f.val(t, &resps[0]) != 10 || f.val(t, &resps[1]) != 20 || f.val(t, &resps[2]) != 10 {
+			t.Fatalf("responses = %+v", resps)
+		}
+		// A write among the Gets turns the whole stretch into one atomic
+		// run, whatever shards its keys live on.
+		resps = h.run(f.get(a), f.get(b), f.get(a), f.insert(b, 21), f.get(b))
+		wantStatus(t, resps, wire.StatusOK)
+		h.wantRuns(1, 5)
 		if f.val(t, &resps[0]) != 10 || f.val(t, &resps[1]) != 20 || resps[3].Ok || f.val(t, &resps[4]) != 20 {
 			t.Fatalf("responses = %+v", resps)
 		}
 	}},
-	{"CrossShardBatchFailsAlone", isolated, func(t *testing.T, h *harness, f family) {
+	{"CrossShardBatchCommitsInRun", skiphash.Config{Shards: 4}, func(t *testing.T, h *harness, f family) {
 		a := int64(1)
 		b := otherShard(f, a, 2, false)
 		resps := h.run(
 			f.insert(a, 1),
 			f.batch(wire.Step{Kind: wire.StepInsert, Key: a, Val: 7}, wire.Step{Kind: wire.StepInsert, Key: b, Val: 7}),
 			f.get(a), f.get(b))
-		if resps[1].Status != wire.StatusCrossShard {
-			t.Fatalf("cross-shard batch: status %v, want CrossShard", resps[1].Status)
-		}
-		// Its neighbours committed in their own runs, and it left no trace.
-		h.wantRuns(3, 4)
-		if resps[0].Status != wire.StatusOK || !resps[0].Ok || f.val(t, &resps[2]) != 1 || resps[3].Ok {
-			t.Fatalf("neighbours of the failed batch = %+v", resps)
-		}
-		// A batch within one shard still commits, and reports each step.
-		a2 := otherShard(f, a, b+1, true)
-		resps = h.run(f.batch(
-			wire.Step{Kind: wire.StepLookup, Key: a},
-			wire.Step{Kind: wire.StepInsert, Key: a2, Val: 5},
-			wire.Step{Kind: wire.StepRemove, Key: a}))
 		wantStatus(t, resps, wire.StatusOK)
-		if n := len(resps[0].Steps) + len(resps[0].BSteps); n != 3 {
-			t.Fatalf("batch answered %d steps, want 3", n)
+		// The batch commits in one run with its neighbours, and both its
+		// keys are visible: a kept its first value, b took the batch's.
+		h.wantRuns(1, 4)
+		if oks := stepOks(&resps[1]); len(oks) != 2 || oks[0] || !oks[1] {
+			t.Fatalf("cross-shard batch steps = %v, want [false true]", oks)
+		}
+		if !resps[0].Ok || !resps[2].Ok || f.val(t, &resps[2]) != 1 || !resps[3].Ok || f.val(t, &resps[3]) != 7 {
+			t.Fatalf("neighbours of the cross-shard batch = %+v", resps)
 		}
 	}},
 	{"ReadOnlyBackendFailsWholeRun", skiphash.Config{Shards: 2}, func(t *testing.T, h *harness, f family) {

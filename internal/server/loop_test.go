@@ -222,42 +222,32 @@ func TestOneGoroutinePerConnection(t *testing.T) {
 	}
 }
 
-// TestShutdownReportsEngineFailure stops a durable namespace's engines
+// TestShutdownReportsEngineFailure stops a durable namespace's engine
 // behind the map's back and then writes to it, so an acknowledged commit
-// never reached the log: Shutdown (through CloseAll) must say so,
-// whether the engine sits at the front of the map or on each isolated
-// shard.
+// never reached the log: Shutdown (through CloseAll) must say so.
 func TestShutdownReportsEngineFailure(t *testing.T) {
 	def := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 1})
 	defer def.Close()
-	for _, isolated := range []bool{false, true} {
-		reg, err := NewRegistry(RegistryConfig{
-			Root:       t.TempDir(),
-			Map:        skiphash.Config{Shards: 2, IsolatedShards: isolated},
-			Durability: skiphash.Durability{Fsync: skiphash.FsyncNone},
-		})
-		if err != nil {
-			t.Fatalf("NewRegistry: %v", err)
-		}
-		if _, err := reg.Create("healthy", true, wire.NsFsyncDefault); err != nil {
-			t.Fatalf("Create: %v", err)
-		}
-		ns, err := reg.Create("failing", true, wire.NsFsyncDefault)
-		if err != nil {
-			t.Fatalf("Create: %v", err)
-		}
-		m := ns.be.(*ShardedBackend[string, string]).Sharded
-		if isolated {
-			for i := 0; i < m.Shards(); i++ {
-				m.Shard(i).Persister().Close()
-			}
-		} else {
-			m.Persister().Close()
-		}
-		m.Insert("k", "v")
-		err = NewWithRegistry(NewShardedBackend(def), reg, Config{}).Shutdown(context.Background())
-		if err == nil || !strings.Contains(err.Error(), "not logged") {
-			t.Fatalf("isolated=%v: Shutdown = %v after a commit no engine logged", isolated, err)
-		}
+	reg, err := NewRegistry(RegistryConfig{
+		Root:       t.TempDir(),
+		Map:        skiphash.Config{Shards: 2},
+		Durability: skiphash.Durability{Fsync: skiphash.FsyncNone},
+	})
+	if err != nil {
+		t.Fatalf("NewRegistry: %v", err)
+	}
+	if _, err := reg.Create("healthy", true, wire.NsFsyncDefault); err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	ns, err := reg.Create("failing", true, wire.NsFsyncDefault)
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	m := ns.be.(*ShardedBackend[string, string]).Sharded
+	m.Persister().Close()
+	m.Insert("k", "v")
+	err = NewWithRegistry(NewShardedBackend(def), reg, Config{}).Shutdown(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "not logged") {
+		t.Fatalf("Shutdown = %v after a commit no engine logged", err)
 	}
 }

@@ -36,11 +36,8 @@
 //
 // A run never leaves its namespace: it ends where the next request
 // addresses another one, and a namespace's coalescing quota can clamp it
-// further. Coalescing is also shard-aware: on isolated-shard maps an
-// Atomic transaction must stay within one shard, so runs are
-// additionally split at shard boundaries, and a client batch whose own
-// keys span shards executes alone and fails with StatusCrossShard,
-// exactly as the embedded map's Atomic would.
+// further. Shards are no boundary — every shard of a map shares one
+// commit-stamp domain, so one Atomic transaction spans them all.
 //
 // Reads are segregated from writes: a coalesced run consisting purely
 // of Gets skips the atomic-txn machinery and is answered through the
@@ -495,8 +492,6 @@ func (c *conn) flush() error {
 // statusFor maps backend errors to wire statuses.
 func statusFor(err error) (wire.Status, string) {
 	switch {
-	case errors.Is(err, skiphash.ErrCrossShard):
-		return wire.StatusCrossShard, err.Error()
 	case errors.Is(err, skiphash.ErrNotDurable):
 		return wire.StatusNotDurable, err.Error()
 	case errors.Is(err, skiphash.ErrCorrupt):

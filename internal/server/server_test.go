@@ -138,49 +138,6 @@ func TestServeUnixSocket(t *testing.T) {
 	}
 }
 
-func TestCrossShardBatchIsolated(t *testing.T) {
-	m, _, addr := startServer(t, skiphash.Config{Shards: 4, IsolatedShards: true}, Config{})
-	c := dialT(t, addr, client.Options{})
-
-	// Find two keys on different shards.
-	k1 := int64(1)
-	k2 := int64(-1)
-	for k := int64(2); k < 1000; k++ {
-		if m.ShardOf(k) != m.ShardOf(k1) {
-			k2 = k
-			break
-		}
-	}
-	if k2 < 0 {
-		t.Fatal("no cross-shard key pair found")
-	}
-	_, err := c.Atomic([]client.Step{
-		{Kind: client.StepInsert, Key: k1, Val: 1},
-		{Kind: client.StepInsert, Key: k2, Val: 2},
-	})
-	if !errors.Is(err, client.ErrCrossShard) {
-		t.Fatalf("cross-shard batch = %v, want ErrCrossShard", err)
-	}
-	if _, ok, _ := c.Get(k1); ok {
-		t.Fatal("cross-shard batch left a partial trace")
-	}
-	// Same-shard batches still work.
-	var k3 int64 = -1
-	for k := k1 + 1; k < 1000; k++ {
-		if m.ShardOf(k) == m.ShardOf(k1) {
-			k3 = k
-			break
-		}
-	}
-	results, err := c.Atomic([]client.Step{
-		{Kind: client.StepInsert, Key: k1, Val: 1},
-		{Kind: client.StepInsert, Key: k3, Val: 3},
-	})
-	if err != nil || !results[0].Ok || !results[1].Ok {
-		t.Fatalf("same-shard batch = %+v, %v", results, err)
-	}
-}
-
 // rawDial opens a bare TCP connection for protocol-violation tests.
 func rawDial(t *testing.T, addr string) net.Conn {
 	t.Helper()
@@ -515,12 +472,17 @@ func TestShutdownRefusesNewConnections(t *testing.T) {
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	go srv.Serve(ln)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
+	// Serve closes the listener whether it started before Shutdown or
+	// after; until it has, the kernel still completes connects into the
+	// listen backlog.
+	<-served
 	if _, err := client.Dial(ln.Addr().String(), client.Options{}); err == nil {
 		t.Fatal("dial after shutdown succeeded")
 	}

@@ -35,9 +35,8 @@ type Handle[K comparable, V any] struct {
 	// stripe is the handle's pin-counter stripe (see resize.go).
 	stripe uint32
 	stats  core.HandleStats
-	// adaptSkip counts remaining range queries that bypass the fast
-	// path under Config.Adaptive (shared mode only; isolated shards run
-	// their own adaptive policy inside core).
+	// adaptSkip counts remaining cross-shard range queries that bypass
+	// the fast path under Config.Adaptive.
 	adaptSkip int
 	// registered records membership in Sharded.handles; pooled transient
 	// handles bank their counters on release instead. It is written only
@@ -300,8 +299,7 @@ func (h *Handle[K, V]) Remove(k K) bool {
 }
 
 // Put sets k to v unconditionally, reporting whether a previous value
-// was replaced. Replacement stays within one shard, so it is atomic in
-// both modes.
+// was replaced.
 func (h *Handle[K, V]) Put(k K, v V) bool {
 	ch, t, g := h.pointEnter(k)
 	ok := ch.Put(k, v)
@@ -309,10 +307,8 @@ func (h *Handle[K, V]) Put(k K, v V) bool {
 	return ok
 }
 
-// Point queries probe every shard and reduce. In shared mode the probes
-// run inside one read-only transaction, so the answer is a snapshot; in
-// isolated mode each shard is probed in its own transaction and the
-// reduction is only as consistent as the probes' interleaving.
+// Point queries probe every shard inside one read-only transaction and
+// reduce, so the answer is a snapshot.
 
 // Ceil returns the smallest key >= k and its value.
 func (h *Handle[K, V]) Ceil(k K) (K, V, bool) {
@@ -343,35 +339,12 @@ func (h *Handle[K, V]) reduce(k K, wantMax bool, q func(op *core.Txn[K, V], k K)
 	var bk K
 	var bv V
 	var bok bool
-	keep := func(ck K, cv V) {
-		if !bok || (wantMax && s.less(bk, ck)) || (!wantMax && s.less(ck, bk)) {
-			bk, bv, bok = ck, cv, true
-		}
-	}
-	if s.isolated {
-		for _, i := range auth {
-			hi := h.hs[i]
-			var ck K
-			var cv V
-			var ok bool
-			// The closure may re-execute after an abort; only its final
-			// (committed) answer may reach the reduction, so the shard's
-			// result lands in per-attempt locals and keep runs outside.
-			_ = hi.Atomic(func(op *core.Txn[K, V]) error {
-				ck, cv, ok = q(op, k)
-				return nil
-			})
-			if ok {
-				keep(ck, cv)
-			}
-		}
-		return bk, bv, bok
-	}
 	_ = s.rt.Atomic(func(tx *stm.Tx) error {
 		bok = false
 		for _, i := range auth {
-			if ck, cv, ok := q(h.hs[i].Bind(tx), k); ok {
-				keep(ck, cv)
+			ck, cv, ok := q(h.hs[i].Bind(tx), k)
+			if ok && (!bok || (wantMax && s.less(bk, ck)) || (!wantMax && s.less(ck, bk))) {
+				bk, bv, bok = ck, cv, true
 			}
 		}
 		return nil
@@ -379,27 +352,18 @@ func (h *Handle[K, V]) reduce(k K, wantMax bool, q func(op *core.Txn[K, V], k K)
 	return bk, bv, bok
 }
 
-// Range appends every pair with l <= key <= r, in key order, to out.
-// In shared mode it reproduces the two-path scheme across shards: the
-// fast path collects every shard's segment in one try-once transaction;
-// the slow path registers a range op with every shard's RQC in one
-// transaction (the query's linearization point) and then runs each
-// shard's resumable safe-node traversal. In isolated mode each shard
-// answers with its own two-path range and the merge is only per-shard
-// snapshot consistent. During a resize the walk covers the
+// Range appends every pair with l <= key <= r, in key order, to out,
+// reproducing the two-path scheme across shards: the fast path collects
+// every shard's segment in one try-once transaction; the slow path
+// registers a range op with every shard's RQC in one transaction (the
+// query's linearization point) and then runs each shard's resumable
+// safe-node traversal. During a resize the walk covers the
 // authoritative shard set, held stable by the migration gates.
 func (h *Handle[K, V]) Range(l, r K, out []Pair[K, V]) []Pair[K, V] {
-	s := h.s
 	t, auth := h.authEnter()
 	defer h.authExit(t)
 	if len(auth) == 1 {
 		return h.hs[auth[0]].Range(l, r, out) // nothing to merge
-	}
-	if s.isolated {
-		for _, i := range auth {
-			h.segs[i] = h.hs[i].Range(l, r, h.segs[i][:0])
-		}
-		return h.merge(auth, out)
 	}
 	return core.TwoPathRange(t.maps[0].Config(), &h.stats, &h.adaptSkip,
 		func() ([]Pair[K, V], error) { return h.rangeFast(auth, l, r, out) },

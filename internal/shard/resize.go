@@ -2,7 +2,6 @@ package shard
 
 import (
 	"errors"
-	"fmt"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -31,11 +30,9 @@ import (
 //     before the group's routing flips to the destinations. Replaying
 //     the whole delta in commit order converges every key to its latest
 //     committed value, so no per-key stamp bookkeeping is needed.
-//   - In shared-clock mode all shards live in one timestamp domain and
-//     multi-shard operations hold every gate, so the migration is
-//     invisible to linearizability; in isolated mode shards migrate
-//     group by group with per-group cutover and the usual per-shard
-//     consistency contract.
+//   - All shards live in one timestamp domain and multi-shard
+//     operations hold every gate, so the migration is invisible to
+//     linearizability.
 //
 // Sources keep their keys until the whole resize completes; retired
 // shards are then closed wholesale and their counters banked.
@@ -225,24 +222,6 @@ func (s *Sharded[K, V]) grace(t *route[K, V]) {
 	}
 }
 
-// ResizeHooks lets the durable open path participate in live
-// resharding when every shard owns a private durability engine
-// (isolated mode). Provision attaches a fresh engine to destination
-// shard idx (of newN) before the copy begins; Commit durably records
-// the new shard count and retires the old per-shard state after every
-// group has cut over; Abort cleans up provisioned state when a later
-// Provision call fails. All fields may be nil (non-durable maps, and
-// shared-mode durable maps, whose single WAL needs no per-shard work).
-type ResizeHooks[K comparable, V any] struct {
-	Provision func(idx, newN int, m *core.Map[K, V]) error
-	Commit    func(oldN, newN int) error
-	Abort     func(newN int)
-}
-
-// SetResizeHooks installs the durability hooks Resize calls; see
-// ResizeHooks. Must be set before Resize is used, from the open path.
-func (s *Sharded[K, V]) SetResizeHooks(h ResizeHooks[K, V]) { s.hooks = h }
-
 // ResizeStats are cumulative live-resharding counters.
 type ResizeStats struct {
 	// Resizes counts completed Resize calls that changed the count.
@@ -281,9 +260,10 @@ func (s *Sharded[K, V]) SetResizeObserver(fn func(group, tail int, d time.Durati
 // from GOMAXPROCS) and returns the resulting count. Reads and writes
 // keep serving throughout; each group of the hash space pauses writes
 // only for its final delta-tail replay at cutover. Resize calls are
-// serialized with each other and with Close. Once the copy phase has
-// begun the in-memory migration always completes; durability errors
-// from the hooks are returned but do not stop the cutovers.
+// serialized with each other and with Close; the only error is a
+// resize of a closed map. A durable map needs no bookkeeping here: its
+// one WAL logs every shard's writes in commit order, destinations
+// included, whatever the geometry.
 func (s *Sharded[K, V]) Resize(n int) (int, error) {
 	s.resizeMu.Lock()
 	defer s.resizeMu.Unlock()
@@ -297,43 +277,22 @@ func (s *Sharded[K, V]) Resize(n int) (int, error) {
 		return n, nil
 	}
 
-	// Phase A — build destination shards (and their durability, via the
-	// provision hook); any failure here rolls back completely.
+	// Phase A — build destination shards on the shared runtime, logging
+	// to the map's WAL and reporting to its maintenance observer.
 	per := perShardConfig(s.baseCfg, n)
+	s.mu.Lock()
+	maintObs := s.maintObs
+	s.mu.Unlock()
 	newShards := make([]*core.Map[K, V], n)
 	for i := range newShards {
-		if s.isolated {
-			newShards[i] = core.New[K, V](s.less, s.hash, per)
-		} else {
-			newShards[i] = core.NewIn[K, V](s.rt, s.less, s.hash, per)
-			if s.logger != nil {
-				newShards[i].AttachPersistence(s.logger, nil)
-			}
+		m := core.NewIn[K, V](s.rt, s.less, s.hash, per)
+		if s.logger != nil {
+			m.AttachPersistence(s.logger)
 		}
-	}
-	s.mu.Lock()
-	maintObs, commitObs := s.maintObs, s.commitObs
-	s.mu.Unlock()
-	for _, m := range newShards {
 		if maintObs != nil {
 			m.SetMaintenanceObserver(maintObs)
 		}
-		if s.isolated && commitObs != nil {
-			m.Runtime().SetCommitObserver(commitObs)
-		}
-	}
-	if s.hooks.Provision != nil {
-		for i, m := range newShards {
-			if err := s.hooks.Provision(i, n, m); err != nil {
-				for _, d := range newShards {
-					d.Close()
-				}
-				if s.hooks.Abort != nil {
-					s.hooks.Abort(n)
-				}
-				return oldN, fmt.Errorf("shard: provisioning destination shard %d of %d: %w", i, n, err)
-			}
-		}
+		newShards[i] = m
 	}
 
 	// Install the migration table and wait out operations still routing
@@ -364,30 +323,21 @@ func (s *Sharded[K, V]) Resize(n int) (int, error) {
 	s.tab.Store(migTab)
 	s.grace(old)
 
-	// Phase B — migrate group by group. Errors (durable snapshot reads)
-	// are collected; routing must still reach the new steady state.
-	var firstErr error
+	// Phase B — migrate group by group.
 	for g := 0; g < groups; g++ {
-		if err := s.migrateGroup(migTab, g); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		s.migrateGroup(migTab, g)
 	}
 
 	steady := newSteadyRoute(newShards)
 	s.tab.Store(steady)
 	s.grace(migTab)
 	s.retireShards(old.maps)
-	if s.hooks.Commit != nil {
-		if err := s.hooks.Commit(oldN, n); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
 	s.rsResizes.Add(1)
-	return n, firstErr
+	return n, nil
 }
 
 // migrateGroup runs one group's tap/copy/drain/cutover sequence.
-func (s *Sharded[K, V]) migrateGroup(t *route[K, V], g int) error {
+func (s *Sharded[K, V]) migrateGroup(t *route[K, V], g int) {
 	m := t.mig
 	srcs := m.sourceIndices(g)
 
@@ -409,15 +359,13 @@ func (s *Sharded[K, V]) migrateGroup(t *route[K, V], g int) error {
 	// Put transactions into the destinations. A copied value may be
 	// stale by the time it lands; the commit-ordered delta replay below
 	// rewrites every key written since the tap, so the group converges.
-	var copyErr error
+	// SnapshotChunks fails only with its callback's error, and this one
+	// never fails.
 	for _, i := range srcs {
-		err := t.maps[i].SnapshotChunks(resizeChunk, func(_ uint64, pairs []Pair[K, V]) error {
+		_ = t.maps[i].SnapshotChunks(resizeChunk, func(_ uint64, pairs []Pair[K, V]) error {
 			s.copyChunk(t, pairs)
 			return nil
 		})
-		if err != nil && copyErr == nil {
-			copyErr = err
-		}
 	}
 
 	// Catch-up rounds shrink the delta backlog without blocking
@@ -449,7 +397,6 @@ func (s *Sharded[K, V]) migrateGroup(t *route[K, V], g int) error {
 	if obs := s.resizeObs.Load(); obs != nil {
 		(*obs)(g, len(tail), time.Since(began))
 	}
-	return copyErr
 }
 
 // copyChunk routes one snapshot chunk's pairs into the per-destination
@@ -529,15 +476,6 @@ func (s *Sharded[K, V]) retireShards(old []*core.Map[K, V]) {
 	}
 	s.mu.Lock()
 	for _, m := range old {
-		if s.isolated {
-			st := m.Runtime().Stats()
-			s.retiredSTM.Commits += st.Commits
-			s.retiredSTM.ReadOnlyCommits += st.ReadOnlyCommits
-			s.retiredSTM.Aborts += st.Aborts
-			s.retiredSTM.UserErrors += st.UserErrors
-			s.retiredSTM.FastReadHits += st.FastReadHits
-			s.retiredSTM.FastReadFallbacks += st.FastReadFallbacks
-		}
 		rs := m.RangeStats()
 		s.retiredRange.FastAttempts += rs.FastAttempts
 		s.retiredRange.FastAborts += rs.FastAborts

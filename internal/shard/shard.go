@@ -13,33 +13,17 @@
 //
 // # Consistency model
 //
-// By default every shard runs on one shared STM runtime whose commit
-// clock is the stateless monotonic "hardware" clock: drawing a
-// timestamp writes no shared memory, so the shared runtime adds no
-// cross-shard contention to point operations, while keeping all shards
-// in a single timestamp and transaction-ID domain. That domain is what
-// buys back global consistency for the multi-shard operations:
-//
-//   - Range runs its fast path as one transaction walking every shard's
-//     segment, and its slow path by registering a range op with every
-//     shard's RQC in one transaction — either way the union of segments
-//     is a snapshot at a single commit instant, exactly as linearizable
-//     as one shard's ranges.
-//   - Ceil/Floor/Succ/Pred probe all shards inside one read-only
-//     transaction and reduce.
-//   - Atomic bodies may span shards freely; the whole batch commits or
-//     rolls back together.
-//
-// With Config.IsolatedShards every shard instead gets a private runtime
-// — and a private clock, when Config.ClockFactory mints one per shard
-// (or Config.Clock is left nil, defaulting to private monotonic
-// clocks); counter-based clocks then stop sharing a commit-tick
-// cacheline. Point operations are unchanged, but cross-shard
-// timestamps become incomparable, so multi-shard operations weaken: Range and the
-// iterators merge per-shard snapshots taken at (closely spaced but)
-// distinct instants, point queries reduce over per-shard probes, and
-// Atomic is per-shard only — a transaction whose keys span two shards
-// fails with ErrCrossShard rather than silently losing atomicity.
+// Every shard runs on one shared STM runtime whose default commit clock
+// is the stateless monotonic "hardware" clock: drawing a timestamp
+// writes no shared memory, so sharing the runtime adds no cross-shard
+// contention to point operations, while keeping all shards in one
+// timestamp and transaction-ID domain. That domain makes the multi-shard
+// operations as linearizable as one shard's: Range's fast path is one
+// transaction walking every shard's segment and its slow path registers
+// with every shard's RQC in one transaction, so the merged segments are
+// a snapshot at a single commit instant; Ceil/Floor/Succ/Pred probe all
+// shards inside one read-only transaction; and an Atomic batch may span
+// shards freely, committing or rolling back as a whole.
 package shard
 
 import (
@@ -67,10 +51,9 @@ const maxShards = 256
 // count set at construction is only initial — Resize migrates to a new
 // count under live traffic.
 type Sharded[K comparable, V any] struct {
-	less     func(a, b K) bool
-	hash     func(K) uint64
-	rt       *stm.Runtime // shared runtime; nil when isolated
-	isolated bool
+	less func(a, b K) bool
+	hash func(K) uint64
+	rt   *stm.Runtime // the one runtime every shard runs on
 	// baseCfg is the construction config; Resize re-derives per-shard
 	// configs from it at the new count.
 	baseCfg core.Config
@@ -86,33 +69,26 @@ type Sharded[K comparable, V any] struct {
 	// retired accumulates shard-level range counters of handles that
 	// left the registry (closed handles, released pooled handles).
 	retired core.HandleStats
-	// retiredSTM/retiredRange/retiredMaint bank the counters of shards
-	// closed by a resize, so aggregate stats never go backwards.
-	retiredSTM   stm.Stats
+	// retiredRange/retiredMaint bank the counters of shards closed by a
+	// resize, so aggregate stats never go backwards.
 	retiredRange core.RangeStats
 	retiredMaint core.MaintenanceStats
 	closed       atomic.Bool
 	// closeDone lets concurrent Close calls wait for the one closing
 	// goroutine (durability makes "Close returned" mean "flushed").
 	closeDone chan struct{}
-	// persister is the frontend-owned durability engine in shared mode
-	// (one WAL spanning every shard, so cross-shard batches are single
-	// records); in isolated mode each shard owns its own engine instead
-	// and this stays nil.
+	// persister is the durability engine: one WAL spanning every shard,
+	// so a cross-shard batch is a single record. Nil on in-memory maps.
 	persister core.Persister
-	// logger is the shared-mode WAL logger; Resize attaches it to
-	// destination shards so migrated keys keep logging.
+	// logger is the WAL logger; Resize attaches it to destination shards
+	// so migrated keys keep logging.
 	logger core.OpLogger[K, V]
 
 	// resizeMu serializes Resize calls with each other and with Close.
 	resizeMu sync.Mutex
-	hooks    ResizeHooks[K, V]
-	// maintObs/commitObs remember the installed observers so shards
-	// created by Resize inherit them (s.mu guards both; commitObs is
-	// only consulted when isolated — the shared runtime outlives
-	// resizes on its own).
-	maintObs  func(nodes int, d time.Duration)
-	commitObs stm.CommitObserver
+	// maintObs remembers the installed maintenance observer so shards
+	// created by Resize inherit it (s.mu guards it).
+	maintObs func(nodes int, d time.Duration)
 
 	rsResizes      atomic.Uint64
 	rsKeysCopied   atomic.Uint64
@@ -153,16 +129,9 @@ func perShardConfig(cfg core.Config, shards int) core.Config {
 	}
 	cfg.Buckets = per | 1 // odd, so weak hashes still spread over chains
 	cfg.Shards = 0
-	cfg.IsolatedShards = false
 	cfg.Durability = nil // the frontend owns durability, not the shards
 	return cfg
 }
-
-// ResolveShards reports the effective partition count New derives from
-// a requested one (zero derives from GOMAXPROCS, then clamping and
-// rounding to a power of two). Exported for the durable Open path,
-// which must lay out per-shard directories before constructing the map.
-func ResolveShards(n int) int { return normalizeShards(n) }
 
 // New creates a sharded skip hash ordered by less and hashed by hash.
 // cfg.Shards selects the initial partition count (0 derives a power of
@@ -176,31 +145,14 @@ func New[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg c
 	s := &Sharded[K, V]{
 		less:      less,
 		hash:      hash,
-		isolated:  cfg.IsolatedShards,
+		rt:        stm.New(stm.WithClock(cfg.Clock)),
 		baseCfg:   cfg,
 		closeDone: make(chan struct{}),
 	}
 	per := perShardConfig(cfg, n)
 	shards := make([]*core.Map[K, V], n)
-	if s.isolated {
-		// Private runtime per shard, and a private clock when the
-		// caller leaves cfg.Clock nil: core.New mints one through
-		// cfg.ClockFactory (or defaults to a private monotonic clock).
-		// A non-nil cfg.Clock instance is shared by every shard —
-		// counter clocks then still tick one cacheline, so prefer the
-		// factory for per-shard gv1/gv5.
-		for i := range shards {
-			shards[i] = core.New[K, V](less, hash, per)
-		}
-	} else {
-		clock := cfg.Clock
-		if clock == nil && cfg.ClockFactory != nil {
-			clock = cfg.ClockFactory()
-		}
-		s.rt = stm.New(stm.WithClock(clock))
-		for i := range shards {
-			shards[i] = core.NewIn[K, V](s.rt, less, hash, per)
-		}
+	for i := range shards {
+		shards[i] = core.NewIn[K, V](s.rt, less, hash, per)
 	}
 	s.tab.Store(newSteadyRoute(shards))
 	s.handlePool.New = func() any { return s.NewTransientHandle() }
@@ -232,15 +184,13 @@ func (s *Sharded[K, V]) Close() {
 	}
 }
 
-// AttachPersistence wires shared-mode durability: l observes every
-// shard's committed logical operations (all shards share one commit
-// clock, so one WAL orders them globally, and a cross-shard batch is a
-// single atomic record), and p owns snapshots, syncs and shutdown at
-// the frontend. Isolated shards attach engines per shard instead (see
-// the skiphash Open constructors).
+// AttachPersistence wires durability: l observes every shard's
+// committed logical operations (all shards share one commit clock, so
+// one WAL orders them globally, and a cross-shard batch is a single
+// atomic record), and p owns snapshots, syncs and shutdown.
 func (s *Sharded[K, V]) AttachPersistence(l core.OpLogger[K, V], p core.Persister) {
 	for _, m := range s.tab.Load().maps {
-		m.AttachPersistence(l, nil)
+		m.AttachPersistence(l)
 	}
 	s.logger = l
 	s.persister = p
@@ -284,51 +234,34 @@ func (s *Sharded[K, V]) authMaps() []*core.Map[K, V] {
 	return out
 }
 
-// Snapshot writes a durable snapshot now: through the frontend engine
-// in shared mode, per shard in isolated mode. core.ErrNotDurable
-// without persistence.
+// Snapshot writes a durable snapshot now (and truncates the WAL
+// segments it covers). core.ErrNotDurable without persistence.
 func (s *Sharded[K, V]) Snapshot() error {
-	return s.durabilityOp(core.Persister.Snapshot, (*core.Map[K, V]).Snapshot)
+	return s.durabilityOp(core.Persister.Snapshot)
 }
 
-// Sync forces every logged operation to durable storage; see Snapshot
-// for the routing.
+// Sync forces every logged operation to durable storage, regardless of
+// the configured fsync policy. core.ErrNotDurable without persistence.
 func (s *Sharded[K, V]) Sync() error {
-	return s.durabilityOp(core.Persister.Sync, (*core.Map[K, V]).Sync)
+	return s.durabilityOp(core.Persister.Sync)
 }
 
-// SimulateCrash abandons the durability engine(s) as a process crash
-// would; the in-memory map keeps working. See core.Map.SimulateCrash.
+// SimulateCrash abandons the durability engine the way a process crash
+// would — buffered records are lost, nothing more is logged — while the
+// in-memory map keeps working. Reopen the directory to observe what
+// survived. core.ErrNotDurable without persistence.
 func (s *Sharded[K, V]) SimulateCrash() error {
-	return s.durabilityOp(core.Persister.SimulateCrash, (*core.Map[K, V]).SimulateCrash)
+	return s.durabilityOp(core.Persister.SimulateCrash)
 }
 
-// Persister returns the frontend-owned durability engine (shared-mode
-// durable maps), or nil (non-durable and isolated maps — there each
-// Shard(i).Persister() is private).
+// Persister returns the durability engine, or nil on in-memory maps.
 func (s *Sharded[K, V]) Persister() core.Persister { return s.persister }
 
-// durabilityOp routes a durability verb to the frontend engine (shared
-// mode) or to every shard (isolated mode), keeping the first error.
-func (s *Sharded[K, V]) durabilityOp(front func(core.Persister) error, per func(*core.Map[K, V]) error) error {
-	if s.persister != nil {
-		return front(s.persister)
-	}
-	durable := false
-	var first error
-	for _, m := range s.tab.Load().maps {
-		if m.Persister() == nil {
-			continue
-		}
-		durable = true
-		if err := per(m); err != nil && first == nil {
-			first = err
-		}
-	}
-	if !durable {
+func (s *Sharded[K, V]) durabilityOp(op func(core.Persister) error) error {
+	if s.persister == nil {
 		return core.ErrNotDurable
 	}
-	return first
+	return op(s.persister)
 }
 
 // Closed reports whether Close has been called.
@@ -362,22 +295,9 @@ func (s *Sharded[K, V]) SetMaintenanceObserver(fn func(nodes int, d time.Duratio
 	}
 }
 
-// SetCommitObserver installs o (or, with nil, removes it) on every
-// runtime backing the map: the one shared runtime, or each shard's
-// private runtime when isolated. Shards created by a later Resize
-// inherit the observer.
-func (s *Sharded[K, V]) SetCommitObserver(o stm.CommitObserver) {
-	s.mu.Lock()
-	s.commitObs = o
-	s.mu.Unlock()
-	if s.rt != nil {
-		s.rt.SetCommitObserver(o)
-		return
-	}
-	for _, m := range s.tab.Load().maps {
-		m.Runtime().SetCommitObserver(o)
-	}
-}
+// SetCommitObserver installs o (or, with nil, removes it) on the
+// runtime every shard runs on, including shards a later Resize creates.
+func (s *Sharded[K, V]) SetCommitObserver(o stm.CommitObserver) { s.rt.SetCommitObserver(o) }
 
 // MaintenanceStats aggregates the reclamation counters of every shard,
 // including shards retired by resizes.
@@ -413,50 +333,15 @@ func (s *Sharded[K, V]) Shards() int {
 	return len(t.maps)
 }
 
-// ShardOf reports the routing identity of the shard k is routed to.
-// Callers batching operations ahead of Atomic (the network server's
-// request coalescer) use it to keep a batch within one shard on
-// isolated-shard maps. During a resize the identity reflects the
-// per-group cutover state, so coalesced runs re-split at the new
-// boundaries; a run split moments before a cutover can still land
-// cross-shard and surface ErrCrossShard, exactly like a batch built
-// from stale hashes.
-func (s *Sharded[K, V]) ShardOf(k K) int {
-	return s.tab.Load().idxFor(mix(s.hash(k)))
-}
-
-// Isolated reports whether shards run on private STM runtimes.
-func (s *Sharded[K, V]) Isolated() bool { return s.isolated }
-
 // Shard exposes one partition (for stats and tests); valid for
 // i < Shards() while no resize is in flight.
 func (s *Sharded[K, V]) Shard(i int) *core.Map[K, V] { return s.tab.Load().maps[i] }
 
-// Runtime returns the shared STM runtime, or nil when shards are
-// isolated (then each Shard(i).Runtime() is private).
+// Runtime returns the STM runtime every shard runs on.
 func (s *Sharded[K, V]) Runtime() *stm.Runtime { return s.rt }
 
-// STMStats aggregates transaction counters across every runtime backing
-// the map (one shared runtime, or one per shard when isolated,
-// including shards retired by resizes).
-func (s *Sharded[K, V]) STMStats() stm.Stats {
-	if !s.isolated {
-		return s.rt.Stats()
-	}
-	s.mu.Lock()
-	agg := s.retiredSTM
-	s.mu.Unlock()
-	for _, m := range s.tab.Load().maps {
-		st := m.Runtime().Stats()
-		agg.Commits += st.Commits
-		agg.ReadOnlyCommits += st.ReadOnlyCommits
-		agg.Aborts += st.Aborts
-		agg.UserErrors += st.UserErrors
-		agg.FastReadHits += st.FastReadHits
-		agg.FastReadFallbacks += st.FastReadFallbacks
-	}
-	return agg
-}
+// STMStats returns the transaction counters of the map's runtime.
+func (s *Sharded[K, V]) STMStats() stm.Stats { return s.rt.Stats() }
 
 // Prefetch warms the cache lines a point read of k will touch on its
 // home shard; see core.Map.Prefetch. Routing is advisory during a
@@ -468,8 +353,8 @@ func (s *Sharded[K, V]) Prefetch(k K) {
 
 // RangeStats aggregates range-path counters: the shard-level fast/slow
 // counters of this map's registered handles plus the retired
-// accumulator (cross-shard ranges in shared mode), plus each shard's
-// own counters (per-shard ranges in isolated mode). The shard-level sum
+// accumulator (cross-shard ranges), plus each shard's own counters
+// (ranges a one-shard route answers directly). The shard-level sum
 // runs under s.mu — the mutex bankStats moves counters under — so
 // snapshots are exact with respect to banking and successive snapshots
 // never decrease.

@@ -1,11 +1,11 @@
 package shard_test
 
 import (
-	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/linearize"
@@ -50,26 +50,16 @@ func (a adapter) CheckQuiescent() error {
 func (a adapter) HandleCount() int { return a.s.HandleCount() }
 func (a adapter) Close()           { a.s.Close() }
 
-// Batch applies steps as one Atomic batch. In isolated mode a batch
-// whose keys span shards is rejected with ErrCrossShard and rolled
-// back, which Batch reports as not-applied.
-func (a adapter) Batch(steps []linearize.Step) bool {
-	return a.s.Atomic(func(op *shard.Txn[int64, int64]) error {
+// Batch applies steps as one Atomic batch.
+func (a adapter) Batch(steps []linearize.Step) {
+	_ = a.s.Atomic(func(op *shard.Txn[int64, int64]) error {
 		linearize.ApplySteps(steps, op.Insert, op.Remove, op.Lookup)
 		return nil
-	}) == nil
+	})
 }
 
-// InstallSTMHooks installs hooks on every runtime backing the map.
-func (a adapter) InstallSTMHooks(h stm.Hooks) {
-	if rt := a.s.Runtime(); rt != nil {
-		rt.SetHooks(h)
-		return
-	}
-	for i := 0; i < a.s.Shards(); i++ {
-		a.s.Shard(i).Runtime().SetHooks(h)
-	}
-}
+// InstallSTMHooks installs hooks on the runtime every shard runs on.
+func (a adapter) InstallSTMHooks(h stm.Hooks) { a.s.Runtime().SetHooks(h) }
 
 func factory(cfg core.Config) maptest.Factory {
 	return func() maptest.OrderedMap {
@@ -86,28 +76,6 @@ func TestConformance(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			maptest.RunAll(t, factory(core.Config{Shards: shards}))
-		})
-	}
-}
-
-// TestConformanceIsolated exercises isolated-runtime shards. Cross-shard
-// range queries merge per-shard snapshots taken at distinct instants, so
-// the single-instant population bound of RunRangeCountBound does not
-// apply; every other component of the suite does.
-func TestConformanceIsolated(t *testing.T) {
-	for _, shards := range []int{2, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			f := factory(core.Config{Shards: shards, IsolatedShards: true})
-			t.Run("Sequential", func(t *testing.T) { maptest.RunSequential(t, f) })
-			t.Run("Model", func(t *testing.T) { maptest.RunModel(t, f) })
-			t.Run("PointQueryModel", func(t *testing.T) { maptest.RunPointQueryModel(t, f) })
-			t.Run("ConcurrentDisjoint", func(t *testing.T) { maptest.RunConcurrentDisjoint(t, f) })
-			t.Run("ConcurrentContended", func(t *testing.T) { maptest.RunConcurrentContended(t, f) })
-			t.Run("RangeSanity", func(t *testing.T) { maptest.RunRangeSanity(t, f) })
-			// Per-shard snapshots make multi-shard ranges and point
-			// queries non-linearizable by design; the per-key subset
-			// (plus same-shard batches) is what isolation preserves.
-			t.Run("Linearizability", func(t *testing.T) { maptest.RunLinearizabilityPerKey(t, f) })
 		})
 	}
 }
@@ -256,64 +224,6 @@ func shardOf(s *shard.Sharded[int64, int64], k int64) int {
 	return -1
 }
 
-// TestAtomicIsolated verifies the pinning discipline: same-shard batches
-// keep transactional semantics, cross-shard batches fail with
-// ErrCrossShard and leave the map unchanged.
-func TestAtomicIsolated(t *testing.T) {
-	s := newInt64(core.Config{Shards: 8, IsolatedShards: true, Buckets: 4096})
-	// Single-key batches always work.
-	if err := s.Atomic(func(op *shard.Txn[int64, int64]) error {
-		op.Insert(7, 70)
-		if v, ok := op.Lookup(7); !ok || v != 70 {
-			t.Errorf("Lookup inside txn = %d,%v", v, ok)
-		}
-		return nil
-	}); err != nil {
-		t.Fatalf("single-key Atomic: %v", err)
-	}
-	if v, ok := s.Lookup(7); !ok || v != 70 {
-		t.Fatalf("Lookup(7) = %d,%v after batch", v, ok)
-	}
-	// A batch that crosses shards reports ErrCrossShard and rolls back.
-	a := int64(7)
-	b := int64(-1)
-	for k := int64(8); k < 1024; k++ {
-		if shardOf(s, k) != shardOf(s, a) {
-			b = k
-			break
-		}
-	}
-	if b < 0 {
-		t.Fatal("no cross-shard key pair found")
-	}
-	err := s.Atomic(func(op *shard.Txn[int64, int64]) error {
-		op.Remove(a)
-		op.Insert(b, 70)
-		return nil
-	})
-	if !errors.Is(err, shard.ErrCrossShard) {
-		t.Fatalf("cross-shard Atomic error = %v, want ErrCrossShard", err)
-	}
-	if _, ok := s.Lookup(b); ok {
-		t.Error("cross-shard batch leaked a partial insert")
-	}
-	if v, ok := s.Lookup(a); !ok || v != 70 {
-		t.Errorf("cross-shard batch removed a despite rollback: %d,%v", v, ok)
-	}
-	// Multi-shard probes (ranges, point queries) fail the same way.
-	err = s.Atomic(func(op *shard.Txn[int64, int64]) error {
-		op.Range(0, 100, nil)
-		return nil
-	})
-	if !errors.Is(err, shard.ErrCrossShard) {
-		t.Fatalf("txn Range error = %v, want ErrCrossShard", err)
-	}
-	// An empty batch is a no-op.
-	if err := s.Atomic(func(op *shard.Txn[int64, int64]) error { return nil }); err != nil {
-		t.Fatalf("empty Atomic: %v", err)
-	}
-}
-
 // TestIterators checks the merged ascending/descending iterators and
 // their bounded variants against a sorted model.
 func TestIterators(t *testing.T) {
@@ -358,35 +268,6 @@ func TestIterators(t *testing.T) {
 				t.Fatalf("DescendFrom(100) head = %v", got)
 			}
 		})
-	}
-}
-
-// TestIsolatedClockFactory verifies that isolated shards mint one
-// private clock each through Config.ClockFactory, so counter clocks
-// stop sharing a commit-tick cacheline.
-func TestIsolatedClockFactory(t *testing.T) {
-	made := 0
-	s := newInt64(core.Config{
-		Shards: 4, IsolatedShards: true, Buckets: 1024,
-		ClockFactory: func() stm.Clock { made++; return stm.NewGV1() },
-	})
-	if made != s.Shards() {
-		t.Fatalf("factory minted %d clocks for %d shards", made, s.Shards())
-	}
-	seen := make(map[stm.Clock]bool)
-	for i := 0; i < s.Shards(); i++ {
-		seen[s.Shard(i).Runtime().Clock()] = true
-	}
-	if len(seen) != s.Shards() {
-		t.Fatalf("shards share clock instances: %d distinct of %d", len(seen), s.Shards())
-	}
-	for k := int64(0); k < 256; k++ {
-		if !s.Insert(k, k) {
-			t.Fatalf("Insert(%d) failed", k)
-		}
-	}
-	if got := len(s.Range(0, 256, nil)); got != 256 {
-		t.Fatalf("Range found %d of 256 keys", got)
 	}
 }
 
@@ -483,11 +364,51 @@ func TestShardedHandleLifecycle(t *testing.T) {
 	}
 }
 
+// closeRaceProbe is a Persister stub that records Close calls and how
+// they interleave, standing in for the durability engine whose
+// flush-on-Close makes the Close contract load-bearing.
+type closeRaceProbe struct {
+	mu     sync.Mutex
+	closes int
+	inside bool
+}
+
+func (p *closeRaceProbe) Snapshot() error      { return nil }
+func (p *closeRaceProbe) Sync() error          { return nil }
+func (p *closeRaceProbe) Err() error           { return nil }
+func (p *closeRaceProbe) SimulateCrash() error { return nil }
+
+func (p *closeRaceProbe) Close() error {
+	p.mu.Lock()
+	if p.inside {
+		p.mu.Unlock()
+		panic("Persister.Close entered concurrently")
+	}
+	p.inside = true
+	p.closes++
+	p.mu.Unlock()
+	time.Sleep(2 * time.Millisecond) // widen the race window
+	p.mu.Lock()
+	p.inside = false
+	p.mu.Unlock()
+	return nil
+}
+
+func (p *closeRaceProbe) count() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.closes
+}
+
 // TestShardedCloseConcurrent mirrors the core Close contract at the
-// sharded frontend: concurrent Close and Quiesce calls all return after
-// teardown, and every call observes the fully closed map.
+// sharded frontend, which owns the durability engine: concurrent Close
+// and Quiesce calls all return after teardown, every call observes the
+// fully closed map with its engine flushed, and the engine is closed
+// exactly once.
 func TestShardedCloseConcurrent(t *testing.T) {
 	s := newInt64(core.Config{Shards: 4, Maintenance: true})
+	probe := &closeRaceProbe{}
+	s.AttachPersistence(nil, probe)
 	for k := int64(0); k < 512; k++ {
 		s.Insert(k, k)
 	}
@@ -507,6 +428,9 @@ func TestShardedCloseConcurrent(t *testing.T) {
 					t.Errorf("Close returned with shard %d still open", i)
 				}
 			}
+			if n := probe.count(); n != 1 {
+				t.Errorf("Close returned before the persister flush: closes=%d", n)
+			}
 		}()
 	}
 	for i := 0; i < 4; i++ {
@@ -520,4 +444,7 @@ func TestShardedCloseConcurrent(t *testing.T) {
 	close(start)
 	wg.Wait()
 	s.Close() // idempotent afterwards
+	if n := probe.count(); n != 1 {
+		t.Fatalf("persister closed %d times, want exactly 1", n)
+	}
 }

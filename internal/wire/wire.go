@@ -62,9 +62,7 @@
 //
 // Batch is the wire face of the map's Atomic: its steps (insert,
 // remove, lookup) execute as one transaction, so observers see all of
-// a batch's effects or none. On isolated-shard servers a batch whose
-// keys span shards fails wholesale with StatusCrossShard, mirroring
-// skiphash.ErrCrossShard.
+// a batch's effects or none, whichever shards its keys live on.
 package wire
 
 import (
@@ -223,14 +221,15 @@ type Status uint8
 
 // Response statuses. Non-OK statuses carry a human-readable message in
 // place of the op's result body; the client package maps them back to
-// the typed errors the embedded map returns (skiphash.ErrCrossShard,
-// skiphash.ErrNotDurable, skiphash.ErrCorrupt).
+// the typed errors the embedded map returns (skiphash.ErrNotDurable,
+// skiphash.ErrCorrupt).
 const (
 	// StatusOK is success; the body is the op's result.
 	StatusOK Status = iota
-	// StatusCrossShard mirrors skiphash.ErrCrossShard: the batch's keys
-	// span isolated shards and cannot commit atomically.
-	StatusCrossShard
+	// Status 1 is reserved: it reported a batch spanning isolated
+	// shards, which no map has any more. Keeping the slot keeps every
+	// other status's number on the wire.
+	_
 	// StatusNotDurable mirrors skiphash.ErrNotDurable: Sync/Snapshot on
 	// a server whose map has no durability attached.
 	StatusNotDurable
@@ -259,7 +258,7 @@ const (
 )
 
 var statusNames = [...]string{
-	StatusOK: "OK", StatusCrossShard: "CrossShard", StatusNotDurable: "NotDurable",
+	StatusOK: "OK", StatusNotDurable: "NotDurable",
 	StatusCorrupt: "Corrupt", StatusBusy: "Busy", StatusShuttingDown: "ShuttingDown",
 	StatusErr: "Err", StatusReadOnly: "ReadOnly", StatusNsNotFound: "NsNotFound",
 	StatusNsExists: "NsExists",
@@ -267,7 +266,7 @@ var statusNames = [...]string{
 
 // String names the status for diagnostics.
 func (s Status) String() string {
-	if int(s) < len(statusNames) {
+	if int(s) < len(statusNames) && statusNames[s] != "" {
 		return statusNames[s]
 	}
 	return fmt.Sprintf("Status(%d)", uint8(s))

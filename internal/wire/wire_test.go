@@ -83,7 +83,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		{ID: 7, Op: OpBatch, Steps: []StepResult{{Ok: true, Out: 0}, {Ok: false, Out: 33}}},
 		{ID: 8, Op: OpSync},
 		{ID: 9, Op: OpPing},
-		{ID: 10, Op: OpBatch, Status: StatusCrossShard, Msg: "spans shards"},
+		{ID: 10, Op: OpBatch, Status: StatusReadOnly, Msg: "replica"},
 		{ID: 11, Op: OpSync, Status: StatusNotDurable, Msg: "no durability"},
 		{ID: 12, Op: OpGet, Status: StatusShuttingDown},
 		{ID: 13, Op: OpResize, Val: 32},

@@ -20,10 +20,9 @@
 // waited on is simply not reused; abandoning one is safe. In steady
 // state the request path (Start, Flush, Wait, Do) allocates nothing.
 //
-// Errors mirror the embedded map's typed errors: a batch spanning
-// isolated shards fails with skiphash.ErrCrossShard, Sync/Snapshot on
-// a non-durable server with skiphash.ErrNotDurable, durability-layer
-// corruption with an error matching skiphash.ErrCorrupt; all are
+// Errors mirror the embedded map's typed errors: Sync/Snapshot on a
+// non-durable server fails with skiphash.ErrNotDurable, durability-layer
+// corruption with an error matching skiphash.ErrCorrupt; both are
 // errors.Is-compatible. Transport failures fail every in-flight call
 // with ErrConnClosed (wrapping the cause), after which the connection
 // is unusable.
@@ -60,11 +59,10 @@ const (
 	StepLookup = wire.StepLookup
 )
 
-// Typed errors. ErrCrossShard, ErrNotDurable and ErrCorrupt are the
-// map's own sentinels, so errors.Is behaves identically against a
-// local map and a served one.
+// Typed errors. ErrNotDurable and ErrCorrupt are the map's own
+// sentinels, so errors.Is behaves identically against a local map and a
+// served one.
 var (
-	ErrCrossShard = skiphash.ErrCrossShard
 	ErrNotDurable = skiphash.ErrNotDurable
 	ErrCorrupt    = skiphash.ErrCorrupt
 	// ErrServerBusy reports the server refused the connection at its
@@ -268,8 +266,7 @@ func (c *Client) Range(l, r int64, max int) ([]KV, error) {
 
 // Atomic applies steps as one transaction on the server, filling each
 // step's results. All steps take effect at a single commit point, or
-// none do (ErrCrossShard on isolated-shard servers when keys span
-// shards).
+// none do.
 func (c *Client) Atomic(steps []Step) ([]StepResult, error) {
 	if len(steps) > wire.MaxBatchSteps {
 		// Reject before writing: the server would refuse the frame and
@@ -663,8 +660,6 @@ func statusError(resp *wire.Response) error {
 	switch resp.Status {
 	case wire.StatusOK:
 		return nil
-	case wire.StatusCrossShard:
-		return ErrCrossShard
 	case wire.StatusNotDurable:
 		return ErrNotDurable
 	case wire.StatusCorrupt:

@@ -18,7 +18,6 @@ func TestStatusErrorMapsToMapSentinels(t *testing.T) {
 		want   error
 	}{
 		{wire.StatusOK, nil},
-		{wire.StatusCrossShard, skiphash.ErrCrossShard},
 		{wire.StatusNotDurable, skiphash.ErrNotDurable},
 		{wire.StatusCorrupt, skiphash.ErrCorrupt},
 		{wire.StatusBusy, ErrServerBusy},
@@ -46,8 +45,7 @@ func TestStatusErrorMapsToMapSentinels(t *testing.T) {
 func TestTypedErrorsAreTheMapsOwn(t *testing.T) {
 	// The client's sentinels must be identical to the embedded map's, so
 	// call sites behave the same against a local and a served map.
-	if !errors.Is(ErrCrossShard, skiphash.ErrCrossShard) ||
-		!errors.Is(ErrNotDurable, skiphash.ErrNotDurable) ||
+	if !errors.Is(ErrNotDurable, skiphash.ErrNotDurable) ||
 		!errors.Is(ErrCorrupt, skiphash.ErrCorrupt) {
 		t.Fatal("client sentinels diverged from skiphash sentinels")
 	}

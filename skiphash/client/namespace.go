@@ -28,7 +28,7 @@ const (
 )
 
 // Namespace-typed sentinels, errors.Is-matchable across the wire like
-// ErrCrossShard and ErrCorrupt.
+// ErrNotDurable and ErrCorrupt.
 var (
 	// ErrNamespaceNotFound reports an operation addressed to a namespace
 	// the server does not know (or one dropped mid-flight).

@@ -88,21 +88,12 @@
 // derived from GOMAXPROCS), each a complete hash-index + skip list +
 // range-query coordinator, so point operations on different shards
 // share no cachelines. Ordered operations are k-way merged across
-// shards. By default all shards run on one STM runtime whose monotonic
+// shards. All shards run on one STM runtime whose default monotonic
 // commit clock writes no shared memory, which keeps ranges, point
 // queries and Atomic batches fully linearizable across shards:
 //
 //	m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64,
 //	    skiphash.Config{Shards: 16})
-//
-// Setting Config.IsolatedShards gives every shard a private STM runtime
-// and — via Config.ClockFactory, or by default — a private clock, so
-// counter-based clocks stop sharing a commit-tick cacheline (a non-nil
-// Config.Clock instance would still be shared by every shard). The
-// price is a weaker cross-shard contract: ranges and iterators merge per-shard snapshots taken at
-// distinct instants, and an Atomic batch must stay within one shard; a
-// batch whose keys span shards fails with ErrCrossShard rather than
-// silently losing atomicity.
 //
 // # Resharding
 //
@@ -113,10 +104,9 @@
 // commit-ordered delta of writes that landed during the copy, and cuts
 // the group's routing over to the destination shards under a brief
 // per-group write pause; an epoch-style route table guarantees every
-// key has exactly one authoritative shard at every instant. In shared
-// mode the whole migration is invisible to linearizability; in isolated
-// mode groups cut over one at a time under the usual per-shard
-// contract. Map.Shards reports the live count,
+// key has exactly one authoritative shard at every instant, and the
+// whole migration is invisible to linearizability. Map.Shards reports
+// the live count,
 // Map.ResizeStats the migration counters, and the serving stack
 // exposes both (RESIZE wire op, client.Resize, skiphashd -shards as the
 // initial count). See the README's Resharding section for the protocol
@@ -144,8 +134,9 @@
 // the last snapshot or Sync). All policies flush and fsync on a clean
 // Close; Map.Sync forces durability on demand and Map.Snapshot writes a
 // snapshot now. Atomic batches are single log records: recovery sees a
-// batch entirely or not at all, including batches spanning shards on
-// the shared runtime.
+// batch entirely or not at all, including batches spanning shards. The
+// one log covers every shard whatever the geometry, so a map resized
+// while it ran reopens at whatever Config.Shards asks for.
 //
 // Operations report their in-memory result; they cannot individually
 // report a durability failure (by the time the log is involved, the
@@ -162,12 +153,8 @@
 // (FsyncAlways callers: Err after critical writes) rather than rely on
 // per-operation acknowledgments.
 //
-// Durable maps in isolated mode keep one engine per shard in
-// generation-suffixed subdirectories, with a meta record tracking the
-// live shard count; reopen recovers at the recorded count, so resizes
-// survive restarts. A crash strictly inside a resize recovers the
-// previous generation, which may lose writes accepted during the
-// migration window itself; shared mode's single WAL has no such window.
+// Open refuses, untouched, a directory in the retired per-shard layout
+// (a "shards" meta file and shard-NNN engine subdirectories).
 //
 // # Serving
 //
@@ -176,9 +163,8 @@
 // CRC-framed binary protocol (internal/wire), with pipelined requests
 // coalesced into atomic transactions at the server (internal/server);
 // the skiphash/client package is the matching client, whose typed
-// errors are these same sentinels — errors.Is(err, ErrCrossShard)
-// holds whether the Atomic that crossed isolated shards ran in-process
-// or on the far side of a socket.
+// errors are these same sentinels — errors.Is(err, ErrNotDurable)
+// holds whether the Sync ran in-process or on the far side of a socket.
 //
 // The wire speaks two op families over one framing. The v1 ops carry
 // fixed 8-byte int64 keys and values and address the daemon's default

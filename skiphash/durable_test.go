@@ -2,9 +2,12 @@ package skiphash_test
 
 import (
 	"errors"
+	"fmt"
+	"io/fs"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -253,46 +256,79 @@ func TestDurabilitySurfaceOnPlainMaps(t *testing.T) {
 	}
 }
 
-// TestIsolatedShardCountFromMeta: Config.Shards is only the initial
-// count. Reopening an isolated durable map uses the count recorded in
-// the meta file — a differing Config.Shards is ignored rather than
-// re-partitioning (or rejecting) recovered per-shard histories.
-func TestIsolatedShardCountFromMeta(t *testing.T) {
+// TestRetiredLayoutRefused: a directory in the per-shard layout that
+// isolated-shard maps used to write (a "shards" meta file and one engine
+// directory per shard) is refused by Open and OpenSharded with an error
+// naming the layout, and left byte-for-byte as it was — the single-log
+// engine would otherwise start a fresh log beside the old data and drop
+// it at its next snapshot.
+func TestRetiredLayoutRefused(t *testing.T) {
 	dir := t.TempDir()
-	cfg := skiphash.Config{Shards: 4, IsolatedShards: true, Durability: &skiphash.Durability{Dir: dir}}
-	s, err := skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
-	if err != nil {
-		t.Fatal(err)
+	files := map[string]string{
+		"shards":              "4 0\n",
+		"shard-000/wal-1.seg": "not a log this version reads",
 	}
-	s.Insert(1, 11)
-	s.Close()
-	cfg.Shards = 8
-	s, err = skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
-	if err != nil {
-		t.Fatalf("reopen with different Config.Shards: %v", err)
-	}
-	if got := s.Shards(); got != 4 {
-		t.Fatalf("reopened with %d shards, want recorded 4", got)
-	}
-	if v, ok := s.Lookup(1); !ok || v != 11 {
-		t.Fatalf("Lookup(1) after reopen = %d, %v", v, ok)
-	}
-	s.Close()
-
-	// A failed/crashed first open leaves some shard directories but no
-	// meta file; retrying with the intended count must succeed (nothing
-	// could have been written before the first Open returned).
-	dir2 := t.TempDir()
-	for _, sub := range []string{"shard-000", "shard-002"} {
-		if err := os.MkdirAll(filepath.Join(dir2, sub), 0o755); err != nil {
+	for name, content := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cfg2 := skiphash.Config{Shards: 4, IsolatedShards: true, Durability: &skiphash.Durability{Dir: dir2}}
-	s2, err := skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg2, skiphash.Int64Codec(), skiphash.Int64Codec())
-	if err != nil {
-		t.Fatalf("retry after partial first open: %v", err)
+	before := dirListing(t, dir)
+	cfg := skiphash.Config{Shards: 4, Durability: &skiphash.Durability{Dir: dir}}
+	open := map[string]func() (*skiphash.Map[int64, int64], error){
+		"Open": func() (*skiphash.Map[int64, int64], error) {
+			return skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
+		},
+		"OpenSharded": func() (*skiphash.Map[int64, int64], error) {
+			return skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
+		},
 	}
-	s2.Insert(9, 9)
-	s2.Close()
+	for name, fn := range open {
+		m, err := fn()
+		if err == nil {
+			m.Close()
+			t.Fatalf("%s opened a directory in the retired per-shard layout", name)
+		}
+		if !strings.Contains(err.Error(), "per-shard") || !strings.Contains(err.Error(), "shard-000/") {
+			t.Fatalf("%s: error %q does not name the retired layout", name, err)
+		}
+		if after := dirListing(t, dir); after != before {
+			t.Fatalf("%s touched the directory:\nbefore:\n%s\nafter:\n%s", name, before, after)
+		}
+	}
+}
+
+// dirListing renders every entry under dir with its mode and, for files,
+// its contents, in walk order.
+func dirListing(t *testing.T, dir string) string {
+	t.Helper()
+	var b strings.Builder
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(&b, "%s %v", rel, info.Mode())
+		if !d.IsDir() {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(&b, " %q", data)
+		}
+		b.WriteByte('\n')
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }

@@ -7,79 +7,78 @@ import (
 	"repro/skiphash"
 )
 
-// TestIsolatedDurableResizeReopen is the reopen-after-resize property
-// test for isolated durability: interleave random writes with grow and
-// shrink resizes under FsyncAlways, SIGKILL via SimulateCrash, reopen
-// (with a deliberately wrong Config.Shards), and require the recovered
-// map to have the post-resize shard count and exactly the model's
-// contents — every acknowledged write was group-committed, so nothing
-// may be lost.
-func TestIsolatedDurableResizeReopen(t *testing.T) {
-	dir := t.TempDir()
-	cfg := skiphash.Config{
-		Shards:         2,
-		IsolatedShards: true,
-		Durability:     &skiphash.Durability{Dir: dir, Fsync: skiphash.FsyncAlways},
-	}
-	s, err := skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
-	if err != nil {
-		t.Fatal(err)
-	}
-
+// TestDurableResizeReopen is the reopen-after-resize property test: one
+// WAL survives any geometry. Each cycle interleaves random writes with
+// grow and shrink resizes under FsyncAlways, crashes via SimulateCrash,
+// and reopens at a Config.Shards different from every count the map ran
+// at; the recovered map must hold exactly the model's contents — every
+// acknowledged write was group-committed, so nothing may be lost.
+func TestDurableResizeReopen(t *testing.T) {
 	const universe = 512
+	cfg := skiphash.Config{
+		Shards:     2,
+		Durability: &skiphash.Durability{Dir: t.TempDir(), Fsync: skiphash.FsyncAlways},
+	}
 	rng := rand.New(rand.NewPCG(11, 13))
 	model := make(map[int64]int64)
-	mutate := func(n int) {
+	mutate := func(m *skiphash.Map[int64, int64], n int) {
 		for i := 0; i < n; i++ {
 			k := int64(rng.IntN(universe))
 			if rng.IntN(4) == 0 {
-				s.Remove(k)
+				m.Remove(k)
 				delete(model, k)
 			} else {
 				v := rng.Int64()
-				s.Put(k, v)
+				m.Put(k, v)
 				model[k] = v
 			}
 		}
 	}
 
-	mutate(600)
-	for _, n := range []int{8, 4} {
-		if got, err := s.Resize(n); err != nil || got != n {
-			t.Fatalf("Resize(%d) = %d, %v", n, got, err)
+	for cycle, c := range []struct {
+		resizes []int
+		reopen  int
+	}{
+		{[]int{8, 4}, 2},
+		{[]int{1, 16}, 4},
+		{[]int{2}, 8},
+	} {
+		m, err := skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
+		if err != nil {
+			t.Fatalf("cycle %d: open: %v", cycle, err)
 		}
-		mutate(400)
+		if got := m.Shards(); got != cfg.Shards {
+			t.Fatalf("cycle %d: opened at %d shards, want %d", cycle, got, cfg.Shards)
+		}
+		assertMatchesModel(t, m, model, universe)
+		mutate(m, 400)
+		for _, n := range c.resizes {
+			if got, err := m.Resize(n); err != nil || got != n {
+				t.Fatalf("cycle %d: Resize(%d) = %d, %v", cycle, n, got, err)
+			}
+			mutate(m, 300)
+		}
+		if err := m.SimulateCrash(); err != nil {
+			t.Fatalf("cycle %d: SimulateCrash: %v", cycle, err)
+		}
+		m.Close()
+		cfg.Shards = c.reopen
 	}
-	if err := s.SimulateCrash(); err != nil {
-		t.Fatalf("SimulateCrash: %v", err)
-	}
-	s.Close()
-
-	cfg.Shards = 2 // ignored: the meta record's count (4) must win
-	s, err = skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
+	m, err := skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
 	if err != nil {
-		t.Fatalf("reopen after resize+crash: %v", err)
+		t.Fatalf("final reopen: %v", err)
 	}
-	defer s.Close()
-	if got := s.Shards(); got != 4 {
-		t.Fatalf("recovered shard count %d, want 4", got)
-	}
-	for k := int64(0); k < universe; k++ {
-		v, ok := s.Lookup(k)
-		mv, mok := model[k]
-		if ok != mok || (ok && v != mv) {
-			t.Fatalf("key %d: recovered (%d,%v), model (%d,%v)", k, v, ok, mv, mok)
-		}
-	}
-	if err := s.CheckInvariants(skiphash.CheckOptions{}); err != nil {
+	defer m.Close()
+	assertMatchesModel(t, m, model, universe)
+	if err := m.CheckInvariants(skiphash.CheckOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestSharedDurableResizeReopen: in shared mode one WAL orders every
-// shard's operations, so a resize needs no durable bookkeeping at all —
-// after a crash the log replays into whatever geometry the reopening
-// Config asks for.
+// TestSharedDurableResizeReopen: one WAL orders every shard's
+// operations, so a resize needs no durable bookkeeping at all — after a
+// crash the log replays into whatever geometry the reopening Config
+// asks for.
 func TestSharedDurableResizeReopen(t *testing.T) {
 	dir := t.TempDir()
 	cfg := skiphash.Config{

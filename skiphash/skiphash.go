@@ -21,9 +21,7 @@ type Handle[K comparable, V any] = shard.Handle[K, V]
 
 // Txn is the transactional view of a Map inside Map.Atomic or
 // Handle.Atomic: every operation performed through it commits or rolls
-// back atomically with the rest. With the default shared runtime a batch
-// may span shards; with IsolatedShards it is pinned to the shard of its
-// first key and fails with ErrCrossShard if it strays.
+// back atomically with the rest, whichever shards its keys live on.
 type Txn[K comparable, V any] = shard.Txn[K, V]
 
 // Pair is a key/value pair produced by Range.
@@ -52,11 +50,11 @@ const RemovalBufferDisabled = core.RemovalBufferDisabled
 
 // New creates a skip hash for any key type: less supplies the ordering,
 // hash the distribution over buckets. It is NewSharded at one shard
-// (cfg.Shards and cfg.IsolatedShards are ignored). New and Open, plus
-// their spelled-out Sharded forms, are the package's construction
-// surface; see the package documentation's Construction section.
+// (cfg.Shards is ignored). New and Open, plus their spelled-out Sharded
+// forms, are the package's construction surface; see the package
+// documentation's Construction section.
 func New[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg Config) *Map[K, V] {
-	cfg.Shards, cfg.IsolatedShards = 1, false
+	cfg.Shards = 1
 	return NewSharded[K, V](less, hash, cfg)
 }
 
@@ -97,10 +95,6 @@ func HashString(s string) uint64 {
 // Sharded is Map under the name that spells out its general form; the
 // two are one type.
 type Sharded[K comparable, V any] = shard.Sharded[K, V]
-
-// ErrCrossShard is returned by Atomic on a map with IsolatedShards when
-// a batch's operations span more than one shard.
-var ErrCrossShard = shard.ErrCrossShard
 
 // NewSharded creates a skip hash for any key type: less supplies the
 // ordering, hash the distribution over shards (top bits) and buckets

@@ -46,11 +46,11 @@ func (a adapter) Close()           { a.m.Close() }
 // Batch applies steps as one Atomic transaction, across shards when
 // there are several; the body tolerates
 // re-execution because each attempt overwrites the step outputs.
-func (a adapter) Batch(steps []linearize.Step) bool {
-	return a.m.Atomic(func(op *skiphash.Txn[int64, int64]) error {
+func (a adapter) Batch(steps []linearize.Step) {
+	_ = a.m.Atomic(func(op *skiphash.Txn[int64, int64]) error {
 		linearize.ApplySteps(steps, op.Insert, op.Remove, op.Lookup)
 		return nil
-	}) == nil
+	})
 }
 
 // InstallSTMHooks exposes the map's runtime to the linearizability
