@@ -71,7 +71,43 @@ func BenchmarkCeilAbsent(b *testing.B) {
 }
 
 func BenchmarkRange100(b *testing.B) {
-	m := newBenchMap(b, Config{})
+	benchRange100(b, newBenchMap(b, Config{}))
+}
+
+// BenchmarkRange100Loaded prices node placement for range scans over
+// BenchmarkRange100's keys: "loaded" bulk-builds the map with LoadSorted,
+// so nodes are allocated in key order; "grown" inserts the same keys in
+// random order, so a level-0 step lands wherever the heap put its node.
+// (BenchmarkRange100's own map inserts in ascending order.)
+func BenchmarkRange100Loaded(b *testing.B) {
+	keys := make([]int64, 0, benchUniverse/2)
+	for k := int64(0); k < benchUniverse; k += 2 {
+		keys = append(keys, k)
+	}
+	b.Run("loaded", func(b *testing.B) {
+		m := New[int64, int64](lessInt64, thashmap.Hash64, Config{})
+		m.LoadSorted(func(yield func(int64, int64) bool) {
+			for _, k := range keys {
+				if !yield(k, k) {
+					return
+				}
+			}
+		})
+		b.ResetTimer()
+		benchRange100(b, m)
+	})
+	b.Run("grown", func(b *testing.B) {
+		m := New[int64, int64](lessInt64, thashmap.Hash64, Config{})
+		h := m.NewHandle()
+		for _, i := range rand.Perm(len(keys)) {
+			h.Insert(keys[i], keys[i])
+		}
+		b.ResetTimer()
+		benchRange100(b, m)
+	})
+}
+
+func benchRange100(b *testing.B, m *Map[int64, int64]) {
 	b.RunParallel(func(pb *testing.PB) {
 		h := m.NewHandle()
 		rng := rand.New(rand.NewPCG(rand.Uint64(), 5))

@@ -82,11 +82,13 @@ func setFastWalkHook(fn func()) {
 // so one sample covers the whole walk, and any commit that changes the
 // chain in between releases that orec at a strictly newer version and
 // fails the revalidation. (2) A node is linked into a chain exactly once:
-// insertTx always mints a fresh node and removal never re-links one, so a
-// node the walk reaches can not have been recycled under it into another
-// chain or another position (no ABA on the links). (3) The raw walk
-// terminates even when torn: a node's hnext is set at insertion to the
-// then head and afterwards only ever shortened to its successor's
+// insertTx always mints a fresh node, LoadSorted — the one other place a
+// node is chained — pushes each fresh node once before any reader can
+// see the map, and removal never re-links one, so a node the walk
+// reaches can not have been recycled under it into another chain or
+// another position (no ABA on the links). (3) The raw walk terminates
+// even when torn: a node's hnext is set at insertion (or by LoadSorted)
+// to the then head and afterwards only ever shortened to its successor's
 // successor (or restored by an undo), so every link — including the
 // frozen link of a node already spliced out — points at a strictly older
 // node, and the chain is acyclic at every instant. Keys are immutable

@@ -321,8 +321,9 @@ func (m *Map[K, V]) Config() Config { return m.cfg }
 // AttachPersistence wires the durability hook: l observes every
 // committed logical operation from this point on. The engine's
 // snapshots, syncs and shutdown belong to the sharded frontend that
-// owns it. It must be called before the map is shared — recovery loads
-// happen before attachment precisely so they are not re-logged.
+// owns it. It must be called before the map is shared. Recovery
+// bulk-builds the map with LoadSorted just before, which runs no
+// transaction and so logs none of the recovered pairs.
 func (m *Map[K, V]) AttachPersistence(l OpLogger[K, V]) {
 	m.logger = l
 }

@@ -134,8 +134,10 @@ func Open[K comparable, V any](opts Options, kc Codec[K], vc Codec[V]) (*Store[K
 // Recovered reports what Open reconstructed.
 func (s *Store[K, V]) Recovered() RecoverInfo { return s.recovered }
 
-// TakeRecovered returns the recovered pairs (unordered) exactly once,
-// releasing the store's reference to them.
+// TakeRecovered returns the recovered pairs exactly once, releasing the
+// store's reference to them: one pair per live key, in no particular
+// order. The caller owns the slice and may reorder it in place, as
+// skiphash.OpenSharded does when it sorts the pairs for a bulk load.
 func (s *Store[K, V]) TakeRecovered() []KV[K, V] {
 	p := s.pairs
 	s.pairs = nil

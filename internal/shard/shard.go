@@ -28,6 +28,7 @@ package shard
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -194,6 +195,29 @@ func (s *Sharded[K, V]) AttachPersistence(l core.OpLogger[K, V], p core.Persiste
 	}
 	s.logger = l
 	s.persister = p
+}
+
+// LoadSorted bulk-builds the map from strictly ascending pairs; see
+// core.Map.LoadSorted, whose contract (an empty map no other goroutine
+// has seen yet) it shares. A one-shard map takes pairs straight through.
+// Otherwise each shard takes one pass over pairs and keeps the keys the
+// steady route sends it, still ascending: the pairs are never copied out
+// per shard, and the price is one hash per key per shard.
+func (s *Sharded[K, V]) LoadSorted(pairs iter.Seq2[K, V]) {
+	t := s.tab.Load()
+	if len(t.maps) == 1 {
+		t.maps[0].LoadSorted(pairs)
+		return
+	}
+	for i, m := range t.maps {
+		m.LoadSorted(func(yield func(K, V) bool) {
+			for k, v := range pairs {
+				if t.idxFor(mix(s.hash(k))) == i && !yield(k, v) {
+					return
+				}
+			}
+		})
+	}
 }
 
 // SnapshotChunks iterates the authoritative shards' key spaces in

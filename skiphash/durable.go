@@ -3,6 +3,7 @@ package skiphash
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -103,7 +104,26 @@ func OpenSharded[K comparable, V any](less func(a, b K) bool, hash func(K) uint6
 	// commits extend the log's total order instead of rewinding it.
 	cfg.Clock = stm.NewFloorClock(clock, st.Recovered().MaxStamp)
 	s := shard.New[K, V](less, hash, cfg)
-	loadRecovered(s, st.TakeRecovered())
+	// The recovered pairs are unique but unordered: sort them in place
+	// and bulk-build the still private map from them, before the logger
+	// and the snapshotter are attached.
+	pairs := st.TakeRecovered()
+	slices.SortFunc(pairs, func(a, b persist.KV[K, V]) int {
+		switch {
+		case less(a.Key, b.Key):
+			return -1
+		case less(b.Key, a.Key):
+			return 1
+		}
+		return 0
+	})
+	s.LoadSorted(func(yield func(K, V) bool) {
+		for _, kv := range pairs {
+			if !yield(kv.Key, kv.Val) {
+				return
+			}
+		}
+	})
 	s.AttachPersistence(st, st)
 	st.Start(snapshotSource(st, s.SnapshotChunks))
 	return s, nil
@@ -133,30 +153,6 @@ func refuseRetiredLayout(dir string) error {
 			dir, strings.Join(found, ", "))
 	}
 	return nil
-}
-
-// recoveredBatch is how many recovered pairs each load transaction
-// inserts: batching amortizes per-transaction overhead during recovery
-// without building oversized write sets.
-const recoveredBatch = 128
-
-// loadRecovered replays recovered pairs into a freshly built (and still
-// private) map, in batched transactions, before the operation logger is
-// attached — so the load is not re-logged.
-func loadRecovered[K comparable, V any](s *Map[K, V], pairs []persist.KV[K, V]) {
-	for len(pairs) > 0 {
-		batch := pairs
-		if len(batch) > recoveredBatch {
-			batch = pairs[:recoveredBatch]
-		}
-		_ = s.Atomic(func(op *Txn[K, V]) error {
-			for _, kv := range batch {
-				op.Insert(kv.Key, kv.Val)
-			}
-			return nil
-		})
-		pairs = pairs[len(batch):]
-	}
 }
 
 // snapshotSource adapts a map's SnapshotChunks iterator to the persist
