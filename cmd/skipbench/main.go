@@ -12,7 +12,6 @@
 //	skipbench persist          # durability overhead: WAL off vs fsync policies
 //	skipbench read             # read fast path: optimistic Get vs transactional Get
 //	skipbench repl             # replication: primary reads vs barriered replica fan-out
-//	skipbench reshard          # online resharding: throughput while the shard count migrates live
 //	skipbench all              # everything
 //
 // Flags:
@@ -66,7 +65,6 @@ var experiments = []experiment{
 	{"persist", func(w io.Writer, p params, opts bench.Options) error { return bench.Persist(w, p.dir, opts) }},
 	{"read", func(w io.Writer, _ params, opts bench.Options) error { return bench.ReadBench(w, opts) }},
 	{"repl", func(w io.Writer, _ params, opts bench.Options) error { return bench.Repl(w, opts) }},
-	{"reshard", func(w io.Writer, _ params, opts bench.Options) error { return bench.Reshard(w, opts) }},
 }
 
 func main() {

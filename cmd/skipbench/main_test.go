@@ -13,7 +13,7 @@ import (
 // usage line names exactly the kept experiments, and "all" prints one
 // table per experiment (six for Figure 5) in that order.
 func TestUsageAndAllListTheKeptExperiments(t *testing.T) {
-	const want = "<fig5|fig6|table1|churn|persist|read|repl|reshard|all>"
+	const want = "<fig5|fig6|table1|churn|persist|read|repl|all>"
 	if !strings.Contains(usage(), want) {
 		t.Errorf("usage does not list %s:\n%s", want, usage())
 	}
@@ -31,7 +31,7 @@ func TestUsageAndAllListTheKeptExperiments(t *testing.T) {
 	}
 	wantTitles := []string{
 		"# Figure 5a:", "# Figure 5b:", "# Figure 5c:", "# Figure 5d:", "# Figure 5e:", "# Figure 5f:",
-		"# Figure 6:", "# Table 1:", "# Churn:", "# Persist:", "# Read fast path:", "# Repl:", "# Reshard:",
+		"# Figure 6:", "# Table 1:", "# Churn:", "# Persist:", "# Read fast path:", "# Repl:",
 	}
 	if len(titles) != len(wantTitles) {
 		t.Fatalf("all printed %d tables, want %d:\n%s", len(titles), len(wantTitles), strings.Join(titles, "\n"))

@@ -3,10 +3,9 @@
 //
 // The served map is the sharded skip hash, every shard in one
 // commit-stamp domain, so an atomic batch may span shards; -shards 1
-// degenerates to a single shard. -shards only sets the initial count:
-// the RESIZE wire op live-migrates the map to a new count under
-// traffic, and a durable map restarts at whatever count the flag asks
-// for. With -dir the map is durable: it is recovered from the directory on
+// degenerates to a single shard. The count is fixed while the daemon
+// runs; a durable map restarts at whatever count the flag asks for.
+// With -dir the map is durable: it is recovered from the directory on
 // start, every committed update is written to the commit-stamp-ordered
 // WAL under the chosen -fsync policy, and a clean shutdown syncs
 // before closing.
@@ -97,7 +96,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:7466", "TCP listen address (empty disables)")
 		unixPath     = flag.String("unix", "", "unix socket path (empty disables)")
-		shards       = flag.Int("shards", 0, "initial shard count (0 derives from GOMAXPROCS); RESIZE changes it live")
+		shards       = flag.Int("shards", 0, "shard count, fixed while the daemon runs (0 derives from GOMAXPROCS); a durable map restarts at any count")
 		maintenance  = flag.Bool("maintenance", true, "background reclamation maintainer")
 		dir          = flag.String("dir", "", "durability directory (empty = in-memory only)")
 		fsync        = flag.String("fsync", "interval", "WAL fsync policy: none, interval, always")

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -69,8 +68,7 @@ func buildRegistry(m *skiphash.Sharded[int64, int64], rep *repl.Replica, prim *r
 		obs.LatencyBounds, 1e-9)
 	m.SetCommitObserver(commitLatency)
 
-	// Reclamation. The drain histogram observes whole adoption drains
-	// (any shard); the backlog gauge is labeled per shard so a stuck
+	// Reclamation. The backlog gauge is labeled per shard so a stuck
 	// maintainer is attributable.
 	maint := m.MaintenanceStats
 	reg.CounterFunc("skiphash_core_orphaned_total",
@@ -88,76 +86,18 @@ func buildRegistry(m *skiphash.Sharded[int64, int64], rep *repl.Replica, prim *r
 	reg.CounterFunc("skiphash_core_maintainer_wakeups_total",
 		"Background maintainer loop iterations across shards.",
 		func() uint64 { return maint().Wakeups })
-	// The per-shard backlog gauge set follows the live shard count:
-	// gauges resolve their shard at sample time (returning 0 if their
-	// index has been resized away), and the resize observer below
-	// re-syncs the registered set after each cutover.
-	var shardGaugeMu sync.Mutex
-	shardGauges := 0
-	syncShardGauges := func() {
-		shardGaugeMu.Lock()
-		defer shardGaugeMu.Unlock()
-		n := m.Shards()
-		for i := shardGauges; i < n; i++ {
-			i := i
-			reg.GaugeFunc("skiphash_shard_orphan_backlog",
-				"Orphaned nodes awaiting adoption on this shard.",
-				func() float64 {
-					if i >= m.Shards() {
-						return 0
-					}
-					return float64(m.Shard(i).OrphanBacklog())
-				},
-				obs.Label{Key: "shard", Value: strconv.Itoa(i)})
-		}
-		for i := n; i < shardGauges; i++ {
-			reg.Unregister("skiphash_shard_orphan_backlog",
-				obs.Label{Key: "shard", Value: strconv.Itoa(i)})
-		}
-		shardGauges = n
+	// The shard count is fixed, so the per-shard gauges are too.
+	for i := 0; i < m.Shards(); i++ {
+		sh := m.Shard(i)
+		reg.GaugeFunc("skiphash_shard_orphan_backlog",
+			"Orphaned nodes awaiting adoption on this shard.",
+			func() float64 { return float64(sh.OrphanBacklog()) },
+			obs.Label{Key: "shard", Value: strconv.Itoa(i)})
 	}
-	syncShardGauges()
-	drainDur := reg.Histogram("skiphash_core_maintenance_drain_seconds",
-		"Orphan-adoption drain wall time (one observation per drain, any shard).",
-		obs.LatencyBounds, 1e-9)
-	m.SetMaintenanceObserver(func(nodes int, d time.Duration) {
-		drainDur.ObserveNanos(int64(d))
-	})
 
-	// Resharding. Counters are Funcs over ResizeStats; the histogram
-	// observes each migration group's write pause at cutover, which is
-	// also the moment the per-shard gauge set is brought up to date.
-	rz := m.ResizeStats
-	reg.CounterFunc("skiphash_resize_total",
-		"Completed live shard-count migrations.",
-		func() uint64 { return rz().Resizes })
-	reg.CounterFunc("skiphash_resize_keys_copied_total",
-		"Keys moved to destination shards by resize snapshot-chunk copies.",
-		func() uint64 { return rz().KeysCopied })
-	reg.CounterFunc("skiphash_resize_delta_applied_total",
-		"Tapped writes replayed onto destination shards during resizes.",
-		func() uint64 { return rz().DeltaApplied })
-	reg.CounterFunc("skiphash_resize_cutovers_total",
-		"Migration-group authority flips performed.",
-		func() uint64 { return rz().Cutovers })
-	reg.GaugeFunc("skiphash_resize_in_flight",
-		"1 while a resize migration is running, else 0.",
-		func() float64 {
-			if m.Resizing() {
-				return 1
-			}
-			return 0
-		})
 	reg.GaugeFunc("skiphash_shards",
-		"Live shard count (the target count while a resize is migrating).",
+		"Shard count of the default map.",
 		func() float64 { return float64(m.Shards()) })
-	cutoverDur := reg.Histogram("skiphash_resize_cutover_seconds",
-		"Per-group write-pause duration at resize cutover.",
-		obs.LatencyBounds, 1e-9)
-	m.SetResizeObserver(func(group, tail int, d time.Duration) {
-		cutoverDur.ObserveNanos(int64(d))
-		syncShardGauges()
-	})
 
 	rng := m.RangeStats
 	reg.CounterFunc("skiphash_core_range_fast_attempts_total",

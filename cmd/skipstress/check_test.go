@@ -19,3 +19,11 @@ func TestCheckSmoke(t *testing.T) {
 		m.Close()
 	}
 }
+
+// TestCrashSmoke runs six -crash cycles in process — both flavors, a
+// clean-Close cycle, and opens at shard counts drawn from {1, 2, 4, 8}.
+func TestCrashSmoke(t *testing.T) {
+	if err := runCrash(6, 2, 256, 1, t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+}

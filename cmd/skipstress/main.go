@@ -30,11 +30,6 @@
 // big-endian strings) — and each checked against its own sequential
 // model.
 //
-// With -resize it runs the online-resharding stress: the -check
-// workload on a sharded map while a background resizer walks a seeded
-// schedule of shard counts, so every verified history spans live grow
-// and shrink migrations (-shards sets the initial count).
-//
 // With -crash it runs the durability stress: -cycles kill/recover
 // rounds against one durability directory, alternating (a) concurrent
 // FsyncAlways rounds killed at a random operation count and audited for
@@ -42,8 +37,9 @@
 // never be lost), and (b) single-writer FsyncNone rounds killed with a
 // torn WAL tail and audited for exact-prefix recovery (the recovered
 // state must equal the shadow after some prefix of the round's
-// operations, no shorter than the last explicit Sync). Any divergence
-// exits 1 with a reproducer line.
+// operations, no shorter than the last explicit Sync). Every open draws
+// its shard count from {1, 2, 4, 8}, so recovery is audited across
+// geometry changes. Any divergence exits 1 with a reproducer line.
 //
 // With -replica it runs the replicated serving stress: a durable
 // primary streaming its WAL (internal/repl) to two live in-process
@@ -65,7 +61,7 @@
 //
 //	skipstress [-threads n] [-duration d] [-universe n] [-mode two-path|fast|slow]
 //	           [-shards n] [-seed n] [-check] [-churn] [-crash] [-cycles n]
-//	           [-net] [-namespaces n] [-replica] [-resize] [-readheavy] [-metrics-dump]
+//	           [-net] [-namespaces n] [-replica] [-readheavy] [-metrics-dump]
 //
 // -readheavy skews the -check/-net workload to 80% point lookups, the
 // mix that keeps the optimistic read fast path hot while concurrent
@@ -138,7 +134,6 @@ func main() {
 		netCheck  = flag.Bool("net", false, "serve over loopback TCP and check client-side linearizability")
 		nsCount   = flag.Int("namespaces", 0, "with -net: also drive this many byte-string namespaces concurrently through the checker")
 		replica   = flag.Bool("replica", false, "replicated serving stress: barriered replica reads, then kill the primary and promote")
-		resizeChk = flag.Bool("resize", false, "live shard-count resizes under the -check workload and linearizability checker")
 		cycles    = flag.Int("cycles", 60, "kill/recover cycles for -crash")
 		dir       = flag.String("dir", "", "durability directory for -crash (default: a temp dir)")
 		readHeavy = flag.Bool("readheavy", false, "80% point-lookup mix for -check/-net (drives the read fast path)")
@@ -147,18 +142,28 @@ func main() {
 	flag.Parse()
 
 	modes := 0
-	for _, on := range []bool{*check, *churn, *crash, *netCheck, *replica, *resizeChk} {
+	for _, on := range []bool{*check, *churn, *crash, *netCheck, *replica} {
 		if on {
 			modes++
 		}
 	}
 	if modes > 1 {
-		fmt.Fprintln(os.Stderr, "skipstress: -check, -churn, -crash, -net, -replica and -resize are mutually exclusive")
+		fmt.Fprintln(os.Stderr, "skipstress: -check, -churn, -crash, -net and -replica are mutually exclusive")
 		os.Exit(2)
 	}
 	reproducer := reproducerLine()
 	if *crash {
-		runCrash(*cycles, *threads, *universe, *seed, *dir, reproducer)
+		// The shadow model starts empty, so a directory with recovered
+		// state would fail the cycle-0 audit spuriously — and deleting a
+		// user-named directory is not this tool's call. Refuse instead.
+		if entries, err := os.ReadDir(*dir); err == nil && len(entries) > 0 {
+			fmt.Fprintf(os.Stderr, "skipstress: -dir %s is not empty; -crash needs a fresh directory\n", *dir)
+			os.Exit(2)
+		}
+		if err := runCrash(*cycles, *threads, *universe, *seed, *dir); err != nil {
+			fmt.Fprintf(os.Stderr, "FAIL: %v\nreproduce with: %s\n", err, reproducer)
+			os.Exit(1)
+		}
 		return
 	}
 	lookupPct := 0
@@ -178,10 +183,6 @@ func main() {
 	}
 	if *replica {
 		runReplica(*threads, *duration, *seed, lookupPct, reproducer)
-		return
-	}
-	if *resizeChk {
-		runResize(*threads, *duration, *seed, *shards, lookupPct, reproducer)
 		return
 	}
 	cfg := skiphash.Config{}

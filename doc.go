@@ -2,8 +2,8 @@
 // Ordered Map Via Software Transactional Memory" (Rodriguez, Aksenov,
 // Spear). The public API lives in repro/skiphash: one map type that is
 // the paper's structure at one shard (New) and partitions itself across
-// independent skip-hash shards on request (NewSharded, Resize), the
-// handle-lifecycle subsystem (Handle.Close, orphan
+// a fixed number of independent skip-hash shards on request
+// (NewSharded), the handle-lifecycle subsystem (Handle.Close, orphan
 // queues, the Config.Maintenance background maintainer) that keeps the
 // paper's deferred removal buffers from stranding stitched nodes on
 // long-running servers, and the durability subsystem (Config.Durability

@@ -147,7 +147,6 @@ func TestDriversSmoke(t *testing.T) {
 		{"persist", func(w io.Writer, opts Options) error { return Persist(w, t.TempDir(), opts) }},
 		{"read", ReadBench},
 		{"repl", Repl},
-		{"reshard", Reshard},
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {

@@ -81,19 +81,6 @@ func (m *Map[K, V]) MaintenanceStats() MaintenanceStats {
 	}
 }
 
-// SetMaintenanceObserver installs fn to receive the node count and
-// wall-clock duration of every orphan-adoption drain (background
-// maintainer wakeups and inline threshold drains alike). Pass nil to
-// remove. The observer runs on the draining goroutine, so it must be
-// cheap and non-blocking — typically a latency histogram's observe.
-func (m *Map[K, V]) SetMaintenanceObserver(fn func(nodes int, d time.Duration)) {
-	if fn == nil {
-		m.maintObs.Store(nil)
-		return
-	}
-	m.maintObs.Store(&fn)
-}
-
 // OrphanBacklog returns the current orphan queue length (nodes awaiting
 // adoption; a live probe for tests and monitoring).
 func (m *Map[K, V]) OrphanBacklog() int {
@@ -149,15 +136,7 @@ func (m *Map[K, V]) adoptOrphans() int {
 		return 0
 	}
 	m.maintStats.adopted.Add(uint64(len(take)))
-	obs := m.maintObs.Load()
-	var t0 time.Time
-	if obs != nil {
-		t0 = time.Now()
-	}
 	m.drainNodes(take)
-	if obs != nil {
-		(*obs)(len(take), time.Since(t0))
-	}
 	return len(take)
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"repro/internal/persist"
 	"repro/internal/stm"
@@ -77,13 +76,12 @@ type Config struct {
 	// Clock overrides the STM commit clock (default: monotonic
 	// "hardware" clock, the configuration the paper reports).
 	Clock stm.Clock
-	// Shards selects the initial partition count of the sharded
-	// frontend (internal/shard, surfaced as skiphash.NewSharded). Zero
-	// derives a power of two from GOMAXPROCS. The count is only
-	// initial: Sharded.Resize migrates to a new count under live
-	// traffic, and a durable map reopens at whatever count this field
-	// asks for. A single map ignores it; Buckets is interpreted as the
-	// total across shards.
+	// Shards selects the partition count of the sharded frontend
+	// (internal/shard, surfaced as skiphash.NewSharded), fixed when the
+	// map is built. Zero derives a power of two from GOMAXPROCS. A
+	// durable map keeps no count on disk, so it reopens at whatever
+	// count this field asks for. A single map ignores it; Buckets is
+	// interpreted as the total across shards.
 	Shards int
 	// Durability, when non-nil, makes the map durable: committed
 	// insert/remove/batch operations are written to a commit-stamp-
@@ -152,12 +150,7 @@ type Map[K comparable, V any] struct {
 
 	maint      *maintainer[K, V]
 	maintStats maintCounters
-	// maintObs, when set, receives every orphan-adoption drain's node
-	// count and duration (SetMaintenanceObserver). Core stays free of
-	// metrics dependencies; the observer is a plain func the embedding
-	// layer points at its histogram.
-	maintObs atomic.Pointer[func(nodes int, d time.Duration)]
-	closed   atomic.Bool
+	closed     atomic.Bool
 	// closeDone lets concurrent Close calls (and anyone who must know
 	// teardown finished) wait for the one closing goroutine.
 	closeDone chan struct{}
@@ -165,36 +158,6 @@ type Map[K comparable, V any] struct {
 	// logger is the durability hook (AttachPersistence): it captures
 	// committed logical operations into the WAL. Nil on non-durable maps.
 	logger OpLogger[K, V]
-
-	// tap, when set, observes every committed write in commit-stamp
-	// order (SetWriteTap); the sharded frontend points it at a
-	// migration's delta log while this map is a resize source. Nil —
-	// one atomic load on the write path — outside migrations.
-	tap atomic.Pointer[func(del bool, k K, v V, stamp uint64)]
-}
-
-// putTap and delTap are the Map as the publish-hook targets an update
-// registers while a write tap is installed (the separate names keep the
-// hook methods out of Map's exported method set). The payload is the
-// inserted or removed node, which carries the key and value, so
-// registering the hook allocates nothing.
-type (
-	putTap[K comparable, V any] Map[K, V]
-	delTap[K comparable, V any] Map[K, V]
-)
-
-func (t *putTap[K, V]) Published(stamp uint64, arg unsafe.Pointer) {
-	if tap := t.tap.Load(); tap != nil {
-		n := (*node[K, V])(arg)
-		(*tap)(false, n.key, n.val, stamp)
-	}
-}
-
-func (t *delTap[K, V]) Published(stamp uint64, arg unsafe.Pointer) {
-	if tap := t.tap.Load(); tap != nil {
-		var zero V
-		(*tap)(true, (*node[K, V])(arg).key, zero, stamp)
-	}
 }
 
 // OpLogger observes the logical effect of committed transactions: every
@@ -327,23 +290,6 @@ func (m *Map[K, V]) Config() Config { return m.cfg }
 func (m *Map[K, V]) AttachPersistence(l OpLogger[K, V]) {
 	m.logger = l
 }
-
-// SetWriteTap installs fn to observe every committed state-changing
-// write (puts and deletes) from this point on. Hooks run inside the
-// commit, after validation and with ownership records still held, so
-// two conflicting writes report in their exact commit order; aborted
-// attempts report nothing. The caller must ensure no write transaction
-// is in flight at installation (the sharded frontend drains its
-// migration gate first) — a transaction that began before the tap was
-// visible commits unobserved. fn must not touch this map.
-func (m *Map[K, V]) SetWriteTap(fn func(del bool, k K, v V, stamp uint64)) {
-	m.tap.Store(&fn)
-}
-
-// ClearWriteTap removes the write tap. Writes that committed before the
-// clear have already reported; the caller serializes against in-flight
-// writers the same way as for SetWriteTap.
-func (m *Map[K, V]) ClearWriteTap() { m.tap.Store(nil) }
 
 // randomHeight draws from the geometric distribution with p = 1/2 in
 // [1, MaxLevel] (§3).
@@ -478,9 +424,6 @@ func (m *Map[K, V]) insertTx(tx *stm.Tx, h *Handle[K, V], k K, v V) bool {
 	if m.logger != nil {
 		m.logger.LogPut(tx, k, v)
 	}
-	if m.tap.Load() != nil {
-		tx.OnPublish((*putTap[K, V])(m), unsafe.Pointer(n))
-	}
 	return true
 }
 
@@ -495,9 +438,6 @@ func (m *Map[K, V]) removeTx(tx *stm.Tx, h *Handle[K, V], k K) bool {
 	n.rTime.Store(tx, &n.orec, m.rqc.onUpdate(tx))
 	if m.logger != nil {
 		m.logger.LogDel(tx, k)
-	}
-	if m.tap.Load() != nil {
-		tx.OnPublish((*delTap[K, V])(m), unsafe.Pointer(n))
 	}
 	m.afterRemove(tx, h, n)
 	return true

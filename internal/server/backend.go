@@ -66,14 +66,6 @@ type Promoter interface {
 	Promote() error
 }
 
-// Resizer is an optional Backend extension: a backend that can
-// live-migrate to a new shard count while serving
-// (skiphash.Sharded.Resize). Without it, OpResize/OpResize2 answer
-// StatusErr. Resize reports the resulting live count.
-type Resizer interface {
-	Resize(n int) (int, error)
-}
-
 // answer prepares resp as req's StatusOK response, keeping the capacity
 // of its result slices for reuse.
 func answer(resp *wire.Response, req *wire.Request) {
@@ -185,9 +177,9 @@ func (bytesCodec) addPair(resp *wire.Response, k, v string) {
 // ShardedBackend serves a sharded skip hash: the one Backend
 // implementation, generic over the map's types and parameterised by the
 // codec of the frame family that addresses it. The map is embedded, so
-// the methods that need no translation — Sync, Snapshot, Quiesce, and
-// Resize (Resizer) — are the map's own; the request-level methods and
-// Close below shadow the map's same-named ones.
+// the methods that need no translation — Sync, Snapshot and Quiesce —
+// are the map's own; the request-level methods and Close below shadow
+// the map's same-named ones.
 type ShardedBackend[K comparable, V any] struct {
 	*skiphash.Sharded[K, V]
 	cd codec[K, V]

@@ -178,7 +178,7 @@ func allGets(group []wire.Request) bool {
 const prefetchAhead = 16
 
 // execStandalone executes a namespace's non-coalescable request (Range,
-// Sync, Snapshot, Resize, Watermark, Promote) under the run lock.
+// Sync, Snapshot, Watermark, Promote) under the run lock.
 func (c *conn) execStandalone(be Backend, req *wire.Request) {
 	resp := &c.one
 	answer(resp, req)
@@ -190,14 +190,6 @@ func (c *conn) execStandalone(be Backend, req *wire.Request) {
 		err = be.Sync()
 	case wire.KindSnapshot:
 		err = be.Snapshot()
-	case wire.KindResize:
-		if rz, ok := be.(Resizer); ok {
-			var n int
-			n, err = rz.Resize(int(req.Key))
-			resp.Val = int64(n)
-		} else {
-			err = errors.New("backend is not resizable")
-		}
 	case wire.KindWatermark:
 		if w, ok := be.(Watermarker); ok {
 			resp.Val = int64(w.Watermark())

@@ -32,13 +32,13 @@ type family struct {
 var v1Ops = map[wire.Kind]wire.Op{
 	wire.KindGet: wire.OpGet, wire.KindInsert: wire.OpInsert, wire.KindPut: wire.OpPut,
 	wire.KindDel: wire.OpDel, wire.KindRange: wire.OpRange, wire.KindSync: wire.OpSync,
-	wire.KindSnapshot: wire.OpSnapshot, wire.KindResize: wire.OpResize,
+	wire.KindSnapshot: wire.OpSnapshot,
 }
 
 var v2Ops = map[wire.Kind]wire.Op{
 	wire.KindGet: wire.OpGet2, wire.KindInsert: wire.OpInsert2, wire.KindPut: wire.OpPut2,
 	wire.KindDel: wire.OpDel2, wire.KindRange: wire.OpRange2, wire.KindSync: wire.OpSync2,
-	wire.KindSnapshot: wire.OpSnapshot2, wire.KindResize: wire.OpResize2,
+	wire.KindSnapshot: wire.OpSnapshot2,
 }
 
 // bnum renders n as a fixed-width byte string, so byte order is numeric
@@ -193,8 +193,8 @@ func wantStatus(t *testing.T, resps []wire.Response, want wire.Status) {
 }
 
 // readOnlyBackend stands in for an unpromoted replica's backend: it
-// refuses writes and the durability surface, and — embedding the
-// interface, as the replication decorators do — is no Resizer.
+// refuses writes and the durability surface, embedding the interface
+// the way the replication decorators do.
 type readOnlyBackend struct{ Backend }
 
 func (readOnlyBackend) Atomic([]wire.Request, []wire.Response) error { return ErrReadOnly }
@@ -351,7 +351,6 @@ var executorScenarios = []struct {
 			t.Fatalf("reads on a read-only backend = %+v", resps)
 		}
 		wantStatus(t, h.run(f.op(wire.KindSync, 0, 0), f.op(wire.KindSnapshot, 0, 0)), wire.StatusReadOnly)
-		wantStatus(t, h.run(f.op(wire.KindResize, 4, 0)), wire.StatusErr)
 	}},
 	{"RangeTruncation", skiphash.Config{Shards: 2}, func(t *testing.T, h *harness, f family) {
 		var reqs []wire.Request
@@ -417,7 +416,7 @@ func TestV2OpOnNamespaceZeroRefusedInPlace(t *testing.T) {
 	v1 := h.families[0]
 	stray := wire.Request{Op: wire.OpPut2, NS: 0, BKey: bnum(2), BVal: bnum(2)}
 	resps := h.run(v1.insert(1, 10), v1.insert(2, 20), stray, v1.get(2),
-		wire.Request{Op: wire.OpResize2, NS: 0, Key: 4})
+		wire.Request{Op: wire.OpSync2, NS: 0})
 	if resps[2].Status != wire.StatusErr || resps[4].Status != wire.StatusErr {
 		t.Fatalf("v2 ops on namespace 0: statuses %v, %v, want Err", resps[2].Status, resps[4].Status)
 	}

@@ -41,7 +41,7 @@ const (
 	busyName       = "skiphash_server_busy_refusals_total"
 	busyHelp       = "Requests or connections refused with StatusBusy, by reason."
 	nsShardsName   = "skiphash_ns_shards"
-	nsShardsHelp   = "Live shard count of a named namespace's map (RESIZE moves it)."
+	nsShardsHelp   = "Shard count of a named namespace's map."
 )
 
 // metrics holds the server's registered instruments; nil when

@@ -202,6 +202,22 @@ func TestMalformedFrameTearsConnectionDown(t *testing.T) {
 		expectClosed(t, nc)
 	})
 
+	// The retired RESIZE (29) and RESIZE2 (30) codes are unknown ops now:
+	// a well-formed frame carrying one, with its old body, fares the same.
+	t.Run("RetiredResizeOp", func(t *testing.T) {
+		for _, body := range [][]byte{
+			binary.LittleEndian.AppendUint64([]byte{29}, 4),
+			binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32([]byte{30}, 1), 4),
+		} {
+			nc := rawDial(t, addr)
+			payload := append(binary.LittleEndian.AppendUint64(nil, 1), body...)
+			frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+			frame = binary.LittleEndian.AppendUint32(frame, crc32Of(payload))
+			nc.Write(append(frame, payload...))
+			expectClosed(t, nc)
+		}
+	})
+
 	t.Run("TruncatedFrameThenDisconnect", func(t *testing.T) {
 		// A client dying mid-frame must not wedge or kill the server.
 		nc := rawDial(t, addr)

@@ -14,13 +14,10 @@ import (
 // concurrently; create one per worker with Sharded.NewHandle and Close
 // it when the worker is done, so the handle (and its per-shard
 // sub-handles) leave the registries and any buffered removals reach the
-// shards' orphan queues. When a Resize swaps the route table, the
-// handle rebinds lazily at its next operation, reusing sub-handles of
-// surviving shards and closing those of retired ones.
+// shards' orphan queues. hs, segs, heads and bound are indexed like the
+// map's shards.
 type Handle[K comparable, V any] struct {
-	s *Sharded[K, V]
-	// tab is the route table hs/segs/heads are aligned to.
-	tab   *route[K, V]
+	s     *Sharded[K, V]
 	hs    []*core.Handle[K, V]
 	segs  [][]Pair[K, V]
 	heads []int
@@ -29,12 +26,7 @@ type Handle[K comparable, V any] struct {
 	// a batch allocates neither; a Handle runs one Atomic at a time.
 	txn   Txn[K, V]
 	bound []*core.Txn[K, V]
-	// auth is the scratch the multi-shard paths collect the
-	// authoritative shard indices into during a migration.
-	auth []int
-	// stripe is the handle's pin-counter stripe (see resize.go).
-	stripe uint32
-	stats  core.HandleStats
+	stats core.HandleStats
 	// adaptSkip counts remaining cross-shard range queries that bypass
 	// the fast path under Config.Adaptive.
 	adaptSkip int
@@ -48,14 +40,22 @@ type Handle[K comparable, V any] struct {
 }
 
 func (s *Sharded[K, V]) newHandle(registered bool) *Handle[K, V] {
+	n := len(s.maps)
 	h := &Handle[K, V]{
 		s:          s,
-		stripe:     s.stripeCtr.Add(1) & (pinStripes - 1),
+		hs:         make([]*core.Handle[K, V], n),
+		segs:       make([][]Pair[K, V], n),
+		heads:      make([]int, n),
+		bound:      make([]*core.Txn[K, V], n),
 		registered: registered,
 	}
-	t := s.enter(h.stripe)
-	h.rebind(t)
-	s.exit(t, h.stripe)
+	for i, m := range s.maps {
+		if registered {
+			h.hs[i] = m.NewHandle()
+		} else {
+			h.hs[i] = m.NewTransientHandle()
+		}
+	}
 	return h
 }
 
@@ -79,101 +79,10 @@ func (s *Sharded[K, V]) NewTransientHandle() *Handle[K, V] {
 	return s.newHandle(false)
 }
 
-// rebind aligns the handle's per-shard state with t's shard list,
-// reusing sub-handles by map identity (a resize keeps surviving shards'
-// handles warm) and closing those whose shards left the table.
-func (h *Handle[K, V]) rebind(t *route[K, V]) {
-	old := h.hs
-	h.hs = make([]*core.Handle[K, V], len(t.maps))
-	for i, m := range t.maps {
-		for j, ch := range old {
-			if ch != nil && ch.Map() == m {
-				h.hs[i], old[j] = ch, nil
-				break
-			}
-		}
-		if h.hs[i] == nil {
-			if h.registered {
-				h.hs[i] = m.NewHandle()
-			} else {
-				h.hs[i] = m.NewTransientHandle()
-			}
-		}
-	}
-	for _, ch := range old {
-		if ch != nil {
-			ch.Close()
-		}
-	}
-	for len(h.segs) < len(t.maps) {
-		h.segs = append(h.segs, nil)
-	}
-	h.segs = h.segs[:len(t.maps)]
-	if len(h.heads) < len(t.maps) {
-		h.heads = make([]int, len(t.maps))
-	}
-	h.bound = make([]*core.Txn[K, V], len(t.maps))
-	h.tab = t
-}
-
-// at returns the sub-handle for maps index idx under table t, rebinding
-// first when the table moved since the handle's last operation.
-func (h *Handle[K, V]) at(t *route[K, V], idx int) *core.Handle[K, V] {
-	if h.tab != t {
-		h.rebind(t)
-	}
-	return h.hs[idx]
-}
-
-// pointEnter pins the route table and, during a migration, the key's
-// group gate, and returns the authoritative sub-handle for k. The
-// caller runs its operation and then calls pointExit(t, g).
-func (h *Handle[K, V]) pointEnter(k K) (ch *core.Handle[K, V], t *route[K, V], g int) {
+// home returns the sub-handle of the shard that owns k.
+func (h *Handle[K, V]) home(k K) *core.Handle[K, V] {
 	s := h.s
-	t = s.enter(h.stripe)
-	mixed := mix(s.hash(k))
-	g = -1
-	if m := t.mig; m != nil {
-		g = m.groupOf(mixed)
-		m.gates[g].RLock()
-	}
-	return h.at(t, t.idxFor(mixed)), t, g
-}
-
-func (h *Handle[K, V]) pointExit(t *route[K, V], g int) {
-	if g >= 0 {
-		t.mig.gates[g].RUnlock()
-	}
-	h.s.exit(t, h.stripe)
-}
-
-// authEnter pins the route table, acquires every migration gate when a
-// resize is in flight, and returns the authoritative shard indices —
-// the set covering the key space exactly once for as long as the gates
-// are held. The caller must call authExit(t).
-func (h *Handle[K, V]) authEnter() (*route[K, V], []int) {
-	t := h.s.enter(h.stripe)
-	if h.tab != t {
-		h.rebind(t)
-	}
-	m := t.mig
-	if m == nil {
-		return t, t.steadyAuth
-	}
-	for g := range m.gates {
-		m.gates[g].RLock()
-	}
-	h.auth = m.authIndices(h.auth[:0])
-	return t, h.auth
-}
-
-func (h *Handle[K, V]) authExit(t *route[K, V]) {
-	if m := t.mig; m != nil {
-		for g := range m.gates {
-			m.gates[g].RUnlock()
-		}
-	}
-	h.s.exit(t, h.stripe)
+	return h.hs[s.idxFor(mix(s.hash(k)))]
 }
 
 // Sharded returns the map this handle operates on.
@@ -267,45 +176,20 @@ func (h *Handle[K, V]) Stats() (attempts, fastAborts, fastCommits, slowCommits u
 // hash's O(1) complexity untouched.
 
 // Lookup returns the value associated with k.
-func (h *Handle[K, V]) Lookup(k K) (V, bool) {
-	ch, t, g := h.pointEnter(k)
-	v, ok := ch.Lookup(k)
-	h.pointExit(t, g)
-	return v, ok
-}
+func (h *Handle[K, V]) Lookup(k K) (V, bool) { return h.home(k).Lookup(k) }
 
 // Contains reports whether k is present.
-func (h *Handle[K, V]) Contains(k K) bool {
-	ch, t, g := h.pointEnter(k)
-	ok := ch.Contains(k)
-	h.pointExit(t, g)
-	return ok
-}
+func (h *Handle[K, V]) Contains(k K) bool { return h.home(k).Contains(k) }
 
 // Insert adds (k, v) if k is absent and reports whether it did.
-func (h *Handle[K, V]) Insert(k K, v V) bool {
-	ch, t, g := h.pointEnter(k)
-	ok := ch.Insert(k, v)
-	h.pointExit(t, g)
-	return ok
-}
+func (h *Handle[K, V]) Insert(k K, v V) bool { return h.home(k).Insert(k, v) }
 
 // Remove deletes k and reports whether it was present.
-func (h *Handle[K, V]) Remove(k K) bool {
-	ch, t, g := h.pointEnter(k)
-	ok := ch.Remove(k)
-	h.pointExit(t, g)
-	return ok
-}
+func (h *Handle[K, V]) Remove(k K) bool { return h.home(k).Remove(k) }
 
 // Put sets k to v unconditionally, reporting whether a previous value
 // was replaced.
-func (h *Handle[K, V]) Put(k K, v V) bool {
-	ch, t, g := h.pointEnter(k)
-	ok := ch.Put(k, v)
-	h.pointExit(t, g)
-	return ok
-}
+func (h *Handle[K, V]) Put(k K, v V) bool { return h.home(k).Put(k, v) }
 
 // Point queries probe every shard inside one read-only transaction and
 // reduce, so the answer is a snapshot.
@@ -330,19 +214,17 @@ func (h *Handle[K, V]) Pred(k K) (K, V, bool) {
 	return h.reduce(k, true, func(op *core.Txn[K, V], k K) (K, V, bool) { return op.Pred(k) })
 }
 
-// reduce runs the per-shard point query q against every authoritative
-// shard and keeps the best answer (max when wantMax, min otherwise).
+// reduce runs the per-shard point query q against every shard and keeps
+// the best answer (max when wantMax, min otherwise).
 func (h *Handle[K, V]) reduce(k K, wantMax bool, q func(op *core.Txn[K, V], k K) (K, V, bool)) (K, V, bool) {
 	s := h.s
-	t, auth := h.authEnter()
-	defer h.authExit(t)
 	var bk K
 	var bv V
 	var bok bool
 	_ = s.rt.Atomic(func(tx *stm.Tx) error {
 		bok = false
-		for _, i := range auth {
-			ck, cv, ok := q(h.hs[i].Bind(tx), k)
+		for _, ch := range h.hs {
+			ck, cv, ok := q(ch.Bind(tx), k)
 			if ok && (!bok || (wantMax && s.less(bk, ck)) || (!wantMax && s.less(ck, bk))) {
 				bk, bv, bok = ck, cv, true
 			}
@@ -357,34 +239,31 @@ func (h *Handle[K, V]) reduce(k K, wantMax bool, q func(op *core.Txn[K, V], k K)
 // every shard's segment in one try-once transaction; the slow path
 // registers a range op with every shard's RQC in one transaction (the
 // query's linearization point) and then runs each shard's resumable
-// safe-node traversal. During a resize the walk covers the
-// authoritative shard set, held stable by the migration gates.
+// safe-node traversal.
 func (h *Handle[K, V]) Range(l, r K, out []Pair[K, V]) []Pair[K, V] {
-	t, auth := h.authEnter()
-	defer h.authExit(t)
-	if len(auth) == 1 {
-		return h.hs[auth[0]].Range(l, r, out) // nothing to merge
+	if len(h.hs) == 1 {
+		return h.hs[0].Range(l, r, out) // nothing to merge
 	}
-	return core.TwoPathRange(t.maps[0].Config(), &h.stats, &h.adaptSkip,
-		func() ([]Pair[K, V], error) { return h.rangeFast(auth, l, r, out) },
-		func() []Pair[K, V] { return h.rangeSlow(auth, l, r, out) })
+	return core.TwoPathRange(h.s.maps[0].Config(), &h.stats, &h.adaptSkip,
+		func() ([]Pair[K, V], error) { return h.rangeFast(l, r, out) },
+		func() []Pair[K, V] { return h.rangeSlow(l, r, out) })
 }
 
 // rangeFast is the cross-shard fast path: one transaction that walks
 // every shard's [l, r] segment and does not retry. Because all shards
 // share one runtime, a commit means every segment belongs to the same
 // snapshot.
-func (h *Handle[K, V]) rangeFast(auth []int, l, r K, out []Pair[K, V]) ([]Pair[K, V], error) {
+func (h *Handle[K, V]) rangeFast(l, r K, out []Pair[K, V]) ([]Pair[K, V], error) {
 	err := h.s.rt.TryOnce(func(tx *stm.Tx) error {
-		for _, i := range auth {
-			h.segs[i] = h.hs[i].Bind(tx).Range(l, r, h.segs[i][:0])
+		for i, ch := range h.hs {
+			h.segs[i] = ch.Bind(tx).Range(l, r, h.segs[i][:0])
 		}
 		return nil
 	})
 	if err != nil {
 		return out, err
 	}
-	return h.merge(auth, out), nil
+	return h.merge(out), nil
 }
 
 // rangeSlow is the cross-shard slow path: registering with every
@@ -392,47 +271,45 @@ func (h *Handle[K, V]) rangeFast(auth []int, l, r K, out []Pair[K, V]) ([]Pair[K
 // counter at one commit instant, so the per-shard safe-node traversals
 // — each individually resumable — jointly reconstruct the snapshot at
 // that instant.
-func (h *Handle[K, V]) rangeSlow(auth []int, l, r K, out []Pair[K, V]) []Pair[K, V] {
-	srs := make([]*core.SlowRange[K, V], len(auth))
+func (h *Handle[K, V]) rangeSlow(l, r K, out []Pair[K, V]) []Pair[K, V] {
+	srs := make([]*core.SlowRange[K, V], len(h.hs))
 	_ = h.s.rt.Atomic(func(tx *stm.Tx) error {
-		for j, i := range auth {
-			srs[j] = h.hs[i].Map().BeginSlowRangeTx(tx, h.hs[i], l)
+		for i, ch := range h.hs {
+			srs[i] = ch.Map().BeginSlowRangeTx(tx, ch, l)
 		}
 		return nil
 	})
-	for j, i := range auth {
-		h.segs[i] = srs[j].Collect(r, h.segs[i][:0])
+	for i, sr := range srs {
+		h.segs[i] = sr.Collect(r, h.segs[i][:0])
 	}
-	for j := range srs {
-		srs[j].Finish()
+	for _, sr := range srs {
+		sr.Finish()
 	}
-	return h.merge(auth, out)
+	return h.merge(out)
 }
 
-// merge k-way merges the per-shard segment buffers of the given shard
-// indices into out. Segments are sorted and pairwise disjoint (the
-// authoritative shards partition the key space), so a linear selection
-// per element suffices at the shard counts this package allows.
-func (h *Handle[K, V]) merge(auth []int, out []Pair[K, V]) []Pair[K, V] {
+// merge k-way merges the per-shard segment buffers into out. Segments
+// are sorted and pairwise disjoint (the shards partition the key space),
+// so a linear selection per element suffices at the shard counts this
+// package allows.
+func (h *Handle[K, V]) merge(out []Pair[K, V]) []Pair[K, V] {
 	less := h.s.less
-	idx := h.heads[:len(auth)]
-	for j := range idx {
-		idx[j] = 0
-	}
+	idx := h.heads
+	clear(idx)
 	for {
 		best := -1
-		for j, i := range auth {
-			if idx[j] >= len(h.segs[i]) {
+		for i, seg := range h.segs {
+			if idx[i] >= len(seg) {
 				continue
 			}
-			if best < 0 || less(h.segs[i][idx[j]].Key, h.segs[auth[best]][idx[best]].Key) {
-				best = j
+			if best < 0 || less(seg[idx[i]].Key, h.segs[best][idx[best]].Key) {
+				best = i
 			}
 		}
 		if best < 0 {
 			return out
 		}
-		out = append(out, h.segs[auth[best]][idx[best]])
+		out = append(out, h.segs[best][idx[best]])
 		idx[best]++
 	}
 }

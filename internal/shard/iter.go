@@ -38,18 +38,15 @@ func mergeSeqs[K comparable, V any](seqs []iter.Seq2[K, V], before func(a, b K) 
 	}
 }
 
-// All returns an iterator over every pair in ascending key order,
-// k-way merged from per-shard iterators over the authoritative shard
-// set. Each shard's stream is weakly consistent (assembled from chunked
-// transactions, like core.Map.All), and the merged stream inherits that
-// contract: it is sorted and duplicate-free — the authoritative shards
-// partition the key space — but concurrent updates (including a resize
-// cutting a region over after the iterator captured its shard set) may
-// be observed mid-iteration or missed.
+// All returns an iterator over every pair in ascending key order, k-way
+// merged from per-shard iterators. Each shard's stream is weakly
+// consistent (assembled from chunked transactions, like core.Map.All),
+// and the merged stream inherits that contract: it is sorted and
+// duplicate-free — the shards partition the key space — but concurrent
+// updates may be observed mid-iteration or missed.
 func (s *Sharded[K, V]) All() iter.Seq2[K, V] {
-	maps := s.authMaps()
-	seqs := make([]iter.Seq2[K, V], len(maps))
-	for i, m := range maps {
+	seqs := make([]iter.Seq2[K, V], len(s.maps))
+	for i, m := range s.maps {
 		seqs[i] = m.All()
 	}
 	return mergeSeqs(seqs, s.less)
@@ -58,9 +55,8 @@ func (s *Sharded[K, V]) All() iter.Seq2[K, V] {
 // Backward returns a weakly consistent iterator over every pair in
 // descending key order; see All for the consistency contract.
 func (s *Sharded[K, V]) Backward() iter.Seq2[K, V] {
-	maps := s.authMaps()
-	seqs := make([]iter.Seq2[K, V], len(maps))
-	for i, m := range maps {
+	seqs := make([]iter.Seq2[K, V], len(s.maps))
+	for i, m := range s.maps {
 		seqs[i] = m.Backward()
 	}
 	return mergeSeqs(seqs, func(a, b K) bool { return s.less(b, a) })
@@ -69,9 +65,8 @@ func (s *Sharded[K, V]) Backward() iter.Seq2[K, V] {
 // AscendFrom visits pairs with key >= from in ascending order until fn
 // returns false; see All for the consistency contract.
 func (s *Sharded[K, V]) AscendFrom(from K, fn func(k K, v V) bool) {
-	maps := s.authMaps()
-	seqs := make([]iter.Seq2[K, V], len(maps))
-	for i, m := range maps {
+	seqs := make([]iter.Seq2[K, V], len(s.maps))
+	for i, m := range s.maps {
 		seqs[i] = func(yield func(K, V) bool) { m.AscendFrom(from, yield) }
 	}
 	mergeSeqs(seqs, s.less)(fn)
@@ -80,9 +75,8 @@ func (s *Sharded[K, V]) AscendFrom(from K, fn func(k K, v V) bool) {
 // DescendFrom visits pairs with key <= from in descending order until
 // fn returns false; see All for the consistency contract.
 func (s *Sharded[K, V]) DescendFrom(from K, fn func(k K, v V) bool) {
-	maps := s.authMaps()
-	seqs := make([]iter.Seq2[K, V], len(maps))
-	for i, m := range maps {
+	seqs := make([]iter.Seq2[K, V], len(s.maps))
+	for i, m := range s.maps {
 		seqs[i] = func(yield func(K, V) bool) { m.DescendFrom(from, yield) }
 	}
 	mergeSeqs(seqs, func(a, b K) bool { return s.less(b, a) })(fn)

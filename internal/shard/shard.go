@@ -5,11 +5,9 @@
 // operations touch exactly one shard and never share a cacheline with
 // traffic on any other. Ordered operations are rebuilt at this layer by
 // k-way merging per-shard segments, which stay sorted and disjoint
-// because the shards partition the key space.
-//
-// The partition count is a starting point, not a constraint: Resize
-// live-migrates keys between shards under traffic (see resize.go), so
-// Config.Shards only chooses the initial layout.
+// because the shards partition the key space. The partition count is
+// fixed when the map is built; a durable map keeps no geometry on disk,
+// so it reopens at any count.
 //
 // # Consistency model
 //
@@ -33,7 +31,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/stm"
@@ -47,22 +44,16 @@ type Pair[K comparable, V any] = core.Pair[K, V]
 const maxShards = 256
 
 // Sharded is a concurrent ordered map hash-partitioned across S
-// independent skip hash shards. All methods are safe for concurrent
-// use; hot paths should go through per-goroutine Handles. The shard
-// count set at construction is only initial — Resize migrates to a new
-// count under live traffic.
+// independent skip hash shards, S fixed at construction. All methods are
+// safe for concurrent use; hot paths should go through per-goroutine
+// Handles.
 type Sharded[K comparable, V any] struct {
 	less func(a, b K) bool
 	hash func(K) uint64
 	rt   *stm.Runtime // the one runtime every shard runs on
-	// baseCfg is the construction config; Resize re-derives per-shard
-	// configs from it at the new count.
-	baseCfg core.Config
-	// tab is the current route table (shard list + routing state).
-	// Operations pin it via enter/exit; Resize swaps it.
-	tab atomic.Pointer[route[K, V]]
-	// stripeCtr deals pin stripes to handles round-robin.
-	stripeCtr atomic.Uint32
+	// maps are the shards; key k lives in maps[idxFor(mix(hash(k)))].
+	maps  []*core.Map[K, V]
+	shift uint
 
 	handlePool sync.Pool
 	mu         sync.Mutex
@@ -70,33 +61,25 @@ type Sharded[K comparable, V any] struct {
 	// retired accumulates shard-level range counters of handles that
 	// left the registry (closed handles, released pooled handles).
 	retired core.HandleStats
-	// retiredRange/retiredMaint bank the counters of shards closed by a
-	// resize, so aggregate stats never go backwards.
-	retiredRange core.RangeStats
-	retiredMaint core.MaintenanceStats
-	closed       atomic.Bool
+	closed  atomic.Bool
 	// closeDone lets concurrent Close calls wait for the one closing
 	// goroutine (durability makes "Close returned" mean "flushed").
 	closeDone chan struct{}
 	// persister is the durability engine: one WAL spanning every shard,
 	// so a cross-shard batch is a single record. Nil on in-memory maps.
 	persister core.Persister
-	// logger is the WAL logger; Resize attaches it to destination shards
-	// so migrated keys keep logging.
-	logger core.OpLogger[K, V]
-
-	// resizeMu serializes Resize calls with each other and with Close.
-	resizeMu sync.Mutex
-	// maintObs remembers the installed maintenance observer so shards
-	// created by Resize inherit it (s.mu guards it).
-	maintObs func(nodes int, d time.Duration)
-
-	rsResizes      atomic.Uint64
-	rsKeysCopied   atomic.Uint64
-	rsDeltaApplied atomic.Uint64
-	rsCutovers     atomic.Uint64
-	resizeObs      atomic.Pointer[func(group, tail int, d time.Duration)]
 }
+
+// mix spreads the user hash before routing; its top bits pick the
+// shard.
+func mix(h uint64) uint64 { return h * 0x9e3779b97f4a7c15 }
+
+// shiftFor is the right shift that maps a mixed hash onto n shards (n a
+// power of two); at one shard it is 64, which Go shifts to zero.
+func shiftFor(n int) uint { return uint(64 - bits.TrailingZeros(uint(n))) }
+
+// idxFor returns the index of the shard that owns mixed.
+func (s *Sharded[K, V]) idxFor(mixed uint64) int { return int(mixed >> s.shift) }
 
 // normalizeShards clamps a requested shard count to a power of two in
 // [1, maxShards]; zero derives the smallest power of two covering
@@ -135,8 +118,8 @@ func perShardConfig(cfg core.Config, shards int) core.Config {
 }
 
 // New creates a sharded skip hash ordered by less and hashed by hash.
-// cfg.Shards selects the initial partition count (0 derives a power of
-// two from GOMAXPROCS; Resize changes it later) and cfg.Buckets the
+// cfg.Shards selects the partition count (0 derives a power of two from
+// GOMAXPROCS) and cfg.Buckets the
 // total hash-table budget across shards; the remaining fields configure
 // each shard as in core.New. hash must mix its input well: the top bits
 // pick the shard (after one extra multiplicative mix) and the low bits
@@ -147,15 +130,14 @@ func New[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg c
 		less:      less,
 		hash:      hash,
 		rt:        stm.New(stm.WithClock(cfg.Clock)),
-		baseCfg:   cfg,
+		maps:      make([]*core.Map[K, V], n),
+		shift:     shiftFor(n),
 		closeDone: make(chan struct{}),
 	}
 	per := perShardConfig(cfg, n)
-	shards := make([]*core.Map[K, V], n)
-	for i := range shards {
-		shards[i] = core.NewIn[K, V](s.rt, less, hash, per)
+	for i := range s.maps {
+		s.maps[i] = core.NewIn[K, V](s.rt, less, hash, per)
 	}
-	s.tab.Store(newSteadyRoute(shards))
 	s.handlePool.New = func() any { return s.NewTransientHandle() }
 	return s
 }
@@ -164,10 +146,9 @@ func New[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg c
 // handles' removal buffers flush, and the orphan queues drain, so a
 // quiescent map holds no stitched logically-deleted nodes afterwards;
 // on durable maps the write-ahead log is then flushed and fsynced.
-// Close is idempotent and safe concurrent with operations, Quiesce,
-// Resize (it waits for an in-flight resize to finish), and other Close
-// calls — every call returns only after teardown (including the
-// durability flush) has completed. Operations issued after Close fall
+// Close is idempotent and safe concurrent with operations, Quiesce, and
+// other Close calls — every call returns only after teardown (including
+// the durability flush) has completed. Operations issued after Close fall
 // back to inline reclamation and are no longer logged.
 func (s *Sharded[K, V]) Close() {
 	if s.closed.Swap(true) {
@@ -175,9 +156,7 @@ func (s *Sharded[K, V]) Close() {
 		return
 	}
 	defer close(s.closeDone)
-	s.resizeMu.Lock()
-	defer s.resizeMu.Unlock()
-	for _, m := range s.tab.Load().maps {
+	for _, m := range s.maps {
 		m.Close()
 	}
 	if s.persister != nil {
@@ -190,29 +169,27 @@ func (s *Sharded[K, V]) Close() {
 // one WAL orders them globally, and a cross-shard batch is a single
 // atomic record), and p owns snapshots, syncs and shutdown.
 func (s *Sharded[K, V]) AttachPersistence(l core.OpLogger[K, V], p core.Persister) {
-	for _, m := range s.tab.Load().maps {
+	for _, m := range s.maps {
 		m.AttachPersistence(l)
 	}
-	s.logger = l
 	s.persister = p
 }
 
 // LoadSorted bulk-builds the map from strictly ascending pairs; see
 // core.Map.LoadSorted, whose contract (an empty map no other goroutine
 // has seen yet) it shares. A one-shard map takes pairs straight through.
-// Otherwise each shard takes one pass over pairs and keeps the keys the
-// steady route sends it, still ascending: the pairs are never copied out
-// per shard, and the price is one hash per key per shard.
+// Otherwise each shard takes one pass over pairs and keeps the keys
+// routed to it, still ascending: the pairs are never copied out per
+// shard, and the price is one hash per key per shard.
 func (s *Sharded[K, V]) LoadSorted(pairs iter.Seq2[K, V]) {
-	t := s.tab.Load()
-	if len(t.maps) == 1 {
-		t.maps[0].LoadSorted(pairs)
+	if len(s.maps) == 1 {
+		s.maps[0].LoadSorted(pairs)
 		return
 	}
-	for i, m := range t.maps {
+	for i, m := range s.maps {
 		m.LoadSorted(func(yield func(K, V) bool) {
 			for k, v := range pairs {
-				if t.idxFor(mix(s.hash(k))) == i && !yield(k, v) {
+				if s.idxFor(mix(s.hash(k))) == i && !yield(k, v) {
 					return
 				}
 			}
@@ -220,42 +197,17 @@ func (s *Sharded[K, V]) LoadSorted(pairs iter.Seq2[K, V]) {
 	}
 }
 
-// SnapshotChunks iterates the authoritative shards' key spaces in
-// chunked consistent reads for a durable snapshot; see
-// core.Map.SnapshotChunks. Chunks from different shards carry their own
-// stamps — recovery's per-key chunk watermarks make the union
-// consistent without stopping writers. During a resize the walk covers
-// the shard set that was authoritative when it began; writes that move
-// later are in the WAL.
+// SnapshotChunks iterates every shard's key space in chunked consistent
+// reads for a durable snapshot; see core.Map.SnapshotChunks. Chunks from
+// different shards carry their own stamps — recovery's per-key chunk
+// watermarks make the union consistent without stopping writers.
 func (s *Sharded[K, V]) SnapshotChunks(chunkSize int, fn func(stamp uint64, pairs []Pair[K, V]) error) error {
-	for _, m := range s.authMaps() {
+	for _, m := range s.maps {
 		if err := m.SnapshotChunks(chunkSize, fn); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// authMaps snapshots the authoritative shard set — the maps that
-// jointly cover the key space exactly once at this instant.
-func (s *Sharded[K, V]) authMaps() []*core.Map[K, V] {
-	t := s.tab.Load()
-	m := t.mig
-	if m == nil {
-		return t.maps
-	}
-	for g := range m.gates {
-		m.gates[g].RLock()
-	}
-	idx := m.authIndices(nil)
-	out := make([]*core.Map[K, V], len(idx))
-	for i, j := range idx {
-		out[i] = t.maps[j]
-	}
-	for g := range m.gates {
-		m.gates[g].RUnlock()
-	}
-	return out
 }
 
 // Snapshot writes a durable snapshot now (and truncates the WAL
@@ -300,36 +252,20 @@ func (s *Sharded[K, V]) HandleCount() int {
 	s.mu.Lock()
 	n := len(s.handles)
 	s.mu.Unlock()
-	for _, m := range s.tab.Load().maps {
+	for _, m := range s.maps {
 		n += m.HandleCount()
 	}
 	return n
 }
 
-// SetMaintenanceObserver installs fn on every shard; see
-// core.Map.SetMaintenanceObserver. Observations from different shards'
-// drains interleave on one observer. Shards created by a later Resize
-// inherit the observer.
-func (s *Sharded[K, V]) SetMaintenanceObserver(fn func(nodes int, d time.Duration)) {
-	s.mu.Lock()
-	s.maintObs = fn
-	s.mu.Unlock()
-	for _, m := range s.tab.Load().maps {
-		m.SetMaintenanceObserver(fn)
-	}
-}
-
 // SetCommitObserver installs o (or, with nil, removes it) on the
-// runtime every shard runs on, including shards a later Resize creates.
+// runtime every shard runs on.
 func (s *Sharded[K, V]) SetCommitObserver(o stm.CommitObserver) { s.rt.SetCommitObserver(o) }
 
-// MaintenanceStats aggregates the reclamation counters of every shard,
-// including shards retired by resizes.
+// MaintenanceStats aggregates the reclamation counters of every shard.
 func (s *Sharded[K, V]) MaintenanceStats() core.MaintenanceStats {
-	s.mu.Lock()
-	agg := s.retiredMaint
-	s.mu.Unlock()
-	for _, m := range s.tab.Load().maps {
+	var agg core.MaintenanceStats
+	for _, m := range s.maps {
 		agg = agg.Add(m.MaintenanceStats())
 	}
 	return agg
@@ -340,26 +276,18 @@ func (s *Sharded[K, V]) MaintenanceStats() core.MaintenanceStats {
 // SizeSlow it measures the deferred-reclamation backlog.
 func (s *Sharded[K, V]) StitchedSlow() int {
 	n := 0
-	for _, m := range s.authMaps() {
+	for _, m := range s.maps {
 		n += m.StitchedSlow()
 	}
 	return n
 }
 
-// Shards returns the current shard count: the live partition count in
-// steady state, or the target count while a resize is migrating toward
-// it. This is the operator-facing accessor surfaced through Stats.
-func (s *Sharded[K, V]) Shards() int {
-	t := s.tab.Load()
-	if t.mig != nil {
-		return t.mig.newN
-	}
-	return len(t.maps)
-}
+// Shards returns the shard count, fixed when the map was built.
+func (s *Sharded[K, V]) Shards() int { return len(s.maps) }
 
 // Shard exposes one partition (for stats and tests); valid for
-// i < Shards() while no resize is in flight.
-func (s *Sharded[K, V]) Shard(i int) *core.Map[K, V] { return s.tab.Load().maps[i] }
+// i < Shards().
+func (s *Sharded[K, V]) Shard(i int) *core.Map[K, V] { return s.maps[i] }
 
 // Runtime returns the STM runtime every shard runs on.
 func (s *Sharded[K, V]) Runtime() *stm.Runtime { return s.rt }
@@ -368,17 +296,15 @@ func (s *Sharded[K, V]) Runtime() *stm.Runtime { return s.rt }
 func (s *Sharded[K, V]) STMStats() stm.Stats { return s.rt.Stats() }
 
 // Prefetch warms the cache lines a point read of k will touch on its
-// home shard; see core.Map.Prefetch. Routing is advisory during a
-// resize (the home may flip before the read).
+// home shard; see core.Map.Prefetch.
 func (s *Sharded[K, V]) Prefetch(k K) {
-	t := s.tab.Load()
-	t.maps[t.idxFor(mix(s.hash(k)))].Prefetch(k)
+	s.maps[s.idxFor(mix(s.hash(k)))].Prefetch(k)
 }
 
 // RangeStats aggregates range-path counters: the shard-level fast/slow
 // counters of this map's registered handles plus the retired
 // accumulator (cross-shard ranges), plus each shard's own counters
-// (ranges a one-shard route answers directly). The shard-level sum
+// (ranges a one-shard map answers directly). The shard-level sum
 // runs under s.mu — the mutex bankStats moves counters under — so
 // snapshots are exact with respect to banking and successive snapshots
 // never decrease.
@@ -395,12 +321,8 @@ func (s *Sharded[K, V]) RangeStats() core.RangeStats {
 	agg.FastAborts += s.retired.RangeFastAborts.Load()
 	agg.FastCommits += s.retired.RangeFastCommits.Load()
 	agg.SlowCommits += s.retired.RangeSlowCommits.Load()
-	agg.FastAttempts += s.retiredRange.FastAttempts
-	agg.FastAborts += s.retiredRange.FastAborts
-	agg.FastCommits += s.retiredRange.FastCommits
-	agg.SlowCommits += s.retiredRange.SlowCommits
 	s.mu.Unlock()
-	for _, m := range s.tab.Load().maps {
+	for _, m := range s.maps {
 		st := m.RangeStats()
 		agg.FastAttempts += st.FastAttempts
 		agg.FastAborts += st.FastAborts
@@ -415,25 +337,21 @@ func (s *Sharded[K, V]) RangeStats() core.RangeStats {
 // operations; removals that commit after Quiesce returns are not
 // covered.
 func (s *Sharded[K, V]) Quiesce() {
-	for _, m := range s.tab.Load().maps {
+	for _, m := range s.maps {
 		m.Quiesce()
 	}
 }
 
 // CheckInvariants audits every shard's composition invariants plus the
 // partition invariant (every key lives in the shard its hash selects).
-// The map must be quiescent, with no resize in flight.
+// The map must be quiescent.
 func (s *Sharded[K, V]) CheckInvariants(opts core.CheckOptions) error {
-	t := s.tab.Load()
-	if t.mig != nil {
-		return fmt.Errorf("shard: CheckInvariants during a resize")
-	}
-	for i, m := range t.maps {
+	for i, m := range s.maps {
 		if err := m.CheckInvariants(opts); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 		for k := range m.All() {
-			if home := t.idxFor(mix(s.hash(k))); home != i {
+			if home := s.idxFor(mix(s.hash(k))); home != i {
 				return fmt.Errorf("shard %d: key %v belongs to shard %d", i, k, home)
 			}
 		}
@@ -445,7 +363,7 @@ func (s *Sharded[K, V]) CheckInvariants(opts core.CheckOptions) error {
 // protection; the map must be quiescent.
 func (s *Sharded[K, V]) SizeSlow() int {
 	n := 0
-	for _, m := range s.authMaps() {
+	for _, m := range s.maps {
 		n += m.SizeSlow()
 	}
 	return n

@@ -67,7 +67,7 @@
 // Publish hooks run inside a successful writing commit, after validation
 // and with the commit stamp, while every acquired orec is still held:
 // hooks of conflicting transactions therefore run in commit order, which
-// is what the write-ahead log and the write tap order themselves by.
+// is what the write-ahead log orders itself by.
 // Commit hooks run after the orecs are released. Both are discarded when
 // the attempt aborts or the body returns an error, and neither carries
 // across attempts — a retried body registers again. Read-only commits

@@ -46,9 +46,6 @@
 //	Stats                   -> server metrics in the Prometheus text
 //	                           exposition format, one length-prefixed
 //	                           blob (bounded by MaxStatsLen)
-//	Resize   n              -> live-migrate the default map to n shards
-//	                           (0 = automatic); the resulting count
-//	                           comes back in Val
 //
 // # Replication channel
 //
@@ -119,19 +116,19 @@ const (
 	// Prometheus text exposition format, as one length-prefixed blob
 	// (the STATS2 op; see MaxStatsLen).
 	OpStats
-	// OpResize live-resizes the default map's shard count: Key carries
-	// the requested count (0 = the map's automatic default), the
-	// response's Val the resulting live count. OpResize2 is the
-	// namespace-addressed variant.
-	OpResize
-	OpResize2
+	// Ops 29 and 30 are reserved: they live-resized a map's shard count,
+	// which is now fixed when the map is built. Keeping the slots keeps
+	// them unknown to every parser, so an old client's frame tears its
+	// connection down like any other unknown op.
+	_
+	_
 )
 
 // IsV2Data reports whether op is a namespace-addressed v2 data op (its
 // body begins with a namespace id). Admin ops address namespaces by name
 // and are not data ops.
 func (o Op) IsV2Data() bool {
-	return o >= OpGet2 && o <= OpSnapshot2 || o == OpResize2
+	return o >= OpGet2 && o <= OpSnapshot2
 }
 
 // Kind is what an op asks of the map it addresses, with the frame
@@ -154,7 +151,6 @@ const (
 	KindRange
 	KindSync
 	KindSnapshot
-	KindResize
 	KindWatermark
 	KindPromote
 )
@@ -196,8 +192,6 @@ var ops = [...]struct {
 	OpNsDrop:    {"NsDrop", KindNone},
 	OpNsList:    {"NsList", KindNone},
 	OpStats:     {"Stats", KindNone},
-	OpResize:    {"Resize", KindResize},
-	OpResize2:   {"Resize2", KindResize},
 }
 
 // Kind reports op's kind; KindNone for codes the protocol does not know.
@@ -461,10 +455,8 @@ func AppendRequest(dst []byte, req *Request) []byte {
 		}
 	case OpSync, OpSnapshot, OpPing, OpWatermark, OpPromote, OpStats:
 		// no body
-	case OpResize:
-		dst = appendI64(dst, req.Key)
 	case OpGet2, OpInsert2, OpPut2, OpDel2, OpRange2, OpBatch2, OpSync2, OpSnapshot2,
-		OpNsCreate, OpNsDrop, OpNsList, OpResize2:
+		OpNsCreate, OpNsDrop, OpNsList:
 		dst = appendRequest2(dst, req)
 	}
 	return finishFrame(dst, hdr)
@@ -506,11 +498,8 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 		// no body
 	case OpStats:
 		dst = appendBytes(dst, resp.BVal)
-	case OpResize:
-		// The resulting shard count travels in Val.
-		dst = appendI64(dst, resp.Val)
 	case OpGet2, OpInsert2, OpPut2, OpDel2, OpRange2, OpBatch2, OpSync2, OpSnapshot2,
-		OpNsCreate, OpNsDrop, OpNsList, OpResize2:
+		OpNsCreate, OpNsDrop, OpNsList:
 		dst = appendResponse2(dst, resp)
 	}
 	return finishFrame(dst, hdr)
@@ -633,10 +622,8 @@ func ParseRequest(payload []byte) (Request, error) {
 		}
 	case OpSync, OpSnapshot, OpPing, OpWatermark, OpPromote, OpStats:
 		// no body
-	case OpResize:
-		req.Key = d.i64("shards")
 	case OpGet2, OpInsert2, OpPut2, OpDel2, OpRange2, OpBatch2, OpSync2, OpSnapshot2,
-		OpNsCreate, OpNsDrop, OpNsList, OpResize2:
+		OpNsCreate, OpNsDrop, OpNsList:
 		parseRequest2(&d, &req)
 	default:
 		return req, protoErrf("unknown op %d", uint8(req.Op))
@@ -698,10 +685,8 @@ func ParseResponse(payload []byte) (Response, error) {
 		// no body
 	case OpStats:
 		resp.BVal = d.bstr(MaxStatsLen, "stats")
-	case OpResize:
-		resp.Val = d.i64("shards")
 	case OpGet2, OpInsert2, OpPut2, OpDel2, OpRange2, OpBatch2, OpSync2, OpSnapshot2,
-		OpNsCreate, OpNsDrop, OpNsList, OpResize2:
+		OpNsCreate, OpNsDrop, OpNsList:
 		parseResponse2(&d, &resp)
 	default:
 		return resp, protoErrf("unknown op %d", uint8(resp.Op))

@@ -27,8 +27,6 @@ package wire
 //	Batch2   ns, n steps          -> n step results, applied atomically
 //	Sync2    ns                   -> fsync that namespace's WAL
 //	Snap2    ns                   -> snapshot that namespace now
-//	Resize2  ns, n                -> live-resize that namespace's map to
-//	                                 n shards; resulting count in Val
 //
 // The admin ops address namespaces by name, not id:
 //
@@ -186,8 +184,6 @@ func appendRequest2(dst []byte, req *Request) []byte {
 				dst = appendBytes(dst, s.Val)
 			}
 		}
-	case OpResize2:
-		dst = appendI64(dst, req.Key)
 	case OpSync2, OpSnapshot2:
 		// namespace id only
 	}
@@ -227,8 +223,6 @@ func appendResponse2(dst []byte, resp *Response) []byte {
 			dst = appendString(dst, ns.Name)
 			dst = appendBool(dst, ns.Durable)
 		}
-	case OpResize2:
-		dst = appendI64(dst, resp.Val)
 	case OpSync2, OpSnapshot2, OpNsDrop:
 		// no body
 	}
@@ -338,8 +332,6 @@ func parseRequest2(d *decoder, req *Request) {
 				req.BSteps = append(req.BSteps, s)
 			}
 		}
-	case OpResize2:
-		req.Key = d.i64("shards")
 	case OpSync2, OpSnapshot2:
 		// namespace id only
 	}
@@ -405,8 +397,6 @@ func parseResponse2(d *decoder, resp *Response) {
 				resp.Namespaces = append(resp.Namespaces, ns)
 			}
 		}
-	case OpResize2:
-		resp.Val = d.i64("shards")
 	case OpSync2, OpSnapshot2, OpNsDrop:
 		// no body
 	}

@@ -27,7 +27,6 @@ func TestRequest2RoundTrip(t *testing.T) {
 		{ID: 12, Op: OpNsCreate, Name: "", Durable: false, Fsync: NsFsyncDefault},
 		{ID: 13, Op: OpNsDrop, Name: "news-articles"},
 		{ID: 14, Op: OpNsList},
-		{ID: 15, Op: OpResize2, NS: 7, Key: 16},
 	}
 	for _, req := range reqs {
 		got := roundTripRequest(t, req)
@@ -73,7 +72,6 @@ func TestResponse2RoundTrip(t *testing.T) {
 		}},
 		{ID: 13, Op: OpGet2, Status: StatusNsNotFound, Msg: "namespace 9 not found"},
 		{ID: 14, Op: OpNsCreate, Status: StatusNsExists, Msg: "articles exists"},
-		{ID: 15, Op: OpResize2, Val: 8},
 	}
 	for _, resp := range resps {
 		got := roundTripResponse(t, resp)

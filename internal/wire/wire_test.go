@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"testing"
@@ -55,7 +56,6 @@ func TestRequestRoundTrip(t *testing.T) {
 		}},
 		{ID: 7, Op: OpSync},
 		{ID: 8, Op: OpSnapshot},
-		{ID: 9, Op: OpResize, Key: 16},
 		{ID: math.MaxUint64, Op: OpPing},
 	}
 	for _, req := range reqs {
@@ -86,8 +86,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		{ID: 10, Op: OpBatch, Status: StatusReadOnly, Msg: "replica"},
 		{ID: 11, Op: OpSync, Status: StatusNotDurable, Msg: "no durability"},
 		{ID: 12, Op: OpGet, Status: StatusShuttingDown},
-		{ID: 13, Op: OpResize, Val: 32},
-		{ID: 14, Op: OpResize, Status: StatusErr, Msg: "backend is not resizable"},
+		{ID: 13, Op: OpPut, Status: StatusErr, Msg: "backend failure"},
 	}
 	for _, resp := range resps {
 		got := roundTripResponse(t, resp)
@@ -200,6 +199,64 @@ func TestUnknownOpRejected(t *testing.T) {
 	payload[8] = 0xEE // op byte
 	if _, err := ParseRequest(payload); err == nil {
 		t.Fatal("unknown op not rejected")
+	}
+}
+
+// TestWireNumbering pins every op and status code to its number: the
+// numbers are the encoding, so renumbering one breaks every deployed
+// peer. Retired codes stay reserved — they parse as unknown ops.
+func TestWireNumbering(t *testing.T) {
+	opCodes := []struct {
+		op   Op
+		code uint8
+	}{
+		{OpGet, 1}, {OpInsert, 2}, {OpPut, 3}, {OpDel, 4}, {OpRange, 5},
+		{OpBatch, 6}, {OpSync, 7}, {OpSnapshot, 8}, {OpPing, 9},
+		{OpFollow, 10}, {OpSnapChunk, 11}, {OpWalRecord, 12}, {OpCaughtUp, 13},
+		{OpHeartbeat, 14}, {OpWatermark, 15}, {OpPromote, 16},
+		{OpGet2, 17}, {OpInsert2, 18}, {OpPut2, 19}, {OpDel2, 20},
+		{OpRange2, 21}, {OpBatch2, 22}, {OpSync2, 23}, {OpSnapshot2, 24},
+		{OpNsCreate, 25}, {OpNsDrop, 26}, {OpNsList, 27}, {OpStats, 28},
+	}
+	for _, c := range opCodes {
+		if uint8(c.op) != c.code {
+			t.Errorf("%s = %d, want %d", c.op, uint8(c.op), c.code)
+		}
+	}
+	statusCodes := []struct {
+		status Status
+		code   uint8
+	}{
+		{StatusOK, 0}, {StatusNotDurable, 2}, {StatusCorrupt, 3}, {StatusBusy, 4},
+		{StatusShuttingDown, 5}, {StatusErr, 6}, {StatusReadOnly, 7},
+		{StatusNsNotFound, 8}, {StatusNsExists, 9},
+	}
+	for _, c := range statusCodes {
+		if uint8(c.status) != c.code {
+			t.Errorf("%s = %d, want %d", c.status, uint8(c.status), c.code)
+		}
+	}
+	for _, code := range []uint8{29, 30} {
+		op := Op(code)
+		if got, want := op.String(), fmt.Sprintf("Op(%d)", code); got != want {
+			t.Errorf("Op(%d).String() = %q, want %q", code, got, want)
+		}
+		if op.Kind() != KindNone || op.IsV2Data() {
+			t.Errorf("Op(%d) has kind %d, v2 data %v; want an unknown op", code, op.Kind(), op.IsV2Data())
+		}
+		payload := appendU64(nil, 1)
+		payload = append(payload, code)
+		payload = appendI64(payload, 16) // the retired resize body
+		var pe *ProtocolError
+		if _, err := ParseRequest(payload); !errors.As(err, &pe) {
+			t.Errorf("ParseRequest(op %d) = %v, want a protocol error", code, err)
+		}
+		resp := appendU64(nil, 1)
+		resp = append(resp, code, byte(StatusOK))
+		resp = appendI64(resp, 16)
+		if _, err := ParseResponse(resp); !errors.As(err, &pe) {
+			t.Errorf("ParseResponse(op %d) = %v, want a protocol error", code, err)
+		}
 	}
 }
 

@@ -291,15 +291,6 @@ func (c *Client) Snapshot() error {
 	return err
 }
 
-// Resize asks the server to live-migrate its default map to n shards
-// (rounded up to a power of two; 0 = the map's automatic default) and
-// returns the resulting count. The migration serves reads and writes
-// throughout; see skiphash.Sharded.Resize for the consistency contract.
-func (c *Client) Resize(n int) (int, error) {
-	resp, err := c.pick().Do(&wire.Request{Op: wire.OpResize, Key: int64(n)})
-	return int(resp.Val), err
-}
-
 // Ping round-trips an empty request.
 func (c *Client) Ping() error {
 	_, err := c.pick().Do(&wire.Request{Op: wire.OpPing})

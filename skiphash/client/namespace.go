@@ -238,12 +238,3 @@ func (n *Namespace) Snapshot() error {
 	_, err := n.c.pick().Do(&wire.Request{Op: wire.OpSnapshot2, NS: n.id})
 	return err
 }
-
-// Resize asks the server to live-migrate this namespace's map to n
-// shards (rounded up to a power of two; 0 = the map's automatic
-// default) and returns the resulting count. A dropped namespace answers
-// ErrNamespaceNotFound.
-func (n *Namespace) Resize(shards int) (int, error) {
-	resp, err := n.c.pick().Do(&wire.Request{Op: wire.OpResize2, NS: n.id, Key: int64(shards)})
-	return int(resp.Val), err
-}

@@ -21,16 +21,16 @@
 //	    skiphash.Config{Durability: &skiphash.Durability{Dir: dir}},
 //	    skiphash.Int64Codec(), skiphash.StringCodec())
 //
-// Sharded names the same type as Map. Any map can Resize, and a
-// directory written through Open reopens through OpenSharded and back.
+// Sharded names the same type as Map. A directory written through Open
+// reopens through OpenSharded and back.
 //
 // less supplies the ordering, hash the distribution over shards (top
 // bits) and buckets (low bits); Int64Less/Hash64 and
 // StringLess/HashString are the stock pairs for the two key types the
 // repository exercises end to end.
 //
-// Config.Shards is the initial partition count, not a lifetime
-// commitment — see the Resharding section below.
+// Config.Shards is fixed when the map is built; a durable map reopens
+// at any count — see the Resharding section below.
 //
 // # Design
 //
@@ -97,20 +97,10 @@
 //
 // # Resharding
 //
-// Config.Shards is only the initial partition count: Map.Resize
-// live-migrates the map to a new power-of-two count while reads and
-// writes keep serving. The migration copies each hash-space group
-// through bounded stamp-consistent snapshot chunks, replays the
-// commit-ordered delta of writes that landed during the copy, and cuts
-// the group's routing over to the destination shards under a brief
-// per-group write pause; an epoch-style route table guarantees every
-// key has exactly one authoritative shard at every instant, and the
-// whole migration is invisible to linearizability. Map.Shards reports
-// the live count,
-// Map.ResizeStats the migration counters, and the serving stack
-// exposes both (RESIZE wire op, client.Resize, skiphashd -shards as the
-// initial count). See the README's Resharding section for the protocol
-// and operational guidance.
+// The shard count is fixed when the map is built; a durable map reopens
+// at any count. Map.Shards reports it. The write-ahead log records no
+// geometry, so changing a durable map's count is a close and a reopen
+// with another Config.Shards (skiphashd -shards across a restart).
 //
 // # Durability and recovery
 //
@@ -135,8 +125,8 @@
 // Close; Map.Sync forces durability on demand and Map.Snapshot writes a
 // snapshot now. Atomic batches are single log records: recovery sees a
 // batch entirely or not at all, including batches spanning shards. The
-// one log covers every shard whatever the geometry, so a map resized
-// while it ran reopens at whatever Config.Shards asks for.
+// one log covers every shard whatever the geometry, so a map reopens at
+// whatever Config.Shards asks for.
 //
 // Operations report their in-memory result; they cannot individually
 // report a durability failure (by the time the log is involved, the

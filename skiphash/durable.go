@@ -79,8 +79,7 @@ func Open[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg 
 // under cfg.Durability.Dir orders every shard's operations globally and
 // a cross-shard atomic batch is a single log record — recovered
 // all-or-nothing even after a crash. The log does not record the shard
-// count: a directory reopens at whatever count cfg.Shards asks for,
-// however often the map was resized while it ran.
+// count: a directory reopens at whatever count cfg.Shards asks for.
 //
 // A directory in the retired per-shard layout (a "shards" meta file and
 // shard-NNN subdirectories, one engine per shard) is refused with an

@@ -7,12 +7,13 @@ import (
 	"repro/skiphash"
 )
 
-// TestDurableResizeReopen is the reopen-after-resize property test: one
-// WAL survives any geometry. Each cycle interleaves random writes with
-// grow and shrink resizes under FsyncAlways, crashes via SimulateCrash,
-// and reopens at a Config.Shards different from every count the map ran
-// at; the recovered map must hold exactly the model's contents — every
-// acknowledged write was group-committed, so nothing may be lost.
+// TestDurableResizeReopen is the reopen-at-another-count property test:
+// one WAL survives any geometry. Each cycle interleaves random writes
+// with clean closes and reopens at growing and shrinking shard counts
+// under FsyncAlways, crashes via SimulateCrash, and reopens at yet
+// another count; every reopened map must hold exactly the model's
+// contents — every acknowledged write was group-committed, so nothing
+// may be lost.
 func TestDurableResizeReopen(t *testing.T) {
 	const universe = 512
 	cfg := skiphash.Config{
@@ -35,27 +36,33 @@ func TestDurableResizeReopen(t *testing.T) {
 		}
 	}
 
-	for cycle, c := range []struct {
-		resizes []int
-		reopen  int
-	}{
-		{[]int{8, 4}, 2},
-		{[]int{1, 16}, 4},
-		{[]int{2}, 8},
-	} {
+	open := func(cycle int) *skiphash.Map[int64, int64] {
+		t.Helper()
 		m, err := skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
 		if err != nil {
-			t.Fatalf("cycle %d: open: %v", cycle, err)
+			t.Fatalf("cycle %d: open at %d shards: %v", cycle, cfg.Shards, err)
 		}
 		if got := m.Shards(); got != cfg.Shards {
 			t.Fatalf("cycle %d: opened at %d shards, want %d", cycle, got, cfg.Shards)
 		}
 		assertMatchesModel(t, m, model, universe)
+		return m
+	}
+
+	for cycle, c := range []struct {
+		reshapes []int
+		reopen   int
+	}{
+		{[]int{8, 4}, 2},
+		{[]int{1, 16}, 4},
+		{[]int{2}, 8},
+	} {
+		m := open(cycle)
 		mutate(m, 400)
-		for _, n := range c.resizes {
-			if got, err := m.Resize(n); err != nil || got != n {
-				t.Fatalf("cycle %d: Resize(%d) = %d, %v", cycle, n, got, err)
-			}
+		for _, n := range c.reshapes {
+			m.Close()
+			cfg.Shards = n
+			m = open(cycle)
 			mutate(m, 300)
 		}
 		if err := m.SimulateCrash(); err != nil {
@@ -64,21 +71,17 @@ func TestDurableResizeReopen(t *testing.T) {
 		m.Close()
 		cfg.Shards = c.reopen
 	}
-	m, err := skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
-	if err != nil {
-		t.Fatalf("final reopen: %v", err)
-	}
+	m := open(3) // the reopen after the last cycle
 	defer m.Close()
-	assertMatchesModel(t, m, model, universe)
 	if err := m.CheckInvariants(skiphash.CheckOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestSharedDurableResizeReopen: one WAL orders every shard's
-// operations, so a resize needs no durable bookkeeping at all — after a
-// crash the log replays into whatever geometry the reopening Config
-// asks for.
+// operations, so a change of geometry needs no durable bookkeeping at
+// all — after a reopen at another count and a crash, the log replays
+// into whatever geometry the reopening Config asks for.
 func TestSharedDurableResizeReopen(t *testing.T) {
 	dir := t.TempDir()
 	cfg := skiphash.Config{
@@ -92,8 +95,10 @@ func TestSharedDurableResizeReopen(t *testing.T) {
 	for k := int64(0); k < 256; k++ {
 		s.Insert(k, k*7)
 	}
-	if _, err := s.Resize(8); err != nil {
-		t.Fatal(err)
+	s.Close()
+	cfg.Shards = 8
+	if s, err = skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec()); err != nil {
+		t.Fatalf("reopen at 8 shards: %v", err)
 	}
 	for k := int64(256); k < 512; k++ {
 		s.Insert(k, k*7)
@@ -118,8 +123,8 @@ func TestSharedDurableResizeReopen(t *testing.T) {
 
 // TestOpenDirReopensSharded: Open and OpenSharded share one directory
 // format, in both directions. A directory written through Open — WAL,
-// a snapshot, more WAL — reopens at four shards with every key; resized
-// and written further there, it reopens through Open at one shard.
+// a snapshot, more WAL — reopens at four shards with every key, then at
+// two; written further there, it reopens through Open at one shard.
 func TestOpenDirReopensSharded(t *testing.T) {
 	const universe = 512
 	cfg := skiphash.Config{Durability: &skiphash.Durability{Dir: t.TempDir(), SnapshotBytes: -1}}
@@ -156,9 +161,17 @@ func TestOpenDirReopensSharded(t *testing.T) {
 		t.Fatalf("reopened at %d shards, want 4", got)
 	}
 	assertMatchesModel(t, m, model, universe)
-	if got, err := m.Resize(2); err != nil || got != 2 {
-		t.Fatalf("Resize(2) = %d, %v", got, err)
+	mutate(m, 300)
+	m.Close()
+
+	cfg.Shards = 2
+	if m, err = skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec()); err != nil {
+		t.Fatalf("reopen at 2 shards: %v", err)
 	}
+	if got := m.Shards(); got != 2 {
+		t.Fatalf("reopened at %d shards, want 2", got)
+	}
+	assertMatchesModel(t, m, model, universe)
 	mutate(m, 300)
 	m.Close()
 

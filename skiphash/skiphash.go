@@ -9,9 +9,9 @@ import (
 // Map is a concurrent ordered map, hash-partitioned across one or more
 // skip hash shards. All methods are safe for concurrent use;
 // per-goroutine Handles avoid the small cost of borrowing pooled state.
-// New and Open build it at one shard — the paper's structure exactly —
-// and Resize repartitions any map live. See the package documentation
-// for the design and the sharding and consistency model.
+// New and Open build it at one shard — the paper's structure exactly;
+// the shard count is fixed at construction. See the package
+// documentation for the design and the sharding and consistency model.
 type Map[K comparable, V any] = shard.Sharded[K, V]
 
 // Handle is a per-goroutine context over a Map. Handles are not safe for
@@ -98,8 +98,8 @@ type Sharded[K comparable, V any] = shard.Sharded[K, V]
 
 // NewSharded creates a skip hash for any key type: less supplies the
 // ordering, hash the distribution over shards (top bits) and buckets
-// (low bits), cfg.Shards the initial partition count (zero derives it
-// from GOMAXPROCS; Map.Resize changes it live).
+// (low bits), cfg.Shards the partition count, fixed for the map's life
+// (zero derives it from GOMAXPROCS).
 func NewSharded[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg Config) *Map[K, V] {
 	return shard.New[K, V](less, hash, cfg)
 }
