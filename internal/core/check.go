@@ -18,17 +18,28 @@ type CheckOptions struct {
 //
 //   - the skip list is sorted at every level, with equal keys only among
 //     logically deleted nodes ordered before their live replacement;
-//   - prev/next links mirror each other at every level and every tower
-//     member appears at level 0;
+//   - prev/next links mirror each other at every level, each upper level
+//     is an ordered sub-chain of level 0, and a node is linked on exactly
+//     the levels below its height: head and tail span MaxLevel levels and
+//     every other node between 1 and MaxLevel;
 //   - the hash index and the set of logically present skip list nodes
 //     are identical (the paper's central invariant: "the hash map always
 //     reflects the current logical state"), and every indexed node hangs
 //     from the bucket its key hashes to, on exactly one chain;
 //   - insertion times never exceed removal times on deleted nodes.
 func (m *Map[K, V]) CheckInvariants(opts CheckOptions) error {
-	// Collect the level-0 chain.
+	maxLevel := m.cfg.MaxLevel
+	for _, s := range []*node[K, V]{m.head, m.tail} {
+		if s.height() != maxLevel {
+			return fmt.Errorf("sentinel %d has height %d, want MaxLevel %d", s.sentinel, s.height(), maxLevel)
+		}
+	}
+	// Collect the level-0 chain: each node's position, and in taller[l]
+	// the number of nodes whose height exceeds l, which is how many nodes
+	// level l must link.
 	live := make(map[K]*node[K, V])
-	level0 := make(map[*node[K, V]]bool)
+	pos := make(map[*node[K, V]]int)
+	taller := make([]int, maxLevel)
 	var prev *node[K, V] = m.head
 	for cur := m.head.next0.Raw(); ; cur = cur.next0.Raw() {
 		if cur == nil {
@@ -43,7 +54,13 @@ func (m *Map[K, V]) CheckInvariants(opts CheckOptions) error {
 		if cur.sentinel < 0 {
 			return fmt.Errorf("level 0: head reachable mid-chain")
 		}
-		level0[cur] = true
+		if h := cur.height(); h < 1 || h > maxLevel {
+			return fmt.Errorf("node %v has height %d, outside [1, %d]", cur.key, h, maxLevel)
+		}
+		pos[cur] = len(pos)
+		for l := 1; l < cur.height(); l++ {
+			taller[l]++
+		}
 		deleted := cur.rTime.Raw() != rTimeNone
 		if deleted && !opts.AllowDeleted {
 			return fmt.Errorf("deleted node %v still stitched", cur.key)
@@ -74,12 +91,28 @@ func (m *Map[K, V]) CheckInvariants(opts CheckOptions) error {
 		}
 		prev = cur
 	}
-	// Upper levels must be sub-chains of level 0 with mirrored links.
-	for l := 1; l < m.cfg.MaxLevel; l++ {
+	// Upper levels must be sub-chains of level 0, in its order, with
+	// mirrored links, and must link every node tall enough. A node's
+	// height is checked before any of its links on the level is read:
+	// a level at or above it lies outside the node's object.
+	for l := 1; l < maxLevel; l++ {
 		prev = m.head
+		linked, last := 0, -1
 		for cur := m.head.nextAt(l).Raw(); ; cur = cur.nextAt(l).Raw() {
 			if cur == nil {
 				return fmt.Errorf("level %d: nil link", l)
+			}
+			if cur.sentinel == 0 {
+				p, ok := pos[cur]
+				switch {
+				case !ok:
+					return fmt.Errorf("level %d: node %v missing from level 0", l, cur.key)
+				case cur.height() <= l:
+					return fmt.Errorf("level %d: node %v of height %d present", l, cur.key, cur.height())
+				case p <= last:
+					return fmt.Errorf("level %d: node %v out of level-0 order", l, cur.key)
+				}
+				last = p
 			}
 			if back := cur.prevAt(l).Raw(); back != prev {
 				return fmt.Errorf("level %d: prev link of %v broken", l, cur.key)
@@ -87,13 +120,14 @@ func (m *Map[K, V]) CheckInvariants(opts CheckOptions) error {
 			if cur.sentinel > 0 {
 				break
 			}
-			if cur.height() <= l {
-				return fmt.Errorf("level %d: node %v of height %d present", l, cur.key, cur.height())
+			if cur.sentinel < 0 {
+				return fmt.Errorf("level %d: head reachable mid-chain", l)
 			}
-			if !level0[cur] {
-				return fmt.Errorf("level %d: node %v missing from level 0", l, cur.key)
-			}
+			linked++
 			prev = cur
+		}
+		if linked != taller[l] {
+			return fmt.Errorf("level %d links %d nodes, but %d nodes are taller than %d", l, linked, taller[l], l)
 		}
 	}
 	// The hash index must match the live set exactly, and its chains,

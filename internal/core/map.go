@@ -21,7 +21,8 @@ const RemovalBufferDisabled = -1
 // Config selects the tunables the paper's evaluation varies.
 type Config struct {
 	// MaxLevel is the skip list tower height. The evaluation uses 20
-	// (2^20 slightly exceeds the 10^6 key universe). Default 20.
+	// (2^20 slightly exceeds the 10^6 key universe). Default 20; values
+	// outside [0, 64] panic, since a node is never taller than 64 levels.
 	MaxLevel int
 	// Buckets is the hash table size; should be prime. The evaluation
 	// uses 714341 (smallest prime keeping utilization <= 70% at the
@@ -217,6 +218,9 @@ func New[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg C
 // Handle.Bind); maps on distinct runtimes are fully independent and must
 // never be touched from one transaction.
 func NewIn[K comparable, V any](rt *stm.Runtime, less func(a, b K) bool, hash func(K) uint64, cfg Config) *Map[K, V] {
+	if cfg.MaxLevel < 0 || cfg.MaxLevel > maxHeight {
+		panic("core: Config.MaxLevel must be in [0, 64]")
+	}
 	cfg = cfg.withDefaults()
 	m := &Map[K, V]{
 		rt:        rt,

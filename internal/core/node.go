@@ -8,6 +8,8 @@
 package core
 
 import (
+	"unsafe"
+
 	"repro/internal/stm"
 )
 
@@ -15,6 +17,10 @@ import (
 // None). Version numbers produced by the RQC counter are far below this
 // sentinel for any feasible execution.
 const rTimeNone = ^uint64(0)
+
+// maxHeight is the tallest node newNode can build, and so the largest
+// Config.MaxLevel: randomHeight draws at most 64 levels from a 64-bit word.
+const maxHeight = 64
 
 // node is the paper's sl_node augmented with the §4.2 logical-deletion
 // fields and with the hash index's chain link. The node's own orec guards
@@ -30,21 +36,19 @@ const rTimeNone = ^uint64(0)
 // key-compare-then-follow-hnext and a range scan's step each stay inside
 // the node's first cache line (node_layout_test.go guards the offsets).
 // The cold tail holds what only slow-path range queries and reclamation
-// read (i_time, dnext) and the tower slice header.
+// read (i_time, dnext).
 //
-// A node is one heap object: levels >= 1 exist only on the minority of
-// nodes a tower descent visits, and for heights 2..4 the tower array is
-// allocated in the same object as the node (the nodeN shapes below, with
-// up slicing the object's own array), so 15 nodes in 16 cost a single
-// allocation; only taller towers, 1 node in 16, take a second one for
-// their slice. A height-1 node (half of all nodes) carries no tower at
-// all.
+// A node is one heap object at every height: the tower links for levels
+// 1..height-1 are allocated directly behind this header, in the same
+// object (one of the shape instantiations newNode picks), and upper
+// finds them by address arithmetic. A height-1 node (half of all nodes)
+// is the bare header, 80 bytes for word-sized keys and values.
 type node[K comparable, V any] struct {
 	orec stm.Orec
 
 	// next0/prev0 are the level-0 list links, inlined so the walks that
-	// dominate every workload (range scans, iteration) never chase a
-	// slice header off the node's first line.
+	// dominate every workload (range scans, iteration) stay on the node's
+	// first line.
 	next0 stm.Ptr[node[K, V]]
 	prev0 stm.Ptr[node[K, V]]
 
@@ -59,36 +63,43 @@ type node[K comparable, V any] struct {
 	key      K
 	val      V
 	sentinel int8 // 0 interior, -1 head, +1 tail
+	// h is the node's height, at most maxHeight; it shares the
+	// sentinel's padding word.
+	h uint8
 
 	// iTime is the version of the last slow-path range query that began
 	// before this node's insertion (§4.2). It is written inside the
 	// inserting transaction, before the node becomes reachable.
 	iTime uint64
 
-	// up holds the tower links for levels 1..height-1; nil for height-1
-	// nodes. up[l-1] is level l.
-	up []tower[K, V]
-
 	// dnext chains the node into an RQC deferred-removal list.
 	dnext stm.Ptr[node[K, V]]
 }
 
 // tower is one level of a node's upper links, paired so each level's
-// next/prev share a cache line slot instead of living in parallel slices.
+// next/prev share a cache line slot instead of living in parallel arrays.
 type tower[K comparable, V any] struct {
 	next stm.Ptr[node[K, V]]
 	prev stm.Ptr[node[K, V]]
 }
 
-func (n *node[K, V]) height() int { return 1 + len(n.up) }
+func (n *node[K, V]) height() int { return int(n.h) }
 
-// nextAt returns the level-l forward link. Level 0 is inlined in the
-// node; the bounds check on up is the only cost of the split.
+// upper returns the tower links of level l, 1 <= l < height. They sit
+// behind the header in the node's own object, so no header is loaded and
+// no bounds are checked; a level at or above the height is outside the
+// object, which the callers' loops over height() never reach.
+func (n *node[K, V]) upper(l int) *tower[K, V] {
+	return (*tower[K, V])(unsafe.Add(unsafe.Pointer(n),
+		unsafe.Sizeof(*n)+uintptr(l-1)*unsafe.Sizeof(tower[K, V]{})))
+}
+
+// nextAt returns the level-l forward link.
 func (n *node[K, V]) nextAt(l int) *stm.Ptr[node[K, V]] {
 	if l == 0 {
 		return &n.next0
 	}
-	return &n.up[l-1].next
+	return &n.upper(l).next
 }
 
 // prevAt returns the level-l backward link.
@@ -96,44 +107,86 @@ func (n *node[K, V]) prevAt(l int) *stm.Ptr[node[K, V]] {
 	if l == 0 {
 		return &n.prev0
 	}
-	return &n.up[l-1].prev
+	return &n.upper(l).prev
 }
 
-// node2, node3 and node4 are a node co-allocated with a tower of height
-// 2, 3 and 4. The node comes first, so a pointer to it is a pointer to
-// the whole object and keeps the tower alive.
-type node2[K comparable, V any] struct {
+// shape is a node with a tower array A = [c]tower[K, V] allocated behind
+// it. The node comes first, so a pointer to it is a pointer to the whole
+// object: it keeps the tower alive and upper's offsets start at
+// unsafe.Sizeof(node).
+type shape[K comparable, V any, A any] struct {
 	node[K, V]
-	t [1]tower[K, V]
+	t A
 }
 
-type node3[K comparable, V any] struct {
-	node[K, V]
-	t [2]tower[K, V]
+// alloc allocates a shape and returns its node and tower levels.
+func alloc[K comparable, V any, A any]() (*node[K, V], int) {
+	s := new(shape[K, V, A])
+	return &s.node, int(unsafe.Sizeof(s.t) / unsafe.Sizeof(tower[K, V]{}))
 }
 
-type node4[K comparable, V any] struct {
-	node[K, V]
-	t [3]tower[K, V]
-}
-
-func newNode[K comparable, V any](height int) *node[K, V] {
-	var n *node[K, V]
-	switch height {
-	case 1:
-		n = &node[K, V]{}
-	case 2:
-		s := &node2[K, V]{}
-		n, s.up = &s.node, s.t[:]
-	case 3:
-		s := &node3[K, V]{}
-		n, s.up = &s.node, s.t[:]
-	case 4:
-		s := &node4[K, V]{}
-		n, s.up = &s.node, s.t[:]
-	default:
-		n = &node[K, V]{up: make([]tower[K, V], height-1)}
+// towerLevels is the number of tower levels newNode allocates behind a
+// node of height h: exactly h-1 up to height 8, then rounded up to 11,
+// 15, 23, 31 or 63, so the 1 node in 256 taller than 8 takes one of five
+// shapes.
+func towerLevels(h int) int {
+	switch {
+	case h <= 8:
+		return h - 1
+	case h <= 12:
+		return 11
+	case h <= 16:
+		return 15
+	case h <= 24:
+		return 23
+	case h <= 32:
+		return 31
 	}
+	return maxHeight - 1
+}
+
+// newNode allocates a node of the given height, 1..maxHeight, as one
+// object. The tower levels the shape really holds are checked against
+// the height, so a case below that allocates the wrong array panics here
+// instead of letting upper write past the object.
+func newNode[K comparable, V any](height int) *node[K, V] {
+	if height < 1 || height > maxHeight {
+		panic("core: node height out of range")
+	}
+	var n *node[K, V]
+	levels := 0
+	switch towerLevels(height) {
+	case 0:
+		n = new(node[K, V])
+	case 1:
+		n, levels = alloc[K, V, [1]tower[K, V]]()
+	case 2:
+		n, levels = alloc[K, V, [2]tower[K, V]]()
+	case 3:
+		n, levels = alloc[K, V, [3]tower[K, V]]()
+	case 4:
+		n, levels = alloc[K, V, [4]tower[K, V]]()
+	case 5:
+		n, levels = alloc[K, V, [5]tower[K, V]]()
+	case 6:
+		n, levels = alloc[K, V, [6]tower[K, V]]()
+	case 7:
+		n, levels = alloc[K, V, [7]tower[K, V]]()
+	case 11:
+		n, levels = alloc[K, V, [11]tower[K, V]]()
+	case 15:
+		n, levels = alloc[K, V, [15]tower[K, V]]()
+	case 23:
+		n, levels = alloc[K, V, [23]tower[K, V]]()
+	case 31:
+		n, levels = alloc[K, V, [31]tower[K, V]]()
+	case maxHeight - 1:
+		n, levels = alloc[K, V, [maxHeight - 1]tower[K, V]]()
+	}
+	if levels < height-1 {
+		panic("core: node shape too short for its height")
+	}
+	n.h = uint8(height)
 	n.rTime.Init(rTimeNone)
 	return n
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/alloctest"
 	"repro/internal/stm"
 )
 
@@ -47,43 +48,77 @@ func TestNodeHotFieldsFitOneCacheLine(t *testing.T) {
 // TestNodeSizeBudget pins the footprint of every shape newNode allocates
 // for the word-sized instantiation, so an accidental field addition (or a
 // field type gaining padding) is caught at review time. The bare node is
-// two lines — the hot line plus the cold tail (insertion time, tower
-// slice header, deferred-chain link) — and each co-allocated tower level
-// adds two words, which must keep the shapes in the allocator's 128, 144
-// and 160 byte size classes: one class up would cost more than the
-// separate tower slice the shapes replace.
+// 80 bytes — the hot line plus the cold tail (insertion time,
+// deferred-chain link) — and each tower level behind it adds two words,
+// which keeps heights 1 to 4 in the allocator's 80, 96, 112 and 128 byte
+// size classes.
 func TestNodeSizeBudget(t *testing.T) {
-	if unsafe.Sizeof(tower[int64, int64]{}) != 2*unsafe.Sizeof(uintptr(0)) {
-		t.Errorf("tower[int64,int64] is %d bytes, want two words", unsafe.Sizeof(tower[int64, int64]{}))
+	nodeSize := unsafe.Sizeof(node[int64, int64]{})
+	towerSize := unsafe.Sizeof(tower[int64, int64]{})
+	if towerSize != 2*unsafe.Sizeof(uintptr(0)) {
+		t.Errorf("tower[int64,int64] is %d bytes, want two words", towerSize)
+	}
+	if nodeSize > 80 {
+		t.Errorf("node[int64,int64] is %d bytes, budget 80", nodeSize)
+	}
+	// Every shape newNode can pick, by tower levels: the tower starts
+	// right behind the node (upper's arithmetic) and holds its levels.
+	shapes := map[int]uintptr{0: nodeSize}
+	for levels, s := range map[int]func() (size, off uintptr){
+		1: shapeOf[[1]tower[int64, int64]], 2: shapeOf[[2]tower[int64, int64]],
+		3: shapeOf[[3]tower[int64, int64]], 4: shapeOf[[4]tower[int64, int64]],
+		5: shapeOf[[5]tower[int64, int64]], 6: shapeOf[[6]tower[int64, int64]],
+		7: shapeOf[[7]tower[int64, int64]], 11: shapeOf[[11]tower[int64, int64]],
+		15: shapeOf[[15]tower[int64, int64]], 23: shapeOf[[23]tower[int64, int64]],
+		31: shapeOf[[31]tower[int64, int64]], 63: shapeOf[[63]tower[int64, int64]],
+	} {
+		size, off := s()
+		if off != nodeSize {
+			t.Errorf("%d-level shape: tower at offset %d, want %d (right behind the node)", levels, off, nodeSize)
+		}
+		if want := nodeSize + uintptr(levels)*towerSize; size != want {
+			t.Errorf("%d-level shape is %d bytes, want %d", levels, size, want)
+		}
+		shapes[levels] = size
 	}
 	for _, c := range []struct {
-		name          string
-		size          uintptr
+		height        int
 		above, budget uintptr // the size class is (above, budget]
 	}{
-		{"node", unsafe.Sizeof(node[int64, int64]{}), 0, 128},
-		{"node2", unsafe.Sizeof(node2[int64, int64]{}), 112, 128},
-		{"node3", unsafe.Sizeof(node3[int64, int64]{}), 128, 144},
-		{"node4", unsafe.Sizeof(node4[int64, int64]{}), 144, 160},
+		{2, 80, 96},
+		{3, 96, 112},
+		{4, 112, 128},
 	} {
-		if c.size <= c.above || c.size > c.budget {
-			t.Errorf("%s[int64,int64] is %d bytes, outside its (%d, %d] size class",
-				c.name, c.size, c.above, c.budget)
+		if size := shapes[towerLevels(c.height)]; size <= c.above || size > c.budget {
+			t.Errorf("height-%d node is %d bytes, outside its (%d, %d] size class", c.height, size, c.above, c.budget)
 		}
 	}
-	// The co-allocated shapes rely on the node leading the object (a
-	// pointer to it keeps the tower alive) and on up slicing the
-	// object's own array.
-	for h := 2; h <= 4; h++ {
-		n := newNode[int64, int64](h)
-		if n.height() != h {
+	for h := 1; h <= maxHeight; h++ {
+		size, ok := shapes[towerLevels(h)]
+		switch {
+		case !ok:
+			t.Fatalf("height %d: newNode picks a %d-level tower, which is no shape", h, towerLevels(h))
+		case size < nodeSize+uintptr(h-1)*towerSize:
+			t.Fatalf("height %d: shape of %d bytes cannot hold %d tower levels", h, size, h-1)
+		}
+		if n := newNode[int64, int64](h); n.height() != h {
 			t.Fatalf("newNode(%d).height() = %d", h, n.height())
 		}
-		want := unsafe.Add(unsafe.Pointer(n), unsafe.Sizeof(*n))
-		if got := unsafe.Pointer(unsafe.SliceData(n.up)); got != want {
-			t.Errorf("height %d: tower at %p, want %p (right behind the node)", h, got, want)
+		if alloctest.RaceEnabled {
+			continue
+		}
+		if got := testing.AllocsPerRun(10, func() { nodeSink = newNode[int64, int64](h) }); got != 1 {
+			t.Errorf("newNode(%d) allocates %v objects, want 1", h, got)
 		}
 	}
+}
+
+var nodeSink *node[int64, int64]
+
+// shapeOf reports a shape's size and the offset of its tower.
+func shapeOf[A any]() (size, off uintptr) {
+	var s shape[int64, int64, A]
+	return unsafe.Sizeof(s), unsafe.Offsetof(s.t)
 }
 
 // TestFastReadCountersPadding keeps each striped counter cell on its own
