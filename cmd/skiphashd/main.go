@@ -54,7 +54,7 @@
 // Usage:
 //
 //	skiphashd [-addr host:port] [-unix path]
-//	          [-shards n] [-maintenance]
+//	          [-shards n]
 //	          [-dir path] [-fsync none|interval|always] [-fsync-every d]
 //	          [-ns name[=dir[:fsync]]]... [-ns-root path]
 //	          [-ns-max-conns n] [-ns-max-batch n]
@@ -97,7 +97,6 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:7466", "TCP listen address (empty disables)")
 		unixPath     = flag.String("unix", "", "unix socket path (empty disables)")
 		shards       = flag.Int("shards", 0, "shard count, fixed while the daemon runs (0 derives from GOMAXPROCS); a durable map restarts at any count")
-		maintenance  = flag.Bool("maintenance", true, "background reclamation maintainer")
 		dir          = flag.String("dir", "", "durability directory (empty = in-memory only)")
 		fsync        = flag.String("fsync", "interval", "WAL fsync policy: none, interval, always")
 		fsyncEvery   = flag.Duration("fsync-every", 0, "interval policy's fsync period (0 = engine default)")
@@ -133,10 +132,7 @@ func main() {
 		log.Fatal("skiphashd: -replicate-addr requires -dir (the stream is the WAL tap)")
 	}
 
-	cfg := skiphash.Config{
-		Shards:      *shards,
-		Maintenance: *maintenance,
-	}
+	cfg := skiphash.Config{Shards: *shards}
 	if *dir != "" {
 		cfg.Durability = &skiphash.Durability{Dir: *dir, Fsync: cfgFsyncPolicy(*fsync), FsyncEvery: *fsyncEvery}
 	}
@@ -219,7 +215,7 @@ func main() {
 		var err error
 		reg, err = server.NewRegistry(server.RegistryConfig{
 			Root:       *nsRoot,
-			Map:        skiphash.Config{Shards: *shards, Maintenance: *maintenance},
+			Map:        skiphash.Config{Shards: *shards},
 			Durability: skiphash.Durability{Fsync: cfgFsyncPolicy(*fsync), FsyncEvery: *fsyncEvery},
 			MaxConns:   *nsMaxConns,
 			MaxBatch:   *nsMaxBatch,

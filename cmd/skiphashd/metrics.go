@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/repl"
+	"repro/internal/server"
 	"repro/skiphash"
 )
 
@@ -22,93 +23,15 @@ type instrumentedStore interface {
 }
 
 // buildRegistry wires every subsystem the daemon runs into one obs
-// registry: STM transaction counters and commit latency, the
-// reclamation maintainer, the durability engine, and the replication
-// roles. The server layer registers its own series through
-// server.Config.Obs; namespaces theirs through RegistryConfig.Obs.
-// Everything here is a Func metric over existing Stats() accessors or
-// a histogram fed by an observer hook — nothing new on any hot path.
+// registry: the default map's series (server.RegisterMapMetrics), the
+// durability engine, and the replication roles. The server layer
+// registers its own series through server.Config.Obs; namespaces theirs
+// through RegistryConfig.Obs. Everything here is a Func metric over
+// existing Stats() accessors or a histogram fed by an observer hook —
+// nothing new on any hot path.
 func buildRegistry(m *skiphash.Sharded[int64, int64], rep *repl.Replica, prim *repl.Primary) *obs.Registry {
 	reg := obs.NewRegistry()
-
-	// STM. One aggregated Stats() snapshot per scrape would be nicer
-	// than one per Func, but STMStats is a handful of atomic loads per
-	// shard — scrape cadence makes the duplication irrelevant.
-	stats := m.STMStats
-	reg.CounterFunc("skiphash_stm_commits_total",
-		"Successfully committed transactions.",
-		func() uint64 { return stats().Commits })
-	reg.CounterFunc("skiphash_stm_readonly_commits_total",
-		"Committed transactions that never wrote.",
-		func() uint64 { return stats().ReadOnlyCommits })
-	reg.CounterFunc("skiphash_stm_aborts_total",
-		"Rolled-back attempts by reason.",
-		func() uint64 { return stats().AbortsValidate }, obs.Label{Key: "reason", Value: "validate"})
-	reg.CounterFunc("skiphash_stm_aborts_total",
-		"Rolled-back attempts by reason.",
-		func() uint64 { return stats().AbortsAcquire }, obs.Label{Key: "reason", Value: "acquire"})
-	reg.CounterFunc("skiphash_stm_aborts_total",
-		"Rolled-back attempts by reason.",
-		func() uint64 { return stats().AbortsInjected }, obs.Label{Key: "reason", Value: "injected"})
-	reg.CounterFunc("skiphash_stm_user_errors_total",
-		"Transactions rolled back by a user error return.",
-		func() uint64 { return stats().UserErrors })
-	reg.CounterFunc("skiphash_stm_backoff_nanoseconds_total",
-		"Wall time spent in inter-attempt contention backoff.",
-		func() uint64 { return stats().BackoffNanos })
-	reg.CounterFunc("skiphash_stm_fastread_hits_total",
-		"Point reads answered by the optimistic non-transactional fast path.",
-		func() uint64 { return stats().FastReadHits })
-	reg.CounterFunc("skiphash_stm_fastread_fallbacks_total",
-		"Optimistic fast-path reads that fell back to a full transaction.",
-		func() uint64 { return stats().FastReadFallbacks })
-
-	commitLatency := reg.Histogram("skiphash_stm_commit_seconds",
-		"Successful commit wall time, first begin to commit, retries included.",
-		obs.LatencyBounds, 1e-9)
-	m.SetCommitObserver(commitLatency)
-
-	// Reclamation. The backlog gauge is labeled per shard so a stuck
-	// maintainer is attributable.
-	maint := m.MaintenanceStats
-	reg.CounterFunc("skiphash_core_orphaned_total",
-		"Nodes handed to the orphan queues across shards.",
-		func() uint64 { return maint().Orphaned })
-	reg.CounterFunc("skiphash_core_adopted_total",
-		"Orphaned nodes adopted for reclamation across shards.",
-		func() uint64 { return maint().Adopted })
-	reg.CounterFunc("skiphash_core_drained_nodes_total",
-		"Logically deleted nodes physically unstitched across shards.",
-		func() uint64 { return maint().DrainedNodes })
-	reg.CounterFunc("skiphash_core_drain_batches_total",
-		"Bounded reclamation transactions across shards.",
-		func() uint64 { return maint().DrainBatches })
-	reg.CounterFunc("skiphash_core_maintainer_wakeups_total",
-		"Background maintainer loop iterations across shards.",
-		func() uint64 { return maint().Wakeups })
-	// The shard count is fixed, so the per-shard gauges are too.
-	for i := 0; i < m.Shards(); i++ {
-		sh := m.Shard(i)
-		reg.GaugeFunc("skiphash_shard_orphan_backlog",
-			"Orphaned nodes awaiting adoption on this shard.",
-			func() float64 { return float64(sh.OrphanBacklog()) },
-			obs.Label{Key: "shard", Value: strconv.Itoa(i)})
-	}
-
-	reg.GaugeFunc("skiphash_shards",
-		"Shard count of the default map.",
-		func() float64 { return float64(m.Shards()) })
-
-	rng := m.RangeStats
-	reg.CounterFunc("skiphash_core_range_fast_attempts_total",
-		"Fast-path range query attempts.",
-		func() uint64 { return rng().FastAttempts })
-	reg.CounterFunc("skiphash_core_range_fast_aborts_total",
-		"Fast-path range attempts that aborted to the slow path.",
-		func() uint64 { return rng().FastAborts })
-	reg.CounterFunc("skiphash_core_range_slow_commits_total",
-		"Range queries that committed via the RQC slow path.",
-		func() uint64 { return rng().SlowCommits })
+	server.RegisterMapMetrics(reg, m)
 
 	// Durability engine (absent on in-memory and replica maps).
 	if st, ok := m.Persister().(instrumentedStore); ok {

@@ -21,8 +21,10 @@ import (
 // TestSmokeMetrics builds the daemon binary, runs it with the metrics
 // endpoint and slow-op tracer enabled, drives client traffic, scrapes
 // /metrics over HTTP, and drains it with SIGTERM — the end-to-end
-// check CI runs on every change. SKIPHASH_SMOKE_TRACE_MS overrides the
-// tracer threshold (the nightly lane sets 0 to trace every request).
+// check CI runs on every change. The traffic removes every key it put,
+// so the scrape also shows the request path's inline reclamation.
+// SKIPHASH_SMOKE_TRACE_MS overrides the tracer threshold (the nightly
+// lane sets 0 to trace every request).
 func TestSmokeMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exec smoke test skipped in -short mode")
@@ -63,9 +65,10 @@ func TestSmokeMetrics(t *testing.T) {
 		mu      sync.Mutex
 		lines   []string
 		srvAddr string
+		shards  int
 		metURL  string
 	)
-	servingRe := regexp.MustCompile(`serving \d+ shards on tcp://([^ ]+) `)
+	servingRe := regexp.MustCompile(`serving (\d+) shards on tcp://([^ ]+) `)
 	metricsRe := regexp.MustCompile(`metrics on (http://[^ ]+/metrics)`)
 	scanDone := make(chan struct{})
 	go func() {
@@ -75,7 +78,8 @@ func TestSmokeMetrics(t *testing.T) {
 			mu.Lock()
 			lines = append(lines, sc.Text())
 			if m := servingRe.FindStringSubmatch(sc.Text()); m != nil {
-				srvAddr = m[1]
+				shards, _ = strconv.Atoi(m[1])
+				srvAddr = m[2]
 			}
 			if m := metricsRe.FindStringSubmatch(sc.Text()); m != nil {
 				metURL = m[1]
@@ -101,12 +105,25 @@ func TestSmokeMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dial %s: %v", srvAddr, err)
 	}
-	for k := int64(0); k < 64; k++ {
+	// Every served removal orphans its node on its shard's queue, which
+	// drains inline on reaching 128 nodes (core's orphanDrainThreshold):
+	// remove 256 keys per shard, and never fewer than 1024.
+	mu.Lock()
+	keys := int64(max(1024, 256*shards))
+	mu.Unlock()
+	for k := int64(0); k < keys; k++ {
 		if _, err := c.Put(k, k); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
-		if _, _, err := c.Get(k); err != nil {
-			t.Fatalf("Get: %v", err)
+		if k < 64 {
+			if _, _, err := c.Get(k); err != nil {
+				t.Fatalf("Get: %v", err)
+			}
+		}
+	}
+	for k := int64(0); k < keys; k++ {
+		if ok, err := c.Remove(k); err != nil || !ok {
+			t.Fatalf("Remove(%d) = %v, %v", k, ok, err)
 		}
 	}
 	blob, err := c.ServerStats()
@@ -143,6 +160,12 @@ func TestSmokeMetrics(t *testing.T) {
 		}
 		if nonZero(t, text.s, "skiphash_server_requests_total") == 0 {
 			t.Errorf("%s: no requests counted after traffic", text.name)
+		}
+		if nonZero(t, text.s, "skiphash_core_drained_nodes_total") == 0 {
+			t.Errorf("%s: no removed node drained after %d served removals", text.name, keys)
+		}
+		if strings.Contains(text.s, "skiphash_core_maintainer_wakeups_total") {
+			t.Errorf("%s still exports skiphash_core_maintainer_wakeups_total", text.name)
 		}
 	}
 

@@ -13,10 +13,9 @@
 //
 // With -churn it runs the handle-lifecycle stress: sustained
 // insert/remove churn through pooled convenience handles and constantly
-// recreated explicit handles (background maintenance enabled), with a
-// periodic stop-the-world garbage audit asserting the handle registry
-// stays bounded and a quiesced level-0 walk holds no logically-deleted
-// stitched node.
+// recreated explicit handles, with a periodic stop-the-world garbage
+// audit asserting the handle registry stays bounded and a quiesced
+// level-0 walk holds no logically-deleted stitched node.
 //
 // With -net it serves a sharded map over loopback TCP (internal/server)
 // and drives the -check workload through real protocol clients
@@ -83,6 +82,7 @@ import (
 	"repro/internal/linearize"
 	"repro/internal/maptest"
 	"repro/internal/obs"
+	"repro/internal/server"
 	"repro/skiphash"
 )
 
@@ -186,9 +186,6 @@ func main() {
 		return
 	}
 	cfg := skiphash.Config{}
-	if *churn {
-		cfg.Maintenance = true
-	}
 	switch *mode {
 	case "fast":
 		cfg.FastOnly = true
@@ -211,7 +208,15 @@ func main() {
 	variant := shardsVariant(m)
 
 	if *metrics {
-		defer dumpMetrics(m)
+		// The daemon's own map series, registered before the run so the
+		// commit histogram sees every commit, printed on stderr once the
+		// run passed (failure paths exit before deferred calls run).
+		reg := obs.NewRegistry()
+		server.RegisterMapMetrics(reg, m)
+		defer func() {
+			fmt.Fprintln(os.Stderr, "skipstress: end-of-run metrics:")
+			reg.WriteTo(os.Stderr)
+		}()
 	}
 	if *check {
 		if err := runCheck(m, *threads, *duration, *seed, lookupPct); err != nil {
@@ -321,11 +326,11 @@ func main() {
 
 // runChurn is the handle-lifecycle stress: workers alternate between
 // pooled convenience traffic and short-lived explicit handles (closed
-// after a fixed op budget), with background maintenance on, while a
-// periodic stop-the-world audit quiesces the map and asserts (a) the
-// handle registry is bounded by the live workers, and (b) a full
-// level-0 walk holds no logically-deleted stitched node. Any audit
-// failure exits 1 with a reproducer line.
+// after a fixed op budget), while a periodic stop-the-world audit
+// quiesces the map and asserts (a) the handle registry is bounded by
+// the live workers, and (b) a full level-0 walk holds no
+// logically-deleted stitched node. Any audit failure exits 1 with a
+// reproducer line.
 func runChurn(m *skiphash.Map[int64, int64], threads int,
 	duration time.Duration, universe int64, seed uint64, variant, reproducer string) {
 	fmt.Printf("skipstress: -churn, %d threads, %v, universe %d, seed %d, %s\n",
@@ -435,8 +440,8 @@ func runChurn(m *skiphash.Map[int64, int64], threads int,
 		failed = true
 	}
 	ms := m.MaintenanceStats()
-	fmt.Printf("ops=%d handle-turnovers=%d audits=%d orphaned=%d adopted=%d drained=%d batches=%d wakeups=%d\n",
-		ops.Load(), turnovers.Load(), audits, ms.Orphaned, ms.Adopted, ms.DrainedNodes, ms.DrainBatches, ms.Wakeups)
+	fmt.Printf("ops=%d handle-turnovers=%d audits=%d orphaned=%d adopted=%d drained=%d batches=%d\n",
+		ops.Load(), turnovers.Load(), audits, ms.Orphaned, ms.Adopted, ms.DrainedNodes, ms.DrainBatches)
 	if failed {
 		fmt.Fprintf(os.Stderr, "skipstress: FAILED\nreproduce with: %s\n", reproducer)
 		os.Exit(1)
@@ -545,49 +550,4 @@ func (a checkedMap) Batch(steps []linearize.Step) {
 		linearize.ApplySteps(steps, op.Insert, op.Remove, op.Lookup)
 		return nil
 	})
-}
-
-// dumpMetrics renders the map's counters as a Prometheus text
-// exposition on stderr after a run (in-process modes; failure paths
-// exit before the deferred dump runs — the counters matter when the
-// run passed). It builds the registry at dump time from the same
-// Stats() accessors the daemon exposes, so a stress run and a served
-// run read identically.
-func dumpMetrics(m *skiphash.Map[int64, int64]) {
-	reg := obs.NewRegistry()
-	st := m.STMStats()
-	{
-		reg.CounterFunc("skiphash_stm_commits_total", "Committed transactions.",
-			func() uint64 { return st.Commits })
-		reg.CounterFunc("skiphash_stm_readonly_commits_total", "Committed read-only transactions.",
-			func() uint64 { return st.ReadOnlyCommits })
-		reg.CounterFunc("skiphash_stm_aborts_total", "Rolled-back attempts by reason.",
-			func() uint64 { return st.AbortsValidate }, obs.Label{Key: "reason", Value: "validate"})
-		reg.CounterFunc("skiphash_stm_aborts_total", "Rolled-back attempts by reason.",
-			func() uint64 { return st.AbortsAcquire }, obs.Label{Key: "reason", Value: "acquire"})
-		reg.CounterFunc("skiphash_stm_aborts_total", "Rolled-back attempts by reason.",
-			func() uint64 { return st.AbortsInjected }, obs.Label{Key: "reason", Value: "injected"})
-		reg.CounterFunc("skiphash_stm_backoff_nanoseconds_total", "Wall time spent in contention backoff.",
-			func() uint64 { return st.BackoffNanos })
-		reg.CounterFunc("skiphash_stm_fastread_hits_total", "Optimistic fast-path read hits.",
-			func() uint64 { return st.FastReadHits })
-		reg.CounterFunc("skiphash_stm_fastread_fallbacks_total", "Fast-path reads that fell back to a transaction.",
-			func() uint64 { return st.FastReadFallbacks })
-	}
-	ms := m.MaintenanceStats()
-	reg.CounterFunc("skiphash_core_orphaned_total", "Nodes handed to the orphan queues.",
-		func() uint64 { return ms.Orphaned })
-	reg.CounterFunc("skiphash_core_adopted_total", "Orphaned nodes adopted for reclamation.",
-		func() uint64 { return ms.Adopted })
-	reg.CounterFunc("skiphash_core_drained_nodes_total", "Logically deleted nodes unstitched.",
-		func() uint64 { return ms.DrainedNodes })
-	rs := m.RangeStats()
-	reg.CounterFunc("skiphash_core_range_fast_attempts_total", "Fast-path range attempts.",
-		func() uint64 { return rs.FastAttempts })
-	reg.CounterFunc("skiphash_core_range_fast_aborts_total", "Fast-path range aborts.",
-		func() uint64 { return rs.FastAborts })
-	reg.CounterFunc("skiphash_core_range_slow_commits_total", "Slow-path range commits.",
-		func() uint64 { return rs.SlowCommits })
-	fmt.Fprintln(os.Stderr, "skipstress: end-of-run metrics:")
-	reg.WriteTo(os.Stderr)
 }

@@ -38,7 +38,7 @@ import (
 // gone to stderr).
 func runNet(threads int, duration time.Duration, seed uint64,
 	shards int, nsCount, lookupPct int) error {
-	mapCfg := skiphash.Config{Maintenance: true}
+	var mapCfg skiphash.Config
 	if shards > 0 {
 		mapCfg.Shards = shards
 	}

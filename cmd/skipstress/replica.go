@@ -45,8 +45,7 @@ func runReplica(threads int, duration time.Duration, seed uint64, lookupPct int,
 	}
 	defer os.RemoveAll(pdir)
 	pm, err := skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{
-		Maintenance: true,
-		Durability:  &skiphash.Durability{Dir: pdir, Fsync: skiphash.FsyncNone},
+		Durability: &skiphash.Durability{Dir: pdir, Fsync: skiphash.FsyncNone},
 	}, skiphash.Int64Codec(), skiphash.Int64Codec())
 	if err != nil {
 		fail("open primary: %v", err)

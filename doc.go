@@ -4,7 +4,7 @@
 // the paper's structure at one shard (New) and partitions itself across
 // a fixed number of independent skip-hash shards on request
 // (NewSharded), the handle-lifecycle subsystem (Handle.Close, orphan
-// queues, the Config.Maintenance background maintainer) that keeps the
+// queues drained inline by the operations that fill them) that keeps the
 // paper's deferred removal buffers from stranding stitched nodes on
 // long-running servers, and the durability subsystem (Config.Durability
 // plus the Open constructors): a write-ahead log of logical operations

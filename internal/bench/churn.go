@@ -20,9 +20,8 @@ import (
 // the lifecycle subsystem existed, every removal routed through a
 // pooled handle could strand its node stitched-but-deleted, so the
 // level-0 chain grew without bound and range throughput decayed
-// monotonically window over window; with orphan-queue reclamation (and
-// optionally the background maintainer) the backlog stays bounded and
-// the series stays flat.
+// monotonically window over window; with orphan-queue reclamation the
+// backlog stays bounded and the series stays flat.
 
 // churnSubject is one map variant under the churn driver.
 type churnSubject struct {
@@ -33,12 +32,9 @@ type churnSubject struct {
 func (s *churnSubject) backlog() int { return liveBacklog(s.m.StitchedSlow(), s.m.SizeSlow()) }
 
 // churnSubjects returns constructors for the churn series: the
-// one-shard map with the background maintainer, the same map on inline
-// threshold reclamation only, and a four-shard map with per-shard
-// maintainers (pinned, so the series is comparable across hosts).
-// Construction is deferred to measurement time so one subject's
-// maintainer goroutines never tick during another's windows, and an
-// early error cannot leak maps that were never measured.
+// one-shard map and a four-shard map (pinned, so the series is
+// comparable across hosts). Construction is deferred to measurement
+// time so an early error cannot leak maps that were never measured.
 func churnSubjects() []func() *churnSubject {
 	buckets := thashmap.DefaultBuckets
 	subject := func(name string, cfg skiphash.Config) func() *churnSubject {
@@ -47,9 +43,8 @@ func churnSubjects() []func() *churnSubject {
 		}
 	}
 	return []func() *churnSubject{
-		subject("skiphash-maint", skiphash.Config{Buckets: buckets, Shards: 1, Maintenance: true}),
-		subject("skiphash-inline", skiphash.Config{Buckets: buckets, Shards: 1}),
-		subject("skiphash-sharded-maint-4", skiphash.Config{Buckets: buckets, Shards: 4, Maintenance: true}),
+		subject("skiphash", skiphash.Config{Buckets: buckets, Shards: 1}),
+		subject("skiphash-sharded-4", skiphash.Config{Buckets: buckets, Shards: 4}),
 	}
 }
 
@@ -104,7 +99,7 @@ func Churn(w io.Writer, windows int, opts Options) error {
 }
 
 func churnOne(w io.Writer, sub *churnSubject, half, windows int, universe, rangeSpan int64, opts Options) error {
-	defer sub.m.Close() // idempotent; guarantees maintainer teardown on every path
+	defer sub.m.Close()
 	seed := opts.Seed + 97
 	perm := rand.New(rand.NewPCG(seed, 0x5eed)).Perm(int(universe))
 	for i := 0; i < int(universe)/2; i++ {

@@ -52,8 +52,7 @@ func Repl(w io.Writer, opts Options) error {
 	}
 	defer os.RemoveAll(dir)
 	m, err := skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{
-		Maintenance: true,
-		Durability:  &skiphash.Durability{Dir: dir, Fsync: skiphash.FsyncNone},
+		Durability: &skiphash.Durability{Dir: dir, Fsync: skiphash.FsyncNone},
 	}, skiphash.Int64Codec(), skiphash.Int64Codec())
 	if err != nil {
 		return err

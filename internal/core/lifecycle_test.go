@@ -138,12 +138,12 @@ func TestPooledConvenienceChurn(t *testing.T) {
 	}
 }
 
-// TestMaintenanceDrainsWithoutQuiesce checks the background maintainer:
-// with Config.Maintenance, orphaned removals are reclaimed without
-// anyone calling Quiesce.
+// TestMaintenanceDrainsWithoutQuiesce checks the inline drain: on the
+// zero Config, orphaned removals are reclaimed by the operations that
+// push the orphan queue to its threshold, without anyone calling
+// Quiesce or Close.
 func TestMaintenanceDrainsWithoutQuiesce(t *testing.T) {
-	m := newLifecycleMap(Config{Maintenance: true, MaintenanceInterval: time.Millisecond})
-	defer m.Close()
+	m := newLifecycleMap(Config{})
 	const keys = 400
 	for k := int64(0); k < keys; k++ {
 		pooledInsert(m, k)
@@ -151,41 +151,19 @@ func TestMaintenanceDrainsWithoutQuiesce(t *testing.T) {
 	for k := int64(0); k < keys; k++ {
 		pooledRemove(m, k)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if m.OrphanBacklog() == 0 && m.StitchedSlow() == m.SizeSlow() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("maintainer did not drain: backlog %d, stitched %d, live %d",
-				m.OrphanBacklog(), m.StitchedSlow(), m.SizeSlow())
-		}
-		time.Sleep(time.Millisecond)
+	backlog := m.OrphanBacklog()
+	if backlog >= orphanDrainThreshold {
+		t.Errorf("orphan backlog %d, want < %d", backlog, orphanDrainThreshold)
 	}
-	s := m.MaintenanceStats()
-	if s.Wakeups == 0 || s.DrainedNodes == 0 {
-		t.Errorf("maintainer idle: %+v", s)
+	if s := m.MaintenanceStats(); s.DrainedNodes == 0 {
+		t.Errorf("nothing drained inline: %+v", s)
 	}
-	if err := m.CheckInvariants(CheckOptions{}); err != nil {
+	// The queued nodes are the only ones still stitched.
+	if stitched, live := m.StitchedSlow(), m.SizeSlow(); stitched-live != backlog {
+		t.Errorf("stitched %d - live %d != orphan backlog %d", stitched, live, backlog)
+	}
+	if err := m.CheckInvariants(CheckOptions{AllowDeleted: true}); err != nil {
 		t.Errorf("invariants: %v", err)
-	}
-	m.Close()
-	m.Close() // idempotent
-	if !m.Closed() {
-		t.Error("Closed() = false after Close")
-	}
-}
-
-// TestMaintenanceNegativeInterval pins the config guard: a negative
-// interval must fall back to the default rather than panicking the
-// maintainer goroutine's time.NewTicker.
-func TestMaintenanceNegativeInterval(t *testing.T) {
-	m := newLifecycleMap(Config{Maintenance: true, MaintenanceInterval: -time.Second})
-	pooledInsert(m, 1)
-	pooledRemove(m, 1)
-	m.Close()
-	if stitched, live := m.StitchedSlow(), m.SizeSlow(); stitched != live {
-		t.Errorf("stitched %d != live %d after Close", stitched, live)
 	}
 }
 
@@ -279,55 +257,49 @@ func TestExplicitHandleTurnover(t *testing.T) {
 // frontend's durability flush rides on the same contract; see
 // shard.TestShardedCloseConcurrent.)
 func TestCloseIdempotentConcurrentWithQuiesce(t *testing.T) {
-	for _, maint := range []bool{false, true} {
-		m := newLifecycleMap(Config{Maintenance: maint, RemovalBufferSize: 8})
-		for k := int64(0); k < 256; k++ {
-			pooledInsert(m, k)
-		}
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for i := 0; i < 4; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				m.Close()
-				if !m.Closed() {
-					t.Error("Close returned with Closed() == false")
-				}
-				if m.maint != nil {
-					select {
-					case <-m.maint.done:
-					default:
-						t.Error("Close returned before the maintainer stopped")
-					}
-				}
-			}()
-		}
-		for i := 0; i < 4; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				m.Quiesce()
-			}()
-		}
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func(base int64) {
-				defer wg.Done()
-				<-start
-				for k := base; k < base+64; k++ {
-					pooledRemove(m, k%256)
-				}
-			}(int64(i) * 64)
-		}
-		close(start)
-		wg.Wait()
-		m.Close() // still idempotent afterwards
-		if err := m.CheckInvariants(CheckOptions{}); err != nil {
-			t.Fatalf("maintenance=%v: invariants after Close: %v", maint, err)
-		}
+	m := newLifecycleMap(Config{RemovalBufferSize: 8})
+	for k := int64(0); k < 256; k++ {
+		pooledInsert(m, k)
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			m.Close()
+			if !m.Closed() {
+				t.Error("Close returned with Closed() == false")
+			}
+		}()
+	}
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			m.Quiesce()
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(base int64) {
+			defer wg.Done()
+			<-start
+			for k := base; k < base+64; k++ {
+				pooledRemove(m, k%256)
+			}
+		}(int64(i) * 64)
+	}
+	close(start)
+	wg.Wait()
+	m.Close() // still idempotent afterwards
+	if err := m.CheckInvariants(CheckOptions{}); err != nil {
+		t.Fatalf("invariants after Close: %v", err)
+	}
+	if stitched, live := m.StitchedSlow(), m.SizeSlow(); stitched != live {
+		t.Errorf("stitched %d != live %d after Close", stitched, live)
 	}
 }
 

@@ -2,27 +2,26 @@ package core
 
 import (
 	"sync/atomic"
-	"time"
 
 	"repro/internal/stm"
 )
 
-// This file is the handle-lifecycle and background-reclamation
-// subsystem. The paper's §4.5 removal buffer defers physical
-// unstitching for speed but assumes every buffer is eventually flushed
-// by its owning handle; a handle that goes away (worker exit, pooled
-// handle dropped by GC) would strand its buffered nodes stitched
-// forever, degrading exactly the range-query path the design optimizes.
-// The subsystem closes that hole:
+// This file is the handle-lifecycle reclamation subsystem. The paper's
+// §4.5 removal buffer defers physical unstitching for speed but assumes
+// every buffer is eventually flushed by its owning handle; a handle that
+// goes away (worker exit, pooled handle dropped by GC) would strand its
+// buffered nodes stitched forever, degrading exactly the range-query
+// path the design optimizes. The subsystem closes that hole:
 //
 //   - every removal buffer that loses its owner is handed to the map's
 //     orphan queue (Handle.Close, Handle.Recycle, the pooled
 //     convenience paths, Quiesce);
-//   - a background maintainer (Config.Maintenance) — or, without one,
-//     the next operation that pushes the queue past its threshold —
-//     adopts the queue and unstitches the nodes in bounded
-//     transactional batches, deferring to the RQC when a slow-path
-//     range query is in flight, exactly like a handle flush.
+//   - the operation that pushes the queue to its threshold adopts it and
+//     unstitches the nodes in bounded transactional batches, deferring
+//     to the RQC when a slow-path range query is in flight, exactly like
+//     a handle flush; Quiesce and Close drain whatever is left.
+//
+// No goroutine is involved: reclamation runs on the callers' own.
 
 // reclaimBatch bounds how many nodes one drain transaction unstitches.
 // Small enough to stay conflict-resistant against concurrent elemental
@@ -31,23 +30,20 @@ import (
 // RQC's after_range reclamation.
 const reclaimBatch = 32
 
-// orphanDrainThreshold is the queue length beyond which, absent a
-// maintainer, the orphaning operation drains the queue inline. It keeps
-// the stitched-but-deleted backlog bounded on maps that never opted
-// into background maintenance.
+// orphanDrainThreshold is the queue length at which the orphaning
+// operation drains the queue inline. It keeps the stitched-but-deleted
+// backlog bounded without Quiesce or Close.
 const orphanDrainThreshold = 4 * reclaimBatch
 
 // MaintenanceStats counts the reclamation subsystem's work. Orphaned and
 // Adopted track the orphan queue (nodes in, nodes out); DrainedNodes and
 // DrainBatches cover every batched drain — orphan adoptions, handle
-// buffer flushes, and the RQC's after_range reclamation alike; Wakeups
-// counts maintainer loop iterations.
+// buffer flushes, and the RQC's after_range reclamation alike.
 type MaintenanceStats struct {
 	Orphaned     uint64
 	Adopted      uint64
 	DrainedNodes uint64
 	DrainBatches uint64
-	Wakeups      uint64
 }
 
 // Add returns the element-wise sum s + o (for cross-shard aggregation).
@@ -57,7 +53,6 @@ func (s MaintenanceStats) Add(o MaintenanceStats) MaintenanceStats {
 		Adopted:      s.Adopted + o.Adopted,
 		DrainedNodes: s.DrainedNodes + o.DrainedNodes,
 		DrainBatches: s.DrainBatches + o.DrainBatches,
-		Wakeups:      s.Wakeups + o.Wakeups,
 	}
 }
 
@@ -67,7 +62,6 @@ type maintCounters struct {
 	adopted      atomic.Uint64
 	drainedNodes atomic.Uint64
 	drainBatches atomic.Uint64
-	wakeups      atomic.Uint64
 }
 
 // MaintenanceStats returns a snapshot of the map's reclamation counters.
@@ -77,7 +71,6 @@ func (m *Map[K, V]) MaintenanceStats() MaintenanceStats {
 		Adopted:      m.maintStats.adopted.Load(),
 		DrainedNodes: m.maintStats.drainedNodes.Load(),
 		DrainBatches: m.maintStats.drainBatches.Load(),
-		Wakeups:      m.maintStats.wakeups.Load(),
 	}
 }
 
@@ -89,10 +82,9 @@ func (m *Map[K, V]) OrphanBacklog() int {
 	return len(m.orphans)
 }
 
-// orphanNodes appends nodes to the orphan queue and arranges for their
-// reclamation: the maintainer is kicked when one is running, otherwise
-// the caller drains inline once the queue crosses its threshold (and
-// always after Close, when no maintainer will ever come).
+// orphanNodes appends nodes to the orphan queue and, once the queue
+// reaches its threshold (or always after Close, when no later Quiesce
+// is due), drains it inline on the caller's goroutine.
 func (m *Map[K, V]) orphanNodes(nodes []*node[K, V]) {
 	if len(nodes) == 0 {
 		return
@@ -102,10 +94,6 @@ func (m *Map[K, V]) orphanNodes(nodes []*node[K, V]) {
 	pending := len(m.orphans)
 	m.orphanMu.Unlock()
 	m.maintStats.orphaned.Add(uint64(len(nodes)))
-	if m.maint != nil && !m.closed.Load() {
-		m.maint.kick()
-		return
-	}
 	if pending >= orphanDrainThreshold || m.closed.Load() {
 		m.adoptOrphans()
 	}
@@ -120,7 +108,7 @@ func (m *Map[K, V]) orphanNode(n *node[K, V]) {
 // adoptOrphans takes ownership of the entire orphan queue and drains it
 // in bounded batches. Adoption is serialized by adoptMu — held across
 // the drain, not just the queue swap — so that when Quiesce (or Close)
-// calls adoptOrphans it also waits out any drain the maintainer already
+// calls adoptOrphans it also waits out any inline drain another caller
 // has in flight: on return, every node that was orphaned before the
 // call is off the level-0 chain (or on an in-flight range query's
 // deferred list, which owns it from there). Returns how many nodes this
@@ -178,59 +166,5 @@ func (m *Map[K, V]) reclaimBatches(nodes []*node[K, V], consultTail bool) {
 		m.maintStats.drainedNodes.Add(uint64(len(chunk)))
 		m.maintStats.drainBatches.Add(1)
 		nodes = nodes[len(chunk):]
-	}
-}
-
-// maintainer is the background reclamation goroutine: it adopts the
-// orphan queue whenever kicked (a buffer was orphaned) and on a periodic
-// interval (bounding staleness when kicks coalesce), draining in bounded
-// transactional batches so it never holds a large conflict footprint.
-type maintainer[K comparable, V any] struct {
-	m      *Map[K, V]
-	kickCh chan struct{}
-	stopCh chan struct{}
-	done   chan struct{}
-}
-
-// startMaintainer launches the maintainer goroutine for m.
-func startMaintainer[K comparable, V any](m *Map[K, V], interval time.Duration) *maintainer[K, V] {
-	mt := &maintainer[K, V]{
-		m:      m,
-		kickCh: make(chan struct{}, 1),
-		stopCh: make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	go mt.loop(interval)
-	return mt
-}
-
-// kick wakes the maintainer without blocking; concurrent kicks coalesce.
-func (mt *maintainer[K, V]) kick() {
-	select {
-	case mt.kickCh <- struct{}{}:
-	default:
-	}
-}
-
-// stop terminates the maintainer and waits for it to exit; the final
-// queue drain belongs to the caller (Map.Close quiesces after stopping).
-func (mt *maintainer[K, V]) stop() {
-	close(mt.stopCh)
-	<-mt.done
-}
-
-func (mt *maintainer[K, V]) loop(interval time.Duration) {
-	defer close(mt.done)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-mt.stopCh:
-			return
-		case <-mt.kickCh:
-		case <-ticker.C:
-		}
-		mt.m.maintStats.wakeups.Add(1)
-		mt.m.adoptOrphans()
 	}
 }

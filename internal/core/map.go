@@ -6,7 +6,6 @@ import (
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/persist"
 	"repro/internal/stm"
@@ -60,20 +59,12 @@ type Config struct {
 	// recommended configuration); RemovalBufferDisabled (or any negative
 	// value) disables buffering, yielding Figure 4's exact after_remove.
 	RemovalBufferSize int
-	// Maintenance opts into a background maintainer goroutine per map
-	// (one per shard on the sharded frontend) that adopts orphaned
-	// removal buffers — from closed handles, pooled convenience handles,
-	// and Quiesce — and unstitches them in bounded transactional batches,
-	// keeping the level-0 chain free of stitched-but-deleted garbage on
-	// long-running servers. Without it orphans are still reclaimed, but
-	// inline by whichever operation pushes the queue past its threshold.
-	// Maps with Maintenance set must be Closed to stop the goroutine.
+	// Maintenance is ignored. Orphaned removal buffers — from closed
+	// handles, pooled convenience handles, and Quiesce — are always
+	// reclaimed inline, by the operation that pushes the map's orphan
+	// queue to its threshold, and by Quiesce and Close; no map starts a
+	// goroutine. The field remains only for callers that still set it.
 	Maintenance bool
-	// MaintenanceInterval is the maintainer's periodic sweep interval
-	// (default 25ms). The maintainer is also kicked eagerly whenever a
-	// buffer is orphaned, so the interval only bounds staleness when
-	// kicks are coalesced under load.
-	MaintenanceInterval time.Duration
 	// Clock overrides the STM commit clock (default: monotonic
 	// "hardware" clock, the configuration the paper reports).
 	Clock stm.Clock
@@ -113,9 +104,6 @@ func (c Config) withDefaults() Config {
 	if c.AdaptiveSkip == 0 {
 		c.AdaptiveSkip = 16
 	}
-	if c.MaintenanceInterval <= 0 {
-		c.MaintenanceInterval = 25 * time.Millisecond // non-positive would panic time.NewTicker
-	}
 	return c
 }
 
@@ -142,14 +130,13 @@ type Map[K comparable, V any] struct {
 	// orphans is the per-map orphan queue: logically deleted nodes whose
 	// owning removal buffer went away (handle closed, pooled handle
 	// released, Quiesce handoff) and that now await batched unstitching
-	// by the maintainer or an inline drain.
+	// by an inline drain.
 	orphanMu sync.Mutex
 	orphans  []*node[K, V]
 	// adoptMu serializes orphan adoption across the drain itself, so
-	// quiescence points can wait out an in-flight maintainer drain.
+	// quiescence points can wait out another caller's in-flight drain.
 	adoptMu sync.Mutex
 
-	maint      *maintainer[K, V]
 	maintStats maintCounters
 	closed     atomic.Bool
 	// closeDone lets concurrent Close calls (and anyone who must know
@@ -238,30 +225,23 @@ func NewIn[K comparable, V any](rt *stm.Runtime, less func(a, b K) bool, hash fu
 		m.tail.prevAt(l).Init(m.head)
 	}
 	m.handlePool.New = func() any { return m.NewTransientHandle() }
-	if cfg.Maintenance {
-		m.maint = startMaintainer(m, cfg.MaintenanceInterval)
-	}
 	return m
 }
 
-// Close shuts the map down: it stops the background maintainer (when
-// Config.Maintenance enabled one), flushes every registered handle's
-// removal buffer and drains the orphan queue, so a quiescent map holds
-// no stitched logically-deleted nodes afterwards. Close is idempotent
-// and safe to call concurrently with operations, with Quiesce, and with
+// Close shuts the map down: it flushes every registered handle's removal
+// buffer and drains the orphan queue, so a quiescent map holds no
+// stitched logically-deleted nodes afterwards. Close is idempotent and
+// safe to call concurrently with operations, with Quiesce, and with
 // other Close calls: every call returns only after teardown has
-// completed, no matter which call performed it. Operations issued after
-// Close fall back to inline reclamation. Maps without maintenance may
-// skip Close; nothing leaks beyond the map itself.
+// completed, no matter which call performed it. Removals orphaned after
+// Close are drained at once instead of waiting for the threshold. A map
+// owns no goroutine, so Close is optional; nothing leaks without it.
 func (m *Map[K, V]) Close() {
 	if m.closed.Swap(true) {
 		<-m.closeDone
 		return
 	}
 	defer close(m.closeDone)
-	if m.maint != nil {
-		m.maint.stop()
-	}
 	m.Quiesce()
 }
 

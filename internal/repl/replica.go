@@ -82,7 +82,6 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 	mc := cfg.Map
 	mc.Clock = lift
 	mc.Durability = nil
-	mc.Maintenance = true
 	r := &Replica{
 		cfg:     cfg,
 		lift:    lift,

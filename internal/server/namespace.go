@@ -30,7 +30,7 @@ type RegistryConfig struct {
 	// durable NsCreate (and performs no discovery).
 	Root string
 	// Map is the base map configuration for every namespace backend
-	// (shards, maintenance; Durability is set per namespace).
+	// (shards; Durability is set per namespace).
 	Map skiphash.Config
 	// Durability is the template for durable namespaces: Dir is
 	// overridden per namespace and Fsync supplies the NsFsyncDefault

@@ -142,14 +142,15 @@ func New[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg c
 	return s
 }
 
-// Close shuts every shard down: per-shard maintainers stop, registered
-// handles' removal buffers flush, and the orphan queues drain, so a
-// quiescent map holds no stitched logically-deleted nodes afterwards;
-// on durable maps the write-ahead log is then flushed and fsynced.
-// Close is idempotent and safe concurrent with operations, Quiesce, and
-// other Close calls — every call returns only after teardown (including
-// the durability flush) has completed. Operations issued after Close fall
-// back to inline reclamation and are no longer logged.
+// Close shuts every shard down: registered handles' removal buffers
+// flush and the orphan queues drain, so a quiescent map holds no
+// stitched logically-deleted nodes afterwards; on durable maps the
+// write-ahead log is then flushed and fsynced. Close is idempotent and
+// safe concurrent with operations, Quiesce, and other Close calls —
+// every call returns only after teardown (including the durability
+// flush) has completed. Operations issued after Close still reclaim
+// their removals but are no longer logged. Only a durable map must be
+// closed; an in-memory one owns no goroutine and leaks nothing without.
 func (s *Sharded[K, V]) Close() {
 	if s.closed.Swap(true) {
 		<-s.closeDone

@@ -3,6 +3,7 @@ package shard_test
 import (
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -307,12 +308,34 @@ func TestShardPlacement(t *testing.T) {
 	}
 }
 
+// TestNewStartsNoGoroutine pins that no map owns a goroutine, whatever
+// its Config asks for: orphaned removals drain on the callers' own
+// goroutines, at one shard and at four.
+func TestNewStartsNoGoroutine(t *testing.T) {
+	cfg := core.Config{Maintenance: true}
+	before := runtime.NumGoroutine()
+	m := core.New[int64, int64](func(a, b int64) bool { return a < b }, thashmap.Hash64, cfg)
+	cfg.Shards = 4
+	s := newInt64(cfg)
+	for k := int64(0); k < 400; k++ {
+		_ = m.Atomic(func(op *core.Txn[int64, int64]) error { op.Insert(k, k); return nil })
+		_ = m.Atomic(func(op *core.Txn[int64, int64]) error { op.Remove(k); return nil })
+		s.Insert(k, k)
+		s.Remove(k)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("%d goroutines after building and using two maps, want at most %d", got, before)
+	}
+	m.Close()
+	s.Close()
+}
+
 // TestShardedHandleLifecycle churns explicit and pooled handles on a
-// sharded map with background maintenance: the registries (frontend and
-// per-shard) must track only live handles, and teardown must leave no
-// logically-deleted node stitched on any shard.
+// sharded map: the registries (frontend and per-shard) must track only
+// live handles, inline drains must reclaim orphaned removals, and
+// teardown must leave no logically-deleted node stitched on any shard.
 func TestShardedHandleLifecycle(t *testing.T) {
-	s := newInt64(core.Config{Shards: 4, Buckets: 4096, Maintenance: true})
+	s := newInt64(core.Config{Shards: 4, Buckets: 4096})
 	const goroutines = 6
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -406,7 +429,7 @@ func (p *closeRaceProbe) count() int {
 // fully closed map with its engine flushed, and the engine is closed
 // exactly once.
 func TestShardedCloseConcurrent(t *testing.T) {
-	s := newInt64(core.Config{Shards: 4, Maintenance: true})
+	s := newInt64(core.Config{Shards: 4})
 	probe := &closeRaceProbe{}
 	s.AttachPersistence(nil, probe)
 	for k := int64(0); k < 512; k++ {

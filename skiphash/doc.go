@@ -195,7 +195,7 @@
 // state. See the README's Observability section for the endpoint and
 // series naming.
 //
-// # Handle lifecycle and maintenance
+// # Handle lifecycle and reclamation
 //
 // Removals defer their physical unstitching through per-handle buffers
 // (§4.5 of the paper); the lifecycle subsystem guarantees those nodes
@@ -203,10 +203,9 @@
 // when its goroutine exits: the handle leaves the stats registry and
 // its buffered removals move to the map's orphan queue. The pooled
 // handles behind the convenience methods do this automatically on every
-// call. Orphaned nodes are unstitched in bounded transactional batches
-// — by a background maintainer goroutine when Config.Maintenance is
-// set (recommended for long-running servers; observe it through
-// Map.MaintenanceStats), or inline once the queue crosses a threshold
-// otherwise. Map.Close stops the maintainers and flushes everything;
-// maps with Maintenance set must be closed.
+// call. Orphaned nodes are unstitched in bounded transactional batches,
+// inline, by the operation that pushes a shard's orphan queue to its
+// threshold; Quiesce and Map.Close drain the rest (observe it through
+// Map.MaintenanceStats). No goroutine reclaims in the background, so
+// only a durable map, whose engine must flush its WAL, has to be closed.
 package skiphash

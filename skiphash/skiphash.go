@@ -39,8 +39,8 @@ type CheckOptions = core.CheckOptions
 type RangeStats = core.RangeStats
 
 // MaintenanceStats counts the reclamation subsystem's work: orphaned and
-// adopted buffer nodes, drained nodes and batches, and maintainer
-// wakeups. See Map.MaintenanceStats.
+// adopted buffer nodes, drained nodes and batches. See
+// Map.MaintenanceStats.
 type MaintenanceStats = core.MaintenanceStats
 
 // RemovalBufferDisabled is the explicit "no removal buffering" sentinel
