@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -163,5 +164,67 @@ func BenchmarkAscend(b *testing.B) {
 			count++
 			return count < 1024
 		})
+	}
+}
+
+// chainDepths reports, exactly, how many chain nodes an index probe
+// dereferences on m's current bucket chains: a hit on the key at position
+// i of its chain reads i nodes (averaged over every indexed key), and a
+// miss reads its bucket's whole chain (averaged over the absent keys).
+// The map must be quiescent.
+func chainDepths(m *Map[int64, int64], absent []int64) (perHit, perMiss float64) {
+	lengths := make([]int, len(m.index.buckets))
+	hitNodes, keys := 0, 0
+	m.index.forEachSlow(func(bucket int, _ *node[int64, int64]) bool {
+		lengths[bucket]++
+		hitNodes += lengths[bucket]
+		keys++
+		return true
+	})
+	missNodes := 0
+	for _, k := range absent {
+		missNodes += lengths[m.index.hash(k)%uint64(len(lengths))]
+	}
+	return float64(hitNodes) / float64(keys), float64(missNodes) / float64(len(absent))
+}
+
+// BenchmarkLookupLoad prices the index's load factor: Lookup hits and
+// misses on 5×10^5 keys (the even half of a 10^6 universe, as the
+// in-process benchmark workloads hold) at the default bucket count, the
+// paper's, and 2^20. Each row also reports the exact chain nodes a probe
+// reads on that table (chainDepths).
+func BenchmarkLookupLoad(b *testing.B) {
+	const universe = 1_000_000
+	absent := make([]int64, 0, universe/2)
+	for k := int64(1); k < universe; k += 2 {
+		absent = append(absent, k)
+	}
+	for _, buckets := range []int{131071, 714341, 1 << 20} {
+		m := New[int64, int64](lessInt64, thashmap.Hash64, Config{Buckets: buckets})
+		m.LoadSorted(func(yield func(int64, int64) bool) {
+			for k := int64(0); k < universe; k += 2 {
+				if !yield(k, k) {
+					return
+				}
+			}
+		})
+		perHit, perMiss := chainDepths(m, absent)
+		for _, c := range []struct {
+			name  string
+			odd   int64
+			nodes float64
+		}{{"hit", 0, perHit}, {"miss", 1, perMiss}} {
+			b.Run(fmt.Sprintf("buckets=%d/%s", buckets, c.name), func(b *testing.B) {
+				h := m.NewHandle()
+				defer h.Close()
+				rng := rand.New(rand.NewPCG(uint64(buckets), 8))
+				for i := 0; i < b.N; i++ {
+					if _, ok := h.Lookup(int64(rng.Uint64()%universe)&^1 | c.odd); ok == (c.odd == 1) {
+						b.Fatal("lookup answered the wrong way")
+					}
+				}
+				b.ReportMetric(c.nodes, "nodes/probe")
+			})
+		}
 	}
 }

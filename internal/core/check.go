@@ -26,13 +26,15 @@ type CheckOptions struct {
 //     are identical (the paper's central invariant: "the hash map always
 //     reflects the current logical state"), and every indexed node hangs
 //     from the bucket its key hashes to, on exactly one chain;
-//   - insertion times never exceed removal times on deleted nodes.
+//   - insertion times never exceed removal times on deleted nodes;
+//   - every in-flight slow-path range query's deferred list runs from its
+//     head cell to its tail cell, and names logically deleted nodes that
+//     are still stitched at level 0, each on exactly one list.
 func (m *Map[K, V]) CheckInvariants(opts CheckOptions) error {
 	maxLevel := m.cfg.MaxLevel
-	for _, s := range []*node[K, V]{m.head, m.tail} {
-		if s.height() != maxLevel {
-			return fmt.Errorf("sentinel %d has height %d, want MaxLevel %d", s.sentinel, s.height(), maxLevel)
-		}
+	if m.head.height() != maxLevel || m.tail.height() != maxLevel {
+		return fmt.Errorf("head and tail have heights %d and %d, want MaxLevel %d",
+			m.head.height(), m.tail.height(), maxLevel)
 	}
 	// Collect the level-0 chain: each node's position, and in taller[l]
 	// the number of nodes whose height exceeds l, which is how many nodes
@@ -48,10 +50,10 @@ func (m *Map[K, V]) CheckInvariants(opts CheckOptions) error {
 		if back := cur.prev0.Raw(); back != prev {
 			return fmt.Errorf("level 0: prev link of %v broken", cur.key)
 		}
-		if cur.sentinel > 0 {
+		if cur == m.tail {
 			break
 		}
-		if cur.sentinel < 0 {
+		if cur == m.head {
 			return fmt.Errorf("level 0: head reachable mid-chain")
 		}
 		if h := cur.height(); h < 1 || h > maxLevel {
@@ -65,11 +67,11 @@ func (m *Map[K, V]) CheckInvariants(opts CheckOptions) error {
 		if deleted && !opts.AllowDeleted {
 			return fmt.Errorf("deleted node %v still stitched", cur.key)
 		}
-		if deleted && cur.rTime.Raw() < cur.iTime {
+		if deleted && cur.rTime.Raw() < cur.iTime() {
 			return fmt.Errorf("node %v removed at %d before inserted at %d",
-				cur.key, cur.rTime.Raw(), cur.iTime)
+				cur.key, cur.rTime.Raw(), cur.iTime())
 		}
-		if prev.sentinel == 0 {
+		if prev != m.head {
 			switch {
 			case m.less(prev.key, cur.key):
 				// strictly ascending: fine
@@ -91,6 +93,33 @@ func (m *Map[K, V]) CheckInvariants(opts CheckOptions) error {
 		}
 		prev = cur
 	}
+	// The RQC's deferred lists, oldest query first. A node repeated
+	// anywhere (which any cycle would do) fails the exactly-one-list test,
+	// so the walk terminates.
+	onList := make(map[*node[K, V]]bool)
+	for op := m.rqc.opsHead.Raw(); op != nil; op = op.next.Raw() {
+		tail := op.defTail.Raw()
+		if tail != nil && tail.next.Raw() != nil {
+			return fmt.Errorf("rqc: query %d: deferred tail cell has a successor", op.ver)
+		}
+		var last *deferred[K, V]
+		for c := op.defHead.Raw(); c != nil; c = c.next.Raw() {
+			n := c.n
+			switch _, stitched := pos[n]; {
+			case onList[n]:
+				return fmt.Errorf("rqc: query %d: node %v is on more than one deferred list position", op.ver, n.key)
+			case !stitched:
+				return fmt.Errorf("rqc: query %d: deferred node %v is not stitched at level 0", op.ver, n.key)
+			case n.rTime.Raw() == rTimeNone:
+				return fmt.Errorf("rqc: query %d: deferred node %v is logically present", op.ver, n.key)
+			}
+			onList[n] = true
+			last = c
+		}
+		if last != tail {
+			return fmt.Errorf("rqc: query %d: deferred tail cell is not the last cell of its list", op.ver)
+		}
+	}
 	// Upper levels must be sub-chains of level 0, in its order, with
 	// mirrored links, and must link every node tall enough. A node's
 	// height is checked before any of its links on the level is read:
@@ -102,7 +131,7 @@ func (m *Map[K, V]) CheckInvariants(opts CheckOptions) error {
 			if cur == nil {
 				return fmt.Errorf("level %d: nil link", l)
 			}
-			if cur.sentinel == 0 {
+			if cur != m.head && cur != m.tail {
 				p, ok := pos[cur]
 				switch {
 				case !ok:
@@ -117,10 +146,10 @@ func (m *Map[K, V]) CheckInvariants(opts CheckOptions) error {
 			if back := cur.prevAt(l).Raw(); back != prev {
 				return fmt.Errorf("level %d: prev link of %v broken", l, cur.key)
 			}
-			if cur.sentinel > 0 {
+			if cur == m.tail {
 				break
 			}
-			if cur.sentinel < 0 {
+			if cur == m.head {
 				return fmt.Errorf("level %d: head reachable mid-chain", l)
 			}
 			linked++
@@ -168,7 +197,7 @@ func (m *Map[K, V]) CheckInvariants(opts CheckOptions) error {
 // protection; the map must be quiescent.
 func (m *Map[K, V]) SizeSlow() int {
 	n := 0
-	for cur := m.head.next0.Raw(); cur.sentinel == 0; cur = cur.next0.Raw() {
+	for cur := m.head.next0.Raw(); cur != m.tail; cur = cur.next0.Raw() {
 		if cur.rTime.Raw() == rTimeNone {
 			n++
 		}
@@ -180,7 +209,7 @@ func (m *Map[K, V]) SizeSlow() int {
 // ones; with SizeSlow it measures deferred-reclamation backlog in tests.
 func (m *Map[K, V]) StitchedSlow() int {
 	n := 0
-	for cur := m.head.next0.Raw(); cur.sentinel == 0; cur = cur.next0.Raw() {
+	for cur := m.head.next0.Raw(); cur != m.tail; cur = cur.next0.Raw() {
 		n++
 	}
 	return n

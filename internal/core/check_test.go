@@ -57,10 +57,10 @@ func TestCheckInvariantsCatchesUnlinkedLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := m.head.next0.Raw()
-	for n.sentinel == 0 && n.height() < 3 {
+	for n != m.tail && n.height() < 3 {
 		n = n.next0.Raw()
 	}
-	if n.sentinel != 0 {
+	if n == m.tail {
 		t.Fatal("no node of height 3 or more among 1000")
 	}
 	const l = 1

@@ -115,7 +115,7 @@ func (ix *index[K, V]) getFast(k K) (n *node[K, V], ok bool) {
 }
 
 // prefetch warms the cache lines a subsequent read of k will touch — the
-// bucket header and the chain's nodes, whose first line holds key, hash
+// bucket header and the chain's nodes, each one line holding key, hash
 // link and value together — by walking the chain through the atomic
 // backing (atomic loads are never elided). The result carries no
 // consistency guarantee; it exists only for its cache side effect.

@@ -339,3 +339,33 @@ func TestIndexFastCommitAfterAbortInvalidates(t *testing.T) {
 		t.Errorf("fast read after the dust settled = (%p, %v), want (%p, true)", n, ok, b)
 	}
 }
+
+// TestChainDepths checks the chain-depth helper on tables whose chains
+// are known exactly: one bucket holds every key on one chain, so a hit
+// reads (n+1)/2 nodes on average and a miss all n; with a bucket per key
+// and an identity hash, every probe reads at most one node.
+func TestChainDepths(t *testing.T) {
+	const n = 100
+	var absent []int64
+	for k := int64(n); k < 2*n; k++ {
+		absent = append(absent, k)
+	}
+	for _, c := range []struct {
+		buckets         int
+		perHit, perMiss float64
+	}{
+		{1, (n + 1) / 2.0, n},
+		{2 * n, 1, 0},
+	} {
+		m := New[int64, int64](lessInt64, func(k int64) uint64 { return uint64(k) }, Config{Buckets: c.buckets})
+		h := m.NewHandle()
+		for k := int64(0); k < n; k++ {
+			h.Insert(k, k)
+		}
+		h.Close()
+		if hit, miss := chainDepths(m, absent); hit != c.perHit || miss != c.perMiss {
+			t.Errorf("%d buckets: %.2f nodes per hit, %.2f per miss; want %.2f and %.2f",
+				c.buckets, hit, miss, c.perHit, c.perMiss)
+		}
+	}
+}

@@ -47,11 +47,11 @@ func (h *Handle[K, V]) ascend(from *K, fn func(k K, v V) bool) {
 				c = m.head.next0.Load(tx, &m.head.orec)
 			} else {
 				c = m.ceilNodeTx(tx, h, cursor)
-				if !inclusive && c.sentinel == 0 && !m.less(cursor, c.key) {
+				if !inclusive && c != m.tail && !m.less(cursor, c.key) {
 					c = c.next0.Load(tx, &c.orec)
 				}
 			}
-			for c.sentinel == 0 && len(buf) < iterChunk {
+			for c != m.tail && len(buf) < iterChunk {
 				if !c.deleted(tx) {
 					buf = append(buf, Pair[K, V]{Key: c.key, Val: c.val})
 				}
@@ -115,7 +115,7 @@ func (h *Handle[K, V]) descend(from *K, fn func(k K, v V) bool) {
 				first := m.findPreds(tx, cursor, h.preds, m.nodeBefore)
 				c = first.prev0.Load(tx, &first.orec)
 			}
-			for c.sentinel == 0 && len(buf) < iterChunk {
+			for c != m.head && len(buf) < iterChunk {
 				if !c.deleted(tx) {
 					buf = append(buf, Pair[K, V]{Key: c.key, Val: c.val})
 				}

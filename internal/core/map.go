@@ -217,9 +217,7 @@ func NewIn[K comparable, V any](rt *stm.Runtime, less func(a, b K) bool, hash fu
 	}
 	m.index = newIndex[K, V](hash, cfg.Buckets)
 	m.head = newNode[K, V](cfg.MaxLevel)
-	m.head.sentinel = -1
 	m.tail = newNode[K, V](cfg.MaxLevel)
-	m.tail.sentinel = 1
 	for l := 0; l < cfg.MaxLevel; l++ {
 		m.head.nextAt(l).Init(m.tail)
 		m.tail.prevAt(l).Init(m.head)
@@ -286,10 +284,13 @@ func (m *Map[K, V]) randomHeight() int {
 }
 
 // nodeBefore reports whether n orders strictly before key k, counting
-// sentinels as infinities.
+// the head and tail sentinels as infinities.
 func (m *Map[K, V]) nodeBefore(n *node[K, V], k K) bool {
-	if n.sentinel != 0 {
-		return n.sentinel < 0
+	switch n {
+	case m.head:
+		return true
+	case m.tail:
+		return false
 	}
 	return m.less(n.key, k)
 }
@@ -298,8 +299,11 @@ func (m *Map[K, V]) nodeBefore(n *node[K, V], k K) bool {
 // uses it so a new node lands after logically deleted nodes sharing its
 // key (§4.2's insert_after_logical_deletes).
 func (m *Map[K, V]) nodeBeforeOrAt(n *node[K, V], k K) bool {
-	if n.sentinel != 0 {
-		return n.sentinel < 0
+	switch n {
+	case m.head:
+		return true
+	case m.tail:
+		return false
 	}
 	return !m.less(k, n.key)
 }
@@ -373,7 +377,7 @@ func (m *Map[K, V]) containsFast(k K) (present, answered bool) {
 }
 
 // Prefetch warms the cache lines a point read of k will touch — the hash
-// bucket chain and the node's hot line — through atomic loads the
+// bucket chain and the node's line — through atomic loads the
 // compiler cannot elide. It has no consistency implications and returns
 // nothing; the server's drain loop uses it to overlap the next run's
 // index probes with the current run's execution.
@@ -395,7 +399,7 @@ func (m *Map[K, V]) insertTx(tx *stm.Tx, h *Handle[K, V], k K, v V) bool {
 	n := newNode[K, V](m.randomHeight())
 	n.key = k
 	n.val = v
-	n.iTime = m.rqc.onUpdate(tx)
+	n.setITime(m.rqc.onUpdate(tx))
 	for l := 0; l < n.height(); l++ {
 		p := h.preds[l]
 		s := p.nextAt(l).Load(tx, &p.orec)
@@ -448,7 +452,7 @@ func (m *Map[K, V]) ceilNodeTx(tx *stm.Tx, h *Handle[K, V], k K) *node[K, V] {
 		return n // O(1) when the key is present (Fig. 1 ceil)
 	}
 	c := m.findPreds(tx, k, h.preds, m.nodeBefore)
-	for c.sentinel == 0 && c.deleted(tx) {
+	for c != m.tail && c.deleted(tx) {
 		c = c.next0.Load(tx, &c.orec)
 	}
 	return c
@@ -468,7 +472,7 @@ func (m *Map[K, V]) succTx(tx *stm.Tx, h *Handle[K, V], k K) (K, V, bool) {
 	} else {
 		c = m.findPreds(tx, k, h.preds, m.nodeBeforeOrAt)
 	}
-	for c.sentinel == 0 && c.deleted(tx) {
+	for c != m.tail && c.deleted(tx) {
 		c = c.next0.Load(tx, &c.orec)
 	}
 	return m.liveKeyOf(c)
@@ -481,7 +485,7 @@ func (m *Map[K, V]) floorTx(tx *stm.Tx, h *Handle[K, V], k K) (K, V, bool) {
 	}
 	c := m.findPreds(tx, k, h.preds, m.nodeBefore)
 	p := c.prev0.Load(tx, &c.orec)
-	for p.sentinel == 0 && p.deleted(tx) {
+	for p != m.head && p.deleted(tx) {
 		p = p.prev0.Load(tx, &p.orec)
 	}
 	return m.liveKeyOf(p)
@@ -496,14 +500,14 @@ func (m *Map[K, V]) predTx(tx *stm.Tx, h *Handle[K, V], k K) (K, V, bool) {
 		first := m.findPreds(tx, k, h.preds, m.nodeBefore)
 		c = first.prev0.Load(tx, &first.orec)
 	}
-	for c.sentinel == 0 && c.deleted(tx) {
+	for c != m.head && c.deleted(tx) {
 		c = c.prev0.Load(tx, &c.orec)
 	}
 	return m.liveKeyOf(c)
 }
 
 func (m *Map[K, V]) liveKeyOf(n *node[K, V]) (K, V, bool) {
-	if n.sentinel != 0 {
+	if n == m.head || n == m.tail {
 		var zk K
 		var zv V
 		return zk, zv, false

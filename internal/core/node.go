@@ -22,33 +22,50 @@ const rTimeNone = ^uint64(0)
 // Config.MaxLevel: randomHeight draws at most 64 levels from a 64-bit word.
 const maxHeight = 64
 
+// heightBits is how many low bits of node.meta hold the height (up to
+// maxHeight); the insertion time takes the rest.
+const (
+	heightBits = 7
+	heightMask = 1<<heightBits - 1
+)
+
+// maxITime is the largest insertion time node.meta can hold, and so the
+// largest version the RQC counter may reach (rqc.onRange refuses to pass
+// it): 2^57-1 slow-path range queries.
+const maxITime = ^uint64(0) >> heightBits
+
 // node is the paper's sl_node augmented with the §4.2 logical-deletion
 // fields and with the hash index's chain link. The node's own orec guards
-// its skip list state (links, r_time, the deferred chain link); hnext
-// alone is guarded by the orec of the index bucket the node hangs from
-// (see index). key, val, height and i_time are immutable once the node is
-// published, which is the "const field" optimization modern STMs reward.
+// its skip list state (links, r_time, the deferred-list links of the RQC
+// cells that name it); hnext alone is guarded by the orec of the index
+// bucket the node hangs from (see index). key, val, height and i_time are
+// immutable once the node is published, which is the "const field"
+// optimization modern STMs reward.
 //
-// The declaration order is the memory layout, and it is deliberate:
-// everything a point read or a level-0 walk touches — the orec, the
-// level-0 links, the hash link, r_time, key, value and the sentinel tag —
-// comes first, so for word-sized keys and values a bucket probe's
-// key-compare-then-follow-hnext and a range scan's step each stay inside
-// the node's first cache line (node_layout_test.go guards the offsets).
-// The cold tail holds what only slow-path range queries and reclamation
-// read (i_time, dnext).
+// The node is one cache line: for word-sized keys and values the header
+// is exactly 64 bytes, and a 64-byte object starts on a line boundary
+// (its size class divides the span into line-aligned slots), so a bucket
+// probe's key-compare-then-follow-hnext, a descent's key compare and a
+// range scan's step each touch one line per node. An 80-byte header,
+// which carried a head/tail tag and the deferred-list link, would sit in
+// the 80-byte size class, whose slots start at multiples of 80: four in
+// five headers would straddle two lines. Head and tail are therefore
+// recognised by identity (m.head, m.tail), and an RQC deferral allocates
+// a small cell (see deferred) instead of reserving a link in every node.
+// The declaration order is the memory layout (node_layout_test.go guards
+// it), with the orec first: the fast path samples it before anything else.
 //
 // A node is one heap object at every height: the tower links for levels
 // 1..height-1 are allocated directly behind this header, in the same
 // object (one of the shape instantiations newNode picks), and upper
 // finds them by address arithmetic. A height-1 node (half of all nodes)
-// is the bare header, 80 bytes for word-sized keys and values.
+// is the bare header, 64 bytes for word-sized keys and values.
 type node[K comparable, V any] struct {
 	orec stm.Orec
 
 	// next0/prev0 are the level-0 list links, inlined so the walks that
 	// dominate every workload (range scans, iteration) stay on the node's
-	// first line.
+	// line.
 	next0 stm.Ptr[node[K, V]]
 	prev0 stm.Ptr[node[K, V]]
 
@@ -60,20 +77,14 @@ type node[K comparable, V any] struct {
 	// stamps it with the most recent range query's version.
 	rTime stm.U64
 
-	key      K
-	val      V
-	sentinel int8 // 0 interior, -1 head, +1 tail
-	// h is the node's height, at most maxHeight; it shares the
-	// sentinel's padding word.
-	h uint8
+	key K
+	val V
 
-	// iTime is the version of the last slow-path range query that began
-	// before this node's insertion (§4.2). It is written inside the
-	// inserting transaction, before the node becomes reachable.
-	iTime uint64
-
-	// dnext chains the node into an RQC deferred-removal list.
-	dnext stm.Ptr[node[K, V]]
+	// meta packs the node's height (low heightBits bits) and its
+	// insertion time i_time above them: the version of the last
+	// slow-path range query that began before this node's insertion
+	// (§4.2). Both are written before the node becomes reachable.
+	meta uint64
 }
 
 // tower is one level of a node's upper links, paired so each level's
@@ -83,7 +94,16 @@ type tower[K comparable, V any] struct {
 	prev stm.Ptr[node[K, V]]
 }
 
-func (n *node[K, V]) height() int { return int(n.h) }
+func (n *node[K, V]) height() int { return int(n.meta & heightMask) }
+
+// iTime returns the node's insertion time (§4.2's i_time).
+func (n *node[K, V]) iTime() uint64 { return n.meta >> heightBits }
+
+// setITime records the insertion time t <= maxITime, keeping the height;
+// the inserting transaction calls it before publishing the node.
+func (n *node[K, V]) setITime(t uint64) {
+	n.meta = t<<heightBits | n.meta&heightMask
+}
 
 // upper returns the tower links of level l, 1 <= l < height. They sit
 // behind the header in the node's own object, so no header is loaded and
@@ -186,7 +206,7 @@ func newNode[K comparable, V any](height int) *node[K, V] {
 	if levels < height-1 {
 		panic("core: node shape too short for its height")
 	}
-	n.h = uint8(height)
+	n.meta = uint64(height)
 	n.rTime.Init(rTimeNone)
 	return n
 }

@@ -8,19 +8,21 @@ import (
 	"repro/internal/stm"
 )
 
-// TestNodeHotFieldsFitOneCacheLine guards the cache-conscious layout
-// node.go documents: for word-sized keys and values, everything a bucket
-// probe (key, hash link, value) or a level-0 walk touches must land in
-// the node's first 64 bytes. A field reorder or a type growing past a
-// word shows up here as a failing offset, not as a silent throughput
-// regression.
-func TestNodeHotFieldsFitOneCacheLine(t *testing.T) {
+// TestNodeIsOneCacheLine guards the layout node.go documents: for
+// word-sized keys and values the whole header — everything a bucket
+// probe, a descent or a level-0 walk touches — is exactly one 64-byte
+// line, with the orec first, and the allocator starts every height-1 node
+// on a line boundary. A field added, reordered or grown past a word shows
+// up here as a failing offset, not as a silent throughput regression.
+func TestNodeIsOneCacheLine(t *testing.T) {
 	const line = 64
 	var n node[int64, int64]
-	hot := []struct {
-		name string
-		off  uintptr
-		size uintptr
+	if size := unsafe.Sizeof(n); size != line {
+		t.Errorf("node[int64,int64] is %d bytes, want exactly one %d-byte line", size, line)
+	}
+	for _, f := range []struct {
+		name      string
+		off, size uintptr
 	}{
 		{"orec", unsafe.Offsetof(n.orec), unsafe.Sizeof(n.orec)},
 		{"next0", unsafe.Offsetof(n.next0), unsafe.Sizeof(n.next0)},
@@ -29,37 +31,72 @@ func TestNodeHotFieldsFitOneCacheLine(t *testing.T) {
 		{"rTime", unsafe.Offsetof(n.rTime), unsafe.Sizeof(n.rTime)},
 		{"key", unsafe.Offsetof(n.key), unsafe.Sizeof(n.key)},
 		{"val", unsafe.Offsetof(n.val), unsafe.Sizeof(n.val)},
-		{"sentinel", unsafe.Offsetof(n.sentinel), unsafe.Sizeof(n.sentinel)},
-	}
-	for _, f := range hot {
+		{"meta", unsafe.Offsetof(n.meta), unsafe.Sizeof(n.meta)},
+	} {
 		if end := f.off + f.size; end > line {
-			t.Errorf("hot field %s spans [%d, %d), past the first %d-byte line",
-				f.name, f.off, end, line)
+			t.Errorf("field %s spans [%d, %d), past the %d-byte line", f.name, f.off, end, line)
 		}
 	}
 	// The orec leads the struct: the fast path samples it before touching
-	// anything else, and sharing its line with the level-0 links is the
-	// point of the layout.
+	// anything else.
 	if off := unsafe.Offsetof(n.orec); off != 0 {
 		t.Errorf("orec at offset %d, want 0", off)
+	}
+	// A 64-byte object sits in a size class whose slots are line-aligned,
+	// so the header never straddles two lines.
+	nodes := make([]*node[int64, int64], 1000)
+	for i := range nodes {
+		nodes[i] = newNode[int64, int64](1)
+		if addr := uintptr(unsafe.Pointer(nodes[i])); addr%line != 0 {
+			t.Fatalf("height-1 node %d at %#x, not on a %d-byte boundary", i, addr, line)
+		}
+	}
+}
+
+// TestNodeMetaRoundTrip packs (height, insertion time) pairs at both
+// extremes into node.meta and reads them back through the accessors.
+func TestNodeMetaRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		height int
+		iTime  uint64
+	}{
+		{1, 0}, {maxHeight, 0}, {1, maxITime}, {maxHeight, maxITime},
+		{1, 1}, {maxHeight, maxITime - 1}, {20, 1 << 40},
+	} {
+		n := newNode[int64, int64](c.height)
+		n.setITime(c.iTime)
+		if h, it := n.height(), n.iTime(); h != c.height || it != c.iTime {
+			t.Errorf("packed (height %d, iTime %d), read back (%d, %d)", c.height, c.iTime, h, it)
+		}
+		// A second stamp replaces the first and keeps the height.
+		n.setITime(c.iTime / 3)
+		if h, it := n.height(), n.iTime(); h != c.height || it != c.iTime/3 {
+			t.Errorf("restamped (height %d, iTime %d), read back (%d, %d)", c.height, c.iTime/3, h, it)
+		}
+	}
+	if maxITime != 1<<(64-heightBits)-1 || 1<<heightBits <= maxHeight {
+		t.Errorf("heightBits %d cannot hold height %d beside a %d-bit insertion time", heightBits, maxHeight, 64-heightBits)
 	}
 }
 
 // TestNodeSizeBudget pins the footprint of every shape newNode allocates
 // for the word-sized instantiation, so an accidental field addition (or a
 // field type gaining padding) is caught at review time. The bare node is
-// 80 bytes — the hot line plus the cold tail (insertion time,
-// deferred-chain link) — and each tower level behind it adds two words,
-// which keeps heights 1 to 4 in the allocator's 80, 96, 112 and 128 byte
-// size classes.
+// one 64-byte line and each tower level behind it adds two words, which
+// keeps heights 1 to 4 in the allocator's 64, 80, 96 and 112 byte size
+// classes.
 func TestNodeSizeBudget(t *testing.T) {
 	nodeSize := unsafe.Sizeof(node[int64, int64]{})
 	towerSize := unsafe.Sizeof(tower[int64, int64]{})
 	if towerSize != 2*unsafe.Sizeof(uintptr(0)) {
 		t.Errorf("tower[int64,int64] is %d bytes, want two words", towerSize)
 	}
-	if nodeSize > 80 {
-		t.Errorf("node[int64,int64] is %d bytes, budget 80", nodeSize)
+	if nodeSize != 64 {
+		t.Errorf("node[int64,int64] is %d bytes, want 64", nodeSize)
+	}
+	// A deferred removal's list cell is the 16 bytes README promises.
+	if cell := unsafe.Sizeof(deferred[int64, int64]{}); cell != towerSize {
+		t.Errorf("deferred[int64,int64] is %d bytes, want two words", cell)
 	}
 	// Every shape newNode can pick, by tower levels: the tower starts
 	// right behind the node (upper's arithmetic) and holds its levels.
@@ -85,9 +122,9 @@ func TestNodeSizeBudget(t *testing.T) {
 		height        int
 		above, budget uintptr // the size class is (above, budget]
 	}{
-		{2, 80, 96},
-		{3, 96, 112},
-		{4, 112, 128},
+		{2, 64, 80},
+		{3, 80, 96},
+		{4, 96, 112},
 	} {
 		if size := shapes[towerLevels(c.height)]; size <= c.above || size > c.budget {
 			t.Errorf("height-%d node is %d bytes, outside its (%d, %d] size class", c.height, size, c.above, c.budget)

@@ -16,7 +16,7 @@ func (m *Map[K, V]) rangeFast(h *Handle[K, V], l, r K, out []Pair[K, V]) ([]Pair
 	err := m.rt.TryOnce(func(tx *stm.Tx) error {
 		res = out
 		c := m.findPreds(tx, l, h.preds, m.nodeBefore)
-		for c.sentinel == 0 && !m.less(r, c.key) {
+		for c != m.tail && !m.less(r, c.key) {
 			if !c.deleted(tx) {
 				res = append(res, Pair[K, V]{Key: c.key, Val: c.val})
 			}
@@ -36,7 +36,8 @@ func (m *Map[K, V]) rangeFast(h *Handle[K, V], l, r K, out []Pair[K, V]) ([]Pair
 // replays the same search. Wrong turns from concurrent splices are
 // harmless — the transactional descent re-reads everything — and the walk
 // terminates because inserts, removals and their undos never create a
-// level cycle. Only immutable fields (key, sentinel) feed the navigation.
+// level cycle. Only immutable state (keys, the sentinels' identity) feeds
+// the navigation.
 func (m *Map[K, V]) warmDescent(k K) {
 	cur := m.head
 	for l := m.cfg.MaxLevel - 1; l >= 0; l-- {
@@ -112,7 +113,7 @@ func (s *SlowRange[K, V]) Collect(r K, out []Pair[K, V]) []Pair[K, V] {
 		// transactional reads are inside nextSafe and precede the
 		// append, so an abort always resumes at a node that has not
 		// been collected yet (§4.4.2).
-		for n.sentinel == 0 && !m.less(r, n.key) {
+		for n != m.tail && !m.less(r, n.key) {
 			next := m.nextSafe(tx, n, ver)
 			set = append(set, Pair[K, V]{Key: n.key, Val: n.val})
 			n = next
@@ -145,10 +146,10 @@ func (m *Map[K, V]) nextSafe(tx *stm.Tx, n *node[K, V], ver uint64) *node[K, V] 
 // immediately); otherwise the node must be logically present or removed
 // at or after ver.
 func (m *Map[K, V]) isSafe(tx *stm.Tx, n *node[K, V], ver uint64) bool {
-	if n.sentinel != 0 {
+	if n == m.tail || n == m.head {
 		return true
 	}
-	if n.iTime >= ver {
+	if n.iTime() >= ver {
 		return false
 	}
 	rt := n.rTime.Load(tx, &n.orec)
@@ -160,7 +161,7 @@ func (m *Map[K, V]) isSafe(tx *stm.Tx, n *node[K, V], ver uint64) bool {
 // atomicity; this is the fast path's body without the try-once wrapper).
 func (m *Map[K, V]) rangeTx(tx *stm.Tx, h *Handle[K, V], l, r K, out []Pair[K, V]) []Pair[K, V] {
 	c := m.findPreds(tx, l, h.preds, m.nodeBefore)
-	for c.sentinel == 0 && !m.less(r, c.key) {
+	for c != m.tail && !m.less(r, c.key) {
 		if !c.deleted(tx) {
 			out = append(out, Pair[K, V]{Key: c.key, Val: c.val})
 		}

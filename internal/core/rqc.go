@@ -30,10 +30,22 @@ type rangeOp[K comparable, V any] struct {
 	ver  uint64                 // immutable
 	prev stm.Ptr[rangeOp[K, V]] // list links, guarded by rqc.orec
 	next stm.Ptr[rangeOp[K, V]]
-	// deferred list of nodes to unstitch after this query completes,
-	// chained through node.dnext; endpoints guarded by this op's orec.
-	defHead stm.Ptr[node[K, V]]
-	defTail stm.Ptr[node[K, V]]
+	// deferred list of nodes to unstitch after this query completes, one
+	// cell per node; endpoints guarded by this op's orec.
+	defHead stm.Ptr[deferred[K, V]]
+	defTail stm.Ptr[deferred[K, V]]
+}
+
+// deferred is one cell of a rangeOp's deferred list: a logically deleted
+// node whose unstitching waits for the query. The link lives in the cell,
+// not in the node, so a node pays for it only when a removal is deferred,
+// which happens only while a slow-path range query older than the node is
+// in flight. next is guarded by n's orec, so appending behind a cell
+// conflicts with whatever else touches that node, as a link in the node
+// itself would.
+type deferred[K comparable, V any] struct {
+	n    *node[K, V]
+	next stm.Ptr[deferred[K, V]]
 }
 
 // onRange registers a new slow-path range query: it increments the
@@ -42,6 +54,9 @@ type rangeOp[K comparable, V any] struct {
 // query's unique version number.
 func (q *rqc[K, V]) onRange(tx *stm.Tx) *rangeOp[K, V] {
 	ver := q.counter.Load(tx, &q.orec) + 1
+	if ver > maxITime {
+		panic("core: range query version counter exhausted: node.meta keeps 57 bits of insertion time, at most 2^57-1 slow-path range queries")
+	}
 	q.counter.Store(tx, &q.orec, ver)
 	op := &rangeOp[K, V]{ver: ver}
 	tail := q.opsTail.Load(tx, &q.orec)
@@ -69,22 +84,23 @@ func (q *rqc[K, V]) onUpdate(tx *stm.Tx) uint64 {
 // makes the decision and the action atomic.
 func (q *rqc[K, V]) afterRemove(tx *stm.Tx, m *Map[K, V], n *node[K, V]) {
 	tail := q.opsTail.Load(tx, &q.orec)
-	if tail == nil || n.iTime >= tail.ver {
+	if tail == nil || n.iTime() >= tail.ver {
 		m.unstitchTx(tx, n) // safe to remove immediately
 		return
 	}
 	q.appendDeferred(tx, tail, n)
 }
 
-// appendDeferred pushes n onto op's deferred list (O(1)).
+// appendDeferred pushes n onto op's deferred list in a fresh cell (O(1)).
 func (q *rqc[K, V]) appendDeferred(tx *stm.Tx, op *rangeOp[K, V], n *node[K, V]) {
+	c := &deferred[K, V]{n: n}
 	t := op.defTail.Load(tx, &op.orec)
 	if t == nil {
-		op.defHead.Store(tx, &op.orec, n)
+		op.defHead.Store(tx, &op.orec, c)
 	} else {
-		t.dnext.Store(tx, &t.orec, n)
+		t.next.Store(tx, &t.n.orec, c)
 	}
-	op.defTail.Store(tx, &op.orec, n)
+	op.defTail.Store(tx, &op.orec, c)
 }
 
 // afterRange is Figure 4's after_range: the finishing query's op is
@@ -119,8 +135,8 @@ func (q *rqc[K, V]) afterRange(m *Map[K, V], op *rangeOp[K, V]) {
 		}
 		if prev == nil {
 			// Oldest query: its deferred nodes are needed by no one.
-			for n := head; n != nil; n = n.dnext.Load(tx, &n.orec) {
-				removals = append(removals, n)
+			for c := head; c != nil; c = c.next.Load(tx, &c.n.orec) {
+				removals = append(removals, c.n)
 			}
 			return nil
 		}
@@ -130,7 +146,7 @@ func (q *rqc[K, V]) afterRange(m *Map[K, V], op *rangeOp[K, V]) {
 		if pt == nil {
 			prev.defHead.Store(tx, &prev.orec, head)
 		} else {
-			pt.dnext.Store(tx, &pt.orec, head)
+			pt.next.Store(tx, &pt.n.orec, head)
 		}
 		prev.defTail.Store(tx, &prev.orec, tail)
 		return nil

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/stm"
@@ -151,10 +153,10 @@ func TestSafeNodePredicate(t *testing.T) {
 			t.Error("sentinels must always be safe")
 		}
 		n10 := m.head.next0.Load(tx, &m.head.orec)
-		for n10.sentinel == 0 && n10.key != 10 {
+		for n10 != m.tail && n10.key != 10 {
 			n10 = n10.next0.Load(tx, &n10.orec)
 		}
-		if n10.sentinel != 0 {
+		if n10 == m.tail {
 			t.Fatal("node 10 not found stitched")
 		}
 		if !m.isSafe(tx, n10, ver) {
@@ -192,7 +194,7 @@ func TestSlowRangeSeesSnapshotAtVersion(t *testing.T) {
 	set := make([]Pair[int64, int64], 0, 16)
 	n := start
 	_ = m.rt.Atomic(func(tx *stm.Tx) error {
-		for n.sentinel == 0 && !m.less(100, n.key) {
+		for n != m.tail && !m.less(100, n.key) {
 			next := m.nextSafe(tx, n, op.ver)
 			set = append(set, Pair[int64, int64]{Key: n.key, Val: n.val})
 			n = next
@@ -250,5 +252,168 @@ func TestHandleBufferTransfersToActiveQuery(t *testing.T) {
 	m.rqc.afterRange(m, op)
 	if got := m.StitchedSlow(); got != 6 {
 		t.Errorf("stitched = %d, want 6 after query completes", got)
+	}
+}
+
+// TestRQCCounterLimit pins the guard on the version space node.meta
+// keeps: the last version it can hold is handed out, the one after it
+// panics with a message naming the limit, before any node could be
+// stamped with a version its insertion time cannot store.
+func TestRQCCounterLimit(t *testing.T) {
+	m := newRQCMap(t)
+	m.rqc.counter.Init(maxITime - 1)
+	op := startRange(m)
+	if op.ver != maxITime {
+		t.Fatalf("version %d, want the limit %d", op.ver, maxITime)
+	}
+	m.rqc.afterRange(m, op)
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "2^57-1") {
+			t.Errorf("registering past the limit recovered %v, want a panic naming 2^57-1", r)
+		}
+	}()
+	startRange(m)
+	t.Error("registering past the limit did not panic")
+}
+
+// deferredKeys lists the keys on op's deferred list, head to tail.
+func deferredKeys(op *rangeOp[int64, int64]) []int64 {
+	var keys []int64
+	for c := op.defHead.Raw(); c != nil; c = c.next.Raw() {
+		keys = append(keys, c.n.key)
+	}
+	return keys
+}
+
+// TestDeferredSlowRangesOutOfOrder runs three registered slow-path range
+// queries that finish out of order: every deferral goes to the newest
+// query in flight, a finishing query splices its list onto its oldest
+// remaining predecessor in O(1), and nothing is unstitched until the
+// oldest finishes. CheckInvariants audits the lists at every step.
+func TestDeferredSlowRangesOutOfOrder(t *testing.T) {
+	m := newRQCMap(t)
+	h := m.NewHandle()
+	defer h.Close()
+	for k := int64(0); k < 100; k++ {
+		h.Insert(k, k)
+	}
+	begin := func() *SlowRange[int64, int64] {
+		var sr *SlowRange[int64, int64]
+		_ = m.rt.Atomic(func(tx *stm.Tx) error {
+			sr = m.BeginSlowRangeTx(tx, h, 0)
+			return nil
+		})
+		return sr
+	}
+	removeRange := func(lo, hi int64) {
+		for k := lo; k < hi; k++ {
+			if !h.Remove(k) {
+				t.Fatalf("Remove(%d) found the key absent", k)
+			}
+		}
+	}
+	check := func(step string, lists map[*SlowRange[int64, int64]]int, stitched int) {
+		t.Helper()
+		for sr, want := range lists {
+			if got := len(deferredKeys(sr.op)); got != want {
+				t.Errorf("%s: query %d defers %d nodes, want %d", step, sr.op.ver, got, want)
+			}
+		}
+		if got := m.StitchedSlow(); got != stitched {
+			t.Errorf("%s: %d nodes stitched, want %d", step, got, stitched)
+		}
+		if err := m.CheckInvariants(CheckOptions{AllowDeleted: true}); err != nil {
+			t.Errorf("%s: %v", step, err)
+		}
+	}
+
+	sr1 := begin()
+	removeRange(0, 5)
+	sr2, sr3 := begin(), begin()
+	removeRange(10, 20)
+	check("three in flight", map[*SlowRange[int64, int64]]int{sr1: 5, sr2: 0, sr3: 10}, 100)
+
+	// Each query sees the map as of its registration.
+	for sr, want := range map[*SlowRange[int64, int64]]int{sr1: 100, sr2: 95, sr3: 95} {
+		if got := len(sr.Collect(99, nil)); got != want {
+			t.Errorf("query %d collected %d pairs, want %d", sr.op.ver, got, want)
+		}
+	}
+
+	sr2.Finish() // the middle one, with nothing deferred
+	removeRange(20, 25)
+	check("middle finished", map[*SlowRange[int64, int64]]int{sr1: 5, sr3: 15}, 100)
+
+	sr3.Finish() // the newest: its 15 nodes move behind sr1's 5
+	check("newest finished", map[*SlowRange[int64, int64]]int{sr1: 20}, 100)
+	want := []int64{0, 1, 2, 3, 4}
+	for k := int64(10); k < 25; k++ {
+		want = append(want, k)
+	}
+	if got := deferredKeys(sr1.op); !slices.Equal(got, want) {
+		t.Errorf("oldest query's list after the splice = %v, want %v", got, want)
+	}
+
+	sr1.Finish() // the oldest: everything is unstitched
+	m.Quiesce()
+	if stitched, size := m.StitchedSlow(), m.SizeSlow(); stitched != size || size != 80 {
+		t.Errorf("after the oldest finished: %d stitched, %d present, want 80 and 80", stitched, size)
+	}
+	if err := m.CheckInvariants(CheckOptions{}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCheckInvariantsCatchesBadDeferredList corrupts a deferred list by
+// hand in each way the audit looks for.
+func TestCheckInvariantsCatchesBadDeferredList(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		corrupt    func(m *Map[int64, int64], older, newer *rangeOp[int64, int64])
+	}{
+		{"tail cell with a successor", "has a successor", func(m *Map[int64, int64], _, newer *rangeOp[int64, int64]) {
+			extra := &deferred[int64, int64]{n: m.head.next0.Raw()}
+			newer.defTail.Raw().next.Init(extra)
+		}},
+		{"tail cell not reached", "not the last cell", func(m *Map[int64, int64], _, newer *rangeOp[int64, int64]) {
+			newer.defHead.Raw().next.Init(nil)
+		}},
+		{"node on two lists", "more than one deferred list", func(m *Map[int64, int64], older, newer *rangeOp[int64, int64]) {
+			c := &deferred[int64, int64]{n: newer.defHead.Raw().n}
+			older.defHead.Init(c)
+			older.defTail.Init(c)
+		}},
+		{"live node", "logically present", func(m *Map[int64, int64], older, _ *rangeOp[int64, int64]) {
+			c := &deferred[int64, int64]{n: m.index.bucketFor(50).head.Raw()}
+			older.defHead.Init(c)
+			older.defTail.Init(c)
+		}},
+		{"unstitched node", "not stitched", func(m *Map[int64, int64], older, _ *rangeOp[int64, int64]) {
+			n := newNode[int64, int64](1)
+			n.rTime.Init(1)
+			c := &deferred[int64, int64]{n: n}
+			older.defHead.Init(c)
+			older.defTail.Init(c)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := newRQCMap(t)
+			h := m.NewHandle()
+			defer h.Close()
+			for k := int64(0); k < 100; k++ {
+				h.Insert(k, k)
+			}
+			older, newer := startRange(m), startRange(m)
+			h.Remove(10)
+			h.Remove(11)
+			if err := m.CheckInvariants(CheckOptions{AllowDeleted: true}); err != nil {
+				t.Fatalf("before corruption: %v", err)
+			}
+			c.corrupt(m, older, newer)
+			if err := m.CheckInvariants(CheckOptions{AllowDeleted: true}); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("CheckInvariants = %v, want an error containing %q", err, c.want)
+			}
+		})
 	}
 }

@@ -58,12 +58,12 @@ func (m *Map[K, V]) SnapshotChunks(chunkSize int, fn func(stamp uint64, pairs []
 				c = m.head.next0.Load(tx, &m.head.orec)
 			} else {
 				c = m.ceilNodeTx(tx, h, cursor)
-				if cursorLive && c.sentinel == 0 && !m.less(cursor, c.key) {
+				if cursorLive && c != m.tail && !m.less(cursor, c.key) {
 					c = c.next0.Load(tx, &c.orec)
 				}
 			}
 			scanned := 0
-			for c.sentinel == 0 && len(buf) < chunkSize && scanned < maxScan {
+			for c != m.tail && len(buf) < chunkSize && scanned < maxScan {
 				if lastLive = !c.deleted(tx); lastLive {
 					buf = append(buf, Pair[K, V]{Key: c.key, Val: c.val})
 				}
@@ -71,7 +71,7 @@ func (m *Map[K, V]) SnapshotChunks(chunkSize int, fn func(stamp uint64, pairs []
 				scanned++
 				c = c.next0.Load(tx, &c.orec)
 			}
-			end = c.sentinel != 0
+			end = c == m.tail
 			return nil
 		})
 		if end || len(buf) > 0 {
