@@ -16,10 +16,13 @@
 // stamp ties exactly as the real serialization did. A snapshot is a
 // sequence of chunked read-only transactions, each chunk tagged with its
 // start stamp; a chunk is a consistent view of its keys as of that
-// stamp. Recovery loads the snapshot, sorts the log by stamp (stable, so
-// file order resolves ties), and replays onto each key every record not
-// already reflected in that key's chunk — the same clock trick Jiffy
-// uses for its batch snapshots.
+// stamp. Recovery decodes the snapshot entries (each stamped with its
+// chunk's stamp) and every logged op into one flat array, sorts it once
+// by (key, stamp, decode order), and keeps each key's last op: an op the
+// key's chunk already reflects sorts before the snapshot entry, a newer
+// one after it, and file order resolves stamp ties — the same clock
+// trick Jiffy uses for its batch snapshots. The pairs come out sorted,
+// ready for a bulk load.
 //
 // # On-disk layout
 //

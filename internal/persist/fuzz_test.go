@@ -21,6 +21,8 @@ func FuzzWALTail(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x23, 0x31, 0x44, 0x05}, uint32(30), byte(0), true)
 	f.Add([]byte{0xff, 0x00, 0x80, 0x41}, uint32(5), byte(0x01), false)
 	f.Add([]byte{}, uint32(0), byte(0xff), true)
+	f.Add([]byte{0x21, 0x01, 0x31, 0x11, 0x22}, uint32(60), byte(0x08), false)
+	f.Add([]byte{0x21, 0x01, 0x31, 0x11, 0x22}, uint32(70), byte(0), true)
 	f.Fuzz(func(t *testing.T, script []byte, mutPos uint32, mutByte byte, truncate bool) {
 		if len(script) > 512 {
 			script = script[:512]
@@ -28,16 +30,17 @@ func FuzzWALTail(f *testing.F) {
 		const universe = 16
 		dir := t.TempDir()
 		opts := Options{Dir: dir, Fsync: FsyncNone, SnapshotBytes: -1}
-		st, err := Open[int64, int64](opts, Int64Codec(), Int64Codec())
+		st, err := Open[int64, int64](opts, int64Less, Int64Codec(), Int64Codec())
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
 		rt := stm.New()
 		var ws writeScratch
 
-		// Apply the script: each byte is one single-op record. Track the
-		// model state after every prefix, and each record's end offset in
-		// the (single) segment file.
+		// Apply the script: each byte is one record — a put or a delete,
+		// or with bit 0x20 set the two-op record (del k; put k v) that Put
+		// logs. Track the model state after every prefix, and each
+		// record's end offset in the (single) segment file.
 		type state [universe]struct {
 			v  int64
 			ok bool
@@ -48,14 +51,16 @@ func FuzzWALTail(f *testing.F) {
 		off := int64(len(walMagic))
 		for i, b := range script {
 			k := int64(b % universe)
-			put := b&0x10 == 0
+			replace := b&0x20 != 0
+			put := replace || b&0x10 == 0
 			v := int64(i)
 			if err := rt.Atomic(func(tx *stm.Tx) error {
 				ws.f.Store(tx, &ws.o, ws.f.Raw()+1)
+				if !put || replace {
+					st.LogDel(tx, k)
+				}
 				if put {
 					st.LogPut(tx, k, v)
-				} else {
-					st.LogDel(tx, k)
 				}
 				return nil
 			}); err != nil {
@@ -67,11 +72,14 @@ func FuzzWALTail(f *testing.F) {
 				cur[k].v, cur[k].ok = 0, false
 			}
 			states = append(states, cur)
-			// Frame size: header(8) + stamp(8) + uvarint(1 for count=1) +
-			// kind(1) + key(8) + value(8 if put).
-			sz := int64(8 + 8 + 1 + 1 + 8)
+			// Frame size: header(8) + stamp(8) + uvarint(1 for count<128),
+			// then per op kind(1) + key(8), plus value(8) for the put.
+			sz := int64(8 + 8 + 1)
+			if !put || replace {
+				sz += 1 + 8
+			}
 			if put {
-				sz += 8
+				sz += 1 + 8 + 8
 			}
 			off += sz
 			frameEnds = append(frameEnds, off)
@@ -88,7 +96,7 @@ func FuzzWALTail(f *testing.F) {
 			if len(script) != 0 {
 				t.Fatalf("no segment despite %d records", len(script))
 			}
-			st2, err := Open[int64, int64](opts, Int64Codec(), Int64Codec())
+			st2, err := Open[int64, int64](opts, int64Less, Int64Codec(), Int64Codec())
 			if err != nil {
 				t.Fatalf("empty-dir recovery: %v", err)
 			}
@@ -136,7 +144,7 @@ func FuzzWALTail(f *testing.F) {
 			}
 		}
 
-		st2, err := Open[int64, int64](opts, Int64Codec(), Int64Codec())
+		st2, err := Open[int64, int64](opts, int64Less, Int64Codec(), Int64Codec())
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("recovery failed with a non-corruption error: %v", err)

@@ -5,7 +5,8 @@ import "fmt"
 // DecodeOps walks one WAL record's op list — count operations encoded
 // as [kind][key] for deletes and [kind][key][value] for puts — calling
 // put/del for each in encoded order. It is the one decoder for that
-// format: recovery replay uses it against the snapshot state, and the
+// format: recovery uses it to append every logged op to its flat op
+// array (one pair of callbacks for the whole recovery), and the
 // replication applier (internal/repl) uses it to apply streamed records
 // to a live replica. A callback's non-nil error aborts the walk and is
 // returned as-is; decode failures are CRC-valid bytes that do not parse

@@ -31,9 +31,11 @@ type writeScratch struct {
 	f stm.U64
 }
 
+func int64Less(a, b int64) bool { return a < b }
+
 func openInt64Store(t *testing.T, opts Options) *Store[int64, int64] {
 	t.Helper()
-	st, err := Open[int64, int64](opts, Int64Codec(), Int64Codec())
+	st, err := Open[int64, int64](opts, int64Less, Int64Codec(), Int64Codec())
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -69,6 +71,28 @@ func TestCodecRoundTrip(t *testing.T) {
 	b, _, err := bc.Read(buf)
 	if err != nil || len(b) != 3 || b[2] != 3 {
 		t.Fatalf("bytes round trip: %v %v", b, err)
+	}
+}
+
+// TestOpenRefusesMissingArgs: Open refuses, before touching the
+// directory, a call without a directory, a key order or codecs.
+func TestOpenRefusesMissingArgs(t *testing.T) {
+	ic := Int64Codec()
+	for _, tc := range []struct {
+		name   string
+		dir    string
+		less   func(a, b int64) bool
+		kc, vc Codec[int64]
+	}{
+		{"no dir", "", int64Less, ic, ic},
+		{"nil less", t.TempDir(), nil, ic, ic},
+		{"nil key codec", t.TempDir(), int64Less, Codec[int64]{}, ic},
+		{"nil value codec", t.TempDir(), int64Less, ic, Codec[int64]{Append: ic.Append}},
+	} {
+		if st, err := Open[int64, int64](Options{Dir: tc.dir}, tc.less, tc.kc, tc.vc); err == nil {
+			st.Close()
+			t.Errorf("%s: Open succeeded", tc.name)
+		}
 	}
 }
 
@@ -313,7 +337,7 @@ func TestTornTailTolerated(t *testing.T) {
 	if err := st.SimulateTornCrash(7); err != nil {
 		t.Fatalf("SimulateTornCrash: %v", err)
 	}
-	st2, err := Open[int64, int64](opts, Int64Codec(), Int64Codec())
+	st2, err := Open[int64, int64](opts, int64Less, Int64Codec(), Int64Codec())
 	if err != nil {
 		t.Fatalf("recovery after torn crash: %v", err)
 	}
@@ -372,7 +396,7 @@ func TestCorruptionRejected(t *testing.T) {
 	if err := os.WriteFile(segs[len(segs)-1], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Open[int64, int64](opts, Int64Codec(), Int64Codec())
+	_, err = Open[int64, int64](opts, int64Less, Int64Codec(), Int64Codec())
 	if err == nil {
 		t.Fatal("corrupted WAL recovered without error")
 	}
@@ -463,7 +487,7 @@ func TestZeroExtendedTailTolerated(t *testing.T) {
 	}
 	f.Close()
 
-	st2, err := Open[int64, int64](opts, Int64Codec(), Int64Codec())
+	st2, err := Open[int64, int64](opts, int64Less, Int64Codec(), Int64Codec())
 	if err != nil {
 		t.Fatalf("zero-extended tail rejected: %v", err)
 	}

@@ -1,10 +1,12 @@
 package persist
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,9 +16,9 @@ import (
 type RecoverInfo struct {
 	// Entries is how many pairs the recovered state holds.
 	Entries int
-	// SnapshotEntries is how many of those came from the snapshot.
+	// SnapshotEntries is how many pairs the loaded snapshot held.
 	SnapshotEntries int
-	// Records is how many WAL records were parsed and replayed.
+	// Records is how many WAL records were parsed.
 	Records int
 	// Segments is how many WAL segment files were read.
 	Segments int
@@ -28,13 +30,6 @@ type RecoverInfo struct {
 	// frame (the expected artifact of a crash mid-append); the tail was
 	// discarded and the file repaired.
 	TornTail bool
-}
-
-// walRecord is one parsed WAL record awaiting replay.
-type walRecord struct {
-	stamp uint64
-	count uint64
-	ops   []byte
 }
 
 const (
@@ -89,9 +84,10 @@ func scanDir(dir string) (dirState, error) {
 	return st, nil
 }
 
-// readSegment parses one WAL segment. last selects the torn-tail
-// tolerance: in the newest segment an incomplete frame at EOF is a
-// crash artifact — parsing stops and the good prefix length is
+// walkSegment checks one WAL segment's frames and hands each record to
+// fn as its frame offset, stamp, op count and encoded ops. last selects
+// the torn-tail tolerance: in the newest segment an incomplete frame at
+// EOF is a crash artifact — the walk stops and the good prefix length is
 // returned for repair; anywhere else it is corruption. A checksum
 // mismatch is corruption everywhere — a deliberate trade-off. Past the
 // last fsync horizon, out-of-order page persistence after power loss
@@ -101,41 +97,36 @@ func scanDir(dir string) (dirState, error) {
 // sync horizon is not persisted. Truncating on mismatch would silently
 // discard records a user may have been promised, so recovery refuses
 // with a CorruptionError and leaves the choice to the operator.
-func readSegment(meta *segMeta, last bool, recs []walRecord) ([]walRecord, int64, bool, error) {
-	data, err := os.ReadFile(meta.path)
-	if err != nil {
-		return recs, 0, false, err
-	}
+func walkSegment(path string, data []byte, last bool,
+	fn func(off int64, stamp, count uint64, ops []byte) error) (goodEnd int64, torn bool, err error) {
 	if len(data) == 0 && last {
 		// Crash between file creation and the header write.
-		return recs, 0, true, nil
+		return 0, true, nil
 	}
 	if len(data) < len(walMagic) {
 		if last {
-			return recs, 0, true, nil
+			return 0, true, nil
 		}
-		return recs, 0, false, &CorruptionError{Path: meta.path, Offset: 0, Reason: "short segment header"}
+		return 0, false, &CorruptionError{Path: path, Offset: 0, Reason: "short segment header"}
 	}
 	if string(data[:len(walMagic)]) != string(walMagic) {
-		return recs, 0, false, &CorruptionError{Path: meta.path, Offset: 0, Reason: "bad segment magic"}
+		return 0, false, &CorruptionError{Path: path, Offset: 0, Reason: "bad segment magic"}
 	}
-	r := &frameReader{path: meta.path, data: data, off: int64(len(walMagic))}
-	torn := false
-	goodEnd := r.off
+	r := &frameReader{path: path, data: data, off: int64(len(walMagic))}
+	goodEnd = r.off
 	for {
 		payload, off, done, err := r.next()
 		if done {
-			break
+			return goodEnd, false, nil
 		}
 		if err == errTornFrame {
 			if !last {
-				return recs, 0, false, &CorruptionError{Path: meta.path, Offset: off, Reason: "torn frame in sealed segment"}
+				return 0, false, &CorruptionError{Path: path, Offset: off, Reason: "torn frame in sealed segment"}
 			}
-			torn = true
-			break
+			return goodEnd, true, nil
 		}
 		if err != nil {
-			return recs, 0, false, err
+			return 0, false, err
 		}
 		if len(payload) < 9 {
 			// A real record payload is at least stamp+count (9 bytes); a
@@ -145,62 +136,27 @@ func readSegment(meta *segMeta, last bool, recs []walRecord) ([]walRecord, int64
 			// frame whose CRC of nothing matches). Torn tail there;
 			// corruption anywhere else.
 			if last {
-				torn = true
-				break
+				return goodEnd, true, nil
 			}
-			return recs, 0, false, &CorruptionError{Path: meta.path, Offset: off, Reason: "record too short"}
+			return 0, false, &CorruptionError{Path: path, Offset: off, Reason: "record too short"}
 		}
 		stamp := binary.LittleEndian.Uint64(payload)
 		count, n, uerr := readUvarint(payload[8:])
 		if uerr != nil {
-			return recs, 0, false, &CorruptionError{Path: meta.path, Offset: off, Reason: uerr.Error()}
+			return 0, false, &CorruptionError{Path: path, Offset: off, Reason: uerr.Error()}
 		}
-		recs = append(recs, walRecord{stamp: stamp, count: count, ops: payload[8+n:]})
-		if stamp > meta.maxStamp {
-			meta.maxStamp = stamp
+		ops := payload[8+n:]
+		if count > uint64(len(ops)) {
+			// Every op spends at least its kind byte. Refusing here keeps a
+			// CRC-valid but absurd count from sizing recovery's op array.
+			return 0, false, &CorruptionError{Path: path, Offset: off,
+				Reason: fmt.Sprintf("record counts %d ops in %d bytes", count, len(ops))}
+		}
+		if err := fn(off, stamp, count, ops); err != nil {
+			return 0, false, err
 		}
 		goodEnd = r.off
 	}
-	meta.n = goodEnd
-	return recs, goodEnd, torn, nil
-}
-
-// replay applies sorted WAL records onto the snapshot state. A record
-// touches a key only if its stamp is at or above the key's watermark
-// (the stamp of the snapshot chunk that observed it), so operations the
-// snapshot already reflects are re-applied at most idempotently and
-// never regress newer state. Decode failures here are CRC-valid bytes
-// that do not parse (codec mismatch, malformed op list) — corruption,
-// so every error wraps ErrCorrupt like the framing layer's.
-func replay[K comparable, V any](recs []walRecord, kc Codec[K], vc Codec[V], state map[K]*snapEntry[V]) error {
-	// Stable by stamp: appends happen while the committing transaction
-	// still holds its write set, so file order is commit order for any
-	// two records that could disagree about a key — stamp ties between
-	// conflicting transactions resolve correctly.
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].stamp < recs[j].stamp })
-	for ri := range recs {
-		rec := &recs[ri]
-		apply := func(k K, put bool, v V) {
-			e := state[k]
-			if e == nil {
-				e = &snapEntry[V]{}
-				state[k] = e
-			} else if rec.stamp < e.stamp {
-				return // already reflected in this key's snapshot chunk
-			}
-			e.stamp = rec.stamp
-			e.val = v
-			e.present = put
-		}
-		var zero V
-		err := DecodeOps(rec.ops, rec.count, kc, vc,
-			func(k K, v V) error { apply(k, true, v); return nil },
-			func(k K) error { apply(k, false, zero); return nil })
-		if err != nil {
-			return fmt.Errorf("record %d: %w", ri, err)
-		}
-	}
-	return nil
 }
 
 // truncateDurable truncates a file to size and fsyncs the result (file
@@ -225,11 +181,35 @@ func truncateDurable(path string, size int64) error {
 	return syncDir(filepath.Dir(path))
 }
 
+// recOp is one recovered operation: a snapshot entry (stamped with its
+// chunk's stamp) or one WAL op (stamped with its record's), numbered by
+// seq in decode order — the snapshot first, then the segments in file
+// order. For pointer-free K and V the whole array is pointer-free, so
+// the collector never scans it.
+type recOp[K comparable, V any] struct {
+	key   K
+	val   V
+	stamp uint64
+	seq   uint64
+	put   bool
+}
+
 // recoverDir reconstructs state from a durability directory: newest
-// valid snapshot plus the stamp-ordered WAL replayed over it. It also
-// repairs a torn tail in place and reports the segment metadata the
-// reopened engine continues from.
-func recoverDir[K comparable, V any](dir string, kc Codec[K], vc Codec[V]) (
+// valid snapshot plus the WAL, returned as strictly ascending pairs by
+// less. It also repairs a torn tail in place and reports the segment
+// metadata the reopened engine continues from.
+//
+// Recovery is one flat pipeline. A first walk checks every frame and sums
+// the snapshot's entries and the records' op counts; one array of that
+// exact size then takes every snapshot entry and every WAL op, sorted
+// once by (key, stamp, seq). Each key keeps its last op: WAL ops below
+// its snapshot chunk's stamp sort before the snapshot entry, which the
+// chunk already reflects; an op at or above that stamp sorts after it
+// and wins; equal stamps fall back to file order, which is commit order
+// for any two records that touch the same key (appends happen while the
+// committing transaction still holds its write set), and to op order
+// inside one record.
+func recoverDir[K comparable, V any](dir string, less func(a, b K) bool, kc Codec[K], vc Codec[V]) (
 	pairs []KV[K, V], info RecoverInfo, st dirState, err error) {
 	st, err = scanDir(dir)
 	if err != nil {
@@ -238,62 +218,129 @@ func recoverDir[K comparable, V any](dir string, kc Codec[K], vc Codec[V]) (
 	// Aborted snapshot writes (crash before rename) are garbage.
 	removeFiles(dir, st.tmpFiles)
 
-	state := make(map[K]*snapEntry[V])
+	// Pass 1: read and check every file, size the op array.
+	var snapPath string
+	var snapData []byte
 	var snapMin uint64
 	if len(st.snaps) > 0 {
-		newest := st.snaps[len(st.snaps)-1]
-		var snapMax uint64
-		snapMin, snapMax, err = readSnapshot(filepath.Join(dir, snapName(newest)), kc, vc, state)
+		snapPath = filepath.Join(dir, snapName(st.snaps[len(st.snaps)-1]))
+		if snapData, err = os.ReadFile(snapPath); err != nil {
+			return nil, info, st, err
+		}
+		var snapMax, total uint64
+		snapMin, snapMax, total, err = walkSnapshot(snapPath, snapData, nil)
 		if err != nil {
 			return nil, info, st, err
 		}
-		info.SnapshotEntries = len(state)
-		if snapMax > info.MaxStamp {
-			info.MaxStamp = snapMax
-		}
+		info.SnapshotEntries = int(total)
+		info.MaxStamp = snapMax
 		// Older snapshots are fully superseded.
 		for _, seq := range st.snaps[:len(st.snaps)-1] {
 			os.Remove(filepath.Join(dir, snapName(seq)))
 		}
 		st.snaps = st.snaps[len(st.snaps)-1:]
 	}
-
-	var recs []walRecord
+	segData := make([][]byte, len(st.segs))
+	size := uint64(info.SnapshotEntries)
+	var seg *segMeta
+	countOps := func(_ int64, stamp, count uint64, _ []byte) error {
+		info.Records++
+		size += count
+		seg.maxStamp = max(seg.maxStamp, stamp)
+		return nil
+	}
 	for i := range st.segs {
-		last := i == len(st.segs)-1
-		var goodEnd int64
-		var torn bool
-		recs, goodEnd, torn, err = readSegment(&st.segs[i], last, recs)
+		seg = &st.segs[i]
+		data, err := os.ReadFile(seg.path)
 		if err != nil {
 			return nil, info, st, err
 		}
+		goodEnd, torn, err := walkSegment(seg.path, data, i == len(st.segs)-1, countOps)
+		if err != nil {
+			return nil, info, st, err
+		}
+		seg.n = goodEnd
+		segData[i] = data[:goodEnd]
+		info.MaxStamp = max(info.MaxStamp, seg.maxStamp)
 		if torn {
 			info.TornTail = true
 			// Repair and fsync: the truncation must itself survive a
 			// power loss, or resurrected pre-truncate bytes could later
 			// sit under freshly appended frames and turn a recoverable
 			// torn tail into a checksum mismatch.
-			if terr := truncateDurable(st.segs[i].path, goodEnd); terr != nil {
-				return nil, info, st, terr
+			if err := truncateDurable(seg.path, goodEnd); err != nil {
+				return nil, info, st, err
 			}
 		}
 	}
 	info.Segments = len(st.segs)
-	info.Records = len(recs)
-	for i := range recs {
-		if recs[i].stamp > info.MaxStamp {
-			info.MaxStamp = recs[i].stamp
+
+	// Pass 2: decode the snapshot, then every WAL op in file order. The
+	// first pass checked every frame and count, so exactly size ops land.
+	ops := make([]recOp[K, V], size)
+	n := 0
+	var stamp uint64
+	put := func(k K, v V) error {
+		ops[n] = recOp[K, V]{key: k, val: v, stamp: stamp, seq: uint64(n), put: true}
+		n++
+		return nil
+	}
+	del := func(k K) error {
+		ops[n] = recOp[K, V]{key: k, stamp: stamp, seq: uint64(n)}
+		n++
+		return nil
+	}
+	if snapData != nil {
+		_, _, _, err = walkSnapshot(snapPath, snapData, func(off int64, chunkStamp, count uint64, body []byte) error {
+			stamp = chunkStamp
+			return decodeChunk(snapPath, off, body, count, kc, vc, put)
+		})
+		if err != nil {
+			return nil, info, st, err
 		}
 	}
-	if err = replay(recs, kc, vc, state); err != nil {
-		return nil, info, st, err
+	var path string
+	decode := func(off int64, recStamp, count uint64, body []byte) error {
+		stamp = recStamp
+		if err := DecodeOps(body, count, kc, vc, put, del); err != nil {
+			return fmt.Errorf("%s: record at offset %d: %w", path, off, err)
+		}
+		return nil
 	}
-	for k, e := range state {
-		if e.present {
-			pairs = append(pairs, KV[K, V]{Key: k, Val: e.val})
+	for i, data := range segData {
+		path = st.segs[i].path
+		if _, _, err = walkSegment(path, data, i == len(segData)-1, decode); err != nil {
+			return nil, info, st, err
 		}
 	}
-	info.Entries = len(pairs)
+
+	// Sort once, keep each key's last op, compact the puts in place.
+	slices.SortFunc(ops, func(a, b recOp[K, V]) int {
+		switch {
+		case less(a.key, b.key):
+			return -1
+		case less(b.key, a.key):
+			return 1
+		case a.stamp != b.stamp:
+			return cmp.Compare(a.stamp, b.stamp)
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	live := 0
+	for i := range ops {
+		if i+1 < len(ops) && !less(ops[i].key, ops[i+1].key) {
+			continue // a later op on the same key decides it
+		}
+		if ops[i].put {
+			ops[live] = ops[i]
+			live++
+		}
+	}
+	pairs = make([]KV[K, V], live)
+	for i := range pairs {
+		pairs[i] = KV[K, V]{Key: ops[i].key, Val: ops[i].val}
+	}
+	info.Entries = live
 
 	// Tidy: segments fully covered by the loaded snapshot are dead
 	// weight on the next recovery. Prefix rule as in wal.truncateBelow.

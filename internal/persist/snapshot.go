@@ -109,29 +109,17 @@ func (sw *snapWriter[K, V]) finish() (minStamp, maxStamp uint64, err error) {
 
 func (sw *snapWriter[K, V]) abort() { sw.f.Close() }
 
-// snapEntry is one recovered snapshot pair plus the stamp of the chunk
-// it came from — the per-key watermark deciding which WAL records are
-// already reflected.
-type snapEntry[V any] struct {
-	val     V
-	stamp   uint64
-	present bool
-}
-
-// readSnapshot loads a snapshot file into the recovery state map. Any
-// framing, checksum, decode, or trailer violation is corruption: the
-// file was fsynced before its atomic rename, so a damaged snapshot is
-// never a crash artifact.
-func readSnapshot[K comparable, V any](path string, kc Codec[K], vc Codec[V], state map[K]*snapEntry[V]) (minStamp, maxStamp uint64, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, 0, err
-	}
+// walkSnapshot checks a snapshot file's frames, chunk headers and
+// trailer, handing each chunk to fn (when non-nil) as its frame offset,
+// stamp, pair count and encoded pairs. Any framing, checksum, count or
+// trailer violation is corruption: the file was fsynced before its
+// atomic rename, so a damaged snapshot is never a crash artifact.
+func walkSnapshot(path string, data []byte,
+	fn func(off int64, stamp, count uint64, body []byte) error) (minStamp, maxStamp, total uint64, err error) {
 	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != string(snapMagic) {
-		return 0, 0, &CorruptionError{Path: path, Offset: 0, Reason: "bad snapshot magic"}
+		return 0, 0, 0, &CorruptionError{Path: path, Offset: 0, Reason: "bad snapshot magic"}
 	}
 	r := &frameReader{path: path, data: data, off: int64(len(snapMagic))}
-	var total uint64
 	sealed := false
 	sawChunk := false
 	for {
@@ -143,70 +131,89 @@ func readSnapshot[K comparable, V any](path string, kc Codec[K], vc Codec[V], st
 			if err == errTornFrame {
 				err = &CorruptionError{Path: path, Offset: off, Reason: "truncated snapshot frame"}
 			}
-			return 0, 0, err
+			return 0, 0, 0, err
 		}
 		if sealed {
-			return 0, 0, &CorruptionError{Path: path, Offset: off, Reason: "data after snapshot trailer"}
+			return 0, 0, 0, &CorruptionError{Path: path, Offset: off, Reason: "data after snapshot trailer"}
 		}
 		if len(payload) < 1 {
-			return 0, 0, &CorruptionError{Path: path, Offset: off, Reason: "empty snapshot frame"}
+			return 0, 0, 0, &CorruptionError{Path: path, Offset: off, Reason: "empty snapshot frame"}
 		}
 		switch payload[0] {
 		case snapTagChunk:
 			body := payload[1:]
 			if len(body) < 8 {
-				return 0, 0, &CorruptionError{Path: path, Offset: off, Reason: "short chunk header"}
+				return 0, 0, 0, &CorruptionError{Path: path, Offset: off, Reason: "short chunk header"}
 			}
 			stamp := binary.LittleEndian.Uint64(body)
 			body = body[8:]
 			count, n, uerr := readUvarint(body)
 			if uerr != nil {
-				return 0, 0, &CorruptionError{Path: path, Offset: off, Reason: uerr.Error()}
+				return 0, 0, 0, &CorruptionError{Path: path, Offset: off, Reason: uerr.Error()}
 			}
 			body = body[n:]
-			for i := uint64(0); i < count; i++ {
-				k, n, kerr := kc.Read(body)
-				if kerr != nil {
-					return 0, 0, &CorruptionError{Path: path, Offset: off, Reason: "key decode: " + kerr.Error()}
-				}
-				body = body[n:]
-				v, n, verr := vc.Read(body)
-				if verr != nil {
-					return 0, 0, &CorruptionError{Path: path, Offset: off, Reason: "value decode: " + verr.Error()}
-				}
-				body = body[n:]
-				state[k] = &snapEntry[V]{val: v, stamp: stamp, present: true}
+			if count > uint64(len(body))+1 {
+				// Keys are distinct and self-delimiting, so at most one of
+				// them encodes to no bytes: a larger count cannot be real,
+				// and would otherwise size recovery's op array.
+				return 0, 0, 0, &CorruptionError{Path: path, Offset: off,
+					Reason: fmt.Sprintf("chunk counts %d pairs in %d bytes", count, len(body))}
 			}
-			if len(body) != 0 {
-				return 0, 0, &CorruptionError{Path: path, Offset: off, Reason: "trailing bytes in chunk"}
+			if fn != nil {
+				if err := fn(off, stamp, count, body); err != nil {
+					return 0, 0, 0, err
+				}
 			}
 			total += count
 			if !sawChunk || stamp < minStamp {
 				minStamp = stamp
 			}
-			if stamp > maxStamp {
-				maxStamp = stamp
-			}
+			maxStamp = max(maxStamp, stamp)
 			sawChunk = true
 		case snapTagTrailer:
 			body := payload[1:]
 			if len(body) != 24 {
-				return 0, 0, &CorruptionError{Path: path, Offset: off, Reason: "bad trailer size"}
+				return 0, 0, 0, &CorruptionError{Path: path, Offset: off, Reason: "bad trailer size"}
 			}
 			wantTotal := binary.LittleEndian.Uint64(body)
 			if wantTotal != total {
-				return 0, 0, &CorruptionError{Path: path, Offset: off,
+				return 0, 0, 0, &CorruptionError{Path: path, Offset: off,
 					Reason: fmt.Sprintf("trailer records %d entries, file holds %d", wantTotal, total)}
 			}
 			sealed = true
 		default:
-			return 0, 0, &CorruptionError{Path: path, Offset: off, Reason: fmt.Sprintf("unknown frame tag %d", payload[0])}
+			return 0, 0, 0, &CorruptionError{Path: path, Offset: off, Reason: fmt.Sprintf("unknown frame tag %d", payload[0])}
 		}
 	}
 	if !sealed {
-		return 0, 0, &CorruptionError{Path: path, Offset: r.off, Reason: "missing snapshot trailer"}
+		return 0, 0, 0, &CorruptionError{Path: path, Offset: r.off, Reason: "missing snapshot trailer"}
 	}
-	return minStamp, maxStamp, nil
+	return minStamp, maxStamp, total, nil
+}
+
+// decodeChunk decodes one snapshot chunk's count pairs, handing each to
+// put.
+func decodeChunk[K comparable, V any](path string, off int64, body []byte, count uint64,
+	kc Codec[K], vc Codec[V], put func(K, V) error) error {
+	for i := uint64(0); i < count; i++ {
+		k, n, err := kc.Read(body)
+		if err != nil {
+			return &CorruptionError{Path: path, Offset: off, Reason: "key decode: " + err.Error()}
+		}
+		body = body[n:]
+		v, n, err := vc.Read(body)
+		if err != nil {
+			return &CorruptionError{Path: path, Offset: off, Reason: "value decode: " + err.Error()}
+		}
+		body = body[n:]
+		if err := put(k, v); err != nil {
+			return err
+		}
+	}
+	if len(body) != 0 {
+		return &CorruptionError{Path: path, Offset: off, Reason: "trailing bytes in chunk"}
+	}
+	return nil
 }
 
 // removeFiles deletes the named directory entries, ignoring errors.

@@ -67,18 +67,23 @@ func (s *Store[K, V]) Instrument(fsyncLatency, batchRecords, snapDuration *obs.H
 }
 
 // Open recovers a durability directory and returns a store ready to log
-// new operations. The recovered pairs (TakeRecovered) must be loaded
-// into the map before the store is attached as its operation logger,
-// and the map's clock must be floored above Recovered().MaxStamp.
-func Open[K comparable, V any](opts Options, kc Codec[K], vc Codec[V]) (*Store[K, V], error) {
+// new operations. less is the map's key order: recovery sorts by it, and
+// TakeRecovered hands the pairs out strictly ascending by it. The
+// recovered pairs must be loaded into the map before the store is
+// attached as its operation logger, and the map's clock must be floored
+// above Recovered().MaxStamp.
+func Open[K comparable, V any](opts Options, less func(a, b K) bool, kc Codec[K], vc Codec[V]) (*Store[K, V], error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("persist: Options.Dir is required")
+	}
+	if less == nil {
+		return nil, fmt.Errorf("persist: a key order (less) is required")
 	}
 	if kc.Append == nil || kc.Read == nil || vc.Append == nil || vc.Read == nil {
 		return nil, fmt.Errorf("persist: key and value codecs are required")
 	}
 	opts = opts.withDefaults()
-	pairs, info, st, err := recoverDir[K, V](opts.Dir, kc, vc)
+	pairs, info, st, err := recoverDir[K, V](opts.Dir, less, kc, vc)
 	if err != nil {
 		return nil, err
 	}
@@ -135,9 +140,9 @@ func Open[K comparable, V any](opts Options, kc Codec[K], vc Codec[V]) (*Store[K
 func (s *Store[K, V]) Recovered() RecoverInfo { return s.recovered }
 
 // TakeRecovered returns the recovered pairs exactly once, releasing the
-// store's reference to them: one pair per live key, in no particular
-// order. The caller owns the slice and may reorder it in place, as
-// skiphash.OpenSharded does when it sorts the pairs for a bulk load.
+// store's reference to them: one pair per live key, strictly ascending
+// by the less Open was given — ready for a bulk load, as
+// skiphash.OpenSharded does. The caller owns the slice.
 func (s *Store[K, V]) TakeRecovered() []KV[K, V] {
 	p := s.pairs
 	s.pairs = nil

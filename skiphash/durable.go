@@ -3,7 +3,6 @@ package skiphash
 import (
 	"fmt"
 	"os"
-	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -65,11 +64,12 @@ func Open[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg 
 
 // OpenSharded creates — or recovers — a durable skip hash. With
 // cfg.Durability nil it is exactly NewSharded. Otherwise the
-// directory's newest valid snapshot is loaded, strictly-newer
-// write-ahead-log records are replayed in commit-stamp order (tolerating
-// a torn record at the tail of the newest segment, the expected artifact
-// of a crash mid-append; rejecting checksum corruption with an error
-// matching ErrCorrupt), the map's commit clock is floored above every
+// directory's newest valid snapshot and the write-ahead-log records its
+// chunks do not already reflect are folded in commit-stamp order
+// (tolerating a torn record at the tail of the newest segment, the
+// expected artifact of a crash mid-append; rejecting checksum corruption
+// with an error matching ErrCorrupt), the map is bulk-built from the
+// sorted result, the map's commit clock is floored above every
 // recovered stamp, and from then on every committed insert, remove and
 // atomic batch is logged with its commit stamp. Call Close to flush; see
 // Map.Snapshot, Map.Sync and Map.SimulateCrash for the rest of the
@@ -91,7 +91,7 @@ func OpenSharded[K comparable, V any](less func(a, b K) bool, hash func(K) uint6
 	if err := refuseRetiredLayout(cfg.Durability.Dir); err != nil {
 		return nil, err
 	}
-	st, err := persist.Open[K, V](*cfg.Durability, keys, vals)
+	st, err := persist.Open[K, V](*cfg.Durability, less, keys, vals)
 	if err != nil {
 		return nil, err
 	}
@@ -103,19 +103,10 @@ func OpenSharded[K comparable, V any](less func(a, b K) bool, hash func(K) uint6
 	// commits extend the log's total order instead of rewinding it.
 	cfg.Clock = stm.NewFloorClock(clock, st.Recovered().MaxStamp)
 	s := shard.New[K, V](less, hash, cfg)
-	// The recovered pairs are unique but unordered: sort them in place
-	// and bulk-build the still private map from them, before the logger
-	// and the snapshotter are attached.
+	// Recovery hands the pairs back strictly ascending by less: bulk-build
+	// the still private map from them, before the logger and the
+	// snapshotter are attached.
 	pairs := st.TakeRecovered()
-	slices.SortFunc(pairs, func(a, b persist.KV[K, V]) int {
-		switch {
-		case less(a.Key, b.Key):
-			return -1
-		case less(b.Key, a.Key):
-			return 1
-		}
-		return 0
-	})
 	s.LoadSorted(func(yield func(K, V) bool) {
 		for _, kv := range pairs {
 			if !yield(kv.Key, kv.Val) {

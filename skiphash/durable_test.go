@@ -16,13 +16,61 @@ import (
 	"repro/skiphash"
 )
 
-func openDurable(t *testing.T, cfg skiphash.Config) *skiphash.Map[int64, int64] {
-	t.Helper()
+func openDurable(tb testing.TB, cfg skiphash.Config) *skiphash.Map[int64, int64] {
+	tb.Helper()
 	m, err := skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		tb.Fatalf("Open: %v", err)
 	}
 	return m
+}
+
+// BenchmarkRecover prices a reopen of 2x10^5 live keys inserted in
+// random order: time, bytes and objects per recovery, the node per key
+// the bulk load links included. "wal" recovers from the log alone;
+// "snapshot+wal" from a snapshot of the keys plus a log tail that removes
+// 2.5x10^4 of them and inserts as many fresh ones.
+func BenchmarkRecover(b *testing.B) {
+	const keys, tail = 200_000, 25_000
+	for _, bc := range []struct {
+		name     string
+		snapshot bool
+	}{{"wal", false}, {"snapshot+wal", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := skiphash.Config{Durability: &skiphash.Durability{
+				Dir: b.TempDir(), Fsync: skiphash.FsyncNone, SnapshotBytes: -1,
+			}}
+			perm := rand.New(rand.NewPCG(1, 2)).Perm(keys + tail)
+			m := openDurable(b, cfg)
+			for _, k := range perm[:keys] {
+				m.Insert(int64(k), int64(k))
+			}
+			if bc.snapshot {
+				if err := m.Snapshot(); err != nil {
+					b.Fatal(err)
+				}
+				for i, k := range perm[keys:] {
+					m.Remove(int64(perm[i]))
+					m.Insert(int64(k), int64(k))
+				}
+			}
+			m.Close()
+			// One untimed reopen: it deletes the segments the snapshot
+			// covers, so every timed one reads the same directory.
+			openDurable(b, cfg).Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m := openDurable(b, cfg)
+				b.StopTimer()
+				if got := m.SizeSlow(); got != keys {
+					b.Fatalf("recovered %d keys, want %d", got, keys)
+				}
+				m.Close()
+				b.StartTimer()
+			}
+		})
+	}
 }
 
 func assertMatchesModel(t *testing.T, m *skiphash.Map[int64, int64], model map[int64]int64, universe int64) {
