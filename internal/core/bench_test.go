@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"repro/internal/thashmap"
@@ -153,6 +154,61 @@ func BenchmarkAtomicPairToggle(b *testing.B) {
 			})
 		}
 	})
+}
+
+// BenchmarkAtomicInsertRun prices the served daemon's coalesced run: two
+// goroutines each commit Atomic batches that insert 64 random keys from a
+// 2^17 universe, half of it present, then remove the ones they inserted,
+// so the size holds. An op is one batch. aborts/commit, from the
+// runtime's stats, is what the runs' overlapping read sets cost.
+func BenchmarkAtomicInsertRun(b *testing.B) {
+	const universe, run, workers = 1 << 17, 64, 2
+	m := New[int64, int64](lessInt64, thashmap.Hash64, Config{})
+	h := m.NewHandle()
+	for k := int64(0); k < universe; k += 2 {
+		h.Insert(k, k)
+	}
+	before := m.Runtime().Stats()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		n := b.N / workers
+		if w < b.N%workers {
+			n++
+		}
+		wg.Add(1)
+		go func(seed uint64, n int) {
+			defer wg.Done()
+			h := m.NewHandle()
+			defer h.Close()
+			rng := rand.New(rand.NewPCG(seed, 9))
+			keys := make([]int64, run)
+			inserted := make([]int64, 0, run)
+			for i := 0; i < n; i++ {
+				for j := range keys {
+					keys[j] = int64(rng.Uint64() % universe)
+				}
+				_ = h.Atomic(func(op *Txn[int64, int64]) error {
+					inserted = inserted[:0]
+					for _, k := range keys {
+						if op.Insert(k, k) {
+							inserted = append(inserted, k)
+						}
+					}
+					for _, k := range inserted {
+						op.Remove(k)
+					}
+					return nil
+				})
+			}
+		}(uint64(w), n)
+	}
+	wg.Wait()
+	b.StopTimer()
+	d := m.Runtime().Stats().Sub(before)
+	if d.Commits > 0 {
+		b.ReportMetric(float64(d.Aborts)/float64(d.Commits), "aborts/commit")
+	}
 }
 
 func BenchmarkAscend(b *testing.B) {

@@ -108,11 +108,11 @@ func (h *Handle[K, V]) descend(from *K, fn func(k K, v V) bool) {
 				// First node > cursor, then one step back: the last
 				// node with key <= cursor (possibly deleted; the walk
 				// below skips those).
-				first := m.findPreds(tx, cursor, h.preds, m.nodeBeforeOrAt)
+				first := m.seekTx(tx, h, cursor, m.nodeBeforeOrAt, nil)
 				c = first.prev0.Load(tx, &first.orec)
 			} else {
 				// First node >= cursor, then back: last node < cursor.
-				first := m.findPreds(tx, cursor, h.preds, m.nodeBefore)
+				first := m.seekTx(tx, h, cursor, m.nodeBefore, nil)
 				c = first.prev0.Load(tx, &first.orec)
 			}
 			for c != m.head && len(buf) < iterChunk {

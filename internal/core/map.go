@@ -46,12 +46,15 @@ type Config struct {
 	Adaptive bool
 	// AdaptiveSkip is the probe window for Adaptive (default 16).
 	AdaptiveSkip int
-	// DisableReadFastPath turns off the optimistic non-transactional
-	// read fast path for Lookup/Contains and the cache warm-up descent
-	// it gives range queries, forcing every point read through a full
-	// STM transaction. The zero value keeps the fast path on; the switch
+	// DisableReadFastPath turns off both optimistic non-transactional
+	// paths: the Lookup/Contains fast path and the raw tower descent
+	// every insert, ordered query, range and iterator starts with. Every
+	// point read then runs in a full STM transaction, and every descent
+	// reads each node it passes in the transaction (findPreds), as the
+	// paper's Figure 2 does. The zero value keeps both on; the switch
 	// exists for the benchmark ablation (skipbench read's "txread"
-	// series) and for debugging.
+	// series), for keeping the transactional descent tested, and for
+	// debugging.
 	DisableReadFastPath bool
 	// RemovalBufferSize is the per-handle buffer of logically deleted
 	// nodes whose unstitching is batched (§4.5, size 32 in the paper).
@@ -308,9 +311,10 @@ func (m *Map[K, V]) nodeBeforeOrAt(n *node[K, V], k K) bool {
 	return !m.less(k, n.key)
 }
 
-// findPreds descends the tower, storing into preds (len MaxLevel) the
-// rightmost node at each level for which before(node, k) holds, and
-// returns the level-0 successor of preds[0].
+// findPreds descends the tower inside tx, storing into preds (len
+// MaxLevel) the rightmost node at each level for which before(node, k)
+// holds, and returns the level-0 successor of preds[0]. It is seekTx's
+// fallback, and the only search when Config.DisableReadFastPath is set.
 func (m *Map[K, V]) findPreds(tx *stm.Tx, k K, preds []*node[K, V], before func(*node[K, V], K) bool) *node[K, V] {
 	cur := m.head
 	for l := m.cfg.MaxLevel - 1; l >= 0; l-- {
@@ -324,6 +328,125 @@ func (m *Map[K, V]) findPreds(tx *stm.Tx, k K, preds []*node[K, V], before func(
 		preds[l] = cur
 	}
 	return preds[0].next0.Load(tx, &preds[0].orec)
+}
+
+// descentHook, when installed, runs between a raw descent and the
+// in-transaction check of the pairs it recorded, so tests can
+// deterministically change the list under a recorded pair.
+var descentHook atomic.Pointer[func()]
+
+// setDescentHook installs fn (nil removes it) to run after every raw
+// descent. Test instrumentation only.
+func setDescentHook(fn func()) {
+	if fn == nil {
+		descentHook.Store(nil)
+		return
+	}
+	descentHook.Store(&fn)
+}
+
+// descend walks the tower toward k through the links' atomic backing,
+// with no transaction and no validation, storing into preds (len
+// MaxLevel) the rightmost node it reached at each level for which
+// before(node, k) held. Every search runs it (seekTx); the caller's
+// transaction then reads only the pairs that decide its result
+// (bracketsTx), so a search costs its cache misses and a few orec reads
+// instead of ~2·log2 n of them.
+//
+// The walk terminates because inserts, removals and their undos never
+// create a level cycle, and only immutable state (keys, the sentinels'
+// identity) steers it. What it records may be stale or torn; a recorded
+// predecessor p and its level-l successor s = p.next(l), both read in
+// the caller's transaction, still bracket k there when s.prev(l) == p
+// and !before(s, k):
+//   - Keys are immutable and the walk steps onto a node only when
+//     before(node, k) held, so p orders before k with no check.
+//   - In one consistent snapshot, p.next(l) == s and s.prev(l) == p mean
+//     both nodes are linked at level l: unstitching either one rewrites
+//     the other's link (unstitchTx writes pred.next and succ.prev), and
+//     a node is never relinked once unstitched.
+//   - A node whose insert is still in flight is reachable only through
+//     a link whose orec its inserter holds, and its successor's prev
+//     names it only once that orec is held too, so a pair that involves
+//     it either conflicts (the transaction retries) or fails the check.
+//     A node whose insert rolled back fails s.prev(l) == p: the undo
+//     restored its successor's link.
+//
+// So the pair is adjacent at level l with p before k and s not, the one
+// gap findPreds would have returned at that level. A pair that fails
+// the check sends the search to findPreds for that attempt, the way a
+// failed getFast sends a point read to getTx.
+func (m *Map[K, V]) descend(k K, preds []*node[K, V], before func(*node[K, V], K) bool) {
+	cur := m.head
+	for l := m.cfg.MaxLevel - 1; l >= 0; l-- {
+		for {
+			nxt := cur.nextAt(l).Raw()
+			if nxt == nil || !before(nxt, k) {
+				break
+			}
+			cur = nxt
+		}
+		preds[l] = cur
+	}
+	if h := descentHook.Load(); h != nil {
+		(*h)()
+	}
+}
+
+// seekTx finds k's place under before for a transaction and returns
+// the level-0 successor there, as findPreds does, leaving the
+// predecessors in h.preds. It descends raw and reads in tx only the
+// pairs that decide the result (bracketsTx): the level-0 pair, and for
+// an insert of the fresh node n every pair below n's height, which n's
+// links are pointed at. A pair that fails the check runs findPreds for
+// this attempt; Config.DisableReadFastPath makes findPreds the only
+// search.
+func (m *Map[K, V]) seekTx(tx *stm.Tx, h *Handle[K, V], k K, before func(*node[K, V], K) bool, n *node[K, V]) *node[K, V] {
+	preds := h.preds
+	if !m.cfg.DisableReadFastPath {
+		m.descend(k, preds, before)
+		if s, ok := m.bracketsTx(tx, preds, k, before, n); ok {
+			return s
+		}
+	}
+	s := m.findPreds(tx, k, preds, before)
+	if n != nil {
+		for l := 0; l < n.height(); l++ {
+			p := preds[l]
+			n.prevAt(l).Init(p)
+			n.nextAt(l).Init(p.nextAt(l).Load(tx, &p.orec))
+		}
+	}
+	return s
+}
+
+// bracketsTx checks in tx that each pair descend recorded, at level 0
+// and, when n is non-nil, at every level below n's height, still
+// brackets k: the recorded predecessor p and its successor s =
+// p.next(l) satisfy s.prev(l) == p and !before(s, k). It points n's
+// links at each checked pair and returns the level-0 successor. The
+// splice reuses the pairs through n, so the check adds one read per
+// level, s.prev(l), of an orec the insert acquires anyway.
+func (m *Map[K, V]) bracketsTx(tx *stm.Tx, preds []*node[K, V], k K, before func(*node[K, V], K) bool, n *node[K, V]) (s0 *node[K, V], ok bool) {
+	levels := 1
+	if n != nil {
+		levels = n.height()
+	}
+	for l := 0; l < levels; l++ {
+		p := preds[l]
+		s := p.nextAt(l).Load(tx, &p.orec)
+		if s.prevAt(l).Load(tx, &s.orec) != p || before(s, k) {
+			return nil, false
+		}
+		if n != nil {
+			n.prevAt(l).Init(p)
+			n.nextAt(l).Init(s)
+		}
+		if l == 0 {
+			s0 = s
+		}
+	}
+	return s0, true
 }
 
 // lookupTx is Figure 1's lookup: the hash map routes straight to the
@@ -393,18 +516,15 @@ func (m *Map[K, V]) insertTx(tx *stm.Tx, h *Handle[K, V], k K, v V) bool {
 	if m.index.getTx(tx, k) != nil {
 		return false // O(1): key already present
 	}
-	// The key may still exist in the skip list as logically deleted
-	// nodes; position the new node after them.
-	m.findPreds(tx, k, h.preds, m.nodeBeforeOrAt)
 	n := newNode[K, V](m.randomHeight())
 	n.key = k
 	n.val = v
+	// The key may still exist in the skip list as logically deleted
+	// nodes; position the new node after them.
+	m.seekTx(tx, h, k, m.nodeBeforeOrAt, n)
 	n.setITime(m.rqc.onUpdate(tx))
 	for l := 0; l < n.height(); l++ {
-		p := h.preds[l]
-		s := p.nextAt(l).Load(tx, &p.orec)
-		n.prevAt(l).Init(p)
-		n.nextAt(l).Init(s)
+		p, s := n.prevAt(l).Raw(), n.nextAt(l).Raw()
 		p.nextAt(l).Store(tx, &p.orec, n)
 		s.prevAt(l).Store(tx, &s.orec, n)
 	}
@@ -451,7 +571,7 @@ func (m *Map[K, V]) ceilNodeTx(tx *stm.Tx, h *Handle[K, V], k K) *node[K, V] {
 	if n := m.index.getTx(tx, k); n != nil {
 		return n // O(1) when the key is present (Fig. 1 ceil)
 	}
-	c := m.findPreds(tx, k, h.preds, m.nodeBefore)
+	c := m.seekTx(tx, h, k, m.nodeBefore, nil)
 	for c != m.tail && c.deleted(tx) {
 		c = c.next0.Load(tx, &c.orec)
 	}
@@ -470,7 +590,7 @@ func (m *Map[K, V]) succTx(tx *stm.Tx, h *Handle[K, V], k K) (K, V, bool) {
 	if n := m.index.getTx(tx, k); n != nil {
 		c = n.next0.Load(tx, &n.orec)
 	} else {
-		c = m.findPreds(tx, k, h.preds, m.nodeBeforeOrAt)
+		c = m.seekTx(tx, h, k, m.nodeBeforeOrAt, nil)
 	}
 	for c != m.tail && c.deleted(tx) {
 		c = c.next0.Load(tx, &c.orec)
@@ -483,7 +603,7 @@ func (m *Map[K, V]) floorTx(tx *stm.Tx, h *Handle[K, V], k K) (K, V, bool) {
 	if n := m.index.getTx(tx, k); n != nil {
 		return n.key, n.val, true
 	}
-	c := m.findPreds(tx, k, h.preds, m.nodeBefore)
+	c := m.seekTx(tx, h, k, m.nodeBefore, nil)
 	p := c.prev0.Load(tx, &c.orec)
 	for p != m.head && p.deleted(tx) {
 		p = p.prev0.Load(tx, &p.orec)
@@ -497,7 +617,7 @@ func (m *Map[K, V]) predTx(tx *stm.Tx, h *Handle[K, V], k K) (K, V, bool) {
 	if n := m.index.getTx(tx, k); n != nil {
 		c = n.prev0.Load(tx, &n.orec)
 	} else {
-		first := m.findPreds(tx, k, h.preds, m.nodeBefore)
+		first := m.seekTx(tx, h, k, m.nodeBefore, nil)
 		c = first.prev0.Load(tx, &first.orec)
 	}
 	for c != m.head && c.deleted(tx) {

@@ -5,6 +5,14 @@
 // insertion and absent-key point queries (Figure 1). Range queries run on
 // a fast path (one transaction) with a slow-path fallback coordinated by
 // the range query coordinator (Figures 3 and 4).
+//
+// Two paths run outside the STM and validate afterwards. Point reads
+// probe the hash index raw and revalidate the bucket's orec (getFast).
+// Every skip list search descends the tower raw (descend) and reads in
+// its transaction only the pairs of nodes it splices between or starts
+// from, checking that each is still adjacent around the key; a failed
+// check or Config.DisableReadFastPath runs the transactional descent
+// (findPreds) instead.
 package core
 
 import (

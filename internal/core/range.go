@@ -9,13 +9,10 @@ import (
 // appended to out; ErrAborted indicates the caller should try again or
 // fall back.
 func (m *Map[K, V]) rangeFast(h *Handle[K, V], l, r K, out []Pair[K, V]) ([]Pair[K, V], error) {
-	if !m.cfg.DisableReadFastPath {
-		m.warmDescent(l)
-	}
 	res := out
 	err := m.rt.TryOnce(func(tx *stm.Tx) error {
 		res = out
-		c := m.findPreds(tx, l, h.preds, m.nodeBefore)
+		c := m.seekTx(tx, h, l, m.nodeBefore, nil)
 		for c != m.tail && !m.less(r, c.key) {
 			if !c.deleted(tx) {
 				res = append(res, Pair[K, V]{Key: c.key, Val: c.val})
@@ -28,27 +25,6 @@ func (m *Map[K, V]) rangeFast(h *Handle[K, V], l, r K, out []Pair[K, V]) ([]Pair
 		return out, err
 	}
 	return res, nil
-}
-
-// warmDescent walks the tower toward l through the links' atomic backing,
-// with no transaction and no validation, purely to pull the descent's
-// cache lines (and their orec words) before the fast-path transaction
-// replays the same search. Wrong turns from concurrent splices are
-// harmless — the transactional descent re-reads everything — and the walk
-// terminates because inserts, removals and their undos never create a
-// level cycle. Only immutable state (keys, the sentinels' identity) feeds
-// the navigation.
-func (m *Map[K, V]) warmDescent(k K) {
-	cur := m.head
-	for l := m.cfg.MaxLevel - 1; l >= 0; l-- {
-		for {
-			nxt := cur.nextAt(l).Raw()
-			if nxt == nil || !m.nodeBefore(nxt, k) {
-				break
-			}
-			cur = nxt
-		}
-	}
 }
 
 // rangeSlow runs Figure 3's slow path. One transaction finds the first
@@ -160,7 +136,7 @@ func (m *Map[K, V]) isSafe(tx *stm.Tx, n *node[K, V], ver uint64) bool {
 // batch API, where the surrounding transaction already provides
 // atomicity; this is the fast path's body without the try-once wrapper).
 func (m *Map[K, V]) rangeTx(tx *stm.Tx, h *Handle[K, V], l, r K, out []Pair[K, V]) []Pair[K, V] {
-	c := m.findPreds(tx, l, h.preds, m.nodeBefore)
+	c := m.seekTx(tx, h, l, m.nodeBefore, nil)
 	for c != m.tail && !m.less(r, c.key) {
 		if !c.deleted(tx) {
 			out = append(out, Pair[K, V]{Key: c.key, Val: c.val})

@@ -56,8 +56,13 @@
 // and after the walk (a seqlock-style sample/revalidate, with no clock
 // read and no transaction descriptor). A validated walk is linearizable
 // as-is; any interference falls back to the ordinary read-only
-// transaction, which remains the source of truth.
-// Config.DisableReadFastPath disables the bypass.
+// transaction, which remains the source of truth. Searches of the skip
+// list (inserts, ordered queries, ranges, iterators) likewise descend
+// the tower raw and read in their transaction only the pairs of nodes
+// they splice between or start from, falling back to a fully
+// transactional descent when a pair has changed.
+// Config.DisableReadFastPath disables both bypasses: every read and every
+// descent then runs inside the transaction.
 //
 // # Usage
 //

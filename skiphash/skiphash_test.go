@@ -77,6 +77,14 @@ func TestConformanceSlowOnly(t *testing.T) {
 	maptest.RunAll(t, factory(skiphash.Config{SlowOnly: true}))
 }
 
+// TestConformanceTransactionalDescent runs the suite with every read and
+// every descent inside the transaction. Otherwise findPreds runs only as
+// the fallback of a raw descent whose pairs changed, so this keeps the
+// transactional descent checked.
+func TestConformanceTransactionalDescent(t *testing.T) {
+	maptest.RunAll(t, factory(skiphash.Config{DisableReadFastPath: true}))
+}
+
 func TestConformanceUnbufferedRemovals(t *testing.T) {
 	maptest.RunAll(t, factory(skiphash.Config{RemovalBufferSize: -1}))
 }
