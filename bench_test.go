@@ -178,46 +178,6 @@ func BenchmarkAblationHashRouting(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRemovalBuffer measures §4.5's per-thread removal
-// buffer against the unbuffered Figure 4 protocol under slow-path range
-// pressure.
-func BenchmarkAblationRemovalBuffer(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		c    skiphash.Config
-	}{
-		{"buffered-32", skiphash.Config{SlowOnly: true}},
-		{"unbuffered", skiphash.Config{SlowOnly: true, RemovalBufferSize: -1}},
-	} {
-		b.Run("removals="+cfg.name, func(b *testing.B) {
-			m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg.c)
-			pre := m.NewHandle()
-			for k := int64(0); k < benchUniverse; k += 2 {
-				pre.Insert(k, k)
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				h := m.NewHandle()
-				rng := rand.New(rand.NewPCG(rand.Uint64(), 0x55))
-				var buf []skiphash.Pair[int64, int64]
-				for pb.Next() {
-					k := int64(rng.Uint64() % benchUniverse)
-					switch rng.Uint64() % 10 {
-					case 0:
-						buf = h.Range(k, k+256, buf[:0])
-					default:
-						if rng.Uint64()&1 == 0 {
-							h.Insert(k, k)
-						} else {
-							h.Remove(k)
-						}
-					}
-				}
-			})
-		})
-	}
-}
-
 func itoa(n int64) string {
 	if n == 0 {
 		return "0"

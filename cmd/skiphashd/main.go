@@ -11,9 +11,8 @@
 // before closing.
 //
 // Shutdown is signal-driven: SIGINT/SIGTERM stops accepting, answers
-// the requests already read (bounded by -drain-timeout), quiesces the
-// map's removal buffers, and syncs and closes the default map and every
-// namespace. The exit status is 1 if any of their durability engines
+// the requests already read (bounded by -drain-timeout), and syncs and
+// closes the default map and every namespace. The exit status is 1 if any of their durability engines
 // reports acknowledged writes that may not be on disk.
 //
 // Observability: every subsystem reports into one metrics registry

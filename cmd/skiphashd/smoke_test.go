@@ -105,9 +105,9 @@ func TestSmokeMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dial %s: %v", srvAddr, err)
 	}
-	// Every served removal orphans its node on its shard's queue, which
-	// drains inline on reaching 128 nodes (core's orphanDrainThreshold):
-	// remove 256 keys per shard, and never fewer than 1024.
+	// Every served removal unstitches its node when it commits, so the
+	// drained-nodes counter moves with the first one; remove 256 keys
+	// per shard, and never fewer than 1024, so every shard removes.
 	mu.Lock()
 	keys := int64(max(1024, 256*shards))
 	mu.Unlock()
@@ -164,8 +164,15 @@ func TestSmokeMetrics(t *testing.T) {
 		if nonZero(t, text.s, "skiphash_core_drained_nodes_total") == 0 {
 			t.Errorf("%s: no removed node drained after %d served removals", text.name, keys)
 		}
-		if strings.Contains(text.s, "skiphash_core_maintainer_wakeups_total") {
-			t.Errorf("%s still exports skiphash_core_maintainer_wakeups_total", text.name)
+		for _, gone := range []string{
+			"skiphash_core_maintainer_wakeups_total",
+			"skiphash_core_orphaned_total",
+			"skiphash_core_adopted_total",
+			"skiphash_shard_orphan_backlog",
+		} {
+			if strings.Contains(text.s, gone) {
+				t.Errorf("%s still exports %s", text.name, gone)
+			}
 		}
 	}
 

@@ -134,7 +134,6 @@ func runNet(threads int, duration time.Duration, seed uint64,
 	if err := <-served; err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	m.Quiesce()
 	if err := m.CheckInvariants(skiphash.CheckOptions{}); err != nil {
 		return fmt.Errorf("served map invariants after %d rounds: %w", rounds, err)
 	}

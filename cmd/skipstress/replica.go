@@ -125,7 +125,7 @@ func runReplica(threads int, duration time.Duration, seed uint64, lookupPct int,
 	runRounds(start.Add(duration / 2))
 	rounds1 := rounds
 
-	// Quiescent failover. The workload is joined, so a primary
+	// Failover at rest. The workload is joined, so a primary
 	// watermark taken now covers every commit; both replicas must pass
 	// it, and the caught-up replica A must hold exactly the primary's
 	// state.
@@ -187,7 +187,6 @@ func runReplica(threads int, duration time.Duration, seed uint64, lookupPct int,
 	rB.Close()
 
 	mA := rA.Map()
-	mA.Quiesce()
 	if err := mA.CheckInvariants(skiphash.CheckOptions{}); err != nil {
 		fail("promoted map invariants: %v", err)
 	}

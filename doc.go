@@ -3,10 +3,9 @@
 // Spear). The public API lives in repro/skiphash: one map type that is
 // the paper's structure at one shard (New) and partitions itself across
 // a fixed number of independent skip-hash shards on request
-// (NewSharded), the handle-lifecycle subsystem (Handle.Close, orphan
-// queues drained inline by the operations that fill them) that keeps the
-// paper's deferred removal buffers from stranding stitched nodes on
-// long-running servers, and the durability subsystem (Config.Durability
+// (NewSharded), with every removal unstitching its node at commit or
+// handing it to an in-flight range query as the paper's Figure 4 does,
+// and the durability subsystem (Config.Durability
 // plus the Open constructors): a write-ahead log of logical operations
 // ordered by the STM's commit stamps, clock-consistent background
 // snapshots, and crash recovery with torn-tail tolerance and checksum

@@ -373,9 +373,9 @@ func (m *Map) Range(l, r int64, buf []kv.KV) []kv.KV {
 	return buf
 }
 
-// CheckQuiescent audits the quiescent structure: sorted unique keys at
+// CheckIdle audits the quiescent structure: sorted unique keys at
 // level 0 and tower consistency.
-func (m *Map) CheckQuiescent() error {
+func (m *Map) CheckIdle() error {
 	prevKey := int64(0)
 	first := true
 	for cur := m.head.next[0].Load(); cur.sentinel == 0; cur = cur.next[0].Load() {

@@ -330,9 +330,9 @@ func (m *Map) rangeAt(n *tnode, ts uint64, l, r int64, buf []kv.KV) []kv.KV {
 	return buf
 }
 
-// CheckQuiescent audits the quiescent tree: leaf keys strictly ascending
+// CheckIdle audits the quiescent tree: leaf keys strictly ascending
 // in-order and routing invariants respected.
-func (m *Map) CheckQuiescent() error {
+func (m *Map) CheckIdle() error {
 	var last *tnode
 	var walk func(n *tnode) error
 	walk = func(n *tnode) error {

@@ -30,7 +30,7 @@ func TestEmptyTreeQueries(t *testing.T) {
 	if got := m.Range(-100, 100, nil); len(got) != 0 {
 		t.Errorf("empty tree range = %v", got)
 	}
-	if err := m.CheckQuiescent(); err != nil {
+	if err := m.CheckIdle(); err != nil {
 		t.Error(err)
 	}
 }
@@ -47,7 +47,7 @@ func TestDeleteDownToEmpty(t *testing.T) {
 		if !m.Remove(k) {
 			t.Fatalf("Remove(%d) failed", k)
 		}
-		if err := m.CheckQuiescent(); err != nil {
+		if err := m.CheckIdle(); err != nil {
 			t.Fatalf("after removing %d: %v", k, err)
 		}
 	}

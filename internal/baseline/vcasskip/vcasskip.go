@@ -313,9 +313,9 @@ func (m *Map) Range(l, r int64, buf []kv.KV) []kv.KV {
 	return buf
 }
 
-// CheckQuiescent audits the quiescent structure: bottom level sorted and
+// CheckIdle audits the quiescent structure: bottom level sorted and
 // unmarked-reachable nodes unique.
-func (m *Map) CheckQuiescent() error {
+func (m *Map) CheckIdle() error {
 	last := int64(0)
 	first := true
 	cur := m.head.next[0].Read(m.src).Succ

@@ -56,10 +56,10 @@ func TestOpsAllocBudget(t *testing.T) {
 			t.Errorf("Range into a sized buffer allocates %.2f/op, budget 0", got)
 		}
 
-		// Enough removals to fill and flush the handle's removal
-		// buffer many times over: the batched unstitch is in budget.
-		// The first flushes run unmeasured — they grow the logs of
-		// the descriptor the nested drain transaction runs on.
+		// Each removal unstitches its node at commit. The first ones
+		// run unmeasured: they grow the descriptor's logs to an
+		// unstitch's write set.
+		const warmup = 128
 		victim := int64(0)
 		remove := func() {
 			if !h.Remove(victim) {
@@ -67,7 +67,7 @@ func TestOpsAllocBudget(t *testing.T) {
 			}
 			victim++
 		}
-		for i := 0; i < 4*m.cfg.RemovalBufferSize; i++ {
+		for i := 0; i < warmup; i++ {
 			remove()
 		}
 		if got := testing.AllocsPerRun(keys/2, remove); got != 0 {
@@ -75,14 +75,13 @@ func TestOpsAllocBudget(t *testing.T) {
 		}
 
 		// Behind a registered slow-path range query older than the
-		// nodes, each removal is deferred to it: one list cell per node,
-		// allocated when the buffer flush appends it.
+		// nodes, each removal is deferred to it: one list cell per node.
 		var sr *SlowRange[int64, int64]
 		_ = m.rt.Atomic(func(tx *stm.Tx) error {
 			sr = m.BeginSlowRangeTx(tx, h, 0)
 			return nil
 		})
-		for i := 0; i < 4*m.cfg.RemovalBufferSize; i++ {
+		for i := 0; i < warmup; i++ {
 			remove()
 		}
 		deferred := alloctest.PerOp(keys/4, remove)

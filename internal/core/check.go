@@ -7,9 +7,8 @@ import (
 // CheckOptions tunes the invariant audit.
 type CheckOptions struct {
 	// AllowDeleted permits logically deleted nodes to remain stitched
-	// (true while slow-path queries or unflushed removal buffers may
-	// hold them; false after Quiesce on an otherwise idle map with no
-	// in-flight queries).
+	// (true while slow-path range queries are in flight and may hold
+	// them on their deferred lists; false on any map with none).
 	AllowDeleted bool
 }
 

@@ -24,7 +24,6 @@ func TestMaxLevelBounds(t *testing.T) {
 			h.Remove(k)
 		}
 		h.Close()
-		m.Quiesce()
 		if err := m.CheckInvariants(CheckOptions{}); err != nil {
 			t.Errorf("MaxLevel %d: %v", c.cfg, err)
 		}

@@ -45,7 +45,6 @@ func TestBasicOperations(t *testing.T) {
 	if h.Remove(7) {
 		t.Error("Remove of absent key succeeded")
 	}
-	m.Quiesce()
 	if err := m.CheckInvariants(CheckOptions{}); err != nil {
 		t.Error(err)
 	}
@@ -63,7 +62,6 @@ func TestPutReplaces(t *testing.T) {
 	if v, _ := h.Lookup(1); v != 20 {
 		t.Errorf("value after Put = %d, want 20", v)
 	}
-	m.Quiesce()
 	if err := m.CheckInvariants(CheckOptions{}); err != nil {
 		t.Error(err)
 	}
@@ -112,7 +110,7 @@ func TestPointQueries(t *testing.T) {
 func TestPointQueriesSkipDeleted(t *testing.T) {
 	// Logically deleted nodes may linger in the list while a slow-path
 	// range query is active; point queries must never return them.
-	m := newTestMap(t, Config{SlowOnly: true, RemovalBufferSize: -1})
+	m := newTestMap(t, Config{SlowOnly: true})
 	h := m.NewHandle()
 	for _, k := range []int64{10, 20, 30} {
 		h.Insert(k, k)
@@ -155,7 +153,7 @@ func TestInsertAfterLogicalDelete(t *testing.T) {
 	// Removing a key while it is pinned by a range query and then
 	// re-inserting it must produce a fresh live node placed after the
 	// deleted one, and lookups must see the new value.
-	m := newTestMap(t, Config{SlowOnly: true, RemovalBufferSize: -1})
+	m := newTestMap(t, Config{SlowOnly: true})
 	h := m.NewHandle()
 	h.Insert(5, 50)
 	var op *rangeOp[int64, int64]
@@ -269,7 +267,6 @@ func TestQuickVersusModel(t *testing.T) {
 				return false
 			}
 		}
-		m.Quiesce()
 		return m.CheckInvariants(CheckOptions{}) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -339,7 +336,6 @@ func TestAtomicBatch(t *testing.T) {
 	if h.Contains(3) {
 		t.Error("rollback leaked key 3")
 	}
-	m.Quiesce()
 	if err := m.CheckInvariants(CheckOptions{}); err != nil {
 		t.Error(err)
 	}
@@ -404,7 +400,6 @@ func runChaos(t *testing.T, cfg Config, goroutines, iters int, universe int64, r
 		}(hs[g], uint64(g)+1)
 	}
 	wg.Wait()
-	m.Quiesce()
 	return m
 }
 
@@ -429,8 +424,13 @@ func TestConcurrentChaosFastOnly(t *testing.T) {
 	}
 }
 
+// TestConcurrentChaosUnbuffered races removals against long slow-path
+// ranges: most removals are deferred to an in-flight query, and deferred
+// lists pass from finishing queries to older ones, instead of the
+// unstitch at commit the short ranges of the other chaos runs mostly
+// take.
 func TestConcurrentChaosUnbuffered(t *testing.T) {
-	m := runChaos(t, Config{RemovalBufferSize: -1}, 8, 2000, 256, 32)
+	m := runChaos(t, Config{SlowOnly: true}, 8, 2000, 256, 128)
 	if err := m.CheckInvariants(CheckOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,6 @@ func TestPairInvariantUnderRanges(t *testing.T) {
 		writers.Wait()
 		close(stop)
 		readers.Wait()
-		m.Quiesce()
 		if err := m.CheckInvariants(CheckOptions{}); err != nil {
 			t.Fatal(err)
 		}
@@ -560,7 +559,6 @@ func TestPerKeyLinearization(t *testing.T) {
 			t.Errorf("key %d: balance %d, present %v", k, balance, present)
 		}
 	}
-	m.Quiesce()
 	if err := m.CheckInvariants(CheckOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -598,7 +596,6 @@ func TestDeferredReclamationDrains(t *testing.T) {
 		}(uint64(g) + 19)
 	}
 	wg.Wait()
-	m.Quiesce()
 	if err := m.CheckInvariants(CheckOptions{}); err != nil {
 		t.Fatal(err)
 	}

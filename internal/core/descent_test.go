@@ -9,11 +9,10 @@ import (
 
 var errHeld = errors.New("held transaction rolled back")
 
-// newDescentMap builds the map these tests hold transactions open on,
-// with unbuffered removals so a removal unstitches in its own
-// transaction.
+// newDescentMap builds the map these tests hold transactions open on.
+// A removal unstitches in its own transaction.
 func newDescentMap(t *testing.T, maxLevel int) *Map[int64, int64] {
-	return newTestMap(t, Config{MaxLevel: maxLevel, Buckets: 131071, RemovalBufferSize: RemovalBufferDisabled})
+	return newTestMap(t, Config{MaxLevel: maxLevel, Buckets: 131071})
 }
 
 // holdTx runs body in a transaction on its own goroutine and holds the

@@ -144,7 +144,7 @@ func (h *Handle[K, V]) descend(from *K, fn func(k K, v V) bool) {
 func (m *Map[K, V]) All() iter.Seq2[K, V] {
 	return func(yield func(K, V) bool) {
 		h := m.borrow()
-		defer m.releaseClean(h)
+		defer m.release(h)
 		h.Ascend(yield)
 	}
 }
@@ -153,7 +153,7 @@ func (m *Map[K, V]) All() iter.Seq2[K, V] {
 // Handle.AscendFrom.
 func (m *Map[K, V]) AscendFrom(from K, fn func(k K, v V) bool) {
 	h := m.borrow()
-	defer m.releaseClean(h)
+	defer m.release(h)
 	h.AscendFrom(from, fn)
 }
 
@@ -162,7 +162,7 @@ func (m *Map[K, V]) AscendFrom(from K, fn func(k K, v V) bool) {
 func (m *Map[K, V]) Backward() iter.Seq2[K, V] {
 	return func(yield func(K, V) bool) {
 		h := m.borrow()
-		defer m.releaseClean(h)
+		defer m.release(h)
 		h.Descend(yield)
 	}
 }
@@ -171,6 +171,6 @@ func (m *Map[K, V]) Backward() iter.Seq2[K, V] {
 // Handle.DescendFrom.
 func (m *Map[K, V]) DescendFrom(from K, fn func(k K, v V) bool) {
 	h := m.borrow()
-	defer m.releaseClean(h)
+	defer m.release(h)
 	h.DescendFrom(from, fn)
 }

@@ -90,6 +90,9 @@ func TestAscendSkipsDeletedChunkBoundaries(t *testing.T) {
 	for k := int64(0); k < 300; k++ {
 		h.Insert(k, k)
 	}
+	// A slow range in flight keeps the removed nodes stitched.
+	op := startRange(m)
+	defer m.rqc.afterRange(m, op)
 	for k := int64(60); k < 200; k++ {
 		h.Remove(k)
 	}
@@ -247,6 +250,9 @@ func TestDescendSkipsDeletedAndEmpty(t *testing.T) {
 	for k := int64(0); k < 300; k++ {
 		h.Insert(k, k)
 	}
+	// A slow range in flight keeps the removed nodes stitched.
+	op := startRange(m)
+	defer m.rqc.afterRange(m, op)
 	for k := int64(100); k < 250; k++ {
 		h.Remove(k)
 	}
@@ -275,33 +281,32 @@ func TestAdaptiveFallbackSkipsDoomedFastPath(t *testing.T) {
 		h.Insert(k, k)
 	}
 	// Uncontended: everything completes on the fast path, no skipping.
+	start := m.RangeStats()
 	for i := 0; i < 5; i++ {
 		h.Range(0, 63, nil)
 	}
-	_, _, fastCommits, _ := h.Stats()
-	if fastCommits != 5 {
-		t.Fatalf("fast commits = %d, want 5", fastCommits)
+	if d := m.RangeStats().Sub(start); d.FastCommits != 5 {
+		t.Fatalf("fast commits = %d, want 5", d.FastCommits)
 	}
 	// Force a fallback: simulate exhausted tries by setting the skip
 	// window directly, then check the next queries bypass the fast path.
 	h.adaptSkip = m.cfg.AdaptiveSkip
-	before, _, _, slowBefore := h.Stats()
+	before := m.RangeStats()
 	for i := 0; i < 8; i++ {
 		h.Range(0, 63, nil)
 	}
-	attempts, _, _, slowAfter := h.Stats()
-	if attempts != before {
-		t.Errorf("fast path probed during skip window: %d -> %d attempts", before, attempts)
+	d := m.RangeStats().Sub(before)
+	if d.FastAttempts != 0 {
+		t.Errorf("fast path probed %d times during skip window", d.FastAttempts)
 	}
-	if slowAfter-slowBefore != 8 {
-		t.Errorf("slow commits = %d, want 8", slowAfter-slowBefore)
+	if d.SlowCommits != 8 {
+		t.Errorf("slow commits = %d, want 8", d.SlowCommits)
 	}
 	// Window exhausted: the fast path gets probed (and succeeds) again.
+	before = m.RangeStats()
 	h.Range(0, 63, nil)
-	attempts2, _, fastCommits2, _ := h.Stats()
-	if attempts2 == attempts || fastCommits2 != fastCommits+1 {
-		t.Errorf("fast path not re-probed after window: attempts %d->%d commits %d->%d",
-			attempts, attempts2, fastCommits, fastCommits2)
+	if d := m.RangeStats().Sub(before); d.FastAttempts == 0 || d.FastCommits != 1 {
+		t.Errorf("fast path not re-probed after window: %+v", d)
 	}
 }
 

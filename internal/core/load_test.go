@@ -203,7 +203,6 @@ func TestLoadSorted(t *testing.T) {
 			checkOrdered(t, h, model, hi, rng)
 
 			churnLoaded(t, m, model, hi)
-			m.Quiesce()
 			if err := m.CheckInvariants(CheckOptions{}); err != nil {
 				t.Fatalf("after churn: %v", err)
 			}

@@ -11,12 +11,6 @@ import (
 	"repro/internal/stm"
 )
 
-// RemovalBufferDisabled is the explicit "no removal buffering" sentinel
-// for Config.RemovalBufferSize: every removal is routed straight to the
-// RQC (Figure 4's exact after_remove). Any negative value is treated the
-// same; the named constant exists so the intent survives code review.
-const RemovalBufferDisabled = -1
-
 // Config selects the tunables the paper's evaluation varies.
 type Config struct {
 	// MaxLevel is the skip list tower height. The evaluation uses 20
@@ -56,17 +50,9 @@ type Config struct {
 	// series), for keeping the transactional descent tested, and for
 	// debugging.
 	DisableReadFastPath bool
-	// RemovalBufferSize is the per-handle buffer of logically deleted
-	// nodes whose unstitching is batched (§4.5, size 32 in the paper).
-	// Zero selects the paper's default of 32 (the zero Config is the
-	// recommended configuration); RemovalBufferDisabled (or any negative
-	// value) disables buffering, yielding Figure 4's exact after_remove.
-	RemovalBufferSize int
-	// Maintenance is ignored. Orphaned removal buffers — from closed
-	// handles, pooled convenience handles, and Quiesce — are always
-	// reclaimed inline, by the operation that pushes the map's orphan
-	// queue to its threshold, and by Quiesce and Close; no map starts a
-	// goroutine. The field remains only for callers that still set it.
+	// Maintenance is ignored: a removal reclaims its own node (see
+	// Map), and no map starts a goroutine. The field remains only for
+	// callers that still set it.
 	Maintenance bool
 	// Clock overrides the STM commit clock (default: monotonic
 	// "hardware" clock, the configuration the paper reports).
@@ -98,12 +84,6 @@ func (c Config) withDefaults() Config {
 	if c.Buckets == 0 {
 		c.Buckets = 131071
 	}
-	if c.RemovalBufferSize == 0 {
-		c.RemovalBufferSize = 32 // the zero Config buffers at the paper's size
-	}
-	if c.RemovalBufferSize < 0 {
-		c.RemovalBufferSize = 0 // RemovalBufferDisabled: exact after_remove
-	}
 	if c.AdaptiveSkip == 0 {
 		c.AdaptiveSkip = 16
 	}
@@ -113,6 +93,12 @@ func (c Config) withDefaults() Config {
 // Map is the skip hash. All methods are safe for concurrent use. Hot
 // paths should go through per-goroutine Handles (see NewHandle); the
 // convenience methods on Map borrow pooled handles.
+//
+// A removal reclaims its own node, as Figure 4's after_remove does: the
+// removing transaction unstitches the node, or, when a slow-path range
+// query older than the node is in flight, appends it to that query's
+// deferred list, which the query's after_range unstitches. So on a map
+// with no slow range query in flight every stitched node is live.
 type Map[K comparable, V any] struct {
 	rt    *stm.Runtime
 	less  func(a, b K) bool
@@ -123,28 +109,10 @@ type Map[K comparable, V any] struct {
 	rqc   rqc[K, V]
 
 	handlePool sync.Pool
-	mu         sync.Mutex
-	handles    []*Handle[K, V]
-	// retired accumulates the range-path counters of handles that left
-	// the registry (closed handles) and of pooled transient handles,
-	// banked on every release, so RangeStats never loses history.
-	retired retiredStats
-
-	// orphans is the per-map orphan queue: logically deleted nodes whose
-	// owning removal buffer went away (handle closed, pooled handle
-	// released, Quiesce handoff) and that now await batched unstitching
-	// by an inline drain.
-	orphanMu sync.Mutex
-	orphans  []*node[K, V]
-	// adoptMu serializes orphan adoption across the drain itself, so
-	// quiescence points can wait out another caller's in-flight drain.
-	adoptMu sync.Mutex
-
+	// counters holds the striped range-path and inline-unstitch counts;
+	// maintStats the after_range drains.
+	counters   Counters
 	maintStats maintCounters
-	closed     atomic.Bool
-	// closeDone lets concurrent Close calls (and anyone who must know
-	// teardown finished) wait for the one closing goroutine.
-	closeDone chan struct{}
 
 	// logger is the durability hook (AttachPersistence): it captures
 	// committed logical operations into the WAL. Nil on non-durable maps.
@@ -183,15 +151,6 @@ type Persister interface {
 // not opened with persistence attached.
 var ErrNotDurable = errors.New("core: map has no durability attached")
 
-// retiredStats is RangeStats with atomic fields, aggregating counters of
-// handles no longer in the registry.
-type retiredStats struct {
-	fastAttempts atomic.Uint64
-	fastAborts   atomic.Uint64
-	fastCommits  atomic.Uint64
-	slowCommits  atomic.Uint64
-}
-
 // New creates a skip hash ordered by less and hashed by hash. It builds
 // a private STM runtime from cfg.Clock; callers embedding the map in a
 // larger transactional system (for example the sharded frontend in
@@ -213,10 +172,9 @@ func NewIn[K comparable, V any](rt *stm.Runtime, less func(a, b K) bool, hash fu
 	}
 	cfg = cfg.withDefaults()
 	m := &Map[K, V]{
-		rt:        rt,
-		less:      less,
-		cfg:       cfg,
-		closeDone: make(chan struct{}),
+		rt:   rt,
+		less: less,
+		cfg:  cfg,
 	}
 	m.index = newIndex[K, V](hash, cfg.Buckets)
 	m.head = newNode[K, V](cfg.MaxLevel)
@@ -225,39 +183,14 @@ func NewIn[K comparable, V any](rt *stm.Runtime, less func(a, b K) bool, hash fu
 		m.head.nextAt(l).Init(m.tail)
 		m.tail.prevAt(l).Init(m.head)
 	}
-	m.handlePool.New = func() any { return m.NewTransientHandle() }
+	m.handlePool.New = func() any { return m.NewHandle() }
 	return m
 }
 
-// Close shuts the map down: it flushes every registered handle's removal
-// buffer and drains the orphan queue, so a quiescent map holds no
-// stitched logically-deleted nodes afterwards. Close is idempotent and
-// safe to call concurrently with operations, with Quiesce, and with
-// other Close calls: every call returns only after teardown has
-// completed, no matter which call performed it. Removals orphaned after
-// Close are drained at once instead of waiting for the threshold. A map
-// owns no goroutine, so Close is optional; nothing leaks without it.
-func (m *Map[K, V]) Close() {
-	if m.closed.Swap(true) {
-		<-m.closeDone
-		return
-	}
-	defer close(m.closeDone)
-	m.Quiesce()
-}
-
-// Closed reports whether Close has been called.
-func (m *Map[K, V]) Closed() bool { return m.closed.Load() }
-
-// HandleCount returns the number of handles currently registered with
-// the map (explicitly created via NewHandle and not yet closed). Pooled
-// convenience handles are transient and never appear here; the count is
-// the leak-detection probe for handle-lifecycle tests.
-func (m *Map[K, V]) HandleCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.handles)
-}
+// Close does nothing: removals reclaim their own nodes and a map owns
+// no goroutine, so there is nothing to flush or stop. It is kept so
+// callers can release a map the way they release other resources.
+func (m *Map[K, V]) Close() {}
 
 // Runtime exposes the underlying STM runtime (for stats and tests).
 func (m *Map[K, V]) Runtime() *stm.Runtime { return m.rt }
@@ -537,7 +470,8 @@ func (m *Map[K, V]) insertTx(tx *stm.Tx, h *Handle[K, V], k K, v V) bool {
 
 // removeTx is Figure 2's remove: O(1) routing through the map, logical
 // deletion by stamping rTime, and delegation of the physical unstitch to
-// the RQC (possibly via the handle's removal buffer).
+// the RQC's after_remove. An unstitch counts in h's cell once tx
+// commits.
 func (m *Map[K, V]) removeTx(tx *stm.Tx, h *Handle[K, V], k K) bool {
 	n := m.index.removeTx(tx, k)
 	if n == nil {
@@ -547,7 +481,9 @@ func (m *Map[K, V]) removeTx(tx *stm.Tx, h *Handle[K, V], k K) bool {
 	if m.logger != nil {
 		m.logger.LogDel(tx, k)
 	}
-	m.afterRemove(tx, h, n)
+	if m.rqc.afterRemove(tx, m, n) {
+		tx.OnCommit((*drainHook)(h.cell), nil)
+	}
 	return true
 }
 

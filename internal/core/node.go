@@ -4,7 +4,10 @@
 // expected complexity for every elemental operation except successful
 // insertion and absent-key point queries (Figure 1). Range queries run on
 // a fast path (one transaction) with a slow-path fallback coordinated by
-// the range query coordinator (Figures 3 and 4).
+// the range query coordinator (Figures 3 and 4). A removal reclaims its
+// own node, as Figure 4's after_remove does: the removing transaction
+// unstitches it, or defers it to the newest in-flight slow-path range
+// query, which unstitches it when no older query can need it.
 //
 // Two paths run outside the STM and validate afterwards. Point reads
 // probe the hash index raw and revalidate the bucket's orec (getFast).

@@ -81,14 +81,16 @@ func (q *rqc[K, V]) onUpdate(tx *stm.Tx) uint64 {
 // logically deleted node n, unstitching immediately when no in-flight
 // slow-path range query can need it, and deferring to the most recent
 // query otherwise. m supplies the unstitch; the caller's transaction
-// makes the decision and the action atomic.
-func (q *rqc[K, V]) afterRemove(tx *stm.Tx, m *Map[K, V], n *node[K, V]) {
+// makes the decision and the action atomic. It reports whether n was
+// unstitched.
+func (q *rqc[K, V]) afterRemove(tx *stm.Tx, m *Map[K, V], n *node[K, V]) bool {
 	tail := q.opsTail.Load(tx, &q.orec)
 	if tail == nil || n.iTime() >= tail.ver {
 		m.unstitchTx(tx, n) // safe to remove immediately
-		return
+		return true
 	}
 	q.appendDeferred(tx, tail, n)
+	return false
 }
 
 // appendDeferred pushes n onto op's deferred list in a fresh cell (O(1)).
@@ -108,11 +110,7 @@ func (q *rqc[K, V]) appendDeferred(tx *stm.Tx, op *rangeOp[K, V], n *node[K, V])
 // remaining predecessor query (passed backward, guaranteeing eventual
 // reclamation) or, when op was the oldest, collected for immediate
 // unstitching. The bookkeeping is one transaction; the unstitching runs
-// afterwards in bounded batches of reclaimBatch nodes per transaction —
-// chunked, rather than the paper's one transaction per node, so a query
-// that accumulated a long deferred list does not pay a full
-// transaction's begin/commit for every single node, while each chunk
-// stays small enough to be conflict-resistant.
+// afterwards in bounded batches (reclaimBatches).
 func (q *rqc[K, V]) afterRange(m *Map[K, V], op *rangeOp[K, V]) {
 	var removals []*node[K, V]
 	_ = m.rt.Atomic(func(tx *stm.Tx) error {
@@ -152,11 +150,6 @@ func (q *rqc[K, V]) afterRange(m *Map[K, V], op *rangeOp[K, V]) {
 		return nil
 	})
 	// op was the oldest in-flight query, so no remaining query can need
-	// these nodes; unstitch unconditionally (consultTail false).
-	m.reclaimBatches(removals, false)
-}
-
-// tailOp returns the most recent in-flight slow-path range query, or nil.
-func (q *rqc[K, V]) tailOp(tx *stm.Tx) *rangeOp[K, V] {
-	return q.opsTail.Load(tx, &q.orec)
+	// these nodes.
+	m.reclaimBatches(removals)
 }

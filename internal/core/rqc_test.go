@@ -21,8 +21,7 @@ func startRange(m *Map[int64, int64]) *rangeOp[int64, int64] {
 
 func newRQCMap(t *testing.T) *Map[int64, int64] {
 	t.Helper()
-	return New[int64, int64](lessInt64, thashmap.Hash64,
-		Config{Buckets: 257, RemovalBufferSize: -1})
+	return New[int64, int64](lessInt64, thashmap.Hash64, Config{Buckets: 257})
 }
 
 func TestRQCVersionsMonotonic(t *testing.T) {
@@ -212,46 +211,30 @@ func TestSlowRangeSeesSnapshotAtVersion(t *testing.T) {
 	}
 }
 
-func TestHandleBufferFlushThreshold(t *testing.T) {
-	m := New[int64, int64](lessInt64, thashmap.Hash64,
-		Config{Buckets: 257, RemovalBufferSize: 4})
-	h := m.NewHandle()
-	for k := int64(0); k < 16; k++ {
-		h.Insert(k, k)
-	}
-	// Three removals buffer without unstitching.
-	for k := int64(0); k < 3; k++ {
-		h.Remove(k)
-	}
-	if got := m.StitchedSlow(); got != 16 {
-		t.Errorf("stitched = %d, want 16 (removals buffered)", got)
-	}
-	// The fourth crosses the threshold: all four unstitch.
-	h.Remove(3)
-	if got := m.StitchedSlow(); got != 12 {
-		t.Errorf("stitched = %d, want 12 after flush", got)
-	}
-	if err := m.CheckInvariants(CheckOptions{}); err != nil {
-		t.Error(err)
-	}
-}
-
+// TestHandleBufferTransfersToActiveQuery checks that removals behind an
+// in-flight slow-path query older than their nodes go on the query's
+// deferred list, stay stitched, and are unstitched when it finishes.
 func TestHandleBufferTransfersToActiveQuery(t *testing.T) {
-	m := New[int64, int64](lessInt64, thashmap.Hash64,
-		Config{Buckets: 257, RemovalBufferSize: 2})
+	m := newRQCMap(t)
 	h := m.NewHandle()
 	for k := int64(0); k < 8; k++ {
 		h.Insert(k, k)
 	}
 	op := startRange(m)
 	h.Remove(0)
-	h.Remove(1) // flush: buffer spliced onto op's deferred list
+	h.Remove(1)
 	if got := m.StitchedSlow(); got != 8 {
-		t.Errorf("stitched = %d, want 8 (buffer deferred to query)", got)
+		t.Errorf("stitched = %d, want 8 (removals deferred to query)", got)
+	}
+	if got := deferredKeys(op); !slices.Equal(got, []int64{0, 1}) {
+		t.Errorf("deferred list = %v, want [0 1]", got)
 	}
 	m.rqc.afterRange(m, op)
 	if got := m.StitchedSlow(); got != 6 {
 		t.Errorf("stitched = %d, want 6 after query completes", got)
+	}
+	if err := m.CheckInvariants(CheckOptions{}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -356,7 +339,6 @@ func TestDeferredSlowRangesOutOfOrder(t *testing.T) {
 	}
 
 	sr1.Finish() // the oldest: everything is unstitched
-	m.Quiesce()
 	if stitched, size := m.StitchedSlow(), m.SizeSlow(); stitched != size || size != 80 {
 		t.Errorf("after the oldest finished: %d stitched, %d present, want 80 and 80", stitched, size)
 	}

@@ -30,7 +30,7 @@ func (m *Map[K, V]) SnapshotChunks(chunkSize int, fn func(stamp uint64, pairs []
 	}
 	maxScan := snapshotScanBound * chunkSize
 	h := m.borrow()
-	defer m.releaseClean(h)
+	defer m.release(h)
 	var cursor K
 	haveCursor := false
 	// cursorLive records whether the node the previous chunk ended on was

@@ -61,10 +61,9 @@ func TestSnapshotChunksResumeOnDeletedRun(t *testing.T) {
 	h.Insert(2, 0)
 	// Pile up snapshotScanBound logically deleted nodes for key 2 in
 	// front of its live node: each remove+insert round marks the live
-	// node deleted in place and stitches the replacement after it. The
-	// handle's removal buffer (default size 32) keeps them stitched.
+	// node deleted in place and stitches the replacement after it.
 	for i := 0; i < snapshotScanBound; i++ {
-		h.Remove(2)
+		removeStitched(t, m, h, 2)
 		h.Insert(2, int64(20+i))
 	}
 	wantVal := int64(20 + snapshotScanBound - 1)
@@ -85,6 +84,22 @@ func TestSnapshotChunksResumeOnDeletedRun(t *testing.T) {
 	}
 }
 
+// removeStitched removes k while a slow-path range query registered
+// just before is in flight, so the removed node stays stitched on the
+// query's deferred list; the query finishes when the test does.
+func removeStitched(t *testing.T, m *Map[int64, int64], h *Handle[int64, int64], k int64) {
+	t.Helper()
+	op := startRange(m)
+	t.Cleanup(func() { m.rqc.afterRange(m, op) })
+	before := m.StitchedSlow() - m.SizeSlow()
+	if !h.Remove(k) {
+		t.Fatalf("Remove(%d) found the key absent", k)
+	}
+	if got := m.StitchedSlow() - m.SizeSlow(); got != before+1 {
+		t.Fatalf("Remove(%d) behind a slow range: %d deleted nodes stitched, want %d", k, got, before+1)
+	}
+}
+
 // TestSnapshotChunksDeletedRunNoReinsert covers the sibling resume case:
 // the chunk ends on a deleted node for a key with no live successor, so
 // the next chunk's ceil lands strictly past the cursor and must not be
@@ -98,10 +113,10 @@ func TestSnapshotChunksDeletedRunNoReinsert(t *testing.T) {
 	h.Insert(3, 30)
 	h.Insert(2, 0)
 	for i := 0; i < snapshotScanBound-1; i++ {
-		h.Remove(2)
+		removeStitched(t, m, h, 2)
 		h.Insert(2, int64(20+i))
 	}
-	h.Remove(2) // key 2 ends as a run of deleted nodes, no live one
+	removeStitched(t, m, h, 2) // key 2 ends as a run of deleted nodes, no live one
 
 	got := collectSnapshot(t, m, 1)
 	if len(got) != 2 || got[1] != 10 || got[3] != 30 {

@@ -186,7 +186,7 @@ func checkWorkload(t *testing.T, newMap Factory, o WorkloadOptions) {
 	res := linearize.Check(h)
 	// The structural audit is valid (and wanted) regardless of the
 	// checker's verdict.
-	checkQuiescent(t, m)
+	checkIdle(t, m)
 	if res.Unknown {
 		t.Logf("seed %d: checker budget exhausted on a %d-key partition (%d ops); inconclusive",
 			o.Seed, len(res.PartitionKeys), len(res.Ops))
@@ -257,7 +257,7 @@ func RunLinearizability(t *testing.T, newMap Factory) {
 				t.Fatalf("injected aborts broke linearizability (seed %d):\n%s",
 					seed, linearize.FormatOps(res.Ops))
 			}
-			checkQuiescent(t, m)
+			checkIdle(t, m)
 		}
 	})
 	t.Run("Scheduled", func(t *testing.T) {
@@ -281,7 +281,7 @@ func RunLinearizability(t *testing.T, newMap Factory) {
 				t.Fatalf("scheduled interleaving not linearizable (seed %d):\n%s",
 					seed, linearize.FormatOps(res.Ops))
 			}
-			checkQuiescent(t, m)
+			checkIdle(t, m)
 		}
 	})
 }

@@ -43,17 +43,15 @@ type Queryable interface {
 
 // Checkable is implemented by maps with a quiescent invariant audit.
 type Checkable interface {
-	CheckQuiescent() error
+	CheckIdle() error
 }
 
-// Lifecycle is implemented by maps with a handle registry and explicit
+// Lifecycle is implemented by maps with pooled handles and explicit
 // teardown (the skip hash variants); the suite's handle-churn component
-// uses it to assert the registry stays bounded under convenience-path
-// traffic and that teardown leaves no deferred-reclamation garbage.
+// uses it to assert that neither pool churn nor teardown leaves
+// logically deleted nodes stitched.
 type Lifecycle interface {
-	// HandleCount reports how many handles are currently registered.
-	HandleCount() int
-	// Close tears the map down, flushing all deferred reclamation.
+	// Close tears the map down.
 	Close()
 }
 
@@ -78,10 +76,10 @@ func RunAll(t *testing.T, newMap Factory) {
 // RunHandleChurn is the regression suite for the handle-lifecycle leak
 // class: goroutines churn insert/remove through the map's convenience
 // methods (the pooled-handle path), with GC cycles recycling the pools
-// mid-run. Afterwards the handle registry must not have grown with the
-// operation count, and a quiescent audit must find no logically-deleted
-// node still stitched (CheckQuiescent runs the map's invariant check
-// with AllowDeleted false). Requires Lifecycle.
+// mid-run. Afterwards, and again after Close, a quiescent audit must
+// find no logically-deleted node still stitched (CheckIdle runs
+// the map's invariant check with AllowDeleted false). Requires
+// Lifecycle.
 func RunHandleChurn(t *testing.T, newMap Factory) {
 	m := newMap()
 	lc, ok := m.(Lifecycle)
@@ -108,24 +106,18 @@ func RunHandleChurn(t *testing.T, newMap Factory) {
 					m.Lookup(k)
 				}
 				if i%1024 == 0 {
-					// Empty the handle pools mid-churn: handles the pool
-					// drops must neither linger in the registry nor
-					// strand their buffered removals.
+					// Empty the handle pools mid-churn: a handle the
+					// pool drops must strand nothing.
 					runtime.GC()
 				}
 			}
 		}(uint64(g) + 1)
 	}
 	wg.Wait()
-	// Convenience traffic uses transient pooled handles only, so the
-	// registry must stay empty no matter how many operations ran.
-	if n := lc.HandleCount(); n != 0 {
-		t.Errorf("handle registry holds %d handles after convenience-only churn, want 0", n)
-	}
-	checkQuiescent(t, m)
+	checkIdle(t, m)
 	lc.Close()
 	if c, ok := m.(Checkable); ok {
-		if err := c.CheckQuiescent(); err != nil {
+		if err := c.CheckIdle(); err != nil {
 			t.Errorf("quiescent invariant check after Close: %v", err)
 		}
 	}
@@ -173,7 +165,7 @@ func RunPointQueryModel(t *testing.T, newMap Factory) {
 			}
 		}
 	}
-	checkQuiescent(t, m)
+	checkIdle(t, m)
 }
 
 // modelBound finds the smallest (or, when wantMax, largest) model key
@@ -264,7 +256,7 @@ func RunSequential(t *testing.T, newMap Factory) {
 			t.Error("Floor(0) found a key")
 		}
 	}
-	checkQuiescent(t, m)
+	checkIdle(t, m)
 }
 
 // RunModel replays a long pseudo-random trace against map semantics and
@@ -313,7 +305,7 @@ func RunModel(t *testing.T, newMap Factory) {
 			}
 		}
 	}
-	checkQuiescent(t, m)
+	checkIdle(t, m)
 }
 
 func modelRange(model map[int64]int64, l, r int64) []KV {
@@ -368,7 +360,7 @@ func RunConcurrentDisjoint(t *testing.T, newMap Factory) {
 	if len(got) != goroutines*perG/2 {
 		t.Errorf("final population = %d, want %d", len(got), goroutines*perG/2)
 	}
-	checkQuiescent(t, m)
+	checkIdle(t, m)
 }
 
 // RunConcurrentContended hammers a small key space and verifies per-key
@@ -420,7 +412,7 @@ func RunConcurrentContended(t *testing.T, newMap Factory) {
 			t.Errorf("key %d: inserts-removes = %d, present = %v", k, balance, present)
 		}
 	}
-	checkQuiescent(t, m)
+	checkIdle(t, m)
 }
 
 // RunRangeSanity checks structural properties of concurrent range
@@ -486,7 +478,7 @@ func RunRangeSanity(t *testing.T, newMap Factory) {
 	writers.Wait()
 	close(stop)
 	readers.Wait()
-	checkQuiescent(t, m)
+	checkIdle(t, m)
 }
 
 // RunRangeCountBound is the snapshot-atomicity bound check: each writer
@@ -550,13 +542,13 @@ func RunRangeCountBound(t *testing.T, newMap Factory) {
 	if got := m.Range(0, universe, nil); len(got) != universe {
 		t.Errorf("final population = %d, want %d", len(got), universe)
 	}
-	checkQuiescent(t, m)
+	checkIdle(t, m)
 }
 
-func checkQuiescent(t *testing.T, m OrderedMap) {
+func checkIdle(t *testing.T, m OrderedMap) {
 	t.Helper()
 	if c, ok := m.(Checkable); ok {
-		if err := c.CheckQuiescent(); err != nil {
+		if err := c.CheckIdle(); err != nil {
 			t.Errorf("quiescent invariant check: %v", err)
 		}
 	}

@@ -75,7 +75,7 @@ func allPairs(m *skiphash.Sharded[int64, int64]) []skiphash.Pair[int64, int64] {
 }
 
 // waitConverge polls until the replica's full range equals the
-// primary map's. Quiescent primary only.
+// primary map's. Idle primary only.
 func waitConverge(t *testing.T, pm *skiphash.Sharded[int64, int64], r *Replica) {
 	t.Helper()
 	want := allPairs(pm)

@@ -42,8 +42,6 @@ type Backend interface {
 	// without one).
 	Sync() error
 	Snapshot() error
-	// Quiesce flushes removal buffers; Shutdown calls it after draining.
-	Quiesce()
 	// Close releases the map. A durable one flushes and fsyncs its WAL,
 	// and the error reports whatever stopped acknowledged writes from
 	// reaching the disk. The registry closes the namespaces it created;
@@ -177,7 +175,7 @@ func (bytesCodec) addPair(resp *wire.Response, k, v string) {
 // ShardedBackend serves a sharded skip hash: the one Backend
 // implementation, generic over the map's types and parameterised by the
 // codec of the frame family that addresses it. The map is embedded, so
-// the methods that need no translation — Sync, Snapshot and Quiesce —
+// the methods that need no translation — Sync and Snapshot —
 // are the map's own; the request-level methods and Close below shadow
 // the map's same-named ones.
 type ShardedBackend[K comparable, V any] struct {

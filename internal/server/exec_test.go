@@ -237,7 +237,7 @@ func homeShard[K comparable, V any](m *skiphash.Sharded[K, V], k K) int {
 	var zero V
 	m.Put(k, zero)
 	for i := 0; i < m.Shards(); i++ {
-		if m.Shard(i).NewTransientHandle().Contains(k) {
+		if m.Shard(i).NewHandle().Contains(k) {
 			return i
 		}
 	}

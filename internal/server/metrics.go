@@ -1,7 +1,6 @@
 package server
 
 import (
-	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -75,7 +74,7 @@ func newMetrics(s *Server, r *obs.Registry) *metrics {
 }
 
 // RegisterMapMetrics registers the default map's series on reg: STM
-// transaction counters and commit latency, orphan reclamation, the shard
+// transaction counters and commit latency, reclamation, the shard
 // count, and the range paths. skiphashd exports them beside its
 // durability and replication series; skipstress -metrics-dump prints
 // them alone. Everything is a Func metric over an existing Stats()
@@ -119,29 +118,14 @@ func RegisterMapMetrics(reg *obs.Registry, m *skiphash.Sharded[int64, int64]) {
 		obs.LatencyBounds, 1e-9)
 	m.SetCommitObserver(commitLatency)
 
-	// Reclamation. The backlog gauge is labeled per shard so a shard
-	// whose orphans pile up is attributable.
+	// Reclamation.
 	maint := m.MaintenanceStats
-	reg.CounterFunc("skiphash_core_orphaned_total",
-		"Nodes handed to the orphan queues across shards.",
-		func() uint64 { return maint().Orphaned })
-	reg.CounterFunc("skiphash_core_adopted_total",
-		"Orphaned nodes adopted for reclamation across shards.",
-		func() uint64 { return maint().Adopted })
 	reg.CounterFunc("skiphash_core_drained_nodes_total",
-		"Logically deleted nodes physically unstitched across shards.",
+		"Logically deleted nodes physically unstitched across shards: by the removing transaction at commit, or, if deferred to an in-flight slow-path range query, once that query and every older one finished.",
 		func() uint64 { return maint().DrainedNodes })
 	reg.CounterFunc("skiphash_core_drain_batches_total",
-		"Bounded reclamation transactions across shards.",
+		"Transactions that unstitched nodes deferred to slow-path range queries, run when the oldest such query finished, across shards.",
 		func() uint64 { return maint().DrainBatches })
-	// The shard count is fixed, so the per-shard gauges are too.
-	for i := 0; i < m.Shards(); i++ {
-		sh := m.Shard(i)
-		reg.GaugeFunc("skiphash_shard_orphan_backlog",
-			"Orphaned nodes awaiting adoption on this shard.",
-			func() float64 { return float64(sh.OrphanBacklog()) },
-			obs.Label{Key: "shard", Value: strconv.Itoa(i)})
-	}
 
 	reg.GaugeFunc("skiphash_shards",
 		"Shard count of the default map.",

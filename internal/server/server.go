@@ -59,10 +59,10 @@
 // blocking read is made to fail, and each loop first answers the frames
 // it has already read — the cycle in flight, and whatever whole frames
 // sit in its read buffer — and flushes them; frames still in the
-// kernel's socket buffer are not answered. Then namespace 0's removal
-// buffers are quiesced and the registry's namespaces closed (a durable
-// one's flush or engine failure is Shutdown's error) — wiring the
-// network front end into the map's existing Close/Quiesce lifecycle.
+// kernel's socket buffer are not answered. Then the registry's
+// namespaces are closed (a durable one's flush or engine failure is
+// Shutdown's error) — wiring the network front end into the map's
+// existing Close lifecycle.
 // Connections still open when the context expires are force-closed.
 //
 // The idle timeout runs only while a loop waits for input: it is armed
@@ -315,7 +315,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		<-done
 	}
-	s.def.be.Quiesce()
 	if s.reg != nil {
 		if cerr := s.reg.CloseAll(); cerr != nil {
 			err = cerr

@@ -1,21 +1,16 @@
 package shard
 
 import (
-	"sync/atomic"
-
 	"repro/internal/core"
 	"repro/internal/stm"
 )
 
 // Handle is a per-goroutine context over a Sharded map. It owns one
-// core.Handle per shard (each with its own search scratch and removal
-// buffer), the per-shard segment buffers the k-way merge reuses, and
-// the shard-level range-path counters. A Handle must not be used
-// concurrently; create one per worker with Sharded.NewHandle and Close
-// it when the worker is done, so the handle (and its per-shard
-// sub-handles) leave the registries and any buffered removals reach the
-// shards' orphan queues. hs, segs, heads and bound are indexed like the
-// map's shards.
+// core.Handle per shard (each with its own search scratch), the
+// per-shard segment buffers the k-way merge reuses, and a striped cell
+// of the map's cross-shard range-path counters. A Handle must not be
+// used concurrently; create one per worker with Sharded.NewHandle. hs,
+// segs, heads and bound are indexed like the map's shards.
 type Handle[K comparable, V any] struct {
 	s     *Sharded[K, V]
 	hs    []*core.Handle[K, V]
@@ -26,57 +21,27 @@ type Handle[K comparable, V any] struct {
 	// a batch allocates neither; a Handle runs one Atomic at a time.
 	txn   Txn[K, V]
 	bound []*core.Txn[K, V]
-	stats core.HandleStats
+	cell  *core.CounterCell
 	// adaptSkip counts remaining cross-shard range queries that bypass
 	// the fast path under Config.Adaptive.
 	adaptSkip int
-	// registered records membership in Sharded.handles; pooled transient
-	// handles bank their counters on release instead. It is written only
-	// at construction. closed is atomic so concurrent Close calls (a
-	// worker's deferred Close racing a teardown sweep) are safe, matching
-	// the core handle's contract.
-	registered bool
-	closed     atomic.Bool
 }
 
-func (s *Sharded[K, V]) newHandle(registered bool) *Handle[K, V] {
+// NewHandle creates a handle bound to s.
+func (s *Sharded[K, V]) NewHandle() *Handle[K, V] {
 	n := len(s.maps)
 	h := &Handle[K, V]{
-		s:          s,
-		hs:         make([]*core.Handle[K, V], n),
-		segs:       make([][]Pair[K, V], n),
-		heads:      make([]int, n),
-		bound:      make([]*core.Txn[K, V], n),
-		registered: registered,
+		s:     s,
+		hs:    make([]*core.Handle[K, V], n),
+		segs:  make([][]Pair[K, V], n),
+		heads: make([]int, n),
+		bound: make([]*core.Txn[K, V], n),
+		cell:  s.counters.Cell(),
 	}
 	for i, m := range s.maps {
-		if registered {
-			h.hs[i] = m.NewHandle()
-		} else {
-			h.hs[i] = m.NewTransientHandle()
-		}
+		h.hs[i] = m.NewHandle()
 	}
 	return h
-}
-
-// NewHandle creates a handle bound to s and registers it — and its
-// per-shard sub-handles — for stats aggregation.
-func (s *Sharded[K, V]) NewHandle() *Handle[K, V] {
-	h := s.newHandle(true)
-	s.mu.Lock()
-	s.handles = append(s.handles, h)
-	s.mu.Unlock()
-	return h
-}
-
-// NewTransientHandle creates a handle that is tracked by no registry —
-// neither the sharded map's nor any shard's. Its counters and buffered
-// removals only reach the map when Recycle or Close banks them; the
-// pooled convenience paths are built on transient handles so pool churn
-// cannot grow the registries or strand removals. Explicit workers
-// normally want NewHandle instead.
-func (s *Sharded[K, V]) NewTransientHandle() *Handle[K, V] {
-	return s.newHandle(false)
 }
 
 // home returns the sub-handle of the shard that owns k.
@@ -88,89 +53,9 @@ func (h *Handle[K, V]) home(k K) *core.Handle[K, V] {
 // Sharded returns the map this handle operates on.
 func (h *Handle[K, V]) Sharded() *Sharded[K, V] { return h.s }
 
-// Close retires the handle: every per-shard sub-handle is closed (its
-// buffered removals reach that shard's orphan queue), the shard-level
-// counters are banked, and — for handles created with NewHandle — the
-// handle leaves the registry. Close is idempotent; the owning goroutine
-// must issue no further operations through the handle.
-func (h *Handle[K, V]) Close() {
-	if h.closed.Swap(true) {
-		return
-	}
-	for _, ch := range h.hs {
-		ch.Close()
-	}
-	h.bankStats()
-	if !h.registered {
-		return
-	}
-	s := h.s
-	s.mu.Lock()
-	for i, other := range s.handles {
-		if other == h {
-			last := len(s.handles) - 1
-			s.handles[i] = s.handles[last]
-			s.handles[last] = nil
-			s.handles = s.handles[:last]
-			break
-		}
-	}
-	s.mu.Unlock()
-}
-
-// Recycle banks the handle's counters and hands every sub-handle's
-// buffered removals to its shard's orphan queue while leaving the
-// handle usable; the pooled convenience paths call it on every release.
-// Clean sub-handles (every shard a point op did not touch) recycle with
-// a few atomic loads and no lock, so the per-release cost does not grow
-// into O(shards) mutex acquisitions.
-func (h *Handle[K, V]) Recycle() {
-	for _, ch := range h.hs {
-		ch.Recycle()
-	}
-	h.bankStats()
-}
-
-// bankStats moves the shard-level counters into the map's retired
-// accumulator under s.mu — the mutex RangeStats aggregates under — so a
-// snapshot can never catch a value on both sides of the move; exactly
-// the core handle's protocol (see core.Handle.bankStats).
-func (h *Handle[K, V]) bankStats() {
-	st := &h.stats
-	if st.RangeFastAttempts.Load()|st.RangeFastAborts.Load()|
-		st.RangeFastCommits.Load()|st.RangeSlowCommits.Load() == 0 {
-		return // nothing to move; skipping the lock cannot affect a snapshot
-	}
-	bank := func(c *atomic.Uint64, r *atomic.Uint64) {
-		if v := c.Load(); v != 0 {
-			r.Add(v)
-			c.Store(0) // owner-exclusive writer, so no increments are lost
-		}
-	}
-	s := h.s
-	s.mu.Lock()
-	bank(&st.RangeFastAttempts, &s.retired.RangeFastAttempts)
-	bank(&st.RangeFastAborts, &s.retired.RangeFastAborts)
-	bank(&st.RangeFastCommits, &s.retired.RangeFastCommits)
-	bank(&st.RangeSlowCommits, &s.retired.RangeSlowCommits)
-	s.mu.Unlock()
-}
-
-// FlushRemovals drains the removal buffers of every per-shard handle in
-// bounded batches; safe concurrent with the owner's operations.
-func (h *Handle[K, V]) FlushRemovals() {
-	for _, ch := range h.hs {
-		ch.FlushRemovals()
-	}
-}
-
-// Stats returns a snapshot of the handle's shard-level range counters.
-func (h *Handle[K, V]) Stats() (attempts, fastAborts, fastCommits, slowCommits uint64) {
-	return h.stats.RangeFastAttempts.Load(),
-		h.stats.RangeFastAborts.Load(),
-		h.stats.RangeFastCommits.Load(),
-		h.stats.RangeSlowCommits.Load()
-}
+// Close does nothing, like core.Handle.Close: the handle holds nothing
+// its map needs back.
+func (h *Handle[K, V]) Close() {}
 
 // Point operations route to exactly one shard and inherit the skip
 // hash's O(1) complexity untouched.
@@ -244,7 +129,7 @@ func (h *Handle[K, V]) Range(l, r K, out []Pair[K, V]) []Pair[K, V] {
 	if len(h.hs) == 1 {
 		return h.hs[0].Range(l, r, out) // nothing to merge
 	}
-	return core.TwoPathRange(h.s.maps[0].Config(), &h.stats, &h.adaptSkip,
+	return core.TwoPathRange(h.s.maps[0].Config(), &h.cell.RangeCounters, &h.adaptSkip,
 		func() ([]Pair[K, V], error) { return h.rangeFast(l, r, out) },
 		func() []Pair[K, V] { return h.rangeSlow(l, r, out) })
 }

@@ -31,7 +31,6 @@ func TestLoadSorted(t *testing.T) {
 			})
 			check := func(when string) {
 				t.Helper()
-				s.Quiesce()
 				if err := s.CheckInvariants(core.CheckOptions{}); err != nil {
 					t.Fatalf("%s: %v", when, err)
 				}

@@ -1,6 +1,5 @@
-// Package shard partitions the skip hash across S independent shards,
-// turning "one STM instance" into "as many as the hardware has cores".
-// Keys are hash-partitioned: each shard is a complete core.Map (hash
+// Package shard partitions the skip hash across S shards, all running
+// on one STM runtime. Keys are hash-partitioned: each shard is a complete core.Map (hash
 // index + doubly linked skip list + range query coordinator), so point
 // operations touch exactly one shard and never share a cacheline with
 // traffic on any other. Ordered operations are rebuilt at this layer by
@@ -56,15 +55,11 @@ type Sharded[K comparable, V any] struct {
 	shift uint
 
 	handlePool sync.Pool
-	mu         sync.Mutex
-	handles    []*Handle[K, V]
-	// retired accumulates shard-level range counters of handles that
-	// left the registry (closed handles, released pooled handles).
-	retired core.HandleStats
-	closed  atomic.Bool
-	// closeDone lets concurrent Close calls wait for the one closing
-	// goroutine (durability makes "Close returned" mean "flushed").
-	closeDone chan struct{}
+	// counters holds the striped counts of cross-shard range queries
+	// (a one-shard map's ranges count in its shard).
+	counters  core.Counters
+	closed    atomic.Bool
+	closeOnce sync.Once
 	// persister is the durability engine: one WAL spanning every shard,
 	// so a cross-shard batch is a single record. Nil on in-memory maps.
 	persister core.Persister
@@ -127,42 +122,32 @@ func perShardConfig(cfg core.Config, shards int) core.Config {
 func New[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg core.Config) *Sharded[K, V] {
 	n := normalizeShards(cfg.Shards)
 	s := &Sharded[K, V]{
-		less:      less,
-		hash:      hash,
-		rt:        stm.New(stm.WithClock(cfg.Clock)),
-		maps:      make([]*core.Map[K, V], n),
-		shift:     shiftFor(n),
-		closeDone: make(chan struct{}),
+		less:  less,
+		hash:  hash,
+		rt:    stm.New(stm.WithClock(cfg.Clock)),
+		maps:  make([]*core.Map[K, V], n),
+		shift: shiftFor(n),
 	}
 	per := perShardConfig(cfg, n)
 	for i := range s.maps {
 		s.maps[i] = core.NewIn[K, V](s.rt, less, hash, per)
 	}
-	s.handlePool.New = func() any { return s.NewTransientHandle() }
+	s.handlePool.New = func() any { return s.NewHandle() }
 	return s
 }
 
-// Close shuts every shard down: registered handles' removal buffers
-// flush and the orphan queues drain, so a quiescent map holds no
-// stitched logically-deleted nodes afterwards; on durable maps the
-// write-ahead log is then flushed and fsynced. Close is idempotent and
-// safe concurrent with operations, Quiesce, and other Close calls —
-// every call returns only after teardown (including the durability
-// flush) has completed. Operations issued after Close still reclaim
-// their removals but are no longer logged. Only a durable map must be
-// closed; an in-memory one owns no goroutine and leaks nothing without.
+// Close flushes, fsyncs and closes a durable map's write-ahead log; on
+// an in-memory map, which owns no goroutine, it only marks the map
+// closed. Close is idempotent and safe concurrent with operations and
+// other Close calls: every call returns only after the log is closed.
+// Operations issued after Close still work but are no longer logged.
 func (s *Sharded[K, V]) Close() {
-	if s.closed.Swap(true) {
-		<-s.closeDone
-		return
-	}
-	defer close(s.closeDone)
-	for _, m := range s.maps {
-		m.Close()
-	}
-	if s.persister != nil {
-		s.persister.Close()
-	}
+	s.closed.Store(true)
+	s.closeOnce.Do(func() {
+		if s.persister != nil {
+			s.persister.Close()
+		}
+	})
 }
 
 // AttachPersistence wires durability: l observes every shard's
@@ -244,21 +229,6 @@ func (s *Sharded[K, V]) durabilityOp(op func(core.Persister) error) error {
 // Closed reports whether Close has been called.
 func (s *Sharded[K, V]) Closed() bool { return s.closed.Load() }
 
-// HandleCount returns the number of handles registered across the map:
-// the sharded map's own registry plus every shard's (an explicit
-// sharded handle contributes 1 + Shards() entries). Pooled convenience
-// handles are transient and never counted; the count is the
-// leak-detection probe for handle-lifecycle tests.
-func (s *Sharded[K, V]) HandleCount() int {
-	s.mu.Lock()
-	n := len(s.handles)
-	s.mu.Unlock()
-	for _, m := range s.maps {
-		n += m.HandleCount()
-	}
-	return n
-}
-
 // SetCommitObserver installs o (or, with nil, removes it) on the
 // runtime every shard runs on.
 func (s *Sharded[K, V]) SetCommitObserver(o stm.CommitObserver) { s.rt.SetCommitObserver(o) }
@@ -302,27 +272,12 @@ func (s *Sharded[K, V]) Prefetch(k K) {
 	s.maps[s.idxFor(mix(s.hash(k)))].Prefetch(k)
 }
 
-// RangeStats aggregates range-path counters: the shard-level fast/slow
-// counters of this map's registered handles plus the retired
-// accumulator (cross-shard ranges), plus each shard's own counters
-// (ranges a one-shard map answers directly). The shard-level sum
-// runs under s.mu — the mutex bankStats moves counters under — so
-// snapshots are exact with respect to banking and successive snapshots
-// never decrease.
+// RangeStats aggregates range-path counters: the cross-shard ranges
+// counted on this map plus each shard's own (ranges a one-shard map
+// answers directly). Counters only grow, so successive snapshots never
+// decrease.
 func (s *Sharded[K, V]) RangeStats() core.RangeStats {
-	var agg core.RangeStats
-	s.mu.Lock()
-	for _, h := range s.handles {
-		agg.FastAttempts += h.stats.RangeFastAttempts.Load()
-		agg.FastAborts += h.stats.RangeFastAborts.Load()
-		agg.FastCommits += h.stats.RangeFastCommits.Load()
-		agg.SlowCommits += h.stats.RangeSlowCommits.Load()
-	}
-	agg.FastAttempts += s.retired.RangeFastAttempts.Load()
-	agg.FastAborts += s.retired.RangeFastAborts.Load()
-	agg.FastCommits += s.retired.RangeFastCommits.Load()
-	agg.SlowCommits += s.retired.RangeSlowCommits.Load()
-	s.mu.Unlock()
+	agg := s.counters.RangeStats()
 	for _, m := range s.maps {
 		st := m.RangeStats()
 		agg.FastAttempts += st.FastAttempts
@@ -331,16 +286,6 @@ func (s *Sharded[K, V]) RangeStats() core.RangeStats {
 		agg.SlowCommits += st.SlowCommits
 	}
 	return agg
-}
-
-// Quiesce flushes every registered handle's removal buffers and drains
-// the orphan queue on every shard. Safe concurrent with in-flight
-// operations; removals that commit after Quiesce returns are not
-// covered.
-func (s *Sharded[K, V]) Quiesce() {
-	for _, m := range s.maps {
-		m.Quiesce()
-	}
 }
 
 // CheckInvariants audits every shard's composition invariants plus the
@@ -370,43 +315,31 @@ func (s *Sharded[K, V]) SizeSlow() int {
 	return n
 }
 
-// Convenience methods on Sharded borrow a pooled transient handle; they
-// are the ergonomic entry points, workers hold explicit handles. Every
-// dirty release recycles the handle — counters banked, buffered removals handed to the shards'
-// orphan queues — so pool churn cannot strand state.
+// Convenience methods on Sharded borrow a pooled handle; they are the
+// ergonomic entry points, workers hold explicit handles.
 
 func (s *Sharded[K, V]) borrow() *Handle[K, V] { return s.handlePool.Get().(*Handle[K, V]) }
 
-func (s *Sharded[K, V]) release(h *Handle[K, V]) {
-	h.Recycle()
-	s.handlePool.Put(h)
-}
-
-// releaseClean returns a borrowed handle without the recycle pass; only
-// for operations that can neither buffer a removal nor touch a
-// range-path counter on any shard (lookups, inserts, point queries).
-// Dirty paths always release through release(), so a pooled handle's
-// sub-buffers are empty by invariant.
-func (s *Sharded[K, V]) releaseClean(h *Handle[K, V]) { s.handlePool.Put(h) }
+func (s *Sharded[K, V]) release(h *Handle[K, V]) { s.handlePool.Put(h) }
 
 // Lookup returns the value associated with k.
 func (s *Sharded[K, V]) Lookup(k K) (V, bool) {
 	h := s.borrow()
-	defer s.releaseClean(h)
+	defer s.release(h)
 	return h.Lookup(k)
 }
 
 // Contains reports whether k is present.
 func (s *Sharded[K, V]) Contains(k K) bool {
 	h := s.borrow()
-	defer s.releaseClean(h)
+	defer s.release(h)
 	return h.Contains(k)
 }
 
 // Insert adds (k, v) if k is absent and reports whether it did.
 func (s *Sharded[K, V]) Insert(k K, v V) bool {
 	h := s.borrow()
-	defer s.releaseClean(h)
+	defer s.release(h)
 	return h.Insert(k, v)
 }
 
@@ -428,28 +361,28 @@ func (s *Sharded[K, V]) Put(k K, v V) bool {
 // Ceil returns the smallest key >= k and its value.
 func (s *Sharded[K, V]) Ceil(k K) (K, V, bool) {
 	h := s.borrow()
-	defer s.releaseClean(h)
+	defer s.release(h)
 	return h.Ceil(k)
 }
 
 // Succ returns the smallest key > k and its value.
 func (s *Sharded[K, V]) Succ(k K) (K, V, bool) {
 	h := s.borrow()
-	defer s.releaseClean(h)
+	defer s.release(h)
 	return h.Succ(k)
 }
 
 // Floor returns the largest key <= k and its value.
 func (s *Sharded[K, V]) Floor(k K) (K, V, bool) {
 	h := s.borrow()
-	defer s.releaseClean(h)
+	defer s.release(h)
 	return h.Floor(k)
 }
 
 // Pred returns the largest key < k and its value.
 func (s *Sharded[K, V]) Pred(k K) (K, V, bool) {
 	h := s.borrow()
-	defer s.releaseClean(h)
+	defer s.release(h)
 	return h.Pred(k)
 }
 

@@ -40,7 +40,7 @@ func (a adapter) point(k int64, fn func(*stm.Tx, int64) (int64, int64, bool)) (i
 	return rk, rv, ok
 }
 
-func (a adapter) CheckQuiescent() error { return a.m.CheckInvariants() }
+func (a adapter) CheckIdle() error { return a.m.CheckInvariants() }
 
 func TestConformance(t *testing.T) {
 	maptest.RunAll(t, func() maptest.OrderedMap {

@@ -49,7 +49,7 @@ func TestDurableAllocBudget(t *testing.T) {
 		}
 		victim++
 	}
-	// Warm: descriptor logs, the op buffer, the removal buffer's drain,
+	// Warm: descriptor logs, the op buffer, an unstitch's write set,
 	// both of the WAL's append arrays.
 	for i := 0; i < batch; i++ {
 		insert()

@@ -71,11 +71,9 @@
 //	v, ok := m.Lookup(42)
 //	pairs := m.Range(10, 100, nil)
 //
-// Hot paths should give each goroutine its own Handle, closed when the
-// worker is done:
+// Hot paths should give each goroutine its own Handle:
 //
 //	h := m.NewHandle()
-//	defer h.Close()
 //	h.Insert(1, 10)
 //
 // Because the map is STM-based, multi-key atomicity comes for free:
@@ -200,17 +198,14 @@
 // state. See the README's Observability section for the endpoint and
 // series naming.
 //
-// # Handle lifecycle and reclamation
+// # Reclamation
 //
-// Removals defer their physical unstitching through per-handle buffers
-// (§4.5 of the paper); the lifecycle subsystem guarantees those nodes
-// are reclaimed no matter what happens to the handle. Close a Handle
-// when its goroutine exits: the handle leaves the stats registry and
-// its buffered removals move to the map's orphan queue. The pooled
-// handles behind the convenience methods do this automatically on every
-// call. Orphaned nodes are unstitched in bounded transactional batches,
-// inline, by the operation that pushes a shard's orphan queue to its
-// threshold; Quiesce and Map.Close drain the rest (observe it through
-// Map.MaintenanceStats). No goroutine reclaims in the background, so
-// only a durable map, whose engine must flush its WAL, has to be closed.
+// A removal reclaims its own node, as Figure 4's after_remove does: the
+// removing transaction unstitches the node, or, while a slow-path range
+// query older than the node is in flight, appends it to that query's
+// deferred list, which the query unstitches when it finishes (observe
+// both through Map.MaintenanceStats). A Handle holds nothing its map
+// needs back, so Handle.Close does nothing and a dropped handle strands
+// nothing. No goroutine reclaims in the background, so only a durable
+// map, whose engine must flush its WAL, has to be closed.
 package skiphash

@@ -116,7 +116,6 @@ func FuzzDurableReplayReads(f *testing.F) {
 			}
 		}
 		run(m, data)
-		m.Quiesce()
 		if err := m.CheckInvariants(skiphash.CheckOptions{}); err != nil {
 			t.Fatalf("invariants after replay: %v", err)
 		}

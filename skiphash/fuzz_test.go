@@ -175,7 +175,6 @@ func FuzzOps(f *testing.F) {
 				t.Fatalf("final pair %d = %v, want %v", i, got[i], want[i])
 			}
 		}
-		m.Quiesce()
 		if err := m.CheckInvariants(skiphash.CheckOptions{}); err != nil {
 			t.Fatalf("invariants: %v", err)
 		}

@@ -15,8 +15,8 @@ import (
 type Map[K comparable, V any] = shard.Sharded[K, V]
 
 // Handle is a per-goroutine context over a Map. Handles are not safe for
-// concurrent use; create one per worker with Map.NewHandle and Close it
-// when the worker is done.
+// concurrent use; create one per worker with Map.NewHandle. A handle
+// holds nothing its map needs back, so it needs no Close.
 type Handle[K comparable, V any] = shard.Handle[K, V]
 
 // Txn is the transactional view of a Map inside Map.Atomic or
@@ -38,15 +38,10 @@ type CheckOptions = core.CheckOptions
 // and per-path completions) across a Map's handles.
 type RangeStats = core.RangeStats
 
-// MaintenanceStats counts the reclamation subsystem's work: orphaned and
-// adopted buffer nodes, drained nodes and batches. See
+// MaintenanceStats counts reclamation work: nodes unstitched after
+// their removal, and the after_range drain transactions. See
 // Map.MaintenanceStats.
 type MaintenanceStats = core.MaintenanceStats
-
-// RemovalBufferDisabled is the explicit "no removal buffering" sentinel
-// for Config.RemovalBufferSize (a zero value keeps the paper's default
-// buffer of 32).
-const RemovalBufferDisabled = core.RemovalBufferDisabled
 
 // New creates a skip hash for any key type: less supplies the ordering,
 // hash the distribution over buckets. It is NewSharded at one shard
