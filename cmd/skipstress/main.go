@@ -11,12 +11,6 @@
 // exiting nonzero with the offending partition and a reproducer seed on
 // any violation.
 //
-// With -churn it runs the handle-turnover stress: sustained
-// insert/remove churn through pooled convenience handles and constantly
-// recreated explicit handles, with a periodic stop-the-world garbage
-// audit asserting a level-0 walk holds no logically-deleted stitched
-// node.
-//
 // With -net it serves a sharded map over loopback TCP (internal/server)
 // and drives the -check workload through real protocol clients
 // (skiphash/client), verifying the client-observed histories — wire
@@ -59,7 +53,7 @@
 // Usage:
 //
 //	skipstress [-threads n] [-duration d] [-universe n] [-mode two-path|fast|slow]
-//	           [-shards n] [-seed n] [-check] [-churn] [-crash] [-cycles n]
+//	           [-shards n] [-seed n] [-check] [-crash] [-cycles n]
 //	           [-net] [-namespaces n] [-replica] [-readheavy] [-metrics-dump]
 //
 // -readheavy skews the -check/-net workload to 80% point lookups, the
@@ -129,7 +123,6 @@ func main() {
 		shards    = flag.Int("shards", 0, "shard count (0 = one shard, as skiphash.New builds; -1 = GOMAXPROCS-derived)")
 		seed      = flag.Uint64("seed", 1, "seed for all workload randomness")
 		check     = flag.Bool("check", false, "record histories and verify linearizability online")
-		churn     = flag.Bool("churn", false, "handle-lifecycle churn with periodic garbage audits")
 		crash     = flag.Bool("crash", false, "durability kill/recover cycles audited against a shadow model")
 		netCheck  = flag.Bool("net", false, "serve over loopback TCP and check client-side linearizability")
 		nsCount   = flag.Int("namespaces", 0, "with -net: also drive this many byte-string namespaces concurrently through the checker")
@@ -142,13 +135,13 @@ func main() {
 	flag.Parse()
 
 	modes := 0
-	for _, on := range []bool{*check, *churn, *crash, *netCheck, *replica} {
+	for _, on := range []bool{*check, *crash, *netCheck, *replica} {
 		if on {
 			modes++
 		}
 	}
 	if modes > 1 {
-		fmt.Fprintln(os.Stderr, "skipstress: -check, -churn, -crash, -net and -replica are mutually exclusive")
+		fmt.Fprintln(os.Stderr, "skipstress: -check, -crash, -net and -replica are mutually exclusive")
 		os.Exit(2)
 	}
 	reproducer := reproducerLine()
@@ -225,11 +218,6 @@ func main() {
 		}
 		return
 	}
-	if *churn {
-		runChurn(m, *threads, *duration, *universe, *seed, variant, reproducer)
-		return
-	}
-
 	fmt.Printf("skipstress: %d threads, %v, universe %d, mode %s, seed %d, %s\n",
 		*threads, *duration, *universe, *mode, *seed, variant)
 
@@ -318,125 +306,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "skipstress: FAILED (%d balance errors, %d online failures)\n",
 			bad, failures.Load())
 		fmt.Fprintf(os.Stderr, "reproduce with: %s\n", reproducer)
-		os.Exit(1)
-	}
-	fmt.Println("skipstress: PASS")
-}
-
-// runChurn is the handle-turnover stress: workers alternate between
-// pooled convenience traffic and short-lived explicit handles (closed
-// after a fixed op budget), while a periodic stop-the-world audit
-// asserts that a full level-0 walk holds no logically-deleted stitched
-// node and that the invariants hold. No flush runs first: with no range
-// query in flight, every removal unstitched its node at commit. Any
-// audit failure exits 1 with a reproducer line.
-func runChurn(m *skiphash.Map[int64, int64], threads int,
-	duration time.Duration, universe int64, seed uint64, variant, reproducer string) {
-	fmt.Printf("skipstress: -churn, %d threads, %v, universe %d, seed %d, %s\n",
-		threads, duration, universe, seed, variant)
-
-	const handleTurnoverOps = 512
-	var world sync.RWMutex
-	var ops, turnovers atomic.Uint64
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(worker uint64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(seed, worker^0xc40e))
-			var h *skiphash.Handle[int64, int64]
-			hOps := 0
-			for {
-				select {
-				case <-done:
-					if h != nil {
-						h.Close()
-					}
-					return
-				default:
-				}
-				world.RLock()
-				for i := 0; i < 64; i++ {
-					k := int64(rng.Uint64() % uint64(universe))
-					if h == nil {
-						if rng.Uint64()&1 == 0 {
-							m.Insert(k, k)
-						} else {
-							m.Remove(k)
-						}
-					} else {
-						if rng.Uint64()&1 == 0 {
-							h.Insert(k, k)
-						} else {
-							h.Remove(k)
-						}
-						hOps++
-					}
-					ops.Add(1)
-				}
-				if h == nil && rng.Uint64()%4 == 0 {
-					h = m.NewHandle()
-					hOps = 0
-				} else if h != nil && hOps >= handleTurnoverOps {
-					h.Close()
-					h = nil
-					turnovers.Add(1)
-				}
-				world.RUnlock()
-			}
-		}(uint64(t) + 1)
-	}
-
-	audit := func(label string) bool {
-		world.Lock()
-		defer world.Unlock()
-		ok := true
-		if stitched, live := m.StitchedSlow(), m.SizeSlow(); stitched != live {
-			fmt.Fprintf(os.Stderr, "FAIL (%s): %d logically-deleted nodes still stitched\n",
-				label, stitched-live)
-			ok = false
-		}
-		if err := m.CheckInvariants(skiphash.CheckOptions{}); err != nil {
-			fmt.Fprintf(os.Stderr, "FAIL (%s): invariants: %v\n", label, err)
-			ok = false
-		}
-		return ok
-	}
-
-	auditEvery := duration / 8
-	if auditEvery < 250*time.Millisecond {
-		auditEvery = 250 * time.Millisecond
-	}
-	deadline := time.Now().Add(duration)
-	audits, failed := 0, false
-	for time.Now().Before(deadline) {
-		sleep := auditEvery
-		if rem := time.Until(deadline); rem < sleep {
-			sleep = rem
-		}
-		time.Sleep(sleep)
-		audits++
-		if !audit(fmt.Sprintf("audit %d", audits)) {
-			failed = true
-			break
-		}
-	}
-	close(done)
-	wg.Wait()
-	if !failed && !audit("final") {
-		failed = true
-	}
-	m.Close()
-	if stitched, live := m.StitchedSlow(), m.SizeSlow(); stitched != live {
-		fmt.Fprintf(os.Stderr, "FAIL: %d logically-deleted nodes stitched after Close\n", stitched-live)
-		failed = true
-	}
-	ms := m.MaintenanceStats()
-	fmt.Printf("ops=%d handle-turnovers=%d audits=%d drained=%d batches=%d\n",
-		ops.Load(), turnovers.Load(), audits, ms.DrainedNodes, ms.DrainBatches)
-	if failed {
-		fmt.Fprintf(os.Stderr, "skipstress: FAILED\nreproduce with: %s\n", reproducer)
 		os.Exit(1)
 	}
 	fmt.Println("skipstress: PASS")

@@ -68,21 +68,6 @@ func Int64Codec() Codec[int64] {
 	}
 }
 
-// Uint64Codec encodes uint64 as 8 little-endian bytes.
-func Uint64Codec() Codec[uint64] {
-	return Codec[uint64]{
-		Append: func(dst []byte, v uint64) []byte {
-			return binary.LittleEndian.AppendUint64(dst, v)
-		},
-		Read: func(src []byte) (uint64, int, error) {
-			if len(src) < 8 {
-				return 0, 0, fmt.Errorf("persist: uint64 needs 8 bytes, have %d", len(src))
-			}
-			return binary.LittleEndian.Uint64(src), 8, nil
-		},
-	}
-}
-
 // Float64Codec encodes float64 as its IEEE 754 bits, little-endian.
 func Float64Codec() Codec[float64] {
 	return Codec[float64]{

@@ -181,17 +181,90 @@ func truncateDurable(path string, size int64) error {
 	return syncDir(filepath.Dir(path))
 }
 
-// recOp is one recovered operation: a snapshot entry (stamped with its
-// chunk's stamp) or one WAL op (stamped with its record's), numbered by
-// seq in decode order — the snapshot first, then the segments in file
-// order. For pointer-free K and V the whole array is pointer-free, so
-// the collector never scans it.
-type recOp[K comparable, V any] struct {
+// foldOp is one stamped operation of a Fold: a snapshot entry (stamped
+// with its chunk's stamp) or one logged op (stamped with its record's),
+// numbered by seq in the order it was added. For pointer-free K and V
+// the whole array is pointer-free, so the collector never scans it.
+type foldOp[K comparable, V any] struct {
 	key   K
 	val   V
 	stamp uint64
 	seq   uint64
 	put   bool
+}
+
+// Fold rebuilds a map's state from a snapshot plus the log after it.
+// Snapshot entries go in first, stamped with their chunk's stamp, then
+// every logged op in log order, stamped with its record's. Pairs sorts
+// the lot once by (key, stamp, order added) and keeps each key's last
+// op: an op the key's chunk already reflects sorts before the snapshot
+// entry, a newer one after it, and log order resolves stamp ties, which
+// is commit order for any two records that touch the same key (appends
+// happen while the committing transaction still holds its write set).
+// Recovery folds a directory this way; a replica folds a full resync's
+// streamed chunks and log tail the same way (internal/repl).
+type Fold[K comparable, V any] struct {
+	less  func(a, b K) bool
+	kc    Codec[K]
+	vc    Codec[V]
+	ops   []foldOp[K, V]
+	stamp uint64 // stamp of the ops being added
+	put   func(K, V) error
+	del   func(K) error
+}
+
+// NewFold returns an empty fold over keys ordered by less.
+func NewFold[K comparable, V any](less func(a, b K) bool, kc Codec[K], vc Codec[V]) *Fold[K, V] {
+	f := &Fold[K, V]{less: less, kc: kc, vc: vc}
+	f.put = func(k K, v V) error {
+		f.ops = append(f.ops, foldOp[K, V]{key: k, val: v, stamp: f.stamp, seq: uint64(len(f.ops)), put: true})
+		return nil
+	}
+	f.del = func(k K) error {
+		f.ops = append(f.ops, foldOp[K, V]{key: k, stamp: f.stamp, seq: uint64(len(f.ops))})
+		return nil
+	}
+	return f
+}
+
+// AddOps adds one encoded op list (see DecodeOps) at stamp: a WAL
+// record's ops, or a replicated snapshot chunk's puts.
+func (f *Fold[K, V]) AddOps(stamp, count uint64, ops []byte) error {
+	f.stamp = stamp
+	return DecodeOps(ops, count, f.kc, f.vc, f.put, f.del)
+}
+
+// Pairs folds everything added and returns the surviving pairs strictly
+// ascending by less. It consumes the fold.
+func (f *Fold[K, V]) Pairs() []KV[K, V] {
+	less, ops := f.less, f.ops
+	f.ops = nil
+	slices.SortFunc(ops, func(a, b foldOp[K, V]) int {
+		switch {
+		case less(a.key, b.key):
+			return -1
+		case less(b.key, a.key):
+			return 1
+		case a.stamp != b.stamp:
+			return cmp.Compare(a.stamp, b.stamp)
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	live := 0
+	for i := range ops {
+		if i+1 < len(ops) && !less(ops[i].key, ops[i+1].key) {
+			continue // a later op on the same key decides it
+		}
+		if ops[i].put {
+			ops[live] = ops[i]
+			live++
+		}
+	}
+	pairs := make([]KV[K, V], live)
+	for i := range pairs {
+		pairs[i] = KV[K, V]{Key: ops[i].key, Val: ops[i].val}
+	}
+	return pairs
 }
 
 // recoverDir reconstructs state from a durability directory: newest
@@ -200,15 +273,9 @@ type recOp[K comparable, V any] struct {
 // metadata the reopened engine continues from.
 //
 // Recovery is one flat pipeline. A first walk checks every frame and sums
-// the snapshot's entries and the records' op counts; one array of that
-// exact size then takes every snapshot entry and every WAL op, sorted
-// once by (key, stamp, seq). Each key keeps its last op: WAL ops below
-// its snapshot chunk's stamp sort before the snapshot entry, which the
-// chunk already reflects; an op at or above that stamp sorts after it
-// and wins; equal stamps fall back to file order, which is commit order
-// for any two records that touch the same key (appends happen while the
-// committing transaction still holds its write set), and to op order
-// inside one record.
+// the snapshot's entries and the records' op counts; a Fold presized to
+// that exact count then takes every snapshot entry and every WAL op and
+// folds them in one sort.
 func recoverDir[K comparable, V any](dir string, less func(a, b K) bool, kc Codec[K], vc Codec[V]) (
 	pairs []KV[K, V], info RecoverInfo, st dirState, err error) {
 	st, err = scanDir(dir)
@@ -277,32 +344,20 @@ func recoverDir[K comparable, V any](dir string, less func(a, b K) bool, kc Code
 
 	// Pass 2: decode the snapshot, then every WAL op in file order. The
 	// first pass checked every frame and count, so exactly size ops land.
-	ops := make([]recOp[K, V], size)
-	n := 0
-	var stamp uint64
-	put := func(k K, v V) error {
-		ops[n] = recOp[K, V]{key: k, val: v, stamp: stamp, seq: uint64(n), put: true}
-		n++
-		return nil
-	}
-	del := func(k K) error {
-		ops[n] = recOp[K, V]{key: k, stamp: stamp, seq: uint64(n)}
-		n++
-		return nil
-	}
+	f := NewFold(less, kc, vc)
+	f.ops = make([]foldOp[K, V], 0, size)
 	if snapData != nil {
 		_, _, _, err = walkSnapshot(snapPath, snapData, func(off int64, chunkStamp, count uint64, body []byte) error {
-			stamp = chunkStamp
-			return decodeChunk(snapPath, off, body, count, kc, vc, put)
+			f.stamp = chunkStamp
+			return decodeChunk(snapPath, off, body, count, kc, vc, f.put)
 		})
 		if err != nil {
 			return nil, info, st, err
 		}
 	}
 	var path string
-	decode := func(off int64, recStamp, count uint64, body []byte) error {
-		stamp = recStamp
-		if err := DecodeOps(body, count, kc, vc, put, del); err != nil {
+	decode := func(off int64, stamp, count uint64, body []byte) error {
+		if err := f.AddOps(stamp, count, body); err != nil {
 			return fmt.Errorf("%s: record at offset %d: %w", path, off, err)
 		}
 		return nil
@@ -313,34 +368,8 @@ func recoverDir[K comparable, V any](dir string, less func(a, b K) bool, kc Code
 			return nil, info, st, err
 		}
 	}
-
-	// Sort once, keep each key's last op, compact the puts in place.
-	slices.SortFunc(ops, func(a, b recOp[K, V]) int {
-		switch {
-		case less(a.key, b.key):
-			return -1
-		case less(b.key, a.key):
-			return 1
-		case a.stamp != b.stamp:
-			return cmp.Compare(a.stamp, b.stamp)
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-	live := 0
-	for i := range ops {
-		if i+1 < len(ops) && !less(ops[i].key, ops[i+1].key) {
-			continue // a later op on the same key decides it
-		}
-		if ops[i].put {
-			ops[live] = ops[i]
-			live++
-		}
-	}
-	pairs = make([]KV[K, V], live)
-	for i := range pairs {
-		pairs[i] = KV[K, V]{Key: ops[i].key, Val: ops[i].val}
-	}
-	info.Entries = live
+	pairs = f.Pairs()
+	info.Entries = len(pairs)
 
 	// Tidy: segments fully covered by the loaded snapshot are dead
 	// weight on the next recovery. Prefix rule as in wal.truncateBelow.

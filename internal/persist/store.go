@@ -224,9 +224,7 @@ func (s *Store[K, V]) Committed(arg unsafe.Pointer) {
 // OpLogger hook).
 func (s *Store[K, V]) LogPut(tx *stm.Tx, k K, v V) {
 	b := s.bufFor(tx)
-	b.ops = append(b.ops, opPut)
-	b.ops = s.kc.Append(b.ops, k)
-	b.ops = s.vc.Append(b.ops, v)
+	b.ops = AppendPut(b.ops, s.kc, s.vc, k, v)
 	b.count++
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/persist"
 	"repro/internal/wire"
 	"repro/skiphash"
 )
@@ -16,9 +17,9 @@ import (
 // ClockRead are required; the rest defaults sensibly.
 type PrimaryConfig struct {
 	// Snapshot iterates the primary map in chunked consistent reads
-	// (MapSnapshot of the map being replicated); it feeds a follower's
-	// full sync.
-	Snapshot func(chunkSize int, emit func(stamp uint64, pairs []wire.KV) error) error
+	// (MapSnapshot of the map being replicated), each chunk an all-put
+	// op list in the WAL's encoding; it feeds a follower's full sync.
+	Snapshot func(chunkSize int, emit func(stamp uint64, count int, ops []byte) error) error
 	// ClockRead returns a fresh commit-clock read. CaughtUp and
 	// Heartbeat stamps come from it; see the ordering rule in sender().
 	ClockRead func() uint64
@@ -31,17 +32,18 @@ type PrimaryConfig struct {
 }
 
 // MapSnapshot adapts m's SnapshotChunks to PrimaryConfig.Snapshot: each
-// chunk's pairs are re-packed as wire pairs through one buffer reused
-// across chunks (emit must not retain them).
-func MapSnapshot(m *skiphash.Sharded[int64, int64]) func(chunkSize int, emit func(stamp uint64, pairs []wire.KV) error) error {
-	return func(chunkSize int, emit func(stamp uint64, pairs []wire.KV) error) error {
-		kvs := make([]wire.KV, 0, chunkSize)
+// chunk's pairs are encoded as puts (persist.AppendPut) into one buffer
+// reused across chunks (emit must not retain it).
+func MapSnapshot(m *skiphash.Sharded[int64, int64]) func(chunkSize int, emit func(stamp uint64, count int, ops []byte) error) error {
+	ic := persist.Int64Codec()
+	return func(chunkSize int, emit func(stamp uint64, count int, ops []byte) error) error {
+		var ops []byte
 		return m.SnapshotChunks(chunkSize, func(stamp uint64, pairs []skiphash.Pair[int64, int64]) error {
-			kvs = kvs[:0]
+			ops = ops[:0]
 			for _, p := range pairs {
-				kvs = append(kvs, wire.KV{Key: p.Key, Val: p.Val})
+				ops = persist.AppendPut(ops, ic, ic, p.Key, p.Val)
 			}
-			return emit(stamp, kvs)
+			return emit(stamp, len(pairs), ops)
 		})
 	}
 }
@@ -265,8 +267,9 @@ func (p *Primary) sender(nc net.Conn) error {
 	// snapshot chunk is read, so every record with seq < cursor is
 	// fully reflected in the chunks (its map publish happened before
 	// the chunk transactions started) and every record >= cursor is
-	// streamed — the per-key chunk-stamp filter on the replica absorbs
-	// the overlap exactly as recovery replay does.
+	// streamed — the replica folds chunks and tail together exactly as
+	// recovery folds a snapshot and its log (persist.Fold), which
+	// absorbs the overlap.
 	p.mu.Lock()
 	full := follow.Epoch != p.epoch || follow.Seq+1 < p.baseSeqLocked() || follow.Seq >= p.nextSeq
 	cursor := follow.Seq + 1
@@ -286,8 +289,8 @@ func (p *Primary) sender(nc net.Conn) error {
 		return err
 	}
 	if full {
-		err := p.cfg.Snapshot(snapshotChunk, func(stamp uint64, pairs []wire.KV) error {
-			return send(&wire.ReplMsg{Op: wire.OpSnapChunk, Stamp: stamp, Pairs: pairs})
+		err := p.cfg.Snapshot(snapshotChunk, func(stamp uint64, count int, ops []byte) error {
+			return send(&wire.ReplMsg{Op: wire.OpSnapChunk, Stamp: stamp, Count: uint64(count), Ops: ops})
 		})
 		if err != nil {
 			return fmt.Errorf("snapshot stream: %w", err)

@@ -22,8 +22,8 @@ type ReplicaConfig struct {
 	// Addr is the primary's replication address (host:port).
 	Addr string
 	// Map tunes the replica's in-memory map; Clock and Durability are
-	// overridden (the replica's clock is the lifted
-	// monotonic clock, and its state is the stream, not a local log).
+	// overridden (the replica's clock is a monotonic clock under a
+	// raisable floor, and its state is the stream, not a local log).
 	Map skiphash.Config
 	// RedialEvery paces reconnect attempts. Default 100ms.
 	RedialEvery time.Duration
@@ -33,21 +33,22 @@ type ReplicaConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// applyBatch is how many snapshot-chunk pairs one load transaction
-// inserts, mirroring recovery's batched load.
+// applyBatch is how many ops one transaction of a resync's reload
+// applies.
 const applyBatch = 128
 
 // Replica follows a primary's WAL stream into a live in-memory map.
 // The map serves read-only traffic (through Backend) at the advertised
 // watermark until Promote makes it writable.
 type Replica struct {
-	cfg  ReplicaConfig
-	lift *liftClock
-	m    *skiphash.Sharded[int64, int64]
+	cfg   ReplicaConfig
+	clock *stm.FloorClock
+	m     *skiphash.Sharded[int64, int64]
 
+	// epoch and lastSeq name the stream position the map reflects; a
+	// full resync moves them only once its fold is loaded.
 	epoch     uint64
 	lastSeq   uint64
-	catchup   map[int64]uint64 // per-key chunk stamps during full sync
 	watermark atomic.Uint64
 	promoted  atomic.Bool
 
@@ -78,13 +79,13 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 	if cfg.DialTimeout == 0 {
 		cfg.DialTimeout = 2 * time.Second
 	}
-	lift := newLiftClock(stm.NewMonotonicClock())
+	clock := stm.NewRaisableClock(stm.NewMonotonicClock())
 	mc := cfg.Map
-	mc.Clock = lift
+	mc.Clock = clock
 	mc.Durability = nil
 	r := &Replica{
 		cfg:     cfg,
-		lift:    lift,
+		clock:   clock,
 		m:       skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, mc),
 		ready:   make(chan struct{}),
 		stopped: make(chan struct{}),
@@ -100,7 +101,8 @@ func (r *Replica) Map() *skiphash.Sharded[int64, int64] { return r.m }
 // Watermark is the replica's applied commit-stamp watermark: every
 // primary commit with stamp <= a value this returned is applied here,
 // provided the caller observed its stamp through the same lineage's
-// Watermark (see the package contract).
+// Watermark (see the package contract). It is 0 while a full resync
+// runs.
 func (r *Replica) Watermark() uint64 { return r.watermark.Load() }
 
 // WaitReady blocks until the replica has caught up once (or ctx ends).
@@ -113,8 +115,8 @@ func (r *Replica) WaitReady(ctx context.Context) error {
 	}
 }
 
-// Promote stops following and makes the map writable. The lifted clock
-// floors new commit stamps above every applied record, so the promoted
+// Promote stops following and makes the map writable. The clock floor
+// keeps new commit stamps above every applied record, so the promoted
 // node's commits extend the dead primary's order. The promoted map is
 // not durable and not replicating; restart it with a durability
 // directory to resume either.
@@ -200,19 +202,22 @@ func (r *Replica) runConn(nc net.Conn) error {
 	if hdr.Op != wire.OpFollow {
 		return fmt.Errorf("expected Follow header, got %s", hdr.Op)
 	}
+	// A full resync leaves the map serving its old state and folds the
+	// snapshot chunks and the tail the way recovery folds a snapshot and
+	// its log; the map is reloaded from the fold at CaughtUp. Meanwhile
+	// the watermark reads 0, so barriered reads go to the primary, and
+	// only the clock floor follows the streamed stamps.
+	var fold *persist.Fold[int64, int64]
+	seq := r.lastSeq
 	if hdr.Full {
-		// Full resync: this primary incarnation (or a tail the ring no
-		// longer holds) invalidates local state wholesale.
+		r.watermark.Store(0)
 		r.resyncs.Add(1)
 		if r.epoch != 0 && hdr.Epoch != r.epoch {
 			r.epochSwaps.Add(1)
 		}
-		if err := r.clear(); err != nil {
-			return err
-		}
-		r.catchup = make(map[int64]uint64)
-		r.epoch = hdr.Epoch
-		r.lastSeq = hdr.Seq
+		ic := persist.Int64Codec()
+		fold = persist.NewFold(skiphash.Int64Less, ic, ic)
+		seq = hdr.Seq
 	} else if hdr.Epoch != r.epoch || hdr.Seq != r.lastSeq {
 		return fmt.Errorf("tail header (%d,%d) does not match follower state (%d,%d)",
 			hdr.Epoch, hdr.Seq, r.epoch, r.lastSeq)
@@ -228,29 +233,50 @@ func (r *Replica) runConn(nc net.Conn) error {
 		}
 		switch m.Op {
 		case wire.OpSnapChunk:
-			if r.catchup == nil {
+			if fold == nil {
 				return errors.New("snapshot chunk outside full sync")
 			}
-			if err := r.applyChunk(&m); err != nil {
+			if err := fold.AddOps(m.Stamp, m.Count, m.Ops); err != nil {
 				return err
 			}
+			r.clock.Raise(m.Stamp)
 		case wire.OpWalRecord:
-			if m.Seq != r.lastSeq+1 {
-				return fmt.Errorf("record seq %d after %d", m.Seq, r.lastSeq)
+			if m.Seq != seq+1 {
+				return fmt.Errorf("record seq %d after %d", m.Seq, seq)
 			}
 			r.raisePrimStamp(m.Stamp)
-			if err := r.applyRecord(&m); err != nil {
-				return err
-			}
+			seq = m.Seq
 			r.records.Add(1)
-			r.lastSeq = m.Seq
-			r.advance(m.Stamp)
+			if fold != nil {
+				if err := fold.AddOps(m.Stamp, m.Count, m.Ops); err != nil {
+					return err
+				}
+				r.clock.Raise(m.Stamp)
+			} else {
+				if err := r.applyRecord(&m); err != nil {
+					return err
+				}
+				r.lastSeq = seq
+				r.advance(m.Stamp)
+			}
 		case wire.OpCaughtUp:
 			r.raisePrimStamp(m.Stamp)
-			r.catchup = nil
-			r.advance(m.Stamp)
+			if fold != nil {
+				if err := r.reload(fold.Pairs()); err != nil {
+					return err
+				}
+				fold = nil
+				r.epoch, r.lastSeq = hdr.Epoch, seq
+				r.clock.Raise(m.Stamp)
+				r.watermark.Store(m.Stamp)
+			} else {
+				r.advance(m.Stamp)
+			}
 			r.readyOnce.Do(func() { close(r.ready) })
 		case wire.OpHeartbeat:
+			if fold != nil {
+				return errors.New("heartbeat during full sync")
+			}
 			r.raisePrimStamp(m.Stamp)
 			r.advance(m.Stamp)
 		default:
@@ -298,97 +324,64 @@ func (r *Replica) Stats() ReplicaStats {
 	}
 }
 
-// advance lifts the watermark (and the commit-clock floor) to s.
+// advance lifts the commit-clock floor, then the watermark, to s.
 func (r *Replica) advance(s uint64) {
+	r.clock.Raise(s)
 	for {
 		cur := r.watermark.Load()
-		if s <= cur {
-			return
-		}
-		if r.watermark.CompareAndSwap(cur, s) {
-			r.lift.Raise(s)
+		if s <= cur || r.watermark.CompareAndSwap(cur, s) {
 			return
 		}
 	}
 }
 
-// clear empties the map before a full resync.
-func (r *Replica) clear() error {
-	var pairs []skiphash.Pair[int64, int64]
-	pairs = r.m.Range(math.MinInt64, math.MaxInt64, pairs[:0])
-	for len(pairs) > 0 {
-		batch := pairs
-		if len(batch) > applyBatch {
-			batch = pairs[:applyBatch]
+// reload makes the map hold exactly pairs (strictly ascending, a full
+// resync's folded state): keys the pairs lack are removed first, then
+// every pair is put, applyBatch ops per transaction.
+func (r *Replica) reload(pairs []persist.KV[int64, int64]) error {
+	var gone []int64
+	j := 0
+	for _, p := range r.m.Range(math.MinInt64, math.MaxInt64, nil) {
+		for j < len(pairs) && pairs[j].Key < p.Key {
+			j++
 		}
+		if j == len(pairs) || pairs[j].Key != p.Key {
+			gone = append(gone, p.Key)
+		}
+	}
+	n := len(gone) + len(pairs)
+	for lo := 0; lo < n; lo += applyBatch {
 		err := r.m.Atomic(func(op *skiphash.Txn[int64, int64]) error {
-			for _, p := range batch {
-				op.Remove(p.Key)
+			for i := lo; i < min(lo+applyBatch, n); i++ {
+				if i < len(gone) {
+					op.Remove(gone[i])
+				} else {
+					p := pairs[i-len(gone)]
+					op.Put(p.Key, p.Val)
+				}
 			}
 			return nil
 		})
 		if err != nil {
 			return err
 		}
-		pairs = pairs[len(batch):]
 	}
 	return nil
 }
 
-// applyChunk loads one snapshot chunk, recording each key's chunk
-// stamp so overlapping tail records replay idempotently (the recovery
-// rule: a record touches a key only if its stamp is at or above the
-// key's chunk stamp).
-func (r *Replica) applyChunk(m *wire.ReplMsg) error {
-	pairs := m.Pairs
-	for len(pairs) > 0 {
-		batch := pairs
-		if len(batch) > applyBatch {
-			batch = pairs[:applyBatch]
-		}
-		err := r.m.Atomic(func(op *skiphash.Txn[int64, int64]) error {
-			for _, p := range batch {
-				op.Put(p.Key, p.Val)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		pairs = pairs[len(batch):]
-	}
-	for _, p := range m.Pairs {
-		r.catchup[p.Key] = m.Stamp
-	}
-	return nil
-}
-
-// applyRecord applies one WAL record as one transaction, mirroring
-// recovery replay: during catch-up a key whose chunk stamp exceeds the
-// record's stamp already reflects it (or newer) and is skipped; live
-// records apply unconditionally in stream order, which is commit order
-// for any two records that could disagree about a key.
+// applyRecord applies one live WAL record as one transaction. Records
+// apply in stream order, which is commit order for any two records that
+// could disagree about a key.
 func (r *Replica) applyRecord(m *wire.ReplMsg) error {
 	ic := persist.Int64Codec()
 	return r.m.Atomic(func(op *skiphash.Txn[int64, int64]) error {
-		skip := func(k int64) bool {
-			if r.catchup == nil {
-				return false
-			}
-			ws, ok := r.catchup[k]
-			return ok && m.Stamp < ws
-		}
 		return persist.DecodeOps(m.Ops, m.Count, ic, ic,
 			func(k, v int64) error {
-				if !skip(k) {
-					op.Put(k, v)
-				}
+				op.Put(k, v)
 				return nil
 			},
 			func(k int64) error {
-				if !skip(k) {
-					op.Remove(k)
-				}
+				op.Remove(k)
 				return nil
 			})
 	})

@@ -117,32 +117,67 @@ func NewMonotonicClock() *MonotonicClock {
 	return &MonotonicClock{base: time.Now()}
 }
 
-// FloorClock shifts every timestamp of an inner clock above a recovered
-// floor. Durable maps use it after crash recovery: commit stamps order
-// write-ahead-log records, so stamps drawn after a restart must exceed
-// every stamp already in the log, no matter which clock flavor backs the
-// runtime or how long the process was down. Adding the floor as a
-// constant offset preserves the inner clock's ordering, uniqueness, and
-// strictness properties unchanged.
+// FloorClock shifts every timestamp of an inner clock above a floor by
+// adding an offset. Durable maps use it after crash recovery: commit
+// stamps order write-ahead-log records, so stamps drawn after a restart
+// must exceed every stamp already in the log, no matter which clock
+// flavor backs the runtime or how long the process was down. Replicas
+// use it live: Raise lifts the floor to each applied stamp, so a
+// promoted replica's commits extend its old primary's order. An offset,
+// unlike a clamp to floor+1, preserves the inner clock's ordering,
+// uniqueness and strictness: stamps keep advancing at the inner clock's
+// pace instead of piling onto one tied value.
 type FloorClock struct {
 	inner Clock
-	floor uint64
+	off   atomic.Uint64
 }
 
-// NewFloorClock wraps inner so all of its timestamps exceed floor. A
+// NewFloorClock wraps inner so all of its commit stamps exceed floor. A
 // zero floor returns inner unwrapped.
 func NewFloorClock(inner Clock, floor uint64) Clock {
 	if floor == 0 {
 		return inner
 	}
-	return &FloorClock{inner: inner, floor: floor}
+	c := NewRaisableClock(inner)
+	c.off.Store(floor)
+	return c
 }
 
-// Read returns the inner start timestamp shifted above the floor.
-func (c *FloorClock) Read() uint64 { return c.inner.Read() + c.floor }
+// NewRaisableClock wraps inner at offset zero, for a floor that Raise
+// lifts while the clock is in use.
+func NewRaisableClock(inner Clock) *FloorClock { return &FloorClock{inner: inner} }
 
-// Next returns the inner commit timestamp shifted above the floor.
-func (c *FloorClock) Next() uint64 { return c.inner.Next() + c.floor }
+// Raise lifts the offset so that every Read and Next that starts after
+// Raise returns is above s. The offset only grows (concurrent calls are
+// safe and monotone), and the inner clock never runs backwards, so one
+// inner read at raise time bounds every later stamp.
+func (c *FloorClock) Raise(s uint64) {
+	for {
+		cur := c.off.Load()
+		need := s + 1 - min(c.inner.Read(), s+1)
+		if need <= cur || c.off.CompareAndSwap(cur, need) {
+			return
+		}
+	}
+}
+
+// Read returns the inner start timestamp shifted by the offset.
+func (c *FloorClock) Read() uint64 { return c.inner.Read() + c.off.Load() }
+
+// Next returns the inner commit timestamp shifted by the offset. A
+// stamp counts only if no Raise moved the offset while the inner stamp
+// was drawn: every inner stamp drawn under a larger offset was drawn
+// after that offset was set, so stamps stay unique when the inner
+// clock's are, across any number of concurrent raises.
+func (c *FloorClock) Next() uint64 {
+	for {
+		off := c.off.Load()
+		n := c.inner.Next()
+		if c.off.Load() == off {
+			return n + off
+		}
+	}
+}
 
 // OnAbort delegates to the inner clock.
 func (c *FloorClock) OnAbort() { c.inner.OnAbort() }

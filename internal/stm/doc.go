@@ -25,7 +25,7 @@
 //
 // # Using the package
 //
-// Shared mutable state lives in transactional fields (Ptr, U64, Bool)
+// Shared mutable state lives in transactional fields (Ptr, U64, Val)
 // guarded by an Orec that the enclosing object embeds:
 //
 //	type account struct {

@@ -82,34 +82,6 @@ func (f *U64) Init(v uint64) { f.v.Store(v) }
 // Raw returns the current value without validation; see Ptr.Raw.
 func (f *U64) Raw() uint64 { return f.v.Load() }
 
-// Bool is a transactional boolean field.
-type Bool struct {
-	v atomic.Bool
-}
-
-// Load transactionally reads the value.
-func (f *Bool) Load(tx *Tx, o *Orec) bool {
-	w, mine := tx.readOrec(o)
-	v := f.v.Load()
-	if !mine {
-		tx.postRead(o, w)
-	}
-	return v
-}
-
-// Store transactionally writes the value, acquiring o on first write.
-func (f *Bool) Store(tx *Tx, o *Orec, v bool) {
-	tx.acquire(o)
-	tx.logUndoBool(&f.v, f.v.Load())
-	f.v.Store(v)
-}
-
-// Init sets the value without transactional bookkeeping; see Ptr.Init.
-func (f *Bool) Init(v bool) { f.v.Store(v) }
-
-// Raw returns the current value without validation; see Ptr.Raw.
-func (f *Bool) Raw() bool { return f.v.Load() }
-
 // Val is a transactional value field for small value types (stored
 // boxed). Use Ptr directly when the value is naturally a pointer.
 type Val[T any] struct {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestOnPublishCommitOrder: publish hooks fire only for successful
@@ -132,4 +133,91 @@ func TestFloorClock(t *testing.T) {
 	if got := f.Raw(); got != 9 {
 		t.Fatalf("write through floored runtime lost: %d", got)
 	}
+
+	t.Run("RaiseKeepsGV1", func(t *testing.T) {
+		c := NewRaisableClock(NewGV1())
+		if c.Strict() || c.Name() != "gv1" {
+			t.Fatal("a raised GV1 must stay non-strict gv1")
+		}
+		seen := map[uint64]bool{}
+		for i, s := range []uint64{0, 50, 10, 1 << 40, 7} {
+			c.Raise(s)
+			if r := c.Read(); r <= s {
+				t.Fatalf("raise %d: Read = %d, not above %d", i, r, s)
+			}
+			for j := 0; j < 3; j++ {
+				n := c.Next()
+				if n <= s || seen[n] {
+					t.Fatalf("raise %d: Next = %d (floor %d, repeated %v)", i, n, s, seen[n])
+				}
+				seen[n] = true
+			}
+		}
+		// A lower Raise never lowers the offset: stamps keep climbing.
+		before := c.Next()
+		c.Raise(1)
+		if after := c.Next(); after != before+1 {
+			t.Fatalf("lower raise moved the clock: %d then %d", before, after)
+		}
+	})
+
+	t.Run("RaiseOffsetsMonotonic", func(t *testing.T) {
+		// The floor moves the offset, not the stamp: after a raise the
+		// clock keeps advancing at the inner clock's pace, so two
+		// commits in a row do not tie at floor+1.
+		c := NewRaisableClock(NewMonotonicClock())
+		const s = uint64(5e9)
+		c.Raise(s)
+		a := c.Next()
+		time.Sleep(time.Millisecond)
+		b := c.Next()
+		if a <= s || b-a < uint64(time.Millisecond) || !c.Strict() {
+			t.Fatalf("stamps %d, %d a millisecond apart after raise %d", a, b, s)
+		}
+	})
+
+	t.Run("ConcurrentRaise", func(t *testing.T) {
+		// Raisers and drawers race. Every stamp a goroutine draws after
+		// its own Raise(s) returns is above s, every stamp is unique
+		// (GV1 inner), and one goroutine's Reads never go backwards.
+		// Each raise lands just above the clock, so the offset moves in
+		// small steps while other goroutines are mid-draw.
+		c := NewRaisableClock(NewGV1())
+		const workers, rounds = 4, 20000
+		stamps := make([][]uint64, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				last := uint64(0)
+				for i := 0; i < rounds; i++ {
+					s := c.Read() + uint64(i%3)
+					c.Raise(s)
+					n := c.Next()
+					if n <= s {
+						t.Errorf("Next %d after Raise(%d)", n, s)
+						return
+					}
+					if r := c.Read(); r < last {
+						t.Errorf("Read went back: %d after %d", r, last)
+						return
+					} else {
+						last = r
+					}
+					stamps[w] = append(stamps[w], n)
+				}
+			}(w)
+		}
+		wg.Wait()
+		seen := map[uint64]bool{}
+		for _, ss := range stamps {
+			for _, n := range ss {
+				if seen[n] {
+					t.Fatalf("stamp %d drawn twice across concurrent raises", n)
+				}
+				seen[n] = true
+			}
+		}
+	})
 }

@@ -399,36 +399,6 @@ func TestValField(t *testing.T) {
 	}
 }
 
-func TestBoolField(t *testing.T) {
-	rt := New()
-	type obj struct {
-		orec Orec
-		b    Bool
-	}
-	var o obj
-	if err := rt.Atomic(func(tx *Tx) error {
-		o.b.Store(tx, &o.orec, true)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !o.b.Raw() {
-		t.Error("Bool = false, want true")
-	}
-	err := rt.Atomic(func(tx *Tx) error {
-		o.b.Store(tx, &o.orec, false)
-		return errors.New("rollback")
-	})
-	if err == nil {
-		t.Fatal("expected error")
-	}
-	if !o.b.Raw() {
-		t.Error("Bool rolled back to false, want true restored")
-	}
-}
-
-// TestQuickTransactionalModel drives a random batch of increments across
-// cells through the STM and checks the result against a sequential model.
 func TestQuickTransactionalModel(t *testing.T) {
 	rt := New()
 	f := func(ops []uint8) bool {

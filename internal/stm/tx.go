@@ -76,9 +76,8 @@ type acqEntry struct {
 type undoEntry struct {
 	ptr  *unsafe.Pointer // pointer-backed fields (Ptr, Val)
 	u64  *atomic.Uint64  // word-backed fields (U64)
-	b    *atomic.Bool    // Bool fields
 	oldP unsafe.Pointer
-	oldU uint64 // word image; Bool stores 0/1 here
+	oldU uint64
 }
 
 // CommitHook is the target of an OnCommit registration: a long-lived
@@ -284,15 +283,6 @@ func (tx *Tx) logUndoU64(slot *atomic.Uint64, old uint64) {
 	tx.undo = append(tx.undo, undoEntry{u64: slot, oldU: old})
 }
 
-// logUndoBool records a bool field's pre-transaction image.
-func (tx *Tx) logUndoBool(slot *atomic.Bool, old bool) {
-	var u uint64
-	if old {
-		u = 1
-	}
-	tx.undo = append(tx.undo, undoEntry{b: slot, oldU: u})
-}
-
 // OnCommit registers h.Committed(arg) to run after this transaction
 // commits, once every acquired orec has been released. Hooks are
 // discarded if the transaction aborts or returns an error, making them
@@ -424,13 +414,10 @@ func (tx *Tx) commit() bool {
 func (tx *Tx) rollback() {
 	for i := len(tx.undo) - 1; i >= 0; i-- {
 		e := &tx.undo[i]
-		switch {
-		case e.ptr != nil:
+		if e.ptr != nil {
 			atomic.StorePointer(e.ptr, e.oldP)
-		case e.u64 != nil:
+		} else {
 			e.u64.Store(e.oldU)
-		default:
-			e.b.Store(e.oldU != 0)
 		}
 	}
 	for i := range tx.acquired {

@@ -5,12 +5,12 @@ package wire
 // request/response codec. One TCP connection per follower carries, in
 // order:
 //
-//	replica → primary   Follow {Epoch, Seq}         resume request
-//	primary → replica   Follow {Epoch, Seq, Full}   stream header
-//	primary → replica   SnapChunk {Stamp, Pairs}    full sync only
+//	replica → primary   Follow {Epoch, Seq}            resume request
+//	primary → replica   Follow {Epoch, Seq, Full}      stream header
+//	primary → replica   SnapChunk {Stamp, Count, Ops}  full sync only
 //	primary → replica   WalRecord {Seq, Stamp, Count, Ops}
-//	primary → replica   CaughtUp {Stamp}            end of catch-up
-//	primary → replica   Heartbeat {Stamp}           idle watermark
+//	primary → replica   CaughtUp {Stamp}               end of catch-up
+//	primary → replica   Heartbeat {Stamp}              idle watermark
 //
 // The replica's Follow names the last (Epoch, Seq) it has applied;
 // Seq 0 means "nothing". The primary answers with its own header: when
@@ -20,6 +20,13 @@ package wire
 // state. Epochs are unique per primary incarnation, so a primary that
 // crashed with a torn WAL tail and recovered never tail-feeds a
 // replica that might have applied records the repair discarded.
+//
+// A SnapChunk and a WalRecord share one layout: Ops is an op list in
+// the WAL's own encoding (persist.AppendPut, persist.DecodeOps), Count
+// ops long, stamped with the chunk's read stamp or the record's commit
+// stamp. A chunk's ops are all puts and its Seq is zero. Both ends must
+// run the same build: the op list is encoded with the map's codecs,
+// which the stream does not name.
 
 // ReplMsg is one replication-channel message. Fields are meaningful
 // per-op as documented above; unused fields are zero.
@@ -31,12 +38,7 @@ type ReplMsg struct {
 	Count uint64
 	Full  bool
 	Ops   []byte
-	Pairs []KV
 }
-
-// MaxReplPairs bounds one SnapChunk's pair count, mirroring
-// MaxRangePairs' framing arithmetic.
-const MaxReplPairs = (MaxResponsePayload - 64) / 16
 
 // AppendReplMsg appends m as one complete frame to dst.
 func AppendReplMsg(dst []byte, m *ReplMsg) []byte {
@@ -47,14 +49,7 @@ func AppendReplMsg(dst []byte, m *ReplMsg) []byte {
 		dst = appendU64(dst, m.Epoch)
 		dst = appendU64(dst, m.Seq)
 		dst = appendBool(dst, m.Full)
-	case OpSnapChunk:
-		dst = appendU64(dst, m.Stamp)
-		dst = appendU32(dst, uint32(len(m.Pairs)))
-		for _, p := range m.Pairs {
-			dst = appendI64(dst, p.Key)
-			dst = appendI64(dst, p.Val)
-		}
-	case OpWalRecord:
+	case OpSnapChunk, OpWalRecord:
 		dst = appendU64(dst, m.Seq)
 		dst = appendU64(dst, m.Stamp)
 		dst = appendU64(dst, m.Count)
@@ -66,9 +61,8 @@ func AppendReplMsg(dst []byte, m *ReplMsg) []byte {
 	return finishFrame(dst, hdr)
 }
 
-// ParseReplMsg decodes one replication payload. Ops and Pairs are
-// copied out of the frame buffer, so the buffer may be reused
-// immediately.
+// ParseReplMsg decodes one replication payload. Ops is copied out of
+// the frame buffer, so the buffer may be reused immediately.
 func ParseReplMsg(payload []byte) (ReplMsg, error) {
 	d := decoder{buf: payload}
 	var m ReplMsg
@@ -78,21 +72,7 @@ func ParseReplMsg(payload []byte) (ReplMsg, error) {
 		m.Epoch = d.u64("epoch")
 		m.Seq = d.u64("seq")
 		m.Full = d.u8("full") != 0
-	case OpSnapChunk:
-		m.Stamp = d.u64("stamp")
-		n := d.u32("pair count")
-		if int64(n)*16 > int64(len(payload)) {
-			return m, protoErrf("snap chunk pair count %d exceeds payload", n)
-		}
-		if d.err == nil {
-			m.Pairs = make([]KV, 0, n)
-		}
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			k := d.i64("pair key")
-			v := d.i64("pair val")
-			m.Pairs = append(m.Pairs, KV{Key: k, Val: v})
-		}
-	case OpWalRecord:
+	case OpSnapChunk, OpWalRecord:
 		m.Seq = d.u64("seq")
 		m.Stamp = d.u64("stamp")
 		m.Count = d.u64("count")

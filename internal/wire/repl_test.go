@@ -25,8 +25,12 @@ func TestReplMsgRoundTrip(t *testing.T) {
 	msgs := []ReplMsg{
 		{Op: OpFollow, Epoch: 7, Seq: 42},
 		{Op: OpFollow, Epoch: 8, Seq: 0, Full: true},
-		{Op: OpSnapChunk, Stamp: 100, Pairs: []KV{{Key: 1, Val: 10}, {Key: -2, Val: 20}}},
-		{Op: OpSnapChunk, Stamp: 0, Pairs: nil},
+		// A chunk is an all-put op list in the WAL's encoding: kind 1,
+		// then an 8-byte key and an 8-byte value per op.
+		{Op: OpSnapChunk, Stamp: 100, Count: 2, Ops: append(
+			append([]byte{1}, bytes.Repeat([]byte{0x01}, 16)...),
+			append([]byte{1}, bytes.Repeat([]byte{0xFE}, 16)...)...)},
+		{Op: OpSnapChunk, Stamp: 0, Count: 0, Ops: nil},
 		{Op: OpWalRecord, Seq: 3, Stamp: 101, Count: 2, Ops: []byte{1, 2, 3, 4}},
 		{Op: OpWalRecord, Seq: 4, Stamp: 102, Count: 0, Ops: nil},
 		{Op: OpCaughtUp, Stamp: 103},
@@ -36,13 +40,8 @@ func TestReplMsgRoundTrip(t *testing.T) {
 		got := roundTripReplMsg(t, m)
 		if got.Op != m.Op || got.Epoch != m.Epoch || got.Seq != m.Seq ||
 			got.Stamp != m.Stamp || got.Count != m.Count || got.Full != m.Full ||
-			!bytes.Equal(got.Ops, m.Ops) || len(got.Pairs) != len(m.Pairs) {
+			!bytes.Equal(got.Ops, m.Ops) {
 			t.Fatalf("%s: round trip %+v -> %+v", m.Op, m, got)
-		}
-		for i := range m.Pairs {
-			if got.Pairs[i] != m.Pairs[i] {
-				t.Fatalf("%s: pair %d %+v -> %+v", m.Op, i, m.Pairs[i], got.Pairs[i])
-			}
 		}
 	}
 }
@@ -75,14 +74,16 @@ func TestReplMsgRejectsGarbage(t *testing.T) {
 	if _, err := ParseReplMsg(append(payload, 0xAB)); err == nil {
 		t.Fatal("trailing bytes not rejected")
 	}
-	// A pair count that cannot fit the payload must be rejected before
+	// An ops length that cannot fit the payload must be rejected before
 	// allocation.
 	var chunk []byte
 	chunk = append(chunk, byte(OpSnapChunk))
+	chunk = appendU64(chunk, 0)
+	chunk = appendU64(chunk, 1)
 	chunk = appendU64(chunk, 1)
 	chunk = appendU32(chunk, 1<<30)
 	if _, err := ParseReplMsg(chunk); err == nil {
-		t.Fatal("oversized snap chunk pair count not rejected")
+		t.Fatal("oversized snap chunk ops length not rejected")
 	}
 }
 
