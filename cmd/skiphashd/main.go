@@ -1,14 +1,10 @@
 // Command skiphashd serves a skip hash over the wire protocol
 // (internal/wire) on TCP and/or a unix socket.
 //
-// The served map is the sharded skip hash, every shard in one
-// commit-stamp domain, so an atomic batch may span shards; -shards 1
-// degenerates to a single shard. The count is fixed while the daemon
-// runs; a durable map restarts at whatever count the flag asks for.
-// With -dir the map is durable: it is recovered from the directory on
-// start, every committed update is written to the commit-stamp-ordered
-// WAL under the chosen -fsync policy, and a clean shutdown syncs
-// before closing.
+// The served map is one skip hash. With -dir the map is durable: it is
+// recovered from the directory on start, every committed update is
+// written to the commit-stamp-ordered WAL under the chosen -fsync
+// policy, and a clean shutdown syncs before closing.
 //
 // Shutdown is signal-driven: SIGINT/SIGTERM stops accepting, answers
 // the requests already read (bounded by -drain-timeout), and syncs and
@@ -53,7 +49,6 @@
 // Usage:
 //
 //	skiphashd [-addr host:port] [-unix path]
-//	          [-shards n]
 //	          [-dir path] [-fsync none|interval|always] [-fsync-every d]
 //	          [-ns name[=dir[:fsync]]]... [-ns-root path]
 //	          [-ns-max-conns n] [-ns-max-batch n]
@@ -95,7 +90,6 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:7466", "TCP listen address (empty disables)")
 		unixPath     = flag.String("unix", "", "unix socket path (empty disables)")
-		shards       = flag.Int("shards", 0, "shard count, fixed while the daemon runs (0 derives from GOMAXPROCS); a durable map restarts at any count")
 		dir          = flag.String("dir", "", "durability directory (empty = in-memory only)")
 		fsync        = flag.String("fsync", "interval", "WAL fsync policy: none, interval, always")
 		fsyncEvery   = flag.Duration("fsync-every", 0, "interval policy's fsync period (0 = engine default)")
@@ -131,12 +125,12 @@ func main() {
 		log.Fatal("skiphashd: -replicate-addr requires -dir (the stream is the WAL tap)")
 	}
 
-	cfg := skiphash.Config{Shards: *shards}
+	var cfg skiphash.Config
 	if *dir != "" {
 		cfg.Durability = &skiphash.Durability{Dir: *dir, Fsync: cfgFsyncPolicy(*fsync), FsyncEvery: *fsyncEvery}
 	}
 	var (
-		m    *skiphash.Sharded[int64, int64]
+		m    *skiphash.Map[int64, int64]
 		be   server.Backend
 		rep  *repl.Replica
 		prim *repl.Primary
@@ -154,7 +148,7 @@ func main() {
 		}()
 	} else {
 		var err error
-		m, err = skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
+		m, err = skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
 		if err != nil {
 			log.Fatalf("skiphashd: open: %v", err)
 		}
@@ -214,7 +208,6 @@ func main() {
 		var err error
 		reg, err = server.NewRegistry(server.RegistryConfig{
 			Root:       *nsRoot,
-			Map:        skiphash.Config{Shards: *shards},
 			Durability: skiphash.Durability{Fsync: cfgFsyncPolicy(*fsync), FsyncEvery: *fsyncEvery},
 			MaxConns:   *nsMaxConns,
 			MaxBatch:   *nsMaxBatch,
@@ -304,6 +297,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("skiphashd: listen %s %s: %v", network, laddr, err)
 		}
+		// The shard count (always 1) stays in this line until a change
+		// to benchmark/ retires it: benchmark/served.go parses the line.
 		log.Printf("skiphashd: serving %d shards on %s://%s (durability: %s, role: %s)",
 			m.Shards(), network, ln.Addr(), durabilityDesc(*dir, *fsync), role)
 		wg.Add(1)

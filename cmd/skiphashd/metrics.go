@@ -29,7 +29,7 @@ type instrumentedStore interface {
 // through RegistryConfig.Obs. Everything here is a Func metric over
 // existing Stats() accessors or a histogram fed by an observer hook —
 // nothing new on any hot path.
-func buildRegistry(m *skiphash.Sharded[int64, int64], rep *repl.Replica, prim *repl.Primary) *obs.Registry {
+func buildRegistry(m *skiphash.Map[int64, int64], rep *repl.Replica, prim *repl.Primary) *obs.Registry {
 	reg := obs.NewRegistry()
 	server.RegisterMapMetrics(reg, m)
 

@@ -29,19 +29,10 @@ import (
 // load, and every sixth "always" cycle ends in a clean Close instead
 // of a kill, so flush-on-Close recovery is audited on the same
 // directory as the crash paths.
-//
-// Every open — a cycle's, the torn cycle's immediate recovery, and the
-// final one — goes through OpenSharded at a shard count drawn from the
-// run's seeded RNG, so a recovery often rebuilds the map at a geometry
-// its last writer did not have: reopening at another count and the
-// multi-shard bulk load run under the same shadow audit.
 type shadowCell struct {
 	v  int64
 	ok bool
 }
-
-// crashShards are the shard counts a -crash open draws from.
-var crashShards = [...]int{1, 2, 4, 8}
 
 // crashRun is one -crash run's state: the directory, the shadow of what
 // must survive, and the seeded RNG every cycle draws from.
@@ -51,7 +42,6 @@ type crashRun struct {
 	universe int64
 	threads  int
 	rng      *rand.Rand
-	opens    map[int]int // opens per shard count, for the summary line
 }
 
 // runCrash runs the -crash stress in dir (a fresh temporary directory
@@ -86,7 +76,6 @@ func runCrash(cycles, threads int, universe int64, seed uint64, dir string) erro
 		universe: universe,
 		threads:  threads,
 		rng:      rand.New(rand.NewPCG(seed, 0xdead)),
-		opens:    make(map[int]int),
 	}
 	totalOps := 0
 	for cycle := 0; cycle < cycles; cycle++ {
@@ -104,22 +93,17 @@ func runCrash(cycles, threads int, universe int64, seed uint64, dir string) erro
 	}
 	defer m.Close()
 	if err := auditEqual(m, c.shadow); err != nil {
-		return fmt.Errorf("final recovery at %d shards: %w", m.Shards(), err)
+		return fmt.Errorf("final recovery: %w", err)
 	}
-	fmt.Printf("cycles=%d ops=%d opens-by-shards=%v\n", cycles, totalOps, c.opens)
+	fmt.Printf("cycles=%d ops=%d\n", cycles, totalOps)
 	fmt.Println("skipstress: PASS")
 	return nil
 }
 
-// open opens the directory with durability d at a drawn shard count.
+// open opens the directory with durability d.
 func (c *crashRun) open(d skiphash.Durability) (*skiphash.Map[int64, int64], error) {
-	cfg := skiphash.Config{Shards: crashShards[c.rng.IntN(len(crashShards))], Durability: &d}
-	m, err := skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
-	if err != nil {
-		return nil, fmt.Errorf("open at %d shards: %w", cfg.Shards, err)
-	}
-	c.opens[cfg.Shards]++
-	return m, nil
+	cfg := skiphash.Config{Durability: &d}
+	return skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
 }
 
 // cycle runs one kill/recover cycle: open, audit the recovery against
@@ -143,7 +127,7 @@ func (c *crashRun) cycle(cycle int) (int, error) {
 	// Entry audit: recovery must reproduce the shadow exactly (every
 	// previous cycle ended at a point the shadow reflects).
 	if err := auditEqual(m, c.shadow); err != nil {
-		return 0, fmt.Errorf("entry audit at %d shards: %w", m.Shards(), err)
+		return 0, fmt.Errorf("entry audit: %w", err)
 	}
 	if torn {
 		return c.tornCycle(m, cycle)
@@ -226,7 +210,7 @@ func (c *crashRun) alwaysCycle(m *skiphash.Map[int64, int64], cycle int, clean b
 
 // tornCycle runs a single writer, journals every operation with the
 // shadow state after it, kills the store with a torn tail, and audits a
-// fresh recovery (at its own drawn shard count) right away: it must
+// fresh recovery right away: it must
 // match some prefix of the journal no shorter than the synced one, and
 // the shadow is rolled back to that prefix for the cycles that follow.
 func (c *crashRun) tornCycle(m *skiphash.Map[int64, int64], cycle int) (int, error) {
@@ -271,7 +255,6 @@ func (c *crashRun) tornCycle(m *skiphash.Map[int64, int64], cycle int) (int, err
 	if err != nil {
 		return 0, fmt.Errorf("recovery after torn crash: %w", err)
 	}
-	shards := r.Shards()
 	recovered := make([]shadowCell, universe)
 	for k := int64(0); k < universe; k++ {
 		if v, ok := r.Lookup(k); ok {
@@ -287,10 +270,10 @@ func (c *crashRun) tornCycle(m *skiphash.Map[int64, int64], cycle int) (int, err
 		}
 	}
 	if match < 0 {
-		return 0, fmt.Errorf("torn recovery at %d shards matches no prefix of the %d-op journal", shards, ops)
+		return 0, fmt.Errorf("torn recovery matches no prefix of the %d-op journal", ops)
 	}
 	if match < minSurvive {
-		return 0, fmt.Errorf("torn recovery at %d shards lost synced operations: prefix %d < synced %d", shards, match, minSurvive)
+		return 0, fmt.Errorf("torn recovery lost synced operations: prefix %d < synced %d", match, minSurvive)
 	}
 	copy(shadow, states[match])
 	return ops, nil

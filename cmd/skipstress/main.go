@@ -11,7 +11,7 @@
 // exiting nonzero with the offending partition and a reproducer seed on
 // any violation.
 //
-// With -net it serves a sharded map over loopback TCP (internal/server)
+// With -net it serves the map over loopback TCP (internal/server)
 // and drives the -check workload through real protocol clients
 // (skiphash/client), verifying the client-observed histories — wire
 // codec, pipelined request coalescing and all — against the sequential
@@ -30,9 +30,8 @@
 // never be lost), and (b) single-writer FsyncNone rounds killed with a
 // torn WAL tail and audited for exact-prefix recovery (the recovered
 // state must equal the shadow after some prefix of the round's
-// operations, no shorter than the last explicit Sync). Every open draws
-// its shard count from {1, 2, 4, 8}, so recovery is audited across
-// geometry changes. Any divergence exits 1 with a reproducer line.
+// operations, no shorter than the last explicit Sync). Any divergence
+// exits 1 with a reproducer line.
 //
 // With -replica it runs the replicated serving stress: a durable
 // primary streaming its WAL (internal/repl) to two live in-process
@@ -53,7 +52,7 @@
 // Usage:
 //
 //	skipstress [-threads n] [-duration d] [-universe n] [-mode two-path|fast|slow]
-//	           [-shards n] [-seed n] [-check] [-crash] [-cycles n]
+//	           [-seed n] [-check] [-crash] [-cycles n]
 //	           [-net] [-namespaces n] [-replica] [-readheavy] [-metrics-dump]
 //
 // -readheavy skews the -check/-net workload to 80% point lookups, the
@@ -120,7 +119,6 @@ func main() {
 		universe  = flag.Int64("universe", 1<<16, "key universe")
 		mode      = flag.String("mode", "two-path", "range path: two-path, fast, or slow")
 		rangeLen  = flag.Int64("rangelen", 128, "range query length")
-		shards    = flag.Int("shards", 0, "shard count (0 = one shard, as skiphash.New builds; -1 = GOMAXPROCS-derived)")
 		seed      = flag.Uint64("seed", 1, "seed for all workload randomness")
 		check     = flag.Bool("check", false, "record histories and verify linearizability online")
 		crash     = flag.Bool("crash", false, "durability kill/recover cycles audited against a shadow model")
@@ -168,7 +166,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *netCheck {
-		if err := runNet(*threads, *duration, *seed, *shards, *nsCount, lookupPct); err != nil {
+		if err := runNet(*threads, *duration, *seed, *nsCount, lookupPct); err != nil {
 			fmt.Fprintf(os.Stderr, "FAIL: %v\nreproduce with: %s\n", err, reproducer)
 			os.Exit(1)
 		}
@@ -189,16 +187,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "skipstress: unknown mode %q\n", *mode)
 		os.Exit(2)
 	}
-	// -shards 0 is the paper's single skip hash, built the way a library
-	// user builds it; every other value spells the count out.
-	var m *skiphash.Map[int64, int64]
-	if *shards == 0 {
-		m = skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg)
-	} else {
-		cfg.Shards = max(*shards, 0)
-		m = skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg)
-	}
-	variant := shardsVariant(m)
+	m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg)
 
 	if *metrics {
 		// The daemon's own map series, registered before the run so the
@@ -218,8 +207,8 @@ func main() {
 		}
 		return
 	}
-	fmt.Printf("skipstress: %d threads, %v, universe %d, mode %s, seed %d, %s\n",
-		*threads, *duration, *universe, *mode, *seed, variant)
+	fmt.Printf("skipstress: %d threads, %v, universe %d, mode %s, seed %d\n",
+		*threads, *duration, *universe, *mode, *seed)
 
 	perKey := make([]atomic.Int64, *universe)
 	var ops, ranges, failures atomic.Uint64
@@ -371,8 +360,8 @@ func (c *checked) readAll() { c.snapshot = c.m.Range(0, checkUniverse, c.snapsho
 // stderr).
 func runCheck(m *skiphash.Map[int64, int64], threads int, duration time.Duration,
 	seed uint64, lookupPct int) error {
-	fmt.Printf("skipstress: -check, %d threads, %v, universe %d, seed %d, lookup%%=%d, %s\n",
-		threads, duration, checkUniverse, seed, lookupPct, shardsVariant(m))
+	fmt.Printf("skipstress: -check, %d threads, %v, universe %d, seed %d, lookup%%=%d\n",
+		threads, duration, checkUniverse, seed, lookupPct)
 
 	c := checked{name: "the map", m: checkedMap{m}, opts: checkOptions(threads, lookupPct)}
 	deadline := time.Now().Add(duration)
@@ -390,9 +379,6 @@ func runCheck(m *skiphash.Map[int64, int64], threads int, duration time.Duration
 	fmt.Println("skipstress: PASS")
 	return nil
 }
-
-// shardsVariant names a map's geometry in a mode's banner line.
-func shardsVariant(m *skiphash.Map[int64, int64]) string { return fmt.Sprintf("%d shards", m.Shards()) }
 
 // checkedMap exposes the map through the conformance interface: the
 // point ops and queries pass straight through, Range and Batch translate

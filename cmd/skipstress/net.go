@@ -20,7 +20,7 @@ import (
 )
 
 // runNet is the serving-layer stress: it starts an in-process server
-// around a sharded skip hash plus nsCount byte-string namespaces, drives
+// around a skip hash plus nsCount byte-string namespaces, drives
 // every one of them concurrently with its own seeded -check workload
 // through real protocol clients over one loopback TCP connection pool,
 // and verifies each tenant's client-side invoke/return history against
@@ -36,14 +36,9 @@ import (
 // others untouched, and the default map must pass a quiescent invariant
 // audit. Any failure is returned (a counterexample history has by then
 // gone to stderr).
-func runNet(threads int, duration time.Duration, seed uint64,
-	shards int, nsCount, lookupPct int) error {
-	var mapCfg skiphash.Config
-	if shards > 0 {
-		mapCfg.Shards = shards
-	}
-	m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, mapCfg)
-	reg, err := server.NewRegistry(server.RegistryConfig{Map: mapCfg})
+func runNet(threads int, duration time.Duration, seed uint64, nsCount, lookupPct int) error {
+	m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
+	reg, err := server.NewRegistry(server.RegistryConfig{})
 	if err != nil {
 		return fmt.Errorf("registry: %w", err)
 	}
@@ -71,10 +66,10 @@ func runNet(threads int, duration time.Duration, seed uint64,
 		}
 		tenants = append(tenants, &checked{name: "namespace " + ns.Name(), m: nsAdapter{ns: ns}, opts: opts})
 	}
-	mode, variant := "-net", fmt.Sprintf("%d shards over tcp", m.Shards())
+	mode, variant := "-net", "over tcp"
 	if nsCount > 0 {
 		mode = "-net -namespaces"
-		variant = fmt.Sprintf("default map + %d namespaces, %d shards each, over tcp", nsCount, m.Shards())
+		variant = fmt.Sprintf("default map + %d namespaces, over tcp", nsCount)
 	}
 	fmt.Printf("skipstress: %s, %d client conns, %v, universe %d, seed %d, lookup%%=%d, %s\n",
 		mode, threads, duration, checkUniverse, seed, lookupPct, variant)

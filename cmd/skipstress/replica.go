@@ -38,13 +38,13 @@ func runReplica(threads int, duration time.Duration, seed uint64, lookupPct int,
 		os.Exit(1)
 	}
 
-	// Primary: durable sharded map, WAL tapped into the streamer.
+	// Primary: durable map, WAL tapped into the streamer.
 	pdir, err := os.MkdirTemp("", "skipstress-replica-*")
 	if err != nil {
 		fail("tempdir: %v", err)
 	}
 	defer os.RemoveAll(pdir)
-	pm, err := skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{
+	pm, err := skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{
 		Durability: &skiphash.Durability{Dir: pdir, Fsync: skiphash.FsyncNone},
 	}, skiphash.Int64Codec(), skiphash.Int64Codec())
 	if err != nil {

@@ -196,13 +196,12 @@ func startDaemon(root string) (*exec.Cmd, string) {
 func runDaemon(root string) {
 	reg, err := server.NewRegistry(server.RegistryConfig{
 		Root:       root,
-		Map:        skiphash.Config{Shards: 2},
 		Durability: skiphash.Durability{Fsync: skiphash.FsyncAlways},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 2})
+	m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
 	srv := server.NewWithRegistry(server.NewShardedBackend(m), reg, server.Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

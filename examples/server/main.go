@@ -20,17 +20,16 @@ import (
 	"repro/skiphash/client"
 )
 
-// serve opens (or recovers) the durable sharded map in dir and starts
+// serve opens (or recovers) the durable map in dir and starts
 // serving it on a loopback TCP listener.
-func serve(dir string) (*skiphash.Sharded[int64, int64], *server.Server, string) {
+func serve(dir string) (*skiphash.Map[int64, int64], *server.Server, string) {
 	cfg := skiphash.Config{
-		Shards: 4,
 		// FsyncAlways group-commits: when the server acknowledges an
 		// update, its WAL record is fsynced. The walkthrough relies on
 		// that — everything acknowledged before the crash must survive.
 		Durability: &skiphash.Durability{Dir: dir, Fsync: skiphash.FsyncAlways},
 	}
-	m, err := skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
+	m, err := skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +51,7 @@ func main() {
 
 	// --- Start: recover-or-create the map, serve it over TCP. --------
 	m, srv, addr := serve(dir)
-	fmt.Printf("serving %d shards on tcp://%s (dir %s)\n", m.Shards(), addr, dir)
+	fmt.Printf("serving on tcp://%s (dir %s)\n", addr, dir)
 
 	// --- Write: a protocol client, pipelining a burst. ----------------
 	cl, err := client.Dial(addr, client.Options{Conns: 2})

@@ -58,16 +58,15 @@ type SkipHash struct {
 }
 
 // NewSkipHash builds the skip hash series: mode is "two-path", "fast",
-// "slow" (the paper's three variants, each one shard), "adaptive" (this
-// repo's extension), "txread" (the read-fast-path ablation: every point
-// read runs the full STM transaction), or "sharded" (the partition count
-// derived from GOMAXPROCS, the table size split across the shards).
-// buckets of 0 selects the paper's table size.
+// "slow" (the paper's three variants), "adaptive" (this repo's
+// extension), or "txread" (the read-fast-path ablation: every point read
+// runs the full STM transaction). buckets of 0 selects the paper's table
+// size.
 func NewSkipHash(mode string, buckets int) *SkipHash {
 	if buckets == 0 {
 		buckets = thashmap.DefaultBuckets
 	}
-	cfg := skiphash.Config{Buckets: buckets, Shards: 1}
+	cfg := skiphash.Config{Buckets: buckets}
 	name := "skiphash-two-path"
 	switch mode {
 	case "fast":
@@ -82,17 +81,11 @@ func NewSkipHash(mode string, buckets int) *SkipHash {
 	case "txread":
 		cfg.DisableReadFastPath = true
 		name = "skiphash-txread"
-	case "sharded":
-		cfg.Shards = 0
 	case "", "two-path":
 	default:
 		panic(fmt.Sprintf("bench: unknown skip hash mode %q", mode))
 	}
-	m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg)
-	if mode == "sharded" {
-		name = fmt.Sprintf("skiphash-sharded-%d", m.Shards())
-	}
-	return &SkipHash{m: m, name: name}
+	return &SkipHash{m: skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg), name: name}
 }
 
 // Name implements Map.

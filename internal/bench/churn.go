@@ -30,23 +30,6 @@ type churnSubject struct {
 
 func (s *churnSubject) backlog() int { return liveBacklog(s.m.StitchedSlow(), s.m.SizeSlow()) }
 
-// churnSubjects returns constructors for the churn series: the
-// one-shard map and a four-shard map (pinned, so the series is
-// comparable across hosts). Construction is deferred to measurement
-// time so an early error cannot leak maps that were never measured.
-func churnSubjects() []func() *churnSubject {
-	buckets := thashmap.DefaultBuckets
-	subject := func(name string, cfg skiphash.Config) func() *churnSubject {
-		return func() *churnSubject {
-			return &churnSubject{name: name, m: skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg)}
-		}
-	}
-	return []func() *churnSubject{
-		subject("skiphash", skiphash.Config{Buckets: buckets, Shards: 1}),
-		subject("skiphash-sharded-4", skiphash.Config{Buckets: buckets, Shards: 4}),
-	}
-}
-
 // liveBacklog clamps a racily sampled stitched-minus-live reading; the
 // two walks are unsynchronized, so mid-churn samples can transiently go
 // negative.
@@ -89,12 +72,8 @@ func Churn(w io.Writer, windows int, opts Options) error {
 		half, half, universe, windows, opts.Duration)
 	fmt.Fprintf(w, "%-26s %-8s %14s %14s %12s\n",
 		"map", "window", "update-Mops/s", "range-Mpairs/s", "backlog")
-	for _, newSub := range churnSubjects() {
-		if err := churnOne(w, newSub(), half, windows, universe, rangeSpan, opts); err != nil {
-			return err
-		}
-	}
-	return nil
+	m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Buckets: thashmap.DefaultBuckets})
+	return churnOne(w, &churnSubject{name: "skiphash", m: m}, half, windows, universe, rangeSpan, opts)
 }
 
 func churnOne(w io.Writer, sub *churnSubject, half, windows int, universe, rangeSpan int64, opts Options) error {

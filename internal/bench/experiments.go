@@ -66,7 +66,6 @@ func Fig5Maps(elementalOnly bool) []MapFactory {
 		{Name: "skiphash-fast-only", New: func() Map { return NewSkipHash("fast", 0) }},
 		{Name: "skiphash-slow-only", New: func() Map { return NewSkipHash("slow", 0) }},
 		{Name: "skiphash-two-path", New: func() Map { return NewSkipHash("two-path", 0) }},
-		{Name: "skiphash-sharded", New: func() Map { return NewSkipHash("sharded", 0) }},
 		{Name: "bst-vcas-hwclock", New: func() Map { return NewVcasBST("hwclock") }},
 		{Name: "skiplist-vcas-hwclock", New: func() Map { return NewVcasSkip("hwclock") }},
 		{Name: "skiplist-bundled-hwclock", New: func() Map { return NewBundleSkip("hwclock") }},

@@ -14,16 +14,14 @@ var ReadWorkloads = []Workload{
 }
 
 // ReadMaps returns the read-experiment series: the two-path skip hash
-// with the optimistic read fast path (the default configuration), the
-// same map with the fast path disabled — the pre-fast-path transactional
-// Get, so the pair isolates exactly the tentpole's effect — and the
-// sharded frontend, which inherits the fast path through its per-shard
-// handles.
+// with the optimistic read fast path (the default configuration), and
+// the same map with the fast path disabled — the pre-fast-path
+// transactional Get, so the pair isolates exactly the fast path's
+// effect.
 func ReadMaps() []MapFactory {
 	return []MapFactory{
 		{Name: "skiphash-two-path", New: func() Map { return NewSkipHash("two-path", 0) }},
 		{Name: "skiphash-txread", New: func() Map { return NewSkipHash("txread", 0) }},
-		{Name: "skiphash-sharded", New: func() Map { return NewSkipHash("sharded", 0) }},
 	}
 }
 
@@ -65,7 +63,7 @@ func ReadBench(w io.Writer, opts Options) error {
 				}
 			}
 			// hitRate is the last fast-path-enabled series' rate in this
-			// row (the sharded subject).
+			// row (the two-path subject).
 			fmt.Fprintf(w, " %10.4f\n", hitRate)
 		}
 	}

@@ -51,7 +51,7 @@ func Repl(w io.Writer, opts Options) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	m, err := skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{
+	m, err := skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{
 		Durability: &skiphash.Durability{Dir: dir, Fsync: skiphash.FsyncNone},
 	}, skiphash.Int64Codec(), skiphash.Int64Codec())
 	if err != nil {

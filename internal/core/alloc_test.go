@@ -13,7 +13,8 @@ import (
 // TestOpsAllocBudget pins what each elemental operation may take from the
 // heap on a quiescent map: nothing for reads and removals, and for the
 // insertion of a fresh key the node alone — one object at every height,
-// its tower included.
+// its tower included. The frontend rows pin the pooled convenience
+// methods and the Atomic batch.
 func TestOpsAllocBudget(t *testing.T) {
 	if alloctest.RaceEnabled {
 		t.Skip("race-detector instrumentation allocates; count is meaningless")
@@ -76,9 +77,9 @@ func TestOpsAllocBudget(t *testing.T) {
 
 		// Behind a registered slow-path range query older than the
 		// nodes, each removal is deferred to it: one list cell per node.
-		var sr *SlowRange[int64, int64]
+		var sr *slowRange[int64, int64]
 		_ = m.rt.Atomic(func(tx *stm.Tx) error {
-			sr = m.BeginSlowRangeTx(tx, h, 0)
+			sr = m.beginSlowRangeTx(tx, h, 0)
 			return nil
 		})
 		for i := 0; i < warmup; i++ {
@@ -91,7 +92,63 @@ func TestOpsAllocBudget(t *testing.T) {
 		if backlog := m.StitchedSlow() - m.SizeSlow(); backlog < keys/4 {
 			t.Errorf("%d removed nodes still stitched, want the %d measured removals deferred", backlog, keys/4)
 		}
-		sr.Finish()
+		sr.finish()
+	})
+
+	// The map's pooled convenience methods add nothing to the handle's
+	// reads and warm-buffer ranges, and an Atomic batch takes one object,
+	// its Txn view, beyond what its body allocates.
+	t.Run("frontend", func(t *testing.T) {
+		m := newTestMap(t, Config{})
+		h := m.NewHandle()
+		defer h.Close()
+		for k := int64(0); k < keys; k++ {
+			h.Insert(k, k)
+		}
+
+		k := int64(0)
+		if got := testing.AllocsPerRun(1000, func() {
+			if v, ok := m.Lookup(k % keys); !ok || v != k%keys {
+				t.Fatalf("Lookup(%d) = %d, %v", k%keys, v, ok)
+			}
+			k += 7
+		}); got != 0 {
+			t.Errorf("pooled Lookup allocates %.2f/op, budget 0", got)
+		}
+
+		out := make([]Pair[int64, int64], 0, 128)
+		lo := int64(0)
+		scan := func() {
+			if res := m.Range(lo, lo+99, out); len(res) != 100 {
+				t.Fatalf("Range(%d, %d) returned %d pairs", lo, lo+99, len(res))
+			}
+			lo = (lo + 13) % (keys - 100)
+		}
+		scan()
+		if got := testing.AllocsPerRun(500, scan); got != 0 {
+			t.Errorf("pooled Range into a sized buffer allocates %.2f/op, budget 0", got)
+		}
+
+		if got := alloctest.PerOp(keys, func() {
+			_ = h.Atomic(func(op *Txn[int64, int64]) error {
+				op.Lookup(k % keys)
+				k += 7
+				return nil
+			})
+		}); got > 1.01 {
+			t.Errorf("read-only Atomic allocates %.3f/op, budget 1", got)
+		}
+		fresh := int64(keys)
+		if got := alloctest.PerOp(keys, func() {
+			_ = h.Atomic(func(op *Txn[int64, int64]) error {
+				op.Insert(fresh, fresh)
+				op.Remove(fresh)
+				return nil
+			})
+			fresh++
+		}); got > 2.01 {
+			t.Errorf("Atomic insert+remove allocates %.3f/op, budget 1 + the body's 1.01", got)
+		}
 	})
 }
 

@@ -2,9 +2,12 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/thashmap"
 )
 
 var errHeld = errors.New("held transaction rolled back")
@@ -214,4 +217,51 @@ func TestDescentFallback(t *testing.T) {
 		}
 		checkClean(t, m, 10, 25, 30)
 	})
+}
+
+// TestOneDescentPerOrderedOp pins that an ordered operation searches the
+// one structure once: on a zero-Config map at GOMAXPROCS 4, an absent-key
+// Ceil, Floor, Succ and Pred, a Range's start and a fresh Insert each run
+// exactly one raw descent.
+func TestOneDescentPerOrderedOp(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	m := New[int64, int64](lessInt64, thashmap.Hash64, Config{})
+	for k := int64(0); k < 1000; k += 2 {
+		m.Insert(k, k)
+	}
+	descents := 0
+	setDescentHook(func() { descents++ })
+	t.Cleanup(func() { setDescentHook(nil) })
+	wantKey := func(op string, want int64) func(int64, int64, bool) {
+		return func(k, _ int64, ok bool) {
+			if !ok || k != want {
+				t.Errorf("%s = %d, %v; want %d", op, k, ok, want)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"Ceil", func() { wantKey("Ceil(501)", 502)(m.Ceil(501)) }},
+		{"Floor", func() { wantKey("Floor(501)", 500)(m.Floor(501)) }},
+		{"Succ", func() { wantKey("Succ(501)", 502)(m.Succ(501)) }},
+		{"Pred", func() { wantKey("Pred(501)", 500)(m.Pred(501)) }},
+		{"Range", func() {
+			if got := m.Range(501, 600, nil); len(got) != 50 {
+				t.Errorf("Range(501, 600) has %d pairs, want 50", len(got))
+			}
+		}},
+		{"Insert", func() {
+			if !m.Insert(777, 777) {
+				t.Error("Insert(777) found the key present")
+			}
+		}},
+	} {
+		descents = 0
+		c.op()
+		if descents != 1 {
+			t.Errorf("%s ran %d descents, want 1", c.name, descents)
+		}
+	}
 }

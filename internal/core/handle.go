@@ -19,7 +19,7 @@ type Handle[K comparable, V any] struct {
 	preds []*node[K, V]
 	// cell is the handle's striped cell of the map's range-path and
 	// reclamation counters.
-	cell *CounterCell
+	cell *counterCell
 	// adaptSkip counts remaining range queries that bypass the fast
 	// path under Config.Adaptive.
 	adaptSkip int
@@ -28,61 +28,66 @@ type Handle[K comparable, V any] struct {
 	fastC *stm.FastReadCounters
 }
 
-// counterStripes is the number of counter cells per Counters; a power
+// counterStripes is the number of cells per stripedCounters; a power
 // of two so assignment is a cheap mask.
 const counterStripes = 16
 
-// RangeCounters counts range-path events (Table 1's inputs).
-type RangeCounters struct {
-	// FastAttempts counts fast-path transactions started.
-	FastAttempts atomic.Uint64
-	// FastAborts counts fast-path transactions that aborted (Table 1's
+// rangeCounters counts range-path events (Table 1's inputs).
+type rangeCounters struct {
+	// fastAttempts counts fast-path transactions started.
+	fastAttempts atomic.Uint64
+	// fastAborts counts fast-path transactions that aborted (Table 1's
 	// numerator).
-	FastAborts atomic.Uint64
-	// FastCommits counts range queries completed on the fast path.
-	FastCommits atomic.Uint64
-	// SlowCommits counts range queries completed on the slow path.
-	SlowCommits atomic.Uint64
+	fastAborts atomic.Uint64
+	// fastCommits counts range queries completed on the fast path.
+	fastCommits atomic.Uint64
+	// slowCommits counts range queries completed on the slow path.
+	slowCommits atomic.Uint64
 }
 
-// CounterCell is one cache-line-padded cell of a map's counters: the
+// counterCell is one cache-line-padded cell of a map's counters: the
 // range-path events and the nodes its handles' removals unstitched at
 // commit. Handles sharing a cell may bump it concurrently.
-type CounterCell struct {
-	RangeCounters
+type counterCell struct {
+	rangeCounters
 	drainedNodes atomic.Uint64
 	_            [24]byte // pad to a cache line
 }
 
-// Counters is a set of striped CounterCells. Handles take a cell
+// Committed makes a cell a commit-hook target: a removal that unstitched
+// its node registers its handle's cell, so the count moves only when the
+// removing transaction commits.
+func (c *counterCell) Committed(unsafe.Pointer) { c.drainedNodes.Add(1) }
+
+// stripedCounters is a set of striped counterCells. Handles take a cell
 // round-robin at creation, as they take stm.FastReadCounters, so
 // handles on different cores rarely bump the same line; the sums read
 // every cell.
-type Counters struct {
-	cells [counterStripes]CounterCell
+type stripedCounters struct {
+	cells [counterStripes]counterCell
 	next  atomic.Uint64
 }
 
-// Cell hands out the next cell round-robin.
-func (c *Counters) Cell() *CounterCell {
+// cell hands out the next cell round-robin.
+func (c *stripedCounters) cell() *counterCell {
 	return &c.cells[c.next.Add(1)%counterStripes]
 }
 
-// RangeStats sums the range-path counters of every cell.
-func (c *Counters) RangeStats() RangeStats {
+// rangeStats sums the range-path counters of every cell.
+func (c *stripedCounters) rangeStats() RangeStats {
 	var s RangeStats
 	for i := range c.cells {
-		rc := &c.cells[i].RangeCounters
-		s.FastAttempts += rc.FastAttempts.Load()
-		s.FastAborts += rc.FastAborts.Load()
-		s.FastCommits += rc.FastCommits.Load()
-		s.SlowCommits += rc.SlowCommits.Load()
+		rc := &c.cells[i].rangeCounters
+		s.FastAttempts += rc.fastAttempts.Load()
+		s.FastAborts += rc.fastAborts.Load()
+		s.FastCommits += rc.fastCommits.Load()
+		s.SlowCommits += rc.slowCommits.Load()
 	}
 	return s
 }
 
 // drainedNodes sums the inline-unstitch counts of every cell.
-func (c *Counters) drainedNodes() uint64 {
+func (c *stripedCounters) drainedNodes() uint64 {
 	var n uint64
 	for i := range c.cells {
 		n += c.cells[i].drainedNodes.Load()
@@ -95,7 +100,7 @@ func (m *Map[K, V]) NewHandle() *Handle[K, V] {
 	h := &Handle[K, V]{
 		m:     m,
 		preds: make([]*node[K, V], m.cfg.MaxLevel),
-		cell:  m.counters.Cell(),
+		cell:  m.counters.cell(),
 	}
 	if !m.cfg.DisableReadFastPath {
 		h.fastC = m.rt.FastReadCounters()
@@ -223,56 +228,35 @@ func (h *Handle[K, V]) pointQuery(k K, fn func(*stm.Tx, *Handle[K, V], K) (K, V,
 
 // Range appends every pair with l <= key <= r, in key order, to out and
 // returns the extended slice. It implements Figure 3's two-path scheme:
-// fastPathTries single-transaction attempts, then the RQC-coordinated
-// slow path (subject to the FastOnly/SlowOnly configuration).
+// fastPathTries single-transaction attempts (forever under FastOnly,
+// none under SlowOnly or inside an Adaptive skip window), then the
+// RQC-coordinated slow path, with the path counters and the adaptive
+// window updated on the way.
 func (h *Handle[K, V]) Range(l, r K, out []Pair[K, V]) []Pair[K, V] {
-	m := h.m
-	return TwoPathRange(m.cfg, &h.cell.RangeCounters, &h.adaptSkip,
-		func() ([]Pair[K, V], error) { return m.rangeFast(h, l, r, out) },
-		func() []Pair[K, V] { return m.rangeSlow(h, l, r, out) })
-}
-
-// TwoPathRange drives Figure 3's two-path policy for one range query:
-// up to fastPathTries fast attempts (forever under FastOnly, none under
-// SlowOnly or inside an Adaptive skip window), then the slow fallback,
-// with the path counters and the adaptive window updated on the way.
-// It is shared with the sharded frontend so the policy — and any future
-// tuning of it — cannot drift between the two maps. fast reports a
-// conflict through its error; slow must always succeed.
-func TwoPathRange[K comparable, V any](cfg Config, stats *RangeCounters, adaptSkip *int,
-	fast func() ([]Pair[K, V], error), slow func() []Pair[K, V]) []Pair[K, V] {
-	tryFast := !cfg.SlowOnly
-	if tryFast && cfg.Adaptive && *adaptSkip > 0 {
-		*adaptSkip--
+	m, c := h.m, &h.cell.rangeCounters
+	tryFast := !m.cfg.SlowOnly
+	if tryFast && m.cfg.Adaptive && h.adaptSkip > 0 {
+		h.adaptSkip--
 		tryFast = false
 	}
 	if tryFast {
-		for i := 0; cfg.FastOnly || i < fastPathTries; i++ {
-			stats.FastAttempts.Add(1)
-			res, err := fast()
-			if err == nil {
-				stats.FastCommits.Add(1)
-				*adaptSkip = 0
+		for i := 0; m.cfg.FastOnly || i < fastPathTries; i++ {
+			c.fastAttempts.Add(1)
+			if res, err := m.rangeFast(h, l, r, out); err == nil {
+				c.fastCommits.Add(1)
+				h.adaptSkip = 0
 				return res
 			}
-			stats.FastAborts.Add(1)
+			c.fastAborts.Add(1)
 		}
-		if cfg.Adaptive {
-			*adaptSkip = cfg.AdaptiveSkip
+		if m.cfg.Adaptive {
+			h.adaptSkip = m.cfg.AdaptiveSkip
 		}
 	}
-	res := slow()
-	stats.SlowCommits.Add(1)
-	return res
+	out = m.rangeSlow(h, l, r, out)
+	c.slowCommits.Add(1)
+	return out
 }
-
-// drainHook is a CounterCell as a commit-hook target: a removal that
-// unstitched its node registers it, so the count moves only when the
-// removing transaction commits. The separate name keeps the hook method
-// out of CounterCell's exported method set.
-type drainHook CounterCell
-
-func (c *drainHook) Committed(unsafe.Pointer) { c.drainedNodes.Add(1) }
 
 // RangeStats aggregates range-path counters across every handle of the
 // map (Table 1's inputs).
@@ -295,12 +279,83 @@ func (s RangeStats) Sub(prev RangeStats) RangeStats {
 
 // RangeStats sums the map's range-path counters. Counters only grow, so
 // successive snapshots never decrease (Sub deltas stay non-negative).
-func (m *Map[K, V]) RangeStats() RangeStats { return m.counters.RangeStats() }
+func (m *Map[K, V]) RangeStats() RangeStats { return m.counters.rangeStats() }
 
-// Map.Atomic, the iterators and SnapshotChunks borrow a pooled handle
-// (the per-operation convenience methods live one layer up, on
-// shard.Sharded, over that layer's own pool).
+// The convenience methods on Map borrow a pooled handle; they are the
+// ergonomic entry points, workers hold explicit handles. Map.Atomic, the
+// iterators and SnapshotChunks borrow from the same pool.
 
 func (m *Map[K, V]) borrow() *Handle[K, V] { return m.handlePool.Get().(*Handle[K, V]) }
 
 func (m *Map[K, V]) release(h *Handle[K, V]) { m.handlePool.Put(h) }
+
+// Lookup returns the value associated with k.
+func (m *Map[K, V]) Lookup(k K) (V, bool) {
+	h := m.borrow()
+	defer m.release(h)
+	return h.Lookup(k)
+}
+
+// Contains reports whether k is present.
+func (m *Map[K, V]) Contains(k K) bool {
+	h := m.borrow()
+	defer m.release(h)
+	return h.Contains(k)
+}
+
+// Insert adds (k, v) if k is absent and reports whether it did.
+func (m *Map[K, V]) Insert(k K, v V) bool {
+	h := m.borrow()
+	defer m.release(h)
+	return h.Insert(k, v)
+}
+
+// Remove deletes k and reports whether it was present.
+func (m *Map[K, V]) Remove(k K) bool {
+	h := m.borrow()
+	defer m.release(h)
+	return h.Remove(k)
+}
+
+// Put sets k to v unconditionally, reporting whether a previous value
+// was replaced.
+func (m *Map[K, V]) Put(k K, v V) bool {
+	h := m.borrow()
+	defer m.release(h)
+	return h.Put(k, v)
+}
+
+// Ceil returns the smallest key >= k and its value.
+func (m *Map[K, V]) Ceil(k K) (K, V, bool) {
+	h := m.borrow()
+	defer m.release(h)
+	return h.Ceil(k)
+}
+
+// Succ returns the smallest key > k and its value.
+func (m *Map[K, V]) Succ(k K) (K, V, bool) {
+	h := m.borrow()
+	defer m.release(h)
+	return h.Succ(k)
+}
+
+// Floor returns the largest key <= k and its value.
+func (m *Map[K, V]) Floor(k K) (K, V, bool) {
+	h := m.borrow()
+	defer m.release(h)
+	return h.Floor(k)
+}
+
+// Pred returns the largest key < k and its value.
+func (m *Map[K, V]) Pred(k K) (K, V, bool) {
+	h := m.borrow()
+	defer m.release(h)
+	return h.Pred(k)
+}
+
+// Range collects [l, r] into out; see Handle.Range.
+func (m *Map[K, V]) Range(l, r K, out []Pair[K, V]) []Pair[K, V] {
+	h := m.borrow()
+	defer m.release(h)
+	return h.Range(l, r, out)
+}

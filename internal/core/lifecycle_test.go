@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,18 +20,6 @@ import (
 func newLifecycleMap(cfg Config) *Map[int64, int64] {
 	cfg.Buckets = 1021
 	return New[int64, int64](func(a, b int64) bool { return a < b }, thashmap.Hash64, cfg)
-}
-
-// pooledInsert and pooledRemove run one update on a pooled handle.
-// Map.Atomic is the pool's entry point beside the iterators (the
-// per-operation convenience methods live on the shard front), so it is
-// how these tests drive the pool.
-func pooledInsert(m *Map[int64, int64], k int64) {
-	_ = m.Atomic(func(op *Txn[int64, int64]) error { op.Insert(k, k); return nil })
-}
-
-func pooledRemove(m *Map[int64, int64], k int64) {
-	_ = m.Atomic(func(op *Txn[int64, int64]) error { op.Remove(k); return nil })
 }
 
 // TestRemovalUnstitchesAtCommit checks Figure 4's after_remove on the
@@ -78,9 +67,9 @@ func TestRemovalUnstitchesAtCommit(t *testing.T) {
 		t.Errorf("an aborted removal moved DrainedNodes %d -> %d", before, got)
 	}
 
-	var sr *SlowRange[int64, int64]
+	var sr *slowRange[int64, int64]
 	_ = m.rt.Atomic(func(tx *stm.Tx) error {
-		sr = m.BeginSlowRangeTx(tx, h, 0)
+		sr = m.beginSlowRangeTx(tx, h, 0)
 		return nil
 	})
 	h.Remove(1)
@@ -94,7 +83,7 @@ func TestRemovalUnstitchesAtCommit(t *testing.T) {
 	if err := m.CheckInvariants(CheckOptions{AllowDeleted: true}); err != nil {
 		t.Fatal(err)
 	}
-	sr.Finish()
+	sr.finish()
 	audit("after Finish")
 	if got := m.MaintenanceStats().DrainedNodes - before; got != 2 {
 		t.Errorf("Finish drained %d nodes, want 2", got)
@@ -122,9 +111,9 @@ func TestPooledConvenienceChurn(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				k := int64(rng.Uint64() % universe)
 				if rng.Uint64()&1 == 0 {
-					pooledInsert(m, k)
+					m.Insert(k, k)
 				} else {
-					pooledRemove(m, k)
+					m.Remove(k)
 				}
 				if i%4096 == 0 {
 					runtime.GC()
@@ -229,4 +218,218 @@ func TestRemovedNodeCollectable(t *testing.T) {
 		}
 	}
 	t.Fatal("a removed, unstitched node is still reachable with its transaction's descriptor idle")
+}
+
+// TestNewStartsNoGoroutine pins that no map owns a goroutine, whatever
+// its Config asks for: removals reclaim on the callers' own goroutines,
+// through explicit, pooled and batch entry points alike.
+func TestNewStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	m := newLifecycleMap(Config{Maintenance: true})
+	h := m.NewHandle()
+	for k := int64(0); k < 400; k++ {
+		_ = m.Atomic(func(op *Txn[int64, int64]) error { op.Insert(k, k); return nil })
+		_ = m.Atomic(func(op *Txn[int64, int64]) error { op.Remove(k); return nil })
+		m.Insert(k, k)
+		m.Remove(k)
+		h.Insert(k, k)
+		h.Remove(k)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("%d goroutines after building and using a map, want at most %d", got, before)
+	}
+	m.Close()
+}
+
+// TestHandleLifecycle churns explicit and pooled handles: removals must
+// be reclaimed and counted, teardown must leave no logically-deleted
+// node stitched, and Close must be idempotent and observable.
+func TestHandleLifecycle(t *testing.T) {
+	s := newLifecycleMap(Config{})
+	const goroutines = 6
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(seed, 0xfeedbeef))
+			for r := 0; r < 20; r++ {
+				h := s.NewHandle()
+				for i := 0; i < 150; i++ {
+					k := int64(rng.Uint64() % 512)
+					if rng.Uint64()&1 == 0 {
+						h.Insert(k, k)
+					} else {
+						h.Remove(k)
+					}
+				}
+				h.Close()
+				// Convenience path between handle generations.
+				for i := 0; i < 150; i++ {
+					k := int64(rng.Uint64() % 512)
+					if rng.Uint64()&1 == 0 {
+						s.Insert(k, k)
+					} else {
+						s.Remove(k)
+					}
+				}
+			}
+		}(uint64(g) + 1)
+	}
+	wg.Wait()
+	if err := s.CheckInvariants(CheckOptions{}); err != nil {
+		t.Errorf("invariants: %v", err)
+	}
+	if stitched, live := s.StitchedSlow(), s.SizeSlow(); stitched != live {
+		t.Errorf("stitched %d != live %d after churn", stitched, live)
+	}
+	if ms := s.MaintenanceStats(); ms.DrainedNodes == 0 {
+		t.Errorf("no removal counted as drained: %+v", ms)
+	}
+	s.Close()
+	s.Close() // idempotent
+	if !s.Closed() {
+		t.Error("Closed() = false after Close")
+	}
+}
+
+// closeRaceProbe is a Persister stub that records Close calls and how
+// they interleave, standing in for the durability engine whose
+// flush-on-Close makes the Close contract load-bearing.
+type closeRaceProbe struct {
+	mu     sync.Mutex
+	closes int
+	inside bool
+}
+
+func (p *closeRaceProbe) Snapshot() error      { return nil }
+func (p *closeRaceProbe) Sync() error          { return nil }
+func (p *closeRaceProbe) Err() error           { return nil }
+func (p *closeRaceProbe) SimulateCrash() error { return nil }
+
+func (p *closeRaceProbe) Close() error {
+	p.mu.Lock()
+	if p.inside {
+		p.mu.Unlock()
+		panic("Persister.Close entered concurrently")
+	}
+	p.inside = true
+	p.closes++
+	p.mu.Unlock()
+	time.Sleep(2 * time.Millisecond) // widen the race window
+	p.mu.Lock()
+	p.inside = false
+	p.mu.Unlock()
+	return nil
+}
+
+func (p *closeRaceProbe) count() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.closes
+}
+
+// TestCloseConcurrent pins the Close contract of the map, which owns the
+// durability engine: concurrent Close calls,
+// racing operations, all return after teardown, every call observes the
+// fully closed map with its engine flushed, and the engine is closed
+// exactly once.
+func TestCloseConcurrent(t *testing.T) {
+	s := newLifecycleMap(Config{})
+	probe := &closeRaceProbe{}
+	s.AttachPersistence(nil, probe)
+	for k := int64(0); k < 512; k++ {
+		s.Insert(k, k)
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			s.Close()
+			if !s.Closed() {
+				t.Error("Close returned with Closed() == false")
+			}
+			if n := probe.count(); n != 1 {
+				t.Errorf("Close returned before the persister flush: closes=%d", n)
+			}
+		}()
+	}
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(base int64) {
+			defer wg.Done()
+			<-start
+			for k := base; k < base+128; k++ {
+				s.Remove(k)
+			}
+		}(int64(i) * 128)
+	}
+	close(start)
+	wg.Wait()
+	s.Close() // idempotent afterwards
+	if n := probe.count(); n != 1 {
+		t.Fatalf("persister closed %d times, want exactly 1", n)
+	}
+}
+
+// TestUnclosedHandlesStrandNothing churns through explicit handles that
+// are never closed, beside convenience calls, with GC emptying the
+// handle pools mid-run: a removal reclaims its own node, so after the
+// workers join no logically deleted node is stitched, and the range
+// counters live in the map, so RangeStats counts exactly the ranges run.
+func TestUnclosedHandlesStrandNothing(t *testing.T) {
+	s := newLifecycleMap(Config{})
+	const (
+		goroutines = 8
+		universe   = 512
+	)
+	before := s.RangeStats()
+	var ranges atomic.Uint64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(seed, 0x5717c4))
+			for r := 0; r < 10; r++ {
+				h := s.NewHandle() // never closed
+				for i := 0; i < 200; i++ {
+					k := int64(rng.Uint64() % universe)
+					switch rng.Uint64() % 8 {
+					case 0, 1, 2:
+						h.Insert(k, k)
+					case 3, 4, 5:
+						h.Remove(k)
+					case 6:
+						s.Put(k, k)
+						s.Remove(k + 1)
+					case 7:
+						if rng.Uint64()&1 == 0 {
+							h.Range(k, k+16, nil)
+						} else {
+							s.Range(k, k+16, nil)
+						}
+						ranges.Add(1)
+					}
+				}
+				if r == 5 {
+					runtime.GC()
+				}
+			}
+		}(uint64(g) + 1)
+	}
+	wg.Wait()
+	if stitched, live := s.StitchedSlow(), s.SizeSlow(); stitched != live {
+		t.Errorf("%d logically deleted nodes stitched after the workers joined", stitched-live)
+	}
+	if err := s.CheckInvariants(CheckOptions{}); err != nil {
+		t.Error(err)
+	}
+	d := s.RangeStats().Sub(before)
+	if got, want := d.FastCommits+d.SlowCommits, ranges.Load(); got != want {
+		t.Errorf("RangeStats counts %d completed ranges (%+v), want %d", got, d, want)
+	}
 }

@@ -22,14 +22,6 @@ type MaintenanceStats struct {
 	DrainBatches uint64
 }
 
-// Add returns the element-wise sum s + o (for cross-shard aggregation).
-func (s MaintenanceStats) Add(o MaintenanceStats) MaintenanceStats {
-	return MaintenanceStats{
-		DrainedNodes: s.DrainedNodes + o.DrainedNodes,
-		DrainBatches: s.DrainBatches + o.DrainBatches,
-	}
-}
-
 // maintCounters counts the after_range drains (MaintenanceStats with
 // atomic fields; the inline unstitches count in the striped cells).
 type maintCounters struct {

@@ -51,25 +51,18 @@ type Config struct {
 	// debugging.
 	DisableReadFastPath bool
 	// Maintenance is ignored: a removal reclaims its own node (see
-	// Map), and no map starts a goroutine. The field remains only for
-	// callers that still set it.
+	// Map), and no map starts a goroutine. The field stays until a
+	// change to benchmark/ retires it (benchmark/ladder.go sets it).
 	Maintenance bool
 	// Clock overrides the STM commit clock (default: monotonic
 	// "hardware" clock, the configuration the paper reports).
 	Clock stm.Clock
-	// Shards selects the partition count of the sharded frontend
-	// (internal/shard, surfaced as skiphash.NewSharded), fixed when the
-	// map is built. Zero derives a power of two from GOMAXPROCS. A
-	// durable map keeps no count on disk, so it reopens at whatever
-	// count this field asks for. A single map ignores it; Buckets is
-	// interpreted as the total across shards.
-	Shards int
 	// Durability, when non-nil, makes the map durable: committed
 	// insert/remove/batch operations are written to a commit-stamp-
 	// ordered write-ahead log in Durability.Dir, background snapshots
 	// bound its replay length, and skiphash.Open recovers the map from
-	// that directory. The field is consumed by the Open constructors;
-	// New/NewIn ignore it (they cannot recover — recovery needs codecs).
+	// that directory. The field is consumed by skiphash.Open; New
+	// ignores it (it cannot recover — recovery needs codecs).
 	Durability *persist.Options
 }
 
@@ -111,12 +104,16 @@ type Map[K comparable, V any] struct {
 	handlePool sync.Pool
 	// counters holds the striped range-path and inline-unstitch counts;
 	// maintStats the after_range drains.
-	counters   Counters
+	counters   stripedCounters
 	maintStats maintCounters
 
 	// logger is the durability hook (AttachPersistence): it captures
-	// committed logical operations into the WAL. Nil on non-durable maps.
-	logger OpLogger[K, V]
+	// committed logical operations into the WAL; persister owns the
+	// engine's snapshots, syncs and shutdown. Both nil on in-memory maps.
+	logger    OpLogger[K, V]
+	persister Persister
+	closed    atomic.Bool
+	closeOnce sync.Once
 }
 
 // OpLogger observes the logical effect of committed transactions: every
@@ -129,9 +126,8 @@ type OpLogger[K comparable, V any] interface {
 	LogDel(tx *stm.Tx, k K)
 }
 
-// Persister is the non-generic face of the durability engine the
-// sharded frontend delegates lifecycle operations to; persist.Store
-// implements it.
+// Persister is the non-generic face of the durability engine the map
+// delegates its lifecycle operations to; persist.Store implements it.
 type Persister interface {
 	// Snapshot writes a full snapshot now and truncates covered WAL
 	// segments.
@@ -151,28 +147,17 @@ type Persister interface {
 // not opened with persistence attached.
 var ErrNotDurable = errors.New("core: map has no durability attached")
 
-// New creates a skip hash ordered by less and hashed by hash. It builds
-// a private STM runtime from cfg.Clock; callers embedding the map in a
-// larger transactional system (for example the sharded frontend in
-// internal/shard) inject an existing runtime with NewIn instead.
+// New creates a skip hash ordered by less and hashed by hash, on its
+// own STM runtime built from cfg.Clock: the runtime supplies the commit
+// clock and descriptor pool, hash the distribution over cfg.Buckets
+// chains, and less the ordering.
 func New[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg Config) *Map[K, V] {
-	return NewIn[K, V](stm.New(stm.WithClock(cfg.Clock)), less, hash, cfg)
-}
-
-// NewIn creates a skip hash whose transactions run on the existing
-// runtime rt. Every dependency is injected: rt supplies the commit clock
-// and descriptor pool, hash the distribution over cfg.Buckets chains,
-// and less the ordering. Maps sharing one runtime live in one timestamp
-// and transaction-ID domain, so a single transaction may span them (see
-// Handle.Bind); maps on distinct runtimes are fully independent and must
-// never be touched from one transaction.
-func NewIn[K comparable, V any](rt *stm.Runtime, less func(a, b K) bool, hash func(K) uint64, cfg Config) *Map[K, V] {
 	if cfg.MaxLevel < 0 || cfg.MaxLevel > maxHeight {
 		panic("core: Config.MaxLevel must be in [0, 64]")
 	}
 	cfg = cfg.withDefaults()
 	m := &Map[K, V]{
-		rt:   rt,
+		rt:   stm.New(stm.WithClock(cfg.Clock)),
 		less: less,
 		cfg:  cfg,
 	}
@@ -187,26 +172,73 @@ func NewIn[K comparable, V any](rt *stm.Runtime, less func(a, b K) bool, hash fu
 	return m
 }
 
-// Close does nothing: removals reclaim their own nodes and a map owns
-// no goroutine, so there is nothing to flush or stop. It is kept so
-// callers can release a map the way they release other resources.
-func (m *Map[K, V]) Close() {}
+// Close flushes, fsyncs and closes a durable map's write-ahead log; on
+// an in-memory map, which owns no goroutine, it only marks the map
+// closed. Close is idempotent and safe concurrent with operations and
+// other Close calls: every call returns only after the log is closed.
+// Operations issued after Close still work but are no longer logged.
+func (m *Map[K, V]) Close() {
+	m.closed.Store(true)
+	m.closeOnce.Do(func() {
+		if m.persister != nil {
+			m.persister.Close()
+		}
+	})
+}
+
+// Closed reports whether Close has been called.
+func (m *Map[K, V]) Closed() bool { return m.closed.Load() }
 
 // Runtime exposes the underlying STM runtime (for stats and tests).
 func (m *Map[K, V]) Runtime() *stm.Runtime { return m.rt }
+
+// STMStats returns the transaction counters of the map's runtime.
+func (m *Map[K, V]) STMStats() stm.Stats { return m.rt.Stats() }
+
+// SetCommitObserver installs o (or, with nil, removes it) on the map's
+// runtime.
+func (m *Map[K, V]) SetCommitObserver(o stm.CommitObserver) { m.rt.SetCommitObserver(o) }
 
 // Config returns the configuration the map was built with (with defaults
 // applied).
 func (m *Map[K, V]) Config() Config { return m.cfg }
 
-// AttachPersistence wires the durability hook: l observes every
-// committed logical operation from this point on. The engine's
-// snapshots, syncs and shutdown belong to the sharded frontend that
-// owns it. It must be called before the map is shared. Recovery
-// bulk-builds the map with LoadSorted just before, which runs no
-// transaction and so logs none of the recovered pairs.
-func (m *Map[K, V]) AttachPersistence(l OpLogger[K, V]) {
+// Shards returns 1: the map is one structure. It stays until a change to
+// benchmark/ retires it; the benchmark reports it as shard.count.
+func (m *Map[K, V]) Shards() int { return 1 }
+
+// AttachPersistence wires durability: l observes every committed
+// logical operation from this point on, and p owns the engine's
+// snapshots, syncs and shutdown. It must be called before the map is
+// shared. Recovery bulk-builds the map with LoadSorted just before,
+// which runs no transaction and so logs none of the recovered pairs.
+func (m *Map[K, V]) AttachPersistence(l OpLogger[K, V], p Persister) {
 	m.logger = l
+	m.persister = p
+}
+
+// Persister returns the durability engine, or nil on in-memory maps.
+func (m *Map[K, V]) Persister() Persister { return m.persister }
+
+// Snapshot writes a durable snapshot now (and truncates the WAL
+// segments it covers). ErrNotDurable without persistence.
+func (m *Map[K, V]) Snapshot() error { return m.durabilityOp(Persister.Snapshot) }
+
+// Sync forces every logged operation to durable storage, regardless of
+// the configured fsync policy. ErrNotDurable without persistence.
+func (m *Map[K, V]) Sync() error { return m.durabilityOp(Persister.Sync) }
+
+// SimulateCrash abandons the durability engine the way a process crash
+// would — buffered records are lost, nothing more is logged — while the
+// in-memory map keeps working. Reopen the directory to observe what
+// survived. ErrNotDurable without persistence.
+func (m *Map[K, V]) SimulateCrash() error { return m.durabilityOp(Persister.SimulateCrash) }
+
+func (m *Map[K, V]) durabilityOp(op func(Persister) error) error {
+	if m.persister == nil {
+		return ErrNotDurable
+	}
+	return op(m.persister)
 }
 
 // randomHeight draws from the geometric distribution with p = 1/2 in
@@ -482,7 +514,7 @@ func (m *Map[K, V]) removeTx(tx *stm.Tx, h *Handle[K, V], k K) bool {
 		m.logger.LogDel(tx, k)
 	}
 	if m.rqc.afterRemove(tx, m, n) {
-		tx.OnCommit((*drainHook)(h.cell), nil)
+		tx.OnCommit(h.cell, nil)
 	}
 	return true
 }

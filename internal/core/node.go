@@ -9,6 +9,11 @@
 // unstitches it, or defers it to the newest in-flight slow-path range
 // query, which unstitches it when no older query can need it.
 //
+// Map is the repository's one map type (skiphash.Map names it): it is not
+// partitioned, and it owns the pooled convenience methods beside its
+// Handles and the durability lifecycle (AttachPersistence, Close,
+// Snapshot, Sync).
+//
 // Two paths run outside the STM and validate afterwards. Point reads
 // probe the hash index raw and revalidate the bucket's orec (getFast).
 // Every skip list search descends the tower raw (descend) and reads in

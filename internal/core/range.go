@@ -34,52 +34,49 @@ func (m *Map[K, V]) rangeFast(h *Handle[K, V], l, r K, out []Pair[K, V]) ([]Pair
 // transaction; a finalizing call hands the query's safe nodes back to
 // the RQC.
 func (m *Map[K, V]) rangeSlow(h *Handle[K, V], l, r K, out []Pair[K, V]) []Pair[K, V] {
-	var sr *SlowRange[K, V]
+	var sr *slowRange[K, V]
 	_ = m.rt.Atomic(func(tx *stm.Tx) error {
-		sr = m.BeginSlowRangeTx(tx, h, l)
+		sr = m.beginSlowRangeTx(tx, h, l)
 		return nil
 	})
-	out = sr.Collect(r, out)
-	sr.Finish()
+	out = sr.collect(r, out)
+	sr.finish()
 	return out
 }
 
-// SlowRange is a registered slow-path range query whose lifecycle the
-// caller drives: BeginSlowRangeTx registers it, Collect traverses, and
-// Finish deregisters it from the RQC. The skip hash's own Range drives
-// one per fallback; the sharded frontend registers one per shard inside
-// a single cross-shard transaction so that the union of the per-shard
-// traversals is a snapshot taken at the registration commit instant.
-type SlowRange[K comparable, V any] struct {
+// slowRange is a registered slow-path range query whose lifecycle the
+// caller drives: beginSlowRangeTx registers it, collect traverses, and
+// finish deregisters it from the RQC. Range drives one per fallback.
+type slowRange[K comparable, V any] struct {
 	m  *Map[K, V]
 	op *rangeOp[K, V]
 	n  *node[K, V] // resumable cursor: next safe node to collect
 }
 
-// BeginSlowRangeTx registers a slow-path range query starting at the
+// beginSlowRangeTx registers a slow-path range query starting at the
 // first logically present key >= l, inside the caller's transaction.
 // Performing the ceil search and the RQC registration in one transaction
 // makes the start node safe and is the query's linearization point. The
-// caller must eventually call Finish exactly once (after the enclosing
+// caller must eventually call finish exactly once (after the enclosing
 // transaction commits); if the enclosing transaction aborts, the
 // registration is rolled back and the returned value from the failed
 // attempt must be discarded.
-func (m *Map[K, V]) BeginSlowRangeTx(tx *stm.Tx, h *Handle[K, V], l K) *SlowRange[K, V] {
-	return &SlowRange[K, V]{
+func (m *Map[K, V]) beginSlowRangeTx(tx *stm.Tx, h *Handle[K, V], l K) *slowRange[K, V] {
+	return &slowRange[K, V]{
 		m:  m,
 		op: m.rqc.onRange(tx),
 		n:  m.ceilNodeTx(tx, h, l),
 	}
 }
 
-// Collect traverses safe nodes from the current cursor while key <= r,
+// collect traverses safe nodes from the current cursor while key <= r,
 // appending pairs to out. The traversal is a resumable transaction: the
 // pairs collected so far and the current safe node are plain locals that
 // survive aborts (atomic(no_local_undo)), so an abort behaves as an
 // early commit and the next attempt picks up exactly where the last one
-// stopped. The cursor persists across calls, so Collect may be invoked
+// stopped. The cursor persists across calls, so collect may be invoked
 // again with a larger r to extend the scan.
-func (s *SlowRange[K, V]) Collect(r K, out []Pair[K, V]) []Pair[K, V] {
+func (s *slowRange[K, V]) collect(r K, out []Pair[K, V]) []Pair[K, V] {
 	m := s.m
 	ver := s.op.ver
 	set := out
@@ -100,9 +97,9 @@ func (s *SlowRange[K, V]) Collect(r K, out []Pair[K, V]) []Pair[K, V] {
 	return set
 }
 
-// Finish deregisters the query, handing its deferred nodes back to the
+// finish deregisters the query, handing its deferred nodes back to the
 // RQC for reclamation. It must be called exactly once.
-func (s *SlowRange[K, V]) Finish() {
+func (s *slowRange[K, V]) finish() {
 	s.m.rqc.afterRange(s.m, s.op)
 }
 

@@ -281,10 +281,10 @@ func TestDeferredSlowRangesOutOfOrder(t *testing.T) {
 	for k := int64(0); k < 100; k++ {
 		h.Insert(k, k)
 	}
-	begin := func() *SlowRange[int64, int64] {
-		var sr *SlowRange[int64, int64]
+	begin := func() *slowRange[int64, int64] {
+		var sr *slowRange[int64, int64]
 		_ = m.rt.Atomic(func(tx *stm.Tx) error {
-			sr = m.BeginSlowRangeTx(tx, h, 0)
+			sr = m.beginSlowRangeTx(tx, h, 0)
 			return nil
 		})
 		return sr
@@ -296,7 +296,7 @@ func TestDeferredSlowRangesOutOfOrder(t *testing.T) {
 			}
 		}
 	}
-	check := func(step string, lists map[*SlowRange[int64, int64]]int, stitched int) {
+	check := func(step string, lists map[*slowRange[int64, int64]]int, stitched int) {
 		t.Helper()
 		for sr, want := range lists {
 			if got := len(deferredKeys(sr.op)); got != want {
@@ -315,21 +315,21 @@ func TestDeferredSlowRangesOutOfOrder(t *testing.T) {
 	removeRange(0, 5)
 	sr2, sr3 := begin(), begin()
 	removeRange(10, 20)
-	check("three in flight", map[*SlowRange[int64, int64]]int{sr1: 5, sr2: 0, sr3: 10}, 100)
+	check("three in flight", map[*slowRange[int64, int64]]int{sr1: 5, sr2: 0, sr3: 10}, 100)
 
 	// Each query sees the map as of its registration.
-	for sr, want := range map[*SlowRange[int64, int64]]int{sr1: 100, sr2: 95, sr3: 95} {
-		if got := len(sr.Collect(99, nil)); got != want {
+	for sr, want := range map[*slowRange[int64, int64]]int{sr1: 100, sr2: 95, sr3: 95} {
+		if got := len(sr.collect(99, nil)); got != want {
 			t.Errorf("query %d collected %d pairs, want %d", sr.op.ver, got, want)
 		}
 	}
 
-	sr2.Finish() // the middle one, with nothing deferred
+	sr2.finish() // the middle one, with nothing deferred
 	removeRange(20, 25)
-	check("middle finished", map[*SlowRange[int64, int64]]int{sr1: 5, sr3: 15}, 100)
+	check("middle finished", map[*slowRange[int64, int64]]int{sr1: 5, sr3: 15}, 100)
 
-	sr3.Finish() // the newest: its 15 nodes move behind sr1's 5
-	check("newest finished", map[*SlowRange[int64, int64]]int{sr1: 20}, 100)
+	sr3.finish() // the newest: its 15 nodes move behind sr1's 5
+	check("newest finished", map[*slowRange[int64, int64]]int{sr1: 20}, 100)
 	want := []int64{0, 1, 2, 3, 4}
 	for k := int64(10); k < 25; k++ {
 		want = append(want, k)
@@ -338,7 +338,7 @@ func TestDeferredSlowRangesOutOfOrder(t *testing.T) {
 		t.Errorf("oldest query's list after the splice = %v, want %v", got, want)
 	}
 
-	sr1.Finish() // the oldest: everything is unstitched
+	sr1.finish() // the oldest: everything is unstitched
 	if stitched, size := m.StitchedSlow(), m.SizeSlow(); stitched != size || size != 80 {
 		t.Errorf("after the oldest finished: %d stitched, %d present, want 80 and 80", stitched, size)
 	}

@@ -25,18 +25,6 @@ func (h *Handle[K, V]) Atomic(fn func(op *Txn[K, V]) error) error {
 	})
 }
 
-// Bind returns the transactional view of the handle's map inside an
-// externally managed transaction. It is the composition primitive for
-// multi-map atomicity: several maps created with NewIn on one shared
-// runtime can be operated on inside a single Runtime.Atomic body, each
-// through its own bound Txn, and all of it commits or rolls back
-// together. The caller must guarantee tx belongs to the map's runtime;
-// binding a transaction from a foreign runtime is undefined behavior
-// (timestamps and ownership words are not comparable across runtimes).
-func (h *Handle[K, V]) Bind(tx *stm.Tx) *Txn[K, V] {
-	return &Txn[K, V]{m: h.m, h: h, tx: tx}
-}
-
 // Atomic runs fn as one transaction using a pooled handle.
 func (m *Map[K, V]) Atomic(fn func(op *Txn[K, V]) error) error {
 	h := m.borrow()

@@ -13,10 +13,9 @@ import (
 	"repro/internal/stm"
 )
 
-// Store is the durability engine of one map (every shard of it shares
-// one commit-stamp domain): it captures the logical effect of committed
-// transactions into the WAL, writes background snapshots, and exposes
-// the recovered state it was opened from.
+// Store is the durability engine of one map: it captures the logical
+// effect of committed transactions into the WAL, writes background
+// snapshots, and exposes the recovered state it was opened from.
 //
 // Store implements the core package's OpLogger (LogPut/LogDel) and
 // Persister (Snapshot/Sync/Close/SimulateCrash/Err) hook interfaces
@@ -142,7 +141,7 @@ func (s *Store[K, V]) Recovered() RecoverInfo { return s.recovered }
 // TakeRecovered returns the recovered pairs exactly once, releasing the
 // store's reference to them: one pair per live key, strictly ascending
 // by the less Open was given — ready for a bulk load, as
-// skiphash.OpenSharded does. The caller owns the slice.
+// skiphash.Open does. The caller owns the slice.
 func (s *Store[K, V]) TakeRecovered() []KV[K, V] {
 	p := s.pairs
 	s.pairs = nil

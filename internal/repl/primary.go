@@ -34,7 +34,7 @@ type PrimaryConfig struct {
 // MapSnapshot adapts m's SnapshotChunks to PrimaryConfig.Snapshot: each
 // chunk's pairs are encoded as puts (persist.AppendPut) into one buffer
 // reused across chunks (emit must not retain it).
-func MapSnapshot(m *skiphash.Sharded[int64, int64]) func(chunkSize int, emit func(stamp uint64, count int, ops []byte) error) error {
+func MapSnapshot(m *skiphash.Map[int64, int64]) func(chunkSize int, emit func(stamp uint64, count int, ops []byte) error) error {
 	ic := persist.Int64Codec()
 	return func(chunkSize int, emit func(stamp uint64, count int, ops []byte) error) error {
 		var ops []byte

@@ -22,7 +22,7 @@ type tapper interface {
 
 // primaryHarness is one durable primary map with its WAL streamed.
 type primaryHarness struct {
-	m  *skiphash.Sharded[int64, int64]
+	m  *skiphash.Map[int64, int64]
 	p  *Primary
 	ln net.Listener
 }
@@ -34,7 +34,7 @@ func (h *primaryHarness) close() {
 	h.m.Close()
 }
 
-// startPrimary opens a durable sharded map over dir and streams its
+// startPrimary opens a durable map over dir and streams its
 // WAL on addr ("127.0.0.1:0" for a fresh port).
 func startPrimary(t *testing.T, dir, addr string, cfg PrimaryConfig) *primaryHarness {
 	t.Helper()
@@ -45,12 +45,12 @@ func startPrimary(t *testing.T, dir, addr string, cfg PrimaryConfig) *primaryHar
 // (nil: the default).
 func startPrimaryClock(t *testing.T, dir, addr string, cfg PrimaryConfig, clock stm.Clock) *primaryHarness {
 	t.Helper()
-	m, err := skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{
+	m, err := skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{
 		Clock:      clock,
 		Durability: &skiphash.Durability{Dir: dir, Fsync: skiphash.FsyncNone},
 	}, skiphash.Int64Codec(), skiphash.Int64Codec())
 	if err != nil {
-		t.Fatalf("OpenSharded: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	cfg.Snapshot = MapSnapshot(m)
 	cfg.ClockRead = m.Runtime().Clock().Read
@@ -80,13 +80,13 @@ func startReplica(t *testing.T, addr string) *Replica {
 	return r
 }
 
-func allPairs(m *skiphash.Sharded[int64, int64]) []skiphash.Pair[int64, int64] {
+func allPairs(m *skiphash.Map[int64, int64]) []skiphash.Pair[int64, int64] {
 	return m.Range(math.MinInt64, math.MaxInt64, nil)
 }
 
 // waitConverge polls until the replica's full range equals the
 // primary map's. Idle primary only.
-func waitConverge(t *testing.T, pm *skiphash.Sharded[int64, int64], r *Replica) {
+func waitConverge(t *testing.T, pm *skiphash.Map[int64, int64], r *Replica) {
 	t.Helper()
 	want := allPairs(pm)
 	deadline := time.Now().Add(30 * time.Second)

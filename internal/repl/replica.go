@@ -43,7 +43,7 @@ const applyBatch = 128
 type Replica struct {
 	cfg   ReplicaConfig
 	clock *stm.FloorClock
-	m     *skiphash.Sharded[int64, int64]
+	m     *skiphash.Map[int64, int64]
 
 	// epoch and lastSeq name the stream position the map reflects; a
 	// full resync moves them only once its fold is loaded.
@@ -86,7 +86,7 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 	r := &Replica{
 		cfg:     cfg,
 		clock:   clock,
-		m:       skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, mc),
+		m:       skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, mc),
 		ready:   make(chan struct{}),
 		stopped: make(chan struct{}),
 		done:    make(chan struct{}),
@@ -96,7 +96,7 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 }
 
 // Map exposes the replica's live map (reads only until promotion).
-func (r *Replica) Map() *skiphash.Sharded[int64, int64] { return r.m }
+func (r *Replica) Map() *skiphash.Map[int64, int64] { return r.m }
 
 // Watermark is the replica's applied commit-stamp watermark: every
 // primary commit with stamp <= a value this returned is applied here,

@@ -172,33 +172,34 @@ func (bytesCodec) addPair(resp *wire.Response, k, v string) {
 	resp.BPairs = append(resp.BPairs, wire.BKV{Key: []byte(k), Val: []byte(v)})
 }
 
-// ShardedBackend serves a sharded skip hash: the one Backend
-// implementation, generic over the map's types and parameterised by the
-// codec of the frame family that addresses it. The map is embedded, so
-// the methods that need no translation — Sync and Snapshot —
-// are the map's own; the request-level methods and Close below shadow
-// the map's same-named ones.
-type ShardedBackend[K comparable, V any] struct {
-	*skiphash.Sharded[K, V]
+// MapBackend serves a skip hash: the one Backend implementation,
+// generic over the map's types and parameterised by the codec of the
+// frame family that addresses it. The map is embedded, so the methods
+// that need no translation — Sync and Snapshot — are the map's own; the
+// request-level methods and Close below shadow the map's same-named
+// ones.
+type MapBackend[K comparable, V any] struct {
+	*skiphash.Map[K, V]
 	cd codec[K, V]
 	// rangeBudget bounds a range response's encoded pairs so it always
 	// fits one frame; clients paginate past it.
 	rangeBudget int
 }
 
-func newBackend[K comparable, V any](s *skiphash.Sharded[K, V], cd codec[K, V]) *ShardedBackend[K, V] {
-	return &ShardedBackend[K, V]{Sharded: s, cd: cd, rangeBudget: wire.MaxRangeBytes2}
+func newBackend[K comparable, V any](m *skiphash.Map[K, V], cd codec[K, V]) *MapBackend[K, V] {
+	return &MapBackend[K, V]{Map: m, cd: cd, rangeBudget: wire.MaxRangeBytes2}
 }
 
 // NewShardedBackend wraps an int64 map for the v1 ops — namespace 0.
-func NewShardedBackend(s *skiphash.Sharded[int64, int64]) *ShardedBackend[int64, int64] {
+// The name stays until a change to benchmark/ retires it.
+func NewShardedBackend(s *skiphash.Map[int64, int64]) *MapBackend[int64, int64] {
 	return newBackend[int64, int64](s, int64Codec{})
 }
 
 // Atomic implements Backend.
-func (b *ShardedBackend[K, V]) Atomic(group []wire.Request, resps []wire.Response) error {
+func (b *MapBackend[K, V]) Atomic(group []wire.Request, resps []wire.Response) error {
 	cd := b.cd
-	return b.Sharded.Atomic(func(op *skiphash.Txn[K, V]) error {
+	return b.Map.Atomic(func(op *skiphash.Txn[K, V]) error {
 		var zero V
 		for idx := range group {
 			req, resp := &group[idx], &resps[idx]
@@ -241,7 +242,7 @@ func (b *ShardedBackend[K, V]) Atomic(group []wire.Request, resps []wire.Respons
 }
 
 // Get implements Backend.
-func (b *ShardedBackend[K, V]) Get(req *wire.Request, resp *wire.Response) {
+func (b *MapBackend[K, V]) Get(req *wire.Request, resp *wire.Response) {
 	v, ok := b.Lookup(b.cd.keyView(req))
 	resp.Ok = ok
 	b.cd.putVal(resp, v)
@@ -249,7 +250,7 @@ func (b *ShardedBackend[K, V]) Get(req *wire.Request, resp *wire.Response) {
 
 // Range implements Backend: [lo, hi] — or everything from lo when the
 // request has no upper bound — in key order.
-func (b *ShardedBackend[K, V]) Range(req *wire.Request, resp *wire.Response, scratch *any) {
+func (b *MapBackend[K, V]) Range(req *wire.Request, resp *wire.Response, scratch *any) {
 	cd := b.cd
 	budget, room := b.rangeBudget, int(req.Max)
 	if room == 0 {
@@ -276,7 +277,7 @@ func (b *ShardedBackend[K, V]) Range(req *wire.Request, resp *wire.Response, scr
 		buf = new([]skiphash.Pair[K, V])
 		*scratch = buf
 	}
-	*buf = b.Sharded.Range(cd.key(req), cd.hi(req), (*buf)[:0])
+	*buf = b.Map.Range(cd.key(req), cd.hi(req), (*buf)[:0])
 	for _, p := range *buf {
 		if !take(p.Key, p.Val) {
 			break
@@ -285,33 +286,33 @@ func (b *ShardedBackend[K, V]) Range(req *wire.Request, resp *wire.Response, scr
 }
 
 // Prefetch implements Backend.
-func (b *ShardedBackend[K, V]) Prefetch(req *wire.Request, max int) int {
+func (b *MapBackend[K, V]) Prefetch(req *wire.Request, max int) int {
 	if req.Op.Kind() != wire.KindBatch {
-		b.Sharded.Prefetch(b.cd.keyView(req))
+		b.Map.Prefetch(b.cd.keyView(req))
 		return 1
 	}
 	n := min(b.cd.numSteps(req), max)
 	for si := 0; si < n; si++ {
 		_, k := b.cd.stepView(req, si)
-		b.Sharded.Prefetch(k)
+		b.Map.Prefetch(k)
 	}
 	return n
 }
 
 // Durable implements Backend.
-func (b *ShardedBackend[K, V]) Durable() bool { return b.Persister() != nil }
+func (b *MapBackend[K, V]) Durable() bool { return b.Persister() != nil }
 
 // Close implements Backend: the checked shutdown the map's own Close
 // (no error result) cannot be. The log is forced durable, the map
 // closed, and the durability engine asked for its sticky error, which
 // covers the close's own final flush and fsync and any commit the log
 // never took.
-func (b *ShardedBackend[K, V]) Close() error {
+func (b *MapBackend[K, V]) Close() error {
 	err := b.Sync()
 	if errors.Is(err, skiphash.ErrNotDurable) {
 		err = nil
 	}
-	b.Sharded.Close()
+	b.Map.Close()
 	if p := b.Persister(); p != nil {
 		err = errors.Join(err, p.Err())
 	}

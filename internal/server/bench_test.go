@@ -32,8 +32,8 @@ func cycleKey(k int) []byte { return []byte(fmt.Sprintf("key-%012d", k)) }
 // histograms, armed tracer).
 func cycleConn(tb testing.TB, v2, mixed, withMetrics bool) (*conn, []wire.Request) {
 	tb.Helper()
-	mapCfg := skiphash.Config{Shards: 1}
-	m, err := skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, mapCfg, skiphash.Int64Codec(), skiphash.Int64Codec())
+	mapCfg := skiphash.Config{}
+	m, err := skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, mapCfg, skiphash.Int64Codec(), skiphash.Int64Codec())
 	if err != nil {
 		tb.Fatal(err)
 	}

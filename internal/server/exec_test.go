@@ -98,7 +98,7 @@ func (f family) keys(t *testing.T, resp *wire.Response) []int64 {
 
 // harness is an executor-side conn over an in-memory write buffer, on a
 // server with namespace 0 and one named namespace, both over maps built
-// from the same config.
+// with the zero Config.
 type harness struct {
 	t    *testing.T
 	c    *conn
@@ -110,12 +110,12 @@ type harness struct {
 	families           []family
 }
 
-func newHarness(t *testing.T, mapCfg skiphash.Config) *harness {
+func newHarness(t *testing.T) *harness {
 	t.Helper()
-	m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, mapCfg)
+	m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
 	t.Cleanup(m.Close)
 	or := obs.NewRegistry()
-	reg, err := NewRegistry(RegistryConfig{Map: mapCfg, Obs: or})
+	reg, err := NewRegistry(RegistryConfig{Obs: or})
 	if err != nil {
 		t.Fatalf("NewRegistry: %v", err)
 	}
@@ -204,44 +204,11 @@ func (readOnlyBackend) Snapshot() error                              { return Er
 // setRangeBudget shrinks a backend's range frame budget.
 func setRangeBudget(be Backend, n int) {
 	switch b := be.(type) {
-	case *ShardedBackend[int64, int64]:
+	case *MapBackend[int64, int64]:
 		b.rangeBudget = n
-	case *ShardedBackend[string, string]:
+	case *MapBackend[string, string]:
 		b.rangeBudget = n
 	}
-}
-
-// otherShard returns the first key at or above from that f's map routes
-// to a different (same == false) or the same shard as key's. Routing
-// depends only on a key's hash and the shard count, so a scratch map of
-// the same shape shows it.
-func otherShard(f family, key, from int64, same bool) int64 {
-	n := f.ns.be.(interface{ Shards() int }).Shards()
-	var home func(int64) int
-	if f.v2 {
-		m := skiphash.NewSharded[string, string](skiphash.StringLess, skiphash.HashString, skiphash.Config{Shards: n, Buckets: 1024})
-		home = func(k int64) int { return homeShard(m, string(bnum(k))) }
-	} else {
-		m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: n, Buckets: 1024})
-		home = func(k int64) int { return homeShard(m, k) }
-	}
-	for k := from; ; k++ {
-		if k != key && (home(k) == home(key)) == same {
-			return k
-		}
-	}
-}
-
-// homeShard puts k into m and reports which shard holds it.
-func homeShard[K comparable, V any](m *skiphash.Sharded[K, V], k K) int {
-	var zero V
-	m.Put(k, zero)
-	for i := 0; i < m.Shards(); i++ {
-		if m.Shard(i).NewHandle().Contains(k) {
-			return i
-		}
-	}
-	return -1
 }
 
 // stepOks lists a batch response's per-step outcomes, either family.
@@ -257,11 +224,10 @@ func stepOks(resp *wire.Response) []bool {
 }
 
 var executorScenarios = []struct {
-	name   string
-	mapCfg skiphash.Config
-	run    func(t *testing.T, h *harness, f family)
+	name string
+	run  func(t *testing.T, h *harness, f family)
 }{
-	{"CoalescedRunClampedByMaxBatch", skiphash.Config{Shards: 2}, func(t *testing.T, h *harness, f family) {
+	{"CoalescedRunClampedByMaxBatch", func(t *testing.T, h *harness, f family) {
 		var reqs []wire.Request
 		for k := int64(0); k < 10; k++ {
 			reqs = append(reqs, f.insert(k, k*10))
@@ -287,20 +253,20 @@ var executorScenarios = []struct {
 		wantStatus(t, h.run(reqs...), wire.StatusOK)
 		h.wantRuns(1, 20)
 	}},
-	{"RunSpansShards", skiphash.Config{Shards: 4}, func(t *testing.T, h *harness, f family) {
-		a := int64(1)
-		b := otherShard(f, a, 2, false)
-		a2 := otherShard(f, a, b+1, true)
+	// RunSpansShards, PureGetRunSpansShards and CrossShardBatchCommitsInRun
+	// are named for the partition their keys once straddled; each is now
+	// a run over several keys, which coalesces exactly as it did then.
+	{"RunSpansShards", func(t *testing.T, h *harness, f family) {
+		a, a2, b := int64(1), int64(2), int64(3)
 		resps := h.run(f.insert(a, 1), f.insert(a2, 2), f.insert(b, 3), f.insert(a, 4))
 		wantStatus(t, resps, wire.StatusOK)
-		h.wantRuns(1, 4) // every shard is in one commit domain: no boundary
+		h.wantRuns(1, 4) // several keys, one commit domain: no boundary
 		if !resps[0].Ok || !resps[1].Ok || !resps[2].Ok || resps[3].Ok {
 			t.Fatalf("responses = %+v", resps)
 		}
 	}},
-	{"PureGetRunSpansShards", skiphash.Config{Shards: 4}, func(t *testing.T, h *harness, f family) {
-		a := int64(1)
-		b := otherShard(f, a, 2, false)
+	{"PureGetRunSpansShards", func(t *testing.T, h *harness, f family) {
+		a, b := int64(1), int64(2)
 		wantStatus(t, h.run(f.insert(a, 10)), wire.StatusOK)
 		wantStatus(t, h.run(f.insert(b, 20)), wire.StatusOK)
 		h.runsSince()
@@ -311,7 +277,7 @@ var executorScenarios = []struct {
 			t.Fatalf("responses = %+v", resps)
 		}
 		// A write among the Gets turns the whole stretch into one atomic
-		// run, whatever shards its keys live on.
+		// run.
 		resps = h.run(f.get(a), f.get(b), f.get(a), f.insert(b, 21), f.get(b))
 		wantStatus(t, resps, wire.StatusOK)
 		h.wantRuns(1, 5)
@@ -319,9 +285,8 @@ var executorScenarios = []struct {
 			t.Fatalf("responses = %+v", resps)
 		}
 	}},
-	{"CrossShardBatchCommitsInRun", skiphash.Config{Shards: 4}, func(t *testing.T, h *harness, f family) {
-		a := int64(1)
-		b := otherShard(f, a, 2, false)
+	{"CrossShardBatchCommitsInRun", func(t *testing.T, h *harness, f family) {
+		a, b := int64(1), int64(2)
 		resps := h.run(
 			f.insert(a, 1),
 			f.batch(wire.Step{Kind: wire.StepInsert, Key: a, Val: 7}, wire.Step{Kind: wire.StepInsert, Key: b, Val: 7}),
@@ -331,13 +296,13 @@ var executorScenarios = []struct {
 		// keys are visible: a kept its first value, b took the batch's.
 		h.wantRuns(1, 4)
 		if oks := stepOks(&resps[1]); len(oks) != 2 || oks[0] || !oks[1] {
-			t.Fatalf("cross-shard batch steps = %v, want [false true]", oks)
+			t.Fatalf("batch steps = %v, want [false true]", oks)
 		}
 		if !resps[0].Ok || !resps[2].Ok || f.val(t, &resps[2]) != 1 || !resps[3].Ok || f.val(t, &resps[3]) != 7 {
-			t.Fatalf("neighbours of the cross-shard batch = %+v", resps)
+			t.Fatalf("neighbours of the batch = %+v", resps)
 		}
 	}},
-	{"ReadOnlyBackendFailsWholeRun", skiphash.Config{Shards: 2}, func(t *testing.T, h *harness, f family) {
+	{"ReadOnlyBackendFailsWholeRun", func(t *testing.T, h *harness, f family) {
 		wantStatus(t, h.run(f.insert(1, 10)), wire.StatusOK)
 		f.ns.be = readOnlyBackend{f.ns.be}
 		h.runsSince()
@@ -352,7 +317,7 @@ var executorScenarios = []struct {
 		}
 		wantStatus(t, h.run(f.op(wire.KindSync, 0, 0), f.op(wire.KindSnapshot, 0, 0)), wire.StatusReadOnly)
 	}},
-	{"RangeTruncation", skiphash.Config{Shards: 2}, func(t *testing.T, h *harness, f family) {
+	{"RangeTruncation", func(t *testing.T, h *harness, f family) {
 		var reqs []wire.Request
 		for k := int64(0); k < 20; k++ {
 			reqs = append(reqs, f.insert(k, k))
@@ -386,7 +351,7 @@ var executorScenarios = []struct {
 			t.Fatalf("range with Max under the frame budget = %v", got)
 		}
 	}},
-	{"SyncSnapshotNotDurable", skiphash.Config{Shards: 1}, func(t *testing.T, h *harness, f family) {
+	{"SyncSnapshotNotDurable", func(t *testing.T, h *harness, f family) {
 		wantStatus(t, h.run(f.op(wire.KindSync, 0, 0), f.op(wire.KindSnapshot, 0, 0)), wire.StatusNotDurable)
 		h.wantRuns(0, 0) // standalone ops are not coalesced runs
 	}},
@@ -398,7 +363,7 @@ func TestExecutorConformance(t *testing.T) {
 	}
 	for _, sc := range executorScenarios {
 		for fi := 0; fi < 2; fi++ {
-			h := newHarness(t, sc.mapCfg)
+			h := newHarness(t)
 			f := h.families[fi]
 			t.Run(sc.name+"/"+f.name, func(t *testing.T) {
 				h.t = t
@@ -412,7 +377,7 @@ func TestExecutorConformance(t *testing.T) {
 // answers StatusErr where it stands in the pipeline — it neither joins
 // the v1 run around it nor disturbs the connection.
 func TestV2OpOnNamespaceZeroRefusedInPlace(t *testing.T) {
-	h := newHarness(t, skiphash.Config{Shards: 2})
+	h := newHarness(t)
 	v1 := h.families[0]
 	stray := wire.Request{Op: wire.OpPut2, NS: 0, BKey: bnum(2), BVal: bnum(2)}
 	resps := h.run(v1.insert(1, 10), v1.insert(2, 20), stray, v1.get(2),
@@ -447,7 +412,7 @@ func TestDroppedNamespaceReleased(t *testing.T) {
 		t.Fatalf("NewRegistry: %v", err)
 	}
 	defer reg.CloseAll()
-	m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 1})
+	m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
 	defer m.Close()
 	c := NewWithRegistry(NewShardedBackend(m), reg, Config{}).newConn(nil)
 	c.bw = bufio.NewWriter(&bytes.Buffer{})

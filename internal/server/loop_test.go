@@ -28,12 +28,12 @@ type pipeConn struct {
 	srv *Server
 }
 
-// servePipe serves be (nil: a fresh one-shard map) on one end of a pipe
+// servePipe serves be (nil: a fresh map) on one end of a pipe
 // and returns the other.
 func servePipe(t *testing.T, be Backend, cfg Config) *pipeConn {
 	t.Helper()
 	if be == nil {
-		m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 1})
+		m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
 		t.Cleanup(m.Close)
 		be = NewShardedBackend(m)
 	}
@@ -189,7 +189,7 @@ func (b slowGets) Get(req *wire.Request, resp *wire.Response) {
 }
 
 func TestIdleClockStopsWhileExecuting(t *testing.T) {
-	m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 1})
+	m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
 	defer m.Close()
 	const idle = 50 * time.Millisecond
 	p := servePipe(t, slowGets{NewShardedBackend(m), 3 * idle}, Config{IdleTimeout: idle})
@@ -202,7 +202,7 @@ func TestIdleClockStopsWhileExecuting(t *testing.T) {
 }
 
 func TestOneGoroutinePerConnection(t *testing.T) {
-	_, srv, addr := startServer(t, skiphash.Config{Shards: 1}, Config{})
+	_, srv, addr := startServer(t, skiphash.Config{}, Config{})
 	const conns = 64
 	before := runtime.NumGoroutine()
 	for i := 0; i < conns; i++ {
@@ -226,11 +226,11 @@ func TestOneGoroutinePerConnection(t *testing.T) {
 // behind the map's back and then writes to it, so an acknowledged commit
 // never reached the log: Shutdown (through CloseAll) must say so.
 func TestShutdownReportsEngineFailure(t *testing.T) {
-	def := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 1})
+	def := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
 	defer def.Close()
 	reg, err := NewRegistry(RegistryConfig{
 		Root:       t.TempDir(),
-		Map:        skiphash.Config{Shards: 2},
+		Map:        skiphash.Config{},
 		Durability: skiphash.Durability{Fsync: skiphash.FsyncNone},
 	})
 	if err != nil {
@@ -243,7 +243,7 @@ func TestShutdownReportsEngineFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	m := ns.be.(*ShardedBackend[string, string]).Sharded
+	m := ns.be.(*MapBackend[string, string]).Map
 	m.Persister().Close()
 	m.Insert("k", "v")
 	err = NewWithRegistry(NewShardedBackend(def), reg, Config{}).Shutdown(context.Background())

@@ -75,15 +75,16 @@ func newMetrics(s *Server, r *obs.Registry) *metrics {
 
 // RegisterMapMetrics registers the default map's series on reg: STM
 // transaction counters and commit latency, reclamation, the shard
-// count, and the range paths. skiphashd exports them beside its
+// count (always 1; the gauge stays for the benchmark's shard.count), and
+// the range paths. skiphashd exports them beside its
 // durability and replication series; skipstress -metrics-dump prints
 // them alone. Everything is a Func metric over an existing Stats()
 // accessor, except the commit histogram, which m feeds through its
 // commit observer from now on — nothing new on any hot path.
-func RegisterMapMetrics(reg *obs.Registry, m *skiphash.Sharded[int64, int64]) {
+func RegisterMapMetrics(reg *obs.Registry, m *skiphash.Map[int64, int64]) {
 	// STM. One aggregated Stats() snapshot per scrape would be nicer
-	// than one per Func, but STMStats is a handful of atomic loads per
-	// shard — scrape cadence makes the duplication irrelevant.
+	// than one per Func, but STMStats is a handful of atomic loads —
+	// scrape cadence makes the duplication irrelevant.
 	stats := m.STMStats
 	reg.CounterFunc("skiphash_stm_commits_total",
 		"Successfully committed transactions.",

@@ -30,7 +30,7 @@ type RegistryConfig struct {
 	// durable NsCreate (and performs no discovery).
 	Root string
 	// Map is the base map configuration for every namespace backend
-	// (shards; Durability is set per namespace).
+	// (Durability is set per namespace).
 	Map skiphash.Config
 	// Durability is the template for durable namespaces: Dir is
 	// overridden per namespace and Fsync supplies the NsFsyncDefault
@@ -306,7 +306,7 @@ func (r *Registry) create(name, dir string, fsync uint8) (*namespace, error) {
 		dur.Fsync = pol
 		mapCfg.Durability = &dur
 	}
-	s, err := skiphash.OpenSharded[string, string](skiphash.StringLess, skiphash.HashString, mapCfg, skiphash.StringCodec(), skiphash.StringCodec())
+	s, err := skiphash.Open[string, string](skiphash.StringLess, skiphash.HashString, mapCfg, skiphash.StringCodec(), skiphash.StringCodec())
 	if err != nil {
 		return nil, err
 	}

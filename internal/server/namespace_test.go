@@ -27,7 +27,7 @@ func startNsServer(t *testing.T, regCfg RegistryConfig, srvCfg Config) (*Server,
 	if err != nil {
 		t.Fatalf("NewRegistry: %v", err)
 	}
-	m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 2})
+	m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
 	srv := NewWithRegistry(NewShardedBackend(m), reg, srvCfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -175,7 +175,7 @@ func TestNamespaceDurableReopen(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewRegistry: %v", err)
 		}
-		m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 2})
+		m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
 		srv := NewWithRegistry(NewShardedBackend(m), reg, Config{})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

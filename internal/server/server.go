@@ -1,6 +1,6 @@
 // Package server is the skip hash's network front end: it speaks the
 // internal/wire protocol over TCP or unix sockets and executes requests
-// against embedded maps (sharded, durable or not).
+// against embedded maps (durable or not).
 //
 // # Namespaces, one executor
 //
@@ -11,7 +11,7 @@
 // at run time and addressed by id through the v2 ops. The two op
 // families differ only in which request fields carry the key, so there
 // is one executor (exec.go) working on op kinds — get, insert, batch,
-// range — and one Backend implementation, ShardedBackend, generic over
+// range — and one Backend implementation, MapBackend, generic over
 // the map's key and value types; a small codec per family reads keys out
 // of requests and writes results into responses. Everything else —
 // resolving the namespace, its run lock and quotas, coalescing, metrics
@@ -36,8 +36,7 @@
 //
 // A run never leaves its namespace: it ends where the next request
 // addresses another one, and a namespace's coalescing quota can clamp it
-// further. Shards are no boundary — every shard of a map shares one
-// commit-stamp domain, so one Atomic transaction spans them all.
+// further.
 //
 // Reads are segregated from writes: a coalesced run consisting purely
 // of Gets skips the atomic-txn machinery and is answered through the

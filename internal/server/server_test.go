@@ -19,11 +19,11 @@ import (
 	"repro/skiphash/client"
 )
 
-// startServer serves a fresh sharded map on a loopback TCP listener and
+// startServer serves a fresh map on a loopback TCP listener and
 // returns the address plus a cleanup tearing everything down.
-func startServer(t *testing.T, mapCfg skiphash.Config, srvCfg Config) (*skiphash.Sharded[int64, int64], *Server, string) {
+func startServer(t *testing.T, mapCfg skiphash.Config, srvCfg Config) (*skiphash.Map[int64, int64], *Server, string) {
 	t.Helper()
-	m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, mapCfg)
+	m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, mapCfg)
 	srv := New(NewShardedBackend(m), srvCfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -54,7 +54,7 @@ func dialT(t *testing.T, addr string, opts client.Options) *client.Client {
 }
 
 func TestServeBasicOps(t *testing.T) {
-	_, _, addr := startServer(t, skiphash.Config{Shards: 4}, Config{})
+	_, _, addr := startServer(t, skiphash.Config{}, Config{})
 	c := dialT(t, addr, client.Options{Conns: 2})
 
 	if ok, err := c.Insert(1, 10); err != nil || !ok {
@@ -118,7 +118,7 @@ func TestServeBasicOps(t *testing.T) {
 }
 
 func TestServeUnixSocket(t *testing.T) {
-	m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 2})
+	m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
 	defer m.Close()
 	srv := New(NewShardedBackend(m), Config{})
 	path := t.TempDir() + "/skiphashd.sock"
@@ -173,7 +173,7 @@ func isReset(err error) bool {
 }
 
 func TestMalformedFrameTearsConnectionDown(t *testing.T) {
-	_, _, addr := startServer(t, skiphash.Config{Shards: 1}, Config{})
+	_, _, addr := startServer(t, skiphash.Config{}, Config{})
 
 	t.Run("BadChecksum", func(t *testing.T) {
 		nc := rawDial(t, addr)
@@ -239,7 +239,7 @@ func crc32Of(payload []byte) uint32 {
 }
 
 func TestMidRequestDisconnectDuringPipelining(t *testing.T) {
-	m, _, addr := startServer(t, skiphash.Config{Shards: 2}, Config{})
+	m, _, addr := startServer(t, skiphash.Config{}, Config{})
 	nc := rawDial(t, addr)
 	// Pipeline a burst of inserts, then die mid-frame on the last one.
 	var stream []byte
@@ -268,7 +268,7 @@ func TestMidRequestDisconnectDuringPipelining(t *testing.T) {
 }
 
 func TestConnectionLimitRejection(t *testing.T) {
-	_, srv, addr := startServer(t, skiphash.Config{Shards: 1}, Config{MaxConns: 2})
+	_, srv, addr := startServer(t, skiphash.Config{}, Config{MaxConns: 2})
 
 	c1 := dialT(t, addr, client.Options{})
 	c2 := dialT(t, addr, client.Options{})
@@ -311,7 +311,7 @@ func TestConnectionLimitRejection(t *testing.T) {
 }
 
 func TestPipelinedBatchAtomicityUnderConcurrentWriters(t *testing.T) {
-	m, _, addr := startServer(t, skiphash.Config{Shards: 4}, Config{MaxBatch: 32})
+	m, _, addr := startServer(t, skiphash.Config{}, Config{MaxBatch: 32})
 
 	// Writers pipeline atomic batches that keep k and k+1000 equal;
 	// concurrently, in-process readers assert they never observe a
@@ -402,7 +402,7 @@ func TestPipelinedBatchAtomicityUnderConcurrentWriters(t *testing.T) {
 
 func TestGracefulDrainCompletesInflightRequests(t *testing.T) {
 	for round := 0; round < 5; round++ {
-		m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 2})
+		m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
 		srv := New(NewShardedBackend(m), Config{})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -481,7 +481,7 @@ func cnErr(cn *client.Conn) error {
 }
 
 func TestShutdownRefusesNewConnections(t *testing.T) {
-	m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 1})
+	m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
 	defer m.Close()
 	srv := New(NewShardedBackend(m), Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -505,7 +505,7 @@ func TestShutdownRefusesNewConnections(t *testing.T) {
 }
 
 func TestIdleTimeout(t *testing.T) {
-	_, srv, addr := startServer(t, skiphash.Config{Shards: 1},
+	_, srv, addr := startServer(t, skiphash.Config{},
 		Config{IdleTimeout: 50 * time.Millisecond})
 	c := dialT(t, addr, client.Options{})
 	if err := c.Ping(); err != nil {
@@ -523,10 +523,10 @@ func TestIdleTimeout(t *testing.T) {
 	}
 }
 
-// TestServeOneShardBackend serves the smallest map there is — a
-// one-shard map, what skiphash.New builds.
+// TestServeOneShardBackend serves the map skiphash.New builds (the
+// name is from when that was the one-shard case).
 func TestServeOneShardBackend(t *testing.T) {
-	m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 1})
+	m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
 	defer m.Close()
 	srv := New(NewShardedBackend(m), Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -554,9 +554,8 @@ func TestServeOneShardBackend(t *testing.T) {
 
 func TestDurableServedMap(t *testing.T) {
 	dir := t.TempDir()
-	open := func() *skiphash.Sharded[int64, int64] {
-		m, err := skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{
-			Shards:     2,
+	open := func() *skiphash.Map[int64, int64] {
+		m, err := skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{
 			Durability: &skiphash.Durability{Dir: dir, Fsync: skiphash.FsyncNone},
 		}, skiphash.Int64Codec(), skiphash.Int64Codec())
 		if err != nil {
@@ -603,7 +602,7 @@ func TestDurableServedMap(t *testing.T) {
 
 func TestBusyFrameFormat(t *testing.T) {
 	// The refusal frame must parse as a StatusBusy response with id 0.
-	_, _, addr := startServer(t, skiphash.Config{Shards: 1}, Config{MaxConns: 1})
+	_, _, addr := startServer(t, skiphash.Config{}, Config{MaxConns: 1})
 	hold := dialT(t, addr, client.Options{})
 	if err := hold.Ping(); err != nil {
 		t.Fatalf("ping: %v", err)
@@ -626,7 +625,7 @@ func TestBusyFrameFormat(t *testing.T) {
 }
 
 func TestManyConnsConcurrent(t *testing.T) {
-	m, _, addr := startServer(t, skiphash.Config{Shards: 4}, Config{})
+	m, _, addr := startServer(t, skiphash.Config{}, Config{})
 	const conns = 8
 	const opsPer = 300
 	var wg sync.WaitGroup

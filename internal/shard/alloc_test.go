@@ -1,28 +1,25 @@
 package shard_test
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/alloctest"
 	"repro/internal/core"
-	"repro/internal/shard"
 )
 
-// TestOpsAllocBudget pins what the routing layer may add to core's
-// allocation budget (core.TestOpsAllocBudget): nothing. Through a Handle
-// at one shard and at two, reads and warm-buffer ranges take nothing
-// from the heap, an insert/remove pair takes the node, and an Atomic
-// batch takes one object (the touched shard's bound view) beyond what
-// its body allocates; the pooled convenience reads take nothing either.
+// TestOpsAllocBudget pins the allocation budget of the map shard.New
+// builds, at GOMAXPROCS 1 and 2: through a Handle and through the pooled
+// convenience methods, reads and warm-buffer ranges take nothing from the
+// heap, an insert/remove pair takes the node, and an Atomic batch takes
+// one object (its Txn view) beyond what its body allocates.
 func TestOpsAllocBudget(t *testing.T) {
 	if alloctest.RaceEnabled {
 		t.Skip("race-detector instrumentation allocates; count is meaningless")
 	}
 	const keys = 10000
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s := newInt64(core.Config{Shards: shards})
+	for _, procs := range []int{1, 2} {
+		atProcs(t, procs, func(t *testing.T) {
+			s := newInt64(core.Config{})
 			defer s.Close()
 			h := s.NewHandle()
 			defer h.Close()
@@ -46,9 +43,9 @@ func TestOpsAllocBudget(t *testing.T) {
 				t.Errorf("pooled Lookup allocates %.2f/op, budget 0", got)
 			}
 
-			out := make([]shard.Pair[int64, int64], 0, 128)
+			out := make([]core.Pair[int64, int64], 0, 128)
 			lo := int64(0)
-			scan := func(fn func(l, r int64, out []shard.Pair[int64, int64]) []shard.Pair[int64, int64]) func() {
+			scan := func(fn func(l, r int64, out []core.Pair[int64, int64]) []core.Pair[int64, int64]) func() {
 				return func() {
 					if res := fn(lo, lo+99, out); len(res) != 100 {
 						t.Fatalf("Range(%d, %d) returned %d pairs", lo, lo+99, len(res))
@@ -56,7 +53,7 @@ func TestOpsAllocBudget(t *testing.T) {
 					lo = (lo + 13) % (keys - 100)
 				}
 			}
-			scan(h.Range)() // sizes the handle's per-shard segment buffers
+			scan(h.Range)()
 			if got := testing.AllocsPerRun(500, scan(h.Range)); got != 0 {
 				t.Errorf("Handle.Range into a sized buffer allocates %.2f/op, budget 0", got)
 			}
@@ -78,7 +75,7 @@ func TestOpsAllocBudget(t *testing.T) {
 			}
 
 			if got := alloctest.PerOp(keys, func() {
-				_ = h.Atomic(func(op *shard.Txn[int64, int64]) error {
+				_ = h.Atomic(func(op *core.Txn[int64, int64]) error {
 					op.Lookup(k % keys)
 					k += 7
 					return nil
@@ -87,7 +84,7 @@ func TestOpsAllocBudget(t *testing.T) {
 				t.Errorf("read-only Atomic allocates %.3f/op, budget 1", got)
 			}
 			if got := alloctest.PerOp(keys, func() {
-				_ = h.Atomic(func(op *shard.Txn[int64, int64]) error {
+				_ = h.Atomic(func(op *core.Txn[int64, int64]) error {
 					op.Insert(fresh, fresh)
 					op.Remove(fresh)
 					return nil

@@ -1,7 +1,6 @@
 package shard_test
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -9,16 +8,15 @@ import (
 	"repro/internal/core"
 )
 
-// TestLoadSorted bulk-loads a sharded map at one, two and eight shards:
-// every shard must pass its invariants and the partition check (each key
-// in the shard the steady route picks), every key must read back, and a
-// full Range must merge the shards back into the loaded order, both
-// right after the load and after a round of writes.
+// TestLoadSorted bulk-loads the map shard.New builds at GOMAXPROCS 1,
+// 2 and 8: it must pass its invariants, every key must read back, and a
+// full Range must return the loaded order, both right after the load
+// and after a round of writes.
 func TestLoadSorted(t *testing.T) {
 	const n = 10_000
-	for _, shards := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s := newInt64(core.Config{Shards: shards, MaxLevel: 8})
+	for _, procs := range []int{1, 2, 8} {
+		atProcs(t, procs, func(t *testing.T) {
+			s := newInt64(core.Config{MaxLevel: 8})
 			defer s.Close()
 			model := make(map[int64]int64, n)
 			s.LoadSorted(func(yield func(int64, int64) bool) {
@@ -55,11 +53,8 @@ func TestLoadSorted(t *testing.T) {
 				}
 			}
 			check("after load")
-			if got := s.Shards(); got != shards {
-				t.Fatalf("Shards() = %d, want %d", got, shards)
-			}
 
-			rng := rand.New(rand.NewPCG(uint64(shards), 1))
+			rng := rand.New(rand.NewPCG(uint64(procs), 1))
 			for i := 0; i < 4000; i++ {
 				k := rng.Int64N(2 * n)
 				if rng.IntN(2) == 0 {

@@ -59,7 +59,7 @@
 //
 // Batch is the wire face of the map's Atomic: its steps (insert,
 // remove, lookup) execute as one transaction, so observers see all of
-// a batch's effects or none, whichever shards its keys live on.
+// a batch's effects or none.
 package wire
 
 import (

@@ -98,7 +98,7 @@ func TestDurableAllocBudget(t *testing.T) {
 }
 
 // TestRecoverAllocBudget pins the heap traffic of recovery: reopening a
-// directory that holds only a WAL of 10^5 inserts, at one shard, costs at
+// directory that holds only a WAL of 10^5 inserts costs at
 // most 1.05 objects and 240 bytes per recovered key (1.001 and ~192
 // measured). What is left per key is the node the bulk load links; the
 // op array, the file buffers and the pairs are a handful of objects for

@@ -20,8 +20,8 @@ const allocKeys = 64
 // connection to it and the id of its preloaded namespace.
 func serveUnix(t *testing.T) (*Conn, uint32) {
 	t.Helper()
-	mapCfg := skiphash.Config{Shards: 1}
-	m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, mapCfg)
+	mapCfg := skiphash.Config{}
+	m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, mapCfg)
 	t.Cleanup(m.Close)
 	reg, err := server.NewRegistry(server.RegistryConfig{Map: mapCfg})
 	if err != nil {

@@ -5,32 +5,20 @@
 //
 // # Construction
 //
-// There is one map type, Map (with its Handle and Txn), and two generic
-// entry points per shape — NewSharded for in-memory maps, OpenSharded
-// for durable ones (OpenSharded with a nil Config.Durability is exactly
-// NewSharded):
-//
-//	s := skiphash.NewSharded[string, string](skiphash.StringLess, skiphash.HashString,
-//	    skiphash.Config{Shards: 16})
-//
-// New and Open are the same constructors at one shard — the paper's
-// structure exactly — whatever Config.Shards says:
+// There is one map type, Map (with its Handle and Txn) — the paper's
+// structure exactly — and one generic entry point per job: New for
+// in-memory maps, Open for durable ones (Open with a nil
+// Config.Durability is exactly New):
 //
 //	m := skiphash.New[int64, string](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
 //	d, err := skiphash.Open[int64, string](skiphash.Int64Less, skiphash.Hash64,
 //	    skiphash.Config{Durability: &skiphash.Durability{Dir: dir}},
 //	    skiphash.Int64Codec(), skiphash.StringCodec())
 //
-// Sharded names the same type as Map. A directory written through Open
-// reopens through OpenSharded and back.
-//
-// less supplies the ordering, hash the distribution over shards (top
-// bits) and buckets (low bits); Int64Less/Hash64 and
-// StringLess/HashString are the stock pairs for the two key types the
-// repository exercises end to end.
-//
-// Config.Shards is fixed when the map is built; a durable map reopens
-// at any count — see the Resharding section below.
+// less supplies the ordering, hash the distribution over buckets;
+// Int64Less/Hash64 and StringLess/HashString are the stock pairs for the
+// two key types the repository exercises end to end. Sharded and
+// NewSharded are older names for Map and New.
 //
 // # Design
 //
@@ -84,31 +72,17 @@
 //	    return nil
 //	})
 //
-// # Sharding
+// # One structure
 //
-// For machines with many cores, NewSharded hash-partitions the map
-// across Config.Shards independent skip hashes (default: a power of two
-// derived from GOMAXPROCS), each a complete hash-index + skip list +
-// range-query coordinator, so point operations on different shards
-// share no cachelines. Ordered operations are k-way merged across
-// shards. All shards run on one STM runtime whose default monotonic
-// commit clock writes no shared memory, which keeps ranges, point
-// queries and Atomic batches fully linearizable across shards:
-//
-//	m := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64,
-//	    skiphash.Config{Shards: 16})
-//
-// # Resharding
-//
-// The shard count is fixed when the map is built; a durable map reopens
-// at any count. Map.Shards reports it. The write-ahead log records no
-// geometry, so changing a durable map's count is a close and a reopen
-// with another Config.Shards (skiphashd -shards across a restart).
+// The map is not partitioned: its O(1) point operations come from the
+// hash index, and its range scalability from the RQC. Every ordered
+// operation — an absent-key Ceil, Floor, Succ or Pred, a Range's start,
+// a fresh Insert — descends the one skip list once.
 //
 // # Durability and recovery
 //
-// Setting Config.Durability and constructing through Open (or
-// OpenSharded) makes the map persistent: every committed insert, remove
+// Setting Config.Durability and constructing through Open makes the map
+// persistent: every committed insert, remove
 // and Atomic batch is appended to a CRC-framed write-ahead log tagged
 // with its STM commit stamp — the paper's global-version clock gives
 // the log a total order for free — and background snapshots, taken in
@@ -127,9 +101,7 @@
 // the last snapshot or Sync). All policies flush and fsync on a clean
 // Close; Map.Sync forces durability on demand and Map.Snapshot writes a
 // snapshot now. Atomic batches are single log records: recovery sees a
-// batch entirely or not at all, including batches spanning shards. The
-// one log covers every shard whatever the geometry, so a map reopens at
-// whatever Config.Shards asks for.
+// batch entirely or not at all.
 //
 // Operations report their in-memory result; they cannot individually
 // report a durability failure (by the time the log is involved, the
@@ -151,7 +123,7 @@
 //
 // # Serving
 //
-// The map embeds; cmd/skiphashd serves. The daemon exposes a sharded
+// The map embeds; cmd/skiphashd serves. The daemon exposes a
 // (optionally durable) map over TCP or a unix socket speaking a
 // CRC-framed binary protocol (internal/wire), with pipelined requests
 // coalesced into atomic transactions at the server (internal/server);

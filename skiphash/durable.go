@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/persist"
-	"repro/internal/shard"
 	"repro/internal/stm"
 )
 
@@ -54,39 +53,25 @@ var ErrCorrupt = persist.ErrCorrupt
 // constructed without Config.Durability.
 var ErrNotDurable = core.ErrNotDurable
 
-// Open creates — or recovers — a durable skip hash at one shard: it is
-// OpenSharded with cfg.Shards ignored, over the same directory format,
-// so a directory written through either opens through the other.
-func Open[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg Config, keys Codec[K], vals Codec[V]) (*Map[K, V], error) {
-	cfg.Shards = 1
-	return OpenSharded[K, V](less, hash, cfg, keys, vals)
-}
-
-// OpenSharded creates — or recovers — a durable skip hash. With
-// cfg.Durability nil it is exactly NewSharded. Otherwise the
-// directory's newest valid snapshot and the write-ahead-log records its
-// chunks do not already reflect are folded in commit-stamp order
-// (tolerating a torn record at the tail of the newest segment, the
-// expected artifact of a crash mid-append; rejecting checksum corruption
-// with an error matching ErrCorrupt), the map is bulk-built from the
-// sorted result, the map's commit clock is floored above every
-// recovered stamp, and from then on every committed insert, remove and
-// atomic batch is logged with its commit stamp. Call Close to flush; see
-// Map.Snapshot, Map.Sync and Map.SimulateCrash for the rest of the
-// durability surface.
-//
-// All shards live in one commit-stamp domain, so one write-ahead log
-// under cfg.Durability.Dir orders every shard's operations globally and
-// a cross-shard atomic batch is a single log record — recovered
-// all-or-nothing even after a crash. The log does not record the shard
-// count: a directory reopens at whatever count cfg.Shards asks for.
+// Open creates — or recovers — a durable skip hash. With
+// cfg.Durability nil it is exactly New. Otherwise the directory's newest
+// valid snapshot and the write-ahead-log records its chunks do not
+// already reflect are folded in commit-stamp order (tolerating a torn
+// record at the tail of the newest segment, the expected artifact of a
+// crash mid-append; rejecting checksum corruption with an error matching
+// ErrCorrupt), the map is bulk-built from the sorted result, the map's
+// commit clock is floored above every recovered stamp, and from then on
+// every committed insert, remove and atomic batch is logged with its
+// commit stamp, a batch as a single record — recovered all-or-nothing
+// even after a crash. Call Close to flush; see Map.Snapshot, Map.Sync
+// and Map.SimulateCrash for the rest of the durability surface.
 //
 // A directory in the retired per-shard layout (a "shards" meta file and
 // shard-NNN subdirectories, one engine per shard) is refused with an
 // error naming it, and left untouched.
-func OpenSharded[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg Config, keys Codec[K], vals Codec[V]) (*Map[K, V], error) {
+func Open[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg Config, keys Codec[K], vals Codec[V]) (*Map[K, V], error) {
 	if cfg.Durability == nil {
-		return NewSharded[K, V](less, hash, cfg), nil
+		return New[K, V](less, hash, cfg), nil
 	}
 	if err := refuseRetiredLayout(cfg.Durability.Dir); err != nil {
 		return nil, err
@@ -102,21 +87,21 @@ func OpenSharded[K comparable, V any](less func(a, b K) bool, hash func(K) uint6
 	// Floor the clock above every recovered stamp, so post-restart
 	// commits extend the log's total order instead of rewinding it.
 	cfg.Clock = stm.NewFloorClock(clock, st.Recovered().MaxStamp)
-	s := shard.New[K, V](less, hash, cfg)
+	m := New[K, V](less, hash, cfg)
 	// Recovery hands the pairs back strictly ascending by less: bulk-build
 	// the still private map from them, before the logger and the
 	// snapshotter are attached.
 	pairs := st.TakeRecovered()
-	s.LoadSorted(func(yield func(K, V) bool) {
+	m.LoadSorted(func(yield func(K, V) bool) {
 		for _, kv := range pairs {
 			if !yield(kv.Key, kv.Val) {
 				return
 			}
 		}
 	})
-	s.AttachPersistence(st, st)
-	st.Start(snapshotSource(st, s.SnapshotChunks))
-	return s, nil
+	m.AttachPersistence(st, st)
+	st.Start(snapshotSource(st, m.SnapshotChunks))
+	return m, nil
 }
 
 // refuseRetiredLayout fails when dir holds the per-shard layout that

@@ -189,18 +189,17 @@ func TestDurableCrashAlwaysLosesNothing(t *testing.T) {
 	assertMatchesModel(t, m2, model, 128)
 }
 
-// TestDurableBatchAtomicity: atomic batches spanning shards are single
-// WAL records, so recovery — even from a torn tail — sees each batch
+// TestDurableBatchAtomicity: atomic batches are single WAL records, so recovery — even from a torn tail — sees each batch
 // entirely or not at all.
 func TestDurableBatchAtomicity(t *testing.T) {
 	dir := t.TempDir()
 	// FsyncNone with a fast write-out: records reach the file but stay
 	// unsynced, so the torn crash below has a real tail to cut (the tear
 	// is bounded by the fsync horizon).
-	cfg := skiphash.Config{Shards: 4, Durability: &skiphash.Durability{
+	cfg := skiphash.Config{Durability: &skiphash.Durability{
 		Dir: dir, Fsync: skiphash.FsyncNone, FsyncEvery: 2 * time.Millisecond,
 	}}
-	s, err := skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
+	s, err := skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +214,7 @@ func TestDurableBatchAtomicity(t *testing.T) {
 	}
 	st, ok := s.Persister().(*persist.Store[int64, int64])
 	if !ok {
-		t.Fatal("sharded persister is not the shared store")
+		t.Fatal("persister is not the store")
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -234,7 +233,7 @@ func TestDurableBatchAtomicity(t *testing.T) {
 	}
 	s.Close()
 
-	s2, err := skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
+	s2, err := skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
 	if err != nil {
 		t.Fatalf("recovery after torn crash: %v", err)
 	}
@@ -297,16 +296,14 @@ func TestDurabilitySurfaceOnPlainMaps(t *testing.T) {
 	if err := m.Sync(); !errors.Is(err, skiphash.ErrNotDurable) {
 		t.Fatalf("Sync on plain map: %v", err)
 	}
-	s := skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 2})
-	defer s.Close()
-	if err := s.Snapshot(); !errors.Is(err, skiphash.ErrNotDurable) {
-		t.Fatalf("Snapshot on plain sharded map: %v", err)
+	if err := m.SimulateCrash(); !errors.Is(err, skiphash.ErrNotDurable) {
+		t.Fatalf("SimulateCrash on plain map: %v", err)
 	}
 }
 
 // TestRetiredLayoutRefused: a directory in the per-shard layout that
 // isolated-shard maps used to write (a "shards" meta file and one engine
-// directory per shard) is refused by Open and OpenSharded with an error
+// directory per shard) is refused by Open with an error
 // naming the layout, and left byte-for-byte as it was — the single-log
 // engine would otherwise start a fresh log beside the old data and drop
 // it at its next snapshot.
@@ -326,27 +323,17 @@ func TestRetiredLayoutRefused(t *testing.T) {
 		}
 	}
 	before := dirListing(t, dir)
-	cfg := skiphash.Config{Shards: 4, Durability: &skiphash.Durability{Dir: dir}}
-	open := map[string]func() (*skiphash.Map[int64, int64], error){
-		"Open": func() (*skiphash.Map[int64, int64], error) {
-			return skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
-		},
-		"OpenSharded": func() (*skiphash.Map[int64, int64], error) {
-			return skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
-		},
+	cfg := skiphash.Config{Durability: &skiphash.Durability{Dir: dir}}
+	m, err := skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
+	if err == nil {
+		m.Close()
+		t.Fatal("Open opened a directory in the retired per-shard layout")
 	}
-	for name, fn := range open {
-		m, err := fn()
-		if err == nil {
-			m.Close()
-			t.Fatalf("%s opened a directory in the retired per-shard layout", name)
-		}
-		if !strings.Contains(err.Error(), "per-shard") || !strings.Contains(err.Error(), "shard-000/") {
-			t.Fatalf("%s: error %q does not name the retired layout", name, err)
-		}
-		if after := dirListing(t, dir); after != before {
-			t.Fatalf("%s touched the directory:\nbefore:\n%s\nafter:\n%s", name, before, after)
-		}
+	if !strings.Contains(err.Error(), "per-shard") || !strings.Contains(err.Error(), "shard-000/") {
+		t.Fatalf("error %q does not name the retired layout", err)
+	}
+	if after := dirListing(t, dir); after != before {
+		t.Fatalf("Open touched the directory:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
 }
 

@@ -13,10 +13,8 @@ import (
 // and drives the same interleaving over the replayed nodes. Every read
 // — before and after recovery — is checked against a model, so the fast
 // path's validation protocol is fuzzed over node/index states produced
-// both by live transactions and by the recovery path's bulk build. The
-// reopen runs at one shard, or at four when the input has an odd length
-// (its last byte belongs to no opcode pair), and a full Range right
-// after it checks the bulk-built level links and the shard routing.
+// both by live transactions and by the recovery path's bulk build. A
+// full Range right after the reopen checks the bulk-built level links.
 func FuzzDurableReplayReads(f *testing.F) {
 	// Seeds interleave reads (odd opcodes) between writes, with duplicate
 	// and boundary keys, and a write-after-read tail that the replay must
@@ -87,11 +85,7 @@ func FuzzDurableReplayReads(f *testing.F) {
 		// Recover by WAL replay and re-run the interleaving over the
 		// replayed state; the model carries across, so the first reads
 		// check recovery itself.
-		cfg.Shards = 1
-		if len(data)%2 == 1 {
-			cfg.Shards = 4
-		}
-		m, err = skiphash.OpenSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
+		m, err = skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}
@@ -103,11 +97,11 @@ func FuzzDurableReplayReads(f *testing.F) {
 		slices.Sort(want)
 		got := m.Range(math.MinInt64, math.MaxInt64, nil)
 		if len(got) != len(want) {
-			t.Fatalf("after replay at %d shards: full Range has %d pairs, want %d", cfg.Shards, len(got), len(want))
+			t.Fatalf("after replay: full Range has %d pairs, want %d", len(got), len(want))
 		}
 		for i, p := range got {
 			if p.Key != want[i] || p.Val != model[p.Key] {
-				t.Fatalf("after replay at %d shards: Range[%d] = %d:%d, want %d:%d", cfg.Shards, i, p.Key, p.Val, want[i], model[want[i]])
+				t.Fatalf("after replay: Range[%d] = %d:%d, want %d:%d", i, p.Key, p.Val, want[i], model[want[i]])
 			}
 		}
 		for k, want := range model {

@@ -2,27 +2,24 @@ package skiphash
 
 import (
 	"repro/internal/core"
-	"repro/internal/shard"
 	"repro/internal/thashmap"
 )
 
-// Map is a concurrent ordered map, hash-partitioned across one or more
-// skip hash shards. All methods are safe for concurrent use;
-// per-goroutine Handles avoid the small cost of borrowing pooled state.
-// New and Open build it at one shard — the paper's structure exactly;
-// the shard count is fixed at construction. See the package
-// documentation for the design and the sharding and consistency model.
-type Map[K comparable, V any] = shard.Sharded[K, V]
+// Map is a concurrent ordered map: one skip hash, the paper's structure
+// exactly. All methods are safe for concurrent use; per-goroutine
+// Handles avoid the small cost of borrowing pooled state. See the
+// package documentation for the design and the consistency model.
+type Map[K comparable, V any] = core.Map[K, V]
 
 // Handle is a per-goroutine context over a Map. Handles are not safe for
 // concurrent use; create one per worker with Map.NewHandle. A handle
 // holds nothing its map needs back, so it needs no Close.
-type Handle[K comparable, V any] = shard.Handle[K, V]
+type Handle[K comparable, V any] = core.Handle[K, V]
 
 // Txn is the transactional view of a Map inside Map.Atomic or
 // Handle.Atomic: every operation performed through it commits or rolls
-// back atomically with the rest, whichever shards its keys live on.
-type Txn[K comparable, V any] = shard.Txn[K, V]
+// back atomically with the rest.
+type Txn[K comparable, V any] = core.Txn[K, V]
 
 // Pair is a key/value pair produced by Range.
 type Pair[K comparable, V any] = core.Pair[K, V]
@@ -44,13 +41,11 @@ type RangeStats = core.RangeStats
 type MaintenanceStats = core.MaintenanceStats
 
 // New creates a skip hash for any key type: less supplies the ordering,
-// hash the distribution over buckets. It is NewSharded at one shard
-// (cfg.Shards is ignored). New and Open, plus their spelled-out Sharded
-// forms, are the package's construction surface; see the package
-// documentation's Construction section.
+// hash the distribution over buckets. New and Open are the package's
+// construction surface; see the package documentation's Construction
+// section.
 func New[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg Config) *Map[K, V] {
-	cfg.Shards = 1
-	return NewSharded[K, V](less, hash, cfg)
+	return core.New[K, V](less, hash, cfg)
 }
 
 // Int64Less is the natural int64 ordering, the stock less function for
@@ -66,9 +61,8 @@ func StringLess(a, b string) bool { return a < b }
 func Hash64(k int64) uint64 { return thashmap.Hash64(k) }
 
 // HashString hashes a string key: FNV-1a over the bytes followed by a
-// splitmix64-style finalizer, so both the top bits (shard routing) and
-// the low bits (bucket selection) are well mixed even for short or
-// shared-prefix keys.
+// splitmix64-style finalizer, so every bit, the low ones that select a
+// bucket included, is well mixed even for short or shared-prefix keys.
 func HashString(s string) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -87,14 +81,12 @@ func HashString(s string) uint64 {
 	return h
 }
 
-// Sharded is Map under the name that spells out its general form; the
-// two are one type.
-type Sharded[K comparable, V any] = shard.Sharded[K, V]
+// Sharded is Map under an older name. It stays until a change to
+// benchmark/ retires it.
+type Sharded[K comparable, V any] = Map[K, V]
 
-// NewSharded creates a skip hash for any key type: less supplies the
-// ordering, hash the distribution over shards (top bits) and buckets
-// (low bits), cfg.Shards the partition count, fixed for the map's life
-// (zero derives it from GOMAXPROCS).
+// NewSharded is New under an older name. It stays until a change to
+// benchmark/ retires it.
 func NewSharded[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg Config) *Map[K, V] {
-	return shard.New[K, V](less, hash, cfg)
+	return New[K, V](less, hash, cfg)
 }

@@ -11,8 +11,7 @@ import (
 	"repro/skiphash"
 )
 
-// adapter exposes a skip hash — one shard or several, on the shared
-// runtime — through the shared conformance interface.
+// adapter exposes a skip hash through the shared conformance interface.
 type adapter struct {
 	m *skiphash.Map[int64, int64]
 }
@@ -41,8 +40,7 @@ func (a adapter) CheckIdle() error {
 // Close exposes the map's teardown to the churn component.
 func (a adapter) Close() { a.m.Close() }
 
-// Batch applies steps as one Atomic transaction, across shards when
-// there are several; the body tolerates
+// Batch applies steps as one Atomic transaction; the body tolerates
 // re-execution because each attempt overwrites the step outputs.
 func (a adapter) Batch(steps []linearize.Step) {
 	_ = a.m.Atomic(func(op *skiphash.Txn[int64, int64]) error {
@@ -84,14 +82,13 @@ func TestConformanceTransactionalDescent(t *testing.T) {
 }
 
 // TestConformanceUnbufferedRemovals runs the suite where removals are
-// deferred most: a four-shard map whose every range takes the slow
-// path, so a removal behind a cross-shard range lands on the deferred
-// list of the op that range registered on the removal's shard, and is
-// unstitched when the range finishes.
+// deferred most: a map whose every range takes the slow path, so a
+// removal behind a range lands on the deferred list of the op that range
+// registered, and is unstitched when the range finishes.
 func TestConformanceUnbufferedRemovals(t *testing.T) {
 	maptest.RunAll(t, func() maptest.OrderedMap {
-		return adapter{m: skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64,
-			skiphash.Config{Shards: 4, Buckets: 4096, SlowOnly: true})}
+		return adapter{m: skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64,
+			skiphash.Config{Buckets: 4096, SlowOnly: true})}
 	})
 }
 
@@ -160,22 +157,23 @@ func TestAdaptiveRangeConfig(t *testing.T) {
 	maptest.RunAll(t, factory(skiphash.Config{Adaptive: true, AdaptiveSkip: 4}))
 }
 
+// TestConformanceSharded runs the suite on the map NewSharded builds,
+// which is New's.
 func TestConformanceSharded(t *testing.T) {
 	maptest.RunAll(t, func() maptest.OrderedMap {
-		return adapter{m: skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 4, Buckets: 4096})}
+		return adapter{m: skiphash.NewSharded[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Buckets: 4096})}
 	})
 }
 
 func ExampleNewSharded() {
-	m := skiphash.NewSharded[int64, string](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Shards: 4, Buckets: 1024})
+	m := skiphash.NewSharded[int64, string](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Buckets: 1024})
 	m.Insert(3, "three")
 	m.Insert(1, "one")
 	m.Insert(2, "two")
-	// Ranges merge the shards back into key order.
 	for _, p := range m.Range(1, 3, nil) {
 		fmt.Println(p.Key, p.Val)
 	}
-	// Batches span shards atomically on the default shared runtime.
+	// A batch commits or rolls back as a whole.
 	_ = m.Atomic(func(op *skiphash.Txn[int64, string]) error {
 		op.Remove(1)
 		op.Insert(4, "four")
