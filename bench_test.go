@@ -75,7 +75,6 @@ func BenchmarkFig6(b *testing.B) {
 		{Name: "skiphash-two-path", New: func() bench.Map { return bench.NewSkipHash("two-path", 0) }},
 		{Name: "skiphash-fast-only", New: func() bench.Map { return bench.NewSkipHash("fast", 0) }},
 		{Name: "skiphash-slow-only", New: func() bench.Map { return bench.NewSkipHash("slow", 0) }},
-		{Name: "skiphash-adaptive", New: func() bench.Map { return bench.NewSkipHash("adaptive", 0) }},
 		{Name: "skiplist-bundled", New: func() bench.Map { return bench.NewBundleSkip("hwclock") }},
 		{Name: "skiplist-vcas", New: func() bench.Map { return bench.NewVcasSkip("hwclock") }},
 	}
@@ -142,20 +141,18 @@ func BenchmarkAblationClock(b *testing.B) {
 	} {
 		b.Run("clock="+clk.name, func(b *testing.B) {
 			m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Clock: clk.mk()})
-			pre := m.NewHandle()
 			for k := int64(0); k < benchUniverse; k += 2 {
-				pre.Insert(k, k)
+				m.Insert(k, k)
 			}
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				h := m.NewHandle()
 				rng := rand.New(rand.NewPCG(rand.Uint64(), 0x99))
 				for pb.Next() {
 					k := int64(rng.Uint64() % benchUniverse)
 					if rng.Uint64()&1 == 0 {
-						h.Insert(k, k)
+						m.Insert(k, k)
 					} else {
-						h.Remove(k)
+						m.Remove(k)
 					}
 				}
 			})

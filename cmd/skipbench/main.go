@@ -8,7 +8,7 @@
 //	skipbench fig5 -mix a..f   # Figure 5: throughput vs thread count
 //	skipbench fig6             # Figure 6: split roles vs range length
 //	skipbench table1           # Table 1: fast-path aborts per query
-//	skipbench churn            # handle-churn windows: range throughput over time
+//	skipbench churn            # churn windows: range throughput over time
 //	skipbench persist          # durability overhead: WAL off vs fsync policies
 //	skipbench read             # read fast path: optimistic Get vs transactional Get
 //	skipbench repl             # replication: primary reads vs barriered replica fan-out

@@ -169,8 +169,6 @@ func (c *crashRun) alwaysCycle(m *skiphash.Map[int64, int64], cycle int, clean b
 		go func(w int, wseed uint64) {
 			defer wg.Done()
 			wrng := rand.New(rand.NewPCG(wseed, uint64(w)))
-			h := m.NewHandle()
-			defer h.Close()
 			for i := 0; i < opsPerWorker; i++ {
 				k := (int64(wrng.Uint64()%uint64(universe))/int64(threads))*int64(threads) + int64(w)
 				if k >= universe {
@@ -181,11 +179,11 @@ func (c *crashRun) alwaysCycle(m *skiphash.Map[int64, int64], cycle int, clean b
 				}
 				v := int64(cycle*1_000_000 + i)
 				if wrng.Uint64()&1 == 0 {
-					if h.Insert(k, v) {
+					if m.Insert(k, v) {
 						shadow[k] = shadowCell{v: v, ok: true}
 					}
 				} else {
-					if h.Remove(k) {
+					if m.Remove(k) {
 						shadow[k] = shadowCell{}
 					}
 				}

@@ -218,7 +218,6 @@ func main() {
 		wg.Add(1)
 		go func(worker uint64) {
 			defer wg.Done()
-			h := m.NewHandle()
 			rng := rand.New(rand.NewPCG(*seed, worker^0x5eed))
 			var buf []skiphash.Pair[int64, int64]
 			for {
@@ -231,21 +230,21 @@ func main() {
 					k := int64(rng.Uint64() % uint64(*universe))
 					switch rng.Uint64() % 8 {
 					case 0, 1, 2:
-						if h.Insert(k, k) {
+						if m.Insert(k, k) {
 							perKey[k].Add(1)
 						}
 					case 3, 4, 5:
-						if h.Remove(k) {
+						if m.Remove(k) {
 							perKey[k].Add(-1)
 						}
 					case 6:
-						if v, ok := h.Lookup(k); ok && v != k {
+						if v, ok := m.Lookup(k); ok && v != k {
 							if failures.Add(1) <= maxFailurePrints {
 								fmt.Fprintf(os.Stderr, "FAIL: Lookup(%d) = %d\n", k, v)
 							}
 						}
 					case 7:
-						buf = h.Range(k, k+*rangeLen, buf[:0])
+						buf = m.Range(k, k+*rangeLen, buf[:0])
 						last := int64(-1)
 						for _, p := range buf {
 							if p.Key < k || p.Key > k+*rangeLen || p.Key <= last || p.Val != p.Key {
@@ -316,8 +315,8 @@ type checked struct {
 	unknowns int
 }
 
-// checkOptions is the standard checker workload. Point queries run
-// only against maps that implement them (the in-process ones).
+// checkOptions is the standard checker workload. Point queries and
+// Puts run only against maps that implement them (the in-process ones).
 func checkOptions(clients int, lookupPct int) maptest.WorkloadOptions {
 	return maptest.WorkloadOptions{
 		Clients:      clients,
@@ -327,6 +326,7 @@ func checkOptions(clients int, lookupPct int) maptest.WorkloadOptions {
 		Ranges:       true,
 		Batches:      true,
 		LookupPct:    lookupPct,
+		PutPct:       10,
 	}
 }
 

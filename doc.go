@@ -9,7 +9,7 @@
 // ordered by the STM's commit stamps, clock-consistent background
 // snapshots, and crash recovery with torn-tail tolerance and checksum
 // rejection. The experiment drivers in cmd/skipbench regenerate every
-// figure and table of the paper's evaluation plus the handle-churn
+// figure and table of the paper's evaluation plus the churn
 // series, and the durability-overhead table; cmd/skipstress
 // -crash audits kill/recover cycles against a shadow model. See
 // README.md for the package map and quickstart.

@@ -40,7 +40,6 @@ func main() {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
-			h := ledger.NewHandle()
 			rng := rand.New(rand.NewPCG(seed, 0xabc))
 			for {
 				select {
@@ -54,7 +53,7 @@ func main() {
 					continue
 				}
 				qty := int64(rng.Uint64()%50) + 1
-				err := h.Atomic(func(op *skiphash.Txn[int64, int64]) error {
+				err := ledger.Atomic(func(op *skiphash.Txn[int64, int64]) error {
 					fromQty, ok := op.Lookup(from)
 					if !ok || fromQty < qty {
 						return nil // not enough stock; commit as no-op
@@ -80,7 +79,6 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			h := ledger.NewHandle()
 			var buf []skiphash.Pair[int64, int64]
 			for {
 				select {
@@ -88,7 +86,7 @@ func main() {
 					return
 				default:
 				}
-				buf = h.Range(0, locations, buf[:0])
+				buf = ledger.Range(0, locations, buf[:0])
 				var sum int64
 				for _, p := range buf {
 					sum += p.Val

@@ -129,7 +129,6 @@ func main() {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		h := b.bids.NewHandle()
 		var buf []skiphash.Pair[int64, int64]
 		for {
 			select {
@@ -137,7 +136,7 @@ func main() {
 				return
 			default:
 			}
-			buf = h.Range(midPrice-100, midPrice, buf[:0])
+			buf = b.bids.Range(midPrice-100, midPrice, buf[:0])
 			snapshots.Add(1)
 			for i := 1; i < len(buf); i++ {
 				if buf[i].Key <= buf[i-1].Key {

@@ -32,7 +32,6 @@ func main() {
 		wg.Add(1)
 		go func(sensor int64) {
 			defer wg.Done()
-			h := store.NewHandle()
 			rng := rand.New(rand.NewPCG(uint64(sensor), 7))
 			for {
 				select {
@@ -42,7 +41,7 @@ func main() {
 				}
 				ts := now()*10 + sensor // interleave sensors in key space
 				reading := 1000 + int64(rng.Uint64()%100)
-				if h.Insert(ts, reading) {
+				if store.Insert(ts, reading) {
 					written.Add(1)
 				}
 			}
@@ -53,7 +52,6 @@ func main() {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		h := store.NewHandle()
 		var buf []skiphash.Pair[int64, int64]
 		for {
 			select {
@@ -63,7 +61,7 @@ func main() {
 			}
 			hi := now() * 10
 			lo := hi - 10*time.Millisecond.Nanoseconds()*10
-			buf = h.Range(lo, hi, buf[:0])
+			buf = store.Range(lo, hi, buf[:0])
 			if len(buf) == 0 {
 				continue
 			}
@@ -88,7 +86,6 @@ func main() {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		h := store.NewHandle()
 		for {
 			select {
 			case <-done:
@@ -97,11 +94,11 @@ func main() {
 			}
 			cutoff := (now() - 50*time.Millisecond.Nanoseconds()) * 10
 			for {
-				k, _, ok := h.Pred(cutoff)
+				k, _, ok := store.Pred(cutoff)
 				if !ok {
 					break
 				}
-				if h.Remove(k) {
+				if store.Remove(k) {
 					evicted.Add(1)
 				}
 			}

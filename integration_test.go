@@ -22,7 +22,7 @@ func TestDifferentialSequential(t *testing.T) {
 		bench.NewSkipHash("two-path", 1021),
 		bench.NewSkipHash("fast", 1021),
 		bench.NewSkipHash("slow", 1021),
-		bench.NewSkipHash("adaptive", 1021),
+		bench.NewSkipHash("txread", 1021),
 		bench.NewVcasBST("hwclock"),
 		bench.NewVcasSkip("hwclock"),
 		bench.NewBundleSkip("hwclock"),

@@ -58,9 +58,8 @@ type SkipHash struct {
 }
 
 // NewSkipHash builds the skip hash series: mode is "two-path", "fast",
-// "slow" (the paper's three variants), "adaptive" (this repo's
-// extension), or "txread" (the read-fast-path ablation: every point read
-// runs the full STM transaction). buckets of 0 selects the paper's table
+// "slow" (the paper's three variants), or "txread" (the read-fast-path
+// ablation: every point read runs the full STM transaction). buckets of 0 selects the paper's table
 // size.
 func NewSkipHash(mode string, buckets int) *SkipHash {
 	if buckets == 0 {
@@ -75,9 +74,6 @@ func NewSkipHash(mode string, buckets int) *SkipHash {
 	case "slow":
 		cfg.SlowOnly = true
 		name = "skiphash-slow-only"
-	case "adaptive":
-		cfg.Adaptive = true
-		name = "skiphash-adaptive"
 	case "txread":
 		cfg.DisableReadFastPath = true
 		name = "skiphash-txread"
@@ -102,22 +98,24 @@ func (s *SkipHash) STMStats() stm.Stats { return s.m.STMStats() }
 
 // NewWorker implements Map.
 func (s *SkipHash) NewWorker() Worker {
-	return &skipHashWorker{h: s.m.NewHandle()}
+	return &skipHashWorker{m: s.m}
 }
 
+// skipHashWorker drives the map from one goroutine, reusing its range
+// buffer across queries.
 type skipHashWorker struct {
-	h   *skiphash.Handle[int64, int64]
+	m   *skiphash.Map[int64, int64]
 	buf []skiphash.Pair[int64, int64]
 }
 
 func (w *skipHashWorker) Lookup(k int64) bool {
-	_, ok := w.h.Lookup(k)
+	_, ok := w.m.Lookup(k)
 	return ok
 }
-func (w *skipHashWorker) Insert(k, v int64) bool { return w.h.Insert(k, v) }
-func (w *skipHashWorker) Remove(k int64) bool    { return w.h.Remove(k) }
+func (w *skipHashWorker) Insert(k, v int64) bool { return w.m.Insert(k, v) }
+func (w *skipHashWorker) Remove(k int64) bool    { return w.m.Remove(k) }
 func (w *skipHashWorker) Range(l, r int64) int {
-	w.buf = w.h.Range(l, r, w.buf[:0])
+	w.buf = w.m.Range(l, r, w.buf[:0])
 	return len(w.buf)
 }
 

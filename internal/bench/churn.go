@@ -13,9 +13,8 @@ import (
 )
 
 // This file is the long-running churn experiment behind reclamation:
-// sustained remove/insert cycles through the pooled convenience paths,
-// with explicit handles created and closed throughout, while dedicated
-// goroutines measure range throughput in consecutive windows. A removal
+// sustained remove/insert cycles through the map's methods, while
+// dedicated goroutines measure range throughput in consecutive windows. A removal
 // that stranded its node stitched-but-deleted would grow the level-0
 // chain without bound and make range throughput decay window over
 // window; with every removal unstitching at commit (or through an
@@ -40,16 +39,10 @@ func liveBacklog(stitched, live int) int {
 	return stitched - live
 }
 
-// handleTurnoverOps is how many operations each explicit handle performs
-// before the worker closes it and opens a fresh one, exercising
-// NewHandle/Close churn alongside the pooled convenience traffic.
-const handleTurnoverOps = 256
-
-// Churn runs the handle-churn experiment: for each subject,
-// opts.Threads/2 (min 1) updater goroutines run remove/insert cycles —
-// through the pooled convenience methods, and periodically through
-// short-lived explicit handles — while the same number of range
-// goroutines measure range throughput, reported per window of
+// Churn runs the churn experiment: for each subject, opts.Threads/2
+// (min 1) updater goroutines run remove/insert cycles while the same
+// number of range goroutines measure range throughput, reported per
+// window of
 // opts.Duration. A healthy reclamation path shows a flat range series
 // and a bounded backlog; a leak shows monotonic decay and a backlog
 // growing with every window.
@@ -92,44 +85,20 @@ func churnOne(w io.Writer, sub *churnSubject, half, windows int, universe, range
 		go func(id uint64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewPCG(seed+id, 0xabc1))
-			var h *skiphash.Handle[int64, int64]
-			hOps := 0
 			for {
 				select {
 				case <-stop:
-					if h != nil {
-						h.Close()
-					}
 					return
 				default:
 				}
 				for i := 0; i < 64; i++ {
 					k := int64(rng.Uint64() % uint64(universe))
-					if h == nil {
-						// Convenience path: pooled handles.
-						if rng.Uint64()&1 == 0 {
-							sub.m.Remove(k)
-						} else {
-							sub.m.Insert(k, k)
-						}
+					if rng.Uint64()&1 == 0 {
+						sub.m.Remove(k)
 					} else {
-						if rng.Uint64()&1 == 0 {
-							h.Remove(k)
-						} else {
-							h.Insert(k, k)
-						}
-						hOps++
+						sub.m.Insert(k, k)
 					}
 					updates.Add(1)
-				}
-				// Handle turnover: alternate between pooled convenience
-				// traffic and short-lived explicit handles.
-				if h == nil && rng.Uint64()%8 == 0 {
-					h = sub.m.NewHandle()
-					hOps = 0
-				} else if h != nil && hOps >= handleTurnoverOps {
-					h.Close()
-					h = nil
 				}
 			}
 		}(uint64(t) + 1)

@@ -36,7 +36,7 @@ type durableSkipHash struct {
 
 func (s *durableSkipHash) Name() string        { return "skiphash-durable" }
 func (s *durableSkipHash) SupportsRange() bool { return true }
-func (s *durableSkipHash) NewWorker() Worker   { return &skipHashWorker{h: s.m.NewHandle()} }
+func (s *durableSkipHash) NewWorker() Worker   { return &skipHashWorker{m: s.m} }
 
 // PersistWorkload is the write-heavy mix the overhead target is defined
 // on: 98% updates, 1% lookups, 1% ranges (Figure 5's mix f), which

@@ -14,9 +14,8 @@ const benchUniverse = 1 << 16
 func newBenchMap(b *testing.B, cfg Config) *Map[int64, int64] {
 	b.Helper()
 	m := New[int64, int64](lessInt64, thashmap.Hash64, cfg)
-	h := m.NewHandle()
 	for k := int64(0); k < benchUniverse; k += 2 {
-		h.Insert(k, k)
+		m.Insert(k, k)
 	}
 	b.ResetTimer()
 	return m
@@ -25,10 +24,9 @@ func newBenchMap(b *testing.B, cfg Config) *Map[int64, int64] {
 func BenchmarkLookupHit(b *testing.B) {
 	m := newBenchMap(b, Config{})
 	b.RunParallel(func(pb *testing.PB) {
-		h := m.NewHandle()
 		rng := rand.New(rand.NewPCG(rand.Uint64(), 1))
 		for pb.Next() {
-			h.Lookup(int64(rng.Uint64()%benchUniverse) &^ 1)
+			m.Lookup(int64(rng.Uint64()%benchUniverse) &^ 1)
 		}
 	})
 }
@@ -36,10 +34,9 @@ func BenchmarkLookupHit(b *testing.B) {
 func BenchmarkLookupMiss(b *testing.B) {
 	m := newBenchMap(b, Config{})
 	b.RunParallel(func(pb *testing.PB) {
-		h := m.NewHandle()
 		rng := rand.New(rand.NewPCG(rand.Uint64(), 2))
 		for pb.Next() {
-			h.Lookup(int64(rng.Uint64()%benchUniverse) | 1)
+			m.Lookup(int64(rng.Uint64()%benchUniverse) | 1)
 		}
 	})
 }
@@ -47,14 +44,13 @@ func BenchmarkLookupMiss(b *testing.B) {
 func BenchmarkInsertRemove(b *testing.B) {
 	m := newBenchMap(b, Config{})
 	b.RunParallel(func(pb *testing.PB) {
-		h := m.NewHandle()
 		rng := rand.New(rand.NewPCG(rand.Uint64(), 3))
 		for pb.Next() {
 			k := int64(rng.Uint64() % benchUniverse)
 			if rng.Uint64()&1 == 0 {
-				h.Insert(k, k)
+				m.Insert(k, k)
 			} else {
-				h.Remove(k)
+				m.Remove(k)
 			}
 		}
 	})
@@ -64,10 +60,9 @@ func BenchmarkCeilAbsent(b *testing.B) {
 	// Absent-key point queries pay the O(log n) tower descent.
 	m := newBenchMap(b, Config{})
 	b.RunParallel(func(pb *testing.PB) {
-		h := m.NewHandle()
 		rng := rand.New(rand.NewPCG(rand.Uint64(), 4))
 		for pb.Next() {
-			h.Ceil(int64(rng.Uint64()%benchUniverse) | 1)
+			m.Ceil(int64(rng.Uint64()%benchUniverse) | 1)
 		}
 	})
 }
@@ -100,9 +95,8 @@ func BenchmarkRange100Loaded(b *testing.B) {
 	})
 	b.Run("grown", func(b *testing.B) {
 		m := New[int64, int64](lessInt64, thashmap.Hash64, Config{})
-		h := m.NewHandle()
 		for _, i := range rand.Perm(len(keys)) {
-			h.Insert(keys[i], keys[i])
+			m.Insert(keys[i], keys[i])
 		}
 		b.ResetTimer()
 		benchRange100(b, m)
@@ -111,12 +105,11 @@ func BenchmarkRange100Loaded(b *testing.B) {
 
 func benchRange100(b *testing.B, m *Map[int64, int64]) {
 	b.RunParallel(func(pb *testing.PB) {
-		h := m.NewHandle()
 		rng := rand.New(rand.NewPCG(rand.Uint64(), 5))
 		var buf []Pair[int64, int64]
 		for pb.Next() {
 			l := int64(rng.Uint64() % benchUniverse)
-			buf = h.Range(l, l+100, buf[:0])
+			buf = m.Range(l, l+100, buf[:0])
 		}
 	})
 }
@@ -124,12 +117,11 @@ func benchRange100(b *testing.B, m *Map[int64, int64]) {
 func BenchmarkRangeSlowPath(b *testing.B) {
 	m := newBenchMap(b, Config{SlowOnly: true})
 	b.RunParallel(func(pb *testing.PB) {
-		h := m.NewHandle()
 		rng := rand.New(rand.NewPCG(rand.Uint64(), 6))
 		var buf []Pair[int64, int64]
 		for pb.Next() {
 			l := int64(rng.Uint64() % benchUniverse)
-			buf = h.Range(l, l+100, buf[:0])
+			buf = m.Range(l, l+100, buf[:0])
 		}
 	})
 }
@@ -138,11 +130,10 @@ func BenchmarkAtomicPairToggle(b *testing.B) {
 	// The batch API's cost: two lookups + two updates in one tx.
 	m := newBenchMap(b, Config{})
 	b.RunParallel(func(pb *testing.PB) {
-		h := m.NewHandle()
 		rng := rand.New(rand.NewPCG(rand.Uint64(), 7))
 		for pb.Next() {
 			k := int64(rng.Uint64() % (benchUniverse / 2))
-			_ = h.Atomic(func(op *Txn[int64, int64]) error {
+			_ = m.Atomic(func(op *Txn[int64, int64]) error {
 				if op.Contains(k) {
 					op.Remove(k)
 					op.Insert(k+benchUniverse/2, k)
@@ -164,9 +155,8 @@ func BenchmarkAtomicPairToggle(b *testing.B) {
 func BenchmarkAtomicInsertRun(b *testing.B) {
 	const universe, run, workers = 1 << 17, 64, 2
 	m := New[int64, int64](lessInt64, thashmap.Hash64, Config{})
-	h := m.NewHandle()
 	for k := int64(0); k < universe; k += 2 {
-		h.Insert(k, k)
+		m.Insert(k, k)
 	}
 	before := m.Runtime().Stats()
 	b.ResetTimer()
@@ -179,8 +169,6 @@ func BenchmarkAtomicInsertRun(b *testing.B) {
 		wg.Add(1)
 		go func(seed uint64, n int) {
 			defer wg.Done()
-			h := m.NewHandle()
-			defer h.Close()
 			rng := rand.New(rand.NewPCG(seed, 9))
 			keys := make([]int64, run)
 			inserted := make([]int64, 0, run)
@@ -188,7 +176,7 @@ func BenchmarkAtomicInsertRun(b *testing.B) {
 				for j := range keys {
 					keys[j] = int64(rng.Uint64() % universe)
 				}
-				_ = h.Atomic(func(op *Txn[int64, int64]) error {
+				_ = m.Atomic(func(op *Txn[int64, int64]) error {
 					inserted = inserted[:0]
 					for _, k := range keys {
 						if op.Insert(k, k) {
@@ -213,10 +201,9 @@ func BenchmarkAtomicInsertRun(b *testing.B) {
 
 func BenchmarkAscend(b *testing.B) {
 	m := newBenchMap(b, Config{})
-	h := m.NewHandle()
 	for i := 0; i < b.N; i++ {
 		count := 0
-		h.AscendFrom(0, func(k, v int64) bool {
+		m.AscendFrom(0, func(k, v int64) bool {
 			count++
 			return count < 1024
 		})
@@ -271,11 +258,9 @@ func BenchmarkLookupLoad(b *testing.B) {
 			nodes float64
 		}{{"hit", 0, perHit}, {"miss", 1, perMiss}} {
 			b.Run(fmt.Sprintf("buckets=%d/%s", buckets, c.name), func(b *testing.B) {
-				h := m.NewHandle()
-				defer h.Close()
 				rng := rand.New(rand.NewPCG(uint64(buckets), 8))
 				for i := 0; i < b.N; i++ {
-					if _, ok := h.Lookup(int64(rng.Uint64()%universe)&^1 | c.odd); ok == (c.odd == 1) {
+					if _, ok := m.Lookup(int64(rng.Uint64()%universe)&^1 | c.odd); ok == (c.odd == 1) {
 						b.Fatal("lookup answered the wrong way")
 					}
 				}

@@ -16,14 +16,12 @@ func TestMaxLevelBounds(t *testing.T) {
 		if got := m.Config().MaxLevel; got != c.want {
 			t.Errorf("MaxLevel %d: map built with %d, want %d", c.cfg, got, c.want)
 		}
-		h := m.NewHandle()
 		for k := int64(0); k < 2000; k++ {
-			h.Insert(k*7%2000, k)
+			m.Insert(k*7%2000, k)
 		}
 		for k := int64(0); k < 2000; k += 3 {
-			h.Remove(k)
+			m.Remove(k)
 		}
-		h.Close()
 		if err := m.CheckInvariants(CheckOptions{}); err != nil {
 			t.Errorf("MaxLevel %d: %v", c.cfg, err)
 		}
@@ -47,11 +45,9 @@ func TestMaxLevelBounds(t *testing.T) {
 // level-0 height histogram, can notice it is missing where it belongs.
 func TestCheckInvariantsCatchesUnlinkedLevel(t *testing.T) {
 	m := newTestMap(t, Config{})
-	h := m.NewHandle()
 	for k := int64(0); k < 1000; k++ {
-		h.Insert(k, k)
+		m.Insert(k, k)
 	}
-	h.Close()
 	if err := m.CheckInvariants(CheckOptions{}); err != nil {
 		t.Fatal(err)
 	}

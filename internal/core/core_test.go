@@ -23,26 +23,25 @@ func newTestMap(t *testing.T, cfg Config) *Map[int64, int64] {
 
 func TestBasicOperations(t *testing.T) {
 	m := newTestMap(t, Config{})
-	h := m.NewHandle()
-	if _, ok := h.Lookup(7); ok {
+	if _, ok := m.Lookup(7); ok {
 		t.Error("Lookup on empty map reported present")
 	}
-	if !h.Insert(7, 70) {
+	if !m.Insert(7, 70) {
 		t.Error("Insert of absent key failed")
 	}
-	if h.Insert(7, 71) {
+	if m.Insert(7, 71) {
 		t.Error("Insert of present key succeeded")
 	}
-	if v, ok := h.Lookup(7); !ok || v != 70 {
+	if v, ok := m.Lookup(7); !ok || v != 70 {
 		t.Errorf("Lookup(7) = %d,%v want 70,true", v, ok)
 	}
-	if !h.Contains(7) {
+	if !m.Contains(7) {
 		t.Error("Contains(7) = false")
 	}
-	if !h.Remove(7) {
+	if !m.Remove(7) {
 		t.Error("Remove of present key failed")
 	}
-	if h.Remove(7) {
+	if m.Remove(7) {
 		t.Error("Remove of absent key succeeded")
 	}
 	if err := m.CheckInvariants(CheckOptions{}); err != nil {
@@ -52,14 +51,13 @@ func TestBasicOperations(t *testing.T) {
 
 func TestPutReplaces(t *testing.T) {
 	m := newTestMap(t, Config{})
-	h := m.NewHandle()
-	if h.Put(1, 10) {
+	if m.Put(1, 10) {
 		t.Error("first Put reported replacement")
 	}
-	if !h.Put(1, 20) {
+	if !m.Put(1, 20) {
 		t.Error("second Put did not report replacement")
 	}
-	if v, _ := h.Lookup(1); v != 20 {
+	if v, _ := m.Lookup(1); v != 20 {
 		t.Errorf("value after Put = %d, want 20", v)
 	}
 	if err := m.CheckInvariants(CheckOptions{}); err != nil {
@@ -69,9 +67,8 @@ func TestPutReplaces(t *testing.T) {
 
 func TestPointQueries(t *testing.T) {
 	m := newTestMap(t, Config{})
-	h := m.NewHandle()
 	for _, k := range []int64{10, 20, 30} {
-		h.Insert(k, k*2)
+		m.Insert(k, k*2)
 	}
 	tests := []struct {
 		name string
@@ -80,19 +77,19 @@ func TestPointQueries(t *testing.T) {
 		want int64
 		ok   bool
 	}{
-		{"ceil present O(1)", h.Ceil, 20, 20, true},
-		{"ceil between", h.Ceil, 11, 20, true},
-		{"ceil below all", h.Ceil, 1, 10, true},
-		{"ceil above all", h.Ceil, 31, 0, false},
-		{"succ present O(1)", h.Succ, 20, 30, true},
-		{"succ between", h.Succ, 11, 20, true},
-		{"succ of last", h.Succ, 30, 0, false},
-		{"floor present O(1)", h.Floor, 20, 20, true},
-		{"floor between", h.Floor, 29, 20, true},
-		{"floor below all", h.Floor, 1, 0, false},
-		{"pred present O(1)", h.Pred, 20, 10, true},
-		{"pred between", h.Pred, 29, 20, true},
-		{"pred of first", h.Pred, 10, 0, false},
+		{"ceil present O(1)", m.Ceil, 20, 20, true},
+		{"ceil between", m.Ceil, 11, 20, true},
+		{"ceil below all", m.Ceil, 1, 10, true},
+		{"ceil above all", m.Ceil, 31, 0, false},
+		{"succ present O(1)", m.Succ, 20, 30, true},
+		{"succ between", m.Succ, 11, 20, true},
+		{"succ of last", m.Succ, 30, 0, false},
+		{"floor present O(1)", m.Floor, 20, 20, true},
+		{"floor between", m.Floor, 29, 20, true},
+		{"floor below all", m.Floor, 1, 0, false},
+		{"pred present O(1)", m.Pred, 20, 10, true},
+		{"pred between", m.Pred, 29, 20, true},
+		{"pred of first", m.Pred, 10, 0, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -111,9 +108,8 @@ func TestPointQueriesSkipDeleted(t *testing.T) {
 	// Logically deleted nodes may linger in the list while a slow-path
 	// range query is active; point queries must never return them.
 	m := newTestMap(t, Config{SlowOnly: true})
-	h := m.NewHandle()
 	for _, k := range []int64{10, 20, 30} {
-		h.Insert(k, k)
+		m.Insert(k, k)
 	}
 	// Start a slow-path range query "by hand" so removals are deferred.
 	var op *rangeOp[int64, int64]
@@ -121,23 +117,23 @@ func TestPointQueriesSkipDeleted(t *testing.T) {
 		op = m.rqc.onRange(tx)
 		return nil
 	})
-	h.Remove(20)
+	m.Remove(20)
 	if m.StitchedSlow() != 3 {
 		t.Fatalf("expected deferred node to stay stitched, have %d nodes", m.StitchedSlow())
 	}
-	if k, _, ok := h.Ceil(15); !ok || k != 30 {
+	if k, _, ok := m.Ceil(15); !ok || k != 30 {
 		t.Errorf("Ceil(15) = %d,%v want 30,true (deleted 20 skipped)", k, ok)
 	}
-	if k, _, ok := h.Succ(10); !ok || k != 30 {
+	if k, _, ok := m.Succ(10); !ok || k != 30 {
 		t.Errorf("Succ(10) = %d,%v want 30,true", k, ok)
 	}
-	if k, _, ok := h.Floor(25); !ok || k != 10 {
+	if k, _, ok := m.Floor(25); !ok || k != 10 {
 		t.Errorf("Floor(25) = %d,%v want 10,true", k, ok)
 	}
-	if k, _, ok := h.Pred(30); !ok || k != 10 {
+	if k, _, ok := m.Pred(30); !ok || k != 10 {
 		t.Errorf("Pred(30) = %d,%v want 10,true", k, ok)
 	}
-	if _, ok := h.Lookup(20); ok {
+	if _, ok := m.Lookup(20); ok {
 		t.Error("Lookup(20) found logically deleted node")
 	}
 	m.rqc.afterRange(m, op)
@@ -154,18 +150,17 @@ func TestInsertAfterLogicalDelete(t *testing.T) {
 	// re-inserting it must produce a fresh live node placed after the
 	// deleted one, and lookups must see the new value.
 	m := newTestMap(t, Config{SlowOnly: true})
-	h := m.NewHandle()
-	h.Insert(5, 50)
+	m.Insert(5, 50)
 	var op *rangeOp[int64, int64]
 	_ = m.rt.Atomic(func(tx *stm.Tx) error {
 		op = m.rqc.onRange(tx)
 		return nil
 	})
-	h.Remove(5)
-	if !h.Insert(5, 51) {
+	m.Remove(5)
+	if !m.Insert(5, 51) {
 		t.Fatal("re-insert after logical delete failed")
 	}
-	if v, ok := h.Lookup(5); !ok || v != 51 {
+	if v, ok := m.Lookup(5); !ok || v != 51 {
 		t.Errorf("Lookup(5) = %d,%v want 51,true", v, ok)
 	}
 	if got := m.StitchedSlow(); got != 2 {
@@ -190,11 +185,10 @@ func TestRangeBasic(t *testing.T) {
 		{SlowOnly: true}, // slow only
 	} {
 		m := newTestMap(t, cfg)
-		h := m.NewHandle()
 		for k := int64(0); k < 100; k += 2 {
-			h.Insert(k, k*10)
+			m.Insert(k, k*10)
 		}
-		got := h.Range(10, 20, nil)
+		got := m.Range(10, 20, nil)
 		want := []int64{10, 12, 14, 16, 18, 20}
 		if len(got) != len(want) {
 			t.Fatalf("cfg %+v: Range(10,20) returned %d pairs, want %d", cfg, len(got), len(want))
@@ -204,10 +198,10 @@ func TestRangeBasic(t *testing.T) {
 				t.Errorf("pair %d = %+v, want {%d %d}", i, p, want[i], want[i]*10)
 			}
 		}
-		if got := h.Range(1, 1, nil); len(got) != 0 {
+		if got := m.Range(1, 1, nil); len(got) != 0 {
 			t.Errorf("empty Range returned %v", got)
 		}
-		if got := h.Range(200, 300, nil); len(got) != 0 {
+		if got := m.Range(200, 300, nil); len(got) != 0 {
 			t.Errorf("out-of-universe Range returned %v", got)
 		}
 	}
@@ -215,14 +209,13 @@ func TestRangeBasic(t *testing.T) {
 
 func TestQuickVersusModel(t *testing.T) {
 	m := newTestMap(t, Config{Buckets: 31, MaxLevel: 4})
-	h := m.NewHandle()
 	model := make(map[int64]int64)
 	f := func(ops []uint16) bool {
 		for _, op := range ops {
 			k := int64(op % 48)
 			switch (op / 48) % 5 {
 			case 0:
-				got := h.Insert(k, k*7)
+				got := m.Insert(k, k*7)
 				_, present := model[k]
 				if got == present {
 					return false
@@ -231,33 +224,33 @@ func TestQuickVersusModel(t *testing.T) {
 					model[k] = k * 7
 				}
 			case 1:
-				got := h.Remove(k)
+				got := m.Remove(k)
 				_, present := model[k]
 				if got != present {
 					return false
 				}
 				delete(model, k)
 			case 2:
-				v, ok := h.Lookup(k)
+				v, ok := m.Lookup(k)
 				mv, present := model[k]
 				if ok != present || (ok && v != mv) {
 					return false
 				}
 			case 3:
-				gk, _, ok := h.Ceil(k)
+				gk, _, ok := m.Ceil(k)
 				wk, wok := modelCeil(model, k)
 				if ok != wok || (ok && gk != wk) {
 					return false
 				}
 			case 4:
-				gk, _, ok := h.Pred(k)
+				gk, _, ok := m.Pred(k)
 				wk, wok := modelPred(model, k)
 				if ok != wok || (ok && gk != wk) {
 					return false
 				}
 			}
 		}
-		got := h.Range(0, 47, nil)
+		got := m.Range(0, 47, nil)
 		keys := sortedKeys(model)
 		if len(got) != len(keys) {
 			return false
@@ -305,7 +298,6 @@ func sortedKeys(model map[int64]int64) []int64 {
 
 func TestAtomicBatch(t *testing.T) {
 	m := newTestMap(t, Config{})
-	h := m.NewHandle()
 	err := m.Atomic(func(op *Txn[int64, int64]) error {
 		op.Insert(1, 1)
 		op.Insert(2, 2)
@@ -317,7 +309,7 @@ func TestAtomicBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !h.Contains(1) || !h.Contains(2) {
+	if !m.Contains(1) || !m.Contains(2) {
 		t.Error("batch insert lost keys")
 	}
 	// Rollback on error must undo everything.
@@ -330,10 +322,10 @@ func TestAtomicBatch(t *testing.T) {
 	if err != rollbackErr {
 		t.Fatalf("error = %v, want sentinel", err)
 	}
-	if !h.Contains(1) {
+	if !m.Contains(1) {
 		t.Error("rollback lost key 1")
 	}
-	if h.Contains(3) {
+	if m.Contains(3) {
 		t.Error("rollback leaked key 3")
 	}
 	if err := m.CheckInvariants(CheckOptions{}); err != nil {
@@ -348,19 +340,14 @@ func (errSentinel) Error() string { return "sentinel" }
 func runChaos(t *testing.T, cfg Config, goroutines, iters int, universe int64, rangeLen int64) *Map[int64, int64] {
 	t.Helper()
 	m := newTestMap(t, cfg)
-	hs := make([]*Handle[int64, int64], goroutines)
-	for i := range hs {
-		hs[i] = m.NewHandle()
-	}
 	// Prefill half the universe.
-	pre := m.NewHandle()
 	for k := int64(0); k < universe; k += 2 {
-		pre.Insert(k, k)
+		m.Insert(k, k)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func(h *Handle[int64, int64], seed uint64) {
+		go func(seed uint64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewPCG(seed, seed^0xabcdef))
 			var buf []Pair[int64, int64]
@@ -368,16 +355,16 @@ func runChaos(t *testing.T, cfg Config, goroutines, iters int, universe int64, r
 				k := int64(rng.Uint64() % uint64(universe))
 				switch rng.Uint64() % 10 {
 				case 0, 1, 2:
-					h.Insert(k, k)
+					m.Insert(k, k)
 				case 3, 4, 5:
-					h.Remove(k)
+					m.Remove(k)
 				case 6, 7:
-					if v, ok := h.Lookup(k); ok && v != k {
+					if v, ok := m.Lookup(k); ok && v != k {
 						t.Errorf("Lookup(%d) = %d", k, v)
 					}
 				case 8:
 					r := k + rangeLen
-					buf = h.Range(k, r, buf[:0])
+					buf = m.Range(k, r, buf[:0])
 					last := int64(-1)
 					for _, p := range buf {
 						if p.Key < k || p.Key > r {
@@ -392,12 +379,12 @@ func runChaos(t *testing.T, cfg Config, goroutines, iters int, universe int64, r
 						last = p.Key
 					}
 				case 9:
-					if ck, _, ok := h.Ceil(k); ok && ck < k {
+					if ck, _, ok := m.Ceil(k); ok && ck < k {
 						t.Errorf("Ceil(%d) = %d < k", k, ck)
 					}
 				}
 			}
-		}(hs[g], uint64(g)+1)
+		}(uint64(g) + 1)
 	}
 	wg.Wait()
 	return m
@@ -445,10 +432,9 @@ func TestPairInvariantUnderRanges(t *testing.T) {
 		cfg := cfg
 		m := newTestMap(t, cfg)
 		const half = 64
-		seed := m.NewHandle()
 		for k := int64(0); k < half; k += 2 {
-			seed.Insert(k, k)
-			seed.Insert(k+half, k)
+			m.Insert(k, k)
+			m.Insert(k+half, k)
 		}
 		stop := make(chan struct{})
 		var writers sync.WaitGroup
@@ -456,11 +442,10 @@ func TestPairInvariantUnderRanges(t *testing.T) {
 			writers.Add(1)
 			go func(s uint64) {
 				defer writers.Done()
-				h := m.NewHandle()
 				rng := rand.New(rand.NewPCG(s, s^0x5555))
 				for i := 0; i < 1200; i++ {
 					k := int64(rng.Uint64() % half)
-					_ = h.Atomic(func(op *Txn[int64, int64]) error {
+					_ = m.Atomic(func(op *Txn[int64, int64]) error {
 						if op.Contains(k) {
 							op.Remove(k)
 							op.Remove(k + half)
@@ -478,7 +463,6 @@ func TestPairInvariantUnderRanges(t *testing.T) {
 			readers.Add(1)
 			go func() {
 				defer readers.Done()
-				h := m.NewHandle()
 				var buf []Pair[int64, int64]
 				for {
 					select {
@@ -486,7 +470,7 @@ func TestPairInvariantUnderRanges(t *testing.T) {
 						return
 					default:
 					}
-					buf = h.Range(0, 2*half, buf[:0])
+					buf = m.Range(0, 2*half, buf[:0])
 					seen := make(map[int64]bool, len(buf))
 					for _, p := range buf {
 						seen[p.Key] = true
@@ -523,17 +507,16 @@ func TestPerKeyLinearization(t *testing.T) {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
-			h := m.NewHandle()
 			var li, lr [keys]int64
 			rng := rand.New(rand.NewPCG(seed, seed))
 			for i := 0; i < 2000; i++ {
 				k := int64(rng.Uint64() % keys)
 				if rng.Uint64()&1 == 0 {
-					if h.Insert(k, k) {
+					if m.Insert(k, k) {
 						li[k]++
 					}
 				} else {
-					if h.Remove(k) {
+					if m.Remove(k) {
 						lr[k]++
 					}
 				}
@@ -547,9 +530,8 @@ func TestPerKeyLinearization(t *testing.T) {
 		}(uint64(g) + 3)
 	}
 	wg.Wait()
-	h := m.NewHandle()
 	for k := int64(0); k < keys; k++ {
-		_, present := h.Lookup(k)
+		_, present := m.Lookup(k)
 		balance := inserts[k] - removes[k]
 		want := int64(0)
 		if present {
@@ -570,27 +552,25 @@ func TestDeferredReclamationDrains(t *testing.T) {
 	// logically deleted node may remain stitched.
 	m := newTestMap(t, Config{SlowOnly: true})
 	const universe = 256
-	seedH := m.NewHandle()
 	for k := int64(0); k < universe; k++ {
-		seedH.Insert(k, k)
+		m.Insert(k, k)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
-			h := m.NewHandle()
 			rng := rand.New(rand.NewPCG(seed, seed^0x77))
 			var buf []Pair[int64, int64]
 			for i := 0; i < 800; i++ {
 				k := int64(rng.Uint64() % universe)
 				switch rng.Uint64() % 3 {
 				case 0:
-					h.Remove(k)
+					m.Remove(k)
 				case 1:
-					h.Insert(k, k)
+					m.Insert(k, k)
 				case 2:
-					buf = h.Range(k, k+64, buf[:0])
+					buf = m.Range(k, k+64, buf[:0])
 				}
 			}
 		}(uint64(g) + 19)
@@ -606,13 +586,12 @@ func TestDeferredReclamationDrains(t *testing.T) {
 
 func TestRangeStatsAccounting(t *testing.T) {
 	m := newTestMap(t, Config{})
-	h := m.NewHandle()
 	for k := int64(0); k < 64; k++ {
-		h.Insert(k, k)
+		m.Insert(k, k)
 	}
 	before := m.RangeStats()
 	for i := 0; i < 10; i++ {
-		h.Range(0, 63, nil)
+		m.Range(0, 63, nil)
 	}
 	s := m.RangeStats().Sub(before)
 	if s.FastCommits+s.SlowCommits != 10 {

@@ -33,10 +33,8 @@ func holdTx(t *testing.T, m *Map[int64, int64], held, key int64, body func(op *T
 	resume := make(chan struct{})
 	done := make(chan error)
 	go func() {
-		h := m.NewHandle()
-		defer h.Close()
 		var once sync.Once
-		done <- h.Atomic(func(op *Txn[int64, int64]) error {
+		done <- m.Atomic(func(op *Txn[int64, int64]) error {
 			body(op)
 			once.Do(func() { close(holding) })
 			<-resume
@@ -52,22 +50,28 @@ func holdTx(t *testing.T, m *Map[int64, int64], held, key int64, body func(op *T
 	}
 }
 
-// onNextDescent installs a descent hook that fires once: it copies the
-// predecessors the raw descent recorded into h.preds, then calls fn.
-// The returned function reports the copy and removes the hook.
-func onNextDescent(t *testing.T, h *Handle[int64, int64], fn func()) (recorded func() []*node[int64, int64]) {
+// onNextDescent installs a descent hook that fires once for the next
+// raw descent: it keeps the predecessors the descent recorded, then
+// calls fn. It also keeps the predecessors of the first findPreds that
+// follows, which runs only when the check of the recorded pairs fails.
+// The returned function reports both, nil for a search that did not
+// run, and removes the hook.
+func onNextDescent(t *testing.T, fn func()) (recorded func() (raw, fallback []*node[int64, int64])) {
 	t.Cleanup(func() { setDescentHook(nil) })
-	var once sync.Once
-	var preds []*node[int64, int64]
-	setDescentHook(func() {
-		once.Do(func() {
-			preds = append(preds, h.preds...)
+	var raw, fallback []*node[int64, int64]
+	setDescentHook(func(preds any, isFallback bool) {
+		p := preds.([]*node[int64, int64])
+		switch {
+		case !isFallback && raw == nil:
+			raw = p
 			fn()
-		})
+		case isFallback && raw != nil && fallback == nil:
+			fallback = p
+		}
 	})
-	return func() []*node[int64, int64] {
+	return func() ([]*node[int64, int64], []*node[int64, int64]) {
 		setDescentHook(nil)
-		return preds
+		return raw, fallback
 	}
 }
 
@@ -105,27 +109,27 @@ func checkClean(t *testing.T, m *Map[int64, int64], want ...int64) {
 // descent saw writes that then roll back. Each case holds a concurrent
 // transaction open across the descent, rolls it back from the descent
 // hook, and asserts the insert's result, that findPreds rewrote the
-// predecessor the descent recorded at the failing level (bracketsTx
-// leaves h.preds as recorded), and a clean CheckInvariants.
+// predecessor the descent recorded at the failing level, and a clean
+// CheckInvariants.
 func TestDescentFallback(t *testing.T) {
 	// (a) Key 20's removal is in flight, so the descent records 10 as
 	// 25's level-0 predecessor; the rollback puts 20 back between 10 and
 	// 30, and the pair (10, 20) no longer brackets 25: !before(s, k).
 	t.Run("a/level0", func(t *testing.T) {
 		m := newDescentMap(t, 1)
-		h := m.NewHandle()
 		for _, k := range []int64{10, 20, 30} {
-			h.Insert(k, k)
+			m.Insert(k, k)
 		}
 		release := holdTx(t, m, 20, 25, func(op *Txn[int64, int64]) { op.Remove(20) })
-		recorded := onNextDescent(t, h, release)
-		if !h.Insert(25, 25) {
+		recorded := onNextDescent(t, release)
+		if !m.Insert(25, 25) {
 			t.Fatal("Insert(25) reported the key present")
 		}
-		if got := recorded(); got == nil || got[0] != rawNode(m, 10) {
+		got, fallback := recorded()
+		if got == nil || got[0] != rawNode(m, 10) {
 			t.Fatalf("descent recorded %v at level 0, want key 10", got)
 		}
-		if h.preds[0] != rawNode(m, 20) {
+		if fallback == nil || fallback[0] != rawNode(m, 20) {
 			t.Fatal("fallback did not run: level-0 predecessor is not key 20")
 		}
 		checkClean(t, m, 10, 20, 25, 30)
@@ -133,14 +137,15 @@ func TestDescentFallback(t *testing.T) {
 		// A query checks the same level-0 pair: Ceil(22) must not answer
 		// 20, which orders before it.
 		release = holdTx(t, m, 20, 22, func(op *Txn[int64, int64]) { op.Remove(20) })
-		recorded = onNextDescent(t, h, release)
-		if k, _, ok := h.Ceil(22); !ok || k != 25 {
+		recorded = onNextDescent(t, release)
+		if k, _, ok := m.Ceil(22); !ok || k != 25 {
 			t.Fatalf("Ceil(22) = %d, %v, want 25", k, ok)
 		}
-		if got := recorded(); got == nil || got[0] != rawNode(m, 10) {
+		got, fallback = recorded()
+		if got == nil || got[0] != rawNode(m, 10) {
 			t.Fatalf("descent recorded %v at level 0, want key 10", got)
 		}
-		if h.preds[0] != rawNode(m, 20) {
+		if fallback == nil || fallback[0] != rawNode(m, 20) {
 			t.Fatal("fallback did not run: Ceil's level-0 predecessor is not key 20")
 		}
 		checkClean(t, m, 10, 20, 25, 30)
@@ -154,10 +159,9 @@ func TestDescentFallback(t *testing.T) {
 	t.Run("b/level1", func(t *testing.T) {
 		for trial := 0; trial < 200; trial++ {
 			m := newDescentMap(t, 2)
-			h := m.NewHandle()
 			var keys []int64
 			for k := int64(10); k <= 400; k += 10 {
-				h.Insert(k, k)
+				m.Insert(k, k)
 				keys = append(keys, k)
 			}
 			var x, y *node[int64, int64]
@@ -172,11 +176,11 @@ func TestDescentFallback(t *testing.T) {
 			}
 			k := y.key + 5
 			release := holdTx(t, m, x.key, k, func(op *Txn[int64, int64]) { op.Remove(x.key) })
-			recorded := onNextDescent(t, h, release)
-			if !h.Insert(k, k) {
+			recorded := onNextDescent(t, release)
+			if !m.Insert(k, k) {
 				t.Fatalf("Insert(%d) reported the key present", k)
 			}
-			got := recorded()
+			got, fallback := recorded()
 			keys = append(keys, k)
 			slices.Sort(keys)
 			checkClean(t, m, keys...)
@@ -186,7 +190,7 @@ func TestDescentFallback(t *testing.T) {
 			if got == nil || got[0] != y || got[1] == x {
 				t.Fatalf("descent recorded %v, want y at level 0 and not x at level 1", got)
 			}
-			if h.preds[1] != x {
+			if fallback == nil || fallback[1] != x {
 				t.Fatal("fallback did not run: level-1 predecessor is not x")
 			}
 			return
@@ -200,19 +204,19 @@ func TestDescentFallback(t *testing.T) {
 	// names 30, but 30's prev is 10: s.prev(l) == p fails.
 	t.Run("c/unlinkedPred", func(t *testing.T) {
 		m := newDescentMap(t, 1)
-		h := m.NewHandle()
 		for _, k := range []int64{10, 30} {
-			h.Insert(k, k)
+			m.Insert(k, k)
 		}
 		release := holdTx(t, m, 20, 25, func(op *Txn[int64, int64]) { op.Insert(20, 20) })
-		recorded := onNextDescent(t, h, release)
-		if !h.Insert(25, 25) {
+		recorded := onNextDescent(t, release)
+		if !m.Insert(25, 25) {
 			t.Fatal("Insert(25) reported the key present")
 		}
-		if got := recorded(); got == nil || got[0].key != 20 {
+		got, fallback := recorded()
+		if got == nil || got[0].key != 20 {
 			t.Fatalf("descent recorded %v at level 0, want key 20", got)
 		}
-		if h.preds[0] != rawNode(m, 10) {
+		if fallback == nil || fallback[0] != rawNode(m, 10) {
 			t.Fatal("fallback did not run: level-0 predecessor is not key 10")
 		}
 		checkClean(t, m, 10, 25, 30)
@@ -230,7 +234,11 @@ func TestOneDescentPerOrderedOp(t *testing.T) {
 		m.Insert(k, k)
 	}
 	descents := 0
-	setDescentHook(func() { descents++ })
+	setDescentHook(func(_ any, fallback bool) {
+		if !fallback {
+			descents++
+		}
+	})
 	t.Cleanup(func() { setDescentHook(nil) })
 	wantKey := func(op string, want int64) func(int64, int64, bool) {
 		return func(k, _ int64, ok bool) {

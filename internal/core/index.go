@@ -40,8 +40,11 @@ func newIndex[K comparable, V any](hash func(K) uint64, nBuckets int) index[K, V
 	return index[K, V]{hash: hash, buckets: make([]indexBucket[K, V], nBuckets)}
 }
 
-func (ix *index[K, V]) bucketFor(k K) *indexBucket[K, V] {
-	return &ix.buckets[ix.hash(k)%uint64(len(ix.buckets))]
+func (ix *index[K, V]) bucketFor(k K) *indexBucket[K, V] { return ix.bucketAt(ix.hash(k)) }
+
+// bucketAt returns the bucket of a key whose hash is hk.
+func (ix *index[K, V]) bucketAt(hk uint64) *indexBucket[K, V] {
+	return &ix.buckets[hk%uint64(len(ix.buckets))]
 }
 
 // getTx returns the node indexed under k, or nil if k is absent.
@@ -138,12 +141,12 @@ func (ix *index[K, V]) insertTx(tx *stm.Tx, n *node[K, V]) {
 	b.head.Store(tx, &b.orec, n)
 }
 
-// removeTx unlinks the node indexed under k and returns it, or nil if k
-// is absent. The removed node keeps its hnext: a concurrent fast walk
-// standing on it continues into the rest of the chain and is discarded
-// by its revalidation.
-func (ix *index[K, V]) removeTx(tx *stm.Tx, k K) *node[K, V] {
-	b := ix.bucketFor(k)
+// removeTx unlinks the node indexed under k, whose hash is hk, and
+// returns it, or nil if k is absent. The removed node keeps its hnext:
+// a concurrent fast walk standing on it continues into the rest of the
+// chain and is discarded by its revalidation.
+func (ix *index[K, V]) removeTx(tx *stm.Tx, k K, hk uint64) *node[K, V] {
+	b := ix.bucketAt(hk)
 	var prev *node[K, V]
 	for n := b.head.Load(tx, &b.orec); n != nil; n = n.hnext.Load(tx, &b.orec) {
 		if n.key == k {

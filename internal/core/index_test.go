@@ -50,10 +50,10 @@ func TestIndexBasic(t *testing.T) {
 		if got := ix.getTx(tx, 1); got != a {
 			t.Errorf("getTx = %p, want %p", got, a)
 		}
-		if got := ix.removeTx(tx, 1); got != a {
+		if got := ix.removeTx(tx, 1, ix.hash(1)); got != a {
 			t.Errorf("removeTx of present key = %p, want %p", got, a)
 		}
-		if got := ix.removeTx(tx, 1); got != nil {
+		if got := ix.removeTx(tx, 1, ix.hash(1)); got != nil {
 			t.Errorf("removeTx of absent key = %p, want nil", got)
 		}
 		return nil
@@ -97,7 +97,7 @@ func TestIndexChainRemoval(t *testing.T) {
 	for _, k := range []int64{2, 4, 0} {
 		var got *node[int64, int64]
 		_ = rt.Atomic(func(tx *stm.Tx) error {
-			got = ix.removeTx(tx, k)
+			got = ix.removeTx(tx, k, ix.hash(k))
 			return nil
 		})
 		if got == nil || got.key != k {
@@ -212,7 +212,7 @@ func TestIndexFastHookForcedInvalidation(t *testing.T) {
 	setFastWalkHook(func() {
 		fired++
 		_ = rt.Atomic(func(tx *stm.Tx) error {
-			ix.removeTx(tx, 1)
+			ix.removeTx(tx, 1, ix.hash(1))
 			ix.insertTx(tx, b)
 			return nil
 		})
@@ -265,7 +265,7 @@ var errInjected = errors.New("injected abort")
 func abortRemove(t *testing.T, rt *stm.Runtime, ix *index[int64, int64], k int64) {
 	t.Helper()
 	if err := rt.Atomic(func(tx *stm.Tx) error {
-		if ix.removeTx(tx, k) == nil {
+		if ix.removeTx(tx, k, ix.hash(k)) == nil {
 			t.Errorf("removeTx(%d) found nothing to remove", k)
 		}
 		return errInjected
@@ -315,7 +315,7 @@ func TestIndexFastCommitAfterAbortInvalidates(t *testing.T) {
 		fired++
 		abortRemove(t, rt, ix, 1)
 		if err := rt.Atomic(func(tx *stm.Tx) error {
-			if ix.removeTx(tx, 1) == nil {
+			if ix.removeTx(tx, 1, ix.hash(1)) == nil {
 				t.Error("committing txn found key 1 missing (abort undo lost the node)")
 			}
 			ix.insertTx(tx, b)
@@ -358,11 +358,9 @@ func TestChainDepths(t *testing.T) {
 		{2 * n, 1, 0},
 	} {
 		m := New[int64, int64](lessInt64, func(k int64) uint64 { return uint64(k) }, Config{Buckets: c.buckets})
-		h := m.NewHandle()
 		for k := int64(0); k < n; k++ {
-			h.Insert(k, k)
+			m.Insert(k, k)
 		}
-		h.Close()
 		if hit, miss := chainDepths(m, absent); hit != c.perHit || miss != c.perMiss {
 			t.Errorf("%d buckets: %.2f nodes per hit, %.2f per miss; want %.2f and %.2f",
 				c.buckets, hit, miss, c.perHit, c.perMiss)

@@ -18,18 +18,17 @@ const iterChunk = 64
 // the iterators of java.util.concurrent maps. For a fully atomic ordered
 // scan over a bounded window use Range; composed with other operations,
 // use Txn.Range.
-func (h *Handle[K, V]) AscendFrom(from K, fn func(k K, v V) bool) {
-	h.ascend(&from, fn)
+func (m *Map[K, V]) AscendFrom(from K, fn func(k K, v V) bool) {
+	m.walkUp(&from, fn)
 }
 
 // Ascend visits every pair in ascending key order until fn returns
 // false; see AscendFrom for the consistency contract.
-func (h *Handle[K, V]) Ascend(fn func(k K, v V) bool) {
-	h.ascend(nil, fn)
+func (m *Map[K, V]) Ascend(fn func(k K, v V) bool) {
+	m.walkUp(nil, fn)
 }
 
-func (h *Handle[K, V]) ascend(from *K, fn func(k K, v V) bool) {
-	m := h.m
+func (m *Map[K, V]) walkUp(from *K, fn func(k K, v V) bool) {
 	var cursor K
 	haveCursor := false
 	if from != nil {
@@ -46,7 +45,7 @@ func (h *Handle[K, V]) ascend(from *K, fn func(k K, v V) bool) {
 			if !haveCursor {
 				c = m.head.next0.Load(tx, &m.head.orec)
 			} else {
-				c = m.ceilNodeTx(tx, h, cursor)
+				c = m.ceilNodeTx(tx, cursor)
 				if !inclusive && c != m.tail && !m.less(cursor, c.key) {
 					c = c.next0.Load(tx, &c.orec)
 				}
@@ -77,18 +76,17 @@ func (h *Handle[K, V]) ascend(from *K, fn func(k K, v V) bool) {
 // fn returns false; the consistency contract matches AscendFrom. This is
 // a dividend of the skip hash's double-linking: singly linked lock-free
 // skip lists cannot iterate backward at all.
-func (h *Handle[K, V]) DescendFrom(from K, fn func(k K, v V) bool) {
-	h.descend(&from, fn)
+func (m *Map[K, V]) DescendFrom(from K, fn func(k K, v V) bool) {
+	m.walkDown(&from, fn)
 }
 
 // Descend visits every pair in descending key order until fn returns
 // false; see DescendFrom.
-func (h *Handle[K, V]) Descend(fn func(k K, v V) bool) {
-	h.descend(nil, fn)
+func (m *Map[K, V]) Descend(fn func(k K, v V) bool) {
+	m.walkDown(nil, fn)
 }
 
-func (h *Handle[K, V]) descend(from *K, fn func(k K, v V) bool) {
-	m := h.m
+func (m *Map[K, V]) walkDown(from *K, fn func(k K, v V) bool) {
 	var cursor K
 	haveCursor := false
 	if from != nil {
@@ -108,11 +106,11 @@ func (h *Handle[K, V]) descend(from *K, fn func(k K, v V) bool) {
 				// First node > cursor, then one step back: the last
 				// node with key <= cursor (possibly deleted; the walk
 				// below skips those).
-				first := m.seekTx(tx, h, cursor, m.nodeBeforeOrAt, nil)
+				first := m.seekTx(tx, cursor, m.nodeBeforeOrAt, nil)
 				c = first.prev0.Load(tx, &first.orec)
 			} else {
 				// First node >= cursor, then back: last node < cursor.
-				first := m.seekTx(tx, h, cursor, m.nodeBefore, nil)
+				first := m.seekTx(tx, cursor, m.nodeBefore, nil)
 				c = first.prev0.Load(tx, &first.orec)
 			}
 			for c != m.head && len(buf) < iterChunk {
@@ -141,36 +139,8 @@ func (h *Handle[K, V]) descend(from *K, fn func(k K, v V) bool) {
 // key order, for use with range-over-func:
 //
 //	for k, v := range m.All() { ... }
-func (m *Map[K, V]) All() iter.Seq2[K, V] {
-	return func(yield func(K, V) bool) {
-		h := m.borrow()
-		defer m.release(h)
-		h.Ascend(yield)
-	}
-}
-
-// AscendFrom visits pairs with key >= from using a pooled handle; see
-// Handle.AscendFrom.
-func (m *Map[K, V]) AscendFrom(from K, fn func(k K, v V) bool) {
-	h := m.borrow()
-	defer m.release(h)
-	h.AscendFrom(from, fn)
-}
+func (m *Map[K, V]) All() iter.Seq2[K, V] { return m.Ascend }
 
 // Backward returns a weakly consistent iterator over every pair in
 // descending key order.
-func (m *Map[K, V]) Backward() iter.Seq2[K, V] {
-	return func(yield func(K, V) bool) {
-		h := m.borrow()
-		defer m.release(h)
-		h.Descend(yield)
-	}
-}
-
-// DescendFrom visits pairs with key <= from using a pooled handle; see
-// Handle.DescendFrom.
-func (m *Map[K, V]) DescendFrom(from K, fn func(k K, v V) bool) {
-	h := m.borrow()
-	defer m.release(h)
-	h.DescendFrom(from, fn)
-}
+func (m *Map[K, V]) Backward() iter.Seq2[K, V] { return m.Descend }

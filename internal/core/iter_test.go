@@ -8,10 +8,9 @@ import (
 
 func TestAscendVisitsAllInOrder(t *testing.T) {
 	m := newTestMap(t, Config{})
-	h := m.NewHandle()
 	const n = 200 // spans several chunks
 	for k := int64(0); k < n; k++ {
-		h.Insert(k, k*2)
+		m.Insert(k, k*2)
 	}
 	var got []int64
 	m.AscendFrom(0, func(k, v int64) bool {
@@ -33,9 +32,8 @@ func TestAscendVisitsAllInOrder(t *testing.T) {
 
 func TestAscendFromMidAndEarlyStop(t *testing.T) {
 	m := newTestMap(t, Config{})
-	h := m.NewHandle()
 	for k := int64(0); k < 100; k += 2 {
-		h.Insert(k, k)
+		m.Insert(k, k)
 	}
 	var got []int64
 	m.AscendFrom(31, func(k, v int64) bool {
@@ -55,9 +53,8 @@ func TestAscendFromMidAndEarlyStop(t *testing.T) {
 
 func TestAllRangeOverFunc(t *testing.T) {
 	m := newTestMap(t, Config{})
-	h := m.NewHandle()
 	for k := int64(5); k > 0; k-- {
-		h.Insert(k, k)
+		m.Insert(k, k)
 	}
 	var sum int64
 	for k, v := range m.All() {
@@ -86,15 +83,14 @@ func TestAscendEmptyMap(t *testing.T) {
 func TestAscendSkipsDeletedChunkBoundaries(t *testing.T) {
 	// Delete a stretch wider than a chunk; iteration must jump it.
 	m := newTestMap(t, Config{})
-	h := m.NewHandle()
 	for k := int64(0); k < 300; k++ {
-		h.Insert(k, k)
+		m.Insert(k, k)
 	}
 	// A slow range in flight keeps the removed nodes stitched.
 	op := startRange(m)
 	defer m.rqc.afterRange(m, op)
 	for k := int64(60); k < 200; k++ {
-		h.Remove(k)
+		m.Remove(k)
 	}
 	count := 0
 	last := int64(-1)
@@ -118,10 +114,9 @@ func TestAscendUnderConcurrentUpdates(t *testing.T) {
 	// Weak consistency contract: iteration must stay sorted and
 	// duplicate-free even while the map churns.
 	m := newTestMap(t, Config{})
-	h := m.NewHandle()
 	const universe = 2048
 	for k := int64(0); k < universe; k += 2 {
-		h.Insert(k, k)
+		m.Insert(k, k)
 	}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -129,7 +124,6 @@ func TestAscendUnderConcurrentUpdates(t *testing.T) {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
-			h := m.NewHandle()
 			rng := rand.New(rand.NewPCG(seed, 1))
 			for {
 				select {
@@ -139,16 +133,16 @@ func TestAscendUnderConcurrentUpdates(t *testing.T) {
 				}
 				k := int64(rng.Uint64() % universe)
 				if rng.Uint64()&1 == 0 {
-					h.Insert(k, k)
+					m.Insert(k, k)
 				} else {
-					h.Remove(k)
+					m.Remove(k)
 				}
 			}
 		}(uint64(g) + 1)
 	}
 	for i := 0; i < 50; i++ {
 		last := int64(-1)
-		h.Ascend(func(k, v int64) bool {
+		m.Ascend(func(k, v int64) bool {
 			if k <= last {
 				t.Errorf("iteration unsorted or duplicated: %d after %d", k, last)
 				return false
@@ -167,10 +161,9 @@ func TestAscendUnderConcurrentUpdates(t *testing.T) {
 
 func TestDescendVisitsAllInReverse(t *testing.T) {
 	m := newTestMap(t, Config{})
-	h := m.NewHandle()
 	const n = 200
 	for k := int64(0); k < n; k++ {
-		h.Insert(k, k*2)
+		m.Insert(k, k*2)
 	}
 	var got []int64
 	m.DescendFrom(n, func(k, v int64) bool {
@@ -192,9 +185,8 @@ func TestDescendVisitsAllInReverse(t *testing.T) {
 
 func TestDescendFromMidInclusive(t *testing.T) {
 	m := newTestMap(t, Config{})
-	h := m.NewHandle()
 	for k := int64(0); k < 100; k += 2 {
-		h.Insert(k, k)
+		m.Insert(k, k)
 	}
 	var got []int64
 	m.DescendFrom(30, func(k, v int64) bool {
@@ -223,9 +215,8 @@ func TestDescendFromMidInclusive(t *testing.T) {
 
 func TestBackwardRangeOverFunc(t *testing.T) {
 	m := newTestMap(t, Config{})
-	h := m.NewHandle()
 	for k := int64(1); k <= 5; k++ {
-		h.Insert(k, k)
+		m.Insert(k, k)
 	}
 	var got []int64
 	for k := range m.Backward() {
@@ -241,20 +232,19 @@ func TestBackwardRangeOverFunc(t *testing.T) {
 
 func TestDescendSkipsDeletedAndEmpty(t *testing.T) {
 	m := newTestMap(t, Config{})
-	h := m.NewHandle()
 	calls := 0
 	m.DescendFrom(100, func(k, v int64) bool { calls++; return true })
 	if calls != 0 {
 		t.Errorf("callback ran %d times on empty map", calls)
 	}
 	for k := int64(0); k < 300; k++ {
-		h.Insert(k, k)
+		m.Insert(k, k)
 	}
 	// A slow range in flight keeps the removed nodes stitched.
 	op := startRange(m)
 	defer m.rqc.afterRange(m, op)
 	for k := int64(100); k < 250; k++ {
-		h.Remove(k)
+		m.Remove(k)
 	}
 	last := int64(300)
 	count := 0
@@ -271,49 +261,5 @@ func TestDescendSkipsDeletedAndEmpty(t *testing.T) {
 	})
 	if count != 150 {
 		t.Errorf("visited %d keys, want 150", count)
-	}
-}
-
-func TestAdaptiveFallbackSkipsDoomedFastPath(t *testing.T) {
-	m := newTestMap(t, Config{Adaptive: true, AdaptiveSkip: 8})
-	h := m.NewHandle()
-	for k := int64(0); k < 64; k++ {
-		h.Insert(k, k)
-	}
-	// Uncontended: everything completes on the fast path, no skipping.
-	start := m.RangeStats()
-	for i := 0; i < 5; i++ {
-		h.Range(0, 63, nil)
-	}
-	if d := m.RangeStats().Sub(start); d.FastCommits != 5 {
-		t.Fatalf("fast commits = %d, want 5", d.FastCommits)
-	}
-	// Force a fallback: simulate exhausted tries by setting the skip
-	// window directly, then check the next queries bypass the fast path.
-	h.adaptSkip = m.cfg.AdaptiveSkip
-	before := m.RangeStats()
-	for i := 0; i < 8; i++ {
-		h.Range(0, 63, nil)
-	}
-	d := m.RangeStats().Sub(before)
-	if d.FastAttempts != 0 {
-		t.Errorf("fast path probed %d times during skip window", d.FastAttempts)
-	}
-	if d.SlowCommits != 8 {
-		t.Errorf("slow commits = %d, want 8", d.SlowCommits)
-	}
-	// Window exhausted: the fast path gets probed (and succeeds) again.
-	before = m.RangeStats()
-	h.Range(0, 63, nil)
-	if d := m.RangeStats().Sub(before); d.FastAttempts == 0 || d.FastCommits != 1 {
-		t.Errorf("fast path not re-probed after window: %+v", d)
-	}
-}
-
-func TestAdaptiveConformance(t *testing.T) {
-	// The adaptive variant must preserve all range semantics.
-	m := runChaos(t, Config{Adaptive: true}, 8, 2000, 256, 48)
-	if err := m.CheckInvariants(CheckOptions{}); err != nil {
-		t.Fatal(err)
 	}
 }

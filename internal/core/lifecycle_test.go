@@ -30,10 +30,9 @@ func newLifecycleMap(cfg Config) *Map[int64, int64] {
 // than it stays stitched on its deferred list until Finish.
 func TestRemovalUnstitchesAtCommit(t *testing.T) {
 	m := newLifecycleMap(Config{})
-	h := m.NewHandle()
 	const keys = 64
 	for k := int64(0); k < keys; k++ {
-		h.Insert(k, k)
+		m.Insert(k, k)
 	}
 	audit := func(when string) {
 		t.Helper()
@@ -46,11 +45,11 @@ func TestRemovalUnstitchesAtCommit(t *testing.T) {
 	}
 	for k := int64(0); k < keys; k += 2 {
 		before := m.MaintenanceStats().DrainedNodes
-		if !h.Remove(k) {
+		if !m.Remove(k) {
 			t.Fatalf("Remove(%d) found the key absent", k)
 		}
 		audit(fmt.Sprintf("after Remove(%d)", k))
-		if !h.Put(k+1, -k) {
+		if !m.Put(k+1, -k) {
 			t.Fatalf("Put(%d) replaced nothing", k+1)
 		}
 		audit(fmt.Sprintf("after Put(%d)", k+1))
@@ -60,7 +59,7 @@ func TestRemovalUnstitchesAtCommit(t *testing.T) {
 	}
 	before := m.MaintenanceStats().DrainedNodes
 	errAbort := errors.New("abort")
-	if err := h.Atomic(func(op *Txn[int64, int64]) error { op.Remove(1); return errAbort }); err != errAbort {
+	if err := m.Atomic(func(op *Txn[int64, int64]) error { op.Remove(1); return errAbort }); err != errAbort {
 		t.Fatalf("Atomic = %v, want the body's error", err)
 	}
 	if got := m.MaintenanceStats().DrainedNodes; got != before {
@@ -69,11 +68,11 @@ func TestRemovalUnstitchesAtCommit(t *testing.T) {
 
 	var sr *slowRange[int64, int64]
 	_ = m.rt.Atomic(func(tx *stm.Tx) error {
-		sr = m.beginSlowRangeTx(tx, h, 0)
+		sr = m.beginSlowRangeTx(tx, 0)
 		return nil
 	})
-	h.Remove(1)
-	h.Put(3, 3)
+	m.Remove(1)
+	m.Put(3, 3)
 	if stitched, live := m.StitchedSlow(), m.SizeSlow(); stitched-live != 2 {
 		t.Errorf("with a slow range open: %d stitched, %d live, want 2 deferred", stitched, live)
 	}
@@ -90,10 +89,10 @@ func TestRemovalUnstitchesAtCommit(t *testing.T) {
 	}
 }
 
-// TestPooledConvenienceChurn is the leak-class regression for the
-// convenience path: heavy remove/insert churn through pooled handles —
-// with GC emptying the pools mid-run — must leave no logically-deleted
-// node stitched. The full edition covers >10^6 cycles.
+// TestPooledConvenienceChurn is the leak-class regression for the map's
+// methods: heavy remove/insert churn from many goroutines — with GC
+// cycles mid-run — must leave no logically-deleted node stitched. The
+// full edition covers >10^6 cycles.
 func TestPooledConvenienceChurn(t *testing.T) {
 	m := newLifecycleMap(Config{})
 	goroutines := 8
@@ -130,8 +129,9 @@ func TestPooledConvenienceChurn(t *testing.T) {
 	}
 }
 
-// TestExplicitHandleTurnover churns explicit NewHandle/Close cycles
-// across goroutines: the final audit must find no stranded removals.
+// TestExplicitHandleTurnover churns NewHandle/Close cycles of the
+// Handle shim across goroutines: closing a Handle must leave its map
+// open, and the final audit must find no stranded removals.
 func TestExplicitHandleTurnover(t *testing.T) {
 	m := newLifecycleMap(Config{})
 	const goroutines = 8
@@ -158,6 +158,9 @@ func TestExplicitHandleTurnover(t *testing.T) {
 		}(uint64(g) + 1)
 	}
 	wg.Wait()
+	if m.Closed() {
+		t.Error("closing a Handle closed its map")
+	}
 	if err := m.CheckInvariants(CheckOptions{}); err != nil {
 		t.Errorf("invariants: %v", err)
 	}
@@ -188,17 +191,15 @@ func TestRemovedNodeCollectable(t *testing.T) {
 	defer debug.SetGCPercent(gcPercent)
 
 	m := newLifecycleMap(Config{})
-	h := m.NewHandle()
-	defer h.Close()
 	for k := int64(0); k < 8; k++ {
-		h.Insert(k, k)
+		m.Insert(k, k)
 	}
 	collected := make(chan struct{})
 	runtime.SetFinalizer(m.index.prefetch(4), func(*node[int64, int64]) { close(collected) })
-	if !h.Remove(4) {
+	if !m.Remove(4) {
 		t.Fatal("Remove(4) found the key absent")
 	}
-	_ = h.Atomic(func(op *Txn[int64, int64]) error {
+	_ = m.Atomic(func(op *Txn[int64, int64]) error {
 		for k := int64(100); k < 164; k++ {
 			op.Insert(k, k)
 		}
@@ -222,18 +223,15 @@ func TestRemovedNodeCollectable(t *testing.T) {
 
 // TestNewStartsNoGoroutine pins that no map owns a goroutine, whatever
 // its Config asks for: removals reclaim on the callers' own goroutines,
-// through explicit, pooled and batch entry points alike.
+// through point and batch entry points alike.
 func TestNewStartsNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	m := newLifecycleMap(Config{Maintenance: true})
-	h := m.NewHandle()
 	for k := int64(0); k < 400; k++ {
 		_ = m.Atomic(func(op *Txn[int64, int64]) error { op.Insert(k, k); return nil })
 		_ = m.Atomic(func(op *Txn[int64, int64]) error { op.Remove(k); return nil })
 		m.Insert(k, k)
 		m.Remove(k)
-		h.Insert(k, k)
-		h.Remove(k)
 	}
 	if got := runtime.NumGoroutine(); got > before {
 		t.Errorf("%d goroutines after building and using a map, want at most %d", got, before)
@@ -241,9 +239,10 @@ func TestNewStartsNoGoroutine(t *testing.T) {
 	m.Close()
 }
 
-// TestHandleLifecycle churns explicit and pooled handles: removals must
-// be reclaimed and counted, teardown must leave no logically-deleted
-// node stitched, and Close must be idempotent and observable.
+// TestHandleLifecycle churns the map's point writes beside Atomic
+// batches from many goroutines: removals must be reclaimed and counted,
+// teardown must leave no logically-deleted node stitched, and Close must
+// be idempotent and observable.
 func TestHandleLifecycle(t *testing.T) {
 	s := newLifecycleMap(Config{})
 	const goroutines = 6
@@ -254,17 +253,6 @@ func TestHandleLifecycle(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewPCG(seed, 0xfeedbeef))
 			for r := 0; r < 20; r++ {
-				h := s.NewHandle()
-				for i := 0; i < 150; i++ {
-					k := int64(rng.Uint64() % 512)
-					if rng.Uint64()&1 == 0 {
-						h.Insert(k, k)
-					} else {
-						h.Remove(k)
-					}
-				}
-				h.Close()
-				// Convenience path between handle generations.
 				for i := 0; i < 150; i++ {
 					k := int64(rng.Uint64() % 512)
 					if rng.Uint64()&1 == 0 {
@@ -273,6 +261,14 @@ func TestHandleLifecycle(t *testing.T) {
 						s.Remove(k)
 					}
 				}
+				// A batch per round: move a key to its neighbour.
+				k := int64(rng.Uint64() % 512)
+				_ = s.Atomic(func(op *Txn[int64, int64]) error {
+					if op.Remove(k) {
+						op.Put(k+1, k)
+					}
+					return nil
+				})
 			}
 		}(uint64(g) + 1)
 	}
@@ -375,11 +371,11 @@ func TestCloseConcurrent(t *testing.T) {
 	}
 }
 
-// TestUnclosedHandlesStrandNothing churns through explicit handles that
-// are never closed, beside convenience calls, with GC emptying the
-// handle pools mid-run: a removal reclaims its own node, so after the
-// workers join no logically deleted node is stitched, and the range
-// counters live in the map, so RangeStats counts exactly the ranges run.
+// TestUnclosedHandlesStrandNothing churns through Handle shims that are
+// never closed, beside the map's own methods, with a GC mid-run: a
+// removal reclaims its own node, so after the workers join no logically
+// deleted node is stitched, and the range counters live in the map, so
+// RangeStats counts exactly the ranges run.
 func TestUnclosedHandlesStrandNothing(t *testing.T) {
 	s := newLifecycleMap(Config{})
 	const (
@@ -431,5 +427,83 @@ func TestUnclosedHandlesStrandNothing(t *testing.T) {
 	d := s.RangeStats().Sub(before)
 	if got, want := d.FastCommits+d.SlowCommits, ranges.Load(); got != want {
 		t.Errorf("RangeStats counts %d completed ranges (%+v), want %d", got, d, want)
+	}
+}
+
+// TestStripedCountersExact pins the sums of the striped counters when
+// every operation picks its cell from its key's hash: goroutines at
+// GOMAXPROCS 2 issue point reads, ranges, removals and Puts through the
+// map's methods and Atomic. Afterwards fast-read hits plus fallbacks
+// equal the point reads issued, fast plus slow range commits equal the
+// ranges issued, and, with no slow range running any more, DrainedNodes
+// equals the successful removals (a Put that replaced removed one node).
+func TestStripedCountersExact(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	m := newLifecycleMap(Config{})
+	const (
+		goroutines = 8
+		iters      = 4000
+		universe   = 512
+	)
+	stmBefore, rangeBefore, drainBefore := m.STMStats(), m.RangeStats(), m.MaintenanceStats()
+	var reads, ranges, removals atomic.Uint64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(seed, 0xc0de))
+			var buf []Pair[int64, int64]
+			for i := 0; i < iters; i++ {
+				k := int64(rng.Uint64() % universe)
+				switch rng.Uint64() % 8 {
+				case 0, 1:
+					m.Insert(k, k)
+				case 2:
+					if m.Remove(k) {
+						removals.Add(1)
+					}
+				case 3:
+					if m.Put(k, -k) {
+						removals.Add(1)
+					}
+				case 4:
+					m.Lookup(k)
+					reads.Add(1)
+				case 5:
+					m.Contains(k)
+					reads.Add(1)
+				case 6:
+					buf = m.Range(k, k+32, buf[:0])
+					ranges.Add(1)
+				case 7:
+					var removed bool
+					_ = m.Atomic(func(op *Txn[int64, int64]) error {
+						removed = op.Remove(k)
+						return nil
+					})
+					if removed {
+						removals.Add(1)
+					}
+				}
+			}
+		}(uint64(g) + 1)
+	}
+	wg.Wait()
+
+	s := m.STMStats().Sub(stmBefore)
+	if got, want := s.FastReadHits+s.FastReadFallbacks, reads.Load(); got != want {
+		t.Errorf("fast-read hits %d + fallbacks %d = %d, want the %d point reads issued",
+			s.FastReadHits, s.FastReadFallbacks, got, want)
+	}
+	r := m.RangeStats().Sub(rangeBefore)
+	if got, want := r.FastCommits+r.SlowCommits, ranges.Load(); got != want {
+		t.Errorf("range commits %d (%+v), want the %d ranges issued", got, r, want)
+	}
+	if got, want := m.MaintenanceStats().DrainedNodes-drainBefore.DrainedNodes, removals.Load(); got != want {
+		t.Errorf("DrainedNodes moved %d, want the %d successful removals", got, want)
+	}
+	if stitched, live := m.StitchedSlow(), m.SizeSlow(); stitched != live {
+		t.Errorf("%d logically deleted nodes stitched after the workers joined", stitched-live)
 	}
 }

@@ -65,7 +65,7 @@ func (s sortedModel) rangeOf(l, r int64) []Pair[int64, int64] {
 
 // checkOrdered compares Ceil, Floor, Succ, Pred and Range against the
 // model, at random probes over [-2, hi+2] and at the edges.
-func checkOrdered(t *testing.T, h *Handle[int64, int64], model map[int64]int64, hi int64, rng *rand.Rand) {
+func checkOrdered(t *testing.T, m *Map[int64, int64], model map[int64]int64, hi int64, rng *rand.Rand) {
 	t.Helper()
 	s := sortedModel(sortedKeys(model))
 	probes := []int64{-2, -1, 0, 1, hi - 1, hi, hi + 1, hi + 2}
@@ -76,10 +76,10 @@ func checkOrdered(t *testing.T, h *Handle[int64, int64], model map[int64]int64, 
 		name      string
 		got, want func(int64) (int64, int64, bool)
 	}{
-		{"Ceil", h.Ceil, s.ceil},
-		{"Floor", h.Floor, s.floor},
-		{"Succ", h.Succ, s.succ},
-		{"Pred", h.Pred, s.pred},
+		{"Ceil", m.Ceil, s.ceil},
+		{"Floor", m.Floor, s.floor},
+		{"Succ", m.Succ, s.succ},
+		{"Pred", m.Pred, s.pred},
 	}
 	for _, k := range probes {
 		for _, q := range queries {
@@ -93,11 +93,11 @@ func checkOrdered(t *testing.T, h *Handle[int64, int64], model map[int64]int64, 
 	for i := 0; i < 50; i++ {
 		l := rng.Int64N(hi+5) - 2
 		r := l + rng.Int64N(300)
-		if got, want := h.Range(l, r, nil), s.rangeOf(l, r); !slices.Equal(got, want) {
+		if got, want := m.Range(l, r, nil), s.rangeOf(l, r); !slices.Equal(got, want) {
 			t.Fatalf("Range(%d, %d): %d pairs, want %d", l, r, len(got), len(want))
 		}
 	}
-	if got, want := h.Range(-2, hi+2, nil), s.rangeOf(-2, hi+2); !slices.Equal(got, want) {
+	if got, want := m.Range(-2, hi+2, nil), s.rangeOf(-2, hi+2); !slices.Equal(got, want) {
 		t.Fatalf("full Range: %d pairs, want %d", len(got), len(want))
 	}
 }
@@ -122,27 +122,25 @@ func churnLoaded(t *testing.T, m *Map[int64, int64], model map[int64]int64, hi i
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			h := m.NewHandle()
-			defer h.Close()
 			rng := rand.New(rand.NewPCG(uint64(w), 7))
 			var buf []Pair[int64, int64]
 			for i := 0; i < ops; i++ {
 				k := rng.Int64N(hi/workers)*workers + int64(w) // < hi
 				switch op := rng.IntN(10); {
 				case op < 4:
-					if h.Insert(k, 3*k) == owned[w][k] {
+					if m.Insert(k, 3*k) == owned[w][k] {
 						t.Errorf("Insert(%d) disagrees with the model", k)
 						return
 					}
 					owned[w][k] = true
 				case op < 8:
-					if h.Remove(k) != owned[w][k] {
+					if m.Remove(k) != owned[w][k] {
 						t.Errorf("Remove(%d) disagrees with the model", k)
 						return
 					}
 					delete(owned[w], k)
 				default:
-					buf = m.rangeSlow(h, k, k+64, buf[:0])
+					buf = m.rangeSlow(k, k+64, buf[:0])
 					for j, p := range buf {
 						if p.Val != 3*p.Key || p.Key < k || p.Key > k+64 || (j > 0 && buf[j-1].Key >= p.Key) {
 							t.Errorf("slow Range(%d, %d) returned %v", k, k+64, buf)
@@ -183,15 +181,13 @@ func TestLoadSorted(t *testing.T) {
 			if got := m.SizeSlow(); got != n {
 				t.Fatalf("SizeSlow = %d, want %d", got, n)
 			}
-			h := m.NewHandle()
-			defer h.Close()
 			for k, want := range model {
-				if v, present, answered := m.lookupFast(k); !answered || !present || v != want {
-					t.Fatalf("fast Lookup(%d) = %d,%v answered=%v want %d", k, v, present, answered, want)
+				if n, answered := m.index.getFast(k); !answered || n == nil || n.val != want {
+					t.Fatalf("fast index probe of %d = %v answered=%v, want %d", k, n, answered, want)
 				}
 				var v int64
 				var ok bool
-				_ = h.Atomic(func(op *Txn[int64, int64]) error {
+				_ = m.Atomic(func(op *Txn[int64, int64]) error {
 					v, ok = op.Lookup(k)
 					return nil
 				})
@@ -200,7 +196,7 @@ func TestLoadSorted(t *testing.T) {
 				}
 			}
 			rng := rand.New(rand.NewPCG(uint64(n), 1))
-			checkOrdered(t, h, model, hi, rng)
+			checkOrdered(t, m, model, hi, rng)
 
 			churnLoaded(t, m, model, hi)
 			if err := m.CheckInvariants(CheckOptions{}); err != nil {
@@ -209,7 +205,7 @@ func TestLoadSorted(t *testing.T) {
 			if got := m.SizeSlow(); got != len(model) {
 				t.Fatalf("after churn SizeSlow = %d, want %d", got, len(model))
 			}
-			checkOrdered(t, h, model, hi, rng)
+			checkOrdered(t, m, model, hi, rng)
 		})
 	}
 }
@@ -222,9 +218,7 @@ func TestLoadSortedPanics(t *testing.T) {
 		load func(m *Map[int64, int64])
 	}{
 		{"non-empty map", func(m *Map[int64, int64]) {
-			h := m.NewHandle()
-			defer h.Close()
-			h.Insert(5, 15)
+			m.Insert(5, 15)
 			m.LoadSorted(seqOf(1, 2))
 		}},
 		{"descending keys", func(m *Map[int64, int64]) { m.LoadSorted(seqOf(1, 3, 2)) }},

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -31,15 +32,6 @@ type Config struct {
 	// SlowOnly makes range queries go straight to the slow path (the
 	// "Skip-hash (Slow Only)" series).
 	SlowOnly bool
-	// Adaptive enables the fallback policy the paper's §5.2.3 suggests
-	// exploring: after a range query exhausts its fast-path tries, the
-	// next AdaptiveSkip queries from the same handle go straight to the
-	// slow path before the fast path is probed again. Long-range
-	// workloads then pay the doomed fast-path attempts only once per
-	// probe window instead of on every query.
-	Adaptive bool
-	// AdaptiveSkip is the probe window for Adaptive (default 16).
-	AdaptiveSkip int
 	// DisableReadFastPath turns off both optimistic non-transactional
 	// paths: the Lookup/Contains fast path and the raw tower descent
 	// every insert, ordered query, range and iterator starts with. Every
@@ -77,15 +69,14 @@ func (c Config) withDefaults() Config {
 	if c.Buckets == 0 {
 		c.Buckets = 131071
 	}
-	if c.AdaptiveSkip == 0 {
-		c.AdaptiveSkip = 16
-	}
 	return c
 }
 
-// Map is the skip hash. All methods are safe for concurrent use. Hot
-// paths should go through per-goroutine Handles (see NewHandle); the
-// convenience methods on Map borrow pooled handles.
+// Map is the skip hash. All methods are safe for concurrent use, and,
+// as in Figure 2, every operation is a method of the map that keeps no
+// state between calls: a search's scratch lives on its own stack, and
+// each counter bump picks its striped cell afresh (see stripedCounters
+// and stm.Runtime.FastReadStripe).
 //
 // A removal reclaims its own node, as Figure 4's after_remove does: the
 // removing transaction unstitches the node, or, when a slow-path range
@@ -101,7 +92,6 @@ type Map[K comparable, V any] struct {
 	tail  *node[K, V]
 	rqc   rqc[K, V]
 
-	handlePool sync.Pool
 	// counters holds the striped range-path and inline-unstitch counts;
 	// maintStats the after_range drains.
 	counters   stripedCounters
@@ -168,7 +158,6 @@ func New[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg C
 		m.head.nextAt(l).Init(m.tail)
 		m.tail.prevAt(l).Init(m.head)
 	}
-	m.handlePool.New = func() any { return m.NewHandle() }
 	return m
 }
 
@@ -292,22 +281,33 @@ func (m *Map[K, V]) findPreds(tx *stm.Tx, k K, preds []*node[K, V], before func(
 		}
 		preds[l] = cur
 	}
+	runDescentHook(preds, true)
 	return preds[0].next0.Load(tx, &preds[0].orec)
 }
 
-// descentHook, when installed, runs between a raw descent and the
-// in-transaction check of the pairs it recorded, so tests can
-// deterministically change the list under a recorded pair.
-var descentHook atomic.Pointer[func()]
+// descentHook, when installed, runs after every search with a copy of
+// the predecessors it recorded (a []*node[K, V]): after a raw descent
+// (fallback false), between the descent and the in-transaction check of
+// its pairs, so tests can deterministically change the list under a
+// recorded pair; and after findPreds (fallback true).
+var descentHook atomic.Pointer[func(preds any, fallback bool)]
 
-// setDescentHook installs fn (nil removes it) to run after every raw
-// descent. Test instrumentation only.
-func setDescentHook(fn func()) {
+// setDescentHook installs fn (nil removes it) to run after every
+// search. Test instrumentation only.
+func setDescentHook(fn func(preds any, fallback bool)) {
 	if fn == nil {
 		descentHook.Store(nil)
 		return
 	}
 	descentHook.Store(&fn)
+}
+
+// runDescentHook runs the installed descent hook, if any, on a copy of
+// preds, so the caller's stack scratch does not escape.
+func runDescentHook[K comparable, V any](preds []*node[K, V], fallback bool) {
+	if h := descentHook.Load(); h != nil {
+		(*h)(slices.Clone(preds), fallback)
+	}
 }
 
 // descend walks the tower toward k through the links' atomic backing,
@@ -353,21 +353,21 @@ func (m *Map[K, V]) descend(k K, preds []*node[K, V], before func(*node[K, V], K
 		}
 		preds[l] = cur
 	}
-	if h := descentHook.Load(); h != nil {
-		(*h)()
-	}
+	runDescentHook(preds, false)
 }
 
 // seekTx finds k's place under before for a transaction and returns
-// the level-0 successor there, as findPreds does, leaving the
-// predecessors in h.preds. It descends raw and reads in tx only the
-// pairs that decide the result (bracketsTx): the level-0 pair, and for
-// an insert of the fresh node n every pair below n's height, which n's
-// links are pointed at. A pair that fails the check runs findPreds for
-// this attempt; Config.DisableReadFastPath makes findPreds the only
-// search.
-func (m *Map[K, V]) seekTx(tx *stm.Tx, h *Handle[K, V], k K, before func(*node[K, V], K) bool, n *node[K, V]) *node[K, V] {
-	preds := h.preds
+// the level-0 successor there, as findPreds does. The predecessors live
+// in scratch on seekTx's own stack: its callers need only the node it
+// returns, and an insert's links, which it sets. It descends raw and
+// reads in tx only the pairs that decide the result (bracketsTx): the
+// level-0 pair, and for an insert of the fresh node n every pair below
+// n's height, which n's links are pointed at. A pair that fails the
+// check runs findPreds for this attempt; Config.DisableReadFastPath
+// makes findPreds the only search.
+func (m *Map[K, V]) seekTx(tx *stm.Tx, k K, before func(*node[K, V], K) bool, n *node[K, V]) *node[K, V] {
+	var buf [maxHeight]*node[K, V]
+	preds := buf[:m.cfg.MaxLevel]
 	if !m.cfg.DisableReadFastPath {
 		m.descend(k, preds, before)
 		if s, ok := m.bracketsTx(tx, preds, k, before, n); ok {
@@ -425,45 +425,6 @@ func (m *Map[K, V]) lookupTx(tx *stm.Tx, k K) (V, bool) {
 	return n.val, true
 }
 
-// containsTx reports presence without touching the node at all.
-func (m *Map[K, V]) containsTx(tx *stm.Tx, k K) bool {
-	return m.index.getTx(tx, k) != nil
-}
-
-// lookupFast is lookupTx without the transaction: one optimistic index
-// probe validated against the bucket's orec word alone — no clock, no
-// descriptor. The third result reports whether the fast path answered;
-// on false the caller must fall back to lookupTx in a full transaction.
-// Validating the single bucket orec suffices for linearizability: index
-// membership is exactly logical presence (insert and remove update the
-// index inside the same transaction that stitches or stamps the node), a
-// node's key and value are immutable once published, and any commit
-// touching the bucket between sample and revalidation releases the orec
-// at a strictly newer version, changing the sampled word. A validated
-// probe therefore observed the one committed state current at its sample
-// instant and linearizes there, with the same residual
-// acquire/write/rollback exposure as the transactional read protocol
-// (see the stm package doc).
-func (m *Map[K, V]) lookupFast(k K) (v V, present, answered bool) {
-	n, ok := m.index.getFast(k)
-	if !ok {
-		return v, false, false
-	}
-	if n == nil {
-		return v, false, true
-	}
-	return n.val, true, true
-}
-
-// containsFast is containsTx on the optimistic fast path; see lookupFast.
-func (m *Map[K, V]) containsFast(k K) (present, answered bool) {
-	n, ok := m.index.getFast(k)
-	if !ok {
-		return false, false
-	}
-	return n != nil, true
-}
-
 // Prefetch warms the cache lines a point read of k will touch — the hash
 // bucket chain and the node's line — through atomic loads the
 // compiler cannot elide. It has no consistency implications and returns
@@ -475,9 +436,9 @@ func (m *Map[K, V]) Prefetch(k K) {
 	}
 }
 
-// insertTx is Figure 2's insert. h supplies the scratch predecessor
-// array; the caller owns the enclosing transaction.
-func (m *Map[K, V]) insertTx(tx *stm.Tx, h *Handle[K, V], k K, v V) bool {
+// insertTx is Figure 2's insert; the caller owns the enclosing
+// transaction.
+func (m *Map[K, V]) insertTx(tx *stm.Tx, k K, v V) bool {
 	if m.index.getTx(tx, k) != nil {
 		return false // O(1): key already present
 	}
@@ -486,7 +447,7 @@ func (m *Map[K, V]) insertTx(tx *stm.Tx, h *Handle[K, V], k K, v V) bool {
 	n.val = v
 	// The key may still exist in the skip list as logically deleted
 	// nodes; position the new node after them.
-	m.seekTx(tx, h, k, m.nodeBeforeOrAt, n)
+	m.seekTx(tx, k, m.nodeBeforeOrAt, n)
 	n.setITime(m.rqc.onUpdate(tx))
 	for l := 0; l < n.height(); l++ {
 		p, s := n.prevAt(l).Raw(), n.nextAt(l).Raw()
@@ -502,10 +463,11 @@ func (m *Map[K, V]) insertTx(tx *stm.Tx, h *Handle[K, V], k K, v V) bool {
 
 // removeTx is Figure 2's remove: O(1) routing through the map, logical
 // deletion by stamping rTime, and delegation of the physical unstitch to
-// the RQC's after_remove. An unstitch counts in h's cell once tx
-// commits.
-func (m *Map[K, V]) removeTx(tx *stm.Tx, h *Handle[K, V], k K) bool {
-	n := m.index.removeTx(tx, k)
+// the RQC's after_remove. An unstitch counts in the cell of k's hash
+// once tx commits.
+func (m *Map[K, V]) removeTx(tx *stm.Tx, k K) bool {
+	hk := m.index.hash(k)
+	n := m.index.removeTx(tx, k, hk)
 	if n == nil {
 		return false // O(1): key absent
 	}
@@ -514,9 +476,16 @@ func (m *Map[K, V]) removeTx(tx *stm.Tx, h *Handle[K, V], k K) bool {
 		m.logger.LogDel(tx, k)
 	}
 	if m.rqc.afterRemove(tx, m, n) {
-		tx.OnCommit(h.cell, nil)
+		tx.OnCommit(m.counters.at(hk), nil)
 	}
 	return true
+}
+
+// putTx is Put inside the caller's transaction: remove, then insert.
+func (m *Map[K, V]) putTx(tx *stm.Tx, k K, v V) bool {
+	replaced := m.removeTx(tx, k)
+	m.insertTx(tx, k, v)
+	return replaced
 }
 
 // unstitchTx physically removes n from every level. Double-linking makes
@@ -533,32 +502,32 @@ func (m *Map[K, V]) unstitchTx(tx *stm.Tx, n *node[K, V]) {
 }
 
 // ceilNodeTx returns the first logically present node with key >= k
-// (m.tail if none), plus scratch-free O(1) handling when the key is
-// present in the map.
-func (m *Map[K, V]) ceilNodeTx(tx *stm.Tx, h *Handle[K, V], k K) *node[K, V] {
+// (m.tail if none), in O(1) with no search when the key is present in
+// the map.
+func (m *Map[K, V]) ceilNodeTx(tx *stm.Tx, k K) *node[K, V] {
 	if n := m.index.getTx(tx, k); n != nil {
 		return n // O(1) when the key is present (Fig. 1 ceil)
 	}
-	c := m.seekTx(tx, h, k, m.nodeBefore, nil)
+	c := m.seekTx(tx, k, m.nodeBefore, nil)
 	for c != m.tail && c.deleted(tx) {
 		c = c.next0.Load(tx, &c.orec)
 	}
 	return c
 }
 
-// CeilTx returns the smallest key >= k.
-func (m *Map[K, V]) ceilTx(tx *stm.Tx, h *Handle[K, V], k K) (K, V, bool) {
-	return m.liveKeyOf(m.ceilNodeTx(tx, h, k))
+// ceilTx returns the smallest key >= k.
+func (m *Map[K, V]) ceilTx(tx *stm.Tx, k K) (K, V, bool) {
+	return m.liveKeyOf(m.ceilNodeTx(tx, k))
 }
 
 // succTx returns the smallest key > k. When k is present the map routes
 // to its node and the successor is one link away (Fig. 1 succ).
-func (m *Map[K, V]) succTx(tx *stm.Tx, h *Handle[K, V], k K) (K, V, bool) {
+func (m *Map[K, V]) succTx(tx *stm.Tx, k K) (K, V, bool) {
 	var c *node[K, V]
 	if n := m.index.getTx(tx, k); n != nil {
 		c = n.next0.Load(tx, &n.orec)
 	} else {
-		c = m.seekTx(tx, h, k, m.nodeBeforeOrAt, nil)
+		c = m.seekTx(tx, k, m.nodeBeforeOrAt, nil)
 	}
 	for c != m.tail && c.deleted(tx) {
 		c = c.next0.Load(tx, &c.orec)
@@ -567,11 +536,11 @@ func (m *Map[K, V]) succTx(tx *stm.Tx, h *Handle[K, V], k K) (K, V, bool) {
 }
 
 // floorTx returns the largest key <= k.
-func (m *Map[K, V]) floorTx(tx *stm.Tx, h *Handle[K, V], k K) (K, V, bool) {
+func (m *Map[K, V]) floorTx(tx *stm.Tx, k K) (K, V, bool) {
 	if n := m.index.getTx(tx, k); n != nil {
 		return n.key, n.val, true
 	}
-	c := m.seekTx(tx, h, k, m.nodeBefore, nil)
+	c := m.seekTx(tx, k, m.nodeBefore, nil)
 	p := c.prev0.Load(tx, &c.orec)
 	for p != m.head && p.deleted(tx) {
 		p = p.prev0.Load(tx, &p.orec)
@@ -580,12 +549,12 @@ func (m *Map[K, V]) floorTx(tx *stm.Tx, h *Handle[K, V], k K) (K, V, bool) {
 }
 
 // predTx returns the largest key < k.
-func (m *Map[K, V]) predTx(tx *stm.Tx, h *Handle[K, V], k K) (K, V, bool) {
+func (m *Map[K, V]) predTx(tx *stm.Tx, k K) (K, V, bool) {
 	var c *node[K, V]
 	if n := m.index.getTx(tx, k); n != nil {
 		c = n.prev0.Load(tx, &n.orec)
 	} else {
-		first := m.seekTx(tx, h, k, m.nodeBefore, nil)
+		first := m.seekTx(tx, k, m.nodeBefore, nil)
 		c = first.prev0.Load(tx, &first.orec)
 	}
 	for c != m.head && c.deleted(tx) {

@@ -10,9 +10,9 @@
 // query, which unstitches it when no older query can need it.
 //
 // Map is the repository's one map type (skiphash.Map names it): it is not
-// partitioned, and it owns the pooled convenience methods beside its
-// Handles and the durability lifecycle (AttachPersistence, Close,
-// Snapshot, Sync).
+// partitioned, every operation is a method of it that keeps no state
+// between calls, and it owns the durability lifecycle
+// (AttachPersistence, Close, Snapshot, Sync).
 //
 // Two paths run outside the STM and validate afterwards. Point reads
 // probe the hash index raw and revalidate the bucket's orec (getFast).

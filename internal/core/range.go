@@ -8,11 +8,11 @@ import (
 // transaction that does not retry on conflict. On success the pairs are
 // appended to out; ErrAborted indicates the caller should try again or
 // fall back.
-func (m *Map[K, V]) rangeFast(h *Handle[K, V], l, r K, out []Pair[K, V]) ([]Pair[K, V], error) {
+func (m *Map[K, V]) rangeFast(l, r K, out []Pair[K, V]) ([]Pair[K, V], error) {
 	res := out
 	err := m.rt.TryOnce(func(tx *stm.Tx) error {
 		res = out
-		c := m.seekTx(tx, h, l, m.nodeBefore, nil)
+		c := m.seekTx(tx, l, m.nodeBefore, nil)
 		for c != m.tail && !m.less(r, c.key) {
 			if !c.deleted(tx) {
 				res = append(res, Pair[K, V]{Key: c.key, Val: c.val})
@@ -33,10 +33,10 @@ func (m *Map[K, V]) rangeFast(h *Handle[K, V], l, r K, out []Pair[K, V]) ([]Pair
 // linearization point. The traversal then proceeds as a resumable
 // transaction; a finalizing call hands the query's safe nodes back to
 // the RQC.
-func (m *Map[K, V]) rangeSlow(h *Handle[K, V], l, r K, out []Pair[K, V]) []Pair[K, V] {
+func (m *Map[K, V]) rangeSlow(l, r K, out []Pair[K, V]) []Pair[K, V] {
 	var sr *slowRange[K, V]
 	_ = m.rt.Atomic(func(tx *stm.Tx) error {
-		sr = m.beginSlowRangeTx(tx, h, l)
+		sr = m.beginSlowRangeTx(tx, l)
 		return nil
 	})
 	out = sr.collect(r, out)
@@ -61,11 +61,11 @@ type slowRange[K comparable, V any] struct {
 // transaction commits); if the enclosing transaction aborts, the
 // registration is rolled back and the returned value from the failed
 // attempt must be discarded.
-func (m *Map[K, V]) beginSlowRangeTx(tx *stm.Tx, h *Handle[K, V], l K) *slowRange[K, V] {
+func (m *Map[K, V]) beginSlowRangeTx(tx *stm.Tx, l K) *slowRange[K, V] {
 	return &slowRange[K, V]{
 		m:  m,
 		op: m.rqc.onRange(tx),
-		n:  m.ceilNodeTx(tx, h, l),
+		n:  m.ceilNodeTx(tx, l),
 	}
 }
 
@@ -132,8 +132,8 @@ func (m *Map[K, V]) isSafe(tx *stm.Tx, n *node[K, V], ver uint64) bool {
 // rangeTx collects [l, r] inside an enclosing transaction (used by the
 // batch API, where the surrounding transaction already provides
 // atomicity; this is the fast path's body without the try-once wrapper).
-func (m *Map[K, V]) rangeTx(tx *stm.Tx, h *Handle[K, V], l, r K, out []Pair[K, V]) []Pair[K, V] {
-	c := m.seekTx(tx, h, l, m.nodeBefore, nil)
+func (m *Map[K, V]) rangeTx(tx *stm.Tx, l, r K, out []Pair[K, V]) []Pair[K, V] {
+	c := m.seekTx(tx, l, m.nodeBefore, nil)
 	for c != m.tail && !m.less(r, c.key) {
 		if !c.deleted(tx) {
 			out = append(out, Pair[K, V]{Key: c.key, Val: c.val})

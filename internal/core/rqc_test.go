@@ -53,10 +53,9 @@ func TestRQCUpdatesReuseLatestVersion(t *testing.T) {
 
 func TestRQCImmediateUnstitchWithoutQueries(t *testing.T) {
 	m := newRQCMap(t)
-	h := m.NewHandle()
-	h.Insert(1, 1)
-	h.Insert(2, 2)
-	h.Remove(1)
+	m.Insert(1, 1)
+	m.Insert(2, 2)
+	m.Remove(1)
 	// No slow-path query in flight: the node must be unstitched inside
 	// the remove transaction itself (Figure 4 line 23).
 	if got := m.StitchedSlow(); got != 1 {
@@ -69,10 +68,9 @@ func TestRQCImmediateUnstitchForNewNodes(t *testing.T) {
 	// safe for anyone and is unstitched immediately even while the
 	// query runs (Figure 4's i_time >= tail.ver case).
 	m := newRQCMap(t)
-	h := m.NewHandle()
 	op := startRange(m)
-	h.Insert(5, 5) // iTime == op.ver
-	h.Remove(5)
+	m.Insert(5, 5) // iTime == op.ver
+	m.Remove(5)
 	if got := m.StitchedSlow(); got != 0 {
 		t.Errorf("stitched = %d, want 0 (new node not deferrable)", got)
 	}
@@ -83,14 +81,13 @@ func TestRQCBackwardPassing(t *testing.T) {
 	// Three queries; a node removed under the newest must survive until
 	// the oldest finishes, traveling backward through deferred lists.
 	m := newRQCMap(t)
-	h := m.NewHandle()
-	h.Insert(1, 1)
-	h.Insert(2, 2)
-	h.Insert(3, 3)
+	m.Insert(1, 1)
+	m.Insert(2, 2)
+	m.Insert(3, 3)
 	op1 := startRange(m)
 	op2 := startRange(m)
 	op3 := startRange(m)
-	h.Remove(2) // deferred onto op3 (the newest)
+	m.Remove(2) // deferred onto op3 (the newest)
 	if got := m.StitchedSlow(); got != 3 {
 		t.Fatalf("stitched = %d, want 3", got)
 	}
@@ -118,14 +115,13 @@ func TestRQCOutOfOrderCompletion(t *testing.T) {
 	// Finishing the oldest query first must unstitch its deferred nodes
 	// immediately while younger queries keep theirs.
 	m := newRQCMap(t)
-	h := m.NewHandle()
 	for k := int64(1); k <= 4; k++ {
-		h.Insert(k, k)
+		m.Insert(k, k)
 	}
 	op1 := startRange(m)
-	h.Remove(1) // deferred onto op1
+	m.Remove(1) // deferred onto op1
 	op2 := startRange(m)
-	h.Remove(2) // deferred onto op2
+	m.Remove(2) // deferred onto op2
 	if got := m.StitchedSlow(); got != 4 {
 		t.Fatalf("stitched = %d, want 4", got)
 	}
@@ -141,12 +137,11 @@ func TestRQCOutOfOrderCompletion(t *testing.T) {
 
 func TestSafeNodePredicate(t *testing.T) {
 	m := newRQCMap(t)
-	h := m.NewHandle()
-	h.Insert(10, 10)
+	m.Insert(10, 10)
 	op := startRange(m)
 	ver := op.ver
-	h.Insert(20, 20) // iTime == ver: NOT safe
-	h.Remove(10)     // rTime == ver: safe (removed at/after ver)
+	m.Insert(20, 20) // iTime == ver: NOT safe
+	m.Remove(10)     // rTime == ver: safe (removed at/after ver)
 	_ = m.rt.Atomic(func(tx *stm.Tx) error {
 		if !m.isSafe(tx, m.head, ver) || !m.isSafe(tx, m.tail, ver) {
 			t.Error("sentinels must always be safe")
@@ -177,19 +172,18 @@ func TestSlowRangeSeesSnapshotAtVersion(t *testing.T) {
 	// A slow-path range must include keys removed after it registered
 	// and exclude keys inserted after it registered.
 	m := newRQCMap(t)
-	h := m.NewHandle()
 	for k := int64(0); k < 10; k++ {
-		h.Insert(k, k)
+		m.Insert(k, k)
 	}
 	var op *rangeOp[int64, int64]
 	var start *node[int64, int64]
 	_ = m.rt.Atomic(func(tx *stm.Tx) error {
-		start = m.ceilNodeTx(tx, h, 0)
+		start = m.ceilNodeTx(tx, 0)
 		op = m.rqc.onRange(tx)
 		return nil
 	})
-	h.Remove(5)     // removed after linearization: must appear
-	h.Insert(50, 1) // inserted after linearization: must not appear
+	m.Remove(5)     // removed after linearization: must appear
+	m.Insert(50, 1) // inserted after linearization: must not appear
 	set := make([]Pair[int64, int64], 0, 16)
 	n := start
 	_ = m.rt.Atomic(func(tx *stm.Tx) error {
@@ -216,13 +210,12 @@ func TestSlowRangeSeesSnapshotAtVersion(t *testing.T) {
 // deferred list, stay stitched, and are unstitched when it finishes.
 func TestHandleBufferTransfersToActiveQuery(t *testing.T) {
 	m := newRQCMap(t)
-	h := m.NewHandle()
 	for k := int64(0); k < 8; k++ {
-		h.Insert(k, k)
+		m.Insert(k, k)
 	}
 	op := startRange(m)
-	h.Remove(0)
-	h.Remove(1)
+	m.Remove(0)
+	m.Remove(1)
 	if got := m.StitchedSlow(); got != 8 {
 		t.Errorf("stitched = %d, want 8 (removals deferred to query)", got)
 	}
@@ -276,22 +269,20 @@ func deferredKeys(op *rangeOp[int64, int64]) []int64 {
 // oldest finishes. CheckInvariants audits the lists at every step.
 func TestDeferredSlowRangesOutOfOrder(t *testing.T) {
 	m := newRQCMap(t)
-	h := m.NewHandle()
-	defer h.Close()
 	for k := int64(0); k < 100; k++ {
-		h.Insert(k, k)
+		m.Insert(k, k)
 	}
 	begin := func() *slowRange[int64, int64] {
 		var sr *slowRange[int64, int64]
 		_ = m.rt.Atomic(func(tx *stm.Tx) error {
-			sr = m.beginSlowRangeTx(tx, h, 0)
+			sr = m.beginSlowRangeTx(tx, 0)
 			return nil
 		})
 		return sr
 	}
 	removeRange := func(lo, hi int64) {
 		for k := lo; k < hi; k++ {
-			if !h.Remove(k) {
+			if !m.Remove(k) {
 				t.Fatalf("Remove(%d) found the key absent", k)
 			}
 		}
@@ -381,14 +372,12 @@ func TestCheckInvariantsCatchesBadDeferredList(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			m := newRQCMap(t)
-			h := m.NewHandle()
-			defer h.Close()
 			for k := int64(0); k < 100; k++ {
-				h.Insert(k, k)
+				m.Insert(k, k)
 			}
 			older, newer := startRange(m), startRange(m)
-			h.Remove(10)
-			h.Remove(11)
+			m.Remove(10)
+			m.Remove(11)
 			if err := m.CheckInvariants(CheckOptions{AllowDeleted: true}); err != nil {
 				t.Fatalf("before corruption: %v", err)
 			}

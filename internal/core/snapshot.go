@@ -29,8 +29,6 @@ func (m *Map[K, V]) SnapshotChunks(chunkSize int, fn func(stamp uint64, pairs []
 		chunkSize = 512
 	}
 	maxScan := snapshotScanBound * chunkSize
-	h := m.borrow()
-	defer m.release(h)
 	var cursor K
 	haveCursor := false
 	// cursorLive records whether the node the previous chunk ended on was
@@ -57,7 +55,7 @@ func (m *Map[K, V]) SnapshotChunks(chunkSize int, fn func(stamp uint64, pairs []
 			if !haveCursor {
 				c = m.head.next0.Load(tx, &m.head.orec)
 			} else {
-				c = m.ceilNodeTx(tx, h, cursor)
+				c = m.ceilNodeTx(tx, cursor)
 				if cursorLive && c != m.tail && !m.less(cursor, c.key) {
 					c = c.next0.Load(tx, &c.orec)
 				}

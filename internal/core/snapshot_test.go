@@ -25,10 +25,9 @@ func collectSnapshot(t *testing.T, m *Map[int64, int64], chunkSize int) map[int6
 
 func TestSnapshotChunksBasic(t *testing.T) {
 	m := newTestMap(t, Config{})
-	h := m.NewHandle()
 	want := make(map[int64]int64)
 	for k := int64(0); k < 100; k++ {
-		h.Insert(k, k*10)
+		m.Insert(k, k*10)
 		want[k] = k * 10
 	}
 	for _, chunkSize := range []int{1, 3, 7, 512} {
@@ -54,17 +53,15 @@ func TestSnapshotChunksBasic(t *testing.T) {
 // equal-key ceil node when the previous chunk actually emitted it.
 func TestSnapshotChunksResumeOnDeletedRun(t *testing.T) {
 	m := newTestMap(t, Config{})
-	h := m.NewHandle()
-	defer h.Close()
 
-	h.Insert(1, 10)
-	h.Insert(2, 0)
+	m.Insert(1, 10)
+	m.Insert(2, 0)
 	// Pile up snapshotScanBound logically deleted nodes for key 2 in
 	// front of its live node: each remove+insert round marks the live
 	// node deleted in place and stitches the replacement after it.
 	for i := 0; i < snapshotScanBound; i++ {
-		removeStitched(t, m, h, 2)
-		h.Insert(2, int64(20+i))
+		removeStitched(t, m, 2)
+		m.Insert(2, int64(20+i))
 	}
 	wantVal := int64(20 + snapshotScanBound - 1)
 
@@ -87,12 +84,12 @@ func TestSnapshotChunksResumeOnDeletedRun(t *testing.T) {
 // removeStitched removes k while a slow-path range query registered
 // just before is in flight, so the removed node stays stitched on the
 // query's deferred list; the query finishes when the test does.
-func removeStitched(t *testing.T, m *Map[int64, int64], h *Handle[int64, int64], k int64) {
+func removeStitched(t *testing.T, m *Map[int64, int64], k int64) {
 	t.Helper()
 	op := startRange(m)
 	t.Cleanup(func() { m.rqc.afterRange(m, op) })
 	before := m.StitchedSlow() - m.SizeSlow()
-	if !h.Remove(k) {
+	if !m.Remove(k) {
 		t.Fatalf("Remove(%d) found the key absent", k)
 	}
 	if got := m.StitchedSlow() - m.SizeSlow(); got != before+1 {
@@ -106,17 +103,15 @@ func removeStitched(t *testing.T, m *Map[int64, int64], h *Handle[int64, int64],
 // skipped.
 func TestSnapshotChunksDeletedRunNoReinsert(t *testing.T) {
 	m := newTestMap(t, Config{})
-	h := m.NewHandle()
-	defer h.Close()
 
-	h.Insert(1, 10)
-	h.Insert(3, 30)
-	h.Insert(2, 0)
+	m.Insert(1, 10)
+	m.Insert(3, 30)
+	m.Insert(2, 0)
 	for i := 0; i < snapshotScanBound-1; i++ {
-		removeStitched(t, m, h, 2)
-		h.Insert(2, int64(20+i))
+		removeStitched(t, m, 2)
+		m.Insert(2, int64(20+i))
 	}
-	removeStitched(t, m, h, 2) // key 2 ends as a run of deleted nodes, no live one
+	removeStitched(t, m, 2) // key 2 ends as a run of deleted nodes, no live one
 
 	got := collectSnapshot(t, m, 1)
 	if len(got) != 2 || got[1] != 10 || got[3] != 30 {

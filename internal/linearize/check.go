@@ -53,7 +53,7 @@ func CheckOpts(ops []Op, opt Options) Result {
 	for i := range ops {
 		op := &ops[i]
 		switch op.Kind {
-		case Insert, Remove, Lookup:
+		case Insert, Remove, Lookup, Put:
 			addKey(op.Key)
 		case Batch:
 			for _, s := range op.Steps {
@@ -149,7 +149,7 @@ func CheckOpts(ops []Op, opt Options) Result {
 // anchor).
 func footprint(op *Op, universe []int64) []int64 {
 	switch op.Kind {
-	case Insert, Remove, Lookup:
+	case Insert, Remove, Lookup, Put:
 		return []int64{op.Key}
 	case Batch:
 		fp := make([]int64, 0, len(op.Steps))
@@ -437,6 +437,14 @@ func apply(st map[int64]int64, op *Op) (map[int64]int64, bool) {
 			st = cloneState(st)
 			delete(st, op.Key)
 		}
+		return st, true
+	case Put:
+		_, present := st[op.Key]
+		if op.Ok != present {
+			return nil, false
+		}
+		st = cloneState(st)
+		st[op.Key] = op.Val
 		return st, true
 	case Lookup:
 		v, present := st[op.Key]

@@ -66,6 +66,18 @@ func TestSequentialInvalidHistories(t *testing.T) {
 		{"phantom point query", seqOps([]Op{
 			{Kind: Succ, Key: 0, Ok: true, OutKey: 9, OutVal: 90},
 		})},
+		{"put reports a replacement on an absent key", seqOps([]Op{
+			{Kind: Put, Key: 1, Val: 10, Ok: true},
+		})},
+		{"put reports a fresh key on a present one", seqOps([]Op{
+			{Kind: Insert, Key: 1, Val: 10, Ok: true},
+			{Kind: Put, Key: 1, Val: 11, Ok: false},
+		})},
+		{"lookup misses a put's value", seqOps([]Op{
+			{Kind: Insert, Key: 1, Val: 10, Ok: true},
+			{Kind: Put, Key: 1, Val: 11, Ok: true},
+			{Kind: Lookup, Key: 1, Ok: true, OutVal: 10},
+		})},
 		{"batch not applied", seqOps([]Op{
 			{Kind: Batch, Steps: []Step{
 				{Kind: Insert, Key: 1, Val: 10, Ok: true},
@@ -80,6 +92,42 @@ func TestSequentialInvalidHistories(t *testing.T) {
 				t.Fatalf("invalid history accepted (ok=%v unknown=%v)", res.Ok, res.Unknown)
 			}
 		})
+	}
+}
+
+// TestPutSpec pins Put's sequential specification: set Key to Val,
+// reporting whether a value was replaced, whatever was there before.
+func TestPutSpec(t *testing.T) {
+	h := seqOps([]Op{
+		{Kind: Put, Key: 1, Val: 10, Ok: false},
+		{Kind: Put, Key: 1, Val: 11, Ok: true},
+		{Kind: Lookup, Key: 1, Ok: true, OutVal: 11},
+		{Kind: Insert, Key: 1, Val: 12, Ok: false},
+		{Kind: Remove, Key: 1, Ok: true},
+		{Kind: Put, Key: 1, Val: 13, Ok: false},
+		{Kind: Range, Lo: 0, Hi: 9, Pairs: []KV{{Key: 1, Val: 13}}},
+	})
+	if res := Check(h); !res.Ok {
+		t.Fatalf("valid Put history rejected:\n%s", FormatOps(res.Ops))
+	}
+	// Two overlapping Puts on an absent key: exactly one finds it absent,
+	// and the later one in the chosen order decides the value.
+	h = []Op{
+		{Client: 0, Kind: Put, Key: 1, Val: 10, Ok: false, Call: 1, Return: 5},
+		{Client: 1, Kind: Put, Key: 1, Val: 20, Ok: true, Call: 2, Return: 6},
+		{Client: 0, Kind: Lookup, Key: 1, Ok: true, OutVal: 20, Call: 7, Return: 8},
+	}
+	if res := Check(h); !res.Ok {
+		t.Fatalf("legal Put/Put race rejected:\n%s", FormatOps(res.Ops))
+	}
+	h[2].OutVal = 10
+	if res := Check(h); res.Ok {
+		t.Fatal("lookup of the overwritten Put's value accepted")
+	}
+	h[1].Ok = false
+	h[2].OutVal = 20
+	if res := Check(h); res.Ok {
+		t.Fatal("two Puts that both found the key absent accepted")
 	}
 }
 

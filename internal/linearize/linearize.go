@@ -84,6 +84,9 @@ const (
 	Range
 	// Batch applies Steps atomically, in order.
 	Batch
+	// Put sets Key->Val whether or not Key is present; Ok reports
+	// whether it replaced a value.
+	Put
 )
 
 // String names the kind.
@@ -107,6 +110,8 @@ func (k Kind) String() string {
 		return "Range"
 	case Batch:
 		return "Batch"
+	case Put:
+		return "Put"
 	}
 	return "?"
 }
@@ -235,6 +240,8 @@ func formatOp(op Op) string {
 		return fmt.Sprintf("Insert(%d,%d) -> %v", op.Key, op.Val, op.Ok)
 	case Remove:
 		return fmt.Sprintf("Remove(%d) -> %v", op.Key, op.Ok)
+	case Put:
+		return fmt.Sprintf("Put(%d,%d) -> %v", op.Key, op.Val, op.Ok)
 	case Lookup:
 		if op.Ok {
 			return fmt.Sprintf("Lookup(%d) -> %d,true", op.Key, op.OutVal)

@@ -17,6 +17,12 @@ type Batcher interface {
 	Batch(steps []linearize.Step)
 }
 
+// Putter is implemented by maps with an unconditional write (the skip
+// hash's Put). Put sets k to v and reports whether it replaced a value.
+type Putter interface {
+	Put(k, v int64) bool
+}
+
 // HookInstaller is implemented by adapters whose map can accept STM
 // schedule/fault hooks (see stm.Hooks). Installing nil removes them.
 // The linearizability suite uses it for fault-injection and
@@ -49,6 +55,11 @@ type WorkloadOptions struct {
 	// read fast path — while the remaining operations keep the default
 	// mix's relative weights. Zero keeps the default mix.
 	LookupPct int
+	// PutPct, when positive and the map is a Putter, turns that
+	// percentage of operations into Puts, drawn before the mix above so
+	// the remaining operations keep their weights. Zero, or a map that
+	// is not a Putter, leaves the streams unchanged.
+	PutPct int
 	// Scheduler, when set, serializes the run under the deterministic
 	// step scheduler: workers attach to it and are started one at a
 	// time so the interleaving derives from the scheduler's seed.
@@ -60,6 +71,7 @@ type WorkloadOptions struct {
 func RecordHistory(m OrderedMap, o WorkloadOptions) []linearize.Op {
 	q, hasQ := m.(Queryable)
 	b, hasB := m.(Batcher)
+	p, hasP := m.(Putter)
 	rec := linearize.NewRecorder()
 	clients := make([]*linearize.Client, o.Clients)
 	for c := range clients {
@@ -82,6 +94,7 @@ func RecordHistory(m OrderedMap, o WorkloadOptions) []linearize.Op {
 				k := int64(rng.Uint64() % uint64(o.Universe))
 				v := int64(c)<<24 | int64(i)<<4
 				op := linearize.Op{Key: k}
+				put := o.PutPct > 0 && hasP && rng.Uint64()%100 < uint64(o.PutPct)
 				r := rng.Uint64() % 100
 				if pct := uint64(o.LookupPct); pct > 0 {
 					if r < pct {
@@ -95,6 +108,12 @@ func RecordHistory(m OrderedMap, o WorkloadOptions) []linearize.Op {
 					}
 				}
 				switch {
+				case put:
+					op.Kind = linearize.Put
+					op.Val = v
+					op.Call = cl.Now()
+					op.Ok = p.Put(k, v)
+					op.Return = cl.Now()
 				case r < 30:
 					op.Kind = linearize.Insert
 					op.Val = v
@@ -201,13 +220,15 @@ func checkWorkload(t *testing.T, newMap Factory, o WorkloadOptions) {
 // RunLinearizability records and machine-checks invoke/return histories
 // against the sequential ordered-map model across several phases:
 // contended single-key traffic (checked per key), mixed traffic with
-// range and point queries (one fused partition), atomic batches, and —
+// range and point queries (one fused partition), atomic batches, Puts
+// beside them (for Putters), and —
 // for maps exposing their STM runtime — the same traffic under seeded
 // fault injection and under the deterministic step scheduler.
 func RunLinearizability(t *testing.T, newMap Factory) {
 	probe := newMap()
 	_, hasQ := probe.(Queryable)
 	_, hasB := probe.(Batcher)
+	_, hasP := probe.(Putter)
 	_, hasHooks := probe.(HookInstaller)
 
 	t.Run("PerKey", func(t *testing.T) {
@@ -233,6 +254,21 @@ func RunLinearizability(t *testing.T, newMap Factory) {
 			checkWorkload(t, newMap, WorkloadOptions{
 				Clients: 3, OpsPerClient: 60, Universe: 6, Seed: seed,
 				Batches: true,
+			})
+		}
+	})
+	t.Run("Put", func(t *testing.T) {
+		if !hasP {
+			t.Skip("map does not implement Put")
+		}
+		for _, seed := range linSeeds {
+			checkWorkload(t, newMap, WorkloadOptions{
+				Clients: 4, OpsPerClient: 150, Universe: 8, Seed: seed,
+				PutPct: 30,
+			})
+			checkWorkload(t, newMap, WorkloadOptions{
+				Clients: 3, OpsPerClient: 50, Universe: 8, Seed: seed,
+				PointQueries: hasQ, Ranges: true, PutPct: 30,
 			})
 		}
 	})

@@ -46,10 +46,9 @@ type Checkable interface {
 	CheckIdle() error
 }
 
-// Lifecycle is implemented by maps with pooled handles and explicit
-// teardown (the skip hash variants); the suite's handle-churn component
-// uses it to assert that neither pool churn nor teardown leaves
-// logically deleted nodes stitched.
+// Lifecycle is implemented by maps with explicit teardown (the skip hash
+// variants); the suite's churn component uses it to assert that neither
+// churn nor teardown leaves logically deleted nodes stitched.
 type Lifecycle interface {
 	// Close tears the map down.
 	Close()
@@ -73,10 +72,9 @@ func RunAll(t *testing.T, newMap Factory) {
 	t.Run("HandleChurn", func(t *testing.T) { RunHandleChurn(t, newMap) })
 }
 
-// RunHandleChurn is the regression suite for the handle-lifecycle leak
-// class: goroutines churn insert/remove through the map's convenience
-// methods (the pooled-handle path), with GC cycles recycling the pools
-// mid-run. Afterwards, and again after Close, a quiescent audit must
+// RunHandleChurn is the regression suite for the reclamation leak
+// class: goroutines churn insert/remove through the map's methods, with
+// GC cycles mid-run. Afterwards, and again after Close, a quiescent audit must
 // find no logically-deleted node still stitched (CheckIdle runs
 // the map's invariant check with AllowDeleted false). Requires
 // Lifecycle.
@@ -106,8 +104,8 @@ func RunHandleChurn(t *testing.T, newMap Factory) {
 					m.Lookup(k)
 				}
 				if i%1024 == 0 {
-					// Empty the handle pools mid-churn: a handle the
-					// pool drops must strand nothing.
+					// Collect mid-churn: nothing a collection can drop
+					// may strand a removed node.
 					runtime.GC()
 				}
 			}

@@ -8,9 +8,9 @@ import (
 )
 
 // TestOpsAllocBudget pins the allocation budget of the map shard.New
-// builds, at GOMAXPROCS 1 and 2: through a Handle and through the pooled
-// convenience methods, reads and warm-buffer ranges take nothing from the
-// heap, an insert/remove pair takes the node, and an Atomic batch takes
+// builds, at GOMAXPROCS 1 and 2: through the Handle shim the benchmark's
+// shard rung calls and through the map itself, reads and warm-buffer
+// ranges take nothing from the heap, an insert/remove pair takes the node, and an Atomic batch takes
 // one object (its Txn view) beyond what its body allocates.
 func TestOpsAllocBudget(t *testing.T) {
 	if alloctest.RaceEnabled {
@@ -40,7 +40,7 @@ func TestOpsAllocBudget(t *testing.T) {
 				t.Errorf("Handle.Lookup allocates %.2f/op, budget 0", got)
 			}
 			if got := testing.AllocsPerRun(1000, lookup(s.Lookup)); got != 0 {
-				t.Errorf("pooled Lookup allocates %.2f/op, budget 0", got)
+				t.Errorf("Map.Lookup allocates %.2f/op, budget 0", got)
 			}
 
 			out := make([]core.Pair[int64, int64], 0, 128)
@@ -59,7 +59,7 @@ func TestOpsAllocBudget(t *testing.T) {
 			}
 			scan(s.Range)()
 			if got := testing.AllocsPerRun(500, scan(s.Range)); got != 0 {
-				t.Errorf("pooled Range into a sized buffer allocates %.2f/op, budget 0", got)
+				t.Errorf("Map.Range into a sized buffer allocates %.2f/op, budget 0", got)
 			}
 
 			// A fresh key in, the same key out: the node is the one object,

@@ -104,12 +104,11 @@ func TestRangeLinearizableUnderRemoves(t *testing.T) {
 				wg.Add(1)
 				go func(base int64, seed uint64) {
 					defer wg.Done()
-					h := s.NewHandle()
 					rng := rand.New(rand.NewPCG(seed, seed^0x77))
 					for i := 0; i < 3000; i++ {
 						k := base + int64(rng.Uint64()%stripe)
-						if h.Remove(k) {
-							h.Insert(k, k)
+						if s.Remove(k) {
+							s.Insert(k, k)
 						}
 					}
 				}(int64(g)*stripe, uint64(g)+3)
@@ -119,7 +118,6 @@ func TestRangeLinearizableUnderRemoves(t *testing.T) {
 				readerWG.Add(1)
 				go func() {
 					defer readerWG.Done()
-					h := s.NewHandle()
 					var buf []core.Pair[int64, int64]
 					for {
 						select {
@@ -127,7 +125,7 @@ func TestRangeLinearizableUnderRemoves(t *testing.T) {
 							return
 						default:
 						}
-						buf = h.Range(0, universe, buf[:0])
+						buf = s.Range(0, universe, buf[:0])
 						if len(buf) < universe-writers || len(buf) > universe {
 							t.Errorf("range population %d outside [%d, %d]",
 								len(buf), universe-writers, universe)

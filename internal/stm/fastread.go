@@ -1,6 +1,9 @@
 package stm
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
 // Optimistic non-transactional reads. The paper's §2.2 observes that a
 // read-only transaction should cost almost nothing; a single-orec point
@@ -62,14 +65,17 @@ func (s OrecSample) Valid() bool {
 	return s.o != nil && s.o.load() == s.w
 }
 
-// fastStripeCount is the number of striped fast-read counter cells per
-// runtime; a power of two so assignment is a cheap mask.
-const fastStripeCount = 64
+// fastStripeBits sets the number of striped fast-read counter cells
+// per runtime, fastStripeCount.
+const (
+	fastStripeBits  = 6
+	fastStripeCount = 1 << fastStripeBits
+)
 
 // FastReadCounters is one cacheline-padded cell of fast-path counters.
-// Handles obtain a cell from Runtime.FastReadCounters and bump it on
-// every fast-path outcome; Runtime.Stats sums the cells. Striping (rather
-// than per-descriptor counters) keeps the hit path free of the descriptor
+// A fast read takes its cell from Runtime.FastReadStripe and bumps it
+// with its outcome; Runtime.Stats sums the cells. Striping (rather than
+// per-descriptor counters) keeps the hit path free of the descriptor
 // pool entirely.
 type FastReadCounters struct {
 	hits      atomic.Uint64
@@ -85,12 +91,17 @@ func (c *FastReadCounters) Hit() { c.hits.Add(1) }
 // failed revalidation and fell back to a full transaction.
 func (c *FastReadCounters) Fallback() { c.fallbacks.Add(1) }
 
-// FastReadCounters hands out a striped counter cell. Callers (one per
-// handle, typically) keep the returned pointer for their lifetime;
-// round-robin assignment spreads unrelated handles across cells.
-func (rt *Runtime) FastReadCounters() *FastReadCounters {
-	i := rt.fastStripeNext.Add(1)
-	return &rt.fastStripes[i%fastStripeCount]
+// FastReadStripe returns the counter cell for a fast read on the
+// calling goroutine, picked by a Fibonacci hash of the goroutine's stack
+// address. The pick keeps no state, a goroutine keeps bumping the same
+// cell, and two goroutines share one only by chance. A pick by key would
+// put every core reading a hot key on one cache line, which the reads
+// otherwise only share.
+func (rt *Runtime) FastReadStripe() *FastReadCounters {
+	var here byte
+	// Goroutine stacks are at least 2 KiB apart; drop the bits below.
+	s := uint64(uintptr(unsafe.Pointer(&here)) >> 11)
+	return &rt.fastStripes[s*0x9e3779b97f4a7c15>>(64-fastStripeBits)]
 }
 
 // sumFastReads adds every stripe's counters into s.

@@ -89,28 +89,27 @@ func TestFastReadCountersSumIntoStats(t *testing.T) {
 	rt := New()
 	before := rt.Stats()
 
-	// More handles than stripes, exercising round-robin reuse.
+	// More readers than stripes, so some stripes are shared.
 	var wg sync.WaitGroup
-	const handles, per = fastStripeCount + 5, 7
-	for i := 0; i < handles; i++ {
+	const readers, per = fastStripeCount + 5, 7
+	for i := 0; i < readers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fc := rt.FastReadCounters()
 			for j := 0; j < per; j++ {
-				fc.Hit()
+				rt.FastReadStripe().Hit()
 			}
-			fc.Fallback()
+			rt.FastReadStripe().Fallback()
 		}()
 	}
 	wg.Wait()
 
 	d := rt.Stats().Sub(before)
-	if d.FastReadHits != handles*per {
-		t.Errorf("FastReadHits = %d, want %d", d.FastReadHits, handles*per)
+	if d.FastReadHits != readers*per {
+		t.Errorf("FastReadHits = %d, want %d", d.FastReadHits, readers*per)
 	}
-	if d.FastReadFallbacks != handles {
-		t.Errorf("FastReadFallbacks = %d, want %d", d.FastReadFallbacks, handles)
+	if d.FastReadFallbacks != readers {
+		t.Errorf("FastReadFallbacks = %d, want %d", d.FastReadFallbacks, readers)
 	}
 	if d.Commits != 0 {
 		t.Errorf("fast-read counting committed %d transactions", d.Commits)

@@ -33,10 +33,8 @@ type Runtime struct {
 	mu          sync.Mutex
 	descriptors []*Tx
 
-	// fastStripes are the striped fast-read counters (see fastread.go);
-	// fastStripeNext round-robins handle assignment across them.
-	fastStripes    [fastStripeCount]FastReadCounters
-	fastStripeNext atomic.Uint64
+	// fastStripes are the striped fast-read counters (see fastread.go).
+	fastStripes [fastStripeCount]FastReadCounters
 }
 
 // hooksBox wraps the Hooks interface value so it can live in an

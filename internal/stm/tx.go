@@ -287,7 +287,7 @@ func (tx *Tx) logUndoU64(slot *atomic.Uint64, old uint64) {
 // commits, once every acquired orec has been released. Hooks are
 // discarded if the transaction aborts or returns an error, making them
 // the right place for side effects that must happen at most once, such as
-// the skip hash's per-handle removal-buffer pushes. arg is an opaque
+// the skip hash's count of nodes a removal unstitched. arg is an opaque
 // pointer payload handed back to h (nil when h needs none); the
 // descriptor drops its reference as soon as the hook has run or the
 // attempt has rolled back.

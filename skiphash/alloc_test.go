@@ -32,19 +32,16 @@ func TestDurableAllocBudget(t *testing.T) {
 	}})
 	defer m.Close()
 	st := m.Persister().(*persist.Store[int64, int64])
-	h := m.NewHandle()
-	defer h.Close()
-
 	const batch = 8192
 	next, victim := int64(0), int64(0)
 	insert := func() {
-		if !h.Insert(next, next) {
+		if !m.Insert(next, next) {
 			t.Fatalf("Insert(%d) found the key present", next)
 		}
 		next++
 	}
 	remove := func() {
-		if !h.Remove(victim) {
+		if !m.Remove(victim) {
 			t.Fatalf("Remove(%d) found the key absent", victim)
 		}
 		victim++
@@ -115,11 +112,9 @@ func TestRecoverAllocBudget(t *testing.T) {
 		Dir: t.TempDir(), Fsync: skiphash.FsyncNone, SnapshotBytes: -1,
 	}}
 	m := openDurable(t, cfg)
-	h := m.NewHandle()
 	for k := int64(0); k < keys; k++ {
-		h.Insert(k, -k)
+		m.Insert(k, -k)
 	}
-	h.Close()
 	if err := m.Sync(); err != nil {
 		t.Fatal(err)
 	}

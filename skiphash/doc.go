@@ -5,8 +5,8 @@
 //
 // # Construction
 //
-// There is one map type, Map (with its Handle and Txn) — the paper's
-// structure exactly — and one generic entry point per job: New for
+// There is one map type, Map (with Txn, its view inside Atomic) — the
+// paper's structure exactly — and one generic entry point per job: New for
 // in-memory maps, Open for durable ones (Open with a nil
 // Config.Durability is exactly New):
 //
@@ -59,10 +59,11 @@
 //	v, ok := m.Lookup(42)
 //	pairs := m.Range(10, 100, nil)
 //
-// Hot paths should give each goroutine its own Handle:
-//
-//	h := m.NewHandle()
-//	h.Insert(1, 10)
+// As in the paper's Figure 2, every operation is a method of the map,
+// safe for concurrent use from any number of goroutines with no
+// per-goroutine setup: an operation keeps no state between calls (its
+// search scratch lives on its own stack, and its counters are striped
+// cells it picks afresh).
 //
 // Because the map is STM-based, multi-key atomicity comes for free:
 //
@@ -176,8 +177,7 @@
 // removing transaction unstitches the node, or, while a slow-path range
 // query older than the node is in flight, appends it to that query's
 // deferred list, which the query unstitches when it finishes (observe
-// both through Map.MaintenanceStats). A Handle holds nothing its map
-// needs back, so Handle.Close does nothing and a dropped handle strands
-// nothing. No goroutine reclaims in the background, so only a durable
-// map, whose engine must flush its WAL, has to be closed.
+// both through Map.MaintenanceStats). No goroutine reclaims in the
+// background, so only a durable map, whose engine must flush its WAL,
+// has to be closed.
 package skiphash

@@ -6,19 +6,14 @@ import (
 )
 
 // Map is a concurrent ordered map: one skip hash, the paper's structure
-// exactly. All methods are safe for concurrent use; per-goroutine
-// Handles avoid the small cost of borrowing pooled state. See the
-// package documentation for the design and the consistency model.
+// exactly. All methods are safe for concurrent use and keep no state
+// between calls. See the package documentation for the design and the
+// consistency model.
 type Map[K comparable, V any] = core.Map[K, V]
 
-// Handle is a per-goroutine context over a Map. Handles are not safe for
-// concurrent use; create one per worker with Map.NewHandle. A handle
-// holds nothing its map needs back, so it needs no Close.
-type Handle[K comparable, V any] = core.Handle[K, V]
-
-// Txn is the transactional view of a Map inside Map.Atomic or
-// Handle.Atomic: every operation performed through it commits or rolls
-// back atomically with the rest.
+// Txn is the transactional view of a Map inside Map.Atomic: every
+// operation performed through it commits or rolls back atomically with
+// the rest.
 type Txn[K comparable, V any] = core.Txn[K, V]
 
 // Pair is a key/value pair produced by Range.
@@ -31,8 +26,8 @@ type Config = core.Config
 // CheckOptions tunes Map.CheckInvariants.
 type CheckOptions = core.CheckOptions
 
-// RangeStats aggregates range-query path counters (fast attempts/aborts
-// and per-path completions) across a Map's handles.
+// RangeStats aggregates a Map's range-query path counters (fast
+// attempts/aborts and per-path completions).
 type RangeStats = core.RangeStats
 
 // MaintenanceStats counts reclamation work: nodes unstitched after

@@ -19,6 +19,7 @@ type adapter struct {
 func (a adapter) Lookup(k int64) (int64, bool) { return a.m.Lookup(k) }
 func (a adapter) Insert(k, v int64) bool       { return a.m.Insert(k, v) }
 func (a adapter) Remove(k int64) bool          { return a.m.Remove(k) }
+func (a adapter) Put(k, v int64) bool          { return a.m.Put(k, v) }
 
 func (a adapter) Range(l, r int64, buf []maptest.KV) []maptest.KV {
 	pairs := a.m.Range(l, r, nil)
@@ -151,10 +152,6 @@ func ExampleMap_All() {
 	// Output:
 	// 1 one
 	// 2 two
-}
-
-func TestAdaptiveRangeConfig(t *testing.T) {
-	maptest.RunAll(t, factory(skiphash.Config{Adaptive: true, AdaptiveSkip: 4}))
 }
 
 // TestConformanceSharded runs the suite on the map NewSharded builds,
