@@ -14,7 +14,6 @@ import (
 	"repro/internal/linearize"
 	"repro/internal/maptest"
 	"repro/internal/server"
-	"repro/internal/wire"
 	"repro/skiphash"
 	"repro/skiphash/client"
 )
@@ -58,13 +57,13 @@ func runNet(threads int, duration time.Duration, seed uint64, nsCount, lookupPct
 	// tenant keeps at least two concurrent clients (when there are two
 	// to give) so its own history has real contention.
 	opts := checkOptions(max(threads/(1+nsCount), min(threads, 2)), lookupPct)
-	tenants := []*checked{{name: "the default map", m: netAdapter{c: cl}, opts: opts}}
+	tenants := []*checked{{name: "the default map", m: defaultAdapter(cl), opts: opts}}
 	for i := 0; i < nsCount; i++ {
 		ns, err := cl.CreateNamespace(fmt.Sprintf("stress-%d", i), client.NamespaceOptions{})
 		if err != nil {
 			return fmt.Errorf("create namespace %d: %w", i, err)
 		}
-		tenants = append(tenants, &checked{name: "namespace " + ns.Name(), m: nsAdapter{ns: ns}, opts: opts})
+		tenants = append(tenants, &checked{name: "namespace " + ns.Name(), m: netAdapter[[]byte]{ns, be64, unbe64}, opts: opts})
 	}
 	mode, variant := "-net", "over tcp"
 	if nsCount > 0 {
@@ -102,7 +101,7 @@ func runNet(threads int, duration time.Duration, seed uint64, nsCount, lookupPct
 	// Tenant isolation spot check: dropping one namespace must stop it
 	// answering and must not disturb the others, the default map included.
 	if nsCount > 0 {
-		dropped := tenants[1].m.(nsAdapter).ns
+		dropped := tenants[1].m.(netAdapter[[]byte]).m
 		if err := cl.DropNamespace(dropped.Name()); err != nil {
 			return fmt.Errorf("drop: %w", err)
 		}
@@ -159,145 +158,83 @@ func unbe64(b []byte) int64 {
 	return int64(binary.BigEndian.Uint64(b))
 }
 
-// nsAdapter exposes one namespace handle through the conformance
-// interface, bridging the int64 workload onto byte-string keys.
-type nsAdapter struct {
-	ns *client.Namespace
+// netAdapter exposes one served map through the conformance interface,
+// so the recorded history is exactly what network callers observed. K
+// carries the workload's int64 keys and values: as themselves on the
+// default map, as be64 strings on a namespace. Transport errors are
+// fatal: the stress tool's subject is a loopback server in the same
+// process, where any failure is a bug.
+type netAdapter[K any] struct {
+	m   *client.Map[K, K]
+	enc func(int64) K
+	dec func(K) int64
 }
 
-func (a nsAdapter) fatal(op string, err error) {
-	fmt.Fprintf(os.Stderr, "skipstress: transport failure during %s %s: %v\n", a.ns.Name(), op, err)
+// defaultAdapter adapts the client's default map, whose keys and values
+// are the workload's own.
+func defaultAdapter(cl *client.Client) netAdapter[int64] {
+	id := func(k int64) int64 { return k }
+	return netAdapter[int64]{cl.Map, id, id}
+}
+
+func (a netAdapter[K]) fatal(op string, err error) {
+	fmt.Fprintf(os.Stderr, "skipstress: transport failure during %s %s: %v\n", a.m.Name(), op, err)
 	os.Exit(1)
 }
 
-func (a nsAdapter) Lookup(k int64) (int64, bool) {
-	v, ok, err := a.ns.Get(be64(k))
+func (a netAdapter[K]) Lookup(k int64) (int64, bool) {
+	v, ok, err := a.m.Get(a.enc(k))
 	if err != nil {
-		a.fatal("Get2", err)
+		a.fatal("Get", err)
 	}
 	if !ok {
 		return 0, false
 	}
-	return unbe64(v), true
+	return a.dec(v), true
 }
 
-func (a nsAdapter) Insert(k, v int64) bool {
-	ok, err := a.ns.Insert(be64(k), be64(v))
-	if err != nil {
-		a.fatal("Insert2", err)
-	}
-	return ok
-}
-
-func (a nsAdapter) Remove(k int64) bool {
-	ok, err := a.ns.Remove(be64(k))
-	if err != nil {
-		a.fatal("Del2", err)
-	}
-	return ok
-}
-
-func (a nsAdapter) Range(l, r int64, buf []maptest.KV) []maptest.KV {
-	pairs, err := a.ns.Range(be64(l), be64(r), 0)
-	if err != nil {
-		a.fatal("Range2", err)
-	}
-	for _, p := range pairs {
-		buf = append(buf, maptest.KV{Key: unbe64(p.Key), Val: unbe64(p.Val)})
-	}
-	return buf
-}
-
-// Batch implements maptest.Batcher over the wire's v2 atomic batch.
-func (a nsAdapter) Batch(steps []linearize.Step) {
-	ws := make([]client.BStep, len(steps))
-	for i, s := range steps {
-		switch s.Kind {
-		case linearize.Insert:
-			ws[i] = client.BStep{Kind: client.StepInsert, Key: be64(s.Key), Val: be64(s.Val)}
-		case linearize.Remove:
-			ws[i] = client.BStep{Kind: client.StepRemove, Key: be64(s.Key)}
-		case linearize.Lookup:
-			ws[i] = client.BStep{Kind: client.StepLookup, Key: be64(s.Key)}
-		}
-	}
-	results, err := a.ns.Atomic(ws)
-	if err != nil {
-		a.fatal("Batch2", err)
-	}
-	if len(results) != len(steps) {
-		a.fatal("Batch2", fmt.Errorf("%d results for %d steps", len(results), len(steps)))
-	}
-	for i := range steps {
-		steps[i].Ok = results[i].Ok
-		if results[i].Ok && steps[i].Kind == linearize.Lookup {
-			steps[i].Out = unbe64(results[i].Val)
-		}
-	}
-}
-
-// netAdapter exposes a protocol client through the conformance
-// interface, so the recorded history is exactly what network callers
-// observed. Transport errors are fatal: the stress tool's subject is a
-// loopback server in the same process, where any failure is a bug.
-type netAdapter struct {
-	c *client.Client
-}
-
-func (a netAdapter) fatal(op string, err error) {
-	fmt.Fprintf(os.Stderr, "skipstress: transport failure during %s: %v\n", op, err)
-	os.Exit(1)
-}
-
-func (a netAdapter) Lookup(k int64) (int64, bool) {
-	v, ok, err := a.c.Get(k)
-	if err != nil {
-		a.fatal("Get", err)
-	}
-	return v, ok
-}
-
-func (a netAdapter) Insert(k, v int64) bool {
-	ok, err := a.c.Insert(k, v)
+func (a netAdapter[K]) Insert(k, v int64) bool {
+	ok, err := a.m.Insert(a.enc(k), a.enc(v))
 	if err != nil {
 		a.fatal("Insert", err)
 	}
 	return ok
 }
 
-func (a netAdapter) Remove(k int64) bool {
-	ok, err := a.c.Remove(k)
+func (a netAdapter[K]) Remove(k int64) bool {
+	ok, err := a.m.Remove(a.enc(k))
 	if err != nil {
 		a.fatal("Remove", err)
 	}
 	return ok
 }
 
-func (a netAdapter) Range(l, r int64, buf []maptest.KV) []maptest.KV {
-	pairs, err := a.c.Range(l, r, 0)
+func (a netAdapter[K]) Range(l, r int64, buf []maptest.KV) []maptest.KV {
+	pairs, err := a.m.Range(a.enc(l), a.enc(r), 0)
 	if err != nil {
 		a.fatal("Range", err)
 	}
 	for _, p := range pairs {
-		buf = append(buf, maptest.KV{Key: p.Key, Val: p.Val})
+		buf = append(buf, maptest.KV{Key: a.dec(p.Key), Val: a.dec(p.Val)})
 	}
 	return buf
 }
 
-// Batch implements maptest.Batcher over the wire's atomic batch op.
-func (a netAdapter) Batch(steps []linearize.Step) {
-	ws := make([]wire.Step, len(steps))
+// Batch implements maptest.Batcher over the wire's atomic batch.
+func (a netAdapter[K]) Batch(steps []linearize.Step) {
+	ws := make([]client.Step[K, K], len(steps))
 	for i, s := range steps {
+		ws[i] = client.Step[K, K]{Key: a.enc(s.Key)}
 		switch s.Kind {
 		case linearize.Insert:
-			ws[i] = wire.Step{Kind: wire.StepInsert, Key: s.Key, Val: s.Val}
+			ws[i].Kind, ws[i].Val = client.StepInsert, a.enc(s.Val)
 		case linearize.Remove:
-			ws[i] = wire.Step{Kind: wire.StepRemove, Key: s.Key}
+			ws[i].Kind = client.StepRemove
 		case linearize.Lookup:
-			ws[i] = wire.Step{Kind: wire.StepLookup, Key: s.Key}
+			ws[i].Kind = client.StepLookup
 		}
 	}
-	results, err := a.c.Atomic(ws)
+	results, err := a.m.Atomic(ws)
 	if err != nil {
 		a.fatal("Atomic", err)
 	}
@@ -306,6 +243,8 @@ func (a netAdapter) Batch(steps []linearize.Step) {
 	}
 	for i := range steps {
 		steps[i].Ok = results[i].Ok
-		steps[i].Out = results[i].Out
+		if results[i].Ok && steps[i].Kind == linearize.Lookup {
+			steps[i].Out = a.dec(results[i].Val)
+		}
 	}
 }

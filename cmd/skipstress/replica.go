@@ -108,7 +108,7 @@ func runReplica(threads int, duration time.Duration, seed uint64, lookupPct int,
 	c := checked{name: "the replicated map", opts: checkOptions(threads, lookupPct)}
 	rounds := 0
 	runRounds := func(until time.Time) {
-		c.m = &replAdapter{netAdapter: netAdapter{c: cl}} // cl is this phase's client
+		c.m = &replAdapter{netAdapter: defaultAdapter(cl), c: cl} // cl is this phase's client
 		for first := true; first || time.Now().Before(until); first = false {
 			if !c.round(rounds, seed+uint64(rounds)*1_000_003) {
 				fmt.Fprintf(os.Stderr, "reproduce with: %s\n", reproducer)
@@ -204,7 +204,8 @@ func runReplica(threads int, duration time.Duration, seed uint64, lookupPct int,
 // not committed by the time the response arrived. With no replicas
 // configured (post-promotion) every lookup is a plain read.
 type replAdapter struct {
-	netAdapter
+	netAdapter[int64]
+	c    *client.Client
 	flip atomic.Uint64
 }
 

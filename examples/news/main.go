@@ -96,9 +96,9 @@ func main() {
 		if len(pairs) <= keepPerFeed {
 			continue
 		}
-		var steps []client.BStep
+		var steps []client.Step[[]byte, []byte]
 		for _, p := range pairs[:len(pairs)-keepPerFeed] {
-			steps = append(steps, client.BStep{Kind: client.StepRemove, Key: p.Key})
+			steps = append(steps, client.Step[[]byte, []byte]{Kind: client.StepRemove, Key: p.Key})
 		}
 		if _, err := articles.Atomic(steps); err != nil {
 			log.Fatal(err)
@@ -117,7 +117,7 @@ func main() {
 
 	// Reopen: a fresh daemon on the same root discovers both ns-*
 	// directories and recovers them. Namespace ids are per-process, so
-	// the client re-resolves its handles by name.
+	// the client re-resolves its namespaces by name.
 	daemon, addr = startDaemon(root)
 	defer func() {
 		daemon.Process.Signal(syscall.SIGTERM)

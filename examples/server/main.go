@@ -78,7 +78,7 @@ func main() {
 	// A wire batch is one atomic transaction server-side: both inserts
 	// commit together or not at all, even coalesced among other
 	// pipelined traffic.
-	if _, err := cl.Atomic([]client.Step{
+	if _, err := cl.Atomic([]client.Step[int64, int64]{
 		{Kind: client.StepInsert, Key: 1000, Val: 1},
 		{Kind: client.StepInsert, Key: 1001, Val: 1},
 	}); err != nil {

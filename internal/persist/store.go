@@ -151,9 +151,6 @@ func (s *Store[K, V]) TakeRecovered() []KV[K, V] {
 // Dir returns the durability directory.
 func (s *Store[K, V]) Dir() string { return s.opts.Dir }
 
-// Policy returns the effective fsync policy.
-func (s *Store[K, V]) Policy() FsyncPolicy { return s.opts.Fsync }
-
 // txBuf accumulates one transaction attempt's logical ops, pre-encoded.
 // It lives in the transaction's per-attempt local slot, so an aborted
 // attempt's ops are dropped with the slot and a retry starts clean.
@@ -236,8 +233,8 @@ func (s *Store[K, V]) LogDel(tx *stm.Tx, k K) {
 }
 
 // Start binds the snapshot source and launches the background
-// snapshotter (size- and optionally time-triggered). It must be called
-// after the recovered pairs have been loaded into the map.
+// snapshotter. It must be called after the recovered pairs have been
+// loaded into the map.
 func (s *Store[K, V]) Start(source SnapshotSource[K, V]) {
 	s.source = source
 	if s.started {
@@ -247,30 +244,20 @@ func (s *Store[K, V]) Start(source SnapshotSource[K, V]) {
 	go s.snapshotter()
 }
 
+// snapshotter snapshots on each kick; the WAL kicks it once
+// SnapshotBytes have accumulated since the last snapshot.
 func (s *Store[K, V]) snapshotter() {
 	defer close(s.snapDone)
-	interval := s.opts.SnapshotEvery
-	if interval <= 0 {
-		interval = time.Hour // size triggers only; the ticker is a backstop
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
 	for {
 		select {
 		case <-s.stopSnap:
 			return
 		case <-s.kickSnap:
-		case <-ticker.C:
-			if s.opts.SnapshotEvery <= 0 {
-				continue
-			}
 		}
-		if s.opts.SnapshotBytes >= 0 || s.opts.SnapshotEvery > 0 {
-			if err := s.Snapshot(); err != nil && !errors.Is(err, ErrClosed) {
-				s.mu.Lock()
-				s.lastSnapErr = err
-				s.mu.Unlock()
-			}
+		if err := s.Snapshot(); err != nil && !errors.Is(err, ErrClosed) {
+			s.mu.Lock()
+			s.lastSnapErr = err
+			s.mu.Unlock()
 		}
 	}
 }

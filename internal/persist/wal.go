@@ -65,8 +65,6 @@ type Options struct {
 	// have accumulated since the last one. Default 32 MiB; negative
 	// disables size-triggered snapshots.
 	SnapshotBytes int64
-	// SnapshotEvery additionally snapshots on a timer when positive.
-	SnapshotEvery time.Duration
 }
 
 func (o Options) withDefaults() Options {

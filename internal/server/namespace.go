@@ -356,18 +356,6 @@ func (r *Registry) lookup(id uint32) *namespace {
 	return ns
 }
 
-// LookupName resolves a namespace name to its id for this process
-// lifetime.
-func (r *Registry) LookupName(name string) (uint32, bool) {
-	r.mu.RLock()
-	ns, ok := r.byName[name]
-	r.mu.RUnlock()
-	if !ok {
-		return 0, false
-	}
-	return ns.id, true
-}
-
 // List reports the named namespaces in id order (namespace 0 is the
 // Server's and is prepended by the NsList handler).
 func (r *Registry) List() []wire.NsInfo {

@@ -52,7 +52,7 @@ func TestNamespaceLifecycleAndOps(t *testing.T) {
 	c := dialT(t, addr, client.Options{Conns: 2})
 
 	// Three named maps, each with its own durability directory.
-	var nss []*client.Namespace
+	var nss []*client.Map[[]byte, []byte]
 	for _, name := range []string{"feeds", "articles", "sessions"} {
 		ns, err := c.CreateNamespace(name, client.NamespaceOptions{Durable: true})
 		if err != nil {
@@ -148,7 +148,7 @@ func TestNamespaceAtomicBatch(t *testing.T) {
 	if ok, err := ns.Insert([]byte("a"), []byte("1")); err != nil || !ok {
 		t.Fatalf("Insert: %v %v", ok, err)
 	}
-	results, err := ns.Atomic([]client.BStep{
+	results, err := ns.Atomic([]client.Step[[]byte, []byte]{
 		{Kind: client.StepInsert, Key: []byte("b"), Val: []byte("2")},
 		{Kind: client.StepRemove, Key: []byte("a")},
 		{Kind: client.StepLookup, Key: []byte("b")},

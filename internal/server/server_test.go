@@ -95,7 +95,7 @@ func TestServeBasicOps(t *testing.T) {
 	if _, ok, err := c.Get(5); err != nil || ok {
 		t.Fatalf("Get(5) after Remove = %v, %v", ok, err)
 	}
-	results, err := c.Atomic([]client.Step{
+	results, err := c.Atomic([]client.Step[int64, int64]{
 		{Kind: client.StepInsert, Key: 100, Val: 1000},
 		{Kind: client.StepRemove, Key: 2},
 		{Kind: client.StepLookup, Key: 3},
@@ -103,7 +103,7 @@ func TestServeBasicOps(t *testing.T) {
 	if err != nil || len(results) != 3 {
 		t.Fatalf("Atomic = %v, %v", results, err)
 	}
-	if !results[0].Ok || !results[1].Ok || !results[2].Ok || results[2].Out != 30 {
+	if !results[0].Ok || !results[1].Ok || !results[2].Ok || results[2].Val != 30 {
 		t.Fatalf("Atomic results = %+v", results)
 	}
 	if err := c.Ping(); err != nil {
@@ -543,11 +543,11 @@ func TestServeOneShardBackend(t *testing.T) {
 	if ok, err := c.Insert(3, 33); err != nil || !ok {
 		t.Fatalf("Insert = %v, %v", ok, err)
 	}
-	results, err := c.Atomic([]client.Step{
+	results, err := c.Atomic([]client.Step[int64, int64]{
 		{Kind: client.StepLookup, Key: 3},
 		{Kind: client.StepInsert, Key: 4, Val: 44},
 	})
-	if err != nil || !results[0].Ok || results[0].Out != 33 || !results[1].Ok {
+	if err != nil || !results[0].Ok || results[0].Val != 33 || !results[1].Ok {
 		t.Fatalf("Atomic = %+v, %v", results, err)
 	}
 }

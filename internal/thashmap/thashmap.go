@@ -179,19 +179,6 @@ func (m *Map[K, V]) SizeSlow() int {
 	return n
 }
 
-// ForEachSlow visits every entry without transactional protection; see
-// SizeSlow for the quiescence requirement. Iteration stops if fn returns
-// false.
-func (m *Map[K, V]) ForEachSlow(fn func(k K, v V) bool) {
-	for i := range m.buckets {
-		for e := m.buckets[i].head.Raw(); e != nil; e = e.next.Raw() {
-			if !fn(e.key, e.val.Raw()) {
-				return
-			}
-		}
-	}
-}
-
 // Hash64 is a splitmix64-style mixer suitable as the hash function for
 // integer keys (the evaluation's std::hash stand-in).
 func Hash64(k int64) uint64 {

@@ -16,9 +16,9 @@ import (
 // map, and the 8-byte big-endian k -> itself in namespace "alloc".
 const allocKeys = 64
 
-// serveUnix runs an in-process server on a unix socket and returns one
-// connection to it and the id of its preloaded namespace.
-func serveUnix(t *testing.T) (*Conn, uint32) {
+// servedClient runs an in-process server, with a registry for
+// namespaces, on a unix socket and returns a one-connection client of it.
+func servedClient(t *testing.T) *Client {
 	t.Helper()
 	mapCfg := skiphash.Config{}
 	m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, mapCfg)
@@ -41,6 +41,14 @@ func serveUnix(t *testing.T) (*Conn, uint32) {
 		t.Fatalf("Dial: %v", err)
 	}
 	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
+// serveUnix returns one connection to a served client's server and the
+// id of its preloaded namespace.
+func serveUnix(t *testing.T) (*Conn, uint32) {
+	t.Helper()
+	cl := servedClient(t)
 	ns, err := cl.CreateNamespace("alloc", NamespaceOptions{})
 	if err != nil {
 		t.Fatalf("CreateNamespace: %v", err)

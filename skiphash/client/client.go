@@ -1,14 +1,17 @@
 // Package client is the Go client for the skip hash network protocol
 // served by cmd/skiphashd (internal/server, internal/wire).
 //
-// A Client owns a pool of connections; its synchronous methods
-// (Get/Insert/Put/Remove/Range/Atomic/Sync/Snapshot) round-robin over
-// the pool and behave like the embedded map's, with an error result
-// added for the transport. For throughput, pipeline: obtain a Conn and
-// issue Start calls — each returns a Call immediately — then Flush and
-// Wait. The server coalesces a pipelined burst into single atomic
-// transactions and answers with one write, so a window of W in-flight
-// requests costs ~1/W of the per-op round trips of the closed loop.
+// A Client owns a pool of connections. Every served map — the default
+// int64 map, which the Client embeds, and each byte-string namespace
+// (CreateNamespace, Namespace) — is a Map with one set of synchronous
+// methods (Get/Insert/Put/Remove/Range/RangeFrom/Atomic/Sync/Snapshot):
+// they round-robin over the pool and behave like the embedded map's,
+// with an error result added for the transport. For throughput,
+// pipeline: obtain a Conn and issue Start calls — each returns a Call
+// immediately — then Flush and Wait. The server coalesces a pipelined
+// burst into single atomic transactions and answers with one write, so
+// a window of W in-flight requests costs ~1/W of the per-op round trips
+// of the closed loop.
 //
 // # Call lifetime
 //
@@ -42,15 +45,6 @@ import (
 	"repro/internal/wire"
 	"repro/skiphash"
 )
-
-// KV is a key/value pair returned by Range.
-type KV = wire.KV
-
-// Step re-exports the wire batch step for Atomic.
-type Step = wire.Step
-
-// StepResult re-exports the wire batch step result.
-type StepResult = wire.StepResult
 
 // Batch step kinds.
 const (
@@ -112,6 +106,9 @@ func (o Options) withDefaults() Options {
 // Client is a pool of protocol connections. All methods are safe for
 // concurrent use.
 type Client struct {
+	// Map is the default map, namespace 0, reached over the v1 int64
+	// frames; its methods are the Client's data operations.
+	*Map[int64, int64]
 	conns    []*Conn
 	replicas []*Conn
 	next     atomic.Uint64
@@ -142,8 +139,12 @@ func Dial(addr string, opts Options) (*Client, error) {
 // Replica connections (Options.Replicas) infer their network per
 // address.
 func Dial2(network, addr string, opts Options) (*Client, error) {
+	if opts.Conns < 0 {
+		return nil, fmt.Errorf("client: Options.Conns = %d, want >= 0", opts.Conns)
+	}
 	opts = opts.withDefaults()
 	c := &Client{conns: make([]*Conn, 0, opts.Conns)}
+	c.Map = &Map[int64, int64]{c: c, name: "default", cd: int64Codec{}}
 	for i := 0; i < opts.Conns; i++ {
 		cn, err := dialConn(network, addr, opts)
 		if err != nil {
@@ -194,12 +195,6 @@ func (c *Client) Close() error {
 	return first
 }
 
-// Get returns the value stored under k.
-func (c *Client) Get(k int64) (v int64, ok bool, err error) {
-	resp, err := c.pick().Do(&wire.Request{Op: wire.OpGet, Key: k})
-	return resp.Val, resp.Ok, err
-}
-
 // GetAt reads k with a commit-stamp barrier: the read is served by a
 // replica only if that replica's watermark strictly exceeds minStamp —
 // meaning every primary commit with stamp <= minStamp is applied there
@@ -233,61 +228,6 @@ func (c *Client) Watermark() (uint64, error) {
 // primary (or a non-promotable backend) it fails.
 func (c *Client) Promote() error {
 	_, err := c.pick().Do(&wire.Request{Op: wire.OpPromote})
-	return err
-}
-
-// Insert adds (k, v) if k is absent and reports whether it did.
-func (c *Client) Insert(k, v int64) (bool, error) {
-	resp, err := c.pick().Do(&wire.Request{Op: wire.OpInsert, Key: k, Val: v})
-	return resp.Ok, err
-}
-
-// Put sets k to v unconditionally, reporting whether a previous value
-// was replaced.
-func (c *Client) Put(k, v int64) (bool, error) {
-	resp, err := c.pick().Do(&wire.Request{Op: wire.OpPut, Key: k, Val: v})
-	return resp.Ok, err
-}
-
-// Remove deletes k and reports whether it was present.
-func (c *Client) Remove(k int64) (bool, error) {
-	resp, err := c.pick().Do(&wire.Request{Op: wire.OpDel, Key: k})
-	return resp.Ok, err
-}
-
-// Range returns every pair with l <= key <= r in key order; max > 0
-// truncates the result server-side. Results are additionally capped at
-// wire.MaxRangePairs per response (so one range fits one frame);
-// callers wanting more paginate, resuming from their last key + 1.
-func (c *Client) Range(l, r int64, max int) ([]KV, error) {
-	resp, err := c.pick().Do(&wire.Request{Op: wire.OpRange, Key: l, Val: r, Max: uint32(max)})
-	return resp.Pairs, err
-}
-
-// Atomic applies steps as one transaction on the server, filling each
-// step's results. All steps take effect at a single commit point, or
-// none do.
-func (c *Client) Atomic(steps []Step) ([]StepResult, error) {
-	if len(steps) > wire.MaxBatchSteps {
-		// Reject before writing: the server would refuse the frame and
-		// the whole connection (with every pipelined call on it) would
-		// die for one oversized request.
-		return nil, fmt.Errorf("client: batch of %d steps exceeds wire.MaxBatchSteps (%d)",
-			len(steps), wire.MaxBatchSteps)
-	}
-	resp, err := c.pick().Do(&wire.Request{Op: wire.OpBatch, Steps: steps})
-	return resp.Steps, err
-}
-
-// Sync forces the server's WAL to durable storage.
-func (c *Client) Sync() error {
-	_, err := c.pick().Do(&wire.Request{Op: wire.OpSync})
-	return err
-}
-
-// Snapshot makes the server write a durable snapshot now.
-func (c *Client) Snapshot() error {
-	_, err := c.pick().Do(&wire.Request{Op: wire.OpSnapshot})
 	return err
 }
 

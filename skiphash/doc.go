@@ -131,6 +131,10 @@
 // the skiphash/client package is the matching client, whose typed
 // errors are these same sentinels — errors.Is(err, ErrNotDurable)
 // holds whether the Sync ran in-process or on the far side of a socket.
+// Every served map is one client.Map[K, V] with this map's operations
+// (Get, Insert, Put, Remove, Range, RangeFrom, Atomic, Sync, Snapshot):
+// the client embeds the default int64 map, and each namespace is a
+// Map[[]byte, []byte].
 //
 // The wire speaks two op families over one framing. The v1 ops carry
 // fixed 8-byte int64 keys and values and address the daemon's default
