@@ -78,10 +78,10 @@ func answer(resp *wire.Response, req *wire.Request) {
 // int64Codec reads the v1 fixed-width fields, bytesCodec the v2
 // length-prefixed byte strings.
 type codec[K comparable, V any] interface {
-	// key is a point op's key and a range's lower bound; val a point
-	// write's value; hi a bounded range's upper bound.
+	// key is a point op's key and a range's lower bound; entry an
+	// insert's or put's key and value; hi a bounded range's upper bound.
 	key(req *wire.Request) K
-	val(req *wire.Request) V
+	entry(req *wire.Request) (K, V)
 	hi(req *wire.Request) K
 	// keyView is key for call sites that only look the key up — hash it,
 	// compare it — and retain nothing: it may borrow the request's bytes
@@ -93,12 +93,13 @@ type codec[K comparable, V any] interface {
 	keyView(req *wire.Request) K
 	// putVal stores a Get's result.
 	putVal(resp *wire.Response, v V)
-	// numSteps, step, stepVal read a client batch; addStep appends one
-	// step's result (v is the zero value except for a lookup hit).
+	// numSteps, step, stepEntry read a client batch (stepEntry is entry
+	// for an insert step); addStep appends one step's result (v is the
+	// zero value except for a lookup hit).
 	numSteps(req *wire.Request) int
 	step(req *wire.Request, i int) (kind uint8, k K)
 	stepView(req *wire.Request, i int) (kind uint8, k K)
-	stepVal(req *wire.Request, i int) V
+	stepEntry(req *wire.Request, i int) (K, V)
 	addStep(resp *wire.Response, ok bool, v V)
 	// pairCost, addPair build a range result: what one more pair costs
 	// in encoded bytes, and appending it.
@@ -111,12 +112,15 @@ type int64Codec struct{}
 
 func (int64Codec) key(req *wire.Request) int64            { return req.Key }
 func (int64Codec) keyView(req *wire.Request) int64        { return req.Key }
-func (int64Codec) val(req *wire.Request) int64            { return req.Val }
+func (int64Codec) entry(req *wire.Request) (int64, int64) { return req.Key, req.Val }
 func (int64Codec) hi(req *wire.Request) int64             { return req.Val }
 func (int64Codec) putVal(resp *wire.Response, v int64)    { resp.Val = v }
 func (int64Codec) numSteps(req *wire.Request) int         { return len(req.Steps) }
-func (int64Codec) stepVal(req *wire.Request, i int) int64 { return req.Steps[i].Val }
 func (int64Codec) pairCost(int64, int64) int              { return 16 }
+
+func (int64Codec) stepEntry(req *wire.Request, i int) (int64, int64) {
+	return req.Steps[i].Key, req.Steps[i].Val
+}
 
 func (int64Codec) step(req *wire.Request, i int) (uint8, int64) {
 	return req.Steps[i].Kind, req.Steps[i].Key
@@ -137,13 +141,28 @@ func (int64Codec) addPair(resp *wire.Response, k, v int64) {
 // comparable key type); this codec is the conversion boundary.
 type bytesCodec struct{}
 
-func (bytesCodec) key(req *wire.Request) string            { return string(req.BKey) }
-func (bytesCodec) keyView(req *wire.Request) string        { return borrow(req.BKey) }
-func (bytesCodec) val(req *wire.Request) string            { return string(req.BVal) }
-func (bytesCodec) hi(req *wire.Request) string             { return string(req.BVal) }
-func (bytesCodec) numSteps(req *wire.Request) int          { return len(req.BSteps) }
-func (bytesCodec) stepVal(req *wire.Request, i int) string { return string(req.BSteps[i].Val) }
-func (bytesCodec) pairCost(k, v string) int                { return 8 + len(k) + len(v) }
+func (bytesCodec) key(req *wire.Request) string             { return string(req.BKey) }
+func (bytesCodec) keyView(req *wire.Request) string         { return borrow(req.BKey) }
+func (bytesCodec) entry(req *wire.Request) (string, string) { return joint(req.BKey, req.BVal) }
+func (bytesCodec) hi(req *wire.Request) string              { return string(req.BVal) }
+func (bytesCodec) numSteps(req *wire.Request) int           { return len(req.BSteps) }
+func (bytesCodec) pairCost(k, v string) int                 { return 8 + len(k) + len(v) }
+
+func (bytesCodec) stepEntry(req *wire.Request, i int) (string, string) {
+	return joint(req.BSteps[i].Key, req.BSteps[i].Val)
+}
+
+// joint copies a key and its value into one string and slices both out
+// of it: an insert keeps one object for the two instead of two. A put
+// builds a new node for its pair, so a kept key never pins a value that
+// has since been replaced.
+func joint(k, v []byte) (string, string) {
+	buf := make([]byte, len(k)+len(v))
+	copy(buf, k)
+	copy(buf[len(k):], v)
+	s := borrow(buf) // nothing writes buf again
+	return s[:len(k)], s[len(k):]
+}
 
 // putVal reuses the response's value buffer: the encode copies it into
 // the write buffer before the next read overwrites it.
@@ -213,22 +232,20 @@ func (b *MapBackend[K, V]) Atomic(group []wire.Request, resps []wire.Response) e
 				resp.Ok = ok
 				cd.putVal(resp, v)
 			case wire.KindInsert:
-				resp.Ok = op.Insert(cd.key(req), cd.val(req))
+				resp.Ok = op.Insert(cd.entry(req))
 			case wire.KindPut:
-				resp.Ok = op.Put(cd.key(req), cd.val(req))
+				resp.Ok = op.Put(cd.entry(req))
 			case wire.KindDel:
 				resp.Ok = op.Remove(cd.key(req))
 			case wire.KindBatch:
 				for si, n := 0, cd.numSteps(req); si < n; si++ {
 					kind, k := cd.stepView(req, si)
-					if kind != wire.StepLookup {
-						_, k = cd.step(req, si) // a written key may be kept
-					}
 					ok, out := false, zero
 					switch kind {
 					case wire.StepInsert:
-						ok = op.Insert(k, cd.stepVal(req, si))
+						ok = op.Insert(cd.stepEntry(req, si))
 					case wire.StepRemove:
+						_, k = cd.step(req, si) // a removed key may be kept
 						ok = op.Remove(k)
 					case wire.StepLookup:
 						out, ok = op.Lookup(k)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/alloctest"
 	"repro/internal/obs"
 	"repro/internal/wire"
 	"repro/skiphash"
@@ -141,6 +142,30 @@ func (h *harness) run(reqs ...wire.Request) []wire.Response {
 		reqs[i].ID = uint64(i + 1)
 		c.push(reqs[i])
 	}
+	return h.answer(reqs)
+}
+
+// read is run with the requests framed and decoded by readCycle, as if
+// one socket read had brought them all in.
+func (h *harness) read(reqs ...wire.Request) []wire.Response {
+	h.t.Helper()
+	var stream []byte
+	for i := range reqs {
+		reqs[i].ID = uint64(i + 1)
+		stream = wire.AppendRequest(stream, &reqs[i])
+	}
+	fr := wire.NewFrameReader(bufio.NewReaderSize(bytes.NewReader(stream), len(stream)), wire.MaxRequestPayload)
+	if err := h.c.readCycle(fr); err != nil || len(h.c.batch) != len(reqs) {
+		h.t.Fatalf("readCycle took %d of %d requests: %v", len(h.c.batch), len(reqs), err)
+	}
+	return h.answer(reqs)
+}
+
+// answer executes the cycle's batch and returns its responses, checked
+// to answer reqs in order.
+func (h *harness) answer(reqs []wire.Request) []wire.Response {
+	h.t.Helper()
+	c := h.c
 	c.execute(c.batch)
 	if err := c.bw.Flush(); err != nil {
 		h.t.Fatalf("flush: %v", err)
@@ -437,5 +462,96 @@ func TestDroppedNamespaceReleased(t *testing.T) {
 		if ns.be != nil {
 			t.Fatalf("cycle %d: dropped namespace still holds its backend", cycle)
 		}
+	}
+}
+
+// TestReadCycleArena drives readCycle, which decodes each cycle's byte
+// strings into the connection's arena and rewinds it at the next cycle.
+// A cycle of short keys read after a cycle of long ones (which filled
+// the arena's chunk and overflowed into a new one) must write and read
+// back exactly what it carries; a namespace name must outlive the cycle
+// that created it; and a steady cycle decodes without allocating.
+func TestReadCycleArena(t *testing.T) {
+	h := newHarness(t)
+	ns := h.families[1].ns.id
+	if resps := h.read(wire.Request{Op: wire.OpNsCreate, Name: "tenant"}); resps[0].Status != wire.StatusOK {
+		t.Fatalf("NsCreate: %v %s", resps[0].Status, resps[0].Msg)
+	}
+
+	// 401-byte keys and values stay under the arena's per-string cap, so
+	// eight pairs fill one 4 KiB chunk and spill into a second.
+	long := func(i int) []byte { return append(bytes.Repeat([]byte{'L'}, 400), byte('a'+i)) }
+	short := func(i int) []byte { return []byte{'s', byte('a' + i)} }
+	var reqs []wire.Request
+	for i := range 8 {
+		reqs = append(reqs, wire.Request{Op: wire.OpPut2, NS: ns, BKey: long(i), BVal: long(i)})
+	}
+	h.read(reqs...)
+	reqs = reqs[:0]
+	for i := range 16 {
+		reqs = append(reqs, wire.Request{Op: wire.OpPut2, NS: ns, BKey: short(i), BVal: short(i)})
+	}
+	batch := wire.Request{Op: wire.OpBatch2, NS: ns}
+	for i := 16; i < 20; i++ {
+		batch.BSteps = append(batch.BSteps, wire.BStep{Kind: wire.StepInsert, Key: short(i), Val: short(i)})
+	}
+	reqs = append(reqs, batch)
+	for i := range 20 {
+		reqs = append(reqs, wire.Request{Op: wire.OpGet2, NS: ns, BKey: short(i)})
+	}
+	resps := h.read(reqs...)
+	for i, resp := range resps[17:] {
+		if !resp.Ok || !bytes.Equal(resp.BVal, short(i)) {
+			t.Fatalf("Get2(%q) = %q, %v; want %q", short(i), resp.BVal, resp.Ok, short(i))
+		}
+	}
+
+	// Every key and value the map holds is exactly one that was written.
+	var want [][]byte
+	for i := range 8 {
+		want = append(want, long(i))
+	}
+	for i := range 20 {
+		want = append(want, short(i))
+	}
+	pairs := h.read(wire.Request{Op: wire.OpRange2, NS: ns, NoHi: true})[0].BPairs
+	if len(pairs) != len(want) {
+		t.Fatalf("Range2: %d pairs, want %d", len(pairs), len(want))
+	}
+	for i, p := range pairs {
+		if !bytes.Equal(p.Key, want[i]) || !bytes.Equal(p.Val, want[i]) {
+			t.Fatalf("pair %d = (%q, %q), want %q for both", i, p.Key, p.Val, want[i])
+		}
+	}
+
+	listed := false
+	for _, info := range h.read(wire.Request{Op: wire.OpNsList})[0].Namespaces {
+		listed = listed || info.Name == "tenant"
+	}
+	if resps := h.read(wire.Request{Op: wire.OpNsDrop, Name: "tenant"}); !listed || resps[0].Status != wire.StatusOK {
+		t.Fatalf("namespace created cycles ago: listed %v, drop %v %s", listed, resps[0].Status, resps[0].Msg)
+	}
+
+	if alloctest.RaceEnabled {
+		return // race-detector instrumentation allocates; count is meaningless
+	}
+	// Thirty 100-byte keys: without the rewind, a new chunk every 1.4
+	// cycles.
+	var stream []byte
+	for i := range 30 {
+		key := append(bytes.Repeat([]byte{'g'}, 99), byte(i))
+		stream = wire.AppendRequest(stream, &wire.Request{ID: uint64(i + 1), Op: wire.OpGet2, NS: ns, BKey: key})
+	}
+	rd := bytes.NewReader(stream)
+	br := bufio.NewReaderSize(rd, len(stream))
+	fr := wire.NewFrameReader(br, wire.MaxRequestPayload)
+	if allocs := alloctest.PerOp(100, func() {
+		rd.Reset(stream)
+		br.Reset(rd)
+		if err := h.c.readCycle(fr); err != nil || len(h.c.batch) != 30 {
+			t.Fatalf("readCycle took %d of 30 requests: %v", len(h.c.batch), err)
+		}
+	}); allocs > 0.01 {
+		t.Fatalf("reading a cycle allocates %.2f/op, budget 0.01", allocs)
 	}
 }

@@ -337,6 +337,10 @@ type conn struct {
 	one     wire.Response
 	scratch any
 	enc     []byte
+	// arena holds the byte strings of the cycle's requests. readCycle
+	// rewinds it: a cycle is answered before the next read, and the
+	// backend copies whatever the map or the WAL keeps.
+	arena wire.Arena
 
 	// Observability scratch (see metrics.go), allocated once when track
 	// is set: when the cycle's blocking read returned — the arrival of
@@ -427,6 +431,7 @@ func (c *conn) serve() {
 // error comes with the requests read before it.
 func (c *conn) readCycle(fr *wire.FrameReader) error {
 	c.batch = c.batch[:0]
+	c.arena.Rewind()
 	for {
 		payload, err := fr.Next()
 		if err != nil {
@@ -435,7 +440,7 @@ func (c *conn) readCycle(fr *wire.FrameReader) error {
 		if c.track && len(c.batch) == 0 {
 			c.arrival = time.Now()
 		}
-		req, err := wire.ParseRequest(payload)
+		req, err := c.arena.ParseRequest(payload)
 		if err != nil {
 			return err
 		}

@@ -507,11 +507,15 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 
 // --- Decoding -----------------------------------------------------------
 
-// decoder is a bounds-checked cursor over one payload.
+// decoder is a bounds-checked cursor over one payload. Byte strings go
+// to arena (see bstr). The arena is held by value: escape analysis does
+// not tell a struct's fields apart, and a pointer kept beside buf would
+// move a throwaway arena to the heap.
 type decoder struct {
-	buf []byte
-	off int
-	err error
+	buf   []byte
+	off   int
+	err   error
+	arena Arena
 }
 
 func (d *decoder) fail(what string) {
@@ -582,12 +586,27 @@ func (d *decoder) finish() error {
 	return nil
 }
 
-// ParseRequest decodes one request payload. The returned request's
-// Steps alias payload-derived memory only by value (they are copied),
-// so the frame buffer may be reused immediately.
-func ParseRequest(payload []byte) (Request, error) {
-	d := decoder{buf: payload}
-	var req Request
+// ParseRequest decodes one request payload. Nothing in the result
+// aliases the payload, so the frame buffer may be reused immediately:
+// Steps are copied by value, and the byte strings land in one
+// allocation sized to the payload, made only if there are any. It is
+// Arena.ParseRequest through a throwaway arena.
+func ParseRequest(payload []byte) (req Request, err error) {
+	d := decoder{buf: payload, arena: Arena{size: len(payload)}}
+	err = d.request(&req)
+	return req, err
+}
+
+// ParseRequest decodes one request payload, putting its byte strings in
+// the arena. Nothing in the result aliases the payload.
+func (a *Arena) ParseRequest(payload []byte) (req Request, err error) {
+	d := decoder{buf: payload, arena: *a}
+	err = d.request(&req)
+	*a = d.arena
+	return req, err
+}
+
+func (d *decoder) request(req *Request) error {
 	req.ID = d.u64("id")
 	req.Op = Op(d.u8("op"))
 	switch req.Op {
@@ -603,7 +622,7 @@ func ParseRequest(payload []byte) (Request, error) {
 	case OpBatch:
 		n := d.u32("step count")
 		if n > MaxBatchSteps {
-			return req, protoErrf("batch of %d steps exceeds limit %d", n, MaxBatchSteps)
+			return protoErrf("batch of %d steps exceeds limit %d", n, MaxBatchSteps)
 		}
 		if d.err == nil {
 			req.Steps = make([]Step, 0, n)
@@ -612,7 +631,7 @@ func ParseRequest(payload []byte) (Request, error) {
 			var s Step
 			s.Kind = d.u8("step kind")
 			if s.Kind > StepLookup {
-				return req, protoErrf("unknown batch step kind %d", s.Kind)
+				return protoErrf("unknown batch step kind %d", s.Kind)
 			}
 			s.Key = d.i64("step key")
 			if s.Kind == StepInsert {
@@ -624,28 +643,43 @@ func ParseRequest(payload []byte) (Request, error) {
 		// no body
 	case OpGet2, OpInsert2, OpPut2, OpDel2, OpRange2, OpBatch2, OpSync2, OpSnapshot2,
 		OpNsCreate, OpNsDrop, OpNsList:
-		parseRequest2(&d, &req)
+		parseRequest2(d, req)
 	default:
-		return req, protoErrf("unknown op %d", uint8(req.Op))
+		return protoErrf("unknown op %d", uint8(req.Op))
 	}
-	return req, d.finish()
+	return d.finish()
 }
 
-// ParseResponse decodes one response payload. Pairs and Steps are
-// copied out of the frame buffer.
-func ParseResponse(payload []byte) (Response, error) {
-	d := decoder{buf: payload}
-	var resp Response
+// ParseResponse decodes one response payload. Nothing in the result
+// aliases the payload: Pairs and Steps are copied by value, and the byte
+// strings land in one allocation sized to the payload, made only if
+// there are any. It is Arena.ParseResponse through a throwaway arena.
+func ParseResponse(payload []byte) (resp Response, err error) {
+	d := decoder{buf: payload, arena: Arena{size: len(payload)}}
+	err = d.response(&resp)
+	return resp, err
+}
+
+// ParseResponse decodes one response payload, putting its byte strings
+// in the arena. Nothing in the result aliases the payload.
+func (a *Arena) ParseResponse(payload []byte) (resp Response, err error) {
+	d := decoder{buf: payload, arena: *a}
+	err = d.response(&resp)
+	*a = d.arena
+	return resp, err
+}
+
+func (d *decoder) response(resp *Response) error {
 	resp.ID = d.u64("id")
 	resp.Op = Op(d.u8("op"))
 	resp.Status = Status(d.u8("status"))
 	if resp.Status > StatusNsExists {
-		return resp, protoErrf("unknown status %d", uint8(resp.Status))
+		return protoErrf("unknown status %d", uint8(resp.Status))
 	}
 	if resp.Status != StatusOK {
 		n := d.u32("message length")
 		resp.Msg = string(d.bytes(int(n), "message"))
-		return resp, d.finish()
+		return d.finish()
 	}
 	switch resp.Op {
 	case OpGet:
@@ -657,8 +691,8 @@ func ParseResponse(payload []byte) (Response, error) {
 		n := d.u32("pair count")
 		// Each pair is 16 bytes; the framing limit already bounds n, but
 		// cross-check before allocating.
-		if int64(n)*16 > int64(len(payload)) {
-			return resp, protoErrf("pair count %d exceeds payload", n)
+		if int64(n)*16 > int64(len(d.buf)) {
+			return protoErrf("pair count %d exceeds payload", n)
 		}
 		resp.Pairs = make([]KV, 0, n)
 		for i := uint32(0); i < n && d.err == nil; i++ {
@@ -669,7 +703,7 @@ func ParseResponse(payload []byte) (Response, error) {
 	case OpBatch:
 		n := d.u32("result count")
 		if n > MaxBatchSteps {
-			return resp, protoErrf("batch of %d results exceeds limit %d", n, MaxBatchSteps)
+			return protoErrf("batch of %d results exceeds limit %d", n, MaxBatchSteps)
 		}
 		if d.err == nil {
 			resp.Steps = make([]StepResult, 0, n)
@@ -687,11 +721,11 @@ func ParseResponse(payload []byte) (Response, error) {
 		resp.BVal = d.bstr(MaxStatsLen, "stats")
 	case OpGet2, OpInsert2, OpPut2, OpDel2, OpRange2, OpBatch2, OpSync2, OpSnapshot2,
 		OpNsCreate, OpNsDrop, OpNsList:
-		parseResponse2(&d, &resp)
+		parseResponse2(d, resp)
 	default:
-		return resp, protoErrf("unknown op %d", uint8(resp.Op))
+		return protoErrf("unknown op %d", uint8(resp.Op))
 	}
-	return resp, d.finish()
+	return d.finish()
 }
 
 // --- Frame transport ----------------------------------------------------

@@ -243,7 +243,8 @@ func (d *decoder) blen(what string) uint32 {
 
 // bstr reads a length-prefixed byte string, enforcing maxLen and
 // copying the bytes out of the frame buffer (which is reused by the
-// next frame).
+// next frame) into the decoder's arena: a short string shares one of the
+// arena's chunks, a long one gets its own allocation.
 func (d *decoder) bstr(maxLen int, what string) []byte {
 	n := d.blen(what)
 	if d.err != nil {
@@ -257,11 +258,11 @@ func (d *decoder) bstr(maxLen int, what string) []byte {
 	if d.err != nil {
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, raw)
-	return out
+	return d.arena.copy(raw)
 }
 
+// str reads a length-prefixed string into its own allocation, never the
+// arena's: a namespace name is kept by the registry.
 func (d *decoder) str(maxLen int, what string) string {
 	n := d.blen(what)
 	if d.err != nil {

@@ -244,7 +244,12 @@ func TestMaxBatch2EncodesWithinRequestLimit(t *testing.T) {
 // FuzzParseFrames throws arbitrary payloads at both parsers. Neither
 // may panic or over-allocate, and anything either accepts must
 // re-encode canonically — a frame can be rejected or decoded exactly,
-// never misdecoded.
+// never misdecoded. Each input is decoded three ways: through the
+// package-level parsers' throwaway arena, through an arena shared by
+// every input and never rewound (a client connection's), and through one
+// rewound before every input (a server connection's). What the previous
+// input decoded into the shared arena must still re-encode canonically
+// after this one: decoding never writes a slice already handed out.
 func FuzzParseFrames(f *testing.F) {
 	seed := []Request{
 		{ID: 1, Op: OpGet, Key: 42},
@@ -262,16 +267,43 @@ func FuzzParseFrames(f *testing.F) {
 	f.Add(AppendResponse(nil, &Response{ID: 9, Op: OpGet2, Ok: true, BVal: []byte("v")})[frameHeaderLen:])
 	f.Add(AppendResponse(nil, &Response{ID: 10, Op: OpNsList,
 		Namespaces: []NsInfo{{ID: 1, Name: "a", Durable: true}}})[frameHeaderLen:])
+	// accepted is what one input decoded to, nil where it was rejected.
+	type accepted struct {
+		payload []byte
+		req     *Request
+		resp    *Response
+	}
+	check := func(t *testing.T, how string, got accepted) {
+		t.Helper()
+		if got.req != nil && !bytes.Equal(AppendRequest(nil, got.req)[frameHeaderLen:], got.payload) {
+			t.Fatalf("%s: accepted request did not re-encode canonically: %+v", how, *got.req)
+		}
+		if got.resp != nil && !bytes.Equal(AppendResponse(nil, got.resp)[frameHeaderLen:], got.payload) {
+			t.Fatalf("%s: accepted response did not re-encode canonically: %+v", how, *got.resp)
+		}
+	}
+	decode := func(payload []byte, parseReq func([]byte) (Request, error),
+		parseResp func([]byte) (Response, error)) accepted {
+		got := accepted{payload: bytes.Clone(payload)}
+		if req, err := parseReq(payload); err == nil {
+			got.req = &req
+		}
+		if resp, err := parseResp(payload); err == nil {
+			got.resp = &resp
+		}
+		return got
+	}
+	var (
+		shared, rewound Arena
+		prev            accepted
+	)
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		if req, err := ParseRequest(payload); err == nil {
-			if !bytes.Equal(AppendRequest(nil, &req)[frameHeaderLen:], payload) {
-				t.Fatalf("accepted request did not re-encode canonically: %+v", req)
-			}
-		}
-		if resp, err := ParseResponse(payload); err == nil {
-			if !bytes.Equal(AppendResponse(nil, &resp)[frameHeaderLen:], payload) {
-				t.Fatalf("accepted response did not re-encode canonically: %+v", resp)
-			}
-		}
+		check(t, "throwaway arena", decode(payload, ParseRequest, ParseResponse))
+		rewound.Rewind()
+		check(t, "rewound arena", decode(payload, rewound.ParseRequest, rewound.ParseResponse))
+		got := decode(payload, shared.ParseRequest, shared.ParseResponse)
+		check(t, "shared arena", got)
+		check(t, "shared arena, previous input", prev)
+		prev = got
 	})
 }

@@ -23,6 +23,13 @@
 // waited on is simply not reused; abandoning one is safe. In steady
 // state the request path (Start, Flush, Wait, Do) allocates nothing.
 //
+// The connection decodes byte strings into 4 KiB chunks that it never
+// reuses: a value, key or step result of up to 512 bytes shares its
+// chunk with the results decoded around it, and a longer one has its
+// own allocation. Every result slice stays the caller's to read, keep
+// and modify, but one small slice kept keeps its whole chunk alive; copy
+// it out if a long-lived slice would pin memory that matters.
+//
 // Errors mirror the embedded map's typed errors: Sync/Snapshot on a
 // non-durable server fails with skiphash.ErrNotDurable, durability-layer
 // corruption with an error matching skiphash.ErrCorrupt; both are
@@ -352,10 +359,13 @@ func (cn *Conn) readLoop() {
 	var (
 		batch []wire.Response
 		calls []*Call
+		// The responses' byte strings. It is never rewound: every slice
+		// it hands out goes to a caller, who owns it.
+		arena wire.Arena
 	)
 	for {
 		var rerr, err error
-		batch, rerr = readBatch(fr, batch[:0])
+		batch, rerr = readBatch(fr, &arena, batch[:0])
 		calls, err = cn.retire(batch, calls[:0])
 		for i, call := range calls {
 			call.resp = batch[i]
@@ -376,13 +386,13 @@ func (cn *Conn) readLoop() {
 // readBatch blocks for one response, then takes the ones that read left
 // whole in the buffer, up to maxDemux, without reading the socket again.
 // An error comes with the responses read before it.
-func readBatch(fr *wire.FrameReader, batch []wire.Response) ([]wire.Response, error) {
+func readBatch(fr *wire.FrameReader, arena *wire.Arena, batch []wire.Response) ([]wire.Response, error) {
 	for {
 		payload, err := fr.Next()
 		if err != nil {
 			return batch, fmt.Errorf("%w: %w", ErrConnClosed, err)
 		}
-		resp, err := wire.ParseResponse(payload)
+		resp, err := arena.ParseResponse(payload)
 		if err != nil {
 			return batch, fmt.Errorf("%w: %w", ErrConnClosed, err)
 		}

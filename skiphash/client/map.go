@@ -83,7 +83,7 @@ func (m *Map[K, V]) do(req wire.Request, err error) (wire.Response, error) {
 }
 
 // Get returns the value stored under k. A returned []byte is owned by
-// the caller.
+// the caller (see Call lifetime in the package doc).
 func (m *Map[K, V]) Get(k K) (v V, ok bool, err error) {
 	resp, err := m.do(m.cd.point(wire.OpGet, k, v))
 	return m.cd.val(resp), resp.Ok, err
