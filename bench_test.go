@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/stm"
-	"repro/skiphash"
 )
 
 // benchUniverse keeps testing.B runs quick while preserving the paper's
@@ -123,39 +121,6 @@ func BenchmarkTable1(b *testing.B) {
 			} else {
 				b.ReportMetric(float64(s.FastAborts), "aborts(no-commit)")
 			}
-		})
-	}
-}
-
-// BenchmarkAblationClock compares the paper's clock choices (§5.1): the
-// monotonic hardware-style clock against the GV1 fetch-and-add clock,
-// on the skip hash's small transactions.
-func BenchmarkAblationClock(b *testing.B) {
-	for _, clk := range []struct {
-		name string
-		mk   func() stm.Clock
-	}{
-		{"hwclock", func() stm.Clock { return stm.NewMonotonicClock() }},
-		{"gv1", func() stm.Clock { return stm.NewGV1() }},
-		{"gv5", func() stm.Clock { return stm.NewGV5() }},
-	} {
-		b.Run("clock="+clk.name, func(b *testing.B) {
-			m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Clock: clk.mk()})
-			for k := int64(0); k < benchUniverse; k += 2 {
-				m.Insert(k, k)
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				rng := rand.New(rand.NewPCG(rand.Uint64(), 0x99))
-				for pb.Next() {
-					k := int64(rng.Uint64() % benchUniverse)
-					if rng.Uint64()&1 == 0 {
-						m.Insert(k, k)
-					} else {
-						m.Remove(k)
-					}
-				}
-			})
 		})
 	}
 }

@@ -81,11 +81,6 @@ import (
 	"repro/skiphash"
 )
 
-// walTapper is the persistence engine's WAL tap surface.
-type walTapper interface {
-	TapWAL(func(stamp uint64, count int, ops []byte))
-}
-
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:7466", "TCP listen address (empty disables)")
@@ -154,20 +149,14 @@ func main() {
 		}
 		be = server.NewShardedBackend(m)
 		if *replAddr != "" {
-			clockRead := m.Runtime().Clock().Read
-			pcfg := repl.PrimaryConfig{
-				Snapshot:  repl.MapSnapshot(m),
-				ClockRead: clockRead,
-			}
+			var pcfg repl.PrimaryConfig
 			if !*quiet {
 				pcfg.Logf = log.Printf
 			}
-			prim = repl.NewPrimary(pcfg)
-			tp, ok := m.Persister().(walTapper)
-			if !ok {
-				log.Fatalf("skiphashd: persister %T has no WAL tap", m.Persister())
+			prim, err = repl.NewPrimary(m, pcfg)
+			if err != nil {
+				log.Fatalf("skiphashd: %v", err)
 			}
-			tp.TapWAL(prim.Append)
 			rln, err := net.Listen("tcp", *replAddr)
 			if err != nil {
 				log.Fatalf("skiphashd: replication listen %s: %v", *replAddr, err)
@@ -180,7 +169,7 @@ func main() {
 			}()
 			// Serving clients see a Watermark op so barriered replica
 			// reads have a primary-side stamp source.
-			be = repl.PrimaryBackend(be, clockRead)
+			be = prim.Backend(be)
 		}
 	}
 

@@ -315,8 +315,9 @@ type checked struct {
 	unknowns int
 }
 
-// checkOptions is the standard checker workload. Point queries and
-// Puts run only against maps that implement them (the in-process ones).
+// checkOptions is the standard checker workload. Point queries run
+// only against maps that implement them (the in-process ones); Puts run
+// against every checked map, served ones included.
 func checkOptions(clients int, lookupPct int) maptest.WorkloadOptions {
 	return maptest.WorkloadOptions{
 		Clients:      clients,

@@ -201,6 +201,15 @@ func (a netAdapter[K]) Insert(k, v int64) bool {
 	return ok
 }
 
+// Put implements maptest.Putter over the wire's unconditional write.
+func (a netAdapter[K]) Put(k, v int64) bool {
+	ok, err := a.m.Put(a.enc(k), a.enc(v))
+	if err != nil {
+		a.fatal("Put", err)
+	}
+	return ok
+}
+
 func (a netAdapter[K]) Remove(k int64) bool {
 	ok, err := a.m.Remove(a.enc(k))
 	if err != nil {

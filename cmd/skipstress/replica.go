@@ -50,18 +50,10 @@ func runReplica(threads int, duration time.Duration, seed uint64, lookupPct int,
 	if err != nil {
 		fail("open primary: %v", err)
 	}
-	clockRead := pm.Runtime().Clock().Read
-	prim := repl.NewPrimary(repl.PrimaryConfig{
-		Snapshot:  repl.MapSnapshot(pm),
-		ClockRead: clockRead,
-	})
-	tp, ok := pm.Persister().(interface {
-		TapWAL(func(stamp uint64, count int, ops []byte))
-	})
-	if !ok {
-		fail("persister %T has no WAL tap", pm.Persister())
+	prim, err := repl.NewPrimary(pm, repl.PrimaryConfig{})
+	if err != nil {
+		fail("%v", err)
 	}
-	tp.TapWAL(prim.Append)
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fail("replication listen: %v", err)
@@ -77,7 +69,7 @@ func runReplica(threads int, duration time.Duration, seed uint64, lookupPct int,
 		go srv.Serve(ln)
 		return srv, ln
 	}
-	srvP, lnP := listenServe(repl.PrimaryBackend(server.NewShardedBackend(pm), clockRead))
+	srvP, lnP := listenServe(prim.Backend(server.NewShardedBackend(pm)))
 
 	// Two replicas, each serving its own read-only backend.
 	newReplica := func() (*repl.Replica, *server.Server, net.Listener) {

@@ -58,18 +58,10 @@ func Repl(w io.Writer, opts Options) error {
 		return err
 	}
 	defer m.Close()
-	clockRead := m.Runtime().Clock().Read
-	prim := repl.NewPrimary(repl.PrimaryConfig{
-		Snapshot:  repl.MapSnapshot(m),
-		ClockRead: clockRead,
-	})
-	tp, ok := m.Persister().(interface {
-		TapWAL(func(stamp uint64, count int, ops []byte))
-	})
-	if !ok {
-		return fmt.Errorf("bench: persister %T has no WAL tap", m.Persister())
+	prim, err := repl.NewPrimary(m, repl.PrimaryConfig{})
+	if err != nil {
+		return err
 	}
-	tp.TapWAL(prim.Append)
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
@@ -77,7 +69,7 @@ func Repl(w io.Writer, opts Options) error {
 	go prim.Serve(rln)
 	defer prim.Shutdown()
 
-	srv := server.New(repl.PrimaryBackend(server.NewShardedBackend(m), clockRead), server.Config{})
+	srv := server.New(prim.Backend(server.NewShardedBackend(m)), server.Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err

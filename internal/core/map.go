@@ -46,9 +46,6 @@ type Config struct {
 	// Map), and no map starts a goroutine. The field stays until a
 	// change to benchmark/ retires it (benchmark/ladder.go sets it).
 	Maintenance bool
-	// Clock overrides the STM commit clock (default: monotonic
-	// "hardware" clock, the configuration the paper reports).
-	Clock stm.Clock
 	// Durability, when non-nil, makes the map durable: committed
 	// insert/remove/batch operations are written to a commit-stamp-
 	// ordered write-ahead log in Durability.Dir, background snapshots
@@ -138,16 +135,16 @@ type Persister interface {
 var ErrNotDurable = errors.New("core: map has no durability attached")
 
 // New creates a skip hash ordered by less and hashed by hash, on its
-// own STM runtime built from cfg.Clock: the runtime supplies the commit
-// clock and descriptor pool, hash the distribution over cfg.Buckets
-// chains, and less the ordering.
+// own STM runtime: the runtime supplies the commit clock and descriptor
+// pool, hash the distribution over cfg.Buckets chains, and less the
+// ordering.
 func New[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg Config) *Map[K, V] {
 	if cfg.MaxLevel < 0 || cfg.MaxLevel > maxHeight {
 		panic("core: Config.MaxLevel must be in [0, 64]")
 	}
 	cfg = cfg.withDefaults()
 	m := &Map[K, V]{
-		rt:   stm.New(stm.WithClock(cfg.Clock)),
+		rt:   stm.New(),
 		less: less,
 		cfg:  cfg,
 	}

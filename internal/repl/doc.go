@@ -33,7 +33,7 @@
 // barrier stamp taken from the old incarnation can therefore lie above
 // the new incarnation's commits for a while.
 //
-// A promoted replica's commit clock is an stm.FloorClock raised to
-// every stamp the replica applied, so its commits extend the dead
+// A replica raises its map's commit clock (stm.Clock.Raise) to every
+// stamp it applies, so a promoted replica's commits extend the dead
 // primary's order.
 package repl

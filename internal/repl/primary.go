@@ -9,43 +9,20 @@ import (
 	"time"
 
 	"repro/internal/persist"
+	"repro/internal/stm"
 	"repro/internal/wire"
 	"repro/skiphash"
 )
 
-// PrimaryConfig configures the primary-side WAL streamer. Snapshot and
-// ClockRead are required; the rest defaults sensibly.
+// PrimaryConfig configures the primary-side WAL streamer; the zero
+// value defaults sensibly.
 type PrimaryConfig struct {
-	// Snapshot iterates the primary map in chunked consistent reads
-	// (MapSnapshot of the map being replicated), each chunk an all-put
-	// op list in the WAL's encoding; it feeds a follower's full sync.
-	Snapshot func(chunkSize int, emit func(stamp uint64, count int, ops []byte) error) error
-	// ClockRead returns a fresh commit-clock read. CaughtUp and
-	// Heartbeat stamps come from it; see the ordering rule in sender().
-	ClockRead func() uint64
 	// RingBytes bounds the in-memory record ring buffering the log tail
 	// for followers. A follower that falls behind the ring is cut off
 	// and resyncs from a snapshot. Default 32 MiB.
 	RingBytes int
 	// Logf, when set, receives per-follower diagnostics.
 	Logf func(format string, args ...any)
-}
-
-// MapSnapshot adapts m's SnapshotChunks to PrimaryConfig.Snapshot: each
-// chunk's pairs are encoded as puts (persist.AppendPut) into one buffer
-// reused across chunks (emit must not retain it).
-func MapSnapshot(m *skiphash.Map[int64, int64]) func(chunkSize int, emit func(stamp uint64, count int, ops []byte) error) error {
-	ic := persist.Int64Codec()
-	return func(chunkSize int, emit func(stamp uint64, count int, ops []byte) error) error {
-		var ops []byte
-		return m.SnapshotChunks(chunkSize, func(stamp uint64, pairs []skiphash.Pair[int64, int64]) error {
-			ops = ops[:0]
-			for _, p := range pairs {
-				ops = persist.AppendPut(ops, ic, ic, p.Key, p.Val)
-			}
-			return emit(stamp, len(pairs), ops)
-		})
-	}
 }
 
 func (c PrimaryConfig) withDefaults() PrimaryConfig {
@@ -70,11 +47,15 @@ type record struct {
 	ops   []byte
 }
 
-// Primary tails the local WAL into a bounded ring and serves it to
-// followers. Wire it to the engine with Store.TapWAL(p.Append).
+// Primary tails a durable map's WAL into a bounded ring and serves it
+// to followers.
 type Primary struct {
 	cfg   PrimaryConfig
 	epoch uint64
+	m     *skiphash.Map[int64, int64]
+	// clock is m's commit clock. CaughtUp and Heartbeat stamps are fresh
+	// reads of it; see the ordering rule in sender().
+	clock *stm.Clock
 
 	mu        sync.Mutex
 	ring      []record
@@ -114,30 +95,41 @@ func (p *Primary) Stats() PrimaryStats {
 // subscriber wakes one follower sender when records arrive.
 type subscriber struct{ kick chan struct{} }
 
-// NewPrimary creates a streamer. The epoch — unique per primary
-// incarnation — is drawn from the wall clock, so a primary that
-// crashed (possibly shedding a torn WAL tail in recovery) never
-// tail-feeds followers that may have applied the records the repair
-// discarded: the epoch mismatch forces them through a full resync.
-func NewPrimary(cfg PrimaryConfig) *Primary {
-	return &Primary{
+// NewPrimary streams m's write-ahead log: it taps the WAL, so every
+// record m logs from now on enters the ring, and serves full syncs from
+// m's snapshot chunks. m must be durable (skiphash.Open with
+// Durability). The epoch — unique per primary incarnation — is drawn
+// from the wall clock, so a primary that crashed (possibly shedding a
+// torn WAL tail in recovery) never tail-feeds followers that may have
+// applied the records the repair discarded: the epoch mismatch forces
+// them through a full resync.
+func NewPrimary(m *skiphash.Map[int64, int64], cfg PrimaryConfig) (*Primary, error) {
+	st, ok := m.Persister().(*persist.Store[int64, int64])
+	if !ok {
+		return nil, errors.New("repl: primary map has no write-ahead log")
+	}
+	p := &Primary{
 		cfg:     cfg.withDefaults(),
 		epoch:   uint64(time.Now().UnixNano()),
+		m:       m,
+		clock:   m.Runtime().Clock(),
 		nextSeq: 1,
 		subs:    make(map[*subscriber]struct{}),
 		lns:     make(map[net.Listener]struct{}),
 		conns:   make(map[net.Conn]struct{}),
 	}
+	st.TapWAL(p.tap)
+	return p, nil
 }
 
 // Epoch identifies this primary incarnation.
 func (p *Primary) Epoch() uint64 { return p.epoch }
 
-// Append feeds one WAL record into the ring. It is the WAL tap target:
+// tap feeds one WAL record into the ring. It is the WAL tap target:
 // it runs at the STM publish point with the committing transaction's
 // orecs held, so it copies ops and never blocks (subscriber kicks are
 // non-blocking sends).
-func (p *Primary) Append(stamp uint64, count int, ops []byte) {
+func (p *Primary) tap(stamp uint64, count int, ops []byte) {
 	rec := record{stamp: stamp, count: count, ops: append([]byte(nil), ops...)}
 	p.mu.Lock()
 	rec.seq = p.nextSeq
@@ -231,7 +223,7 @@ func (p *Primary) DropFollowers() {
 }
 
 // Shutdown closes listeners and follower connections and waits for the
-// senders to exit. The ring (and Append) keep working so a Shutdown
+// senders to exit. The ring (and the WAL tap) keep working so a Shutdown
 // for failover does not disturb the primary map.
 func (p *Primary) Shutdown() {
 	p.mu.Lock()
@@ -289,8 +281,16 @@ func (p *Primary) sender(nc net.Conn) error {
 		return err
 	}
 	if full {
-		err := p.cfg.Snapshot(snapshotChunk, func(stamp uint64, count int, ops []byte) error {
-			return send(&wire.ReplMsg{Op: wire.OpSnapChunk, Stamp: stamp, Count: uint64(count), Ops: ops})
+		// Each chunk's pairs travel as puts (persist.AppendPut) in one
+		// buffer reused across chunks; send has copied it when it returns.
+		ic := persist.Int64Codec()
+		var ops []byte
+		err := p.m.SnapshotChunks(snapshotChunk, func(stamp uint64, pairs []skiphash.Pair[int64, int64]) error {
+			ops = ops[:0]
+			for _, kv := range pairs {
+				ops = persist.AppendPut(ops, ic, ic, kv.Key, kv.Val)
+			}
+			return send(&wire.ReplMsg{Op: wire.OpSnapChunk, Stamp: stamp, Count: uint64(len(pairs)), Ops: ops})
 		})
 		if err != nil {
 			return fmt.Errorf("snapshot stream: %w", err)
@@ -314,7 +314,7 @@ func (p *Primary) sender(nc net.Conn) error {
 	// response reads >= H and the replica's strict barrier (watermark
 	// strictly above the requested stamp) correctly refuses until the
 	// record arrives.
-	caughtUp := p.cfg.ClockRead()
+	caughtUp := p.clock.Read()
 	p.mu.Lock()
 	syncTarget := p.nextSeq
 	p.mu.Unlock()
@@ -333,7 +333,7 @@ func (p *Primary) sender(nc net.Conn) error {
 	hb := time.NewTimer(heartbeatEvery)
 	defer hb.Stop()
 	for {
-		beat := p.cfg.ClockRead()
+		beat := p.clock.Read()
 		p.mu.Lock()
 		target := p.nextSeq
 		p.mu.Unlock()

@@ -10,15 +10,9 @@ import (
 
 	"repro/internal/persist"
 	"repro/internal/server"
-	"repro/internal/stm"
 	"repro/internal/wire"
 	"repro/skiphash"
 )
-
-// tapper is the persistence engine's WAL tap surface.
-type tapper interface {
-	TapWAL(func(stamp uint64, count int, ops []byte))
-}
 
 // primaryHarness is one durable primary map with its WAL streamed.
 type primaryHarness struct {
@@ -38,29 +32,17 @@ func (h *primaryHarness) close() {
 // WAL on addr ("127.0.0.1:0" for a fresh port).
 func startPrimary(t *testing.T, dir, addr string, cfg PrimaryConfig) *primaryHarness {
 	t.Helper()
-	return startPrimaryClock(t, dir, addr, cfg, nil)
-}
-
-// startPrimaryClock is startPrimary with the map's commit clock set
-// (nil: the default).
-func startPrimaryClock(t *testing.T, dir, addr string, cfg PrimaryConfig, clock stm.Clock) *primaryHarness {
-	t.Helper()
 	m, err := skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{
-		Clock:      clock,
 		Durability: &skiphash.Durability{Dir: dir, Fsync: skiphash.FsyncNone},
 	}, skiphash.Int64Codec(), skiphash.Int64Codec())
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	cfg.Snapshot = MapSnapshot(m)
-	cfg.ClockRead = m.Runtime().Clock().Read
 	cfg.Logf = t.Logf
-	p := NewPrimary(cfg)
-	tp, ok := m.Persister().(tapper)
-	if !ok {
-		t.Fatalf("persister %T has no TapWAL", m.Persister())
+	p, err := NewPrimary(m, cfg)
+	if err != nil {
+		t.Fatalf("NewPrimary: %v", err)
 	}
-	tp.TapWAL(p.Append)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -266,7 +248,7 @@ func TestPromoteLiftsClockAndOpensWrites(t *testing.T) {
 		t.Fatalf("Promote: %v", err)
 	}
 	// The clock floor keeps new stamps above everything applied.
-	if next := r.clock.Next(); next <= w {
+	if next := r.Map().Runtime().Clock().Next(); next <= w {
 		t.Fatalf("post-promotion stamp %d not above watermark %d", next, w)
 	}
 	if err := be.Atomic(write, resps); err != nil || !resps[0].Ok {
@@ -280,8 +262,7 @@ func TestPromoteLiftsClockAndOpensWrites(t *testing.T) {
 func TestPrimaryBackendWatermark(t *testing.T) {
 	h := startPrimary(t, t.TempDir(), "127.0.0.1:0", PrimaryConfig{})
 	defer h.close()
-	clock := h.m.Runtime().Clock()
-	be := PrimaryBackend(server.NewShardedBackend(h.m), clock.Read)
+	be := h.p.Backend(server.NewShardedBackend(h.m))
 	h.m.Put(1, 1)
 	w1 := be.(server.Watermarker).Watermark()
 	h.m.Put(2, 2)
@@ -294,15 +275,24 @@ func TestPrimaryBackendWatermark(t *testing.T) {
 	}
 }
 
+func TestNewPrimaryRequiresWAL(t *testing.T) {
+	m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
+	defer m.Close()
+	if p, err := NewPrimary(m, PrimaryConfig{}); err == nil || p != nil {
+		t.Fatalf("NewPrimary on an in-memory map = %v, %v; want an error", p, err)
+	}
+}
+
 func TestPromoteAfterPrimaryClockAheadNoAborts(t *testing.T) {
 	// The primary's clock runs 1.5 s ahead of the replica's. After
 	// promotion the replica's floor sits at the primary's last stamp; a
 	// floor that clamped stamps to floor+1 (instead of offsetting the
 	// clock) would tie every commit with the next read until the local
 	// clock caught up, and each strict read would abort and retry.
-	ahead := stm.NewFloorClock(stm.NewMonotonicClock(), uint64(1500*time.Millisecond))
-	h := startPrimaryClock(t, t.TempDir(), "127.0.0.1:0", PrimaryConfig{}, ahead)
+	h := startPrimary(t, t.TempDir(), "127.0.0.1:0", PrimaryConfig{})
 	defer h.close()
+	clock := h.m.Runtime().Clock()
+	clock.Raise(clock.Read() + uint64(1500*time.Millisecond))
 	for i := int64(0); i < 50; i++ {
 		h.m.Put(i, i)
 	}

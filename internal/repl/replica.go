@@ -21,9 +21,9 @@ import (
 type ReplicaConfig struct {
 	// Addr is the primary's replication address (host:port).
 	Addr string
-	// Map tunes the replica's in-memory map; Clock and Durability are
-	// overridden (the replica's clock is a monotonic clock under a
-	// raisable floor, and its state is the stream, not a local log).
+	// Map tunes the replica's in-memory map; Durability is ignored (the
+	// replica's state is the stream, not a local log). The map's commit
+	// clock is raised to every applied stamp.
 	Map skiphash.Config
 	// RedialEvery paces reconnect attempts. Default 100ms.
 	RedialEvery time.Duration
@@ -41,9 +41,8 @@ const applyBatch = 128
 // The map serves read-only traffic (through Backend) at the advertised
 // watermark until Promote makes it writable.
 type Replica struct {
-	cfg   ReplicaConfig
-	clock *stm.FloorClock
-	m     *skiphash.Map[int64, int64]
+	cfg ReplicaConfig
+	m   *skiphash.Map[int64, int64]
 
 	// epoch and lastSeq name the stream position the map reflects; a
 	// full resync moves them only once its fold is loaded.
@@ -79,14 +78,9 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 	if cfg.DialTimeout == 0 {
 		cfg.DialTimeout = 2 * time.Second
 	}
-	clock := stm.NewRaisableClock(stm.NewMonotonicClock())
-	mc := cfg.Map
-	mc.Clock = clock
-	mc.Durability = nil
 	r := &Replica{
 		cfg:     cfg,
-		clock:   clock,
-		m:       skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, mc),
+		m:       skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg.Map),
 		ready:   make(chan struct{}),
 		stopped: make(chan struct{}),
 		done:    make(chan struct{}),
@@ -239,7 +233,7 @@ func (r *Replica) runConn(nc net.Conn) error {
 			if err := fold.AddOps(m.Stamp, m.Count, m.Ops); err != nil {
 				return err
 			}
-			r.clock.Raise(m.Stamp)
+			r.m.Runtime().Clock().Raise(m.Stamp)
 		case wire.OpWalRecord:
 			if m.Seq != seq+1 {
 				return fmt.Errorf("record seq %d after %d", m.Seq, seq)
@@ -251,7 +245,7 @@ func (r *Replica) runConn(nc net.Conn) error {
 				if err := fold.AddOps(m.Stamp, m.Count, m.Ops); err != nil {
 					return err
 				}
-				r.clock.Raise(m.Stamp)
+				r.m.Runtime().Clock().Raise(m.Stamp)
 			} else {
 				if err := r.applyRecord(&m); err != nil {
 					return err
@@ -267,7 +261,7 @@ func (r *Replica) runConn(nc net.Conn) error {
 				}
 				fold = nil
 				r.epoch, r.lastSeq = hdr.Epoch, seq
-				r.clock.Raise(m.Stamp)
+				r.m.Runtime().Clock().Raise(m.Stamp)
 				r.watermark.Store(m.Stamp)
 			} else {
 				r.advance(m.Stamp)
@@ -326,7 +320,7 @@ func (r *Replica) Stats() ReplicaStats {
 
 // advance lifts the commit-clock floor, then the watermark, to s.
 func (r *Replica) advance(s uint64) {
-	r.clock.Raise(s)
+	r.m.Runtime().Clock().Raise(s)
 	for {
 		cur := r.watermark.Load()
 		if s <= cur || r.watermark.CompareAndSwap(cur, s) {
@@ -429,18 +423,18 @@ func (b *replicaBackend) Watermark() uint64 { return b.r.Watermark() }
 // Promote implements server.Promoter.
 func (b *replicaBackend) Promote() error { return b.r.Promote() }
 
-// PrimaryBackend decorates a primary's serving backend with a
-// Watermark: a fresh commit-clock read, which by the publish-order
-// argument in Primary.sender bounds every commit a client has seen a
-// response for.
-func PrimaryBackend(be server.Backend, clockRead func() uint64) server.Backend {
-	return &primaryBackend{Backend: be, read: clockRead}
+// Backend decorates the primary's serving backend with a Watermark: a
+// fresh read of the map's commit clock, which by the publish-order
+// argument in sender bounds every commit a client has seen a response
+// for.
+func (p *Primary) Backend(be server.Backend) server.Backend {
+	return &primaryBackend{Backend: be, clock: p.clock}
 }
 
 type primaryBackend struct {
 	server.Backend
-	read func() uint64
+	clock *stm.Clock
 }
 
 // Watermark implements server.Watermarker.
-func (b *primaryBackend) Watermark() uint64 { return b.read() }
+func (b *primaryBackend) Watermark() uint64 { return b.clock.Read() }

@@ -195,7 +195,7 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		}
 		fsync := wire.NsFsyncDefault
 		if raw, err := os.ReadFile(filepath.Join(dir, fsyncMetaFile)); err == nil {
-			if v, err := strconv.Atoi(strings.TrimSpace(string(raw))); err == nil && v <= int(wire.NsFsyncAlways) {
+			if v, err := strconv.Atoi(strings.TrimSpace(string(raw))); err == nil && v >= 0 && v <= int(wire.NsFsyncAlways) {
 				fsync = uint8(v)
 			}
 		}

@@ -6,6 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -230,6 +234,43 @@ func TestNamespaceDurableReopen(t *testing.T) {
 	pairs, err := ns.Range([]byte("key-"), []byte("key-~"), 0)
 	if err != nil || len(pairs) != 50 {
 		t.Fatalf("after reopen Range = %d pairs, %v", len(pairs), err)
+	}
+}
+
+// TestNamespaceReopenBadFsyncMeta: a namespace whose fsync selector
+// file holds no valid selector reopens under the registry default (and
+// the file is rewritten to say so) instead of refusing the registry.
+func TestNamespaceReopenBadFsyncMeta(t *testing.T) {
+	for _, raw := range []string{"garbage", "9", "-1"} {
+		t.Run(raw, func(t *testing.T) {
+			root := t.TempDir()
+			reg, err := NewRegistry(RegistryConfig{Root: root})
+			if err != nil {
+				t.Fatalf("NewRegistry: %v", err)
+			}
+			if _, err := reg.Create("ns", true, wire.NsFsyncAlways); err != nil {
+				t.Fatalf("Create: %v", err)
+			}
+			if err := reg.CloseAll(); err != nil {
+				t.Fatalf("CloseAll: %v", err)
+			}
+			meta := filepath.Join(root, "ns-ns", fsyncMetaFile)
+			if err := os.WriteFile(meta, []byte(raw+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			reg, err = NewRegistry(RegistryConfig{Root: root})
+			if err != nil {
+				t.Fatalf("reopen with nsfsync %q: %v", raw, err)
+			}
+			defer reg.CloseAll()
+			if got := reg.List(); len(got) != 1 || got[0].Name != "ns" {
+				t.Fatalf("reopened namespaces = %+v, want ns", got)
+			}
+			b, err := os.ReadFile(meta)
+			if err != nil || strings.TrimSpace(string(b)) != strconv.Itoa(int(wire.NsFsyncDefault)) {
+				t.Fatalf("nsfsync after reopen = %q, %v; want the default selector", b, err)
+			}
+		})
 	}
 }
 

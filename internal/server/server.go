@@ -151,7 +151,7 @@ type Server struct {
 // New creates a server whose namespace 0 is be. Without a registry that
 // is the only namespace (requests naming another answer
 // StatusNsNotFound, NsCreate StatusErr). The caller keeps ownership of
-// be's map: Shutdown quiesces it but does not close it.
+// be's map: Shutdown stops serving it but does not close it.
 func New(be Backend, cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg.withDefaults(),
@@ -277,8 +277,8 @@ func (s *Server) NumConns() int {
 
 // Shutdown drains the server: listeners stop accepting, every
 // connection answers the frames it has already read and flushes them,
-// the backend's removal buffers are quiesced, and the registry's
-// namespaces are closed. Connections still open when ctx expires are
+// and the registry's namespaces are closed; the default namespace's
+// map is left open for its owner. Connections still open when ctx expires are
 // force-closed (their unflushed responses are lost, as a crash would
 // lose them). Shutdown returns the first failure closing a namespace —
 // acknowledged writes that may not be on disk — else the context's

@@ -74,14 +74,11 @@ func BenchmarkMultiCellTx(b *testing.B) {
 	})
 }
 
-func BenchmarkClockSources(b *testing.B) {
-	for _, clk := range []Clock{NewGV1(), NewGV5(), NewMonotonicClock()} {
-		b.Run(clk.Name(), func(b *testing.B) {
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					_ = clk.Next()
-				}
-			})
-		})
-	}
+func BenchmarkClockNext(b *testing.B) {
+	clk := New().Clock()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			_ = clk.Next()
+		}
+	})
 }

@@ -5,187 +5,111 @@ import (
 	"testing"
 )
 
-// TestClockConformance pins the Clock contract for every provided
-// implementation in one table-driven suite: Strict reporting, Read and
-// Next monotonicity, the admission relation between commit stamps and
-// later start times, and OnAbort's advancement duty for lazy clocks.
+// TestClockConformance pins the Clock contract: Read and Next are
+// monotone, Next never falls below an earlier Read, and a committed
+// stamp never exceeds a later Read (the runtime rejects equality, which
+// costs a false abort, never a violation).
+//
+// The clock tests run as an "hwclock" subtest, the name the one clock
+// (a monotonic-nanosecond stand-in for the paper's rdtscp) carried when
+// the runtime offered several.
 func TestClockConformance(t *testing.T) {
-	cases := []struct {
-		name string
-		mk   func() Clock
-		// strict is the contract the runtime keys its reader comparison
-		// off: strict clocks demand version < start, lax admit equality.
-		strict bool
-		// lazy marks clocks (GV5) whose commit stamps outrun Read until
-		// OnAbort catches the counter up.
-		lazy bool
-		// uniqueNext marks clocks whose Next results are globally unique
-		// (fetch-and-add).
-		uniqueNext bool
-	}{
-		{name: "gv1", mk: func() Clock { return NewGV1() }, strict: false, lazy: false, uniqueNext: true},
-		{name: "gv5", mk: func() Clock { return NewGV5() }, strict: false, lazy: true, uniqueNext: false},
-		{name: "hwclock", mk: func() Clock { return NewMonotonicClock() }, strict: true, lazy: false, uniqueNext: false},
+	t.Run("hwclock", testClockConformance)
+}
+
+func testClockConformance(t *testing.T) {
+	c := New().Clock()
+
+	// Read is monotone non-decreasing.
+	prev := c.Read()
+	for i := 0; i < 1000; i++ {
+		r := c.Read()
+		if r < prev {
+			t.Fatalf("Read went backwards: %d after %d", r, prev)
+		}
+		prev = r
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c := tc.mk()
-			if got := c.Strict(); got != tc.strict {
-				t.Errorf("Strict() = %v, want %v", got, tc.strict)
-			}
-			if got := c.Name(); got != tc.name {
-				t.Errorf("Name() = %q, want %q", got, tc.name)
-			}
 
-			// Read is monotone non-decreasing.
-			prev := c.Read()
-			for i := 0; i < 1000; i++ {
-				r := c.Read()
-				if r < prev {
-					t.Fatalf("Read went backwards: %d after %d", r, prev)
-				}
-				prev = r
-			}
+	// Next is monotone non-decreasing, and never falls below Read's past.
+	start := c.Read()
+	prevNext := uint64(0)
+	for i := 0; i < 1000; i++ {
+		n := c.Next()
+		if n < start {
+			t.Fatalf("Next() = %d below earlier Read() = %d", n, start)
+		}
+		if n < prevNext {
+			t.Fatalf("Next went backwards: %d after %d", n, prevNext)
+		}
+		prevNext = n
+	}
 
-			// Next is monotone non-decreasing (strictly increasing when
-			// stamps are unique), and never falls below Read's past.
-			start := c.Read()
-			prevNext := uint64(0)
-			for i := 0; i < 1000; i++ {
-				n := c.Next()
-				if n < start {
-					t.Fatalf("Next() = %d below earlier Read() = %d", n, start)
-				}
-				if tc.uniqueNext && n <= prevNext && i > 0 {
-					t.Fatalf("Next not strictly increasing: %d after %d", n, prevNext)
-				}
-				if n < prevNext {
-					t.Fatalf("Next went backwards: %d after %d", n, prevNext)
-				}
-				prevNext = n
-			}
-
-			// Admission: once a commit stamp is visible through Read, a
-			// new reader must admit it (stamp < start when strict,
-			// stamp <= start otherwise). Lazy clocks owe this only after
-			// OnAbort.
-			stamp := c.Next()
-			if tc.lazy {
-				if r := c.Read(); r >= stamp {
-					t.Fatalf("lazy clock advanced Read to %d on Next %d", r, stamp)
-				}
-				c.OnAbort()
-			}
-			r := c.Read()
-			if tc.strict {
-				// Strict clocks only promise r >= stamp at equal-tick
-				// granularity; the runtime rejects equality, which costs
-				// a false abort, never a violation.
-				if r < stamp {
-					t.Fatalf("Read() = %d below committed stamp %d", r, stamp)
-				}
-			} else if r < stamp {
-				t.Fatalf("Read() = %d does not admit committed stamp %d", r, stamp)
-			}
-
-			// OnAbort never moves any clock backwards.
-			before := c.Read()
-			c.OnAbort()
-			if after := c.Read(); after < before {
-				t.Fatalf("OnAbort moved Read backwards: %d -> %d", before, after)
-			}
-		})
+	// Admission: a later Read is at least every committed stamp.
+	stamp := c.Next()
+	if r := c.Read(); r < stamp {
+		t.Fatalf("Read() = %d below committed stamp %d", r, stamp)
 	}
 }
 
 // TestClockConcurrentStamps hammers Next from many goroutines and
-// checks the per-clock uniqueness/monotonicity guarantees hold under
-// contention (notably GV1's fetch-and-add uniqueness).
+// checks each goroutine's stamps stay monotone under contention.
 func TestClockConcurrentStamps(t *testing.T) {
-	clocks := []struct {
-		name   string
-		mk     func() Clock
-		unique bool
-	}{
-		{"gv1", func() Clock { return NewGV1() }, true},
-		{"gv5", func() Clock { return NewGV5() }, false},
-		{"hwclock", func() Clock { return NewMonotonicClock() }, false},
-	}
-	for _, tc := range clocks {
-		t.Run(tc.name, func(t *testing.T) {
-			c := tc.mk()
-			const workers = 8
-			const perWorker = 2000
-			stamps := make([][]uint64, workers)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					out := make([]uint64, perWorker)
-					for i := range out {
-						out[i] = c.Next()
-					}
-					stamps[w] = out
-				}(w)
-			}
-			wg.Wait()
-			seen := make(map[uint64]int)
-			for w := range stamps {
-				prev := uint64(0)
-				for _, s := range stamps[w] {
-					if s < prev {
-						t.Fatalf("worker %d saw Next go backwards: %d after %d", w, s, prev)
-					}
-					prev = s
-					seen[s]++
-				}
-			}
-			if tc.unique && len(seen) != workers*perWorker {
-				t.Fatalf("gv1 stamps not unique: %d distinct of %d", len(seen), workers*perWorker)
-			}
-		})
-	}
+	t.Run("hwclock", testClockConcurrentStamps)
 }
 
-// TestClockRuntimeIntegration runs a small transactional workload under
-// each clock, confirming the Strict wiring end to end.
+func testClockConcurrentStamps(t *testing.T) {
+	c := New().Clock()
+	const workers = 8
+	const perWorker = 2000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			prev := uint64(0)
+			for i := 0; i < perWorker; i++ {
+				s := c.Next()
+				if s < prev {
+					t.Errorf("worker %d saw Next go backwards: %d after %d", w, s, prev)
+					return
+				}
+				prev = s
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestClockRuntimeIntegration runs a small contended transactional
+// workload, confirming the strict admission rule end to end.
 func TestClockRuntimeIntegration(t *testing.T) {
-	for _, mk := range []func() Clock{
-		func() Clock { return NewGV1() },
-		func() Clock { return NewGV5() },
-		func() Clock { return NewMonotonicClock() },
-	} {
-		c := mk()
-		t.Run(c.Name(), func(t *testing.T) {
-			rt := New(WithClock(c))
-			if rt.Clock() != c {
-				t.Fatal("runtime did not adopt the injected clock")
+	t.Run("hwclock", testClockRuntimeIntegration)
+}
+
+func testClockRuntimeIntegration(t *testing.T) {
+	rt := New()
+	cells := make([]hookCell, 4)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				ci := i % len(cells)
+				_ = rt.Atomic(func(tx *Tx) error {
+					cell := &cells[ci]
+					cell.v.Store(tx, &cell.orec, cell.v.Load(tx, &cell.orec)+1)
+					return nil
+				})
 			}
-			cells := make([]hookCell, 4)
-			var wg sync.WaitGroup
-			for g := 0; g < 4; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < 500; i++ {
-						ci := i % len(cells)
-						_ = rt.Atomic(func(tx *Tx) error {
-							cell := &cells[ci]
-							cell.v.Store(tx, &cell.orec, cell.v.Load(tx, &cell.orec)+1)
-							return nil
-						})
-					}
-				}()
-			}
-			wg.Wait()
-			var total uint64
-			for i := range cells {
-				total += cells[i].v.Raw()
-			}
-			if total != 4*500 {
-				t.Fatalf("clock %s lost updates: %d of %d", c.Name(), total, 4*500)
-			}
-		})
+		}()
+	}
+	wg.Wait()
+	var total uint64
+	for i := range cells {
+		total += cells[i].v.Raw()
+	}
+	if total != 4*500 {
+		t.Fatalf("lost updates: %d of %d", total, 4*500)
 	}
 }

@@ -19,9 +19,9 @@
 //   - Cheap read-only transactions. Each read is validated individually
 //     against the start time, so a transaction that never writes commits
 //     with no further work and linearizes at its start.
-//   - Pluggable global clocks. GV1 (fetch-and-add), GV5 (lazy), and a
-//     monotonic wall-clock source that stands in for the paper's rdtscp
-//     hardware clock (see Clock).
+//   - One global clock per runtime: monotonic wall-clock nanoseconds,
+//     standing in for the paper's rdtscp hardware clock, under a floor
+//     that only rises (see Clock).
 //
 // # Using the package
 //

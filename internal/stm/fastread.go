@@ -21,8 +21,7 @@ import (
 // No clock sample is needed: a transaction's start timestamp exists to
 // make reads of *multiple* orecs mutually consistent, and a point read
 // validates exactly one. Skipping the clock keeps the hit path free of
-// the commit clock entirely (on the monotonic clock, that is a nanotime
-// call per read).
+// the commit clock entirely (a nanotime call per read).
 //
 // The one caveat is shared with the transactional readOrec/postRead
 // pair: a full acquire→write→rollback cycle completing entirely inside

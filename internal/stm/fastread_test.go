@@ -17,30 +17,24 @@ func mustStore(t *testing.T, rt *Runtime, c *cell, v uint64) {
 }
 
 func TestFastReadHitSeesCommittedValue(t *testing.T) {
-	for _, clk := range []struct {
-		name string
-		opts []Option
-	}{
-		{"hwclock", nil},
-		{"gv1", []Option{WithClock(NewGV1())}},
-	} {
-		t.Run(clk.name, func(t *testing.T) {
-			rt := New(clk.opts...)
-			var c cell
-			mustStore(t, rt, &c, 42)
+	t.Run("hwclock", testFastReadHitSeesCommittedValue)
+}
 
-			s, ok := c.orec.Sample()
-			if !ok {
-				t.Fatal("Sample failed on a quiescent orec")
-			}
-			got := c.v.Raw()
-			if !s.Valid() {
-				t.Fatal("Valid failed with no concurrent writer")
-			}
-			if got != 42 {
-				t.Fatalf("fast read = %d, want 42", got)
-			}
-		})
+func testFastReadHitSeesCommittedValue(t *testing.T) {
+	rt := New()
+	var c cell
+	mustStore(t, rt, &c, 42)
+
+	s, ok := c.orec.Sample()
+	if !ok {
+		t.Fatal("Sample failed on a quiescent orec")
+	}
+	got := c.v.Raw()
+	if !s.Valid() {
+		t.Fatal("Valid failed with no concurrent writer")
+	}
+	if got != 42 {
+		t.Fatalf("fast read = %d, want 42", got)
 	}
 }
 

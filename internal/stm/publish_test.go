@@ -101,28 +101,16 @@ func TestOnPublishSemantics(t *testing.T) {
 	}
 }
 
-// TestFloorClock: the wrapper shifts stamps above the floor and
-// preserves the inner clock's contract surface.
-func TestFloorClock(t *testing.T) {
-	if c := NewFloorClock(NewGV1(), 0); c != any(c).(Clock) || c.Name() != "gv1" {
-		t.Fatal("zero floor should keep the clock usable")
-	}
-	inner := NewGV1()
-	c := NewFloorClock(inner, 1000)
-	if got := c.Read(); got != 1000 {
-		t.Fatalf("Read = %d, want 1000", got)
-	}
-	if got := c.Next(); got != 1001 {
-		t.Fatalf("Next = %d, want 1001", got)
-	}
-	if c.Strict() != inner.Strict() || c.Name() != inner.Name() {
-		t.Fatal("FloorClock must delegate Strict and Name")
-	}
-	rt := New(WithClock(NewFloorClock(NewMonotonicClock(), 500)))
+// TestClockRaise: Raise lifts every later stamp above the floor and
+// keeps the clock advancing at its own pace.
+func TestClockRaise(t *testing.T) {
+	rt := New()
+	const floor = uint64(1e12)
+	rt.Clock().Raise(floor)
 	var o Orec
 	var f U64
 	if err := rt.Atomic(func(tx *Tx) error {
-		if tx.Start() <= 500 {
+		if tx.Start() <= floor {
 			t.Errorf("start stamp %d not above floor", tx.Start())
 		}
 		f.Store(tx, &o, 9)
@@ -131,93 +119,75 @@ func TestFloorClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := f.Raw(); got != 9 {
-		t.Fatalf("write through floored runtime lost: %d", got)
+		t.Fatalf("write through raised runtime lost: %d", got)
 	}
 
-	t.Run("RaiseKeepsGV1", func(t *testing.T) {
-		c := NewRaisableClock(NewGV1())
-		if c.Strict() || c.Name() != "gv1" {
-			t.Fatal("a raised GV1 must stay non-strict gv1")
-		}
-		seen := map[uint64]bool{}
+	t.Run("RaiseAboveEachFloor", func(t *testing.T) {
+		c := New().Clock()
 		for i, s := range []uint64{0, 50, 10, 1 << 40, 7} {
 			c.Raise(s)
 			if r := c.Read(); r <= s {
 				t.Fatalf("raise %d: Read = %d, not above %d", i, r, s)
 			}
 			for j := 0; j < 3; j++ {
-				n := c.Next()
-				if n <= s || seen[n] {
-					t.Fatalf("raise %d: Next = %d (floor %d, repeated %v)", i, n, s, seen[n])
+				if n := c.Next(); n <= s {
+					t.Fatalf("raise %d: Next = %d, not above %d", i, n, s)
 				}
-				seen[n] = true
 			}
 		}
-		// A lower Raise never lowers the offset: stamps keep climbing.
-		before := c.Next()
+		// A lower Raise never lowers the offset.
+		before := c.off.Load()
 		c.Raise(1)
-		if after := c.Next(); after != before+1 {
-			t.Fatalf("lower raise moved the clock: %d then %d", before, after)
+		if after := c.off.Load(); after != before {
+			t.Fatalf("lower raise moved the offset: %d then %d", before, after)
 		}
 	})
 
 	t.Run("RaiseOffsetsMonotonic", func(t *testing.T) {
 		// The floor moves the offset, not the stamp: after a raise the
-		// clock keeps advancing at the inner clock's pace, so two
-		// commits in a row do not tie at floor+1.
-		c := NewRaisableClock(NewMonotonicClock())
+		// clock keeps advancing at its own pace, so two commits in a row
+		// do not tie at floor+1.
+		c := New().Clock()
 		const s = uint64(5e9)
 		c.Raise(s)
 		a := c.Next()
 		time.Sleep(time.Millisecond)
 		b := c.Next()
-		if a <= s || b-a < uint64(time.Millisecond) || !c.Strict() {
+		if a <= s || b-a < uint64(time.Millisecond) {
 			t.Fatalf("stamps %d, %d a millisecond apart after raise %d", a, b, s)
 		}
 	})
 
 	t.Run("ConcurrentRaise", func(t *testing.T) {
 		// Raisers and drawers race. Every stamp a goroutine draws after
-		// its own Raise(s) returns is above s, every stamp is unique
-		// (GV1 inner), and one goroutine's Reads never go backwards.
-		// Each raise lands just above the clock, so the offset moves in
-		// small steps while other goroutines are mid-draw.
-		c := NewRaisableClock(NewGV1())
+		// its own Raise(s) returns is above s, and one goroutine's
+		// Reads never go backwards. Each raise lands just above the
+		// clock, so the offset moves in small steps while other
+		// goroutines are mid-draw.
+		c := New().Clock()
 		const workers, rounds = 4, 20000
-		stamps := make([][]uint64, workers)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func(w int) {
+			go func() {
 				defer wg.Done()
 				last := uint64(0)
 				for i := 0; i < rounds; i++ {
 					s := c.Read() + uint64(i%3)
 					c.Raise(s)
-					n := c.Next()
-					if n <= s {
+					if n := c.Next(); n <= s {
 						t.Errorf("Next %d after Raise(%d)", n, s)
 						return
 					}
-					if r := c.Read(); r < last {
+					r := c.Read()
+					if r < last {
 						t.Errorf("Read went back: %d after %d", r, last)
 						return
-					} else {
-						last = r
 					}
-					stamps[w] = append(stamps[w], n)
+					last = r
 				}
-			}(w)
+			}()
 		}
 		wg.Wait()
-		seen := map[uint64]bool{}
-		for _, ss := range stamps {
-			for _, n := range ss {
-				if seen[n] {
-					t.Fatalf("stamp %d drawn twice across concurrent raises", n)
-				}
-				seen[n] = true
-			}
-		}
 	})
 }

@@ -12,9 +12,8 @@ import (
 // must only ever be accessed through transactions of the Runtime that
 // owns them.
 type Runtime struct {
-	clock  Clock
-	strict bool
-	txIDs  atomic.Uint64
+	clock Clock
+	txIDs atomic.Uint64
 
 	// hooks is the schedule/fault instrumentation surface (see Hooks).
 	// It is swappable at runtime via SetHooks; each attempt snapshots it
@@ -66,13 +65,6 @@ func (rt *Runtime) SetCommitObserver(o CommitObserver) {
 // Option configures a Runtime.
 type Option func(*Runtime)
 
-// WithClock selects the commit clock. The default is the monotonic
-// "hardware" clock, matching the configuration the paper reports results
-// for.
-func WithClock(c Clock) Option {
-	return func(rt *Runtime) { rt.clock = c }
-}
-
 // WithHooks installs schedule/fault hooks at construction; see Hooks
 // and SetHooks.
 func WithHooks(h Hooks) Option {
@@ -89,13 +81,10 @@ func WithBackoffSeed(seed uint64) Option {
 // New creates an STM runtime.
 func New(opts ...Option) *Runtime {
 	rt := &Runtime{}
+	rt.clock.base = time.Now()
 	for _, opt := range opts {
 		opt(rt)
 	}
-	if rt.clock == nil {
-		rt.clock = NewMonotonicClock()
-	}
-	rt.strict = rt.clock.Strict()
 	rt.pool.New = func() any {
 		tx := &Tx{rt: rt}
 		rt.mu.Lock()
@@ -108,7 +97,7 @@ func New(opts ...Option) *Runtime {
 }
 
 // Clock returns the runtime's commit clock.
-func (rt *Runtime) Clock() Clock { return rt.clock }
+func (rt *Runtime) Clock() *Clock { return &rt.clock }
 
 // SetHooks installs (or, with nil, removes) the runtime's schedule and
 // fault-injection hooks. The swap is atomic and takes effect at the

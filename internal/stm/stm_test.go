@@ -248,59 +248,59 @@ func TestReadOnlySnapshotConsistency(t *testing.T) {
 }
 
 func TestConcurrentCountersSumPreserved(t *testing.T) {
+	t.Run("hwclock", testConcurrentCountersSumPreserved)
+}
+
+func testConcurrentCountersSumPreserved(t *testing.T) {
 	// Bank-transfer invariant: concurrent transfers between random
 	// accounts preserve the total.
-	for _, clk := range []Clock{NewGV1(), NewGV5(), NewMonotonicClock()} {
-		t.Run(clk.Name(), func(t *testing.T) {
-			rt := New(WithClock(clk))
-			const nAccounts = 16
-			const perAccount = 1000
-			accounts := make([]cell, nAccounts)
-			for i := range accounts {
-				accounts[i].v.Init(perAccount)
+	rt := New()
+	const nAccounts = 16
+	const perAccount = 1000
+	accounts := make([]cell, nAccounts)
+	for i := range accounts {
+		accounts[i].v.Init(perAccount)
+	}
+	const goroutines = 8
+	const transfers = 2000
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			rng := seed
+			next := func() uint64 {
+				rng ^= rng << 13
+				rng ^= rng >> 7
+				rng ^= rng << 17
+				return rng
 			}
-			const goroutines = 8
-			const transfers = 2000
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(seed uint64) {
-					defer wg.Done()
-					rng := seed
-					next := func() uint64 {
-						rng ^= rng << 13
-						rng ^= rng >> 7
-						rng ^= rng << 17
-						return rng
+			for i := 0; i < transfers; i++ {
+				from := &accounts[next()%nAccounts]
+				to := &accounts[next()%nAccounts]
+				if from == to {
+					continue
+				}
+				_ = rt.Atomic(func(tx *Tx) error {
+					fv := from.v.Load(tx, &from.orec)
+					if fv == 0 {
+						return nil
 					}
-					for i := 0; i < transfers; i++ {
-						from := &accounts[next()%nAccounts]
-						to := &accounts[next()%nAccounts]
-						if from == to {
-							continue
-						}
-						_ = rt.Atomic(func(tx *Tx) error {
-							fv := from.v.Load(tx, &from.orec)
-							if fv == 0 {
-								return nil
-							}
-							from.v.Store(tx, &from.orec, fv-1)
-							tv := to.v.Load(tx, &to.orec)
-							to.v.Store(tx, &to.orec, tv+1)
-							return nil
-						})
-					}
-				}(uint64(g) + 1)
+					from.v.Store(tx, &from.orec, fv-1)
+					tv := to.v.Load(tx, &to.orec)
+					to.v.Store(tx, &to.orec, tv+1)
+					return nil
+				})
 			}
-			wg.Wait()
-			var total uint64
-			for i := range accounts {
-				total += accounts[i].v.Raw()
-			}
-			if total != nAccounts*perAccount {
-				t.Errorf("total = %d, want %d", total, nAccounts*perAccount)
-			}
-		})
+		}(uint64(g) + 1)
+	}
+	wg.Wait()
+	var total uint64
+	for i := range accounts {
+		total += accounts[i].v.Raw()
+	}
+	if total != nAccounts*perAccount {
+		t.Errorf("total = %d, want %d", total, nAccounts*perAccount)
 	}
 }
 
@@ -328,32 +328,17 @@ func TestStatsCounting(t *testing.T) {
 }
 
 func TestClockMonotonic(t *testing.T) {
-	for _, clk := range []Clock{NewGV1(), NewMonotonicClock()} {
-		t.Run(clk.Name(), func(t *testing.T) {
-			last := uint64(0)
-			for i := 0; i < 1000; i++ {
-				n := clk.Next()
-				if n < last {
-					t.Fatalf("Next went backwards: %d after %d", n, last)
-				}
-				last = n
+	t.Run("hwclock", func(t *testing.T) {
+		clk := New().Clock()
+		last := uint64(0)
+		for i := 0; i < 1000; i++ {
+			n := clk.Next()
+			if n < last {
+				t.Fatalf("Next went backwards: %d after %d", n, last)
 			}
-		})
-	}
-}
-
-func TestGV5Semantics(t *testing.T) {
-	c := NewGV5()
-	if got := c.Next(); got != 1 {
-		t.Errorf("first Next = %d, want 1 (counter untouched)", got)
-	}
-	if got := c.Read(); got != 0 {
-		t.Errorf("Read after Next = %d, want 0", got)
-	}
-	c.OnAbort()
-	if got := c.Read(); got != 1 {
-		t.Errorf("Read after OnAbort = %d, want 1", got)
-	}
+			last = n
+		}
+	})
 }
 
 func TestPtrFieldNilAndValues(t *testing.T) {

@@ -18,7 +18,6 @@ type Tx struct {
 	id     uint64 // unique per attempt; encoded into lock words
 	idEnd  uint64 // exclusive end of the descriptor's private ID block
 	start  uint64 // start timestamp from the clock
-	strict bool   // reject version == start (see Clock.Strict)
 	active bool
 
 	reads    []readEntry
@@ -157,7 +156,6 @@ func (tx *Tx) begin() {
 		tx.id = tx.idEnd - idBlock + 1
 	}
 	tx.start = tx.rt.clock.Read()
-	tx.strict = tx.rt.strict
 	tx.reads = tx.reads[:0]
 	tx.undo = tx.undo[:0]
 	tx.acquired = tx.acquired[:0]
@@ -193,13 +191,9 @@ func (tx *Tx) conflict(reason uint8) {
 }
 
 // versionOK reports whether a version observed on an orec is admissible
-// for this transaction's snapshot.
-func (tx *Tx) versionOK(ver uint64) bool {
-	if tx.strict {
-		return ver < tx.start
-	}
-	return ver <= tx.start
-}
+// for this transaction's snapshot: strictly older than its start (see
+// Clock for why a tie is rejected).
+func (tx *Tx) versionOK(ver uint64) bool { return ver < tx.start }
 
 // readOrec performs the optimistic pre-read step: it loads the orec and
 // aborts unless the orec is unlocked with an admissible version or is
@@ -214,7 +208,6 @@ func (tx *Tx) readOrec(o *Orec) (w orecWord, mine bool) {
 		tx.conflict(reasonAcquire)
 	}
 	if !tx.versionOK(w.version()) {
-		tx.rt.clock.OnAbort()
 		tx.conflict(reasonValidate)
 	}
 	return w, false
@@ -245,7 +238,6 @@ func (tx *Tx) acquire(o *Orec) {
 		tx.conflict(reasonAcquire)
 	}
 	if !tx.versionOK(w.version()) {
-		tx.rt.clock.OnAbort()
 		tx.conflict(reasonValidate)
 	}
 	if !o.cas(w, lockWord(tx.id)) {

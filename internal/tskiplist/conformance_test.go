@@ -47,10 +47,3 @@ func TestConformance(t *testing.T) {
 		return adapter{m: New[int64, int64](stm.New(), lessInt64, DefaultMaxLevel)}
 	})
 }
-
-func TestConformanceGV1Clock(t *testing.T) {
-	maptest.RunAll(t, func() maptest.OrderedMap {
-		rt := stm.New(stm.WithClock(stm.NewGV1()))
-		return adapter{m: New[int64, int64](rt, lessInt64, DefaultMaxLevel)}
-	})
-}

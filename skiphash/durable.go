@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/persist"
-	"repro/internal/stm"
 )
 
 // Durability configures persistence for the Open constructors; set it
@@ -80,14 +79,10 @@ func Open[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg 
 	if err != nil {
 		return nil, err
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = stm.NewMonotonicClock()
-	}
-	// Floor the clock above every recovered stamp, so post-restart
-	// commits extend the log's total order instead of rewinding it.
-	cfg.Clock = stm.NewFloorClock(clock, st.Recovered().MaxStamp)
 	m := New[K, V](less, hash, cfg)
+	// Raise the clock above every recovered stamp, so post-restart
+	// commits extend the log's total order instead of rewinding it.
+	m.Runtime().Clock().Raise(st.Recovered().MaxStamp)
 	// Recovery hands the pairs back strictly ascending by less: bulk-build
 	// the still private map from them, before the logger and the
 	// snapshotter are attached.
