@@ -67,6 +67,26 @@ func BenchmarkCeilAbsent(b *testing.B) {
 	})
 }
 
+// BenchmarkDescentAbsent prices the tower descent where it decides the
+// cost: Ceil on absent keys from one goroutine over 2^19 keys inserted in
+// random order, so the towers outgrow the cache and each node sits
+// wherever the heap put it. (BenchmarkCeilAbsent's 2^15 sequential keys
+// fit in cache.)
+func BenchmarkDescentAbsent(b *testing.B) {
+	const keys = 1 << 19
+	rng := rand.New(rand.NewPCG(19, 9))
+	m := New[int64, int64](lessInt64, thashmap.Hash64, Config{})
+	for _, i := range rng.Perm(keys) {
+		m.Insert(2*int64(i), 0)
+	}
+	// One sub-benchmark, so the map is built once, not once per b.N.
+	b.Run("keys=2^19", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m.Ceil(2*int64(rng.Uint64()%keys) | 1)
+		}
+	})
+}
+
 func BenchmarkRange100(b *testing.B) {
 	benchRange100(b, newBenchMap(b, Config{}))
 }

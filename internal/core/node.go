@@ -35,7 +35,8 @@ import (
 const rTimeNone = ^uint64(0)
 
 // maxHeight is the tallest node newNode can build, and so the largest
-// Config.MaxLevel: randomHeight draws at most 64 levels from a 64-bit word.
+// Config.MaxLevel: the head and tail are MaxLevel tall, and randomHeight
+// draws at most 32 levels from a 64-bit word.
 const maxHeight = 64
 
 // heightBits is how many low bits of node.meta hold the height (up to
@@ -74,8 +75,9 @@ const maxITime = ^uint64(0) >> heightBits
 // A node is one heap object at every height: the tower links for levels
 // 1..height-1 are allocated directly behind this header, in the same
 // object (one of the shape instantiations newNode picks), and upper
-// finds them by address arithmetic. A height-1 node (half of all nodes)
-// is the bare header, 64 bytes for word-sized keys and values.
+// finds them by address arithmetic. A height-1 node (three in four at
+// randomHeight's p = 1/4) is the bare header, 64 bytes for word-sized
+// keys and values.
 type node[K comparable, V any] struct {
 	orec stm.Orec
 

@@ -645,6 +645,33 @@ func (w *wal) simulateCrash(dropTail int64) error {
 	return nil
 }
 
+// WriteFileDurable replaces the file at path with data through a synced
+// temporary file (path + ".tmp"), a rename and a sync of the parent
+// directory, so a crash leaves either the old contents or the new ones,
+// never a torn or empty file.
+func WriteFileDurable(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
 // syncDir fsyncs a directory so renames and creates survive power loss.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/persist"
 	"repro/internal/wire"
 	"repro/skiphash"
 )
@@ -311,8 +312,13 @@ func (r *Registry) create(name, dir string, fsync uint8) (*namespace, error) {
 		return nil, err
 	}
 	if dir != "" {
-		// Best effort: the selector is advisory metadata for reopen.
-		os.WriteFile(filepath.Join(dir, fsyncMetaFile), []byte(strconv.Itoa(int(fsync))+"\n"), 0o644)
+		// Written durably: an empty file left by a crash would reopen the
+		// namespace under the registry default, not its own policy.
+		meta := []byte(strconv.Itoa(int(fsync)) + "\n")
+		if err := persist.WriteFileDurable(filepath.Join(dir, fsyncMetaFile), meta); err != nil {
+			s.Close()
+			return nil, fmt.Errorf("server: namespace %q: %w", name, err)
+		}
 	}
 	ns := newNamespace(r.nextID, name, dir, newBackend[string, string](s, bytesCodec{}), r.cfg.Obs)
 	ns.maxConns, ns.maxBatch = r.cfg.MaxConns, r.cfg.MaxBatch

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -271,6 +272,50 @@ func TestNamespaceReopenBadFsyncMeta(t *testing.T) {
 				t.Fatalf("nsfsync after reopen = %q, %v; want the default selector", b, err)
 			}
 		})
+	}
+}
+
+// TestNamespaceCreateFsyncMetaFails: when the fsync selector file cannot
+// be written (here its path is a directory), Create fails, registers
+// nothing, and closes the map it opened, so the same directory opens
+// again once the obstacle is gone.
+func TestNamespaceCreateFsyncMetaFails(t *testing.T) {
+	root := t.TempDir()
+	reg, err := NewRegistry(RegistryConfig{Root: root})
+	if err != nil {
+		t.Fatalf("NewRegistry: %v", err)
+	}
+	defer reg.CloseAll()
+	meta := filepath.Join(root, "ns-ns", fsyncMetaFile)
+	if err := os.MkdirAll(meta, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	if ns, err := reg.Create("ns", true, wire.NsFsyncAlways); err == nil {
+		t.Fatalf("Create with %s a directory = %v, want an error", fsyncMetaFile, ns.info())
+	}
+	if got := reg.List(); len(got) != 0 {
+		t.Fatalf("namespaces after a failed Create = %+v, want none", got)
+	}
+	if _, err := os.Stat(meta + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temporary selector file left behind: %v", err)
+	}
+	// The durable map's flusher and snapshotter exit when it is closed.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed Create, %d before: its map was left open", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := os.Remove(meta); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Create("ns", true, wire.NsFsyncAlways); err != nil {
+		t.Fatalf("Create after removing the obstacle: %v", err)
+	}
+	b, err := os.ReadFile(meta)
+	if err != nil || strings.TrimSpace(string(b)) != strconv.Itoa(int(wire.NsFsyncAlways)) {
+		t.Fatalf("%s = %q, %v; want the always selector", fsyncMetaFile, b, err)
 	}
 }
 

@@ -1,9 +1,6 @@
 package skiphash
 
-import (
-	"repro/internal/core"
-	"repro/internal/thashmap"
-)
+import "repro/internal/core"
 
 // Map is a concurrent ordered map: one skip hash, the paper's structure
 // exactly. All methods are safe for concurrent use and keep no state
@@ -52,8 +49,14 @@ func Int64Less(a, b int64) bool { return a < b }
 func StringLess(a, b string) bool { return a < b }
 
 // Hash64 is a strong mixer for integer keys, exported for callers
-// building custom key types on top of int64 identities.
-func Hash64(k int64) uint64 { return thashmap.Hash64(k) }
+// building custom key types on top of int64 identities: the splitmix64
+// finalizer over k plus the golden-ratio increment.
+func Hash64(k int64) uint64 {
+	z := uint64(k) + 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
 
 // HashString hashes a string key: FNV-1a over the bytes followed by a
 // splitmix64-style finalizer, so every bit, the low ones that select a

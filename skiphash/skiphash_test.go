@@ -2,12 +2,15 @@ package skiphash_test
 
 import (
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
 	"repro/internal/linearize"
 	"repro/internal/maptest"
 	"repro/internal/stm"
+	"repro/internal/thashmap"
 	"repro/skiphash"
 )
 
@@ -91,6 +94,22 @@ func TestConformanceUnbufferedRemovals(t *testing.T) {
 		return adapter{m: skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64,
 			skiphash.Config{Buckets: 4096, SlowOnly: true})}
 	})
+}
+
+// TestHash64MatchesThashmap keeps the product's integer hash and the
+// thashmap rung's equal, so the benchmark ladder's hash-only rung hashes
+// keys exactly as the map does.
+func TestHash64MatchesThashmap(t *testing.T) {
+	keys := []int64{0, 1, -1, 2, 42, 1 << 31, -1 << 31, math.MaxInt64, math.MinInt64}
+	rng := rand.New(rand.NewPCG(5, 6))
+	for i := 0; i < 1000; i++ {
+		keys = append(keys, rng.Int64())
+	}
+	for _, k := range keys {
+		if got, want := skiphash.Hash64(k), thashmap.Hash64(k); got != want {
+			t.Fatalf("skiphash.Hash64(%d) = %#x, thashmap.Hash64 = %#x", k, got, want)
+		}
+	}
 }
 
 func TestStringKeys(t *testing.T) {
