@@ -117,7 +117,7 @@ func main() {
 		log.Fatal("skiphashd: -follow excludes -ns and -ns-root (namespaces are not replicated)")
 	}
 	if *replAddr != "" && *dir == "" {
-		log.Fatal("skiphashd: -replicate-addr requires -dir (the stream is the WAL tap)")
+		log.Fatal("skiphashd: -replicate-addr requires -dir (the stream is read from the WAL)")
 	}
 
 	var cfg skiphash.Config

@@ -62,9 +62,9 @@ func buildRegistry(m *skiphash.Map[int64, int64], rep *repl.Replica, prim *repl.
 	}
 	if prim != nil {
 		ps := prim.Stats
-		reg.GaugeFunc("skiphash_repl_stream_seq",
-			"Newest WAL record sequence in the primary's replication ring.",
-			func() float64 { return float64(ps().LastSeq) })
+		reg.GaugeFunc("skiphash_repl_stream_position_bytes",
+			"Replication stream position: WAL bytes the primary's store has appended since it opened.",
+			func() float64 { return float64(ps().Position) })
 		reg.GaugeFunc("skiphash_repl_followers",
 			"Live follower subscriptions.",
 			func() float64 { return float64(ps().Followers) })

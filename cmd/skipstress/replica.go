@@ -38,14 +38,15 @@ func runReplica(threads int, duration time.Duration, seed uint64, lookupPct int,
 		os.Exit(1)
 	}
 
-	// Primary: durable map, WAL tapped into the streamer.
+	// Primary: durable map whose WAL is the replication stream. Small
+	// segments make every run stream across rotations.
 	pdir, err := os.MkdirTemp("", "skipstress-replica-*")
 	if err != nil {
 		fail("tempdir: %v", err)
 	}
 	defer os.RemoveAll(pdir)
 	pm, err := skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{
-		Durability: &skiphash.Durability{Dir: pdir, Fsync: skiphash.FsyncNone},
+		Durability: &skiphash.Durability{Dir: pdir, Fsync: skiphash.FsyncNone, SegmentBytes: 64 << 10},
 	}, skiphash.Int64Codec(), skiphash.Int64Codec())
 	if err != nil {
 		fail("open primary: %v", err)

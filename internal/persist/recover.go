@@ -112,7 +112,24 @@ func walkSegment(path string, data []byte, last bool,
 	if string(data[:len(walMagic)]) != string(walMagic) {
 		return 0, false, &CorruptionError{Path: path, Offset: 0, Reason: "bad segment magic"}
 	}
-	r := &frameReader{path: path, data: data, off: int64(len(walMagic))}
+	return walkFrames(path, data, int64(len(walMagic)), last, fn)
+}
+
+// WalkFrames checks a run of whole WAL frames, as LogReader.Read returns
+// them and the replication stream carries them, with recovery's own
+// per-frame check, and hands each record to fn in order as walkSegment
+// does. A torn or bad frame is a *CorruptionError, returned before fn
+// sees that frame (the records before it have been handed over).
+func WalkFrames(frames []byte, fn func(off int64, stamp, count uint64, ops []byte) error) error {
+	_, _, err := walkFrames("log run", frames, 0, false, fn)
+	return err
+}
+
+// walkFrames is walkSegment past the magic: the frames of data from
+// offset off on.
+func walkFrames(path string, data []byte, off int64, last bool,
+	fn func(off int64, stamp, count uint64, ops []byte) error) (goodEnd int64, torn bool, err error) {
+	r := &frameReader{path: path, data: data, off: off}
 	goodEnd = r.off
 	for {
 		payload, off, done, err := r.next()
@@ -121,7 +138,7 @@ func walkSegment(path string, data []byte, last bool,
 		}
 		if err == errTornFrame {
 			if !last {
-				return 0, false, &CorruptionError{Path: path, Offset: off, Reason: "torn frame in sealed segment"}
+				return 0, false, &CorruptionError{Path: path, Offset: off, Reason: "torn frame"}
 			}
 			return goodEnd, true, nil
 		}
@@ -326,7 +343,9 @@ func recoverDir[K comparable, V any](dir string, less func(a, b K) bool, kc Code
 		if err != nil {
 			return nil, info, st, err
 		}
-		seg.n = goodEnd
+		// Positions number this incarnation's frames only (see LogReader),
+		// so nothing recovered has one: its readable range is empty.
+		seg.n, seg.off = goodEnd, goodEnd
 		segData[i] = data[:goodEnd]
 		info.MaxStamp = max(info.MaxStamp, seg.maxStamp)
 		if torn {

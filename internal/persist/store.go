@@ -349,20 +349,6 @@ func (s *Store[K, V]) Snapshot() error {
 // counted in StoreStats.LateSyncs, never acknowledged as durable.
 func (s *Store[K, V]) Sync() error { return s.w.sync() }
 
-// TapWAL installs fn (nil removes it) as the WAL tap: every record the
-// engine accepts is observed as (stamp, count, ops), serialized in
-// append order — which for conflicting transactions is commit order.
-// This is the replication feed. fn runs at the STM publish point with
-// the committing transaction's orecs held, so it must not block and
-// must copy ops before returning. Install the tap before serving
-// traffic; records appended earlier are only reachable through
-// snapshot chunks.
-func (s *Store[K, V]) TapWAL(fn func(stamp uint64, count int, ops []byte)) {
-	s.w.mu.Lock()
-	s.w.tap = fn
-	s.w.mu.Unlock()
-}
-
 // Err returns the sticky background error, if any. Permanent, in
 // precedence order: a WAL I/O failure, then unlogged commits (ops that
 // committed in memory while the log was closing or closed — that

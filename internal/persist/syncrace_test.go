@@ -99,58 +99,6 @@ func TestSyncCloseRaceConcurrent(t *testing.T) {
 	}
 }
 
-// TestTapWALObservesAppends pins the replication feed: the tap sees
-// every accepted record with its stamp and op payload, in append order,
-// and a re-decode of the tapped bytes reproduces the logical ops.
-func TestTapWALObservesAppends(t *testing.T) {
-	dir := t.TempDir()
-	st := openInt64Store(t, Options{Dir: dir, Fsync: FsyncNone})
-	defer st.Close()
-	type rec struct {
-		stamp uint64
-		count int
-		ops   []byte
-	}
-	var mu sync.Mutex
-	var seen []rec
-	st.TapWAL(func(stamp uint64, count int, ops []byte) {
-		mu.Lock()
-		seen = append(seen, rec{stamp: stamp, count: count, ops: append([]byte(nil), ops...)})
-		mu.Unlock()
-	})
-	rt := stm.New()
-	var ws writeScratch
-	logTx(t, rt, &ws, func(tx *stm.Tx) { st.LogPut(tx, 7, 70) })
-	logTx(t, rt, &ws, func(tx *stm.Tx) {
-		st.LogDel(tx, 7)
-		st.LogPut(tx, 8, 80)
-	})
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != 2 {
-		t.Fatalf("tap observed %d records, want 2", len(seen))
-	}
-	if seen[0].count != 1 || seen[1].count != 2 {
-		t.Fatalf("tap counts = %d,%d; want 1,2", seen[0].count, seen[1].count)
-	}
-	if seen[0].stamp >= seen[1].stamp {
-		t.Fatalf("tap stamps not increasing: %d then %d", seen[0].stamp, seen[1].stamp)
-	}
-	model := map[int64]int64{}
-	for _, r := range seen {
-		err := DecodeOps(r.ops, uint64(r.count), Int64Codec(), Int64Codec(),
-			func(k, v int64) error { model[k] = v; return nil },
-			func(k int64) error { delete(model, k); return nil })
-		if err != nil {
-			t.Fatalf("DecodeOps on tapped record: %v", err)
-		}
-	}
-	if len(model) != 1 || model[8] != 80 {
-		t.Fatalf("replayed tap state = %v, want {8:80}", model)
-	}
-}
-
 // TestDecodeOpsCorruption pins the decoder's error contract.
 func TestDecodeOpsCorruption(t *testing.T) {
 	ic := Int64Codec()

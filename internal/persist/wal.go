@@ -119,7 +119,7 @@ type wal struct {
 	// re-growing one from nil after every flush.
 	spare       []byte
 	bufMaxStamp uint64
-	appendLSN   int64 // bytes ever appended (logical)
+	appendLSN   int64 // bytes ever appended (logical): the log's end position
 	flushedLSN  int64 // bytes written to the OS
 	syncedLSN   int64 // bytes covered by an fsync
 	fileSeq     uint64
@@ -135,9 +135,10 @@ type wal struct {
 	// simulated crash intentionally stops logging and does not count).
 	unlogged uint64
 
-	// ioMu guards the segment files themselves.
+	// ioMu guards the segment files themselves. The active segment's
+	// metadata is head, which changes under ioMu and mu both.
 	ioMu   sync.Mutex
-	active *segment
+	active *os.File
 
 	flushCh chan struct{}
 	stopCh  chan struct{}
@@ -146,13 +147,8 @@ type wal struct {
 	// snapKick, when set (before any append), is poked once the WAL has
 	// grown Options.SnapshotBytes past the last snapshot.
 	snapKick func()
-
-	// tap, when set, observes every record appendRecord accepts —
-	// (stamp, count, ops) — under w.mu, i.e. serialized in append order
-	// with commit order (the replication feed). The callback must copy
-	// ops before returning and must not block: it runs at the STM
-	// publish point while the committing transaction holds its orecs.
-	tap func(stamp uint64, count int, ops []byte)
+	// grown, under mu, is closed by the next append (LogReader.Wait).
+	grown chan struct{}
 
 	// Optional instrumentation (see Store.Instrument): fsync latency
 	// and records-per-flush histograms, read under w.mu and observed by
@@ -163,6 +159,11 @@ type wal struct {
 	bufRecords int
 
 	stats walStats
+
+	// Under mu: the active segment (path "" while there is none), and
+	// the chunk a flush is writing out, the log from flushedLSN to buf.
+	head     segMeta
+	inflight []byte
 }
 
 type walStats struct {
@@ -175,18 +176,14 @@ type walStats struct {
 	lateSyncs uint64
 }
 
-type segment struct {
-	f        *os.File
-	seq      uint64
-	n        int64
-	maxStamp uint64
-}
-
 type segMeta struct {
 	path     string
 	seq      uint64
 	n        int64
 	maxStamp uint64
+	// pos is the log position of the frame at file offset off; frames
+	// of an earlier incarnation have none (a recovered segment's off is n).
+	pos, off int64
 }
 
 func segName(seq uint64) string  { return fmt.Sprintf("wal-%016x.seg", seq) }
@@ -253,8 +250,9 @@ func (w *wal) appendRecord(stamp uint64, count int, ops []byte) (lsn int64, err 
 	w.stats.bytes += frameLen
 	w.stats.sinceSnp += frameLen
 	w.bufRecords++
-	if w.tap != nil {
-		w.tap(stamp, count, ops)
+	if w.grown != nil {
+		close(w.grown)
+		w.grown = nil
 	}
 	kick := w.opts.Fsync == FsyncAlways || len(w.buf) >= flushHighWater
 	snap := w.snapKick != nil && w.opts.SnapshotBytes >= 0 && w.stats.sinceSnp >= w.opts.SnapshotBytes
@@ -334,6 +332,7 @@ func (w *wal) flush(sync bool) {
 	batchRecords := w.bufRecords
 	hFsync, hBatch := w.instrFsync, w.instrBatch
 	w.buf, w.spare = w.spare, nil
+	w.inflight = chunk
 	w.bufMaxStamp = 0
 	w.bufRecords = 0
 	alreadySynced := w.syncedLSN
@@ -344,16 +343,10 @@ func (w *wal) flush(sync bool) {
 			ioErr = w.openSegmentLocked()
 		}
 		if ioErr == nil {
-			_, ioErr = w.active.f.Write(chunk)
+			_, ioErr = w.active.Write(chunk)
 		}
-		if ioErr == nil {
-			w.active.n += int64(len(chunk))
-			if maxStamp > w.active.maxStamp {
-				w.active.maxStamp = maxStamp
-			}
-			if hBatch != nil && batchRecords > 0 {
-				hBatch.Observe(uint64(batchRecords))
-			}
+		if ioErr == nil && hBatch != nil && batchRecords > 0 {
+			hBatch.Observe(uint64(batchRecords))
 		}
 	}
 	if ioErr == nil && sync && w.active != nil && target > alreadySynced {
@@ -361,7 +354,7 @@ func (w *wal) flush(sync bool) {
 		if hFsync != nil {
 			t0 = time.Now()
 		}
-		ioErr = w.active.f.Sync()
+		ioErr = w.active.Sync()
 		if hFsync != nil {
 			hFsync.ObserveSince(t0)
 		}
@@ -375,7 +368,10 @@ func (w *wal) flush(sync bool) {
 	if len(chunk) > 0 {
 		w.flushedLSN = target
 		w.stats.flushes++
+		w.head.n += int64(len(chunk))
+		w.head.maxStamp = max(w.head.maxStamp, maxStamp)
 	}
+	w.inflight = nil
 	if !w.closing {
 		w.spare = chunk[:0] // written out (or empty): the next flush's swap-in
 	}
@@ -384,7 +380,7 @@ func (w *wal) flush(sync bool) {
 		w.stats.syncs++
 		w.durable.Broadcast()
 	}
-	rotate := w.active != nil && w.active.n >= w.opts.SegmentBytes
+	rotate := w.active != nil && w.head.n >= w.opts.SegmentBytes
 	w.mu.Unlock()
 	if rotate {
 		w.rotateLocked()
@@ -426,7 +422,11 @@ func (w *wal) openSegmentLocked() error {
 		f.Close()
 		return err
 	}
-	w.active = &segment{f: f, seq: seq, n: int64(len(walMagic))}
+	w.active = f
+	n := int64(len(walMagic))
+	w.mu.Lock()
+	w.head = segMeta{path: path, seq: seq, n: n, pos: w.flushedLSN, off: n}
+	w.mu.Unlock()
 	return nil
 }
 
@@ -439,7 +439,10 @@ func (w *wal) adoptSegment(meta segMeta) error {
 		return err
 	}
 	w.ioMu.Lock()
-	w.active = &segment{f: f, seq: meta.seq, n: meta.n, maxStamp: meta.maxStamp}
+	w.active = f
+	w.mu.Lock()
+	w.head = meta // nothing appended yet: position 0 sits at offset n
+	w.mu.Unlock()
 	w.ioMu.Unlock()
 	return nil
 }
@@ -447,29 +450,25 @@ func (w *wal) adoptSegment(meta segMeta) error {
 // rotateLocked seals the active segment and leaves segment creation to
 // the next flush; callers hold ioMu.
 func (w *wal) rotateLocked() {
-	seg := w.active
-	if seg == nil {
+	f := w.active
+	if f == nil {
 		return
 	}
-	if err := seg.f.Sync(); err == nil {
-		seg.f.Close()
-	} else {
-		seg.f.Close()
-		w.mu.Lock()
-		w.setErrLocked(err)
-		w.mu.Unlock()
-		return
-	}
+	err := f.Sync()
+	f.Close()
 	w.mu.Lock()
-	w.sealed = append(w.sealed, segMeta{
-		path: filepath.Join(w.dir, segName(seg.seq)), seq: seg.seq, n: seg.n, maxStamp: seg.maxStamp,
-	})
+	defer w.mu.Unlock()
+	if err != nil {
+		w.setErrLocked(err)
+		return
+	}
+	w.sealed = append(w.sealed, w.head)
+	w.head = segMeta{}
 	// A rotation fsynced everything written so far.
 	if w.syncedLSN < w.flushedLSN {
 		w.syncedLSN = w.flushedLSN
 		w.durable.Broadcast()
 	}
-	w.mu.Unlock()
 	w.active = nil
 }
 
@@ -571,7 +570,7 @@ func (w *wal) close() error {
 	}
 	w.ioMu.Lock()
 	if w.active != nil {
-		w.active.f.Close()
+		w.active.Close()
 		w.active = nil
 	}
 	w.ioMu.Unlock()
@@ -621,20 +620,16 @@ func (w *wal) simulateCrash(dropTail int64) error {
 	// only after ioMu is held: an in-flight Sync that wins the ioMu race
 	// may still be fsyncing, and its acknowledgment must bound the cut.
 	w.mu.Lock()
-	unsynced := w.flushedLSN - w.syncedLSN
+	unsynced, n := w.flushedLSN-w.syncedLSN, w.head.n
 	w.mu.Unlock()
 	if w.active != nil {
 		if dropTail > unsynced {
 			dropTail = unsynced
 		}
 		if dropTail > 0 {
-			keep := w.active.n - dropTail
-			if keep < int64(len(walMagic)) {
-				keep = int64(len(walMagic))
-			}
-			w.active.f.Truncate(keep)
+			w.active.Truncate(max(n-dropTail, int64(len(walMagic))))
 		}
-		w.active.f.Close()
+		w.active.Close()
 		w.active = nil
 	}
 	w.ioMu.Unlock()

@@ -1,13 +1,17 @@
 // Package repl streams a primary skip hash's write-ahead log to live
-// replicas: recovery made remote. The primary taps its WAL at the STM
-// publish point (append order = commit order for conflicting
-// transactions) and feeds each follower a snapshot-plus-log-tail
-// stream over the internal/wire replication channel, snapshot chunks
-// and log records alike as op lists in the WAL's own encoding. A
-// replica in a full resync folds the chunks and the tail with the fold
-// crash recovery runs (persist.Fold) and reloads its map from the
-// result; once caught up it applies each record in stream order. It
-// serves read-only traffic at an advertised commit-stamp watermark.
+// replicas: recovery made remote. The WAL is the replication log: each
+// follower's sender reads it back (persist.LogReader: the segments,
+// then the append buffer) and ships the frames verbatim over the
+// internal/wire replication channel, so a primary adds nothing to the
+// commit path. A follower resumes from its log position for as long as
+// the store keeps it; only a position a snapshot has truncated costs a
+// full resync, which streams snapshot chunks and then the log. A
+// replica checks every frame with recovery's check (persist.WalkFrames)
+// and refuses a bad frame or a gap; in a full resync it folds chunks
+// and log with recovery's fold (persist.Fold) and reloads its map from
+// the result, and once caught up it applies each record in stream
+// order. It serves read-only traffic at an advertised commit-stamp
+// watermark.
 //
 // # Consistency contract
 //

@@ -14,22 +14,10 @@ import (
 	"repro/skiphash"
 )
 
-// PrimaryConfig configures the primary-side WAL streamer; the zero
-// value defaults sensibly.
+// PrimaryConfig configures the primary-side WAL streamer.
 type PrimaryConfig struct {
-	// RingBytes bounds the in-memory record ring buffering the log tail
-	// for followers. A follower that falls behind the ring is cut off
-	// and resyncs from a snapshot. Default 32 MiB.
-	RingBytes int
 	// Logf, when set, receives per-follower diagnostics.
 	Logf func(format string, args ...any)
-}
-
-func (c PrimaryConfig) withDefaults() PrimaryConfig {
-	if c.RingBytes == 0 {
-		c.RingBytes = 32 << 20
-	}
-	return c
 }
 
 const (
@@ -37,31 +25,23 @@ const (
 	snapshotChunk = 512
 	// heartbeatEvery is the idle watermark cadence.
 	heartbeatEvery = 250 * time.Millisecond
+	// runBytes bounds the frames one WalRecord carries (a longer frame
+	// travels alone).
+	runBytes = 64 << 10
 )
 
-// record is one tapped WAL record in the ring.
-type record struct {
-	seq   uint64
-	stamp uint64
-	count int
-	ops   []byte
-}
-
-// Primary tails a durable map's WAL into a bounded ring and serves it
-// to followers.
+// Primary serves a durable map's write-ahead log to followers.
 type Primary struct {
 	cfg   PrimaryConfig
 	epoch uint64
 	m     *skiphash.Map[int64, int64]
+	st    *persist.Store[int64, int64]
 	// clock is m's commit clock. CaughtUp and Heartbeat stamps are fresh
 	// reads of it; see the ordering rule in sender().
 	clock *stm.Clock
 
 	mu        sync.Mutex
-	ring      []record
-	ringBytes int
-	nextSeq   uint64 // seq the next appended record receives; first is 1
-	subs      map[*subscriber]struct{}
+	followers int // senders past their snapshot phase
 	lns       map[net.Listener]struct{}
 	conns     map[net.Conn]struct{}
 	closed    bool
@@ -71,9 +51,9 @@ type Primary struct {
 
 // PrimaryStats is an observability snapshot of the streamer.
 type PrimaryStats struct {
-	// LastSeq is the newest record sequence appended to the ring (0
-	// before the first append); the stream position.
-	LastSeq uint64
+	// Position is the log's end position: WAL bytes appended since the
+	// store opened.
+	Position int64
 	// Followers counts live follower subscriptions (connections past
 	// their snapshot phase).
 	Followers int
@@ -83,81 +63,41 @@ type PrimaryStats struct {
 
 // Stats returns the streamer's counters.
 func (p *Primary) Stats() PrimaryStats {
+	pos := p.st.Stats().AppendedBytes
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return PrimaryStats{
-		LastSeq:   p.nextSeq - 1,
-		Followers: len(p.subs),
+		Position:  pos,
+		Followers: p.followers,
 		Resyncs:   p.resyncs,
 	}
 }
 
-// subscriber wakes one follower sender when records arrive.
-type subscriber struct{ kick chan struct{} }
-
-// NewPrimary streams m's write-ahead log: it taps the WAL, so every
-// record m logs from now on enters the ring, and serves full syncs from
-// m's snapshot chunks. m must be durable (skiphash.Open with
-// Durability). The epoch — unique per primary incarnation — is drawn
-// from the wall clock, so a primary that crashed (possibly shedding a
-// torn WAL tail in recovery) never tail-feeds followers that may have
-// applied the records the repair discarded: the epoch mismatch forces
-// them through a full resync.
+// NewPrimary serves the write-ahead log of m, which must be durable
+// (skiphash.Open with Durability), installing nothing on its commit
+// path; any number of primaries may serve one map. The epoch — unique
+// per primary incarnation — is drawn from the wall clock, so a primary
+// that crashed (possibly shedding a torn WAL tail in recovery) never
+// tail-feeds followers that may have applied the records the repair
+// discarded: the epoch mismatch forces them through a full resync.
 func NewPrimary(m *skiphash.Map[int64, int64], cfg PrimaryConfig) (*Primary, error) {
 	st, ok := m.Persister().(*persist.Store[int64, int64])
 	if !ok {
 		return nil, errors.New("repl: primary map has no write-ahead log")
 	}
-	p := &Primary{
-		cfg:     cfg.withDefaults(),
-		epoch:   uint64(time.Now().UnixNano()),
-		m:       m,
-		clock:   m.Runtime().Clock(),
-		nextSeq: 1,
-		subs:    make(map[*subscriber]struct{}),
-		lns:     make(map[net.Listener]struct{}),
-		conns:   make(map[net.Conn]struct{}),
-	}
-	st.TapWAL(p.tap)
-	return p, nil
+	return &Primary{
+		cfg:   cfg,
+		epoch: uint64(time.Now().UnixNano()),
+		m:     m,
+		st:    st,
+		clock: m.Runtime().Clock(),
+		lns:   make(map[net.Listener]struct{}),
+		conns: make(map[net.Conn]struct{}),
+	}, nil
 }
 
 // Epoch identifies this primary incarnation.
 func (p *Primary) Epoch() uint64 { return p.epoch }
-
-// tap feeds one WAL record into the ring. It is the WAL tap target:
-// it runs at the STM publish point with the committing transaction's
-// orecs held, so it copies ops and never blocks (subscriber kicks are
-// non-blocking sends).
-func (p *Primary) tap(stamp uint64, count int, ops []byte) {
-	rec := record{stamp: stamp, count: count, ops: append([]byte(nil), ops...)}
-	p.mu.Lock()
-	rec.seq = p.nextSeq
-	p.nextSeq++
-	p.ring = append(p.ring, rec)
-	p.ringBytes += len(rec.ops) + 32
-	for p.ringBytes > p.cfg.RingBytes && len(p.ring) > 1 {
-		p.ringBytes -= len(p.ring[0].ops) + 32
-		p.ring[0].ops = nil
-		p.ring = p.ring[1:]
-	}
-	for s := range p.subs {
-		select {
-		case s.kick <- struct{}{}:
-		default:
-		}
-	}
-	p.mu.Unlock()
-}
-
-// baseSeq is the oldest seq still in the ring (nextSeq when empty).
-// Callers hold p.mu.
-func (p *Primary) baseSeqLocked() uint64 {
-	if len(p.ring) == 0 {
-		return p.nextSeq
-	}
-	return p.ring[0].seq
-}
 
 // Serve accepts follower connections on ln until it closes (Shutdown)
 // or fails.
@@ -211,9 +151,9 @@ func (p *Primary) Serve(ln net.Listener) error {
 }
 
 // DropFollowers closes every follower connection while the listeners
-// keep serving; followers redial and resume from their last applied
-// seq (a ring tail replay, no snapshot). Fault-injection surface for
-// tests and skipstress.
+// keep serving; followers redial and resume from their log position,
+// with no snapshot unless one has truncated it. Fault-injection surface
+// for tests and skipstress.
 func (p *Primary) DropFollowers() {
 	p.mu.Lock()
 	for nc := range p.conns {
@@ -223,8 +163,7 @@ func (p *Primary) DropFollowers() {
 }
 
 // Shutdown closes listeners and follower connections and waits for the
-// senders to exit. The ring (and the WAL tap) keep working so a Shutdown
-// for failover does not disturb the primary map.
+// senders to exit, leaving the map and its log untouched.
 func (p *Primary) Shutdown() {
 	p.mu.Lock()
 	p.closed = true
@@ -253,23 +192,25 @@ func (p *Primary) sender(nc net.Conn) error {
 		return fmt.Errorf("expected Follow, got %s", follow.Op)
 	}
 
-	// Admission: tail from follow.Seq+1 when the follower is from this
-	// epoch and the tail is still ringed; otherwise full resync. The
-	// full-sync cursor is captured under the ring lock BEFORE any
-	// snapshot chunk is read, so every record with seq < cursor is
-	// fully reflected in the chunks (its map publish happened before
-	// the chunk transactions started) and every record >= cursor is
+	// Admission: tail from follow.Seq when the follower is from this
+	// epoch and the log still holds that position; otherwise full
+	// resync. The full-sync cursor is the log's end, read under the WAL
+	// mutex BEFORE any snapshot chunk is read, so every record below it
+	// is fully reflected in the chunks (its map publish happened before
+	// the chunk transactions started) and every record from it on is
 	// streamed — the replica folds chunks and tail together exactly as
 	// recovery folds a snapshot and its log (persist.Fold), which
 	// absorbs the overlap.
-	p.mu.Lock()
-	full := follow.Epoch != p.epoch || follow.Seq+1 < p.baseSeqLocked() || follow.Seq >= p.nextSeq
-	cursor := follow.Seq + 1
+	rd := p.st.NewLogReader()
+	defer rd.Close()
+	cursor := int64(follow.Seq)
+	full := follow.Epoch != p.epoch || !rd.Has(cursor)
 	if full {
-		cursor = p.nextSeq
+		cursor = rd.End()
+		p.mu.Lock()
 		p.resyncs++
+		p.mu.Unlock()
 	}
-	p.mu.Unlock()
 
 	var buf []byte
 	send := func(m *wire.ReplMsg) error {
@@ -277,7 +218,7 @@ func (p *Primary) sender(nc net.Conn) error {
 		_, werr := nc.Write(buf)
 		return werr
 	}
-	if err := send(&wire.ReplMsg{Op: wire.OpFollow, Epoch: p.epoch, Seq: cursor - 1, Full: full}); err != nil {
+	if err := send(&wire.ReplMsg{Op: wire.OpFollow, Epoch: p.epoch, Seq: uint64(cursor), Full: full}); err != nil {
 		return err
 	}
 	if full {
@@ -297,17 +238,34 @@ func (p *Primary) sender(nc net.Conn) error {
 		}
 	}
 
-	sub := &subscriber{kick: make(chan struct{}, 1)}
 	p.mu.Lock()
-	p.subs[sub] = struct{}{}
+	p.followers++
 	p.mu.Unlock()
 	defer func() {
 		p.mu.Lock()
-		delete(p.subs, sub)
+		p.followers--
 		p.mu.Unlock()
 	}()
 
-	// Catch-up: stream the tail up to a sync target, then declare the
+	// stream sends the log's frames [cursor, target) as WalRecord runs.
+	// A cursor the log no longer holds (persist.ErrTruncated) cuts the
+	// connection; the follower's redial then finds its position gone
+	// and takes a full resync.
+	var run []byte
+	stream := func(target int64) error {
+		for cursor < target {
+			var err error
+			if run, err = rd.Read(run[:0], cursor, runBytes); err != nil {
+				return fmt.Errorf("log position %d: %w", cursor, err)
+			}
+			if err := send(&wire.ReplMsg{Op: wire.OpWalRecord, Seq: uint64(cursor), Ops: run}); err != nil {
+				return err
+			}
+			cursor += int64(len(run))
+		}
+		return nil
+	}
+	// Catch-up: stream the log up to a sync target, then declare the
 	// follower caught up at stamp H. H is read BEFORE the target is
 	// captured: a record that misses the capture appended after H was
 	// read, so any primary Watermark() taken after that record's commit
@@ -315,13 +273,8 @@ func (p *Primary) sender(nc net.Conn) error {
 	// strictly above the requested stamp) correctly refuses until the
 	// record arrives.
 	caughtUp := p.clock.Read()
-	p.mu.Lock()
-	syncTarget := p.nextSeq
-	p.mu.Unlock()
-	var cerr error
-	cursor, cerr = p.stream(send, cursor, syncTarget)
-	if cerr != nil {
-		return cerr
+	if err := stream(rd.End()); err != nil {
+		return err
 	}
 	if err := send(&wire.ReplMsg{Op: wire.OpCaughtUp, Stamp: caughtUp}); err != nil {
 		return err
@@ -329,19 +282,15 @@ func (p *Primary) sender(nc net.Conn) error {
 
 	// Live tail. Heartbeats follow the same rule: the stamp is read
 	// before the drained check, so a heartbeat never advertises a
-	// watermark covering a record it did not stream first.
+	// watermark covering a record it did not stream first. An append,
+	// not a flush, wakes the sender.
 	hb := time.NewTimer(heartbeatEvery)
 	defer hb.Stop()
 	for {
 		beat := p.clock.Read()
-		p.mu.Lock()
-		target := p.nextSeq
-		p.mu.Unlock()
-		if cursor < target {
-			var serr error
-			cursor, serr = p.stream(send, cursor, target)
-			if serr != nil {
-				return serr
+		if target := rd.End(); cursor < target {
+			if err := stream(target); err != nil {
+				return err
 			}
 			continue
 		}
@@ -356,39 +305,8 @@ func (p *Primary) sender(nc net.Conn) error {
 		}
 		hb.Reset(heartbeatEvery)
 		select {
-		case <-sub.kick:
+		case <-rd.Wait(cursor):
 		case <-hb.C:
 		}
 	}
-}
-
-// stream writes ring records [cursor, target) to the follower,
-// returning the new cursor. A cursor the ring has already evicted
-// means the follower fell behind the ring budget: the connection is
-// cut and the follower resyncs from a snapshot on redial.
-func (p *Primary) stream(send func(*wire.ReplMsg) error, cursor, target uint64) (uint64, error) {
-	var batch []record
-	for cursor < target {
-		p.mu.Lock()
-		base := p.baseSeqLocked()
-		if cursor < base {
-			p.mu.Unlock()
-			return cursor, fmt.Errorf("follower at seq %d fell behind ring base %d", cursor, base)
-		}
-		end := target
-		if top := p.nextSeq; end > top {
-			end = top
-		}
-		batch = append(batch[:0], p.ring[cursor-base:end-base]...)
-		p.mu.Unlock()
-		for i := range batch {
-			r := &batch[i]
-			m := wire.ReplMsg{Op: wire.OpWalRecord, Seq: r.seq, Stamp: r.stamp, Count: uint64(r.count), Ops: r.ops}
-			if err := send(&m); err != nil {
-				return cursor, err
-			}
-			cursor = r.seq + 1
-		}
-	}
-	return cursor, nil
 }

@@ -2,9 +2,13 @@ package repl
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"net"
+	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,16 +34,21 @@ func (h *primaryHarness) close() {
 
 // startPrimary opens a durable map over dir and streams its
 // WAL on addr ("127.0.0.1:0" for a fresh port).
-func startPrimary(t *testing.T, dir, addr string, cfg PrimaryConfig) *primaryHarness {
+func startPrimary(t *testing.T, dir, addr string) *primaryHarness {
+	t.Helper()
+	return openPrimary(t, skiphash.Durability{Dir: dir, Fsync: skiphash.FsyncNone}, addr)
+}
+
+// openPrimary is startPrimary with the durability options spelled out.
+func openPrimary(t *testing.T, d skiphash.Durability, addr string) *primaryHarness {
 	t.Helper()
 	m, err := skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{
-		Durability: &skiphash.Durability{Dir: dir, Fsync: skiphash.FsyncNone},
+		Durability: &d,
 	}, skiphash.Int64Codec(), skiphash.Int64Codec())
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	cfg.Logf = t.Logf
-	p, err := NewPrimary(m, cfg)
+	p, err := NewPrimary(m, PrimaryConfig{Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("NewPrimary: %v", err)
 	}
@@ -49,6 +58,24 @@ func startPrimary(t *testing.T, dir, addr string, cfg PrimaryConfig) *primaryHar
 	}
 	go p.Serve(ln)
 	return &primaryHarness{m: m, p: p, ln: ln}
+}
+
+// pause closes the primary's listener and its follower connections, so
+// its followers stay dark until resume.
+func (h *primaryHarness) pause() {
+	h.ln.Close()
+	h.p.DropFollowers()
+}
+
+// resume serves followers again on the paused listener's address.
+func (h *primaryHarness) resume(t *testing.T) {
+	t.Helper()
+	ln, err := net.Listen("tcp", h.ln.Addr().String())
+	if err != nil {
+		t.Fatalf("relisten: %v", err)
+	}
+	h.ln = ln
+	go h.p.Serve(ln)
 }
 
 func startReplica(t *testing.T, addr string) *Replica {
@@ -94,7 +121,7 @@ func waitConverge(t *testing.T, pm *skiphash.Map[int64, int64], r *Replica) {
 }
 
 func TestReplicaCatchUpFromEmptyAndLiveTail(t *testing.T) {
-	h := startPrimary(t, t.TempDir(), "127.0.0.1:0", PrimaryConfig{})
+	h := startPrimary(t, t.TempDir(), "127.0.0.1:0")
 	defer h.close()
 	for i := int64(0); i < 500; i++ {
 		h.m.Put(i, i*10)
@@ -129,7 +156,7 @@ func TestReplicaCatchUpFromEmptyAndLiveTail(t *testing.T) {
 }
 
 func TestReplicaTailReconnect(t *testing.T) {
-	h := startPrimary(t, t.TempDir(), "127.0.0.1:0", PrimaryConfig{})
+	h := startPrimary(t, t.TempDir(), "127.0.0.1:0")
 	defer h.close()
 	for i := int64(0); i < 200; i++ {
 		h.m.Put(i, i)
@@ -145,11 +172,45 @@ func TestReplicaTailReconnect(t *testing.T) {
 	waitConverge(t, h.m, r)
 }
 
-func TestReplicaResyncAfterRingEviction(t *testing.T) {
-	// A ring too small to hold the backlog forces the reconnecting
-	// follower through the snapshot path (Full header) instead of a
-	// tail replay; convergence must survive that.
-	h := startPrimary(t, t.TempDir(), "127.0.0.1:0", PrimaryConfig{RingBytes: 256})
+// walSegments counts the WAL segment files in dir.
+func walSegments(dir string) int {
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	return len(segs)
+}
+
+// writeUntilSealed runs four writers over fresh keys from base until dir
+// holds sealed more segment files than it did, and returns the first key
+// not written.
+func writeUntilSealed(t *testing.T, m *skiphash.Map[int64, int64], dir string, base int64, sealed int) int64 {
+	t.Helper()
+	const writers = 4
+	target := walSegments(dir) + sealed
+	var next atomic.Int64
+	next.Store(base)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for walSegments(dir) < target {
+				for i := 0; i < 64; i++ {
+					k := next.Add(1) - 1
+					m.Put(k, k*7)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return next.Load()
+}
+
+func TestReplicaCatchUpAcrossSealedSegments(t *testing.T) {
+	// A follower dropped while concurrent writers seal eight segments
+	// catches up by reading them back: the log is the stream, and no
+	// snapshot truncates it here, so neither end counts a resync.
+	dir := t.TempDir()
+	h := openPrimary(t, skiphash.Durability{Dir: dir, Fsync: skiphash.FsyncNone,
+		SegmentBytes: 4 << 10, SnapshotBytes: -1}, "127.0.0.1:0")
 	defer h.close()
 	for i := int64(0); i < 100; i++ {
 		h.m.Put(i, i)
@@ -157,26 +218,57 @@ func TestReplicaResyncAfterRingEviction(t *testing.T) {
 	r := startReplica(t, h.addr())
 	defer r.Close()
 	waitConverge(t, h.m, r)
-	h.p.DropFollowers()
-	for i := int64(0); i < 500; i++ {
-		h.m.Put(i, i*3)
-	}
-	waitConverge(t, h.m, r)
+	ps0, rs0 := h.p.Stats().Resyncs, r.Stats().Resyncs
 
-	// Both ends count the two snapshot passes (initial connect plus the
-	// post-eviction reconnect) and agree on stream position.
-	ps := h.p.Stats()
-	if ps.Resyncs < 2 {
-		t.Fatalf("primary served %d resyncs, want >= 2", ps.Resyncs)
+	h.pause()
+	next := writeUntilSealed(t, h.m, dir, 1000, 8+1)
+	// Resume under load, so catch-up crosses rotations and the flush's
+	// in-flight window while the log still grows.
+	h.resume(t)
+	writeUntilSealed(t, h.m, dir, next, 2)
+	waitConverge(t, h.m, r)
+	if ps, rs := h.p.Stats().Resyncs, r.Stats().Resyncs; ps != ps0 || rs != rs0 {
+		t.Fatalf("resyncs went from %d/%d to %d/%d (primary/replica); want no full resync", ps0, rs0, ps, rs)
 	}
-	rs := r.Stats()
-	if rs.Resyncs < 2 {
-		t.Fatalf("replica counted %d resyncs, want >= 2", rs.Resyncs)
+}
+
+func TestReplicaResyncAfterTruncation(t *testing.T) {
+	// A snapshot that truncates the segment holding a dark follower's
+	// position forces exactly one more full resync on its redial, and
+	// the follower still converges.
+	dir := t.TempDir()
+	h := openPrimary(t, skiphash.Durability{Dir: dir, Fsync: skiphash.FsyncNone,
+		SegmentBytes: 4 << 10, SnapshotBytes: -1}, "127.0.0.1:0")
+	defer h.close()
+	for i := int64(0); i < 100; i++ {
+		h.m.Put(i, i)
+	}
+	r := startReplica(t, h.addr())
+	defer r.Close()
+	waitConverge(t, h.m, r)
+	ps0, rs0 := h.p.Stats().Resyncs, r.Stats().Resyncs
+
+	h.pause()
+	writeUntilSealed(t, h.m, dir, 1000, 4)
+	before := walSegments(dir)
+	if err := h.m.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if after := walSegments(dir); after >= before {
+		t.Fatalf("snapshot left %d of %d segments; want truncation", after, before)
+	}
+	for i := int64(0); i < 50; i++ {
+		h.m.Remove(i)
+	}
+	h.resume(t)
+	waitConverge(t, h.m, r)
+	if ps, rs := h.p.Stats().Resyncs, r.Stats().Resyncs; ps != ps0+1 || rs != rs0+1 {
+		t.Fatalf("resyncs went from %d/%d to %d/%d (primary/replica); want exactly one more", ps0, rs0, ps, rs)
 	}
 }
 
 func TestEpochChangeForcesFullResync(t *testing.T) {
-	h := startPrimary(t, t.TempDir(), "127.0.0.1:0", PrimaryConfig{})
+	h := startPrimary(t, t.TempDir(), "127.0.0.1:0")
 	for i := int64(0); i < 100; i++ {
 		h.m.Put(i, i)
 	}
@@ -188,7 +280,7 @@ func TestEpochChangeForcesFullResync(t *testing.T) {
 	// A different incarnation on the same address with disjoint state:
 	// the epoch mismatch must force a wholesale resync, dropping every
 	// key only the dead primary had.
-	h2 := startPrimary(t, t.TempDir(), addr, PrimaryConfig{})
+	h2 := startPrimary(t, t.TempDir(), addr)
 	defer h2.close()
 	for i := int64(1000); i < 1100; i++ {
 		h2.m.Put(i, i)
@@ -201,7 +293,7 @@ func TestEpochChangeForcesFullResync(t *testing.T) {
 
 func TestRestartedPrimaryForcesResyncAcrossRecovery(t *testing.T) {
 	dir := t.TempDir()
-	h := startPrimary(t, dir, "127.0.0.1:0", PrimaryConfig{})
+	h := startPrimary(t, dir, "127.0.0.1:0")
 	for i := int64(0); i < 300; i++ {
 		h.m.Put(i, i)
 	}
@@ -213,7 +305,7 @@ func TestRestartedPrimaryForcesResyncAcrossRecovery(t *testing.T) {
 	// Same durability directory reopened: recovery rebuilds the state,
 	// the new epoch forces the replica through snapshot+tail, and the
 	// states agree again.
-	h2 := startPrimary(t, dir, addr, PrimaryConfig{})
+	h2 := startPrimary(t, dir, addr)
 	defer h2.close()
 	for i := int64(300); i < 350; i++ {
 		h2.m.Put(i, i)
@@ -222,7 +314,7 @@ func TestRestartedPrimaryForcesResyncAcrossRecovery(t *testing.T) {
 }
 
 func TestPromoteLiftsClockAndOpensWrites(t *testing.T) {
-	h := startPrimary(t, t.TempDir(), "127.0.0.1:0", PrimaryConfig{})
+	h := startPrimary(t, t.TempDir(), "127.0.0.1:0")
 	defer h.close()
 	for i := int64(0); i < 50; i++ {
 		h.m.Put(i, i)
@@ -260,7 +352,7 @@ func TestPromoteLiftsClockAndOpensWrites(t *testing.T) {
 }
 
 func TestPrimaryBackendWatermark(t *testing.T) {
-	h := startPrimary(t, t.TempDir(), "127.0.0.1:0", PrimaryConfig{})
+	h := startPrimary(t, t.TempDir(), "127.0.0.1:0")
 	defer h.close()
 	be := h.p.Backend(server.NewShardedBackend(h.m))
 	h.m.Put(1, 1)
@@ -289,7 +381,7 @@ func TestPromoteAfterPrimaryClockAheadNoAborts(t *testing.T) {
 	// floor that clamped stamps to floor+1 (instead of offsetting the
 	// clock) would tie every commit with the next read until the local
 	// clock caught up, and each strict read would abort and retry.
-	h := startPrimary(t, t.TempDir(), "127.0.0.1:0", PrimaryConfig{})
+	h := startPrimary(t, t.TempDir(), "127.0.0.1:0")
 	defer h.close()
 	clock := h.m.Runtime().Clock()
 	clock.Raise(clock.Read() + uint64(1500*time.Millisecond))
@@ -373,6 +465,24 @@ func puts(kvs ...int64) (uint64, []byte) {
 	return uint64(len(kvs) / 2), ops
 }
 
+// walFrame encodes one WAL record frame as a store writes it and a
+// WalRecord carries it: [u32 payload length][u32 CRC-32C of payload]
+// [u64 stamp][uvarint count][ops].
+func walFrame(stamp, count uint64, ops []byte) []byte {
+	payload := binary.LittleEndian.AppendUint64(nil, stamp)
+	payload = binary.AppendUvarint(payload, count)
+	payload = append(payload, ops...)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return append(frame, payload...)
+}
+
+// putFrame is walFrame over an all-put op list.
+func putFrame(stamp uint64, kvs ...int64) []byte {
+	n, ops := puts(kvs...)
+	return walFrame(stamp, n, ops)
+}
+
 func TestResyncWatermarkRestartsInNewLineage(t *testing.T) {
 	midResync := make(chan struct{})
 	finish := make(chan struct{})
@@ -383,24 +493,22 @@ func TestResyncWatermarkRestartsInNewLineage(t *testing.T) {
 			send(wire.ReplMsg{Op: wire.OpFollow, Epoch: 1, Full: true})
 			n, ops := puts(1, 10, 2, 20)
 			send(wire.ReplMsg{Op: wire.OpSnapChunk, Stamp: 50, Count: n, Ops: ops})
-			n, ops = puts(3, 30)
-			send(wire.ReplMsg{Op: wire.OpWalRecord, Seq: 1, Stamp: 60, Count: n, Ops: ops})
+			send(wire.ReplMsg{Op: wire.OpWalRecord, Seq: 0, Ops: putFrame(60, 3, 30)})
 			send(wire.ReplMsg{Op: wire.OpCaughtUp, Stamp: 100})
 			fr.Next() // until the replica hangs up
 		},
 		// Epoch 2 (a restarted primary with other state): its stamps
 		// start below the old lineage's watermark.
 		func(fr *wire.FrameReader, send func(wire.ReplMsg)) {
-			if f := readFollow(t, fr); f.Epoch != 1 || f.Seq != 1 {
-				t.Errorf("replica resumes from (%d,%d), want (1,1)", f.Epoch, f.Seq)
+			if f, pos := readFollow(t, fr), uint64(len(putFrame(60, 3, 30))); f.Epoch != 1 || f.Seq != pos {
+				t.Errorf("replica resumes from (%d,%d), want (1,%d)", f.Epoch, f.Seq, pos)
 			}
 			send(wire.ReplMsg{Op: wire.OpFollow, Epoch: 2, Full: true})
 			n, ops := puts(7, 70, 2, 21)
 			send(wire.ReplMsg{Op: wire.OpSnapChunk, Stamp: 5, Count: n, Ops: ops})
 			close(midResync)
 			<-finish
-			n, ops = puts(8, 80)
-			send(wire.ReplMsg{Op: wire.OpWalRecord, Seq: 1, Stamp: 8, Count: n, Ops: ops})
+			send(wire.ReplMsg{Op: wire.OpWalRecord, Seq: 0, Ops: putFrame(8, 8, 80)})
 			send(wire.ReplMsg{Op: wire.OpCaughtUp, Stamp: 20})
 			fr.Next()
 		})

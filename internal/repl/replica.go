@@ -44,10 +44,11 @@ type Replica struct {
 	cfg ReplicaConfig
 	m   *skiphash.Map[int64, int64]
 
-	// epoch and lastSeq name the stream position the map reflects; a
-	// full resync moves them only once its fold is loaded.
+	// epoch and pos name the log position the map reflects: the end of
+	// the last frame applied. A full resync moves them only once its
+	// fold is loaded.
 	epoch     uint64
-	lastSeq   uint64
+	pos       uint64
 	watermark atomic.Uint64
 	promoted  atomic.Bool
 
@@ -180,7 +181,7 @@ func (r *Replica) run() {
 
 // runConn speaks one follower connection end to end.
 func (r *Replica) runConn(nc net.Conn) error {
-	frame := wire.AppendReplMsg(nil, &wire.ReplMsg{Op: wire.OpFollow, Epoch: r.epoch, Seq: r.lastSeq})
+	frame := wire.AppendReplMsg(nil, &wire.ReplMsg{Op: wire.OpFollow, Epoch: r.epoch, Seq: r.pos})
 	if _, err := nc.Write(frame); err != nil {
 		return err
 	}
@@ -202,7 +203,7 @@ func (r *Replica) runConn(nc net.Conn) error {
 	// the watermark reads 0, so barriered reads go to the primary, and
 	// only the clock floor follows the streamed stamps.
 	var fold *persist.Fold[int64, int64]
-	seq := r.lastSeq
+	pos := r.pos
 	if hdr.Full {
 		r.watermark.Store(0)
 		r.resyncs.Add(1)
@@ -211,10 +212,10 @@ func (r *Replica) runConn(nc net.Conn) error {
 		}
 		ic := persist.Int64Codec()
 		fold = persist.NewFold(skiphash.Int64Less, ic, ic)
-		seq = hdr.Seq
-	} else if hdr.Epoch != r.epoch || hdr.Seq != r.lastSeq {
+		pos = hdr.Seq
+	} else if hdr.Epoch != r.epoch || hdr.Seq != r.pos {
 		return fmt.Errorf("tail header (%d,%d) does not match follower state (%d,%d)",
-			hdr.Epoch, hdr.Seq, r.epoch, r.lastSeq)
+			hdr.Epoch, hdr.Seq, r.epoch, r.pos)
 	}
 	for {
 		payload, err := fr.Next()
@@ -235,23 +236,8 @@ func (r *Replica) runConn(nc net.Conn) error {
 			}
 			r.m.Runtime().Clock().Raise(m.Stamp)
 		case wire.OpWalRecord:
-			if m.Seq != seq+1 {
-				return fmt.Errorf("record seq %d after %d", m.Seq, seq)
-			}
-			r.raisePrimStamp(m.Stamp)
-			seq = m.Seq
-			r.records.Add(1)
-			if fold != nil {
-				if err := fold.AddOps(m.Stamp, m.Count, m.Ops); err != nil {
-					return err
-				}
-				r.m.Runtime().Clock().Raise(m.Stamp)
-			} else {
-				if err := r.applyRecord(&m); err != nil {
-					return err
-				}
-				r.lastSeq = seq
-				r.advance(m.Stamp)
+			if pos, err = r.applyRun(fold, pos, &m); err != nil {
+				return err
 			}
 		case wire.OpCaughtUp:
 			r.raisePrimStamp(m.Stamp)
@@ -260,7 +246,7 @@ func (r *Replica) runConn(nc net.Conn) error {
 					return err
 				}
 				fold = nil
-				r.epoch, r.lastSeq = hdr.Epoch, seq
+				r.epoch, r.pos = hdr.Epoch, pos
 				r.m.Runtime().Clock().Raise(m.Stamp)
 				r.watermark.Store(m.Stamp)
 			} else {
@@ -363,22 +349,54 @@ func (r *Replica) reload(pairs []persist.KV[int64, int64]) error {
 	return nil
 }
 
-// applyRecord applies one live WAL record as one transaction. Records
-// apply in stream order, which is commit order for any two records that
-// could disagree about a key.
-func (r *Replica) applyRecord(m *wire.ReplMsg) error {
+// applyRun takes one WalRecord, a run of WAL frames that must start at
+// pos, the end of everything taken so far, and returns the position
+// after it. Each frame passes recovery's own check (persist.WalkFrames)
+// before its record is used: folded during a full resync, otherwise
+// applied as one transaction, in stream order (commit order for any two
+// records that could disagree about a key), lifting the watermark to
+// its stamp. A refused run leaves pos where it was, so the primary
+// resends it whole; reapplying a prefix of it is harmless.
+func (r *Replica) applyRun(fold *persist.Fold[int64, int64], pos uint64, m *wire.ReplMsg) (uint64, error) {
+	if m.Seq != pos {
+		return pos, fmt.Errorf("log run at position %d, want %d", m.Seq, pos)
+	}
 	ic := persist.Int64Codec()
-	return r.m.Atomic(func(op *skiphash.Txn[int64, int64]) error {
-		return persist.DecodeOps(m.Ops, m.Count, ic, ic,
-			func(k, v int64) error {
-				op.Put(k, v)
-				return nil
-			},
-			func(k int64) error {
-				op.Remove(k)
-				return nil
-			})
+	err := persist.WalkFrames(m.Ops, func(_ int64, stamp, count uint64, ops []byte) error {
+		r.raisePrimStamp(stamp)
+		r.records.Add(1)
+		if fold != nil {
+			if err := fold.AddOps(stamp, count, ops); err != nil {
+				return err
+			}
+			r.m.Runtime().Clock().Raise(stamp)
+			return nil
+		}
+		err := r.m.Atomic(func(op *skiphash.Txn[int64, int64]) error {
+			return persist.DecodeOps(ops, count, ic, ic,
+				func(k, v int64) error {
+					op.Put(k, v)
+					return nil
+				},
+				func(k int64) error {
+					op.Remove(k)
+					return nil
+				})
+		})
+		if err != nil {
+			return err
+		}
+		r.advance(stamp)
+		return nil
 	})
+	if err != nil {
+		return pos, err
+	}
+	pos += uint64(len(m.Ops))
+	if fold == nil {
+		r.pos = pos
+	}
+	return pos, nil
 }
 
 // --- Serving backends ---------------------------------------------------

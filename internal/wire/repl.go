@@ -8,25 +8,26 @@ package wire
 //	replica → primary   Follow {Epoch, Seq}            resume request
 //	primary → replica   Follow {Epoch, Seq, Full}      stream header
 //	primary → replica   SnapChunk {Stamp, Count, Ops}  full sync only
-//	primary → replica   WalRecord {Seq, Stamp, Count, Ops}
+//	primary → replica   WalRecord {Seq, Ops}           a run of WAL frames
 //	primary → replica   CaughtUp {Stamp}               end of catch-up
 //	primary → replica   Heartbeat {Stamp}              idle watermark
 //
-// The replica's Follow names the last (Epoch, Seq) it has applied;
-// Seq 0 means "nothing". The primary answers with its own header: when
-// the epochs match and the requested tail is still in the ring it
-// replays from Seq+1 (Full=false); otherwise Full=true and the stream
-// restarts from a snapshot, after which the replica must discard its
-// state. Epochs are unique per primary incarnation, so a primary that
-// crashed with a torn WAL tail and recovered never tail-feeds a
-// replica that might have applied records the repair discarded.
+// Seq is a log position: a byte offset into the WAL the primary's store
+// has appended since it opened. The replica's Follow names the last
+// epoch it followed and its position; when the epochs match and the log
+// still holds that position the primary streams from there
+// (Full=false), otherwise Full=true, Seq is where the log resumes after
+// a snapshot, and the replica must discard its state. Epochs are unique
+// per primary incarnation, so a primary that crashed with a torn WAL
+// tail and recovered never tail-feeds a replica that might have applied
+// records the repair discarded.
 //
-// A SnapChunk and a WalRecord share one layout: Ops is an op list in
-// the WAL's own encoding (persist.AppendPut, persist.DecodeOps), Count
-// ops long, stamped with the chunk's read stamp or the record's commit
-// stamp. A chunk's ops are all puts and its Seq is zero. Both ends must
-// run the same build: the op list is encoded with the map's codecs,
-// which the stream does not name.
+// A WalRecord is a run of whole WAL frames, verbatim (CRC included),
+// starting at position Seq; its Stamp and Count are zero, as each frame
+// carries its own. A SnapChunk, which shares its layout, is Count puts
+// in the WAL's op encoding (persist.AppendPut) at the chunk's read
+// stamp, with Seq zero. Both ends must run the same build: the stream
+// does not name the map's codecs.
 
 // ReplMsg is one replication-channel message. Fields are meaningful
 // per-op as documented above; unused fields are zero.
