@@ -43,8 +43,8 @@
 // StatusReadOnly), and becomes writable when a client sends Promote —
 // the replica's clock is floored above every applied stamp, so
 // post-promotion commits extend the primary's order. A promoted
-// replica is not durable and not replicating; restart it with -dir to
-// resume either.
+// replica is not durable and not replicating: its state lives only in
+// the process's memory and is lost when the process exits.
 //
 // Usage:
 //

@@ -15,8 +15,8 @@ import (
 )
 
 // instrumentedStore is the durability engine's observability surface;
-// persist.Store implements it (obtained, like walTapper, by asserting
-// the core.Persister the map hands back).
+// persist.Store implements it (obtained by asserting the
+// core.Persister the map hands back).
 type instrumentedStore interface {
 	Instrument(fsyncLatency, batchRecords, snapDuration *obs.Histogram)
 	Stats() persist.StoreStats

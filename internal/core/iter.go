@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"iter"
 
 	"repro/internal/stm"
@@ -11,6 +12,9 @@ import (
 // enough to keep the transactions conflict-resistant.
 const iterChunk = 64
 
+// errStopWalk ends an ascending walk early: its visitor returned false.
+var errStopWalk = errors.New("core: walk stopped")
+
 // AscendFrom visits pairs with key >= from in ascending order until fn
 // returns false. Iteration is weakly consistent: it is assembled from a
 // sequence of transactions (each chunk is an atomic snapshot), so it
@@ -19,57 +23,24 @@ const iterChunk = 64
 // scan over a bounded window use Range; composed with other operations,
 // use Txn.Range.
 func (m *Map[K, V]) AscendFrom(from K, fn func(k K, v V) bool) {
-	m.walkUp(&from, fn)
+	m.ascend(&from, fn)
 }
 
 // Ascend visits every pair in ascending key order until fn returns
 // false; see AscendFrom for the consistency contract.
 func (m *Map[K, V]) Ascend(fn func(k K, v V) bool) {
-	m.walkUp(nil, fn)
+	m.ascend(nil, fn)
 }
 
-func (m *Map[K, V]) walkUp(from *K, fn func(k K, v V) bool) {
-	var cursor K
-	haveCursor := false
-	if from != nil {
-		cursor = *from
-		haveCursor = true
-	}
-	inclusive := true
-	var buf []Pair[K, V]
-	for {
-		buf = buf[:0]
-		_ = m.rt.Atomic(func(tx *stm.Tx) error {
-			buf = buf[:0]
-			var c *node[K, V]
-			if !haveCursor {
-				c = m.head.next0.Load(tx, &m.head.orec)
-			} else {
-				c = m.ceilNodeTx(tx, cursor)
-				if !inclusive && c != m.tail && !m.less(cursor, c.key) {
-					c = c.next0.Load(tx, &c.orec)
-				}
-			}
-			for c != m.tail && len(buf) < iterChunk {
-				if !c.deleted(tx) {
-					buf = append(buf, Pair[K, V]{Key: c.key, Val: c.val})
-				}
-				c = c.next0.Load(tx, &c.orec)
-			}
-			return nil
-		})
-		if len(buf) == 0 {
-			return
-		}
-		for _, p := range buf {
+func (m *Map[K, V]) ascend(from *K, fn func(k K, v V) bool) {
+	_ = m.walkChunks(from, iterChunk, func(_ uint64, pairs []Pair[K, V]) error {
+		for _, p := range pairs {
 			if !fn(p.Key, p.Val) {
-				return
+				return errStopWalk
 			}
 		}
-		cursor = buf[len(buf)-1].Key
-		haveCursor = true
-		inclusive = false
-	}
+		return nil
+	})
 }
 
 // DescendFrom visits pairs with key <= from in descending order until

@@ -26,6 +26,7 @@ package core
 import (
 	"unsafe"
 
+	"repro/internal/persist"
 	"repro/internal/stm"
 )
 
@@ -235,8 +236,7 @@ func (n *node[K, V]) deleted(tx *stm.Tx) bool {
 	return n.rTime.Load(tx, &n.orec) != rTimeNone
 }
 
-// Pair is a key/value pair produced by range queries.
-type Pair[K comparable, V any] struct {
-	Key K
-	Val V
-}
+// Pair is a key/value pair produced by range queries and snapshot
+// chunks: persist's pair, so a chunk goes to the snapshot encoder as it
+// is.
+type Pair[K comparable, V any] = persist.KV[K, V]

@@ -25,12 +25,21 @@ const snapshotScanBound = 4
 // which is what allows WAL truncation even for an empty map. The pairs
 // slice is reused across calls; fn must not retain it.
 func (m *Map[K, V]) SnapshotChunks(chunkSize int, fn func(stamp uint64, pairs []Pair[K, V]) error) error {
+	return m.walkChunks(nil, chunkSize, fn)
+}
+
+// walkChunks is SnapshotChunks from the first key >= *from (from the
+// first key when from is nil); the ascending iterators run on it too.
+func (m *Map[K, V]) walkChunks(from *K, chunkSize int, fn func(stamp uint64, pairs []Pair[K, V]) error) error {
 	if chunkSize <= 0 {
 		chunkSize = 512
 	}
 	maxScan := snapshotScanBound * chunkSize
 	var cursor K
-	haveCursor := false
+	haveCursor := from != nil
+	if haveCursor {
+		cursor = *from
+	}
 	// cursorLive records whether the node the previous chunk ended on was
 	// live (emitted). Only then may the resume step skip past a ceil node
 	// whose key equals the cursor: when the chunk ended on a logically

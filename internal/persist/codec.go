@@ -22,7 +22,9 @@
 // key's chunk already reflects sorts before the snapshot entry, a newer
 // one after it, and file order resolves stamp ties — the same clock
 // trick Jiffy uses for its batch snapshots. The pairs come out sorted,
-// ready for a bulk load.
+// ready for a bulk load. A replica's full resync is the same fold over
+// the same bytes: the primary streams a snapshot file followed by log
+// frames, and the replica checks and folds them as they arrive (Fold).
 //
 // # On-disk layout
 //

@@ -51,10 +51,8 @@ func (e *CorruptionError) Error() string {
 // Is reports a match against ErrCorrupt.
 func (e *CorruptionError) Is(target error) bool { return target == ErrCorrupt }
 
-// appendFrame appends a framed payload to dst. The payload is the byte
-// range payloadStart..len(dst) that the caller has already written; the
-// caller must have reserved frameHeaderLen bytes immediately before it
-// (see beginFrame).
+// finishFrame completes the frame whose header beginFrame reserved at
+// headerStart: the payload is everything appended to dst after it.
 func finishFrame(dst []byte, headerStart int) []byte {
 	payload := dst[headerStart+frameHeaderLen:]
 	binary.LittleEndian.PutUint32(dst[headerStart:], uint32(len(payload)))
@@ -70,45 +68,33 @@ func beginFrame(dst []byte) ([]byte, int) {
 	return append(dst, 0, 0, 0, 0, 0, 0, 0, 0), start
 }
 
-// frameReader walks the frames of a fully loaded file.
-type frameReader struct {
-	path string
-	data []byte
-	off  int64 // absolute offset of the next frame
-}
-
 // errTornFrame marks an incomplete frame at the end of the data: either
 // a header extending past EOF or a payload shorter than its declared
 // length. Whether that is tolerable (tail of the newest WAL segment) or
 // corruption (anywhere else) is the caller's decision.
 var errTornFrame = errors.New("persist: torn frame at end of file")
 
-// next returns the next frame's payload. io.EOF-style end is reported
-// with done=true; a torn tail with errTornFrame; a checksum mismatch
-// with a *CorruptionError.
-func (r *frameReader) next() (payload []byte, frameOff int64, done bool, err error) {
-	rest := r.data[r.off:]
-	if len(rest) == 0 {
-		return nil, r.off, true, nil
-	}
-	frameOff = r.off
+// cutFrame checks the frame at the front of rest, which starts at
+// offset off of path, and returns its payload: errTornFrame when rest
+// ends inside the frame, a *CorruptionError for an absurd length or a
+// checksum mismatch.
+func cutFrame(path string, off int64, rest []byte) ([]byte, error) {
 	if len(rest) < frameHeaderLen {
-		return nil, frameOff, false, errTornFrame
+		return nil, errTornFrame
 	}
 	ln := binary.LittleEndian.Uint32(rest)
 	if ln > maxFramePayload {
-		return nil, frameOff, false, &CorruptionError{Path: r.path, Offset: frameOff,
+		return nil, &CorruptionError{Path: path, Offset: off,
 			Reason: fmt.Sprintf("frame length %d exceeds limit", ln)}
 	}
 	if int64(len(rest)-frameHeaderLen) < int64(ln) {
-		return nil, frameOff, false, errTornFrame
+		return nil, errTornFrame
 	}
-	payload = rest[frameHeaderLen : frameHeaderLen+int(ln)]
+	payload := rest[frameHeaderLen : frameHeaderLen+int(ln)]
 	want := binary.LittleEndian.Uint32(rest[4:])
 	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, frameOff, false, &CorruptionError{Path: r.path, Offset: frameOff,
+		return nil, &CorruptionError{Path: path, Offset: off,
 			Reason: fmt.Sprintf("checksum mismatch: stored %08x, computed %08x", want, got)}
 	}
-	r.off += int64(frameHeaderLen) + int64(ln)
-	return payload, frameOff, false, nil
+	return payload, nil
 }

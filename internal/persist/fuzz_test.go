@@ -1,9 +1,11 @@
 package persist
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/stm"
@@ -171,6 +173,60 @@ func FuzzWALTail(f *testing.F) {
 		}
 		if got != states[n] {
 			t.Fatalf("recovered state does not match the model after %d records:\n got %v\nwant %v", n, got, states[n])
+		}
+	})
+}
+
+// snapshotSeed is FuzzSnapshotFile's valid file: four chunks read at
+// out-of-order stamps, the last one empty as a snapshot of a map ends
+// when its final chunk reaches the tail, and the pairs they hold.
+func snapshotSeed(f *testing.F) ([]byte, []KV[int64, int64]) {
+	chunks := []testChunk{
+		{stamp: 100, kvs: []KV[int64, int64]{{Key: 1, Val: 10}, {Key: 2, Val: 20}, {Key: 3, Val: 30}}},
+		{stamp: 120, kvs: []KV[int64, int64]{{Key: 4, Val: 40}}},
+		{stamp: 110, kvs: []KV[int64, int64]{{Key: 5, Val: 50}, {Key: 6, Val: 60}}},
+		{stamp: 130},
+	}
+	var pairs []KV[int64, int64]
+	for _, c := range chunks {
+		pairs = append(pairs, c.kvs...)
+	}
+	return encodeTestSnapshot(f, chunks), pairs
+}
+
+// FuzzSnapshotFile throws arbitrary bytes at the snapshot check-and-fold
+// that recovery and a replica's full resync share (Fold.AddSnapshot,
+// then EndSnapshot), once whole and once cut in two at split, as a
+// stream may cut it. Seeded with a valid multi-chunk file, a truncated
+// and a flipped one, it must return exactly the valid file's pairs or
+// an error matching ErrCorrupt, and never panic.
+func FuzzSnapshotFile(f *testing.F) {
+	valid, want := snapshotSeed(f)
+	f.Add(valid, uint16(0))
+	f.Add(valid, uint16(37))
+	f.Add(valid[:len(valid)-5], uint16(20))
+	flipped := bytes.Clone(valid)
+	flipped[30] ^= 0x04
+	f.Add(flipped, uint16(0))
+	f.Fuzz(func(t *testing.T, data []byte, split uint16) {
+		for _, cut := range []int{len(data), int(split) % (len(data) + 1)} {
+			fold := NewFold(int64Less, Int64Codec(), Int64Codec())
+			err := fold.AddSnapshot(data[:cut])
+			if err == nil {
+				err = fold.AddSnapshot(data[cut:])
+			}
+			if err == nil {
+				err = fold.EndSnapshot()
+			}
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("cut at %d: a non-corruption error: %v", cut, err)
+				}
+				continue
+			}
+			if got := fold.Pairs(); !slices.Equal(got, want) {
+				t.Fatalf("cut at %d: folded %v, want %v", cut, got, want)
+			}
 		}
 	})
 }

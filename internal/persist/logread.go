@@ -122,18 +122,20 @@ func readRun(dst []byte, pos, end int64, limit int, fetch func(dst []byte, p, q 
 	if err != nil {
 		return dst[:n], err
 	}
-	r := &frameReader{path: "log", data: dst[n:]}
-	for {
-		_, _, done, err := r.next()
+	off := n
+	for off < len(dst) {
+		payload, err := cutFrame("log", int64(off-n), dst[off:])
 		switch {
-		case done || err != nil && r.off > 0:
-			return dst[:n+int(r.off)], nil
+		case err != nil && off > n:
+			return dst[:off], nil
 		case err == errTornFrame: // the first frame is longer than limit
 			return fetch(dst[:n], pos, pos+frameHeaderLen+int64(binary.LittleEndian.Uint32(dst[n:])))
 		case err != nil:
 			return dst[:n], err
 		}
+		off += frameHeaderLen + len(payload)
 	}
+	return dst, nil
 }
 
 // locateLocked finds log position pos: the segment holding it and the

@@ -2,26 +2,16 @@ package persist
 
 import "fmt"
 
-// AppendPut appends one put op, [kind][key][value], to an op list. It
-// is the one encoder for puts: Store.LogPut logs a transaction's puts
-// with it, and a primary encodes every replicated snapshot chunk with
-// it (internal/repl).
-func AppendPut[K, V any](dst []byte, kc Codec[K], vc Codec[V], k K, v V) []byte {
-	dst = append(dst, opPut)
-	dst = kc.Append(dst, k)
-	return vc.Append(dst, v)
-}
-
 // DecodeOps walks one op list — count operations encoded as [kind][key]
-// for deletes and [kind][key][value] for puts — calling put/del for
-// each in encoded order. It is the one decoder for that format, which
-// WAL records carry on disk and on the replication wire, and which a
-// replicated snapshot chunk carries with every op a put. A Fold adds
-// ops through it, in recovery and in a replica's full resync; a live
-// replica applies streamed records through it (internal/repl). A
-// callback's non-nil error aborts the walk and is returned as-is;
-// decode failures are CRC-valid bytes that do not parse (codec
-// mismatch, malformed op list) and wrap ErrCorrupt.
+// for deletes and [kind][key][value] for puts, as Store.LogPut and
+// LogDel append them — calling put/del for each in encoded order. It is
+// the one decoder for that format, which WAL records carry on disk and
+// on the replication wire. A Fold adds a record's ops through it, in
+// recovery and in a replica's full resync; a live replica applies
+// streamed records through it (internal/repl). A callback's non-nil
+// error aborts the walk and is returned as-is; decode failures are
+// CRC-valid bytes that do not parse (codec mismatch, malformed op list)
+// and wrap ErrCorrupt.
 func DecodeOps[K comparable, V any](ops []byte, count uint64, kc Codec[K], vc Codec[V],
 	put func(k K, v V) error, del func(k K) error) error {
 	body := ops

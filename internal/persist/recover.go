@@ -129,13 +129,9 @@ func WalkFrames(frames []byte, fn func(off int64, stamp, count uint64, ops []byt
 // offset off on.
 func walkFrames(path string, data []byte, off int64, last bool,
 	fn func(off int64, stamp, count uint64, ops []byte) error) (goodEnd int64, torn bool, err error) {
-	r := &frameReader{path: path, data: data, off: off}
-	goodEnd = r.off
-	for {
-		payload, off, done, err := r.next()
-		if done {
-			return goodEnd, false, nil
-		}
+	for goodEnd = off; goodEnd < int64(len(data)); {
+		off := goodEnd
+		payload, err := cutFrame(path, off, data[off:])
 		if err == errTornFrame {
 			if !last {
 				return 0, false, &CorruptionError{Path: path, Offset: off, Reason: "torn frame"}
@@ -172,8 +168,9 @@ func walkFrames(path string, data []byte, off int64, last bool,
 		if err := fn(off, stamp, count, ops); err != nil {
 			return 0, false, err
 		}
-		goodEnd = r.off
+		goodEnd += frameHeaderLen + int64(len(payload))
 	}
+	return goodEnd, false, nil
 }
 
 // truncateDurable truncates a file to size and fsyncs the result (file
@@ -211,15 +208,15 @@ type foldOp[K comparable, V any] struct {
 }
 
 // Fold rebuilds a map's state from a snapshot plus the log after it.
-// Snapshot entries go in first, stamped with their chunk's stamp, then
-// every logged op in log order, stamped with its record's. Pairs sorts
-// the lot once by (key, stamp, order added) and keeps each key's last
-// op: an op the key's chunk already reflects sorts before the snapshot
-// entry, a newer one after it, and log order resolves stamp ties, which
-// is commit order for any two records that touch the same key (appends
-// happen while the committing transaction still holds its write set).
-// Recovery folds a directory this way; a replica folds a full resync's
-// streamed chunks and log tail the same way (internal/repl).
+// Snapshot entries go in first (AddSnapshot), stamped with their chunk's
+// stamp, then every logged op in log order (AddOps), stamped with its
+// record's. Pairs sorts the lot once by (key, stamp, order added) and
+// keeps each key's last op: an op the key's chunk already reflects
+// sorts before the snapshot entry, a newer one after it, and order
+// added resolves stamp ties, which is commit order for any two records
+// that touch the same key (appends happen while the committing
+// transaction still holds its write set). Recovery folds a directory
+// this way; a replica folds a full resync's stream (internal/repl).
 type Fold[K comparable, V any] struct {
 	less  func(a, b K) bool
 	kc    Codec[K]
@@ -228,11 +225,12 @@ type Fold[K comparable, V any] struct {
 	stamp uint64 // stamp of the ops being added
 	put   func(K, V) error
 	del   func(K) error
+	snap  snapCheck // the snapshot bytes added so far
 }
 
 // NewFold returns an empty fold over keys ordered by less.
 func NewFold[K comparable, V any](less func(a, b K) bool, kc Codec[K], vc Codec[V]) *Fold[K, V] {
-	f := &Fold[K, V]{less: less, kc: kc, vc: vc}
+	f := &Fold[K, V]{less: less, kc: kc, vc: vc, snap: snapCheck{path: "snapshot stream"}}
 	f.put = func(k K, v V) error {
 		f.ops = append(f.ops, foldOp[K, V]{key: k, val: v, stamp: f.stamp, seq: uint64(len(f.ops)), put: true})
 		return nil
@@ -244,8 +242,26 @@ func NewFold[K comparable, V any](less func(a, b K) bool, kc Codec[K], vc Codec[
 	return f
 }
 
-// AddOps adds one encoded op list (see DecodeOps) at stamp: a WAL
-// record's ops, or a replicated snapshot chunk's puts.
+// AddSnapshot checks and folds the next bytes of a snapshot file, whole
+// or cut anywhere: each chunk is folded once its frame has arrived and
+// passed recovery's checks. Any violation is a *CorruptionError.
+func (f *Fold[K, V]) AddSnapshot(p []byte) error {
+	return f.snap.add(p, func(off int64, stamp, count uint64, body []byte) error {
+		f.stamp = stamp
+		return decodeChunk(f.snap.path, off, body, count, f.kc, f.vc, f.put)
+	})
+}
+
+// EndSnapshot reports whether the bytes added form one whole snapshot,
+// its trailer's total matching its chunks' (a *CorruptionError if not,
+// also when none were added). Call it before the first AddOps; a frame
+// after the trailer is corruption.
+func (f *Fold[K, V]) EndSnapshot() error {
+	return f.snap.end()
+}
+
+// AddOps adds one WAL record's encoded op list (see DecodeOps) at its
+// stamp.
 func (f *Fold[K, V]) AddOps(stamp, count uint64, ops []byte) error {
 	f.stamp = stamp
 	return DecodeOps(ops, count, f.kc, f.vc, f.put, f.del)
@@ -311,13 +327,16 @@ func recoverDir[K comparable, V any](dir string, less func(a, b K) bool, kc Code
 		if snapData, err = os.ReadFile(snapPath); err != nil {
 			return nil, info, st, err
 		}
-		var snapMax, total uint64
-		snapMin, snapMax, total, err = walkSnapshot(snapPath, snapData, nil)
+		c := snapCheck{path: snapPath}
+		if err = c.add(snapData, nil); err == nil {
+			err = c.end()
+		}
 		if err != nil {
 			return nil, info, st, err
 		}
-		info.SnapshotEntries = int(total)
-		info.MaxStamp = snapMax
+		snapMin = c.minStamp
+		info.SnapshotEntries = int(c.total)
+		info.MaxStamp = c.maxStamp
 		// Older snapshots are fully superseded.
 		for _, seq := range st.snaps[:len(st.snaps)-1] {
 			os.Remove(filepath.Join(dir, snapName(seq)))
@@ -366,10 +385,10 @@ func recoverDir[K comparable, V any](dir string, less func(a, b K) bool, kc Code
 	f := NewFold(less, kc, vc)
 	f.ops = make([]foldOp[K, V], 0, size)
 	if snapData != nil {
-		_, _, _, err = walkSnapshot(snapPath, snapData, func(off int64, chunkStamp, count uint64, body []byte) error {
-			f.stamp = chunkStamp
-			return decodeChunk(snapPath, off, body, count, kc, vc, f.put)
-		})
+		f.snap.path = snapPath
+		if err = f.AddSnapshot(snapData); err == nil {
+			err = f.EndSnapshot()
+		}
 		if err != nil {
 			return nil, info, st, err
 		}

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
@@ -58,36 +59,29 @@ func writeTestSegment(t *testing.T, dir string, seq uint64, recs []testRecord) {
 	}
 }
 
-// writeTestSnapshot writes chunks as sealed snapshot seq of dir, framed
-// exactly as snapWriter frames them.
+// encodeTestSnapshot encodes chunks as one snapshot file with the
+// store's own encoder.
+func encodeTestSnapshot(tb testing.TB, chunks []testChunk) []byte {
+	tb.Helper()
+	var b bytes.Buffer
+	_, _, err := WriteSnapshot(&b, func(_ int, emit func(uint64, []KV[int64, int64]) error) error {
+		for _, c := range chunks {
+			if err := emit(c.stamp, c.kvs); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, Int64Codec(), Int64Codec())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// writeTestSnapshot writes chunks as sealed snapshot seq of dir.
 func writeTestSnapshot(t *testing.T, dir string, seq uint64, chunks []testChunk) {
 	t.Helper()
-	ic := Int64Codec()
-	buf := append([]byte(nil), snapMagic...)
-	var total uint64
-	minStamp, maxStamp := ^uint64(0), uint64(0)
-	for _, c := range chunks {
-		var header int
-		buf, header = beginFrame(buf)
-		buf = append(buf, snapTagChunk)
-		buf = binary.LittleEndian.AppendUint64(buf, c.stamp)
-		buf = binary.AppendUvarint(buf, uint64(len(c.kvs)))
-		for _, kv := range c.kvs {
-			buf = ic.Append(buf, kv.Key)
-			buf = ic.Append(buf, kv.Val)
-		}
-		buf = finishFrame(buf, header)
-		total += uint64(len(c.kvs))
-		minStamp, maxStamp = min(minStamp, c.stamp), max(maxStamp, c.stamp)
-	}
-	var header int
-	buf, header = beginFrame(buf)
-	buf = append(buf, snapTagTrailer)
-	buf = binary.LittleEndian.AppendUint64(buf, total)
-	buf = binary.LittleEndian.AppendUint64(buf, minStamp)
-	buf = binary.LittleEndian.AppendUint64(buf, maxStamp)
-	buf = finishFrame(buf, header)
-	if err := os.WriteFile(filepath.Join(dir, snapName(seq)), buf, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapName(seq)), encodeTestSnapshot(t, chunks), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"os"
@@ -220,7 +221,9 @@ func (s *Store[K, V]) Committed(arg unsafe.Pointer) {
 // OpLogger hook).
 func (s *Store[K, V]) LogPut(tx *stm.Tx, k K, v V) {
 	b := s.bufFor(tx)
-	b.ops = AppendPut(b.ops, s.kc, s.vc, k, v)
+	b.ops = append(b.ops, opPut)
+	b.ops = s.kc.Append(b.ops, k)
+	b.ops = s.vc.Append(b.ops, v)
 	b.count++
 }
 
@@ -262,10 +265,6 @@ func (s *Store[K, V]) snapshotter() {
 	}
 }
 
-// snapshotChunk is how many pairs each snapshot chunk transaction reads
-// (each chunk is consistent at its own clock stamp).
-const snapshotChunk = 512
-
 // Snapshot writes a full snapshot now: the map is iterated in chunked
 // consistent reads while writers proceed, the file is fsynced and
 // atomically renamed, and WAL segments fully covered by it are
@@ -289,16 +288,21 @@ func (s *Store[K, V]) Snapshot() error {
 	}
 	seq := s.w.nextFileSeq()
 	tmp := filepath.Join(s.opts.Dir, fmt.Sprintf("snap-%016x.tmp", seq))
-	sw, err := newSnapWriter(tmp, s.kc, s.vc)
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if err := s.source(snapshotChunk, sw.writeChunk); err != nil {
-		sw.abort()
-		os.Remove(tmp)
-		return err
+	bw := bufio.NewWriterSize(f, 1<<16)
+	minStamp, total, err := WriteSnapshot(bw, s.source, s.kc, s.vc)
+	if err == nil {
+		err = bw.Flush()
 	}
-	minStamp, _, err := sw.finish()
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		os.Remove(tmp)
 		return err
@@ -337,7 +341,7 @@ func (s *Store[K, V]) Snapshot() error {
 	s.w.resetSnapshotDebt()
 	s.mu.Lock()
 	s.snapshots++
-	s.snapsEntries += sw.total
+	s.snapsEntries += total
 	s.lastSnapErr = nil
 	s.mu.Unlock()
 	return nil

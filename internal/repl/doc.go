@@ -5,13 +5,16 @@
 // internal/wire replication channel, so a primary adds nothing to the
 // commit path. A follower resumes from its log position for as long as
 // the store keeps it; only a position a snapshot has truncated costs a
-// full resync, which streams snapshot chunks and then the log. A
-// replica checks every frame with recovery's check (persist.WalkFrames)
-// and refuses a bad frame or a gap; in a full resync it folds chunks
-// and log with recovery's fold (persist.Fold) and reloads its map from
-// the result, and once caught up it applies each record in stream
-// order. It serves read-only traffic at an advertised commit-stamp
-// watermark.
+// full resync, which streams a snapshot file followed by log frames:
+// the bytes persist.WriteSnapshot writes for Store.Snapshot, then the
+// log. A replica checks every log frame with recovery's check
+// (persist.WalkFrames) and refuses a bad frame or a gap; in a full
+// resync it checks and folds the snapshot file and the log with
+// recovery's fold (persist.Fold: every chunk frame's CRC, the trailer's
+// pair total, the snapshot whole before the first log op) and reloads
+// its map from the result, and once caught up it applies each record in
+// stream order. It serves read-only traffic at an advertised
+// commit-stamp watermark.
 //
 // # Consistency contract
 //

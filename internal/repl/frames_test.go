@@ -2,6 +2,7 @@ package repl
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -23,47 +24,147 @@ func waitClosed(t *testing.T, ch <-chan struct{}, what string) {
 }
 
 func TestReplicaRefusesBadRuns(t *testing.T) {
-	// Frames arrive from the network, so the replica checks them where
-	// they land: a frame with one flipped payload byte, and a run whose
-	// start skips bytes, are each refused — the connection drops,
+	// Snapshot bytes and log frames arrive from the network, so the
+	// replica checks them where they land, with recovery's own checks.
+	// A bad full-resync stream is refused: the connection drops, nothing
+	// is reloaded, the watermark stays 0 and the replica asks for a full
+	// resync again. After a good resync, a log run with one flipped
+	// payload byte, and a run whose start skips bytes, are each refused:
 	// nothing of the run is applied, the watermark and the resume
-	// position stay put — and a good run after them applies.
+	// position stay put. The good streams after them apply.
+	magic := len("SKHSNP1\n")
+	trailerLen := len(snapFile()) - magic
+	one := snapFile(chunk{50, []int64{5, 50}})
+	two := snapFile(chunk{50, []int64{5, 50}}, chunk{60, []int64{6, 60}})
+	flippedSnap := bytes.Clone(two)
+	flippedSnap[magic+8+3] ^= 0x10 // inside the first chunk frame's stamp
+	noTrailer := two[:len(two)-trailerLen]
+	// one's chunk under two's trailer: the trailer counts a chunk that
+	// never came.
+	shortTotal := append(bytes.Clone(one[:len(one)-trailerLen]), two[len(two)-trailerLen:]...)
+
+	// Each script waits for the test's go-ahead, so the test can check
+	// the replica between connections, then reports the Follow it read.
+	gate := make(chan struct{})
+	abort := make(chan struct{})
+	resumed := make(chan wire.ReplMsg, 1)
+	var dropped []chan struct{}
+	gated := func(body func(f wire.ReplMsg, fr *wire.FrameReader, send func(wire.ReplMsg))) func(*wire.FrameReader, func(wire.ReplMsg)) {
+		done := make(chan struct{})
+		dropped = append(dropped, done)
+		return func(fr *wire.FrameReader, send func(wire.ReplMsg)) {
+			select {
+			case <-gate:
+			case <-abort:
+				return
+			}
+			f := readFollow(t, fr)
+			resumed <- f
+			body(f, fr, send)
+			fr.Next() // until the replica hangs up
+			close(done)
+		}
+	}
+	// sendSnap streams a snapshot file in two runs cut inside a frame.
+	sendSnap := func(send func(wire.ReplMsg), file []byte) {
+		cut := len(file)/2 + 1
+		send(wire.ReplMsg{Op: wire.OpSnapChunk, Data: file[:cut]})
+		send(wire.ReplMsg{Op: wire.OpSnapChunk, Data: file[cut:]})
+	}
+	badStreams := []struct {
+		name string
+		file []byte
+		log  bool // a log run follows the snapshot
+	}{
+		{"a flipped byte inside a chunk frame", flippedSnap, false},
+		{"no trailer before the first log run", noTrailer, true},
+		{"no trailer before CaughtUp", noTrailer, false},
+		{"a trailer total that disagrees with its chunks", shortTotal, false},
+	}
+	var scripts []func(*wire.FrameReader, func(wire.ReplMsg))
+	for _, bad := range badStreams {
+		scripts = append(scripts, gated(func(_ wire.ReplMsg, _ *wire.FrameReader, send func(wire.ReplMsg)) {
+			send(wire.ReplMsg{Op: wire.OpFollow, Epoch: 1, Full: true})
+			sendSnap(send, bad.file)
+			if bad.log {
+				send(wire.ReplMsg{Op: wire.OpWalRecord, Seq: 0, Data: putFrame(70, 7, 70)})
+			}
+			send(wire.ReplMsg{Op: wire.OpCaughtUp, Stamp: 100})
+		}))
+	}
+	// The good resync: key 3's chunk entry and a log op on key 3 share
+	// stamp 50, and the log op must win, as it does in recovery, which
+	// folds the snapshot before any log op. Then the run with a flipped
+	// byte.
+	tie := putFrame(50, 3, 31)
 	good := putFrame(400, 4, 40)
 	flipped := putFrame(200, 2, 20)
 	flipped[len(flipped)-3] ^= 0x10
-	dropped := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
-	resumed := make(chan uint64, 2)
-	ln := scriptedPrimary(t,
-		func(fr *wire.FrameReader, send func(wire.ReplMsg)) {
-			readFollow(t, fr)
+	scripts = append(scripts,
+		gated(func(_ wire.ReplMsg, _ *wire.FrameReader, send func(wire.ReplMsg)) {
 			send(wire.ReplMsg{Op: wire.OpFollow, Epoch: 1, Full: true})
-			n, ops := puts(1, 10)
-			send(wire.ReplMsg{Op: wire.OpSnapChunk, Stamp: 50, Count: n, Ops: ops})
+			sendSnap(send, snapFile(chunk{50, []int64{1, 10, 3, 30}}))
+			send(wire.ReplMsg{Op: wire.OpWalRecord, Seq: 0, Data: tie})
 			send(wire.ReplMsg{Op: wire.OpCaughtUp, Stamp: 100})
-			send(wire.ReplMsg{Op: wire.OpWalRecord, Seq: 0, Ops: flipped})
-			fr.Next() // until the replica hangs up
-			close(dropped[0])
-		},
-		func(fr *wire.FrameReader, send func(wire.ReplMsg)) {
-			f := readFollow(t, fr)
-			resumed <- f.Seq
+			send(wire.ReplMsg{Op: wire.OpWalRecord, Seq: uint64(len(tie)), Data: flipped})
+		}),
+		gated(func(f wire.ReplMsg, _ *wire.FrameReader, send func(wire.ReplMsg)) {
 			send(wire.ReplMsg{Op: wire.OpFollow, Epoch: 1, Seq: f.Seq})
-			send(wire.ReplMsg{Op: wire.OpWalRecord, Seq: f.Seq + 3, Ops: good})
-			fr.Next()
-			close(dropped[1])
-		},
-		func(fr *wire.FrameReader, send func(wire.ReplMsg)) {
-			f := readFollow(t, fr)
-			resumed <- f.Seq
+			send(wire.ReplMsg{Op: wire.OpWalRecord, Seq: f.Seq + 3, Data: good})
+		}),
+		gated(func(f wire.ReplMsg, _ *wire.FrameReader, send func(wire.ReplMsg)) {
 			send(wire.ReplMsg{Op: wire.OpFollow, Epoch: 1, Seq: f.Seq})
-			send(wire.ReplMsg{Op: wire.OpWalRecord, Seq: f.Seq, Ops: good})
-			fr.Next()
-		})
+			send(wire.ReplMsg{Op: wire.OpWalRecord, Seq: f.Seq, Data: good})
+		}))
+	ln := scriptedPrimary(t, scripts...)
+	t.Cleanup(func() { close(abort) }) // before scriptedPrimary's cleanup
 
-	r := startReplica(t, ln.Addr().String())
+	r := NewReplica(ReplicaConfig{Addr: ln.Addr().String(), RedialEvery: 20 * time.Millisecond, Logf: t.Logf})
 	defer r.Close()
+	// next lets the next script run and returns the Follow it read.
+	next := func(what string) wire.ReplMsg {
+		t.Helper()
+		select {
+		case gate <- struct{}{}:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the replica never redialed for %s", what)
+		}
+		select {
+		case f := <-resumed:
+			return f
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no Follow for %s", what)
+		}
+		return wire.ReplMsg{}
+	}
+	for i, bad := range badStreams {
+		if f := next(bad.name); f.Epoch != 0 || f.Seq != 0 {
+			t.Fatalf("before the stream with %s: replica resumes from (%d,%d), want a full resync", bad.name, f.Epoch, f.Seq)
+		}
+		waitClosed(t, dropped[i], "the replica to drop the stream with "+bad.name)
+		if got := allPairs(r.Map()); len(got) != 0 {
+			t.Fatalf("after the stream with %s: reloaded %v", bad.name, got)
+		}
+		if w := r.Watermark(); w != 0 {
+			t.Fatalf("after the stream with %s: watermark %d, want 0", bad.name, w)
+		}
+	}
+
+	if f := next("the good resync"); f.Epoch != 0 || f.Seq != 0 {
+		t.Fatalf("before the good resync: replica resumes from (%d,%d), want a full resync", f.Epoch, f.Seq)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := r.WaitReady(ctx); err != nil {
+		t.Fatalf("the good resync never caught up: %v", err)
+	}
+	for k, want := range map[int64]int64{1: 10, 3: 31} {
+		if v, ok := r.Map().Lookup(k); !ok || v != want {
+			t.Fatalf("after the good resync: key %d = %d %v, want %d", k, v, ok, want)
+		}
+	}
 	for i, what := range []string{"the flipped byte", "the gap"} {
-		waitClosed(t, dropped[i], "the replica to drop the run with "+what)
+		waitClosed(t, dropped[len(badStreams)+i], "the replica to drop the run with "+what)
 		for _, k := range []int64{2, 4} {
 			if v, ok := r.Map().Lookup(k); ok {
 				t.Fatalf("after the run with %s: key %d applied (%d)", what, k, v)
@@ -72,8 +173,8 @@ func TestReplicaRefusesBadRuns(t *testing.T) {
 		if w := r.Watermark(); w != 100 {
 			t.Fatalf("after the run with %s: watermark %d, want 100", what, w)
 		}
-		if pos := <-resumed; pos != 0 {
-			t.Fatalf("after the run with %s: replica resumes from %d, want 0", what, pos)
+		if f := next("the run after " + what); f.Seq != uint64(len(tie)) {
+			t.Fatalf("after the run with %s: replica resumes from %d, want %d", what, f.Seq, len(tie))
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -110,7 +211,7 @@ func FuzzReplFrames(f *testing.F) {
 		r := &Replica{m: skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})}
 		defer r.m.Close()
 		var stamps []uint64
-		pos, err := r.applyRun(nil, 0, &wire.ReplMsg{Op: wire.OpWalRecord, Seq: start, Ops: frames})
+		pos, err := r.applyRun(nil, 0, &wire.ReplMsg{Op: wire.OpWalRecord, Seq: start, Data: frames})
 		if err != nil {
 			if pos != 0 || r.pos != 0 {
 				t.Fatalf("refused run moved the position to %d/%d", pos, r.pos)

@@ -21,8 +21,6 @@ type PrimaryConfig struct {
 }
 
 const (
-	// snapshotChunk is the pair count per snapshot chunk of a full sync.
-	snapshotChunk = 512
 	// heartbeatEvery is the idle watermark cadence.
 	heartbeatEvery = 250 * time.Millisecond
 	// runBytes bounds the frames one WalRecord carries (a longer frame
@@ -222,18 +220,10 @@ func (p *Primary) sender(nc net.Conn) error {
 		return err
 	}
 	if full {
-		// Each chunk's pairs travel as puts (persist.AppendPut) in one
-		// buffer reused across chunks; send has copied it when it returns.
+		// The snapshot travels as the bytes of a snapshot file, encoded
+		// as Store.Snapshot encodes its file, one frame per SnapChunk.
 		ic := persist.Int64Codec()
-		var ops []byte
-		err := p.m.SnapshotChunks(snapshotChunk, func(stamp uint64, pairs []skiphash.Pair[int64, int64]) error {
-			ops = ops[:0]
-			for _, kv := range pairs {
-				ops = persist.AppendPut(ops, ic, ic, kv.Key, kv.Val)
-			}
-			return send(&wire.ReplMsg{Op: wire.OpSnapChunk, Stamp: stamp, Count: uint64(len(pairs)), Ops: ops})
-		})
-		if err != nil {
+		if _, _, err := persist.WriteSnapshot(chunkWriter(send), p.m.SnapshotChunks, ic, ic); err != nil {
 			return fmt.Errorf("snapshot stream: %w", err)
 		}
 	}
@@ -258,7 +248,7 @@ func (p *Primary) sender(nc net.Conn) error {
 			if run, err = rd.Read(run[:0], cursor, runBytes); err != nil {
 				return fmt.Errorf("log position %d: %w", cursor, err)
 			}
-			if err := send(&wire.ReplMsg{Op: wire.OpWalRecord, Seq: uint64(cursor), Ops: run}); err != nil {
+			if err := send(&wire.ReplMsg{Op: wire.OpWalRecord, Seq: uint64(cursor), Data: run}); err != nil {
 				return err
 			}
 			cursor += int64(len(run))
@@ -309,4 +299,15 @@ func (p *Primary) sender(nc net.Conn) error {
 		case <-hb.C:
 		}
 	}
+}
+
+// chunkWriter sends each Write as one SnapChunk message; the message
+// has been copied out of p when it returns.
+type chunkWriter func(m *wire.ReplMsg) error
+
+func (send chunkWriter) Write(p []byte) (int, error) {
+	if err := send(&wire.ReplMsg{Op: wire.OpSnapChunk, Data: p}); err != nil {
+		return 0, err
+	}
+	return len(p), nil
 }

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"hash/crc32"
@@ -455,14 +456,42 @@ func readFollow(t *testing.T, fr *wire.FrameReader) wire.ReplMsg {
 	return m
 }
 
-// puts encodes pairs (key, value, key, value, ...) as an all-put op list.
+// puts encodes pairs (key, value, key, value, ...) as an all-put op
+// list, as a store logs puts: [kind 1][key][value] per op.
 func puts(kvs ...int64) (uint64, []byte) {
 	ic := persist.Int64Codec()
 	var ops []byte
 	for i := 0; i < len(kvs); i += 2 {
-		ops = persist.AppendPut(ops, ic, ic, kvs[i], kvs[i+1])
+		ops = ic.Append(ic.Append(append(ops, 1), kvs[i]), kvs[i+1])
 	}
 	return uint64(len(kvs) / 2), ops
+}
+
+// chunk is one snapshot chunk read at stamp: pairs (key, value, key,
+// value, ...).
+type chunk struct {
+	stamp uint64
+	kvs   []int64
+}
+
+// snapFile encodes chunks as one snapshot file, the bytes a primary's
+// full resync streams.
+func snapFile(chunks ...chunk) []byte {
+	var b bytes.Buffer
+	ic := persist.Int64Codec()
+	persist.WriteSnapshot(&b, func(_ int, emit func(uint64, []persist.KV[int64, int64]) error) error {
+		for _, c := range chunks {
+			var pairs []persist.KV[int64, int64]
+			for i := 0; i < len(c.kvs); i += 2 {
+				pairs = append(pairs, persist.KV[int64, int64]{Key: c.kvs[i], Val: c.kvs[i+1]})
+			}
+			if err := emit(c.stamp, pairs); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, ic, ic)
+	return b.Bytes()
 }
 
 // walFrame encodes one WAL record frame as a store writes it and a
@@ -491,9 +520,8 @@ func TestResyncWatermarkRestartsInNewLineage(t *testing.T) {
 		func(fr *wire.FrameReader, send func(wire.ReplMsg)) {
 			readFollow(t, fr)
 			send(wire.ReplMsg{Op: wire.OpFollow, Epoch: 1, Full: true})
-			n, ops := puts(1, 10, 2, 20)
-			send(wire.ReplMsg{Op: wire.OpSnapChunk, Stamp: 50, Count: n, Ops: ops})
-			send(wire.ReplMsg{Op: wire.OpWalRecord, Seq: 0, Ops: putFrame(60, 3, 30)})
+			send(wire.ReplMsg{Op: wire.OpSnapChunk, Data: snapFile(chunk{50, []int64{1, 10, 2, 20}})})
+			send(wire.ReplMsg{Op: wire.OpWalRecord, Seq: 0, Data: putFrame(60, 3, 30)})
 			send(wire.ReplMsg{Op: wire.OpCaughtUp, Stamp: 100})
 			fr.Next() // until the replica hangs up
 		},
@@ -504,11 +532,10 @@ func TestResyncWatermarkRestartsInNewLineage(t *testing.T) {
 				t.Errorf("replica resumes from (%d,%d), want (1,%d)", f.Epoch, f.Seq, pos)
 			}
 			send(wire.ReplMsg{Op: wire.OpFollow, Epoch: 2, Full: true})
-			n, ops := puts(7, 70, 2, 21)
-			send(wire.ReplMsg{Op: wire.OpSnapChunk, Stamp: 5, Count: n, Ops: ops})
+			send(wire.ReplMsg{Op: wire.OpSnapChunk, Data: snapFile(chunk{5, []int64{7, 70, 2, 21}})})
 			close(midResync)
 			<-finish
-			send(wire.ReplMsg{Op: wire.OpWalRecord, Seq: 0, Ops: putFrame(8, 8, 80)})
+			send(wire.ReplMsg{Op: wire.OpWalRecord, Seq: 0, Data: putFrame(8, 8, 80)})
 			send(wire.ReplMsg{Op: wire.OpCaughtUp, Stamp: 20})
 			fr.Next()
 		})

@@ -113,8 +113,8 @@ func (r *Replica) WaitReady(ctx context.Context) error {
 // Promote stops following and makes the map writable. The clock floor
 // keeps new commit stamps above every applied record, so the promoted
 // node's commits extend the dead primary's order. The promoted map is
-// not durable and not replicating; restart it with a durability
-// directory to resume either.
+// not durable and not replicating: its state lives only in this
+// process's memory and is lost when the process exits.
 func (r *Replica) Promote() error {
 	r.stop()
 	r.promoted.Store(true)
@@ -198,10 +198,11 @@ func (r *Replica) runConn(nc net.Conn) error {
 		return fmt.Errorf("expected Follow header, got %s", hdr.Op)
 	}
 	// A full resync leaves the map serving its old state and folds the
-	// snapshot chunks and the tail the way recovery folds a snapshot and
-	// its log; the map is reloaded from the fold at CaughtUp. Meanwhile
-	// the watermark reads 0, so barriered reads go to the primary, and
-	// only the clock floor follows the streamed stamps.
+	// streamed snapshot file, whole before the first log frame or
+	// CaughtUp, and the log after it the way recovery folds a snapshot
+	// and its log; the map is reloaded from the fold at CaughtUp.
+	// Meanwhile the watermark reads 0, so barriered reads go to the
+	// primary, and only the clock floor follows the streamed stamps.
 	var fold *persist.Fold[int64, int64]
 	pos := r.pos
 	if hdr.Full {
@@ -226,15 +227,19 @@ func (r *Replica) runConn(nc net.Conn) error {
 		if err != nil {
 			return err
 		}
+		if fold != nil && m.Op != wire.OpSnapChunk {
+			if err := fold.EndSnapshot(); err != nil {
+				return err
+			}
+		}
 		switch m.Op {
 		case wire.OpSnapChunk:
 			if fold == nil {
-				return errors.New("snapshot chunk outside full sync")
+				return errors.New("snapshot bytes outside full sync")
 			}
-			if err := fold.AddOps(m.Stamp, m.Count, m.Ops); err != nil {
+			if err := fold.AddSnapshot(m.Data); err != nil {
 				return err
 			}
-			r.m.Runtime().Clock().Raise(m.Stamp)
 		case wire.OpWalRecord:
 			if pos, err = r.applyRun(fold, pos, &m); err != nil {
 				return err
@@ -362,7 +367,7 @@ func (r *Replica) applyRun(fold *persist.Fold[int64, int64], pos uint64, m *wire
 		return pos, fmt.Errorf("log run at position %d, want %d", m.Seq, pos)
 	}
 	ic := persist.Int64Codec()
-	err := persist.WalkFrames(m.Ops, func(_ int64, stamp, count uint64, ops []byte) error {
+	err := persist.WalkFrames(m.Data, func(_ int64, stamp, count uint64, ops []byte) error {
 		r.raisePrimStamp(stamp)
 		r.records.Add(1)
 		if fold != nil {
@@ -392,7 +397,7 @@ func (r *Replica) applyRun(fold *persist.Fold[int64, int64], pos uint64, m *wire
 	if err != nil {
 		return pos, err
 	}
-	pos += uint64(len(m.Ops))
+	pos += uint64(len(m.Data))
 	if fold == nil {
 		r.pos = pos
 	}

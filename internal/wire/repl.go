@@ -7,8 +7,8 @@ package wire
 //
 //	replica → primary   Follow {Epoch, Seq}            resume request
 //	primary → replica   Follow {Epoch, Seq, Full}      stream header
-//	primary → replica   SnapChunk {Stamp, Count, Ops}  full sync only
-//	primary → replica   WalRecord {Seq, Ops}           a run of WAL frames
+//	primary → replica   SnapChunk {Data}               full sync only
+//	primary → replica   WalRecord {Seq, Data}          a run of WAL frames
 //	primary → replica   CaughtUp {Stamp}               end of catch-up
 //	primary → replica   Heartbeat {Stamp}              idle watermark
 //
@@ -22,12 +22,13 @@ package wire
 // tail and recovered never tail-feeds a replica that might have applied
 // records the repair discarded.
 //
-// A WalRecord is a run of whole WAL frames, verbatim (CRC included),
-// starting at position Seq; its Stamp and Count are zero, as each frame
-// carries its own. A SnapChunk, which shares its layout, is Count puts
-// in the WAL's op encoding (persist.AppendPut) at the chunk's read
-// stamp, with Seq zero. Both ends must run the same build: the stream
-// does not name the map's codecs.
+// A full sync's stream is a snapshot file followed by log frames: the
+// SnapChunks carry, in order, runs of the bytes of one snapshot file as
+// the store writes it to disk (WalRecord's layout, Seq zero); a
+// WalRecord is a run of whole WAL frames, verbatim (CRC included),
+// starting at position Seq. Stamps and counts travel inside the frames.
+// Both ends must run the same build: the stream does not name the map's
+// codecs.
 
 // ReplMsg is one replication-channel message. Fields are meaningful
 // per-op as documented above; unused fields are zero.
@@ -36,9 +37,8 @@ type ReplMsg struct {
 	Epoch uint64
 	Seq   uint64
 	Stamp uint64
-	Count uint64
 	Full  bool
-	Ops   []byte
+	Data  []byte
 }
 
 // AppendReplMsg appends m as one complete frame to dst.
@@ -52,17 +52,15 @@ func AppendReplMsg(dst []byte, m *ReplMsg) []byte {
 		dst = appendBool(dst, m.Full)
 	case OpSnapChunk, OpWalRecord:
 		dst = appendU64(dst, m.Seq)
-		dst = appendU64(dst, m.Stamp)
-		dst = appendU64(dst, m.Count)
-		dst = appendU32(dst, uint32(len(m.Ops)))
-		dst = append(dst, m.Ops...)
+		dst = appendU32(dst, uint32(len(m.Data)))
+		dst = append(dst, m.Data...)
 	case OpCaughtUp, OpHeartbeat:
 		dst = appendU64(dst, m.Stamp)
 	}
 	return finishFrame(dst, hdr)
 }
 
-// ParseReplMsg decodes one replication payload. Ops is copied out of
+// ParseReplMsg decodes one replication payload. Data is copied out of
 // the frame buffer, so the buffer may be reused immediately.
 func ParseReplMsg(payload []byte) (ReplMsg, error) {
 	d := decoder{buf: payload}
@@ -75,10 +73,8 @@ func ParseReplMsg(payload []byte) (ReplMsg, error) {
 		m.Full = d.u8("full") != 0
 	case OpSnapChunk, OpWalRecord:
 		m.Seq = d.u64("seq")
-		m.Stamp = d.u64("stamp")
-		m.Count = d.u64("count")
-		n := d.u32("ops length")
-		m.Ops = append([]byte(nil), d.bytes(int(n), "ops")...)
+		n := d.u32("data length")
+		m.Data = append([]byte(nil), d.bytes(int(n), "data")...)
 	case OpCaughtUp, OpHeartbeat:
 		m.Stamp = d.u64("stamp")
 	default:

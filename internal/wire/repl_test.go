@@ -25,22 +25,18 @@ func TestReplMsgRoundTrip(t *testing.T) {
 	msgs := []ReplMsg{
 		{Op: OpFollow, Epoch: 7, Seq: 42},
 		{Op: OpFollow, Epoch: 8, Seq: 0, Full: true},
-		// A chunk is an all-put op list in the WAL's encoding: kind 1,
-		// then an 8-byte key and an 8-byte value per op.
-		{Op: OpSnapChunk, Stamp: 100, Count: 2, Ops: append(
-			append([]byte{1}, bytes.Repeat([]byte{0x01}, 16)...),
-			append([]byte{1}, bytes.Repeat([]byte{0xFE}, 16)...)...)},
-		{Op: OpSnapChunk, Stamp: 0, Count: 0, Ops: nil},
-		{Op: OpWalRecord, Seq: 3, Stamp: 101, Count: 2, Ops: []byte{1, 2, 3, 4}},
-		{Op: OpWalRecord, Seq: 4, Stamp: 102, Count: 0, Ops: nil},
+		// A chunk is a run of snapshot file bytes, opaque to the wire.
+		{Op: OpSnapChunk, Data: append([]byte("SKHSNP1\n"), bytes.Repeat([]byte{0xFE}, 16)...)},
+		{Op: OpSnapChunk, Data: nil},
+		{Op: OpWalRecord, Seq: 3, Data: []byte{1, 2, 3, 4}},
+		{Op: OpWalRecord, Seq: 4, Data: nil},
 		{Op: OpCaughtUp, Stamp: 103},
 		{Op: OpHeartbeat, Stamp: 104},
 	}
 	for _, m := range msgs {
 		got := roundTripReplMsg(t, m)
 		if got.Op != m.Op || got.Epoch != m.Epoch || got.Seq != m.Seq ||
-			got.Stamp != m.Stamp || got.Count != m.Count || got.Full != m.Full ||
-			!bytes.Equal(got.Ops, m.Ops) {
+			got.Stamp != m.Stamp || got.Full != m.Full || !bytes.Equal(got.Data, m.Data) {
 			t.Fatalf("%s: round trip %+v -> %+v", m.Op, m, got)
 		}
 	}
@@ -48,7 +44,7 @@ func TestReplMsgRoundTrip(t *testing.T) {
 
 func TestReplMsgCopiesOps(t *testing.T) {
 	src := []byte{1, 2, 3, 4}
-	frame := AppendReplMsg(nil, &ReplMsg{Op: OpWalRecord, Seq: 1, Stamp: 1, Count: 1, Ops: src})
+	frame := AppendReplMsg(nil, &ReplMsg{Op: OpWalRecord, Seq: 1, Data: src})
 	payload := bytes.Clone(frame[frameHeaderLen:])
 	m, err := ParseReplMsg(payload)
 	if err != nil {
@@ -57,8 +53,8 @@ func TestReplMsgCopiesOps(t *testing.T) {
 	for i := range payload {
 		payload[i] = 0xFF
 	}
-	if !bytes.Equal(m.Ops, src) {
-		t.Fatalf("Ops alias the frame buffer: %v", m.Ops)
+	if !bytes.Equal(m.Data, src) {
+		t.Fatalf("Data aliases the frame buffer: %v", m.Data)
 	}
 }
 
@@ -74,16 +70,14 @@ func TestReplMsgRejectsGarbage(t *testing.T) {
 	if _, err := ParseReplMsg(append(payload, 0xAB)); err == nil {
 		t.Fatal("trailing bytes not rejected")
 	}
-	// An ops length that cannot fit the payload must be rejected before
+	// A data length that cannot fit the payload must be rejected before
 	// allocation.
 	var chunk []byte
 	chunk = append(chunk, byte(OpSnapChunk))
 	chunk = appendU64(chunk, 0)
-	chunk = appendU64(chunk, 1)
-	chunk = appendU64(chunk, 1)
 	chunk = appendU32(chunk, 1<<30)
 	if _, err := ParseReplMsg(chunk); err == nil {
-		t.Fatal("oversized snap chunk ops length not rejected")
+		t.Fatal("oversized snap chunk data length not rejected")
 	}
 }
 

@@ -95,7 +95,7 @@ func Open[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg 
 		}
 	})
 	m.AttachPersistence(st, st)
-	st.Start(snapshotSource(st, m.SnapshotChunks))
+	st.Start(m.SnapshotChunks)
 	return m, nil
 }
 
@@ -123,20 +123,4 @@ func refuseRetiredLayout(dir string) error {
 			dir, strings.Join(found, ", "))
 	}
 	return nil
-}
-
-// snapshotSource adapts a map's SnapshotChunks iterator to the persist
-// engine's callback type, reusing one conversion buffer.
-func snapshotSource[K comparable, V any](st *persist.Store[K, V],
-	chunks func(int, func(uint64, []Pair[K, V]) error) error) persist.SnapshotSource[K, V] {
-	return func(chunkSize int, emit func(stamp uint64, kvs []persist.KV[K, V]) error) error {
-		kvs := make([]persist.KV[K, V], 0, chunkSize)
-		return chunks(chunkSize, func(stamp uint64, pairs []Pair[K, V]) error {
-			kvs = kvs[:0]
-			for _, p := range pairs {
-				kvs = append(kvs, persist.KV[K, V]{Key: p.Key, Val: p.Val})
-			}
-			return emit(stamp, kvs)
-		})
-	}
 }
