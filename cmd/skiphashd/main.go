@@ -37,14 +37,17 @@
 // Namespaces are not replicated; -follow excludes them.
 //
 // Replication: with -replicate-addr a durable (-dir) server additionally streams its WAL to followers on that address.
-// With -follow the daemon runs as a live replica instead: it syncs
-// from the named primary's replication address, serves read-only
-// traffic on -addr/-unix at its commit-stamp watermark (writes answer
+// With -follow the daemon runs as a live replica instead: a durable map
+// in -dir that follows the named primary's replication address. It
+// logs every record it applies, keeps its resume position in -dir, and
+// after a restart resumes from there; a full resync is written to -dir
+// and recovered as any durable map is. It serves read-only traffic on
+// -addr/-unix at its commit-stamp watermark (writes answer
 // StatusReadOnly), and becomes writable when a client sends Promote —
 // the replica's clock is floored above every applied stamp, so
-// post-promotion commits extend the primary's order. A promoted
-// replica is not durable and not replicating: its state lives only in
-// the process's memory and is lost when the process exits.
+// post-promotion commits extend the primary's order. A promoted replica
+// stays durable, and a daemon started with -dir alone reopens it; it
+// does not stream its WAL.
 //
 // Usage:
 //
@@ -92,7 +95,7 @@ func main() {
 		nsMaxConns   = flag.Int("ns-max-conns", 0, "per-namespace connection quota (0 = unlimited)")
 		nsMaxBatch   = flag.Int("ns-max-batch", 0, "per-namespace coalescing clamp (0 = -max-batch)")
 		replAddr     = flag.String("replicate-addr", "", "stream the WAL to followers on this TCP address (requires -dir)")
-		follow       = flag.String("follow", "", "run as a live replica of this primary replication address (excludes -dir and -replicate-addr)")
+		follow       = flag.String("follow", "", "run as a live replica of this primary replication address (requires -dir, excludes -replicate-addr)")
 		maxConns     = flag.Int("max-conns", 256, "connection limit")
 		maxBatch     = flag.Int("max-batch", 64, "max pipelined requests coalesced into one transaction")
 		writeTimeout = flag.Duration("write-timeout", 10*time.Second, "slow-client response deadline")
@@ -110,8 +113,11 @@ func main() {
 	if *addr == "" && *unixPath == "" {
 		log.Fatal("skiphashd: nothing to listen on (-addr and -unix both empty)")
 	}
-	if *follow != "" && (*dir != "" || *replAddr != "") {
-		log.Fatal("skiphashd: -follow excludes -dir and -replicate-addr (a replica is neither durable nor a stream source)")
+	if *follow != "" && *dir == "" {
+		log.Fatal("skiphashd: -follow requires -dir (a replica is a durable map)")
+	}
+	if *follow != "" && *replAddr != "" {
+		log.Fatal("skiphashd: -follow excludes -replicate-addr (a replica is not a stream source)")
 	}
 	if *follow != "" && (len(nsSpecs) > 0 || *nsRoot != "") {
 		log.Fatal("skiphashd: -follow excludes -ns and -ns-root (namespaces are not replicated)")
@@ -125,7 +131,7 @@ func main() {
 		cfg.Durability = &skiphash.Durability{Dir: *dir, Fsync: cfgFsyncPolicy(*fsync), FsyncEvery: *fsyncEvery}
 	}
 	var (
-		m    *skiphash.Map[int64, int64]
+		m    func() *skiphash.Map[int64, int64]
 		be   server.Backend
 		rep  *repl.Replica
 		prim *repl.Primary
@@ -133,8 +139,13 @@ func main() {
 	if *follow != "" {
 		// Replica mode: the map is fed by the replication stream, not by
 		// clients — serve its read-only backend at the applied watermark.
-		rep = repl.NewReplica(repl.ReplicaConfig{Addr: *follow, Map: cfg, Logf: log.Printf})
-		m = rep.Map()
+		// A full resync swaps the map, so it is read through rep.Map.
+		var err error
+		rep, err = repl.NewReplica(repl.ReplicaConfig{Addr: *follow, Map: cfg, Logf: log.Printf})
+		if err != nil {
+			log.Fatalf("skiphashd: replica: %v", err)
+		}
+		m = rep.Map
 		be = rep.Backend()
 		go func() {
 			if err := rep.WaitReady(context.Background()); err == nil {
@@ -142,18 +153,18 @@ func main() {
 			}
 		}()
 	} else {
-		var err error
-		m, err = skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
+		pm, err := skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.Int64Codec())
 		if err != nil {
 			log.Fatalf("skiphashd: open: %v", err)
 		}
-		be = server.NewShardedBackend(m)
+		m = func() *skiphash.Map[int64, int64] { return pm }
+		be = server.NewShardedBackend(pm)
 		if *replAddr != "" {
 			var pcfg repl.PrimaryConfig
 			if !*quiet {
 				pcfg.Logf = log.Printf
 			}
-			prim, err = repl.NewPrimary(m, pcfg)
+			prim, err = repl.NewPrimary(pm, pcfg)
 			if err != nil {
 				log.Fatalf("skiphashd: %v", err)
 			}
@@ -187,7 +198,7 @@ func main() {
 		IdleTimeout:  *idleTimeout,
 		Obs:          obsReg,
 		Tracer:       tracer,
-		AbortsFn:     func() uint64 { return m.STMStats().Aborts },
+		AbortsFn:     func() uint64 { return m().STMStats().Aborts },
 	}
 	if !*quiet {
 		srvCfg.Logf = log.Printf
@@ -289,7 +300,7 @@ func main() {
 		// The shard count (always 1) stays in this line until a change
 		// to benchmark/ retires it: benchmark/served.go parses the line.
 		log.Printf("skiphashd: serving %d shards on %s://%s (durability: %s, role: %s)",
-			m.Shards(), network, ln.Addr(), durabilityDesc(*dir, *fsync), role)
+			m().Shards(), network, ln.Addr(), durabilityDesc(*dir, *fsync), role)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -336,11 +347,7 @@ func main() {
 	if prim != nil {
 		prim.Shutdown()
 	}
-	if rep != nil {
-		// The replica map is repl-owned: Close stops the stream and the
-		// map together, and there is no durability engine to settle.
-		rep.Close()
-	} else if err := be.Close(); err != nil {
+	if err := be.Close(); err != nil {
 		log.Printf("skiphashd: durability engine: %v", err)
 		exit = 1
 	}

@@ -29,12 +29,13 @@ type instrumentedStore interface {
 // through RegistryConfig.Obs. Everything here is a Func metric over
 // existing Stats() accessors or a histogram fed by an observer hook —
 // nothing new on any hot path.
-func buildRegistry(m *skiphash.Map[int64, int64], rep *repl.Replica, prim *repl.Primary) *obs.Registry {
+func buildRegistry(m func() *skiphash.Map[int64, int64], rep *repl.Replica, prim *repl.Primary) *obs.Registry {
 	reg := obs.NewRegistry()
 	server.RegisterMapMetrics(reg, m)
 
-	// Durability engine (absent on in-memory and replica maps).
-	if st, ok := m.Persister().(instrumentedStore); ok {
+	// Durability engine (absent on in-memory maps; not exported for a
+	// replica, whose full resyncs replace its map and engine).
+	if st, ok := m().Persister().(instrumentedStore); ok && rep == nil {
 		registerPersist(reg, st)
 	}
 
@@ -45,7 +46,7 @@ func buildRegistry(m *skiphash.Map[int64, int64], rep *repl.Replica, prim *repl.
 			"WAL records applied from the replication stream.",
 			func() uint64 { return rs().Records })
 		reg.CounterFunc("skiphash_repl_resyncs_total",
-			"Full resyncs performed (snapshot reload), initial sync included.",
+			"Full resyncs performed (snapshot and log written to disk and recovered), initial sync included.",
 			func() uint64 { return rs().Resyncs })
 		reg.CounterFunc("skiphash_repl_epoch_changes_total",
 			"Primary epoch changes observed (each forces a full resync).",

@@ -29,75 +29,19 @@ func TestSmokeMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exec smoke test skipped in -short mode")
 	}
-	bin := filepath.Join(t.TempDir(), "skiphashd")
-	buildArgs := []string{"build", "-o", bin}
-	if os.Getenv("SKIPHASH_SMOKE_RACE") != "" {
-		// The daemon is exec'd, so the harness's own -race does not
-		// instrument it; the nightly lane opts the binary in explicitly.
-		buildArgs = append(buildArgs, "-race")
-	}
-	if out, err := exec.Command("go", append(buildArgs, ".")...).CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-
+	bin := buildDaemon(t)
 	traceMs := os.Getenv("SKIPHASH_SMOKE_TRACE_MS")
 	if traceMs == "" {
 		traceMs = "50"
 	}
-	cmd := exec.Command(bin,
+	d := startDaemon(t, bin,
 		"-addr", "127.0.0.1:0",
 		"-metrics", "127.0.0.1:0",
 		"-trace-slow-ms", traceMs,
 		"-stats-every", "1s",
 		"-quiet")
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatalf("start: %v", err)
-	}
-	defer cmd.Process.Kill()
-
-	// The daemon logs its bound addresses; collect them (and keep
-	// draining stderr so the child never blocks on the pipe).
-	var (
-		mu      sync.Mutex
-		lines   []string
-		srvAddr string
-		metURL  string
-	)
-	servingRe := regexp.MustCompile(`serving \d+ shards on tcp://([^ ]+) `)
-	metricsRe := regexp.MustCompile(`metrics on (http://[^ ]+/metrics)`)
-	scanDone := make(chan struct{})
-	go func() {
-		defer close(scanDone)
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			mu.Lock()
-			lines = append(lines, sc.Text())
-			if m := servingRe.FindStringSubmatch(sc.Text()); m != nil {
-				srvAddr = m[1]
-			}
-			if m := metricsRe.FindStringSubmatch(sc.Text()); m != nil {
-				metURL = m[1]
-			}
-			mu.Unlock()
-		}
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		mu.Lock()
-		ok := srvAddr != "" && metURL != ""
-		mu.Unlock()
-		if ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("daemon did not announce its addresses; log:\n%s", logText(&mu, &lines))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	srvAddr := d.await(servingRe)
+	metURL := d.await(regexp.MustCompile(`metrics on (http://[^ ]+/metrics)`))
 
 	c, err := client.Dial(srvAddr, client.Options{})
 	if err != nil {
@@ -171,18 +115,174 @@ func TestSmokeMetrics(t *testing.T) {
 		}
 	}
 
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatalf("SIGTERM: %v", err)
+	d.stop()
+	if !strings.Contains(d.log(), "final stats:") {
+		t.Fatalf("no final stats line on drain; log:\n%s", d.log())
+	}
+}
+
+// TestSmokeFollower runs a replicating primary and a durable follower.
+// The follower serves a primary write behind a read barrier, drains on
+// SIGTERM, and restarted over its directory serves the write again,
+// resuming where it stopped rather than taking a full resync. -follow
+// without -dir is refused.
+func TestSmokeFollower(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exec smoke test skipped in -short mode")
+	}
+	bin := buildDaemon(t)
+	out, err := exec.Command(bin, "-addr", "127.0.0.1:0", "-follow", "127.0.0.1:1").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || !strings.Contains(string(out), "-follow requires -dir") {
+		t.Fatalf("-follow without -dir: %v\n%s", err, out)
+	}
+
+	primary := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-dir", t.TempDir(), "-fsync", "none",
+		"-replicate-addr", "127.0.0.1:0", "-quiet")
+	primAddr := primary.await(servingRe)
+	replAddr := primary.await(regexp.MustCompile(`replicating WAL on tcp://([^ ]+) `))
+	pc, err := client.Dial(primAddr, client.Options{})
+	if err != nil {
+		t.Fatalf("dial primary: %v", err)
+	}
+	defer pc.Close()
+	if _, err := pc.Put(7, 70); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	barrier, err := pc.Watermark()
+	if err != nil {
+		t.Fatalf("Watermark: %v", err)
+	}
+
+	dir := t.TempDir()
+	for run := 0; run < 2; run++ {
+		follower := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-dir", dir, "-follow", replAddr, "-quiet")
+		addr := follower.await(servingRe)
+		// The follower is its client's only server, so GetAt either
+		// passes the barrier there or reads there unbarriered: wait for
+		// its watermark first.
+		fc, err := client.Dial(addr, client.Options{Replicas: []string{addr}})
+		if err != nil {
+			t.Fatalf("run %d: dial follower: %v", run, err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for w, err := fc.Watermark(); err != nil || w <= barrier; w, err = fc.Watermark() {
+			if time.Now().After(deadline) {
+				t.Fatalf("run %d: follower watermark %d (%v) never passed %d; log:\n%s", run, w, err, barrier, follower.log())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		if v, ok, err := fc.GetAt(7, barrier); err != nil || !ok || v != 70 {
+			t.Fatalf("run %d: follower GetAt(7) = %d %v %v, want 70", run, v, ok, err)
+		}
+		stats, err := fc.ServerStats()
+		if err != nil {
+			t.Fatalf("run %d: ServerStats: %v", run, err)
+		}
+		// The first run's initial sync is its one full resync; the
+		// restart resumes from the saved position.
+		if n := nonZero(t, string(stats), "skiphash_repl_resyncs_total"); n != float64(1-run) {
+			t.Fatalf("run %d: %v full resyncs, want %d", run, n, 1-run)
+		}
+		fc.Close()
+		follower.stop()
+	}
+	primary.stop()
+}
+
+// servingRe matches the daemon's listen line and captures its TCP
+// address.
+var servingRe = regexp.MustCompile(`serving \d+ shards on tcp://([^ ]+) `)
+
+// buildDaemon builds the daemon binary into a temporary directory.
+// SKIPHASH_SMOKE_RACE builds it with the race detector.
+func buildDaemon(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "skiphashd")
+	buildArgs := []string{"build", "-o", bin}
+	if os.Getenv("SKIPHASH_SMOKE_RACE") != "" {
+		// The daemon is exec'd, so the harness's own -race does not
+		// instrument it; the nightly lane opts the binary in explicitly.
+		buildArgs = append(buildArgs, "-race")
+	}
+	if out, err := exec.Command("go", append(buildArgs, ".")...).CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// daemon is one running skiphashd whose log the test reads.
+type daemon struct {
+	t        *testing.T
+	cmd      *exec.Cmd
+	mu       sync.Mutex
+	lines    []string
+	scanDone chan struct{}
+}
+
+// startDaemon starts bin with args and keeps draining its stderr, so
+// the child never blocks on the pipe. It is killed at cleanup unless
+// stop ran.
+func startDaemon(t *testing.T, bin string, args ...string) *daemon {
+	t.Helper()
+	d := &daemon{t: t, cmd: exec.Command(bin, args...), scanDone: make(chan struct{})}
+	stderr, err := d.cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.cmd.Start(); err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	t.Cleanup(func() { d.cmd.Process.Kill() })
+	go func() {
+		defer close(d.scanDone)
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			d.mu.Lock()
+			d.lines = append(d.lines, sc.Text())
+			d.mu.Unlock()
+		}
+	}()
+	return d
+}
+
+// await waits for a log line matching re and returns its first group.
+func (d *daemon) await(re *regexp.Regexp) string {
+	d.t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		d.mu.Lock()
+		for _, line := range d.lines {
+			if m := re.FindStringSubmatch(line); m != nil {
+				d.mu.Unlock()
+				return m[1]
+			}
+		}
+		d.mu.Unlock()
+		if time.Now().After(deadline) {
+			d.t.Fatalf("daemon never logged %v; log:\n%s", re, d.log())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// stop sends SIGTERM and requires a clean exit.
+func (d *daemon) stop() {
+	d.t.Helper()
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		d.t.Fatalf("SIGTERM: %v", err)
 	}
 	// Drain stderr to EOF before Wait — Wait closes the pipe and would
 	// race the scanner out of the final log lines.
-	<-scanDone
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("daemon exit: %v; log:\n%s", err, logText(&mu, &lines))
+	<-d.scanDone
+	if err := d.cmd.Wait(); err != nil {
+		d.t.Fatalf("daemon exit: %v; log:\n%s", err, d.log())
 	}
-	if !strings.Contains(logText(&mu, &lines), "final stats:") {
-		t.Fatalf("no final stats line on drain; log:\n%s", logText(&mu, &lines))
-	}
+}
+
+func (d *daemon) log() string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return strings.Join(d.lines, "\n")
 }
 
 // nonZero extracts the value of an unlabeled counter sample from a
@@ -199,10 +299,4 @@ func nonZero(t *testing.T, body, name string) float64 {
 		t.Fatalf("parse %s value %q: %v", name, m[1], err)
 	}
 	return v
-}
-
-func logText(mu *sync.Mutex, lines *[]string) string {
-	mu.Lock()
-	defer mu.Unlock()
-	return strings.Join(*lines, "\n")
 }

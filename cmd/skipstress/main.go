@@ -194,7 +194,7 @@ func main() {
 		// commit histogram sees every commit, printed on stderr once the
 		// run passed (failure paths exit before deferred calls run).
 		reg := obs.NewRegistry()
-		server.RegisterMapMetrics(reg, m)
+		server.RegisterMapMetrics(reg, func() *skiphash.Map[int64, int64] { return m })
 		defer func() {
 			fmt.Fprintln(os.Stderr, "skipstress: end-of-run metrics:")
 			reg.WriteTo(os.Stderr)

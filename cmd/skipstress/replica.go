@@ -6,6 +6,7 @@ import (
 	"math"
 	"net"
 	"os"
+	"path/filepath"
 	"sync/atomic"
 	"time"
 
@@ -17,15 +18,18 @@ import (
 
 // runReplica is the replicated serving stress. Topology: one durable
 // primary (temp dir, FsyncNone) streams its WAL to two in-process
-// replicas; the primary and both replicas each serve the protocol on
-// loopback TCP. The -check workload runs through a client whose
-// lookups alternate plain primary reads with watermark-barriered
-// replica reads, so the consistency contract — a replica whose
-// watermark strictly exceeds X serves every commit at or below X — is
-// inside the linearizability-checked box.
+// replicas, durable in directories of their own; the primary and both
+// replicas each serve the protocol on loopback TCP. The -check workload
+// runs through a client whose lookups alternate plain primary reads
+// with watermark-barriered replica reads, so the consistency contract —
+// a replica whose watermark strictly exceeds X serves every commit at
+// or below X — is inside the linearizability-checked box.
 //
-// Halfway through, a quiescent failover: the primary is shut down, the
-// caught-up replica A is promoted over the wire, and the workload
+// A quarter of the way through, replica B is closed and restarted over
+// its directory: it recovers its own log, resumes from its saved
+// position, and must catch up with no full resync. Halfway through, a
+// quiescent failover: the primary is shut down, the caught-up replica A
+// is promoted over the wire, and the workload
 // continues against A alone. Replica B is dropped from reads — commit
 // stamps are only comparable within one primary lineage, and B never
 // sees A's post-promotion commits. Every round's history, before and
@@ -40,14 +44,18 @@ func runReplica(threads int, duration time.Duration, seed uint64, lookupPct int,
 
 	// Primary: durable map whose WAL is the replication stream. Small
 	// segments make every run stream across rotations.
-	pdir, err := os.MkdirTemp("", "skipstress-replica-*")
+	root, err := os.MkdirTemp("", "skipstress-replica-*")
 	if err != nil {
 		fail("tempdir: %v", err)
 	}
-	defer os.RemoveAll(pdir)
-	pm, err := skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{
-		Durability: &skiphash.Durability{Dir: pdir, Fsync: skiphash.FsyncNone, SegmentBytes: 64 << 10},
-	}, skiphash.Int64Codec(), skiphash.Int64Codec())
+	defer os.RemoveAll(root)
+	durable := func(name string) skiphash.Config {
+		return skiphash.Config{Durability: &skiphash.Durability{
+			Dir: filepath.Join(root, name), Fsync: skiphash.FsyncNone, SegmentBytes: 64 << 10,
+		}}
+	}
+	pm, err := skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, durable("primary"),
+		skiphash.Int64Codec(), skiphash.Int64Codec())
 	if err != nil {
 		fail("open primary: %v", err)
 	}
@@ -70,11 +78,21 @@ func runReplica(threads int, duration time.Duration, seed uint64, lookupPct int,
 		go srv.Serve(ln)
 		return srv, ln
 	}
+	drain := func(what string, srv *server.Server) {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			fail("%s drain: %v", what, err)
+		}
+	}
 	srvP, lnP := listenServe(prim.Backend(server.NewShardedBackend(pm)))
 
 	// Two replicas, each serving its own read-only backend.
-	newReplica := func() (*repl.Replica, *server.Server, net.Listener) {
-		r := repl.NewReplica(repl.ReplicaConfig{Addr: rln.Addr().String(), RedialEvery: 20 * time.Millisecond})
+	newReplica := func(name string) (*repl.Replica, *server.Server, net.Listener) {
+		r, err := repl.NewReplica(repl.ReplicaConfig{Addr: rln.Addr().String(), Map: durable(name), RedialEvery: 20 * time.Millisecond})
+		if err != nil {
+			fail("replica %s: %v", name, err)
+		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		if err := r.WaitReady(ctx); err != nil {
@@ -83,16 +101,19 @@ func runReplica(threads int, duration time.Duration, seed uint64, lookupPct int,
 		srv, ln := listenServe(r.Backend())
 		return r, srv, ln
 	}
-	rA, srvA, lnA := newReplica()
-	rB, srvB, lnB := newReplica()
-
-	cl, err := client.Dial(lnP.Addr().String(), client.Options{
-		Conns:    threads,
-		Replicas: []string{lnA.Addr().String(), lnB.Addr().String()},
-	})
-	if err != nil {
-		fail("dial: %v", err)
+	rA, srvA, lnA := newReplica("a")
+	rB, srvB, lnB := newReplica("b")
+	dial := func() *client.Client {
+		cl, err := client.Dial(lnP.Addr().String(), client.Options{
+			Conns:    threads,
+			Replicas: []string{lnA.Addr().String(), lnB.Addr().String()},
+		})
+		if err != nil {
+			fail("dial: %v", err)
+		}
+		return cl
 	}
+	cl := dial()
 	fmt.Printf("skipstress: -replica, %d client conns, %v, universe %d, seed %d, lookup%%=%d, primary + 2 replicas over tcp\n",
 		threads, duration, checkUniverse, seed, lookupPct)
 
@@ -115,6 +136,24 @@ func runReplica(threads int, duration time.Duration, seed uint64, lookupPct int,
 	// Phase 1: primary serving, barriered reads fanning out over both
 	// replicas.
 	start := time.Now()
+	runRounds(start.Add(duration / 4))
+
+	// Restart B between rounds: reopened over its directory, it resumes
+	// from the position it last saved, which the primary's log still
+	// holds — no full resync on either side. The client is redialed to
+	// its new address.
+	cl.Close()
+	drain("replica B", srvB)
+	if err := rB.Close(); err != nil {
+		fail("replica B close: %v", err)
+	}
+	served := prim.Stats().Resyncs
+	rB, srvB, lnB = newReplica("b")
+	if n, m := rB.Stats().Resyncs, prim.Stats().Resyncs; n != 0 || m != served {
+		fail("restarted replica B took a full resync (replica %d, primary %d -> %d)", n, served, m)
+	}
+	fmt.Printf("skipstress: restarted replica B after %d rounds: resumed at watermark %d\n", rounds, rB.Watermark())
+	cl = dial()
 	runRounds(start.Add(duration / 2))
 	rounds1 := rounds
 
@@ -146,12 +185,7 @@ func runReplica(threads int, duration time.Duration, seed uint64, lookupPct int,
 
 	// Kill the primary: serving drained, stream shut, map closed.
 	cl.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	if err := srvP.Shutdown(ctx); err != nil {
-		cancel()
-		fail("primary drain: %v", err)
-	}
-	cancel()
+	drain("primary", srvP)
 	prim.Shutdown()
 	pm.Close()
 
@@ -169,14 +203,8 @@ func runReplica(threads int, duration time.Duration, seed uint64, lookupPct int,
 	runRounds(start.Add(duration))
 
 	cl.Close()
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel2()
-	if err := srvA.Shutdown(ctx2); err != nil {
-		fail("promoted drain: %v", err)
-	}
-	if err := srvB.Shutdown(ctx2); err != nil {
-		fail("replica B drain: %v", err)
-	}
+	drain("promoted", srvA)
+	drain("replica B", srvB)
 	rB.Close()
 
 	mA := rA.Map()

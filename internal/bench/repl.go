@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"net"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -19,9 +20,9 @@ import (
 // The repl experiment measures what read fan-out over live replicas
 // buys and what the watermark barrier costs. One durable primary
 // (FsyncNone — the subject is replication, not the disk) streams its
-// WAL to up to two in-process replicas; primary and replicas each
-// serve the wire protocol on loopback TCP. Three closed-loop read
-// series per connection count:
+// WAL to up to two in-process replicas, durable and FsyncNone as well;
+// primary and replicas each serve the wire protocol on loopback TCP.
+// Three closed-loop read series per connection count:
 //
 //   - primary-only: plain Get against the primary, the baseline every
 //     fan-out figure is relative to.
@@ -52,7 +53,7 @@ func Repl(w io.Writer, opts Options) error {
 	}
 	defer os.RemoveAll(dir)
 	m, err := skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{
-		Durability: &skiphash.Durability{Dir: dir, Fsync: skiphash.FsyncNone},
+		Durability: &skiphash.Durability{Dir: filepath.Join(dir, "primary"), Fsync: skiphash.FsyncNone},
 	}, skiphash.Int64Codec(), skiphash.Int64Codec())
 	if err != nil {
 		return err
@@ -105,10 +106,15 @@ func Repl(w io.Writer, opts Options) error {
 
 	replicaAddrs := make([]string, 0, 2)
 	for i := 0; i < 2; i++ {
-		r := repl.NewReplica(repl.ReplicaConfig{Addr: rln.Addr().String()})
+		r, err := repl.NewReplica(repl.ReplicaConfig{Addr: rln.Addr().String(), Map: skiphash.Config{
+			Durability: &skiphash.Durability{Dir: filepath.Join(dir, fmt.Sprint("replica-", i)), Fsync: skiphash.FsyncNone},
+		}})
+		if err != nil {
+			return err
+		}
 		defer r.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		err := r.WaitReady(ctx)
+		err = r.WaitReady(ctx)
 		cancel()
 		if err != nil {
 			return fmt.Errorf("bench: replica %d catch-up: %w", i, err)

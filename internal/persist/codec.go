@@ -17,14 +17,16 @@
 // sequence of chunked read-only transactions, each chunk tagged with its
 // start stamp; a chunk is a consistent view of its keys as of that
 // stamp. Recovery decodes the snapshot entries (each stamped with its
-// chunk's stamp) and every logged op into one flat array, sorts it once
-// by (key, stamp, decode order), and keeps each key's last op: an op the
-// key's chunk already reflects sorts before the snapshot entry, a newer
-// one after it, and file order resolves stamp ties — the same clock
-// trick Jiffy uses for its batch snapshots. The pairs come out sorted,
-// ready for a bulk load. A replica's full resync is the same fold over
-// the same bytes: the primary streams a snapshot file followed by log
-// frames, and the replica checks and folds them as they arrive (Fold).
+// chunk's stamp) and every logged op into one flat array, orders it by
+// (key, stamp, decode order) — the snapshot's entries arrive in key
+// order, so only the log ops are sorted and then merged in — and keeps
+// each key's last op: an op the key's chunk already reflects sorts
+// before the snapshot entry, a newer one after it, and file order
+// resolves stamp ties — the same clock trick Jiffy uses for its batch
+// snapshots. The pairs come out sorted, ready for a bulk load. A
+// replica's full resync lands as the same files: the primary streams a
+// snapshot file followed by log frames, a Restore checks them as they
+// arrive and lays them into a directory, and recovery opens it.
 //
 // # On-disk layout
 //

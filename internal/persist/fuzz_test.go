@@ -194,10 +194,9 @@ func snapshotSeed(f *testing.F) ([]byte, []KV[int64, int64]) {
 	return encodeTestSnapshot(f, chunks), pairs
 }
 
-// FuzzSnapshotFile throws arbitrary bytes at the snapshot check-and-fold
-// that recovery and a replica's full resync share (Fold.AddSnapshot,
-// then EndSnapshot), once whole and once cut in two at split, as a
-// stream may cut it. Seeded with a valid multi-chunk file, a truncated
+// FuzzSnapshotFile throws arbitrary bytes at recovery's snapshot
+// check-and-fold (fold.addSnapshot, then endSnapshot), once whole and
+// once cut in two at split, as a full resync's stream may cut it. Seeded with a valid multi-chunk file, a truncated
 // and a flipped one, it must return exactly the valid file's pairs or
 // an error matching ErrCorrupt, and never panic.
 func FuzzSnapshotFile(f *testing.F) {
@@ -210,13 +209,13 @@ func FuzzSnapshotFile(f *testing.F) {
 	f.Add(flipped, uint16(0))
 	f.Fuzz(func(t *testing.T, data []byte, split uint16) {
 		for _, cut := range []int{len(data), int(split) % (len(data) + 1)} {
-			fold := NewFold(int64Less, Int64Codec(), Int64Codec())
-			err := fold.AddSnapshot(data[:cut])
+			fold := newFold(int64Less, Int64Codec(), Int64Codec(), 0)
+			err := fold.addSnapshot(data[:cut])
 			if err == nil {
-				err = fold.AddSnapshot(data[cut:])
+				err = fold.addSnapshot(data[cut:])
 			}
 			if err == nil {
-				err = fold.EndSnapshot()
+				err = fold.endSnapshot()
 			}
 			if err != nil {
 				if !errors.Is(err, ErrCorrupt) {
@@ -224,7 +223,7 @@ func FuzzSnapshotFile(f *testing.F) {
 				}
 				continue
 			}
-			if got := fold.Pairs(); !slices.Equal(got, want) {
+			if got := fold.pairs(); !slices.Equal(got, want) {
 				t.Fatalf("cut at %d: folded %v, want %v", cut, got, want)
 			}
 		}

@@ -6,9 +6,8 @@ import "fmt"
 // for deletes and [kind][key][value] for puts, as Store.LogPut and
 // LogDel append them — calling put/del for each in encoded order. It is
 // the one decoder for that format, which WAL records carry on disk and
-// on the replication wire. A Fold adds a record's ops through it, in
-// recovery and in a replica's full resync; a live replica applies
-// streamed records through it (internal/repl). A callback's non-nil
+// on the replication wire. Recovery folds a record's ops through it; a
+// live replica applies streamed records through it (internal/repl). A callback's non-nil
 // error aborts the walk and is returned as-is; decode failures are
 // CRC-valid bytes that do not parse (codec mismatch, malformed op list)
 // and wrap ErrCorrupt.

@@ -195,7 +195,7 @@ func truncateDurable(path string, size int64) error {
 	return syncDir(filepath.Dir(path))
 }
 
-// foldOp is one stamped operation of a Fold: a snapshot entry (stamped
+// foldOp is one stamped operation of a fold: a snapshot entry (stamped
 // with its chunk's stamp) or one logged op (stamped with its record's),
 // numbered by seq in the order it was added. For pointer-free K and V
 // the whole array is pointer-free, so the collector never scans it.
@@ -207,30 +207,31 @@ type foldOp[K comparable, V any] struct {
 	put   bool
 }
 
-// Fold rebuilds a map's state from a snapshot plus the log after it.
-// Snapshot entries go in first (AddSnapshot), stamped with their chunk's
-// stamp, then every logged op in log order (AddOps), stamped with its
-// record's. Pairs sorts the lot once by (key, stamp, order added) and
-// keeps each key's last op: an op the key's chunk already reflects
-// sorts before the snapshot entry, a newer one after it, and order
-// added resolves stamp ties, which is commit order for any two records
-// that touch the same key (appends happen while the committing
-// transaction still holds its write set). Recovery folds a directory
-// this way; a replica folds a full resync's stream (internal/repl).
-type Fold[K comparable, V any] struct {
-	less  func(a, b K) bool
-	kc    Codec[K]
-	vc    Codec[V]
-	ops   []foldOp[K, V]
-	stamp uint64 // stamp of the ops being added
-	put   func(K, V) error
-	del   func(K) error
-	snap  snapCheck // the snapshot bytes added so far
+// fold rebuilds a map's state from a snapshot plus the log after it.
+// Snapshot entries go in first (addSnapshot), stamped with their chunk's
+// stamp, then every logged op in log order (addOps), stamped with its
+// record's. pairs orders the lot by (key, stamp, order added) and keeps
+// each key's last op: an op the key's chunk already reflects sorts
+// before the snapshot entry, a newer one after it, and order added
+// resolves stamp ties, which is commit order for any two records that
+// touch the same key (appends happen while the committing transaction
+// still holds its write set).
+type fold[K comparable, V any] struct {
+	less    func(a, b K) bool
+	kc      Codec[K]
+	vc      Codec[V]
+	ops     []foldOp[K, V]
+	snapOps int    // ops[:snapOps] are the snapshot's entries
+	stamp   uint64 // stamp of the ops being added
+	put     func(K, V) error
+	del     func(K) error
+	snap    snapCheck // the snapshot bytes added so far
 }
 
-// NewFold returns an empty fold over keys ordered by less.
-func NewFold[K comparable, V any](less func(a, b K) bool, kc Codec[K], vc Codec[V]) *Fold[K, V] {
-	f := &Fold[K, V]{less: less, kc: kc, vc: vc, snap: snapCheck{path: "snapshot stream"}}
+// newFold returns an empty fold over keys ordered by less, with room for
+// size ops.
+func newFold[K comparable, V any](less func(a, b K) bool, kc Codec[K], vc Codec[V], size uint64) *fold[K, V] {
+	f := &fold[K, V]{less: less, kc: kc, vc: vc, ops: make([]foldOp[K, V], 0, size)}
 	f.put = func(k K, v V) error {
 		f.ops = append(f.ops, foldOp[K, V]{key: k, val: v, stamp: f.stamp, seq: uint64(len(f.ops)), put: true})
 		return nil
@@ -242,37 +243,38 @@ func NewFold[K comparable, V any](less func(a, b K) bool, kc Codec[K], vc Codec[
 	return f
 }
 
-// AddSnapshot checks and folds the next bytes of a snapshot file, whole
+// addSnapshot checks and folds the next bytes of a snapshot file, whole
 // or cut anywhere: each chunk is folded once its frame has arrived and
 // passed recovery's checks. Any violation is a *CorruptionError.
-func (f *Fold[K, V]) AddSnapshot(p []byte) error {
+func (f *fold[K, V]) addSnapshot(p []byte) error {
 	return f.snap.add(p, func(off int64, stamp, count uint64, body []byte) error {
 		f.stamp = stamp
 		return decodeChunk(f.snap.path, off, body, count, f.kc, f.vc, f.put)
 	})
 }
 
-// EndSnapshot reports whether the bytes added form one whole snapshot,
+// endSnapshot reports whether the bytes added form one whole snapshot,
 // its trailer's total matching its chunks' (a *CorruptionError if not,
-// also when none were added). Call it before the first AddOps; a frame
-// after the trailer is corruption.
-func (f *Fold[K, V]) EndSnapshot() error {
+// also when none were added). Call it before the first addOps.
+func (f *fold[K, V]) endSnapshot() error {
+	f.snapOps = len(f.ops)
 	return f.snap.end()
 }
 
-// AddOps adds one WAL record's encoded op list (see DecodeOps) at its
+// addOps adds one WAL record's encoded op list (see DecodeOps) at its
 // stamp.
-func (f *Fold[K, V]) AddOps(stamp, count uint64, ops []byte) error {
+func (f *fold[K, V]) addOps(stamp, count uint64, ops []byte) error {
 	f.stamp = stamp
 	return DecodeOps(ops, count, f.kc, f.vc, f.put, f.del)
 }
 
-// Pairs folds everything added and returns the surviving pairs strictly
-// ascending by less. It consumes the fold.
-func (f *Fold[K, V]) Pairs() []KV[K, V] {
-	less, ops := f.less, f.ops
-	f.ops = nil
-	slices.SortFunc(ops, func(a, b foldOp[K, V]) int {
+// pairs folds everything added and returns the surviving pairs strictly
+// ascending by less. A snapshot's chunks are written in key order, so
+// only the log ops are sorted, and the two runs are merged. It consumes
+// the fold.
+func (f *fold[K, V]) pairs() []KV[K, V] {
+	less := f.less
+	order := func(a, b foldOp[K, V]) int {
 		switch {
 		case less(a.key, b.key):
 			return -1
@@ -282,21 +284,46 @@ func (f *Fold[K, V]) Pairs() []KV[K, V] {
 			return cmp.Compare(a.stamp, b.stamp)
 		}
 		return cmp.Compare(a.seq, b.seq)
-	})
-	live := 0
-	for i := range ops {
-		if i+1 < len(ops) && !less(ops[i].key, ops[i+1].key) {
-			continue // a later op on the same key decides it
+	}
+	snap, log := f.ops[:f.snapOps], f.ops[f.snapOps:]
+	f.ops = nil
+	if !slices.IsSortedFunc(snap, order) {
+		slices.SortFunc(snap, order) // a file not written by WriteSnapshot
+	}
+	slices.SortFunc(log, order)
+	// last hands fn each key's last op of the two runs merged in order.
+	last := func(fn func(op *foldOp[K, V])) {
+		var prev *foldOp[K, V]
+		for i, j := 0, 0; i < len(snap) || j < len(log); {
+			var op *foldOp[K, V]
+			if i < len(snap) && (j == len(log) || order(snap[i], log[j]) < 0) {
+				op = &snap[i]
+				i++
+			} else {
+				op = &log[j]
+				j++
+			}
+			if prev != nil && less(prev.key, op.key) {
+				fn(prev)
+			}
+			prev = op
 		}
-		if ops[i].put {
-			ops[live] = ops[i]
+		if prev != nil {
+			fn(prev)
+		}
+	}
+	live := 0
+	last(func(op *foldOp[K, V]) {
+		if op.put {
 			live++
 		}
-	}
-	pairs := make([]KV[K, V], live)
-	for i := range pairs {
-		pairs[i] = KV[K, V]{Key: ops[i].key, Val: ops[i].val}
-	}
+	})
+	pairs := make([]KV[K, V], 0, live)
+	last(func(op *foldOp[K, V]) {
+		if op.put {
+			pairs = append(pairs, KV[K, V]{Key: op.key, Val: op.val})
+		}
+	})
 	return pairs
 }
 
@@ -306,17 +333,20 @@ func (f *Fold[K, V]) Pairs() []KV[K, V] {
 // metadata the reopened engine continues from.
 //
 // Recovery is one flat pipeline. A first walk checks every frame and sums
-// the snapshot's entries and the records' op counts; a Fold presized to
+// the snapshot's entries and the records' op counts; a fold presized to
 // that exact count then takes every snapshot entry and every WAL op and
-// folds them in one sort.
+// folds them: one sort of the log ops, merged into the snapshot's run.
 func recoverDir[K comparable, V any](dir string, less func(a, b K) bool, kc Codec[K], vc Codec[V]) (
 	pairs []KV[K, V], info RecoverInfo, st dirState, err error) {
 	st, err = scanDir(dir)
 	if err != nil {
 		return nil, info, st, err
 	}
-	// Aborted snapshot writes (crash before rename) are garbage.
-	removeFiles(dir, st.tmpFiles)
+	// Aborted snapshot writes and restores (a crash before their rename
+	// or Install) are garbage.
+	for _, name := range st.tmpFiles {
+		os.RemoveAll(filepath.Join(dir, name))
+	}
 
 	// Pass 1: read and check every file, size the op array.
 	var snapPath string
@@ -382,12 +412,11 @@ func recoverDir[K comparable, V any](dir string, less func(a, b K) bool, kc Code
 
 	// Pass 2: decode the snapshot, then every WAL op in file order. The
 	// first pass checked every frame and count, so exactly size ops land.
-	f := NewFold(less, kc, vc)
-	f.ops = make([]foldOp[K, V], 0, size)
+	f := newFold(less, kc, vc, size)
 	if snapData != nil {
 		f.snap.path = snapPath
-		if err = f.AddSnapshot(snapData); err == nil {
-			err = f.EndSnapshot()
+		if err = f.addSnapshot(snapData); err == nil {
+			err = f.endSnapshot()
 		}
 		if err != nil {
 			return nil, info, st, err
@@ -395,7 +424,7 @@ func recoverDir[K comparable, V any](dir string, less func(a, b K) bool, kc Code
 	}
 	var path string
 	decode := func(off int64, stamp, count uint64, body []byte) error {
-		if err := f.AddOps(stamp, count, body); err != nil {
+		if err := f.addOps(stamp, count, body); err != nil {
 			return fmt.Errorf("%s: record at offset %d: %w", path, off, err)
 		}
 		return nil
@@ -406,7 +435,7 @@ func recoverDir[K comparable, V any](dir string, less func(a, b K) bool, kc Code
 			return nil, info, st, err
 		}
 	}
-	pairs = f.Pairs()
+	pairs = f.pairs()
 	info.Entries = len(pairs)
 
 	// Tidy: segments fully covered by the loaded snapshot are dead

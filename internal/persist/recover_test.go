@@ -164,6 +164,31 @@ func TestRecoverFoldOrder(t *testing.T) {
 	}
 }
 
+// TestRecoverSnapshotOutOfKeyOrder: recovery merges the log ops into
+// the snapshot's entries, which WriteSnapshot writes in key order; a
+// snapshot whose chunks are not in key order still folds to the same
+// pairs, ascending.
+func TestRecoverSnapshotOutOfKeyOrder(t *testing.T) {
+	dir := t.TempDir()
+	writeTestSnapshot(t, dir, 2, []testChunk{
+		{stamp: 100, kvs: []KV[int64, int64]{{Key: 5, Val: 50}, {Key: 7, Val: 70}}},
+		{stamp: 110, kvs: []KV[int64, int64]{{Key: 1, Val: 10}, {Key: 3, Val: 30}}},
+	})
+	writeTestSegment(t, dir, 1, []testRecord{
+		{stamp: 105, ops: []testOp{{k: 5, v: 51}, {k: 3, v: 31}, {k: 4, v: 40}}},
+		{stamp: 120, ops: []testOp{{k: 1, del: true}}},
+	})
+	st, err := Open[int64, int64](Options{Dir: dir}, int64Less, Int64Codec(), Int64Codec())
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer st.Close()
+	want := []KV[int64, int64]{{Key: 3, Val: 30}, {Key: 4, Val: 40}, {Key: 5, Val: 51}, {Key: 7, Val: 70}}
+	if got := st.TakeRecovered(); !slices.Equal(got, want) {
+		t.Fatalf("recovered %v, want %v", got, want)
+	}
+}
+
 // TestRecoverRefusesAbsurdCounts: a CRC-valid record or chunk whose count
 // cannot fit its bytes is corruption, refused before it sizes anything.
 func TestRecoverRefusesAbsurdCounts(t *testing.T) {

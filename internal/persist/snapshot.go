@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 )
 
 // Snapshot files hold the map's pairs as a sequence of chunk frames,
@@ -16,7 +14,7 @@ import (
 // a snapshot without a valid trailer is an aborted write and is never
 // loaded. Files are written to a .tmp name, fsynced, and atomically
 // renamed. A primary's full resync streams the same bytes to a follower
-// (internal/repl), which checks and folds them with recovery's Fold.
+// (internal/repl), whose Restore checks them as a file and keeps them.
 
 const (
 	snapTagChunk   = 1
@@ -224,11 +222,4 @@ func decodeChunk[K comparable, V any](path string, off int64, body []byte, count
 		return &CorruptionError{Path: path, Offset: off, Reason: "trailing bytes in chunk"}
 	}
 	return nil
-}
-
-// removeFiles deletes the named directory entries, ignoring errors.
-func removeFiles(dir string, names []string) {
-	for _, n := range names {
-		os.Remove(filepath.Join(dir, n))
-	}
 }

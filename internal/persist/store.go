@@ -154,12 +154,10 @@ func (s *Store[K, V]) Dir() string { return s.opts.Dir }
 
 // txBuf accumulates one transaction attempt's logical ops, pre-encoded.
 // It lives in the transaction's per-attempt local slot, so an aborted
-// attempt's ops are dropped with the slot and a retry starts clean.
-// Multiple stores observing one transaction (distinct durable maps
-// bound into one runtime) chain through next.
+// attempt's ops are dropped with the slot and a retry starts clean. A
+// map owns its runtime and at most one store, so the slot holds at most
+// this store's buffer.
 type txBuf struct {
-	owner any
-	next  *txBuf
 	ops   []byte
 	count int
 	lsn   int64
@@ -171,15 +169,10 @@ type txBuf struct {
 // store is the target of both and the buffer their payload, so logging a
 // transaction allocates nothing once the pool is warm.
 func (s *Store[K, V]) bufFor(tx *stm.Tx) *txBuf {
-	head, _ := tx.Local().(*txBuf)
-	for b := head; b != nil; b = b.next {
-		if b.owner == s {
-			return b
-		}
+	if b, ok := tx.Local().(*txBuf); ok {
+		return b
 	}
 	b := s.bufPool.Get().(*txBuf)
-	b.owner = s
-	b.next = head
 	b.count = 0
 	b.ops = b.ops[:0]
 	b.lsn = 0
@@ -212,8 +205,6 @@ func (s *Store[K, V]) Committed(arg unsafe.Pointer) {
 		// append rejected by a racing Close via the unlogged counter.
 		s.w.waitDurable(b.lsn)
 	}
-	b.owner = nil
-	b.next = nil
 	s.bufPool.Put(b)
 }
 

@@ -7,13 +7,21 @@
 // the store keeps it; only a position a snapshot has truncated costs a
 // full resync, which streams a snapshot file followed by log frames:
 // the bytes persist.WriteSnapshot writes for Store.Snapshot, then the
-// log. A replica checks every log frame with recovery's check
-// (persist.WalkFrames) and refuses a bad frame or a gap; in a full
-// resync it checks and folds the snapshot file and the log with
-// recovery's fold (persist.Fold: every chunk frame's CRC, the trailer's
-// pair total, the snapshot whole before the first log op) and reloads
-// its map from the result, and once caught up it applies each record in
-// stream order. It serves read-only traffic at an advertised
+// log.
+//
+// A replica is an ordinary durable map (skiphash.Open over its
+// directory) that follows a primary. It checks every log frame with
+// recovery's check (persist.WalkFrames) and refuses a bad frame or a
+// gap. Once caught up it applies each record in stream order as one
+// transaction, which its own WAL logs, and it keeps the primary
+// position its map reflects in its directory, so a restarted replica
+// recovers its log and resumes from there. A full resync lands on disk:
+// a persist.Restore checks the snapshot file and the log after it as
+// they arrive (every chunk frame's CRC, the trailer's pair total, the
+// snapshot whole before the first log frame) and stages them as the
+// files recovery reads; at CaughtUp they replace the directory's log,
+// skiphash.Open recovers them, and the new map is swapped in while the
+// old one served reads. It serves read-only traffic at an advertised
 // commit-stamp watermark.
 //
 // # Consistency contract
@@ -42,5 +50,6 @@
 //
 // A replica raises its map's commit clock (stm.Clock.Raise) to every
 // stamp it applies, so a promoted replica's commits extend the dead
-// primary's order.
+// primary's order. A promoted replica stays durable, and skiphash.Open
+// reopens its directory as it is; it does not stream its WAL.
 package repl

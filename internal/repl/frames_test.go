@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/persist"
+	"repro/internal/server"
 	"repro/internal/wire"
 	"repro/skiphash"
 )
@@ -119,7 +120,7 @@ func TestReplicaRefusesBadRuns(t *testing.T) {
 	ln := scriptedPrimary(t, scripts...)
 	t.Cleanup(func() { close(abort) }) // before scriptedPrimary's cleanup
 
-	r := NewReplica(ReplicaConfig{Addr: ln.Addr().String(), RedialEvery: 20 * time.Millisecond, Logf: t.Logf})
+	r := newReplica(t, ln.Addr().String(), t.TempDir())
 	defer r.Close()
 	// next lets the next script run and returns the Follow it read.
 	next := func(what string) wire.ReplMsg {
@@ -208,15 +209,16 @@ func FuzzReplFrames(f *testing.F) {
 	f.Add(uint64(0), run[:len(run)-2])
 	f.Add(uint64(0), []byte{})
 	f.Fuzz(func(t *testing.T, start uint64, frames []byte) {
-		r := &Replica{m: skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})}
-		defer r.m.Close()
+		r := &Replica{}
+		r.be.Store(server.NewShardedBackend(skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})))
+		defer r.Map().Close()
 		var stamps []uint64
 		pos, err := r.applyRun(nil, 0, &wire.ReplMsg{Op: wire.OpWalRecord, Seq: start, Data: frames})
 		if err != nil {
 			if pos != 0 || r.pos != 0 {
 				t.Fatalf("refused run moved the position to %d/%d", pos, r.pos)
 			}
-			if n := len(allPairs(r.m)); start != 0 && n != 0 {
+			if n := len(allPairs(r.Map())); start != 0 && n != 0 {
 				t.Fatalf("run at %d refused as a gap applied %d pairs", start, n)
 			}
 			return
@@ -245,7 +247,7 @@ func FuzzReplFrames(f *testing.F) {
 			t.Fatalf("recovery refuses a run the stream accepted: %v", err)
 		}
 		defer rec.Close()
-		got, want := allPairs(r.m), allPairs(rec)
+		got, want := allPairs(r.Map()), allPairs(rec)
 		if len(got) != len(want) {
 			t.Fatalf("stream applied %v, recovery loads %v", got, want)
 		}

@@ -148,18 +148,6 @@ func (p *Primary) Serve(ln net.Listener) error {
 	}
 }
 
-// DropFollowers closes every follower connection while the listeners
-// keep serving; followers redial and resume from their log position,
-// with no snapshot unless one has truncated it. Fault-injection surface
-// for tests and skipstress.
-func (p *Primary) DropFollowers() {
-	p.mu.Lock()
-	for nc := range p.conns {
-		nc.Close()
-	}
-	p.mu.Unlock()
-}
-
 // Shutdown closes listeners and follower connections and waits for the
 // senders to exit, leaving the map and its log untouched.
 func (p *Primary) Shutdown() {
@@ -196,9 +184,8 @@ func (p *Primary) sender(nc net.Conn) error {
 	// mutex BEFORE any snapshot chunk is read, so every record below it
 	// is fully reflected in the chunks (its map publish happened before
 	// the chunk transactions started) and every record from it on is
-	// streamed — the replica folds chunks and tail together exactly as
-	// recovery folds a snapshot and its log (persist.Fold), which
-	// absorbs the overlap.
+	// streamed — the replica lays chunks and tail down as a snapshot
+	// file and its log, and recovery's fold absorbs the overlap.
 	rd := p.st.NewLogReader()
 	defer rd.Close()
 	cursor := int64(follow.Seq)

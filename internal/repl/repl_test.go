@@ -61,11 +61,22 @@ func openPrimary(t *testing.T, d skiphash.Durability, addr string) *primaryHarne
 	return &primaryHarness{m: m, p: p, ln: ln}
 }
 
+// dropFollowers closes every follower connection while the listeners
+// keep serving; followers redial and resume from their log position,
+// with no snapshot unless one has truncated it.
+func (h *primaryHarness) dropFollowers() {
+	h.p.mu.Lock()
+	for nc := range h.p.conns {
+		nc.Close()
+	}
+	h.p.mu.Unlock()
+}
+
 // pause closes the primary's listener and its follower connections, so
 // its followers stay dark until resume.
 func (h *primaryHarness) pause() {
 	h.ln.Close()
-	h.p.DropFollowers()
+	h.dropFollowers()
 }
 
 // resume serves followers again on the paused listener's address.
@@ -79,9 +90,32 @@ func (h *primaryHarness) resume(t *testing.T) {
 	go h.p.Serve(ln)
 }
 
+// newReplica starts a replica over dir, following addr.
+func newReplica(t *testing.T, addr, dir string) *Replica {
+	t.Helper()
+	r, err := NewReplica(ReplicaConfig{
+		Addr:        addr,
+		Map:         skiphash.Config{Durability: &skiphash.Durability{Dir: dir, Fsync: skiphash.FsyncNone}},
+		RedialEvery: 20 * time.Millisecond,
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("NewReplica: %v", err)
+	}
+	return r
+}
+
+// startReplica starts a replica over a fresh directory and waits for it
+// to catch up.
 func startReplica(t *testing.T, addr string) *Replica {
 	t.Helper()
-	r := NewReplica(ReplicaConfig{Addr: addr, RedialEvery: 20 * time.Millisecond, Logf: t.Logf})
+	return startReplicaIn(t, addr, t.TempDir())
+}
+
+// startReplicaIn is startReplica over dir.
+func startReplicaIn(t *testing.T, addr, dir string) *Replica {
+	t.Helper()
+	r := newReplica(t, addr, dir)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := r.WaitReady(ctx); err != nil {
@@ -166,7 +200,7 @@ func TestReplicaTailReconnect(t *testing.T) {
 	defer r.Close()
 	waitConverge(t, h.m, r)
 	// Cut every follower; writes continue while the replica is dark.
-	h.p.DropFollowers()
+	h.dropFollowers()
 	for i := int64(200); i < 400; i++ {
 		h.m.Put(i, i)
 	}

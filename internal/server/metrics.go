@@ -3,7 +3,9 @@ package server
 import (
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/stm"
 	"repro/internal/wire"
 	"repro/skiphash"
 )
@@ -79,13 +81,15 @@ func newMetrics(s *Server, r *obs.Registry) *metrics {
 // the range paths. skiphashd exports them beside its
 // durability and replication series; skipstress -metrics-dump prints
 // them alone. Everything is a Func metric over an existing Stats()
-// accessor, except the commit histogram, which m feeds through its
-// commit observer from now on — nothing new on any hot path.
-func RegisterMapMetrics(reg *obs.Registry, m *skiphash.Map[int64, int64]) {
+// accessor, except the commit histogram, which the map feeds through
+// its commit observer from now on — nothing new on any hot path. m
+// returns the map at each scrape: a replica swaps its map at a full
+// resync, and hands the commit observer on to the new one.
+func RegisterMapMetrics(reg *obs.Registry, m func() *skiphash.Map[int64, int64]) {
 	// STM. One aggregated Stats() snapshot per scrape would be nicer
 	// than one per Func, but STMStats is a handful of atomic loads —
 	// scrape cadence makes the duplication irrelevant.
-	stats := m.STMStats
+	stats := func() stm.Stats { return m().STMStats() }
 	reg.CounterFunc("skiphash_stm_commits_total",
 		"Successfully committed transactions.",
 		func() uint64 { return stats().Commits })
@@ -117,10 +121,10 @@ func RegisterMapMetrics(reg *obs.Registry, m *skiphash.Map[int64, int64]) {
 	commitLatency := reg.Histogram("skiphash_stm_commit_seconds",
 		"Successful commit wall time, first begin to commit, retries included.",
 		obs.LatencyBounds, 1e-9)
-	m.SetCommitObserver(commitLatency)
+	m().SetCommitObserver(commitLatency)
 
 	// Reclamation.
-	maint := m.MaintenanceStats
+	maint := func() core.MaintenanceStats { return m().MaintenanceStats() }
 	reg.CounterFunc("skiphash_core_drained_nodes_total",
 		"Logically deleted nodes physically unstitched across shards: by the removing transaction at commit, or, if deferred to an in-flight slow-path range query, once that query and every older one finished.",
 		func() uint64 { return maint().DrainedNodes })
@@ -130,9 +134,9 @@ func RegisterMapMetrics(reg *obs.Registry, m *skiphash.Map[int64, int64]) {
 
 	reg.GaugeFunc("skiphash_shards",
 		"Shard count of the default map.",
-		func() float64 { return float64(m.Shards()) })
+		func() float64 { return float64(m().Shards()) })
 
-	rng := m.RangeStats
+	rng := func() core.RangeStats { return m().RangeStats() }
 	reg.CounterFunc("skiphash_core_range_fast_attempts_total",
 		"Fast-path range query attempts.",
 		func() uint64 { return rng().FastAttempts })

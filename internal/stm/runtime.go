@@ -62,6 +62,14 @@ func (rt *Runtime) SetCommitObserver(o CommitObserver) {
 	rt.commitObs.Store(&commitObsBox{o: o})
 }
 
+// CommitObserver returns the installed commit-latency observer, or nil.
+func (rt *Runtime) CommitObserver() CommitObserver {
+	if b := rt.commitObs.Load(); b != nil {
+		return b.o
+	}
+	return nil
+}
+
 // Option configures a Runtime.
 type Option func(*Runtime)
 
