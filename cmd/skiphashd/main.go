@@ -15,14 +15,13 @@
 // (internal/obs) rendered in Prometheus text exposition — STM commits,
 // aborts by reason and commit latency; reclamation drains; WAL fsync
 // latency and group-commit batch sizes; per-namespace request latency;
-// replication lag. -metrics serves /metrics and /debug/slowops on a
-// loopback address, and the same handlers ride the -pprof mux; clients
-// can fetch the exposition in-band with the Stats wire op.
-// -trace-slow-ms arms a slow-op ring tracer (0 traces everything,
-// dumped over HTTP and into the log on drain). -stats-every logs
-// per-interval registry deltas and a final line on graceful drain;
-// -pprof serves net/http/pprof on a loopback address for live CPU/heap
-// profiling of the drain loop.
+// replication lag. -metrics serves /metrics, /debug/slowops and
+// net/http/pprof (live CPU/heap profiling of the drain loop) on a
+// loopback address; clients can fetch the exposition in-band with the
+// Stats wire op. -trace-slow-ms arms a slow-op ring tracer (0 traces
+// everything, dumped over HTTP and into the log on drain). -stats-every
+// logs per-interval registry deltas and a final line on graceful
+// drain.
 //
 // Namespaces: one daemon hosts many named byte-string maps alongside
 // the default int64 map. -ns name, -ns name=dir, and -ns name=dir:fsync
@@ -36,9 +35,12 @@
 // StatusBusy, and coalesced namespace transactions are clamped.
 // Namespaces are not replicated; -follow excludes them.
 //
-// Replication: with -replicate-addr a durable (-dir) server additionally streams its WAL to followers on that address.
-// With -follow the daemon runs as a live replica instead: a durable map
-// in -dir that follows the named primary's replication address. It
+// Replication: a durable (-dir) server is a primary. A follower sends
+// Follow on an ordinary connection to its -addr, and that connection
+// then carries the WAL stream; followers count against -max-conns and
+// are cut when the drain starts. With -follow the daemon runs as a
+// live replica instead: a durable map in -dir that follows the primary
+// serving on the named TCP address. It
 // logs every record it applies, keeps its resume position in -dir, and
 // after a restart resumes from there; a full resync is written to -dir
 // and recovered as any durable map is. It serves read-only traffic on
@@ -55,10 +57,10 @@
 //	          [-dir path] [-fsync none|interval|always] [-fsync-every d]
 //	          [-ns name[=dir[:fsync]]]... [-ns-root path]
 //	          [-ns-max-conns n] [-ns-max-batch n]
-//	          [-replicate-addr host:port | -follow host:port]
+//	          [-follow host:port]
 //	          [-max-conns n] [-max-batch n] [-write-timeout d] [-idle-timeout d]
 //	          [-drain-timeout d] [-stats-every d] [-quiet]
-//	          [-metrics host:port] [-trace-slow-ms n] [-pprof host:port]
+//	          [-metrics host:port] [-trace-slow-ms n]
 package main
 
 import (
@@ -94,17 +96,15 @@ func main() {
 		nsRoot       = flag.String("ns-root", "", "directory for runtime-created durable namespaces; ns-* subdirectories are reopened on start")
 		nsMaxConns   = flag.Int("ns-max-conns", 0, "per-namespace connection quota (0 = unlimited)")
 		nsMaxBatch   = flag.Int("ns-max-batch", 0, "per-namespace coalescing clamp (0 = -max-batch)")
-		replAddr     = flag.String("replicate-addr", "", "stream the WAL to followers on this TCP address (requires -dir)")
-		follow       = flag.String("follow", "", "run as a live replica of this primary replication address (requires -dir, excludes -replicate-addr)")
+		follow       = flag.String("follow", "", "run as a live replica of the primary serving on this TCP address, its -addr (requires -dir)")
 		maxConns     = flag.Int("max-conns", 256, "connection limit")
 		maxBatch     = flag.Int("max-batch", 64, "max pipelined requests coalesced into one transaction")
 		writeTimeout = flag.Duration("write-timeout", 10*time.Second, "slow-client response deadline")
 		idleTimeout  = flag.Duration("idle-timeout", 0, "close connections idle this long (0 = never)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound")
 		statsEvery   = flag.Duration("stats-every", time.Minute, "metrics-delta stats log period (0 disables)")
-		metricsAddr  = flag.String("metrics", "", "serve /metrics and /debug/slowops on this loopback address (empty disables; both also ride -pprof)")
+		metricsAddr  = flag.String("metrics", "", "serve /metrics, /debug/slowops and /debug/pprof/ on this loopback address (empty disables)")
 		traceSlowMs  = flag.Int64("trace-slow-ms", -1, "trace requests at or above this many milliseconds (0 traces everything, negative disables)")
-		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this loopback address (empty disables)")
 		quiet        = flag.Bool("quiet", false, "suppress per-connection diagnostics")
 	)
 	var nsSpecs nsFlags
@@ -116,14 +116,8 @@ func main() {
 	if *follow != "" && *dir == "" {
 		log.Fatal("skiphashd: -follow requires -dir (a replica is a durable map)")
 	}
-	if *follow != "" && *replAddr != "" {
-		log.Fatal("skiphashd: -follow excludes -replicate-addr (a replica is not a stream source)")
-	}
 	if *follow != "" && (len(nsSpecs) > 0 || *nsRoot != "") {
 		log.Fatal("skiphashd: -follow excludes -ns and -ns-root (namespaces are not replicated)")
-	}
-	if *replAddr != "" && *dir == "" {
-		log.Fatal("skiphashd: -replicate-addr requires -dir (the stream is read from the WAL)")
 	}
 
 	var cfg skiphash.Config
@@ -159,27 +153,13 @@ func main() {
 		}
 		m = func() *skiphash.Map[int64, int64] { return pm }
 		be = server.NewShardedBackend(pm)
-		if *replAddr != "" {
-			var pcfg repl.PrimaryConfig
-			if !*quiet {
-				pcfg.Logf = log.Printf
-			}
-			prim, err = repl.NewPrimary(pm, pcfg)
-			if err != nil {
+		if *dir != "" {
+			// A durable map streams its WAL to whoever sends Follow, and
+			// answers Watermark, the stamp source of barriered replica
+			// reads. The primary adds nothing to the commit path.
+			if prim, err = repl.NewPrimary(pm); err != nil {
 				log.Fatalf("skiphashd: %v", err)
 			}
-			rln, err := net.Listen("tcp", *replAddr)
-			if err != nil {
-				log.Fatalf("skiphashd: replication listen %s: %v", *replAddr, err)
-			}
-			log.Printf("skiphashd: replicating WAL on tcp://%s (epoch %d)", rln.Addr(), prim.Epoch())
-			go func() {
-				if err := prim.Serve(rln); err != nil {
-					log.Printf("skiphashd: replication serve: %v", err)
-				}
-			}()
-			// Serving clients see a Watermark op so barriered replica
-			// reads have a primary-side stamp source.
 			be = prim.Backend(be)
 		}
 	}
@@ -233,8 +213,8 @@ func main() {
 	}
 	srv := server.NewWithRegistry(be, reg, srvCfg)
 
-	// The metrics handlers ride the pprof DefaultServeMux and, with
-	// -metrics, a dedicated loopback listener of their own.
+	// -metrics serves DefaultServeMux, which net/http/pprof fills with
+	// the profiling handlers.
 	http.Handle("/metrics", obsReg)
 	if tracer != nil {
 		http.Handle("/debug/slowops", tracer)
@@ -243,35 +223,14 @@ func main() {
 		if !loopbackAddr(*metricsAddr) {
 			log.Fatalf("skiphashd: -metrics %q is not a loopback address", *metricsAddr)
 		}
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", obsReg)
-		if tracer != nil {
-			mux.Handle("/debug/slowops", tracer)
-		}
 		mln, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
 			log.Fatalf("skiphashd: metrics listen %s: %v", *metricsAddr, err)
 		}
 		log.Printf("skiphashd: metrics on http://%s/metrics", mln.Addr())
 		go func() {
-			if err := http.Serve(mln, mux); err != nil {
+			if err := http.Serve(mln, nil); err != nil {
 				log.Printf("skiphashd: metrics server: %v", err)
-			}
-		}()
-	}
-	if *pprofAddr != "" {
-		if !loopbackAddr(*pprofAddr) {
-			log.Fatalf("skiphashd: -pprof %q is not a loopback address", *pprofAddr)
-		}
-		pln, err := net.Listen("tcp", *pprofAddr)
-		if err != nil {
-			log.Fatalf("skiphashd: pprof listen %s: %v", *pprofAddr, err)
-		}
-		log.Printf("skiphashd: pprof on http://%s/debug/pprof/", pln.Addr())
-		go func() {
-			// DefaultServeMux carries the net/http/pprof handlers.
-			if err := http.Serve(pln, nil); err != nil {
-				log.Printf("skiphashd: pprof server: %v", err)
 			}
 		}()
 	}
@@ -288,7 +247,7 @@ func main() {
 	case rep != nil:
 		role = "replica of " + *follow
 	case prim != nil:
-		role = "replicating primary"
+		role = fmt.Sprintf("primary, epoch %d", prim.Epoch())
 	}
 	var wg sync.WaitGroup
 	serveErrs := make(chan error, 2)
@@ -343,9 +302,6 @@ func main() {
 	wg.Wait()
 	if *unixPath != "" {
 		os.Remove(*unixPath)
-	}
-	if prim != nil {
-		prim.Shutdown()
 	}
 	if err := be.Close(); err != nil {
 		log.Printf("skiphashd: durability engine: %v", err)
@@ -437,7 +393,8 @@ func durabilityDesc(dir, fsync string) string {
 }
 
 // loopbackAddr reports whether addr binds a loopback interface; the
-// pprof endpoint exposes heap contents and must not face the network.
+// metrics endpoint serves pprof, which exposes heap contents, and must
+// not face the network.
 func loopbackAddr(addr string) bool {
 	host, _, err := net.SplitHostPort(addr)
 	if err != nil {

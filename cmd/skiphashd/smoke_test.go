@@ -71,6 +71,14 @@ func TestSmokeMetrics(t *testing.T) {
 	}
 	c.Close()
 
+	// The profiling handlers share the metrics listener.
+	pprofURL := strings.TrimSuffix(metURL, "/metrics") + "/debug/pprof/"
+	if resp, err := http.Get(pprofURL); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %v %v", pprofURL, resp, err)
+	} else {
+		resp.Body.Close()
+	}
+
 	resp, err := http.Get(metURL)
 	if err != nil {
 		t.Fatalf("scrape %s: %v", metURL, err)
@@ -121,11 +129,11 @@ func TestSmokeMetrics(t *testing.T) {
 	}
 }
 
-// TestSmokeFollower runs a replicating primary and a durable follower.
-// The follower serves a primary write behind a read barrier, drains on
-// SIGTERM, and restarted over its directory serves the write again,
-// resuming where it stopped rather than taking a full resync. -follow
-// without -dir is refused.
+// TestSmokeFollower runs a durable primary and a durable follower that
+// follows it on the primary's serving address. The follower serves a
+// primary write behind a read barrier, drains on SIGTERM, and restarted
+// over its directory serves the write again, resuming where it stopped
+// rather than taking a full resync. -follow without -dir is refused.
 func TestSmokeFollower(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exec smoke test skipped in -short mode")
@@ -136,10 +144,8 @@ func TestSmokeFollower(t *testing.T) {
 		t.Fatalf("-follow without -dir: %v\n%s", err, out)
 	}
 
-	primary := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-dir", t.TempDir(), "-fsync", "none",
-		"-replicate-addr", "127.0.0.1:0", "-quiet")
+	primary := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-dir", t.TempDir(), "-fsync", "none", "-quiet")
 	primAddr := primary.await(servingRe)
-	replAddr := primary.await(regexp.MustCompile(`replicating WAL on tcp://([^ ]+) `))
 	pc, err := client.Dial(primAddr, client.Options{})
 	if err != nil {
 		t.Fatalf("dial primary: %v", err)
@@ -155,7 +161,7 @@ func TestSmokeFollower(t *testing.T) {
 
 	dir := t.TempDir()
 	for run := 0; run < 2; run++ {
-		follower := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-dir", dir, "-follow", replAddr, "-quiet")
+		follower := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-dir", dir, "-follow", primAddr, "-quiet")
 		addr := follower.await(servingRe)
 		// The follower is its client's only server, so GetAt either
 		// passes the barrier there or reads there unbarriered: wait for

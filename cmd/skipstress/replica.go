@@ -19,7 +19,8 @@ import (
 // runReplica is the replicated serving stress. Topology: one durable
 // primary (temp dir, FsyncNone) streams its WAL to two in-process
 // replicas, durable in directories of their own; the primary and both
-// replicas each serve the protocol on loopback TCP. The -check workload
+// replicas each serve the protocol on loopback TCP, and the replicas
+// follow the primary on its serving address. The -check workload
 // runs through a client whose lookups alternate plain primary reads
 // with watermark-barriered replica reads, so the consistency contract —
 // a replica whose watermark strictly exceeds X serves every commit at
@@ -59,15 +60,10 @@ func runReplica(threads int, duration time.Duration, seed uint64, lookupPct int,
 	if err != nil {
 		fail("open primary: %v", err)
 	}
-	prim, err := repl.NewPrimary(pm, repl.PrimaryConfig{})
+	prim, err := repl.NewPrimary(pm)
 	if err != nil {
 		fail("%v", err)
 	}
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fail("replication listen: %v", err)
-	}
-	go prim.Serve(rln)
 
 	listenServe := func(be server.Backend) (*server.Server, net.Listener) {
 		srv := server.New(be, server.Config{})
@@ -89,7 +85,7 @@ func runReplica(threads int, duration time.Duration, seed uint64, lookupPct int,
 
 	// Two replicas, each serving its own read-only backend.
 	newReplica := func(name string) (*repl.Replica, *server.Server, net.Listener) {
-		r, err := repl.NewReplica(repl.ReplicaConfig{Addr: rln.Addr().String(), Map: durable(name), RedialEvery: 20 * time.Millisecond})
+		r, err := repl.NewReplica(repl.ReplicaConfig{Addr: lnP.Addr().String(), Map: durable(name), RedialEvery: 20 * time.Millisecond})
 		if err != nil {
 			fail("replica %s: %v", name, err)
 		}
@@ -183,10 +179,9 @@ func runReplica(threads int, duration time.Duration, seed uint64, lookupPct int,
 		}
 	}
 
-	// Kill the primary: serving drained, stream shut, map closed.
+	// Kill the primary: serving and streams drained, map closed.
 	cl.Close()
 	drain("primary", srvP)
-	prim.Shutdown()
 	pm.Close()
 
 	// Promote A over the wire and repoint the client at it alone.

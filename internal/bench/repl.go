@@ -59,17 +59,10 @@ func Repl(w io.Writer, opts Options) error {
 		return err
 	}
 	defer m.Close()
-	prim, err := repl.NewPrimary(m, repl.PrimaryConfig{})
+	prim, err := repl.NewPrimary(m)
 	if err != nil {
 		return err
 	}
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	go prim.Serve(rln)
-	defer prim.Shutdown()
-
 	srv := server.New(prim.Backend(server.NewShardedBackend(m)), server.Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -106,7 +99,7 @@ func Repl(w io.Writer, opts Options) error {
 
 	replicaAddrs := make([]string, 0, 2)
 	for i := 0; i < 2; i++ {
-		r, err := repl.NewReplica(repl.ReplicaConfig{Addr: rln.Addr().String(), Map: skiphash.Config{
+		r, err := repl.NewReplica(repl.ReplicaConfig{Addr: ln.Addr().String(), Map: skiphash.Config{
 			Durability: &skiphash.Durability{Dir: filepath.Join(dir, fmt.Sprint("replica-", i)), Fsync: skiphash.FsyncNone},
 		}})
 		if err != nil {

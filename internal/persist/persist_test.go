@@ -505,3 +505,32 @@ func TestZeroExtendedTailTolerated(t *testing.T) {
 		t.Fatal("zero tail was not repaired")
 	}
 }
+
+func TestRemoveFileDurable(t *testing.T) {
+	// A removal is done once the file is gone and its directory synced;
+	// a file already gone counts as removed. Anything else is an error.
+	dir := t.TempDir()
+	path := filepath.Join(dir, "replica.pos")
+	if err := WriteFileDurable(path, []byte("1 2\n")); err != nil {
+		t.Fatalf("WriteFileDurable: %v", err)
+	}
+	if err := RemoveFileDurable(path); err != nil {
+		t.Fatalf("RemoveFileDurable: %v", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("file still there after removal: %v", err)
+	}
+	if err := RemoveFileDurable(path); err != nil {
+		t.Fatalf("RemoveFileDurable of a missing file: %v", err)
+	}
+	if err := RemoveFileDurable(filepath.Join(dir, "gone", "replica.pos")); err == nil {
+		t.Fatal("RemoveFileDurable in a missing directory succeeded: nothing was synced")
+	}
+	full := filepath.Join(dir, "full")
+	if err := os.MkdirAll(filepath.Join(full, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := RemoveFileDurable(full); err == nil {
+		t.Fatal("RemoveFileDurable of a non-empty directory succeeded")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -662,6 +663,16 @@ func WriteFileDurable(path string, data []byte) error {
 	}
 	if err != nil {
 		os.Remove(tmp)
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// RemoveFileDurable removes path and fsyncs its directory, so the
+// removal reaches the disk before whatever the caller does next; a
+// missing file counts as removed. It is WriteFileDurable's counterpart.
+func RemoveFileDurable(path string) error {
+	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
 	return syncDir(filepath.Dir(path))

@@ -3,7 +3,11 @@
 // follower's sender reads it back (persist.LogReader: the segments,
 // then the append buffer) and ships the frames verbatim over the
 // internal/wire replication channel, so a primary adds nothing to the
-// commit path. A follower resumes from its log position for as long as
+// commit path. A primary has no listener of its own: a follower sends
+// Follow on an ordinary connection to an internal/server whose
+// namespace 0 is Primary.Backend, and the server hands that connection
+// to the primary's sender, so followers share the server's accept
+// loop, connection limit and Shutdown. A follower resumes from its log position for as long as
 // the store keeps it; only a position a snapshot has truncated costs a
 // full resync, which streams a snapshot file followed by log frames:
 // the bytes persist.WriteSnapshot writes for Store.Snapshot, then the

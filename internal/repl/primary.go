@@ -3,7 +3,6 @@ package repl
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -14,12 +13,6 @@ import (
 	"repro/skiphash"
 )
 
-// PrimaryConfig configures the primary-side WAL streamer.
-type PrimaryConfig struct {
-	// Logf, when set, receives per-follower diagnostics.
-	Logf func(format string, args ...any)
-}
-
 const (
 	// heartbeatEvery is the idle watermark cadence.
 	heartbeatEvery = 250 * time.Millisecond
@@ -28,9 +21,10 @@ const (
 	runBytes = 64 << 10
 )
 
-// Primary serves a durable map's write-ahead log to followers.
+// Primary streams a durable map's write-ahead log to followers. It
+// has no listener of its own: a server whose namespace-0 backend is
+// Backend's hands it every connection that sends Follow.
 type Primary struct {
-	cfg   PrimaryConfig
 	epoch uint64
 	m     *skiphash.Map[int64, int64]
 	st    *persist.Store[int64, int64]
@@ -39,12 +33,8 @@ type Primary struct {
 	clock *stm.Clock
 
 	mu        sync.Mutex
-	followers int // senders past their snapshot phase
-	lns       map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
-	closed    bool
+	followers int    // senders past their snapshot phase
 	resyncs   uint64 // full resyncs served to followers
-	wg        sync.WaitGroup
 }
 
 // PrimaryStats is an observability snapshot of the streamer.
@@ -78,107 +68,26 @@ func (p *Primary) Stats() PrimaryStats {
 // that crashed (possibly shedding a torn WAL tail in recovery) never
 // tail-feeds followers that may have applied the records the repair
 // discarded: the epoch mismatch forces them through a full resync.
-func NewPrimary(m *skiphash.Map[int64, int64], cfg PrimaryConfig) (*Primary, error) {
+func NewPrimary(m *skiphash.Map[int64, int64]) (*Primary, error) {
 	st, ok := m.Persister().(*persist.Store[int64, int64])
 	if !ok {
 		return nil, errors.New("repl: primary map has no write-ahead log")
 	}
 	return &Primary{
-		cfg:   cfg,
 		epoch: uint64(time.Now().UnixNano()),
 		m:     m,
 		st:    st,
 		clock: m.Runtime().Clock(),
-		lns:   make(map[net.Listener]struct{}),
-		conns: make(map[net.Conn]struct{}),
 	}, nil
 }
 
 // Epoch identifies this primary incarnation.
 func (p *Primary) Epoch() uint64 { return p.epoch }
 
-// Serve accepts follower connections on ln until it closes (Shutdown)
-// or fails.
-func (p *Primary) Serve(ln net.Listener) error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		ln.Close()
-		return errors.New("repl: primary is shut down")
-	}
-	p.lns[ln] = struct{}{}
-	p.mu.Unlock()
-	defer func() {
-		p.mu.Lock()
-		delete(p.lns, ln)
-		p.mu.Unlock()
-		ln.Close()
-	}()
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			p.mu.Lock()
-			closed := p.closed
-			p.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			nc.Close()
-			return nil
-		}
-		p.conns[nc] = struct{}{}
-		p.wg.Add(1)
-		p.mu.Unlock()
-		go func() {
-			defer p.wg.Done()
-			err := p.sender(nc)
-			p.mu.Lock()
-			delete(p.conns, nc)
-			p.mu.Unlock()
-			nc.Close()
-			if err != nil && !errors.Is(err, io.EOF) && p.cfg.Logf != nil {
-				p.cfg.Logf("repl: follower %s: %v", nc.RemoteAddr(), err)
-			}
-		}()
-	}
-}
-
-// Shutdown closes listeners and follower connections and waits for the
-// senders to exit, leaving the map and its log untouched.
-func (p *Primary) Shutdown() {
-	p.mu.Lock()
-	p.closed = true
-	for ln := range p.lns {
-		ln.Close()
-	}
-	for nc := range p.conns {
-		nc.Close()
-	}
-	p.mu.Unlock()
-	p.wg.Wait()
-}
-
-// sender drives one follower: handshake, catch-up, live tail.
-func (p *Primary) sender(nc net.Conn) error {
-	fr := wire.NewFrameReader(nc, wire.MaxRequestPayload)
-	payload, err := fr.Next()
-	if err != nil {
-		return err
-	}
-	follow, err := wire.ParseReplMsg(payload)
-	if err != nil {
-		return err
-	}
-	if follow.Op != wire.OpFollow {
-		return fmt.Errorf("expected Follow, got %s", follow.Op)
-	}
-
-	// Admission: tail from follow.Seq when the follower is from this
+// sender drives one follower that asked to resume at (epoch, pos):
+// stream header, catch-up, live tail.
+func (p *Primary) sender(nc net.Conn, epoch, pos uint64) error {
+	// Admission: tail from pos when the follower is from this
 	// epoch and the log still holds that position; otherwise full
 	// resync. The full-sync cursor is the log's end, read under the WAL
 	// mutex BEFORE any snapshot chunk is read, so every record below it
@@ -188,8 +97,8 @@ func (p *Primary) sender(nc net.Conn) error {
 	// file and its log, and recovery's fold absorbs the overlap.
 	rd := p.st.NewLogReader()
 	defer rd.Close()
-	cursor := int64(follow.Seq)
-	full := follow.Epoch != p.epoch || !rd.Has(cursor)
+	cursor := int64(pos)
+	full := epoch != p.epoch || !rd.Has(cursor)
 	if full {
 		cursor = rd.End()
 		p.mu.Lock()

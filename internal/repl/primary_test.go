@@ -1,14 +1,18 @@
 package repl
 
 import (
+	"context"
 	"math"
 	"net"
 	"testing"
 	"time"
 
 	"repro/internal/alloctest"
+	"repro/internal/obs"
 	"repro/internal/server"
+	"repro/internal/wire"
 	"repro/skiphash"
+	"repro/skiphash/client"
 )
 
 // openDurable opens a durable int64 map over a fresh directory.
@@ -24,18 +28,13 @@ func openDurable(t *testing.T, fsync skiphash.FsyncPolicy) *skiphash.Map[int64, 
 }
 
 // servePrimary attaches a primary to m and serves it on a fresh port.
-func servePrimary(t *testing.T, m *skiphash.Map[int64, int64]) (*Primary, string) {
+func servePrimary(t *testing.T, m *skiphash.Map[int64, int64]) (*Primary, *served) {
 	t.Helper()
-	p, err := NewPrimary(m, PrimaryConfig{Logf: t.Logf})
+	p, err := NewPrimary(m)
 	if err != nil {
 		t.Fatalf("NewPrimary: %v", err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go p.Serve(ln)
-	return p, ln.Addr().String()
+	return p, serveBackend(t, p.Backend(server.NewShardedBackend(m)), "127.0.0.1:0", server.Config{Logf: t.Logf})
 }
 
 func TestTwoPrimariesOneMap(t *testing.T) {
@@ -45,13 +44,13 @@ func TestTwoPrimariesOneMap(t *testing.T) {
 	// that commit.
 	m := openDurable(t, skiphash.FsyncNone)
 	defer m.Close()
-	p1, addr1 := servePrimary(t, m)
-	defer p1.Shutdown()
-	p2, addr2 := servePrimary(t, m)
-	defer p2.Shutdown()
-	r1 := startReplica(t, addr1)
+	p1, s1 := servePrimary(t, m)
+	defer s1.shutdown()
+	_, s2 := servePrimary(t, m)
+	defer s2.shutdown()
+	r1 := startReplica(t, s1.addr())
 	defer r1.Close()
-	r2 := startReplica(t, addr2)
+	r2 := startReplica(t, s2.addr())
 	defer r2.Close()
 
 	const pairs = 50
@@ -102,8 +101,8 @@ func TestPrimaryCommitAllocBudget(t *testing.T) {
 		m := openDurable(t, skiphash.FsyncInterval)
 		defer m.Close()
 		if attach {
-			p, _ := servePrimary(t, m)
-			defer p.Shutdown()
+			_, s := servePrimary(t, m)
+			defer s.shutdown()
 		}
 		i := int64(0)
 		put := func() {
@@ -120,5 +119,169 @@ func TestPrimaryCommitAllocBudget(t *testing.T) {
 	if with > 1.01 || math.Abs(with-without) > 0.01 {
 		t.Fatalf("durable Put allocates %.3f/op with a primary attached and %.3f/op without; want equal, at most 1.01",
 			with, without)
+	}
+}
+
+func TestFollowerSharesServingListener(t *testing.T) {
+	// One listener serves a client's requests and a follower's stream at
+	// once. The stream outlives the server's write timeout by more than a
+	// second, barriered reads are served by the follower, and the
+	// request-latency histogram never observes the stream.
+	const writeTimeout = 200 * time.Millisecond
+	m := openDurable(t, skiphash.FsyncNone)
+	defer m.Close()
+	p, err := NewPrimary(m)
+	if err != nil {
+		t.Fatalf("NewPrimary: %v", err)
+	}
+	reg := obs.NewRegistry()
+	s := serveBackend(t, p.Backend(server.NewShardedBackend(m)), "127.0.0.1:0",
+		server.Config{WriteTimeout: writeTimeout, Obs: reg, Logf: t.Logf})
+	defer s.shutdown()
+	cl, err := client.Dial(s.addr(), client.Options{})
+	if err != nil {
+		t.Fatalf("dial primary: %v", err)
+	}
+	defer cl.Close()
+	for k := int64(0); k < 100; k++ {
+		if _, err := cl.Put(k, k*10); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	r := startReplica(t, s.addr())
+	defer r.Close()
+	rs := serveBackend(t, r.Backend(), "127.0.0.1:0", server.Config{Logf: t.Logf})
+	defer rs.shutdown()
+	// The follower is this client's only server: GetAt is served there.
+	rc, err := client.Dial(rs.addr(), client.Options{Replicas: []string{rs.addr()}})
+	if err != nil {
+		t.Fatalf("dial replica: %v", err)
+	}
+	defer rc.Close()
+
+	accepted := s.ln.accepted()
+	start := time.Now()
+	for k := int64(1000); time.Since(start) < writeTimeout+1200*time.Millisecond; k++ {
+		if _, err := cl.Put(k, -k); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		if v, ok, err := cl.Get(k); err != nil || !ok || v != -k {
+			t.Fatalf("Get(%d) = %d %v %v", k, v, ok, err)
+		}
+		x, err := cl.Watermark()
+		if err != nil {
+			t.Fatalf("Watermark: %v", err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); r.Watermark() <= x; {
+			if time.Now().After(deadline) {
+				t.Fatalf("follower watermark %d never passed %d", r.Watermark(), x)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if v, ok, err := rc.GetAt(k, x); err != nil || !ok || v != -k {
+			t.Fatalf("GetAt(%d, %d) on the follower = %d %v %v", k, x, v, ok, err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	streamed := time.Since(start)
+	if n := s.ln.accepted(); n != accepted {
+		t.Fatalf("the follower redialed: %d connections accepted, %d before", n, accepted)
+	}
+	if st := p.Stats(); st.Followers != 1 || st.Resyncs != 1 {
+		t.Fatalf("primary stats %+v, want one follower and its one full resync", st)
+	}
+	waitConverge(t, m, r)
+
+	if err := s.shutdown(); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	var count, sum float64
+	for _, smp := range reg.Samples() {
+		switch {
+		case smp.Labels != `{ns="default"}`:
+		case smp.Name == "skiphash_server_request_seconds_count":
+			count = smp.Value
+		case smp.Name == "skiphash_server_request_seconds_sum":
+			sum = smp.Value
+		}
+	}
+	if count == 0 || sum >= streamed.Seconds() {
+		t.Fatalf("request latency: %v observations summing to %.3f s, the stream lived %v; want none as long as the stream",
+			count, sum, streamed)
+	}
+}
+
+func TestShutdownEndsFollowerStreams(t *testing.T) {
+	// A follower's stream never reads, so no read deadline ends it:
+	// Shutdown closes it when the drain starts and returns at once.
+	h := startPrimary(t, t.TempDir(), "127.0.0.1:0")
+	defer h.m.Close()
+	for i := int64(0); i < 100; i++ {
+		h.m.Put(i, i)
+	}
+	r := startReplica(t, h.addr())
+	defer r.Close()
+	if n := h.p.Stats().Followers; n != 1 {
+		t.Fatalf("%d followers after catch-up, want 1", n)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := h.srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if d := time.Since(start); d >= time.Second {
+		t.Fatalf("Shutdown with a live follower took %v", d)
+	}
+	if n := h.p.Stats().Followers; n != 0 {
+		t.Fatalf("%d followers after Shutdown, want 0", n)
+	}
+}
+
+func TestFollowRefusedWithoutStream(t *testing.T) {
+	// A Follow sent to a server whose namespace 0 does not stream its log
+	// is answered with an error status, and the connection keeps serving.
+	mem := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
+	defer mem.Close()
+	r := newReplica(t, "127.0.0.1:1", t.TempDir()) // never caught up, never promoted
+	defer r.Close()
+	for _, c := range []struct {
+		name string
+		be   server.Backend
+	}{
+		{"an in-memory map", server.NewShardedBackend(mem)},
+		{"an unpromoted replica", r.Backend()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := serveBackend(t, c.be, "127.0.0.1:0", server.Config{Logf: t.Logf})
+			defer s.shutdown()
+			nc, err := net.Dial("tcp", s.addr())
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer nc.Close()
+			fr := wire.NewFrameReader(nc, wire.MaxResponsePayload)
+			do := func(req wire.Request) wire.Response {
+				t.Helper()
+				if _, err := nc.Write(wire.AppendRequest(nil, &req)); err != nil {
+					t.Fatalf("write %s: %v", req.Op, err)
+				}
+				payload, err := fr.Next()
+				if err != nil {
+					t.Fatalf("read %s response: %v", req.Op, err)
+				}
+				resp, err := wire.ParseResponse(payload)
+				if err != nil || resp.ID != req.ID || resp.Op != req.Op {
+					t.Fatalf("%s response %+v (%v)", req.Op, resp, err)
+				}
+				return resp
+			}
+			if resp := do(wire.Request{ID: 1, Op: wire.OpFollow}); resp.Status != wire.StatusErr {
+				t.Fatalf("Follow answered %s %q, want Err", resp.Status, resp.Msg)
+			}
+			if resp := do(wire.Request{ID: 2, Op: wire.OpPing}); resp.Status != wire.StatusOK {
+				t.Fatalf("Ping after a refused Follow answered %s %q", resp.Status, resp.Msg)
+			}
+		})
 	}
 }

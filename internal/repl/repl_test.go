@@ -19,22 +19,103 @@ import (
 	"repro/skiphash"
 )
 
-// primaryHarness is one durable primary map with its WAL streamed.
-type primaryHarness struct {
-	m  *skiphash.Map[int64, int64]
-	p  *Primary
-	ln net.Listener
+// served is one server.Server on a loopback TCP listener.
+type served struct {
+	srv *server.Server
+	ln  *trackedListener
 }
 
-func (h *primaryHarness) addr() string { return h.ln.Addr().String() }
+// trackedListener keeps the connections it accepts, so a test can cut
+// them while the server keeps serving.
+type trackedListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (l *trackedListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, nc)
+		l.mu.Unlock()
+	}
+	return nc, err
+}
+
+// accepted counts the connections accepted so far.
+func (l *trackedListener) accepted() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.conns)
+}
+
+// serveBackend serves be as namespace 0 of a new server on addr
+// ("127.0.0.1:0" for a fresh port).
+func serveBackend(t testing.TB, be server.Backend, addr string, cfg server.Config) *served {
+	t.Helper()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	s := &served{srv: server.New(be, cfg), ln: &trackedListener{Listener: ln}}
+	go s.srv.Serve(s.ln)
+	return s
+}
+
+func (s *served) addr() string { return s.ln.Addr().String() }
+
+// shutdown drains the server; its followers' streams end at once.
+func (s *served) shutdown() error {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	return s.srv.Shutdown(ctx)
+}
+
+// dropConns closes every connection the server accepted so far while
+// its listener keeps serving; followers redial and resume from their
+// log position, with no snapshot unless one has truncated it.
+func (s *served) dropConns() {
+	s.ln.mu.Lock()
+	for _, nc := range s.ln.conns {
+		nc.Close()
+	}
+	s.ln.mu.Unlock()
+}
+
+// pause closes the listener and the connections, so followers stay
+// dark until resume.
+func (s *served) pause() {
+	s.ln.Close()
+	s.dropConns()
+}
+
+// resume serves again on the paused listener's address.
+func (s *served) resume(t *testing.T) {
+	t.Helper()
+	ln, err := net.Listen("tcp", s.addr())
+	if err != nil {
+		t.Fatalf("relisten: %v", err)
+	}
+	s.ln = &trackedListener{Listener: ln}
+	go s.srv.Serve(s.ln)
+}
+
+// primaryHarness is one durable primary map served with its WAL
+// streamed to whoever sends Follow.
+type primaryHarness struct {
+	*served
+	m *skiphash.Map[int64, int64]
+	p *Primary
+}
 
 func (h *primaryHarness) close() {
-	h.p.Shutdown()
+	h.shutdown()
 	h.m.Close()
 }
 
-// startPrimary opens a durable map over dir and streams its
-// WAL on addr ("127.0.0.1:0" for a fresh port).
+// startPrimary opens a durable map over dir and serves it on addr
+// ("127.0.0.1:0" for a fresh port).
 func startPrimary(t *testing.T, dir, addr string) *primaryHarness {
 	t.Helper()
 	return openPrimary(t, skiphash.Durability{Dir: dir, Fsync: skiphash.FsyncNone}, addr)
@@ -49,45 +130,12 @@ func openPrimary(t *testing.T, d skiphash.Durability, addr string) *primaryHarne
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	p, err := NewPrimary(m, PrimaryConfig{Logf: t.Logf})
+	p, err := NewPrimary(m)
 	if err != nil {
 		t.Fatalf("NewPrimary: %v", err)
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go p.Serve(ln)
-	return &primaryHarness{m: m, p: p, ln: ln}
-}
-
-// dropFollowers closes every follower connection while the listeners
-// keep serving; followers redial and resume from their log position,
-// with no snapshot unless one has truncated it.
-func (h *primaryHarness) dropFollowers() {
-	h.p.mu.Lock()
-	for nc := range h.p.conns {
-		nc.Close()
-	}
-	h.p.mu.Unlock()
-}
-
-// pause closes the primary's listener and its follower connections, so
-// its followers stay dark until resume.
-func (h *primaryHarness) pause() {
-	h.ln.Close()
-	h.dropFollowers()
-}
-
-// resume serves followers again on the paused listener's address.
-func (h *primaryHarness) resume(t *testing.T) {
-	t.Helper()
-	ln, err := net.Listen("tcp", h.ln.Addr().String())
-	if err != nil {
-		t.Fatalf("relisten: %v", err)
-	}
-	h.ln = ln
-	go h.p.Serve(ln)
+	s := serveBackend(t, p.Backend(server.NewShardedBackend(m)), addr, server.Config{Logf: t.Logf})
+	return &primaryHarness{served: s, m: m, p: p}
 }
 
 // newReplica starts a replica over dir, following addr.
@@ -200,7 +248,7 @@ func TestReplicaTailReconnect(t *testing.T) {
 	defer r.Close()
 	waitConverge(t, h.m, r)
 	// Cut every follower; writes continue while the replica is dark.
-	h.dropFollowers()
+	h.dropConns()
 	for i := int64(200); i < 400; i++ {
 		h.m.Put(i, i)
 	}
@@ -405,7 +453,7 @@ func TestPrimaryBackendWatermark(t *testing.T) {
 func TestNewPrimaryRequiresWAL(t *testing.T) {
 	m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
 	defer m.Close()
-	if p, err := NewPrimary(m, PrimaryConfig{}); err == nil || p != nil {
+	if p, err := NewPrimary(m); err == nil || p != nil {
 		t.Fatalf("NewPrimary on an in-memory map = %v, %v; want an error", p, err)
 	}
 }
@@ -468,7 +516,15 @@ func scriptedPrimary(t *testing.T, scripts ...func(fr *wire.FrameReader, send fu
 			if err != nil {
 				return
 			}
-			send := func(m wire.ReplMsg) { nc.Write(wire.AppendReplMsg(nil, &m)) }
+			// A server answers Follow StatusOK before the stream starts.
+			answered := false
+			send := func(m wire.ReplMsg) {
+				if !answered {
+					nc.Write(wire.AppendResponse(nil, &wire.Response{ID: 1, Op: wire.OpFollow}))
+					answered = true
+				}
+				nc.Write(wire.AppendReplMsg(nil, &m))
+			}
 			script(wire.NewFrameReader(nc, wire.MaxRequestPayload), send)
 			nc.Close()
 		}
@@ -476,18 +532,19 @@ func scriptedPrimary(t *testing.T, scripts ...func(fr *wire.FrameReader, send fu
 	return ln
 }
 
-// readFollow reads the replica's Follow request.
+// readFollow reads the replica's Follow request, returning the epoch
+// and log position it resumes from as a ReplMsg's Epoch and Seq.
 func readFollow(t *testing.T, fr *wire.FrameReader) wire.ReplMsg {
 	payload, err := fr.Next()
 	if err != nil {
 		t.Errorf("read Follow: %v", err)
 		return wire.ReplMsg{}
 	}
-	m, err := wire.ParseReplMsg(payload)
-	if err != nil || m.Op != wire.OpFollow {
-		t.Errorf("expected Follow, got %+v (%v)", m, err)
+	req, err := wire.ParseRequest(payload)
+	if err != nil || req.Op != wire.OpFollow {
+		t.Errorf("expected Follow, got %+v (%v)", req, err)
 	}
-	return m
+	return wire.ReplMsg{Op: wire.OpFollow, Epoch: uint64(req.Key), Seq: uint64(req.Val)}
 }
 
 // puts encodes pairs (key, value, key, value, ...) as an all-put op

@@ -14,14 +14,14 @@ import (
 
 	"repro/internal/persist"
 	"repro/internal/server"
-	"repro/internal/stm"
 	"repro/internal/wire"
 	"repro/skiphash"
 )
 
 // ReplicaConfig configures a live replica.
 type ReplicaConfig struct {
-	// Addr is the primary's replication address (host:port).
+	// Addr is the primary's serving address (host:port, TCP): the
+	// replica sends Follow there on a connection of its own.
 	Addr string
 	// Map configures the replica's map, a durable one: Durability is
 	// required, and its Dir is an ordinary skiphash.Open directory that
@@ -160,7 +160,7 @@ func (r *Replica) Promote() error {
 	if err := r.Map().Sync(); err != nil {
 		return fmt.Errorf("repl: promote: %w", err)
 	}
-	if err := os.Remove(r.posPath()); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	if err := persist.RemoveFileDurable(r.posPath()); err != nil {
 		return err
 	}
 	r.promoted.Store(true)
@@ -227,15 +227,26 @@ func (r *Replica) run() {
 	}
 }
 
-// runConn speaks one follower connection end to end.
+// runConn speaks one follower connection end to end: a Follow request
+// on a serving connection, its response, then the stream.
 func (r *Replica) runConn(nc net.Conn) error {
-	frame := wire.AppendReplMsg(nil, &wire.ReplMsg{Op: wire.OpFollow, Epoch: r.epoch, Seq: r.pos})
+	frame := wire.AppendRequest(nil, &wire.Request{ID: 1, Op: wire.OpFollow, Key: int64(r.epoch), Val: int64(r.pos)})
 	if _, err := nc.Write(frame); err != nil {
 		return err
 	}
 	fr := wire.NewFrameReader(nc, wire.MaxResponsePayload)
 	payload, err := fr.Next()
 	if err != nil {
+		return err
+	}
+	resp, err := wire.ParseResponse(payload)
+	if err != nil {
+		return err
+	}
+	if err := resp.Err(); err != nil {
+		return fmt.Errorf("follow: %w", err)
+	}
+	if payload, err = fr.Next(); err != nil {
 		return err
 	}
 	hdr, err := wire.ParseReplMsg(payload)
@@ -326,7 +337,9 @@ func (r *Replica) swap(rs *persist.Restore, epoch, pos uint64) error {
 		return err
 	}
 	r.epoch, r.pos, r.saved = 0, 0, [2]uint64{}
-	if err := os.Remove(r.posPath()); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	// The removal is on disk before Install removes a segment, so no
+	// crash keeps the position over a partial log.
+	if err := persist.RemoveFileDurable(r.posPath()); err != nil {
 		return err
 	}
 	old := r.Map()
@@ -518,18 +531,24 @@ func (b *replicaBackend) Watermark() uint64 { return b.r.Watermark() }
 // Promote implements server.Promoter.
 func (b *replicaBackend) Promote() error { return b.r.Promote() }
 
-// Backend decorates the primary's serving backend with a Watermark: a
+// Backend decorates the primary's serving backend with a Watermark — a
 // fresh read of the map's commit clock, which by the publish-order
 // argument in sender bounds every commit a client has seen a response
-// for.
+// for — and with the log stream: as a server's namespace 0 it hands
+// every Follow connection to the primary.
 func (p *Primary) Backend(be server.Backend) server.Backend {
-	return &primaryBackend{Backend: be, clock: p.clock}
+	return &primaryBackend{Backend: be, p: p}
 }
 
 type primaryBackend struct {
 	server.Backend
-	clock *stm.Clock
+	p *Primary
 }
 
 // Watermark implements server.Watermarker.
-func (b *primaryBackend) Watermark() uint64 { return b.clock.Read() }
+func (b *primaryBackend) Watermark() uint64 { return b.p.clock.Read() }
+
+// Stream implements server.Streamer.
+func (b *primaryBackend) Stream(nc net.Conn, epoch, pos uint64) error {
+	return b.p.sender(nc, epoch, pos)
+}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"net"
 	"unsafe"
 
 	"repro/internal/wire"
@@ -62,6 +63,16 @@ type Watermarker interface {
 // be made writable. Without it, OpPromote answers StatusErr.
 type Promoter interface {
 	Promote() error
+}
+
+// Streamer is an optional extension of namespace 0's Backend: a backend
+// whose write-ahead log followers can stream (a replication primary's).
+// A Follow request answered StatusOK hands its connection to Stream,
+// which serves the follower from (epoch, pos) on it until the follower
+// or the connection fails, and returns why. Without it, OpFollow
+// answers StatusErr and the connection keeps serving.
+type Streamer interface {
+	Stream(nc net.Conn, epoch, pos uint64) error
 }
 
 // answer prepares resp as req's StatusOK response, keeping the capacity

@@ -20,6 +20,12 @@ func (c *conn) execute(batch []wire.Request) {
 		if batch[i].Op.Kind() == wire.KindNone {
 			c.execConnOp(&batch[i])
 			i++
+			if c.follow != nil {
+				// The connection carries the stream from here on: the
+				// requests after the Follow are not answered.
+				c.batch = batch[:i]
+				return
+			}
 		} else {
 			i = c.execRun(batch, i)
 		}
@@ -210,7 +216,7 @@ func (c *conn) execStandalone(be Backend, req *wire.Request) {
 }
 
 // execConnOp executes a request that addresses the server rather than a
-// map: Ping, Stats, and the namespace admin ops.
+// map: Ping, Stats, Follow, and the namespace admin ops.
 func (c *conn) execConnOp(req *wire.Request) {
 	resp := wire.Response{ID: req.ID, Op: req.Op, Status: wire.StatusOK}
 	reg := c.srv.reg
@@ -236,6 +242,12 @@ func (c *conn) execConnOp(req *wire.Request) {
 			err = e
 		} else {
 			resp.NsID = ns.id
+		}
+	case wire.OpFollow:
+		if st, ok := c.srv.def.backend().(Streamer); ok {
+			c.follow, c.followAt = st, [2]uint64{uint64(req.Key), uint64(req.Val)}
+		} else {
+			err = errors.New("server does not stream its log")
 		}
 	case wire.OpPing:
 		// empty response

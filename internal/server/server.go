@@ -67,6 +67,19 @@
 // The idle timeout runs only while a loop waits for input: it is armed
 // in front of the blocking read and nowhere else, so a request that
 // executes for longer than the timeout does not cost its connection.
+//
+// # Followers
+//
+// Replication rides the serving connections. A Follow request to a
+// server whose namespace-0 backend is a Streamer is answered StatusOK;
+// once that response is flushed the loop clears the connection's
+// deadlines and hands it to the Streamer, which writes the replication
+// stream on it until the follower goes away. The requests after the
+// Follow are not answered. A follower is one of the server's
+// connections: it counts against MaxConns, and Shutdown closes it when
+// the drain starts, since a stream never reads and no read deadline
+// could end it. Request latency and slow-op tracing see the Follow
+// request up to its response, never the stream.
 package server
 
 import (
@@ -357,6 +370,13 @@ type conn struct {
 	// conn-local map hit after the first request.
 	attached map[*namespace]struct{}
 
+	// follow is set by an accepted Follow request: once the cycle is
+	// flushed, the connection carries follow's stream from followAt
+	// (epoch, log position). streaming marks the hand-off.
+	follow    Streamer
+	followAt  [2]uint64
+	streaming atomic.Bool
+
 	drained atomic.Bool
 }
 
@@ -367,10 +387,34 @@ func (c *conn) logf(format string, args ...any) {
 }
 
 // startDrain fails the loop's next blocking read; frames it has already
-// read, executing or whole in its buffer, are still answered.
+// read, executing or whole in its buffer, are still answered. A
+// connection handed to a stream is closed instead.
 func (c *conn) startDrain() {
 	c.drained.Store(true)
+	if c.streaming.Load() {
+		c.nc.Close()
+		return
+	}
 	c.nc.SetReadDeadline(time.Unix(1, 0))
+}
+
+// stream hands the connection to the Streamer an accepted Follow named,
+// after its response has been flushed. The cycle's deadlines are
+// cleared: a stream writes for as long as the follower reads.
+func (c *conn) stream() {
+	// Like the idle re-arm in serve: startDrain sets drained before it
+	// reads streaming, and this reads drained after setting streaming,
+	// so one side always sees the other and a drain cannot miss the
+	// stream.
+	c.streaming.Store(true)
+	c.nc.SetDeadline(time.Time{})
+	if c.drained.Load() {
+		return
+	}
+	err := c.follow.Stream(c.nc, c.followAt[0], c.followAt[1])
+	if err != nil && !errors.Is(err, io.EOF) && !c.drained.Load() {
+		c.logf("server: %s: follower: %v", c.nc.RemoteAddr(), err)
+	}
 }
 
 // serve is the connection's one loop: read a cycle's requests, execute
@@ -414,6 +458,10 @@ func (c *conn) serve() {
 			}
 			if c.track {
 				c.observe(c.batch)
+			}
+			if c.follow != nil {
+				c.stream()
+				return
 			}
 		}
 		if rerr != nil {

@@ -2,20 +2,26 @@ package wire
 
 // The replication channel: the primary→replica stream reuses this
 // package's frame transport but speaks ReplMsg payloads instead of the
-// request/response codec. One TCP connection per follower carries, in
-// order:
+// request/response codec. A follower opens it with a Follow request on
+// an ordinary serving connection (Key = epoch, Val = log position);
+// the StatusOK response ends the request/response traffic, and the
+// connection then carries, in order:
 //
-//	replica → primary   Follow {Epoch, Seq}            resume request
+//	replica → primary   Follow request {Key, Val}      resume request
+//	primary → replica   Follow response (status)       StatusOK, no body
 //	primary → replica   Follow {Epoch, Seq, Full}      stream header
 //	primary → replica   SnapChunk {Data}               full sync only
 //	primary → replica   WalRecord {Seq, Data}          a run of WAL frames
 //	primary → replica   CaughtUp {Stamp}               end of catch-up
 //	primary → replica   Heartbeat {Stamp}              idle watermark
 //
+// A server that does not stream its log answers the Follow request with
+// an error status, and the connection keeps serving requests.
+//
 // Seq is a log position: a byte offset into the WAL the primary's store
-// has appended since it opened. The replica's Follow names the last
-// epoch it followed and its position; when the epochs match and the log
-// still holds that position the primary streams from there
+// has appended since it opened. The Follow request names the last
+// epoch the replica followed and its position; when the epochs match
+// and the log still holds that position the primary streams from there
 // (Full=false), otherwise Full=true, Seq is where the log resumes after
 // a snapshot, and the replica must discard its state. Epochs are unique
 // per primary incarnation, so a primary that crashed with a torn WAL

@@ -46,13 +46,17 @@
 //	Stats                   -> server metrics in the Prometheus text
 //	                           exposition format, one length-prefixed
 //	                           blob (bounded by MaxStatsLen)
+//	Follow   epoch, pos     -> empty; then the connection carries the
+//	                           replication stream (Key = epoch,
+//	                           Val = log position)
 //
 // # Replication channel
 //
-// Ops 10–14 (Follow, SnapChunk, WalRecord, CaughtUp, Heartbeat) belong
-// to the primary→replica replication channel, which reuses this
-// package's framing but speaks ReplMsg payloads (see repl.go), not the
-// request/response codec — they never appear in ParseRequest or
+// Follow is an ordinary request, sent on an ordinary serving
+// connection; its StatusOK response is the last response that
+// connection carries. From there on the server speaks ReplMsg payloads
+// (see repl.go) on it: ops 10–14 (Follow, SnapChunk, WalRecord,
+// CaughtUp, Heartbeat) as replication messages, which never appear in
 // ParseResponse traffic. Watermark and Promote are ordinary serving
 // ops so clients and operators can reach them over a normal
 // connection.
@@ -90,7 +94,8 @@ const (
 	OpSync
 	OpSnapshot
 	OpPing
-	// Replication-channel ops (ReplMsg payloads; never request/response).
+	// OpFollow is a request that turns its connection into the
+	// replication channel; it and the ops after it are also ReplMsg ops.
 	OpFollow
 	OpSnapChunk
 	OpWalRecord
@@ -437,7 +442,7 @@ func AppendRequest(dst []byte, req *Request) []byte {
 	switch req.Op {
 	case OpGet, OpDel:
 		dst = appendI64(dst, req.Key)
-	case OpInsert, OpPut:
+	case OpInsert, OpPut, OpFollow:
 		dst = appendI64(dst, req.Key)
 		dst = appendI64(dst, req.Val)
 	case OpRange:
@@ -494,7 +499,7 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 	case OpWatermark:
 		// The watermark stamp travels in Val.
 		dst = appendI64(dst, resp.Val)
-	case OpSync, OpSnapshot, OpPing, OpPromote:
+	case OpSync, OpSnapshot, OpPing, OpPromote, OpFollow:
 		// no body
 	case OpStats:
 		dst = appendBytes(dst, resp.BVal)
@@ -615,6 +620,9 @@ func (d *decoder) request(req *Request) error {
 	case OpInsert, OpPut:
 		req.Key = d.i64("key")
 		req.Val = d.i64("val")
+	case OpFollow:
+		req.Key = d.i64("epoch")
+		req.Val = d.i64("position")
 	case OpRange:
 		req.Key = d.i64("lo")
 		req.Val = d.i64("hi")
@@ -715,7 +723,7 @@ func (d *decoder) response(resp *Response) error {
 		}
 	case OpWatermark:
 		resp.Val = d.i64("watermark")
-	case OpSync, OpSnapshot, OpPing, OpPromote:
+	case OpSync, OpSnapshot, OpPing, OpPromote, OpFollow:
 		// no body
 	case OpStats:
 		resp.BVal = d.bstr(MaxStatsLen, "stats")

@@ -260,6 +260,7 @@ func FuzzParseFrames(f *testing.F) {
 		{ID: 6, Op: OpBatch2, NS: 4, BSteps: []BStep{{Kind: StepLookup, Key: []byte("q")}}},
 		{ID: 7, Op: OpNsCreate, Name: "fuzz", Durable: true, Fsync: NsFsyncInterval},
 		{ID: 8, Op: OpNsList},
+		{ID: 11, Op: OpFollow, Key: 7, Val: 42},
 	}
 	for i := range seed {
 		f.Add(AppendRequest(nil, &seed[i])[frameHeaderLen:])

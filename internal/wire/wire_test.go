@@ -57,6 +57,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		{ID: 7, Op: OpSync},
 		{ID: 8, Op: OpSnapshot},
 		{ID: math.MaxUint64, Op: OpPing},
+		{ID: 9, Op: OpFollow, Key: math.MinInt64, Val: 1 << 40},
 	}
 	for _, req := range reqs {
 		got := roundTripRequest(t, req)
@@ -83,6 +84,8 @@ func TestResponseRoundTrip(t *testing.T) {
 		{ID: 7, Op: OpBatch, Steps: []StepResult{{Ok: true, Out: 0}, {Ok: false, Out: 33}}},
 		{ID: 8, Op: OpSync},
 		{ID: 9, Op: OpPing},
+		{ID: 14, Op: OpFollow},
+		{ID: 15, Op: OpFollow, Status: StatusErr, Msg: "server does not stream its log"},
 		{ID: 10, Op: OpBatch, Status: StatusReadOnly, Msg: "replica"},
 		{ID: 11, Op: OpSync, Status: StatusNotDurable, Msg: "no durability"},
 		{ID: 12, Op: OpGet, Status: StatusShuttingDown},

@@ -152,10 +152,11 @@
 // ErrNamespaceNotFound/ErrNamespaceExists, errors.Is-matchable across
 // the wire like every other sentinel.
 //
-// A durable daemon can additionally replicate: internal/repl streams
-// the commit-stamp-ordered WAL to live replicas that apply records
-// through the recovery replay rules and serve read-only traffic at an
-// advertised watermark (skiphashd -replicate-addr / -follow;
+// A durable daemon also replicates: internal/repl streams the
+// commit-stamp-ordered WAL to live replicas that apply records through
+// the recovery replay rules and serve read-only traffic at an
+// advertised watermark (skiphashd -follow names the primary's serving
+// address;
 // client.GetAt fans barriered reads out across replicas, and Promote
 // turns a replica into a writable successor whose clock is floored
 // above everything it applied). Commit stamps are comparable only

@@ -25,6 +25,11 @@ func FuzzOps(f *testing.F) {
 	// Fast-path reads interleaved with writes on the same keys: every
 	// Lookup lands between commits that move the keys' bucket orecs.
 	f.Add([]byte{0, 5, 2, 5, 1, 5, 2, 5, 3, 6, 2, 6, 0, 6, 2, 7, 1, 6, 2, 6})
+	// Ordered queries inside a batch see the batch's own writes: insert
+	// two keys, then Ceil below them and Range over them; remove one,
+	// then Floor, Succ and Pred around it and a Range across it.
+	f.Add([]byte{8, 0, 3, 0, 5, 0, 7, 3, 4, 7 | 4<<3, 5})
+	f.Add([]byte{0, 5, 0, 6, 0, 7, 8, 0, 3, 1, 6, 4, 6, 5, 5, 6, 7, 8, 0, 1, 7 | 3<<3, 4, 1, 5})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<12 {
@@ -93,14 +98,15 @@ func FuzzOps(f *testing.F) {
 				nb, _ := next()
 				count := int(nb%4) + 1
 				type bstep struct {
-					op byte
-					k  int64
+					op   byte
+					k    int64
+					span byte // a Range step's width
 				}
 				steps := make([]bstep, 0, count)
 				for i := 0; i < count; i++ {
 					ob, _ := next()
 					bk, _ := next()
-					steps = append(steps, bstep{op: ob % 3, k: fuzzKey(bk)})
+					steps = append(steps, bstep{op: ob % 8, k: fuzzKey(bk), span: ob >> 3})
 				}
 				// The closure may re-execute on conflict; it recomputes
 				// from a fresh model clone each attempt.
@@ -134,6 +140,41 @@ func FuzzOps(f *testing.F) {
 							want, present := scratch[s.k]
 							if ok != present || (ok && got != want) {
 								t.Errorf("step %d: batch Lookup(%d) = %d,%v want %d,%v", step, s.k, got, ok, want, present)
+							}
+						case 3, 4, 5, 6:
+							q := [...]struct {
+								name  string
+								fn    func(int64) (int64, int64, bool)
+								pred  func(int64) bool
+								isMax bool
+							}{
+								{"Ceil", op.Ceil, func(mk int64) bool { return mk >= s.k }, false},
+								{"Floor", op.Floor, func(mk int64) bool { return mk <= s.k }, true},
+								{"Succ", op.Succ, func(mk int64) bool { return mk > s.k }, false},
+								{"Pred", op.Pred, func(mk int64) bool { return mk < s.k }, true},
+							}[s.op-3]
+							gk, gv, gok := q.fn(s.k)
+							if wk, wv, wok := fuzzBound(scratch, q.pred, q.isMax); gok != wok || (gok && (gk != wk || gv != wv)) {
+								t.Errorf("step %d: batch %s(%d) = %d,%d,%v want %d,%d,%v", step, q.name, s.k, gk, gv, gok, wk, wv, wok)
+							}
+						case 7:
+							lo, hi := s.k, s.k
+							if hi <= math.MaxInt64-int64(s.span) {
+								hi += int64(s.span)
+							} else {
+								hi = math.MaxInt64
+							}
+							got := op.Range(lo, hi, nil)
+							want := modelPairs(scratch, lo, hi)
+							if len(got) != len(want) {
+								t.Errorf("step %d: batch Range(%d,%d) = %v want %v", step, lo, hi, got, want)
+								break
+							}
+							for i := range want {
+								if got[i] != want[i] {
+									t.Errorf("step %d: batch Range(%d,%d) = %v want %v", step, lo, hi, got, want)
+									break
+								}
 							}
 						}
 					}
@@ -206,6 +247,14 @@ func checkFuzzBound(t *testing.T, step int64, name string, k int64, model map[in
 	q func(int64) (int64, int64, bool), pred func(int64) bool, wantMax bool) {
 	t.Helper()
 	gk, gv, gok := q(k)
+	if wk, wv, wok := fuzzBound(model, pred, wantMax); gok != wok || (gok && (gk != wk || gv != wv)) {
+		t.Fatalf("step %d: %s(%d) = %d,%d,%v want %d,%d,%v", step, name, k, gk, gv, gok, wk, wv, wok)
+	}
+}
+
+// fuzzBound is the model's answer to an ordered query: the largest
+// (wantMax) or smallest model key satisfying pred, and its value.
+func fuzzBound(model map[int64]int64, pred func(int64) bool, wantMax bool) (int64, int64, bool) {
 	var wk int64
 	wok := false
 	for mk := range model {
@@ -216,9 +265,7 @@ func checkFuzzBound(t *testing.T, step int64, name string, k int64, model map[in
 			wk, wok = mk, true
 		}
 	}
-	if gok != wok || (gok && (gk != wk || gv != model[wk])) {
-		t.Fatalf("step %d: %s(%d) = %d,%d,%v want %d,%d,%v", step, name, k, gk, gv, gok, wk, model[wk], wok)
-	}
+	return wk, model[wk], wok
 }
 
 func modelPairs(model map[int64]int64, lo, hi int64) []skiphash.Pair[int64, int64] {
