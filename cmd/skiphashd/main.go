@@ -29,10 +29,9 @@
 // explicit directory, or durable with its own fsync policy. -ns-root
 // names the directory for namespaces created at runtime via the wire's
 // NsCreate and re-discovers every ns-<name> subdirectory on start
-// (their recorded fsync policies are restored). -ns-max-conns and
-// -ns-max-batch set per-namespace quotas: a connection over a
-// namespace's limit has its requests for that namespace answered
-// StatusBusy, and coalesced namespace transactions are clamped.
+// (their recorded fsync policies are restored). -ns-max-conns sets a
+// per-namespace connection quota: a connection over a namespace's
+// limit has its requests for that namespace answered StatusBusy.
 // Namespaces are not replicated; -follow excludes them.
 //
 // Replication: a durable (-dir) server is a primary. A follower sends
@@ -56,7 +55,7 @@
 //	skiphashd [-addr host:port] [-unix path]
 //	          [-dir path] [-fsync none|interval|always] [-fsync-every d]
 //	          [-ns name[=dir[:fsync]]]... [-ns-root path]
-//	          [-ns-max-conns n] [-ns-max-batch n]
+//	          [-ns-max-conns n]
 //	          [-follow host:port]
 //	          [-max-conns n] [-max-batch n] [-write-timeout d] [-idle-timeout d]
 //	          [-drain-timeout d] [-stats-every d] [-quiet]
@@ -95,7 +94,6 @@ func main() {
 		fsyncEvery   = flag.Duration("fsync-every", 0, "interval policy's fsync period (0 = engine default)")
 		nsRoot       = flag.String("ns-root", "", "directory for runtime-created durable namespaces; ns-* subdirectories are reopened on start")
 		nsMaxConns   = flag.Int("ns-max-conns", 0, "per-namespace connection quota (0 = unlimited)")
-		nsMaxBatch   = flag.Int("ns-max-batch", 0, "per-namespace coalescing clamp (0 = -max-batch)")
 		follow       = flag.String("follow", "", "run as a live replica of the primary serving on this TCP address, its -addr (requires -dir)")
 		maxConns     = flag.Int("max-conns", 256, "connection limit")
 		maxBatch     = flag.Int("max-batch", 64, "max pipelined requests coalesced into one transaction")
@@ -190,7 +188,6 @@ func main() {
 			Root:       *nsRoot,
 			Durability: skiphash.Durability{Fsync: cfgFsyncPolicy(*fsync), FsyncEvery: *fsyncEvery},
 			MaxConns:   *nsMaxConns,
-			MaxBatch:   *nsMaxBatch,
 			Obs:        obsReg,
 		})
 		if err != nil {

@@ -63,9 +63,6 @@ func buildRegistry(m func() *skiphash.Map[int64, int64], rep *repl.Replica, prim
 	}
 	if prim != nil {
 		ps := prim.Stats
-		reg.GaugeFunc("skiphash_repl_stream_position_bytes",
-			"Replication stream position: WAL bytes the primary's store has appended since it opened.",
-			func() float64 { return float64(ps().Position) })
 		reg.GaugeFunc("skiphash_repl_followers",
 			"Live follower subscriptions.",
 			func() float64 { return float64(ps().Followers) })

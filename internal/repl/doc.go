@@ -16,17 +16,20 @@
 // A replica is an ordinary durable map (skiphash.Open over its
 // directory) that follows a primary. It checks every log frame with
 // recovery's check (persist.WalkFrames) and refuses a bad frame or a
-// gap. Once caught up it applies each record in stream order as one
-// transaction, which its own WAL logs, and it keeps the primary
+// gap. Outside a full resync it applies each record in stream order as
+// one transaction, which its own WAL logs, and it keeps the primary
 // position its map reflects in its directory, so a restarted replica
-// recovers its log and resumes from there. A full resync lands on disk:
-// a persist.Restore checks the snapshot file and the log after it as
-// they arrive (every chunk frame's CRC, the trailer's pair total, the
+// recovers its log and resumes from there. The primary streams its log
+// in bursts, each ended by a Heartbeat that carries a stamp covering
+// every record the burst held; there is no separate catch-up phase, so
+// the first Heartbeat ends catch-up. A full resync lands on disk: a
+// persist.Restore checks the snapshot file and the log after it as they
+// arrive (every chunk frame's CRC, the trailer's pair total, the
 // snapshot whole before the first log frame) and stages them as the
-// files recovery reads; at CaughtUp they replace the directory's log,
-// skiphash.Open recovers them, and the new map is swapped in while the
-// old one served reads. It serves read-only traffic at an advertised
-// commit-stamp watermark.
+// files recovery reads; at the first Heartbeat they replace the
+// directory's log, skiphash.Open recovers them, and the new map is
+// swapped in while the old one served reads. It serves read-only
+// traffic at an advertised commit-stamp watermark.
 //
 // # Consistency contract
 //
@@ -41,9 +44,11 @@
 //
 // While a full resync runs the watermark is 0, so every barriered read
 // falls through to the primary. At the end of the resync it is set to
-// the primary's caught-up stamp, not raised to it: a new epoch is a new
-// lineage, and the watermark restarts there even when that stamp is
-// lower than the old lineage's.
+// the stamp of the Heartbeat that ends it, not raised to it: a new
+// epoch is a new lineage, and the watermark restarts there even when
+// that stamp is lower than the old lineage's. A promoted replica
+// commits above its applied watermark, so its backend answers Watermark
+// with a fresh clock read, as a primary's does.
 //
 // Known hazard, not handled: right after a restart, a primary's stamps
 // can fall below stamps it advertised before the crash. Recovery floors

@@ -135,7 +135,7 @@ func TestReplicaCrashMidResync(t *testing.T) {
 					readFollow(t, fr)
 					send(wire.ReplMsg{Op: wire.OpFollow, Epoch: 1, Full: true})
 					send(wire.ReplMsg{Op: wire.OpSnapChunk, Data: snapFile(chunk{50, []int64{5001, 1, 5002, 2}})})
-					send(wire.ReplMsg{Op: wire.OpCaughtUp, Stamp: 100})
+					send(wire.ReplMsg{Op: wire.OpHeartbeat, Stamp: 100})
 					fr.Next() // until the replica hangs up
 				},
 				func(fr *wire.FrameReader, send func(wire.ReplMsg)) {

@@ -79,7 +79,7 @@ func TestReplicaRefusesBadRuns(t *testing.T) {
 	}{
 		{"a flipped byte inside a chunk frame", flippedSnap, false},
 		{"no trailer before the first log run", noTrailer, true},
-		{"no trailer before CaughtUp", noTrailer, false},
+		{"no trailer before the first Heartbeat", noTrailer, false},
 		{"a trailer total that disagrees with its chunks", shortTotal, false},
 	}
 	var scripts []func(*wire.FrameReader, func(wire.ReplMsg))
@@ -90,7 +90,7 @@ func TestReplicaRefusesBadRuns(t *testing.T) {
 			if bad.log {
 				send(wire.ReplMsg{Op: wire.OpWalRecord, Seq: 0, Data: putFrame(70, 7, 70)})
 			}
-			send(wire.ReplMsg{Op: wire.OpCaughtUp, Stamp: 100})
+			send(wire.ReplMsg{Op: wire.OpHeartbeat, Stamp: 100})
 		}))
 	}
 	// The good resync: key 3's chunk entry and a log op on key 3 share
@@ -106,7 +106,7 @@ func TestReplicaRefusesBadRuns(t *testing.T) {
 			send(wire.ReplMsg{Op: wire.OpFollow, Epoch: 1, Full: true})
 			sendSnap(send, snapFile(chunk{50, []int64{1, 10, 3, 30}}))
 			send(wire.ReplMsg{Op: wire.OpWalRecord, Seq: 0, Data: tie})
-			send(wire.ReplMsg{Op: wire.OpCaughtUp, Stamp: 100})
+			send(wire.ReplMsg{Op: wire.OpHeartbeat, Stamp: 100})
 			send(wire.ReplMsg{Op: wire.OpWalRecord, Seq: uint64(len(tie)), Data: flipped})
 		}),
 		gated(func(f wire.ReplMsg, _ *wire.FrameReader, send func(wire.ReplMsg)) {

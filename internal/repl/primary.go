@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/persist"
@@ -28,20 +28,16 @@ type Primary struct {
 	epoch uint64
 	m     *skiphash.Map[int64, int64]
 	st    *persist.Store[int64, int64]
-	// clock is m's commit clock. CaughtUp and Heartbeat stamps are fresh
-	// reads of it; see the ordering rule in sender().
+	// clock is m's commit clock. Heartbeat stamps are fresh reads of it;
+	// see the ordering rule in sender().
 	clock *stm.Clock
 
-	mu        sync.Mutex
-	followers int    // senders past their snapshot phase
-	resyncs   uint64 // full resyncs served to followers
+	followers atomic.Int64  // senders past their snapshot phase
+	resyncs   atomic.Uint64 // full resyncs served to followers
 }
 
 // PrimaryStats is an observability snapshot of the streamer.
 type PrimaryStats struct {
-	// Position is the log's end position: WAL bytes appended since the
-	// store opened.
-	Position int64
 	// Followers counts live follower subscriptions (connections past
 	// their snapshot phase).
 	Followers int
@@ -51,14 +47,7 @@ type PrimaryStats struct {
 
 // Stats returns the streamer's counters.
 func (p *Primary) Stats() PrimaryStats {
-	pos := p.st.Stats().AppendedBytes
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return PrimaryStats{
-		Position:  pos,
-		Followers: p.followers,
-		Resyncs:   p.resyncs,
-	}
+	return PrimaryStats{Followers: int(p.followers.Load()), Resyncs: p.resyncs.Load()}
 }
 
 // NewPrimary serves the write-ahead log of m, which must be durable
@@ -85,7 +74,8 @@ func NewPrimary(m *skiphash.Map[int64, int64]) (*Primary, error) {
 func (p *Primary) Epoch() uint64 { return p.epoch }
 
 // sender drives one follower that asked to resume at (epoch, pos):
-// stream header, catch-up, live tail.
+// stream header, the snapshot of a full resync, then bursts of log
+// frames, each ended by a Heartbeat.
 func (p *Primary) sender(nc net.Conn, epoch, pos uint64) error {
 	// Admission: tail from pos when the follower is from this
 	// epoch and the log still holds that position; otherwise full
@@ -101,9 +91,7 @@ func (p *Primary) sender(nc net.Conn, epoch, pos uint64) error {
 	full := epoch != p.epoch || !rd.Has(cursor)
 	if full {
 		cursor = rd.End()
-		p.mu.Lock()
-		p.resyncs++
-		p.mu.Unlock()
+		p.resyncs.Add(1)
 	}
 
 	var buf []byte
@@ -124,22 +112,26 @@ func (p *Primary) sender(nc net.Conn, epoch, pos uint64) error {
 		}
 	}
 
-	p.mu.Lock()
-	p.followers++
-	p.mu.Unlock()
-	defer func() {
-		p.mu.Lock()
-		p.followers--
-		p.mu.Unlock()
-	}()
+	p.followers.Add(1)
+	defer p.followers.Add(-1)
 
-	// stream sends the log's frames [cursor, target) as WalRecord runs.
-	// A cursor the log no longer holds (persist.ErrTruncated) cuts the
-	// connection; the follower's redial then finds its position gone
-	// and takes a full resync.
+	// Every burst streams the log's frames up to an end captured after
+	// reading stamp H, as WalRecord runs, then sends a Heartbeat carrying
+	// H. A record that misses the capture appended after H was read, so
+	// any primary Watermark() taken after that record's commit response
+	// reads >= H and the replica's strict barrier (watermark strictly
+	// above the requested stamp) correctly refuses until the record
+	// arrives. The first burst is catch-up, and its Heartbeat ends it; a
+	// continuous writer cannot stretch it past the end captured then. A
+	// cursor the log no longer holds (persist.ErrTruncated) cuts the
+	// connection; the follower's redial then finds its position gone and
+	// takes a full resync. An append, not a flush, wakes the sender.
+	tick := time.NewTicker(heartbeatEvery)
+	defer tick.Stop()
 	var run []byte
-	stream := func(target int64) error {
-		for cursor < target {
+	for {
+		beat := p.clock.Read()
+		for target := rd.End(); cursor < target; cursor += int64(len(run)) {
 			var err error
 			if run, err = rd.Read(run[:0], cursor, runBytes); err != nil {
 				return fmt.Errorf("log position %d: %w", cursor, err)
@@ -147,52 +139,13 @@ func (p *Primary) sender(nc net.Conn, epoch, pos uint64) error {
 			if err := send(&wire.ReplMsg{Op: wire.OpWalRecord, Seq: uint64(cursor), Data: run}); err != nil {
 				return err
 			}
-			cursor += int64(len(run))
-		}
-		return nil
-	}
-	// Catch-up: stream the log up to a sync target, then declare the
-	// follower caught up at stamp H. H is read BEFORE the target is
-	// captured: a record that misses the capture appended after H was
-	// read, so any primary Watermark() taken after that record's commit
-	// response reads >= H and the replica's strict barrier (watermark
-	// strictly above the requested stamp) correctly refuses until the
-	// record arrives.
-	caughtUp := p.clock.Read()
-	if err := stream(rd.End()); err != nil {
-		return err
-	}
-	if err := send(&wire.ReplMsg{Op: wire.OpCaughtUp, Stamp: caughtUp}); err != nil {
-		return err
-	}
-
-	// Live tail. Heartbeats follow the same rule: the stamp is read
-	// before the drained check, so a heartbeat never advertises a
-	// watermark covering a record it did not stream first. An append,
-	// not a flush, wakes the sender.
-	hb := time.NewTimer(heartbeatEvery)
-	defer hb.Stop()
-	for {
-		beat := p.clock.Read()
-		if target := rd.End(); cursor < target {
-			if err := stream(target); err != nil {
-				return err
-			}
-			continue
 		}
 		if err := send(&wire.ReplMsg{Op: wire.OpHeartbeat, Stamp: beat}); err != nil {
 			return err
 		}
-		if !hb.Stop() {
-			select {
-			case <-hb.C:
-			default:
-			}
-		}
-		hb.Reset(heartbeatEvery)
 		select {
 		case <-rd.Wait(cursor):
-		case <-hb.C:
+		case <-tick.C:
 		}
 	}
 }

@@ -4,11 +4,13 @@ import (
 	"context"
 	"math"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/alloctest"
 	"repro/internal/obs"
+	"repro/internal/persist"
 	"repro/internal/server"
 	"repro/internal/wire"
 	"repro/skiphash"
@@ -88,6 +90,185 @@ func TestTwoPrimariesOneMap(t *testing.T) {
 	}
 	waitConverge(t, m, r1)
 	waitConverge(t, m, r2)
+}
+
+// rawFollow sends Follow (epoch, position 0) to the server at addr on a
+// connection of its own and checks the StatusOK response. next returns
+// the stream's messages, failing the test on any error or after 20 s.
+func rawFollow(t *testing.T, addr string, epoch uint64) (next func() wire.ReplMsg) {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	nc.SetReadDeadline(time.Now().Add(20 * time.Second))
+	follow := wire.Request{ID: 1, Op: wire.OpFollow, Key: int64(epoch)}
+	if _, err := nc.Write(wire.AppendRequest(nil, &follow)); err != nil {
+		t.Fatalf("write Follow: %v", err)
+	}
+	fr := wire.NewFrameReader(nc, wire.MaxResponsePayload)
+	payload, err := fr.Next()
+	if err != nil {
+		t.Fatalf("read Follow response: %v", err)
+	}
+	if resp, err := wire.ParseResponse(payload); err != nil || resp.Err() != nil {
+		t.Fatalf("Follow response %+v (%v)", resp, err)
+	}
+	return func() wire.ReplMsg {
+		t.Helper()
+		payload, err := fr.Next()
+		if err != nil {
+			t.Fatalf("read stream: %v", err)
+		}
+		m, err := wire.ParseReplMsg(payload)
+		if err != nil {
+			t.Fatalf("stream message: %v", err)
+		}
+		return m
+	}
+}
+
+// writeWithoutPause puts to m from one goroutine until stop is called.
+func writeWithoutPause(m *skiphash.Map[int64, int64]) (stop func()) {
+	done := make(chan struct{})
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for i := int64(0); ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			m.Put(i%4096, i)
+		}
+	}()
+	return sync.OnceFunc(func() {
+		close(done)
+		<-stopped
+	})
+}
+
+// openLoaded opens a primary on addr whose log no snapshot truncates.
+func openLoaded(t *testing.T, addr string) *primaryHarness {
+	t.Helper()
+	return openPrimary(t, skiphash.Durability{Dir: t.TempDir(), Fsync: skiphash.FsyncNone, SnapshotBytes: -1}, addr)
+}
+
+func TestIdleStreamEndsCatchUpWithOneHeartbeat(t *testing.T) {
+	// A raw follower of an idle primary that holds some writes reads the
+	// Follow header, the WalRecord runs that carry the whole log, and one
+	// Heartbeat whose stamp covers them. Nothing else arrives until the
+	// next tick: catch-up ends at that Heartbeat, with no second message
+	// ending it again.
+	h := startPrimary(t, t.TempDir(), "127.0.0.1:0")
+	defer h.close()
+	for i := int64(0); i < 50; i++ {
+		h.m.Put(i, i)
+	}
+	end := h.m.Persister().(*persist.Store[int64, int64]).Stats().AppendedBytes
+	start := time.Now() // before the sender's ticker starts
+	next := rawFollow(t, h.addr(), h.p.Epoch())
+	if hdr := next(); hdr.Op != wire.OpFollow || hdr.Full || hdr.Seq != 0 {
+		t.Fatalf("stream header %+v, want a tail from position 0", hdr)
+	}
+	var pos, maxStamp uint64
+	m := next()
+	for ; m.Op == wire.OpWalRecord; m = next() {
+		if m.Seq != pos {
+			t.Fatalf("run at %d, want %d", m.Seq, pos)
+		}
+		pos += uint64(len(m.Data))
+		persist.WalkFrames(m.Data, func(_ int64, stamp, _ uint64, _ []byte) error {
+			maxStamp = max(maxStamp, stamp)
+			return nil
+		})
+	}
+	if m.Op != wire.OpHeartbeat || pos != uint64(end) || m.Stamp < maxStamp {
+		t.Fatalf("after runs up to %d of %d: %s stamp %d, want a Heartbeat covering stamp %d",
+			pos, end, m.Op, m.Stamp, maxStamp)
+	}
+	if m2 := next(); m2.Op != wire.OpHeartbeat || m2.Stamp < m.Stamp {
+		t.Fatalf("second message %s stamp %d, want a Heartbeat at >= %d", m2.Op, m2.Stamp, m.Stamp)
+	}
+	if d := time.Since(start); d < heartbeatEvery {
+		t.Fatalf("second Heartbeat %v after Follow, before the first tick at %v", d, heartbeatEvery)
+	}
+}
+
+func TestSlowFollowerCatchUpEndsUnderLoad(t *testing.T) {
+	// A follower that reads slower than one goroutine writes still gets
+	// its first Heartbeat: the first burst stops at the log end captured
+	// when it began, however far the log has grown since. The log already
+	// holds more than the socket buffers take when the follower starts,
+	// so the sender is behind from its first write on. (Under the race
+	// detector the writer is slower than the follower, and a smaller log
+	// keeps the test short.)
+	h := openLoaded(t, "127.0.0.1:0")
+	defer h.close()
+	stop := writeWithoutPause(h.m)
+	defer stop()
+	st := h.m.Persister().(*persist.Store[int64, int64])
+	behind := int64(8 << 20)
+	if alloctest.RaceEnabled {
+		behind = 1 << 20
+	}
+	for st.Stats().AppendedBytes < behind {
+		time.Sleep(time.Millisecond)
+	}
+	next := rawFollow(t, h.addr(), h.p.Epoch())
+	next() // the stream header
+	deadline := time.Now().Add(10 * time.Second)
+	for m := next(); m.Op != wire.OpHeartbeat; m = next() {
+		if time.Now().After(deadline) {
+			t.Fatalf("no Heartbeat within 10 s; the stream is at position %d of %d", m.Seq, st.Stats().AppendedBytes)
+		}
+		time.Sleep(5 * time.Millisecond) // at most 64 KiB per 5 ms
+	}
+}
+
+func TestCatchUpBoundedUnderLoad(t *testing.T) {
+	// One goroutine writes to the primary without pause. A fresh replica
+	// still becomes ready within 5 s. Then a new primary incarnation on
+	// the same address, also written without pause, forces a full resync
+	// against the stale epoch, and it swaps in. Both converge once the
+	// writer stops.
+	h := openLoaded(t, "127.0.0.1:0")
+	stop := writeWithoutPause(h.m)
+	defer stop()
+	r := newReplica(t, h.addr(), t.TempDir())
+	defer r.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := r.WaitReady(ctx); err != nil {
+		t.Fatalf("fresh replica not ready within 5 s under load: %v", err)
+	}
+	stop()
+	waitConverge(t, h.m, r)
+	addr := h.addr()
+	h.close()
+
+	h = openLoaded(t, addr)
+	defer h.close()
+	stop = writeWithoutPause(h.m)
+	defer stop()
+	rs0 := r.Stats().Resyncs
+	// The watermark is stored 0 before Resyncs counts the resync, so a
+	// nonzero one read after the count comes from the swap.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if s := r.Stats(); s.Resyncs == rs0+1 && s.Watermark != 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no full resync swapped in within 5 s under load: %+v", r.Stats())
+		}
+	}
+	stop()
+	waitConverge(t, h.m, r)
+	if s := r.Stats(); s.Resyncs != rs0+1 || s.EpochChanges != 1 {
+		t.Fatalf("replica stats %+v, want one more full resync and one epoch change", s)
+	}
 }
 
 func TestPrimaryCommitAllocBudget(t *testing.T) {

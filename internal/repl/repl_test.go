@@ -432,6 +432,11 @@ func TestPromoteLiftsClockAndOpensWrites(t *testing.T) {
 	if v, ok := r.Map().Lookup(999); !ok || v != 1 {
 		t.Fatalf("promoted write not visible: %d %v", v, ok)
 	}
+	// The promoted node's own writes are above the applied watermark, so
+	// its Watermark must pass them.
+	if got := be.(server.Watermarker).Watermark(); got <= w {
+		t.Fatalf("backend watermark %d after a promoted write, want above %d", got, w)
+	}
 }
 
 func TestPrimaryBackendWatermark(t *testing.T) {
@@ -613,7 +618,7 @@ func TestResyncWatermarkRestartsInNewLineage(t *testing.T) {
 			send(wire.ReplMsg{Op: wire.OpFollow, Epoch: 1, Full: true})
 			send(wire.ReplMsg{Op: wire.OpSnapChunk, Data: snapFile(chunk{50, []int64{1, 10, 2, 20}})})
 			send(wire.ReplMsg{Op: wire.OpWalRecord, Seq: 0, Data: putFrame(60, 3, 30)})
-			send(wire.ReplMsg{Op: wire.OpCaughtUp, Stamp: 100})
+			send(wire.ReplMsg{Op: wire.OpHeartbeat, Stamp: 100})
 			fr.Next() // until the replica hangs up
 		},
 		// Epoch 2 (a restarted primary with other state): its stamps
@@ -627,7 +632,7 @@ func TestResyncWatermarkRestartsInNewLineage(t *testing.T) {
 			close(midResync)
 			<-finish
 			send(wire.ReplMsg{Op: wire.OpWalRecord, Seq: 0, Data: putFrame(8, 8, 80)})
-			send(wire.ReplMsg{Op: wire.OpCaughtUp, Stamp: 20})
+			send(wire.ReplMsg{Op: wire.OpHeartbeat, Stamp: 20})
 			fr.Next()
 		})
 	// Let the second script run out even when the test fails early.
@@ -664,7 +669,7 @@ func TestResyncWatermarkRestartsInNewLineage(t *testing.T) {
 		t.Fatalf("mid-resync watermark %d (backend %d), want 0", w, bw)
 	}
 	if _, ok := r.Map().Lookup(7); ok {
-		t.Fatal("mid-resync chunk applied before CaughtUp")
+		t.Fatal("mid-resync chunk applied before the first Heartbeat")
 	}
 
 	release()
@@ -675,7 +680,7 @@ func TestResyncWatermarkRestartsInNewLineage(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if w := r.Watermark(); w != 20 {
-		t.Fatalf("watermark after epoch-2 resync %d, want its CaughtUp stamp 20", w)
+		t.Fatalf("watermark after epoch-2 resync %d, want its first Heartbeat stamp 20", w)
 	}
 	got := allPairs(r.Map())
 	want := []skiphash.Pair[int64, int64]{{Key: 2, Val: 21}, {Key: 7, Val: 70}, {Key: 8, Val: 80}}

@@ -31,8 +31,6 @@ type ReplicaConfig struct {
 	Map skiphash.Config
 	// RedialEvery paces reconnect attempts. Default 100ms.
 	RedialEvery time.Duration
-	// DialTimeout bounds one dial. Default 2s.
-	DialTimeout time.Duration
 	// Logf, when set, receives reconnect/apply diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -42,6 +40,9 @@ type ReplicaConfig struct {
 // written only once a Sync covers every record up to that position,
 // and it marks the directory as worth serving.
 const posFile = "replica.pos"
+
+// dialTimeout bounds one dial of the primary.
+const dialTimeout = 2 * time.Second
 
 // Replica follows a primary's WAL stream into a durable map. The map
 // serves read-only traffic (through Backend) at the advertised
@@ -92,9 +93,6 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	if cfg.RedialEvery == 0 {
 		cfg.RedialEvery = 100 * time.Millisecond
 	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
 	r := &Replica{
 		cfg:     cfg,
 		ready:   make(chan struct{}),
@@ -139,7 +137,8 @@ func (r *Replica) Map() *skiphash.Map[int64, int64] { return r.be.Load().Map }
 // runs.
 func (r *Replica) Watermark() uint64 { return r.watermark.Load() }
 
-// WaitReady blocks until the replica has caught up once (or ctx ends).
+// WaitReady blocks until the replica has caught up once, at the first
+// Heartbeat of a stream (or ctx ends).
 func (r *Replica) WaitReady(ctx context.Context) error {
 	select {
 	case <-r.ready:
@@ -200,7 +199,7 @@ func (r *Replica) run() {
 			return
 		default:
 		}
-		nc, err := net.DialTimeout("tcp", r.cfg.Addr, r.cfg.DialTimeout)
+		nc, err := net.DialTimeout("tcp", r.cfg.Addr, dialTimeout)
 		if err == nil {
 			r.mu.Lock()
 			r.nc = nc
@@ -258,9 +257,10 @@ func (r *Replica) runConn(nc net.Conn) error {
 	}
 	// A full resync lands on disk while the map keeps serving its old
 	// state: a Restore checks the streamed snapshot file and the log
-	// after it as recovery would and stages them, and at CaughtUp the
-	// map recovery opens from them is swapped in. Meanwhile the
-	// watermark reads 0, so barriered reads go to the primary.
+	// after it as recovery would and stages them, and at the first
+	// Heartbeat the map recovery opens from them is swapped in.
+	// Meanwhile the watermark reads 0, so barriered reads go to the
+	// primary.
 	var rs *persist.Restore
 	pos := r.pos
 	if hdr.Full {
@@ -299,26 +299,24 @@ func (r *Replica) runConn(nc net.Conn) error {
 			if pos, err = r.applyRun(rs, pos, &m); err != nil {
 				return err
 			}
-		case wire.OpCaughtUp, wire.OpHeartbeat:
-			if rs != nil && m.Op == wire.OpHeartbeat {
-				return errors.New("heartbeat during full sync")
-			}
+		case wire.OpHeartbeat:
 			r.raisePrimStamp(m.Stamp)
-			if rs != nil {
+			swapped := rs != nil
+			if swapped {
 				if err := r.swap(rs, hdr.Epoch, pos); err != nil {
 					return fmt.Errorf("full resync: %w", err)
 				}
 				rs = nil
 			}
 			r.advance(m.Stamp)
-			// The primary heartbeats whenever this follower has drained
-			// its log, under load after every run, so a heartbeat saves
-			// the position at most once per idle heartbeat period.
-			if m.Op == wire.OpHeartbeat && time.Since(r.savedAt) < heartbeatEvery {
-				continue
-			}
-			if err := r.save(); err != nil {
-				return err
+			// The primary heartbeats after every burst, under load many
+			// times a period, so a heartbeat saves the position at most
+			// once per heartbeat period; the one that ends a full resync
+			// saves at once.
+			if swapped || time.Since(r.savedAt) >= heartbeatEvery {
+				if err := r.save(); err != nil {
+					return err
+				}
 			}
 			r.readyOnce.Do(func() { close(r.ready) })
 		default:
@@ -376,13 +374,11 @@ func (r *Replica) save() error {
 	return nil
 }
 
-// raisePrimStamp lifts the last-advertised primary stamp to s.
+// raisePrimStamp lifts the last-advertised primary stamp to s. The
+// follower goroutine is its only writer.
 func (r *Replica) raisePrimStamp(s uint64) {
-	for {
-		cur := r.primStamp.Load()
-		if s <= cur || r.primStamp.CompareAndSwap(cur, s) {
-			return
-		}
+	if s > r.primStamp.Load() {
+		r.primStamp.Store(s)
 	}
 }
 
@@ -415,14 +411,12 @@ func (r *Replica) Stats() ReplicaStats {
 	}
 }
 
-// advance lifts the commit-clock floor, then the watermark, to s.
+// advance lifts the commit-clock floor, then the watermark, to s. The
+// follower goroutine is the watermark's only writer.
 func (r *Replica) advance(s uint64) {
 	r.Map().Runtime().Clock().Raise(s)
-	for {
-		cur := r.watermark.Load()
-		if s <= cur || r.watermark.CompareAndSwap(cur, s) {
-			return
-		}
+	if s > r.watermark.Load() {
+		r.watermark.Store(s)
 	}
 }
 
@@ -525,8 +519,15 @@ func (b *replicaBackend) Snapshot() error {
 
 func (b *replicaBackend) Close() error { return b.r.Close() }
 
-// Watermark implements server.Watermarker.
-func (b *replicaBackend) Watermark() uint64 { return b.r.Watermark() }
+// Watermark implements server.Watermarker. A promoted node commits
+// above its applied watermark, so it answers a fresh read of its
+// clock, as a primary does.
+func (b *replicaBackend) Watermark() uint64 {
+	if b.r.promoted.Load() {
+		return b.r.Map().Runtime().Clock().Read()
+	}
+	return b.r.Watermark()
+}
 
 // Promote implements server.Promoter.
 func (b *replicaBackend) Promote() error { return b.r.Promote() }

@@ -108,10 +108,6 @@ func (c *conn) execRun(batch []wire.Request, i int) int {
 		return i + 1
 	}
 
-	maxRun := c.srv.cfg.MaxBatch
-	if ns.maxBatch > 0 && ns.maxBatch < maxRun {
-		maxRun = ns.maxBatch
-	}
 	// joins: coalescable, and addressed to this run's namespace through
 	// the same frame family (a v2 op naming namespace 0 is not its
 	// traffic — it is refused when its own turn comes).
@@ -120,7 +116,7 @@ func (c *conn) execRun(batch []wire.Request, i int) int {
 		return r.NS == req.NS && r.Op.IsV2Data() == v2 && r.Op.Kind().Coalesces()
 	}
 	j := i + 1
-	for j < len(batch) && j-i < maxRun && joins(&batch[j]) {
+	for j < len(batch) && j-i < c.srv.cfg.MaxBatch && joins(&batch[j]) {
 		j++
 	}
 	path := pathAtomic

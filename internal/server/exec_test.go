@@ -260,7 +260,7 @@ var executorScenarios = []struct {
 		wantStatus(t, h.run(reqs...), wire.StatusOK)
 		h.wantRuns(1, 10) // unclamped: the whole cycle is one transaction
 
-		f.ns.maxBatch = 4
+		h.c.srv.cfg.MaxBatch = 4
 		reqs = reqs[:0]
 		for k := int64(0); k < 10; k++ {
 			reqs = append(reqs, f.op(wire.KindPut, k, k*100), f.get(k))
@@ -273,10 +273,6 @@ var executorScenarios = []struct {
 				t.Fatalf("key %d: put replaced=%v, get = %d, %v", k, put.Ok, f.val(t, get), get.Ok)
 			}
 		}
-		// A quota above the server's MaxBatch does not raise it.
-		f.ns.maxBatch = 1 << 20
-		wantStatus(t, h.run(reqs...), wire.StatusOK)
-		h.wantRuns(1, 20)
 	}},
 	// RunSpansShards, PureGetRunSpansShards and CrossShardBatchCommitsInRun
 	// are named for the partition their keys once straddled; each is now

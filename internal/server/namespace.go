@@ -43,9 +43,6 @@ type RegistryConfig struct {
 	// the connection down, since the same connection may be serving
 	// other namespaces within quota.
 	MaxConns int
-	// MaxBatch bounds how many pipelined requests one namespace's
-	// coalesced transaction may absorb (0 = the server's MaxBatch).
-	MaxBatch int
 	// Obs, when set, holds each namespace's request-latency histogram
 	// (skiphash_server_request_seconds{ns="<name>"}): registered at
 	// create, unregistered at drop, so the exposition's series track the
@@ -76,7 +73,6 @@ type namespace struct {
 	durable  bool
 	dir      string // "" unless the registry owns a directory for it
 	maxConns int
-	maxBatch int
 
 	// be is nil once the namespace has been dropped, so whatever still
 	// points at the namespace no longer keeps its map alive.
@@ -321,7 +317,7 @@ func (r *Registry) create(name, dir string, fsync uint8) (*namespace, error) {
 		}
 	}
 	ns := newNamespace(r.nextID, name, dir, newBackend[string, string](s, bytesCodec{}), r.cfg.Obs)
-	ns.maxConns, ns.maxBatch = r.cfg.MaxConns, r.cfg.MaxBatch
+	ns.maxConns = r.cfg.MaxConns
 	if r.cfg.Obs != nil {
 		r.cfg.Obs.GaugeFunc(nsShardsName, nsShardsHelp,
 			func() float64 { return float64(s.Shards()) },

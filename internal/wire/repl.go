@@ -12,9 +12,13 @@ package wire
 //	primary → replica   Follow {Epoch, Seq, Full}      stream header
 //	primary → replica   SnapChunk {Data}               full sync only
 //	primary → replica   WalRecord {Seq, Data}          a run of WAL frames
-//	primary → replica   CaughtUp {Stamp}               end of catch-up
-//	primary → replica   Heartbeat {Stamp}              idle watermark
+//	primary → replica   Heartbeat {Stamp}              end of a burst
 //
+// WalRecords and Heartbeats repeat for the life of the connection: the
+// primary streams its log in bursts and ends each with a Heartbeat
+// whose stamp covers every record the burst carried, and it heartbeats
+// an idle follower periodically. The first Heartbeat ends catch-up,
+// and a full sync's swap with it.
 // A server that does not stream its log answers the Follow request with
 // an error status, and the connection keeps serving requests.
 //
@@ -60,7 +64,7 @@ func AppendReplMsg(dst []byte, m *ReplMsg) []byte {
 		dst = appendU64(dst, m.Seq)
 		dst = appendU32(dst, uint32(len(m.Data)))
 		dst = append(dst, m.Data...)
-	case OpCaughtUp, OpHeartbeat:
+	case OpHeartbeat:
 		dst = appendU64(dst, m.Stamp)
 	}
 	return finishFrame(dst, hdr)
@@ -81,7 +85,7 @@ func ParseReplMsg(payload []byte) (ReplMsg, error) {
 		m.Seq = d.u64("seq")
 		n := d.u32("data length")
 		m.Data = append([]byte(nil), d.bytes(int(n), "data")...)
-	case OpCaughtUp, OpHeartbeat:
+	case OpHeartbeat:
 		m.Stamp = d.u64("stamp")
 	default:
 		return m, protoErrf("unknown replication op %d", uint8(m.Op))

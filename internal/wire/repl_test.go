@@ -30,7 +30,6 @@ func TestReplMsgRoundTrip(t *testing.T) {
 		{Op: OpSnapChunk, Data: nil},
 		{Op: OpWalRecord, Seq: 3, Data: []byte{1, 2, 3, 4}},
 		{Op: OpWalRecord, Seq: 4, Data: nil},
-		{Op: OpCaughtUp, Stamp: 103},
 		{Op: OpHeartbeat, Stamp: 104},
 	}
 	for _, m := range msgs {
@@ -62,7 +61,11 @@ func TestReplMsgRejectsGarbage(t *testing.T) {
 	if _, err := ParseReplMsg([]byte{0xEE}); err == nil {
 		t.Fatal("unknown replication op not rejected")
 	}
-	frame := AppendReplMsg(nil, &ReplMsg{Op: OpCaughtUp, Stamp: 9})
+	// Op 13 is reserved; its retired body was one stamp.
+	if _, err := ParseReplMsg(appendU64([]byte{13}, 9)); err == nil {
+		t.Fatal("retired op 13 not rejected")
+	}
+	frame := AppendReplMsg(nil, &ReplMsg{Op: OpHeartbeat, Stamp: 9})
 	payload := bytes.Clone(frame[frameHeaderLen:])
 	if _, err := ParseReplMsg(payload[:len(payload)-2]); err == nil {
 		t.Fatal("truncated payload not rejected")

@@ -55,8 +55,8 @@
 // Follow is an ordinary request, sent on an ordinary serving
 // connection; its StatusOK response is the last response that
 // connection carries. From there on the server speaks ReplMsg payloads
-// (see repl.go) on it: ops 10–14 (Follow, SnapChunk, WalRecord,
-// CaughtUp, Heartbeat) as replication messages, which never appear in
+// (see repl.go) on it: ops 10–12 and 14 (Follow, SnapChunk, WalRecord,
+// Heartbeat) as replication messages, which never appear in
 // ParseResponse traffic. Watermark and Promote are ordinary serving
 // ops so clients and operators can reach them over a normal
 // connection.
@@ -99,7 +99,10 @@ const (
 	OpFollow
 	OpSnapChunk
 	OpWalRecord
-	OpCaughtUp
+	// Op 13 is reserved: it was CaughtUp, which ended a follower's
+	// catch-up; the first Heartbeat ends it now. Like ops 29 and 30
+	// below, it parses as an unknown op.
+	_
 	OpHeartbeat
 	// Serving ops added with replication.
 	OpWatermark
@@ -181,7 +184,6 @@ var ops = [...]struct {
 	OpFollow:    {"Follow", KindNone},
 	OpSnapChunk: {"SnapChunk", KindNone},
 	OpWalRecord: {"WalRecord", KindNone},
-	OpCaughtUp:  {"CaughtUp", KindNone},
 	OpHeartbeat: {"Heartbeat", KindNone},
 	OpWatermark: {"Watermark", KindWatermark},
 	OpPromote:   {"Promote", KindPromote},

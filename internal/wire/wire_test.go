@@ -215,7 +215,7 @@ func TestWireNumbering(t *testing.T) {
 	}{
 		{OpGet, 1}, {OpInsert, 2}, {OpPut, 3}, {OpDel, 4}, {OpRange, 5},
 		{OpBatch, 6}, {OpSync, 7}, {OpSnapshot, 8}, {OpPing, 9},
-		{OpFollow, 10}, {OpSnapChunk, 11}, {OpWalRecord, 12}, {OpCaughtUp, 13},
+		{OpFollow, 10}, {OpSnapChunk, 11}, {OpWalRecord, 12},
 		{OpHeartbeat, 14}, {OpWatermark, 15}, {OpPromote, 16},
 		{OpGet2, 17}, {OpInsert2, 18}, {OpPut2, 19}, {OpDel2, 20},
 		{OpRange2, 21}, {OpBatch2, 22}, {OpSync2, 23}, {OpSnapshot2, 24},
@@ -239,7 +239,7 @@ func TestWireNumbering(t *testing.T) {
 			t.Errorf("%s = %d, want %d", c.status, uint8(c.status), c.code)
 		}
 	}
-	for _, code := range []uint8{29, 30} {
+	for _, code := range []uint8{13, 29, 30} {
 		op := Op(code)
 		if got, want := op.String(), fmt.Sprintf("Op(%d)", code); got != want {
 			t.Errorf("Op(%d).String() = %q, want %q", code, got, want)
@@ -249,7 +249,7 @@ func TestWireNumbering(t *testing.T) {
 		}
 		payload := appendU64(nil, 1)
 		payload = append(payload, code)
-		payload = appendI64(payload, 16) // the retired resize body
+		payload = appendI64(payload, 16) // a retired body: a shard count or a stamp
 		var pe *ProtocolError
 		if _, err := ParseRequest(payload); !errors.As(err, &pe) {
 			t.Errorf("ParseRequest(op %d) = %v, want a protocol error", code, err)
