@@ -117,21 +117,6 @@ func (ix *index[K, V]) getFast(k K) (n *node[K, V], ok bool) {
 	return n, true
 }
 
-// prefetch warms the cache lines a subsequent read of k will touch — the
-// bucket header and the chain's nodes, each one line holding key, hash
-// link and value together — by walking the chain through the atomic
-// backing (atomic loads are never elided). The result carries no
-// consistency guarantee; it exists only for its cache side effect.
-func (ix *index[K, V]) prefetch(k K) *node[K, V] {
-	b := ix.bucketFor(k)
-	for n := b.head.Raw(); n != nil; n = n.hnext.Raw() {
-		if n.key == k {
-			return n
-		}
-	}
-	return nil
-}
-
 // insertTx links n at the head of its key's chain. The caller has
 // established, in this transaction, that the key is absent, and n is a
 // fresh node that has never been on a chain (see getFast).

@@ -236,18 +236,6 @@ func TestIndexFastHookForcedInvalidation(t *testing.T) {
 	}
 }
 
-func TestIndexPrefetch(t *testing.T) {
-	rt, ix := newTestIndex(17)
-	a := keyed(1, 10)
-	insertNode(rt, ix, a)
-	if got := ix.prefetch(1); got != a {
-		t.Errorf("prefetch(present) = %p, want %p", got, a)
-	}
-	if got := ix.prefetch(2); got != nil {
-		t.Errorf("prefetch(absent) = %p, want nil", got)
-	}
-}
-
 // The abort-ABA window: a transaction that aborts restores both the
 // chain images (undo log) and the bucket orec's pre-acquire word, so
 // after an abort the orec word is bit-identical to what a concurrent

@@ -195,7 +195,11 @@ func TestRemovedNodeCollectable(t *testing.T) {
 		m.Insert(k, k)
 	}
 	collected := make(chan struct{})
-	runtime.SetFinalizer(m.index.prefetch(4), func(*node[int64, int64]) { close(collected) })
+	n, ok := m.index.getFast(4)
+	if !ok || n == nil {
+		t.Fatal("getFast(4) found no node")
+	}
+	runtime.SetFinalizer(n, func(*node[int64, int64]) { close(collected) })
 	if !m.Remove(4) {
 		t.Fatal("Remove(4) found the key absent")
 	}

@@ -430,17 +430,6 @@ func (m *Map[K, V]) lookupTx(tx *stm.Tx, k K) (V, bool) {
 	return n.val, true
 }
 
-// Prefetch warms the cache lines a point read of k will touch — the hash
-// bucket chain and the node's line — through atomic loads the
-// compiler cannot elide. It has no consistency implications and returns
-// nothing; the server's drain loop uses it to overlap the next run's
-// index probes with the current run's execution.
-func (m *Map[K, V]) Prefetch(k K) {
-	if n := m.index.prefetch(k); n != nil {
-		_ = n.rTime.Raw()
-	}
-}
-
 // insertTx is Figure 2's insert; the caller owns the enclosing
 // transaction.
 func (m *Map[K, V]) insertTx(tx *stm.Tx, k K, v V) bool {

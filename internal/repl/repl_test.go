@@ -682,6 +682,11 @@ func TestResyncWatermarkRestartsInNewLineage(t *testing.T) {
 	if w := r.Watermark(); w != 20 {
 		t.Fatalf("watermark after epoch-2 resync %d, want its first Heartbeat stamp 20", w)
 	}
+	// The primary stamp restarts with the lineage too, so the lag it
+	// reports is measured within epoch 2, not against epoch 1's 100.
+	if p := r.Stats().PrimaryStamp; p != 20 {
+		t.Fatalf("primary stamp after epoch-2 resync %d, want 20", p)
+	}
 	got := allPairs(r.Map())
 	want := []skiphash.Pair[int64, int64]{{Key: 2, Val: 21}, {Key: 7, Val: 70}, {Key: 8, Val: 80}}
 	if len(got) != len(want) {

@@ -64,9 +64,10 @@ type Replica struct {
 	promoted  atomic.Bool
 
 	// Observability counters (see Stats). primStamp is the freshest
-	// stamp the primary has advertised, updated at message receipt —
-	// before apply — while watermark advances after, so
-	// primStamp - watermark is the replica's instantaneous lag.
+	// stamp the primary has advertised since the last full resync
+	// began, updated at message receipt — before apply — while
+	// watermark advances after, so primStamp - watermark is the
+	// replica's instantaneous lag.
 	records    atomic.Uint64
 	resyncs    atomic.Uint64
 	epochSwaps atomic.Uint64
@@ -260,11 +261,12 @@ func (r *Replica) runConn(nc net.Conn) error {
 	// after it as recovery would and stages them, and at the first
 	// Heartbeat the map recovery opens from them is swapped in.
 	// Meanwhile the watermark reads 0, so barriered reads go to the
-	// primary.
+	// primary, and the primary stamp restarts with the new lineage.
 	var rs *persist.Restore
 	pos := r.pos
 	if hdr.Full {
 		r.watermark.Store(0)
+		r.primStamp.Store(0)
 		r.resyncs.Add(1)
 		if r.epoch != 0 && hdr.Epoch != r.epoch {
 			r.epochSwaps.Add(1)
@@ -495,10 +497,6 @@ func (b *replicaBackend) Get(req *wire.Request, resp *wire.Response) { b.r.be.Lo
 
 func (b *replicaBackend) Range(req *wire.Request, resp *wire.Response, scratch *any) {
 	b.r.be.Load().Range(req, resp, scratch)
-}
-
-func (b *replicaBackend) Prefetch(req *wire.Request, max int) int {
-	return b.r.be.Load().Prefetch(req, max)
 }
 
 func (b *replicaBackend) Durable() bool { return b.r.be.Load().Durable() }

@@ -33,10 +33,6 @@ type Backend interface {
 	// to what fits a single response frame. scratch is the calling
 	// connection's, for the backend to keep a buffer in between calls.
 	Range(req *wire.Request, resp *wire.Response, scratch *any)
-	// Prefetch warms the cache lines req's first max keys will touch and
-	// reports how many it issued; a pure cache side effect the drain loop
-	// spends on the next run's keys while the current run executes.
-	Prefetch(req *wire.Request, max int) int
 	// Durable reports whether the map has a durability engine attached.
 	Durable() bool
 	// Sync, Snapshot expose the durability surface (skiphash.ErrNotDurable
@@ -311,20 +307,6 @@ func (b *MapBackend[K, V]) Range(req *wire.Request, resp *wire.Response, scratch
 			break
 		}
 	}
-}
-
-// Prefetch implements Backend.
-func (b *MapBackend[K, V]) Prefetch(req *wire.Request, max int) int {
-	if req.Op.Kind() != wire.KindBatch {
-		b.Map.Prefetch(b.cd.keyView(req))
-		return 1
-	}
-	n := min(b.cd.numSteps(req), max)
-	for si := 0; si < n; si++ {
-		_, k := b.cd.stepView(req, si)
-		b.Map.Prefetch(k)
-	}
-	return n
 }
 
 // Durable implements Backend.

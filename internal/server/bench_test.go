@@ -112,9 +112,9 @@ func benchCycle(b *testing.B, mixed, withMetrics bool) {
 }
 
 // BenchmarkDrainCycleGets measures one drain cycle of a pure-read run:
-// the read-segregated path (direct Gets plus prefetch) and response
-// encoding. This is the serving layer's hottest loop; its allocation
-// budget is zero in both frame families.
+// the read-segregated path (direct Gets) and response encoding. This is
+// the serving layer's hottest loop; its allocation budget is zero in
+// both frame families.
 func BenchmarkDrainCycleGets(b *testing.B) { benchCycle(b, false, false) }
 
 // BenchmarkDrainCycleGetsMetrics is BenchmarkDrainCycleGets with the

@@ -85,8 +85,9 @@ func (c *conn) failRun(group []wire.Request, status wire.Status, msg string) {
 
 // execRun executes the run starting at batch[i] and returns the index
 // past it. A coalescable request opens a run that extends to the end of
-// the batch, the namespace boundary or the namespace's coalescing
-// quota, whichever comes first; any other request is a run of one.
+// the batch, the first request that is not coalescable or addresses
+// another namespace or frame family, or Config.MaxBatch requests,
+// whichever comes first; any other request is a run of one.
 func (c *conn) execRun(batch []wire.Request, i int) int {
 	req := &batch[i]
 	ns, status, msg := c.resolveNS(req)
@@ -125,17 +126,6 @@ func (c *conn) execRun(batch []wire.Request, i int) int {
 	}
 	c.markRun(i, j, path, ns)
 
-	// Warm the index for the requests that follow the run about to
-	// execute, overlapping the next run's descent with this run's work.
-	// The cycle's requests were all decoded before it began executing,
-	// so this is a bounded scan and a handful of atomic loads per cycle.
-	// Other namespaces' keys live in other maps and are skipped.
-	for idx, n := j, 0; idx < len(batch) && n < prefetchAhead; idx++ {
-		if joins(&batch[idx]) {
-			n += be.Prefetch(&batch[idx], prefetchAhead-n)
-		}
-	}
-
 	group := batch[i:j]
 	if path == pathReads {
 		// Each Get goes through the backend's direct read path and
@@ -173,11 +163,6 @@ func allGets(group []wire.Request) bool {
 	}
 	return true
 }
-
-// prefetchAhead bounds how many of the next run's keys are prefetched
-// per cycle; enough to cover a typical coalesced run without flooding
-// the cache ahead of execution.
-const prefetchAhead = 16
 
 // execStandalone executes a namespace's non-coalescable request (Range,
 // Sync, Snapshot, Watermark, Promote) under the run lock.

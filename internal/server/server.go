@@ -14,8 +14,9 @@
 // range — and one Backend implementation, MapBackend, generic over
 // the map's key and value types; a small codec per family reads keys out
 // of requests and writes results into responses. Everything else —
-// resolving the namespace, its run lock and quotas, coalescing, metrics
-// and trace annotations — treats namespace 0 like any other.
+// resolving the namespace, its run lock and connection quota,
+// coalescing, metrics and trace annotations — treats namespace 0 like
+// any other.
 //
 // # Pipelining and batching
 //
@@ -34,16 +35,14 @@
 // requests the loop has not read yet wait in the kernel's socket
 // buffer, and a client that outruns the server stalls on its writes.
 //
-// A run never leaves its namespace: it ends where the next request
-// addresses another one, and a namespace's coalescing quota can clamp it
-// further.
+// A run never leaves its namespace or frame family: it ends at the end
+// of the batch, where the next request addresses another namespace or
+// family or cannot coalesce, or at Config.MaxBatch requests.
 //
 // Reads are segregated from writes: a coalesced run consisting purely
 // of Gets skips the atomic-txn machinery and is answered through the
 // backend's direct read path (the map's optimistic non-transactional
-// fast path), and while one run executes the drain loop issues index
-// prefetches for the next run's keys, overlapping its descent with the
-// current run's work.
+// fast path).
 //
 // Coalescing preserves each request's semantics. Every operation in a
 // coalesced transaction takes effect at the transaction's single

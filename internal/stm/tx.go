@@ -36,13 +36,6 @@ type Tx struct {
 	// retry.
 	local any
 
-	// acqIndex mirrors acquired as orec -> pre-acquire word once the
-	// acquire list outgrows acquireIndexThreshold, so commit-time
-	// read-set validation stays O(reads) instead of O(reads*acquired)
-	// for transactions with large write sets. nil until first needed;
-	// retained (emptied) across the descriptor's reuses.
-	acqIndex map[*Orec]orecWord
-
 	attempts int
 	rng      uint64
 
@@ -141,13 +134,6 @@ const (
 // the global counter is touched ~never instead of per attempt.
 const idBlock = 1 << 20
 
-// acquireIndexThreshold is the acquire-list length beyond which a
-// descriptor maintains acqIndex. Small transactions — the skip hash's
-// common case — keep the branch-free linear scan over a few entries;
-// large write sets (batch Atomic bodies, long unstitch chains) switch
-// to the map before validation turns quadratic.
-const acquireIndexThreshold = 32
-
 // begin (re)initializes the descriptor for a fresh attempt.
 func (tx *Tx) begin() {
 	tx.id++
@@ -163,9 +149,6 @@ func (tx *Tx) begin() {
 	tx.publish = tx.publish[:0]
 	tx.end = 0
 	tx.local = nil
-	if len(tx.acqIndex) > 0 {
-		clear(tx.acqIndex)
-	}
 	tx.instr = tx.rt.loadHooks()
 	tx.active = true
 }
@@ -229,6 +212,15 @@ func (tx *Tx) postRead(o *Orec, w orecWord) {
 
 // acquire takes ownership of the orec at encounter time, aborting on any
 // conflict. It is idempotent for orecs this transaction already owns.
+//
+// Owning an orec also settles every earlier read of it, which is why
+// commit validates such a read on ownership alone. The read saw an
+// unlocked word below the start stamp. A commit that changed the orec
+// after that read had to lock it after the read, and drew its stamp
+// after locking, so at or above the start stamp; acquire refuses such
+// a version, and a still-held lock. A rolled-back writer restores the
+// word that was read. So the word acquire takes over, kept in prev for
+// rollback, is the word every earlier read of the orec saw.
 func (tx *Tx) acquire(o *Orec) {
 	w := o.load()
 	if w.locked() {
@@ -244,16 +236,6 @@ func (tx *Tx) acquire(o *Orec) {
 		tx.conflict(reasonAcquire)
 	}
 	tx.acquired = append(tx.acquired, acqEntry{orec: o, prev: w})
-	if len(tx.acqIndex) > 0 {
-		tx.acqIndex[o] = w
-	} else if len(tx.acquired) > acquireIndexThreshold {
-		if tx.acqIndex == nil {
-			tx.acqIndex = make(map[*Orec]orecWord, 2*acquireIndexThreshold)
-		}
-		for i := range tx.acquired {
-			tx.acqIndex[tx.acquired[i].orec] = tx.acquired[i].prev
-		}
-	}
 }
 
 // Acquire takes write ownership of an orec without writing any field.
@@ -320,23 +302,6 @@ func (tx *Tx) SetLocal(v any) { tx.local = v }
 // Local returns the per-attempt scratch slot; see SetLocal.
 func (tx *Tx) Local() any { return tx.local }
 
-// preAcquireWord returns the version word an orec held before this
-// transaction acquired it. ok is false if the orec is not in the acquire
-// list. Above acquireIndexThreshold the lookup goes through acqIndex,
-// keeping commit-time validation of mixed read/write sets linear.
-func (tx *Tx) preAcquireWord(o *Orec) (orecWord, bool) {
-	if len(tx.acqIndex) > 0 {
-		w, ok := tx.acqIndex[o]
-		return w, ok
-	}
-	for i := range tx.acquired {
-		if tx.acquired[i].orec == o {
-			return tx.acquired[i].prev, true
-		}
-	}
-	return 0, false
-}
-
 // commit attempts to commit. It reports success; on failure the
 // transaction has already been rolled back.
 func (tx *Tx) commit() bool {
@@ -361,19 +326,13 @@ func (tx *Tx) commit() bool {
 		return false
 	}
 	end := tx.rt.clock.Next()
-	// Validate the read set: every orec we read must either still hold
-	// the word we saw, or be locked by us with its pre-acquire word
-	// matching what we saw.
+	// Validate the read set: every orec we read must still hold the
+	// word we saw or be owned by us (see acquire for why ownership
+	// alone proves the read current).
 	for i := range tx.reads {
 		r := &tx.reads[i]
-		w := r.orec.load()
-		if w == r.seen {
+		if w := r.orec.load(); w == r.seen || w == lockWord(tx.id) {
 			continue
-		}
-		if w.locked() && w.owner() == tx.id {
-			if prev, ok := tx.preAcquireWord(r.orec); ok && prev == r.seen {
-				continue
-			}
 		}
 		tx.abortReason = reasonValidate
 		tx.rollback()
