@@ -11,6 +11,32 @@ import (
 	"repro/internal/thashmap"
 )
 
+// TestStatsAllocBudget pins the map's counter sums at zero allocations:
+// STMStats, RangeStats and MaintenanceStats each read their striped
+// cells in place.
+func TestStatsAllocBudget(t *testing.T) {
+	if alloctest.RaceEnabled {
+		t.Skip("race-detector instrumentation allocates; count is meaningless")
+	}
+	m := newTestMap(t, Config{})
+	for k := int64(0); k < 64; k++ {
+		m.Insert(k, k)
+	}
+	for k := int64(0); k < 64; k += 2 {
+		m.Remove(k)
+	}
+	m.Range(0, 63, nil)
+	for name, read := range map[string]func(){
+		"STMStats":         func() { _ = m.STMStats() },
+		"RangeStats":       func() { _ = m.RangeStats() },
+		"MaintenanceStats": func() { _ = m.MaintenanceStats() },
+	} {
+		if got := testing.AllocsPerRun(100, read); got != 0 {
+			t.Errorf("%s allocates %.1f/op, budget 0", name, got)
+		}
+	}
+}
+
 // TestOpsAllocBudget pins what each elemental operation may take from the
 // heap on a quiescent map, at GOMAXPROCS 1 and 2: nothing for reads,
 // ordered queries on absent keys (their search scratch lives on the

@@ -171,7 +171,9 @@ func BenchmarkAtomicPairToggle(b *testing.B) {
 // goroutines each commit Atomic batches that insert 64 random keys from a
 // 2^17 universe, half of it present, then remove the ones they inserted,
 // so the size holds. An op is one batch. aborts/commit, from the
-// runtime's stats, is what the runs' overlapping read sets cost.
+// runtime's stats, is what the runs' overlapping read sets cost; the
+// acquire and validate aborts and the backoff nanoseconds per commit
+// split it by cause.
 func BenchmarkAtomicInsertRun(b *testing.B) {
 	const universe, run, workers = 1 << 17, 64, 2
 	m := New[int64, int64](lessInt64, thashmap.Hash64, Config{})
@@ -214,8 +216,11 @@ func BenchmarkAtomicInsertRun(b *testing.B) {
 	wg.Wait()
 	b.StopTimer()
 	d := m.Runtime().Stats().Sub(before)
-	if d.Commits > 0 {
-		b.ReportMetric(float64(d.Aborts)/float64(d.Commits), "aborts/commit")
+	if c := float64(d.Commits); c > 0 {
+		b.ReportMetric(float64(d.Aborts)/c, "aborts/commit")
+		b.ReportMetric(float64(d.AbortsAcquire)/c, "acquire-aborts/commit")
+		b.ReportMetric(float64(d.AbortsValidate)/c, "validate-aborts/commit")
+		b.ReportMetric(float64(d.BackoffNanos)/c, "backoff-ns/commit")
 	}
 }
 

@@ -435,7 +435,7 @@ func TestUnclosedHandlesStrandNothing(t *testing.T) {
 }
 
 // TestStripedCountersExact pins the sums of the striped counters when
-// every operation picks its cell from its key's hash: goroutines at
+// every operation counts in the cell its goroutine picks: goroutines at
 // GOMAXPROCS 2 issue point reads, ranges, removals and Puts through the
 // map's methods and Atomic. Afterwards fast-read hits plus fallbacks
 // equal the point reads issued, fast plus slow range commits equal the

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"repro/internal/stm"
-)
+import "repro/internal/stm"
 
 // reclaimBatch bounds how many nodes one after_range drain transaction
 // unstitches. Small enough to stay conflict-resistant against concurrent
@@ -22,19 +18,15 @@ type MaintenanceStats struct {
 	DrainBatches uint64
 }
 
-// maintCounters counts the after_range drains (MaintenanceStats with
-// atomic fields; the inline unstitches count in the striped cells).
-type maintCounters struct {
-	drainedNodes atomic.Uint64
-	drainBatches atomic.Uint64
-}
-
-// MaintenanceStats returns a snapshot of the map's reclamation counters.
+// MaintenanceStats sums the map's reclamation counters.
 func (m *Map[K, V]) MaintenanceStats() MaintenanceStats {
-	return MaintenanceStats{
-		DrainedNodes: m.counters.drainedNodes() + m.maintStats.drainedNodes.Load(),
-		DrainBatches: m.maintStats.drainBatches.Load(),
+	var s MaintenanceStats
+	cells := m.counters.Cells()
+	for i := range cells {
+		s.DrainedNodes += cells[i].drainedNodes.Load()
+		s.DrainBatches += cells[i].drainBatches.Load()
 	}
+	return s
 }
 
 // reclaimBatches unstitches the nodes after_range collected from the
@@ -53,8 +45,9 @@ func (m *Map[K, V]) reclaimBatches(nodes []*node[K, V]) {
 			}
 			return nil
 		})
-		m.maintStats.drainedNodes.Add(uint64(len(chunk)))
-		m.maintStats.drainBatches.Add(1)
+		c := m.counters.Local()
+		c.drainedNodes.Add(uint64(len(chunk)))
+		c.drainBatches.Add(1)
 		nodes = nodes[len(chunk):]
 	}
 }

@@ -73,8 +73,9 @@ func (c Config) withDefaults() Config {
 // Map is the skip hash. All methods are safe for concurrent use, and,
 // as in Figure 2, every operation is a method of the map that keeps no
 // state between calls: a search's scratch lives on its own stack, and
-// each counter bump picks its striped cell afresh (see stripedCounters
-// and stm.Runtime.FastReadStripe).
+// each count goes to the calling goroutine's cell of a striped counter
+// set (stm.Stripes): the runtime's for transactions and fast reads, the
+// map's for ranges and reclamation.
 //
 // A removal reclaims its own node, as Figure 4's after_remove does: the
 // removing transaction unstitches the node, or, when a slow-path range
@@ -90,10 +91,8 @@ type Map[K comparable, V any] struct {
 	tail  *node[K, V]
 	rqc   rqc[K, V]
 
-	// counters holds the striped range-path and inline-unstitch counts;
-	// maintStats the after_range drains.
-	counters   stripedCounters
-	maintStats maintCounters
+	// counters holds the range-path and reclamation counts.
+	counters stm.Stripes[mapCounters]
 
 	// logger is the durability hook (AttachPersistence): it captures
 	// committed logical operations into the WAL; persister owns the
@@ -457,8 +456,8 @@ func (m *Map[K, V]) insertTx(tx *stm.Tx, k K, v V) bool {
 
 // removeTx is Figure 2's remove: O(1) routing through the map, logical
 // deletion by stamping rTime, and delegation of the physical unstitch to
-// the RQC's after_remove. An unstitch counts in the cell of k's hash
-// once tx commits.
+// the RQC's after_remove. An unstitch counts in the calling goroutine's
+// counter cell once tx commits.
 func (m *Map[K, V]) removeTx(tx *stm.Tx, k K) bool {
 	hk := m.index.hash(k)
 	n := m.index.removeTx(tx, k, hk)
@@ -470,7 +469,7 @@ func (m *Map[K, V]) removeTx(tx *stm.Tx, k K) bool {
 		m.logger.LogDel(tx, k)
 	}
 	if m.rqc.afterRemove(tx, m, n) {
-		tx.OnCommit(m.counters.at(hk), nil)
+		tx.OnCommit(m.counters.Local(), nil)
 	}
 	return true
 }

@@ -158,11 +158,17 @@ func shapeOf[A any]() (size, off uintptr) {
 	return unsafe.Sizeof(s), unsafe.Offsetof(s.t)
 }
 
-// TestFastReadCountersPadding keeps each striped counter cell on its own
-// cache line; false sharing between stripes would silently serialize the
-// very path the striping exists to scale.
+// TestFastReadCountersPadding keeps each striped counter cell on whole
+// cache lines, its counters followed by at least 56 bytes of padding
+// (see stm.Stripes): the runtime's cell, where fast reads and
+// transactions count (80 bytes of counters), and the map's, where
+// ranges and reclamation count (48). False sharing between cells would
+// silently serialize the very paths the striping exists to scale.
 func TestFastReadCountersPadding(t *testing.T) {
-	if got := unsafe.Sizeof(stm.FastReadCounters{}); got != 64 {
-		t.Errorf("FastReadCounters is %d bytes, want exactly one 64-byte line", got)
+	if got := unsafe.Sizeof(stm.Counters{}); got != 192 {
+		t.Errorf("stm.Counters is %d bytes, want exactly three 64-byte lines", got)
+	}
+	if got := unsafe.Sizeof(mapCounters{}); got != 128 {
+		t.Errorf("mapCounters is %d bytes, want exactly two 64-byte lines", got)
 	}
 }

@@ -18,12 +18,10 @@ func (m *Map[K, V]) NewHandle() *Handle[K, V] { return &Handle[K, V]{m} }
 // Close does nothing.
 func (h *Handle[K, V]) Close() {}
 
-// counterStripes is the number of cells per stripedCounters; a power
-// of two so picking one is a cheap mask.
-const counterStripes = 16
-
-// rangeCounters counts range-path events (Table 1's inputs).
-type rangeCounters struct {
+// mapCounters is one cell of a map's striped counters (stm.Stripes):
+// range-path events, Table 1's inputs, and reclamation. RangeStats and
+// MaintenanceStats sum the cells.
+type mapCounters struct {
 	// fastAttempts counts fast-path transactions started.
 	fastAttempts atomic.Uint64
 	// fastAborts counts fast-path transactions that aborted (Table 1's
@@ -33,55 +31,17 @@ type rangeCounters struct {
 	fastCommits atomic.Uint64
 	// slowCommits counts range queries completed on the slow path.
 	slowCommits atomic.Uint64
-}
-
-// counterCell is one cache-line-padded cell of a map's counters: the
-// range-path events and the nodes removals unstitched at commit.
-// Operations sharing a cell may bump it concurrently.
-type counterCell struct {
-	rangeCounters
+	// drainedNodes counts removed nodes unstitched (see
+	// MaintenanceStats); drainBatches the after_range drains.
 	drainedNodes atomic.Uint64
-	_            [24]byte // pad to a cache line
+	drainBatches atomic.Uint64
+	_            [80]byte // 56+ bytes of padding, to two cache lines
 }
 
 // Committed makes a cell a commit-hook target: a removal that unstitched
 // its node registers its cell, so the count moves only when the removing
 // transaction commits.
-func (c *counterCell) Committed(unsafe.Pointer) { c.drainedNodes.Add(1) }
-
-// stripedCounters is a set of striped counterCells. An operation picks
-// its cell from the hash of its key (at), so operations on different
-// keys rarely bump the same line; the sums read every cell.
-type stripedCounters struct {
-	cells [counterStripes]counterCell
-}
-
-// at returns the cell of a key whose hash is hk.
-func (c *stripedCounters) at(hk uint64) *counterCell {
-	return &c.cells[hk%counterStripes]
-}
-
-// rangeStats sums the range-path counters of every cell.
-func (c *stripedCounters) rangeStats() RangeStats {
-	var s RangeStats
-	for i := range c.cells {
-		rc := &c.cells[i].rangeCounters
-		s.FastAttempts += rc.fastAttempts.Load()
-		s.FastAborts += rc.fastAborts.Load()
-		s.FastCommits += rc.fastCommits.Load()
-		s.SlowCommits += rc.slowCommits.Load()
-	}
-	return s
-}
-
-// drainedNodes sums the inline-unstitch counts of every cell.
-func (c *stripedCounters) drainedNodes() uint64 {
-	var n uint64
-	for i := range c.cells {
-		n += c.cells[i].drainedNodes.Load()
-	}
-	return n
-}
+func (c *mapCounters) Committed(unsafe.Pointer) { c.drainedNodes.Add(1) }
 
 // Lookup returns the value associated with k. O(1): one hash map probe
 // and at most one extra read (Fig. 1). Unless Config.DisableReadFastPath
@@ -102,16 +62,16 @@ func (m *Map[K, V]) Lookup(k K) (V, bool) {
 		// sample instant and linearizes there, with the same residual
 		// acquire/write/rollback exposure as the transactional read
 		// protocol (see the stm package doc).
-		c := m.rt.FastReadStripe()
+		c := m.rt.LocalCounters()
 		if n, ok := m.index.getFast(k); ok {
-			c.Hit()
+			c.FastReadHit()
 			if n == nil {
 				var zero V
 				return zero, false
 			}
 			return n.val, true
 		}
-		c.Fallback()
+		c.FastReadFallback()
 	}
 	var v V
 	var ok bool
@@ -191,9 +151,9 @@ func (m *Map[K, V]) pointQuery(k K, fn func(*stm.Tx, K) (K, V, bool)) (K, V, boo
 // returns the extended slice. It implements Figure 3's two-path scheme:
 // fastPathTries single-transaction attempts (forever under FastOnly,
 // none under SlowOnly), then the RQC-coordinated slow path, counting
-// each path's events in the cell of l's hash.
+// each path's events in the calling goroutine's counter cell.
 func (m *Map[K, V]) Range(l, r K, out []Pair[K, V]) []Pair[K, V] {
-	c := &m.counters.at(m.index.hash(l)).rangeCounters
+	c := m.counters.Local()
 	if !m.cfg.SlowOnly {
 		for i := 0; m.cfg.FastOnly || i < fastPathTries; i++ {
 			c.fastAttempts.Add(1)
@@ -230,4 +190,15 @@ func (s RangeStats) Sub(prev RangeStats) RangeStats {
 
 // RangeStats sums the map's range-path counters. Counters only grow, so
 // successive snapshots never decrease (Sub deltas stay non-negative).
-func (m *Map[K, V]) RangeStats() RangeStats { return m.counters.rangeStats() }
+func (m *Map[K, V]) RangeStats() RangeStats {
+	var s RangeStats
+	cells := m.counters.Cells()
+	for i := range cells {
+		c := &cells[i]
+		s.FastAttempts += c.fastAttempts.Load()
+		s.FastAborts += c.fastAborts.Load()
+		s.FastCommits += c.fastCommits.Load()
+		s.SlowCommits += c.slowCommits.Load()
+	}
+	return s
+}

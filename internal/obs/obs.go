@@ -1,16 +1,17 @@
 // Package obs is the repository's zero-dependency metrics core:
-// atomic counters and gauges, fixed-bucket latency histograms with
-// cacheline-padded striping (the FastReadCounters pattern), a registry
-// that renders the Prometheus text exposition format, and a slow-op
-// ring tracer.
+// atomic counters and gauges, fixed-bucket latency histograms striped
+// over cacheline-padded cells by the observed value, a registry that
+// renders the Prometheus text exposition format, and a slow-op ring
+// tracer.
 //
 // Everything here is additive instrumentation: metric writes are single
 // atomic adds on striped cells, never locks, and no instrumented layer
 // puts a metric update on a fast path's shared-write side. The read
 // side (scrapes, log lines) pays all aggregation cost. Layers that stay
-// dependency-pure (stm, core) are instrumented through Func metrics
-// reading their existing stats accessors at scrape time, so their hot
-// paths carry no obs code at all.
+// dependency-pure (stm, core) count in their own striped cells
+// (stm.Stripes) and are instrumented through Func metrics reading their
+// stats accessors at scrape time, so their hot paths carry no obs code
+// at all.
 package obs
 
 import (

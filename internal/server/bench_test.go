@@ -28,9 +28,8 @@ func cycleKey(k int) []byte { return []byte(fmt.Sprintf("key-%012d", k)) }
 // benchmark can drive drain cycles (execute + encode) without sockets,
 // and one 64-request cycle for the family: pure Gets, or with mixed every
 // fourth request a Put so the run coalesces into one Atomic transaction.
-// withMetrics enables the full observability stack (registry,
-// histograms, armed tracer).
-func cycleConn(tb testing.TB, v2, mixed, withMetrics bool) (*conn, []wire.Request) {
+// o picks what the connection observes with (see cycleObs).
+func cycleConn(tb testing.TB, v2, mixed bool, o cycleObs) (*conn, []wire.Request) {
 	tb.Helper()
 	mapCfg := skiphash.Config{}
 	m, err := skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, mapCfg, skiphash.Int64Codec(), skiphash.Int64Codec())
@@ -39,10 +38,15 @@ func cycleConn(tb testing.TB, v2, mixed, withMetrics bool) (*conn, []wire.Reques
 	}
 	tb.Cleanup(m.Close)
 	var cfg Config
-	if withMetrics {
-		tr := obs.NewTracer(16)
-		tr.SetThreshold(time.Hour) // armed, never matched
-		cfg = Config{Obs: obs.NewRegistry(), Tracer: tr}
+	if o != cycleBare {
+		cfg.Tracer = obs.NewTracer(16)
+		cfg.Tracer.SetThreshold(time.Hour) // armed, never matched
+	}
+	switch o {
+	case cycleMetrics:
+		cfg.Obs = obs.NewRegistry()
+	case cycleTracer:
+		cfg.AbortsFn = func() uint64 { return m.STMStats().Aborts }
 	}
 	reg, err := NewRegistry(RegistryConfig{Map: mapCfg, Obs: cfg.Obs})
 	if err != nil {
@@ -86,22 +90,36 @@ func cycleConn(tb testing.TB, v2, mixed, withMetrics bool) (*conn, []wire.Reques
 	return c, batch
 }
 
-// cycle runs one drain cycle the way serve does: the arrival stamp (when
-// the connection tracks timings), execute, observe.
+// cycleObs is what a cycle's connection observes with: nothing; metrics
+// and an armed tracer no request matches; or that tracer alone, reading
+// the map's STM aborts around each cycle as skiphashd's -trace-slow-ms
+// arms it.
+type cycleObs int
+
+const (
+	cycleBare cycleObs = iota
+	cycleMetrics
+	cycleTracer
+)
+
+// cycle runs one drain cycle the way serve does: the arrival stamp and
+// the abort count (when the connection tracks timings), execute,
+// observe.
 func cycle(c *conn, batch []wire.Request) {
 	if !c.track {
 		c.execute(batch)
 		return
 	}
 	c.arrival = time.Now()
+	c.markAborts()
 	c.execute(batch)
 	c.observe(batch)
 }
 
-func benchCycle(b *testing.B, mixed, withMetrics bool) {
+func benchCycle(b *testing.B, mixed bool, o cycleObs) {
 	for _, f := range cycleFamilies {
 		b.Run(f.name, func(b *testing.B) {
-			c, batch := cycleConn(b, f.v2, mixed, withMetrics)
+			c, batch := cycleConn(b, f.v2, mixed, o)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -115,13 +133,13 @@ func benchCycle(b *testing.B, mixed, withMetrics bool) {
 // the read-segregated path (direct Gets) and response encoding. This is
 // the serving layer's hottest loop; its allocation budget is zero in
 // both frame families.
-func BenchmarkDrainCycleGets(b *testing.B) { benchCycle(b, false, false) }
+func BenchmarkDrainCycleGets(b *testing.B) { benchCycle(b, false, cycleBare) }
 
 // BenchmarkDrainCycleGetsMetrics is BenchmarkDrainCycleGets with the
 // full observability stack enabled: the delta against the plain
 // benchmark is the metrics cost, and the allocation budget is unchanged.
-func BenchmarkDrainCycleGetsMetrics(b *testing.B) { benchCycle(b, false, true) }
+func BenchmarkDrainCycleGetsMetrics(b *testing.B) { benchCycle(b, false, cycleMetrics) }
 
 // BenchmarkDrainCycleMixed measures a drain cycle whose run coalesces
 // into one Atomic transaction (reads and writes interleaved).
-func BenchmarkDrainCycleMixed(b *testing.B) { benchCycle(b, true, false) }
+func BenchmarkDrainCycleMixed(b *testing.B) { benchCycle(b, true, cycleBare) }

@@ -87,8 +87,9 @@ func newMetrics(s *Server, r *obs.Registry) *metrics {
 // resync, and hands the commit observer on to the new one.
 func RegisterMapMetrics(reg *obs.Registry, m func() *skiphash.Map[int64, int64]) {
 	// STM. One aggregated Stats() snapshot per scrape would be nicer
-	// than one per Func, but STMStats is a handful of atomic loads —
-	// scrape cadence makes the duplication irrelevant.
+	// than one per Func, but STMStats sums the runtime's counter cells
+	// without allocating — scrape cadence makes the duplication
+	// irrelevant.
 	stats := func() stm.Stats { return m().STMStats() }
 	reg.CounterFunc("skiphash_stm_commits_total",
 		"Successfully committed transactions.",
@@ -161,6 +162,14 @@ func (c *conn) markRun(i, j int, path uint8, ns *namespace) {
 	}
 	if m := c.srv.met; m != nil && path != pathStandalone {
 		m.runSize.Observe(uint64(j - i))
+	}
+}
+
+// markAborts records the STM abort count before a cycle executes, for
+// observe's per-cycle delta, when the slow-op tracer is armed.
+func (c *conn) markAborts() {
+	if tr := c.srv.cfg.Tracer; tr != nil && tr.Enabled() && c.srv.cfg.AbortsFn != nil {
+		c.abortsBefore = c.srv.cfg.AbortsFn()
 	}
 }
 

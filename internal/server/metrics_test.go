@@ -152,8 +152,10 @@ func TestSlowOpTracer(t *testing.T) {
 // frame families: the pure-Get cycle allocates nothing in either, with
 // or without metrics (and an armed-but-unmatched tracer), observation
 // included — a v2 lookup reads its key through a view of the request's
-// bytes. The mixed rows are the 64-request cycle's 16 Puts: the map's
-// own cost in v1 (a node per Put; 16 measured), plus in v2 the one
+// bytes. The tracer rows read the map's STM abort count before and
+// after each cycle, which sums the runtime's counter cells in place.
+// The mixed rows are the 64-request cycle's 16 Puts: the map's own
+// cost in v1 (a node per Put; 16 measured), plus in v2 the one
 // string each Put copies its key and value into and the value buffer of
 // each of the 48 Gets sharing their transaction (80 measured). Both
 // mixed budgets leave the same 6 objects of headroom.
@@ -162,22 +164,23 @@ func TestDrainCycleAllocBudget(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates; count is meaningless")
 	}
 	budget := map[string]float64{
-		"v1/gets": 0, "v1/gets+metrics": 0, "v1/mixed": 22,
-		"v2/gets": 0, "v2/gets+metrics": 0, "v2/mixed": 86,
+		"v1/gets": 0, "v1/gets+metrics": 0, "v1/gets+tracer": 0, "v1/mixed": 22,
+		"v2/gets": 0, "v2/gets+metrics": 0, "v2/gets+tracer": 0, "v2/mixed": 86,
 	}
 	for _, f := range cycleFamilies {
 		for _, row := range []struct {
-			name           string
-			mixed, metrics bool
-		}{{"gets", false, false}, {"gets+metrics", false, true}, {"mixed", true, false}} {
+			name  string
+			mixed bool
+			obs   cycleObs
+		}{{"gets", false, cycleBare}, {"gets+metrics", false, cycleMetrics}, {"gets+tracer", false, cycleTracer}, {"mixed", true, cycleBare}} {
 			name := f.name + "/" + row.name
 			t.Run(name, func(t *testing.T) {
-				c, batch := cycleConn(t, f.v2, row.mixed, row.metrics)
+				c, batch := cycleConn(t, f.v2, row.mixed, row.obs)
 				allocs := testing.AllocsPerRun(100, func() { cycle(c, batch) })
 				if allocs > budget[name] {
 					t.Fatalf("cycle allocates %.1f/op, budget %.0f", allocs, budget[name])
 				}
-				if row.metrics && c.nsAt[0].reqLatency.Count() == 0 {
+				if row.obs == cycleMetrics && c.nsAt[0].reqLatency.Count() == 0 {
 					t.Fatal("latency histogram saw no observations")
 				}
 			})

@@ -447,9 +447,7 @@ func (c *conn) serve() {
 			if t := c.srv.cfg.WriteTimeout; t > 0 {
 				c.nc.SetWriteDeadline(time.Now().Add(t))
 			}
-			if tr := c.srv.cfg.Tracer; tr != nil && tr.Enabled() && c.srv.cfg.AbortsFn != nil {
-				c.abortsBefore = c.srv.cfg.AbortsFn()
-			}
+			c.markAborts()
 			c.execute(c.batch)
 			if err := c.flush(); err != nil {
 				c.logf("server: %s: write: %v", c.nc.RemoteAddr(), err)

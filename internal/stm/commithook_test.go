@@ -3,6 +3,7 @@ package stm
 import (
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -48,7 +49,7 @@ func TestHookAllocBudget(t *testing.T) {
 }
 
 // TestIdleDescriptorDropsHookPayloads: a descriptor parked in the pool
-// (and listed on the runtime's registry for good) must not keep the
+// (where it may idle for as long as the runtime lives) must not keep the
 // targets and payloads of its last transaction reachable, whether that
 // transaction committed or rolled back.
 func TestIdleDescriptorDropsHookPayloads(t *testing.T) {
@@ -87,5 +88,45 @@ func TestIdleDescriptorDropsHookPayloads(t *testing.T) {
 			}
 			t.Fatal("an idle descriptor still pins the payload of its last hook registrations")
 		})
+	}
+}
+
+// TestDroppedDescriptorsCollectable runs rounds of one transaction that
+// writes 4096 cells, each round followed by two GC cycles: the first
+// moves the pool's idle descriptor to its victim cache, the second drops
+// it, so every round's transaction runs on a new descriptor. Each
+// dropped descriptor, with its 4096-entry undo log and acquire list,
+// must become unreachable, and the commits it counted must stay in
+// Stats.
+func TestDroppedDescriptorsCollectable(t *testing.T) {
+	const rounds = 20
+	rt := New()
+	var created, collected atomic.Int64
+	newTx := rt.pool.New
+	rt.pool.New = func() any {
+		tx := newTx()
+		created.Add(1)
+		runtime.SetFinalizer(tx.(*Tx), func(*Tx) { collected.Add(1) })
+		return tx
+	}
+	cells := newCells(4096)
+	for i := 0; i < rounds; i++ {
+		if err := cells.bumpAll(rt); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.GC()
+	}
+	// Finalizers run on their own goroutine some time after the
+	// collection that finds their object unreachable.
+	for i := 0; i < 50 && collected.Load() < created.Load(); i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got, want := collected.Load(), created.Load(); got != want || want < rounds {
+		t.Errorf("%d of %d dropped descriptors collected, want all of at least %d", got, want, rounds)
+	}
+	if got := rt.Stats().Commits; got != rounds {
+		t.Errorf("Stats().Commits = %d, want %d", got, rounds)
 	}
 }

@@ -99,4 +99,13 @@
 // mirrors it. Fast reads never acquire an orec, never write shared
 // memory, and are counted per runtime (Stats.FastReadHits /
 // Stats.FastReadFallbacks).
+//
+// # Counters
+//
+// Every count the runtime keeps (commits, aborts by reason, backoff,
+// fast-read outcomes) lives in one Stripes of cache-line-padded cells: a
+// goroutine bumps the cell its stack address picks, and Stats sums the
+// cells without allocating. Layers above count their own events the
+// same way, in a Stripes of their own cell type. Descriptors carry no
+// counts, so the pool may drop an idle one and nothing keeps it alive.
 package stm

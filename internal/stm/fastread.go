@@ -1,10 +1,5 @@
 package stm
 
-import (
-	"sync/atomic"
-	"unsafe"
-)
-
 // Optimistic non-transactional reads. The paper's §2.2 observes that a
 // read-only transaction should cost almost nothing; a single-orec point
 // read can go further and skip the transaction machinery entirely. The
@@ -62,51 +57,4 @@ func (o *Orec) Sample() (OrecSample, bool) {
 // state that was current at the sample instant.
 func (s OrecSample) Valid() bool {
 	return s.o != nil && s.o.load() == s.w
-}
-
-// fastStripeBits sets the number of striped fast-read counter cells
-// per runtime, fastStripeCount.
-const (
-	fastStripeBits  = 6
-	fastStripeCount = 1 << fastStripeBits
-)
-
-// FastReadCounters is one cacheline-padded cell of fast-path counters.
-// A fast read takes its cell from Runtime.FastReadStripe and bumps it
-// with its outcome; Runtime.Stats sums the cells. Striping (rather than
-// per-descriptor counters) keeps the hit path free of the descriptor
-// pool entirely.
-type FastReadCounters struct {
-	hits      atomic.Uint64
-	fallbacks atomic.Uint64
-	_         [48]byte // pad to a cache line
-}
-
-// Hit counts a point read answered on the fast path (no transaction, no
-// orec acquired).
-func (c *FastReadCounters) Hit() { c.hits.Add(1) }
-
-// Fallback counts a fast-path attempt that observed a locked orec or a
-// failed revalidation and fell back to a full transaction.
-func (c *FastReadCounters) Fallback() { c.fallbacks.Add(1) }
-
-// FastReadStripe returns the counter cell for a fast read on the
-// calling goroutine, picked by a Fibonacci hash of the goroutine's stack
-// address. The pick keeps no state, a goroutine keeps bumping the same
-// cell, and two goroutines share one only by chance. A pick by key would
-// put every core reading a hot key on one cache line, which the reads
-// otherwise only share.
-func (rt *Runtime) FastReadStripe() *FastReadCounters {
-	var here byte
-	// Goroutine stacks are at least 2 KiB apart; drop the bits below.
-	s := uint64(uintptr(unsafe.Pointer(&here)) >> 11)
-	return &rt.fastStripes[s*0x9e3779b97f4a7c15>>(64-fastStripeBits)]
-}
-
-// sumFastReads adds every stripe's counters into s.
-func (rt *Runtime) sumFastReads(s *Stats) {
-	for i := range rt.fastStripes {
-		s.FastReadHits += rt.fastStripes[i].hits.Load()
-		s.FastReadFallbacks += rt.fastStripes[i].fallbacks.Load()
-	}
 }

@@ -85,15 +85,15 @@ func TestFastReadCountersSumIntoStats(t *testing.T) {
 
 	// More readers than stripes, so some stripes are shared.
 	var wg sync.WaitGroup
-	const readers, per = fastStripeCount + 5, 7
+	const readers, per = 1<<stripeBits + 5, 7
 	for i := 0; i < readers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < per; j++ {
-				rt.FastReadStripe().Hit()
+				rt.LocalCounters().FastReadHit()
 			}
-			rt.FastReadStripe().Fallback()
+			rt.LocalCounters().FastReadFallback()
 		}()
 	}
 	wg.Wait()

@@ -6,11 +6,11 @@ import (
 	"time"
 )
 
-// Runtime is an STM instance: a commit clock plus the descriptor pool and
-// statistics registry shared by all transactions running against one set
-// of data structures. Multiple Runtimes are fully independent; objects
-// must only ever be accessed through transactions of the Runtime that
-// owns them.
+// Runtime is an STM instance: a commit clock, a descriptor pool and the
+// striped counters (Stripes) shared by all transactions running against
+// one set of data structures. Multiple Runtimes are fully independent;
+// objects must only ever be accessed through transactions of the
+// Runtime that owns them.
 type Runtime struct {
 	clock Clock
 	txIDs atomic.Uint64
@@ -26,14 +26,16 @@ type Runtime struct {
 	// backoffSeed derives every descriptor's backoff PRNG stream, making
 	// backoff spin counts reproducible per descriptor for a fixed seed.
 	backoffSeed uint64
+	// created numbers the descriptors the pool creates, from 1; the
+	// number seeds the descriptor's backoff stream.
+	created atomic.Uint64
 
+	// pool holds idle descriptors. Nothing else refers to one, so the
+	// pool may drop it.
 	pool sync.Pool
 
-	mu          sync.Mutex
-	descriptors []*Tx
-
-	// fastStripes are the striped fast-read counters (see fastread.go).
-	fastStripes [fastStripeCount]FastReadCounters
+	// counters holds every transaction and fast-read count (see Stats).
+	counters Stripes[Counters]
 }
 
 // hooksBox wraps the Hooks interface value so it can live in an
@@ -81,7 +83,8 @@ func WithHooks(h Hooks) Option {
 
 // WithBackoffSeed seeds the per-descriptor backoff PRNG streams. The
 // default seed is zero; any fixed seed makes each descriptor's backoff
-// spin counts a pure function of its creation index.
+// spin counts a pure function of its number in the runtime's creation
+// counter (the first descriptor the pool creates is 1).
 func WithBackoffSeed(seed uint64) Option {
 	return func(rt *Runtime) { rt.backoffSeed = seed }
 }
@@ -94,12 +97,8 @@ func New(opts ...Option) *Runtime {
 		opt(rt)
 	}
 	rt.pool.New = func() any {
-		tx := &Tx{rt: rt}
-		rt.mu.Lock()
-		rt.descriptors = append(rt.descriptors, tx)
-		tx.rng = mix64(rt.backoffSeed ^ uint64(len(rt.descriptors))*0x9e3779b97f4a7c15)
-		rt.mu.Unlock()
-		return tx
+		n := rt.created.Add(1)
+		return &Tx{rt: rt, rng: mix64(rt.backoffSeed ^ n*0x9e3779b97f4a7c15)}
 	}
 	return rt
 }
@@ -150,6 +149,7 @@ func (rt *Runtime) run(fn func(tx *Tx) error, tryOnce bool) error {
 	tx := rt.pool.Get().(*Tx)
 	defer rt.pool.Put(tx)
 	tx.attempts = 0
+	tx.cell = rt.counters.Local()
 	var t0 time.Time
 	obs := rt.commitObs.Load()
 	if obs != nil {
@@ -162,7 +162,7 @@ func (rt *Runtime) run(fn func(tx *Tx) error, tryOnce bool) error {
 			if !aborted {
 				if err != nil {
 					tx.rollback()
-					tx.stats.userErrors.Add(1)
+					tx.cell.userErrors.Add(1)
 					return err
 				}
 				if tx.commit() {
@@ -205,27 +205,26 @@ func attempt(tx *Tx, fn func(tx *Tx) error) (err error, aborted bool) {
 	return fn(tx), false
 }
 
-// Stats aggregates commit/abort counters across every descriptor the
-// runtime has ever created. It is safe to call concurrently with running
-// transactions; the counts are a consistent-enough snapshot for
-// reporting.
+// Stats sums the runtime's counter cells. It is safe to call
+// concurrently with running transactions and allocates nothing; the
+// counts are a consistent-enough snapshot for reporting.
 func (rt *Runtime) Stats() Stats {
-	rt.mu.Lock()
-	descriptors := make([]*Tx, len(rt.descriptors))
-	copy(descriptors, rt.descriptors)
-	rt.mu.Unlock()
 	var s Stats
-	for _, tx := range descriptors {
-		s.Commits += tx.stats.commits.Load()
-		s.ReadOnlyCommits += tx.stats.readOnlyCommits.Load()
-		s.Aborts += tx.stats.aborts.Load()
-		s.UserErrors += tx.stats.userErrors.Load()
-		s.AbortsValidate += tx.stats.abortsValidate.Load()
-		s.AbortsAcquire += tx.stats.abortsAcquire.Load()
-		s.AbortsInjected += tx.stats.abortsInjected.Load()
-		s.BackoffNanos += tx.stats.backoffNanos.Load()
+	cells := rt.counters.Cells()
+	for i := range cells {
+		c := &cells[i]
+		s.Commits += c.commits.Load()
+		s.ReadOnlyCommits += c.readOnlyCommits.Load()
+		v, a, inj := c.aborts[reasonValidate].Load(), c.aborts[reasonAcquire].Load(), c.aborts[reasonInjected].Load()
+		s.AbortsValidate += v
+		s.AbortsAcquire += a
+		s.AbortsInjected += inj
+		s.Aborts += c.aborts[reasonNone].Load() + v + a + inj
+		s.UserErrors += c.userErrors.Load()
+		s.BackoffNanos += c.backoffNanos.Load()
+		s.FastReadHits += c.fastHits.Load()
+		s.FastReadFallbacks += c.fastFallbacks.Load()
 	}
-	rt.sumFastReads(&s)
 	return s
 }
 

@@ -47,7 +47,9 @@ type Tx struct {
 	// by-reason counters; reset after each rollback.
 	abortReason uint8
 
-	stats txStats
+	// cell is the runtime's counter cell this transaction counts in,
+	// picked by run when the transaction starts.
+	cell *Counters
 }
 
 type readEntry struct {
@@ -99,35 +101,18 @@ type publishEntry struct {
 	arg    unsafe.Pointer
 }
 
-// txStats counts events for one descriptor. Counters are atomics so the
-// aggregation in Runtime.Stats can read them while the descriptor is in
-// use; each counter is only ever written by the descriptor's current
-// owner, so the adds are uncontended.
-type txStats struct {
-	commits         atomic.Uint64
-	readOnlyCommits atomic.Uint64
-	aborts          atomic.Uint64
-	userErrors      atomic.Uint64
-	// Aborts by reason (see the abortReason constants); user-error
-	// rollbacks carry no reason, so the three never exceed aborts.
-	abortsValidate atomic.Uint64
-	abortsAcquire  atomic.Uint64
-	abortsInjected atomic.Uint64
-	// backoffNanos accumulates wall time spent in backoff between
-	// attempts.
-	backoffNanos atomic.Uint64
-}
-
 // Abort reasons, recorded at the conflict site and banked by rollback:
 // acquire is any failure encountering a lock (an orec held by another
 // transaction, or a lost acquisition race); validate is any version
 // admissibility or read-set validation failure; injected is an abort
-// requested by instrumentation hooks.
+// requested by instrumentation hooks; none is a rollback without a
+// conflict (a user error or a panic).
 const (
 	reasonNone = iota
 	reasonValidate
 	reasonAcquire
 	reasonInjected
+	numReasons
 )
 
 // idBlock is how many transaction IDs a descriptor reserves at once, so
@@ -316,8 +301,8 @@ func (tx *Tx) commit() bool {
 			return false
 		}
 		tx.active = false
-		tx.stats.commits.Add(1)
-		tx.stats.readOnlyCommits.Add(1)
+		tx.cell.commits.Add(1)
+		tx.cell.readOnlyCommits.Add(1)
 		return true
 	}
 	if !tx.hookPoint(PointValidate) {
@@ -356,7 +341,7 @@ func (tx *Tx) commit() bool {
 		tx.acquired[i].orec.store(release)
 	}
 	tx.active = false
-	tx.stats.commits.Add(1)
+	tx.cell.commits.Add(1)
 	return true
 }
 
@@ -378,15 +363,7 @@ func (tx *Tx) rollback() {
 	tx.acquired = tx.acquired[:0]
 	tx.dropHooks()
 	tx.active = false
-	tx.stats.aborts.Add(1)
-	switch tx.abortReason {
-	case reasonValidate:
-		tx.stats.abortsValidate.Add(1)
-	case reasonAcquire:
-		tx.stats.abortsAcquire.Add(1)
-	case reasonInjected:
-		tx.stats.abortsInjected.Add(1)
-	}
+	tx.cell.aborts[tx.abortReason].Add(1)
 	tx.abortReason = reasonNone
 }
 
@@ -400,8 +377,8 @@ func (tx *Tx) runHooks() {
 }
 
 // dropHooks empties both registration lists and zeroes the entries they
-// held: the descriptor goes back to the pool (and stays on the runtime's
-// registry) after the transaction, and a merely truncated list would keep
+// held: the descriptor goes back to the pool after the transaction, and
+// may idle there indefinitely, and a merely truncated list would keep
 // the last targets and payloads — removed nodes, durability buffers —
 // reachable until some later transaction happened to overwrite the slots.
 func (tx *Tx) dropHooks() {
@@ -432,7 +409,7 @@ func (tx *Tx) backoff() {
 	}
 	// Bank the wall time so Stats can report contention-induced delay;
 	// this path only runs after an abort, never on a clean commit.
-	tx.stats.backoffNanos.Add(uint64(time.Since(t0)))
+	tx.cell.backoffNanos.Add(uint64(time.Since(t0)))
 }
 
 // nextRand is a splitmix64 step seeded per descriptor.
