@@ -19,7 +19,9 @@
 // net/http/pprof (live CPU/heap profiling of the drain loop) on a
 // loopback address; clients can fetch the exposition in-band with the
 // Stats wire op. -trace-slow-ms arms a slow-op ring tracer (0 traces
-// everything, dumped over HTTP and into the log on drain). -stats-every
+// everything, dumped over HTTP and into the log on drain); each entry
+// carries the retries of the coalesced transaction its request ran in,
+// 0 for a request that ran in none. -stats-every
 // logs per-interval registry deltas and a final line on graceful
 // drain.
 //
@@ -176,7 +178,6 @@ func main() {
 		IdleTimeout:  *idleTimeout,
 		Obs:          obsReg,
 		Tracer:       tracer,
-		AbortsFn:     func() uint64 { return m().STMStats().Aborts },
 	}
 	if !*quiet {
 		srvCfg.Logf = log.Printf

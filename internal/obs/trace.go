@@ -27,9 +27,10 @@ type TraceEntry struct {
 	KeyHash uint64 `json:"key_hash"`
 	// Duration is arrival-to-response-flushed latency.
 	Duration time.Duration `json:"duration_nanos"`
-	// Aborts is the process-wide STM abort delta observed while the
-	// op's batch executed — an attribution hint, not an exact per-op
-	// count (concurrent batches share the window).
+	// Aborts is how many times the coalesced transaction the op ran in
+	// re-executed after an abort: exact, and that run's alone. An op
+	// that ran in no such transaction (a pure-Get run, a Range, the
+	// server's own ops) reports 0.
 	Aborts uint64 `json:"aborts"`
 }
 

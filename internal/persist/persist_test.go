@@ -5,6 +5,8 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -503,6 +505,57 @@ func TestZeroExtendedTailTolerated(t *testing.T) {
 	defer st3.Close()
 	if st3.Recovered().TornTail {
 		t.Fatal("zero tail was not repaired")
+	}
+}
+
+func TestMkdirAllDurableSyncsParents(t *testing.T) {
+	// Each level MkdirAllDurable creates has its parent synced, outermost
+	// first; an existing directory syncs nothing. A fresh Open creates
+	// its directory the same way.
+	var mu sync.Mutex
+	var synced []string
+	orig := syncDir
+	syncDir = func(dir string) error {
+		mu.Lock()
+		synced = append(synced, dir)
+		mu.Unlock()
+		return orig(dir)
+	}
+	t.Cleanup(func() { syncDir = orig })
+	took := func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		got := synced
+		synced = nil
+		return got
+	}
+
+	root := t.TempDir()
+	a, ab := filepath.Join(root, "a"), filepath.Join(root, "a", "b")
+	if err := MkdirAllDurable(filepath.Join(ab, "c")); err != nil {
+		t.Fatalf("MkdirAllDurable: %v", err)
+	}
+	if got, want := took(), []string{root, a, ab}; !slices.Equal(got, want) {
+		t.Fatalf("synced %q, want %q", got, want)
+	}
+	if err := MkdirAllDurable(filepath.Join(ab, "c")); err != nil {
+		t.Fatalf("MkdirAllDurable of an existing directory: %v", err)
+	}
+	if got := took(); len(got) != 0 {
+		t.Fatalf("existing directory synced %q, want nothing", got)
+	}
+	if err := os.WriteFile(filepath.Join(root, "file"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := MkdirAllDurable(filepath.Join(root, "file")); err == nil {
+		t.Fatal("MkdirAllDurable over a file succeeded")
+	}
+	took()
+
+	st := openInt64Store(t, Options{Dir: filepath.Join(a, "store"), Fsync: FsyncNone})
+	st.Close()
+	if got := took(); !slices.Contains(got, a) {
+		t.Fatalf("Open of a fresh directory synced %q, want its parent %q among them", got, a)
 	}
 }
 

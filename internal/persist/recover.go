@@ -47,7 +47,7 @@ type dirState struct {
 
 func scanDir(dir string) (dirState, error) {
 	var st dirState
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := MkdirAllDurable(dir); err != nil {
 		return st, err
 	}
 	entries, err := os.ReadDir(dir)

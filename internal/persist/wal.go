@@ -678,8 +678,31 @@ func RemoveFileDurable(path string) error {
 	return syncDir(filepath.Dir(path))
 }
 
+// MkdirAllDurable is os.MkdirAll that fsyncs the parent of every
+// directory level it creates, so a directory it returns keeps its entry
+// through a power cut. An existing directory costs one stat.
+func MkdirAllDurable(dir string) error {
+	if fi, err := os.Stat(dir); err == nil && fi.IsDir() {
+		return nil
+	}
+	parent := filepath.Dir(dir)
+	if parent != dir {
+		if err := MkdirAllDurable(parent); err != nil {
+			return err
+		}
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		// A concurrent creator's entry needs the same sync.
+		if fi, serr := os.Stat(dir); serr != nil || !fi.IsDir() {
+			return err
+		}
+	}
+	return syncDir(parent)
+}
+
 // syncDir fsyncs a directory so renames and creates survive power loss.
-func syncDir(dir string) error {
+// A variable so tests can record the directories synced.
+var syncDir = func(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

@@ -243,7 +243,7 @@ func TestPromoteRefusesClosedLog(t *testing.T) {
 		t.Fatal("Promote over a closed log succeeded")
 	}
 	write := []wire.Request{{Op: wire.OpInsert, Key: 2, Val: 2}}
-	if err := r.Backend().Atomic(write, make([]wire.Response, 1)); err != server.ErrReadOnly {
+	if _, err := r.Backend().Atomic(write, make([]wire.Response, 1)); err != server.ErrReadOnly {
 		t.Fatalf("write after a refused promotion = %v, want ErrReadOnly", err)
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/persist"
 	"repro/internal/server"
+	"repro/internal/stm"
 	"repro/internal/wire"
 	"repro/skiphash"
 )
@@ -409,8 +410,8 @@ func TestPromoteLiftsClockAndOpensWrites(t *testing.T) {
 	be := r.Backend()
 	write := []wire.Request{{Op: wire.OpInsert, Key: 999, Val: 1}}
 	resps := make([]wire.Response, len(write))
-	if err := be.Atomic(write, resps); err != server.ErrReadOnly {
-		t.Fatalf("write before promotion = %v, want ErrReadOnly", err)
+	if n, err := be.Atomic(write, resps); err != server.ErrReadOnly || n != 0 {
+		t.Fatalf("write before promotion = %d retries, %v; want 0, ErrReadOnly", n, err)
 	}
 	if err := be.Sync(); err != server.ErrReadOnly {
 		t.Fatalf("Sync before promotion = %v, want ErrReadOnly", err)
@@ -426,8 +427,14 @@ func TestPromoteLiftsClockAndOpensWrites(t *testing.T) {
 	if next := r.Map().Runtime().Clock().Next(); next <= w {
 		t.Fatalf("post-promotion stamp %d not above watermark %d", next, w)
 	}
-	if err := be.Atomic(write, resps); err != nil || !resps[0].Ok {
-		t.Fatalf("write after promotion: ok=%v, %v", resps[0].Ok, err)
+	// The backend passes the map's retries through: every transaction's
+	// first attempt aborts at its commit, so the write commits on its
+	// second run.
+	r.Map().Runtime().SetHooks(abortFirstCommit{})
+	n, err := be.Atomic(write, resps)
+	r.Map().Runtime().SetHooks(nil)
+	if err != nil || !resps[0].Ok || n != 1 {
+		t.Fatalf("write after promotion: ok=%v, %d retries, %v; want 1 retry", resps[0].Ok, n, err)
 	}
 	if v, ok := r.Map().Lookup(999); !ok || v != 1 {
 		t.Fatalf("promoted write not visible: %d %v", v, ok)
@@ -437,6 +444,14 @@ func TestPromoteLiftsClockAndOpensWrites(t *testing.T) {
 	if got := be.(server.Watermarker).Watermark(); got <= w {
 		t.Fatalf("backend watermark %d after a promoted write, want above %d", got, w)
 	}
+}
+
+// abortFirstCommit aborts each transaction's first attempt at its commit
+// point, so every transaction retries exactly once.
+type abortFirstCommit struct{}
+
+func (abortFirstCommit) OnPoint(p stm.Point, _ uint64, attempt int) bool {
+	return p != stm.PointCommit || attempt > 0
 }
 
 func TestPrimaryBackendWatermark(t *testing.T) {

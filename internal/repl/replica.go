@@ -486,9 +486,9 @@ func (r *Replica) Backend() server.Backend { return &replicaBackend{r: r} }
 // resync's swap takes effect on the next request.
 type replicaBackend struct{ r *Replica }
 
-func (b *replicaBackend) Atomic(group []wire.Request, resps []wire.Response) error {
+func (b *replicaBackend) Atomic(group []wire.Request, resps []wire.Response) (uint64, error) {
 	if !b.r.promoted.Load() {
-		return server.ErrReadOnly
+		return 0, server.ErrReadOnly
 	}
 	return b.r.be.Load().Atomic(group, resps)
 }

@@ -22,8 +22,8 @@ type Backend interface {
 	// Atomic executes group as one transaction, leaving group[i]'s result
 	// in resps[i]; everything commits or rolls back together. Like the
 	// map's own Atomic the body may re-execute on conflict, so resps are
-	// final only once Atomic returns nil.
-	Atomic(group []wire.Request, resps []wire.Response) error
+	// final only once Atomic returns nil; retries counts re-executions.
+	Atomic(group []wire.Request, resps []wire.Response) (retries uint64, err error)
 	// Get answers one point read directly — through the map's optimistic
 	// non-transactional fast path when enabled, with a per-read
 	// transactional fallback. The executor routes pure-read runs here so
@@ -223,9 +223,11 @@ func NewShardedBackend(s *skiphash.Map[int64, int64]) *MapBackend[int64, int64] 
 }
 
 // Atomic implements Backend.
-func (b *MapBackend[K, V]) Atomic(group []wire.Request, resps []wire.Response) error {
+func (b *MapBackend[K, V]) Atomic(group []wire.Request, resps []wire.Response) (uint64, error) {
 	cd := b.cd
-	return b.Map.Atomic(func(op *skiphash.Txn[K, V]) error {
+	var runs uint64
+	err := b.Map.Atomic(func(op *skiphash.Txn[K, V]) error {
+		runs++
 		var zero V
 		for idx := range group {
 			req, resp := &group[idx], &resps[idx]
@@ -263,6 +265,7 @@ func (b *MapBackend[K, V]) Atomic(group []wire.Request, resps []wire.Response) e
 		}
 		return nil
 	})
+	return runs - 1, err
 }
 
 // Get implements Backend.

@@ -42,11 +42,8 @@ func cycleConn(tb testing.TB, v2, mixed bool, o cycleObs) (*conn, []wire.Request
 		cfg.Tracer = obs.NewTracer(16)
 		cfg.Tracer.SetThreshold(time.Hour) // armed, never matched
 	}
-	switch o {
-	case cycleMetrics:
+	if o == cycleMetrics {
 		cfg.Obs = obs.NewRegistry()
-	case cycleTracer:
-		cfg.AbortsFn = func() uint64 { return m.STMStats().Aborts }
 	}
 	reg, err := NewRegistry(RegistryConfig{Map: mapCfg, Obs: cfg.Obs})
 	if err != nil {
@@ -91,9 +88,8 @@ func cycleConn(tb testing.TB, v2, mixed bool, o cycleObs) (*conn, []wire.Request
 }
 
 // cycleObs is what a cycle's connection observes with: nothing; metrics
-// and an armed tracer no request matches; or that tracer alone, reading
-// the map's STM aborts around each cycle as skiphashd's -trace-slow-ms
-// arms it.
+// and an armed tracer no request matches; or that tracer alone, as
+// skiphashd's -trace-slow-ms arms it.
 type cycleObs int
 
 const (
@@ -102,16 +98,14 @@ const (
 	cycleTracer
 )
 
-// cycle runs one drain cycle the way serve does: the arrival stamp and
-// the abort count (when the connection tracks timings), execute,
-// observe.
+// cycle runs one drain cycle the way serve does: the arrival stamp
+// (when the connection tracks timings), execute, observe.
 func cycle(c *conn, batch []wire.Request) {
 	if !c.track {
 		c.execute(batch)
 		return
 	}
 	c.arrival = time.Now()
-	c.markAborts()
 	c.execute(batch)
 	c.observe(batch)
 }

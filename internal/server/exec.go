@@ -104,7 +104,7 @@ func (c *conn) execRun(batch []wire.Request, i int) int {
 		return i + 1
 	}
 	if !req.Op.Kind().Coalesces() {
-		c.markRun(i, i+1, pathStandalone, ns)
+		c.markRun(i, i+1, pathStandalone, ns, 0)
 		c.execStandalone(be, req)
 		return i + 1
 	}
@@ -120,14 +120,9 @@ func (c *conn) execRun(batch []wire.Request, i int) int {
 	for j < len(batch) && j-i < c.srv.cfg.MaxBatch && joins(&batch[j]) {
 		j++
 	}
-	path := pathAtomic
-	if allGets(batch[i:j]) {
-		path = pathReads
-	}
-	c.markRun(i, j, path, ns)
-
 	group := batch[i:j]
-	if path == pathReads {
+	if allGets(group) {
+		c.markRun(i, j, pathReads, ns, 0)
 		// Each Get goes through the backend's direct read path and
 		// linearizes on its own between its invocation — the request had
 		// already been read — and its response, so skipping the shared
@@ -143,7 +138,9 @@ func (c *conn) execRun(batch []wire.Request, i int) int {
 	// and only encoded after the commit, so an aborted attempt leaks
 	// nothing.
 	resps := c.resps[:len(group)]
-	if err := be.Atomic(group, resps); err != nil {
+	retries, err := be.Atomic(group, resps)
+	c.markRun(i, j, pathAtomic, ns, retries)
+	if err != nil {
 		status, msg := statusFor(err)
 		c.failRun(group, status, msg)
 		return j

@@ -222,9 +222,11 @@ func wantStatus(t *testing.T, resps []wire.Response, want wire.Status) {
 // the way the replication decorators do.
 type readOnlyBackend struct{ Backend }
 
-func (readOnlyBackend) Atomic([]wire.Request, []wire.Response) error { return ErrReadOnly }
-func (readOnlyBackend) Sync() error                                  { return ErrReadOnly }
-func (readOnlyBackend) Snapshot() error                              { return ErrReadOnly }
+func (readOnlyBackend) Atomic([]wire.Request, []wire.Response) (uint64, error) {
+	return 0, ErrReadOnly
+}
+func (readOnlyBackend) Sync() error     { return ErrReadOnly }
+func (readOnlyBackend) Snapshot() error { return ErrReadOnly }
 
 // setRangeBudget shrinks a backend's range frame budget.
 func setRangeBudget(be Backend, n int) {

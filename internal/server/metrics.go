@@ -16,7 +16,7 @@ import (
 // takes its mutex only for ops that are already slow. With Config.Obs
 // and Config.Tracer unset the per-request cost is a nil check.
 
-// Execution-path markers for per-request annotations (conn.paths). The
+// Execution-path markers for per-request annotations (conn.notes). The
 // zero value is standalone so unannotated requests (the server's own
 // ops, runs that failed namespace resolution) report truthfully.
 const (
@@ -24,6 +24,15 @@ const (
 	pathReads
 	pathAtomic
 )
+
+// note annotates one request of a cycle for observe: the namespace it
+// is accounted to, its execution path, and the retries of the coalesced
+// transaction it ran in (0 on the other paths).
+type note struct {
+	ns      *namespace
+	path    uint8
+	retries uint64
+}
 
 // pathName renders a path marker for trace entries.
 func pathName(p uint8) string {
@@ -127,10 +136,10 @@ func RegisterMapMetrics(reg *obs.Registry, m func() *skiphash.Map[int64, int64])
 	// Reclamation.
 	maint := func() core.MaintenanceStats { return m().MaintenanceStats() }
 	reg.CounterFunc("skiphash_core_drained_nodes_total",
-		"Logically deleted nodes physically unstitched across shards: by the removing transaction at commit, or, if deferred to an in-flight slow-path range query, once that query and every older one finished.",
+		"Logically deleted nodes physically unstitched: by the removing transaction at commit, or, if deferred to an in-flight slow-path range query, once that query and every older one finished.",
 		func() uint64 { return maint().DrainedNodes })
 	reg.CounterFunc("skiphash_core_drain_batches_total",
-		"Transactions that unstitched nodes deferred to slow-path range queries, run when the oldest such query finished, across shards.",
+		"Transactions that unstitched nodes deferred to slow-path range queries, run when the oldest such query finished.",
 		func() uint64 { return maint().DrainBatches })
 
 	reg.GaugeFunc("skiphash_shards",
@@ -149,27 +158,18 @@ func RegisterMapMetrics(reg *obs.Registry, m func() *skiphash.Map[int64, int64])
 		func() uint64 { return rng().SlowCommits })
 }
 
-// markRun annotates one run's requests with their execution path and
-// namespace, and banks a coalesced run's size. Conn-local; no shared
-// writes beyond the striped histogram.
-func (c *conn) markRun(i, j int, path uint8, ns *namespace) {
+// markRun annotates one run's requests with their namespace, execution
+// path and retries, and banks a coalesced run's size. Conn-local; no
+// shared writes beyond the striped histogram.
+func (c *conn) markRun(i, j int, path uint8, ns *namespace, retries uint64) {
 	if !c.track {
 		return
 	}
 	for k := i; k < j; k++ {
-		c.paths[k] = path
-		c.nsAt[k] = ns
+		c.notes[k] = note{ns: ns, path: path, retries: retries}
 	}
 	if m := c.srv.met; m != nil && path != pathStandalone {
 		m.runSize.Observe(uint64(j - i))
-	}
-}
-
-// markAborts records the STM abort count before a cycle executes, for
-// observe's per-cycle delta, when the slow-op tracer is armed.
-func (c *conn) markAborts() {
-	if tr := c.srv.cfg.Tracer; tr != nil && tr.Enabled() && c.srv.cfg.AbortsFn != nil {
-		c.abortsBefore = c.srv.cfg.AbortsFn()
 	}
 }
 
@@ -183,28 +183,24 @@ func (c *conn) observe(batch []wire.Request) {
 	now := time.Now()
 	d := now.Sub(c.arrival)
 	traceActive := tr != nil && tr.Enabled()
-	var abortDelta uint64
-	if traceActive && c.srv.cfg.AbortsFn != nil {
-		abortDelta = c.srv.cfg.AbortsFn() - c.abortsBefore
-	}
 	if m != nil {
 		m.requests.Add(uint64(len(batch)))
 	}
 	for i := range batch {
-		ns := c.nsAt[i]
-		if ns.reqLatency != nil {
-			ns.reqLatency.ObserveNanos(int64(d))
+		n := &c.notes[i]
+		if n.ns.reqLatency != nil {
+			n.ns.reqLatency.ObserveNanos(int64(d))
 		}
 		if traceActive && tr.Slow(d) {
 			req := &batch[i]
 			tr.Record(obs.TraceEntry{
 				UnixNanos: now.UnixNano(),
 				Op:        req.Op.String(),
-				Namespace: ns.name,
-				Path:      pathName(c.paths[i]),
+				Namespace: n.ns.name,
+				Path:      pathName(n.path),
 				KeyHash:   reqKeyHash(req),
 				Duration:  d,
-				Aborts:    abortDelta,
+				Aborts:    n.retries,
 			})
 		}
 	}

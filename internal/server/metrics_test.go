@@ -1,15 +1,18 @@
 package server
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/alloctest"
 	"repro/internal/obs"
+	"repro/internal/stm"
 	"repro/skiphash/client"
 )
 
@@ -148,13 +151,79 @@ func TestSlowOpTracer(t *testing.T) {
 	}
 }
 
+// TestSlowOpTracerRunRetries checks that a trace entry carries the
+// retries of its own coalesced run. Aborts are injected into one
+// namespace's runtime while a second connection writes to another
+// namespace in the same window: the first namespace's writes report
+// retries, the second's and every pure-Get run's read 0.
+func TestSlowOpTracerRunRetries(t *testing.T) {
+	tr := obs.NewTracer(256)
+	tr.SetThreshold(0) // trace everything
+	srv, addr := startNsServer(t, RegistryConfig{}, Config{Tracer: tr})
+	hotC, coldC := dialT(t, addr, client.Options{}), dialT(t, addr, client.Options{})
+	hot, err := hotC.CreateNamespace("hot", client.NamespaceOptions{})
+	if err != nil {
+		t.Fatalf("CreateNamespace: %v", err)
+	}
+	cold, err := coldC.CreateNamespace("cold", client.NamespaceOptions{})
+	if err != nil {
+		t.Fatalf("CreateNamespace: %v", err)
+	}
+	inj := stm.NewAbortInjector(3, 1, 4)
+	srv.reg.byName["hot"].be.(*MapBackend[string, string]).Runtime().SetHooks(inj)
+
+	const n = 32
+	var wg sync.WaitGroup
+	for _, m := range []*client.Map[[]byte, []byte]{hot, cold} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range n {
+				k := []byte(fmt.Sprintf("k%03d", i))
+				if _, err := m.Insert(k, k); err != nil {
+					t.Errorf("%s Insert: %v", m.Name(), err)
+				}
+				if _, _, err := m.Get(k); err != nil {
+					t.Errorf("%s Get: %v", m.Name(), err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// observe records a cycle's entries after its response is flushed.
+	deadline := time.Now().Add(2 * time.Second)
+	for tr.Total() < 4*n+2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+
+	var hotRetries uint64
+	runs := map[string]int{}
+	for _, e := range tr.Dump() {
+		runs[e.Namespace+"/"+e.Path]++
+		switch {
+		case e.Namespace == "hot" && e.Path == "atomic":
+			hotRetries += e.Aborts
+		case e.Aborts != 0:
+			t.Errorf("%s %s entry on the %s path reports %d aborts, want 0", e.Namespace, e.Op, e.Path, e.Aborts)
+		}
+	}
+	for _, k := range []string{"hot/atomic", "hot/reads", "cold/atomic", "cold/reads"} {
+		if runs[k] != n {
+			t.Errorf("%d %s entries, want %d (%v)", runs[k], k, n, runs)
+		}
+	}
+	// Every retry follows an injected abort; an abort injected before
+	// the body runs retries nothing.
+	if hotRetries == 0 || hotRetries > inj.Aborts() {
+		t.Fatalf("hot writes report %d retries, want 1..%d (the injected aborts)", hotRetries, inj.Aborts())
+	}
+}
+
 // TestDrainCycleAllocBudget pins the hot loop's allocations for both
 // frame families: the pure-Get cycle allocates nothing in either, with
 // or without metrics (and an armed-but-unmatched tracer), observation
 // included — a v2 lookup reads its key through a view of the request's
-// bytes. The tracer rows read the map's STM abort count before and
-// after each cycle, which sums the runtime's counter cells in place.
-// The mixed rows are the 64-request cycle's 16 Puts: the map's own
+// bytes. The mixed rows are the 64-request cycle's 16 Puts: the map's own
 // cost in v1 (a node per Put; 16 measured), plus in v2 the one
 // string each Put copies its key and value into and the value buffer of
 // each of the 48 Gets sharing their transaction (80 measured). Both
@@ -180,7 +249,7 @@ func TestDrainCycleAllocBudget(t *testing.T) {
 				if allocs > budget[name] {
 					t.Fatalf("cycle allocates %.1f/op, budget %.0f", allocs, budget[name])
 				}
-				if row.obs == cycleMetrics && c.nsAt[0].reqLatency.Count() == 0 {
+				if row.obs == cycleMetrics && c.notes[0].ns.reqLatency.Count() == 0 {
 					t.Fatal("latency histogram saw no observations")
 				}
 			})

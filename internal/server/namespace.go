@@ -173,7 +173,7 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	if cfg.Root == "" {
 		return r, nil
 	}
-	if err := os.MkdirAll(cfg.Root, 0o755); err != nil {
+	if err := persist.MkdirAllDurable(cfg.Root); err != nil {
 		return nil, err
 	}
 	dirs, err := filepath.Glob(filepath.Join(cfg.Root, "ns-*"))

@@ -123,12 +123,9 @@ type Config struct {
 	Obs *obs.Registry
 	// Tracer, when set (and armed via its threshold), captures slow
 	// requests into its ring: op, namespace, key hash, execution path,
-	// duration, and the STM abort delta over the request's batch.
+	// duration, and the retries of the coalesced transaction the request
+	// ran in (0 for a request that ran in none).
 	Tracer *obs.Tracer
-	// AbortsFn, when set alongside Tracer, reports the process-wide STM
-	// abort count; trace entries carry the delta observed across their
-	// drain cycle as an attribution hint.
-	AbortsFn func() uint64
 }
 
 func (c Config) withDefaults() Config {
@@ -265,8 +262,7 @@ func (s *Server) newConn(nc net.Conn) *conn {
 		track: s.met != nil || s.cfg.Tracer != nil,
 	}
 	if c.track {
-		c.paths = make([]uint8, s.cfg.MaxBatch)
-		c.nsAt = make([]*namespace, s.cfg.MaxBatch)
+		c.notes = make([]note, s.cfg.MaxBatch)
 	}
 	return c
 }
@@ -356,13 +352,11 @@ type conn struct {
 
 	// Observability scratch (see metrics.go), allocated once when track
 	// is set: when the cycle's blocking read returned — the arrival of
-	// every request in it — and per-request execution-path markers and
-	// namespace annotations, indexed by batch position.
-	track        bool
-	arrival      time.Time
-	paths        []uint8
-	nsAt         []*namespace
-	abortsBefore uint64
+	// every request in it — and one note per request, indexed by batch
+	// position.
+	track   bool
+	arrival time.Time
+	notes   []note
 
 	// attached caches which connection-limited namespaces this
 	// connection has been admitted to, so the quota check is a
@@ -447,7 +441,6 @@ func (c *conn) serve() {
 			if t := c.srv.cfg.WriteTimeout; t > 0 {
 				c.nc.SetWriteDeadline(time.Now().Add(t))
 			}
-			c.markAborts()
 			c.execute(c.batch)
 			if err := c.flush(); err != nil {
 				c.logf("server: %s: write: %v", c.nc.RemoteAddr(), err)
@@ -503,9 +496,7 @@ func (c *conn) readCycle(fr *wire.FrameReader) error {
 func (c *conn) push(req wire.Request) {
 	c.batch = append(c.batch, req)
 	if c.track {
-		i := len(c.batch) - 1
-		c.paths[i] = pathStandalone
-		c.nsAt[i] = c.srv.def
+		c.notes[len(c.batch)-1] = note{ns: c.srv.def}
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 // under contention, and that the three reasons sum to Aborts when no
 // user errors occur (user-error rollbacks carry no reason).
 func TestAbortReasons(t *testing.T) {
-	rt := New(WithHooks(NewAbortInjector(7, 1, 4)))
+	rt := New()
+	rt.SetHooks(NewAbortInjector(7, 1, 4))
 	var c cell
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

@@ -32,7 +32,8 @@ func (h *traceHooks) OnPoint(p Point, txID uint64, attempt int) bool {
 
 func TestHookPointOrder(t *testing.T) {
 	h := &traceHooks{}
-	rt := New(WithHooks(h))
+	rt := New()
+	rt.SetHooks(h)
 	c := &hookCell{}
 	// A writing transaction fires begin, validate, commit in order.
 	if err := rt.Atomic(func(tx *Tx) error {
@@ -67,7 +68,8 @@ func TestHookPointOrder(t *testing.T) {
 func TestHookInjectedAborts(t *testing.T) {
 	for _, p := range []Point{PointBegin, PointValidate, PointCommit} {
 		h := &traceHooks{abort: map[Point]int{p: 1}}
-		rt := New(WithHooks(h))
+		rt := New()
+		rt.SetHooks(h)
 		c := &hookCell{}
 		if err := rt.Atomic(func(tx *Tx) error {
 			c.v.Store(tx, &c.orec, 42)
@@ -86,7 +88,8 @@ func TestHookInjectedAborts(t *testing.T) {
 
 func TestHookAbortTryOnce(t *testing.T) {
 	h := &traceHooks{abort: map[Point]int{PointBegin: 1}}
-	rt := New(WithHooks(h))
+	rt := New()
+	rt.SetHooks(h)
 	if err := rt.TryOnce(func(tx *Tx) error { return nil }); err != ErrAborted {
 		t.Fatalf("TryOnce under begin-abort = %v, want ErrAborted", err)
 	}
@@ -113,7 +116,8 @@ func TestAbortInjectorConverges(t *testing.T) {
 	// Heavy injection must still let every transaction through
 	// eventually, with the final state exactly as without faults.
 	inj := NewAbortInjector(99, 1, 3)
-	rt := New(WithHooks(inj), WithBackoffSeed(7))
+	rt := New(WithBackoffSeed(7))
+	rt.SetHooks(inj)
 	cells := make([]hookCell, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -151,7 +155,8 @@ func TestAbortInjectorConverges(t *testing.T) {
 
 func TestStepSchedulerSerializesAndCompletes(t *testing.T) {
 	sched := NewStepScheduler(12345)
-	rt := New(WithHooks(sched))
+	rt := New()
+	rt.SetHooks(sched)
 	var cell hookCell
 	const workers = 4
 	const perWorker = 100

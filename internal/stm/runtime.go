@@ -75,12 +75,6 @@ func (rt *Runtime) CommitObserver() CommitObserver {
 // Option configures a Runtime.
 type Option func(*Runtime)
 
-// WithHooks installs schedule/fault hooks at construction; see Hooks
-// and SetHooks.
-func WithHooks(h Hooks) Option {
-	return func(rt *Runtime) { rt.SetHooks(h) }
-}
-
 // WithBackoffSeed seeds the per-descriptor backoff PRNG streams. The
 // default seed is zero; any fixed seed makes each descriptor's backoff
 // spin counts a pure function of its number in the runtime's creation

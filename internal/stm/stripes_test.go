@@ -7,9 +7,9 @@ import (
 )
 
 // TestStatsAllocBudget pins Stats at zero allocations: it sums the
-// runtime's counter cells in place, so a caller that reads it on every
-// served cycle (the slow-op tracer's abort count) adds nothing to the
-// heap.
+// runtime's counter cells in place, so a caller that reads it often
+// (every metrics scrape reads it once per STM series) adds nothing to
+// the heap.
 func TestStatsAllocBudget(t *testing.T) {
 	if alloctest.RaceEnabled {
 		t.Skip("race-detector instrumentation allocates; count is meaningless")
