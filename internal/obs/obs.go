@@ -1,8 +1,14 @@
 // Package obs is the repository's zero-dependency metrics core:
-// atomic counters and gauges, fixed-bucket latency histograms striped
-// over cacheline-padded cells by the observed value, a registry that
+// atomic counters, fixed-bucket latency histograms striped over
+// cacheline-padded cells by the observed value, a registry that
 // renders the Prometheus text exposition format, and a slow-op ring
 // tracer.
+//
+// Each registered series is read one way per kind: a counter through a
+// func() uint64 (an owned Counter registers its own Value), a gauge
+// through a func() float64 (there is no owned gauge type), a histogram
+// through its *Histogram. The exposition and the flattened samples are
+// two renderings of one walk over the registry.
 //
 // Everything here is additive instrumentation: metric writes are single
 // atomic adds on striped cells, never locks, and no instrumented layer
@@ -32,20 +38,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a metric that can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the gauge by d (negative to decrease).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // histStripes is the stripe count of a Histogram. Observations hash to
 // a stripe by their value, so concurrent observers with differing
@@ -118,8 +110,8 @@ func (h *Histogram) ObserveSince(t0 time.Time) {
 }
 
 // snapshot sums the stripes: per-bucket counts (bucket len(bounds) is
-// +Inf) and the raw value sum.
-func (h *Histogram) snapshot() (buckets []uint64, sum uint64) {
+// +Inf), their total and the raw value sum.
+func (h *Histogram) snapshot() (buckets []uint64, count, sum uint64) {
 	buckets = make([]uint64, len(h.bounds)+1)
 	for s := 0; s < histStripes; s++ {
 		base := s * h.stride
@@ -128,28 +120,22 @@ func (h *Histogram) snapshot() (buckets []uint64, sum uint64) {
 		}
 		sum += h.cells[base+len(h.bounds)+1].Load()
 	}
-	return buckets, sum
+	for _, n := range buckets {
+		count += n
+	}
+	return buckets, count, sum
 }
 
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 {
-	var n uint64
-	for s := 0; s < histStripes; s++ {
-		base := s * h.stride
-		for i := 0; i <= len(h.bounds); i++ {
-			n += h.cells[base+i].Load()
-		}
-	}
+	_, n, _ := h.snapshot()
 	return n
 }
 
 // Sum returns the raw (unscaled) sum of all observed values.
 func (h *Histogram) Sum() uint64 {
-	var n uint64
-	for s := 0; s < histStripes; s++ {
-		n += h.cells[s*h.stride+len(h.bounds)+1].Load()
-	}
-	return n
+	_, _, sum := h.snapshot()
+	return sum
 }
 
 // LatencyBounds are the default latency bucket bounds in nanoseconds:

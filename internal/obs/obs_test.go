@@ -1,19 +1,24 @@
 package obs
 
 import (
+	"fmt"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestConcurrentCounters hammers counters, gauges and a histogram from
-// many goroutines (run under -race in CI) and checks the totals.
+// TestConcurrentCounters hammers a counter, a gauge's source and a
+// histogram from many goroutines (run under -race in CI) and checks the
+// totals.
 func TestConcurrentCounters(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("skiphash_test_ops_total", "ops")
-	g := r.Gauge("skiphash_test_depth", "depth")
+	var depth atomic.Int64
+	r.GaugeFunc("skiphash_test_depth", "depth", func() float64 { return float64(depth.Load()) })
 	h := r.Histogram("skiphash_test_latency_seconds", "latency", LatencyBounds, 1e-9)
 	const workers, per = 8, 10_000
 	var wg sync.WaitGroup
@@ -23,8 +28,8 @@ func TestConcurrentCounters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
-				g.Add(-1)
+				depth.Add(1)
+				depth.Add(-1)
 				h.Observe(uint64(id*per + i))
 			}
 		}(w)
@@ -33,8 +38,8 @@ func TestConcurrentCounters(t *testing.T) {
 	if got := c.Value(); got != workers*per {
 		t.Errorf("counter = %d, want %d", got, workers*per)
 	}
-	if got := g.Value(); got != 0 {
-		t.Errorf("gauge = %d, want 0", got)
+	if out := string(r.Render()); !strings.Contains(out, "\nskiphash_test_depth 0\n") {
+		t.Errorf("gauge not rendered at 0:\n%s", out)
 	}
 	if got := h.Count(); got != workers*per {
 		t.Errorf("histogram count = %d, want %d", got, workers*per)
@@ -59,7 +64,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	h.Observe(11) // second bucket
 	h.Observe(20) // second bucket
 	h.Observe(21) // +Inf
-	buckets, sum := h.snapshot()
+	buckets, _, sum := h.snapshot()
 	want := []uint64{2, 2, 1}
 	for i, w := range want {
 		if buckets[i] != w {
@@ -83,8 +88,8 @@ func TestExpositionGolden(t *testing.T) {
 	c.Add(42)
 	r.CounterFunc("skiphash_persist_late_syncs_total", "Syncs lost to shutdown races.",
 		func() uint64 { return 3 })
-	g := r.Gauge("skiphash_server_queue_depth", "Queued requests.", Label{"conn", "all"})
-	g.Set(7)
+	r.GaugeFunc("skiphash_server_queue_depth", "Queued requests.",
+		func() float64 { return 7 }, Label{"conn", "all"})
 	r.GaugeFunc("skiphash_repl_lag_stamps", "Primary stamp minus watermark.",
 		func() float64 { return 1.5 })
 	h := r.Histogram("skiphash_wal_fsync_seconds", "Fsync latency.",
@@ -183,6 +188,113 @@ func TestSamples(t *testing.T) {
 	if want := 2500e-9; got["skiphash_b_seconds_sum"] != want {
 		t.Errorf("histogram sum sample = %v, want %v", got["skiphash_b_seconds_sum"], want)
 	}
+}
+
+// exposition parses a rendering into series → value, leaving out the
+// histograms' _bucket lines, which Samples does not flatten.
+func exposition(t *testing.T, r *Registry) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(r.Render()), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		series := line[:i]
+		if strings.Contains(series, "_bucket{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("unparsable line %q: %v", line, err)
+		}
+		out[series] = v
+	}
+	return out
+}
+
+// TestSamplesMatchExposition checks that the flattened samples are the
+// exposition's values: every series WriteTo renders (histograms' _count
+// and _sum included) has exactly one sample, with the same value.
+func TestSamplesMatchExposition(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("skiphash_a_total", "a", Label{"ns", "x"}).Add(5)
+	r.Counter("skiphash_a_total", "a", Label{"ns", "y"}).Add(1 << 40)
+	r.CounterFunc("skiphash_b_total", "b", func() uint64 { return 12 })
+	r.GaugeFunc("skiphash_c", "c", func() float64 { return -2.25 })
+	lat := r.Histogram("skiphash_d_seconds", "d", LatencyBounds, 1e-9, Label{"ns", "x"})
+	size := r.Histogram("skiphash_e", "e", SizeBounds, 1)
+	for i := uint64(1); i <= 100; i++ {
+		lat.Observe(i * 7_919)
+		size.Observe(i % 70)
+	}
+	r.Histogram("skiphash_d_seconds", "d", LatencyBounds, 1e-9, Label{"ns", "y"})
+	r.Counter("skiphash_k_total", "k", Label{"op", "Get"}, Label{"path", "a\"b\\c\nd"}).Inc()
+	want := exposition(t, r)
+	if series := `skiphash_k_total{op="Get",path="a\"b\\c\nd"}`; want[series] != 1 {
+		t.Errorf("escaped labels not rendered as %s:\n%s", series, r.Render())
+	}
+	got := r.Samples()
+	if len(got) != len(want) {
+		t.Errorf("%d samples, %d rendered series", len(got), len(want))
+	}
+	for _, s := range got {
+		series := s.Name + s.Labels
+		v, ok := want[series]
+		if !ok {
+			t.Errorf("sample %s is not rendered", series)
+		} else if s.Value != v {
+			t.Errorf("sample %s = %v, rendered %v", series, s.Value, v)
+		}
+	}
+	for _, series := range []string{`skiphash_d_seconds_count{ns="x"}`, `skiphash_d_seconds_sum{ns="x"}`, "skiphash_e_count", "skiphash_e_sum"} {
+		if want[series] == 0 {
+			t.Errorf("%s rendered 0; the check compares nothing", series)
+		}
+	}
+}
+
+// TestRegistryConcurrentLifecycle renders and samples while another
+// goroutine registers and unregisters labelled series of every kind, as
+// NsCreate and NsDrop do (run under -race in CI): a walk never reads a
+// series before its reader is set, nor one being removed.
+func TestRegistryConcurrentLifecycle(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("skiphash_f_total", "f").Add(3)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			l := Label{"ns", fmt.Sprint("n", i%4)}
+			r.Histogram("skiphash_g_seconds", "g", LatencyBounds, 1e-9, l).Observe(uint64(i))
+			r.GaugeFunc("skiphash_h", "h", func() float64 { return float64(i) }, l)
+			r.Counter("skiphash_i_total", "i", l).Inc()
+			r.CounterFunc("skiphash_j_total", "j", func() uint64 { return uint64(i) }, l)
+			if i%2 == 1 {
+				r.Unregister("skiphash_g_seconds", l)
+				r.Unregister("skiphash_h", l)
+				r.Unregister("skiphash_i_total", l)
+				r.Unregister("skiphash_j_total", l)
+			}
+		}
+	}()
+	for i := 0; i < 300; i++ {
+		if out := string(r.Render()); !strings.Contains(out, "\nskiphash_f_total 3\n") {
+			t.Fatalf("render %d lost the stable series:\n%s", i, out)
+		}
+		if len(r.Samples()) == 0 {
+			t.Fatalf("sample %d is empty", i)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestTracer covers threshold gating, ring eviction, and ordering.

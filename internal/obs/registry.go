@@ -37,12 +37,12 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// child is one labeled metric of a family; exactly one of the value
-// fields is set, matching the family's kind.
+// child is one labeled metric of a family. Its family's kind picks the
+// one reader that is set: cfn, gfn or hist. counter is the owned
+// Counter behind cfn, kept so re-registration returns it.
 type child struct {
 	labels  string // pre-rendered {k="v",...} or ""
 	counter *Counter
-	gauge   *Gauge
 	cfn     func() uint64
 	gfn     func() float64
 	hist    *Histogram
@@ -71,37 +71,23 @@ func NewRegistry() *Registry {
 	return &Registry{byKey: make(map[string]*family)}
 }
 
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 func renderLabels(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	var b strings.Builder
-	b.WriteByte('{')
+	parts := make([]string, len(labels))
 	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Key)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(l.Value))
-		b.WriteByte('"')
+		parts[i] = l.Key + `="` + labelEscaper.Replace(l.Value) + `"`
 	}
-	b.WriteByte('}')
-	return b.String()
+	return "{" + strings.Join(parts, ",") + "}"
 }
 
-func escapeLabel(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
-
-// register finds or creates the family and child slot. It returns the
-// existing child when the name+labels pair is already present (the
-// caller must tolerate its own metric type there).
-func (r *Registry) register(name, help string, kind Kind, labels []Label) (*child, bool) {
+// register finds or creates the family and child slot and calls fill
+// on the child under mu, so a concurrent walk never copies a child
+// whose reader is not yet set. A fresh child has every reader nil.
+func (r *Registry) register(name, help string, kind Kind, labels []Label, fill func(c *child)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.byKey[name]
@@ -115,51 +101,42 @@ func (r *Registry) register(name, help string, kind Kind, labels []Label) (*chil
 	ls := renderLabels(labels)
 	for _, c := range f.children {
 		if c.labels == ls {
-			return c, false
+			fill(c)
+			return
 		}
 	}
 	c := &child{labels: ls}
+	fill(c)
 	f.children = append(f.children, c)
 	sort.Slice(f.children, func(i, j int) bool { return f.children[i].labels < f.children[j].labels })
-	return c, true
 }
 
 // Counter registers (or finds) a counter.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c, fresh := r.register(name, help, KindCounter, labels)
-	if fresh {
-		c.counter = &Counter{}
-	}
-	if c.counter == nil {
-		panic(fmt.Sprintf("obs: %s%s registered as a func counter", name, c.labels))
-	}
-	return c.counter
-}
-
-// Gauge registers (or finds) a gauge.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	c, fresh := r.register(name, help, KindGauge, labels)
-	if fresh {
-		c.gauge = &Gauge{}
-	}
-	if c.gauge == nil {
-		panic(fmt.Sprintf("obs: %s%s registered as a func gauge", name, c.labels))
-	}
-	return c.gauge
+	var owned *Counter
+	r.register(name, help, KindCounter, labels, func(c *child) {
+		if c.cfn == nil {
+			c.counter = &Counter{}
+			c.cfn = c.counter.Value
+		}
+		if c.counter == nil {
+			panic(fmt.Sprintf("obs: %s%s registered as a func counter", name, c.labels))
+		}
+		owned = c.counter
+	})
+	return owned
 }
 
 // CounterFunc registers a counter whose value is read from fn at
 // scrape time — the zero-hot-path-cost way to export an existing
 // stats accessor. fn must be safe for concurrent use.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
-	c, _ := r.register(name, help, KindCounter, labels)
-	c.counter, c.cfn = nil, fn
+	r.register(name, help, KindCounter, labels, func(c *child) { c.counter, c.cfn = nil, fn })
 }
 
 // GaugeFunc registers a gauge read from fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	c, _ := r.register(name, help, KindGauge, labels)
-	c.gauge, c.gfn = nil, fn
+	r.register(name, help, KindGauge, labels, func(c *child) { c.gfn = fn })
 }
 
 // Histogram registers (or finds) a histogram with the given inclusive
@@ -167,11 +144,14 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 // unit (1e-9 for nanosecond observations rendered as seconds, 1 for
 // sizes).
 func (r *Registry) Histogram(name, help string, bounds []uint64, scale float64, labels ...Label) *Histogram {
-	c, fresh := r.register(name, help, KindHistogram, labels)
-	if fresh {
-		c.hist = newHistogram(bounds, scale)
-	}
-	return c.hist
+	var h *Histogram
+	r.register(name, help, KindHistogram, labels, func(c *child) {
+		if c.hist == nil {
+			c.hist = newHistogram(bounds, scale)
+		}
+		h = c.hist
+	})
+	return h
 }
 
 // Unregister removes the metric with the given name and labels; when
@@ -208,48 +188,47 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
+// walk calls visit for every family, in registration order, with
+// copies of its children taken under mu: series may be registered,
+// re-registered and unregistered concurrently. visit reads the values,
+// outside the lock.
+func (r *Registry) walk(visit func(f *family, children []child)) {
+	type snap struct {
+		f        *family
+		children []child
+	}
+	r.mu.Lock()
+	snaps := make([]snap, len(r.fams))
+	for i, f := range r.fams {
+		snaps[i] = snap{f, make([]child, len(f.children))}
+		for j, c := range f.children {
+			snaps[i].children[j] = *c
+		}
+	}
+	r.mu.Unlock()
+	for _, s := range snaps {
+		visit(s.f, s.children)
+	}
+}
+
 // WriteTo renders the registry in the Prometheus text exposition
 // format (version 0.0.4).
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	r.mu.Lock()
-	fams := make([]*family, len(r.fams))
-	copy(fams, r.fams)
-	r.mu.Unlock()
 	var b strings.Builder
-	for _, f := range fams {
-		// Children may be unregistered concurrently; snapshot under mu.
-		r.mu.Lock()
-		children := make([]*child, len(f.children))
-		copy(children, f.children)
-		r.mu.Unlock()
-		if len(children) == 0 {
-			continue
-		}
+	r.walk(func(f *family, children []child) {
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
 		for _, c := range children {
 			switch f.kind {
 			case KindCounter:
-				v := uint64(0)
-				if c.counter != nil {
-					v = c.counter.Value()
-				} else if c.cfn != nil {
-					v = c.cfn()
-				}
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, c.labels, v)
+				fmt.Fprintf(&b, "%s%s %d\n", f.name, c.labels, c.cfn())
 			case KindGauge:
-				var v float64
-				if c.gauge != nil {
-					v = float64(c.gauge.Value())
-				} else if c.gfn != nil {
-					v = c.gfn()
-				}
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, c.labels, formatFloat(v))
+				fmt.Fprintf(&b, "%s%s %s\n", f.name, c.labels, formatFloat(c.gfn()))
 			case KindHistogram:
 				writeHistogram(&b, f.name, c.labels, c.hist)
 			}
 		}
-	}
+	})
 	n, err := io.WriteString(w, b.String())
 	return int64(n), err
 }
@@ -257,7 +236,7 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 // writeHistogram renders one histogram child: cumulative le buckets,
 // +Inf, scaled _sum and _count.
 func writeHistogram(b *strings.Builder, name, labels string, h *Histogram) {
-	buckets, sum := h.snapshot()
+	buckets, count, sum := h.snapshot()
 	// Splice le="..." into the existing label set.
 	inner := ""
 	if labels != "" {
@@ -269,10 +248,9 @@ func writeHistogram(b *strings.Builder, name, labels string, h *Histogram) {
 		fmt.Fprintf(b, "%s_bucket{%sle=\"%s\"} %d\n",
 			name, inner, formatFloat(float64(bound)*h.scale), cum)
 	}
-	cum += buckets[len(h.bounds)]
-	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", name, inner, cum)
+	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", name, inner, count)
 	fmt.Fprintf(b, "%s_sum%s %s\n", name, labels, formatFloat(float64(sum)*h.scale))
-	fmt.Fprintf(b, "%s_count%s %d\n", name, labels, cum)
+	fmt.Fprintf(b, "%s_count%s %d\n", name, labels, count)
 }
 
 // Render returns the full exposition as a byte slice (the STATS2 wire
@@ -290,51 +268,33 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 }
 
 // Sample is one flattened metric value; histograms flatten to
-// name_count and name_sum counter samples.
+// name_count and name_sum counter samples. The daemon's -stats-every
+// log line is its only reader.
 type Sample struct {
-	Name   string  `json:"name"`
-	Labels string  `json:"labels,omitempty"`
-	Kind   string  `json:"kind"`
-	Value  float64 `json:"value"`
+	Name   string
+	Labels string
+	Kind   string
+	Value  float64
 }
 
-// Samples flattens the registry to one value per series, for log-line
-// deltas and JSON dumps.
+// Samples flattens the registry to one value per series, each the
+// value WriteTo renders for it.
 func (r *Registry) Samples() []Sample {
-	r.mu.Lock()
-	fams := make([]*family, len(r.fams))
-	copy(fams, r.fams)
-	r.mu.Unlock()
 	var out []Sample
-	for _, f := range fams {
-		r.mu.Lock()
-		children := make([]*child, len(f.children))
-		copy(children, f.children)
-		r.mu.Unlock()
+	r.walk(func(f *family, children []child) {
 		for _, c := range children {
 			switch f.kind {
 			case KindCounter:
-				v := uint64(0)
-				if c.counter != nil {
-					v = c.counter.Value()
-				} else if c.cfn != nil {
-					v = c.cfn()
-				}
-				out = append(out, Sample{f.name, c.labels, f.kind.String(), float64(v)})
+				out = append(out, Sample{f.name, c.labels, f.kind.String(), float64(c.cfn())})
 			case KindGauge:
-				var v float64
-				if c.gauge != nil {
-					v = float64(c.gauge.Value())
-				} else if c.gfn != nil {
-					v = c.gfn()
-				}
-				out = append(out, Sample{f.name, c.labels, f.kind.String(), v})
+				out = append(out, Sample{f.name, c.labels, f.kind.String(), c.gfn()})
 			case KindHistogram:
+				_, count, sum := c.hist.snapshot()
 				out = append(out,
-					Sample{f.name + "_count", c.labels, "counter", float64(c.hist.Count())},
-					Sample{f.name + "_sum", c.labels, "counter", float64(c.hist.Sum()) * c.hist.scale})
+					Sample{f.name + "_count", c.labels, "counter", float64(count)},
+					Sample{f.name + "_sum", c.labels, "counter", float64(sum) * c.hist.scale})
 			}
 		}
-	}
+	})
 	return out
 }

@@ -659,13 +659,28 @@ func WriteFileDurable(path string, data []byte) error {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = RenameDurable(tmp, path)
 	}
 	if err != nil {
 		os.Remove(tmp)
+	}
+	return err
+}
+
+// RenameDurable renames oldpath to newpath and fsyncs the directory of
+// each, so the rename reaches the disk before whatever the caller does
+// next: after a crash the entry is at one name, never lost between them.
+func RenameDurable(oldpath, newpath string) error {
+	if err := os.Rename(oldpath, newpath); err != nil {
 		return err
 	}
-	return syncDir(filepath.Dir(path))
+	if err := syncDir(filepath.Dir(newpath)); err != nil {
+		return err
+	}
+	if dir := filepath.Dir(oldpath); dir != filepath.Dir(newpath) {
+		return syncDir(dir)
+	}
+	return nil
 }
 
 // RemoveFileDurable removes path and fsyncs its directory, so the

@@ -66,7 +66,11 @@ type Registry struct {
 
 // namespace is one map being served. Executor runs hold mu.RLock for
 // their whole run; Drop takes mu.Lock, so it waits out in-flight runs
-// before the backend is closed and the directory deleted.
+// before the backend is closed and the directory deleted. A run resolves
+// its namespace (Registry.lookup, under the registry's lock) before it
+// takes mu, and the admin ops run outside any run, so no goroutine
+// waits for the registry's lock while it holds a namespace's: Drop may
+// wait for mu while it holds the registry's.
 type namespace struct {
 	id       uint32
 	name     string
@@ -153,6 +157,30 @@ func (ns *namespace) detach(c *conn) {
 	ns.connMu.Unlock()
 }
 
+// tombstonePrefix names a dropped namespace's directory while it is
+// removed; the ns-* glob skips it and NewRegistry deletes any a crash
+// left behind.
+const tombstonePrefix = ".dropped-"
+
+// removeAll deletes a tombstone; a variable so tests can stop the
+// removal part-way, as a crash would.
+var removeAll = os.RemoveAll
+
+// removeDurable deletes a namespace directory crash-atomically: it is
+// renamed to a tombstone first, and the rename made durable, so a crash
+// part-way through the removal leaves no ns-<name> directory holding
+// part of the namespace's files.
+func removeDurable(dir string) error {
+	tomb := filepath.Join(filepath.Dir(dir), tombstonePrefix+filepath.Base(dir))
+	if err := removeAll(tomb); err != nil {
+		return err
+	}
+	if err := persist.RenameDurable(dir, tomb); err != nil {
+		return err
+	}
+	return removeAll(tomb)
+}
+
 // fsyncMetaFile records a durable namespace's fsync-policy selector (the
 // wire.NsFsync* byte) so a reopen restores the policy it was created
 // with rather than the registry default of the day.
@@ -162,7 +190,8 @@ const fsyncMetaFile = "nsfsync"
 // every durable namespace already on disk (ns-<name> subdirectories, in
 // name order — namespace ids are assigned per process lifetime and are
 // not stable across restarts; clients resolve names via NsList or
-// NsCreate).
+// NsCreate). It first deletes the tombstones of drops a crash cut
+// short.
 func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	r := &Registry{
 		cfg:    cfg,
@@ -175,6 +204,12 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	}
 	if err := persist.MkdirAllDurable(cfg.Root); err != nil {
 		return nil, err
+	}
+	tombs, _ := filepath.Glob(filepath.Join(cfg.Root, tombstonePrefix+"*"))
+	for _, tomb := range tombs {
+		if err := removeAll(tomb); err != nil {
+			return nil, err
+		}
 	}
 	dirs, err := filepath.Glob(filepath.Join(cfg.Root, "ns-*"))
 	if err != nil {
@@ -330,22 +365,26 @@ func (r *Registry) create(name, dir string, fsync uint8) (*namespace, error) {
 }
 
 // Drop unregisters a namespace, waits out its in-flight executor runs,
-// closes its backend, and — for a durable namespace — deletes its
-// directory. Requests racing the drop answer StatusNsNotFound.
+// closes its backend, releases its metric series, and — for a durable
+// namespace — deletes its directory through a tombstone. It holds the
+// registry lock throughout, as Create does across recovery: a Create of
+// the same name cannot open the directory or register the series until
+// the old ones are gone, and lookups (with them all v2 traffic) stall
+// for the drop's duration. Requests racing the drop answer
+// StatusNsNotFound.
 func (r *Registry) Drop(name string) error {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	ns, ok := r.byName[name]
 	if !ok {
-		r.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNsNotFound, name)
 	}
 	delete(r.byName, name)
 	delete(r.byID, ns.id)
-	r.mu.Unlock()
 	// A failed final flush loses nothing a drop was not about to delete.
 	_ = ns.close(r.cfg.Obs)
 	if ns.dir != "" {
-		return os.RemoveAll(ns.dir)
+		return removeDurable(ns.dir)
 	}
 	return nil
 }

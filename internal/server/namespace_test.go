@@ -319,6 +319,231 @@ func TestNamespaceCreateFsyncMetaFails(t *testing.T) {
 	}
 }
 
+// put writes k=v into a namespace and syncs its log.
+func put(ns *namespace, k, v string) error {
+	be := ns.backend()
+	req := []wire.Request{{Op: wire.OpPut2, BKey: []byte(k), BVal: []byte(v)}}
+	if _, err := be.Atomic(req, make([]wire.Response, 1)); err != nil {
+		return err
+	}
+	return be.Sync()
+}
+
+// putSync is put that fails the test on an error.
+func putSync(t *testing.T, ns *namespace, k, v string) {
+	t.Helper()
+	if err := put(ns, k, v); err != nil {
+		t.Fatalf("put %s: %v", k, err)
+	}
+}
+
+// getOf reads k from a namespace.
+func getOf(ns *namespace, k string) (string, bool) {
+	req := wire.Request{Op: wire.OpGet2, BKey: []byte(k)}
+	var resp wire.Response
+	answer(&resp, &req)
+	ns.backend().Get(&req, &resp)
+	return string(resp.BVal), resp.Ok
+}
+
+// TestNamespaceDropRacesCreate: a Create of the name a Drop is removing
+// waits until the drop is done, so the drop neither deletes the new
+// namespace's directory nor unregisters its latency series, though a
+// run held the old namespace while the create was issued.
+func TestNamespaceDropRacesCreate(t *testing.T) {
+	root := t.TempDir()
+	or := obs.NewRegistry()
+	reg, err := NewRegistry(RegistryConfig{Root: root, Obs: or})
+	if err != nil {
+		t.Fatalf("NewRegistry: %v", err)
+	}
+	old, err := reg.Create("x", true, wire.NsFsyncAlways)
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	putSync(t, old, "old", "1")
+	old.mu.RLock() // a run in flight
+	dropped := make(chan error, 1)
+	go func() { dropped <- reg.Drop("x") }()
+	// Go on once the drop has freed the name or holds the registry lock.
+	for held := 0; held < 5; time.Sleep(time.Millisecond) {
+		if !reg.mu.TryRLock() {
+			held++
+			continue
+		}
+		freed := reg.byName["x"] == nil
+		reg.mu.RUnlock()
+		if freed {
+			break
+		}
+		held = 0
+	}
+	var createErr error
+	created := make(chan struct{})
+	go func() {
+		defer close(created)
+		ns, err := reg.Create("x", true, wire.NsFsyncAlways)
+		if err == nil {
+			err = put(ns, "new", "2")
+		}
+		createErr = err
+	}()
+	// Give a create the drop does not hold off time to finish inside it.
+	select {
+	case <-created:
+	case <-time.After(200 * time.Millisecond):
+	}
+	old.mu.RUnlock()
+	if err := <-dropped; err != nil {
+		t.Fatalf("Drop: %v", err)
+	}
+	<-created
+	if createErr != nil {
+		t.Fatalf("Create and write during the drop: %v", createErr)
+	}
+	if series := `skiphash_server_request_seconds_count{ns="x"}`; !strings.Contains(string(or.Render()), series) {
+		t.Errorf("the new namespace's %s is not registered", series)
+	}
+	if err := reg.CloseAll(); err != nil {
+		t.Fatalf("CloseAll: %v", err)
+	}
+	reg, err = NewRegistry(RegistryConfig{Root: root})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer reg.CloseAll()
+	if got := reg.List(); len(got) != 1 || got[0].Name != "x" {
+		t.Fatalf("reopened namespaces = %+v, want x", got)
+	}
+	ns := reg.lookup(reg.List()[0].ID)
+	if v, ok := getOf(ns, "new"); !ok || v != "2" {
+		t.Errorf("after reopen new = %q, %v; want the synced write", v, ok)
+	}
+	if _, ok := getOf(ns, "old"); ok {
+		t.Error("after reopen the dropped namespace's key is back")
+	}
+}
+
+// TestNamespaceDropCrashAtomic: a crash part-way through a drop's
+// removal (here the removal stops after deleting the snapshots) leaves
+// a tombstone, not an ns-<name> directory holding part of the dropped
+// namespace, and the next NewRegistry deletes the tombstone.
+func TestNamespaceDropCrashAtomic(t *testing.T) {
+	root := t.TempDir()
+	reg, err := NewRegistry(RegistryConfig{Root: root})
+	if err != nil {
+		t.Fatalf("NewRegistry: %v", err)
+	}
+	ns, err := reg.Create("x", true, wire.NsFsyncAlways)
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	for i := 0; i < 20; i++ {
+		putSync(t, ns, fmt.Sprint("k", i), "v")
+	}
+	if err := ns.backend().Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	putSync(t, ns, "after", "v")
+
+	var cut []string
+	orig := removeAll
+	t.Cleanup(func() { removeAll = orig })
+	removeAll = func(path string) error {
+		snaps, _ := filepath.Glob(filepath.Join(path, "snap-*"))
+		if len(snaps) == 0 {
+			return orig(path)
+		}
+		for _, f := range snaps {
+			if err := os.Remove(f); err != nil {
+				return err
+			}
+		}
+		cut = append(cut, filepath.Base(path))
+		return errors.New("crashed part-way through the removal")
+	}
+	if err := reg.Drop("x"); err == nil {
+		t.Fatal("Drop with the removal cut short returned nil")
+	}
+	if len(cut) != 1 {
+		t.Fatalf("the removal was cut at %q, want once", cut)
+	}
+	removeAll = orig
+	reg, err = NewRegistry(RegistryConfig{Root: root})
+	if err != nil {
+		t.Fatalf("reopen after the cut drop: %v", err)
+	}
+	defer reg.CloseAll()
+	if got := reg.List(); len(got) != 0 {
+		t.Fatalf("dropped namespace reopened as %+v", got)
+	}
+	if left, _ := os.ReadDir(root); len(left) != 0 {
+		t.Fatalf("%s still holds %v after the reopen", root, left)
+	}
+}
+
+// TestNamespaceCreateAt covers the daemon's -ns name=dir boot path: a
+// directory outside Root, a repeat at the same directory, a second
+// directory for a taken name, and a restart, after which the same flag
+// finds the namespace reopened with the policy its nsfsync recorded.
+func TestNamespaceCreateAt(t *testing.T) {
+	root, outside := t.TempDir(), filepath.Join(t.TempDir(), "x")
+	reg, err := NewRegistry(RegistryConfig{Root: root})
+	if err != nil {
+		t.Fatalf("NewRegistry: %v", err)
+	}
+	x, err := reg.CreateAt("x", outside, wire.NsFsyncAlways)
+	if err != nil {
+		t.Fatalf("CreateAt outside Root: %v", err)
+	}
+	putSync(t, x, "k", "v")
+	if _, err := os.Stat(filepath.Join(outside, fsyncMetaFile)); err != nil {
+		t.Fatalf("CreateAt wrote no %s in its directory: %v", fsyncMetaFile, err)
+	}
+	if left, _ := os.ReadDir(root); len(left) != 0 {
+		t.Fatalf("CreateAt outside Root left %v in Root", left)
+	}
+	if again, err := reg.CreateAt("x", outside, wire.NsFsyncAlways); err != nil || again != x {
+		t.Fatalf("repeat at the same directory = %v, %v; want the open namespace", again, err)
+	}
+	if _, err := reg.CreateAt("x", filepath.Join(root, "other"), wire.NsFsyncAlways); !errors.Is(err, ErrNsExists) {
+		t.Fatalf("a second directory for x = %v, want ErrNsExists", err)
+	}
+	inside := filepath.Join(root, "ns-y")
+	if _, err := reg.CreateAt("y", inside, wire.NsFsyncAlways); err != nil {
+		t.Fatalf("CreateAt under Root: %v", err)
+	}
+	if err := reg.CloseAll(); err != nil {
+		t.Fatalf("CloseAll: %v", err)
+	}
+
+	// Restart: Root's namespace is found by the scan with its recorded
+	// policy, which a repeated flag without a policy leaves in place; the
+	// one outside Root reopens when its flag is given again.
+	reg, err = NewRegistry(RegistryConfig{Root: root})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer reg.CloseAll()
+	if got := reg.List(); len(got) != 1 || got[0].Name != "y" {
+		t.Fatalf("namespaces found under Root = %+v, want y", got)
+	}
+	y := reg.lookup(reg.List()[0].ID)
+	if again, err := reg.CreateAt("y", inside, wire.NsFsyncDefault); err != nil || again != y {
+		t.Fatalf("-ns y=%s after the restart = %v, %v; want the reopened namespace", inside, again, err)
+	}
+	b, err := os.ReadFile(filepath.Join(inside, fsyncMetaFile))
+	if err != nil || strings.TrimSpace(string(b)) != strconv.Itoa(int(wire.NsFsyncAlways)) {
+		t.Fatalf("y's %s = %q, %v; want the always selector it was created with", fsyncMetaFile, b, err)
+	}
+	if x, err = reg.CreateAt("x", outside, wire.NsFsyncAlways); err != nil {
+		t.Fatalf("-ns x=%s after the restart: %v", outside, err)
+	}
+	if v, ok := getOf(x, "k"); !ok || v != "v" {
+		t.Fatalf("after the restart x's k = %q, %v; want v", v, ok)
+	}
+}
+
 func TestNamespaceConnQuota(t *testing.T) {
 	_, addr := startNsServer(t, RegistryConfig{MaxConns: 1}, Config{})
 	c1 := dialT(t, addr, client.Options{Conns: 1})

@@ -16,7 +16,10 @@
 // of requests and writes results into responses. Everything else —
 // resolving the namespace, its run lock and connection quota,
 // coalescing, metrics and trace annotations — treats namespace 0 like
-// any other.
+// any other. Creating and dropping a namespace are admin operations that
+// hold the registry's lock throughout: while a durable create recovers
+// or a drop waits out in-flight runs, closes the map and deletes its
+// directory, namespace lookups (all v2 traffic) wait.
 //
 // # Pipelining and batching
 //

@@ -33,7 +33,9 @@ package wire
 //	NsCreate name, durable, fsync -> id (StatusNsExists if present)
 //	NsDrop   name                 -> empty (StatusNsNotFound if absent;
 //	                                 a durable namespace's directory is
-//	                                 deleted with it)
+//	                                 deleted with it, crash-atomically,
+//	                                 before the name can be created
+//	                                 again; lookups wait meanwhile)
 //	NsList                        -> entries of (id, name, durable)
 //
 // Namespace 0, "default", is the always-present int64 map: listed by
