@@ -15,9 +15,10 @@ var ReadWorkloads = []Workload{
 
 // ReadMaps returns the read-experiment series: the two-path skip hash
 // with the optimistic read fast path (the default configuration), and
-// the same map with the fast path disabled — the pre-fast-path
-// transactional Get, so the pair isolates exactly the fast path's
-// effect.
+// the same map with Config.DisableReadFastPath set — the pre-fast-path
+// transactional Get. That setting also turns off every insert's raw
+// descent, so only the pure-lookup row isolates the fast path's effect;
+// the 90/10 row measures both changes.
 func ReadMaps() []MapFactory {
 	return []MapFactory{
 		{Name: "skiphash-two-path", New: func() Map { return NewSkipHash("two-path", 0) }},

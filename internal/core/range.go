@@ -11,14 +11,7 @@ import (
 func (m *Map[K, V]) rangeFast(l, r K, out []Pair[K, V]) ([]Pair[K, V], error) {
 	res := out
 	err := m.rt.TryOnce(func(tx *stm.Tx) error {
-		res = out
-		c := m.seekTx(tx, l, m.nodeBefore, nil)
-		for c != m.tail && !m.less(r, c.key) {
-			if !c.deleted(tx) {
-				res = append(res, Pair[K, V]{Key: c.key, Val: c.val})
-			}
-			c = c.next0.Load(tx, &c.orec)
-		}
+		res = m.rangeTx(tx, l, r, out)
 		return nil
 	})
 	if err != nil {
@@ -129,9 +122,9 @@ func (m *Map[K, V]) isSafe(tx *stm.Tx, n *node[K, V], ver uint64) bool {
 	return rt == rTimeNone || rt >= ver
 }
 
-// rangeTx collects [l, r] inside an enclosing transaction (used by the
-// batch API, where the surrounding transaction already provides
-// atomicity; this is the fast path's body without the try-once wrapper).
+// rangeTx collects [l, r] inside an enclosing transaction: the fast
+// path's body, and the batch API's range, where the surrounding
+// transaction already provides atomicity.
 func (m *Map[K, V]) rangeTx(tx *stm.Tx, l, r K, out []Pair[K, V]) []Pair[K, V] {
 	c := m.seekTx(tx, l, m.nodeBefore, nil)
 	for c != m.tail && !m.less(r, c.key) {

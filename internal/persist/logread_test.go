@@ -112,8 +112,8 @@ func TestLogReaderObservesAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A reopened store appends to the same segment, but the frames
-	// recovered from it have no position in the new log.
+	// A reopened store appends to a segment of its own; the frames
+	// recovered from the old one have no position in the new log.
 	st = openInt64Store(t, Options{Dir: dir, Fsync: FsyncNone, FsyncEvery: time.Hour})
 	defer st.Close()
 	r2 := st.NewLogReader()

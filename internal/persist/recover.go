@@ -43,6 +43,7 @@ type dirState struct {
 	snaps    []uint64  // snapshot seqs, ascending
 	maxSeq   uint64
 	tmpFiles []string
+	snapMin  uint64 // the loaded snapshot's earliest chunk stamp
 }
 
 func scanDir(dir string) (dirState, error) {
@@ -99,12 +100,9 @@ func scanDir(dir string) (dirState, error) {
 // with a CorruptionError and leaves the choice to the operator.
 func walkSegment(path string, data []byte, last bool,
 	fn func(off int64, stamp, count uint64, ops []byte) error) (goodEnd int64, torn bool, err error) {
-	if len(data) == 0 && last {
-		// Crash between file creation and the header write.
-		return 0, true, nil
-	}
 	if len(data) < len(walMagic) {
 		if last {
+			// Crash between file creation and the header write.
 			return 0, true, nil
 		}
 		return 0, false, &CorruptionError{Path: path, Offset: 0, Reason: "short segment header"}
@@ -185,7 +183,7 @@ func truncateDurable(path string, size int64) error {
 		f.Close()
 		return err
 	}
-	if err := f.Sync(); err != nil {
+	if err := syncFile(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -329,8 +327,9 @@ func (f *fold[K, V]) pairs() []KV[K, V] {
 
 // recoverDir reconstructs state from a durability directory: newest
 // valid snapshot plus the WAL, returned as strictly ascending pairs by
-// less. It also repairs a torn tail in place and reports the segment
-// metadata the reopened engine continues from.
+// less. It also repairs a torn tail in place, and reports the segments
+// it read, which the reopened engine keeps sealed, and the loaded
+// snapshot's earliest chunk stamp, below which Open truncates them.
 //
 // Recovery is one flat pipeline. A first walk checks every frame and sums
 // the snapshot's entries and the records' op counts; a fold presized to
@@ -351,7 +350,6 @@ func recoverDir[K comparable, V any](dir string, less func(a, b K) bool, kc Code
 	// Pass 1: read and check every file, size the op array.
 	var snapPath string
 	var snapData []byte
-	var snapMin uint64
 	if len(st.snaps) > 0 {
 		snapPath = filepath.Join(dir, snapName(st.snaps[len(st.snaps)-1]))
 		if snapData, err = os.ReadFile(snapPath); err != nil {
@@ -364,14 +362,10 @@ func recoverDir[K comparable, V any](dir string, less func(a, b K) bool, kc Code
 		if err != nil {
 			return nil, info, st, err
 		}
-		snapMin = c.minStamp
+		st.snapMin = c.minStamp
 		info.SnapshotEntries = int(c.total)
 		info.MaxStamp = c.maxStamp
-		// Older snapshots are fully superseded.
-		for _, seq := range st.snaps[:len(st.snaps)-1] {
-			os.Remove(filepath.Join(dir, snapName(seq)))
-		}
-		st.snaps = st.snaps[len(st.snaps)-1:]
+		retireSnapshots(dir, st.snaps, st.snaps[len(st.snaps)-1])
 	}
 	segData := make([][]byte, len(st.segs))
 	size := uint64(info.SnapshotEntries)
@@ -399,13 +393,26 @@ func recoverDir[K comparable, V any](dir string, less func(a, b K) bool, kc Code
 		info.MaxStamp = max(info.MaxStamp, seg.maxStamp)
 		if torn {
 			info.TornTail = true
-			// Repair and fsync: the truncation must itself survive a
-			// power loss, or resurrected pre-truncate bytes could later
-			// sit under freshly appended frames and turn a recoverable
-			// torn tail into a checksum mismatch.
-			if err := truncateDurable(seg.path, goodEnd); err != nil {
-				return nil, info, st, err
+			if goodEnd == 0 {
+				// It never got its header, so it holds nothing; left in
+				// place it would be a corrupt non-last segment once the
+				// next incarnation starts its own.
+				if err := RemoveFileDurable(seg.path); err != nil {
+					return nil, info, st, err
+				}
+				st.segs, segData = st.segs[:i], segData[:i]
+				break
 			}
+		}
+	}
+	// The newest segment is sealed from here on, and the next
+	// incarnation's first flush makes it a non-last one, where a torn
+	// tail is corruption. So, as a rotation does, fsync it first, torn
+	// tail cut off: a power loss must neither revert the repair nor tear
+	// frames an earlier run wrote but never fsynced.
+	if n := len(st.segs); n > 0 {
+		if err := truncateDurable(st.segs[n-1].path, st.segs[n-1].n); err != nil {
+			return nil, info, st, err
 		}
 	}
 	info.Segments = len(st.segs)
@@ -437,18 +444,15 @@ func recoverDir[K comparable, V any](dir string, less func(a, b K) bool, kc Code
 	}
 	pairs = f.pairs()
 	info.Entries = len(pairs)
-
-	// Tidy: segments fully covered by the loaded snapshot are dead
-	// weight on the next recovery. Prefix rule as in wal.truncateBelow.
-	if snapMin > 0 {
-		cut := 0
-		for cut < len(st.segs)-1 && st.segs[cut].maxStamp < snapMin {
-			cut++
-		}
-		for _, s := range st.segs[:cut] {
-			os.Remove(s.path)
-		}
-		st.segs = st.segs[cut:]
-	}
 	return pairs, info, st, nil
+}
+
+// retireSnapshots removes the snapshot files of dir numbered in snaps,
+// all but keep's, which supersedes them.
+func retireSnapshots(dir string, snaps []uint64, keep uint64) {
+	for _, seq := range snaps {
+		if seq != keep {
+			os.Remove(filepath.Join(dir, snapName(seq)))
+		}
+	}
 }

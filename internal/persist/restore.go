@@ -20,7 +20,8 @@ type Restore struct {
 }
 
 // The staged files are a fresh directory's first two: snapshot 1, then
-// segment 2, which the reopened store appends to.
+// segment 2, sealed like every recovered segment; the reopened store
+// appends to a segment of its own.
 var restoreFiles = []string{snapName(1), segName(2)}
 
 // NewRestore starts an empty restore into dir, discarding whatever an

@@ -67,7 +67,11 @@ func (s *Store[K, V]) Instrument(fsyncLatency, batchRecords, snapDuration *obs.H
 }
 
 // Open recovers a durability directory and returns a store ready to log
-// new operations. less is the map's key order: recovery sorts by it, and
+// new operations. The store never appends to a segment an earlier
+// incarnation wrote: recovery fsyncs the newest old segment, the first
+// flush starts a fresh one, and the segments the loaded snapshot covers
+// are deleted before Open returns.
+// less is the map's key order: recovery sorts by it, and
 // TakeRecovered hands the pairs out strictly ascending by it. The
 // recovered pairs must be loaded into the map before the store is
 // attached as its operation logger, and the map's clock must be floored
@@ -99,40 +103,18 @@ func Open[K comparable, V any](opts Options, less func(a, b K) bool, kc Codec[K]
 	}
 	s.bufPool.New = func() any { return &txBuf{} }
 
-	// Continue appending into the newest existing segment (tail already
-	// repaired) unless it is full; otherwise the first flush opens a
-	// fresh one. A segment that lost even its header to a crash (created
-	// but never written) holds nothing and must not be adopted — appends
-	// at offset zero without the magic would make the whole directory
-	// unrecoverable — so it is deleted instead.
-	var sealed []segMeta
-	var adopt *segMeta
-	if len(st.segs) > 0 {
-		lastSeg := st.segs[len(st.segs)-1]
-		switch {
-		case lastSeg.n < int64(len(walMagic)):
-			os.Remove(lastSeg.path)
-			sealed = append(sealed, st.segs[:len(st.segs)-1]...)
-		case lastSeg.n < opts.SegmentBytes:
-			adopt = &lastSeg
-			sealed = append(sealed, st.segs[:len(st.segs)-1]...)
-		default:
-			sealed = append(sealed, st.segs...)
-		}
-	}
-	s.w = newWAL(opts, st.maxSeq, sealed)
+	// Every recovered segment is sealed: this incarnation's first flush
+	// starts a segment of its own, so no file mixes incarnations. The
+	// segments the loaded snapshot covers go by the rule a snapshot
+	// applies at run time, the newest included.
+	s.w = newWAL(opts, st.maxSeq, st.segs)
 	s.w.snapKick = func() {
 		select {
 		case s.kickSnap <- struct{}{}:
 		default:
 		}
 	}
-	if adopt != nil {
-		if err := s.w.adoptSegment(*adopt); err != nil {
-			s.w.close()
-			return nil, err
-		}
-	}
+	s.w.truncateBelow(st.snapMin)
 	return s, nil
 }
 
@@ -310,23 +292,14 @@ func (s *Store[K, V]) Snapshot() error {
 		os.Remove(tmp)
 		return err
 	}
-	final := filepath.Join(s.opts.Dir, snapName(seq))
-	if err := os.Rename(tmp, final); err != nil {
+	if err := RenameDurable(tmp, filepath.Join(s.opts.Dir, snapName(seq))); err != nil {
 		os.Remove(tmp)
-		return err
-	}
-	if err := syncDir(s.opts.Dir); err != nil {
 		return err
 	}
 	// The new snapshot supersedes every older one and every WAL segment
 	// whose records all predate its earliest chunk.
-	st, err := scanDir(s.opts.Dir)
-	if err == nil {
-		for _, old := range st.snaps {
-			if old != seq {
-				os.Remove(filepath.Join(s.opts.Dir, snapName(old)))
-			}
-		}
+	if st, err := scanDir(s.opts.Dir); err == nil {
+		retireSnapshots(s.opts.Dir, st.snaps, seq)
 	}
 	s.w.truncateBelow(minStamp)
 	s.w.resetSnapshotDebt()
@@ -433,7 +406,8 @@ type StoreStats struct {
 	Flushes uint64
 	Syncs   uint64
 	// Snapshots counts completed snapshots; SnapshotEntries their total
-	// pairs; SegmentsDeleted the WAL segments truncated behind them.
+	// pairs; SegmentsDeleted the WAL segments truncated behind them,
+	// and at open behind the snapshot recovery loaded.
 	Snapshots       uint64
 	SnapshotEntries uint64
 	SegmentsDeleted uint64

@@ -407,7 +407,9 @@ func (w *wal) setErrLocked(err error) {
 	w.durable.Broadcast()
 }
 
-// openSegmentLocked creates the next segment file; callers hold ioMu.
+// openSegmentLocked creates the next segment file, the only way a
+// segment becomes active: an incarnation's first flush and the first
+// flush after each rotation call it. Callers hold ioMu.
 func (w *wal) openSegmentLocked() error {
 	seq := w.nextFileSeq()
 	path := filepath.Join(w.dir, segName(seq))
@@ -428,23 +430,6 @@ func (w *wal) openSegmentLocked() error {
 	w.mu.Lock()
 	w.head = segMeta{path: path, seq: seq, n: n, pos: w.flushedLSN, off: n}
 	w.mu.Unlock()
-	return nil
-}
-
-// adoptSegment reuses an existing (tail-repaired) segment as the active
-// one, appending at its end. It takes ioMu itself; callers must not hold
-// it.
-func (w *wal) adoptSegment(meta segMeta) error {
-	f, err := os.OpenFile(meta.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	w.ioMu.Lock()
-	w.active = f
-	w.mu.Lock()
-	w.head = meta // nothing appended yet: position 0 sits at offset n
-	w.mu.Unlock()
-	w.ioMu.Unlock()
 	return nil
 }
 
@@ -714,6 +699,10 @@ func MkdirAllDurable(dir string) error {
 	}
 	return syncDir(parent)
 }
+
+// syncFile fsyncs a file recovery repaired or sealed. A variable so
+// tests can record the files synced.
+var syncFile = (*os.File).Sync
 
 // syncDir fsyncs a directory so renames and creates survive power loss.
 // A variable so tests can record the directories synced.

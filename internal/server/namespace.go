@@ -171,7 +171,7 @@ var removeAll = os.RemoveAll
 // part-way through the removal leaves no ns-<name> directory holding
 // part of the namespace's files.
 func removeDurable(dir string) error {
-	tomb := filepath.Join(filepath.Dir(dir), tombstonePrefix+filepath.Base(dir))
+	tomb := tombstone(dir)
 	if err := removeAll(tomb); err != nil {
 		return err
 	}
@@ -179,6 +179,11 @@ func removeDurable(dir string) error {
 		return err
 	}
 	return removeAll(tomb)
+}
+
+// tombstone names the tombstone a drop of dir renames it to.
+func tombstone(dir string) string {
+	return filepath.Join(filepath.Dir(dir), tombstonePrefix+filepath.Base(dir))
 }
 
 // fsyncMetaFile records a durable namespace's fsync-policy selector (the
@@ -225,13 +230,7 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 			r.CloseAll()
 			return nil, fmt.Errorf("server: namespace dir %s: %w", dir, err)
 		}
-		fsync := wire.NsFsyncDefault
-		if raw, err := os.ReadFile(filepath.Join(dir, fsyncMetaFile)); err == nil {
-			if v, err := strconv.Atoi(strings.TrimSpace(string(raw))); err == nil && v >= 0 && v <= int(wire.NsFsyncAlways) {
-				fsync = uint8(v)
-			}
-		}
-		if _, err := r.CreateAt(name, dir, fsync); err != nil {
+		if _, err := r.CreateAt(name, dir, wire.NsFsyncDefault); err != nil {
 			r.CloseAll()
 			return nil, fmt.Errorf("server: reopen namespace %q: %w", name, err)
 		}
@@ -317,18 +316,32 @@ func (r *Registry) CreateAt(name, dir string, fsync uint8) (*namespace, error) {
 	return r.create(name, dir, fsync)
 }
 
+// create opens a namespace's map. For a durable one it first deletes
+// the tombstone of a drop of dir that a crash cut short, and a
+// NsFsyncDefault selector reopens under the policy recorded in dir.
 func (r *Registry) create(name, dir string, fsync uint8) (*namespace, error) {
 	if err := checkNsName(name); err != nil {
-		return nil, err
-	}
-	pol, err := r.fsyncPolicy(fsync)
-	if err != nil {
 		return nil, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.byName[name]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrNsExists, name)
+	}
+	if dir != "" {
+		if err := removeAll(tombstone(dir)); err != nil {
+			return nil, err
+		}
+		if fsync == wire.NsFsyncDefault {
+			raw, _ := os.ReadFile(filepath.Join(dir, fsyncMetaFile))
+			if v, err := strconv.Atoi(strings.TrimSpace(string(raw))); err == nil && v >= 0 && v <= int(wire.NsFsyncAlways) {
+				fsync = uint8(v)
+			}
+		}
+	}
+	pol, err := r.fsyncPolicy(fsync)
+	if err != nil {
+		return nil, err
 	}
 	mapCfg := r.cfg.Map
 	mapCfg.Durability = nil

@@ -667,3 +667,50 @@ func TestNamespacePipelinedMixedFamilies(t *testing.T) {
 		t.Fatalf("v2 Get(p39) = %q, %v, %v", v, ok, err)
 	}
 }
+
+// TestNamespaceCreateAtRestoresPolicy: a namespace outside Root that is
+// restarted by a flag with no policy (NsFsyncDefault) reopens under the
+// policy its nsfsync recorded, which stays recorded, and its create
+// deletes the tombstone a crash-cut drop left beside its directory,
+// which NewRegistry's scan of Root never sees.
+func TestNamespaceCreateAtRestoresPolicy(t *testing.T) {
+	root, outside := t.TempDir(), filepath.Join(t.TempDir(), "x")
+	reg, err := NewRegistry(RegistryConfig{Root: root})
+	if err != nil {
+		t.Fatalf("NewRegistry: %v", err)
+	}
+	x, err := reg.CreateAt("x", outside, wire.NsFsyncAlways)
+	if err != nil {
+		t.Fatalf("CreateAt: %v", err)
+	}
+	putSync(t, x, "k", "v")
+	if err := reg.CloseAll(); err != nil {
+		t.Fatalf("CloseAll: %v", err)
+	}
+	tomb := tombstone(outside)
+	if err := os.MkdirAll(tomb, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(tomb, "wal-0000000000000001.seg"), []byte("left by a cut drop"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reg, err = NewRegistry(RegistryConfig{Root: root})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer reg.CloseAll()
+	if x, err = reg.CreateAt("x", outside, wire.NsFsyncDefault); err != nil {
+		t.Fatalf("-ns x=%s after the restart: %v", outside, err)
+	}
+	b, err := os.ReadFile(filepath.Join(outside, fsyncMetaFile))
+	if err != nil || strings.TrimSpace(string(b)) != strconv.Itoa(int(wire.NsFsyncAlways)) {
+		t.Fatalf("x's %s = %q, %v; want the always selector it was created with", fsyncMetaFile, b, err)
+	}
+	if v, ok := getOf(x, "k"); !ok || v != "v" {
+		t.Fatalf("after the restart x's k = %q, %v; want v", v, ok)
+	}
+	if _, err := os.Stat(tomb); !os.IsNotExist(err) {
+		t.Fatalf("tombstone %s after the reopen: %v; want it deleted", tomb, err)
+	}
+}

@@ -23,7 +23,11 @@ package wire
 //	                                 server truncates at MaxRangeBytes2
 //	                                 so the response fits one frame —
 //	                                 paginate by resuming from the last
-//	                                 key + "\x00")
+//	                                 key + "\x00"; a bounded range is
+//	                                 one atomic snapshot, an unbounded
+//	                                 one is read in 64-pair
+//	                                 transactions: weakly consistent
+//	                                 past 64 pairs)
 //	Batch2   ns, n steps          -> n step results, applied atomically
 //	Sync2    ns                   -> fsync that namespace's WAL
 //	Snap2    ns                   -> snapshot that namespace now

@@ -119,7 +119,12 @@ func (m *Map[K, V]) Range(lo, hi K, max int) ([]Pair[K, V], error) {
 }
 
 // RangeFrom returns the pairs with key >= lo, with no upper bound,
-// under the same max and caps as Range.
+// under the same max and caps as Range. On a namespace map it is weakly
+// consistent past 64 pairs: the server reads it in 64-pair
+// transactions, each an atomic snapshot, so an update that commits
+// meanwhile may show in a later chunk and not in an earlier one. On the
+// default int64 map it is a Range up to math.MaxInt64, and like every
+// bounded Range one atomic snapshot.
 func (m *Map[K, V]) RangeFrom(lo K, max int) ([]Pair[K, V], error) {
 	return m.scan(lo, *new(K), true, max)
 }

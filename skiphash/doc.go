@@ -91,7 +91,8 @@
 // truncate covered segments. Open recovers the newest valid snapshot
 // plus the strictly-newer log tail, tolerating a torn final record
 // after a crash and rejecting checksum corruption with an error
-// matching ErrCorrupt.
+// matching ErrCorrupt. Each open then writes a segment of its own and
+// deletes the segments the loaded snapshot covers.
 //
 // The fsync-policy contract (Durability.Fsync): FsyncAlways
 // group-commits — when an update returns, its record is fsynced, so a
@@ -134,7 +135,9 @@
 // Every served map is one client.Map[K, V] with this map's operations
 // (Get, Insert, Put, Remove, Range, RangeFrom, Atomic, Sync, Snapshot):
 // the client embeds the default int64 map, and each namespace is a
-// Map[[]byte, []byte].
+// Map[[]byte, []byte]. A served Range is one atomic snapshot. A
+// namespace's RangeFrom has no upper bound and is answered by
+// AscendFrom, so past its first 64 pairs it is weakly consistent.
 //
 // The wire speaks two op families over one framing. The v1 ops carry
 // fixed 8-byte int64 keys and values and address the daemon's default
