@@ -26,12 +26,11 @@
 // drain.
 //
 // Namespaces: one daemon hosts many named byte-string maps alongside
-// the default int64 map. -ns name, -ns name=dir, and -ns name=dir:fsync
-// (repeatable) open namespaces at boot — in-memory, durable at an
-// explicit directory, or durable with its own fsync policy. -ns-root
-// names the directory for namespaces created at runtime via the wire's
-// NsCreate and re-discovers every ns-<name> subdirectory on start
-// (their recorded fsync policies are restored). -ns-max-conns sets a
+// the default int64 map. -ns name (repeatable) opens an in-memory
+// namespace at boot. A durable namespace has one home,
+// <ns-root>/ns-<name>: the wire's NsCreate makes it there, with its own
+// fsync policy, and every start reopens each ns-<name> subdirectory of
+// -ns-root under the policy it recorded. -ns-max-conns sets a
 // per-namespace connection quota: a connection over a namespace's
 // limit has its requests for that namespace answered StatusBusy.
 // Namespaces are not replicated; -follow excludes them.
@@ -56,7 +55,7 @@
 //
 //	skiphashd [-addr host:port] [-unix path]
 //	          [-dir path] [-fsync none|interval|always] [-fsync-every d]
-//	          [-ns name[=dir[:fsync]]]... [-ns-root path]
+//	          [-ns name]... [-ns-root path]
 //	          [-ns-max-conns n]
 //	          [-follow host:port]
 //	          [-max-conns n] [-max-batch n] [-write-timeout d] [-idle-timeout d]
@@ -107,8 +106,8 @@ func main() {
 		traceSlowMs  = flag.Int64("trace-slow-ms", -1, "trace requests at or above this many milliseconds (0 traces everything, negative disables)")
 		quiet        = flag.Bool("quiet", false, "suppress per-connection diagnostics")
 	)
-	var nsSpecs nsFlags
-	flag.Var(&nsSpecs, "ns", "open a namespace at boot: name, name=dir, or name=dir:fsync (repeatable)")
+	var nsNames nsFlags
+	flag.Var(&nsNames, "ns", "open an in-memory namespace of this name at boot (repeatable); durable namespaces live under -ns-root")
 	flag.Parse()
 	if *addr == "" && *unixPath == "" {
 		log.Fatal("skiphashd: nothing to listen on (-addr and -unix both empty)")
@@ -116,7 +115,7 @@ func main() {
 	if *follow != "" && *dir == "" {
 		log.Fatal("skiphashd: -follow requires -dir (a replica is a durable map)")
 	}
-	if *follow != "" && (len(nsSpecs) > 0 || *nsRoot != "") {
+	if *follow != "" && (len(nsNames) > 0 || *nsRoot != "") {
 		log.Fatal("skiphashd: -follow excludes -ns and -ns-root (namespaces are not replicated)")
 	}
 
@@ -194,15 +193,9 @@ func main() {
 		if err != nil {
 			log.Fatalf("skiphashd: namespace registry: %v", err)
 		}
-		for _, spec := range nsSpecs {
-			var err error
-			if spec.dir != "" {
-				_, err = reg.CreateAt(spec.name, spec.dir, spec.fsync)
-			} else {
-				_, err = reg.Create(spec.name, false, spec.fsync)
-			}
-			if err != nil {
-				log.Fatalf("skiphashd: -ns %s: %v", spec.name, err)
+		for _, name := range nsNames {
+			if _, err := reg.Create(name, false, wire.NsFsyncDefault); err != nil {
+				log.Fatalf("skiphashd: -ns %s: %v", name, err)
 			}
 		}
 		if n := len(reg.List()); n > 0 {
@@ -332,54 +325,19 @@ func cfgFsyncPolicy(fsync string) skiphash.FsyncPolicy {
 	}
 }
 
-// nsSpec is one -ns flag: a namespace to open at boot.
-type nsSpec struct {
-	name  string
-	dir   string // "" = in-memory
-	fsync uint8  // wire.NsFsync* selector
-}
+// nsFlags collects repeated -ns flags: the names of the in-memory
+// namespaces to open at boot.
+type nsFlags []string
 
-// nsFlags collects repeated -ns flags: name, name=dir, or
-// name=dir:fsync with fsync one of default, none, interval, always.
-type nsFlags []nsSpec
+func (f *nsFlags) String() string { return strings.Join(*f, ",") }
 
-func (f *nsFlags) String() string {
-	parts := make([]string, 0, len(*f))
-	for _, s := range *f {
-		parts = append(parts, s.name)
-	}
-	return strings.Join(parts, ",")
-}
-
+// Set refuses the name=dir[:fsync] form, which is gone: a durable
+// namespace's only home is under -ns-root.
 func (f *nsFlags) Set(v string) error {
-	spec := nsSpec{fsync: wire.NsFsyncDefault}
-	name, rest, hasDir := strings.Cut(v, "=")
-	spec.name = name
-	if name == "" {
-		return fmt.Errorf("-ns %q: empty namespace name", v)
+	if strings.Contains(v, "=") {
+		return fmt.Errorf("-ns %q: the name=dir[:fsync] form was removed; durable namespaces live under -ns-root (created by NsCreate, reopened at start)", v)
 	}
-	if hasDir {
-		dir, pol, hasPol := strings.Cut(rest, ":")
-		if dir == "" {
-			return fmt.Errorf("-ns %q: empty directory (omit '=' for an in-memory namespace)", v)
-		}
-		spec.dir = dir
-		if hasPol {
-			switch pol {
-			case "default":
-				spec.fsync = wire.NsFsyncDefault
-			case "none":
-				spec.fsync = wire.NsFsyncNone
-			case "interval":
-				spec.fsync = wire.NsFsyncInterval
-			case "always":
-				spec.fsync = wire.NsFsyncAlways
-			default:
-				return fmt.Errorf("-ns %q: unknown fsync policy %q", v, pol)
-			}
-		}
-	}
-	*f = append(*f, spec)
+	*f = append(*f, v)
 	return nil
 }
 

@@ -101,6 +101,7 @@ type Map[K comparable, V any] struct {
 	persister Persister
 	closed    atomic.Bool
 	closeOnce sync.Once
+	closeErr  error // set once, inside closeOnce
 }
 
 // OpLogger observes the logical effect of committed transactions: every
@@ -161,15 +162,22 @@ func New[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg C
 // Close flushes, fsyncs and closes a durable map's write-ahead log; on
 // an in-memory map, which owns no goroutine, it only marks the map
 // closed. Close is idempotent and safe concurrent with operations and
-// other Close calls: every call returns only after the log is closed.
-// Operations issued after Close still work but are no longer logged.
-func (m *Map[K, V]) Close() {
+// other Close calls: every call returns only after the log is closed,
+// and returns the same error. That error reports whatever kept
+// acknowledged writes from reaching the disk: the engine's close error
+// (a log I/O failure, or commits that raced or followed the close and
+// were never logged), else its sticky Err. Operations issued after
+// Close still work but are no longer logged.
+func (m *Map[K, V]) Close() error {
 	m.closed.Store(true)
 	m.closeOnce.Do(func() {
 		if m.persister != nil {
-			m.persister.Close()
+			if m.closeErr = m.persister.Close(); m.closeErr == nil {
+				m.closeErr = m.persister.Err()
+			}
 		}
 	})
+	return m.closeErr
 }
 
 // Closed reports whether Close has been called.

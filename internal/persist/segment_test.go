@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/stm"
 )
@@ -197,5 +199,84 @@ func TestOpenSyncsNewestSegment(t *testing.T) {
 	}
 	if err := st.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestReopenSeedsSnapshotDebt: the frames of the segments an open keeps
+// are log no snapshot covers, so they start the size trigger's debt.
+func TestReopenSeedsSnapshotDebt(t *testing.T) {
+	opts := Options{Dir: t.TempDir(), SnapshotBytes: -1}
+	rt := stm.New()
+	model := map[int64]int64{}
+	incarnation(t, opts, rt, model, 1, 2, 3)
+	incarnation(t, opts, rt, model, 4, 5)
+	dir, err := scanDir(opts.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for _, seg := range dir.segs {
+		fi, err := os.Stat(seg.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += fi.Size() - int64(len(walMagic))
+	}
+	st := openInt64Store(t, opts)
+	if got := st.Stats().BytesSinceSnap; want == 0 || got != want {
+		t.Fatalf("BytesSinceSnap after the reopen = %d, want the kept frame bytes %d", got, want)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestRestartsStillSnapshot: a store restarted before each run logs
+// SnapshotBytes still snapshots, because the recovered log counts toward
+// the trigger, so its segments stay bounded however often it restarts.
+func TestRestartsStillSnapshot(t *testing.T) {
+	const runBytes = 2 << 10
+	opts := Options{Dir: t.TempDir(), SnapshotBytes: 2 * runBytes}
+	rt := stm.New()
+	var mu sync.Mutex // orders commits and model updates against the source
+	model := map[int64]int64{}
+	var snapshots uint64
+	for run := int64(0); run < 8; run++ {
+		st := openInt64Store(t, opts)
+		if got := recoveredMap(st); !maps.Equal(got, model) {
+			t.Fatalf("run %d recovered %d keys, want %d", run, len(got), len(model))
+		}
+		st.Start(func(_ int, emit func(uint64, []KV[int64, int64]) error) error {
+			mu.Lock()
+			kvs := make([]KV[int64, int64], 0, len(model))
+			for k, v := range model {
+				kvs = append(kvs, KV[int64, int64]{Key: k, Val: v})
+			}
+			stamp := rt.Clock().Read() + 1
+			mu.Unlock()
+			return emit(stamp, kvs)
+		})
+		var ws writeScratch
+		for k := run << 32; st.Stats().AppendedBytes < runBytes; k++ {
+			mu.Lock()
+			logTx(t, rt, &ws, func(tx *stm.Tx) { st.LogPut(tx, k, k) })
+			model[k] = k
+			mu.Unlock()
+		}
+		// A debt at the trigger has kicked a snapshot, which resets it.
+		for deadline := time.Now().Add(10 * time.Second); st.Stats().BytesSinceSnap >= opts.SnapshotBytes; {
+			if time.Now().After(deadline) {
+				t.Fatalf("run %d: no snapshot cleared a debt of %d bytes", run, st.Stats().BytesSinceSnap)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		snapshots += st.Stats().Snapshots
+		if err := st.Close(); err != nil {
+			t.Fatalf("run %d Close: %v", run, err)
+		}
+	}
+	seqs, _ := segmentKeys(t, opts.Dir)
+	if snapshots == 0 || len(seqs) > 2 {
+		t.Fatalf("8 restarts took %d snapshots and left segments %v, want snapshots and at most 2 segments", snapshots, seqs)
 	}
 }

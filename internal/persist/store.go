@@ -115,6 +115,15 @@ func Open[K comparable, V any](opts Options, less func(a, b K) bool, kc Codec[K]
 		}
 	}
 	s.w.truncateBelow(st.snapMin)
+	// The kept segments' frames are log no snapshot covers yet: they
+	// count toward SnapshotBytes as this incarnation's appends do, or a
+	// store restarted more often than it logs SnapshotBytes would never
+	// snapshot and its log would grow without bound.
+	s.w.mu.Lock()
+	for _, seg := range s.w.sealed {
+		s.w.stats.sinceSnp += seg.n - int64(len(walMagic))
+	}
+	s.w.mu.Unlock()
 	return s, nil
 }
 

@@ -63,8 +63,9 @@ type Options struct {
 	SegmentBytes int64
 	// SnapshotBytes triggers a background snapshot (and subsequent
 	// truncation of fully covered segments) once this many WAL bytes
-	// have accumulated since the last one. Default 32 MiB; negative
-	// disables size-triggered snapshots.
+	// have accumulated since the last one, the log an open recovered
+	// and kept included. Default 32 MiB; negative disables
+	// size-triggered snapshots.
 	SnapshotBytes int64
 }
 

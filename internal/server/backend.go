@@ -201,8 +201,8 @@ func (bytesCodec) addPair(resp *wire.Response, k, v string) {
 // MapBackend serves a skip hash: the one Backend implementation,
 // generic over the map's types and parameterised by the codec of the
 // frame family that addresses it. The map is embedded, so the methods
-// that need no translation — Sync and Snapshot — are the map's own; the
-// request-level methods and Close below shadow the map's same-named
+// that need no translation — Sync, Snapshot and Close — are the map's
+// own; the request-level methods below shadow the map's same-named
 // ones.
 type MapBackend[K comparable, V any] struct {
 	*skiphash.Map[K, V]
@@ -314,20 +314,3 @@ func (b *MapBackend[K, V]) Range(req *wire.Request, resp *wire.Response, scratch
 
 // Durable implements Backend.
 func (b *MapBackend[K, V]) Durable() bool { return b.Persister() != nil }
-
-// Close implements Backend: the checked shutdown the map's own Close
-// (no error result) cannot be. The log is forced durable, the map
-// closed, and the durability engine asked for its sticky error, which
-// covers the close's own final flush and fsync and any commit the log
-// never took.
-func (b *MapBackend[K, V]) Close() error {
-	err := b.Sync()
-	if errors.Is(err, skiphash.ErrNotDurable) {
-		err = nil
-	}
-	b.Map.Close()
-	if p := b.Persister(); p != nil {
-		err = errors.Join(err, p.Err())
-	}
-	return err
-}

@@ -36,7 +36,7 @@ func cycleConn(tb testing.TB, v2, mixed bool, o cycleObs) (*conn, []wire.Request
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(m.Close)
+	tb.Cleanup(func() { m.Close() })
 	var cfg Config
 	if o != cycleBare {
 		cfg.Tracer = obs.NewTracer(16)

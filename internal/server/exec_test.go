@@ -114,7 +114,7 @@ type harness struct {
 func newHarness(t *testing.T) *harness {
 	t.Helper()
 	m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
-	t.Cleanup(m.Close)
+	t.Cleanup(func() { m.Close() })
 	or := obs.NewRegistry()
 	reg, err := NewRegistry(RegistryConfig{Obs: or})
 	if err != nil {

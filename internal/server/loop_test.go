@@ -34,7 +34,7 @@ func servePipe(t *testing.T, be Backend, cfg Config) *pipeConn {
 	t.Helper()
 	if be == nil {
 		m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
-		t.Cleanup(m.Close)
+		t.Cleanup(func() { m.Close() })
 		be = NewShardedBackend(m)
 	}
 	cfg.Obs = obs.NewRegistry()

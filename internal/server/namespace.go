@@ -75,7 +75,7 @@ type namespace struct {
 	id       uint32
 	name     string
 	durable  bool
-	dir      string // "" unless the registry owns a directory for it
+	dir      string // Root/ns-<name>; "" in memory
 	maxConns int
 
 	// be is nil once the namespace has been dropped, so whatever still
@@ -171,7 +171,7 @@ var removeAll = os.RemoveAll
 // part-way through the removal leaves no ns-<name> directory holding
 // part of the namespace's files.
 func removeDurable(dir string) error {
-	tomb := tombstone(dir)
+	tomb := filepath.Join(filepath.Dir(dir), tombstonePrefix+filepath.Base(dir))
 	if err := removeAll(tomb); err != nil {
 		return err
 	}
@@ -179,11 +179,6 @@ func removeDurable(dir string) error {
 		return err
 	}
 	return removeAll(tomb)
-}
-
-// tombstone names the tombstone a drop of dir renames it to.
-func tombstone(dir string) string {
-	return filepath.Join(filepath.Dir(dir), tombstonePrefix+filepath.Base(dir))
 }
 
 // fsyncMetaFile records a durable namespace's fsync-policy selector (the
@@ -226,11 +221,7 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 			continue
 		}
 		name := strings.TrimPrefix(filepath.Base(dir), "ns-")
-		if err := checkNsName(name); err != nil {
-			r.CloseAll()
-			return nil, fmt.Errorf("server: namespace dir %s: %w", dir, err)
-		}
-		if _, err := r.CreateAt(name, dir, wire.NsFsyncDefault); err != nil {
+		if _, err := r.create(name, dir, wire.NsFsyncDefault); err != nil {
 			r.CloseAll()
 			return nil, fmt.Errorf("server: reopen namespace %q: %w", name, err)
 		}
@@ -292,33 +283,14 @@ func (r *Registry) Create(name string, durable bool, fsync uint8) (*namespace, e
 		if r.cfg.Root == "" {
 			return nil, errors.New("server: registry has no root directory; durable namespaces unavailable")
 		}
-		if err := checkNsName(name); err != nil {
-			return nil, err
-		}
 		dir = filepath.Join(r.cfg.Root, "ns-"+name)
 	}
 	return r.create(name, dir, fsync)
 }
 
-// CreateAt makes (or reopens) a durable namespace at an explicit
-// directory — the daemon's -ns flag path. If the name already exists
-// with the same directory, the existing namespace is returned.
-func (r *Registry) CreateAt(name, dir string, fsync uint8) (*namespace, error) {
-	r.mu.RLock()
-	existing := r.byName[name]
-	r.mu.RUnlock()
-	if existing != nil {
-		if existing.dir == dir {
-			return existing, nil
-		}
-		return nil, fmt.Errorf("%w: %q is open at %s", ErrNsExists, name, existing.dir)
-	}
-	return r.create(name, dir, fsync)
-}
-
-// create opens a namespace's map. For a durable one it first deletes
-// the tombstone of a drop of dir that a crash cut short, and a
-// NsFsyncDefault selector reopens under the policy recorded in dir.
+// create opens a namespace's map, durable when dir is set. For a
+// durable one, a NsFsyncDefault selector reopens under the policy
+// recorded in dir.
 func (r *Registry) create(name, dir string, fsync uint8) (*namespace, error) {
 	if err := checkNsName(name); err != nil {
 		return nil, err
@@ -328,15 +300,10 @@ func (r *Registry) create(name, dir string, fsync uint8) (*namespace, error) {
 	if _, ok := r.byName[name]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrNsExists, name)
 	}
-	if dir != "" {
-		if err := removeAll(tombstone(dir)); err != nil {
-			return nil, err
-		}
-		if fsync == wire.NsFsyncDefault {
-			raw, _ := os.ReadFile(filepath.Join(dir, fsyncMetaFile))
-			if v, err := strconv.Atoi(strings.TrimSpace(string(raw))); err == nil && v >= 0 && v <= int(wire.NsFsyncAlways) {
-				fsync = uint8(v)
-			}
+	if dir != "" && fsync == wire.NsFsyncDefault {
+		raw, _ := os.ReadFile(filepath.Join(dir, fsyncMetaFile))
+		if v, err := strconv.Atoi(strings.TrimSpace(string(raw))); err == nil && v >= 0 && v <= int(wire.NsFsyncAlways) {
+			fsync = uint8(v)
 		}
 	}
 	pol, err := r.fsyncPolicy(fsync)

@@ -238,12 +238,22 @@ func TestNamespaceDurableReopen(t *testing.T) {
 	}
 }
 
-// TestNamespaceReopenBadFsyncMeta: a namespace whose fsync selector
-// file holds no valid selector reopens under the registry default (and
-// the file is rewritten to say so) instead of refusing the registry.
-func TestNamespaceReopenBadFsyncMeta(t *testing.T) {
-	for _, raw := range []string{"garbage", "9", "-1"} {
-		t.Run(raw, func(t *testing.T) {
+// TestNamespaceReopenFsyncMeta: a namespace under Root reopens under
+// the policy its fsync selector file records, which stays recorded; one
+// whose file holds no valid selector reopens under the registry default
+// (and the file is rewritten to say so) instead of refusing the
+// registry.
+func TestNamespaceReopenFsyncMeta(t *testing.T) {
+	for _, tc := range []struct {
+		name, raw string
+		want      uint8
+	}{
+		{"always", strconv.Itoa(int(wire.NsFsyncAlways)), wire.NsFsyncAlways},
+		{"garbage", "garbage", wire.NsFsyncDefault},
+		{"9", "9", wire.NsFsyncDefault},
+		{"-1", "-1", wire.NsFsyncDefault},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			root := t.TempDir()
 			reg, err := NewRegistry(RegistryConfig{Root: root})
 			if err != nil {
@@ -256,20 +266,20 @@ func TestNamespaceReopenBadFsyncMeta(t *testing.T) {
 				t.Fatalf("CloseAll: %v", err)
 			}
 			meta := filepath.Join(root, "ns-ns", fsyncMetaFile)
-			if err := os.WriteFile(meta, []byte(raw+"\n"), 0o644); err != nil {
+			if err := os.WriteFile(meta, []byte(tc.raw+"\n"), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			reg, err = NewRegistry(RegistryConfig{Root: root})
 			if err != nil {
-				t.Fatalf("reopen with nsfsync %q: %v", raw, err)
+				t.Fatalf("reopen with nsfsync %q: %v", tc.raw, err)
 			}
 			defer reg.CloseAll()
 			if got := reg.List(); len(got) != 1 || got[0].Name != "ns" {
 				t.Fatalf("reopened namespaces = %+v, want ns", got)
 			}
 			b, err := os.ReadFile(meta)
-			if err != nil || strings.TrimSpace(string(b)) != strconv.Itoa(int(wire.NsFsyncDefault)) {
-				t.Fatalf("nsfsync after reopen = %q, %v; want the default selector", b, err)
+			if err != nil || strings.TrimSpace(string(b)) != strconv.Itoa(int(tc.want)) {
+				t.Fatalf("nsfsync after reopen = %q, %v; want selector %d", b, err, tc.want)
 			}
 		})
 	}
@@ -482,68 +492,6 @@ func TestNamespaceDropCrashAtomic(t *testing.T) {
 	}
 }
 
-// TestNamespaceCreateAt covers the daemon's -ns name=dir boot path: a
-// directory outside Root, a repeat at the same directory, a second
-// directory for a taken name, and a restart, after which the same flag
-// finds the namespace reopened with the policy its nsfsync recorded.
-func TestNamespaceCreateAt(t *testing.T) {
-	root, outside := t.TempDir(), filepath.Join(t.TempDir(), "x")
-	reg, err := NewRegistry(RegistryConfig{Root: root})
-	if err != nil {
-		t.Fatalf("NewRegistry: %v", err)
-	}
-	x, err := reg.CreateAt("x", outside, wire.NsFsyncAlways)
-	if err != nil {
-		t.Fatalf("CreateAt outside Root: %v", err)
-	}
-	putSync(t, x, "k", "v")
-	if _, err := os.Stat(filepath.Join(outside, fsyncMetaFile)); err != nil {
-		t.Fatalf("CreateAt wrote no %s in its directory: %v", fsyncMetaFile, err)
-	}
-	if left, _ := os.ReadDir(root); len(left) != 0 {
-		t.Fatalf("CreateAt outside Root left %v in Root", left)
-	}
-	if again, err := reg.CreateAt("x", outside, wire.NsFsyncAlways); err != nil || again != x {
-		t.Fatalf("repeat at the same directory = %v, %v; want the open namespace", again, err)
-	}
-	if _, err := reg.CreateAt("x", filepath.Join(root, "other"), wire.NsFsyncAlways); !errors.Is(err, ErrNsExists) {
-		t.Fatalf("a second directory for x = %v, want ErrNsExists", err)
-	}
-	inside := filepath.Join(root, "ns-y")
-	if _, err := reg.CreateAt("y", inside, wire.NsFsyncAlways); err != nil {
-		t.Fatalf("CreateAt under Root: %v", err)
-	}
-	if err := reg.CloseAll(); err != nil {
-		t.Fatalf("CloseAll: %v", err)
-	}
-
-	// Restart: Root's namespace is found by the scan with its recorded
-	// policy, which a repeated flag without a policy leaves in place; the
-	// one outside Root reopens when its flag is given again.
-	reg, err = NewRegistry(RegistryConfig{Root: root})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer reg.CloseAll()
-	if got := reg.List(); len(got) != 1 || got[0].Name != "y" {
-		t.Fatalf("namespaces found under Root = %+v, want y", got)
-	}
-	y := reg.lookup(reg.List()[0].ID)
-	if again, err := reg.CreateAt("y", inside, wire.NsFsyncDefault); err != nil || again != y {
-		t.Fatalf("-ns y=%s after the restart = %v, %v; want the reopened namespace", inside, again, err)
-	}
-	b, err := os.ReadFile(filepath.Join(inside, fsyncMetaFile))
-	if err != nil || strings.TrimSpace(string(b)) != strconv.Itoa(int(wire.NsFsyncAlways)) {
-		t.Fatalf("y's %s = %q, %v; want the always selector it was created with", fsyncMetaFile, b, err)
-	}
-	if x, err = reg.CreateAt("x", outside, wire.NsFsyncAlways); err != nil {
-		t.Fatalf("-ns x=%s after the restart: %v", outside, err)
-	}
-	if v, ok := getOf(x, "k"); !ok || v != "v" {
-		t.Fatalf("after the restart x's k = %q, %v; want v", v, ok)
-	}
-}
-
 func TestNamespaceConnQuota(t *testing.T) {
 	_, addr := startNsServer(t, RegistryConfig{MaxConns: 1}, Config{})
 	c1 := dialT(t, addr, client.Options{Conns: 1})
@@ -665,52 +613,5 @@ func TestNamespacePipelinedMixedFamilies(t *testing.T) {
 	}
 	if v, ok, err := ns.Get([]byte("p39")); err != nil || !ok || string(v) != "v" {
 		t.Fatalf("v2 Get(p39) = %q, %v, %v", v, ok, err)
-	}
-}
-
-// TestNamespaceCreateAtRestoresPolicy: a namespace outside Root that is
-// restarted by a flag with no policy (NsFsyncDefault) reopens under the
-// policy its nsfsync recorded, which stays recorded, and its create
-// deletes the tombstone a crash-cut drop left beside its directory,
-// which NewRegistry's scan of Root never sees.
-func TestNamespaceCreateAtRestoresPolicy(t *testing.T) {
-	root, outside := t.TempDir(), filepath.Join(t.TempDir(), "x")
-	reg, err := NewRegistry(RegistryConfig{Root: root})
-	if err != nil {
-		t.Fatalf("NewRegistry: %v", err)
-	}
-	x, err := reg.CreateAt("x", outside, wire.NsFsyncAlways)
-	if err != nil {
-		t.Fatalf("CreateAt: %v", err)
-	}
-	putSync(t, x, "k", "v")
-	if err := reg.CloseAll(); err != nil {
-		t.Fatalf("CloseAll: %v", err)
-	}
-	tomb := tombstone(outside)
-	if err := os.MkdirAll(tomb, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(tomb, "wal-0000000000000001.seg"), []byte("left by a cut drop"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	reg, err = NewRegistry(RegistryConfig{Root: root})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer reg.CloseAll()
-	if x, err = reg.CreateAt("x", outside, wire.NsFsyncDefault); err != nil {
-		t.Fatalf("-ns x=%s after the restart: %v", outside, err)
-	}
-	b, err := os.ReadFile(filepath.Join(outside, fsyncMetaFile))
-	if err != nil || strings.TrimSpace(string(b)) != strconv.Itoa(int(wire.NsFsyncAlways)) {
-		t.Fatalf("x's %s = %q, %v; want the always selector it was created with", fsyncMetaFile, b, err)
-	}
-	if v, ok := getOf(x, "k"); !ok || v != "v" {
-		t.Fatalf("after the restart x's k = %q, %v; want v", v, ok)
-	}
-	if _, err := os.Stat(tomb); !os.IsNotExist(err) {
-		t.Fatalf("tombstone %s after the reopen: %v; want it deleted", tomb, err)
 	}
 }

@@ -24,7 +24,7 @@ func servedClient(t *testing.T) *Client {
 	t.Helper()
 	mapCfg := skiphash.Config{}
 	m := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, mapCfg)
-	t.Cleanup(m.Close)
+	t.Cleanup(func() { m.Close() })
 	reg, err := server.NewRegistry(server.RegistryConfig{Map: mapCfg})
 	if err != nil {
 		t.Fatalf("NewRegistry: %v", err)

@@ -111,11 +111,12 @@
 // — is sticky: from that point the engine stops logging, and Map.Sync,
 // Map.Snapshot and the Persister's Err all return the error. An update
 // that commits while Close is already draining (or after it) cannot be
-// logged either; the divergence is counted and reported by Err and the
-// Persister's Close, so quiesce writers before Close when every
-// acknowledged update must be durable. Map.Close flushes but cannot
-// return an error (Close has no error result), so a checked shutdown is
-// Sync then Close, then Persister().Err(). Deployments that must bound
+// logged either; the divergence is counted and reported by Err and by
+// Close, so quiesce writers before Close when every acknowledged update
+// must be durable. Map.Close flushes, fsyncs and returns what kept
+// acknowledged writes off the disk (the log's I/O error, unlogged
+// commits, else the Persister's Err), the same error on every call, so
+// a checked shutdown is one Close. Deployments that must bound
 // data loss under disk failure should check Sync at checkpoints
 // (FsyncAlways callers: Err after critical writes) rather than rely on
 // per-operation acknowledgments.
@@ -143,13 +144,14 @@
 // fixed 8-byte int64 keys and values and address the daemon's default
 // map. The v2 ops carry length-prefixed byte-string keys and values
 // and a namespace id: one daemon hosts many named byte-string maps,
-// created and dropped at runtime or
-// pinned at boot (skiphashd -ns / -ns-root), each durable namespace
-// with its own WAL directory and fsync policy that survive restarts.
+// created and dropped at runtime, or opened in memory at boot
+// (skiphashd -ns). A durable namespace lives under the daemon's
+// -ns-root, in ns-<name> with its own WAL and fsync policy, and every
+// restart reopens it there.
 // The encoding is canonical — any frame the parser accepts re-encodes
 // byte-identically, fuzz-enforced — and malformed input is always a
 // connection-tearing ProtocolError, never a misdecoded message.
-// Per-namespace connection and coalescing quotas answer over-quota
+// A per-namespace connection quota answers an over-quota connection's
 // requests with a busy status per request rather than tearing the
 // connection; the client surfaces namespace admin failures as
 // ErrNamespaceNotFound/ErrNamespaceExists, errors.Is-matchable across

@@ -299,6 +299,27 @@ func TestDurabilitySurfaceOnPlainMaps(t *testing.T) {
 	if err := m.SimulateCrash(); !errors.Is(err, skiphash.ErrNotDurable) {
 		t.Fatalf("SimulateCrash on plain map: %v", err)
 	}
+	if err := m.Close(); err != nil {
+		t.Fatalf("Close on plain map: %v", err)
+	}
+}
+
+// TestDurableCloseReportsUnlogged: a commit the log never took (here
+// the engine is closed behind the map's back) is reported by the map's
+// own Close, and by every Close after it.
+func TestDurableCloseReportsUnlogged(t *testing.T) {
+	m := openDurable(t, skiphash.Config{Durability: &skiphash.Durability{Dir: t.TempDir()}})
+	if err := m.Persister().Close(); err != nil {
+		t.Fatalf("engine Close: %v", err)
+	}
+	m.Insert(1, 1)
+	err := m.Close()
+	if err == nil || !strings.Contains(err.Error(), "not logged") {
+		t.Fatalf("Close = %v after a commit the log never took, want a not-logged error", err)
+	}
+	if again := m.Close(); again != err {
+		t.Fatalf("second Close = %v, want %v", again, err)
+	}
 }
 
 // TestRetiredLayoutRefused: a directory in the per-shard layout that
