@@ -79,9 +79,11 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/repl"
 	"repro/internal/server"
+	"repro/internal/stm"
 	"repro/internal/wire"
 	"repro/skiphash"
 )
@@ -119,7 +121,9 @@ func main() {
 		log.Fatal("skiphashd: -follow excludes -ns and -ns-root (namespaces are not replicated)")
 	}
 
-	var cfg skiphash.Config
+	// Every map the daemon builds runs on one STM runtime: one commit
+	// clock orders all their commits, and the STM series count them all.
+	cfg := core.OnRuntime(skiphash.Config{}, stm.New())
 	if *dir != "" {
 		cfg.Durability = &skiphash.Durability{Dir: *dir, Fsync: cfgFsyncPolicy(*fsync), FsyncEvery: *fsyncEvery}
 	}
@@ -186,6 +190,7 @@ func main() {
 		var err error
 		reg, err = server.NewRegistry(server.RegistryConfig{
 			Root:       *nsRoot,
+			Map:        cfg,
 			Durability: skiphash.Durability{Fsync: cfgFsyncPolicy(*fsync), FsyncEvery: *fsyncEvery},
 			MaxConns:   *nsMaxConns,
 			Obs:        obsReg,

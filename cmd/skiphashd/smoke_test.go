@@ -79,17 +79,9 @@ func TestSmokeMetrics(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	resp, err := http.Get(metURL)
-	if err != nil {
-		t.Fatalf("scrape %s: %v", metURL, err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("read scrape: %v", err)
-	}
+	body := scrape(t, metURL)
 	for _, text := range []struct{ name, s string }{
-		{"scrape", string(body)},
+		{"scrape", body},
 		{"ServerStats blob", string(blob)},
 	} {
 		for _, want := range []string{
@@ -121,6 +113,28 @@ func TestSmokeMetrics(t *testing.T) {
 				t.Errorf("%s still exports %s", text.name, gone)
 			}
 		}
+	}
+
+	// Every map the daemon builds runs on one STM runtime, so a
+	// namespace's commits count in the STM series too.
+	before := nonZero(t, scrape(t, metURL), "skiphash_stm_commits_total")
+	c, err = client.Dial(srvAddr, client.Options{})
+	if err != nil {
+		t.Fatalf("dial %s: %v", srvAddr, err)
+	}
+	ns, err := c.CreateNamespace("smoke", client.NamespaceOptions{})
+	if err != nil {
+		t.Fatalf("CreateNamespace: %v", err)
+	}
+	const nsKeys = 100
+	for k := range nsKeys {
+		if ok, err := ns.Insert([]byte{byte(k)}, []byte{byte(k)}); err != nil || !ok {
+			t.Fatalf("namespace Insert(%d) = %v, %v", k, ok, err)
+		}
+	}
+	c.Close()
+	if after := nonZero(t, scrape(t, metURL), "skiphash_stm_commits_total"); after-before < nsKeys {
+		t.Errorf("skiphash_stm_commits_total grew by %v over %d namespace inserts", after-before, nsKeys)
 	}
 
 	d.stop()
@@ -289,6 +303,21 @@ func (d *daemon) log() string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return strings.Join(d.lines, "\n")
+}
+
+// scrape returns the text exposition served at url.
+func scrape(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("scrape %s: %v", url, err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("read scrape: %v", err)
+	}
+	return string(body)
 }
 
 // nonZero extracts the value of an unlabeled counter sample from a

@@ -54,6 +54,19 @@ type Config struct {
 	// that directory. The field is consumed by skiphash.Open; New
 	// ignores it (it cannot recover — recovery needs codecs).
 	Durability *persist.Options
+
+	// rt, when set (OnRuntime), is the STM runtime New builds the map
+	// on; nil gives the map a runtime of its own.
+	rt *stm.Runtime
+}
+
+// OnRuntime returns cfg with rt as the STM runtime of every map built
+// from it, so those maps share one commit clock, descriptor pool and
+// set of transaction counters, hooks and commit observer. A server
+// builds every map it owns this way; an embedded map keeps its own.
+func OnRuntime(cfg Config, rt *stm.Runtime) Config {
+	cfg.rt = rt
+	return cfg
 }
 
 // fastPathTries is the number of single-transaction range attempts
@@ -136,18 +149,21 @@ type Persister interface {
 var ErrNotDurable = errors.New("core: map has no durability attached")
 
 // New creates a skip hash ordered by less and hashed by hash, on its
-// own STM runtime: the runtime supplies the commit clock and descriptor
-// pool, hash the distribution over cfg.Buckets chains, and less the
-// ordering.
+// own STM runtime or the one OnRuntime set in cfg: the runtime supplies
+// the commit clock and descriptor pool, hash the distribution over
+// cfg.Buckets chains, and less the ordering.
 func New[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg Config) *Map[K, V] {
 	if cfg.MaxLevel < 0 || cfg.MaxLevel > maxHeight {
 		panic("core: Config.MaxLevel must be in [0, 64]")
 	}
 	cfg = cfg.withDefaults()
 	m := &Map[K, V]{
-		rt:   stm.New(),
+		rt:   cfg.rt,
 		less: less,
 		cfg:  cfg,
+	}
+	if m.rt == nil {
+		m.rt = stm.New()
 	}
 	m.index = newIndex[K, V](hash, cfg.Buckets)
 	m.head = newNode[K, V](cfg.MaxLevel)
@@ -188,10 +204,6 @@ func (m *Map[K, V]) Runtime() *stm.Runtime { return m.rt }
 
 // STMStats returns the transaction counters of the map's runtime.
 func (m *Map[K, V]) STMStats() stm.Stats { return m.rt.Stats() }
-
-// SetCommitObserver installs o (or, with nil, removes it) on the map's
-// runtime.
-func (m *Map[K, V]) SetCommitObserver(o stm.CommitObserver) { m.rt.SetCommitObserver(o) }
 
 // Config returns the configuration the map was built with (with defaults
 // applied).

@@ -28,8 +28,10 @@
 // snapshot whole before the first log frame) and stages them as the
 // files recovery reads; at the first Heartbeat they replace the
 // directory's log, skiphash.Open recovers them, and the new map is
-// swapped in while the old one served reads. It serves read-only
-// traffic at an advertised commit-stamp watermark.
+// swapped in while the old one served reads. The new map runs on the
+// old one's STM runtime, so its counters and commit observer carry
+// over and its clock does not restart. It serves read-only traffic at
+// an advertised commit-stamp watermark.
 //
 // # Consistency contract
 //
@@ -59,6 +61,9 @@
 //
 // A replica raises its map's commit clock (stm.Clock.Raise) to every
 // stamp it applies, so a promoted replica's commits extend the dead
-// primary's order. A promoted replica stays durable, and skiphash.Open
+// primary's order. Its own log stays ordered across a full resync into
+// a lineage with lower stamps: the clock keeps its value, recovery only
+// raises it, and the replica logs each applied record as its own
+// transaction, stamped above everything the resync installed. A promoted replica stays durable, and skiphash.Open
 // reopens its directory as it is; it does not stream its WAL.
 package repl

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/wire"
 	"repro/skiphash"
@@ -66,8 +65,9 @@ func TestReplicaRestartResumes(t *testing.T) {
 func TestReplicaResyncSwapsMap(t *testing.T) {
 	// A new primary epoch forces a full resync on a running replica: the
 	// map recovered from the staged files replaces the old one behind
-	// Map and the backend, the commit observer moves with it, and no
-	// staging directory is left.
+	// Map and the backend on the old map's STM runtime, so the runtime's
+	// counters and commit observer carry over, and no staging directory
+	// is left.
 	h := startPrimary(t, t.TempDir(), "127.0.0.1:0")
 	for i := int64(0); i < 100; i++ {
 		h.m.Put(i, i)
@@ -77,8 +77,6 @@ func TestReplicaResyncSwapsMap(t *testing.T) {
 	defer r.Close()
 	waitConverge(t, h.m, r)
 	old := r.Map()
-	commits := obs.NewRegistry().Histogram("commits", "", obs.LatencyBounds, 1e-9)
-	old.SetCommitObserver(commits)
 	be := r.Backend()
 	addr := h.addr()
 	h.close()
@@ -96,8 +94,8 @@ func TestReplicaResyncSwapsMap(t *testing.T) {
 	if rs := r.Stats().Resyncs; rs != 2 {
 		t.Fatalf("%d full resyncs, want 2", rs)
 	}
-	if o := m.Runtime().CommitObserver(); o != commits {
-		t.Fatalf("commit observer after the swap is %v, want the old map's", o)
+	if m.Runtime() != old.Runtime() {
+		t.Fatal("the swapped-in map runs on a runtime of its own, not the old map's")
 	}
 	for _, k := range []int64{5, 1005} {
 		var resp wire.Response

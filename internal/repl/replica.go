@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/persist"
 	"repro/internal/server"
 	"repro/internal/wire"
@@ -116,6 +117,9 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every map a full resync swaps in runs on this map's runtime, so
+	// its counters and commit observer carry over.
+	r.cfg.Map = core.OnRuntime(r.cfg.Map, m.Runtime())
 	r.be.Store(server.NewShardedBackend(m))
 	go r.run()
 	return r, nil
@@ -351,7 +355,6 @@ func (r *Replica) swap(rs *persist.Restore, epoch, pos uint64) error {
 	if err != nil {
 		return err
 	}
-	m.SetCommitObserver(old.Runtime().CommitObserver())
 	r.be.Store(server.NewShardedBackend(m))
 	r.epoch, r.pos = epoch, pos
 	return nil

@@ -87,51 +87,53 @@ func newMetrics(s *Server, r *obs.Registry) *metrics {
 // RegisterMapMetrics registers the default map's series on reg: STM
 // transaction counters and commit latency, reclamation, the shard
 // count (always 1; the gauge stays for the benchmark's shard.count), and
-// the range paths. skiphashd exports them beside its
-// durability and replication series; skipstress -metrics-dump prints
-// them alone. Everything is a Func metric over an existing Stats()
-// accessor, except the commit histogram, which the map feeds through
-// its commit observer from now on — nothing new on any hot path. m
-// returns the map at each scrape: a replica swaps its map at a full
-// resync, and hands the commit observer on to the new one.
+// the range paths. The STM series are the map's runtime's, so they
+// count every map built on it: in skiphashd, every map the daemon owns.
+// skiphashd exports them beside its durability and replication series;
+// skipstress -metrics-dump prints them alone. Everything is a Func
+// metric over an existing Stats() accessor, except the commit
+// histogram, which the runtime feeds through its commit observer from
+// now on — nothing new on any hot path. m returns the map at each
+// scrape: a replica swaps its map at a full resync.
 func RegisterMapMetrics(reg *obs.Registry, m func() *skiphash.Map[int64, int64]) {
 	// STM. One aggregated Stats() snapshot per scrape would be nicer
 	// than one per Func, but STMStats sums the runtime's counter cells
 	// without allocating — scrape cadence makes the duplication
 	// irrelevant.
+	const onRuntime = " Counts every map on the default map's STM runtime."
 	stats := func() stm.Stats { return m().STMStats() }
 	reg.CounterFunc("skiphash_stm_commits_total",
-		"Successfully committed transactions.",
+		"Successfully committed transactions."+onRuntime,
 		func() uint64 { return stats().Commits })
 	reg.CounterFunc("skiphash_stm_readonly_commits_total",
-		"Committed transactions that never wrote.",
+		"Committed transactions that never wrote."+onRuntime,
 		func() uint64 { return stats().ReadOnlyCommits })
 	reg.CounterFunc("skiphash_stm_aborts_total",
-		"Rolled-back attempts by reason.",
+		"Rolled-back attempts by reason."+onRuntime,
 		func() uint64 { return stats().AbortsValidate }, obs.Label{Key: "reason", Value: "validate"})
 	reg.CounterFunc("skiphash_stm_aborts_total",
-		"Rolled-back attempts by reason.",
+		"Rolled-back attempts by reason."+onRuntime,
 		func() uint64 { return stats().AbortsAcquire }, obs.Label{Key: "reason", Value: "acquire"})
 	reg.CounterFunc("skiphash_stm_aborts_total",
-		"Rolled-back attempts by reason.",
+		"Rolled-back attempts by reason."+onRuntime,
 		func() uint64 { return stats().AbortsInjected }, obs.Label{Key: "reason", Value: "injected"})
 	reg.CounterFunc("skiphash_stm_user_errors_total",
-		"Transactions rolled back by a user error return.",
+		"Transactions rolled back by a user error return."+onRuntime,
 		func() uint64 { return stats().UserErrors })
 	reg.CounterFunc("skiphash_stm_backoff_nanoseconds_total",
-		"Wall time spent in inter-attempt contention backoff.",
+		"Wall time spent in inter-attempt contention backoff."+onRuntime,
 		func() uint64 { return stats().BackoffNanos })
 	reg.CounterFunc("skiphash_stm_fastread_hits_total",
-		"Point reads answered by the optimistic non-transactional fast path.",
+		"Point reads answered by the optimistic non-transactional fast path."+onRuntime,
 		func() uint64 { return stats().FastReadHits })
 	reg.CounterFunc("skiphash_stm_fastread_fallbacks_total",
-		"Optimistic fast-path reads that fell back to a full transaction.",
+		"Optimistic fast-path reads that fell back to a full transaction."+onRuntime,
 		func() uint64 { return stats().FastReadFallbacks })
 
 	commitLatency := reg.Histogram("skiphash_stm_commit_seconds",
-		"Successful commit wall time, first begin to commit, retries included.",
+		"Successful commit wall time, first begin to commit, retries included."+onRuntime,
 		obs.LatencyBounds, 1e-9)
-	m().SetCommitObserver(commitLatency)
+	m().Runtime().SetCommitObserver(commitLatency)
 
 	// Reclamation.
 	maint := func() core.MaintenanceStats { return m().MaintenanceStats() }

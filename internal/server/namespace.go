@@ -31,7 +31,9 @@ type RegistryConfig struct {
 	// durable NsCreate (and performs no discovery).
 	Root string
 	// Map is the base map configuration for every namespace backend
-	// (Durability is set per namespace).
+	// (Durability is set per namespace). A runtime set on it with
+	// core.OnRuntime is shared by every namespace; without one, each
+	// namespace's map has a runtime of its own.
 	Map skiphash.Config
 	// Durability is the template for durable namespaces: Dir is
 	// overridden per namespace and Fsync supplies the NsFsyncDefault

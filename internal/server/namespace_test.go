@@ -15,7 +15,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/persist"
+	"repro/internal/stm"
 	"repro/internal/wire"
 	"repro/skiphash"
 	"repro/skiphash/client"
@@ -354,6 +357,72 @@ func getOf(ns *namespace, k string) (string, bool) {
 	answer(&resp, &req)
 	ns.backend().Get(&req, &resp)
 	return string(resp.BVal), resp.Ok
+}
+
+// TestNamespacesShareOneClock: a registry whose base configuration
+// carries a runtime (core.OnRuntime, as skiphashd builds it) builds
+// every namespace on it, so two namespaces written in turn log strictly
+// increasing commit stamps, though the second was created well after
+// the first. On runtimes of their own each namespace's clock counts
+// from its creation, and the later one's stamps fall below the
+// earlier one's.
+func TestNamespacesShareOneClock(t *testing.T) {
+	reg, err := NewRegistry(RegistryConfig{
+		Root:       t.TempDir(),
+		Map:        core.OnRuntime(skiphash.Config{}, stm.New()),
+		Durability: skiphash.Durability{Fsync: skiphash.FsyncNone},
+	})
+	if err != nil {
+		t.Fatalf("NewRegistry: %v", err)
+	}
+	defer reg.CloseAll()
+	a, err := reg.Create("a", true, wire.NsFsyncDefault)
+	if err != nil {
+		t.Fatalf("Create a: %v", err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	b, err := reg.Create("b", true, wire.NsFsyncDefault)
+	if err != nil {
+		t.Fatalf("Create b: %v", err)
+	}
+	const rounds = 10
+	for i := range rounds {
+		putSync(t, a, strconv.Itoa(i), "a")
+		putSync(t, b, strconv.Itoa(i), "b")
+	}
+	// stamps reads a namespace's commit stamps back from its log.
+	stamps := func(ns *namespace) []uint64 {
+		st := ns.backend().(*MapBackend[string, string]).Map.Persister().(*persist.Store[string, string])
+		rd := st.NewLogReader()
+		defer rd.Close()
+		var frames []byte
+		for pos, end := int64(0), rd.End(); pos < end; pos = int64(len(frames)) {
+			if frames, err = rd.Read(frames, pos, int(end-pos)); err != nil {
+				t.Fatalf("%s: read log at %d: %v", ns.name, pos, err)
+			}
+		}
+		var out []uint64
+		if err := persist.WalkFrames(frames, func(_ int64, stamp, _ uint64, _ []byte) error {
+			out = append(out, stamp)
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: %v", ns.name, err)
+		}
+		if len(out) != rounds {
+			t.Fatalf("%s logged %d records, want %d", ns.name, len(out), rounds)
+		}
+		return out
+	}
+	sa, sb := stamps(a), stamps(b)
+	var prev uint64
+	for i := range rounds {
+		for j, stamp := range []uint64{sa[i], sb[i]} {
+			if stamp <= prev {
+				t.Fatalf("round %d: %s's write is stamped %d, not above the write before it (%d)", i, "ab"[j:j+1], stamp, prev)
+			}
+			prev = stamp
+		}
+	}
 }
 
 // TestNamespaceDropRacesCreate: a Create of the name a Drop is removing

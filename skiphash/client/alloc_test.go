@@ -142,12 +142,16 @@ func TestBurstAllocBudget(t *testing.T) {
 			t.Fatalf("burst of %d allocates %.0f, budget 0", window, allocs)
 		}
 	})
+	// A v2 burst allocates only the reader's arena chunks: 32 8-byte
+	// values take 256 B of a 4 KiB chunk, so a new chunk every ~16
+	// bursts, ~0.07 allocations per burst. AllocsPerRun would truncate
+	// that to 0, so the row measures the mean.
 	t.Run("v2", func(t *testing.T) {
 		for i := range reqs {
 			reqs[i] = wire.Request{Op: wire.OpGet2, NS: ns, BKey: bkey(int64(i))}
 		}
-		if allocs := testing.AllocsPerRun(100, func() { burst(t) }); allocs != 0 {
-			t.Fatalf("burst of %d Get2 hits allocates %.0f, budget 0", window, allocs)
+		if allocs := alloctest.PerOp(1600, func() { burst(t) }); allocs > 0.1 {
+			t.Fatalf("burst of %d Get2 hits allocates %.3f, budget 0.1 (one 4 KiB arena chunk per ~16 bursts)", window, allocs)
 		}
 	})
 }

@@ -21,7 +21,9 @@
 // which reuses it for a later Start, so Wait is called at most once per
 // Call and the Call is not touched afterwards. A Call that is never
 // waited on is simply not reused; abandoning one is safe. In steady
-// state the request path (Start, Flush, Wait, Do) allocates nothing.
+// state the request path (Start, Flush, Wait, Do) allocates nothing for
+// v1 requests; a v2 request allocates only the caller-owned chunks
+// its byte strings are decoded into.
 //
 // The connection decodes byte strings into 4 KiB chunks that it never
 // reuses: a value, key or step result of up to 512 bytes shares its

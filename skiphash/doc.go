@@ -176,10 +176,12 @@
 // histograms for commits, fsyncs and per-namespace requests, and a
 // slow-op ring tracer — into one internal/obs registry rendered as
 // Prometheus text exposition (skiphashd -metrics, the Stats wire op,
-// client.ServerStats). Metrics are strictly additive: the serving and
-// read fast paths write only striped atomics, never shared metric
-// state. See the README's Observability section for the endpoint and
-// series naming.
+// client.ServerStats). Every map the daemon builds shares one STM
+// runtime, so the STM series count every namespace's transactions;
+// an embedded map keeps a runtime of its own. Metrics are strictly
+// additive: the serving and read fast paths write only striped
+// atomics, never shared metric state. See the README's Observability
+// section for the endpoint and series naming.
 //
 // # Reclamation
 //
