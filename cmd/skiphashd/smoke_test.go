@@ -2,12 +2,14 @@ package main
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -207,6 +209,100 @@ func TestSmokeFollower(t *testing.T) {
 		follower.stop()
 	}
 	primary.stop()
+}
+
+// TestSmokeNamespaceCrash is a feed store on two durable namespaces:
+// "feeds" maps a feed id to its title, "articles" holds bodies under
+// "<feed>/<seq>" keys, so one lexicographic range scans one feed. Each
+// feed is pruned to its newest articles by one atomic batch of removes.
+// Then the daemon is SIGKILLed, which gives it no flush and no clean
+// shutdown; with NsFsyncAlways every acknowledged write and prune is in
+// its namespace's WAL already. A daemon restarted on the same -ns-root
+// reopens both, and the client, whose namespace ids were per process,
+// re-resolves them by name.
+func TestSmokeNamespaceCrash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exec smoke test skipped in -short mode")
+	}
+	const feedCount, articlesPer, keepPerFeed = 3, 8, 3
+	bin, root := buildDaemon(t), t.TempDir()
+	feedID := func(f int) string { return fmt.Sprintf("feed-%c", 'a'+f) }
+	// boot starts a daemon on root and resolves both namespaces by
+	// name, creating them first when create is set.
+	boot := func(create bool) (*daemon, *client.Client, *client.Map[[]byte, []byte], *client.Map[[]byte, []byte]) {
+		d := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-ns-root", root, "-quiet")
+		c, err := client.Dial(d.await(servingRe), client.Options{})
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		ns := make([]*client.Map[[]byte, []byte], 2)
+		for i, name := range []string{"feeds", "articles"} {
+			if create {
+				ns[i], err = c.CreateNamespace(name, client.NamespaceOptions{Durable: true, Fsync: client.NsFsyncAlways})
+			} else {
+				ns[i], err = c.Namespace(name)
+			}
+			if err != nil {
+				t.Fatalf("namespace %s (create %v): %v", name, create, err)
+			}
+		}
+		return d, c, ns[0], ns[1]
+	}
+	// keys lists the articles of feed f, oldest first.
+	keys := func(articles *client.Map[[]byte, []byte], f int) (ks []string) {
+		pairs, err := articles.Range([]byte(feedID(f)+"/"), []byte(feedID(f)+"/~"), 0)
+		if err != nil {
+			t.Fatalf("Range %s: %v", feedID(f), err)
+		}
+		for _, p := range pairs {
+			ks = append(ks, string(p.Key))
+		}
+		return ks
+	}
+
+	d, c, feeds, articles := boot(true)
+	for f := range feedCount {
+		if _, err := feeds.Put([]byte(feedID(f)), []byte("The "+feedID(f)+" feed")); err != nil {
+			t.Fatalf("Put feed: %v", err)
+		}
+		for a := range articlesPer {
+			key := fmt.Sprintf("%s/%04d", feedID(f), a)
+			if _, err := articles.Put([]byte(key), []byte("body of "+key)); err != nil {
+				t.Fatalf("Put article: %v", err)
+			}
+		}
+	}
+	for f := range feedCount {
+		var steps []client.Step[[]byte, []byte]
+		for _, k := range keys(articles, f)[:articlesPer-keepPerFeed] {
+			steps = append(steps, client.Step[[]byte, []byte]{Kind: client.StepRemove, Key: []byte(k)})
+		}
+		if _, err := articles.Atomic(steps); err != nil {
+			t.Fatalf("prune %s: %v", feedID(f), err)
+		}
+	}
+	c.Close()
+	if err := d.cmd.Process.Kill(); err != nil {
+		t.Fatalf("SIGKILL: %v", err)
+	}
+	<-d.scanDone
+	_ = d.cmd.Wait() // its error is the kill
+
+	d, c, feeds, articles = boot(false)
+	for f := range feedCount {
+		if title, ok, err := feeds.Get([]byte(feedID(f))); err != nil || !ok || string(title) != "The "+feedID(f)+" feed" {
+			t.Errorf("feed %s after the crash: %q %v %v", feedID(f), title, ok, err)
+		}
+		var want []string
+		for a := articlesPer - keepPerFeed; a < articlesPer; a++ {
+			want = append(want, fmt.Sprintf("%s/%04d", feedID(f), a))
+		}
+		if got := keys(articles, f); !slices.Equal(got, want) {
+			t.Errorf("feed %s recovered articles %q, want the pruned %q", feedID(f), got, want)
+		}
+	}
+	c.Close()
+	d.stop()
 }
 
 // servingRe matches the daemon's listen line and captures its TCP

@@ -189,6 +189,46 @@ func TestDurableCrashAlwaysLosesNothing(t *testing.T) {
 	assertMatchesModel(t, m2, model, 128)
 }
 
+// ExampleOpen is the open, write, crash, reopen loop. Config.Durability
+// turns Open into open-or-recover; FsyncAlways group-commits, so every
+// update is fsynced when it returns and a hard crash loses nothing
+// acknowledged.
+func ExampleOpen() {
+	dir := must(os.MkdirTemp("", "skiphash-example-*"))
+	defer os.RemoveAll(dir)
+	cfg := skiphash.Config{Durability: &skiphash.Durability{Dir: dir, Fsync: skiphash.FsyncAlways}}
+	m := must(skiphash.Open[int64, string](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.StringCodec()))
+	m.Insert(1, "ares")
+	m.Insert(2, "boreas")
+	// A batch is one WAL record: recovery sees both writes or neither.
+	_ = m.Atomic(func(op *skiphash.Txn[int64, string]) error {
+		op.Insert(3, "chronos")
+		op.Put(1, "apollo")
+		return nil
+	})
+	m.Remove(2)
+	// A snapshot bounds replay; the insert after it lives only in the
+	// WAL tail.
+	must(0, m.Snapshot())
+	m.Insert(4, "demeter")
+	// Drop what is buffered and log nothing more, leaving the files as
+	// a kill would.
+	must(0, m.SimulateCrash())
+	m.Close()
+
+	// Reopen: the newest snapshot, then the newer WAL records in
+	// commit-stamp order.
+	m = must(skiphash.Open[int64, string](skiphash.Int64Less, skiphash.Hash64, cfg, skiphash.Int64Codec(), skiphash.StringCodec()))
+	defer m.Close()
+	for k, v := range m.All() {
+		fmt.Println(k, v)
+	}
+	// Output:
+	// 1 apollo
+	// 3 chronos
+	// 4 demeter
+}
+
 // TestDurableBatchAtomicity: atomic batches are single WAL records, so recovery — even from a torn tail — sees each batch
 // entirely or not at all.
 func TestDurableBatchAtomicity(t *testing.T) {

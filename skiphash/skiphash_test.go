@@ -149,16 +149,32 @@ func TestStringKeys(t *testing.T) {
 
 func ExampleNew() {
 	m := skiphash.New[int64, string](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{Buckets: 101})
-	m.Insert(3, "three")
-	m.Insert(1, "one")
-	m.Insert(2, "two")
-	for _, p := range m.Range(1, 3, nil) {
-		fmt.Println(p.Key, p.Val)
+	// Elemental operations are O(1) expected: the hash half routes
+	// straight to the node.
+	for i, name := range []string{"ares", "boreas", "chronos", "demeter", "eos"} {
+		m.Insert(int64(i*10), name)
 	}
+	v, _ := m.Lookup(20)
+	fmt.Println("Lookup(20) =", v)
+	fmt.Println("Remove(30) =", m.Remove(30))
+	// Point queries descend the skip list half only when the key is
+	// absent.
+	k, v, _ := m.Ceil(25)
+	fmt.Printf("Ceil(25) = %d (%s)\n", k, v)
+	k, v, _ = m.Pred(20)
+	fmt.Printf("Pred(20) = %d (%s)\n", k, v)
+	// A range query observes one atomic snapshot.
+	fmt.Print("Range(0, 40):")
+	for _, p := range m.Range(0, 40, nil) {
+		fmt.Printf(" %d=%s", p.Key, p.Val)
+	}
+	fmt.Println()
 	// Output:
-	// 1 one
-	// 2 two
-	// 3 three
+	// Lookup(20) = chronos
+	// Remove(30) = true
+	// Ceil(25) = 40 (eos)
+	// Pred(20) = 10 (boreas)
+	// Range(0, 40): 0=ares 10=boreas 20=chronos 40=eos
 }
 
 func ExampleMap_All() {
