@@ -58,7 +58,7 @@
 //	          [-ns name]... [-ns-root path]
 //	          [-ns-max-conns n]
 //	          [-follow host:port]
-//	          [-max-conns n] [-max-batch n] [-write-timeout d] [-idle-timeout d]
+//	          [-max-conns n] [-write-timeout d] [-idle-timeout d]
 //	          [-drain-timeout d] [-stats-every d] [-quiet]
 //	          [-metrics host:port] [-trace-slow-ms n]
 package main
@@ -99,7 +99,6 @@ func main() {
 		nsMaxConns   = flag.Int("ns-max-conns", 0, "per-namespace connection quota (0 = unlimited)")
 		follow       = flag.String("follow", "", "run as a live replica of the primary serving on this TCP address, its -addr (requires -dir)")
 		maxConns     = flag.Int("max-conns", 256, "connection limit")
-		maxBatch     = flag.Int("max-batch", 64, "max pipelined requests coalesced into one transaction")
 		writeTimeout = flag.Duration("write-timeout", 10*time.Second, "slow-client response deadline")
 		idleTimeout  = flag.Duration("idle-timeout", 0, "close connections idle this long (0 = never)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound")
@@ -176,7 +175,6 @@ func main() {
 
 	srvCfg := server.Config{
 		MaxConns:     *maxConns,
-		MaxBatch:     *maxBatch,
 		WriteTimeout: *writeTimeout,
 		IdleTimeout:  *idleTimeout,
 		Obs:          obsReg,

@@ -3,6 +3,7 @@ package persist
 import (
 	"encoding/binary"
 	"errors"
+	"io/fs"
 	"os"
 	"slices"
 )
@@ -19,7 +20,7 @@ var ErrTruncated = errors.New("persist: log position truncated")
 // needs no coordination with it. One goroutine uses a reader.
 type LogReader struct {
 	w   *wal
-	f   *os.File
+	f   File
 	seq uint64 // f's segment
 }
 
@@ -88,8 +89,8 @@ func (r *LogReader) Read(dst []byte, pos int64, limit int) ([]byte, error) {
 	case !ok:
 		return dst, ErrTruncated
 	case r.f == nil || r.seq != seg.seq:
-		f, err := os.Open(seg.path)
-		if errors.Is(err, os.ErrNotExist) {
+		f, err := w.opts.fs.d().OpenFile(seg.path, os.O_RDONLY, 0)
+		if errors.Is(err, fs.ErrNotExist) {
 			return dst, ErrTruncated // truncated since it was located
 		} else if err != nil {
 			return dst, err

@@ -5,8 +5,6 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
-	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -508,82 +506,32 @@ func TestZeroExtendedTailTolerated(t *testing.T) {
 	}
 }
 
-func TestMkdirAllDurableSyncsParents(t *testing.T) {
-	// Each level MkdirAllDurable creates has its parent synced, outermost
-	// first; an existing directory syncs nothing. A fresh Open creates
-	// its directory the same way.
-	var mu sync.Mutex
-	var synced []string
-	orig := syncDir
-	syncDir = func(dir string) error {
-		mu.Lock()
-		synced = append(synced, dir)
-		mu.Unlock()
-		return orig(dir)
-	}
-	t.Cleanup(func() { syncDir = orig })
-	took := func() []string {
-		mu.Lock()
-		defer mu.Unlock()
-		got := synced
-		synced = nil
-		return got
-	}
-
-	root := t.TempDir()
-	a, ab := filepath.Join(root, "a"), filepath.Join(root, "a", "b")
-	if err := MkdirAllDurable(filepath.Join(ab, "c")); err != nil {
-		t.Fatalf("MkdirAllDurable: %v", err)
-	}
-	if got, want := took(), []string{root, a, ab}; !slices.Equal(got, want) {
-		t.Fatalf("synced %q, want %q", got, want)
-	}
-	if err := MkdirAllDurable(filepath.Join(ab, "c")); err != nil {
-		t.Fatalf("MkdirAllDurable of an existing directory: %v", err)
-	}
-	if got := took(); len(got) != 0 {
-		t.Fatalf("existing directory synced %q, want nothing", got)
-	}
-	if err := os.WriteFile(filepath.Join(root, "file"), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := MkdirAllDurable(filepath.Join(root, "file")); err == nil {
-		t.Fatal("MkdirAllDurable over a file succeeded")
-	}
-	took()
-
-	st := openInt64Store(t, Options{Dir: filepath.Join(a, "store"), Fsync: FsyncNone})
-	st.Close()
-	if got := took(); !slices.Contains(got, a) {
-		t.Fatalf("Open of a fresh directory synced %q, want its parent %q among them", got, a)
-	}
-}
-
 func TestRemoveFileDurable(t *testing.T) {
 	// A removal is done once the file is gone and its directory synced;
 	// a file already gone counts as removed. Anything else is an error.
+	var fsys FS
 	dir := t.TempDir()
 	path := filepath.Join(dir, "replica.pos")
-	if err := WriteFileDurable(path, []byte("1 2\n")); err != nil {
-		t.Fatalf("WriteFileDurable: %v", err)
+	if err := fsys.WriteFile(path, []byte("1 2\n")); err != nil {
+		t.Fatalf("WriteFile: %v", err)
 	}
-	if err := RemoveFileDurable(path); err != nil {
-		t.Fatalf("RemoveFileDurable: %v", err)
+	if err := fsys.Remove(dir, "replica.pos"); err != nil {
+		t.Fatalf("Remove: %v", err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("file still there after removal: %v", err)
 	}
-	if err := RemoveFileDurable(path); err != nil {
-		t.Fatalf("RemoveFileDurable of a missing file: %v", err)
+	if err := fsys.Remove(dir, "replica.pos"); err != nil {
+		t.Fatalf("Remove of a missing file: %v", err)
 	}
-	if err := RemoveFileDurable(filepath.Join(dir, "gone", "replica.pos")); err == nil {
-		t.Fatal("RemoveFileDurable in a missing directory succeeded: nothing was synced")
+	if err := fsys.Remove(filepath.Join(dir, "gone"), "replica.pos"); err == nil {
+		t.Fatal("Remove in a missing directory succeeded: nothing was synced")
 	}
 	full := filepath.Join(dir, "full")
 	if err := os.MkdirAll(filepath.Join(full, "child"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := RemoveFileDurable(full); err == nil {
-		t.Fatal("RemoveFileDurable of a non-empty directory succeeded")
+	if err := fsys.Remove(dir, "full"); err == nil {
+		t.Fatal("Remove of a non-empty directory succeeded")
 	}
 }

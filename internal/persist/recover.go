@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"os"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -46,12 +45,12 @@ type dirState struct {
 	snapMin  uint64 // the loaded snapshot's earliest chunk stamp
 }
 
-func scanDir(dir string) (dirState, error) {
+func scanDir(fsys FS, dir string) (dirState, error) {
 	var st dirState
-	if err := MkdirAllDurable(dir); err != nil {
+	if err := fsys.MkdirAll(dir); err != nil {
 		return st, err
 	}
-	entries, err := os.ReadDir(dir)
+	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return st, err
 	}
@@ -169,28 +168,6 @@ func walkFrames(path string, data []byte, off int64, last bool,
 		goodEnd += frameHeaderLen + int64(len(payload))
 	}
 	return goodEnd, false, nil
-}
-
-// truncateDurable truncates a file to size and fsyncs the result (file
-// and parent directory), so the repair cannot be reverted by a later
-// power loss.
-func truncateDurable(path string, size int64) error {
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
-		return err
-	}
-	if err := f.Truncate(size); err != nil {
-		f.Close()
-		return err
-	}
-	if err := syncFile(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return syncDir(filepath.Dir(path))
 }
 
 // foldOp is one stamped operation of a fold: a snapshot entry (stamped
@@ -335,16 +312,16 @@ func (f *fold[K, V]) pairs() []KV[K, V] {
 // the snapshot's entries and the records' op counts; a fold presized to
 // that exact count then takes every snapshot entry and every WAL op and
 // folds them: one sort of the log ops, merged into the snapshot's run.
-func recoverDir[K comparable, V any](dir string, less func(a, b K) bool, kc Codec[K], vc Codec[V]) (
+func recoverDir[K comparable, V any](fsys FS, dir string, less func(a, b K) bool, kc Codec[K], vc Codec[V]) (
 	pairs []KV[K, V], info RecoverInfo, st dirState, err error) {
-	st, err = scanDir(dir)
+	st, err = scanDir(fsys, dir)
 	if err != nil {
 		return nil, info, st, err
 	}
 	// Aborted snapshot writes and restores (a crash before their rename
 	// or Install) are garbage.
 	for _, name := range st.tmpFiles {
-		os.RemoveAll(filepath.Join(dir, name))
+		fsys.RemoveAll(filepath.Join(dir, name))
 	}
 
 	// Pass 1: read and check every file, size the op array.
@@ -352,7 +329,7 @@ func recoverDir[K comparable, V any](dir string, less func(a, b K) bool, kc Code
 	var snapData []byte
 	if len(st.snaps) > 0 {
 		snapPath = filepath.Join(dir, snapName(st.snaps[len(st.snaps)-1]))
-		if snapData, err = os.ReadFile(snapPath); err != nil {
+		if snapData, err = fsys.ReadFile(snapPath); err != nil {
 			return nil, info, st, err
 		}
 		c := snapCheck{path: snapPath}
@@ -365,7 +342,7 @@ func recoverDir[K comparable, V any](dir string, less func(a, b K) bool, kc Code
 		st.snapMin = c.minStamp
 		info.SnapshotEntries = int(c.total)
 		info.MaxStamp = c.maxStamp
-		retireSnapshots(dir, st.snaps, st.snaps[len(st.snaps)-1])
+		retireSnapshots(fsys, dir, st.snaps, st.snaps[len(st.snaps)-1])
 	}
 	segData := make([][]byte, len(st.segs))
 	size := uint64(info.SnapshotEntries)
@@ -378,7 +355,7 @@ func recoverDir[K comparable, V any](dir string, less func(a, b K) bool, kc Code
 	}
 	for i := range st.segs {
 		seg = &st.segs[i]
-		data, err := os.ReadFile(seg.path)
+		data, err := fsys.ReadFile(seg.path)
 		if err != nil {
 			return nil, info, st, err
 		}
@@ -397,7 +374,7 @@ func recoverDir[K comparable, V any](dir string, less func(a, b K) bool, kc Code
 				// It never got its header, so it holds nothing; left in
 				// place it would be a corrupt non-last segment once the
 				// next incarnation starts its own.
-				if err := RemoveFileDurable(seg.path); err != nil {
+				if err := fsys.Remove(dir, segName(seg.seq)); err != nil {
 					return nil, info, st, err
 				}
 				st.segs, segData = st.segs[:i], segData[:i]
@@ -411,7 +388,7 @@ func recoverDir[K comparable, V any](dir string, less func(a, b K) bool, kc Code
 	// tail cut off: a power loss must neither revert the repair nor tear
 	// frames an earlier run wrote but never fsynced.
 	if n := len(st.segs); n > 0 {
-		if err := truncateDurable(st.segs[n-1].path, st.segs[n-1].n); err != nil {
+		if err := fsys.Truncate(st.segs[n-1].path, st.segs[n-1].n); err != nil {
 			return nil, info, st, err
 		}
 	}
@@ -449,10 +426,10 @@ func recoverDir[K comparable, V any](dir string, less func(a, b K) bool, kc Code
 
 // retireSnapshots removes the snapshot files of dir numbered in snaps,
 // all but keep's, which supersedes them.
-func retireSnapshots(dir string, snaps []uint64, keep uint64) {
+func retireSnapshots(fsys FS, dir string, snaps []uint64, keep uint64) {
 	for _, seq := range snaps {
 		if seq != keep {
-			os.Remove(filepath.Join(dir, snapName(seq)))
+			fsys.RemoveAll(filepath.Join(dir, snapName(seq)))
 		}
 	}
 }

@@ -1,22 +1,22 @@
 package persist
 
-import (
-	"os"
-	"path/filepath"
-)
+import "path/filepath"
 
 // Restore lays a full resync into a durability directory as the files
 // recovery reads: the streamed snapshot file, and one WAL segment holding
-// the log frames streamed after it. Both land in a staging subdirectory,
+// the log frames streamed after it. Both are staged files (FS.Stage),
 // each run checked as it arrives (the snapshot by snapCheck, the frames
-// by WalkFrames), so a stream recovery would refuse never reaches the
-// disk. Install then replaces the directory's log and snapshots with the
-// staged files, for Open to recover. The staging directory's name ends
-// in .tmp, so Open removes one a crash left behind.
+// by WalkFrames), so a stream recovery would refuse never reaches a
+// name recovery reads. Install then replaces the directory's log and
+// snapshots with the staged files, for Open to recover. A staged file
+// is named for the file it becomes plus ".tmp" (a store stages its own
+// snapshots as snap-<seq>.tmp, so the two never meet), and Open removes
+// one a crash left behind.
 type Restore struct {
-	dir, stage string
-	snap, seg  *os.File
-	check      snapCheck
+	fs        FS
+	dir       string
+	snap, seg *Staged
+	check     snapCheck
 }
 
 // The staged files are a fresh directory's first two: snapshot 1, then
@@ -24,28 +24,26 @@ type Restore struct {
 // appends to a segment of its own.
 var restoreFiles = []string{snapName(1), segName(2)}
 
-// NewRestore starts an empty restore into dir, discarding whatever an
-// earlier one staged.
-func NewRestore(dir string) (*Restore, error) {
-	r := &Restore{dir: dir, stage: filepath.Join(dir, "restore.tmp"), check: snapCheck{path: "snapshot stream"}}
-	err := os.RemoveAll(r.stage)
-	if err == nil {
-		err = os.MkdirAll(r.stage, 0o755)
-	}
-	if err == nil {
-		r.snap, err = os.Create(filepath.Join(r.stage, restoreFiles[0]))
-	}
-	if err == nil {
-		r.seg, err = os.Create(filepath.Join(r.stage, restoreFiles[1]))
-	}
-	if err == nil {
-		_, err = r.seg.Write(walMagic)
+// NewRestore starts an empty restore into the directory of opts,
+// discarding whatever an earlier one staged.
+func NewRestore(opts Options) (*Restore, error) {
+	r := &Restore{fs: opts.fs, dir: opts.Dir, check: snapCheck{path: "snapshot stream"}}
+	var err error
+	if r.snap, err = r.stage(restoreFiles[0]); err == nil {
+		if r.seg, err = r.stage(restoreFiles[1]); err == nil {
+			_, err = r.seg.Write(walMagic)
+		}
 	}
 	if err != nil {
 		r.Close()
 		return nil, err
 	}
 	return r, nil
+}
+
+func (r *Restore) stage(name string) (*Staged, error) {
+	path := filepath.Join(r.dir, name)
+	return r.fs.Stage(path+".tmp", path)
 }
 
 // StageSnapshot checks the next bytes of the snapshot file, cut anywhere,
@@ -72,20 +70,15 @@ func (r *Restore) StageFrames(frames []byte, fn func(off int64, stamp, count uin
 	return err
 }
 
-// Sync checks that the snapshot is whole, makes the staged files
-// durable and closes them.
+// Sync checks that the snapshot is whole and makes the staged files
+// durable.
 func (r *Restore) Sync() error {
 	err := r.check.end()
-	for _, f := range []*os.File{r.snap, r.seg} {
-		if err == nil {
-			err = f.Sync()
-		}
-		if err == nil {
-			err = f.Close()
-		}
+	if err == nil {
+		err = r.snap.Sync()
 	}
 	if err == nil {
-		err = syncDir(r.stage)
+		err = r.seg.Sync()
 	}
 	return err
 }
@@ -94,44 +87,38 @@ func (r *Restore) Sync() error {
 // files, which Sync has made durable. The store that wrote that log must
 // be closed.
 func (r *Restore) Install() error {
-	if err := RemoveLog(r.dir); err != nil {
+	if err := RemoveLog(Options{Dir: r.dir, fs: r.fs}); err != nil {
 		return err
 	}
-	for _, name := range restoreFiles {
-		if err := os.Rename(filepath.Join(r.stage, name), filepath.Join(r.dir, name)); err != nil {
-			return err
+	if err := r.snap.Publish(); err != nil {
+		return err
+	}
+	return r.seg.Publish()
+}
+
+// Close discards whatever Install has not published.
+func (r *Restore) Close() {
+	for _, s := range []*Staged{r.snap, r.seg} {
+		if s != nil {
+			s.Discard()
 		}
 	}
-	if err := os.Remove(r.stage); err != nil {
-		return err
-	}
-	return syncDir(r.dir)
 }
 
-// Close removes whatever Install has not moved, the staging directory.
-// The staged files may be closed already.
-func (r *Restore) Close() error {
-	r.snap.Close()
-	r.seg.Close()
-	return os.RemoveAll(r.stage)
-}
-
-// RemoveLog deletes the WAL segments and snapshots in dir, everything
-// Open would recover, so that a map opened over it starts empty.
-func RemoveLog(dir string) error {
-	st, err := scanDir(dir)
+// RemoveLog deletes the WAL segments and snapshots in the directory of
+// opts, everything Open would recover, so that a map opened over it
+// starts empty.
+func RemoveLog(opts Options) error {
+	st, err := scanDir(opts.fs, opts.Dir)
 	if err != nil {
 		return err
 	}
+	var names []string
 	for _, seg := range st.segs {
-		if err := os.Remove(seg.path); err != nil {
-			return err
-		}
+		names = append(names, segName(seg.seq))
 	}
 	for _, seq := range st.snaps {
-		if err := os.Remove(filepath.Join(dir, snapName(seq))); err != nil {
-			return err
-		}
+		names = append(names, snapName(seq))
 	}
-	return syncDir(dir)
+	return opts.fs.Remove(opts.Dir, names...)
 }

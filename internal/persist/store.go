@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -87,7 +86,7 @@ func Open[K comparable, V any](opts Options, less func(a, b K) bool, kc Codec[K]
 		return nil, fmt.Errorf("persist: key and value codecs are required")
 	}
 	opts = opts.withDefaults()
-	pairs, info, st, err := recoverDir[K, V](opts.Dir, less, kc, vc)
+	pairs, info, st, err := recoverDir[K, V](opts.fs, opts.Dir, less, kc, vc)
 	if err != nil {
 		return nil, err
 	}
@@ -269,8 +268,8 @@ func (s *Store[K, V]) Snapshot() error {
 		return ErrClosed
 	}
 	seq := s.w.nextFileSeq()
-	tmp := filepath.Join(s.opts.Dir, fmt.Sprintf("snap-%016x.tmp", seq))
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	dir := s.opts.Dir
+	f, err := s.opts.fs.Stage(filepath.Join(dir, fmt.Sprintf("snap-%016x.tmp", seq)), filepath.Join(dir, snapName(seq)))
 	if err != nil {
 		return err
 	}
@@ -282,13 +281,6 @@ func (s *Store[K, V]) Snapshot() error {
 	if err == nil {
 		err = f.Sync()
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
 	// The chunks read committed in-memory state whose WAL records may
 	// still sit in the append buffer (FsyncNone/Interval). A record that
 	// straddles the snapshot — logged between two chunks, so one key's
@@ -297,18 +289,20 @@ func (s *Store[K, V]) Snapshot() error {
 	// recover the straddled update partially (breaking batch atomicity)
 	// instead of losing it wholesale. Sync the WAL up through everything
 	// the chunks could have observed before the rename publishes them.
-	if err := s.w.sync(); err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = s.w.sync()
 	}
-	if err := RenameDurable(tmp, filepath.Join(s.opts.Dir, snapName(seq))); err != nil {
-		os.Remove(tmp)
+	if err == nil {
+		err = f.Publish()
+	}
+	if err != nil {
+		f.Discard()
 		return err
 	}
 	// The new snapshot supersedes every older one and every WAL segment
 	// whose records all predate its earliest chunk.
-	if st, err := scanDir(s.opts.Dir); err == nil {
-		retireSnapshots(s.opts.Dir, st.snaps, seq)
+	if st, err := scanDir(s.opts.fs, dir); err == nil {
+		retireSnapshots(s.opts.fs, dir, st.snaps, seq)
 	}
 	s.w.truncateBelow(minStamp)
 	s.w.resetSnapshotDebt()
@@ -346,6 +340,16 @@ func (s *Store[K, V]) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.lastSnapErr
+}
+
+// LogErr returns the log's sticky I/O error, set once a write or an
+// fsync of a segment failed: from then on no record reaches the disk,
+// so no write may be acknowledged. Unlike Err it ignores a failed
+// background snapshot, which loses nothing.
+func (s *Store[K, V]) LogErr() error {
+	s.w.mu.Lock()
+	defer s.w.mu.Unlock()
+	return s.w.err
 }
 
 // Close stops the snapshotter, flushes and fsyncs the WAL (all

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io/fs"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -67,6 +65,9 @@ type Options struct {
 	// and kept included. Default 32 MiB; negative disables
 	// size-triggered snapshots.
 	SnapshotBytes int64
+
+	// fs is the filesystem the store works on (OnDisk).
+	fs FS
 }
 
 func (o Options) withDefaults() Options {
@@ -140,7 +141,7 @@ type wal struct {
 	// ioMu guards the segment files themselves. The active segment's
 	// metadata is head, which changes under ioMu and mu both.
 	ioMu   sync.Mutex
-	active *os.File
+	active File
 
 	flushCh chan struct{}
 	stopCh  chan struct{}
@@ -414,15 +415,11 @@ func (w *wal) setErrLocked(err error) {
 func (w *wal) openSegmentLocked() error {
 	seq := w.nextFileSeq()
 	path := filepath.Join(w.dir, segName(seq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	f, err := w.opts.fs.Create(path)
 	if err != nil {
 		return err
 	}
 	if _, err := f.Write(walMagic); err != nil {
-		f.Close()
-		return err
-	}
-	if err := syncDir(w.dir); err != nil {
 		f.Close()
 		return err
 	}
@@ -471,15 +468,15 @@ func (w *wal) truncateBelow(minStamp uint64) {
 	for cut < len(w.sealed) && w.sealed[cut].maxStamp < minStamp {
 		cut++
 	}
-	drop := append([]segMeta(nil), w.sealed[:cut]...)
-	w.sealed = w.sealed[cut:]
-	w.stats.segsGone += uint64(len(drop))
-	w.mu.Unlock()
-	for _, s := range drop {
-		os.Remove(s.path)
+	drop := make([]string, cut)
+	for i, s := range w.sealed[:cut] {
+		drop[i] = segName(s.seq)
 	}
-	if len(drop) > 0 {
-		syncDir(w.dir)
+	w.sealed = w.sealed[cut:]
+	w.stats.segsGone += uint64(cut)
+	w.mu.Unlock()
+	if cut > 0 {
+		w.opts.fs.Remove(w.dir, drop...)
 	}
 }
 
@@ -625,96 +622,4 @@ func (w *wal) simulateCrash(dropTail int64) error {
 	w.durable.Broadcast()
 	w.mu.Unlock()
 	return nil
-}
-
-// WriteFileDurable replaces the file at path with data through a synced
-// temporary file (path + ".tmp"), a rename and a sync of the parent
-// directory, so a crash leaves either the old contents or the new ones,
-// never a torn or empty file.
-func WriteFileDurable(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = RenameDurable(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
-}
-
-// RenameDurable renames oldpath to newpath and fsyncs the directory of
-// each, so the rename reaches the disk before whatever the caller does
-// next: after a crash the entry is at one name, never lost between them.
-func RenameDurable(oldpath, newpath string) error {
-	if err := os.Rename(oldpath, newpath); err != nil {
-		return err
-	}
-	if err := syncDir(filepath.Dir(newpath)); err != nil {
-		return err
-	}
-	if dir := filepath.Dir(oldpath); dir != filepath.Dir(newpath) {
-		return syncDir(dir)
-	}
-	return nil
-}
-
-// RemoveFileDurable removes path and fsyncs its directory, so the
-// removal reaches the disk before whatever the caller does next; a
-// missing file counts as removed. It is WriteFileDurable's counterpart.
-func RemoveFileDurable(path string) error {
-	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-// MkdirAllDurable is os.MkdirAll that fsyncs the parent of every
-// directory level it creates, so a directory it returns keeps its entry
-// through a power cut. An existing directory costs one stat.
-func MkdirAllDurable(dir string) error {
-	if fi, err := os.Stat(dir); err == nil && fi.IsDir() {
-		return nil
-	}
-	parent := filepath.Dir(dir)
-	if parent != dir {
-		if err := MkdirAllDurable(parent); err != nil {
-			return err
-		}
-	}
-	if err := os.Mkdir(dir, 0o755); err != nil {
-		// A concurrent creator's entry needs the same sync.
-		if fi, serr := os.Stat(dir); serr != nil || !fi.IsDir() {
-			return err
-		}
-	}
-	return syncDir(parent)
-}
-
-// syncFile fsyncs a file recovery repaired or sealed. A variable so
-// tests can record the files synced.
-var syncFile = (*os.File).Sync
-
-// syncDir fsyncs a directory so renames and creates survive power loss.
-// A variable so tests can record the directories synced.
-var syncDir = func(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

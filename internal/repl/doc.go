@@ -52,12 +52,16 @@
 // commits above its applied watermark, so its backend answers Watermark
 // with a fresh clock read, as a primary's does.
 //
-// Known hazard, not handled: right after a restart, a primary's stamps
-// can fall below stamps it advertised before the crash. Recovery floors
-// the restarted clock above the largest stamp in the log, but Watermark
-// and heartbeats advertised fresh clock reads, which can be larger. A
-// barrier stamp taken from the old incarnation can therefore lie above
-// the new incarnation's commits for a while.
+// A restarted primary's stamps stay above the stamps it advertised
+// before the crash. Watermark and heartbeats advertised fresh clock
+// reads, which can exceed every logged stamp and so the floor recovery
+// sets, but the clock counts wall-clock nanoseconds (stm.Clock): the
+// restarted clock starts above every earlier read by the downtime.
+// Known hazard, not handled: a wall clock that steps back by more than
+// the downtime between two incarnations. A barrier stamp taken from the
+// old incarnation can then lie above the new incarnation's commits for
+// a while; a persisted horizon, a stamp bound written before any stamp
+// above it is advertised, would guard that case.
 //
 // A replica raises its map's commit clock (stm.Clock.Raise) to every
 // stamp it applies, so a promoted replica's commits extend the dead

@@ -107,8 +107,8 @@ func TestReplicaResyncSwapsMap(t *testing.T) {
 	if err := m.CheckInvariants(skiphash.CheckOptions{}); err != nil {
 		t.Fatalf("swapped-in map: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "restore.tmp")); !os.IsNotExist(err) {
-		t.Fatalf("staging directory left after the swap: %v", err)
+	if staged, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(staged) != 0 {
+		t.Fatalf("staged files left after the swap: %v", staged)
 	}
 }
 
@@ -163,7 +163,7 @@ func TestReplicaCrashMidResync(t *testing.T) {
 			}
 			if cut {
 				// What a crash mid-staging leaves behind; Open removes it.
-				if err := os.MkdirAll(filepath.Join(dir, "restore.tmp"), 0o755); err != nil {
+				if err := os.WriteFile(filepath.Join(dir, "snap-0000000000000001.snap.tmp"), []byte("SKHSNP1\n"), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -177,8 +177,8 @@ func TestReplicaCrashMidResync(t *testing.T) {
 			if s := r.Stats(); s.Resyncs != 1 || s.EpochChanges != 1 {
 				t.Fatalf("restarted replica: %d full resyncs, %d epoch changes; want 1 and 1 from the saved epoch", s.Resyncs, s.EpochChanges)
 			}
-			if _, err := os.Stat(filepath.Join(dir, "restore.tmp")); !os.IsNotExist(err) {
-				t.Fatalf("staging directory left: %v", err)
+			if staged, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(staged) != 0 {
+				t.Fatalf("staged files left: %v", staged)
 			}
 		})
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io/fs"
 	"net"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -50,6 +49,9 @@ const dialTimeout = 2 * time.Second
 // watermark until Promote makes it writable.
 type Replica struct {
 	cfg ReplicaConfig
+	// dir is the map's directory and fs the filesystem its map works on.
+	dir string
+	fs  persist.FS
 	// be serves the current map; a full resync swaps in a new one.
 	be atomic.Pointer[server.MapBackend[int64, int64]]
 
@@ -97,13 +99,15 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	}
 	r := &Replica{
 		cfg:     cfg,
+		dir:     cfg.Map.Durability.Dir,
+		fs:      persist.FSOf(*cfg.Map.Durability),
 		ready:   make(chan struct{}),
 		stopped: make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	b, err := os.ReadFile(r.posPath())
+	b, err := r.fs.ReadFile(r.posPath())
 	if errors.Is(err, fs.ErrNotExist) {
-		err = persist.RemoveLog(cfg.Map.Durability.Dir)
+		err = persist.RemoveLog(*cfg.Map.Durability)
 	} else if err == nil {
 		if _, err = fmt.Sscan(string(b), &r.epoch, &r.pos); err != nil {
 			err = fmt.Errorf("repl: resume position %s: %w", r.posPath(), err)
@@ -125,7 +129,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	return r, nil
 }
 
-func (r *Replica) posPath() string { return filepath.Join(r.cfg.Map.Durability.Dir, posFile) }
+func (r *Replica) posPath() string { return filepath.Join(r.dir, posFile) }
 
 func (r *Replica) open() (*skiphash.Map[int64, int64], error) {
 	return skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64, r.cfg.Map,
@@ -164,7 +168,7 @@ func (r *Replica) Promote() error {
 	if err := r.Map().Sync(); err != nil {
 		return fmt.Errorf("repl: promote: %w", err)
 	}
-	if err := persist.RemoveFileDurable(r.posPath()); err != nil {
+	if err := r.fs.Remove(r.dir, posFile); err != nil {
 		return err
 	}
 	r.promoted.Store(true)
@@ -275,7 +279,7 @@ func (r *Replica) runConn(nc net.Conn) error {
 		if r.epoch != 0 && hdr.Epoch != r.epoch {
 			r.epochSwaps.Add(1)
 		}
-		if rs, err = persist.NewRestore(r.cfg.Map.Durability.Dir); err != nil {
+		if rs, err = persist.NewRestore(*r.cfg.Map.Durability); err != nil {
 			return err
 		}
 		defer rs.Close()
@@ -343,7 +347,7 @@ func (r *Replica) swap(rs *persist.Restore, epoch, pos uint64) error {
 	r.epoch, r.pos, r.saved = 0, 0, [2]uint64{}
 	// The removal is on disk before Install removes a segment, so no
 	// crash keeps the position over a partial log.
-	if err := persist.RemoveFileDurable(r.posPath()); err != nil {
+	if err := r.fs.Remove(r.dir, posFile); err != nil {
 		return err
 	}
 	old := r.Map()
@@ -370,7 +374,7 @@ func (r *Replica) save() error {
 	}
 	err := r.Map().Sync()
 	if err == nil {
-		err = persist.WriteFileDurable(r.posPath(), fmt.Appendf(nil, "%d %d\n", r.epoch, r.pos))
+		err = r.fs.WriteFile(r.posPath(), fmt.Appendf(nil, "%d %d\n", r.epoch, r.pos))
 	}
 	if err != nil {
 		return fmt.Errorf("save resume position: %w", err)

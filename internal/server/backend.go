@@ -210,10 +210,17 @@ type MapBackend[K comparable, V any] struct {
 	// rangeBudget bounds a range response's encoded pairs so it always
 	// fits one frame; clients paginate past it.
 	rangeBudget int
+	// logErr reports a durable map's log I/O error (persist.Store's
+	// LogErr); nil for an in-memory map.
+	logErr func() error
 }
 
 func newBackend[K comparable, V any](m *skiphash.Map[K, V], cd codec[K, V]) *MapBackend[K, V] {
-	return &MapBackend[K, V]{Map: m, cd: cd, rangeBudget: wire.MaxRangeBytes2}
+	b := &MapBackend[K, V]{Map: m, cd: cd, rangeBudget: wire.MaxRangeBytes2}
+	if p, ok := m.Persister().(interface{ LogErr() error }); ok {
+		b.logErr = p.LogErr
+	}
+	return b
 }
 
 // NewShardedBackend wraps an int64 map for the v1 ops — namespace 0.
@@ -265,6 +272,12 @@ func (b *MapBackend[K, V]) Atomic(group []wire.Request, resps []wire.Response) (
 		}
 		return nil
 	})
+	// Once the log has failed, no write reaches the disk — the run's own
+	// record included, when its fsync was the one that failed — so the
+	// run is not acknowledged.
+	if err == nil && b.logErr != nil {
+		err = b.logErr()
+	}
 	return runs - 1, err
 }
 

@@ -85,8 +85,8 @@ func (c *conn) failRun(group []wire.Request, status wire.Status, msg string) {
 
 // execRun executes the run starting at batch[i] and returns the index
 // past it. A coalescable request opens a run that extends to the end of
-// the batch, the first request that is not coalescable or addresses
-// another namespace or frame family, or Config.MaxBatch requests,
+// the batch (at most maxBatch requests) or the first request that is
+// not coalescable or addresses another namespace or frame family,
 // whichever comes first; any other request is a run of one.
 func (c *conn) execRun(batch []wire.Request, i int) int {
 	req := &batch[i]
@@ -117,7 +117,7 @@ func (c *conn) execRun(batch []wire.Request, i int) int {
 		return r.NS == req.NS && r.Op.IsV2Data() == v2 && r.Op.Kind().Coalesces()
 	}
 	j := i + 1
-	for j < len(batch) && j-i < c.srv.cfg.MaxBatch && joins(&batch[j]) {
+	for j < len(batch) && joins(&batch[j]) {
 		j++
 	}
 	group := batch[i:j]

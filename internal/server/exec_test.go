@@ -149,16 +149,35 @@ func (h *harness) run(reqs ...wire.Request) []wire.Response {
 // one socket read had brought them all in.
 func (h *harness) read(reqs ...wire.Request) []wire.Response {
 	h.t.Helper()
+	if err := h.c.readCycle(frames(reqs)); err != nil || len(h.c.batch) != len(reqs) {
+		h.t.Fatalf("readCycle took %d of %d requests: %v", len(h.c.batch), len(reqs), err)
+	}
+	return h.answer(reqs)
+}
+
+// readAll is read for more requests than one cycle takes: each
+// readCycle's batch is executed before the next is read.
+func (h *harness) readAll(reqs ...wire.Request) []wire.Response {
+	h.t.Helper()
+	fr := frames(reqs)
+	var resps []wire.Response
+	for len(resps) < len(reqs) {
+		if err := h.c.readCycle(fr); err != nil {
+			h.t.Fatalf("readCycle after %d of %d requests: %v", len(resps), len(reqs), err)
+		}
+		resps = append(resps, h.answer(reqs[len(resps):len(resps)+len(h.c.batch)])...)
+	}
+	return resps
+}
+
+// frames numbers reqs and frames them into one buffered stream.
+func frames(reqs []wire.Request) *wire.FrameReader {
 	var stream []byte
 	for i := range reqs {
 		reqs[i].ID = uint64(i + 1)
 		stream = wire.AppendRequest(stream, &reqs[i])
 	}
-	fr := wire.NewFrameReader(bufio.NewReaderSize(bytes.NewReader(stream), len(stream)), wire.MaxRequestPayload)
-	if err := h.c.readCycle(fr); err != nil || len(h.c.batch) != len(reqs) {
-		h.t.Fatalf("readCycle took %d of %d requests: %v", len(h.c.batch), len(reqs), err)
-	}
-	return h.answer(reqs)
+	return wire.NewFrameReader(bufio.NewReaderSize(bytes.NewReader(stream), len(stream)), wire.MaxRequestPayload)
 }
 
 // answer executes the cycle's batch and returns its responses, checked
@@ -255,22 +274,24 @@ var executorScenarios = []struct {
 	run  func(t *testing.T, h *harness, f family)
 }{
 	{"CoalescedRunClampedByMaxBatch", func(t *testing.T, h *harness, f family) {
+		const keys = maxBatch/2 + 8
 		var reqs []wire.Request
-		for k := int64(0); k < 10; k++ {
+		for k := int64(0); k < keys; k++ {
 			reqs = append(reqs, f.insert(k, k*10))
 		}
 		wantStatus(t, h.run(reqs...), wire.StatusOK)
-		h.wantRuns(1, 10) // unclamped: the whole cycle is one transaction
+		h.wantRuns(1, keys) // unclamped: the whole cycle is one transaction
 
-		h.c.srv.cfg.MaxBatch = 4
+		// A cycle reads at most maxBatch requests, so more than that
+		// arriving at once take two cycles and two transactions.
 		reqs = reqs[:0]
-		for k := int64(0); k < 10; k++ {
+		for k := int64(0); k < keys; k++ {
 			reqs = append(reqs, f.op(wire.KindPut, k, k*100), f.get(k))
 		}
-		resps := h.run(reqs...)
+		resps := h.readAll(reqs...)
 		wantStatus(t, resps, wire.StatusOK)
-		h.wantRuns(5, 20)
-		for k := int64(0); k < 10; k++ {
+		h.wantRuns(2, 2*keys)
+		for k := int64(0); k < keys; k++ {
 			if put, get := &resps[2*k], &resps[2*k+1]; !put.Ok || !get.Ok || f.val(t, get) != k*100 {
 				t.Fatalf("key %d: put replaced=%v, get = %d, %v", k, put.Ok, f.val(t, get), get.Ok)
 			}

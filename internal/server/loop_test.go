@@ -100,7 +100,7 @@ func putFrame(id uint64, k int64) []byte {
 
 func TestBurstInOneWriteIsOneCycle(t *testing.T) {
 	p := servePipe(t, nil, Config{})
-	const n = 40 // <= the default MaxBatch of 64
+	const n = 40 // <= maxBatch
 	var stream []byte
 	for i := uint64(1); i <= n; i++ {
 		stream = append(stream, putFrame(i, int64(i))...)

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -59,6 +58,7 @@ type RegistryConfig struct {
 // why it cannot be dropped.
 type Registry struct {
 	cfg RegistryConfig
+	fs  persist.FS // the durability template's
 
 	mu     sync.RWMutex
 	byID   map[uint32]*namespace
@@ -164,23 +164,19 @@ func (ns *namespace) detach(c *conn) {
 // left behind.
 const tombstonePrefix = ".dropped-"
 
-// removeAll deletes a tombstone; a variable so tests can stop the
-// removal part-way, as a crash would.
-var removeAll = os.RemoveAll
-
 // removeDurable deletes a namespace directory crash-atomically: it is
 // renamed to a tombstone first, and the rename made durable, so a crash
 // part-way through the removal leaves no ns-<name> directory holding
 // part of the namespace's files.
-func removeDurable(dir string) error {
+func (r *Registry) removeDurable(dir string) error {
 	tomb := filepath.Join(filepath.Dir(dir), tombstonePrefix+filepath.Base(dir))
-	if err := removeAll(tomb); err != nil {
+	if err := r.fs.RemoveAll(tomb); err != nil {
 		return err
 	}
-	if err := persist.RenameDurable(dir, tomb); err != nil {
+	if err := r.fs.Rename(dir, tomb); err != nil {
 		return err
 	}
-	return removeAll(tomb)
+	return r.fs.RemoveAll(tomb)
 }
 
 // fsyncMetaFile records a durable namespace's fsync-policy selector (the
@@ -197,6 +193,7 @@ const fsyncMetaFile = "nsfsync"
 func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	r := &Registry{
 		cfg:    cfg,
+		fs:     persist.FSOf(cfg.Durability),
 		byID:   make(map[uint32]*namespace),
 		byName: make(map[string]*namespace),
 		nextID: 1,
@@ -204,26 +201,26 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	if cfg.Root == "" {
 		return r, nil
 	}
-	if err := persist.MkdirAllDurable(cfg.Root); err != nil {
+	if err := r.fs.MkdirAll(cfg.Root); err != nil {
 		return nil, err
 	}
-	tombs, _ := filepath.Glob(filepath.Join(cfg.Root, tombstonePrefix+"*"))
-	for _, tomb := range tombs {
-		if err := removeAll(tomb); err != nil {
-			return nil, err
-		}
-	}
-	dirs, err := filepath.Glob(filepath.Join(cfg.Root, "ns-*"))
+	entries, err := r.fs.ReadDir(cfg.Root)
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(dirs)
-	for _, dir := range dirs {
-		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+	for _, e := range entries {
+		if name := e.Name(); strings.HasPrefix(name, tombstonePrefix) {
+			if err := r.fs.RemoveAll(filepath.Join(cfg.Root, name)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for _, e := range entries {
+		name, ok := strings.CutPrefix(e.Name(), "ns-")
+		if !ok || !e.IsDir() {
 			continue
 		}
-		name := strings.TrimPrefix(filepath.Base(dir), "ns-")
-		if _, err := r.create(name, dir, wire.NsFsyncDefault); err != nil {
+		if _, err := r.create(name, filepath.Join(cfg.Root, e.Name()), wire.NsFsyncDefault); err != nil {
 			r.CloseAll()
 			return nil, fmt.Errorf("server: reopen namespace %q: %w", name, err)
 		}
@@ -303,7 +300,7 @@ func (r *Registry) create(name, dir string, fsync uint8) (*namespace, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNsExists, name)
 	}
 	if dir != "" && fsync == wire.NsFsyncDefault {
-		raw, _ := os.ReadFile(filepath.Join(dir, fsyncMetaFile))
+		raw, _ := r.fs.ReadFile(filepath.Join(dir, fsyncMetaFile))
 		if v, err := strconv.Atoi(strings.TrimSpace(string(raw))); err == nil && v >= 0 && v <= int(wire.NsFsyncAlways) {
 			fsync = uint8(v)
 		}
@@ -328,7 +325,7 @@ func (r *Registry) create(name, dir string, fsync uint8) (*namespace, error) {
 		// Written durably: an empty file left by a crash would reopen the
 		// namespace under the registry default, not its own policy.
 		meta := []byte(strconv.Itoa(int(fsync)) + "\n")
-		if err := persist.WriteFileDurable(filepath.Join(dir, fsyncMetaFile), meta); err != nil {
+		if err := r.fs.WriteFile(filepath.Join(dir, fsyncMetaFile), meta); err != nil {
 			s.Close()
 			return nil, fmt.Errorf("server: namespace %q: %w", name, err)
 		}
@@ -366,7 +363,7 @@ func (r *Registry) Drop(name string) error {
 	// A failed final flush loses nothing a drop was not about to delete.
 	_ = ns.close(r.cfg.Obs)
 	if ns.dir != "" {
-		return removeDurable(ns.dir)
+		return r.removeDurable(ns.dir)
 	}
 	return nil
 }

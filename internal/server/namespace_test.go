@@ -12,10 +12,12 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fsfake"
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/stm"
@@ -504,12 +506,13 @@ func TestNamespaceDropRacesCreate(t *testing.T) {
 }
 
 // TestNamespaceDropCrashAtomic: a crash part-way through a drop's
-// removal (here the removal stops after deleting the snapshots) leaves
-// a tombstone, not an ns-<name> directory holding part of the dropped
+// removal (here one of the tombstone's files fails to go) leaves a
+// tombstone, not an ns-<name> directory holding part of the dropped
 // namespace, and the next NewRegistry deletes the tombstone.
 func TestNamespaceDropCrashAtomic(t *testing.T) {
 	root := t.TempDir()
-	reg, err := NewRegistry(RegistryConfig{Root: root})
+	inj := fsfake.NewInjector(nil, 1)
+	reg, err := NewRegistry(RegistryConfig{Root: root, Durability: persist.OnDisk(skiphash.Durability{}, inj)})
 	if err != nil {
 		t.Fatalf("NewRegistry: %v", err)
 	}
@@ -525,29 +528,23 @@ func TestNamespaceDropCrashAtomic(t *testing.T) {
 	}
 	putSync(t, ns, "after", "v")
 
-	var cut []string
-	orig := removeAll
-	t.Cleanup(func() { removeAll = orig })
-	removeAll = func(path string) error {
-		snaps, _ := filepath.Glob(filepath.Join(path, "snap-*"))
-		if len(snaps) == 0 {
-			return orig(path)
-		}
-		for _, f := range snaps {
-			if err := os.Remove(f); err != nil {
-				return err
-			}
-		}
-		cut = append(cut, filepath.Base(path))
-		return errors.New("crashed part-way through the removal")
-	}
+	// The drop's removals: a stale tombstone's (there is none), the
+	// tombstone's own first try, then its three files by name (nsfsync,
+	// the snapshot, the segment), then the emptied tombstone. One of
+	// the files fails.
+	inj.Arm(fsfake.Remove, 3, 5, syscall.EIO)
 	if err := reg.Drop("x"); err == nil {
 		t.Fatal("Drop with the removal cut short returned nil")
+	}
+	var cut []string
+	for _, c := range inj.Take() {
+		if c.Err != nil {
+			cut = append(cut, filepath.Base(c.Path))
+		}
 	}
 	if len(cut) != 1 {
 		t.Fatalf("the removal was cut at %q, want once", cut)
 	}
-	removeAll = orig
 	reg, err = NewRegistry(RegistryConfig{Root: root})
 	if err != nil {
 		t.Fatalf("reopen after the cut drop: %v", err)
@@ -558,6 +555,36 @@ func TestNamespaceDropCrashAtomic(t *testing.T) {
 	}
 	if left, _ := os.ReadDir(root); len(left) != 0 {
 		t.Fatalf("%s still holds %v after the reopen", root, left)
+	}
+}
+
+// TestNamespaceSyncCounts pins the fsyncs of a durable namespace's
+// create (its directory's entry, and the fsync-policy file published
+// through a synced temporary file) and drop (the rename to a
+// tombstone), as persist's TestSyncCounts does for the store.
+func TestNamespaceSyncCounts(t *testing.T) {
+	rec := fsfake.NewRecorder(nil)
+	reg, err := NewRegistry(RegistryConfig{Root: t.TempDir(), Durability: persist.OnDisk(skiphash.Durability{}, rec)})
+	if err != nil {
+		t.Fatalf("NewRegistry: %v", err)
+	}
+	defer reg.CloseAll()
+	for _, step := range []struct {
+		name        string
+		files, dirs int
+		run         func() error
+	}{
+		{"NsCreate", 1, 2, func() error { _, err := reg.Create("x", true, wire.NsFsyncAlways); return err }},
+		{"NsDrop", 0, 1, func() error { return reg.Drop("x") }},
+	} {
+		rec.Take()
+		if err := step.run(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		calls := rec.Take()
+		if f, d := fsfake.Count(calls, fsfake.FileSync), fsfake.Count(calls, fsfake.DirSync); f != step.files || d != step.dirs {
+			t.Fatalf("%s: %d file and %d directory fsyncs, want %d and %d: %v", step.name, f, d, step.files, step.dirs, calls)
+		}
 	}
 }
 

@@ -25,7 +25,7 @@
 //
 // Each connection is one goroutine running one loop. It blocks reading
 // a request frame, takes every further frame that read left whole in
-// its buffer (up to MaxBatch) without touching the socket again,
+// its buffer (up to maxBatch, 64) without touching the socket again,
 // coalesces runs of point operations (and client batches) into single
 // Atomic transactions, writes the responses back in request order,
 // flushes once, and goes back to reading. A client that pipelines N
@@ -39,8 +39,8 @@
 // buffer, and a client that outruns the server stalls on its writes.
 //
 // A run never leaves its namespace or frame family: it ends at the end
-// of the batch, where the next request addresses another namespace or
-// family or cannot coalesce, or at Config.MaxBatch requests.
+// of the batch, or where the next request addresses another namespace
+// or family or cannot coalesce.
 //
 // Reads are segregated from writes: a coalesced run consisting purely
 // of Gets skips the atomic-txn machinery and is answered through the
@@ -105,9 +105,6 @@ type Config struct {
 	// MaxConns bounds concurrently served connections; further accepts
 	// receive a StatusBusy frame and are closed. Default 256.
 	MaxConns int
-	// MaxBatch bounds how many pipelined requests one Atomic
-	// transaction may coalesce. Default 64.
-	MaxBatch int
 	// WriteTimeout is the slow-client deadline: a drain cycle's
 	// response writes must complete within it or the connection is torn
 	// down. Default 10s; negative disables.
@@ -134,9 +131,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxConns == 0 {
 		c.MaxConns = 256
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 64
 	}
 	if c.WriteTimeout == 0 {
 		c.WriteTimeout = 10 * time.Second
@@ -261,11 +255,11 @@ func (s *Server) newConn(nc net.Conn) *conn {
 		srv:   s,
 		nc:    nc,
 		bw:    bufio.NewWriterSize(nc, 64<<10),
-		resps: make([]wire.Response, s.cfg.MaxBatch),
+		resps: make([]wire.Response, maxBatch),
 		track: s.met != nil || s.cfg.Tracer != nil,
 	}
 	if c.track {
-		c.notes = make([]note, s.cfg.MaxBatch)
+		c.notes = make([]note, maxBatch)
 	}
 	return c
 }
@@ -466,8 +460,12 @@ func (c *conn) serve() {
 	}
 }
 
+// maxBatch bounds a drain cycle, and with it the requests one Atomic
+// transaction may coalesce.
+const maxBatch = 64
+
 // readCycle fills c.batch: it blocks for one request frame, then takes
-// the frames that read left whole in the buffer, up to MaxBatch, without
+// the frames that read left whole in the buffer, up to maxBatch, without
 // reading the socket again — the kernel's socket buffer is the queue. An
 // error comes with the requests read before it.
 func (c *conn) readCycle(fr *wire.FrameReader) error {
@@ -486,7 +484,7 @@ func (c *conn) readCycle(fr *wire.FrameReader) error {
 			return err
 		}
 		c.push(req)
-		if len(c.batch) == c.srv.cfg.MaxBatch || !fr.Ready() {
+		if len(c.batch) == maxBatch || !fr.Ready() {
 			return nil
 		}
 	}

@@ -311,7 +311,7 @@ func TestConnectionLimitRejection(t *testing.T) {
 }
 
 func TestPipelinedBatchAtomicityUnderConcurrentWriters(t *testing.T) {
-	m, _, addr := startServer(t, skiphash.Config{}, Config{MaxBatch: 32})
+	m, _, addr := startServer(t, skiphash.Config{}, Config{})
 
 	// Writers pipeline atomic batches that keep k and k+1000 equal;
 	// concurrently, in-process readers assert they never observe a

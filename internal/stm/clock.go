@@ -23,13 +23,18 @@ import (
 // rejects it even on a tie. The cost is an occasional false abort when
 // a reader starts on the same tick as an earlier unrelated commit.
 //
-// Every timestamp is shifted by an offset that only Raise moves. Durable
-// maps raise it above every recovered stamp, so commits after a restart
-// extend the write-ahead log's order however long the process was down;
-// replicas raise it to each applied stamp, so a promoted replica's
-// commits extend its old primary's order. An offset, unlike a clamp to
-// floor+1, keeps stamps advancing at the clock's own pace instead of
-// piling onto one tied value.
+// Every timestamp is shifted by an offset, which starts at the wall
+// time at which the runtime was created (nanoseconds since the Unix
+// epoch) and which only Raise moves. The start makes stamps wall-clock
+// nanoseconds, so a restarted process draws stamps above every stamp
+// its previous incarnation drew or advertised — not only above the
+// logged ones — as long as the wall clock has not stepped back by more
+// than the downtime. Durable maps raise the offset above every
+// recovered stamp, so commits after a restart extend the write-ahead
+// log's order even then; replicas raise it to each applied stamp, so a
+// promoted replica's commits extend its old primary's order. An offset,
+// unlike a clamp to floor+1, keeps stamps advancing at the clock's own
+// pace instead of piling onto one tied value.
 //
 // A Clock exists only inside a Runtime; reach it with Runtime.Clock.
 type Clock struct {

@@ -79,6 +79,7 @@ func WithBackoffSeed(seed uint64) Option {
 func New(opts ...Option) *Runtime {
 	rt := &Runtime{}
 	rt.clock.base = time.Now()
+	rt.clock.off.Store(uint64(rt.clock.base.UnixNano()))
 	for _, opt := range opts {
 		opt(rt)
 	}

@@ -428,3 +428,48 @@ func dirListing(t *testing.T, dir string) string {
 	}
 	return b.String()
 }
+
+// TestRestartStampsExceedAdvertised: a restarted map's commit stamps lie
+// above every clock read its previous incarnation could advertise (a
+// Watermark is one), not only above the stamps its log holds, under
+// both fsync policies that sync while running.
+func TestRestartStampsExceedAdvertised(t *testing.T) {
+	for _, fsync := range []skiphash.FsyncPolicy{skiphash.FsyncAlways, skiphash.FsyncInterval} {
+		t.Run(fsync.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			open := func() *skiphash.Map[int64, int64] {
+				m, err := skiphash.Open[int64, int64](skiphash.Int64Less, skiphash.Hash64,
+					skiphash.Config{Durability: &skiphash.Durability{Dir: dir, Fsync: fsync}},
+					skiphash.Int64Codec(), skiphash.Int64Codec())
+				if err != nil {
+					t.Fatalf("Open: %v", err)
+				}
+				return m
+			}
+			m := open()
+			m.Put(1, 1)
+			if err := m.Sync(); err != nil {
+				t.Fatalf("Sync: %v", err)
+			}
+			time.Sleep(200 * time.Millisecond)
+			advertised := m.Runtime().Clock().Read()
+			if err := m.SimulateCrash(); err != nil {
+				t.Fatalf("SimulateCrash: %v", err)
+			}
+			m = open()
+			m.Put(2, 2)
+			if err := m.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			st, err := persist.Open[int64, int64](skiphash.Durability{Dir: dir}, skiphash.Int64Less,
+				skiphash.Int64Codec(), skiphash.Int64Codec())
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer st.Close()
+			if stamp := st.Recovered().MaxStamp; stamp <= advertised {
+				t.Fatalf("the restarted map committed at stamp %d, not above the %d its previous incarnation advertised", stamp, advertised)
+			}
+		})
+	}
+}
