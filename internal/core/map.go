@@ -138,7 +138,7 @@ type Persister interface {
 	// Close flushes and fsyncs the log and closes the files.
 	Close() error
 	// SimulateCrash abandons the engine as a process crash would:
-	// unflushed records are lost and nothing more is logged.
+	// unflushed records are lost and every later write is refused.
 	SimulateCrash() error
 	// Err reports the sticky background I/O error, if any.
 	Err() error
@@ -181,9 +181,9 @@ func New[K comparable, V any](less func(a, b K) bool, hash func(K) uint64, cfg C
 // other Close calls: every call returns only after the log is closed,
 // and returns the same error. That error reports whatever kept
 // acknowledged writes from reaching the disk: the engine's close error
-// (a log I/O failure, or commits that raced or followed the close and
-// were never logged), else its sticky Err. Operations issued after
-// Close still work but are no longer logged.
+// (a log I/O failure), else its sticky Err. After Close a durable map
+// refuses every write (see Atomic) and keeps serving reads; an
+// in-memory map keeps working.
 func (m *Map[K, V]) Close() error {
 	m.closed.Store(true)
 	m.closeOnce.Do(func() {
@@ -235,9 +235,9 @@ func (m *Map[K, V]) Snapshot() error { return m.durabilityOp(Persister.Snapshot)
 func (m *Map[K, V]) Sync() error { return m.durabilityOp(Persister.Sync) }
 
 // SimulateCrash abandons the durability engine the way a process crash
-// would — buffered records are lost, nothing more is logged — while the
-// in-memory map keeps working. Reopen the directory to observe what
-// survived. ErrNotDurable without persistence.
+// would: buffered records are lost, and from then on the map refuses
+// every write (see Atomic) and keeps serving reads. Reopen the directory
+// to observe what survived. ErrNotDurable without persistence.
 func (m *Map[K, V]) SimulateCrash() error { return m.durabilityOp(Persister.SimulateCrash) }
 
 func (m *Map[K, V]) durabilityOp(op func(Persister) error) error {

@@ -41,7 +41,10 @@ type mapCounters struct {
 // Committed makes a cell a commit-hook target: a removal that unstitched
 // its node registers its cell, so the count moves only when the removing
 // transaction commits.
-func (c *mapCounters) Committed(unsafe.Pointer) { c.drainedNodes.Add(1) }
+func (c *mapCounters) Committed(unsafe.Pointer) error {
+	c.drainedNodes.Add(1)
+	return nil
+}
 
 // Lookup returns the value associated with k. O(1): one hash map probe
 // and at most one extra read (Fig. 1). Unless Config.DisableReadFastPath
@@ -88,40 +91,45 @@ func (m *Map[K, V]) Contains(k K) bool {
 	return ok
 }
 
-// Insert adds (k, v) if k is absent and reports whether it did.
+// Insert adds (k, v) if k is absent and reports whether it did. An
+// insert whose transaction returned an error reports false: on a
+// durable map, a write its log refused or could not make durable (see
+// Atomic for what memory then holds).
 func (m *Map[K, V]) Insert(k K, v V) bool {
 	var ok bool
-	_ = m.rt.Atomic(func(tx *stm.Tx) error {
+	err := m.rt.Atomic(func(tx *stm.Tx) error {
 		ok = m.insertTx(tx, k, v)
 		return nil
 	})
-	return ok
+	return ok && err == nil
 }
 
 // Remove deletes k and reports whether it was present. O(1) expected:
 // the hash map routes to the node and double-linking unstitches it
-// without a traversal.
+// without a traversal. Like Insert, it reports false when its
+// transaction returned an error.
 func (m *Map[K, V]) Remove(k K) bool {
 	var ok bool
-	_ = m.rt.Atomic(func(tx *stm.Tx) error {
+	err := m.rt.Atomic(func(tx *stm.Tx) error {
 		ok = m.removeTx(tx, k)
 		return nil
 	})
-	return ok
+	return ok && err == nil
 }
 
 // Put sets k to v unconditionally, reporting whether a previous value
 // was replaced. Replacement is remove-then-insert in one transaction, so
 // node values stay immutable and range-query linearizability is
 // unaffected (the old node is logically deleted, the new one carries a
-// fresh insertion time).
+// fresh insertion time). Like Insert, it reports false when its
+// transaction returned an error.
 func (m *Map[K, V]) Put(k K, v V) bool {
 	var replaced bool
-	_ = m.rt.Atomic(func(tx *stm.Tx) error {
+	err := m.rt.Atomic(func(tx *stm.Tx) error {
 		replaced = m.putTx(tx, k, v)
 		return nil
 	})
-	return replaced
+	return replaced && err == nil
 }
 
 // Ceil returns the smallest key >= k and its value.

@@ -18,6 +18,15 @@ type Txn[K comparable, V any] struct {
 // Atomic runs fn as one transaction over the map. All operations
 // performed through op commit or roll back together. Returning a non-nil
 // error rolls everything back and propagates the error.
+//
+// On a durable map the log's append is the commit's last check. A write
+// the log refuses — after Close, after SimulateCrash, or once a log
+// write or fsync has failed — rolls back as if fn had failed, and Atomic
+// returns the log's error: memory holds none of its writes. Under
+// FsyncAlways a transaction whose own group fsync fails has already
+// committed: Atomic returns the fsync's error, and the writes stay in
+// memory without being durable. Transactions that only read are never
+// refused.
 func (m *Map[K, V]) Atomic(fn func(op *Txn[K, V]) error) error {
 	return m.rt.Atomic(func(tx *stm.Tx) error {
 		return fn(&Txn[K, V]{m: m, tx: tx})

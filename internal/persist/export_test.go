@@ -7,6 +7,7 @@ var (
 	OpenInt64Store = openInt64Store
 	SegName        = segName
 	LogTx          = logTx
+	WriteTx        = writeTx
 )
 
 type WriteScratch = writeScratch

@@ -210,9 +210,10 @@ func mustOK(t *testing.T, err error) {
 }
 
 // TestLogWriteENOSPC: a segment write that fails with ENOSPC under
-// FsyncInterval fails the Sync waiting on it, the error stays (Err, and
-// every later Sync and Close report it), and a reopen recovers every
-// write a successful Sync acknowledged.
+// FsyncInterval fails the Sync waiting on it, the error stays (the next
+// transaction is refused with it, and Err and every later Sync and
+// Close report it), and a reopen recovers every write a successful Sync
+// acknowledged.
 func TestLogWriteENOSPC(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		inj := fsfake.NewInjector(nil, seed)
@@ -233,8 +234,8 @@ func TestLogWriteENOSPC(t *testing.T) {
 		if !errors.Is(serr, syscall.ENOSPC) {
 			t.Fatalf("seed %d: Sync returned %v, want ENOSPC", seed, serr)
 		}
-		persist.LogTx(t, rt, &ws, func(tx *stm.Tx) { st.LogPut(tx, -1, -1) })
-		for _, err := range []error{st.Err(), st.Sync(), st.Sync(), st.Close()} {
+		err := persist.WriteTx(rt, &ws, func(tx *stm.Tx) { st.LogPut(tx, -1, -1) })
+		for _, err := range []error{err, st.Err(), st.Sync(), st.Sync(), st.Close()} {
 			if !errors.Is(err, syscall.ENOSPC) {
 				t.Fatalf("seed %d: after the failed write: %v, want ENOSPC", seed, err)
 			}

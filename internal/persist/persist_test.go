@@ -17,13 +17,20 @@ import (
 // transactions.
 func logTx(t *testing.T, rt *stm.Runtime, scratch *writeScratch, fn func(tx *stm.Tx)) {
 	t.Helper()
-	if err := rt.Atomic(func(tx *stm.Tx) error {
+	if err := writeTx(rt, scratch, fn); err != nil {
+		t.Fatalf("logTx: %v", err)
+	}
+}
+
+// writeTx runs fn in a transaction that also bumps scratch, so it
+// commits as a writer and runs its publish hooks, and returns the
+// transaction's error.
+func writeTx(rt *stm.Runtime, scratch *writeScratch, fn func(tx *stm.Tx)) error {
+	return rt.Atomic(func(tx *stm.Tx) error {
 		scratch.f.Store(tx, &scratch.o, scratch.f.Raw()+1)
 		fn(tx)
 		return nil
-	}); err != nil {
-		t.Fatalf("logTx: %v", err)
-	}
+	})
 }
 
 type writeScratch struct {
@@ -238,12 +245,12 @@ func TestFsyncAlwaysDurableBeforeReturn(t *testing.T) {
 	}
 }
 
-// TestUnloggedCommitAfterCloseReported: a transaction that commits
-// while the log is closing (or closed) cannot be appended — its
-// in-memory effect silently diverges from disk unless the engine
-// reports it. The loss must surface through Err and a late Close, not
-// vanish behind the operation's in-memory success.
-func TestUnloggedCommitAfterCloseReported(t *testing.T) {
+// TestCommitAfterCloseRefused: a transaction that commits after the log
+// closed cannot be appended, so the log refuses it: the transaction
+// rolls back with ErrClosed, leaving its write undone, Err and a second
+// Close stay nil (nothing acknowledged was lost), and the recovered log
+// holds the commit made before Close but not the refused one.
+func TestCommitAfterCloseRefused(t *testing.T) {
 	dir := t.TempDir()
 	st := openInt64Store(t, Options{Dir: dir, Fsync: FsyncAlways})
 	rt := stm.New()
@@ -252,12 +259,22 @@ func TestUnloggedCommitAfterCloseReported(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatalf("clean Close: %v", err)
 	}
-	logTx(t, rt, &ws, func(tx *stm.Tx) { st.LogPut(tx, 2, 20) })
-	if err := st.Err(); err == nil {
-		t.Fatal("commit racing/after Close was dropped without Err reporting it")
+	if err := writeTx(rt, &ws, func(tx *stm.Tx) { st.LogPut(tx, 2, 20) }); !errors.Is(err, ErrClosed) {
+		t.Fatalf("commit after Close = %v, want ErrClosed", err)
 	}
-	if err := st.Close(); err == nil {
-		t.Fatal("second Close did not report the unlogged commit")
+	if got := ws.f.Raw(); got != 1 {
+		t.Fatalf("refused commit left its write in memory: scratch %d, want 1", got)
+	}
+	if err := st.Err(); err != nil {
+		t.Fatalf("Err after a refused commit: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("second Close after a refused commit: %v", err)
+	}
+	st2 := openInt64Store(t, Options{Dir: dir})
+	defer st2.Close()
+	if got := recoveredMap(st2); len(got) != 1 || got[1] != 10 {
+		t.Fatalf("recovered %v, want only the commit before Close", got)
 	}
 }
 

@@ -145,13 +145,13 @@ func (s *Store[K, V]) Dir() string { return s.opts.Dir }
 // txBuf accumulates one transaction attempt's logical ops, pre-encoded.
 // It lives in the transaction's per-attempt local slot, so an aborted
 // attempt's ops are dropped with the slot and a retry starts clean. A
-// map owns its runtime and at most one store, so the slot holds at most
-// this store's buffer.
+// transaction touches one map, and a map has at most one store, so the
+// slot holds at most this store's buffer, and the transaction carries
+// no other publish hook that could refuse.
 type txBuf struct {
 	ops   []byte
 	count int
 	lsn   int64
-	err   error
 }
 
 // bufFor finds or installs this store's op buffer on the transaction,
@@ -166,7 +166,6 @@ func (s *Store[K, V]) bufFor(tx *stm.Tx) *txBuf {
 	b.count = 0
 	b.ops = b.ops[:0]
 	b.lsn = 0
-	b.err = nil
 	tx.SetLocal(b)
 	tx.OnPublish(s, unsafe.Pointer(b))
 	tx.OnCommit(s, unsafe.Pointer(b))
@@ -177,25 +176,27 @@ func (s *Store[K, V]) bufFor(tx *stm.Tx) *txBuf {
 // (implements stm.PublishHook; arg is the attempt's *txBuf). Orecs are
 // still held: append order equals commit order for every conflicting
 // transaction, making the WAL's file order a valid tiebreak for equal
-// stamps.
-func (s *Store[K, V]) Published(stamp uint64, arg unsafe.Pointer) {
+// stamps. A log that failed, or that is closing, closed or crashed,
+// refuses the record, and the transaction rolls back with its error.
+func (s *Store[K, V]) Published(stamp uint64, arg unsafe.Pointer) error {
 	b := (*txBuf)(arg)
-	b.lsn, b.err = s.w.appendRecord(stamp, b.count, b.ops)
+	var err error
+	b.lsn, err = s.w.appendRecord(stamp, b.count, b.ops)
+	return err
 }
 
 // Committed waits out the group commit under FsyncAlways and recycles
 // the buffer (implements stm.CommitHook; arg is the attempt's *txBuf).
-func (s *Store[K, V]) Committed(arg unsafe.Pointer) {
+// It returns the wait's error: the transaction has committed in
+// memory, but its record is not durable.
+func (s *Store[K, V]) Committed(arg unsafe.Pointer) error {
 	b := (*txBuf)(arg)
-	if s.opts.Fsync == FsyncAlways && b.err == nil {
-		// The wait's error is not returned to the operation: the
-		// transaction has already committed in memory and cannot be
-		// un-acknowledged. Every failure path is sticky engine state
-		// that Err/Sync/Close report — I/O errors via w.err, and an
-		// append rejected by a racing Close via the unlogged counter.
-		s.w.waitDurable(b.lsn)
+	var err error
+	if s.opts.Fsync == FsyncAlways {
+		err = s.w.waitDurable(b.lsn)
 	}
 	s.bufPool.Put(b)
+	return err
 }
 
 // LogPut records that the transaction set k to v (implements the core
@@ -320,19 +321,13 @@ func (s *Store[K, V]) Snapshot() error {
 // counted in StoreStats.LateSyncs, never acknowledged as durable.
 func (s *Store[K, V]) Sync() error { return s.w.sync() }
 
-// Err returns the sticky background error, if any. Permanent, in
-// precedence order: a WAL I/O failure, then unlogged commits (ops that
-// committed in memory while the log was closing or closed — that
-// divergence from disk never clears). When the log is healthy: the most
-// recent background snapshot failure, cleared by the next snapshot that
-// succeeds. This is the one probe that observes every way the engine
-// can silently degrade.
+// Err returns the sticky background error, if any, in precedence
+// order: the log's I/O error, which is permanent (from then on every
+// write is refused), else the most recent background snapshot failure,
+// cleared by the next snapshot that succeeds.
 func (s *Store[K, V]) Err() error {
 	s.w.mu.Lock()
 	werr := s.w.err
-	if werr == nil {
-		werr = s.w.unloggedErrLocked()
-	}
 	s.w.mu.Unlock()
 	if werr != nil {
 		return werr
@@ -340,16 +335,6 @@ func (s *Store[K, V]) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.lastSnapErr
-}
-
-// LogErr returns the log's sticky I/O error, set once a write or an
-// fsync of a segment failed: from then on no record reaches the disk,
-// so no write may be acknowledged. Unlike Err it ignores a failed
-// background snapshot, which loses nothing.
-func (s *Store[K, V]) LogErr() error {
-	s.w.mu.Lock()
-	defer s.w.mu.Unlock()
-	return s.w.err
 }
 
 // Close stops the snapshotter, flushes and fsyncs the WAL (all
@@ -376,8 +361,8 @@ func (s *Store[K, V]) stopSnapshotter() {
 
 // SimulateCrash abandons the store as a process crash would: buffered,
 // un-flushed records are lost, nothing is fsynced, files are left
-// as-is. The owning map keeps working in memory but logs nothing
-// further. See also SimulateTornCrash.
+// as-is. Every later write to the owning map is refused; reads keep
+// working. See also SimulateTornCrash.
 func (s *Store[K, V]) SimulateCrash() error {
 	s.stopSnapshotter()
 	return s.w.simulateCrash(0)

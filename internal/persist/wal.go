@@ -93,8 +93,7 @@ var ErrClosed = errors.New("persist: store is closed")
 // must not treat the call as an acknowledgment of anything appended
 // since the shutdown began. It wraps ErrClosed, so existing
 // errors.Is(err, ErrClosed) checks keep matching. Each occurrence is
-// counted (StoreStats.LateSyncs) alongside the unlogged-commit
-// bookkeeping.
+// counted (StoreStats.LateSyncs).
 var ErrSyncRaced = fmt.Errorf("persist: sync raced shutdown: %w", ErrClosed)
 
 // flushHighWater is the buffered-bytes threshold beyond which an append
@@ -128,15 +127,9 @@ type wal struct {
 	fileSeq     uint64
 	sealed      []segMeta
 	err         error // sticky background I/O error
-	closing     bool  // rejects new appends while Close drains
+	closing     bool  // set by close and simulateCrash: rejects every append
 	closed      bool
 	crashed     bool
-	// unlogged counts committed transactions whose append was rejected
-	// because the log was closing or closed — in-memory state that
-	// diverged from disk. Surfaced by close and the store's Err so a
-	// commit racing Close is reported, never silently dropped (a
-	// simulated crash intentionally stops logging and does not count).
-	unlogged uint64
 
 	// ioMu guards the segment files themselves. The active segment's
 	// metadata is head, which changes under ioMu and mu both.
@@ -219,23 +212,20 @@ func (w *wal) nextFileSeq() uint64 {
 }
 
 // appendRecord encodes one logical record — the ops of a single
-// committed transaction — into the append buffer and returns the LSN a
+// committing transaction — into the append buffer and returns the LSN a
 // durability wait must cover. It is called from stm.Tx.OnPublish, while
 // the committing transaction still holds its orecs, which is what makes
 // append order agree with commit order for conflicting transactions.
+// The sticky I/O error, or ErrClosed once the log is closing, closed
+// or crashed, refuses the record, and the transaction rolls back.
 func (w *wal) appendRecord(stamp uint64, count int, ops []byte) (lsn int64, err error) {
 	w.mu.Lock()
-	if w.err != nil {
-		err = w.err
+	if err = w.err; err == nil && w.closing {
+		err = ErrClosed
+	}
+	if err != nil {
 		w.mu.Unlock()
 		return 0, err
-	}
-	if w.closing || w.closed {
-		if !w.crashed {
-			w.unlogged++
-		}
-		w.mu.Unlock()
-		return 0, ErrClosed
 	}
 	var header int
 	w.buf, header = beginFrame(w.buf)
@@ -277,22 +267,23 @@ func (w *wal) kickFlush() {
 }
 
 // waitDurable blocks until an fsync covers lsn (FsyncAlways's
-// group-commit wait). It returns immediately for other policies' sticky
-// errors, crash simulation, or closure; by the time closure is visible
-// the final flush has already covered every accepted append.
+// group-commit wait) and returns nil, or returns the sticky I/O error,
+// or ErrClosed after a crash simulation, if neither can cover it any
+// more. A clean close covers every accepted append with its final
+// flush before closure is visible.
 func (w *wal) waitDurable(lsn int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for w.syncedLSN < lsn && w.err == nil && !w.crashed && !w.closed {
 		w.durable.Wait()
 	}
-	if w.err != nil {
+	switch {
+	case w.syncedLSN >= lsn:
+		return nil
+	case w.err != nil:
 		return w.err
 	}
-	if w.crashed && w.syncedLSN < lsn {
-		return ErrClosed
-	}
-	return nil
+	return ErrClosed
 }
 
 // flusher is the single I/O goroutine: it drains the append buffer on
@@ -388,16 +379,6 @@ func (w *wal) flush(sync bool) {
 	if rotate {
 		w.rotateLocked()
 	}
-}
-
-// unloggedErrLocked reports transactions that committed in memory while
-// the log was closing or closed and so were never appended; callers
-// hold w.mu.
-func (w *wal) unloggedErrLocked() error {
-	if w.unlogged == 0 {
-		return nil
-	}
-	return fmt.Errorf("persist: %d committed operations were not logged (commit raced or followed Close)", w.unlogged)
 }
 
 // setErrLocked records a sticky background error and wakes waiters;
@@ -538,9 +519,6 @@ func (w *wal) close() error {
 			w.durable.Wait()
 		}
 		err := w.err
-		if err == nil {
-			err = w.unloggedErrLocked()
-		}
 		w.mu.Unlock()
 		return err
 	}
@@ -562,9 +540,6 @@ func (w *wal) close() error {
 	w.closed = true
 	w.durable.Broadcast()
 	err := w.err
-	if err == nil {
-		err = w.unloggedErrLocked()
-	}
 	w.mu.Unlock()
 	return err
 }

@@ -34,15 +34,22 @@ func TestReplicaRestartResumes(t *testing.T) {
 			waitConverge(t, h.m, r)
 			ps0 := h.p.Stats().Resyncs
 			if crash {
-				// Records applied from here on reach neither its log nor
-				// its position, and the replica keeps applying them in
-				// memory until it is closed.
+				// From here on the replica's log refuses every record,
+				// so none is applied until the replica restarts.
 				if err := r.Map().SimulateCrash(); err != nil {
 					t.Fatalf("SimulateCrash: %v", err)
 				}
 			}
 			for i := int64(300); i < 500; i++ {
 				h.m.Put(i, -i)
+			}
+			// The replica redials every 20ms and is resent the refused
+			// run each time.
+			for end := time.Now().Add(300 * time.Millisecond); crash && time.Now().Before(end); {
+				if got := allPairs(r.Map()); len(got) != 300 {
+					t.Fatalf("crashed replica holds %d pairs, want the 300 it had", len(got))
+				}
+				time.Sleep(10 * time.Millisecond)
 			}
 			err := r.Close()
 			if !crash && err != nil {

@@ -437,7 +437,9 @@ func (r *Replica) advance(s uint64) {
 // stream order (commit order for any two records that could disagree
 // about a key), lifting the watermark to its stamp. A refused run
 // leaves pos where it was, so the primary resends it whole; reapplying
-// a prefix of it is harmless.
+// a prefix of it is harmless. A record the map's own log refuses (the
+// map was closed or crashed, or its log failed) is not applied, and
+// fails the run.
 func (r *Replica) applyRun(rs *persist.Restore, pos uint64, m *wire.ReplMsg) (uint64, error) {
 	if m.Seq != pos {
 		return pos, fmt.Errorf("log run at position %d, want %d", m.Seq, pos)
@@ -449,8 +451,8 @@ func (r *Replica) applyRun(rs *persist.Restore, pos uint64, m *wire.ReplMsg) (ui
 	ic := persist.Int64Codec()
 	err := walk(m.Data, func(_ int64, stamp, count uint64, ops []byte) error {
 		r.raisePrimStamp(stamp)
-		r.records.Add(1)
 		if rs != nil {
+			r.records.Add(1)
 			return nil
 		}
 		err := r.Map().Atomic(func(op *skiphash.Txn[int64, int64]) error {
@@ -467,6 +469,7 @@ func (r *Replica) applyRun(rs *persist.Restore, pos uint64, m *wire.ReplMsg) (ui
 		if err != nil {
 			return err
 		}
+		r.records.Add(1)
 		r.advance(stamp)
 		return nil
 	})

@@ -14,8 +14,9 @@ import (
 // TestServedWritesFailStopAfterLogError: once an fsync of the log fails,
 // a FsyncAlways map answers no write StatusOK — neither the run whose
 // record that fsync was to cover nor any run after it — a Sync answers
-// the error, Map.Close returns it, and a reopen holds every write that
-// was answered StatusOK.
+// the error, Gets miss every write of the runs after the failing one
+// (the log refused them, so they rolled back), Map.Close returns the
+// error, and a reopen holds every write that was answered StatusOK.
 func TestServedWritesFailStopAfterLogError(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		dir := t.TempDir()
@@ -70,6 +71,20 @@ func TestServedWritesFailStopAfterLogError(t *testing.T) {
 		}
 		if want := (int(k) - 1) * perRun; len(acked) != want {
 			t.Fatalf("seed %d: %d writes answered OK before fsync %d failed, want %d", seed, len(acked), k, want)
+		}
+		// The log refused the runs after the failing one, so memory
+		// holds none of their Puts.
+		var gets []byte
+		first := id
+		for key := int64(k)*perRun + 1; key <= runs*perRun; key++ {
+			id++
+			gets = append(gets, wire.AppendRequest(nil, &wire.Request{ID: id, Op: wire.OpGet, Key: key})...)
+		}
+		p.send(0, gets)
+		for want := first + 1; want <= id; want++ {
+			if resp := p.expect(want); resp.Ok {
+				t.Fatalf("seed %d: Get of a Put refused after fsync %d failed found %d", seed, k, resp.Val)
+			}
 		}
 		if err := m.Close(); !errors.Is(err, syscall.EIO) {
 			t.Fatalf("seed %d: Close = %v, want EIO", seed, err)

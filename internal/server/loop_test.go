@@ -7,10 +7,13 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/fsfake"
 	"repro/internal/obs"
+	"repro/internal/persist"
 	"repro/internal/wire"
 	"repro/skiphash"
 )
@@ -222,16 +225,18 @@ func TestOneGoroutinePerConnection(t *testing.T) {
 	}
 }
 
-// TestShutdownReportsEngineFailure stops a durable namespace's engine
-// behind the map's back and then writes to it, so an acknowledged commit
-// never reached the log: Shutdown (through CloseAll) must say so.
+// TestShutdownReportsEngineFailure breaks a durable namespace's log for
+// real — the write that opens its first segment fails with EIO — so
+// Shutdown (through CloseAll) must return that namespace's error, while
+// the healthy namespace beside it closes cleanly.
 func TestShutdownReportsEngineFailure(t *testing.T) {
 	def := skiphash.New[int64, int64](skiphash.Int64Less, skiphash.Hash64, skiphash.Config{})
 	defer def.Close()
+	inj := fsfake.NewInjector(nil, 1)
 	reg, err := NewRegistry(RegistryConfig{
 		Root:       t.TempDir(),
 		Map:        skiphash.Config{},
-		Durability: skiphash.Durability{Fsync: skiphash.FsyncNone},
+		Durability: persist.OnDisk(skiphash.Durability{Fsync: skiphash.FsyncNone}, inj),
 	})
 	if err != nil {
 		t.Fatalf("NewRegistry: %v", err)
@@ -244,10 +249,16 @@ func TestShutdownReportsEngineFailure(t *testing.T) {
 		t.Fatalf("Create: %v", err)
 	}
 	m := ns.be.(*MapBackend[string, string]).Map
-	m.Persister().Close()
-	m.Insert("k", "v")
+	// Only the failing namespace has a record to write out.
+	inj.Arm(fsfake.Write, 1, 1, syscall.EIO)
+	if !m.Insert("k", "v") {
+		t.Fatal("Insert before the failed write reported false")
+	}
+	if err := m.Sync(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Sync = %v, want EIO", err)
+	}
 	err = NewWithRegistry(NewShardedBackend(def), reg, Config{}).Shutdown(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "not logged") {
-		t.Fatalf("Shutdown = %v after a commit no engine logged", err)
+	if !errors.Is(err, syscall.EIO) || !strings.Contains(err.Error(), `"failing"`) || strings.Contains(err.Error(), `"healthy"`) {
+		t.Fatalf("Shutdown = %v, want only the failing namespace's EIO", err)
 	}
 }

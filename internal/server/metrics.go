@@ -118,7 +118,7 @@ func RegisterMapMetrics(reg *obs.Registry, m func() *skiphash.Map[int64, int64])
 		"Rolled-back attempts by reason."+onRuntime,
 		func() uint64 { return stats().AbortsInjected }, obs.Label{Key: "reason", Value: "injected"})
 	reg.CounterFunc("skiphash_stm_user_errors_total",
-		"Transactions rolled back by a user error return."+onRuntime,
+		"Transactions rolled back by an error: the body's, or a write the log refused."+onRuntime,
 		func() uint64 { return stats().UserErrors })
 	reg.CounterFunc("skiphash_stm_backoff_nanoseconds_total",
 		"Wall time spent in inter-attempt contention backoff."+onRuntime,

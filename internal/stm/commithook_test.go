@@ -15,9 +15,15 @@ import (
 // registers: both hooks add the payload's value to a running sum.
 type hookCounter struct{ committed, published uint64 }
 
-func (c *hookCounter) Committed(arg unsafe.Pointer) { c.committed += *(*uint64)(arg) }
+func (c *hookCounter) Committed(arg unsafe.Pointer) error {
+	c.committed += *(*uint64)(arg)
+	return nil
+}
 
-func (c *hookCounter) Published(_ uint64, arg unsafe.Pointer) { c.published += *(*uint64)(arg) }
+func (c *hookCounter) Published(_ uint64, arg unsafe.Pointer) error {
+	c.published += *(*uint64)(arg)
+	return nil
+}
 
 // TestHookAllocBudget pins the point of the {target, arg} registration
 // form: a writing transaction that registers and runs one commit hook and

@@ -64,12 +64,16 @@
 // appended to the descriptor's list as a plain struct — the same
 // treatment the undo log gets — so registering a hook allocates nothing.
 //
-// Publish hooks run inside a successful writing commit, after validation
-// and with the commit stamp, while every acquired orec is still held:
-// hooks of conflicting transactions therefore run in commit order, which
-// is what the write-ahead log orders itself by.
-// Commit hooks run after the orecs are released. Both are discarded when
-// the attempt aborts or the body returns an error, and neither carries
+// Publish hooks run inside a writing commit, after validation and with
+// the commit stamp, while every acquired orec is still held: hooks of
+// conflicting transactions therefore run in commit order, which is what
+// the write-ahead log orders itself by. A publish hook is the commit's
+// last check: if it returns an error the transaction rolls back, as a
+// failed validation does, and Atomic returns the error without
+// retrying, so a write the log refuses never becomes visible. Commit
+// hooks run after the orecs are released; an error one returns is
+// returned by Atomic after the commit. Both are discarded when the
+// attempt aborts or the body returns an error, and neither carries
 // across attempts — a retried body registers again. Read-only commits
 // draw no stamp and run no publish hooks. Once the hooks have run (or
 // the attempt has rolled back) the descriptor zeroes the entries, so a

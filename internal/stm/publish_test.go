@@ -101,6 +101,76 @@ func TestOnPublishSemantics(t *testing.T) {
 	}
 }
 
+// TestHookErrors: a publish hook that refuses is the commit's last
+// check — the attempt rolls back, its in-place writes undone, its commit
+// hooks dropped, and Atomic returns the refusal after one run of the
+// body, counted as a user error. A commit hook's error comes after the
+// commit: Atomic returns it and the writes stay.
+func TestHookErrors(t *testing.T) {
+	rt := New()
+	var o Orec
+	var f U64
+	refused := errors.New("refused")
+	if err := rt.Atomic(func(tx *Tx) error {
+		f.Store(tx, &o, 1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("publish refusal rolls back", func(t *testing.T) {
+		before := rt.Stats()
+		runs, committed := 0, 0
+		err := rt.Atomic(func(tx *Tx) error {
+			runs++
+			f.Store(tx, &o, f.Load(tx, &o)+1)
+			tx.OnPublish(hookErr{refused}, nil)
+			tx.OnCommit(commitFunc(func() { committed++ }), nil)
+			return nil
+		})
+		if !errors.Is(err, refused) || runs != 1 {
+			t.Fatalf("Atomic = %v after %d runs, want the refusal after 1", err, runs)
+		}
+		if got := f.Raw(); got != 1 {
+			t.Fatalf("refused write left %d in memory, want the old value 1", got)
+		}
+		if committed != 0 {
+			t.Fatalf("commit hook of a refused commit ran %d times", committed)
+		}
+		if d := rt.Stats().Sub(before); d.UserErrors != 1 || d.Commits != 0 {
+			t.Fatalf("refused commit counted %d user errors, %d commits; want 1, 0", d.UserErrors, d.Commits)
+		}
+		// The orec was released at its old version: a later writer
+		// commits without conflict.
+		if err := rt.Atomic(func(tx *Tx) error {
+			f.Store(tx, &o, f.Load(tx, &o)+1)
+			return nil
+		}); err != nil || f.Raw() != 2 {
+			t.Fatalf("write after a refusal: %v, value %d", err, f.Raw())
+		}
+	})
+
+	t.Run("commit hook error after commit", func(t *testing.T) {
+		before := rt.Stats()
+		ran := 0
+		err := rt.Atomic(func(tx *Tx) error {
+			f.Store(tx, &o, 7)
+			tx.OnCommit(hookErr{refused}, nil)
+			tx.OnCommit(commitFunc(func() { ran++ }), nil)
+			return nil
+		})
+		if !errors.Is(err, refused) {
+			t.Fatalf("Atomic = %v, want the commit hook's error", err)
+		}
+		if got := f.Raw(); got != 7 || ran != 1 {
+			t.Fatalf("after a commit hook's error: value %d, later hook ran %d times; want 7, 1", got, ran)
+		}
+		if d := rt.Stats().Sub(before); d.Commits != 1 || d.UserErrors != 0 {
+			t.Fatalf("counted %d commits, %d user errors; want 1, 0", d.Commits, d.UserErrors)
+		}
+	})
+}
+
 // TestClockRaise: Raise lifts every later stamp above the floor and
 // keeps the clock advancing at its own pace.
 func TestClockRaise(t *testing.T) {

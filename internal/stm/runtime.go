@@ -115,12 +115,14 @@ func (rt *Runtime) loadHooks() Hooks {
 }
 
 // Atomic runs fn as a transaction, retrying until it commits. A non-nil
-// error from fn rolls the transaction back and is returned without
-// retrying. Panics from fn propagate after the transaction is rolled
-// back. Local variables captured by fn are never rolled back
-// (atomic(no_local_undo) semantics), so fn must be written to tolerate
-// re-execution — or must route all shared mutation through transactional
-// fields, which is the normal case.
+// error from fn, or a publish hook's refusal (see Tx.OnPublish), rolls
+// the transaction back and is returned without retrying; a commit
+// hook's error is returned after the commit (see Tx.OnCommit). Panics
+// from fn propagate after the transaction is rolled back. Local
+// variables captured by fn are never rolled back (atomic(no_local_undo)
+// semantics), so fn must be written to tolerate re-execution — or must
+// route all shared mutation through transactional fields, which is the
+// normal case.
 func (rt *Runtime) Atomic(fn func(tx *Tx) error) error {
 	return rt.run(fn, false)
 }
@@ -152,12 +154,18 @@ func (rt *Runtime) run(fn func(tx *Tx) error, tryOnce bool) error {
 					tx.cell.userErrors.Add(1)
 					return err
 				}
-				if tx.commit() {
-					tx.runHooks()
+				ok, err := tx.commit()
+				if ok {
+					err = tx.runHooks()
 					if obs != nil {
 						obs.o.ObserveNanos(int64(time.Since(t0)))
 					}
-					return nil
+					return err
+				}
+				if err != nil {
+					// A publish hook refused; commit rolled back.
+					tx.cell.userErrors.Add(1)
+					return err
 				}
 				// Commit-time validation (or an injected abort) failed;
 				// commit already rolled back.
@@ -237,7 +245,7 @@ type Stats struct {
 	// contention-induced delay behind the abort counts.
 	BackoffNanos uint64
 	// UserErrors counts transactions rolled back because the closure
-	// returned a non-nil error.
+	// returned a non-nil error or a publish hook refused the commit.
 	UserErrors uint64
 	// FastReadHits counts point reads answered by the optimistic
 	// non-transactional fast path (see fastread.go): no transaction

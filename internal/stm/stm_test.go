@@ -140,11 +140,24 @@ func TestTryOnceAbortsOnConflict(t *testing.T) {
 // objects so that a registration allocates nothing.
 type commitFunc func()
 
-func (f commitFunc) Committed(unsafe.Pointer) { f() }
+func (f commitFunc) Committed(unsafe.Pointer) error {
+	f()
+	return nil
+}
 
 type publishFunc func(stamp uint64)
 
-func (f publishFunc) Published(stamp uint64, _ unsafe.Pointer) { f(stamp) }
+func (f publishFunc) Published(stamp uint64, _ unsafe.Pointer) error {
+	f(stamp)
+	return nil
+}
+
+// hookErr is a hook target that returns err from both hooks.
+type hookErr struct{ err error }
+
+func (h hookErr) Committed(unsafe.Pointer) error { return h.err }
+
+func (h hookErr) Published(uint64, unsafe.Pointer) error { return h.err }
 
 func TestOnCommitHooks(t *testing.T) {
 	rt := New()

@@ -77,14 +77,16 @@ type undoEntry struct {
 // CommitHook is the target of an OnCommit registration: a long-lived
 // object (a map handle, a durability store) whose Committed method does
 // the post-commit work for the pointer-shaped payload registered with it.
+// An error it returns is the transaction's, returned after the commit.
 type CommitHook interface {
-	Committed(arg unsafe.Pointer)
+	Committed(arg unsafe.Pointer) error
 }
 
 // PublishHook is the target of an OnPublish registration; Published
-// receives the commit stamp and the payload registered with it.
+// receives the commit stamp and the payload registered with it. An error
+// it returns refuses the commit: the transaction rolls back.
 type PublishHook interface {
-	Published(stamp uint64, arg unsafe.Pointer)
+	Published(stamp uint64, arg unsafe.Pointer) error
 }
 
 // commitEntry and publishEntry are one hook registration each: a target
@@ -246,10 +248,12 @@ func (tx *Tx) logUndoU64(slot *atomic.Uint64, old uint64) {
 // commits, once every acquired orec has been released. Hooks are
 // discarded if the transaction aborts or returns an error, making them
 // the right place for side effects that must happen at most once, such as
-// the skip hash's count of nodes a removal unstitched. arg is an opaque
-// pointer payload handed back to h (nil when h needs none); the
-// descriptor drops its reference as soon as the hook has run or the
-// attempt has rolled back.
+// the skip hash's count of nodes a removal unstitched. Every registered
+// hook runs; Atomic returns the first error one returned, with the
+// transaction's writes committed and visible. arg is an opaque pointer
+// payload handed back to h (nil when h needs none); the descriptor drops
+// its reference as soon as the hook has run or the attempt has rolled
+// back.
 func (tx *Tx) OnCommit(h CommitHook, arg unsafe.Pointer) {
 	tx.hooks = append(tx.hooks, commitEntry{target: h, arg: arg})
 }
@@ -264,6 +268,13 @@ func (tx *Tx) OnCommit(h CommitHook, arg unsafe.Pointer) {
 // receives the commit stamp that orders them. The hook must be fast (it
 // extends every conflicting writer's wait) and must not panic or start
 // new transactions on this runtime.
+//
+// The hook is the commit's last check: an error it returns rolls the
+// transaction back, its undo log restoring every in-place write as a
+// failed validation would, and Atomic returns the error without
+// retrying (counted in Stats.UserErrors). The hooks that ran before it
+// are not undone, so a hook that may refuse must be the only one a
+// transaction registers.
 //
 // Hooks are discarded on abort or user error, and read-only commits
 // never run them (no stamp is drawn). Registrations do not carry across
@@ -288,8 +299,9 @@ func (tx *Tx) SetLocal(v any) { tx.local = v }
 func (tx *Tx) Local() any { return tx.local }
 
 // commit attempts to commit. It reports success; on failure the
-// transaction has already been rolled back.
-func (tx *Tx) commit() bool {
+// transaction has already been rolled back, and err is a publish hook's
+// refusal (nil when validation or an injected abort failed it).
+func (tx *Tx) commit() (ok bool, err error) {
 	if len(tx.acquired) == 0 {
 		// Read-only fast path: every read was individually validated
 		// against the start time, so the snapshot is consistent as of
@@ -298,17 +310,17 @@ func (tx *Tx) commit() bool {
 		if !tx.hookPoint(PointCommit) {
 			tx.abortReason = reasonInjected
 			tx.rollback()
-			return false
+			return false, nil
 		}
 		tx.active = false
 		tx.cell.commits.Add(1)
 		tx.cell.readOnlyCommits.Add(1)
-		return true
+		return true, nil
 	}
 	if !tx.hookPoint(PointValidate) {
 		tx.abortReason = reasonInjected
 		tx.rollback()
-		return false
+		return false, nil
 	}
 	end := tx.rt.clock.Next()
 	// Validate the read set: every orec we read must still hold the
@@ -321,19 +333,22 @@ func (tx *Tx) commit() bool {
 		}
 		tx.abortReason = reasonValidate
 		tx.rollback()
-		return false
+		return false, nil
 	}
 	if !tx.hookPoint(PointCommit) {
 		tx.abortReason = reasonInjected
 		tx.rollback()
-		return false
+		return false, nil
 	}
 	tx.end = end
-	// Commit is now decided: run the publish observers while the
-	// acquired orecs are still held, so observers of conflicting
-	// transactions fire in commit order (see OnPublish).
+	// Run the publish hooks while the acquired orecs are still held, so
+	// hooks of conflicting transactions fire in commit order, and a
+	// refusal can still roll back (see OnPublish).
 	for i := range tx.publish {
-		tx.publish[i].target.Published(end, tx.publish[i].arg)
+		if err := tx.publish[i].target.Published(end, tx.publish[i].arg); err != nil {
+			tx.rollback()
+			return false, err
+		}
 	}
 	// Publish: release every acquired orec at the commit timestamp.
 	release := versionWord(end)
@@ -342,7 +357,7 @@ func (tx *Tx) commit() bool {
 	}
 	tx.active = false
 	tx.cell.commits.Add(1)
-	return true
+	return true, nil
 }
 
 // rollback undoes all in-place writes and releases ownership at the
@@ -368,12 +383,15 @@ func (tx *Tx) rollback() {
 }
 
 // runHooks fires the on-commit hooks registered during a successful
-// transaction.
-func (tx *Tx) runHooks() {
+// transaction and returns the first error one returned.
+func (tx *Tx) runHooks() (err error) {
 	for i := range tx.hooks {
-		tx.hooks[i].target.Committed(tx.hooks[i].arg)
+		if e := tx.hooks[i].target.Committed(tx.hooks[i].arg); err == nil {
+			err = e
+		}
 	}
 	tx.dropHooks()
+	return err
 }
 
 // dropHooks empties both registration lists and zeroes the entries they

@@ -105,21 +105,18 @@
 // snapshot now. Atomic batches are single log records: recovery sees a
 // batch entirely or not at all.
 //
-// Operations report their in-memory result; they cannot individually
-// report a durability failure (by the time the log is involved, the
-// transaction has committed). A log I/O error — a full or failing disk
-// — is sticky: from that point the engine stops logging, and Map.Sync,
-// Map.Snapshot and the Persister's Err all return the error. An update
-// that commits while Close is already draining (or after it) cannot be
-// logged either; the divergence is counted and reported by Err and by
-// Close, so quiesce writers before Close when every acknowledged update
-// must be durable. Map.Close flushes, fsyncs and returns what kept
-// acknowledged writes off the disk (the log's I/O error, unlogged
-// commits, else the Persister's Err), the same error on every call, so
-// a checked shutdown is one Close. Deployments that must bound
-// data loss under disk failure should check Sync at checkpoints
-// (FsyncAlways callers: Err after critical writes) rather than rely on
-// per-operation acknowledgments.
+// A durable map fails stop: the log's append is the commit's last
+// check. A write the log refuses — after Close, after SimulateCrash, or
+// once a log write or fsync has failed (a full or failing disk) — rolls
+// back: Atomic returns the log's error, Insert, Put and Remove report
+// false, and memory holds none of it. Under FsyncAlways the write whose
+// own group fsync failed has already committed: its Atomic returns the
+// error, and it stays in memory without being durable. Reads keep
+// working. The log's I/O error is sticky: Map.Sync, Map.Snapshot and
+// the Persister's Err return it, and Map.Close flushes, fsyncs and
+// returns what kept acknowledged writes off the disk (the log's I/O
+// error, else the Persister's Err), the same error on every call, so a
+// checked shutdown is one Close. In-memory maps are unchanged.
 //
 // Open refuses, untouched, a directory in the retired per-shard layout
 // (a "shards" meta file and shard-NNN engine subdirectories).

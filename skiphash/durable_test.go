@@ -9,9 +9,11 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/fsfake"
 	"repro/internal/persist"
 	"repro/skiphash"
 )
@@ -344,21 +346,89 @@ func TestDurabilitySurfaceOnPlainMaps(t *testing.T) {
 	}
 }
 
-// TestDurableCloseReportsUnlogged: a commit the log never took (here
-// the engine is closed behind the map's back) is reported by the map's
-// own Close, and by every Close after it.
-func TestDurableCloseReportsUnlogged(t *testing.T) {
+// TestDurableWriteAfterCloseRefused: a write the log cannot take (here
+// the engine is closed behind the map's back) is refused, not applied
+// unlogged: Insert reports false, Lookup misses the key, reads keep
+// working, and the map's Close returns nil, since nothing acknowledged
+// was lost.
+func TestDurableWriteAfterCloseRefused(t *testing.T) {
 	m := openDurable(t, skiphash.Config{Durability: &skiphash.Durability{Dir: t.TempDir()}})
+	if !m.Insert(1, 1) {
+		t.Fatal("Insert before the close reported false")
+	}
 	if err := m.Persister().Close(); err != nil {
 		t.Fatalf("engine Close: %v", err)
 	}
-	m.Insert(1, 1)
-	err := m.Close()
-	if err == nil || !strings.Contains(err.Error(), "not logged") {
-		t.Fatalf("Close = %v after a commit the log never took, want a not-logged error", err)
+	if m.Insert(2, 2) {
+		t.Fatal("Insert after the engine closed reported true")
 	}
-	if again := m.Close(); again != err {
-		t.Fatalf("second Close = %v, want %v", again, err)
+	if _, ok := m.Lookup(2); ok {
+		t.Fatal("a refused Insert is visible in memory")
+	}
+	if v, ok := m.Lookup(1); !ok || v != 1 {
+		t.Fatalf("Lookup(1) after the close = %d, %v; want 1, true", v, ok)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatalf("Close = %v after a refused write, want nil", err)
+	}
+}
+
+// TestDurableWritesFailStopAfterLogError: under FsyncAlways, once an
+// fsync of the log fails the map acknowledges no write. The writes
+// before the failed fsync succeed. The write that waits on it gets the
+// fsync's error from its Atomic: it committed in memory, but is not
+// durable. The log refuses every write after it: Atomic returns the
+// error, Insert, Put and Remove report false, and Lookup sees none of
+// them. Close returns the error, and a reopen holds every acknowledged
+// write.
+func TestDurableWritesFailStopAfterLogError(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		dir := t.TempDir()
+		inj := fsfake.NewInjector(nil, seed)
+		dur := persist.OnDisk(skiphash.Durability{Dir: dir, Fsync: skiphash.FsyncAlways}, inj)
+		m := openDurable(t, skiphash.Config{Durability: &dur})
+		k := int64(inj.Arm(fsfake.FileSync, 2, 8, syscall.EIO))
+		put := func(key int64) error {
+			return m.Atomic(func(op *skiphash.Txn[int64, int64]) error {
+				op.Put(key, key)
+				return nil
+			})
+		}
+		// One writer, so the i-th write waits on the i-th fsync.
+		for key := int64(1); key < k; key++ {
+			if err := put(key); err != nil {
+				t.Fatalf("seed %d: write %d before fsync %d failed: %v", seed, key, k, err)
+			}
+		}
+		if err := put(k); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("seed %d: the write waiting on fsync %d returned %v, want EIO", seed, k, err)
+		}
+		for key := int64(100); key < 104; key++ {
+			if err := put(key); !errors.Is(err, syscall.EIO) {
+				t.Fatalf("seed %d: Atomic after fsync %d failed = %v, want EIO", seed, k, err)
+			}
+			if m.Insert(key+10, key) || m.Put(key+20, key) || m.Remove(1) {
+				t.Fatalf("seed %d: a write after fsync %d failed reported true", seed, k)
+			}
+			for _, miss := range []int64{key, key + 10, key + 20} {
+				if v, ok := m.Lookup(miss); ok {
+					t.Fatalf("seed %d: refused write of %d is visible as %d", seed, miss, v)
+				}
+			}
+			if _, ok := m.Lookup(1); !ok {
+				t.Fatalf("seed %d: a refused Remove took effect", seed)
+			}
+		}
+		if err := m.Close(); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("seed %d: Close = %v, want EIO", seed, err)
+		}
+		m = openDurable(t, skiphash.Config{Durability: &skiphash.Durability{Dir: dir}})
+		for key := int64(1); key < k; key++ {
+			if v, ok := m.Lookup(key); !ok || v != key {
+				t.Fatalf("seed %d: acknowledged write %d reopened as %d, %v", seed, key, v, ok)
+			}
+		}
+		m.Close()
 	}
 }
 
